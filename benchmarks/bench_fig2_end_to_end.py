@@ -23,14 +23,7 @@ def test_fig2_end_to_end(benchmark):
     result = run_once(benchmark, lambda: fig2_end_to_end(n_ops=N_OPS, runner=figure_runner()))
 
     print(banner("Fig. 2 — end-to-end latency (us), async QD8, 16B/4KiB"))
-    rows = []
-    for system in result.latency_us:
-        for pattern, phases in result.latency_us[system].items():
-            rows.append(
-                [system, pattern, phases["insert"], phases["update"],
-                 phases["read"]]
-            )
-    print(format_table(["system", "pattern", "insert", "update", "read"], rows))
+    print(result.render())
 
     print(banner("Fig. 2 — derived comparisons (paper vs measured)"))
     print(format_table(

@@ -28,12 +28,7 @@ def test_fig3_index_occupancy(benchmark):
     )
 
     print(banner("Fig. 3 — latency (us) at low vs high index occupancy"))
-    rows = []
-    for device in ("kv", "block"):
-        for occupancy in ("low", "high"):
-            cell = result.latency_us[device][occupancy]
-            rows.append([device, occupancy, cell["read"], cell["write"]])
-    print(format_table(["device", "occupancy", "read us", "write us"], rows))
+    print(result.render())
 
     print(banner("Fig. 3 — degradation high/low (paper vs measured)"))
     print(format_table(

@@ -16,7 +16,6 @@ Paper findings this bench checks:
 from conftest import banner, figure_runner, run_once
 
 from repro.core.figures import fig4_value_size_concurrency
-from repro.kvbench.report import format_table
 from repro.units import KIB
 
 SIZES = (512, 4 * KIB, 16 * KIB, 32 * KIB, 64 * KIB)
@@ -32,18 +31,7 @@ def test_fig4_value_size_concurrency(benchmark):
     )
 
     print(banner("Fig. 4 — KV/block mean-latency ratio (<1 favors KV-SSD)"))
-    rows = []
-    for size in SIZES:
-        rows.append([
-            f"{size // KIB or 0.5}KiB" if size >= KIB else f"{size}B",
-            result.ratio["write"][1][size],
-            result.ratio["read"][1][size],
-            result.ratio["write"][64][size],
-            result.ratio["read"][64][size],
-        ])
-    print(format_table(
-        ["value", "write QD1", "read QD1", "write QD64", "read QD64"], rows
-    ))
+    print(result.render())
     print("paper: QD1 ratios > 1 (up to 5.4x); QD64 < 1 below ~32 KiB "
           "(0.86x writes / 0.37x reads), > 1 at >=32 KiB")
 

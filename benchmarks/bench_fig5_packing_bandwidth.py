@@ -14,7 +14,6 @@ Paper findings this bench checks:
 from conftest import banner, figure_runner, run_once
 
 from repro.core.figures import fig5_packing_bandwidth
-from repro.kvbench.report import format_table
 from repro.units import KIB
 
 
@@ -22,12 +21,7 @@ def test_fig5_packing_bandwidth(benchmark):
     result = run_once(benchmark, lambda: fig5_packing_bandwidth(n_ops=800, runner=figure_runner()))
 
     print(banner("Fig. 5 — write bandwidth vs value size (MiB/s)"))
-    rows = [
-        [f"{size / KIB:g}KiB", result.kv_mib_s[size], result.block_mib_s[size],
-         result.kv_fragments[size]]
-        for size in result.value_sizes
-    ]
-    print(format_table(["value", "KV-SSD", "block-SSD", "KV fragments"], rows))
+    print(result.render())
     print("paper: KV-SSD dips at 25 KiB and 49 KiB (page-boundary "
           "splitting); block-SSD smooth")
 

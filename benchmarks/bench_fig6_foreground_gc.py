@@ -16,7 +16,6 @@ Paper findings this bench checks:
 from conftest import banner, figure_runner, run_once
 
 from repro.core.figures import fig6_foreground_gc
-from repro.kvbench.report import format_table, sparkline
 
 
 def test_fig6_foreground_gc(benchmark):
@@ -25,19 +24,7 @@ def test_fig6_foreground_gc(benchmark):
     )
 
     print(banner("Fig. 6 — bandwidth during the update phase"))
-    rows = []
-    for scenario in result.series:
-        series = result.series[scenario]
-        rows.append([
-            scenario,
-            result.trough_ratio(scenario),
-            result.foreground_gc_runs.get(scenario, 0),
-            sparkline(series[:48]),
-        ])
-    print(format_table(
-        ["scenario", "trough/head", "foreground GCs", "bandwidth (time ->)"],
-        rows,
-    ))
+    print(result.render())
     print(f"(fill {result.fill_fraction:.0%}, {result.n_updates:,} updates "
           f"of {result.value_bytes} B values; paper: 80% of 3.84 TB)")
 

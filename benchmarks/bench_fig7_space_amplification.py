@@ -14,28 +14,13 @@ Paper findings this bench checks:
 from conftest import banner, figure_runner, run_once
 
 from repro.core.figures import fig7_space_amplification
-from repro.kvbench.report import format_table
 
 
 def test_fig7_space_amplification(benchmark):
     result = run_once(benchmark, lambda: fig7_space_amplification(runner=figure_runner()))
 
     print(banner("Fig. 7 — space amplification (device bytes / app bytes)"))
-    rows = []
-    for size in result.value_sizes:
-        rows.append([
-            f"{size}B",
-            result.sa["kvssd"][size],
-            result.kv_analytic[size],
-            result.sa["aerospike"][size],
-            result.sa["rocksdb"][size],
-        ])
-    print(format_table(
-        ["value", "KV-SSD", "KV analytic", "Aerospike", "RocksDB"], rows
-    ))
-    print("max KVPs extrapolated to 3.84 TB: "
-          f"{result.max_kvps_full_scale / 1e9:.2f} billion "
-          "(paper: ~3.1 billion)")
+    print(result.render())
 
     # Paper-shape assertions.
     assert 14.0 < result.sa["kvssd"][50] < 21.0        # "up to ~17-20x"

@@ -14,21 +14,13 @@ Paper findings this bench checks:
 from conftest import banner, figure_runner, run_once
 
 from repro.core.figures import fig8_key_size_bandwidth
-from repro.kvbench.report import format_table
 
 
 def test_fig8_key_size_bandwidth(benchmark):
     result = run_once(benchmark, lambda: fig8_key_size_bandwidth(n_ops=1200, runner=figure_runner()))
 
     print(banner("Fig. 8 — store bandwidth vs key size (MiB/s)"))
-    rows = [
-        [f"{key_bytes}B", result.commands[key_bytes],
-         result.mib_s["sync"][key_bytes], result.mib_s["async"][key_bytes]]
-        for key_bytes in result.key_sizes
-    ]
-    print(format_table(["key", "NVMe cmds", "sync", "async"], rows))
-    print(f"cliff past 16 B keys: async {result.cliff_ratio('async'):.2f}x, "
-          f"sync {result.cliff_ratio('sync'):.2f}x (paper: ~0.53x)")
+    print(result.render())
 
     # Flat up to the inline limit.
     async_bw = result.mib_s["async"]

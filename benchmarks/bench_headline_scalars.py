@@ -9,14 +9,13 @@ vs measured side by side.
 from conftest import banner, run_once
 
 from repro.core.headline import headline_scalars
-from repro.kvbench.report import format_table
 
 
 def test_headline_scalars(benchmark):
     result = run_once(benchmark, headline_scalars)
 
     print(banner("Headline scalars (paper vs measured)"))
-    print(format_table(["metric", "paper", "measured"], result.rows()))
+    print(result.render())
 
     # Direction-of-effect assertions for every headline claim.
     assert result.cpu_reduction_vs_rocksdb > 5.0

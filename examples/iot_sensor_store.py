@@ -18,7 +18,7 @@ amplification for tiny records (Fig. 7's caveat).
 Run:  python examples/iot_sensor_store.py
 """
 
-from repro.core import build_kv_rig, build_lsm_rig, lab_geometry
+from repro.core import build_kv_rig, build_lsm_rig, drain_rig, lab_geometry
 from repro.hostkv.lsm.store import LSMConfig
 from repro.kvbench import (
     Pattern,
@@ -38,11 +38,6 @@ N_READINGS = 12000
 SENSOR_SCHEME = KeyScheme(prefix=b"sens", digits=12)
 
 
-def _drain(rig):
-    target = rig.store if hasattr(rig, "store") else rig.device
-    rig.env.run_until_complete(rig.env.process(target.drain()))
-
-
 def run_stack(name, rig, adapter):
     ingest = WorkloadSpec(
         n_ops=N_READINGS,
@@ -56,7 +51,7 @@ def run_stack(name, rig, adapter):
         rig.env, adapter, generate_operations(ingest), queue_depth=4,
         name=f"{name}.ingest",
     )
-    _drain(rig)
+    drain_rig(rig)
     lookups = WorkloadSpec(
         n_ops=N_READINGS // 4,
         op="read",

@@ -8,10 +8,11 @@ Usage::
     python -m repro headline
     python -m repro all --parallel 2
 
-Each subcommand runs the corresponding experiment from
-:mod:`repro.core.figures` and prints the same rows/series the paper's
-figure shows (the pytest benches add paper-vs-measured assertions on
-top of the identical experiment functions).
+Each subcommand selects rows of :data:`repro.core.registry.EXPERIMENTS`
+— a paper figure by name, the ``cluster``/``frontend``/``replay`` groups
+whole — runs them, and prints ``result.render()``: the same rows/series
+the paper's figure shows (the pytest benches add paper-vs-measured
+assertions on top of the identical experiment functions).
 
 ``--parallel N`` fans each experiment's independent points over ``N``
 worker processes; results are assembled in spec order, so the printed
@@ -28,127 +29,118 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.core.figures import (
-    fig2_end_to_end,
-    fig3_index_occupancy,
-    fig4_value_size_concurrency,
-    fig5_packing_bandwidth,
-    fig6_foreground_gc,
-    fig7_space_amplification,
-    fig8_key_size_bandwidth,
-)
-from repro.core.headline import headline_scalars
+from repro.cluster import ClusterSpec, DegradeEvent, TenantSpec, run_cluster
+from repro.core.registry import EXPERIMENTS, Experiment
 from repro.exec.runner import SweepRunner
-from repro.kvbench.report import format_table, sparkline
-from repro.units import KIB
+from repro.faults.run import run_fault_sweep, write_sweep_csv
+from repro.kvbench.report import format_table
+from repro.trace.export import format_breakdown, write_chrome_trace
+from repro.trace.run import run_traced
+
+#: Paper rows are commands by name, in 'all' order; every other group is
+#: one command running all of its rows.
+_PAPER = sorted(e.name for e in EXPERIMENTS.values() if e.group == "paper")
+_GROUPS = sorted({e.group for e in EXPERIMENTS.values()} - {"paper"})
 
 
-def _print_fig2(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    result = fig2_end_to_end(n_ops=args.n_ops, runner=runner)
-    rows = []
-    for system in result.latency_us:
-        for pattern, phases in result.latency_us[system].items():
-            rows.append([system, pattern, phases["insert"],
-                         phases["update"], phases["read"]])
-    print(format_table(
-        ["system", "pattern", "insert us", "update us", "read us"], rows
-    ))
-    print("\nhost CPU per op (us):",
-          {k: round(v, 1) for k, v in result.cpu_us_per_op.items()})
+def _selected(command: str) -> List[Experiment]:
+    """The registry rows one CLI command runs."""
+    if command in _PAPER:
+        return [EXPERIMENTS[command]]
+    return [e for e in EXPERIMENTS.values() if e.group == command]
 
 
-def _print_fig3(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    result = fig3_index_occupancy(measured_ops=args.measured_ops, runner=runner)
-    rows = []
-    for device in ("kv", "block"):
-        for occupancy in ("low", "high"):
-            cell = result.latency_us[device][occupancy]
-            rows.append([device, occupancy, cell["read"], cell["write"]])
-    print(format_table(["device", "occupancy", "read us", "write us"], rows))
-    print(f"\nKV degradation: write {result.degradation('kv', 'write'):.1f}x "
-          f"(paper 16.4x), read {result.degradation('kv', 'read'):.1f}x "
-          "(paper 2x)")
+def _run_experiments(
+    command: str, args: argparse.Namespace, runner: SweepRunner
+) -> None:
+    """Run the command's rows, print their renders, apply its smoke gate."""
+    if command == "cluster" and args.smoke:
+        _cluster_smoke(args, runner)
+        return
+    if command == "frontend":
+        args.loads = _parse_loads(args.loads)
+    mini = command == "replay" and args.smoke
+    results: Dict[str, Any] = {}
+    for experiment in _selected(command):
+        kwargs = experiment.mini if mini else {
+            keyword: getattr(args, dest)
+            for keyword, dest in experiment.cli.items()
+        }
+        results[experiment.name] = experiment.fn(runner=runner, **kwargs)
+    print("\n\n".join(result.render() for result in results.values()))
+    if command == "frontend" and args.slo_gate is not None:
+        _frontend_slo_gate(results["fig_frontend"], args.slo_gate)
+    if mini:
+        _replay_smoke_gate(
+            results["fig_replay_rotation"], results["fig_replay_mix"]
+        )
 
 
-def _print_fig4(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    result = fig4_value_size_concurrency(n_ops=args.n_ops, runner=runner)
-    rows = []
-    for size in result.value_sizes:
-        rows.append([
-            f"{size / KIB:g}KiB",
-            result.ratio["write"][1][size], result.ratio["read"][1][size],
-            result.ratio["write"][64][size], result.ratio["read"][64][size],
-        ])
-    print(format_table(
-        ["value", "w QD1", "r QD1", "w QD64", "r QD64"], rows
-    ))
-    print("\nKV/block mean-latency ratios; <1 favors the KV-SSD")
+def _parse_loads(text: str) -> tuple:
+    try:
+        loads = tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise SystemExit(f"bad --loads value: {text!r}")
+    if not loads or any(load <= 0.0 for load in loads):
+        raise SystemExit(f"bad --loads value: {text!r}")
+    return loads
 
 
-def _print_fig5(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    result = fig5_packing_bandwidth(n_ops=args.n_ops, runner=runner)
-    rows = [
-        [f"{size / KIB:g}KiB", result.kv_mib_s[size],
-         result.block_mib_s[size], result.kv_fragments[size]]
-        for size in result.value_sizes
-    ]
-    print(format_table(["value", "KV MiB/s", "block MiB/s", "fragments"], rows))
+def _cluster_smoke(args: argparse.Namespace, runner: SweepRunner) -> None:
+    """CI-shaped smoke: 2 shards, R=2, one forced mid-run read-only
+    degradation.  Exits non-zero if any acknowledged write is lost."""
+    n_ops = args.cluster_ops
+    spec = ClusterSpec(
+        shards=2, replication=2, partitions=8, vnodes=8,
+        tenants=(
+            TenantSpec(name="ta", workload="A", n_ops=n_ops,
+                       population=2 * n_ops, seed=11),
+        ),
+        degrade=(DegradeEvent(shard=0, at_op=n_ops // 2),),
+        rebalance_window_ops=max(1, n_ops // 4),
+        seed=17,
+    )
+    result = run_cluster(spec, runner)
+    print(result.render())
+    if not result.zero_lost_writes:
+        raise SystemExit("cluster smoke: lost acknowledged writes")
+    print("zero lost acknowledged writes")
 
 
-def _print_fig6(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    result = fig6_foreground_gc(runner=runner)
-    for scenario, series in result.series.items():
-        summary = result.stats_summary[scenario]
-        latency = result.latency_summary[scenario]
-        print(f"{scenario:<16} trough {result.trough_ratio(scenario):5.2f}  "
-              f"fgGC {result.foreground_gc_runs.get(scenario, 0):4d}  "
-              f"WAF {summary['waf']:5.2f}  "
-              f"stall {summary['stall_ms']:8.1f}ms  "
-              f"p99 {latency['p99'] / 1000.0:7.1f}ms  "
-              f"p999 {latency['p999'] / 1000.0:7.1f}ms  "
-              f"{sparkline(series[:48])}")
+def _frontend_slo_gate(result: Any, budget: float) -> None:
+    base = result.loads_kops[0]
+    violation = result.violation_fraction["lat"][base]
+    if violation > budget:
+        raise SystemExit(
+            f"frontend SLO gate: lat-class violation fraction "
+            f"{violation:.3f} at {base:g} kops exceeds the "
+            f"--slo-gate {budget:g} budget"
+        )
+    print(f"SLO gate ok: lat-class violations {violation:.3f} "
+          f"<= {budget:g} at {base:g} kops")
 
 
-def _print_fig7(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    result = fig7_space_amplification(runner=runner)
-    rows = [
-        [f"{size}B", result.sa["kvssd"][size], result.kv_analytic[size],
-         result.sa["aerospike"][size], result.sa["rocksdb"][size]]
-        for size in result.value_sizes
-    ]
-    print(format_table(
-        ["value", "KV-SSD", "KV analytic", "Aerospike", "RocksDB"], rows
-    ))
-    print(f"\nmax KVPs at 3.84 TB: {result.max_kvps_full_scale / 1e9:.2f}B "
-          "(paper ~3.1B)")
+def _replay_smoke_gate(rotation: Any, mix: Any) -> None:
+    """Hard liveness gates: the replay path must actually rotate,
+    expire, and scan."""
+    churned = [r for r in rotation.rotate_every if r > 0]
+    if not churned or any(
+        rotation.completed_ops[d][r] == 0
+        for d in rotation.latency_us for r in rotation.rotate_every
+    ):
+        raise SystemExit("replay smoke: rotation cells ran no operations")
+    scan_cells = [v for v in mix.variants if "scan" in v]
+    if not scan_cells or any(mix.ops[v]["scans"] == 0 for v in scan_cells):
+        raise SystemExit("replay smoke: scan variants ran no scans")
+    ttl_cells = [v for v in mix.variants if v.startswith("ttl")]
+    if any(mix.ops[v]["deletes"] == 0 for v in ttl_cells):
+        raise SystemExit("replay smoke: TTL variants expired no keys")
+    print("replay smoke ok: rotation, expiry deletes, and scans all live")
 
 
-def _print_fig8(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    result = fig8_key_size_bandwidth(n_ops=args.n_ops, runner=runner)
-    rows = [
-        [f"{k}B", result.commands[k], result.mib_s["sync"][k],
-         result.mib_s["async"][k]]
-        for k in result.key_sizes
-    ]
-    print(format_table(["key", "cmds", "sync MiB/s", "async MiB/s"], rows))
-    print(f"\ncliff past 16B: async {result.cliff_ratio('async'):.2f}x "
-          "(paper ~0.53x)")
-
-
-def _print_headline(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    del runner  # scalar summaries; nothing to fan out
-    result = headline_scalars()
-    print(format_table(["metric", "paper", "measured"], result.rows()))
-
-
-def _print_trace(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    # Imported lazily so the figure subcommands never pay for the trace
-    # machinery (and vice versa).
-    from repro.trace.export import format_breakdown, write_chrome_trace
-    from repro.trace.run import run_traced
-
+def _run_trace(args: argparse.Namespace, runner: SweepRunner) -> None:
     report = run_traced(fig=args.fig, n_ops=args.trace_ops, runner=runner)
     print(f"scenario: {args.fig} — {report.scenario.focus}")
     for personality in ("kv-ssd", "block-ssd"):
@@ -164,10 +156,7 @@ def _print_trace(args: argparse.Namespace, runner: Optional[SweepRunner]) -> Non
               "spans; raise max_spans for a complete timeline")
 
 
-def _print_faults(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    # Lazy import, like trace: figure subcommands never pay for it.
-    from repro.faults.run import run_fault_sweep, write_sweep_csv
-
+def _run_faults(args: argparse.Namespace, runner: SweepRunner) -> None:
     try:
         rates = [float(r) for r in args.fault_rates.split(",") if r.strip()]
     except ValueError:
@@ -199,239 +188,6 @@ def _print_faults(args: argparse.Namespace, runner: Optional[SweepRunner]) -> No
         print(f"wrote {written} sweep rows to {args.faults_out}")
 
 
-def _print_cluster(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    # Lazy imports, like trace/faults: figure subcommands never pay for
-    # the cluster machinery.
-    from repro.cluster import ClusterSpec, DegradeEvent, TenantSpec, run_cluster
-
-    if args.smoke:
-        # CI-shaped smoke: 2 shards, R=2, one forced mid-run read-only
-        # degradation.  Exits non-zero if any acknowledged write is lost.
-        n_ops = args.cluster_ops
-        spec = ClusterSpec(
-            shards=2, replication=2, partitions=8, vnodes=8,
-            tenants=(
-                TenantSpec(name="ta", workload="A", n_ops=n_ops,
-                           population=2 * n_ops, seed=11),
-            ),
-            degrade=(DegradeEvent(shard=0, at_op=n_ops // 2),),
-            rebalance_window_ops=max(1, n_ops // 4),
-            seed=17,
-        )
-        result = run_cluster(spec, runner)
-        print(format_table(
-            ["shards", "R", "ops", "fail", "drain", "verified", "missing",
-             "degraded", "kops"],
-            [[spec.shards, spec.replication, result.completed_ops,
-              result.failed_ops, result.drain_ops, result.verify_checked,
-              result.verify_missing, result.degraded_shards,
-              round(result.throughput_kops(), 2)]],
-        ))
-        print(f"fingerprint: {result.fingerprint()}")
-        if not result.zero_lost_writes:
-            raise SystemExit("cluster smoke: lost acknowledged writes")
-        print("zero lost acknowledged writes")
-        return
-
-    from repro.core.figures import (
-        cluster_rebalance_tail,
-        cluster_replication_cost,
-        cluster_shard_scaling,
-    )
-
-    scaling = cluster_shard_scaling(n_ops=args.cluster_ops, runner=runner)
-    print("-- throughput vs shard count --")
-    print(format_table(
-        ["shards", "kops", "kops/shard", "router share", "ops"],
-        [[n, round(scaling.throughput_kops[n], 2),
-          round(scaling.per_shard_kops[n], 2),
-          round(scaling.router_share[n], 4), scaling.completed_ops[n]]
-         for n in scaling.shard_counts],
-    ))
-    print(f"scaling {min(scaling.shard_counts)}->{max(scaling.shard_counts)} "
-          f"shards: {scaling.scaling_ratio():.2f}x\n")
-
-    rebalance = cluster_rebalance_tail(n_ops=args.cluster_ops, runner=runner)
-    print("-- tail latency through a rebalance window --")
-    print(format_table(
-        ["phase", "ops", "mean us", "p99 us", "p999 us"],
-        [[label, int(cell["count"]), round(cell["mean"], 1),
-          round(cell["p99"], 1), round(cell["p999"], 1)]
-         for label, cell in rebalance.phases.items()],
-    ))
-    print(f"p99 inflation during rebalance: "
-          f"{rebalance.tail_inflation('p99'):.2f}x  "
-          f"(drain {rebalance.drain_ops} ops, "
-          f"router share {rebalance.router_share:.4f}, "
-          f"{rebalance.trace_spans} spans, "
-          f"zero-lost={rebalance.zero_lost_writes})\n")
-
-    replication = cluster_replication_cost(n_ops=args.cluster_ops,
-                                           runner=runner)
-    print("-- replication-factor cost --")
-    print(format_table(
-        ["R", "kops", "routed ops", "flash programs", "write cost",
-         "read p99 us"],
-        [[r, round(replication.throughput_kops[r], 2),
-          replication.routed_ops[r], replication.flash_programs[r],
-          round(replication.write_cost(r), 2),
-          round(replication.read_p99[r], 1)]
-         for r in replication.factors],
-    ))
-
-
-def _print_frontend(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    # Lazy import, like trace/faults/cluster: figure subcommands never
-    # pay for the serving-frontend machinery.
-    from repro.frontend.run import frontend_load_sweep
-
-    try:
-        loads = tuple(
-            float(x) for x in args.loads.split(",") if x.strip()
-        )
-    except ValueError:
-        raise SystemExit(f"bad --loads value: {args.loads!r}")
-    if not loads or any(load <= 0.0 for load in loads):
-        raise SystemExit(f"bad --loads value: {args.loads!r}")
-    result = frontend_load_sweep(
-        loads_kops=loads,
-        n_requests=args.frontend_ops,
-        scheduler=args.scheduler,
-        runner=runner,
-    )
-    rows = []
-    for load in result.loads_kops:
-        row: List[object] = [f"{load:g}"]
-        for cls in result.class_names:
-            row.extend([
-                round(result.p50[cls][load], 1),
-                round(result.p99[cls][load], 1),
-                round(result.p999[cls][load], 1),
-                round(100.0 * result.shed_fraction[cls][load], 1),
-                round(100.0 * result.violation_fraction[cls][load], 1),
-            ])
-        row.append(round(result.throughput_kops[load], 1))
-        rows.append(row)
-    header = ["kops"]
-    for cls in result.class_names:
-        header.extend([f"{cls} p50", f"{cls} p99", f"{cls} p999",
-                       f"{cls} shed%", f"{cls} viol%"])
-    header.append("thr kops")
-    print(format_table(header, rows))
-    knee = result.knee_kops()
-    if knee is None:
-        print("\nno saturation knee within the swept loads")
-    else:
-        share = result.queueing_share("lat", knee)
-        print(f"\nsaturation knee at {knee:g} kops offered "
-              f"(queueing accounts for {100.0 * share:.0f}% of the "
-              "added lat-class p99)")
-    if args.slo_gate is not None:
-        base = result.loads_kops[0]
-        violation = result.violation_fraction["lat"][base]
-        if violation > args.slo_gate:
-            raise SystemExit(
-                f"frontend SLO gate: lat-class violation fraction "
-                f"{violation:.3f} at {base:g} kops exceeds the "
-                f"--slo-gate {args.slo_gate:g} budget"
-            )
-        print(f"SLO gate ok: lat-class violations {violation:.3f} "
-              f"<= {args.slo_gate:g} at {base:g} kops")
-
-
-def _print_replay(args: argparse.Namespace, runner: Optional[SweepRunner]) -> None:
-    # Lazy import, like trace/faults/cluster/frontend: figure subcommands
-    # never pay for the replay machinery.
-    from repro.core.figures import replay_rotation, replay_ttl_scan_mix
-
-    if args.smoke:
-        # CI-shaped smoke: tiny cells, both figures, hard liveness gates —
-        # the replay path must actually rotate, expire, and scan.
-        rotation = replay_rotation(
-            rotate_every=(0, 64), n_ops=200, population=512,
-            working_set=64, blocks_per_plane=8, runner=runner,
-        )
-        mix = replay_ttl_scan_mix(
-            variants=("plain", "ttl+scan"), n_ops=200,
-            population=400, ttl_ops=120, blocks_per_plane=8, runner=runner,
-        )
-    else:
-        rotation = replay_rotation(runner=runner)
-        mix = replay_ttl_scan_mix(n_ops=args.replay_ops, runner=runner)
-
-    print("-- working-set rotation: KV vs block --")
-    rows = []
-    for device in rotation.latency_us:
-        for rotate in rotation.rotate_every:
-            cell = rotation.latency_us[device][rotate]
-            stats = rotation.stats_summary[device][rotate]
-            rows.append([
-                device, rotate or "static", round(cell["mean"], 1),
-                round(cell["p99"], 1), round(cell["p999"], 1),
-                round(stats["waf"], 2),
-                rotation.completed_ops[device][rotate],
-            ])
-    print(format_table(
-        ["device", "rotate every", "mean us", "p99 us", "p999 us",
-         "WAF", "ops"],
-        rows,
-    ))
-    for device in rotation.latency_us:
-        print(f"{device} rotation p99 penalty: "
-              f"{rotation.rotation_penalty(device):.2f}x")
-
-    print("\n-- TTL + scan mix: read-tail cost --")
-    rows = []
-    for variant in mix.variants:
-        latency = mix.latency_us[variant]
-        ops = mix.ops[variant]
-        buckets = mix.buckets[variant]
-        rows.append([
-            variant, round(latency["read_p99"], 1),
-            round(latency["read_p999"], 1), ops["completed"],
-            ops["failed"], ops["deletes"], ops["scans"],
-            buckets["keys"], buckets["page_writes"],
-        ])
-    print(format_table(
-        ["variant", "read p99", "read p999", "ops", "fail", "deletes",
-         "scans", "bucket keys", "bucket pages"],
-        rows,
-    ))
-    scan_variant = next(
-        (v for v in mix.variants if "scan" in v), None
-    )
-    if scan_variant is not None:
-        print(f"read-tail inflation ({scan_variant} vs plain): "
-              f"{mix.tail_inflation(scan_variant):.2f}x")
-
-    if args.smoke:
-        churned = [r for r in rotation.rotate_every if r > 0]
-        if not churned or any(
-            rotation.completed_ops[d][r] == 0
-            for d in rotation.latency_us for r in rotation.rotate_every
-        ):
-            raise SystemExit("replay smoke: rotation cells ran no operations")
-        scan_cells = [v for v in mix.variants if "scan" in v]
-        if not scan_cells or any(mix.ops[v]["scans"] == 0 for v in scan_cells):
-            raise SystemExit("replay smoke: scan variants ran no scans")
-        ttl_cells = [v for v in mix.variants if v.startswith("ttl")]
-        if any(mix.ops[v]["deletes"] == 0 for v in ttl_cells):
-            raise SystemExit("replay smoke: TTL variants expired no keys")
-        print("replay smoke ok: rotation, expiry deletes, and scans all live")
-
-
-_COMMANDS: Dict[str, Callable[[argparse.Namespace, Optional[SweepRunner]], None]] = {
-    "fig2": _print_fig2,
-    "fig3": _print_fig3,
-    "fig4": _print_fig4,
-    "fig5": _print_fig5,
-    "fig6": _print_fig6,
-    "fig7": _print_fig7,
-    "fig8": _print_fig8,
-    "headline": _print_headline,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -443,9 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_COMMANDS) + ["all", "fig", "trace", "faults",
-                                     "cluster", "frontend", "replay",
-                                     "lint", "sanitize"],
+        choices=_PAPER + ["all", "fig", "trace", "faults", *_GROUPS,
+                          "lint", "sanitize"],
         help=(
             "which figure (or 'headline'/'all') to regenerate — 'fig' "
             "with a figure name as the next argument also works "
@@ -465,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "target", nargs="?", default=None,
-        choices=sorted(_COMMANDS) + ["all", None],
+        choices=_PAPER + ["all", None],
         help="with 'fig': which figure to regenerate",
     )
     parser.add_argument(
@@ -589,28 +344,19 @@ def main(argv: List[str] | None = None) -> int:
         cache=not args.no_cache,
         cache_dir=args.cache_dir,
     )
-    if experiment in ("trace", "faults", "cluster", "frontend", "replay"):
-        # Excluded from 'all': these are diagnostic/extension passes (a
-        # trace file, a reliability sweep, the multi-device cluster, the
-        # serving-frontend load sweep, the trace-replay figures), not
-        # paper-figure regenerations.
-        names = [experiment]
-        commands = {"trace": _print_trace, "faults": _print_faults,
-                    "cluster": _print_cluster, "frontend": _print_frontend,
-                    "replay": _print_replay}
-    elif experiment == "all":
-        names = sorted(_COMMANDS)
-        commands = _COMMANDS
-    else:
-        names = [experiment]
-        commands = _COMMANDS
+    # 'all' is the paper figures only: trace, faults and the extension
+    # groups are diagnostic passes, not paper-figure regenerations.
+    diagnostics = {"trace": _run_trace, "faults": _run_faults}
     reported = 0
-    for name in names:
+    for name in _PAPER if experiment == "all" else [experiment]:
         print(f"\n=== {name} ===")
         # Host-side progress reporting for the human running the CLI —
         # not simulation state, so the wall clock is the right clock.
         started = time.time()  # simlint: disable=SIM001
-        commands[name](args, runner)
+        if name in diagnostics:
+            diagnostics[name](args, runner)
+        else:
+            _run_experiments(name, args, runner)
         elapsed = time.time() - started  # simlint: disable=SIM001
         print(f"[{name} done in {elapsed:.1f}s]")
         # Exec statistics go to stderr so stdout stays pure figure

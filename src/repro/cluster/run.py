@@ -23,6 +23,7 @@ from repro.exec.cache import canonical
 from repro.exec.runner import SweepRunner, execute_spec
 from repro.exec.spec import SweepPoint, SweepSpec
 from repro.ftl.core import DeviceStats
+from repro.kvbench.report import format_table
 
 
 def aggregate_device_stats(stats: Sequence[DeviceStats]) -> DeviceStats:
@@ -146,6 +147,18 @@ class ClusterResult:
             canonical(self.shards), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode()).hexdigest()
+
+    def render(self) -> str:
+        """The one-row run summary plus the fingerprint line."""
+        table = format_table(
+            ["shards", "R", "ops", "fail", "drain", "verified", "missing",
+             "degraded", "kops"],
+            [[self.spec.shards, self.spec.replication, self.completed_ops,
+              self.failed_ops, self.drain_ops, self.verify_checked,
+              self.verify_missing, self.degraded_shards,
+              round(self.throughput_kops(), 2)]],
+        )
+        return f"{table}\nfingerprint: {self.fingerprint()}"
 
 
 def cluster_sweep(spec: ClusterSpec) -> SweepSpec:

@@ -28,7 +28,6 @@ from repro.core.experiment import (
 )
 from repro.errors import DeviceError, SimulationError
 from repro.faults.model import FaultConfig
-from repro.frontend.arrivals import ArrivalSpec, generate_arrivals
 from repro.ftl.core import DeviceStats
 from repro.kvbench.runner import BlockAdapter
 from repro.kvbench.workload import Operation, OpType
@@ -64,7 +63,8 @@ class ShardResult:
     op_time_us_total: float = 0.0
     #: Writes burned to exhaust the spare budget (never client traffic).
     sacrificial_writes: int = 0
-    #: Open-loop reads shed by bounded admission (never executed).
+    #: Operations shed before execution.  The closed-loop driver sheds
+    #: nothing; the field stays in the fingerprinted result shape.
     shed_ops: int = 0
     degraded: bool = False
     degrade_at_us: float = -1.0
@@ -197,72 +197,10 @@ class _ShardCell:
         op = Operation(planned.op, b"", slot, planned.value_bytes)
         return self.block_adapter(planned.tenant).execute(op)
 
-    def open_segment_driver(
-        self, segment: List[PlannedOp]
-    ) -> Generator[Event, None, None]:
-        """Play one segment open-loop: seeded Poisson arrivals offer
-        operations independently of completions (the serving-frontend
-        regime), with reads past the bounded admission window shed.
-        Latency is measured from the arrival instant, so queueing delay
-        under overload is visible — exactly what the closed-loop driver
-        cannot show.
-        """
-        env = self.env
-        spec = self.spec
-        result = self.result
-        recorder = self.recorder
-        arrival_spec = ArrivalSpec(
-            rate_ops_s=spec.arrival_rate_ops_s,
-            n_requests=len(segment),
-            seed=spec.seed * 10_007 + self.program.shard,
-        )
-        origin = env.now
-        in_flight = 0
-        started: List[Event] = []
-
-        def one(
-            planned: PlannedOp, arrived: float
-        ) -> Generator[Event, None, None]:
-            nonlocal in_flight
-            if spec.router_us > 0.0:
-                yield env.timeout(spec.router_us)
-            result.router_us_total += spec.router_us
-            try:
-                yield env.process(self.execute(planned))
-            except DeviceError:
-                result.failed_ops += 1
-            else:
-                latency = env.now - arrived
-                recorder.record(latency, planned.label)
-                result.op_time_us_total += latency
-                result.completed_ops += 1
-            in_flight -= 1
-
-        for planned, at in zip(segment, generate_arrivals(arrival_spec)):
-            target = origin + at
-            if target > env.now:
-                yield env.timeout(target - env.now)
-            if (
-                spec.admit_capacity
-                and in_flight >= spec.admit_capacity
-                and planned.op is OpType.READ
-            ):
-                result.shed_ops += 1
-                continue
-            in_flight += 1
-            started.append(
-                env.process(one(planned, env.now))
-            )
-        if started:
-            yield env.all_of(started)
-
     def segment_driver(
         self, segment: List[PlannedOp]
     ) -> Generator[Event, None, None]:
         """Play one segment at queue depth, recording per-phase latency."""
-        if self.spec.arrival_rate_ops_s > 0.0:
-            yield from self.open_segment_driver(segment)
-            return
         env = self.env
         spec = self.spec
         result = self.result

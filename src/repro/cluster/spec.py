@@ -204,18 +204,6 @@ class ClusterSpec:
     #: Spare-block budget for shards with a planned degradation (small,
     #: so a handful of scheduled program-fails trips read-only).
     degrade_spare_blocks: int = 1
-    #: Per-shard open-loop offered load (ops/s): > 0 replaces the
-    #: closed-loop queue-depth workers with seeded Poisson arrivals that
-    #: offer operations independently of completions, the serving-
-    #: frontend regime.  0 keeps the closed-loop default (byte-identical
-    #: to earlier revisions).
-    arrival_rate_ops_s: float = 0.0
-    #: Open-loop bounded admission: a read arriving while this many
-    #: operations are in flight on the shard is shed (counted, never
-    #: executed).  0 = admit everything.  Writes are never shed — the
-    #: statically derived verification plan (and the zero-lost-write
-    #: invariant) assumes every routed write lands.
-    admit_capacity: int = 0
     #: Record router/device spans through the trace subsystem.
     trace: bool = False
     #: Post-run device-side verification of every expected key (KV
@@ -293,15 +281,6 @@ class ClusterSpec:
         if self.router_us < 0.0:
             raise ConfigurationError(
                 f"router_us must be >= 0, got {self.router_us}"
-            )
-        if self.arrival_rate_ops_s < 0.0:
-            raise ConfigurationError(
-                f"arrival_rate_ops_s must be >= 0, "
-                f"got {self.arrival_rate_ops_s}"
-            )
-        if self.admit_capacity < 0:
-            raise ConfigurationError(
-                f"admit_capacity must be >= 0, got {self.admit_capacity}"
             )
         if self.degrade_spare_blocks < 1:
             raise ConfigurationError(

@@ -11,13 +11,14 @@ paper's four systems-under-test with one call each:
 
 All rigs default to the same flash geometry and timing — the paper's
 same-hardware methodology — and expose the CPU accountant and device
-counters the analysis reads.
+counters the analysis reads.  :func:`drain_rig` settles any of them
+between measured phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.api.block import BlockDeviceAPI
 from repro.api.kvs import KVStoreAPI
@@ -209,3 +210,10 @@ def build_hash_rig(
     api = BlockDeviceAPI(env, device, driver)
     store = HashKVStore(env, api, hash_config)
     return HashRig(env, cpu, driver, device, api, store, HashKVAdapter(store))
+
+
+def drain_rig(rig: Union[KVRig, BlockRig, LSMRig, HashRig]) -> None:
+    """Settle a rig's background work (flushes, packing) between phases."""
+    target = rig.store if isinstance(rig, (LSMRig, HashRig)) else rig.device
+    process = rig.env.process(target.drain())
+    rig.env.run_until_complete(process, limit=rig.env.now + 600e6)

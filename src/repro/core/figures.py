@@ -17,24 +17,30 @@ process pool and/or reuse cached cell results; without a runner the
 cells execute inline, serially, exactly as the original loops did.
 Results are always assembled in spec order, so the figure output is
 byte-identical at any worker count.
+
+Every ``*Result`` renders and reduces itself: ``render()`` is the text
+the CLI and the paper benches print, ``metrics()`` the flat shape-metric
+dict the golden suite diffs.  :mod:`repro.core.registry` lists the
+experiments; nothing else in the tree enumerates them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.experiment import (
     build_block_rig,
     build_hash_rig,
     build_kv_rig,
     build_lsm_rig,
+    drain_rig,
     lab_geometry,
 )
 from repro.core.model import device_stats_summary
 from repro.errors import ConfigurationError
-from repro.exec.runner import SweepRunner, execute_spec
-from repro.exec.spec import SweepPoint, SweepSpec
+from repro.exec.runner import SweepRunner, execute_keyed
+from repro.exec.spec import SweepPoint
 from repro.kvbench.generators import (
     ChurnSpec,
     ExpirySpec,
@@ -43,17 +49,20 @@ from repro.kvbench.generators import (
     generate_expiry,
     generate_scan_mix,
 )
-from repro.kvbench.runner import execute_workload
+from repro.kvbench.report import format_table, sparkline
+from repro.kvbench.runner import RunResult, execute_workload
 from repro.kvbench.traces import TraceWorkload, merge_traces
 from repro.kvbench.workload import (
+    Operation,
     Pattern,
     WorkloadSpec,
     generate_operations,
 )
 from repro.kvbench.ycsb import YCSBDriver, YCSBSpec
-from repro.kvftl.blob import space_amplification
+from repro.kvftl.blob import blobs_per_page, space_amplification
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.population import KeyScheme
+from repro.nvme.command import commands_for_key
 from repro.units import KIB, MIB
 
 #: Key size used throughout the paper's macro experiments.
@@ -61,12 +70,43 @@ PAPER_KEY_BYTES = 16
 #: The scheme producing 16-byte keys ("key-" + 12 digits).
 PAPER_SCHEME = KeyScheme(prefix=b"key-", digits=12)
 
+Metrics = Dict[str, float]
 
-def _drain(rig) -> None:
-    """Settle a rig's background work (flushes, packing) between phases."""
-    target = rig.device if not hasattr(rig, "store") else rig.store
-    process = rig.env.process(target.drain())
-    rig.env.run_until_complete(process, limit=rig.env.now + 600e6)
+
+def _run_phase(
+    rig: Any,
+    name: str,
+    workload: Union[WorkloadSpec, Iterable[Operation]],
+    queue_depth: int,
+    adapter: Any = None,
+    drain: bool = True,
+    **run_options: float,
+) -> RunResult:
+    """One measured phase on ``rig``: run ``workload``, then settle.
+
+    ``workload`` is a spec to generate from or a ready operation stream;
+    ``adapter`` defaults to the rig's own (block rigs pass a sized one).
+    ``drain=False`` is for cells whose rig is discarded right after —
+    bandwidth sweeps, and Fig. 6, whose collapsed device would take
+    arbitrarily long to settle.
+    """
+    if isinstance(workload, WorkloadSpec):
+        workload = generate_operations(workload)
+    run = execute_workload(
+        rig.env,
+        adapter or rig.adapter,
+        workload,
+        queue_depth=queue_depth,
+        name=name,
+        **run_options,
+    )
+    if drain:
+        drain_rig(rig)
+    return run
+
+
+def _kib(size: int) -> str:
+    return f"{size / KIB:g}KiB"
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +133,35 @@ class Fig2Result:
             / self.latency_us[system_b][pattern][phase]
         )
 
+    def render(self) -> str:
+        rows = [
+            [system, pattern, phases["insert"], phases["update"], phases["read"]]
+            for system, patterns in self.latency_us.items()
+            for pattern, phases in patterns.items()
+        ]
+        cpu = {k: round(v, 1) for k, v in self.cpu_us_per_op.items()}
+        return format_table(
+            ["system", "pattern", "insert us", "update us", "read us"], rows
+        ) + f"\n\nhost CPU per op (us): {cpu}"
+
+    def metrics(self) -> Metrics:
+        """Random-pattern latencies and CPU per system, RocksDB's insert
+        latency over the KV-SSD's (the figure's headline comparison)."""
+        metrics: Metrics = {}
+        for system, patterns in self.latency_us.items():
+            for phase, latency in patterns["rand"].items():
+                metrics[f"{system}.rand.{phase}_us"] = latency
+            metrics[f"{system}.cpu_us_per_op"] = self.cpu_us_per_op[system]
+        metrics["rocksdb_over_kv.insert"] = self.ratio(
+            "rocksdb", "kvssd", "rand", "insert"
+        )
+        return metrics
+
 
 _FIG2_BUILDERS = {
-    "kvssd": lambda geometry: build_kv_rig(geometry),
-    "rocksdb": lambda geometry: build_lsm_rig(geometry),
-    "aerospike": lambda geometry: build_hash_rig(geometry),
+    "kvssd": build_kv_rig,
+    "rocksdb": build_lsm_rig,
+    "aerospike": build_hash_rig,
 }
 
 _FIG2_PATTERNS = {
@@ -116,37 +180,32 @@ def _fig2_cell(
     blocks_per_plane: int,
 ) -> Dict[str, object]:
     """One (system, pattern) cell: insert, update, read on a fresh rig."""
-    pattern = _FIG2_PATTERNS[pattern_name]
     rig = _FIG2_BUILDERS[system](lab_geometry(blocks_per_plane))
-    phases: Dict[str, float] = {}
+    base = WorkloadSpec(
+        n_ops=n_ops,
+        op="insert",
+        pattern=_FIG2_PATTERNS[pattern_name],
+        population=n_ops,
+        key_scheme=PAPER_SCHEME,
+        value_bytes=value_bytes,
+        seed=11,
+    )
     cpu_before = rig.cpu.total_busy_us
-    ops_counted = 0
-    for phase, op_kind in (
-        ("insert", "insert"),
-        ("update", "update"),
-        ("read", "read"),
-    ):
-        spec = WorkloadSpec(
-            n_ops=n_ops,
-            op=op_kind,
-            pattern=pattern,
-            population=n_ops,
-            key_scheme=PAPER_SCHEME,
-            value_bytes=value_bytes,
-            seed=11,
+    runs = {
+        phase: _run_phase(
+            rig,
+            f"fig2.{system}.{pattern_name}.{phase}",
+            replace(base, op=phase),
+            queue_depth,
         )
-        run = execute_workload(
-            rig.env,
-            rig.adapter,
-            generate_operations(spec),
-            queue_depth=queue_depth,
-            name=f"fig2.{system}.{pattern_name}.{phase}",
-        )
-        phases[phase] = run.latency.mean()
-        ops_counted += run.completed_ops
-        _drain(rig)
-    cpu_us_per_op = (rig.cpu.total_busy_us - cpu_before) / max(1, ops_counted)
-    return {"phases": phases, "cpu_us_per_op": cpu_us_per_op}
+        for phase in ("insert", "update", "read")
+    }
+    ops_counted = sum(run.completed_ops for run in runs.values())
+    return {
+        "phases": {phase: run.latency.mean() for phase, run in runs.items()},
+        "cpu_us_per_op": (rig.cpu.total_busy_us - cpu_before)
+        / max(1, ops_counted),
+    }
 
 
 def fig2_end_to_end(
@@ -167,34 +226,36 @@ def fig2_end_to_end(
     for system in systems:
         if system not in _FIG2_BUILDERS:
             raise ConfigurationError(f"unknown fig2 system {system!r}")
-    points = tuple(
-        SweepPoint(
-            label=f"{system}/{pattern_name}",
-            fn=_fig2_cell,
-            kwargs=dict(
-                system=system,
-                pattern_name=pattern_name,
-                n_ops=n_ops,
-                value_bytes=value_bytes,
-                queue_depth=queue_depth,
-                blocks_per_plane=blocks_per_plane,
-            ),
-        )
-        for system in systems
-        for pattern_name in patterns
+    cells = execute_keyed(
+        "fig2",
+        {
+            (system, pattern_name): SweepPoint(
+                label=f"{system}/{pattern_name}",
+                fn=_fig2_cell,
+                kwargs=dict(
+                    system=system,
+                    pattern_name=pattern_name,
+                    n_ops=n_ops,
+                    value_bytes=value_bytes,
+                    queue_depth=queue_depth,
+                    blocks_per_plane=blocks_per_plane,
+                ),
+            )
+            for system in systems
+            for pattern_name in patterns
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("fig2", points), runner)
     result = Fig2Result(n_ops, value_bytes, queue_depth)
-    index = 0
     for system in systems:
-        result.latency_us[system] = {}
-        cpu_samples: List[float] = []
-        for pattern_name in patterns:
-            cell = cells[index]
-            index += 1
-            result.latency_us[system][pattern_name] = cell["phases"]
-            cpu_samples.append(cell["cpu_us_per_op"])
-        result.cpu_us_per_op[system] = sum(cpu_samples) / len(cpu_samples)
+        result.latency_us[system] = {
+            pattern_name: cells[system, pattern_name]["phases"]
+            for pattern_name in patterns
+        }
+        result.cpu_us_per_op[system] = sum(
+            cells[system, pattern_name]["cpu_us_per_op"]
+            for pattern_name in patterns
+        ) / len(patterns)
     return result
 
 
@@ -221,6 +282,43 @@ class Fig3Result:
             / self.latency_us[device]["low"][op]
         )
 
+    def render(self) -> str:
+        rows = [
+            [device, occupancy, cell["read"], cell["write"]]
+            for device, occupancies in self.latency_us.items()
+            for occupancy, cell in occupancies.items()
+        ]
+        return (
+            format_table(["device", "occupancy", "read us", "write us"], rows)
+            + f"\n\nKV degradation: write {self.degradation('kv', 'write'):.1f}x "
+            f"(paper 16.4x), read {self.degradation('kv', 'read'):.1f}x "
+            "(paper 2x)"
+        )
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {
+            "low_kvps": self.low_kvps,
+            "high_kvps": self.high_kvps,
+            "kv.read_degradation": self.degradation("kv", "read"),
+        }
+        for device, occupancies in self.latency_us.items():
+            for occupancy, cell in occupancies.items():
+                for op, latency in cell.items():
+                    metrics[f"{device}.{occupancy}.{op}_us"] = latency
+        return metrics
+
+
+def _fig3_latencies(
+    rig: Any, adapter: Any, device: str, base: WorkloadSpec
+) -> Dict[str, float]:
+    """Mean QD1 read then write (update) latency over ``base``'s keys."""
+    return {
+        label: _run_phase(
+            rig, f"fig3.{device}.{label}", replace(base, op=op), 1, adapter
+        ).latency.mean()
+        for label, op in (("read", "read"), ("write", "update"))
+    }
+
 
 def _fig3_measure_kv(
     kvps: int, value_bytes: int, measured_ops: int, blocks_per_plane: int
@@ -228,27 +326,16 @@ def _fig3_measure_kv(
     rig = build_kv_rig(lab_geometry(blocks_per_plane))
     scheme = KeyScheme(prefix=b"fill", digits=12)
     rig.device.fast_fill(kvps, value_bytes, scheme)
-    out: Dict[str, float] = {}
-    for op_name, op_kind in (("read", "read"), ("write", "update")):
-        spec = WorkloadSpec(
-            n_ops=measured_ops,
-            op=op_kind,
-            pattern=Pattern.UNIFORM,
-            population=kvps,
-            key_scheme=scheme,
-            value_bytes=value_bytes,
-            seed=23,
-        )
-        run = execute_workload(
-            rig.env,
-            rig.adapter,
-            generate_operations(spec),
-            queue_depth=1,
-            name=f"fig3.kv.{op_name}",
-        )
-        out[op_name] = run.latency.mean()
-        _drain(rig)
-    return out
+    base = WorkloadSpec(
+        n_ops=measured_ops,
+        op="read",
+        pattern=Pattern.UNIFORM,
+        population=kvps,
+        key_scheme=scheme,
+        value_bytes=value_bytes,
+        seed=23,
+    )
+    return _fig3_latencies(rig, rig.adapter, "kv", base)
 
 
 def _fig3_measure_block(
@@ -259,27 +346,15 @@ def _fig3_measure_block(
     units = max(1, fill_bytes // rig.device.map_unit)
     rig.device.prime_sequential_fill(units)
     adapter = rig.adapter(value_bytes)
-    population = max(1, fill_bytes // adapter.io_bytes)
-    out: Dict[str, float] = {}
-    for op_name, op_kind in (("read", "read"), ("write", "update")):
-        spec = WorkloadSpec(
-            n_ops=measured_ops,
-            op=op_kind,
-            pattern=Pattern.UNIFORM,
-            population=population,
-            value_bytes=value_bytes,
-            seed=23,
-        )
-        run = execute_workload(
-            rig.env,
-            adapter,
-            generate_operations(spec),
-            queue_depth=1,
-            name=f"fig3.block.{op_name}",
-        )
-        out[op_name] = run.latency.mean()
-        _drain(rig)
-    return out
+    base = WorkloadSpec(
+        n_ops=measured_ops,
+        op="read",
+        pattern=Pattern.UNIFORM,
+        population=max(1, fill_bytes // adapter.io_bytes),
+        value_bytes=value_bytes,
+        seed=23,
+    )
+    return _fig3_latencies(rig, adapter, "block", base)
 
 
 def _fig3_occupancies(
@@ -289,8 +364,6 @@ def _fig3_occupancies(
     blocks_per_plane: int,
 ) -> Dict[str, int]:
     """Low/high pair counts as fractions of the device's KVP limit."""
-    from repro.kvftl.blob import blobs_per_page
-
     probe = build_kv_rig(lab_geometry(blocks_per_plane))
     device = probe.device
     per_page = blobs_per_page(
@@ -327,26 +400,31 @@ def fig3_index_occupancy(
         value_bytes, low_fraction, high_fraction, blocks_per_plane
     )
     cell_fns = {"kv": _fig3_measure_kv, "block": _fig3_measure_block}
-    points = tuple(
-        SweepPoint(
-            label=f"{device}/{occupancy}",
-            fn=cell_fns[device],
-            kwargs=dict(
-                kvps=kvps[occupancy],
-                value_bytes=value_bytes,
-                measured_ops=measured_ops,
-                blocks_per_plane=blocks_per_plane,
-            ),
-        )
-        for device in ("kv", "block")
-        for occupancy in ("low", "high")
+    cells = execute_keyed(
+        "fig3",
+        {
+            (device, occupancy): SweepPoint(
+                label=f"{device}/{occupancy}",
+                fn=cell_fns[device],
+                kwargs=dict(
+                    kvps=kvps[occupancy],
+                    value_bytes=value_bytes,
+                    measured_ops=measured_ops,
+                    blocks_per_plane=blocks_per_plane,
+                ),
+            )
+            for device in cell_fns
+            for occupancy in kvps
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("fig3", points), runner)
     result = Fig3Result(
         low_kvps=kvps["low"], high_kvps=kvps["high"], value_bytes=value_bytes
     )
-    result.latency_us["kv"] = {"low": cells[0], "high": cells[1]}
-    result.latency_us["block"] = {"low": cells[2], "high": cells[3]}
+    for device in cell_fns:
+        result.latency_us[device] = {
+            occupancy: cells[device, occupancy] for occupancy in kvps
+        }
     return result
 
 
@@ -368,6 +446,33 @@ class Fig4Result:
         default_factory=dict
     )
 
+    def render(self) -> str:
+        columns = [
+            (op, qd) for qd in self.queue_depths for op in ("write", "read")
+        ]
+        rows = [
+            [_kib(size)] + [self.ratio[op][qd][size] for op, qd in columns]
+            for size in self.value_sizes
+        ]
+        return (
+            format_table(
+                ["value"] + [f"{op[0]} QD{qd}" for op, qd in columns], rows
+            )
+            + "\n\nKV/block mean-latency ratios; <1 favors the KV-SSD"
+        )
+
+    def metrics(self) -> Metrics:
+        """Ratios and raw KV latencies at the sweep's first value size."""
+        size = self.value_sizes[0]
+        metrics: Metrics = {}
+        for op, by_depth in self.ratio.items():
+            for qd, by_size in by_depth.items():
+                metrics[f"ratio.{op}.qd{qd}"] = by_size[size]
+                metrics[f"kv.{op}.qd{qd}_us"] = (
+                    self.latency_us["kv"][op][qd][size]
+                )
+        return metrics
+
 
 def fig4_value_size_concurrency(
     value_sizes: Sequence[int] = (512, 2 * KIB, 8 * KIB, 16 * KIB, 32 * KIB, 64 * KIB),
@@ -382,39 +487,59 @@ def fig4_value_size_concurrency(
     writes go to fresh keys, reads hit the just-written population.
     """
     cell_fns = {"kv": _fig4_kv_cell, "block": _fig4_block_cell}
-    points = tuple(
-        SweepPoint(
-            label=f"{device}/qd{queue_depth}/{size}",
-            fn=cell_fns[device],
-            kwargs=dict(
-                size=size,
-                queue_depth=queue_depth,
-                n_ops=n_ops,
-                blocks_per_plane=blocks_per_plane,
-            ),
-        )
-        for queue_depth in queue_depths
-        for size in value_sizes
-        for device in ("kv", "block")
+    cells = execute_keyed(
+        "fig4",
+        {
+            (device, queue_depth, size): SweepPoint(
+                label=f"{device}/qd{queue_depth}/{size}",
+                fn=cell_fns[device],
+                kwargs=dict(
+                    size=size,
+                    queue_depth=queue_depth,
+                    n_ops=n_ops,
+                    blocks_per_plane=blocks_per_plane,
+                ),
+            )
+            for queue_depth in queue_depths
+            for size in value_sizes
+            for device in cell_fns
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("fig4", points), runner)
     result = Fig4Result(list(value_sizes), list(queue_depths))
     for op in ("read", "write"):
-        result.ratio[op] = {qd: {} for qd in queue_depths}
-    for device in ("kv", "block"):
-        result.latency_us[device] = {
-            op: {qd: {} for qd in queue_depths} for op in ("read", "write")
+        result.ratio[op] = {
+            qd: {
+                size: cells["kv", qd, size][op] / cells["block", qd, size][op]
+                for size in value_sizes
+            }
+            for qd in queue_depths
         }
-    index = 0
-    for queue_depth in queue_depths:
-        for size in value_sizes:
-            kv, block = cells[index], cells[index + 1]
-            index += 2
-            for op in ("read", "write"):
-                result.latency_us["kv"][op][queue_depth][size] = kv[op]
-                result.latency_us["block"][op][queue_depth][size] = block[op]
-                result.ratio[op][queue_depth][size] = kv[op] / block[op]
+    for device in cell_fns:
+        result.latency_us[device] = {
+            op: {
+                qd: {size: cells[device, qd, size][op] for size in value_sizes}
+                for qd in queue_depths
+            }
+            for op in ("read", "write")
+        }
     return result
+
+
+def _fig4_latencies(
+    rig: Any, adapter: Any, device: str, base: WorkloadSpec, queue_depth: int
+) -> Dict[str, float]:
+    """Mean random write (update) then read latency over ``base``'s keys."""
+    return {
+        label: _run_phase(
+            rig,
+            f"fig4.{device}.{label}.{base.value_bytes}.qd{queue_depth}",
+            replace(base, op=op, seed=seed),
+            queue_depth,
+            adapter,
+        ).latency.mean()
+        for label, op, seed in (("write", "update", 31), ("read", "read", 37))
+    }
 
 
 def _fig4_kv_cell(
@@ -445,14 +570,7 @@ def _fig4_kv_cell(
             value_bytes=size,
             seed=29,
         )
-        execute_workload(
-            rig.env,
-            rig.adapter,
-            generate_operations(prefill),
-            queue_depth=16,
-            name=f"fig4.kv.fill.{size}",
-        )
-        _drain(rig)
+        _run_phase(rig, f"fig4.kv.fill.{size}", prefill, 16)
     else:
         # Size the fill by *page* consumption (large unsplit blobs can
         # waste a page fraction each), keeping plenty of free blocks.
@@ -465,27 +583,15 @@ def _fig4_kv_cell(
             min(100_000, int(pages_available * 0.55) * per_page),
         )
         rig.device.fast_fill(population, size, scheme)
-    out: Dict[str, float] = {}
-    for op_name, op_kind, seed in (("write", "update", 31), ("read", "read", 37)):
-        spec = WorkloadSpec(
-            n_ops=n_ops,
-            op=op_kind,
-            pattern=Pattern.UNIFORM,
-            population=population,
-            key_scheme=scheme,
-            value_bytes=size,
-            seed=seed,
-        )
-        run = execute_workload(
-            rig.env,
-            rig.adapter,
-            generate_operations(spec),
-            queue_depth=queue_depth,
-            name=f"fig4.kv.{op_name}.{size}.qd{queue_depth}",
-        )
-        out[op_name] = run.latency.mean()
-        _drain(rig)
-    return out
+    base = WorkloadSpec(
+        n_ops=n_ops,
+        op="read",
+        pattern=Pattern.UNIFORM,
+        population=population,
+        key_scheme=scheme,
+        value_bytes=size,
+    )
+    return _fig4_latencies(rig, rig.adapter, "kv", base, queue_depth)
 
 
 def _fig4_block_cell(
@@ -504,26 +610,14 @@ def _fig4_block_cell(
     )
     fill_units = max(1, population * adapter.io_bytes // rig.device.map_unit)
     rig.device.prime_sequential_fill(min(fill_units, rig.device.n_units))
-    out: Dict[str, float] = {}
-    for op_name, op_kind, seed in (("write", "update", 31), ("read", "read", 37)):
-        spec = WorkloadSpec(
-            n_ops=n_ops,
-            op=op_kind,
-            pattern=Pattern.UNIFORM,
-            population=population,
-            value_bytes=size,
-            seed=seed,
-        )
-        run = execute_workload(
-            rig.env,
-            adapter,
-            generate_operations(spec),
-            queue_depth=queue_depth,
-            name=f"fig4.blk.{op_name}.{size}.qd{queue_depth}",
-        )
-        out[op_name] = run.latency.mean()
-        _drain(rig)
-    return out
+    base = WorkloadSpec(
+        n_ops=n_ops,
+        op="read",
+        pattern=Pattern.UNIFORM,
+        population=population,
+        value_bytes=size,
+    )
+    return _fig4_latencies(rig, adapter, "blk", base, queue_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +634,24 @@ class Fig5Result:
     block_mib_s: Dict[int, float] = field(default_factory=dict)
     #: Fragments per blob on the KV side (the model's dip explanation).
     kv_fragments: Dict[int, int] = field(default_factory=dict)
+
+    def render(self) -> str:
+        rows = [
+            [_kib(size), self.kv_mib_s[size], self.block_mib_s[size],
+             self.kv_fragments[size]]
+            for size in self.value_sizes
+        ]
+        return format_table(
+            ["value", "KV MiB/s", "block MiB/s", "fragments"], rows
+        )
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {}
+        for size in self.value_sizes:
+            metrics[f"kv.{size}.mib_s"] = self.kv_mib_s[size]
+            metrics[f"block.{size}.mib_s"] = self.block_mib_s[size]
+            metrics[f"kv.{size}.fragments"] = self.kv_fragments[size]
+        return metrics
 
 
 def fig5_packing_bandwidth(
@@ -569,35 +681,38 @@ def fig5_packing_bandwidth(
     KiB: values of 25 KiB, 49 KiB, ...) where blobs start splitting; the
     block device stays smooth.
     """
-    result = Fig5Result(list(value_sizes))
     cell_fns = {"kv": _fig5_kv_cell, "block": _fig5_block_cell}
-    points = tuple(
-        SweepPoint(
-            label=f"{device}/{size}",
-            fn=cell_fns[device],
-            kwargs=dict(
-                size=size,
-                n_ops=n_ops,
-                queue_depth=queue_depth,
-                blocks_per_plane=blocks_per_plane,
-            ),
-        )
-        for size in value_sizes
-        for device in ("kv", "block")
+    cells = execute_keyed(
+        "fig5",
+        {
+            (device, size): SweepPoint(
+                label=f"{device}/{size}",
+                fn=cell_fns[device],
+                kwargs=dict(
+                    size=size,
+                    n_ops=n_ops,
+                    queue_depth=queue_depth,
+                    blocks_per_plane=blocks_per_plane,
+                ),
+            )
+            for size in value_sizes
+            for device in cell_fns
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("fig5", points), runner)
-    index = 0
+    result = Fig5Result(list(value_sizes))
     for size in value_sizes:
-        kv, block = cells[index], cells[index + 1]
-        index += 2
-        result.kv_fragments[size] = kv["fragments"]
-        result.kv_mib_s[size] = kv["mib_s"]
-        result.block_mib_s[size] = block
+        result.kv_fragments[size] = cells["kv", size]["fragments"]
+        result.kv_mib_s[size] = cells["kv", size]["mib_s"]
+        result.block_mib_s[size] = cells["block", size]
     return result
 
 
-def _fig5_workload(size: int, n_ops: int) -> WorkloadSpec:
-    return WorkloadSpec(
+def _fig5_bandwidth(
+    rig: Any, adapter: Any, name: str, size: int, n_ops: int, queue_depth: int
+) -> float:
+    """Sequential-insert bandwidth (MiB/s) of ``n_ops`` ``size``-byte values."""
+    spec = WorkloadSpec(
         n_ops=n_ops,
         op="insert",
         pattern=Pattern.SEQUENTIAL,
@@ -605,37 +720,31 @@ def _fig5_workload(size: int, n_ops: int) -> WorkloadSpec:
         value_bytes=size,
         seed=41,
     )
+    run = _run_phase(rig, name, spec, queue_depth, adapter, drain=False)
+    return run.bandwidth.overall_mib_per_sec()
 
 
 def _fig5_kv_cell(
     size: int, n_ops: int, queue_depth: int, blocks_per_plane: int
 ) -> Dict[str, object]:
     """One KV bandwidth cell plus the blob fragment count at ``size``."""
-    kv_rig = build_kv_rig(lab_geometry(blocks_per_plane))
-    fragments = len(kv_rig.device.layout_for(PAPER_KEY_BYTES, size).fragments)
-    run = execute_workload(
-        kv_rig.env,
-        kv_rig.adapter,
-        generate_operations(_fig5_workload(size, n_ops)),
-        queue_depth=queue_depth,
-        name=f"fig5.kv.{size}",
-    )
-    return {"mib_s": run.bandwidth.overall_mib_per_sec(), "fragments": fragments}
+    rig = build_kv_rig(lab_geometry(blocks_per_plane))
+    return {
+        "mib_s": _fig5_bandwidth(
+            rig, rig.adapter, f"fig5.kv.{size}", size, n_ops, queue_depth
+        ),
+        "fragments": len(rig.device.layout_for(PAPER_KEY_BYTES, size).fragments),
+    }
 
 
 def _fig5_block_cell(
     size: int, n_ops: int, queue_depth: int, blocks_per_plane: int
 ) -> float:
     """One block-device bandwidth cell at ``size``."""
-    block_rig = build_block_rig(lab_geometry(blocks_per_plane))
-    run = execute_workload(
-        block_rig.env,
-        block_rig.adapter(size),
-        generate_operations(_fig5_workload(size, n_ops)),
-        queue_depth=queue_depth,
-        name=f"fig5.blk.{size}",
+    rig = build_block_rig(lab_geometry(blocks_per_plane))
+    return _fig5_bandwidth(
+        rig, rig.adapter(size), f"fig5.blk.{size}", size, n_ops, queue_depth
     )
-    return run.bandwidth.overall_mib_per_sec()
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +776,39 @@ class Fig6Result:
         head = windows[0] or 1.0
         return min(windows) / head
 
+    def render(self) -> str:
+        lines = []
+        for scenario, series in self.series.items():
+            summary = self.stats_summary[scenario]
+            latency = self.latency_summary[scenario]
+            lines.append(
+                f"{scenario:<16} trough {self.trough_ratio(scenario):5.2f}  "
+                f"fgGC {self.foreground_gc_runs[scenario]:4d}  "
+                f"WAF {summary['waf']:5.2f}  "
+                f"stall {summary['stall_ms']:8.1f}ms  "
+                f"p99 {latency['p99'] / 1000.0:7.1f}ms  "
+                f"p999 {latency['p999'] / 1000.0:7.1f}ms  "
+                f"{sparkline(series[:48])}"
+            )
+        return "\n".join(lines)
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {}
+        for scenario, series in self.series.items():
+            summary = self.stats_summary[scenario]
+            metrics[f"{scenario}.foreground_gc_runs"] = (
+                self.foreground_gc_runs[scenario]
+            )
+            metrics[f"{scenario}.waf"] = summary["waf"]
+            metrics[f"{scenario}.gc_moved_mib"] = summary["gc_moved_mib"]
+            metrics[f"{scenario}.p99_us"] = (
+                self.latency_summary[scenario]["p99"]
+            )
+            metrics[f"{scenario}.series_len"] = len(series)
+            metrics[f"{scenario}.series_min"] = min(series)
+            metrics[f"{scenario}.series_max"] = max(series)
+        return metrics
+
 
 def _fig6_fill_kvps(
     fill_fraction: float, value_bytes: int, blocks_per_plane: int
@@ -677,8 +819,6 @@ def _fig6_fill_kvps(
     (blob packing wastes a page fraction, so byte-based sizing would
     overshoot), with allocation-stream/GC margin excluded.
     """
-    from repro.kvftl.blob import blobs_per_page
-
     geometry = lab_geometry(blocks_per_plane)
     probe = build_kv_rig(geometry)
     per_page = blobs_per_page(
@@ -706,35 +846,20 @@ def _fig6_scenario_cell(
 ) -> Dict[str, object]:
     """One Fig. 6 scenario: prime the fill, then sustained updates."""
     geometry = lab_geometry(blocks_per_plane)
+    rig: Any
     if scenario.startswith("kv-"):
         rig = build_kv_rig(geometry)
         scheme = KeyScheme(prefix=b"fill", digits=12)
-        rig.device.fast_fill(fill_kvps, value_bytes, scheme)
+        population = fill_kvps
+        rig.device.fast_fill(population, value_bytes, scheme)
         pattern = (
             Pattern.UNIFORM
             if scenario == "kv-uniform"
             else Pattern.SLIDING_WINDOW
         )
-        spec = WorkloadSpec(
-            n_ops=n_updates,
-            op="update",
-            pattern=pattern,
-            population=fill_kvps,
-            key_scheme=scheme,
-            value_bytes=value_bytes,
-            seed=47,
-        )
-        run = execute_workload(
-            rig.env,
-            rig.adapter,
-            generate_operations(spec),
-            queue_depth=queue_depth,
-            bandwidth_window_us=window_us,
-            name=f"fig6.{scenario}",
-            stop_after_us=45e6,
-        )
     else:
         rig = build_lsm_rig(geometry)
+        scheme, pattern = PAPER_SCHEME, Pattern.UNIFORM
         # The scenario's purpose is the *device-level* contrast (no
         # foreground GC under compaction+TRIM), so the LSM population
         # is sized to the update count rather than to raw capacity —
@@ -743,32 +868,26 @@ def _fig6_scenario_cell(
         fs_budget = int(
             rig.device.user_capacity_bytes * fill_fraction * 0.45
         )
-        lsm_kvps = min(
-            n_updates,
-            fs_budget // (PAPER_SCHEME.key_bytes + value_bytes),
+        population = min(
+            n_updates, fs_budget // (scheme.key_bytes + value_bytes)
         )
-        entries = {
-            PAPER_SCHEME.key_for(i): value_bytes for i in range(lsm_kvps)
-        }
-        rig.store.prime_fill(entries, level=3)
-        spec = WorkloadSpec(
-            n_ops=n_updates,
-            op="update",
-            pattern=Pattern.UNIFORM,
-            population=lsm_kvps,
-            key_scheme=PAPER_SCHEME,
-            value_bytes=value_bytes,
-            seed=47,
+        rig.store.prime_fill(
+            {scheme.key_for(i): value_bytes for i in range(population)},
+            level=3,
         )
-        run = execute_workload(
-            rig.env,
-            rig.adapter,
-            generate_operations(spec),
-            queue_depth=queue_depth,
-            bandwidth_window_us=window_us,
-            name=f"fig6.{scenario}",
-            stop_after_us=45e6,
-        )
+    spec = WorkloadSpec(
+        n_ops=n_updates,
+        op="update",
+        pattern=pattern,
+        population=population,
+        key_scheme=scheme,
+        value_bytes=value_bytes,
+        seed=47,
+    )
+    run = _run_phase(
+        rig, f"fig6.{scenario}", spec, queue_depth, drain=False,
+        bandwidth_window_us=window_us, stop_after_us=45e6,
+    )
     # The runner captured the DeviceStats delta for the measured phase;
     # both personalities report through the same struct, so the two
     # scenario branches need no per-device counter reads.
@@ -808,26 +927,29 @@ def fig6_foreground_gc(
         # device serves updates arbitrarily slowly — exactly the paper's
         # point.
         n_updates = int(fill_kvps * 0.55)
-    points = tuple(
-        SweepPoint(
-            label=scenario,
-            fn=_fig6_scenario_cell,
-            kwargs=dict(
-                scenario=scenario,
-                fill_kvps=fill_kvps,
-                fill_fraction=fill_fraction,
-                value_bytes=value_bytes,
-                n_updates=n_updates,
-                queue_depth=queue_depth,
-                window_us=window_us,
-                blocks_per_plane=blocks_per_plane,
-            ),
-        )
-        for scenario in scenarios
+    cells = execute_keyed(
+        "fig6",
+        {
+            scenario: SweepPoint(
+                label=scenario,
+                fn=_fig6_scenario_cell,
+                kwargs=dict(
+                    scenario=scenario,
+                    fill_kvps=fill_kvps,
+                    fill_fraction=fill_fraction,
+                    value_bytes=value_bytes,
+                    n_updates=n_updates,
+                    queue_depth=queue_depth,
+                    window_us=window_us,
+                    blocks_per_plane=blocks_per_plane,
+                ),
+            )
+            for scenario in scenarios
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("fig6", points), runner)
     result = Fig6Result(fill_fraction, value_bytes, n_updates)
-    for scenario, cell in zip(scenarios, cells):
+    for scenario, cell in cells.items():
         result.foreground_gc_runs[scenario] = cell["foreground_gc_runs"]
         result.stats_summary[scenario] = cell["stats_summary"]
         result.latency_summary[scenario] = cell["latency_summary"]
@@ -850,6 +972,32 @@ class Fig7Result:
     #: KV-SSD analytic curve (blob layout closed form) for cross-check.
     kv_analytic: Dict[int, float] = field(default_factory=dict)
     max_kvps_full_scale: int = 0
+
+    def render(self) -> str:
+        rows = [
+            [f"{size}B", self.sa["kvssd"][size], self.kv_analytic[size],
+             self.sa["aerospike"][size], self.sa["rocksdb"][size]]
+            for size in self.value_sizes
+        ]
+        return (
+            format_table(
+                ["value", "KV-SSD", "KV analytic", "Aerospike", "RocksDB"],
+                rows,
+            )
+            + f"\n\nmax KVPs at 3.84 TB: {self.max_kvps_full_scale / 1e9:.2f}B "
+            "(paper ~3.1B)"
+        )
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {
+            "max_kvps_full_scale": self.max_kvps_full_scale,
+            "rocksdb.sa": self.sa["rocksdb"][self.value_sizes[0]],
+        }
+        for size in self.value_sizes:
+            metrics[f"kvssd.{size}.sa"] = self.sa["kvssd"][size]
+            metrics[f"kvssd.{size}.analytic"] = self.kv_analytic[size]
+            metrics[f"aerospike.{size}.sa"] = self.sa["aerospike"][size]
+        return metrics
 
 
 def _fig7_cell(
@@ -887,18 +1035,23 @@ def fig7_space_amplification(
     values), Aerospike its 16 B rounding plus ~55 B of record overhead
     (<2x), RocksDB its leveled obsolescence (~1.11x steady state).
     """
-    points = tuple(
-        SweepPoint(
-            label=f"sa/{size}",
-            fn=_fig7_cell,
-            kwargs=dict(size=size, kvps=kvps, blocks_per_plane=blocks_per_plane),
-        )
-        for size in value_sizes
+    cells = execute_keyed(
+        "fig7",
+        {
+            size: SweepPoint(
+                label=f"sa/{size}",
+                fn=_fig7_cell,
+                kwargs=dict(
+                    size=size, kvps=kvps, blocks_per_plane=blocks_per_plane
+                ),
+            )
+            for size in value_sizes
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("fig7", points), runner)
     result = Fig7Result(list(value_sizes))
     result.sa = {"kvssd": {}, "aerospike": {}, "rocksdb": {}}
-    for size, cell in zip(value_sizes, cells):
+    for size, cell in cells.items():
         result.sa["kvssd"][size] = cell["kvssd"]
         result.kv_analytic[size] = cell["analytic"]
         result.sa["aerospike"][size] = cell["aerospike"]
@@ -948,6 +1101,28 @@ class Fig8Result:
         past = min(k for k in self.key_sizes if k > 16)
         return self.mib_s[mode][past] / self.mib_s[mode][at_limit]
 
+    def render(self) -> str:
+        rows = [
+            [f"{k}B", self.commands[k], self.mib_s["sync"][k],
+             self.mib_s["async"][k]]
+            for k in self.key_sizes
+        ]
+        return (
+            format_table(["key", "cmds", "sync MiB/s", "async MiB/s"], rows)
+            + f"\n\ncliff past 16B: async {self.cliff_ratio('async'):.2f}x "
+            "(paper ~0.53x)"
+        )
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {}
+        for key_bytes in self.key_sizes:
+            metrics[f"commands.k{key_bytes}"] = self.commands[key_bytes]
+        for mode, by_key in self.mib_s.items():
+            for key_bytes, mib_s in by_key.items():
+                metrics[f"{mode}.k{key_bytes}.mib_s"] = mib_s
+            metrics[f"cliff_ratio.{mode}"] = self.cliff_ratio(mode)
+        return metrics
+
 
 def _fig8_cell(
     key_bytes: int,
@@ -970,12 +1145,8 @@ def _fig8_cell(
         value_bytes=value_bytes,
         seed=53,
     )
-    run = execute_workload(
-        rig.env,
-        rig.adapter,
-        generate_operations(spec),
-        queue_depth=queue_depth,
-        name=f"fig8.{mode}.k{key_bytes}",
+    run = _run_phase(
+        rig, f"fig8.{mode}.k{key_bytes}", spec, queue_depth, drain=False
     )
     return run.bandwidth.overall_mib_per_sec()
 
@@ -989,33 +1160,32 @@ def fig8_key_size_bandwidth(
     runner: Optional[SweepRunner] = None,
 ) -> Fig8Result:
     """Fig. 8: bandwidth vs key size; keys >16 B need a second command."""
-    from repro.nvme.command import commands_for_key
-
-    points = tuple(
-        SweepPoint(
-            label=f"{mode}/k{key_bytes}",
-            fn=_fig8_cell,
-            kwargs=dict(
-                key_bytes=key_bytes,
-                mode=mode,
-                value_bytes=value_bytes,
-                n_ops=n_ops,
-                queue_depth=1 if mode == "sync" else async_queue_depth,
-                blocks_per_plane=blocks_per_plane,
-            ),
-        )
-        for key_bytes in key_sizes
-        for mode in ("sync", "async")
+    modes = {"sync": 1, "async": async_queue_depth}
+    cells = execute_keyed(
+        "fig8",
+        {
+            (mode, key_bytes): SweepPoint(
+                label=f"{mode}/k{key_bytes}",
+                fn=_fig8_cell,
+                kwargs=dict(
+                    key_bytes=key_bytes,
+                    mode=mode,
+                    value_bytes=value_bytes,
+                    n_ops=n_ops,
+                    queue_depth=queue_depth,
+                    blocks_per_plane=blocks_per_plane,
+                ),
+            )
+            for key_bytes in key_sizes
+            for mode, queue_depth in modes.items()
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("fig8", points), runner)
     result = Fig8Result(list(key_sizes), value_bytes)
-    result.mib_s = {"sync": {}, "async": {}}
-    index = 0
-    for key_bytes in key_sizes:
-        result.commands[key_bytes] = commands_for_key(key_bytes)
-        for mode in ("sync", "async"):
-            result.mib_s[mode][key_bytes] = cells[index]
-            index += 1
+    result.commands = {k: commands_for_key(k) for k in key_sizes}
+    result.mib_s = {
+        mode: {k: cells[mode, k] for k in key_sizes} for mode in modes
+    }
     return result
 
 
@@ -1032,16 +1202,28 @@ def fig8_key_size_bandwidth(
 # ---------------------------------------------------------------------------
 
 
-def _cluster_tenants(n_ops: int, population: int):
-    """The default multi-tenant YCSB mix driving the cluster figures."""
-    from repro.cluster.spec import TenantSpec
+def _run_cluster(
+    n_ops: int,
+    population: int,
+    runner: Optional[SweepRunner],
+    **spec_fields: Any,
+) -> Any:
+    """One cluster run under the default two-tenant YCSB A+B mix."""
+    # Imported here: repro.cluster builds on repro.core.experiment, so a
+    # module-level import would be circular.
+    from repro.cluster.run import run_cluster
+    from repro.cluster.spec import ClusterSpec, TenantSpec
 
-    return (
-        TenantSpec(name="ta", workload="A", n_ops=n_ops,
-                   population=population, seed=11),
-        TenantSpec(name="tb", workload="B", n_ops=n_ops,
-                   population=population, seed=12),
+    spec = ClusterSpec(
+        tenants=(
+            TenantSpec(name="ta", workload="A", n_ops=n_ops,
+                       population=population, seed=11),
+            TenantSpec(name="tb", workload="B", n_ops=n_ops,
+                       population=population, seed=12),
+        ),
+        **spec_fields,
     )
+    return run_cluster(spec, runner)
 
 
 @dataclass
@@ -1062,6 +1244,31 @@ class ClusterScalingResult:
         high = self.throughput_kops[max(self.shard_counts)]
         return high / low if low > 0 else 0.0
 
+    def render(self) -> str:
+        rows = [
+            [n, round(self.throughput_kops[n], 2),
+             round(self.per_shard_kops[n], 2),
+             round(self.router_share[n], 4), self.completed_ops[n]]
+            for n in self.shard_counts
+        ]
+        return (
+            "-- throughput vs shard count --\n"
+            + format_table(
+                ["shards", "kops", "kops/shard", "router share", "ops"], rows
+            )
+            + f"\nscaling {min(self.shard_counts)}->{max(self.shard_counts)} "
+            f"shards: {self.scaling_ratio():.2f}x"
+        )
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {"scaling_ratio": self.scaling_ratio()}
+        for n in self.shard_counts:
+            metrics[f"s{n}.throughput_kops"] = self.throughput_kops[n]
+            metrics[f"s{n}.router_share"] = self.router_share[n]
+            metrics[f"s{n}.completed_ops"] = self.completed_ops[n]
+            metrics[f"s{n}.waf"] = self.stats_summary[n]["waf"]
+        return metrics
+
 
 def cluster_shard_scaling(
     shard_counts: Sequence[int] = (2, 4, 8),
@@ -1077,20 +1284,18 @@ def cluster_shard_scaling(
     shards; throughput is completed device operations per millisecond of
     makespan (the slowest shard bounds the cluster).
     """
-    from repro.cluster.run import run_cluster
-    from repro.cluster.spec import ClusterSpec
-
     result = ClusterScalingResult(list(shard_counts), replication)
     for shards in shard_counts:
-        spec = ClusterSpec(
+        cluster = _run_cluster(
+            n_ops,
+            population,
+            runner,
             shards=shards,
             replication=min(replication, shards),
             partitions=partitions,
-            tenants=_cluster_tenants(n_ops, population),
             seed=21,
             verify=False,
         )
-        cluster = run_cluster(spec, runner)
         result.throughput_kops[shards] = cluster.throughput_kops()
         result.per_shard_kops[shards] = cluster.throughput_kops() / shards
         result.router_share[shards] = cluster.router_share()
@@ -1125,6 +1330,40 @@ class ClusterRebalanceResult:
         rebalance = self.phases.get("rebalance", {}).get(quantile, 0.0)
         return rebalance / pre if pre > 0 else 0.0
 
+    def render(self) -> str:
+        rows = [
+            [label, int(cell["count"]), round(cell["mean"], 1),
+             round(cell["p99"], 1), round(cell["p999"], 1)]
+            for label, cell in self.phases.items()
+        ]
+        return (
+            "-- tail latency through a rebalance window --\n"
+            + format_table(
+                ["phase", "ops", "mean us", "p99 us", "p999 us"], rows
+            )
+            + "\np99 inflation during rebalance: "
+            f"{self.tail_inflation('p99'):.2f}x  "
+            f"(drain {self.drain_ops} ops, "
+            f"router share {self.router_share:.4f}, "
+            f"{self.trace_spans} spans, "
+            f"zero-lost={self.zero_lost_writes})"
+        )
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {
+            "drain_ops": self.drain_ops,
+            "zero_lost_writes": int(self.zero_lost_writes),
+            "verify_checked": self.verify_checked,
+            "router_share": self.router_share,
+            "trace_spans": self.trace_spans,
+            "tail_inflation.p99": self.tail_inflation("p99"),
+            "waf": self.stats_summary["waf"],
+        }
+        for label, cell in self.phases.items():
+            for name, value in cell.items():
+                metrics[f"{label}.{name}"] = value
+        return metrics
+
 
 def cluster_rebalance_tail(
     shards: int = 4,
@@ -1145,23 +1384,23 @@ def cluster_rebalance_tail(
     window's tail cost.  Runs with span tracing on, so router-vs-device
     attribution rides along.
     """
-    from repro.cluster.run import run_cluster
-    from repro.cluster.spec import ClusterSpec, DegradeEvent
+    from repro.cluster.spec import DegradeEvent  # circular at module level
 
     total = 2 * n_ops  # two tenants
     at_op = degrade_at if degrade_at is not None else total // 2
-    spec = ClusterSpec(
+    cluster = _run_cluster(
+        n_ops,
+        population,
+        runner,
+        degrade=(DegradeEvent(shard=degraded_shard, at_op=at_op),),
         shards=shards,
         replication=replication,
         partitions=partitions,
-        tenants=_cluster_tenants(n_ops, population),
-        degrade=(DegradeEvent(shard=degraded_shard, at_op=at_op),),
         rebalance_window_ops=rebalance_window_ops,
         seed=23,
         trace=True,
         verify=True,
     )
-    cluster = run_cluster(spec, runner)
     result = ClusterRebalanceResult(
         shards=shards,
         replication=replication,
@@ -1214,6 +1453,29 @@ class ClusterReplicationResult:
         base = self.flash_programs.get(1, 0)
         return self.flash_programs[factor] / base if base else 0.0
 
+    def render(self) -> str:
+        rows = [
+            [r, round(self.throughput_kops[r], 2), self.routed_ops[r],
+             self.flash_programs[r], round(self.write_cost(r), 2),
+             round(self.read_p99[r], 1)]
+            for r in self.factors
+        ]
+        return "-- replication-factor cost --\n" + format_table(
+            ["R", "kops", "routed ops", "flash programs", "write cost",
+             "read p99 us"],
+            rows,
+        )
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {}
+        for r in self.factors:
+            metrics[f"r{r}.throughput_kops"] = self.throughput_kops[r]
+            metrics[f"r{r}.routed_ops"] = self.routed_ops[r]
+            metrics[f"r{r}.flash_programs"] = self.flash_programs[r]
+            metrics[f"r{r}.write_cost"] = self.write_cost(r)
+            metrics[f"r{r}.read_p99_us"] = self.read_p99[r]
+        return metrics
+
 
 def cluster_replication_cost(
     factors: Sequence[int] = (1, 2, 3),
@@ -1228,20 +1490,18 @@ def cluster_replication_cost(
     Same stream, same shards, R swept: routed device operations and
     flash programs grow with R while read tails stay flat (read-one).
     """
-    from repro.cluster.run import run_cluster
-    from repro.cluster.spec import ClusterSpec
-
     result = ClusterReplicationResult(list(factors), shards)
     for factor in factors:
-        spec = ClusterSpec(
+        cluster = _run_cluster(
+            n_ops,
+            population,
+            runner,
             shards=shards,
             replication=factor,
             partitions=partitions,
-            tenants=_cluster_tenants(n_ops, population),
             seed=29,
             verify=False,
         )
-        cluster = run_cluster(spec, runner)
         result.throughput_kops[factor] = cluster.throughput_kops()
         result.routed_ops[factor] = cluster.routed_ops
         stats = cluster.device_stats()
@@ -1265,30 +1525,65 @@ def cluster_replication_cost(
 # ---------------------------------------------------------------------------
 
 
-_REPLAY_SCHEME_PREFIX = b"fill"
 #: Key scheme shared by the replay prefills and churn/scan streams.
-_REPLAY_TTL_PREFIX = b"ttl-"
+_REPLAY_SCHEME = KeyScheme(prefix=b"fill", digits=12)
+_REPLAY_TTL_SCHEME = KeyScheme(prefix=b"ttl-", digits=12)
 
 
-def _replay_churn_records(
+def _replay_kv_rig(
+    population: int, value_bytes: int, blocks_per_plane: int
+) -> Any:
+    """A KV rig with ample index DRAM, prefilled for replay."""
+    rig = build_kv_rig(
+        lab_geometry(blocks_per_plane),
+        config=KVSSDConfig(index_dram_bytes=64 * MIB),
+    )
+    rig.device.fast_fill(population, value_bytes, _REPLAY_SCHEME)
+    return rig
+
+
+def _replay_cell(run: RunResult) -> Dict[str, object]:
+    """The latency/ops/telemetry fields every replay cell reports."""
+    summary = run.latency.summary()
+    return {
+        "mean": summary.mean,
+        "p99": summary.p99,
+        "p999": summary.p999,
+        "completed": run.completed_ops,
+        "failed": run.failed_ops,
+        "stats": device_stats_summary(run.device_stats),
+    }
+
+
+def _replay_rotation_run(
+    rig: Any,
+    adapter: Any,
+    tag: str,
     rotate_every: int,
     n_ops: int,
     population: int,
     working_set: int,
     value_bytes: int,
+    queue_depth: int,
     seed: int,
-    scheme: KeyScheme,
-):
+) -> Dict[str, object]:
+    """Replay one churn schedule on a primed rig (same records per tag)."""
     spec = ChurnSpec(
         n_ops=n_ops,
         population=population,
         working_set=working_set,
         rotate_every_ops=rotate_every,
         value_bytes=value_bytes,
-        key_scheme=scheme,
+        key_scheme=_REPLAY_SCHEME,
         seed=seed,
     )
-    return tuple(generate_churn(spec))
+    workload = TraceWorkload(
+        tuple(generate_churn(spec)), key_scheme=_REPLAY_SCHEME
+    )
+    return _replay_cell(_run_phase(
+        rig, f"replay.rot.{tag}.{rotate_every}", workload.operations(),
+        queue_depth, adapter,
+    ))
 
 
 def _replay_rotation_kv_cell(
@@ -1302,33 +1597,11 @@ def _replay_rotation_kv_cell(
     seed: int,
 ) -> Dict[str, object]:
     """KV device under one churn schedule: prefill, then replay."""
-    rig = build_kv_rig(
-        lab_geometry(blocks_per_plane),
-        config=KVSSDConfig(index_dram_bytes=64 * MIB),
+    rig = _replay_kv_rig(population, value_bytes, blocks_per_plane)
+    return _replay_rotation_run(
+        rig, rig.adapter, "kv", rotate_every, n_ops, population,
+        working_set, value_bytes, queue_depth, seed,
     )
-    scheme = KeyScheme(prefix=_REPLAY_SCHEME_PREFIX, digits=12)
-    rig.device.fast_fill(population, value_bytes, scheme)
-    records = _replay_churn_records(
-        rotate_every, n_ops, population, working_set, value_bytes, seed, scheme
-    )
-    workload = TraceWorkload(records, key_scheme=scheme)
-    run = execute_workload(
-        rig.env,
-        rig.adapter,
-        workload.operations(),
-        queue_depth=queue_depth,
-        name=f"replay.rot.kv.{rotate_every}",
-    )
-    _drain(rig)
-    summary = run.latency.summary()
-    return {
-        "mean": summary.mean,
-        "p99": summary.p99,
-        "p999": summary.p999,
-        "completed": run.completed_ops,
-        "failed": run.failed_ops,
-        "stats": device_stats_summary(run.device_stats),
-    }
 
 
 def _replay_rotation_block_cell(
@@ -1346,28 +1619,10 @@ def _replay_rotation_block_cell(
     adapter = rig.adapter(value_bytes)
     fill_units = max(1, population * adapter.io_bytes // rig.device.map_unit)
     rig.device.prime_sequential_fill(min(fill_units, rig.device.n_units))
-    scheme = KeyScheme(prefix=_REPLAY_SCHEME_PREFIX, digits=12)
-    records = _replay_churn_records(
-        rotate_every, n_ops, population, working_set, value_bytes, seed, scheme
+    return _replay_rotation_run(
+        rig, adapter, "blk", rotate_every, n_ops, population,
+        working_set, value_bytes, queue_depth, seed,
     )
-    workload = TraceWorkload(records, key_scheme=scheme)
-    run = execute_workload(
-        rig.env,
-        adapter,
-        workload.operations(),
-        queue_depth=queue_depth,
-        name=f"replay.rot.blk.{rotate_every}",
-    )
-    _drain(rig)
-    summary = run.latency.summary()
-    return {
-        "mean": summary.mean,
-        "p99": summary.p99,
-        "p999": summary.p999,
-        "completed": run.completed_ops,
-        "failed": run.failed_ops,
-        "stats": device_stats_summary(run.device_stats),
-    }
 
 
 @dataclass
@@ -1397,6 +1652,50 @@ class ReplayRotationResult:
             r for r in self.rotate_every if r > 0
         )]
         return churned[quantile] / static[quantile]
+
+    def render(self) -> str:
+        rows = []
+        for device, by_rotate in self.latency_us.items():
+            for rotate, cell in by_rotate.items():
+                rows.append([
+                    device, rotate or "static", round(cell["mean"], 1),
+                    round(cell["p99"], 1), round(cell["p999"], 1),
+                    round(self.stats_summary[device][rotate]["waf"], 2),
+                    self.completed_ops[device][rotate],
+                ])
+        lines = [
+            "-- working-set rotation: KV vs block --",
+            format_table(
+                ["device", "rotate every", "mean us", "p99 us", "p999 us",
+                 "WAF", "ops"],
+                rows,
+            ),
+        ]
+        lines += [
+            f"{device} rotation p99 penalty: "
+            f"{self.rotation_penalty(device):.2f}x"
+            for device in self.latency_us
+        ]
+        return "\n".join(lines)
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {}
+        for device, by_rotate in self.latency_us.items():
+            for rotate, latency in by_rotate.items():
+                tag = f"{device}.rot{rotate}"
+                metrics[f"{tag}.mean_us"] = latency["mean"]
+                metrics[f"{tag}.p99_us"] = latency["p99"]
+                metrics[f"{tag}.p999_us"] = latency["p999"]
+                metrics[f"{tag}.waf"] = (
+                    self.stats_summary[device][rotate]["waf"]
+                )
+                metrics[f"{tag}.completed"] = (
+                    self.completed_ops[device][rotate]
+                )
+            metrics[f"{device}.rotation_penalty"] = (
+                self.rotation_penalty(device)
+            )
+        return metrics
 
 
 _REPLAY_ROTATION_CELLS = {
@@ -1429,43 +1728,43 @@ def replay_rotation(
     for device in devices:
         if device not in _REPLAY_ROTATION_CELLS:
             raise ConfigurationError(f"unknown replay device {device!r}")
-    points = tuple(
-        SweepPoint(
-            label=f"{device}/rot{rotate}",
-            fn=_REPLAY_ROTATION_CELLS[device],
-            kwargs=dict(
-                rotate_every=rotate,
-                n_ops=n_ops,
-                population=population,
-                working_set=working_set,
-                value_bytes=value_bytes,
-                queue_depth=queue_depth,
-                blocks_per_plane=blocks_per_plane,
-                seed=seed,
-            ),
-        )
-        for device in devices
-        for rotate in rotate_every
+    cells = execute_keyed(
+        "replay_rotation",
+        {
+            (device, rotate): SweepPoint(
+                label=f"{device}/rot{rotate}",
+                fn=_REPLAY_ROTATION_CELLS[device],
+                kwargs=dict(
+                    rotate_every=rotate,
+                    n_ops=n_ops,
+                    population=population,
+                    working_set=working_set,
+                    value_bytes=value_bytes,
+                    queue_depth=queue_depth,
+                    blocks_per_plane=blocks_per_plane,
+                    seed=seed,
+                ),
+            )
+            for device in devices
+            for rotate in rotate_every
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("replay_rotation", points), runner)
     result = ReplayRotationResult(
         n_ops, population, working_set, list(rotate_every)
     )
-    index = 0
     for device in devices:
-        result.latency_us[device] = {}
-        result.stats_summary[device] = {}
-        result.completed_ops[device] = {}
-        for rotate in rotate_every:
-            cell = cells[index]
-            index += 1
-            result.latency_us[device][rotate] = {
-                "mean": cell["mean"],
-                "p99": cell["p99"],
-                "p999": cell["p999"],
-            }
-            result.stats_summary[device][rotate] = cell["stats"]
-            result.completed_ops[device][rotate] = cell["completed"]
+        by_rotate = {rotate: cells[device, rotate] for rotate in rotate_every}
+        result.latency_us[device] = {
+            rotate: {q: cell[q] for q in ("mean", "p99", "p999")}
+            for rotate, cell in by_rotate.items()
+        }
+        result.stats_summary[device] = {
+            rotate: cell["stats"] for rotate, cell in by_rotate.items()
+        }
+        result.completed_ops[device] = {
+            rotate: cell["completed"] for rotate, cell in by_rotate.items()
+        }
     return result
 
 
@@ -1491,12 +1790,8 @@ def _replay_mix_cell(
     into prefix scans through the YCSB driver's emulated-scan path — the
     iterator buckets' first sustained exercise.
     """
-    rig = build_kv_rig(
-        lab_geometry(blocks_per_plane),
-        config=KVSSDConfig(index_dram_bytes=64 * MIB),
-    )
-    scheme = KeyScheme(prefix=_REPLAY_SCHEME_PREFIX, digits=12)
-    rig.device.fast_fill(population, value_bytes, scheme)
+    rig = _replay_kv_rig(population, value_bytes, blocks_per_plane)
+    scheme = _REPLAY_SCHEME
     base = ScanMixSpec(
         n_ops=n_ops,
         population=population,
@@ -1514,14 +1809,13 @@ def _replay_mix_cell(
             ttl_us=ttl_us,
             value_bytes=value_bytes,
             interarrival_us=(n_ops * 100.0) / ttl_ops,
-            key_scheme=KeyScheme(prefix=_REPLAY_TTL_PREFIX, digits=12),
+            key_scheme=_REPLAY_TTL_SCHEME,
             seed=seed + 1,
         )
         streams.append(generate_expiry(expiry))
     elif variant != "plain":
         raise ConfigurationError(f"unknown replay mix variant {variant!r}")
-    records = merge_traces(*streams)
-    workload = TraceWorkload(records, key_scheme=scheme)
+    workload = TraceWorkload(merge_traces(*streams), key_scheme=scheme)
     driver = YCSBDriver(
         rig.adapter,
         YCSBSpec(
@@ -1534,31 +1828,21 @@ def _replay_mix_cell(
             seed=seed,
         ),
     )
-    run = execute_workload(
-        rig.env,
+    run = _run_phase(
+        rig, f"replay.mix.{variant}", workload.operations(), queue_depth,
         driver,
-        workload.operations(),
-        queue_depth=queue_depth,
-        name=f"replay.mix.{variant}",
     )
-    _drain(rig)
-    summary = run.latency.summary()
     read_summary = run.latency.summary("read")
     buckets = rig.device.iterators
     return {
-        "mean": summary.mean,
-        "p99": summary.p99,
-        "p999": summary.p999,
+        **_replay_cell(run),
         "read_p99": read_summary.p99,
         "read_p999": read_summary.p999,
-        "completed": run.completed_ops,
-        "failed": run.failed_ops,
         "deletes": run.latency.count("delete"),
         "scans": driver.scans_run,
         "bucket_keys": buckets.total_keys,
         "bucket_count": len(buckets.buckets()),
         "bucket_page_writes": buckets.bucket_page_writes,
-        "stats": device_stats_summary(run.device_stats),
     }
 
 
@@ -1584,6 +1868,49 @@ class ReplayMixResult:
             return 0.0
         return self.latency_us[variant][quantile] / base
 
+    def render(self) -> str:
+        rows = [
+            [variant, round(self.latency_us[variant]["read_p99"], 1),
+             round(self.latency_us[variant]["read_p999"], 1),
+             ops["completed"], ops["failed"], ops["deletes"], ops["scans"],
+             self.buckets[variant]["keys"],
+             self.buckets[variant]["page_writes"]]
+            for variant, ops in self.ops.items()
+        ]
+        lines = [
+            "-- TTL + scan mix: read-tail cost --",
+            format_table(
+                ["variant", "read p99", "read p999", "ops", "fail",
+                 "deletes", "scans", "bucket keys", "bucket pages"],
+                rows,
+            ),
+        ]
+        scan_variant = next((v for v in self.variants if "scan" in v), None)
+        if scan_variant is not None:
+            lines.append(
+                f"read-tail inflation ({scan_variant} vs plain): "
+                f"{self.tail_inflation(scan_variant):.2f}x"
+            )
+        return "\n".join(lines)
+
+    def metrics(self) -> Metrics:
+        metrics: Metrics = {}
+        for variant in self.variants:
+            latency = self.latency_us[variant]
+            metrics[f"{variant}.p99_us"] = latency["p99"]
+            metrics[f"{variant}.read_p99_us"] = latency["read_p99"]
+            metrics[f"{variant}.read_p999_us"] = latency["read_p999"]
+            for name, value in self.ops[variant].items():
+                metrics[f"{variant}.{name}"] = value
+            for name, value in self.buckets[variant].items():
+                metrics[f"{variant}.bucket_{name}"] = value
+            metrics[f"{variant}.waf"] = self.stats_summary[variant]["waf"]
+            if variant != "plain":
+                metrics[f"tail_inflation.{variant}"] = (
+                    self.tail_inflation(variant)
+                )
+        return metrics
+
 
 def replay_ttl_scan_mix(
     variants: Sequence[str] = ("plain", "ttl", "ttl+scan"),
@@ -1608,46 +1935,43 @@ def replay_ttl_scan_mix(
     bill: expiry-driven delete traffic and bucket-walking scans sharing
     the device with point reads.
     """
-    points = tuple(
-        SweepPoint(
-            label=f"mix/{variant}",
-            fn=_replay_mix_cell,
-            kwargs=dict(
-                variant=variant,
-                n_ops=n_ops,
-                population=population,
-                ttl_ops=ttl_ops,
-                ttl_us=ttl_us,
-                scan_fraction=scan_fraction,
-                scan_length=scan_length,
-                value_bytes=value_bytes,
-                queue_depth=queue_depth,
-                blocks_per_plane=blocks_per_plane,
-                seed=seed,
-            ),
-        )
-        for variant in variants
+    cells = execute_keyed(
+        "replay_mix",
+        {
+            variant: SweepPoint(
+                label=f"mix/{variant}",
+                fn=_replay_mix_cell,
+                kwargs=dict(
+                    variant=variant,
+                    n_ops=n_ops,
+                    population=population,
+                    ttl_ops=ttl_ops,
+                    ttl_us=ttl_us,
+                    scan_fraction=scan_fraction,
+                    scan_length=scan_length,
+                    value_bytes=value_bytes,
+                    queue_depth=queue_depth,
+                    blocks_per_plane=blocks_per_plane,
+                    seed=seed,
+                ),
+            )
+            for variant in variants
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("replay_mix", points), runner)
     result = ReplayMixResult(n_ops, population, list(variants))
-    for variant, cell in zip(variants, cells):
+    for variant, cell in cells.items():
         result.latency_us[variant] = {
-            "mean": cell["mean"],
-            "p99": cell["p99"],
-            "p999": cell["p999"],
-            "read_p99": cell["read_p99"],
-            "read_p999": cell["read_p999"],
+            q: cell[q]
+            for q in ("mean", "p99", "p999", "read_p99", "read_p999")
         }
         result.ops[variant] = {
-            "completed": cell["completed"],
-            "failed": cell["failed"],
-            "deletes": cell["deletes"],
-            "scans": cell["scans"],
+            name: cell[name]
+            for name in ("completed", "failed", "deletes", "scans")
         }
         result.buckets[variant] = {
-            "keys": cell["bucket_keys"],
-            "count": cell["bucket_count"],
-            "page_writes": cell["bucket_page_writes"],
+            name: cell[f"bucket_{name}"]
+            for name in ("keys", "count", "page_writes")
         }
         result.stats_summary[variant] = cell["stats"]
     return result

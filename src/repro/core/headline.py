@@ -16,6 +16,7 @@ module measures each on the simulated stacks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.experiment import (
     build_block_rig,
@@ -27,6 +28,8 @@ from repro.core.figures import (
     fig3_index_occupancy,
     fig4_value_size_concurrency,
 )
+from repro.exec.runner import SweepRunner
+from repro.kvbench.report import format_table
 from repro.kvbench.runner import execute_workload
 from repro.kvbench.workload import Pattern, WorkloadSpec, generate_operations
 from repro.kvftl.blob import blobs_per_page
@@ -73,6 +76,9 @@ class HeadlineResult:
             ("max KVPs on 3.84 TB", "~3.1 billion",
              f"{self.max_kvps_full_scale / 1e9:.2f} billion"),
         ]
+
+    def render(self) -> str:
+        return format_table(["metric", "paper", "measured"], self.rows())
 
 
 def _direct_bw_ratios(blocks_per_plane: int, n_ops: int) -> tuple:
@@ -133,22 +139,30 @@ def headline_scalars(
     n_ops: int = 2500,
     queue_depth_bw: int = 32,
     blocks_per_plane: int = 16,
+    runner: Optional[SweepRunner] = None,
 ) -> HeadlineResult:
-    """Measure all headline scalars on scaled rigs."""
+    """Measure all headline scalars on scaled rigs.
+
+    ``runner`` serves the three figure sweeps underneath; the direct
+    bandwidth probe always runs inline.
+    """
     fig2 = fig2_end_to_end(
         n_ops=n_ops,
         patterns=("rand",),
         blocks_per_plane=blocks_per_plane,
+        runner=runner,
     )
     fig4 = fig4_value_size_concurrency(
         value_sizes=(4 * KIB,),
         queue_depths=(1, queue_depth_bw),
         n_ops=n_ops,
         blocks_per_plane=blocks_per_plane,
+        runner=runner,
     )
     fig3 = fig3_index_occupancy(
         measured_ops=800,
         blocks_per_plane=blocks_per_plane,
+        runner=runner,
     )
     bw_read, bw_write = _direct_bw_ratios(blocks_per_plane, n_ops=1000)
 

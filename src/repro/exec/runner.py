@@ -29,11 +29,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Hashable, List, Mapping, Optional, TypeVar, Union
 
 from repro.errors import ConfigurationError
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache, code_version_salt, point_key
 from repro.exec.spec import SweepPoint, SweepSpec
+
+K = TypeVar("K", bound=Hashable)
 
 
 def _compute_point(fn: Any, kwargs: Dict[str, Any]) -> Any:
@@ -187,10 +189,26 @@ def execute_spec(
     return runner.run(spec)
 
 
+def execute_keyed(
+    name: str,
+    points: Mapping[K, SweepPoint],
+    runner: Optional[SweepRunner] = None,
+) -> Dict[K, Any]:
+    """Run ``points`` as the sweep ``name``; results return under their keys.
+
+    Mapping order is spec order, so an experiment declares its grid once
+    and reads cells back by coordinate instead of re-walking the grid
+    with an index counter.
+    """
+    cells = execute_spec(SweepSpec(name, tuple(points.values())), runner)
+    return dict(zip(points, cells))
+
+
 __all__ = [
     "ExecReport",
     "SweepPoint",
     "SweepRunner",
     "SweepSpec",
+    "execute_keyed",
     "execute_spec",
 ]

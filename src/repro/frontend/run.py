@@ -16,13 +16,14 @@ the added tail is queueing, straight from the request timestamp trails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.runner import SweepRunner, execute_spec
-from repro.exec.spec import SweepPoint, SweepSpec
+from repro.exec.runner import SweepRunner, execute_keyed
+from repro.exec.spec import SweepPoint
 from repro.frontend.arrivals import ArrivalSpec
 from repro.frontend.frontend import PHASES, run_frontend
 from repro.frontend.spec import FrontendSpec, SLOClass, TenantLoad
+from repro.kvbench.report import format_table
 
 #: The sweep's SLO classes: a tight latency class and a bulk class.
 LATENCY_CLASS = SLOClass(name="lat", deadline_us=2_000.0)
@@ -197,6 +198,56 @@ class FrontendLoadResult:
         added_queue = self.queue_p99[cls][load_kops] - self.queue_p99[cls][base]
         return added_queue / added_total
 
+    def render(self) -> str:
+        header = ["kops"]
+        for cls in self.class_names:
+            header += [f"{cls} p50", f"{cls} p99", f"{cls} p999",
+                       f"{cls} shed%", f"{cls} viol%"]
+        header.append("thr kops")
+        rows = []
+        for load in self.loads_kops:
+            row: List[object] = [f"{load:g}"]
+            for cls in self.class_names:
+                row += [
+                    round(self.p50[cls][load], 1),
+                    round(self.p99[cls][load], 1),
+                    round(self.p999[cls][load], 1),
+                    round(100.0 * self.shed_fraction[cls][load], 1),
+                    round(100.0 * self.violation_fraction[cls][load], 1),
+                ]
+            row.append(round(self.throughput_kops[load], 1))
+            rows.append(row)
+        knee = self.knee_kops()
+        if knee is None:
+            verdict = "no saturation knee within the swept loads"
+        else:
+            share = self.queueing_share(LATENCY_CLASS.name, knee)
+            verdict = (
+                f"saturation knee at {knee:g} kops offered "
+                f"(queueing accounts for {100.0 * share:.0f}% of the "
+                "added lat-class p99)"
+            )
+        return format_table(header, rows) + "\n\n" + verdict
+
+    def metrics(self) -> Dict[str, float]:
+        metrics: Dict[str, float] = {}
+        for load in self.loads_kops:
+            for cls in self.class_names:
+                tag = f"{cls}.{load:g}k"
+                metrics[f"{tag}.p50_us"] = self.p50[cls][load]
+                metrics[f"{tag}.p99_us"] = self.p99[cls][load]
+                metrics[f"{tag}.p999_us"] = self.p999[cls][load]
+                metrics[f"{tag}.queue_p99_us"] = self.queue_p99[cls][load]
+                metrics[f"{tag}.shed_fraction"] = self.shed_fraction[cls][load]
+                metrics[f"{tag}.violation_fraction"] = (
+                    self.violation_fraction[cls][load]
+                )
+            metrics[f"throughput.{load:g}k"] = self.throughput_kops[load]
+            metrics[f"mean_batch.{load:g}k"] = self.mean_batch[load]
+        knee = self.knee_kops()
+        metrics["knee_kops"] = -1.0 if knee is None else knee
+        return metrics
+
 
 def frontend_load_sweep(
     loads_kops: Sequence[float] = DEFAULT_LOADS_KOPS,
@@ -208,22 +259,25 @@ def frontend_load_sweep(
     runner: Optional[SweepRunner] = None,
 ) -> FrontendLoadResult:
     """Sweep offered load; one independent cell per load point."""
-    points = tuple(
-        SweepPoint(
-            label=f"{personality}/{scheduler}/{load_kops:g}kops",
-            fn=_frontend_load_cell,
-            kwargs=dict(
-                load_ops_s=load_kops * 1000.0,
-                n_requests=n_requests,
-                scheduler=scheduler,
-                personality=personality,
-                blocks_per_plane=blocks_per_plane,
-                seed=seed,
-            ),
-        )
-        for load_kops in loads_kops
+    cells = execute_keyed(
+        "frontend",
+        {
+            load_kops: SweepPoint(
+                label=f"{personality}/{scheduler}/{load_kops:g}kops",
+                fn=_frontend_load_cell,
+                kwargs=dict(
+                    load_ops_s=load_kops * 1000.0,
+                    n_requests=n_requests,
+                    scheduler=scheduler,
+                    personality=personality,
+                    blocks_per_plane=blocks_per_plane,
+                    seed=seed,
+                ),
+            )
+            for load_kops in loads_kops
+        },
+        runner,
     )
-    cells = execute_spec(SweepSpec("frontend", points), runner)
     class_names = (LATENCY_CLASS.name, BATCH_CLASS.name)
     result = FrontendLoadResult(
         loads_kops=tuple(loads_kops), class_names=class_names
@@ -236,7 +290,7 @@ def frontend_load_sweep(
         result.shed_fraction[name] = {}
         result.violation_fraction[name] = {}
         result.phase_means[name] = {}
-    for load_kops, cell in zip(loads_kops, cells):
+    for load_kops, cell in cells.items():
         result.throughput_kops[load_kops] = cell["throughput_kops"]
         result.mean_batch[load_kops] = cell["mean_batch"]
         for name in class_names:

@@ -19,7 +19,7 @@ device under RocksDB never foreground-GCs (Fig. 6a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.hostkv.lsm.sstable import SSTable
@@ -124,8 +124,12 @@ def split_entries(
     target_bytes: int,
     level: int,
     block_bytes: int,
+    ids: Iterator[int],
 ) -> List[SSTable]:
-    """Chop merged entries into <= target-size tables in key order."""
+    """Chop merged entries into <= target-size tables in key order.
+
+    ``ids`` is the owning store's table-id counter.
+    """
     if target_bytes < 1:
         raise ConfigurationError(f"target bytes must be >= 1, got {target_bytes}")
     tables: List[SSTable] = []
@@ -136,9 +140,9 @@ def split_entries(
         chunk[key] = value
         chunk_bytes += len(key) + (value or 0)
         if chunk_bytes >= target_bytes:
-            tables.append(SSTable(level, chunk, block_bytes))
+            tables.append(SSTable(level, chunk, block_bytes, sst_id=next(ids)))
             chunk = {}
             chunk_bytes = 0
     if chunk:
-        tables.append(SSTable(level, chunk, block_bytes))
+        tables.append(SSTable(level, chunk, block_bytes, sst_id=next(ids)))
     return tables

@@ -14,7 +14,6 @@ the device, Fig. 2c).
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -27,8 +26,6 @@ SST_ENTRY_OVERHEAD = 16
 #: Filter plus index block bytes per entry (approximate).
 SST_METADATA_PER_ENTRY = 12
 
-_sst_ids = itertools.count()
-
 
 @dataclass
 class SSTable:
@@ -38,7 +35,9 @@ class SSTable:
     entries: Dict[bytes, Optional[int]]
     block_bytes: int = 4 * KIB
     name: str = field(default="")
-    sst_id: int = field(default_factory=lambda: next(_sst_ids))
+    #: Creation order within the owning store (newer = larger); the store
+    #: hands ids out, so equal rigs name — and Bloom-salt — tables equally.
+    sst_id: int = 0
 
     def __post_init__(self) -> None:
         if not self.entries:

@@ -23,6 +23,7 @@ What the paper measures through this engine:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
@@ -103,6 +104,10 @@ class LSMStore:
         self.cache = BlockCache(
             self.config.block_cache_bytes, self.config.block_bytes
         )
+        #: Table ids in creation order; per store, so a rig's file names
+        #: (which salt the Bloom false-positive draw) never depend on
+        #: what else ran in the process.
+        self._sst_ids = itertools.count()
         self._wal_generation = 0
         self._wal_name = self._wal_file_name(0)
         self._wal_created = False
@@ -355,7 +360,10 @@ class LSMStore:
             entries = immutable.entries()
             flush_started = self.env.now
             if entries:
-                table = SSTable(0, entries, self.config.block_bytes)
+                table = SSTable(
+                    0, entries, self.config.block_bytes,
+                    sst_id=next(self._sst_ids),
+                )
                 self._cpu.charge(
                     self.component, self.config.flush_entry_cpu_us * len(entries)
                 )
@@ -423,6 +431,7 @@ class LSMStore:
                 self.config.sst_target_bytes,
                 task.output_level,
                 self.config.block_bytes,
+                self._sst_ids,
             )
             for table in outputs:
                 yield from self.fs.create(table.name)
@@ -509,6 +518,7 @@ class LSMStore:
             self.config.sst_target_bytes,
             level,
             self.config.block_bytes,
+            self._sst_ids,
         )
         for table in tables:
             self.fs.prime_file(table.name, table.file_bytes)

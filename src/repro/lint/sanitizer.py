@@ -22,12 +22,11 @@ fingerprints*:
    ``# simlint: disable=SIM001/SIM002`` comment is blessed (host-side
    timing in the runner, say); an unblessed trip is a finding.
 
-Targets are either a trace figure (``--fig fig6``, fingerprinted the
-same way the determinism gate fingerprints outcomes) or an arbitrary
-callable (``--target pkg.mod:fn`` or ``--target path/to/file.py:fn``)
-invoked with no arguments, fingerprinted by ``repr`` of its return
-value.  ``tools/determinism_gate.py`` reuses the fingerprint and
-divergence rendering from here.
+Targets are either a trace figure (``--fig fig6``, fingerprinted by
+:func:`trace_fingerprint`) or an arbitrary callable (``--target
+pkg.mod:fn`` or ``--target path/to/file.py:fn``) invoked with no
+arguments, fingerprinted by ``repr`` of its return value.  CI's
+determinism gate is ``repro sanitize --fig fig6 --n-ops 400``.
 """
 
 from __future__ import annotations
@@ -196,8 +195,8 @@ def trace_fingerprint(fig: str, n_ops: int) -> str:
 
     This is the determinism contract of the repo in one string: per-
     personality run results and device-stat deltas, latency summaries,
-    and span accounting.  ``tools/determinism_gate.py`` compares two of
-    these; the sanitizer additionally varies the interpreter hash seed.
+    and span accounting.  Phase 1 compares two of these from one
+    interpreter; Phase 2 additionally varies the interpreter hash seed.
     """
     from repro.trace.run import run_traced
 

@@ -1,8 +1,8 @@
 """Smoke tests for the figure experiments at miniature scale.
 
 The benchmarks run the figures at reproduction scale; these tests assert
-the *shape* of the miniature runs registered in
-``tests.conftest.FIGURE_CASES`` — the same memoized results the golden
+the *shape* of the ``mini`` runs declared in
+``repro.core.registry.EXPERIMENTS`` — the same memoized results the golden
 suite diffs, so each mini figure executes once per session no matter how
 many suites consume it.
 """

@@ -1,9 +1,10 @@
 """Golden-figure regression suite.
 
-Each registered case (``tests.conftest.FIGURE_CASES``) runs a
-deliberately small version of one paper figure and reduces it to a flat
-dict of named *shape metrics* — latencies, ratios, bandwidths, counters —
-that capture what the figure shows.  The metrics are diffed against
+Each experiment of ``repro.core.registry.EXPERIMENTS`` that declares a
+``mini`` runs at that deliberately small scale, and its result reduces
+itself (``result.metrics()``) to a flat dict of named *shape metrics* —
+latencies, ratios, bandwidths, counters — that capture what the figure
+shows.  The metrics are diffed against
 ``tests/golden/<fig>.json``; because every experiment is seeded and
 simulated-time based, a drift beyond the (tiny) tolerance means the
 model's behavior changed, not that the host got slower.
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import FIGURE_CASES, figure_result
+from repro.core.registry import EXPERIMENTS
+from tests.conftest import figure_result
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -33,9 +35,11 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 REL_TOL = 1e-9
 
 
-@pytest.mark.parametrize("fig", sorted(FIGURE_CASES))
+@pytest.mark.parametrize(
+    "fig", sorted(name for name, e in EXPERIMENTS.items() if e.mini is not None)
+)
 def test_golden_figure(fig: str, regen_golden: bool) -> None:
-    metrics = FIGURE_CASES[fig].metrics(figure_result(fig))
+    metrics = figure_result(fig).metrics()
     path = GOLDEN_DIR / f"{fig}.json"
     if regen_golden:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,7 @@
 """Unit tests for LSM components: memtable, SSTables, cache, compaction."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -176,7 +178,7 @@ def test_merge_runs_newest_wins():
 
 def test_merge_runs_l0_order_by_sst_id():
     first = SSTable(0, {b"k": 1})
-    second = SSTable(0, {b"k": 2})  # created later -> newer
+    second = SSTable(0, {b"k": 2}, sst_id=1)  # created later -> newer
     task = CompactionTask(0, [first, second], [])
     assert merge_runs(task, is_bottom=False)[b"k"] == 2
 
@@ -191,7 +193,7 @@ def test_merge_drops_tombstones_at_bottom():
 def test_split_entries_respects_target_and_order():
     entries = {b"key-%04d" % i: 4096 for i in range(100)}
     tables = split_entries(entries, target_bytes=64 * KIB, level=2,
-                           block_bytes=4 * KIB)
+                           block_bytes=4 * KIB, ids=itertools.count())
     assert len(tables) > 1
     assert sum(len(t) for t in tables) == 100
     # Disjoint, sorted ranges.

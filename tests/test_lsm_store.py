@@ -203,3 +203,37 @@ def test_host_cpu_charged_heavily_vs_raw_device():
     per_op = cpu.total_busy_us / 300
     # The thick-stack cost the paper's RQ1 is about: tens of us per op.
     assert per_op > 20.0
+
+
+def test_identical_rigs_in_one_process_agree():
+    """SSTable ids name the files and the names salt the Bloom
+    false-positive draw, so ids must restart per store: the second of
+    two identical rigs may not see the first one's tables in its ids."""
+    from repro.core.experiment import build_lsm_rig, drain_rig, lab_geometry
+    from repro.kvbench.runner import execute_workload
+    from repro.kvbench.workload import (
+        Pattern,
+        WorkloadSpec,
+        generate_operations,
+    )
+
+    def one_rig():
+        rig = build_lsm_rig(
+            lab_geometry(8),
+            lsm_config=LSMConfig(bloom_fp_rate=0.3, memtable_bytes=64 * KIB,
+                                 sst_target_bytes=64 * KIB),
+        )
+        means = []
+        for op, pattern in (("insert", Pattern.SEQUENTIAL),
+                            ("update", Pattern.SEQUENTIAL),
+                            ("read", Pattern.UNIFORM)):
+            spec = WorkloadSpec(n_ops=600, op=op, pattern=pattern,
+                                population=600, value_bytes=1024, seed=3)
+            run = execute_workload(rig.env, rig.adapter,
+                                   generate_operations(spec), queue_depth=4)
+            means.append(run.latency.mean())
+            drain_rig(rig)
+        assert rig.store.flushes_run > 0
+        return means, rig.env.now
+
+    assert one_rig() == one_rig()

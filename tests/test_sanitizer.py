@@ -7,6 +7,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint.sanitizer import (
     Divergence,
     collect,
@@ -50,9 +52,10 @@ def test_pop_observer_sees_every_event_in_fire_order():
     assert len(seen) == count
 
 
-def test_collect_is_deterministic_in_process():
-    first = collect(CLEAN, 0)
-    second = collect(CLEAN, 0)
+@pytest.mark.parametrize("target, n_ops", [(CLEAN, 0), ("fig:fig6", 40)])
+def test_collect_is_deterministic_in_process(target, n_ops):
+    first = collect(target, n_ops)
+    second = collect(target, n_ops)
     assert first.digest == second.digest
     assert first.total_events == second.total_events > 0
     assert first.records == second.records
@@ -61,8 +64,6 @@ def test_collect_is_deterministic_in_process():
 
 
 def test_resolve_callable_validates_spec():
-    import pytest
-
     assert resolve_callable(CLEAN)() == resolve_callable(CLEAN)()
     with pytest.raises(ValueError):
         resolve_callable("no-colon-here")
@@ -161,15 +162,3 @@ def test_divergence_render_variants():
     assert "index 3" in event
     assert "'gc'" in event
     assert "<end of run>" in event
-
-
-def test_determinism_gate_reuses_sanitizer(tmp_path):
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "determinism_gate.py"),
-         "--n-ops", "40"],
-        cwd=REPO_ROOT, capture_output=True, text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "determinism gate: OK" in result.stdout
-    assert "events" in result.stdout  # the sanitizer's event count
