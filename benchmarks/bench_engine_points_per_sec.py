@@ -18,7 +18,9 @@ The cell is fixed — same sizes, seeds, geometry, and operation counts on
 every run — so successive entries in ``BENCH_engine.json`` form a
 comparable trajectory.  CI's perf-smoke job runs with ``--gate`` and
 fails when throughput regresses more than the threshold against the last
-committed entry.
+committed entry, or when the cell's event count differs from it at all:
+the count is exact on any host, so a change that adds, drops or reorders
+simulated work cannot pass as a speed-up.
 
 Usage::
 
@@ -150,8 +152,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--gate", action="store_true",
-        help="fail (exit 1) if points/sec < %.0f%% of the last entry"
-        % (GATE_FRACTION * 100),
+        help="fail (exit 1) if points/sec < %.0f%% of the last entry, or "
+        "if events per point pair differ from it" % (GATE_FRACTION * 100),
     )
     parser.add_argument("--json", type=Path, default=DEFAULT_JSON)
     args = parser.parse_args(argv)
@@ -172,12 +174,20 @@ def main(argv=None) -> int:
     if args.gate and trajectory:
         reference = trajectory[-1]["points_per_sec"]
         floor = reference * GATE_FRACTION
-        status = "PASS" if result["points_per_sec"] >= floor else "FAIL"
+        fast_enough = result["points_per_sec"] >= floor
         print(
             f"gate: {result['points_per_sec']:.3f} points/s vs committed "
-            f"{reference:.3f} (floor {floor:.3f}) -> {status}"
+            f"{reference:.3f} (floor {floor:.3f}) -> "
+            f"{'PASS' if fast_enough else 'FAIL'}"
         )
-        if status == "FAIL":
+        committed_events = trajectory[-1]["events_per_point_pair"]
+        same_work = result["events_per_point_pair"] == committed_events
+        print(
+            f"gate: {result['events_per_point_pair']} events per point pair "
+            f"vs committed {committed_events} (exact) -> "
+            f"{'PASS' if same_work else 'FAIL'}"
+        )
+        if not (fast_enough and same_work):
             return 1
 
     if args.record:

@@ -71,7 +71,8 @@ class WriteBuffer:
         remaining = nbytes
         while remaining > 0:
             chunk = min(remaining, self.capacity_bytes)
-            yield self._tokens.get(chunk)
+            if not self._tokens.take(chunk):
+                yield self._tokens.get(chunk)
             remaining -= chunk
         waited = env._now - started
         self._stall_time_us += waited

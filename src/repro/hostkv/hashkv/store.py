@@ -218,7 +218,8 @@ class HashKVStore:
     def _roll_write_block(self) -> Generator[Event, None, None]:
         """Flush the current block to the device and open a fresh one."""
         full_block = self._current
-        yield self._flush_tokens.get(1)
+        if not self._flush_tokens.take(1):
+            yield self._flush_tokens.get(1)
         self.env.process(self._flush_block(full_block), name=f"{self.component}.fl")
         while not self._free:
             if not self._defrag_queue and not self._defrag_candidates():

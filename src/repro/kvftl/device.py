@@ -193,6 +193,10 @@ class KVSSD:
 
         self._records: Dict[bytes, _Record] = {}
         self._populations: List[PrimedPopulation] = []
+        #: Key prefix -> position in ``_populations``, and the distinct
+        #: prefix lengths: a key names at most one population per length.
+        self._population_of_prefix: Dict[bytes, int] = {}
+        self._prefix_lengths: List[int] = []
         self._manifests: Dict[int, List[tuple]] = {}
         self._pack_queue: Deque[_QueuedFragment] = deque()
         self._pack_pending_bytes = 0
@@ -214,11 +218,28 @@ class KVSSD:
         record = self._records.get(key)
         if record is not None:
             return ("record", record)
-        for population in self._populations:
-            index = population.lookup(key)
-            if index is not None:
-                return ("primed", (population, index))
-        return None
+        found = None
+        for length in self._prefix_lengths:
+            position = self._population_of_prefix.get(key[:length])
+            # The earliest fill wins, as when every population was asked.
+            if position is not None and (found is None or position < found[0]):
+                index = self._populations[position].lookup(key)
+                if index is not None:
+                    found = (position, index)
+        if found is None:
+            return None
+        return ("primed", (self._populations[found[0]], found[1]))
+
+    def add_population(self, population: PrimedPopulation) -> int:
+        """Register a bulk fill (of a prefix not yet filled); returns its
+        position in fill order."""
+        prefix = population.scheme.prefix
+        position = len(self._populations)
+        self._populations.append(population)
+        self._population_of_prefix[prefix] = position
+        if len(prefix) not in self._prefix_lengths:
+            self._prefix_lengths.append(len(prefix))
+        return position
 
     def contains(self, key: bytes) -> bool:
         """Untimed ground-truth membership (testing/verification hook)."""
@@ -259,7 +280,10 @@ class KVSSD:
             yield from self.index_managers.serve(self.config.store_index_us)
             yield from self.merge.backpressure()
 
-        if self._find_live(key) is None:
+        # Resolved after the suspension points above: a concurrent store of
+        # the same key may have landed while we waited at the index.
+        existing = self._find_live(key)
+        if existing is None:
             if self.live_kvps >= self.max_kvps:
                 raise CapacityLimitError(
                     f"device at its {self.max_kvps}-KVP limit"
@@ -281,9 +305,6 @@ class KVSSD:
         # Admission happens per fragment below so a value larger than the
         # device buffer cannot deadlock against its own packing; the
         # record is created first so queued fragments resolve against it.
-        # Re-resolve after the suspension points above: a concurrent store
-        # of the same key may have landed while we waited at the index.
-        existing = self._find_live(key)
         if existing is not None:
             self._invalidate_live(key, existing)
             self.index.note_update()

@@ -29,11 +29,10 @@ def fast_fill(
     scheme = scheme or KeyScheme()
     if count < 1:
         raise ConfigurationError(f"fill count must be >= 1, got {count}")
-    for population in device._populations:
-        if population.scheme.prefix == scheme.prefix:
-            raise ConfigurationError(
-                f"a population with prefix {scheme.prefix!r} already exists"
-            )
+    if scheme.prefix in device._population_of_prefix:
+        raise ConfigurationError(
+            f"a population with prefix {scheme.prefix!r} already exists"
+        )
     validate_value_size(value_bytes, device.config)
     page_bytes = device.array.geometry.page_bytes
     layout = layout_blob(scheme.key_bytes, value_bytes, page_bytes, device.config)
@@ -65,8 +64,7 @@ def fast_fill(
         footprint_bytes=layout.footprint_bytes,
         blobs_per_page=per_page,
     )
-    pop_index = len(device._populations)
-    device._populations.append(population)
+    pop_index = device.add_population(population)
 
     remaining = count
     stream = device.core.write_stream

@@ -59,7 +59,7 @@ _SINK_CLASS_SUFFIXES = ("Result", "Stats", "Spec")
 
 #: Terminal call names that schedule simulation events; a tainted delay
 #: or timestamp here corrupts the event order itself.
-_EVENT_SINK_NAMES = frozenset({"timeout", "_schedule"})
+_EVENT_SINK_NAMES = frozenset({"timeout", "Timeout"})
 
 #: Resolved qualname suffixes that feed the result-cache key.
 _CACHE_SINK_SUFFIXES = (".point_key", ".canonical")
@@ -778,7 +778,7 @@ class DataflowAnalysis:
         for qual, sites in self.project.call_sites.items():
             for site in sites:
                 terminal = _call_terminal(site.node)
-                if terminal in ("timeout", "schedule", "_schedule",
+                if terminal in ("timeout", "Timeout", "schedule",
                                 "succeed", "process", "heappush"):
                     direct.add(qual)
                     break

@@ -43,6 +43,11 @@ previous single-heap implementation used, so the refactor is observably
 identical: same event interleaving, same timestamps, same figures to the
 byte.
 
+A resource or token grant that would be the very next event popped does
+not enter the queue at all: :meth:`Environment._fire_in_place` accounts
+for its pop on the spot (sequence number, event count, observer) and the
+caller carries on, which leaves the order and the count as they were.
+
 Example
 -------
 >>> env = Environment()
@@ -76,12 +81,15 @@ from repro.errors import SimulationError
 #: Type alias for model coroutines driven by :class:`Process`.
 ProcessGenerator = Generator["Event", Any, Any]
 
+#: What an event calls when it fires.
+Callback = Callable[["Event"], None]
+
 #: Entry in the calendar's future-event buckets.
 _QueueEntry = Tuple[float, int, "Event"]
 
 #: Event-pop observer installed by the nondeterminism sanitizer
 #: (:mod:`repro.lint.sanitizer`): called as ``observer(now, event)`` for
-#: every event :meth:`Environment._step` dequeues, in fire order.  None
+#: every event the environment dequeues, in fire order.  None
 #: in normal runs — the per-event cost is one global load and a None
 #: check, which keeps the hot path allocation-free.
 _pop_observer: Optional[Callable[[float, "Event"], None]] = None
@@ -110,21 +118,20 @@ class Event:
     """
 
     __slots__ = (
-        "env", "callbacks", "_triggered", "_value", "_failed", "_processed",
+        "env", "callbacks", "_triggered", "_value", "_failed",
         "_fire_at", "_seq",
     )
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        #: Callables invoked with this event when it fires.
-        self.callbacks: List[Callable[["Event"], None]] = []
+        #: Callables invoked with this event when it fires.  The
+        #: environment drops the list (``None``) once it has run them; a
+        #: process yielding an already-processed event must resume via a
+        #: relay event rather than by appending a callback nobody will run.
+        self.callbacks: Optional[List[Callback]] = []
         self._triggered = False
         self._value: Any = None
         self._failed = False
-        # True once the environment has drained this event's callbacks; a
-        # process yielding an already-processed event must resume via a
-        # relay event rather than by appending a callback nobody will run.
-        self._processed = False
         #: Queue bookkeeping, written by the environment at schedule time.
         self._fire_at = 0.0
         self._seq = 0
@@ -137,7 +144,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """Whether the environment has already run this event's callbacks."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def failed(self) -> bool:
@@ -187,17 +194,44 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        # Flattened Event.__init__: a timeout is born triggered and goes
-        # straight into the queue, so the generic succeed() path (and its
-        # already-triggered check) never applies.
+        # Flattened Event.__init__ and queue insertion: a timeout is born
+        # triggered and goes straight into the queue, so the generic
+        # succeed() path (and its already-triggered check) never applies,
+        # and every timed step of every model op pays for one call here.
         self.env = env
         self.callbacks = []
         self._triggered = True
         self._value = value
         self._failed = False
-        self._processed = False
         self.delay = delay
-        env._schedule(self, delay)
+        seq = env._sequence
+        env._sequence = seq + 1
+        self._seq = seq
+        now = env._now
+        fire_at = now + delay
+        self._fire_at = fire_at
+        if fire_at == now:
+            # Zero-delay timeouts (and delays too small to move the
+            # clock) join the immediate FIFO: same (time, seq) order, no
+            # calendar traffic, and nothing in the calendar is ever due
+            # at an instant earlier than it was scheduled.
+            env._immediate.append(self)
+            return
+        key = int(fire_at * env._bucket_inv)
+        if key <= env._near_key:
+            # Lands inside (or before) the bucket being drained: merge
+            # into the near heap, which handles any order.  The packed
+            # tuple is deliberate — it doubles as the heap's C-speed
+            # comparison key, beating Event.__lt__ dispatch, and far
+            # buckets reuse the same entries when they activate.
+            heappush(env._near, (fire_at, seq, self))  # simlint: disable=SIM007
+        else:
+            bucket = env._far.get(key)
+            if bucket is None:
+                env._far[key] = [(fire_at, seq, self)]
+                heappush(env._far_keys, key)
+            else:
+                bucket.append((fire_at, seq, self))
 
 
 class Process(Event):
@@ -224,7 +258,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the generator at the current time via an immediate event.
         bootstrap = Event(env)
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks = [self._resume]
         bootstrap.succeed(None)
 
     @property
@@ -258,17 +292,18 @@ class Process(Event):
             )
         if target.env is not self.env:
             raise SimulationError("cannot wait on an event from another Environment")
-        if target._processed:
+        waiters = target.callbacks
+        if waiters is None:
             # The event fired in the past and its callbacks already ran;
             # resume through a fresh relay event so we still wake up.
             relay = Event(self.env)
-            relay.callbacks.append(self._resume)
+            relay.callbacks = [self._resume]
             if target._failed:
                 relay.fail(target._value)
             else:
                 relay.succeed(target._value)
         else:
-            target.callbacks.append(self._resume)
+            waiters.append(self._resume)
 
 
 class Condition(Event):
@@ -289,11 +324,12 @@ class Condition(Event):
             self.succeed([])
             return
         for child in self.events:
-            if child._processed:
+            waiters = child.callbacks
+            if waiters is None:
                 # Callbacks already drained: deliver the outcome directly.
                 self._child_fired(child)
             else:
-                child.callbacks.append(self._child_fired)
+                waiters.append(self._child_fired)
 
     def _child_fired(self, event: Event) -> None:
         raise NotImplementedError
@@ -358,6 +394,9 @@ class Environment:
         #: Far calendar buckets: unsorted appends, sorted on activation.
         self._far: Dict[int, List[_QueueEntry]] = {}
         self._far_keys: List[int] = []
+        #: True while callbacks of the popped event other than its last
+        #: are running (see :meth:`_fire_in_place`).
+        self._more_callbacks = False
 
     @property
     def now(self) -> float:
@@ -402,35 +441,6 @@ class Environment:
 
     # -- scheduling internals -------------------------------------------
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        """Queue ``event`` to fire ``delay`` microseconds from now."""
-        seq = self._sequence
-        self._sequence = seq + 1
-        event._seq = seq
-        if delay == 0.0:
-            # Zero-delay timeouts join the immediate FIFO: same
-            # (time, seq) order, no calendar traffic.
-            event._fire_at = self._now
-            self._immediate.append(event)
-            return
-        fire_at = self._now + delay
-        event._fire_at = fire_at
-        key = int(fire_at * self._bucket_inv)
-        if key <= self._near_key:
-            # Lands inside (or before) the bucket being drained: merge
-            # into the near heap, which handles any order.  The packed
-            # tuple is deliberate — it doubles as the heap's C-speed
-            # comparison key, beating Event.__lt__ dispatch, and far
-            # buckets reuse the same entries when they activate.
-            heappush(self._near, (fire_at, seq, event))  # simlint: disable=SIM007
-        else:
-            bucket = self._far.get(key)
-            if bucket is None:
-                self._far[key] = [(fire_at, seq, event)]
-                heappush(self._far_keys, key)
-            else:
-                bucket.append((fire_at, seq, event))
-
     def _activate_next_bucket(self) -> bool:
         """Move the earliest far bucket into the near heap; False if none."""
         if not self._far_keys:
@@ -442,42 +452,80 @@ class Environment:
         self._near_key = key
         return True
 
-    def _peek_time(self) -> Optional[float]:
-        """Fire time of the next event, or ``None`` when the queue is empty."""
-        if self._immediate:
-            return self._now
-        if not self._near and not self._activate_next_bucket():
-            return None
-        return self._near[0][0]
+    def _fire_in_place(self, grant: Event) -> bool:
+        """Fire the zero-time ``grant`` here, if it would be popped next.
 
-    def _step(self) -> None:
-        """Process exactly one event from the queue."""
-        immediate = self._immediate
+        A grant succeeded now would be the very next event the loop pops
+        exactly when nothing else is due at this instant (the immediate
+        FIFO is empty and the calendar's earliest entry is later than
+        now) and the callback running is the popped event's last one, so
+        no other process wakes before the loop pops again.  Then the pop
+        is accounted for on the spot — one sequence number, one processed
+        event, the observer shown ``grant`` — and the caller carries on as
+        the grant's only waiter would have.  Returns False, having done
+        nothing, when the grant has to queue.
+        """
+        if self._immediate or self._more_callbacks:
+            return False
         near = self._near
-        if not near and self._activate_next_bucket():
-            near = self._near
-        if immediate:
-            if near:
-                fire_at, seq, _ = near[0]
+        if near and near[0][0] <= self._now:
+            return False
+        seq = self._sequence
+        self._sequence = seq + 1
+        self._processed_events += 1
+        if _pop_observer is not None:
+            grant._fire_at = self._now
+            grant._seq = seq
+            _pop_observer(self._now, grant)
+        return True
+
+    def _drain(self, awaited: Event, horizon: float) -> None:
+        """Process events in ``(fire_time, sequence)`` order.
+
+        Stops when ``awaited`` has triggered, when the queue is empty, or
+        when the next event is due later than ``horizon``.
+        """
+        immediate = self._immediate
+        pop_immediate = immediate.popleft
+        self._more_callbacks = False
+        while not awaited._triggered:
+            near = self._near  # reassigned on activation; re-read per event
+            if not near and self._far_keys:
+                self._activate_next_bucket()
+                near = self._near
+            if immediate:
                 # A future event dequeues first only when it is due at
                 # the current instant with an earlier sequence number —
                 # exactly the (time, seq) order of a single heap.
-                if fire_at <= self._now and seq < immediate[0]._seq:
+                if (
+                    near
+                    and near[0][0] <= self._now
+                    and near[0][1] < immediate[0]._seq
+                ):
                     event = heappop(near)[2]
                 else:
-                    event = immediate.popleft()
+                    event = pop_immediate()
+            elif near:
+                if near[0][0] > horizon:
+                    return
+                fire_at, _, event = heappop(near)
+                self._now = fire_at
             else:
-                event = immediate.popleft()
-        else:
-            fire_at, _, event = heappop(near)
-            self._now = fire_at
-        if _pop_observer is not None:
-            _pop_observer(self._now, event)
-        callbacks, event.callbacks = event.callbacks, []
-        event._processed = True
-        self._processed_events += 1
-        for callback in callbacks:
-            callback(event)
+                return
+            if _pop_observer is not None:
+                _pop_observer(self._now, event)
+            callbacks = event.callbacks
+            event.callbacks = None
+            self._processed_events += 1
+            if callbacks:
+                if len(callbacks) > 1:
+                    # Only the last callback may fire grants in place:
+                    # the processes behind it have not run yet.
+                    self._more_callbacks = True
+                    for callback in callbacks[:-1]:
+                        callback(event)
+                    self._more_callbacks = False
+                callbacks[-1](event)
 
     # -- execution -------------------------------------------------------
 
@@ -489,45 +537,32 @@ class Environment:
         fired earlier, so bandwidth windows measured against ``env.now``
         have the expected width.
         """
-        if until is not None and until < self._now:
+        never = Event(self)  # untriggered: only the queue or ``until`` stops it
+        if until is None:
+            self._drain(never, float("inf"))
+            return
+        if until < self._now:
             raise SimulationError(
                 f"cannot run until {until}; clock is already at {self._now}"
             )
-        step = self._step
-        peek = self._peek_time
-        while True:
-            next_at = peek()
-            if next_at is None:
-                break
-            if until is not None and next_at > until:
-                break
-            step()
-        if until is not None:
-            self._now = max(self._now, until)
+        self._drain(never, until)
+        self._now = max(self._now, until)
 
     def run_until_complete(self, event: Event, limit: float = float("inf")) -> Any:
         """Run until ``event`` fires; return its value (raise if it failed).
 
         ``limit`` bounds the simulated time as a safety net against model
-        deadlocks; exceeding it raises :class:`SimulationError`.
+        deadlocks: an event due later than ``limit`` is not processed, and
+        :class:`SimulationError` is raised instead.
         """
-        step = self._step
-        immediate = self._immediate  # stable deque; _near is reassigned
-        while not event._triggered:
-            # Inlined _peek_time emptiness check: this loop brackets every
-            # event of every measured phase, so one call per step matters.
-            if (
-                not immediate
-                and not self._near
-                and not self._activate_next_bucket()
-            ):
-                raise SimulationError(
-                    "event queue drained before the awaited event fired "
-                    "(model deadlock?)"
-                )
-            if self._now > limit:
+        self._drain(event, limit)
+        if not event._triggered:
+            if self.queued_events:
                 raise SimulationError(f"simulation exceeded time limit {limit}")
-            step()
+            raise SimulationError(
+                "event queue drained before the awaited event fired "
+                "(model deadlock?)"
+            )
         if event._failed:
             raise event._value
         return event._value

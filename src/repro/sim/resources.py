@@ -17,22 +17,71 @@ determinism guarantee.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional
+from typing import Deque, Generator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Callback, Environment, Event, Timeout
+
+
+class Service(Event):
+    """What a :meth:`Resource.serve` caller waits on while its grant queues.
+
+    It never fires itself: when the grant is popped, the timeout that
+    times the service takes over this event's callback list, so the
+    waiting process is resumed once, when the service is over.
+    """
+
+    __slots__ = ("delay",)
+
+    def __init__(self, env: Environment, delay: float) -> None:
+        # Flattened Event.__init__: one of these per queued serve.
+        self.env = env
+        self.callbacks = []
+        self._triggered = False
+        self._value = None
+        self._failed = False
+        self._fire_at = 0.0
+        self._seq = 0
+        self.delay = delay
+
+
+def _start_service(grant: Event) -> None:
+    """A queued :meth:`Resource.serve` grant fired: time its service."""
+    assert isinstance(grant, Request) and grant.service is not None
+    service = grant.service
+    Timeout(grant.env, service.delay).callbacks = service.callbacks
+
+
+#: Callback list shared by every queued grant of :meth:`Resource.serve`
+#: (the environment never mutates the list of an event it pops).
+_START_SERVICE: List[Callback] = [_start_service]
 
 
 class Request(Event):
     """The event granted to a :class:`Resource` user; release via the resource."""
 
-    __slots__ = ()
+    __slots__ = ("service",)
+
+    def __init__(self, env: Environment, service: Optional[Service] = None) -> None:
+        # Flattened Event.__init__: one of these per queued grant.
+        self.env = env
+        self.callbacks = [] if service is None else _START_SERVICE
+        self._triggered = False
+        self._value = None
+        self._failed = False
+        self._fire_at = 0.0
+        self._seq = 0
+        #: The service this grant starts; None for a bare ``request()``.
+        self.service = service
 
 
 class Resource:
     """A server with ``capacity`` concurrent slots and a FIFO queue.
 
-    Typical usage inside a process::
+    Inside a process, ``yield from resource.serve(service_time)`` waits
+    for a slot, holds it for ``service_time`` and gives it back; the
+    process is resumed once, when the service is over.  A caller that
+    needs the slot across several steps pairs the calls itself::
 
         request = resource.request()
         yield request
@@ -40,8 +89,6 @@ class Resource:
             yield env.timeout(service_time)
         finally:
             resource.release(request)
-
-    or, more compactly, ``yield from resource.serve(service_time)``.
     """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = "") -> None:
@@ -55,6 +102,12 @@ class Resource:
         # Utilization accounting: busy slot-time integrated over the run.
         self._busy_slot_time = 0.0
         self._last_change = 0.0
+        #: What the pop observer is shown for a grant fired in place: a
+        #: request already granted and processed.
+        self._in_place = Request(env)
+        self._in_place._triggered = True
+        self._in_place._value = self
+        self._in_place.callbacks = None
 
     @property
     def in_service(self) -> int:
@@ -88,10 +141,7 @@ class Resource:
         """Ask for a slot; the returned event fires when the slot is granted."""
         grant = Request(self.env)
         if self._in_service < self.capacity and not self._waiting:
-            # _account(), inlined: request/release bracket every flash op.
-            now = self.env._now
-            self._busy_slot_time += self._in_service * (now - self._last_change)
-            self._last_change = now
+            self._account()
             self._in_service += 1
             grant.succeed(self)
         else:
@@ -102,26 +152,51 @@ class Resource:
         """Return a previously granted slot, waking the next waiter if any."""
         if not request._triggered:
             raise SimulationError("cannot release a request that was never granted")
-        now = self.env._now
-        self._busy_slot_time += self._in_service * (now - self._last_change)
-        self._last_change = now
+        self._account()
         if self._waiting:
-            successor = self._waiting.popleft()
-            successor.succeed(self)
+            self._waiting.popleft().succeed(self)
         else:
             self._in_service -= 1
 
     def serve(self, duration: float) -> Generator[Event, None, None]:
         """Acquire a slot, hold it for ``duration``, then release it.
 
-        Designed for ``yield from`` inside a process generator.
+        Designed for ``yield from`` inside a process generator.  The
+        process is resumed once, by the timeout that ends the service: a
+        grant that would be the next event popped is fired in place
+        (:meth:`Environment._fire_in_place`); any other grant queues and
+        starts the timeout from its own callback, while the process waits
+        on a :class:`Service`.
         """
-        grant = self.request()
-        yield grant
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release(grant)
+        if duration < 0:
+            raise SimulationError(f"service time must be >= 0, got {duration}")
+        env = self.env
+        now = env._now
+        free = self._in_service < self.capacity and not self._waiting
+        if free:
+            # _account(), inlined: serve brackets every flash op.
+            self._busy_slot_time += self._in_service * (now - self._last_change)
+            self._last_change = now
+            self._in_service += 1
+        if free and env._fire_in_place(self._in_place):
+            yield Timeout(env, duration)
+        else:
+            service = Service(env, duration)
+            grant = Request(env, service)
+            if free:
+                grant.succeed(self)
+            else:
+                self._waiting.append(grant)
+            yield service
+        # release(), inlined; the successor's grant is sequenced before
+        # the caller continues.
+        now = env._now
+        self._busy_slot_time += self._in_service * (now - self._last_change)
+        self._last_change = now
+        if self._waiting:
+            self._waiting.popleft().succeed(self)
+        else:
+            self._in_service -= 1
 
 
 class TokenBucket:
@@ -152,6 +227,11 @@ class TokenBucket:
                 f"initial tokens {self._available} outside [0, {capacity}]"
             )
         self._waiting: Deque[tuple] = deque()  # (event, amount)
+        #: What the pop observer is shown for a grant fired in place: an
+        #: event already triggered and processed.
+        self._in_place = Event(env)
+        self._in_place._triggered = True
+        self._in_place.callbacks = None
 
     @property
     def available(self) -> int:
@@ -163,14 +243,35 @@ class TokenBucket:
         """Number of blocked ``get`` requests."""
         return len(self._waiting)
 
-    def get(self, amount: int = 1) -> Event:
-        """Take ``amount`` tokens; the event fires when they are granted."""
+    def _check(self, amount: int) -> None:
         if amount < 1:
             raise SimulationError(f"token amount must be >= 1, got {amount}")
         if amount > self.capacity:
             raise SimulationError(
                 f"requested {amount} tokens but capacity is {self.capacity}"
             )
+
+    def take(self, amount: int = 1) -> bool:
+        """Take ``amount`` tokens without waiting, when that changes nothing.
+
+        True when :meth:`get` would grant at once and its event would be
+        the next one popped (:meth:`Environment._fire_in_place`): the
+        tokens are taken and the caller carries on.  False, with nothing
+        taken, when the caller has to ``yield bucket.get(amount)``.
+        """
+        self._check(amount)
+        if (
+            self._waiting
+            or self._available < amount
+            or not self.env._fire_in_place(self._in_place)
+        ):
+            return False
+        self._available -= amount
+        return True
+
+    def get(self, amount: int = 1) -> Event:
+        """Take ``amount`` tokens; the event fires when they are granted."""
+        self._check(amount)
         grant = Event(self.env)
         if not self._waiting and self._available >= amount:
             self._available -= amount

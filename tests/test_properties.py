@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings
+from collections import deque
+from heapq import heappop, heappush
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.block import BlockDeviceAPI
@@ -13,7 +16,8 @@ from repro.kvbench.distributions import ZipfianGenerator, sliding_window_indices
 from repro.kvftl.device import KVSSD
 from repro.metrics.cpu import CpuAccountant
 from repro.nvme.driver import KernelDeviceDriver
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, set_pop_observer
+from repro.sim.resources import Resource, TokenBucket
 from repro.kvftl.blob import layout_blob, usable_page_bytes
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.keyhash import hash_fraction, iterator_bucket, key_hash64
@@ -338,3 +342,205 @@ def test_event_order_stable_across_bucket_widths(steps):
     # within each burst (tags increase with scheduling sequence).
     times = [time for time, _tag in reference]
     assert times == sorted(times)
+
+
+# -- zero-time path: in-place grants and one-resume serve vs a reference ---------
+#
+# The reference below is the engine with nothing clever in it: one heap
+# ordered by (time, seq), every resource and token grant queued as an
+# event of its own, serve() as grant-yield then timeout-yield.  The real
+# engine must pop the same (time, seq) pairs in the same order, wake the
+# processes in the same order, and count the same number of events.
+
+
+class _RefEvent:
+    def __init__(self, env):
+        self.env, self.callbacks, self.value = env, [], None
+
+    def succeed(self, value=None, delay=0.0):
+        env = self.env
+        heappush(env.heap, (env.now + delay, env.seq, self))
+        env.seq += 1
+        self.value = value
+        return self
+
+
+class _RefEnv:
+    def __init__(self):
+        self.now, self.seq, self.processed_events = 0.0, 0, 0
+        self.heap, self.pops = [], []
+
+    def timeout(self, delay):
+        return _RefEvent(self).succeed(delay=delay)
+
+    def process(self, generator):
+        done = _RefEvent(self)
+
+        def resume(event):
+            try:
+                target = generator.send(event.value)
+            except StopIteration as stop:
+                done.succeed(stop.value)
+                return
+            if target.callbacks is None:  # already processed: relay
+                target = _RefEvent(self).succeed(target.value)
+            target.callbacks.append(resume)
+
+        _RefEvent(self).succeed().callbacks.append(resume)
+        return done
+
+    def _condition(self, events, needed):
+        condition, fired = _RefEvent(self), []
+
+        def child(event):
+            fired.append(event)
+            if len(fired) == needed:
+                condition.succeed()
+
+        for event in events:
+            if event.callbacks is None:
+                child(event)
+            else:
+                event.callbacks.append(child)
+        return condition
+
+    def all_of(self, events):
+        return self._condition(events, len(events))
+
+    def any_of(self, events):
+        return self._condition(events, 1)
+
+    def run(self):
+        while self.heap:
+            self.now, seq, event = heappop(self.heap)
+            self.pops.append((self.now, seq))
+            self.processed_events += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+
+
+class _RefResource:
+    def __init__(self, env, capacity):
+        self.env, self.free, self.waiting = env, capacity, deque()
+
+    def serve(self, duration):
+        grant = _RefEvent(self.env)
+        if self.free and not self.waiting:
+            self.free -= 1
+            grant.succeed()
+        else:
+            self.waiting.append(grant)
+        yield grant
+        yield self.env.timeout(duration)
+        if self.waiting:
+            self.waiting.popleft().succeed()
+        else:
+            self.free += 1
+
+
+class _RefBucket:
+    def __init__(self, env, capacity):
+        self.env, self.available, self.waiting = env, capacity, deque()
+
+    def take(self, amount):
+        return False
+
+    def get(self, amount):
+        grant = _RefEvent(self.env)
+        if not self.waiting and self.available >= amount:
+            self.available -= amount
+            grant.succeed()
+        else:
+            self.waiting.append((grant, amount))
+        return grant
+
+    def put(self, amount):
+        self.available += amount
+        while self.waiting and self.available >= self.waiting[0][1]:
+            grant, need = self.waiting.popleft()
+            self.available -= need
+            grant.succeed()
+
+
+def _run_graph(make_env, make_resource, make_bucket, graph):
+    """Interpret ``graph`` on one engine; returns (wakes, processed)."""
+    capacities, shared_delays, processes = graph
+    env = make_env()
+    resources = [make_resource(env, capacity) for capacity in capacities]
+    buckets = [make_bucket(env, 3), make_bucket(env, 1)]
+    shared = [env.timeout(delay) for delay in shared_delays]
+    wakes = []
+
+    def body(pid, steps):
+        for number, (kind, which, delay) in enumerate(steps):
+            if kind == "timeout":
+                yield env.timeout(delay)
+            elif kind == "serve":
+                yield from resources[which % len(resources)].serve(delay)
+            elif kind == "tokens":
+                bucket = buckets[which % 2]
+                if not bucket.take(1):
+                    yield bucket.get(1)
+                wakes.append((pid, number, "holding", env.now))
+                yield env.timeout(delay)
+                bucket.put(1)
+            elif kind == "shared":
+                yield shared[which % len(shared)]
+            elif kind == "all_of":
+                yield env.all_of([env.timeout(delay), env.timeout(which * 0.5)])
+            else:
+                yield env.any_of([env.timeout(delay), env.timeout(which * 0.5)])
+            wakes.append((pid, number, kind, env.now))
+
+    for pid, steps in enumerate(processes):
+        env.process(body(pid, steps))
+    env.run()
+    return wakes, env.processed_events
+
+
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
+_STEP = st.tuples(
+    st.sampled_from(["timeout", "serve", "serve", "tokens", "shared",
+                     "all_of", "any_of"]),
+    st.integers(min_value=0, max_value=3),
+    _DELAYS,
+)
+_GRAPHS = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+    st.lists(_DELAYS, min_size=1, max_size=2),
+    st.lists(st.lists(_STEP, min_size=1, max_size=5), min_size=1, max_size=5),
+)
+
+#: Two processes woken by the same event, each then served by a free
+#: resource with nothing else queued: the first may not fire its grant in
+#: place, because the second has yet to run and takes the next sequence
+#: number before the first one's timeout does.
+_TWO_WAITERS = (
+    [1, 1],
+    [1.0],
+    [[("shared", 0, 0.0), ("serve", 0, 1.0)],
+     [("shared", 0, 0.0), ("serve", 1, 1.0)]],
+)
+
+
+@given(_GRAPHS)
+@example(_TWO_WAITERS)
+@settings(max_examples=200, deadline=None)
+def test_zero_time_path_matches_reference_engine(graph):
+    """In-place grants and the one-resume serve are invisible: same pops
+    in the same (time, seq) order, same wake order, same event count as
+    an engine that queues every grant."""
+    pops = []
+    set_pop_observer(lambda now, event: pops.append((now, event._seq)))
+    try:
+        wakes, processed = _run_graph(Environment, Resource, TokenBucket, graph)
+    finally:
+        set_pop_observer(None)
+    reference = _RefEnv()
+    ref_wakes, ref_processed = _run_graph(
+        lambda: reference, _RefResource, _RefBucket, graph
+    )
+    assert pops == reference.pops
+    assert wakes == ref_wakes
+    assert processed == ref_processed == len(pops)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment
-from repro.sim.resources import Resource, TokenBucket
+from repro.sim.engine import Environment, set_pop_observer
+from repro.sim.resources import Request, Resource, TokenBucket
 from repro.sim.signal import Signal
 
 
@@ -227,6 +227,229 @@ def test_busy_accounting_exact_across_handoffs():
     # the grant handoff instants.
     assert resource.busy_slot_us() == pytest.approx(50.0)
     assert resource.busy_fraction() == pytest.approx(0.5)
+
+
+# -- serve(): in-place grants and the one-resume queued path -----------------
+
+
+def _two_yield_serve(env, resource, duration):
+    """What serve() was before grants could fire in place: one event for
+    the grant, one for the service, the process resumed by each."""
+    request = resource.request()
+    yield request
+    try:
+        yield env.timeout(duration)
+    finally:
+        resource.release(request)
+
+
+def _mixed_schedule(serve):
+    """Seven workers over a capacity-2 and a capacity-1 resource.
+
+    The staggered starts make some grants the only thing due at their
+    instant (fired in place), some tied with other events (queued while
+    the slot is free) and some contended (queued behind a holder).
+    """
+    env = Environment()
+    wide, narrow = Resource(env, 2), Resource(env, 1)
+    finished = []
+
+    def worker(tag, start, duration):
+        yield env.timeout(start)
+        yield from serve(env, wide, duration)
+        yield from serve(env, narrow, duration / 2)
+        finished.append((tag, env.now))
+
+    for tag, (start, duration) in enumerate(
+        [(0.0, 4.0), (0.0, 4.0), (0.0, 6.0), (1.0, 2.0), (20.5, 3.0),
+         (30.0, 2.0), (30.0, 2.0)]
+    ):
+        env.process(worker(tag, start, duration))
+    pops = []
+    set_pop_observer(lambda now, event: pops.append(
+        (now, event._seq, type(event).__name__, event is wide._in_place
+         or event is narrow._in_place)
+    ))
+    try:
+        env.run()
+    finally:
+        set_pop_observer(None)
+    return env, wide, narrow, finished, pops
+
+
+def test_serve_equals_two_yield_pattern_on_mixed_schedule():
+    env, wide, narrow, finished, pops = _mixed_schedule(
+        lambda env, resource, duration: resource.serve(duration)
+    )
+    ref_env, ref_wide, ref_narrow, ref_finished, ref_pops = _mixed_schedule(
+        _two_yield_serve
+    )
+    # The schedule exercises both paths.
+    in_place = [pop for pop in pops if pop[3]]
+    queued = [pop for pop in pops if pop[2] == "Request" and not pop[3]]
+    assert in_place and queued
+    assert not any(pop[3] for pop in ref_pops)
+    # Same events, same order, same names; only where they fired differs.
+    assert [pop[:3] for pop in pops] == [pop[:3] for pop in ref_pops]
+    assert env.processed_events == ref_env.processed_events == len(pops)
+    assert finished == ref_finished
+    # Busy accounting is exact, not approximately equal.
+    assert wide.busy_slot_us() == ref_wide.busy_slot_us()
+    assert narrow.busy_slot_us() == ref_narrow.busy_slot_us()
+    assert wide.busy_fraction() == ref_wide.busy_fraction()
+    assert narrow.busy_fraction() == ref_narrow.busy_fraction()
+    assert wide.in_service == narrow.in_service == 0
+
+
+def test_serve_capacity_two_queues_the_third():
+    env = Environment()
+    resource = Resource(env, 2)
+    peak = []
+    finish_times = []
+
+    def worker(env):
+        yield from resource.serve(10.0)
+        finish_times.append(env.now)
+
+    def probe(env):
+        yield env.timeout(5.0)
+        peak.append((resource.in_service, resource.queue_length))
+
+    for _ in range(3):
+        env.process(worker(env))
+    env.process(probe(env))
+    env.run()
+    assert finish_times == [10.0, 10.0, 20.0]
+    assert peak == [(2, 1)]
+    assert resource.busy_slot_us() == 30.0
+
+
+def test_successor_grant_sequenced_before_releaser_continues():
+    """When a service ends with a waiter parked, the waiter's grant gets
+    its sequence number before anything the releasing process does next."""
+    env = Environment()
+    resource = Resource(env, 1)
+    after_release = env.event()
+
+    def first(env):
+        yield from resource.serve(5.0)
+        after_release.succeed("first continues")
+
+    def second(env):
+        yield from resource.serve(5.0)
+
+    env.process(first(env))
+    env.process(second(env))
+    pops = []
+    set_pop_observer(lambda now, event: pops.append((now, event)))
+    try:
+        env.run()
+    finally:
+        set_pop_observer(None)
+    at_handoff = [event for now, event in pops if now == 5.0]
+    grant = next(event for event in at_handoff if isinstance(event, Request))
+    assert at_handoff.index(grant) < at_handoff.index(after_release)
+    assert grant._seq < after_release._seq
+    assert env.now == 10.0
+
+
+def test_quiet_grant_fires_in_place_and_is_counted():
+    env = Environment()
+    resource = Resource(env, 1)
+
+    def worker(env):
+        yield env.timeout(1.0)
+        before = env.processed_events
+        service = resource.serve(2.0)
+        timer = next(service)  # runs serve() up to its only yield
+        assert env.processed_events == before + 1
+        assert resource.in_service == 1
+        assert env.queued_events == 1  # the service timeout, no grant event
+        yield timer
+        assert next(service, "done") == "done"
+        assert resource.in_service == 0
+
+    process = env.process(worker(env))
+    env.run_until_complete(process)
+    assert env.now == 3.0
+
+
+def test_serve_rejects_negative_duration_without_taking_a_slot():
+    env = Environment()
+    resource = Resource(env, 1)
+
+    def worker(env):
+        yield from resource.serve(-1.0)
+
+    env.process(worker(env))
+    with pytest.raises(SimulationError):
+        env.run()
+    assert resource.in_service == 0
+
+
+def test_direct_request_and_serve_share_one_queue():
+    """request()/release() callers and serve() callers interleave FIFO."""
+    env = Environment()
+    resource = Resource(env, 1)
+    log = []
+
+    def direct(env, tag, hold):
+        request = resource.request()
+        yield request
+        assert request.value is resource
+        log.append((tag, "granted", env.now))
+        yield env.timeout(hold)
+        resource.release(request)
+
+    def served(env, tag, duration):
+        yield from resource.serve(duration)
+        log.append((tag, "served", env.now))
+
+    env.process(direct(env, "a", 3.0))
+    env.process(served(env, "b", 2.0))
+    env.process(direct(env, "c", 1.0))
+    env.process(served(env, "d", 4.0))
+    env.run()
+    assert log == [
+        ("a", "granted", 0.0),
+        ("b", "served", 5.0),
+        ("c", "granted", 5.0),
+        ("d", "served", 10.0),
+    ]
+    assert resource.in_service == 0
+    assert resource.busy_slot_us() == 10.0
+
+
+# -- TokenBucket.take() --------------------------------------------------------
+
+
+def test_take_fires_in_place_only_when_nothing_else_is_due():
+    env = Environment()
+    bucket = TokenBucket(env, 4)
+    before = env.processed_events
+    assert bucket.take(3) is True
+    assert bucket.available == 1
+    assert env.processed_events == before + 1
+    # Not enough tokens: nothing taken, the caller must wait on get().
+    assert bucket.take(2) is False
+    assert bucket.available == 1
+    # An event is due at this instant: the grant has to queue behind it.
+    env.event().succeed()
+    assert bucket.take(1) is False
+    assert bucket.available == 1
+    with pytest.raises(SimulationError):
+        bucket.take(0)
+    with pytest.raises(SimulationError):
+        bucket.take(5)
+
+
+def test_take_does_not_overtake_waiters():
+    env = Environment()
+    bucket = TokenBucket(env, 4, initial=1)
+    blocked = bucket.get(3)
+    assert not blocked.triggered
+    assert bucket.take(1) is False  # FIFO: the parked get() goes first
+    assert bucket.available == 1
 
 
 # -- Signal ----------------------------------------------------------------------
