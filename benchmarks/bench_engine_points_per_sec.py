@@ -40,7 +40,6 @@ from pathlib import Path
 from repro.core.experiment import (
     build_block_rig,
     build_kv_rig,
-    drain_rig,
     lab_geometry,
 )
 from repro.kvbench.runner import execute_workload
@@ -99,7 +98,7 @@ def kv_cell() -> int:
     population = max(N_OPS, int(pages_available * 0.55) * per_page)
     rig.device.fast_fill(population, VALUE_BYTES, scheme)
     _measured_phases(rig.env, rig.adapter, population, scheme)
-    drain_rig(rig)
+    rig.drain()
     return rig.env.processed_events
 
 
@@ -113,7 +112,7 @@ def block_cell() -> int:
     fill_units = max(1, population * adapter.io_bytes // rig.device.map_unit)
     rig.device.prime_sequential_fill(min(fill_units, rig.device.n_units))
     _measured_phases(rig.env, adapter, population)
-    drain_rig(rig)
+    rig.drain()
     return rig.env.processed_events
 
 

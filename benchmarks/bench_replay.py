@@ -31,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.experiment import build_kv_rig, drain_rig, lab_geometry
+from repro.core.experiment import build_kv_rig, lab_geometry
 from repro.kvbench.generators import (
     ChurnSpec,
     ExpirySpec,
@@ -106,7 +106,7 @@ def replay_cell(path: str) -> dict:
     )
     run = execute_workload(rig.env, driver, workload.operations(),
                            queue_depth=QUEUE_DEPTH, name="bench.replay")
-    drain_rig(rig)
+    rig.drain()
     if run.failed_ops:
         raise RuntimeError(f"replay cell failed {run.failed_ops} ops")
     return {"records": len(records), "events": rig.env.processed_events}

@@ -18,7 +18,7 @@ amplification for tiny records (Fig. 7's caveat).
 Run:  python examples/iot_sensor_store.py
 """
 
-from repro.core import build_kv_rig, build_lsm_rig, drain_rig, lab_geometry
+from repro.core import build_kv_rig, build_lsm_rig, lab_geometry
 from repro.hostkv.lsm.store import LSMConfig
 from repro.kvbench import (
     Pattern,
@@ -51,7 +51,7 @@ def run_stack(name, rig, adapter):
         rig.env, adapter, generate_operations(ingest), queue_depth=4,
         name=f"{name}.ingest",
     )
-    drain_rig(rig)
+    rig.drain()
     lookups = WorkloadSpec(
         n_ops=N_READINGS // 4,
         op="read",

@@ -143,8 +143,7 @@ def _replay_smoke_gate(rotation: Any, mix: Any) -> None:
 def _run_trace(args: argparse.Namespace, runner: SweepRunner) -> None:
     report = run_traced(fig=args.fig, n_ops=args.trace_ops, runner=runner)
     print(f"scenario: {args.fig} — {report.scenario.focus}")
-    for personality in ("kv-ssd", "block-ssd"):
-        run = report.runs[personality]
+    for personality, run in report.runs.items():
         print(f"\n[{personality}] {run.completed_ops} ops in "
               f"{run.elapsed_us / 1000.0:.1f}ms simulated")
         print(format_breakdown(report.breakdowns[personality]))

@@ -1,7 +1,7 @@
 """Cluster execution: fan shards out, assemble one deterministic result.
 
 :func:`run_cluster` turns a :class:`~repro.cluster.spec.ClusterSpec`
-into one :class:`~repro.exec.spec.SweepPoint` per shard (the cell is
+into one sweep point per shard (the cell is
 :func:`repro.cluster.shard.run_shard`, a pure function of ``(spec,
 shard)``) and executes them through the sweep engine — serial inline,
 process-pool parallel, and content-cached all produce the same
@@ -20,10 +20,10 @@ from repro.cluster.router import ClusterPlan, build_plan
 from repro.cluster.shard import ShardResult, run_shard
 from repro.cluster.spec import ClusterSpec
 from repro.exec.cache import canonical
-from repro.exec.runner import SweepRunner, execute_spec
-from repro.exec.spec import SweepPoint, SweepSpec
+from repro.exec.runner import SweepRunner, grid
 from repro.ftl.core import DeviceStats
 from repro.kvbench.report import format_table
+from repro.kvbench.runner import Throughput
 
 
 def aggregate_device_stats(stats: Sequence[DeviceStats]) -> DeviceStats:
@@ -50,7 +50,7 @@ def aggregate_device_stats(stats: Sequence[DeviceStats]) -> DeviceStats:
 
 
 @dataclass
-class ClusterResult:
+class ClusterResult(Throughput):
     """One cluster run: the plan's bookkeeping plus every shard's result."""
 
     spec: ClusterSpec
@@ -90,14 +90,9 @@ class ClusterResult:
 
     @property
     def elapsed_us(self) -> float:
-        """Cluster makespan: the slowest shard bounds the run."""
+        """Cluster makespan: the slowest shard bounds the run (and is the
+        window ``throughput_kops()`` divides by)."""
         return max((shard.elapsed_us for shard in self.shards), default=0.0)
-
-    def throughput_kops(self) -> float:
-        """Completed device operations per millisecond of makespan."""
-        if self.elapsed_us <= 0:
-            return 0.0
-        return self.completed_ops / (self.elapsed_us / 1000.0)
 
     @property
     def zero_lost_writes(self) -> bool:
@@ -161,22 +156,6 @@ class ClusterResult:
         return f"{table}\nfingerprint: {self.fingerprint()}"
 
 
-def cluster_sweep(spec: ClusterSpec) -> SweepSpec:
-    """The sweep spec fanning ``spec`` out one shard per worker."""
-    points = tuple(
-        SweepPoint(
-            label=f"shard{shard}",
-            fn=run_shard,
-            kwargs={"spec": spec, "shard": shard},
-            seed=spec.seed,
-        )
-        for shard in range(spec.shards)
-    )
-    return SweepSpec(
-        name=f"cluster.{spec.shards}x{spec.replication}", points=points
-    )
-
-
 def run_cluster(
     spec: ClusterSpec, runner: Optional[SweepRunner] = None
 ) -> ClusterResult:
@@ -187,7 +166,14 @@ def run_cluster(
     the on-disk result cache.  Results are identical either way.
     """
     plan: ClusterPlan = build_plan(spec)
-    shards: List[ShardResult] = execute_spec(cluster_sweep(spec), runner)
+    shards: List[ShardResult] = list(grid(
+        f"cluster.{spec.shards}x{spec.replication}",
+        run_shard,
+        {"shard": range(spec.shards)},
+        {"spec": spec},
+        runner,
+        seed=spec.seed,
+    ).values())
     return ClusterResult(
         spec=spec,
         shards=shards,

@@ -14,22 +14,21 @@ readable on the device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.blockftl.config import BlockSSDConfig
 from repro.cluster.router import PlannedOp, ShardProgram, shard_plan
 from repro.cluster.spec import ClusterSpec
 from repro.core.experiment import (
-    BlockRig,
+    DIRECT_SYSTEMS,
     KVRig,
-    build_block_rig,
-    build_kv_rig,
+    build_rig,
     lab_geometry,
 )
 from repro.errors import DeviceError, SimulationError
 from repro.faults.model import FaultConfig
 from repro.ftl.core import DeviceStats
-from repro.kvbench.runner import BlockAdapter
+from repro.kvbench.runner import StoreAdapter, Window, closed_loop
 from repro.kvbench.workload import Operation, OpType
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.population import KeyScheme
@@ -46,7 +45,7 @@ _DEGRADE_VALUE_BYTES = 1024
 
 
 @dataclass
-class ShardResult:
+class ShardResult(Window):
     """Everything one shard's run produced (picklable, cacheable)."""
 
     shard: int
@@ -57,9 +56,11 @@ class ShardResult:
     completed_ops: int = 0
     failed_ops: int = 0
     #: Simulated time spent in the routing hop, for router-vs-device
-    #: attribution (total op latency minus this is device time).
+    #: attribution (total op latency minus this is device time).  Summed
+    #: over the same operations as ``op_time_us_total``: every one that
+    #: reached a terminal state, failed ones included.
     router_us_total: float = 0.0
-    #: Sum of recorded end-to-end op latencies (router hop included).
+    #: Sum of end-to-end op latencies (router hop included).
     op_time_us_total: float = 0.0
     #: Writes burned to exhaust the spare budget (never client traffic).
     sacrificial_writes: int = 0
@@ -74,16 +75,6 @@ class ShardResult:
     latency: Dict[str, LatencySummary] = field(default_factory=dict)
     device_stats: Optional[DeviceStats] = None
     trace_spans: int = 0
-
-    @property
-    def elapsed_us(self) -> float:
-        return self.finished_us - self.started_us
-
-    def throughput_kops(self) -> float:
-        """Completed device operations per millisecond of simulated time."""
-        if self.elapsed_us <= 0:
-            return 0.0
-        return self.completed_ops / (self.elapsed_us / 1000.0)
 
 
 class _ShardCell:
@@ -107,36 +98,41 @@ class _ShardCell:
                 pid=program.shard + 1,
                 process_name=program.name,
             )
-        geometry = lab_geometry(spec.blocks_per_plane)
-        fault_config = FaultConfig() if degrading else None
-        self.rig: Union[KVRig, BlockRig]
-        if program.personality == "kv":
-            kv_config = (
-                KVSSDConfig(spare_block_limit=spec.degrade_spare_blocks)
-                if degrading
-                else None
+        kv = program.personality == "kv"
+        config: object = None
+        if degrading:
+            limit = spec.degrade_spare_blocks
+            config = (
+                KVSSDConfig(spare_block_limit=limit)
+                if kv
+                else BlockSSDConfig(spare_block_limit=limit)
             )
-            self.rig = build_kv_rig(
-                geometry,
-                config=kv_config,
-                tracer=self.tracer,
-                fault_config=fault_config,
-            )
-        else:
-            block_config = (
-                BlockSSDConfig(spare_block_limit=spec.degrade_spare_blocks)
-                if degrading
-                else None
-            )
-            self.rig = build_block_rig(
-                geometry,
-                config=block_config,
-                tracer=self.tracer,
-                fault_config=fault_config,
-            )
+        self.rig = build_rig(
+            DIRECT_SYSTEMS[program.personality],
+            lab_geometry(spec.blocks_per_plane),
+            config=config,
+            tracer=self.tracer,
+            fault_config=FaultConfig() if degrading else None,
+        )
         self.env: Environment = self.rig.env
+        #: Per tenant: the adapter sized to that tenant's pairs.
+        self._adapters: List[StoreAdapter] = [
+            self.rig.adapter_for(len(tenant.tag) + 12 + tenant.value_bytes)
+            for tenant in spec.tenants
+        ]
         self._schemes: Dict[Tuple[int, int], KeyScheme] = {}
-        self._block_adapters: Dict[int, BlockAdapter] = {}
+        device = self.rig.device
+        #: ``rig.prime`` arguments.  KV: every planned partition fill.
+        #: Block: the whole range, once, so every read lands on a primed
+        #: unit (the paper's pre-conditioned drive).
+        self._primes: List[Tuple[int, int, Optional[KeyScheme]]] = [
+            (d.count, spec.tenants[d.tenant].value_bytes,
+             self.scheme(d.tenant, d.partition))
+            for d in program.primes
+        ] if kv else [(device.n_units, device.map_unit, None)]
+        #: Device-side verification reads keys back; only the KV
+        #: personality holds keys to find.
+        self._verifies = kv
 
     # -- key plumbing ----------------------------------------------------
 
@@ -147,93 +143,50 @@ class _ShardCell:
             self._schemes[(tenant, partition)] = cached
         return cached
 
-    def key_of(self, tenant: int, index: int) -> bytes:
-        partition = index % self.spec.partitions
-        return self.scheme(tenant, partition).key_for(
-            index // self.spec.partitions
-        )
-
-    def block_adapter(self, tenant: int) -> BlockAdapter:
-        adapter = self._block_adapters.get(tenant)
-        if adapter is None:
-            assert isinstance(self.rig, BlockRig)
-            tenant_spec = self.spec.tenants[tenant]
-            io_bytes = len(tenant_spec.tag) + 12 + tenant_spec.value_bytes
-            adapter = self.rig.adapter(io_bytes)
-            self._block_adapters[tenant] = adapter
-        return adapter
-
-    # -- priming ---------------------------------------------------------
-
-    def prime(self) -> None:
-        if isinstance(self.rig, KVRig):
-            for directive in self.program.primes:
-                tenant = self.spec.tenants[directive.tenant]
-                self.rig.device.fast_fill(
-                    directive.count,
-                    tenant.value_bytes,
-                    self.scheme(directive.tenant, directive.partition),
-                )
-        else:
-            # Block personality: map the whole range once so every read
-            # lands on a primed unit (the paper's pre-conditioned drive).
-            device = self.rig.device
-            device.prime_sequential_fill(device.n_units)
-
     # -- operation execution ---------------------------------------------
 
     def execute(self, planned: PlannedOp) -> Generator[Event, None, int]:
-        if isinstance(self.rig, KVRig):
-            op = Operation(
-                planned.op,
-                self.key_of(planned.tenant, planned.index),
-                planned.index,
-                planned.value_bytes,
-            )
-            return self.rig.adapter.execute(op)
-        # Block personality: tenant-interleaved global slot index keeps
-        # tenants from trivially aliasing each other's offsets.
-        slot = planned.index * len(self.spec.tenants) + planned.tenant
-        op = Operation(planned.op, b"", slot, planned.value_bytes)
-        return self.block_adapter(planned.tenant).execute(op)
+        """The device operation of ``planned``, on its tenant's adapter.
 
-    def segment_driver(
-        self, segment: List[PlannedOp]
-    ) -> Generator[Event, None, None]:
-        """Play one segment at queue depth, recording per-phase latency."""
-        env = self.env
-        spec = self.spec
-        result = self.result
-        recorder = self.recorder
+        Keyed stacks address the tenant's partition key; the block stack
+        the tenant-interleaved global slot index (which keeps tenants
+        from trivially aliasing each other's offsets).
+        """
+        partitions = self.spec.partitions
+        index = planned.index
+        op = Operation(
+            planned.op,
+            self.scheme(planned.tenant, index % partitions).key_for(
+                index // partitions
+            ),
+            index * len(self.spec.tenants) + planned.tenant,
+            planned.value_bytes,
+        )
+        return self._adapters[planned.tenant].execute(op)
+
+    def route(self, planned: PlannedOp) -> Generator[Event, None, int]:
+        """:meth:`execute` behind the router hop's trace span."""
         tracer = self.tracer
-        stream: Iterator[PlannedOp] = iter(segment)
+        if tracer is not None and tracer.wants("host"):
+            tracer.complete(
+                "router", "route", "host", self.spec.router_us,
+                {"label": planned.label},
+            )
+        return self.execute(planned)
 
-        def worker() -> Generator[Event, None, None]:
-            for planned in stream:
-                started = env.now
-                if spec.router_us > 0.0:
-                    yield env.timeout(spec.router_us)
-                result.router_us_total += spec.router_us
-                if tracer is not None and tracer.wants("host"):
-                    tracer.complete(
-                        "router", "route", "host", spec.router_us,
-                        {"label": planned.label},
-                    )
-                try:
-                    yield env.process(self.execute(planned))
-                except DeviceError:
-                    result.failed_ops += 1
-                    continue
-                latency = env.now - started
-                recorder.record(latency, planned.label)
-                result.op_time_us_total += latency
-                result.completed_ops += 1
-
-        workers = [
-            env.process(worker(), name=f"{self.program.name}.w{i}")
-            for i in range(spec.queue_depth)
-        ]
-        yield env.all_of(workers)
+    def segment_done(self, planned: PlannedOp, started: float, value: object,
+                     error: Optional[DeviceError]) -> None:
+        """Account one routed operation: per-phase latency on success,
+        router-vs-device attribution for every terminal op."""
+        result = self.result
+        latency = self.env.now - started
+        result.router_us_total += self.spec.router_us
+        result.op_time_us_total += latency
+        if error is not None:
+            result.failed_ops += 1
+            return
+        self.recorder.record(latency, planned.label)
+        result.completed_ops += 1
 
     # -- forced degradation ----------------------------------------------
 
@@ -287,31 +240,26 @@ class _ShardCell:
 
     def verify_driver(self) -> Generator[Event, None, None]:
         """Read back every key this shard is still obligated to hold."""
-        env = self.env
         result = self.result
         partitions = self.spec.partitions
 
-        def reads() -> Iterator[PlannedOp]:
-            for entry in self.program.verify:
-                for local in range(entry.count):
-                    index = local * partitions + entry.partition
-                    yield PlannedOp(OpType.READ, entry.tenant, index, 0, "verify")
+        reads = (
+            PlannedOp(OpType.READ, entry.tenant,
+                      local * partitions + entry.partition, 0, "verify")
+            for entry in self.program.verify
+            for local in range(entry.count)
+        )
 
-        stream = reads()
+        def done(planned: PlannedOp, started: float, value: object,
+                 error: Optional[DeviceError]) -> None:
+            result.verify_checked += 1
+            if error is not None:
+                result.verify_missing += 1
 
-        def worker() -> Generator[Event, None, None]:
-            for planned in stream:
-                result.verify_checked += 1
-                try:
-                    yield env.process(self.execute(planned))
-                except DeviceError:
-                    result.verify_missing += 1
-
-        workers = [
-            env.process(worker(), name=f"{self.program.name}.v{i}")
-            for i in range(self.spec.queue_depth)
-        ]
-        yield env.all_of(workers)
+        yield closed_loop(
+            self.env, f"{self.program.name}.verify", self.spec.queue_depth,
+            self.execute, reads, done,
+        )
 
     # -- whole-shard program ---------------------------------------------
 
@@ -321,13 +269,20 @@ class _ShardCell:
             yield from self.degrade_driver()
         for index, segment in enumerate(self.program.segments):
             if segment:
-                yield from self.segment_driver(segment)
+                # One segment at queue depth, the router hop charged
+                # inside every operation's latency window.
+                yield closed_loop(
+                    self.env, self.program.name, self.spec.queue_depth,
+                    self.route, segment, self.segment_done,
+                    hop_us=self.spec.router_us,
+                )
             if degrade_after == index:
                 yield from self.degrade_driver()
 
     def run(self) -> ShardResult:
         env = self.env
-        self.prime()
+        for prime in self._primes:
+            self.rig.prime(*prime)
         result = self.result
         result.started_us = env.now
         process = env.process(self.driver(), name=f"{self.program.name}.main")
@@ -336,11 +291,8 @@ class _ShardCell:
         # Flush buffered writes to flash after the measured window so the
         # reported device telemetry (flash programs, WAF) reflects the
         # run's media traffic, not the buffer's final fill level.
-        drain = env.process(
-            self.rig.device.drain(), name=f"{self.program.name}.drain"
-        )
-        env.run_until_complete(drain, limit=env.now + 600e6)
-        if self.program.personality == "kv" and self.program.verify:
+        self.rig.drain()
+        if self._verifies and self.program.verify:
             # Verification is untimed bookkeeping from the cluster's point
             # of view; it runs after the measured window closes.
             verify = env.process(

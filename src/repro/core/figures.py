@@ -10,11 +10,13 @@ drive) to laptop-feasible counts at *matched relative state* — see
 DESIGN.md section 6 for the scaling discipline.
 
 Every figure is internally a *sweep of independent cells* (one fresh
-rig per cell), expressed as module-level ``_figN_*_cell`` functions and
-a :class:`~repro.exec.spec.SweepSpec`.  Pass ``runner=`` (a
-:class:`~repro.exec.runner.SweepRunner`) to fan cells out over a
-process pool and/or reuse cached cell results; without a runner the
-cells execute inline, serially, exactly as the original loops did.
+rig per cell): a module-level ``_figN_cell`` function, written once
+for every system it measures (``build_rig`` → ``prime`` →
+``run_phase``), fanned out by :func:`~repro.exec.runner.grid`.  Pass
+``runner=`` (a :class:`~repro.exec.runner.SweepRunner`) to fan cells
+out over a process pool and/or reuse cached cell results; without a
+runner the cells execute inline, serially, exactly as the original
+loops did.
 Results are always assembled in spec order, so the figure output is
 byte-identical at any worker count.
 
@@ -27,20 +29,12 @@ experiments; nothing else in the tree enumerates them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.experiment import (
-    build_block_rig,
-    build_hash_rig,
-    build_kv_rig,
-    build_lsm_rig,
-    drain_rig,
-    lab_geometry,
-)
+from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
 from repro.core.model import device_stats_summary
 from repro.errors import ConfigurationError
-from repro.exec.runner import SweepRunner, execute_keyed
-from repro.exec.spec import SweepPoint
+from repro.exec.runner import SweepRunner, grid
 from repro.kvbench.generators import (
     ChurnSpec,
     ExpirySpec,
@@ -50,16 +44,11 @@ from repro.kvbench.generators import (
     generate_scan_mix,
 )
 from repro.kvbench.report import format_table, sparkline
-from repro.kvbench.runner import RunResult, execute_workload
+from repro.kvbench.runner import RunResult, run_phase
 from repro.kvbench.traces import TraceWorkload, merge_traces
-from repro.kvbench.workload import (
-    Operation,
-    Pattern,
-    WorkloadSpec,
-    generate_operations,
-)
+from repro.kvbench.workload import Pattern, WorkloadSpec
 from repro.kvbench.ycsb import YCSBDriver, YCSBSpec
-from repro.kvftl.blob import blobs_per_page, space_amplification
+from repro.kvftl.blob import layout_blob, space_amplification
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.population import KeyScheme
 from repro.nvme.command import commands_for_key
@@ -69,40 +58,18 @@ from repro.units import KIB, MIB
 PAPER_KEY_BYTES = 16
 #: The scheme producing 16-byte keys ("key-" + 12 digits).
 PAPER_SCHEME = KeyScheme(prefix=b"key-", digits=12)
+#: The scheme of every untimed prefill ("fill" + 12 digits, also 16 B).
+FILL_SCHEME = KeyScheme(prefix=b"fill", digits=12)
+
+#: Per-device rig options that keep index occupancy (Fig. 3's subject)
+#: out of an experiment: ample index DRAM on the KV device; the block
+#: device has no such pressure to relieve.
+_AMPLE_INDEX: Dict[str, Dict[str, Any]] = {
+    "kv": {"config": KVSSDConfig(index_dram_bytes=64 * MIB)},
+    "block": {},
+}
 
 Metrics = Dict[str, float]
-
-
-def _run_phase(
-    rig: Any,
-    name: str,
-    workload: Union[WorkloadSpec, Iterable[Operation]],
-    queue_depth: int,
-    adapter: Any = None,
-    drain: bool = True,
-    **run_options: float,
-) -> RunResult:
-    """One measured phase on ``rig``: run ``workload``, then settle.
-
-    ``workload`` is a spec to generate from or a ready operation stream;
-    ``adapter`` defaults to the rig's own (block rigs pass a sized one).
-    ``drain=False`` is for cells whose rig is discarded right after —
-    bandwidth sweeps, and Fig. 6, whose collapsed device would take
-    arbitrarily long to settle.
-    """
-    if isinstance(workload, WorkloadSpec):
-        workload = generate_operations(workload)
-    run = execute_workload(
-        rig.env,
-        adapter or rig.adapter,
-        workload,
-        queue_depth=queue_depth,
-        name=name,
-        **run_options,
-    )
-    if drain:
-        drain_rig(rig)
-    return run
 
 
 def _kib(size: int) -> str:
@@ -158,12 +125,6 @@ class Fig2Result:
         return metrics
 
 
-_FIG2_BUILDERS = {
-    "kvssd": build_kv_rig,
-    "rocksdb": build_lsm_rig,
-    "aerospike": build_hash_rig,
-}
-
 _FIG2_PATTERNS = {
     "seq": Pattern.SEQUENTIAL,
     "rand": Pattern.UNIFORM,
@@ -180,7 +141,7 @@ def _fig2_cell(
     blocks_per_plane: int,
 ) -> Dict[str, object]:
     """One (system, pattern) cell: insert, update, read on a fresh rig."""
-    rig = _FIG2_BUILDERS[system](lab_geometry(blocks_per_plane))
+    rig = build_rig(system, lab_geometry(blocks_per_plane))
     base = WorkloadSpec(
         n_ops=n_ops,
         op="insert",
@@ -190,13 +151,15 @@ def _fig2_cell(
         value_bytes=value_bytes,
         seed=11,
     )
+    adapter = rig.adapter_for(value_bytes)
     cpu_before = rig.cpu.total_busy_us
     runs = {
-        phase: _run_phase(
+        phase: run_phase(
             rig,
             f"fig2.{system}.{pattern_name}.{phase}",
             replace(base, op=phase),
             queue_depth,
+            adapter,
         )
         for phase in ("insert", "update", "read")
     }
@@ -223,27 +186,12 @@ def fig2_end_to_end(
     keys and ``value_bytes`` values in pattern order, then updates, then
     reads — all asynchronously at ``queue_depth``, as in the paper.
     """
-    for system in systems:
-        if system not in _FIG2_BUILDERS:
-            raise ConfigurationError(f"unknown fig2 system {system!r}")
-    cells = execute_keyed(
+    cells = grid(
         "fig2",
-        {
-            (system, pattern_name): SweepPoint(
-                label=f"{system}/{pattern_name}",
-                fn=_fig2_cell,
-                kwargs=dict(
-                    system=system,
-                    pattern_name=pattern_name,
-                    n_ops=n_ops,
-                    value_bytes=value_bytes,
-                    queue_depth=queue_depth,
-                    blocks_per_plane=blocks_per_plane,
-                ),
-            )
-            for system in systems
-            for pattern_name in patterns
-        },
+        _fig2_cell,
+        {"system": systems, "pattern_name": patterns},
+        dict(n_ops=n_ops, value_bytes=value_bytes, queue_depth=queue_depth,
+             blocks_per_plane=blocks_per_plane),
         runner,
     )
     result = Fig2Result(n_ops, value_bytes, queue_depth)
@@ -308,53 +256,33 @@ class Fig3Result:
         return metrics
 
 
-def _fig3_latencies(
-    rig: Any, adapter: Any, device: str, base: WorkloadSpec
+def _fig3_cell(
+    device: str,
+    occupancy: str,
+    kvps: Dict[str, int],
+    value_bytes: int,
+    measured_ops: int,
+    blocks_per_plane: int,
 ) -> Dict[str, float]:
-    """Mean QD1 read then write (update) latency over ``base``'s keys."""
+    """Mean QD1 read then write (update) latency at one occupancy."""
+    rig = build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane))
+    rig.prime(kvps[occupancy], value_bytes, FILL_SCHEME)
+    adapter = rig.adapter_for(value_bytes)
+    base = WorkloadSpec(
+        n_ops=measured_ops,
+        op="read",
+        pattern=Pattern.UNIFORM,
+        population=kvps[occupancy],
+        key_scheme=FILL_SCHEME,
+        value_bytes=value_bytes,
+        seed=23,
+    )
     return {
-        label: _run_phase(
+        label: run_phase(
             rig, f"fig3.{device}.{label}", replace(base, op=op), 1, adapter
         ).latency.mean()
         for label, op in (("read", "read"), ("write", "update"))
     }
-
-
-def _fig3_measure_kv(
-    kvps: int, value_bytes: int, measured_ops: int, blocks_per_plane: int
-) -> Dict[str, float]:
-    rig = build_kv_rig(lab_geometry(blocks_per_plane))
-    scheme = KeyScheme(prefix=b"fill", digits=12)
-    rig.device.fast_fill(kvps, value_bytes, scheme)
-    base = WorkloadSpec(
-        n_ops=measured_ops,
-        op="read",
-        pattern=Pattern.UNIFORM,
-        population=kvps,
-        key_scheme=scheme,
-        value_bytes=value_bytes,
-        seed=23,
-    )
-    return _fig3_latencies(rig, rig.adapter, "kv", base)
-
-
-def _fig3_measure_block(
-    kvps: int, value_bytes: int, measured_ops: int, blocks_per_plane: int
-) -> Dict[str, float]:
-    rig = build_block_rig(lab_geometry(blocks_per_plane))
-    fill_bytes = kvps * value_bytes
-    units = max(1, fill_bytes // rig.device.map_unit)
-    rig.device.prime_sequential_fill(units)
-    adapter = rig.adapter(value_bytes)
-    base = WorkloadSpec(
-        n_ops=measured_ops,
-        op="read",
-        pattern=Pattern.UNIFORM,
-        population=max(1, fill_bytes // adapter.io_bytes),
-        value_bytes=value_bytes,
-        seed=23,
-    )
-    return _fig3_latencies(rig, adapter, "block", base)
 
 
 def _fig3_occupancies(
@@ -364,18 +292,9 @@ def _fig3_occupancies(
     blocks_per_plane: int,
 ) -> Dict[str, int]:
     """Low/high pair counts as fractions of the device's KVP limit."""
-    probe = build_kv_rig(lab_geometry(blocks_per_plane))
-    device = probe.device
-    per_page = blobs_per_page(
-        KeyScheme(prefix=b"fill", digits=12).key_bytes,
-        value_bytes,
-        device.array.geometry.page_bytes,
-        device.config,
-    )
-    physical_max = (
-        device.free_block_count() * device.array.geometry.pages_per_block
-    ) * per_page
-    max_kvps = min(device.max_kvps, int(physical_max * 0.9))
+    probe = build_rig("kvssd", lab_geometry(blocks_per_plane))
+    physical_max = probe.pair_capacity(FILL_SCHEME.key_bytes, value_bytes)
+    max_kvps = min(probe.device.max_kvps, int(physical_max * 0.9))
     return {
         "low": max(1000, int(max_kvps * low_fraction)),
         "high": int(max_kvps * high_fraction),
@@ -399,29 +318,18 @@ def fig3_index_occupancy(
     kvps = _fig3_occupancies(
         value_bytes, low_fraction, high_fraction, blocks_per_plane
     )
-    cell_fns = {"kv": _fig3_measure_kv, "block": _fig3_measure_block}
-    cells = execute_keyed(
+    cells = grid(
         "fig3",
-        {
-            (device, occupancy): SweepPoint(
-                label=f"{device}/{occupancy}",
-                fn=cell_fns[device],
-                kwargs=dict(
-                    kvps=kvps[occupancy],
-                    value_bytes=value_bytes,
-                    measured_ops=measured_ops,
-                    blocks_per_plane=blocks_per_plane,
-                ),
-            )
-            for device in cell_fns
-            for occupancy in kvps
-        },
+        _fig3_cell,
+        {"device": DIRECT_SYSTEMS, "occupancy": kvps},
+        dict(kvps=kvps, value_bytes=value_bytes, measured_ops=measured_ops,
+             blocks_per_plane=blocks_per_plane),
         runner,
     )
     result = Fig3Result(
         low_kvps=kvps["low"], high_kvps=kvps["high"], value_bytes=value_bytes
     )
-    for device in cell_fns:
+    for device in DIRECT_SYSTEMS:
         result.latency_us[device] = {
             occupancy: cells[device, occupancy] for occupancy in kvps
         }
@@ -486,39 +394,27 @@ def fig4_value_size_concurrency(
     Same operation count per cell (the paper uses 1.53 M per value size);
     writes go to fresh keys, reads hit the just-written population.
     """
-    cell_fns = {"kv": _fig4_kv_cell, "block": _fig4_block_cell}
-    cells = execute_keyed(
+    cells = grid(
         "fig4",
-        {
-            (device, queue_depth, size): SweepPoint(
-                label=f"{device}/qd{queue_depth}/{size}",
-                fn=cell_fns[device],
-                kwargs=dict(
-                    size=size,
-                    queue_depth=queue_depth,
-                    n_ops=n_ops,
-                    blocks_per_plane=blocks_per_plane,
-                ),
-            )
-            for queue_depth in queue_depths
-            for size in value_sizes
-            for device in cell_fns
-        },
+        _fig4_cell,
+        {"queue_depth": queue_depths, "size": value_sizes,
+         "device": DIRECT_SYSTEMS},
+        dict(n_ops=n_ops, blocks_per_plane=blocks_per_plane),
         runner,
     )
     result = Fig4Result(list(value_sizes), list(queue_depths))
     for op in ("read", "write"):
         result.ratio[op] = {
             qd: {
-                size: cells["kv", qd, size][op] / cells["block", qd, size][op]
+                size: cells[qd, size, "kv"][op] / cells[qd, size, "block"][op]
                 for size in value_sizes
             }
             for qd in queue_depths
         }
-    for device in cell_fns:
+    for device in DIRECT_SYSTEMS:
         result.latency_us[device] = {
             op: {
-                qd: {size: cells[device, qd, size][op] for size in value_sizes}
+                qd: {size: cells[qd, size, device][op] for size in value_sizes}
                 for qd in queue_depths
             }
             for op in ("read", "write")
@@ -526,98 +422,59 @@ def fig4_value_size_concurrency(
     return result
 
 
-def _fig4_latencies(
-    rig: Any, adapter: Any, device: str, base: WorkloadSpec, queue_depth: int
+#: Per device: the capacity fraction the prefill spans and its pair cap.
+#: KV is sized by *page* consumption (large unsplit blobs waste a page
+#: fraction each) and keeps plenty of free blocks; block spans well past
+#: the mapping segment cache so random really is random.
+_FIG4_FILL = {"kv": (0.55, 100_000), "block": (0.7, 300_000)}
+
+
+def _fig4_cell(
+    device: str, queue_depth: int, size: int, n_ops: int, blocks_per_plane: int
 ) -> Dict[str, float]:
-    """Mean random write (update) then read latency over ``base``'s keys."""
+    """One cell: prefill a population, then random updates and reads.
+
+    Fig. 4 is a *low-occupancy* size sweep (hence ``_AMPLE_INDEX``).
+    Sizes that bulk-prime do so untimed; split blobs cannot, so they
+    prefill through timed stores before the measured phase — matching the
+    paper's fill-then-measure methodology either way.
+    """
+    rig = build_rig(
+        DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
+        **_AMPLE_INDEX[device],
+    )
+    adapter = rig.adapter_for(size)
+    fraction, cap = _FIG4_FILL[device]
+    bulk = min(
+        cap, rig.pair_capacity(FILL_SCHEME.key_bytes, size, fraction=fraction)
+    )
+    population = max(n_ops, bulk)
+    base = WorkloadSpec(
+        n_ops=n_ops,
+        op="read",
+        pattern=Pattern.UNIFORM,
+        population=population,
+        key_scheme=FILL_SCHEME,
+        value_bytes=size,
+    )
+    if bulk:
+        rig.prime(population, size, FILL_SCHEME)
+    else:
+        prefill = replace(
+            base, n_ops=population, op="insert", pattern=Pattern.SEQUENTIAL,
+            seed=29,
+        )
+        run_phase(rig, f"fig4.{device}.fill.{size}", prefill, 16, adapter)
     return {
-        label: _run_phase(
+        label: run_phase(
             rig,
-            f"fig4.{device}.{label}.{base.value_bytes}.qd{queue_depth}",
+            f"fig4.{device}.{label}.{size}.qd{queue_depth}",
             replace(base, op=op, seed=seed),
             queue_depth,
             adapter,
         ).latency.mean()
         for label, op, seed in (("write", "update", 31), ("read", "read", 37))
     }
-
-
-def _fig4_kv_cell(
-    size: int, queue_depth: int, n_ops: int, blocks_per_plane: int
-) -> Dict[str, float]:
-    """One KV cell: prefill a population, then random updates and reads.
-
-    Small blobs prefill untimed (fast_fill); split blobs cannot, so they
-    prefill through timed stores before the measured phase — matching the
-    paper's fill-then-measure methodology either way.
-    """
-    # Fig. 4 is a *low-occupancy* size sweep: give the index ample DRAM so
-    # occupancy effects (Fig. 3's subject) stay out of this experiment.
-    rig = build_kv_rig(
-        lab_geometry(blocks_per_plane),
-        config=KVSSDConfig(index_dram_bytes=64 * MIB),
-    )
-    scheme = KeyScheme(prefix=b"fill", digits=12)
-    layout = rig.device.layout_for(scheme.key_bytes, size)
-    if layout.is_split:
-        # Split blobs cannot fast_fill; prefill through timed stores.
-        population = n_ops
-        prefill = WorkloadSpec(
-            n_ops=population,
-            op="insert",
-            pattern=Pattern.SEQUENTIAL,
-            key_scheme=scheme,
-            value_bytes=size,
-            seed=29,
-        )
-        _run_phase(rig, f"fig4.kv.fill.{size}", prefill, 16)
-    else:
-        # Size the fill by *page* consumption (large unsplit blobs can
-        # waste a page fraction each), keeping plenty of free blocks.
-        per_page = rig.device.usable_page // layout.footprint_bytes
-        geometry = rig.device.array.geometry
-        data_blocks = geometry.total_blocks - len(rig.device._index_region)
-        pages_available = data_blocks * geometry.pages_per_block
-        population = max(
-            n_ops,
-            min(100_000, int(pages_available * 0.55) * per_page),
-        )
-        rig.device.fast_fill(population, size, scheme)
-    base = WorkloadSpec(
-        n_ops=n_ops,
-        op="read",
-        pattern=Pattern.UNIFORM,
-        population=population,
-        key_scheme=scheme,
-        value_bytes=size,
-    )
-    return _fig4_latencies(rig, rig.adapter, "kv", base, queue_depth)
-
-
-def _fig4_block_cell(
-    size: int, queue_depth: int, n_ops: int, blocks_per_plane: int
-) -> Dict[str, float]:
-    """One block cell: prime the address range, then random I/O over it."""
-    rig = build_block_rig(lab_geometry(blocks_per_plane))
-    adapter = rig.adapter(size)
-    # Span well past the mapping segment cache so random really is random.
-    population = max(
-        n_ops,
-        min(
-            300_000,
-            int(rig.device.user_capacity_bytes * 0.7 // adapter.io_bytes),
-        ),
-    )
-    fill_units = max(1, population * adapter.io_bytes // rig.device.map_unit)
-    rig.device.prime_sequential_fill(min(fill_units, rig.device.n_units))
-    base = WorkloadSpec(
-        n_ops=n_ops,
-        op="read",
-        pattern=Pattern.UNIFORM,
-        population=population,
-        value_bytes=size,
-    )
-    return _fig4_latencies(rig, adapter, "blk", base, queue_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -681,37 +538,32 @@ def fig5_packing_bandwidth(
     KiB: values of 25 KiB, 49 KiB, ...) where blobs start splitting; the
     block device stays smooth.
     """
-    cell_fns = {"kv": _fig5_kv_cell, "block": _fig5_block_cell}
-    cells = execute_keyed(
+    cells = grid(
         "fig5",
-        {
-            (device, size): SweepPoint(
-                label=f"{device}/{size}",
-                fn=cell_fns[device],
-                kwargs=dict(
-                    size=size,
-                    n_ops=n_ops,
-                    queue_depth=queue_depth,
-                    blocks_per_plane=blocks_per_plane,
-                ),
-            )
-            for size in value_sizes
-            for device in cell_fns
-        },
+        _fig5_cell,
+        {"size": value_sizes, "device": DIRECT_SYSTEMS},
+        dict(n_ops=n_ops, queue_depth=queue_depth,
+             blocks_per_plane=blocks_per_plane),
         runner,
     )
     result = Fig5Result(list(value_sizes))
+    page_bytes = lab_geometry(blocks_per_plane).page_bytes
     for size in value_sizes:
-        result.kv_fragments[size] = cells["kv", size]["fragments"]
-        result.kv_mib_s[size] = cells["kv", size]["mib_s"]
-        result.block_mib_s[size] = cells["block", size]
+        result.kv_fragments[size] = len(
+            layout_blob(
+                PAPER_KEY_BYTES, size, page_bytes, KVSSDConfig()
+            ).fragments
+        )
+        result.kv_mib_s[size] = cells[size, "kv"]
+        result.block_mib_s[size] = cells[size, "block"]
     return result
 
 
-def _fig5_bandwidth(
-    rig: Any, adapter: Any, name: str, size: int, n_ops: int, queue_depth: int
+def _fig5_cell(
+    device: str, size: int, n_ops: int, queue_depth: int, blocks_per_plane: int
 ) -> float:
     """Sequential-insert bandwidth (MiB/s) of ``n_ops`` ``size``-byte values."""
+    rig = build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane))
     spec = WorkloadSpec(
         n_ops=n_ops,
         op="insert",
@@ -720,31 +572,11 @@ def _fig5_bandwidth(
         value_bytes=size,
         seed=41,
     )
-    run = _run_phase(rig, name, spec, queue_depth, adapter, drain=False)
-    return run.bandwidth.overall_mib_per_sec()
-
-
-def _fig5_kv_cell(
-    size: int, n_ops: int, queue_depth: int, blocks_per_plane: int
-) -> Dict[str, object]:
-    """One KV bandwidth cell plus the blob fragment count at ``size``."""
-    rig = build_kv_rig(lab_geometry(blocks_per_plane))
-    return {
-        "mib_s": _fig5_bandwidth(
-            rig, rig.adapter, f"fig5.kv.{size}", size, n_ops, queue_depth
-        ),
-        "fragments": len(rig.device.layout_for(PAPER_KEY_BYTES, size).fragments),
-    }
-
-
-def _fig5_block_cell(
-    size: int, n_ops: int, queue_depth: int, blocks_per_plane: int
-) -> float:
-    """One block-device bandwidth cell at ``size``."""
-    rig = build_block_rig(lab_geometry(blocks_per_plane))
-    return _fig5_bandwidth(
-        rig, rig.adapter(size), f"fig5.blk.{size}", size, n_ops, queue_depth
+    run = run_phase(
+        rig, f"fig5.{device}.{size}", spec, queue_depth,
+        rig.adapter_for(size), drain=False,
     )
+    return run.bandwidth.overall_mib_per_sec()
 
 
 # ---------------------------------------------------------------------------
@@ -815,23 +647,23 @@ def _fig6_fill_kvps(
 ) -> int:
     """Pair count that fills ``fill_fraction`` of the page capacity.
 
-    "80% full" is meant physically: 80% of the device's page capacity
-    (blob packing wastes a page fraction, so byte-based sizing would
-    overshoot), with allocation-stream/GC margin excluded.
+    "80% full" is meant physically: 80% of the device's page capacity,
+    with allocation-stream/GC margin excluded.
     """
-    geometry = lab_geometry(blocks_per_plane)
-    probe = build_kv_rig(geometry)
-    per_page = blobs_per_page(
-        PAPER_SCHEME.key_bytes,
-        value_bytes,
-        geometry.page_bytes,
-        probe.device.config,
+    probe = build_rig("kvssd", lab_geometry(blocks_per_plane))
+    capacity = probe.pair_capacity(
+        PAPER_SCHEME.key_bytes, value_bytes,
+        reserve_blocks=probe.device.config.stream_width + 16,
     )
-    margin_blocks = probe.device.config.stream_width + 16
-    fill_blocks = probe.device.free_block_count() - margin_blocks
-    return int(
-        fill_blocks * geometry.pages_per_block * per_page * fill_fraction
-    )
+    return int(capacity * fill_fraction)
+
+
+#: Fig. 6 scenario -> (system, update pattern).
+_FIG6_SCENARIOS = {
+    "kv-uniform": ("kvssd", Pattern.UNIFORM),
+    "kv-window": ("kvssd", Pattern.SLIDING_WINDOW),
+    "rocksdb-uniform": ("rocksdb", Pattern.UNIFORM),
+}
 
 
 def _fig6_scenario_cell(
@@ -845,21 +677,12 @@ def _fig6_scenario_cell(
     blocks_per_plane: int,
 ) -> Dict[str, object]:
     """One Fig. 6 scenario: prime the fill, then sustained updates."""
-    geometry = lab_geometry(blocks_per_plane)
-    rig: Any
-    if scenario.startswith("kv-"):
-        rig = build_kv_rig(geometry)
-        scheme = KeyScheme(prefix=b"fill", digits=12)
-        population = fill_kvps
-        rig.device.fast_fill(population, value_bytes, scheme)
-        pattern = (
-            Pattern.UNIFORM
-            if scenario == "kv-uniform"
-            else Pattern.SLIDING_WINDOW
-        )
+    system, pattern = _FIG6_SCENARIOS[scenario]
+    rig = build_rig(system, lab_geometry(blocks_per_plane))
+    if system == "kvssd":
+        scheme, population = FILL_SCHEME, fill_kvps
     else:
-        rig = build_lsm_rig(geometry)
-        scheme, pattern = PAPER_SCHEME, Pattern.UNIFORM
+        scheme = PAPER_SCHEME
         # The scenario's purpose is the *device-level* contrast (no
         # foreground GC under compaction+TRIM), so the LSM population
         # is sized to the update count rather than to raw capacity —
@@ -871,10 +694,7 @@ def _fig6_scenario_cell(
         population = min(
             n_updates, fs_budget // (scheme.key_bytes + value_bytes)
         )
-        rig.store.prime_fill(
-            {scheme.key_for(i): value_bytes for i in range(population)},
-            level=3,
-        )
+    rig.prime(population, value_bytes, scheme)
     spec = WorkloadSpec(
         n_ops=n_updates,
         op="update",
@@ -884,7 +704,7 @@ def _fig6_scenario_cell(
         value_bytes=value_bytes,
         seed=47,
     )
-    run = _run_phase(
+    run = run_phase(
         rig, f"fig6.{scenario}", spec, queue_depth, drain=False,
         bandwidth_window_us=window_us, stop_after_us=45e6,
     )
@@ -906,7 +726,7 @@ def fig6_foreground_gc(
     queue_depth: int = 16,
     window_us: float = 200_000.0,
     blocks_per_plane: int = 8,
-    scenarios: Sequence[str] = ("kv-uniform", "kv-window", "rocksdb-uniform"),
+    scenarios: Sequence[str] = tuple(_FIG6_SCENARIOS),
     runner: Optional[SweepRunner] = None,
 ) -> Fig6Result:
     """Fig. 6: fill 80% of the device, then update everything randomly.
@@ -915,9 +735,8 @@ def fig6_foreground_gc(
     into foreground GC once over-provisioning is exhausted; RocksDB on
     block (whose compaction TRIMs whole files) does not.
     """
-    known = ("kv-uniform", "kv-window", "rocksdb-uniform")
     for scenario in scenarios:
-        if scenario not in known:
+        if scenario not in _FIG6_SCENARIOS:
             raise ConfigurationError(f"unknown fig6 scenario {scenario!r}")
     fill_kvps = _fig6_fill_kvps(fill_fraction, value_bytes, blocks_per_plane)
     if n_updates is None:
@@ -927,25 +746,14 @@ def fig6_foreground_gc(
         # device serves updates arbitrarily slowly — exactly the paper's
         # point.
         n_updates = int(fill_kvps * 0.55)
-    cells = execute_keyed(
+    cells = grid(
         "fig6",
-        {
-            scenario: SweepPoint(
-                label=scenario,
-                fn=_fig6_scenario_cell,
-                kwargs=dict(
-                    scenario=scenario,
-                    fill_kvps=fill_kvps,
-                    fill_fraction=fill_fraction,
-                    value_bytes=value_bytes,
-                    n_updates=n_updates,
-                    queue_depth=queue_depth,
-                    window_us=window_us,
-                    blocks_per_plane=blocks_per_plane,
-                ),
-            )
-            for scenario in scenarios
-        },
+        _fig6_scenario_cell,
+        {"scenario": scenarios},
+        dict(fill_kvps=fill_kvps, fill_fraction=fill_fraction,
+             value_bytes=value_bytes, n_updates=n_updates,
+             queue_depth=queue_depth, window_us=window_us,
+             blocks_per_plane=blocks_per_plane),
         runner,
     )
     result = Fig6Result(fill_fraction, value_bytes, n_updates)
@@ -1004,23 +812,18 @@ def _fig7_cell(
     size: int, kvps: int, blocks_per_plane: int
 ) -> Dict[str, float]:
     """One value size: measured KV-SSD, analytic KV, and Aerospike SA."""
-    kv_config = KVSSDConfig()
-    kv_rig = build_kv_rig(lab_geometry(blocks_per_plane))
-    count = min(kvps, kv_rig.device.max_kvps - 1)
-    kv_rig.device.fast_fill(count, size, KeyScheme(prefix=b"fill", digits=12))
-    cell = {
+    geometry = lab_geometry(blocks_per_plane)
+    kv_rig = build_rig("kvssd", geometry)
+    kv_rig.prime(min(kvps, kv_rig.device.max_kvps - 1), size, FILL_SCHEME)
+    hash_rig = build_rig("aerospike", geometry)
+    hash_rig.prime(kvps, size, FILL_SCHEME)
+    return {
         "kvssd": kv_rig.device.stats.space_amplification(),
         "analytic": space_amplification(
-            PAPER_SCHEME.key_bytes,
-            size,
-            kv_rig.device.array.geometry.page_bytes,
-            kv_config,
+            PAPER_SCHEME.key_bytes, size, geometry.page_bytes, KVSSDConfig()
         ),
+        "aerospike": hash_rig.store.space_amplification(),
     }
-    hash_rig = build_hash_rig(lab_geometry(blocks_per_plane))
-    hash_rig.store.fast_fill(kvps, size, KeyScheme(prefix=b"fill", digits=12))
-    cell["aerospike"] = hash_rig.store.space_amplification()
-    return cell
 
 
 def fig7_space_amplification(
@@ -1035,18 +838,11 @@ def fig7_space_amplification(
     values), Aerospike its 16 B rounding plus ~55 B of record overhead
     (<2x), RocksDB its leveled obsolescence (~1.11x steady state).
     """
-    cells = execute_keyed(
+    cells = grid(
         "fig7",
-        {
-            size: SweepPoint(
-                label=f"sa/{size}",
-                fn=_fig7_cell,
-                kwargs=dict(
-                    size=size, kvps=kvps, blocks_per_plane=blocks_per_plane
-                ),
-            )
-            for size in value_sizes
-        },
+        _fig7_cell,
+        {"size": value_sizes},
+        dict(kvps=kvps, blocks_per_plane=blocks_per_plane),
         runner,
     )
     result = Fig7Result(list(value_sizes))
@@ -1056,15 +852,9 @@ def fig7_space_amplification(
         result.kv_analytic[size] = cell["analytic"]
         result.sa["aerospike"][size] = cell["aerospike"]
         result.sa["rocksdb"][size] = _rocksdb_steady_state_sa(size)
-    full_scale = build_kv_rig(lab_geometry(blocks_per_plane))
-    config = full_scale.device.config
-    slot_bytes = (
-        config.index_entry_bytes
-        * config.index_structure_overhead
-        / config.index_load_factor
-    )
+    config = KVSSDConfig()
     result.max_kvps_full_scale = int(
-        3.84e12 * config.index_region_fraction / slot_bytes
+        3.84e12 * config.index_region_fraction / config.index_slot_bytes
     )
     return result
 
@@ -1129,14 +919,17 @@ def _fig8_cell(
     mode: str,
     value_bytes: int,
     n_ops: int,
-    queue_depth: int,
+    async_queue_depth: int,
     blocks_per_plane: int,
 ) -> float:
-    """One (key size, sync/async) bandwidth cell."""
+    """One (key size, sync/async) bandwidth cell; sync runs at QD1."""
+    queue_depth = 1 if mode == "sync" else async_queue_depth
     # Build a scheme whose keys are exactly key_bytes long.
     digits = min(12, key_bytes - 1)
     scheme = KeyScheme(prefix=b"k" * (key_bytes - digits), digits=digits)
-    rig = build_kv_rig(lab_geometry(blocks_per_plane), sync=mode == "sync")
+    rig = build_rig(
+        "kvssd", lab_geometry(blocks_per_plane), sync=mode == "sync"
+    )
     spec = WorkloadSpec(
         n_ops=n_ops,
         op="insert",
@@ -1145,7 +938,7 @@ def _fig8_cell(
         value_bytes=value_bytes,
         seed=53,
     )
-    run = _run_phase(
+    run = run_phase(
         rig, f"fig8.{mode}.k{key_bytes}", spec, queue_depth, drain=False
     )
     return run.bandwidth.overall_mib_per_sec()
@@ -1160,31 +953,20 @@ def fig8_key_size_bandwidth(
     runner: Optional[SweepRunner] = None,
 ) -> Fig8Result:
     """Fig. 8: bandwidth vs key size; keys >16 B need a second command."""
-    modes = {"sync": 1, "async": async_queue_depth}
-    cells = execute_keyed(
+    modes = ("sync", "async")
+    cells = grid(
         "fig8",
-        {
-            (mode, key_bytes): SweepPoint(
-                label=f"{mode}/k{key_bytes}",
-                fn=_fig8_cell,
-                kwargs=dict(
-                    key_bytes=key_bytes,
-                    mode=mode,
-                    value_bytes=value_bytes,
-                    n_ops=n_ops,
-                    queue_depth=queue_depth,
-                    blocks_per_plane=blocks_per_plane,
-                ),
-            )
-            for key_bytes in key_sizes
-            for mode, queue_depth in modes.items()
-        },
+        _fig8_cell,
+        {"key_bytes": key_sizes, "mode": modes},
+        dict(value_bytes=value_bytes, n_ops=n_ops,
+             async_queue_depth=async_queue_depth,
+             blocks_per_plane=blocks_per_plane),
         runner,
     )
     result = Fig8Result(list(key_sizes), value_bytes)
     result.commands = {k: commands_for_key(k) for k in key_sizes}
     result.mib_s = {
-        mode: {k: cells[mode, k] for k in key_sizes} for mode in modes
+        mode: {k: cells[k, mode] for k in key_sizes} for mode in modes
     }
     return result
 
@@ -1416,17 +1198,14 @@ def cluster_rebalance_tail(
     for label in ("pre", "rebalance", "post", "drain"):
         count = 0
         weighted_mean = 0.0
-        p99 = p999 = 0.0
         for shard in cluster.shards:
             summary = shard.latency.get(label)
-            if summary is None:
-                continue
-            count += summary.count
-            weighted_mean += summary.mean * summary.count
-            p99 = max(p99, summary.p99)
-            p999 = max(p999, summary.p999)
+            if summary is not None:
+                count += summary.count
+                weighted_mean += summary.mean * summary.count
         if count == 0:
             continue
+        p99, p999 = cluster.tail(label)
         result.phases[label] = {
             "count": float(count),
             "mean": weighted_mean / count,
@@ -1525,21 +1304,8 @@ def cluster_replication_cost(
 # ---------------------------------------------------------------------------
 
 
-#: Key scheme shared by the replay prefills and churn/scan streams.
-_REPLAY_SCHEME = KeyScheme(prefix=b"fill", digits=12)
+#: The TTL stream's own key namespace (the prefill uses FILL_SCHEME).
 _REPLAY_TTL_SCHEME = KeyScheme(prefix=b"ttl-", digits=12)
-
-
-def _replay_kv_rig(
-    population: int, value_bytes: int, blocks_per_plane: int
-) -> Any:
-    """A KV rig with ample index DRAM, prefilled for replay."""
-    rig = build_kv_rig(
-        lab_geometry(blocks_per_plane),
-        config=KVSSDConfig(index_dram_bytes=64 * MIB),
-    )
-    rig.device.fast_fill(population, value_bytes, _REPLAY_SCHEME)
-    return rig
 
 
 def _replay_cell(run: RunResult) -> Dict[str, object]:
@@ -1555,74 +1321,42 @@ def _replay_cell(run: RunResult) -> Dict[str, object]:
     }
 
 
-def _replay_rotation_run(
-    rig: Any,
-    adapter: Any,
-    tag: str,
+def _replay_rotation_cell(
+    device: str,
     rotate_every: int,
     n_ops: int,
     population: int,
     working_set: int,
     value_bytes: int,
     queue_depth: int,
+    blocks_per_plane: int,
     seed: int,
 ) -> Dict[str, object]:
-    """Replay one churn schedule on a primed rig (same records per tag)."""
+    """One device under one churn schedule: prefill, then replay.
+
+    Both devices replay the *same* churn records (same keys, same order).
+    """
+    rig = build_rig(
+        DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
+        **_AMPLE_INDEX[device],
+    )
+    rig.prime(population, value_bytes, FILL_SCHEME)
     spec = ChurnSpec(
         n_ops=n_ops,
         population=population,
         working_set=working_set,
         rotate_every_ops=rotate_every,
         value_bytes=value_bytes,
-        key_scheme=_REPLAY_SCHEME,
+        key_scheme=FILL_SCHEME,
         seed=seed,
     )
     workload = TraceWorkload(
-        tuple(generate_churn(spec)), key_scheme=_REPLAY_SCHEME
+        tuple(generate_churn(spec)), key_scheme=FILL_SCHEME
     )
-    return _replay_cell(_run_phase(
-        rig, f"replay.rot.{tag}.{rotate_every}", workload.operations(),
-        queue_depth, adapter,
+    return _replay_cell(run_phase(
+        rig, f"replay.rot.{device}.{rotate_every}", workload.operations(),
+        queue_depth, rig.adapter_for(value_bytes),
     ))
-
-
-def _replay_rotation_kv_cell(
-    rotate_every: int,
-    n_ops: int,
-    population: int,
-    working_set: int,
-    value_bytes: int,
-    queue_depth: int,
-    blocks_per_plane: int,
-    seed: int,
-) -> Dict[str, object]:
-    """KV device under one churn schedule: prefill, then replay."""
-    rig = _replay_kv_rig(population, value_bytes, blocks_per_plane)
-    return _replay_rotation_run(
-        rig, rig.adapter, "kv", rotate_every, n_ops, population,
-        working_set, value_bytes, queue_depth, seed,
-    )
-
-
-def _replay_rotation_block_cell(
-    rotate_every: int,
-    n_ops: int,
-    population: int,
-    working_set: int,
-    value_bytes: int,
-    queue_depth: int,
-    blocks_per_plane: int,
-    seed: int,
-) -> Dict[str, object]:
-    """Block device under the *same* churn records (same keys, same order)."""
-    rig = build_block_rig(lab_geometry(blocks_per_plane))
-    adapter = rig.adapter(value_bytes)
-    fill_units = max(1, population * adapter.io_bytes // rig.device.map_unit)
-    rig.device.prime_sequential_fill(min(fill_units, rig.device.n_units))
-    return _replay_rotation_run(
-        rig, adapter, "blk", rotate_every, n_ops, population,
-        working_set, value_bytes, queue_depth, seed,
-    )
 
 
 @dataclass
@@ -1698,12 +1432,6 @@ class ReplayRotationResult:
         return metrics
 
 
-_REPLAY_ROTATION_CELLS = {
-    "kv": _replay_rotation_kv_cell,
-    "block": _replay_rotation_block_cell,
-}
-
-
 def replay_rotation(
     rotate_every: Sequence[int] = (0, 500, 100),
     n_ops: int = 2000,
@@ -1726,28 +1454,15 @@ def replay_rotation(
     where that difference should surface, or be shown not to matter.
     """
     for device in devices:
-        if device not in _REPLAY_ROTATION_CELLS:
+        if device not in DIRECT_SYSTEMS:
             raise ConfigurationError(f"unknown replay device {device!r}")
-    cells = execute_keyed(
+    cells = grid(
         "replay_rotation",
-        {
-            (device, rotate): SweepPoint(
-                label=f"{device}/rot{rotate}",
-                fn=_REPLAY_ROTATION_CELLS[device],
-                kwargs=dict(
-                    rotate_every=rotate,
-                    n_ops=n_ops,
-                    population=population,
-                    working_set=working_set,
-                    value_bytes=value_bytes,
-                    queue_depth=queue_depth,
-                    blocks_per_plane=blocks_per_plane,
-                    seed=seed,
-                ),
-            )
-            for device in devices
-            for rotate in rotate_every
-        },
+        _replay_rotation_cell,
+        {"device": devices, "rotate_every": rotate_every},
+        dict(n_ops=n_ops, population=population, working_set=working_set,
+             value_bytes=value_bytes, queue_depth=queue_depth,
+             blocks_per_plane=blocks_per_plane, seed=seed),
         runner,
     )
     result = ReplayRotationResult(
@@ -1790,8 +1505,11 @@ def _replay_mix_cell(
     into prefix scans through the YCSB driver's emulated-scan path — the
     iterator buckets' first sustained exercise.
     """
-    rig = _replay_kv_rig(population, value_bytes, blocks_per_plane)
-    scheme = _REPLAY_SCHEME
+    rig = build_rig(
+        "kvssd", lab_geometry(blocks_per_plane), **_AMPLE_INDEX["kv"]
+    )
+    scheme = FILL_SCHEME
+    rig.prime(population, value_bytes, scheme)
     base = ScanMixSpec(
         n_ops=n_ops,
         population=population,
@@ -1828,7 +1546,7 @@ def _replay_mix_cell(
             seed=seed,
         ),
     )
-    run = _run_phase(
+    run = run_phase(
         rig, f"replay.mix.{variant}", workload.operations(), queue_depth,
         driver,
     )
@@ -1935,28 +1653,15 @@ def replay_ttl_scan_mix(
     bill: expiry-driven delete traffic and bucket-walking scans sharing
     the device with point reads.
     """
-    cells = execute_keyed(
+    cells = grid(
         "replay_mix",
-        {
-            variant: SweepPoint(
-                label=f"mix/{variant}",
-                fn=_replay_mix_cell,
-                kwargs=dict(
-                    variant=variant,
-                    n_ops=n_ops,
-                    population=population,
-                    ttl_ops=ttl_ops,
-                    ttl_us=ttl_us,
-                    scan_fraction=scan_fraction,
-                    scan_length=scan_length,
-                    value_bytes=value_bytes,
-                    queue_depth=queue_depth,
-                    blocks_per_plane=blocks_per_plane,
-                    seed=seed,
-                ),
-            )
-            for variant in variants
-        },
+        _replay_mix_cell,
+        {"variant": variants},
+        dict(n_ops=n_ops, population=population, ttl_ops=ttl_ops,
+             ttl_us=ttl_us, scan_fraction=scan_fraction,
+             scan_length=scan_length, value_bytes=value_bytes,
+             queue_depth=queue_depth, blocks_per_plane=blocks_per_plane,
+             seed=seed),
         runner,
     )
     result = ReplayMixResult(n_ops, population, list(variants))

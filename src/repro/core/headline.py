@@ -15,25 +15,21 @@ module measures each on the simulated stacks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.experiment import (
-    build_block_rig,
-    build_kv_rig,
-    lab_geometry,
-)
+from repro.core.experiment import build_rig, lab_geometry
 from repro.core.figures import (
+    FILL_SCHEME,
     fig2_end_to_end,
     fig3_index_occupancy,
     fig4_value_size_concurrency,
 )
 from repro.exec.runner import SweepRunner
 from repro.kvbench.report import format_table
-from repro.kvbench.runner import execute_workload
-from repro.kvbench.workload import Pattern, WorkloadSpec, generate_operations
-from repro.kvftl.blob import blobs_per_page
-from repro.kvftl.population import KeyScheme
+from repro.kvbench.runner import run_phase
+from repro.kvbench.workload import Pattern, WorkloadSpec
+from repro.kvftl.config import KVSSDConfig
 from repro.units import KIB
 
 
@@ -89,50 +85,32 @@ def _direct_bw_ratios(blocks_per_plane: int, n_ops: int) -> tuple:
     DRAM — measured here at ~45% of the device's physical fill.
     """
     size = 4 * KIB
-    kv_rig = build_kv_rig(lab_geometry(blocks_per_plane))
-    scheme = KeyScheme(prefix=b"fill", digits=12)
-    per_page = blobs_per_page(
-        scheme.key_bytes, size, kv_rig.device.array.geometry.page_bytes,
-        kv_rig.device.config,
+    geometry = lab_geometry(blocks_per_plane)
+    kv_rig, block_rig = build_rig("kvssd", geometry), build_rig("block", geometry)
+    key_bytes = FILL_SCHEME.key_bytes
+    population = kv_rig.pair_capacity(key_bytes, size, fraction=0.45)
+    latency = {}
+    for tag, rig in (("kv", kv_rig), ("blk", block_rig)):
+        base = WorkloadSpec(
+            n_ops=n_ops, op="read", pattern=Pattern.UNIFORM,
+            population=min(population, rig.pair_capacity(key_bytes, size)),
+            key_scheme=FILL_SCHEME, value_bytes=size,
+        )
+        rig.prime(population, size, FILL_SCHEME)
+        latency[tag] = {
+            op_name: run_phase(
+                rig, f"headline.{tag}.{op_name}",
+                replace(base, op=op_kind, seed=seed), 1,
+                rig.adapter_for(size), drain=False,
+            ).latency.mean()
+            for op_name, op_kind, seed in (
+                ("read", "read", 83), ("write", "update", 89)
+            )
+        }
+    # Same op count and size: bandwidth ratio = inverse latency ratio.
+    return tuple(
+        latency["blk"][op] / latency["kv"][op] for op in ("read", "write")
     )
-    pages = (
-        kv_rig.device.free_block_count()
-        * kv_rig.device.array.geometry.pages_per_block
-    )
-    population = int(pages * 0.45) * per_page
-    kv_rig.device.fast_fill(population, size, scheme)
-
-    block_rig = build_block_rig(lab_geometry(blocks_per_plane))
-    adapter = block_rig.adapter(size)
-    fill_units = min(
-        block_rig.device.n_units,
-        population * adapter.io_bytes // block_rig.device.map_unit,
-    )
-    block_rig.device.prime_sequential_fill(fill_units)
-
-    ratios = {}
-    for op_name, op_kind, seed in (("read", "read", 83), ("write", "update", 89)):
-        spec = WorkloadSpec(
-            n_ops=n_ops, op=op_kind, pattern=Pattern.UNIFORM,
-            population=population, key_scheme=scheme, value_bytes=size,
-            seed=seed,
-        )
-        kv_run = execute_workload(
-            kv_rig.env, kv_rig.adapter, generate_operations(spec), 1,
-            name=f"headline.kv.{op_name}",
-        )
-        block_spec = WorkloadSpec(
-            n_ops=n_ops, op=op_kind, pattern=Pattern.UNIFORM,
-            population=min(population, adapter.slots), value_bytes=size,
-            seed=seed,
-        )
-        block_run = execute_workload(
-            block_rig.env, adapter, generate_operations(block_spec), 1,
-            name=f"headline.blk.{op_name}",
-        )
-        # Same op count and size: bandwidth ratio = inverse latency ratio.
-        ratios[op_name] = block_run.latency.mean() / kv_run.latency.mean()
-    return ratios["read"], ratios["write"]
 
 
 def headline_scalars(
@@ -173,13 +151,7 @@ def headline_scalars(
     )
 
     kv_cpu = fig2.cpu_us_per_op["kvssd"]
-    probe = build_kv_rig(lab_geometry(blocks_per_plane))
-    config = probe.device.config
-    slot_bytes = (
-        config.index_entry_bytes
-        * config.index_structure_overhead
-        / config.index_load_factor
-    )
+    config = KVSSDConfig()
     return HeadlineResult(
         cpu_reduction_vs_rocksdb=fig2.cpu_us_per_op["rocksdb"] / kv_cpu,
         cpu_reduction_vs_aerospike=fig2.cpu_us_per_op["aerospike"] / kv_cpu,
@@ -190,5 +162,7 @@ def headline_scalars(
         latency_ratio_read_high_occupancy=high_read_ratio,
         e2e_insert_gain_vs_rocksdb=fig2.ratio("rocksdb", "kvssd", "rand", "insert"),
         e2e_update_gain_vs_aerospike=fig2.ratio("aerospike", "kvssd", "rand", "update"),
-        max_kvps_full_scale=3.84e12 * config.index_region_fraction / slot_bytes,
+        max_kvps_full_scale=(
+            3.84e12 * config.index_region_fraction / config.index_slot_bytes
+        ),
     )

@@ -24,18 +24,17 @@ state.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Mapping, Optional, TypeVar, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache, code_version_salt, point_key
 from repro.exec.spec import SweepPoint, SweepSpec
-
-K = TypeVar("K", bound=Hashable)
 
 
 def _compute_point(fn: Any, kwargs: Dict[str, Any]) -> Any:
@@ -189,19 +188,34 @@ def execute_spec(
     return runner.run(spec)
 
 
-def execute_keyed(
+def grid(
     name: str,
-    points: Mapping[K, SweepPoint],
+    fn: Callable[..., Any],
+    axes: Mapping[str, Iterable[Any]],
+    fixed: Optional[Mapping[str, Any]] = None,
     runner: Optional[SweepRunner] = None,
-) -> Dict[K, Any]:
-    """Run ``points`` as the sweep ``name``; results return under their keys.
+    seed: int = 0,
+) -> Dict[Any, Any]:
+    """Run ``fn`` over the cartesian product of ``axes`` as sweep ``name``.
 
-    Mapping order is spec order, so an experiment declares its grid once
-    and reads cells back by coordinate instead of re-walking the grid
-    with an index counter.
+    One point per combination, first axis outermost (that is spec order):
+    ``fn(**axis_values, **fixed)``, labelled by its coordinates.  Cells
+    come back keyed by coordinate — the axis-value tuple, or the bare
+    value when there is one axis — so an experiment declares its grid
+    once and reads cells by coordinate instead of re-walking it.
     """
-    cells = execute_spec(SweepSpec(name, tuple(points.values())), runner)
-    return dict(zip(points, cells))
+    keys: List[Any] = []
+    points: List[SweepPoint] = []
+    for combo in itertools.product(*axes.values()):
+        keys.append(combo if len(combo) > 1 else combo[0])
+        label = "/".join(
+            f"{value:g}" if isinstance(value, float) else str(value)
+            for value in combo
+        )
+        points.append(SweepPoint(
+            label, fn, {**dict(zip(axes, combo)), **(fixed or {})}, seed
+        ))
+    return dict(zip(keys, execute_spec(SweepSpec(name, tuple(points)), runner)))
 
 
 __all__ = [
@@ -209,6 +223,6 @@ __all__ = [
     "SweepPoint",
     "SweepRunner",
     "SweepSpec",
-    "execute_keyed",
     "execute_spec",
+    "grid",
 ]

@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
+from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
 from repro.errors import ConfigurationError
-from repro.exec.runner import SweepRunner, execute_spec
-from repro.exec.spec import SweepPoint, SweepSpec
+from repro.exec.runner import SweepRunner, grid
 from repro.faults.model import FaultConfig
 from repro.ftl.core import DeviceStats
-from repro.kvbench.runner import RunResult, execute_workload
-from repro.kvbench.workload import WorkloadSpec, generate_operations
+from repro.kvbench.runner import RunResult, run_phase
+from repro.kvbench.workload import WorkloadSpec
 from repro.kvftl.population import KeyScheme
 
 #: Default statistical rates the sweep visits (0 = perfect flash).
@@ -78,15 +77,16 @@ class FaultPoint:
         return self.run.latency.summary().as_dict()
 
 
-def _run_kv_point(rate: float, seed: int, n_ops: int, value_bytes: int,
-                  blocks_per_plane: int, queue_depth: int,
-                  workload_seed: int) -> FaultPoint:
-    rig = build_kv_rig(
-        lab_geometry(blocks_per_plane),
+def _fault_cell(device: str, rate: float, seed: int, n_ops: int,
+                value_bytes: int, blocks_per_plane: int, queue_depth: int,
+                workload_seed: int) -> FaultPoint:
+    """One (personality, rate) cell: prime, then the mixed workload."""
+    rig = build_rig(
+        DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
         fault_config=fault_profile(rate, seed),
     )
     scheme = KeyScheme(prefix=b"key-", digits=12)
-    rig.device.fast_fill(n_ops, value_bytes, scheme)
+    rig.prime(n_ops, value_bytes, scheme)
     spec = WorkloadSpec(
         n_ops=n_ops,
         op="mixed",
@@ -96,47 +96,14 @@ def _run_kv_point(rate: float, seed: int, n_ops: int, value_bytes: int,
         read_fraction=0.5,
         seed=workload_seed,
     )
-    run = execute_workload(
-        rig.env, rig.adapter, generate_operations(spec),
-        queue_depth=queue_depth, name=f"faults.kv.{rate:g}",
+    run = run_phase(
+        rig, f"faults.{device}.{rate:g}", spec, queue_depth,
+        rig.adapter_for(value_bytes), drain=False,
         stop_after_us=STOP_AFTER_US,
     )
     faults = rig.device.array.faults
     return FaultPoint(
-        "kv-ssd", rate, run, run.device_stats,
-        injected=dict(faults.injected) if faults is not None else {},
-        read_only=rig.device.core.read_only,
-    )
-
-
-def _run_block_point(rate: float, seed: int, n_ops: int, value_bytes: int,
-                     blocks_per_plane: int, queue_depth: int,
-                     workload_seed: int) -> FaultPoint:
-    rig = build_block_rig(
-        lab_geometry(blocks_per_plane),
-        fault_config=fault_profile(rate, seed),
-    )
-    adapter = rig.adapter(value_bytes)
-    rig.device.prime_sequential_fill(
-        min(n_ops, rig.device.n_units // 2)
-    )
-    spec = WorkloadSpec(
-        n_ops=n_ops,
-        op="mixed",
-        population=n_ops,
-        key_scheme=KeyScheme(prefix=b"key-", digits=12),
-        value_bytes=value_bytes,
-        read_fraction=0.5,
-        seed=workload_seed,
-    )
-    run = execute_workload(
-        rig.env, adapter, generate_operations(spec),
-        queue_depth=queue_depth, name=f"faults.block.{rate:g}",
-        stop_after_us=STOP_AFTER_US,
-    )
-    faults = rig.device.array.faults
-    return FaultPoint(
-        "block-ssd", rate, run, run.device_stats,
+        f"{device}-ssd", rate, run, run.device_stats,
         injected=dict(faults.injected) if faults is not None else {},
         read_only=rig.device.core.read_only,
     )
@@ -164,20 +131,16 @@ def run_fault_sweep(
         raise ConfigurationError("fault sweep needs at least one rate")
     for rate in rates:
         fault_profile(rate, seed)  # validate every rate before fan-out
-    kwargs = dict(seed=seed, n_ops=n_ops, value_bytes=value_bytes,
-                  blocks_per_plane=blocks_per_plane,
-                  queue_depth=queue_depth, workload_seed=workload_seed)
-    cell_fns = {"kv": _run_kv_point, "block": _run_block_point}
-    sweep_points = tuple(
-        SweepPoint(
-            label=f"{personality}/{rate:g}",
-            fn=cell_fns[personality],
-            kwargs=dict(rate=rate, **kwargs),
-        )
-        for personality in ("kv", "block")
-        for rate in rates
+    cells = grid(
+        "faults",
+        _fault_cell,
+        {"device": DIRECT_SYSTEMS, "rate": rates},
+        dict(seed=seed, n_ops=n_ops, value_bytes=value_bytes,
+             blocks_per_plane=blocks_per_plane, queue_depth=queue_depth,
+             workload_seed=workload_seed),
+        runner,
     )
-    return execute_spec(SweepSpec("faults", sweep_points), runner)
+    return list(cells.values())
 
 
 #: Column order of :func:`write_sweep_csv` (stable: tooling parses it).

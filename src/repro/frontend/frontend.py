@@ -22,20 +22,21 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
     Deque,
     Dict,
     Generator,
     List,
     Optional,
-    Protocol,
     Tuple,
 )
 
 from repro.errors import DeviceError
 from repro.frontend.arrivals import generate_arrivals
 from repro.frontend.spec import FrontendSpec, TenantLoad
+from repro.kvbench.runner import StoreAdapter, Throughput, run_phase, serve_ops
 from repro.kvbench.workload import (
     Operation,
     Pattern,
@@ -51,13 +52,6 @@ from repro.trace.tracer import Tracer
 
 #: Queueing-attribution phases, in timestamp-trail order.
 PHASES = ("admit", "queue", "dispatch", "device")
-
-
-class StoreAdapter(Protocol):
-    """What the frontend needs from a kvbench store adapter."""
-
-    def execute(self, op: Operation) -> Generator[Event, None, int]:
-        ...
 
 
 class Request:
@@ -306,7 +300,10 @@ class ServingFrontend:
                 )
             ops = [
                 self.env.process(
-                    self._execute(request),
+                    serve_ops(
+                        self.env, self.adapter.execute, (request.op,),
+                        partial(self._complete, request),
+                    ),
                     name=f"fe.{request.slo}.{request.seq}",
                 )
                 for request in batch
@@ -315,12 +312,19 @@ class ServingFrontend:
 
     # -- device execution ------------------------------------------------
 
-    def _execute(self, request: Request) -> Generator[Event, None, None]:
-        request.submit_us = self.env.now
-        try:
-            yield self.env.process(self.adapter.execute(request.op))
-        except DeviceError as exc:
-            request.status = status_for_error(exc)
+    def _complete(
+        self,
+        request: Request,
+        op: Operation,
+        submit_us: float,
+        value: object,
+        error: Optional[DeviceError],
+    ) -> None:
+        """Terminal bookkeeping of one dispatched request (the shared
+        per-op envelope's outcome hook)."""
+        request.submit_us = submit_us
+        if error is not None:
+            request.status = status_for_error(error)
             self.failed += 1
         else:
             request.status = NvmeStatus.SUCCESS
@@ -363,11 +367,12 @@ class ClassStats:
     completed: int = 0
     failed: int = 0
     slo_violations: int = 0
-    #: End-to-end latency summary (completed requests only).
+    #: End-to-end latency summary over every terminal request that was
+    #: dispatched (completed and failed; shed requests never queue).
     latency: Optional[LatencySummary] = None
-    #: Pre-submit queueing-delay summary (completed requests only).
+    #: Pre-submit queueing-delay summary, same population.
     queueing: Optional[LatencySummary] = None
-    #: Mean microseconds per attribution phase (completed requests only).
+    #: Mean microseconds per attribution phase, same population.
     phase_means: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -381,7 +386,7 @@ class ClassStats:
 
 
 @dataclass
-class FrontendRunResult:
+class FrontendRunResult(Throughput):
     """Everything one :func:`run_frontend` call produced."""
 
     offered_ops_s: float
@@ -401,11 +406,9 @@ class FrontendRunResult:
     def mean_batch_size(self) -> float:
         return self.batched_requests / self.batches if self.batches else 0.0
 
-    def throughput_kops(self) -> float:
-        """Completed operations per millisecond of simulated time."""
-        if self.elapsed_us <= 0:
-            return 0.0
-        return self.completed / (self.elapsed_us / 1000.0)
+    @property
+    def completed_ops(self) -> int:
+        return self.completed
 
 
 def _summarize(
@@ -467,32 +470,28 @@ def run_frontend(
     measured phase, so open-loop reads and updates always hit existing
     pairs; the measured phase starts at a fresh time origin.
     """
-    from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
-    from repro.kvbench.runner import BlockAdapter, execute_workload
+    from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
 
-    geometry = lab_geometry(spec.blocks_per_plane)
-    max_value = max(tenant.value_bytes for tenant in spec.tenants)
-    if spec.personality == "kv":
-        kv_rig = build_kv_rig(geometry, tracer=tracer)
-        env: Environment = kv_rig.env
-        adapter: StoreAdapter = kv_rig.adapter
-    else:
-        block_rig = build_block_rig(geometry, tracer=tracer)
-        env = block_rig.env
-        adapter = BlockAdapter(block_rig.api, max_value)
+    rig = build_rig(
+        DIRECT_SYSTEMS[spec.personality],
+        lab_geometry(spec.blocks_per_plane),
+        tracer=tracer,
+    )
+    env: Environment = rig.env
+    adapter: StoreAdapter = rig.adapter_for(
+        max(tenant.value_bytes for tenant in spec.tenants)
+    )
     for tenant in spec.tenants:
-        prime = WorkloadSpec(
+        # The tenant's own stream spec, turned into one sequential insert
+        # per key: same scheme, same value size, by construction.
+        prime = replace(
+            _tenant_operations(tenant),
             n_ops=tenant.population,
             op="insert",
             pattern=Pattern.SEQUENTIAL,
-            population=tenant.population,
-            key_scheme=_tenant_scheme(tenant),
-            value_bytes=tenant.value_bytes,
-            seed=tenant.seed,
         )
-        execute_workload(
-            env, adapter, generate_operations(prime),
-            queue_depth=16, name=f"fe.prime.{tenant.name}",
+        run_phase(
+            rig, f"fe.prime.{tenant.name}", prime, 16, adapter, drain=False
         )
 
     schedule = build_schedule(spec)

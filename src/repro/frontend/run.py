@@ -16,12 +16,11 @@ the added tail is queueing, straight from the request timestamp trails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.runner import SweepRunner, execute_keyed
-from repro.exec.spec import SweepPoint
+from repro.exec.runner import SweepRunner, grid
 from repro.frontend.arrivals import ArrivalSpec
-from repro.frontend.frontend import PHASES, run_frontend
+from repro.frontend.frontend import PHASES, ClassStats, run_frontend
 from repro.frontend.spec import FrontendSpec, SLOClass, TenantLoad
 from repro.kvbench.report import format_table
 
@@ -108,51 +107,16 @@ def build_load_spec(
     )
 
 
-def _frontend_load_cell(
-    load_ops_s: float,
-    n_requests: int,
-    scheduler: str,
-    personality: str,
-    blocks_per_plane: int,
-    seed: int,
-) -> Dict[str, object]:
-    """One offered-load point, reduced to plain picklable metrics."""
-    spec = build_load_spec(
-        load_ops_s=load_ops_s,
-        n_requests=n_requests,
-        scheduler=scheduler,
-        personality=personality,
-        blocks_per_plane=blocks_per_plane,
-        seed=seed,
+def _frontend_load_cell(load_kops: float, **scenario: Any) -> Dict[str, object]:
+    """One offered-load point, reduced to its per-class stats
+    (``scenario`` goes to :func:`build_load_spec`)."""
+    result = run_frontend(
+        build_load_spec(load_ops_s=load_kops * 1000.0, **scenario)
     )
-    result = run_frontend(spec)
-    classes: Dict[str, Dict[str, float]] = {}
-    for name, stats in result.per_class.items():
-        cell: Dict[str, float] = {
-            "offered": float(stats.offered),
-            "shed": float(stats.shed),
-            "completed": float(stats.completed),
-            "failed": float(stats.failed),
-            "violations": float(stats.slo_violations),
-        }
-        if stats.latency is not None and stats.queueing is not None:
-            cell.update(
-                p50=stats.latency.p50,
-                p99=stats.latency.p99,
-                p999=stats.latency.p999,
-                queue_p50=stats.queueing.p50,
-                queue_p99=stats.queueing.p99,
-            )
-            for phase in PHASES:
-                cell[f"{phase}_us"] = stats.phase_means[phase]
-        classes[name] = cell
     return {
-        "classes": classes,
+        "classes": result.per_class,
         "throughput_kops": result.throughput_kops(),
         "mean_batch": result.mean_batch_size,
-        "elapsed_us": result.elapsed_us,
-        "shed": float(result.shed),
-        "offered": float(result.offered),
     }
 
 
@@ -259,23 +223,13 @@ def frontend_load_sweep(
     runner: Optional[SweepRunner] = None,
 ) -> FrontendLoadResult:
     """Sweep offered load; one independent cell per load point."""
-    cells = execute_keyed(
+    cells = grid(
         "frontend",
-        {
-            load_kops: SweepPoint(
-                label=f"{personality}/{scheduler}/{load_kops:g}kops",
-                fn=_frontend_load_cell,
-                kwargs=dict(
-                    load_ops_s=load_kops * 1000.0,
-                    n_requests=n_requests,
-                    scheduler=scheduler,
-                    personality=personality,
-                    blocks_per_plane=blocks_per_plane,
-                    seed=seed,
-                ),
-            )
-            for load_kops in loads_kops
-        },
+        _frontend_load_cell,
+        {"load_kops": loads_kops},
+        dict(n_requests=n_requests, scheduler=scheduler,
+             personality=personality, blocks_per_plane=blocks_per_plane,
+             seed=seed),
         runner,
     )
     class_names = (LATENCY_CLASS.name, BATCH_CLASS.name)
@@ -294,20 +248,19 @@ def frontend_load_sweep(
         result.throughput_kops[load_kops] = cell["throughput_kops"]
         result.mean_batch[load_kops] = cell["mean_batch"]
         for name in class_names:
-            stats = cell["classes"][name]
-            result.p50[name][load_kops] = stats.get("p50", 0.0)
-            result.p99[name][load_kops] = stats.get("p99", 0.0)
-            result.p999[name][load_kops] = stats.get("p999", 0.0)
-            result.queue_p99[name][load_kops] = stats.get("queue_p99", 0.0)
-            offered = stats["offered"]
-            result.shed_fraction[name][load_kops] = (
-                stats["shed"] / offered if offered else 0.0
+            stats: ClassStats = cell["classes"][name]
+            # A class with no dispatched request has no summaries: zeros.
+            result.p50[name][load_kops] = getattr(stats.latency, "p50", 0.0)
+            result.p99[name][load_kops] = getattr(stats.latency, "p99", 0.0)
+            result.p999[name][load_kops] = getattr(stats.latency, "p999", 0.0)
+            result.queue_p99[name][load_kops] = getattr(
+                stats.queueing, "p99", 0.0
             )
-            terminal = stats["completed"] + stats["failed"]
+            result.shed_fraction[name][load_kops] = stats.shed_fraction
             result.violation_fraction[name][load_kops] = (
-                stats["violations"] / terminal if terminal else 0.0
+                stats.violation_fraction
             )
             result.phase_means[name][load_kops] = {
-                phase: stats.get(f"{phase}_us", 0.0) for phase in PHASES
+                phase: stats.phase_means.get(phase, 0.0) for phase in PHASES
             }
     return result

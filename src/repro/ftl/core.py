@@ -65,6 +65,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Deque,
     Dict,
     Generator,
@@ -588,7 +589,7 @@ class FtlCore:
         block: int,
         page: int,
         nbytes: int,
-        span=NULL_SPAN,
+        span: Any = NULL_SPAN,
         must_succeed: bool = True,
     ) -> Generator[Event, None, ReadResult]:
         """Read a page with read-retry recovery (timed).

@@ -19,7 +19,15 @@ each stack's API:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Iterator, Optional
+from typing import (
+    Any,
+    Callable,
+    Generator,
+    Iterable,
+    Optional,
+    Protocol,
+    Union,
+)
 
 from repro.api.block import BlockDeviceAPI
 from repro.api.kvs import KVStoreAPI
@@ -27,74 +35,72 @@ from repro.errors import DeviceError, WorkloadError
 from repro.ftl.core import DeviceStats
 from repro.hostkv.hashkv.store import HashKVStore
 from repro.hostkv.lsm.store import LSMStore
-from repro.kvbench.workload import Operation, OpType
+from repro.kvbench.workload import (
+    Operation,
+    OpType,
+    WorkloadSpec,
+    generate_operations,
+)
 from repro.metrics.bandwidth import BandwidthTracker
 from repro.metrics.latency import LatencyRecorder
 from repro.sim.engine import Environment, Event
 from repro.units import align_up
 
 
-class KVSSDAdapter:
+class StoreAdapter(Protocol):
+    """What every driver needs from a store adapter."""
+
+    def execute(self, op: Operation) -> Generator[Event, None, int]:
+        ...
+
+
+class _KeyedAdapter:
+    """Put/get/delete dispatch shared by the three keyed stacks."""
+
+    def __init__(self, put, get, delete, device) -> None:
+        self._put, self._get, self._delete = put, get, delete
+        #: The flash device underneath, for uniform DeviceStats capture.
+        self.device = device
+
+    def execute(self, op: Operation) -> Generator[Event, None, int]:
+        if op.op in (OpType.INSERT, OpType.UPDATE):
+            yield from self._put(op.key, op.value_bytes)
+            return len(op.key) + op.value_bytes
+        if op.op is OpType.READ:
+            value = yield from self._get(op.key)
+            return value
+        if op.op is OpType.DELETE:
+            yield from self._delete(op.key)
+            return len(op.key)
+        raise WorkloadError(f"unsupported op {op.op}")
+
+
+class KVSSDAdapter(_KeyedAdapter):
     """Run operations through the SNIA KVS API."""
 
     def __init__(self, api: KVStoreAPI) -> None:
+        super().__init__(api.store, api.retrieve, api.delete, api.device)
         self.api = api
-        #: Underlying device, for uniform DeviceStats capture.
-        self.device = api.device
-
-    def execute(self, op: Operation) -> Generator[Event, None, int]:
-        if op.op in (OpType.INSERT, OpType.UPDATE):
-            yield from self.api.store(op.key, op.value_bytes)
-            return len(op.key) + op.value_bytes
-        if op.op is OpType.READ:
-            value = yield from self.api.retrieve(op.key)
-            return value
-        if op.op is OpType.DELETE:
-            yield from self.api.delete(op.key)
-            return len(op.key)
-        raise WorkloadError(f"unsupported op {op.op}")
 
 
-class LSMAdapter:
-    """Run operations through the LSM store."""
+class LSMAdapter(_KeyedAdapter):
+    """Run operations through the LSM store (on ext4 on block)."""
 
     def __init__(self, store: LSMStore) -> None:
+        super().__init__(
+            store.put, store.get, store.delete, store.fs.block_api.device
+        )
         self.store = store
-        #: The block device under the file system, for DeviceStats capture.
-        self.device = store.fs.block_api.device
-
-    def execute(self, op: Operation) -> Generator[Event, None, int]:
-        if op.op in (OpType.INSERT, OpType.UPDATE):
-            yield from self.store.put(op.key, op.value_bytes)
-            return len(op.key) + op.value_bytes
-        if op.op is OpType.READ:
-            value = yield from self.store.get(op.key)
-            return value
-        if op.op is OpType.DELETE:
-            yield from self.store.delete(op.key)
-            return len(op.key)
-        raise WorkloadError(f"unsupported op {op.op}")
 
 
-class HashKVAdapter:
-    """Run operations through the hash-index store."""
+class HashKVAdapter(_KeyedAdapter):
+    """Run operations through the hash-index store (on raw block)."""
 
     def __init__(self, store: HashKVStore) -> None:
+        super().__init__(
+            store.put, store.get, store.delete, store.block_api.device
+        )
         self.store = store
-        #: The block device under the store, for DeviceStats capture.
-        self.device = store.block_api.device
-
-    def execute(self, op: Operation) -> Generator[Event, None, int]:
-        if op.op in (OpType.INSERT, OpType.UPDATE):
-            yield from self.store.put(op.key, op.value_bytes)
-            return len(op.key) + op.value_bytes
-        if op.op is OpType.READ:
-            value = yield from self.store.get(op.key)
-            return value
-        if op.op is OpType.DELETE:
-            yield from self.store.delete(op.key)
-            return len(op.key)
-        raise WorkloadError(f"unsupported op {op.op}")
 
 
 class BlockAdapter:
@@ -132,8 +138,37 @@ class BlockAdapter:
         raise WorkloadError(f"unsupported op {op.op}")
 
 
+class _Measured(Protocol):
+    @property
+    def completed_ops(self) -> int: ...
+
+    @property
+    def elapsed_us(self) -> float: ...
+
+
+class Throughput:
+    """``throughput_kops()`` for any result with an op count and a window."""
+
+    def throughput_kops(self: _Measured) -> float:
+        """Completed operations per millisecond of simulated time."""
+        if self.elapsed_us <= 0:
+            return 0.0
+        return self.completed_ops / (self.elapsed_us / 1000.0)
+
+
+class Window(Throughput):
+    """A measured window stamped ``started_us`` .. ``finished_us``."""
+
+    started_us: float
+    finished_us: float
+
+    @property
+    def elapsed_us(self) -> float:
+        return self.finished_us - self.started_us
+
+
 @dataclass
-class RunResult:
+class RunResult(Window):
     """Everything a measured phase produced."""
 
     latency: LatencyRecorder
@@ -150,15 +185,71 @@ class RunResult:
     #: when the device ran with op tracing enabled; ``None`` otherwise.
     trace_summary: Optional[dict] = None
 
-    @property
-    def elapsed_us(self) -> float:
-        return self.finished_us - self.started_us
 
-    def throughput_kops(self) -> float:
-        """Completed operations per millisecond of simulated time."""
-        if self.elapsed_us <= 0:
-            return 0.0
-        return self.completed_ops / (self.elapsed_us / 1000.0)
+#: ``done(item, started_us, value, error)``: how :func:`serve_ops` reports
+#: each terminal operation; ``error`` is ``None`` exactly on success.
+OpDone = Callable[[Any, float, Any, Optional[DeviceError]], None]
+
+
+def serve_ops(
+    env: Environment,
+    execute: Callable[[Any], Generator[Event, None, Any]],
+    items: Iterable[Any],
+    done: OpDone,
+    hop_us: float = 0.0,
+    deadline_us: float = float("inf"),
+) -> Generator[Event, None, None]:
+    """The per-op envelope, over every item of ``items`` in turn.
+
+    Stamp the start, spend ``hop_us`` (a routing hop inside the op's
+    latency window), run ``execute(item)`` as its own process, and hand
+    the outcome to ``done``.  Device errors are outcomes, not raised — a
+    benchmark keeps going like fio does.  Once the clock reaches
+    ``deadline_us`` the loop stops taking items.  Every driver in the
+    tree issues operations through this one loop: the closed-loop pool
+    runs it ``depth`` times over a shared iterator, the serving frontend
+    runs it once per dispatched request.
+    """
+    for item in items:
+        started = env.now
+        if started >= deadline_us:
+            return
+        if hop_us > 0.0:
+            yield env.timeout(hop_us)
+        try:
+            value = yield env.process(execute(item))
+        except DeviceError as error:
+            done(item, started, None, error)
+        else:
+            done(item, started, value, None)
+
+
+def closed_loop(
+    env: Environment,
+    name: str,
+    depth: int,
+    execute: Callable[[Any], Generator[Event, None, Any]],
+    items: Iterable[Any],
+    done: OpDone,
+    hop_us: float = 0.0,
+    deadline_us: float = float("inf"),
+) -> Event:
+    """Event firing once ``depth`` workers have drained ``items``.
+
+    Each worker (process ``{name}.w{i}``) is a :func:`serve_ops` over one
+    shared iterator, so exactly ``depth`` operations are in flight until
+    the stream runs dry.
+    """
+    if depth < 1:
+        raise WorkloadError(f"queue depth must be >= 1, got {depth}")
+    stream = iter(items)
+    return env.all_of([
+        env.process(
+            serve_ops(env, execute, stream, done, hop_us, deadline_us),
+            name=f"{name}.w{i}",
+        )
+        for i in range(depth)
+    ])
 
 
 def drive_workload(
@@ -174,42 +265,32 @@ def drive_workload(
 
     Latencies are recorded per op type; completions feed a windowed
     bandwidth tracker.  Failed operations (device errors, absent keys)
-    are counted, not raised — a benchmark keeps going like fio does.
+    are counted, not raised.
     ``stop_after_us`` bounds the measured phase in simulated time: once
     the deadline passes, workers stop taking new operations (a duration-
-    bounded run, like fio's ``runtime=``), recorded in ``extras``.
+    bounded run, like fio's ``runtime=``).
     """
-    if queue_depth < 1:
-        raise WorkloadError(f"queue depth must be >= 1, got {queue_depth}")
     result = RunResult(
         latency=LatencyRecorder(name),
         bandwidth=BandwidthTracker(bandwidth_window_us, name),
         started_us=env.now,
     )
-    deadline = env.now + stop_after_us
     device = getattr(adapter, "device", None)
     stats_before = device.stats.snapshot() if device is not None else None
-    stream: Iterator[Operation] = iter(operations)
 
-    def worker() -> Generator[Event, None, None]:
-        for op in stream:
-            if env.now >= deadline:
-                result.extras["stopped_early"] = True
-                return
-            started = env.now
-            try:
-                nbytes = yield env.process(adapter.execute(op))
-            except DeviceError:
-                result.failed_ops += 1
-                continue
-            result.latency.record(env.now - started, op.op.value)
-            result.bandwidth.record(env.now, nbytes or 0)
-            result.completed_ops += 1
+    def done(op: Operation, started: float, nbytes: Any,
+             error: Optional[DeviceError]) -> None:
+        if error is not None:
+            result.failed_ops += 1
+            return
+        result.latency.record(env.now - started, op.op.value)
+        result.bandwidth.record(env.now, nbytes or 0)
+        result.completed_ops += 1
 
-    workers = [
-        env.process(worker(), name=f"{name}.w{i}") for i in range(queue_depth)
-    ]
-    yield env.all_of(workers)
+    yield closed_loop(
+        env, name, queue_depth, adapter.execute, operations, done,
+        deadline_us=env.now + stop_after_us,
+    )
     result.finished_us = env.now
     result.bandwidth.finish(env.now)
     if stats_before is not None:
@@ -250,3 +331,35 @@ def execute_workload(
         name=name,
     )
     return env.run_until_complete(process)
+
+
+def run_phase(
+    rig: Any,
+    name: str,
+    workload: Union[WorkloadSpec, Iterable[Operation]],
+    queue_depth: int,
+    adapter: Any = None,
+    drain: bool = True,
+    **run_options: float,
+) -> RunResult:
+    """One measured phase on ``rig``: run ``workload``, then settle.
+
+    ``workload`` is a spec to generate from or a ready operation stream;
+    ``adapter`` defaults to the rig's own (sized stacks pass
+    ``rig.adapter_for(io_bytes)``).  ``drain=False`` is for cells whose
+    rig is discarded right after — bandwidth sweeps, and Fig. 6, whose
+    collapsed device would take arbitrarily long to settle.
+    """
+    if isinstance(workload, WorkloadSpec):
+        workload = generate_operations(workload)
+    run = execute_workload(
+        rig.env,
+        adapter or rig.adapter,
+        workload,
+        queue_depth=queue_depth,
+        name=name,
+        **run_options,
+    )
+    if drain:
+        rig.drain()
+    return run

@@ -14,18 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.experiment import build_kv_rig, build_lsm_rig, lab_geometry
+from repro.core.experiment import build_rig, lab_geometry
 from repro.errors import WorkloadError
-from repro.exec.runner import SweepRunner, execute_spec
-from repro.exec.spec import SweepPoint, SweepSpec
-from repro.kvbench.runner import execute_workload
+from repro.exec.runner import SweepRunner, grid
+from repro.kvbench.runner import run_phase
 from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
 from repro.kvftl.population import KeyScheme
 
 #: The six YCSB core workloads, in canonical order.
 YCSB_WORKLOADS = ("A", "B", "C", "D", "E", "F")
-#: Systems the cells can drive: the KV-SSD and the RocksDB stand-in.
-YCSB_SYSTEMS = ("kv", "lsm")
+#: Systems the cells can drive (short name -> ``build_rig`` system): the
+#: KV-SSD and the RocksDB stand-in.
+YCSB_SYSTEMS = {"kv": "kvssd", "lsm": "rocksdb"}
 #: Key namespace shared by every cell (YCSB's "user########..." keys).
 _SCHEME = KeyScheme(prefix=b"user", digits=12)
 
@@ -57,7 +57,7 @@ def ycsb_cell(
     """Run one YCSB workload against one system — the sweep cell."""
     if system not in YCSB_SYSTEMS:
         raise WorkloadError(
-            f"unknown system {system!r}; expected one of {YCSB_SYSTEMS}"
+            f"unknown system {system!r}; expected one of {tuple(YCSB_SYSTEMS)}"
         )
     spec = YCSBSpec(
         workload=workload,
@@ -68,26 +68,11 @@ def ycsb_cell(
         scan_length=scan_length,
         seed=seed,
     )
-    geometry = lab_geometry(blocks_per_plane)
-    if system == "kv":
-        rig = build_kv_rig(geometry)
-        rig.device.fast_fill(population, value_bytes, _SCHEME)
-        adapter = rig.adapter
-        env = rig.env
-    else:
-        lsm_rig = build_lsm_rig(geometry)
-        lsm_rig.store.prime_fill(
-            {_SCHEME.key_for(i): value_bytes for i in range(population)},
-            level=3,
-        )
-        adapter = lsm_rig.adapter
-        env = lsm_rig.env
-    run = execute_workload(
-        env,
-        YCSBDriver(adapter, spec),
-        generate_ycsb(spec),
-        queue_depth=queue_depth,
-        name=f"ycsb{workload}.{system}",
+    rig = build_rig(YCSB_SYSTEMS[system], lab_geometry(blocks_per_plane))
+    rig.prime(population, value_bytes, _SCHEME)
+    run = run_phase(
+        rig, f"ycsb{workload}.{system}", generate_ycsb(spec), queue_depth,
+        YCSBDriver(rig.adapter, spec), drain=False,
     )
     return YCSBCellResult(
         workload=workload,
@@ -100,46 +85,12 @@ def ycsb_cell(
     )
 
 
-def ycsb_sweep_spec(
-    workloads: Tuple[str, ...] = YCSB_WORKLOADS,
-    systems: Tuple[str, ...] = YCSB_SYSTEMS,
-    n_ops: int = 600,
-    population: int = 3000,
-    value_bytes: int = 1000,
-    scan_length: int = 20,
-    queue_depth: int = 8,
-    blocks_per_plane: int = 8,
-    seed: int = 1,
-) -> SweepSpec:
-    """The workload-by-system grid as one sweep spec."""
-    points = tuple(
-        SweepPoint(
-            label=f"{workload}.{system}",
-            fn=ycsb_cell,
-            kwargs={
-                "workload": workload,
-                "system": system,
-                "n_ops": n_ops,
-                "population": population,
-                "value_bytes": value_bytes,
-                "scan_length": scan_length,
-                "queue_depth": queue_depth,
-                "blocks_per_plane": blocks_per_plane,
-                "seed": seed,
-            },
-            seed=seed,
-        )
-        for workload in workloads
-        for system in systems
-    )
-    return SweepSpec(name="ycsb", points=points)
-
-
 def run_ycsb_sweep(
     workloads: Tuple[str, ...] = YCSB_WORKLOADS,
     n_ops: int = 600,
     population: int = 3000,
     runner: Optional[SweepRunner] = None,
+    seed: int = 1,
     **kwargs: int,
 ) -> Dict[str, Dict[str, YCSBCellResult]]:
     """Execute the grid; results keyed ``[workload][system]``.
@@ -148,11 +99,15 @@ def run_ycsb_sweep(
     process-pool fan-out and the on-disk cache.  Assembly is spec-order
     either way, so the mapping is deterministic.
     """
-    spec = ycsb_sweep_spec(
-        workloads=workloads, n_ops=n_ops, population=population, **kwargs
+    cells = grid(
+        "ycsb",
+        ycsb_cell,
+        {"workload": workloads, "system": YCSB_SYSTEMS},
+        dict(n_ops=n_ops, population=population, seed=seed, **kwargs),
+        runner,
+        seed=seed,
     )
-    cells = execute_spec(spec, runner)
     table: Dict[str, Dict[str, YCSBCellResult]] = {}
-    for cell in cells:
-        table.setdefault(cell.workload, {})[cell.system] = cell
+    for (workload, system), cell in cells.items():
+        table.setdefault(workload, {})[system] = cell
     return table

@@ -118,6 +118,15 @@ class KVSSDConfig:
     # -- flush policy -----------------------------------------------------------
     flush_linger_us: float = 500.0
 
+    @property
+    def index_slot_bytes(self) -> float:
+        """Index-region bytes one stored pair costs at the load factor."""
+        return (
+            self.index_entry_bytes
+            * self.index_structure_overhead
+            / self.index_load_factor
+        )
+
     def __post_init__(self) -> None:
         if not 4 <= self.min_key_bytes <= self.max_key_bytes <= 255:
             raise ConfigurationError("key limits must satisfy 4 <= min <= max <= 255")

@@ -143,12 +143,7 @@ class KVSSD:
         # The KVP limit binds on the index region: each pair needs a hash
         # slot, and the table cannot exceed its load factor.
         region_bytes = region_count * geometry.block_bytes
-        slot_bytes = (
-            self.config.index_entry_bytes
-            * self.config.index_structure_overhead
-            / self.config.index_load_factor
-        )
-        self.max_kvps = int(region_bytes / slot_bytes)
+        self.max_kvps = int(region_bytes / self.config.index_slot_bytes)
 
         dram = self.config.index_dram_bytes
         if dram is None:

@@ -540,7 +540,7 @@ class DataflowAnalysis:
     # -- shared facts --------------------------------------------------
 
     def _find_sweep_cells(self) -> Dict[str, CallSite]:
-        """fn targets handed to SweepPoint(...), by resolved qualname."""
+        """fn targets handed to SweepPoint(...)/grid(...), by qualname."""
         cells: Dict[str, CallSite] = {}
         for caller in sorted(self.project.call_sites):
             info = self.project.functions[caller]
@@ -962,10 +962,9 @@ class DataflowAnalysis:
                 node = site.node
                 terminal = _call_terminal(node)
                 candidates: List[ast.expr] = []
-                if _sweep_point_fn(site) is not None:
-                    fn_expr = _sweep_point_fn(site)
-                    if fn_expr is not None:
-                        candidates.append(fn_expr)
+                fn_expr = _sweep_point_fn(site)
+                if fn_expr is not None:
+                    candidates.append(fn_expr)
                 elif terminal in ("submit", "apply_async"):
                     candidates.extend(node.args)
                     candidates.extend(kw.value for kw in node.keywords)
@@ -1008,11 +1007,17 @@ def _call_terminal(node: ast.Call) -> Optional[str]:
 
 
 def _sweep_point_fn(site: CallSite) -> Optional[ast.expr]:
-    """The ``fn`` argument of a SweepPoint(...) call site, if any."""
+    """The cell function a call site hands to the sweep engine, if any.
+
+    ``SweepPoint(label, fn, ...)`` and the grid builder ``grid(name, fn,
+    ...)`` (which makes one point per coordinate) both carry it second.
+    """
     node = site.node
+    callee = site.callee or ""
+    terminal = _call_terminal(node)
     is_sweep_point = (
-        (site.callee is not None and site.callee.endswith(".SweepPoint"))
-        or _call_terminal(node) == "SweepPoint"
+        callee.endswith(".SweepPoint") or terminal == "SweepPoint"
+        or callee.endswith(".exec.runner.grid") or terminal == "grid"
     )
     if not is_sweep_point:
         return None

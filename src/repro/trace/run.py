@@ -16,14 +16,13 @@ they exist to produce representative span trees quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
+from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
 from repro.errors import ConfigurationError
-from repro.exec.runner import SweepRunner, execute_spec
-from repro.exec.spec import SweepPoint, SweepSpec
-from repro.kvbench.runner import RunResult, execute_workload
-from repro.kvbench.workload import Pattern, WorkloadSpec, generate_operations
+from repro.exec.runner import SweepRunner, grid
+from repro.kvbench.runner import RunResult, run_phase
+from repro.kvbench.workload import Pattern, WorkloadSpec
 from repro.kvftl.population import KeyScheme
 from repro.metrics.attribution import LatencyBreakdown
 from repro.trace.tracer import TraceCollector, TraceConfig, Tracer
@@ -46,6 +45,10 @@ class TraceScenario:
     blocks_per_plane: int = 24
     n_ops: int = 1500
     key_digits: int = 12
+
+    @property
+    def scheme(self) -> KeyScheme:
+        return KeyScheme(prefix=b"key-", digits=self.key_digits)
 
 
 SCENARIOS: Dict[str, TraceScenario] = {
@@ -88,53 +91,49 @@ class TraceReport:
     breakdowns: Dict[str, LatencyBreakdown] = field(default_factory=dict)
 
 
-def _fill_kvps(device, value_bytes: int, scheme: KeyScheme,
-               fraction: float) -> int:
-    """Pair count filling ``fraction`` of the KV device's page capacity."""
-    from repro.kvftl.blob import blobs_per_page
+#: The traced personalities, in tracer-pid order (pid 1, pid 2).
+PERSONALITIES = ("kv-ssd", "block-ssd")
 
-    geometry = device.array.geometry
-    per_page = blobs_per_page(
-        scheme.key_bytes, value_bytes, geometry.page_bytes, device.config,
+
+def _fill_pairs(rig: Any, scenario: TraceScenario, n_ops: int) -> int:
+    """Pairs priming ``scenario.fill_fraction`` of ``rig``'s capacity."""
+    capacity = rig.pair_capacity(
+        scenario.scheme.key_bytes, scenario.value_bytes,
+        reserve_blocks=rig.device.config.stream_width + 16,
     )
-    margin_blocks = device.config.stream_width + 16
-    fill_blocks = device.free_block_count() - margin_blocks
-    return int(
-        fill_blocks * geometry.pages_per_block * per_page * fraction
-    )
+    return max(n_ops, int(capacity * scenario.fill_fraction))
 
 
 def _trace_personality_cell(
     personality: str,
     fig: str,
     n_ops: int,
+    population: int,
     max_spans: int,
     sample_every: int,
 ) -> Dict[str, object]:
     """Run ``fig``'s scenario on one personality under its own collector.
 
-    Returns plain picklable parts — the run result, the attribution
-    breakdown, and the finished span records — which :func:`run_traced`
-    merges into one shared-collector report in fixed personality order.
+    Both personalities replay the identical spec over ``population`` keys
+    (:func:`run_traced` sizes it once).  Returns plain picklable parts —
+    the run result, the attribution breakdown, and the finished span
+    records — which :func:`run_traced` merges into one shared-collector
+    report in fixed personality order.
     """
     scenario = SCENARIOS[fig]
     config = TraceConfig(sample_every=sample_every, max_spans=max_spans)
     collector = TraceCollector(max_spans)
-    geometry = lab_geometry(scenario.blocks_per_plane)
-    scheme = KeyScheme(prefix=b"key-", digits=scenario.key_digits)
-    pid = 1 if personality == "kv-ssd" else 2
+    scheme = scenario.scheme
+    pid = PERSONALITIES.index(personality) + 1
     tracer = Tracer(config, collector, pid=pid, process_name=personality)
-
-    # Both personalities replay the identical spec: the KV population
-    # sizing below is a pure function of the scenario, so the block cell
-    # computes the same numbers without running the KV cell first.
-    probe = build_kv_rig(geometry)
-    population = n_ops
+    device = personality.partition("-")[0]
+    rig = build_rig(
+        DIRECT_SYSTEMS[device], lab_geometry(scenario.blocks_per_plane),
+        tracer=tracer,
+    )
     if scenario.fill_fraction > 0.0:
-        population = max(
-            n_ops,
-            _fill_kvps(probe.device, scenario.value_bytes, scheme,
-                       scenario.fill_fraction),
+        rig.prime(
+            _fill_pairs(rig, scenario, n_ops), scenario.value_bytes, scheme
         )
     spec = WorkloadSpec(
         n_ops=n_ops,
@@ -146,28 +145,11 @@ def _trace_personality_cell(
         read_fraction=scenario.read_fraction,
         seed=47,
     )
-
-    if personality == "kv-ssd":
-        rig = build_kv_rig(geometry, tracer=tracer)
-        if scenario.fill_fraction > 0.0:
-            rig.device.fast_fill(population, scenario.value_bytes, scheme)
-        run = execute_workload(
-            rig.env, rig.adapter, generate_operations(spec),
-            queue_depth=scenario.queue_depth, name=f"trace.{fig}.kv",
-            stop_after_us=60e6,
-        )
-    else:
-        block_rig = build_block_rig(geometry, tracer=tracer)
-        adapter = block_rig.adapter(scenario.value_bytes)
-        if scenario.fill_fraction > 0.0:
-            block_rig.device.prime_sequential_fill(
-                int(block_rig.device.n_units * scenario.fill_fraction)
-            )
-        run = execute_workload(
-            block_rig.env, adapter, generate_operations(spec),
-            queue_depth=scenario.queue_depth, name=f"trace.{fig}.block",
-            stop_after_us=60e6,
-        )
+    run = run_phase(
+        rig, f"trace.{fig}.{device}", spec, scenario.queue_depth,
+        rig.adapter_for(scenario.value_bytes), drain=False,
+        stop_after_us=60e6,
+    )
     breakdown = LatencyBreakdown.from_records(
         collector.records(), pid=pid,
         since_us=run.started_us, name=personality,
@@ -203,25 +185,22 @@ def run_traced(
             f"{sorted(SCENARIOS)}"
         )
     n_ops = scenario.n_ops if n_ops is None else n_ops
-    points = tuple(
-        SweepPoint(
-            label=personality,
-            fn=_trace_personality_cell,
-            kwargs=dict(
-                personality=personality,
-                fig=fig,
-                n_ops=n_ops,
-                max_spans=max_spans,
-                sample_every=sample_every,
-            ),
-        )
-        for personality in ("kv-ssd", "block-ssd")
+    population = n_ops
+    if scenario.fill_fraction > 0.0:
+        probe = build_rig("kvssd", lab_geometry(scenario.blocks_per_plane))
+        population = _fill_pairs(probe, scenario, n_ops)
+    cells = grid(
+        f"trace.{fig}",
+        _trace_personality_cell,
+        {"personality": PERSONALITIES},
+        dict(fig=fig, n_ops=n_ops, population=population,
+             max_spans=max_spans, sample_every=sample_every),
+        runner,
     )
-    cells = execute_spec(SweepSpec(f"trace.{fig}", points), runner)
 
     collector = TraceCollector(max_spans)
     report = TraceReport(fig, scenario, collector)
-    for personality, cell in zip(("kv-ssd", "block-ssd"), cells):
+    for personality, cell in cells.items():
         # Worker-side drops happened against an emptier buffer than the
         # shared one; re-appending here reproduces the shared-collector
         # retention exactly, and the counters sum to the serial total.

@@ -343,3 +343,51 @@ def test_tenant_tags_are_four_byte_prefixes():
                       population=1).tag == b"a___"
     assert TenantSpec(name="longname", workload="A", n_ops=1,
                       population=1).tag == b"long"
+
+
+# -- router attribution covers one population -----------------------------------
+
+
+def test_router_share_counts_failed_ops_in_both_totals():
+    """``router_us_total`` used to grow per attempted op and
+    ``op_time_us_total`` per success, so a mostly-failing shard reported a
+    routing hop longer than its total operation time."""
+    from repro.cluster.shard import _ShardCell
+    from repro.errors import KeyNotFoundError
+
+    class MostlyFailing:
+        """Fails fast on every op but each tenth, which it passes through."""
+
+        def __init__(self, env, inner):
+            self.env, self.inner, self.seen = env, inner, 0
+
+        def execute(self, op):
+            self.seen += 1
+            if self.seen % 10 == 0:
+                return self.inner.execute(op)
+            return self._fail()
+
+        def _fail(self):
+            yield self.env.timeout(0.5)
+            raise KeyNotFoundError("injected")
+
+    spec = ClusterSpec(
+        shards=1, replication=1, partitions=4, vnodes=4, verify=False,
+        tenants=(TenantSpec(name="ta", workload="C", n_ops=120,
+                            population=200, seed=5),),
+        blocks_per_plane=8,
+    )
+    cell = _ShardCell(spec, shard_plan(spec, 0))
+    cell._adapters = [MostlyFailing(cell.env, a) for a in cell._adapters]
+    shard = cell.run()
+
+    assert shard.failed_ops > shard.completed_ops > 0
+    terminal = shard.completed_ops + shard.failed_ops
+    assert shard.router_us_total == pytest.approx(spec.router_us * terminal)
+    # What the successes do not account for is the failures' hop + 0.5 us.
+    succeeded_us = shard.latency["all"].mean * shard.completed_ops
+    assert shard.op_time_us_total - succeeded_us == pytest.approx(
+        shard.failed_ops * (spec.router_us + 0.5)
+    )
+    result = ClusterResult(spec, [shard], 0, 0, 0, {}, {}, {})
+    assert 0 < result.router_share() < 1

@@ -325,6 +325,56 @@ def test_sim012_clean_for_module_level_functions(tmp_path):
     assert found == []
 
 
+# -- grid(): the sweep builder must not blind the whole-program pass ---------
+
+
+def test_grid_call_sites_are_sweep_cells_for_sim012_and_sim009(tmp_path):
+    files = {
+        "cells.py": """
+            _memo = {}
+
+            def cell(n):
+                if n not in _memo:
+                    _memo[n] = n * 2
+                return _memo[n]
+        """,
+        "sweep.py": """
+            from repro.exec.runner import grid
+            from pkg.cells import cell
+
+            def figure(sizes, runner=None):
+                def nested(n):
+                    return n
+                grid("bad", nested, {"n": sizes}, None, runner)
+                return grid("memo", cell, {"n": sizes}, None, runner)
+        """,
+    }
+    nested = findings_for(tmp_path, files, "SIM012")
+    assert len(nested) == 1
+    assert "nested function 'nested'" in nested[0].message
+    (tmp_path / "again").mkdir()
+    purity = findings_for(tmp_path / "again", files, "SIM009")
+    assert any(
+        "_memo" in f.message and "pkg.cells.cell" in f.message for f in purity
+    )
+
+
+def test_shipped_tree_resolves_every_experiment_cell():
+    """Before grid() the fig3/4/5, rotation and fault cells were dispatched
+    as ``fn=cell_fns[device]`` and invisible to SIM009/SIM012."""
+    analysis = DataflowAnalysis(
+        Project.build([str(REPO_ROOT / "src" / "repro")])
+    )
+    cells = {qual.rsplit(".", 1)[-1] for qual in analysis.sweep_cells}
+    assert {
+        "_fig2_cell", "_fig3_cell", "_fig4_cell", "_fig5_cell",
+        "_fig6_scenario_cell", "_fig7_cell", "_fig8_cell",
+        "_replay_rotation_cell", "_replay_mix_cell", "_fault_cell",
+        "_frontend_load_cell", "_trace_personality_cell", "ycsb_cell",
+        "run_shard",
+    } <= cells
+
+
 # -- orchestration ------------------------------------------------------------
 
 

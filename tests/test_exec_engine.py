@@ -17,16 +17,16 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.figures import _fig5_kv_cell, _fig8_cell, fig4_value_size_concurrency
+from repro.core.figures import _fig5_cell, _fig8_cell, fig4_value_size_concurrency
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache, canonical, code_version_salt, point_key
-from repro.exec.runner import ExecReport, SweepRunner, execute_spec
+from repro.exec.runner import ExecReport, SweepRunner, execute_spec, grid
 from repro.exec.spec import SweepPoint, SweepSpec
 from repro.faults.run import FaultPoint, run_fault_sweep
 from repro.kvbench.workload import Pattern
@@ -58,6 +58,10 @@ class _ConfigA:
 @dataclass(frozen=True)
 class _ConfigB:
     knob: int = 3
+
+
+def _coordinates(a: int, b: str, scale: int = 1) -> Tuple[int, str]:
+    return a * scale, b
 
 
 def _spec(name: str, values: Sequence[int]) -> SweepSpec:
@@ -287,6 +291,45 @@ class TestRunner:
         assert results == [{"x": 3, "twice": 6}, {"x": 1, "twice": 2},
                            {"x": 2, "twice": 4}]
 
+    def test_grid_is_the_cartesian_product_in_axis_order(self):
+        class Capture(SweepRunner):
+            def run(self, spec):
+                self.spec = spec
+                return super().run(spec)
+
+        runner = Capture(cache=False)
+        cells = grid(
+            "g", _coordinates, {"a": (2, 1), "b": ("x", "y")},
+            {"scale": 10}, runner, seed=7,
+        )
+        # First axis outermost; cells come back under their coordinates.
+        assert list(cells) == [(2, "x"), (2, "y"), (1, "x"), (1, "y")]
+        assert cells[1, "y"] == (10, "y")
+        points = runner.spec.points
+        assert runner.spec.name == "g"
+        assert [p.label for p in points] == ["2/x", "2/y", "1/x", "1/y"]
+        assert all(p.fn is _coordinates and p.seed == 7 for p in points)
+        assert dict(points[0].kwargs) == {"a": 2, "b": "x", "scale": 10}
+
+    def test_grid_with_one_axis_keys_by_bare_value(self):
+        assert grid("g", _double, {"x": (3, 1)}) == {
+            3: {"x": 3, "twice": 6}, 1: {"x": 1, "twice": 2},
+        }
+
+    def test_grid_rejects_a_repeated_coordinate(self):
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            grid("g", _double, {"x": (1, 1)})
+
+    def test_grid_labels_floats_compactly(self):
+        class Capture(SweepRunner):
+            def run(self, spec):
+                self.labels = [p.label for p in spec.points]
+                return [None] * len(spec.points)
+
+        runner = Capture(cache=False)
+        grid("g", _double, {"x": (0.0, 1e-3, 16.0)}, None, runner)
+        assert runner.labels == ["0", "0.001", "16"]
+
     def test_serial_run_preserves_spec_order(self, tmp_path):
         runner = SweepRunner(workers=1, cache=ResultCache(tmp_path))
         results = runner.run(_spec("ordered", (5, 4, 3)))
@@ -453,8 +496,7 @@ class TestEquivalence:
                 fn=_fig8_cell,
                 kwargs=dict(key_bytes=key_bytes, mode=mode,
                             value_bytes=value_bytes, n_ops=n_ops,
-                            queue_depth=1 if mode == "sync" else 8,
-                            blocks_per_plane=4),
+                            async_queue_depth=8, blocks_per_plane=4),
             )
             for mode in ("sync", "async")
         )
@@ -471,9 +513,9 @@ class TestEquivalence:
         points = tuple(
             SweepPoint(
                 label=f"kv/{i}",
-                fn=_fig5_kv_cell,
-                kwargs=dict(size=24 * 1024 + i, n_ops=400, queue_depth=32,
-                            blocks_per_plane=8),
+                fn=_fig5_cell,
+                kwargs=dict(device="kv", size=24 * 1024 + i, n_ops=400,
+                            queue_depth=32, blocks_per_plane=8),
             )
             for i in range(8)
         )

@@ -1,8 +1,9 @@
 """Unit tests for workload generation and the queue-depth runner."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import WorkloadError
+from repro.errors import DeviceError, KeyNotFoundError, WorkloadError
 from repro.kvbench.distributions import (
     ZipfianGenerator,
     sequential_indices,
@@ -10,8 +11,9 @@ from repro.kvbench.distributions import (
     uniform_indices,
 )
 from repro.kvbench.report import format_series, format_table, sparkline
-from repro.kvbench.runner import drive_workload
+from repro.kvbench.runner import drive_workload, execute_workload
 from repro.kvbench.workload import (
+    Operation,
     OpType,
     Pattern,
     WorkloadSpec,
@@ -200,6 +202,89 @@ def test_runner_rejects_bad_queue_depth():
                 drive_workload(env, FixedLatencyAdapter(env), [], queue_depth=0)
             )
         )
+
+
+# -- the pool + per-op envelope against the loop they replaced -------------------------
+
+
+def reference_drive(env, execute, ops, depth, stop_after_us, counts):
+    """The closed loop as it stood before serve_ops/closed_loop: the oracle."""
+    deadline = env.now + stop_after_us
+    stream = iter(ops)
+
+    def worker():
+        for op in stream:
+            if env.now >= deadline:
+                return
+            try:
+                yield env.process(execute(op))
+            except DeviceError:
+                counts["failed"] += 1
+                continue
+            counts["completed"] += 1
+
+    yield env.all_of(
+        [env.process(worker(), name=f"run.w{i}") for i in range(depth)]
+    )
+
+
+class ScriptedAdapter:
+    """Per-op latency and failure from a script; logs every completion."""
+
+    def __init__(self, env, script):
+        self.env = env
+        self.script = script
+        self.log = []
+
+    def execute(self, op):
+        latency, fails = self.script[op.key_index]
+        started = self.env.now
+        yield self.env.timeout(latency)
+        self.log.append((op.key_index, started, self.env.now, fails))
+        if fails:
+            raise KeyNotFoundError("scripted")
+        return op.value_bytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(min_value=1, max_value=6),
+    script=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+            st.booleans(),
+        ),
+        max_size=40,
+    ),
+    stop_after_us=st.one_of(
+        st.just(float("inf")), st.floats(min_value=0.0, max_value=300.0)
+    ),
+)
+def test_pool_and_envelope_match_the_reference_loop(depth, script, stop_after_us):
+    ops = [Operation(OpType.UPDATE, b"k", i, 10) for i in range(len(script))]
+
+    ref_env = Environment()
+    ref = ScriptedAdapter(ref_env, script)
+    counts = {"completed": 0, "failed": 0}
+    ref_env.run_until_complete(ref_env.process(
+        reference_drive(ref_env, ref.execute, ops, depth, stop_after_us, counts),
+        name="run",
+    ))
+
+    env = Environment()
+    adapter = ScriptedAdapter(env, script)
+    result = execute_workload(
+        env, adapter, ops, queue_depth=depth, stop_after_us=stop_after_us
+    )
+
+    assert adapter.log == ref.log  # completion order and timestamps
+    assert (result.completed_ops, result.failed_ops) == (
+        counts["completed"], counts["failed"]
+    )
+    assert result.latency.count() == counts["completed"]
+    assert (env.now, env.processed_events) == (
+        ref_env.now, ref_env.processed_events
+    )
 
 
 # -- report ---------------------------------------------------------------------------

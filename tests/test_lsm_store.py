@@ -209,7 +209,7 @@ def test_identical_rigs_in_one_process_agree():
     """SSTable ids name the files and the names salt the Bloom
     false-positive draw, so ids must restart per store: the second of
     two identical rigs may not see the first one's tables in its ids."""
-    from repro.core.experiment import build_lsm_rig, drain_rig, lab_geometry
+    from repro.core.experiment import build_lsm_rig, lab_geometry
     from repro.kvbench.runner import execute_workload
     from repro.kvbench.workload import (
         Pattern,
@@ -232,7 +232,7 @@ def test_identical_rigs_in_one_process_agree():
             run = execute_workload(rig.env, rig.adapter,
                                    generate_operations(spec), queue_depth=4)
             means.append(run.latency.mean())
-            drain_rig(rig)
+            rig.drain()
         assert rig.store.flushes_run > 0
         return means, rig.env.now
 

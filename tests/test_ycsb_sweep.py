@@ -9,16 +9,23 @@ from repro.kvbench.ycsb_sweep import (
     YCSB_WORKLOADS,
     run_ycsb_sweep,
     ycsb_cell,
-    ycsb_sweep_spec,
 )
 
 
-def test_spec_covers_the_full_grid_with_unique_labels():
-    spec = ycsb_sweep_spec()
-    labels = [point.label for point in spec.points]
+def test_sweep_covers_the_full_grid_with_unique_labels():
+    class Capture(SweepRunner):
+        def run(self, spec):
+            self.spec = spec
+            return [None] * len(spec.points)
+
+    runner = Capture(cache=False)
+    table = run_ycsb_sweep(runner=runner)
+    labels = [point.label for point in runner.spec.points]
     assert len(labels) == len(YCSB_WORKLOADS) * len(YCSB_SYSTEMS)
     assert len(set(labels)) == len(labels)
-    assert labels[0] == "A.kv" and labels[-1] == "F.lsm"
+    assert labels[0] == "A/kv" and labels[-1] == "F/lsm"
+    assert list(table) == list(YCSB_WORKLOADS)
+    assert all(list(row) == list(YCSB_SYSTEMS) for row in table.values())
 
 
 def test_cell_measures_one_pair():
