@@ -11,19 +11,18 @@ Paper findings this bench checks:
 * host CPU per op: KV stack far below RocksDB (the ~13x of RQ1).
 """
 
-from conftest import banner, figure_runner, run_once
+from conftest import banner, run_experiment
 
-from repro.core.figures import fig2_end_to_end
 from repro.kvbench.report import format_table
 
 N_OPS = 2500
 
 
 def test_fig2_end_to_end(benchmark):
-    result = run_once(benchmark, lambda: fig2_end_to_end(n_ops=N_OPS, runner=figure_runner()))
-
-    print(banner("Fig. 2 — end-to-end latency (us), async QD8, 16B/4KiB"))
-    print(result.render())
+    result = run_experiment(
+        benchmark, "fig2",
+        "Fig. 2 — end-to-end latency (us), async QD8, 16B/4KiB", n_ops=N_OPS,
+    )
 
     print(banner("Fig. 2 — derived comparisons (paper vs measured)"))
     print(format_table(

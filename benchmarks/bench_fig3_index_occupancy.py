@@ -13,22 +13,17 @@ Scaled setup: the same *fractions of the device's KVP limit* on a ~2 GiB
 geometry (the knee is set by the DRAM:index ratio, which is preserved).
 """
 
-from conftest import banner, figure_runner, run_once
+from conftest import banner, run_experiment
 
-from repro.core.figures import fig3_index_occupancy
 from repro.kvbench.report import format_table
 
 
 def test_fig3_index_occupancy(benchmark):
-    result = run_once(
-        benchmark,
-        lambda: fig3_index_occupancy(
-            measured_ops=1500, blocks_per_plane=16, runner=figure_runner()
-        ),
+    result = run_experiment(
+        benchmark, "fig3",
+        "Fig. 3 — latency (us) at low vs high index occupancy",
+        measured_ops=1500, blocks_per_plane=16,
     )
-
-    print(banner("Fig. 3 — latency (us) at low vs high index occupancy"))
-    print(result.render())
 
     print(banner("Fig. 3 — degradation high/low (paper vs measured)"))
     print(format_table(

@@ -13,25 +13,19 @@ Paper findings this bench checks:
   back above 1 even at QD64 — the crossover the paper highlights.
 """
 
-from conftest import banner, figure_runner, run_once
+from conftest import run_experiment
 
-from repro.core.figures import fig4_value_size_concurrency
 from repro.units import KIB
 
 SIZES = (512, 4 * KIB, 16 * KIB, 32 * KIB, 64 * KIB)
 
 
 def test_fig4_value_size_concurrency(benchmark):
-    result = run_once(
-        benchmark,
-        lambda: fig4_value_size_concurrency(
-            value_sizes=SIZES, queue_depths=(1, 64), n_ops=1200,
-            runner=figure_runner()
-        ),
+    result = run_experiment(
+        benchmark, "fig4",
+        "Fig. 4 — KV/block mean-latency ratio (<1 favors KV-SSD)",
+        value_sizes=SIZES, queue_depths=(1, 64), n_ops=1200,
     )
-
-    print(banner("Fig. 4 — KV/block mean-latency ratio (<1 favors KV-SSD)"))
-    print(result.render())
     print("paper: QD1 ratios > 1 (up to 5.4x); QD64 < 1 below ~32 KiB "
           "(0.86x writes / 0.37x reads), > 1 at >=32 KiB")
 

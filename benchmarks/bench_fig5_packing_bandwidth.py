@@ -11,17 +11,16 @@ Paper findings this bench checks:
   evidence for 32 KiB pages holding up to 24 KiB of value.
 """
 
-from conftest import banner, figure_runner, run_once
+from conftest import run_experiment
 
-from repro.core.figures import fig5_packing_bandwidth
 from repro.units import KIB
 
 
 def test_fig5_packing_bandwidth(benchmark):
-    result = run_once(benchmark, lambda: fig5_packing_bandwidth(n_ops=800, runner=figure_runner()))
-
-    print(banner("Fig. 5 — write bandwidth vs value size (MiB/s)"))
-    print(result.render())
+    result = run_experiment(
+        benchmark, "fig5", "Fig. 5 — write bandwidth vs value size (MiB/s)",
+        n_ops=800,
+    )
     print("paper: KV-SSD dips at 25 KiB and 49 KiB (page-boundary "
           "splitting); block-SSD smooth")
 

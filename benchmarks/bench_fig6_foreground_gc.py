@@ -13,18 +13,14 @@ Paper findings this bench checks:
   finds fully dead blocks.
 """
 
-from conftest import banner, figure_runner, run_once
-
-from repro.core.figures import fig6_foreground_gc
+from conftest import run_experiment
 
 
 def test_fig6_foreground_gc(benchmark):
-    result = run_once(
-        benchmark, lambda: fig6_foreground_gc(blocks_per_plane=4, runner=figure_runner())
+    result = run_experiment(
+        benchmark, "fig6", "Fig. 6 — bandwidth during the update phase",
+        blocks_per_plane=4,
     )
-
-    print(banner("Fig. 6 — bandwidth during the update phase"))
-    print(result.render())
     print(f"(fill {result.fill_fraction:.0%}, {result.n_updates:,} updates "
           f"of {result.value_bytes} B values; paper: 80% of 3.84 TB)")
 

@@ -11,16 +11,14 @@ Paper findings this bench checks:
 * the KVP limit this padding implies: ~3.1 billion pairs on 3.84 TB.
 """
 
-from conftest import banner, figure_runner, run_once
-
-from repro.core.figures import fig7_space_amplification
+from conftest import run_experiment
 
 
 def test_fig7_space_amplification(benchmark):
-    result = run_once(benchmark, lambda: fig7_space_amplification(runner=figure_runner()))
-
-    print(banner("Fig. 7 — space amplification (device bytes / app bytes)"))
-    print(result.render())
+    result = run_experiment(
+        benchmark, "fig7",
+        "Fig. 7 — space amplification (device bytes / app bytes)",
+    )
 
     # Paper-shape assertions.
     assert 14.0 < result.sa["kvssd"][50] < 21.0        # "up to ~17-20x"

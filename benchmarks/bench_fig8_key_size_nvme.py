@@ -11,16 +11,14 @@ Paper findings this bench checks:
   steepest under asynchronous load, where the submission path saturates).
 """
 
-from conftest import banner, figure_runner, run_once
-
-from repro.core.figures import fig8_key_size_bandwidth
+from conftest import run_experiment
 
 
 def test_fig8_key_size_bandwidth(benchmark):
-    result = run_once(benchmark, lambda: fig8_key_size_bandwidth(n_ops=1200, runner=figure_runner()))
-
-    print(banner("Fig. 8 — store bandwidth vs key size (MiB/s)"))
-    print(result.render())
+    result = run_experiment(
+        benchmark, "fig8", "Fig. 8 — store bandwidth vs key size (MiB/s)",
+        n_ops=1200,
+    )
 
     # Flat up to the inline limit.
     async_bw = result.mib_s["async"]

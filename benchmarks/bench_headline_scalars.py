@@ -6,16 +6,13 @@ microseconds, is the reproduction target; the table prints paper-reported
 vs measured side by side.
 """
 
-from conftest import banner, run_once
-
-from repro.core.headline import headline_scalars
+from conftest import run_experiment
 
 
 def test_headline_scalars(benchmark):
-    result = run_once(benchmark, headline_scalars)
-
-    print(banner("Headline scalars (paper vs measured)"))
-    print(result.render())
+    result = run_experiment(
+        benchmark, "headline", "Headline scalars (paper vs measured)"
+    )
 
     # Direction-of-effect assertions for every headline claim.
     assert result.cpu_reduction_vs_rocksdb > 5.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from repro.core.registry import EXPERIMENTS
 from repro.exec.runner import SweepRunner
 
 
@@ -49,3 +50,14 @@ def run_once(benchmark, func):
     measure the host machine, not the model — so one round is the policy.
     """
     return benchmark.pedantic(func, rounds=1, iterations=1)
+
+
+def run_experiment(benchmark, name, title, **kwargs):
+    """Run ``EXPERIMENTS[name]`` once at ``kwargs`` scale through
+    :func:`figure_runner`, print its ``render()`` under ``title``, and
+    return the result for the bench's paper-shape assertions."""
+    fn = EXPERIMENTS[name].fn
+    result = run_once(benchmark, lambda: fn(runner=figure_runner(), **kwargs))
+    print(banner(title))
+    print(result.render())
+    return result

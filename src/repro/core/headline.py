@@ -15,8 +15,8 @@ module measures each on the simulated stacks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, Optional
 
 from repro.core.experiment import build_rig, lab_geometry
 from repro.core.figures import (
@@ -75,6 +75,9 @@ class HeadlineResult:
 
     def render(self) -> str:
         return format_table(["metric", "paper", "measured"], self.rows())
+
+    def metrics(self) -> Dict[str, float]:
+        return asdict(self)
 
 
 def _direct_bw_ratios(blocks_per_plane: int, n_ops: int) -> tuple:

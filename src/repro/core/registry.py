@@ -11,8 +11,8 @@ Adding an experiment is: write the ``fig*``-style function (returning a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping
 
 from repro.core.figures import (
     cluster_rebalance_tail,
@@ -44,10 +44,10 @@ class Experiment:
     #: Called as ``fn(runner=..., **kwargs)``; returns a ``*Result``.
     fn: Callable[..., Any]
     #: ``fn`` keyword -> CLI option (argparse dest) that supplies it.
-    cli: Mapping[str, str] = field(default_factory=dict)
+    cli: Mapping[str, str]
     #: Keywords of the smallest meaningful run — what the golden and smoke
-    #: suites execute, and ``repro replay --smoke``.  ``None``: no such run.
-    mini: Optional[Mapping[str, Any]] = None
+    #: suites execute, and ``repro replay --smoke``.
+    mini: Mapping[str, Any]
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
@@ -87,7 +87,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "fig8", "paper", fig8_key_size_bandwidth, {"n_ops": "n_ops"},
             dict(key_sizes=(16, 24), n_ops=400, blocks_per_plane=8),
         ),
-        Experiment("headline", "paper", headline_scalars),
+        Experiment(
+            "headline", "paper", headline_scalars, {},
+            # Enough ops that Aerospike's updates leave its write buffer:
+            # every headline ratio already points the paper's way.
+            dict(n_ops=800, blocks_per_plane=8),
+        ),
         Experiment(
             "fig_cluster_scaling", "cluster", cluster_shard_scaling,
             {"n_ops": "cluster_ops"}, dict(n_ops=80),

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.errors import WorkloadError
+from repro.errors import DeviceError, WorkloadError
 from repro.kvbench.distributions import ZipfianGenerator
 from repro.kvbench.workload import Operation, OpType
 from repro.kvftl.population import KeyScheme
@@ -239,7 +239,7 @@ class YCSBDriver:
                 )
                 try:
                     nbytes = yield env.process(self.adapter.execute(point))
-                except Exception:  # missing tail keys end the scan
+                except DeviceError:  # a missing tail key ends the scan
                     break
                 total += nbytes or 0
             return total

@@ -15,7 +15,7 @@ they exist to produce representative span trees quickly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
 from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
@@ -131,10 +131,7 @@ def _trace_personality_cell(
         DIRECT_SYSTEMS[device], lab_geometry(scenario.blocks_per_plane),
         tracer=tracer,
     )
-    if scenario.fill_fraction > 0.0:
-        rig.prime(
-            _fill_pairs(rig, scenario, n_ops), scenario.value_bytes, scheme
-        )
+    adapter = rig.adapter_for(scenario.value_bytes)
     spec = WorkloadSpec(
         n_ops=n_ops,
         op=scenario.op,
@@ -145,10 +142,25 @@ def _trace_personality_cell(
         read_fraction=scenario.read_fraction,
         seed=47,
     )
+    if scenario.fill_fraction > 0.0:
+        if rig.pair_capacity(scheme.key_bytes, scenario.value_bytes):
+            rig.prime(
+                _fill_pairs(rig, scenario, n_ops), scenario.value_bytes, scheme
+            )
+        else:
+            # A blob that must split cannot bulk-prime: fill the population
+            # through timed stores first, as fig4's own cell does.
+            fill = replace(
+                spec, n_ops=population, op="insert",
+                pattern=Pattern.SEQUENTIAL,
+            )
+            run_phase(
+                rig, f"trace.{fig}.{device}.fill", fill,
+                scenario.queue_depth, adapter,
+            )
     run = run_phase(
         rig, f"trace.{fig}.{device}", spec, scenario.queue_depth,
-        rig.adapter_for(scenario.value_bytes), drain=False,
-        stop_after_us=60e6,
+        adapter, drain=False, stop_after_us=60e6,
     )
     breakdown = LatencyBreakdown.from_records(
         collector.records(), pid=pid,

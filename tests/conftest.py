@@ -3,18 +3,19 @@
 The smoke suite (`test_figures_smoke.py`) and the golden suite
 (`test_golden_figures.py`) exercise the experiments of
 :data:`repro.core.registry.EXPERIMENTS` at each row's ``mini`` scale;
-:func:`figure_result` memoizes the run so both suites share one
+:func:`figure_run` memoizes the run so both suites share one
 execution per pytest session.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any
+from typing import Any, Tuple
 
 import pytest
 
 from repro.core.registry import EXPERIMENTS
+from repro.sim.engine import set_pop_observer
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -33,7 +34,24 @@ def regen_golden(request: pytest.FixtureRequest) -> bool:
 
 
 @lru_cache(maxsize=None)
-def figure_result(name: str) -> Any:
-    """The memoized result of one experiment's miniature run."""
+def figure_run(name: str) -> Tuple[Any, int]:
+    """The memoized miniature run of one experiment: its result and the
+    number of events the engine popped producing it."""
     experiment = EXPERIMENTS[name]
-    return experiment.fn(**experiment.mini)
+    events = 0
+
+    def count(now: float, event: Any) -> None:
+        nonlocal events
+        events += 1
+
+    set_pop_observer(count)
+    try:
+        result = experiment.fn(**experiment.mini)
+    finally:
+        set_pop_observer(None)
+    return result, events
+
+
+def figure_result(name: str) -> Any:
+    """The result half of :func:`figure_run`."""
+    return figure_run(name)[0]

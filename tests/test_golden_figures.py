@@ -1,13 +1,19 @@
 """Golden-figure regression suite.
 
-Each experiment of ``repro.core.registry.EXPERIMENTS`` that declares a
-``mini`` runs at that deliberately small scale, and its result reduces
+Each experiment of ``repro.core.registry.EXPERIMENTS`` runs at its
+``mini``, a deliberately small scale, and its result reduces
 itself (``result.metrics()``) to a flat dict of named *shape metrics* —
 latencies, ratios, bandwidths, counters — that capture what the figure
 shows.  The metrics are diffed against
 ``tests/golden/<fig>.json``; because every experiment is seeded and
 simulated-time based, a drift beyond the (tiny) tolerance means the
 model's behavior changed, not that the host got slower.
+
+Beside ``metrics`` each file pins ``events``, the number of events the
+engine popped during that same run, compared with ``==``: the run's
+*work*, identical on every host and under every ``PYTHONHASHSEED``, and
+the tree's only committed perf number (wall-clock is what ``python3 -m
+bench`` reports, never a gate).
 
 Regenerate after an *intentional* behavior change with::
 
@@ -25,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.registry import EXPERIMENTS
-from tests.conftest import figure_result
+from tests.conftest import figure_run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -35,15 +41,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 REL_TOL = 1e-9
 
 
-@pytest.mark.parametrize(
-    "fig", sorted(name for name, e in EXPERIMENTS.items() if e.mini is not None)
-)
+@pytest.mark.parametrize("fig", sorted(EXPERIMENTS))
 def test_golden_figure(fig: str, regen_golden: bool) -> None:
-    metrics = figure_result(fig).metrics()
+    result, events = figure_run(fig)
+    metrics = result.metrics()
     path = GOLDEN_DIR / f"{fig}.json"
     if regen_golden:
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"figure": fig, "metrics": metrics}
+        payload = {"figure": fig, "events": events, "metrics": metrics}
         path.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="ascii",
@@ -52,7 +57,8 @@ def test_golden_figure(fig: str, regen_golden: bool) -> None:
     assert path.exists(), (
         f"missing golden file {path}; run pytest with --regen-golden"
     )
-    golden = json.loads(path.read_text(encoding="ascii"))["metrics"]
+    pinned = json.loads(path.read_text(encoding="ascii"))
+    golden = pinned["metrics"]
     assert sorted(metrics) == sorted(golden), (
         f"{fig}: metric names changed; regenerate goldens if intentional"
     )
@@ -64,4 +70,8 @@ def test_golden_figure(fig: str, regen_golden: bool) -> None:
     assert not drifted, (
         f"{fig} drifted beyond rel_tol={REL_TOL} "
         f"({len(drifted)}/{len(metrics)} metrics):\n" + "\n".join(drifted)
+    )
+    assert events == pinned["events"], (
+        f"{fig}: the run popped {events} engine events, golden pins "
+        f"{pinned['events']}; regenerate goldens if intentional"
     )

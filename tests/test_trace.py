@@ -1,9 +1,12 @@
 """Tests for the span-tracing subsystem and latency attribution."""
 
 import json
+import os
+import sys
 
 import pytest
 
+import repro.trace
 from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
 from repro.core.model import device_stats_summary
 from repro.errors import ConfigurationError
@@ -18,6 +21,7 @@ from repro.trace.export import (
     to_chrome_trace,
     write_chrome_trace,
 )
+from repro.trace.run import PERSONALITIES, SCENARIOS, run_traced
 from repro.trace.tracer import (
     BUCKETS,
     NULL_SPAN,
@@ -97,6 +101,50 @@ def test_disabled_tracer_records_nothing():
         pass
     span.finish(anything=1)
     assert len(tracer.collector) == 0
+
+
+#: Calls into ``repro/trace/`` by the cell below with tracing off (18.9 per
+#: op of null-span plumbing).  A ceiling: lowering it needs no edit here.
+TRACING_OFF_CALLS = 7553
+
+
+def test_tracing_off_pays_nothing_extra_and_tracing_on_adds_no_events():
+    """Pay-for-what-you-enable, counted instead of timed: a bound but
+    disabled tracer makes exactly the calls into the trace package that
+    no tracer makes, records nothing, and neither it nor a full tracer
+    changes what the engine simulates."""
+    trace_dir = os.path.dirname(repro.trace.__file__)
+
+    def measure(tracer):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(trace_dir):
+                calls += 1
+
+        rig = build_kv_rig(lab_geometry(blocks_per_plane=16), tracer=tracer)
+        rig.device.fast_fill(400, 4096, SCHEME)
+        spec = WorkloadSpec(
+            n_ops=400, op="mixed", population=400, key_scheme=SCHEME,
+            value_bytes=4096, read_fraction=0.3, seed=11,
+        )
+        sys.setprofile(profile)
+        try:
+            execute_workload(rig.env, rig.adapter, generate_operations(spec), queue_depth=8)
+        finally:
+            sys.setprofile(None)
+        return calls, rig.env.processed_events
+
+    disabled = Tracer(TraceConfig(enabled=False), TraceCollector(1024))
+    enabled = _traced_tracer()
+    none_calls, none_events = measure(None)
+    assert measure(disabled) == (none_calls, none_events)
+    assert len(disabled.collector) == 0
+    enabled_calls, enabled_events = measure(enabled)
+    assert enabled_events == none_events
+    assert enabled_calls > none_calls and len(enabled.collector) > 0
+    assert none_calls <= TRACING_OFF_CALLS
 
 
 def test_unbound_tracer_is_inert_and_bind_is_idempotent():
@@ -334,8 +382,6 @@ def test_chrome_trace_tids_stable_per_track():
 
 
 def test_run_traced_covers_both_personalities():
-    from repro.trace.run import run_traced
-
     report = run_traced(fig="fig2", n_ops=80)
     assert set(report.runs) == {"kv-ssd", "block-ssd"}
     assert set(report.breakdowns) == {"kv-ssd", "block-ssd"}
@@ -348,9 +394,23 @@ def test_run_traced_covers_both_personalities():
     assert report.collector.process_names == {1: "kv-ssd", 2: "block-ssd"}
 
 
-def test_run_traced_rejects_unknown_fig():
-    from repro.trace.run import run_traced
+@pytest.mark.parametrize("fig", sorted(SCENARIOS))
+def test_every_trace_scenario_finishes_clean_and_tiles(fig):
+    """Every shipped scenario (fig4's split blob included) finishes on both
+    personalities and its op components still tile the measured latency."""
+    report = run_traced(fig=fig, n_ops=40)
+    for personality in PERSONALITIES:
+        run = report.runs[personality]
+        assert (run.completed_ops, run.failed_ops) == (40, 0)
+        breakdown = report.breakdowns[personality]
+        assert breakdown.op_types()
+        for op in breakdown.op_types():
+            assert sum(breakdown.mean_components_us(op).values()) == (
+                pytest.approx(breakdown.mean_total_us(op))
+            )
 
+
+def test_run_traced_rejects_unknown_fig():
     with pytest.raises(ConfigurationError):
         run_traced(fig="fig99")
 

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.experiment import build_kv_rig, build_lsm_rig, lab_geometry
-from repro.errors import WorkloadError
+from repro.errors import InvariantViolation, KeyNotFoundError, WorkloadError
 from repro.kvbench.runner import execute_workload
-from repro.kvbench.workload import OpType
-from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
+from repro.kvbench.workload import Operation, OpType
+from repro.kvbench.ycsb import YCSBDriver, YCSBOperation, YCSBSpec, generate_ycsb
 from repro.kvftl.population import KeyScheme
 
 
@@ -126,6 +126,37 @@ def test_workload_e_scans_on_lsm_natively():
     result = run_ycsb(rig, driver, spec)
     assert driver.scans_run > 100
     assert result.completed_ops == 120
+
+
+class _ThirdReadRaises:
+    """KV adapter whose third point read raises ``error``."""
+
+    def __init__(self, adapter, error):
+        self.api, self.inner, self.error = adapter.api, adapter, error
+        self.reads = 0
+
+    def execute(self, op):
+        self.reads += 1
+        if self.reads == 3:
+            raise self.error
+        return (yield from self.inner.execute(op))
+
+
+def test_emulated_scan_ends_on_a_device_error_only():
+    """A missing tail key ends an emulated scan; a broken invariant under
+    one of its point reads is not "the end of the key space"."""
+    spec = spec_for("E", scan_length=10)
+    rig = _loaded_kv_rig(spec)
+    scan = YCSBOperation(Operation(OpType.READ, spec.key_scheme.key_for(0), 0, 0), 10)
+
+    def run(error):
+        driver = YCSBDriver(_ThirdReadRaises(rig.adapter, error), spec)
+        process = rig.env.process(driver.execute(scan))
+        return rig.env.run_until_complete(process, limit=rig.env.now + 1e6)
+
+    assert run(KeyNotFoundError("tail")) == 2 * spec.value_bytes
+    with pytest.raises(InvariantViolation):
+        run(InvariantViolation("index corrupt"))
 
 
 def test_workload_f_read_modify_write_composition():
