@@ -177,7 +177,7 @@ class BlockSSD:
         self._check_range(offset, nbytes)
         self.core.ensure_writable()
         with span.phase("controller"):
-            yield from self.controller.serve(self.config.host_interface_us)
+            yield self.controller.serve(self.config.host_interface_us)
         pieces = self._split_units(offset, nbytes)
 
         # Phase 1: mapping updates and sub-unit read-modify-writes (timed).
@@ -198,7 +198,7 @@ class BlockSSD:
                 else self.config.map_update_miss_us
             )
             with span.phase("index"):
-                yield from self.controller.serve(cost)
+                yield self.controller.serve(cost)
             partial = length < self.map_unit
             slot_id = self.pagemap.lookup(unit)
             if partial and slot_id != UNMAPPED and unit not in self._pending:
@@ -222,7 +222,7 @@ class BlockSSD:
             with span.phase("buffer"):
                 yield from self.buffer.admit(len(group) * self.map_unit)
             with span.phase("controller"):
-                yield from self.controller.serve(
+                yield self.controller.serve(
                     self.config.buffer_copy_us * len(group)
                 )
             for unit, _in_unit, _length in group:
@@ -261,7 +261,7 @@ class BlockSSD:
         """Host read (timed process)."""
         self._check_range(offset, nbytes)
         with span.phase("controller"):
-            yield from self.controller.serve(self.config.host_interface_us)
+            yield self.controller.serve(self.config.host_interface_us)
         page_reads: Dict[Tuple[int, int], int] = {}
         seen_segments = set()
         for unit, _in_unit, length in self._split_units(offset, nbytes):
@@ -272,18 +272,18 @@ class BlockSSD:
                 seen_segments.add(segment)
                 hit = self.segment_cache.access(unit)
             with span.phase("index"):
-                yield from self.controller.serve(self.config.map_hit_us)
+                yield self.controller.serve(self.config.map_hit_us)
                 if not hit:
-                    yield from self.map_loader.serve(self.config.map_load_us)
+                    yield self.map_loader.serve(self.config.map_load_us)
             if unit in self._pending:
                 with span.phase("controller"):
-                    yield from self.controller.serve(self.config.buffer_read_us)
+                    yield self.controller.serve(self.config.buffer_read_us)
                 continue
             slot_id = self.pagemap.lookup(unit)
             if slot_id == UNMAPPED:
                 # Reading never-written space: served from controller only.
                 with span.phase("controller"):
-                    yield from self.controller.serve(self.config.buffer_read_us)
+                    yield self.controller.serve(self.config.buffer_read_us)
                 continue
             block, page, _slot = self.pagemap.unflatten(slot_id)
             key = (block, page)
@@ -315,7 +315,7 @@ class BlockSSD:
         self._check_range(offset, nbytes)
         pieces = self._split_units(offset, nbytes)
         with span.phase("controller"):
-            yield from self.controller.serve(
+            yield self.controller.serve(
                 self.config.host_interface_us + 0.05 * len(pieces)
             )
         for unit, in_unit, length in pieces:

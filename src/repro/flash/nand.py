@@ -323,7 +323,7 @@ class FlashArray:
         read_us = timing.read_us
         transfer_us = timing.transfer_us(nbytes)
         tracer = self._tracing()
-        yield from self._die_res[block_index].serve(read_us)
+        yield self._die_res[block_index].serve(read_us)
         # Busy time is banked per serve, at the same instants spans are
         # recorded, so counter and trace agree even with ops in flight.
         if stats is not None:
@@ -334,7 +334,7 @@ class FlashArray:
                 "read", "flash", read_us,
                 args={"block": block_index},
             )
-        yield from self._chan_res[block_index].serve(transfer_us)
+        yield self._chan_res[block_index].serve(transfer_us)
         if stats is not None:
             stats.flash_busy_us += transfer_us
         if tracer is not None:
@@ -376,7 +376,7 @@ class FlashArray:
         program_us = timing.program_us
         transfer_us = timing.transfer_us(nbytes)
         tracer = self._tracing()
-        yield from self._chan_res[block_index].serve(transfer_us)
+        yield self._chan_res[block_index].serve(transfer_us)
         if stats is not None:
             stats.flash_busy_us += transfer_us
         if tracer is not None:
@@ -384,7 +384,7 @@ class FlashArray:
                 self._chan_track[block_index],
                 "program.xfer", "flash", transfer_us,
             )
-        yield from self._die_res[block_index].serve(program_us)
+        yield self._die_res[block_index].serve(program_us)
         if stats is not None:
             stats.flash_busy_us += program_us
         if tracer is not None:
@@ -422,7 +422,7 @@ class FlashArray:
         if self.faults is not None:
             failed = self.faults.erase_fails(block_index, info.erase_count)
         tracer = self._tracing()
-        yield from self._die_res[block_index].serve(self.timing.erase_us)
+        yield self._die_res[block_index].serve(self.timing.erase_us)
         if self._stats is not None:
             self._stats.flash_busy_us += self.timing.erase_us
         if tracer is not None:

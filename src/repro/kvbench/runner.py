@@ -202,8 +202,9 @@ def serve_ops(
     """The per-op envelope, over every item of ``items`` in turn.
 
     Stamp the start, spend ``hop_us`` (a routing hop inside the op's
-    latency window), run ``execute(item)`` as its own process, and hand
-    the outcome to ``done``.  Device errors are outcomes, not raised — a
+    latency window), run ``execute(item)`` as a child (``env.call``: the
+    events of a process of its own, without one), and hand the outcome to
+    ``done``.  Device errors are outcomes, not raised — a
     benchmark keeps going like fio does.  Once the clock reaches
     ``deadline_us`` the loop stops taking items.  Every driver in the
     tree issues operations through this one loop: the closed-loop pool
@@ -217,7 +218,7 @@ def serve_ops(
         if hop_us > 0.0:
             yield env.timeout(hop_us)
         try:
-            value = yield env.process(execute(item))
+            value = yield from env.call(execute(item))
         except DeviceError as error:
             done(item, started, None, error)
         else:

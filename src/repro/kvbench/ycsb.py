@@ -229,7 +229,7 @@ class YCSBDriver:
             if api is not None and hasattr(api, "iterate"):
                 # Touch the device-side iterator bucket first (the KV-SSD
                 # has no ordered scan; Sec. II's buckets are the closest).
-                yield env.process(api.iterate(op.base.key[:4], limit=1))
+                yield from env.call(api.iterate(op.base.key[:4], limit=1))
             for step in range(spec.scan_length):
                 index = op.base.key_index + step
                 if index >= spec.population:
@@ -238,14 +238,14 @@ class YCSBDriver:
                     OpType.READ, spec.key_scheme.key_for(index), index, 0
                 )
                 try:
-                    nbytes = yield env.process(self.adapter.execute(point))
+                    nbytes = yield from env.call(self.adapter.execute(point))
                 except DeviceError:  # a missing tail key ends the scan
                     break
                 total += nbytes or 0
             return total
 
-        # The runner calls execute(op) and yields the returned generator
-        # via env.process; grab the env lazily from the adapter's store.
+        # The runner calls execute(op) and runs the returned generator
+        # via env.call; grab the env lazily from the adapter's store.
         env = _env_of(self.adapter)
         return runner(env)
 
@@ -254,8 +254,8 @@ class YCSBDriver:
 
         def runner(env):
             read = Operation(OpType.READ, op.base.key, op.base.key_index, 0)
-            yield env.process(self.adapter.execute(read))
-            nbytes = yield env.process(self.adapter.execute(op.base))
+            yield from env.call(self.adapter.execute(read))
+            nbytes = yield from env.call(self.adapter.execute(op.base))
             return nbytes
 
         return runner(_env_of(self.adapter))

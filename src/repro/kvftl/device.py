@@ -262,17 +262,17 @@ class KVSSD:
             len(key), value_bytes, self.array.geometry.page_bytes, self.config
         )
         with span.phase("controller"):
-            yield from self.controller.serve(
+            yield self.controller.serve(
                 self.config.host_interface_us * ncommands
                 + self.config.store_controller_us
             )
             if layout.is_split:
                 # Splitting and offset-pointer management per extra fragment.
-                yield from self.controller.serve(
+                yield self.controller.serve(
                     self.config.split_fragment_us * (layout.data_fragments - 1)
                 )
         with span.phase("index"):
-            yield from self.index_managers.serve(self.config.store_index_us)
+            yield self.index_managers.serve(self.config.store_index_us)
             yield from self.merge.backpressure()
 
         # Resolved after the suspension points above: a concurrent store of
@@ -324,7 +324,7 @@ class KVSSD:
             with span.phase("buffer"):
                 yield from self.buffer.admit(nbytes)
             with span.phase("controller"):
-                yield from self.controller.serve(
+                yield self.controller.serve(
                     self.config.buffer_copy_us_per_kib * nbytes / KIB
                 )
             self._pack_queue.append(
@@ -343,12 +343,12 @@ class KVSSD:
         """Retrieve a pair; returns the value size.  Timed process."""
         validate_key(key, self.config)
         with span.phase("controller"):
-            yield from self.controller.serve(
+            yield self.controller.serve(
                 self.config.host_interface_us * ncommands
                 + self.config.retrieve_controller_us
             )
         with span.phase("index"):
-            yield from self.index_managers.serve(self.config.retrieve_index_us)
+            yield self.index_managers.serve(self.config.retrieve_index_us)
             found = self._find_live(key)
             if not self.bloom.maybe_present(key, found is not None):
                 raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
@@ -364,7 +364,7 @@ class KVSSD:
             for frag_index, location in enumerate(record.locations):
                 if location is None:
                     with span.phase("controller"):
-                        yield from self.controller.serve(self.config.buffer_read_us)
+                        yield self.controller.serve(self.config.buffer_read_us)
                     continue
                 block, page = location
                 procs.append(
@@ -398,11 +398,11 @@ class KVSSD:
         """Membership query (timed); no data page access."""
         validate_key(key, self.config)
         with span.phase("controller"):
-            yield from self.controller.serve(
+            yield self.controller.serve(
                 self.config.host_interface_us * ncommands
             )
         with span.phase("index"):
-            yield from self.index_managers.serve(self.config.exist_index_us)
+            yield self.index_managers.serve(self.config.exist_index_us)
             found = self._find_live(key) is not None
             if not self.bloom.maybe_present(key, found):
                 return False
@@ -416,11 +416,11 @@ class KVSSD:
         """Delete a pair (timed)."""
         validate_key(key, self.config)
         with span.phase("controller"):
-            yield from self.controller.serve(
+            yield self.controller.serve(
                 self.config.host_interface_us * ncommands
             )
         with span.phase("index"):
-            yield from self.index_managers.serve(self.config.delete_index_us)
+            yield self.index_managers.serve(self.config.delete_index_us)
             found = self._find_live(key)
             if not self.bloom.maybe_present(key, found is not None):
                 raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
@@ -452,11 +452,11 @@ class KVSSD:
         if limit < 1:
             raise ConfigurationError(f"iterator limit must be >= 1, got {limit}")
         with span.phase("controller"):
-            yield from self.controller.serve(
+            yield self.controller.serve(
                 self.config.host_interface_us * ncommands
             )
         with span.phase("index"):
-            yield from self.index_managers.serve(self.config.exist_index_us)
+            yield self.index_managers.serve(self.config.exist_index_us)
             count = self.iterators.bucket_count(prefix4)
             # Bucket pages hold ~page/64B key entries each.
             keys_per_page = max(1, self.array.geometry.page_bytes // 64)

@@ -96,9 +96,12 @@ class GlobalHashIndex:
         """Flash page reads a lookup of ``key`` needs right now.
 
         Deterministic per key: a key is resident iff its hash fraction
-        falls inside the resident window.
+        falls inside the resident window.  A fully resident index answers
+        without hashing — the 64-bit FNV is pure Python, and a fraction
+        that rounds to exactly 1.0 must not read flash there either.
         """
-        if hash_fraction(key) < self.resident_fraction():
+        resident = self.resident_fraction()
+        if resident >= 1.0 or hash_fraction(key) < resident:
             return 0
         return self.levels_on_flash()
 

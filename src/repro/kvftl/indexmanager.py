@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.kvftl.keyhash import hash_fraction
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 
 #: Salt mixed into the key before deriving the false-positive draw, so the
@@ -59,6 +59,6 @@ class IndexManagerPool:
         self.resource = Resource(env, managers, name=f"{name}.idxmgr")
         self.managers = managers
 
-    def serve(self, duration_us: float):
-        """``yield from`` helper: occupy one manager for ``duration_us``."""
+    def serve(self, duration_us: float) -> Event:
+        """``yield`` helper: occupy one manager for ``duration_us``."""
         return self.resource.serve(duration_us)

@@ -72,10 +72,10 @@ class MergeEngine:
         Timing uses the same die/channel contention as any program.
         """
         block, _page = self.index.next_region_page()
-        yield from self.array.channel_resource(block).serve(
+        yield self.array.channel_resource(block).serve(
             self.timing.transfer_us(self.array.geometry.page_bytes)
         )
-        yield from self.array.die_resource(block).serve(self.timing.program_us)
+        yield self.array.die_resource(block).serve(self.timing.program_us)
         self.stats.index_flash_writes += 1
 
     # -- scheduling -------------------------------------------------------

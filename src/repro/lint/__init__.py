@@ -11,7 +11,8 @@ code      rule
 SIM001    no wall-clock reads in model code (``time.time`` & co.)
 SIM002    no module-level ``random.*`` / unseeded ``random.Random()``
 SIM003    generator model function called as a bare statement
-          (a silent no-op — must go through ``env.process`` / yield)
+          (a silent no-op — must go through ``env.process`` / yield),
+          or a ``.serve(...)`` result dropped or ``yield from``-ed
 SIM004    no ``==`` / ``!=`` on simulated timestamps; use the
           ``units.times_equal`` tolerance helpers
 SIM005    mutable or call-expression default arguments

@@ -58,8 +58,9 @@ _SOURCE_BUILTINS = {
 _SINK_CLASS_SUFFIXES = ("Result", "Stats", "Spec")
 
 #: Terminal call names that schedule simulation events; a tainted delay
-#: or timestamp here corrupts the event order itself.
-_EVENT_SINK_NAMES = frozenset({"timeout", "Timeout"})
+#: or timestamp here corrupts the event order itself.  ``serve`` is one
+#: since its duration stopped passing through a ``Timeout``.
+_EVENT_SINK_NAMES = frozenset({"timeout", "Timeout", "serve"})
 
 #: Resolved qualname suffixes that feed the result-cache key.
 _CACHE_SINK_SUFFIXES = (".point_key", ".canonical")

@@ -12,13 +12,19 @@ only flags calls it can prove target a generator defined in the same
 module (bare ``foo(...)`` statements, or ``self.foo(...)`` where the
 enclosing class defines ``foo`` as a generator), because that is the
 silent no-op the simulator actually suffers from, and the restriction
-keeps the false-positive rate at zero on real code.
+keeps the false-positive rate at zero on real code.  Its second half
+is the same mistake one level down: ``Resource.serve(d)`` is a plain
+call that takes a slot and arms its release for the moment the process
+wakes, so its result must be yielded — any ``x.serve(...)`` that is a
+bare statement, the operand of ``yield from``, or assigned to a name the
+function never yields is flagged (``self.serve`` is exempt where the
+class defines ``serve`` as a generator of its own).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 #: Rule catalog: code -> one-line description (shown by ``--list-rules``).
 RULES: Dict[str, str] = {
@@ -28,7 +34,9 @@ RULES: Dict[str, str] = {
     "SIM002": "module-level random.* call or unseeded random.Random(); "
               "thread a seeded instance through config",
     "SIM003": "generator model function called as a bare statement — "
-              "a silent no-op; wrap in env.process(...) or yield from it",
+              "a silent no-op; wrap in env.process(...) or yield from it — "
+              "or a .serve(...) result dropped or iterated instead of "
+              "yielded (the slot is taken and never released)",
     "SIM004": "== / != on simulated timestamps; use the units.py "
               "tolerance helpers (times_equal)",
     "SIM005": "mutable or call-expression default argument (shared "
@@ -109,18 +117,23 @@ def _terminal_name(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _is_generator_def(fn: ast.AST) -> bool:
-    """True if *fn* (a FunctionDef) yields at its own nesting level."""
+def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of *fn* (a FunctionDef) at its own nesting level."""
     todo: List[ast.AST] = list(ast.iter_child_nodes(fn))
     while todo:
         node = todo.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
+        yield node
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
-            continue  # a nested def's yields belong to the nested def
+            continue  # a nested def's body belongs to the nested def
         todo.extend(ast.iter_child_nodes(node))
-    return False
+
+
+def _is_generator_def(fn: ast.AST) -> bool:
+    """True if *fn* (a FunctionDef) yields at its own nesting level."""
+    return any(
+        isinstance(node, (ast.Yield, ast.YieldFrom)) for node in _own_nodes(fn)
+    )
 
 
 def _decorator_is_dataclass(node: ast.expr) -> bool:
@@ -226,6 +239,7 @@ class ModuleChecker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_signature_defaults(node)
+        self._check_unyielded_serve(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
@@ -246,6 +260,17 @@ class ModuleChecker(ast.NodeVisitor):
 
     def visit_Expr(self, node: ast.Expr) -> None:
         self._check_dropped_generator(node)
+        if self._is_serve_call(node.value):
+            self._emit(node, "SIM003",
+                       ".serve(...) result dropped: the slot is taken and "
+                       "its release never runs — yield it")
+        self.generic_visit(node)
+
+    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
+        if self._is_serve_call(node.value):
+            self._emit(node, "SIM003",
+                       "yield from .serve(...) iterates an event; serve is "
+                       "a plain call — yield its result")
         self.generic_visit(node)
 
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -344,6 +369,36 @@ class ModuleChecker(ast.NodeVisitor):
                        f"{name}(...) builds a generator that is never "
                        "started — wrap it in env.process(...) or yield "
                        "from it")
+
+    def _is_serve_call(self, node: ast.AST) -> bool:
+        """``<expr>.serve(...)``, unless provably a generator of our own."""
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "serve"):
+            return False
+        receiver = node.func.value
+        return not (
+            isinstance(receiver, ast.Name) and receiver.id == "self"
+            and self._class_stack
+            and "serve" in self.class_generators.get(self._class_stack[-1], ())
+        )
+
+    def _check_unyielded_serve(self, fn: ast.FunctionDef) -> None:
+        """``name = x.serve(...)`` where ``fn`` never yields ``name``."""
+        held: List[Tuple[str, ast.Assign]] = []
+        yielded: Set[str] = set()
+        for node in _own_nodes(fn):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and self._is_serve_call(node.value)):
+                held.append((node.targets[0].id, node))
+            elif isinstance(node, ast.Yield) and isinstance(node.value, ast.Name):
+                yielded.add(node.value.id)
+        for name, node in held:
+            if name not in yielded:
+                self._emit(node, "SIM003",
+                           f"{name} = .serve(...) is never yielded: the "
+                           "slot is taken and its release never runs")
 
     # -- SIM004 --------------------------------------------------------
 

@@ -96,7 +96,7 @@ class KernelDeviceDriver:
         trace = tracer is not None and tracer.wants("nvme")
         started = self.env.now if trace else 0.0
         for _ in range(ncommands):
-            yield from self._submission_path.serve(self.costs.submit_us)
+            yield self._submission_path.serve(self.costs.submit_us)
         self.commands_submitted += ncommands
         if trace:
             tracer.complete(

@@ -47,6 +47,10 @@ A resource or token grant that would be the very next event popped does
 not enter the queue at all: :meth:`Environment._fire_in_place` accounts
 for its pop on the spot (sequence number, event count, observer) and the
 caller carries on, which leaves the order and the count as they were.
+The same accounting starts and finishes a child generator run through
+:meth:`Environment.call`, and a process put to sleep by a quiet
+:meth:`~repro.sim.resources.Resource.serve` sits in the calendar itself,
+under the ``(fire_time, sequence)`` its timeout would have had.
 
 Example
 -------
@@ -74,6 +78,8 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Type,
+    TypeVar,
 )
 
 from repro.errors import SimulationError
@@ -234,6 +240,24 @@ class Timeout(Event):
                 bucket.append((fire_at, seq, self))
 
 
+class Sleep(Event):
+    """What a quiet :meth:`~repro.sim.resources.Resource.serve` hands back.
+
+    One per environment, never triggered and never queued: it only carries
+    ``delay`` from ``serve`` to the :meth:`Process._resume` that receives
+    it, which parks the process itself in the calendar for that long.  It
+    is an :class:`Event` so that model generators stay ``Generator[Event,
+    ...]``; waiting on it any other way (a condition, a second process) is
+    not supported.
+    """
+
+    __slots__ = ("delay",)
+
+    def __init__(self, env: "Environment") -> None:
+        super().__init__(env)
+        self.delay = 0.0
+
+
 class Process(Event):
     """Runs a generator coroutine; triggers when the generator returns.
 
@@ -241,9 +265,18 @@ class Process(Event):
     yielded fires.  Successful events send their value into the generator;
     failed events throw their exception into it, so model code can use
     ordinary ``try/except`` around ``yield``.
+
+    Two things besides events reach :meth:`_resume`.  A generator that
+    yields the environment's :class:`Sleep` token (the result of a quiet
+    ``Resource.serve``) is parked in the calendar *as itself*: an
+    untriggered process popped from the queue is a sleeper to wake, not an
+    event that fired.  And ``_on_wake``, armed by ``serve`` on the process
+    whose generator is running, is a one-shot step run at the next resume
+    before the generator continues: the slot's release, so a parked
+    successor's grant is sequenced before anything the releaser does next.
     """
 
-    __slots__ = ("_generator", "name")
+    __slots__ = ("_generator", "name", "_on_wake")
 
     def __init__(
         self, env: "Environment", generator: ProcessGenerator, name: str = ""
@@ -256,6 +289,7 @@ class Process(Event):
             )
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        self._on_wake: Optional[Callable[[], None]] = None
         # Kick off the generator at the current time via an immediate event.
         bootstrap = Event(env)
         bootstrap.callbacks = [self._resume]
@@ -268,6 +302,12 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's outcome."""
+        step = self._on_wake
+        if step is not None:
+            self._on_wake = None
+            step()
+        env = self.env
+        env._active = self
         try:
             if event._failed:
                 target = self._generator.throw(event._value)
@@ -285,18 +325,46 @@ class Process(Event):
                 raise
             self.fail(exc)
             return
-        if not isinstance(target, Event):
+        finally:
+            env._active = None
+        if target is env._sleep:
+            # A quiet serve: sleep in the calendar as this process, under
+            # the (fire_at, seq) the service timeout would have taken.
+            delay = env._sleep.delay
+            now = env._now
+            fire_at = now + delay
+            if fire_at == now:
+                # Too short to move the clock: a real timeout, which
+                # joins the immediate FIFO.
+                target = Timeout(env, delay)
+            else:
+                seq = env._sequence
+                env._sequence = seq + 1
+                self._seq = seq
+                # Timeout.__init__'s calendar insertion, of this process.
+                key = int(fire_at * env._bucket_inv)
+                if key <= env._near_key:
+                    heappush(env._near, (fire_at, seq, self))  # simlint: disable=SIM007
+                else:
+                    bucket = env._far.get(key)
+                    if bucket is None:
+                        env._far[key] = [(fire_at, seq, self)]
+                        heappush(env._far_keys, key)
+                    else:
+                        bucket.append((fire_at, seq, self))
+                return
+        elif not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may "
                 "only yield Event instances"
             )
-        if target.env is not self.env:
+        elif target.env is not env:
             raise SimulationError("cannot wait on an event from another Environment")
         waiters = target.callbacks
         if waiters is None:
             # The event fired in the past and its callbacks already ran;
             # resume through a fresh relay event so we still wake up.
-            relay = Event(self.env)
+            relay = Event(env)
             relay.callbacks = [self._resume]
             if target._failed:
                 relay.fail(target._value)
@@ -365,6 +433,27 @@ class AnyOf(Condition):
         self.succeed(event._value)
 
 
+_E = TypeVar("_E", bound=Event)
+
+
+def _bare(kind: Type[_E], env: "Environment") -> _E:
+    """A ``kind`` event built by ``Event.__init__`` alone: untriggered, not
+    scheduled, and (a :class:`Process`) with no generator behind it."""
+    event = kind.__new__(kind)
+    Event.__init__(event, env)
+    return event
+
+
+def _stand_in(kind: Type[_E], env: "Environment") -> _E:
+    """What the pop observer is shown for a pop that has no event of its
+    own: a ``kind`` already triggered and processed, of which only the
+    type, ``name``, ``_fire_at`` and ``_seq`` mean anything."""
+    event = _bare(kind, env)
+    event._triggered = True
+    event.callbacks = None
+    return event
+
+
 class Environment:
     """Holds the event queue and the simulation clock.
 
@@ -397,6 +486,16 @@ class Environment:
         #: True while callbacks of the popped event other than its last
         #: are running (see :meth:`_fire_in_place`).
         self._more_callbacks = False
+        #: The process whose generator is running; None between resumes.
+        self._active: Optional[Process] = None
+        #: What a quiet ``Resource.serve`` returns for its process to yield.
+        self._sleep = Sleep(self)
+        #: What the pop observer is shown in place of an event that never
+        #: existed: the bootstrap and the completion of a child that
+        #: :meth:`call` ran in place, the timeout of a parked process.
+        self._started = _stand_in(Event, self)
+        self._returned = _stand_in(Process, self)
+        self._woken = _stand_in(Timeout, self)
 
     @property
     def now(self) -> float:
@@ -430,6 +529,56 @@ class Environment:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process driving ``generator``; returns its event."""
         return Process(self, generator, name)
+
+    def call(
+        self, generator: ProcessGenerator, name: str = ""
+    ) -> Generator[Event, Any, Any]:
+        """Run ``generator`` as a child and wait for it, in the caller's frame.
+
+        ``value = yield from env.call(gen)`` is ``value = yield
+        env.process(gen)`` — the same two events (a bootstrap, then the
+        child's completion as a :class:`Process` named like the child)
+        with the same sequence numbers at the same places in the pop
+        order, and a child's exception raised at the call site as a failed
+        process's would be — minus the child process.  Each of the two
+        events that would provably be the next one popped is accounted for
+        on the spot (:meth:`_fire_in_place`) and ``generator`` runs inside
+        the caller's own process.  A start that has to queue is literally
+        ``yield Process(...)``; a completion that has to queue is a
+        generator-less :class:`Process` event succeeded (or failed) here
+        and waited on.  Use :meth:`process` to spawn without waiting.
+        """
+        if not hasattr(generator, "send"):
+            raise SimulationError(
+                "call() requires a generator; did you forget to call "
+                "the generator function?"
+            )
+        # (A non-empty FIFO is the usual reason to queue; it is looked at
+        # here, both times, before paying for the call that looks again.)
+        if self._immediate or not self._fire_in_place(self._started):
+            return (yield Process(self, generator, name))
+        value = None
+        error: Optional[BaseException] = None
+        try:
+            value = yield from generator
+        except (KeyboardInterrupt, SystemExit, GeneratorExit):
+            raise
+        except BaseException as exc:  # reaches the caller like a failed process
+            error = exc
+        label = name or getattr(generator, "__name__", "process")
+        self._returned.name = label
+        if self._immediate or not self._fire_in_place(self._returned):
+            # Something else is due first: complete through the queue.
+            done = _bare(Process, self)
+            done.name = label
+            if error is None:
+                done.succeed(value)
+            else:
+                done.fail(error)
+            return (yield done)
+        if error is not None:
+            raise error
+        return value
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event that fires once all ``events`` have fired."""
@@ -512,6 +661,18 @@ class Environment:
                 self._now = fire_at
             else:
                 return
+            if not event._triggered:
+                # Only a process parked by a quiet serve is queued
+                # untriggered: its sleep is over.
+                self._processed_events += 1
+                if _pop_observer is not None:
+                    woken = self._woken
+                    woken._fire_at = self._now
+                    woken._seq = event._seq
+                    _pop_observer(self._now, woken)
+                sleeper: Any = event
+                sleeper._resume(event)
+                continue
             if _pop_observer is not None:
                 _pop_observer(self._now, event)
             callbacks = event.callbacks

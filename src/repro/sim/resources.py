@@ -17,7 +17,7 @@ determinism guarantee.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, List, Optional
+from typing import Deque, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Callback, Environment, Event, Timeout
@@ -78,9 +78,9 @@ class Request(Event):
 class Resource:
     """A server with ``capacity`` concurrent slots and a FIFO queue.
 
-    Inside a process, ``yield from resource.serve(service_time)`` waits
-    for a slot, holds it for ``service_time`` and gives it back; the
-    process is resumed once, when the service is over.  A caller that
+    Inside a process, ``yield resource.serve(service_time)`` waits for a
+    slot, holds it for ``service_time`` and gives it back; the process is
+    resumed once, when the service is over.  A caller that
     needs the slot across several steps pairs the calls itself::
 
         request = resource.request()
@@ -108,6 +108,8 @@ class Resource:
         self._in_place._triggered = True
         self._in_place._value = self
         self._in_place.callbacks = None
+        #: Bound once: every serve arms it as its process's on-wake step.
+        self._release = self._end_service
 
     @property
     def in_service(self) -> int:
@@ -158,39 +160,57 @@ class Resource:
         else:
             self._in_service -= 1
 
-    def serve(self, duration: float) -> Generator[Event, None, None]:
+    def serve(self, duration: float) -> Event:
         """Acquire a slot, hold it for ``duration``, then release it.
 
-        Designed for ``yield from`` inside a process generator.  The
-        process is resumed once, by the timeout that ends the service: a
-        grant that would be the next event popped is fired in place
-        (:meth:`Environment._fire_in_place`); any other grant queues and
-        starts the timeout from its own callback, while the process waits
-        on a :class:`Service`.
+        A plain call whose result the calling process yields at once:
+        ``yield resource.serve(duration)``.  It takes the slot (or a place
+        in the queue) and arms the release as the running process's
+        on-wake step, so the process is resumed once, when the service is
+        over and the slot already handed on.  A grant that would be the
+        next event popped is fired in place
+        (:meth:`Environment._fire_in_place`) and the result is the
+        environment's :class:`~repro.sim.engine.Sleep` token — the
+        process sleeps in the calendar itself, no timeout object exists.
+        Any other grant queues and starts a timeout from its own
+        callback, and the result is the :class:`Service` to wait on.
+        Dropping the result leaks the slot; simlint (SIM003) flags it.
         """
         if duration < 0:
             raise SimulationError(f"service time must be >= 0, got {duration}")
         env = self.env
-        now = env._now
-        free = self._in_service < self.capacity and not self._waiting
-        if free:
+        process = env._active
+        if process is None:
+            raise SimulationError("serve() called with no process running")
+        if process._on_wake is not None:
+            raise SimulationError(
+                f"process {process.name!r} called serve() before yielding "
+                "the result of its previous serve()"
+            )
+        process._on_wake = self._release
+        if self._in_service < self.capacity and not self._waiting:
             # _account(), inlined: serve brackets every flash op.
+            now = env._now
             self._busy_slot_time += self._in_service * (now - self._last_change)
             self._last_change = now
             self._in_service += 1
-        if free and env._fire_in_place(self._in_place):
-            yield Timeout(env, duration)
+            # (The FIFO is looked at here first: a tie is the usual reason
+            # a free slot's grant queues, and costs no call to see.)
+            if not env._immediate and env._fire_in_place(self._in_place):
+                sleep = env._sleep
+                sleep.delay = duration
+                return sleep
+            service = Service(env, duration)
+            Request(env, service).succeed(self)
         else:
             service = Service(env, duration)
-            grant = Request(env, service)
-            if free:
-                grant.succeed(self)
-            else:
-                self._waiting.append(grant)
-            yield service
-        # release(), inlined; the successor's grant is sequenced before
-        # the caller continues.
-        now = env._now
+            self._waiting.append(Request(env, service))
+        return service
+
+    def _end_service(self) -> None:
+        """The on-wake step of a served process: give the slot back."""
+        # release(), inlined.
+        now = self.env._now
         self._busy_slot_time += self._in_service * (now - self._last_change)
         self._last_change = now
         if self._waiting:

@@ -101,6 +101,21 @@ def test_sim008_flags_tainted_event_delay(tmp_path):
     assert "event-schedule" in found[0].message
 
 
+def test_sim008_flags_tainted_service_time(tmp_path):
+    """serve(d) schedules d without a Timeout call in between."""
+    found = findings_for(tmp_path, {
+        "model.py": """
+            import time
+
+            def program(env, die):
+                busy = time.perf_counter()
+                yield die.serve(busy)
+        """,
+    }, "SIM008")
+    assert len(found) == 1
+    assert "event-schedule call .serve(...)" in found[0].message
+
+
 def test_sim008_clean_when_values_come_from_spec_or_sim_clock(tmp_path):
     found = findings_for(tmp_path, {
         "cell.py": """

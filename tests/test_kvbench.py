@@ -20,7 +20,7 @@ from repro.kvbench.workload import (
     generate_operations,
 )
 from repro.kvftl.population import KeyScheme
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, set_pop_observer
 
 
 # -- distributions ---------------------------------------------------------------
@@ -285,6 +285,57 @@ def test_pool_and_envelope_match_the_reference_loop(depth, script, stop_after_us
     assert (env.now, env.processed_events) == (
         ref_env.now, ref_env.processed_events
     )
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_device_error_under_call_is_a_failed_op_with_the_reference_pops(depth):
+    """serve_ops runs each op through ``env.call``.  At depth 1 nothing
+    else is due when a failing op ends, so its failure is accounted for
+    in place; at depth 3 the workers tie at every instant and it goes
+    through the queue.  Both ways it is one failed op, and the popped
+    (time, seq, type, name) stream is the spawn-and-wait loop's."""
+    script = [(5.0, True), (5.0, False), (0.0, True), (5.0, True), (5.0, False),
+              (0.0, False), (5.0, True)]
+    ops = [Operation(OpType.UPDATE, b"k", i, 10) for i in range(len(script))]
+
+    def observed(env, run):
+        pops, in_place_completions = [], []
+
+        def observer(now, event):
+            pops.append(
+                (now, event._seq, type(event).__name__, getattr(event, "name", ""))
+            )
+            if event is env._returned:
+                in_place_completions.append(now)
+
+        set_pop_observer(observer)
+        try:
+            run()
+        finally:
+            set_pop_observer(None)
+        return pops, in_place_completions
+
+    ref_env = Environment()
+    ref = ScriptedAdapter(ref_env, script)
+    counts = {"completed": 0, "failed": 0}
+    ref_pops, _ = observed(ref_env, lambda: ref_env.run_until_complete(ref_env.process(
+        reference_drive(ref_env, ref.execute, ops, depth, float("inf"), counts),
+        name="run",
+    )))
+
+    env = Environment()
+    adapter = ScriptedAdapter(env, script)
+    results = []
+    pops, in_place = observed(env, lambda: results.append(
+        execute_workload(env, adapter, ops, queue_depth=depth)
+    ))
+
+    assert (results[0].completed_ops, results[0].failed_ops) == (3, 4)
+    assert (counts["completed"], counts["failed"]) == (3, 4)
+    assert pops == ref_pops
+    assert len(pops) == env.processed_events == ref_env.processed_events
+    # Depth 1: every completion, the four failures included, in place.
+    assert len(in_place) == (len(script) if depth == 1 else 0)
 
 
 # -- report ---------------------------------------------------------------------------

@@ -60,6 +60,33 @@ def test_lookup_flash_reads_positive_when_overflowed():
     assert max(reads) == 2
 
 
+def test_resident_index_answers_without_hashing(monkeypatch):
+    """Fully resident: the answer is 0 whatever the key hashes to — also
+    for a hash fraction that rounds to exactly 1.0 — so the pure-Python
+    FNV is not run at all."""
+    import repro.kvftl.hashindex as hashindex
+
+    def no_hashing(key):
+        raise AssertionError("a resident index must not hash the key")
+
+    index = make_index(dram_bytes=64 * MIB)
+    index.prime_entries(1000)
+    monkeypatch.setattr(hashindex, "hash_fraction", no_hashing)
+    assert [index.lookup_flash_reads(b"key-%d" % i) for i in range(50)] == [0] * 50
+    monkeypatch.setattr(hashindex, "hash_fraction", lambda key: 1.0)
+    assert index.lookup_flash_reads(b"top-of-the-hash-range") == 0
+
+
+def test_overflowed_index_lookups_unchanged():
+    """Values read off the tree before lookups tested residency first."""
+    index = make_index(dram_bytes=64 * KIB)
+    index.prime_entries(4_000)
+    assert index.resident_fraction() == pytest.approx(0.5251282051282051)
+    reads = [index.lookup_flash_reads(b"user%08d" % (k * 7919)) for k in range(32)]
+    assert reads == [1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1,
+                     0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 1]
+
+
 # -- merge model ----------------------------------------------------------------
 
 

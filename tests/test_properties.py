@@ -3,6 +3,7 @@
 from collections import deque
 from heapq import heappop, heappush
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -344,18 +345,24 @@ def test_event_order_stable_across_bucket_widths(steps):
     assert times == sorted(times)
 
 
-# -- zero-time path: in-place grants and one-resume serve vs a reference ---------
+# -- zero-time path: in-place grants, calls and one-resume serve vs a reference ---
 #
 # The reference below is the engine with nothing clever in it: one heap
 # ordered by (time, seq), every resource and token grant queued as an
-# event of its own, serve() as grant-yield then timeout-yield.  The real
-# engine must pop the same (time, seq) pairs in the same order, wake the
+# event of its own, serve() as grant-yield then timeout-yield, every
+# called child a process of its own.  The real engine must pop the same
+# (time, seq) pairs of the same types in the same order, wake the
 # processes in the same order, and count the same number of events.
 
 
+class _Boom(Exception):
+    """What a failing child raises."""
+
+
 class _RefEvent:
-    def __init__(self, env):
-        self.env, self.callbacks, self.value = env, [], None
+    def __init__(self, env, kind="Event"):
+        self.env, self.kind, self.callbacks = env, kind, []
+        self.value, self.failed = None, False
 
     def succeed(self, value=None, delay=0.0):
         env = self.env
@@ -364,6 +371,10 @@ class _RefEvent:
         self.value = value
         return self
 
+    def fail(self, exception):
+        self.failed = True
+        return self.succeed(exception)
+
 
 class _RefEnv:
     def __init__(self):
@@ -371,16 +382,22 @@ class _RefEnv:
         self.heap, self.pops = [], []
 
     def timeout(self, delay):
-        return _RefEvent(self).succeed(delay=delay)
+        return _RefEvent(self, "Timeout").succeed(delay=delay)
 
     def process(self, generator):
-        done = _RefEvent(self)
+        done = _RefEvent(self, "Process")
 
         def resume(event):
             try:
-                target = generator.send(event.value)
+                if event.failed:
+                    target = generator.throw(event.value)
+                else:
+                    target = generator.send(event.value)
             except StopIteration as stop:
                 done.succeed(stop.value)
+                return
+            except _Boom as exc:
+                done.fail(exc)
                 return
             if target.callbacks is None:  # already processed: relay
                 target = _RefEvent(self).succeed(target.value)
@@ -389,8 +406,11 @@ class _RefEnv:
         _RefEvent(self).succeed().callbacks.append(resume)
         return done
 
-    def _condition(self, events, needed):
-        condition, fired = _RefEvent(self), []
+    def call(self, generator):
+        return (yield self.process(generator))
+
+    def _condition(self, events, needed, kind):
+        condition, fired = _RefEvent(self, kind), []
 
         def child(event):
             fired.append(event)
@@ -405,15 +425,15 @@ class _RefEnv:
         return condition
 
     def all_of(self, events):
-        return self._condition(events, len(events))
+        return self._condition(events, len(events), "AllOf")
 
     def any_of(self, events):
-        return self._condition(events, 1)
+        return self._condition(events, 1, "AnyOf")
 
     def run(self):
         while self.heap:
             self.now, seq, event = heappop(self.heap)
-            self.pops.append((self.now, seq))
+            self.pops.append((self.now, seq, event.kind))
             self.processed_events += 1
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
@@ -425,7 +445,7 @@ class _RefResource:
         self.env, self.free, self.waiting = env, capacity, deque()
 
     def serve(self, duration):
-        grant = _RefEvent(self.env)
+        grant = _RefEvent(self.env, "Request")
         if self.free and not self.waiting:
             self.free -= 1
             grant.succeed()
@@ -437,6 +457,11 @@ class _RefResource:
             self.waiting.popleft().succeed()
         else:
             self.free += 1
+
+
+def _serve(resource, duration):
+    """The real engine's form of what _RefResource.serve spells out."""
+    yield resource.serve(duration)
 
 
 class _RefBucket:
@@ -463,7 +488,7 @@ class _RefBucket:
             grant.succeed()
 
 
-def _run_graph(make_env, make_resource, make_bucket, graph):
+def _run_graph(make_env, make_resource, make_bucket, serve, graph):
     """Interpret ``graph`` on one engine; returns (wakes, processed)."""
     capacities, shared_delays, processes = graph
     env = make_env()
@@ -472,39 +497,60 @@ def _run_graph(make_env, make_resource, make_bucket, graph):
     shared = [env.timeout(delay) for delay in shared_delays]
     wakes = []
 
-    def body(pid, steps):
+    def body(path, steps, fails=False):
         for number, (kind, which, delay) in enumerate(steps):
             if kind == "timeout":
                 yield env.timeout(delay)
             elif kind == "serve":
-                yield from resources[which % len(resources)].serve(delay)
+                yield from serve(resources[which % len(resources)], delay)
             elif kind == "tokens":
                 bucket = buckets[which % 2]
                 if not bucket.take(1):
                     yield bucket.get(1)
-                wakes.append((pid, number, "holding", env.now))
+                wakes.append((path, number, "holding", env.now))
                 yield env.timeout(delay)
                 bucket.put(1)
             elif kind == "shared":
                 yield shared[which % len(shared)]
             elif kind == "all_of":
                 yield env.all_of([env.timeout(delay), env.timeout(which * 0.5)])
-            else:
+            elif kind == "any_of":
                 yield env.any_of([env.timeout(delay), env.timeout(which * 0.5)])
-            wakes.append((pid, number, kind, env.now))
+            else:  # "call" / "call_failing": ``which`` holds the child's steps
+                try:
+                    value = yield from env.call(
+                        body(path + (number,), which, kind == "call_failing")
+                    )
+                except _Boom as boom:
+                    value = f"raised {boom}"
+                wakes.append((path, number, "child", value, env.now))
+            wakes.append((path, number, kind, env.now))
+        if fails:
+            raise _Boom(path)
+        return len(steps)
 
     for pid, steps in enumerate(processes):
-        env.process(body(pid, steps))
+        env.process(body((pid,), steps))
     env.run()
     return wakes, env.processed_events
 
 
-_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
-_STEP = st.tuples(
+#: Zeros, ties, an int, and a delay too small to move any clock but 0.0.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 2, 1e-20])
+_PLAIN_STEP = st.tuples(
     st.sampled_from(["timeout", "serve", "serve", "tokens", "shared",
                      "all_of", "any_of"]),
     st.integers(min_value=0, max_value=3),
     _DELAYS,
+)
+_STEP = st.recursive(
+    _PLAIN_STEP,
+    lambda step: st.tuples(
+        st.sampled_from(["call", "call", "call_failing"]),
+        st.lists(step, max_size=3),
+        st.just(0.0),
+    ),
+    max_leaves=6,
 )
 _GRAPHS = st.tuples(
     st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
@@ -523,24 +569,67 @@ _TWO_WAITERS = (
      [("shared", 0, 0.0), ("serve", 1, 1.0)]],
 )
 
+#: One example per condition of ``Environment.call``, at the start and at
+#: the completion of the child; dropping the condition fails the example.
+_SLEEP = [("timeout", 0, 0.5)]
+_CALL_EXAMPLES = [
+    # Start, FIFO not empty: the second process's bootstrap is queued.
+    ([1], [1.0], [[("call", _SLEEP, 0.0)], [("timeout", 0, 1.0)]]),
+    # Start, a timeout tied at this instant with an earlier sequence number.
+    ([1], [1.0], [[("timeout", 0, 1.0), ("call", _SLEEP, 0.0)],
+                  [("timeout", 0, 1.0), ("timeout", 0, 1.0)]]),
+    # Start, two callers woken by one event.
+    ([1], [1.0], [[("shared", 0, 0.0), ("call", _SLEEP, 0.0)],
+                  [("shared", 0, 0.0), ("call", _SLEEP, 0.0)]]),
+    # Completion, FIFO not empty: the other process has just finished.
+    ([1], [1.0], [[("timeout", 0, 0.5), ("call", _SLEEP, 0.0), ("timeout", 0, 1.0)],
+                  [("timeout", 0, 1.0)]]),
+    # Completion, a later timeout tied at the child's last instant.
+    ([1], [1.0], [[("timeout", 0, 0.5), ("call", _SLEEP, 0.0), ("timeout", 0, 1.0)],
+                  [("timeout", 0, 0.75), ("timeout", 0, 0.25), ("timeout", 0, 1.0)]]),
+    # Completion, two children (started in place) woken by one event.
+    ([1], [1.0], [[("timeout", 0, 0.25), ("call", [("shared", 0, 0.0)], 0.0),
+                   ("timeout", 0, 1.0)],
+                  [("timeout", 0, 0.5), ("call", [("shared", 0, 0.0)], 0.0),
+                   ("timeout", 0, 1.0)]]),
+    # A failing child, nested, finishing in place and on a tie.
+    ([2], [1.0], [[("timeout", 0, 0.5),
+                   ("call", [("call_failing", [("serve", 0, 0.5)], 0.0)], 0.0)],
+                  [("timeout", 0, 1.0), ("call_failing", [], 0.0)]]),
+]
+
+
+def _matches_reference(graph):
+    pops = []
+    set_pop_observer(lambda now, event: pops.append(
+        (now, event._seq, type(event).__name__)
+    ))
+    try:
+        wakes, processed = _run_graph(
+            Environment, Resource, TokenBucket, _serve, graph
+        )
+    finally:
+        set_pop_observer(None)
+    reference = _RefEnv()
+    ref_wakes, ref_processed = _run_graph(
+        lambda: reference, _RefResource, _RefBucket, _RefResource.serve, graph
+    )
+    assert pops == reference.pops
+    assert wakes == ref_wakes
+    assert processed == ref_processed == len(pops)
+
 
 @given(_GRAPHS)
 @example(_TWO_WAITERS)
 @settings(max_examples=200, deadline=None)
 def test_zero_time_path_matches_reference_engine(graph):
-    """In-place grants and the one-resume serve are invisible: same pops
-    in the same (time, seq) order, same wake order, same event count as
-    an engine that queues every grant."""
-    pops = []
-    set_pop_observer(lambda now, event: pops.append((now, event._seq)))
-    try:
-        wakes, processed = _run_graph(Environment, Resource, TokenBucket, graph)
-    finally:
-        set_pop_observer(None)
-    reference = _RefEnv()
-    ref_wakes, ref_processed = _run_graph(
-        lambda: reference, _RefResource, _RefBucket, graph
-    )
-    assert pops == reference.pops
-    assert wakes == ref_wakes
-    assert processed == ref_processed == len(pops)
+    """In-place grants, in-place calls and the one-resume serve are
+    invisible: same pops of the same types in the same (time, seq) order,
+    same wake order, same event count as an engine that queues every
+    grant and runs every child as a process."""
+    _matches_reference(graph)
+
+
+@pytest.mark.parametrize("graph", _CALL_EXAMPLES)
+def test_each_condition_of_call_is_needed(graph):
+    _matches_reference(graph)

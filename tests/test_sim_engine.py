@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Process, set_pop_observer
 
 
 def test_clock_starts_at_zero():
@@ -228,6 +228,150 @@ def test_yielding_non_event_is_an_error():
     process = env.process(bad(env))
     with pytest.raises(SimulationError, match="yield"):
         env.run_until_complete(process)
+
+
+@pytest.mark.parametrize("junk", [42, 4.2])
+def test_yielding_a_number_is_still_an_error(junk):
+    """A quiet serve hands its delay over inside an Event-typed token;
+    a bare number never became a way to sleep."""
+    env = Environment()
+
+    def bad(env):
+        yield env.timeout(1.0)
+        yield junk
+
+    process = env.process(bad(env))
+    with pytest.raises(SimulationError, match="only yield Event"):
+        env.run_until_complete(process)
+
+
+# -- Environment.call ----------------------------------------------------------
+
+
+def _named_pops(run):
+    pops = []
+    set_pop_observer(lambda now, event: pops.append(
+        (now, event._seq, type(event).__name__, getattr(event, "name", ""))
+    ))
+    try:
+        run()
+    finally:
+        set_pop_observer(None)
+    return pops
+
+
+def _spawn_and_wait(env, generator, name=""):
+    """The idiom call() replaces."""
+    return (yield env.process(generator, name))
+
+
+def _call(env, generator, name=""):
+    return (yield from env.call(generator, name))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("fails", [False, True])
+def test_call_is_spawn_and_wait_without_the_process(workers, fails):
+    """One worker: the child starts and finishes in place.  Three, tied at
+    every instant: both queue.  Either way the pops are the idiom's."""
+
+    def scenario(invoke):
+        env = Environment()
+        log = []
+
+        def child(env, tag):
+            yield env.timeout(2.0)
+            if fails:
+                raise KeyError(tag)
+            return tag * 10
+
+        def worker(env, tag):
+            yield env.timeout(1.0)
+            try:
+                value = yield from invoke(env, child(env, tag), f"child{tag}")
+            except KeyError as error:
+                value = repr(error)
+            log.append((tag, value, env.now))
+            unnamed = yield from invoke(env, child(env, tag + 100))
+            log.append((tag, unnamed, env.now))
+
+        for tag in range(workers):
+            env.process(worker(env, tag), name=f"w{tag}")
+        if fails:
+            with pytest.raises(KeyError):
+                env.run()  # the second, uncaught one ends the worker
+        else:
+            env.run()
+        return env, log
+
+    results = {}
+    for invoke in (_call, _spawn_and_wait):
+        pops = _named_pops(lambda: results.__setitem__(invoke, scenario(invoke)))
+        env, log = results[invoke]
+        results[invoke] = (pops, log, env.now, env.processed_events)
+    assert results[_call] == results[_spawn_and_wait]
+    pops, log, _now, processed = results[_call]
+    assert len(pops) == processed
+    assert ("Process", "child0") in {pop[2:] for pop in pops}
+    if not fails:
+        assert ("Process", "child") in {pop[2:] for pop in pops}  # generator's name
+
+
+def test_call_in_place_creates_no_process(monkeypatch):
+    env = Environment()
+    made = []
+    original = Process.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        original(self, *args, **kwargs)
+
+    def child(env):
+        yield env.timeout(1.0)
+        return "done"
+
+    def parent(env):
+        yield env.timeout(1.0)
+        return (yield from env.call(child(env)))
+
+    top = env.process(parent(env))
+    monkeypatch.setattr(Process, "__init__", counting)
+    assert env.run_until_complete(top) == "done"
+    assert made == []
+
+
+def test_call_requires_a_generator():
+    env = Environment()
+
+    def parent(env):
+        yield from env.call(lambda: None)
+
+    env.process(parent(env))
+    with pytest.raises(SimulationError, match="requires a generator"):
+        env.run()
+
+
+def test_call_lets_a_closing_generator_close():
+    """GeneratorExit passes through call() (a suspended caller being
+    collected), it is not turned into a failed child."""
+    env = Environment()
+    closed = []
+
+    def child(env):
+        try:
+            yield env.event()  # never fires
+        finally:
+            closed.append("child")
+
+    def parent(env):
+        yield env.timeout(1.0)
+        yield from env.call(child(env))
+
+    generator = parent(env)
+    env.process(generator)
+    env.run()
+    generator.close()
+    assert closed == ["child"]
 
 
 def test_processed_event_counter_increases():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment, set_pop_observer
+from repro.sim.engine import Environment, Sleep, set_pop_observer
 from repro.sim.resources import Request, Resource, TokenBucket
 from repro.sim.signal import Signal
 
@@ -17,7 +17,7 @@ def test_resource_serializes_at_capacity_one():
     finish_times = []
 
     def worker(env):
-        yield from resource.serve(10.0)
+        yield resource.serve(10.0)
         finish_times.append(env.now)
 
     for _ in range(3):
@@ -32,7 +32,7 @@ def test_resource_parallel_at_higher_capacity():
     finish_times = []
 
     def worker(env):
-        yield from resource.serve(10.0)
+        yield resource.serve(10.0)
         finish_times.append(env.now)
 
     for _ in range(3):
@@ -47,7 +47,7 @@ def test_resource_fifo_ordering():
     order = []
 
     def worker(env, tag):
-        yield from resource.serve(1.0)
+        yield resource.serve(1.0)
         order.append(tag)
 
     for tag in range(5):
@@ -78,7 +78,7 @@ def test_busy_fraction_tracks_utilization():
     resource = Resource(env, 1)
 
     def worker(env):
-        yield from resource.serve(50.0)
+        yield resource.serve(50.0)
         yield env.timeout(50.0)
 
     env.process(worker(env))
@@ -91,7 +91,7 @@ def test_queue_length_visible_while_waiting():
     resource = Resource(env, 1)
 
     def holder(env):
-        yield from resource.serve(100.0)
+        yield resource.serve(100.0)
 
     def observer(env):
         yield env.timeout(1.0)
@@ -212,7 +212,7 @@ def test_busy_accounting_exact_across_handoffs():
     resource = Resource(env, 1)
 
     def worker(env):
-        yield from resource.serve(10.0)
+        yield resource.serve(10.0)
 
     for _ in range(4):
         env.process(worker(env))
@@ -230,6 +230,10 @@ def test_busy_accounting_exact_across_handoffs():
 
 
 # -- serve(): in-place grants and the one-resume queued path -----------------
+
+
+def _one_yield_serve(env, resource, duration):
+    yield resource.serve(duration)
 
 
 def _two_yield_serve(env, resource, duration):
@@ -278,9 +282,7 @@ def _mixed_schedule(serve):
 
 
 def test_serve_equals_two_yield_pattern_on_mixed_schedule():
-    env, wide, narrow, finished, pops = _mixed_schedule(
-        lambda env, resource, duration: resource.serve(duration)
-    )
+    env, wide, narrow, finished, pops = _mixed_schedule(_one_yield_serve)
     ref_env, ref_wide, ref_narrow, ref_finished, ref_pops = _mixed_schedule(
         _two_yield_serve
     )
@@ -308,7 +310,7 @@ def test_serve_capacity_two_queues_the_third():
     finish_times = []
 
     def worker(env):
-        yield from resource.serve(10.0)
+        yield resource.serve(10.0)
         finish_times.append(env.now)
 
     def probe(env):
@@ -332,11 +334,11 @@ def test_successor_grant_sequenced_before_releaser_continues():
     after_release = env.event()
 
     def first(env):
-        yield from resource.serve(5.0)
+        yield resource.serve(5.0)
         after_release.succeed("first continues")
 
     def second(env):
-        yield from resource.serve(5.0)
+        yield resource.serve(5.0)
 
     env.process(first(env))
     env.process(second(env))
@@ -356,22 +358,93 @@ def test_successor_grant_sequenced_before_releaser_continues():
 def test_quiet_grant_fires_in_place_and_is_counted():
     env = Environment()
     resource = Resource(env, 1)
+    queued = []
 
     def worker(env):
         yield env.timeout(1.0)
         before = env.processed_events
-        service = resource.serve(2.0)
-        timer = next(service)  # runs serve() up to its only yield
+        sleep = resource.serve(2.0)
+        # The grant is accounted for, the slot taken, and nothing queued:
+        # no grant event, and no timeout object either.
         assert env.processed_events == before + 1
         assert resource.in_service == 1
-        assert env.queued_events == 1  # the service timeout, no grant event
-        yield timer
-        assert next(service, "done") == "done"
+        assert env.queued_events == 1  # the probe's timeout only
+        assert isinstance(sleep, Sleep) and sleep.delay == 2.0
+        yield sleep
+        assert env.now == 3.0
         assert resource.in_service == 0
 
+    def probe(env):
+        yield env.timeout(2.0)
+        queued.append(env.queued_events)  # the worker itself, asleep
+
     process = env.process(worker(env))
-    env.run_until_complete(process)
+    env.process(probe(env))
+    pops = []
+    set_pop_observer(lambda now, event: pops.append((now, type(event).__name__)))
+    try:
+        env.run_until_complete(process)
+    finally:
+        set_pop_observer(None)
     assert env.now == 3.0
+    assert queued == [1]
+    # The observer is shown the grant and the timeout all the same.
+    assert [pop for pop in pops if pop[1] in ("Request", "Timeout")] == [
+        (1.0, "Timeout"), (1.0, "Request"), (2.0, "Timeout"), (3.0, "Timeout"),
+    ]
+    assert len(pops) == env.processed_events
+
+
+def test_serve_needs_a_running_process_with_no_serve_pending():
+    env = Environment()
+    resource = Resource(env, 2)
+    with pytest.raises(SimulationError, match="no process running"):
+        resource.serve(1.0)
+    assert resource.in_service == 0
+
+    def twice(env):
+        resource.serve(1.0)  # result dropped: the release is still armed
+        yield resource.serve(1.0)
+
+    env.process(twice(env))
+    with pytest.raises(SimulationError, match="previous serve"):
+        env.run()
+    assert resource.in_service == 1  # the leak the linter flags (SIM003)
+    # Between resumes no process is running again.
+    with pytest.raises(SimulationError, match="no process running"):
+        resource.serve(1.0)
+
+
+def test_serve_result_is_yielded_not_iterated():
+    env = Environment()
+    resource = Resource(env, 1)
+
+    def old_form(env):
+        yield from resource.serve(1.0)
+
+    env.process(old_form(env))
+    with pytest.raises(TypeError, match="not iterable"):
+        env.run()
+
+
+def test_sub_resolution_service_is_a_real_timeout_in_the_fifo():
+    """A delay too small to move the clock cannot be parked in the
+    calendar (nothing there is ever due at the instant it was put in)."""
+    env = Environment()
+    resource = Resource(env, 1)
+    finished = []
+
+    def worker(env, duration):
+        yield env.timeout(1e6)
+        yield resource.serve(duration)
+        finished.append(env.now)
+
+    env.process(worker(env, 0))
+    env.process(worker(env, 1e-12))  # 1e6 + 1e-12 == 1e6 in floats
+    env.process(worker(env, 3))  # an int duration
+    env.run()
+    assert finished == [1e6, 1e6, 1e6 + 3]
+    assert resource.in_service == 0 and env.queued_events == 0
 
 
 def test_serve_rejects_negative_duration_without_taking_a_slot():
@@ -379,7 +452,7 @@ def test_serve_rejects_negative_duration_without_taking_a_slot():
     resource = Resource(env, 1)
 
     def worker(env):
-        yield from resource.serve(-1.0)
+        yield resource.serve(-1.0)
 
     env.process(worker(env))
     with pytest.raises(SimulationError):
@@ -402,7 +475,7 @@ def test_direct_request_and_serve_share_one_queue():
         resource.release(request)
 
     def served(env, tag, duration):
-        yield from resource.serve(duration)
+        yield resource.serve(duration)
         log.append((tag, "served", env.now))
 
     env.process(direct(env, "a", 3.0))

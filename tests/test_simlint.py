@@ -132,6 +132,66 @@ def test_sim003_allows_started_or_delegated_generators():
     ) == []
 
 
+def test_sim003_flags_dropped_serve_result():
+    """serve() is a plain call: it has taken the slot and armed the
+    release by the time it returns, so its result must be yielded."""
+    assert codes(
+        "def program(env, die):\n"
+        "    die.serve(5.0)\n"
+        "    yield env.timeout(1)\n"
+    ) == ["SIM003"]
+    assert codes(
+        "class Array:\n"
+        "    def program(self, block):\n"
+        "        token = self._die_res[block].serve(self.timing.program_us)\n"
+        "        yield self.env.timeout(1)\n"
+    ) == ["SIM003"]
+
+
+def test_sim003_serve_check_is_per_function():
+    """A nested function is judged on its own: flagged once, and not
+    excused by the enclosing function yielding a name spelled the same."""
+    assert codes(
+        "def outer(env, die):\n"
+        "    def inner():\n"
+        "        token = die.serve(1.0)\n"
+        "        yield env.timeout(1)\n"
+        "    token = die.serve(2.0)\n"
+        "    yield token\n"
+    ) == ["SIM003"]
+
+
+def test_sim003_flags_iterated_serve_result():
+    assert codes(
+        "def program(env, die):\n"
+        "    yield from die.serve(5.0)\n"
+    ) == ["SIM003"]
+    assert codes(
+        "class Device:\n"
+        "    def store(self):\n"
+        "        yield from self.controller.serve(self.config.store_us)\n"
+    ) == ["SIM003"]
+
+
+def test_sim003_allows_yielded_serve_and_own_serve_generators():
+    assert codes(
+        "def program(env, die, pool):\n"
+        "    yield die.serve(5.0)\n"
+        "    token = die.serve(1.0)\n"
+        "    yield token\n"
+        "def wrapper(pool, d):\n"
+        "    return pool.resource.serve(d)\n"
+    ) == []
+    # A class whose own serve() is a generator delegates to it freely.
+    assert codes(
+        "class Frontend:\n"
+        "    def serve(self, schedule):\n"
+        "        yield self.env.timeout(1)\n"
+        "    def run(self, schedule):\n"
+        "        yield from self.serve(schedule)\n"
+    ) == []
+
+
 # -- SIM004: timestamp equality ----------------------------------------------
 
 
