@@ -51,8 +51,8 @@ class BlockDeviceAPI:
         span = self.device.tracer.op("write")
         try:
             self.driver.cpu.charge(self.component, self.LIBRARY_CPU_US)
-            with span.phase("nvme"):
-                yield from self.driver.submit(1, self.sync, self.component)
+            span.enter("nvme")
+            yield from self.driver.submit(1, self.sync, self.component)
             try:
                 yield from self.device.write(offset, nbytes, span=span)
             except DeviceError as exc:
@@ -67,8 +67,8 @@ class BlockDeviceAPI:
         span = self.device.tracer.op("read")
         try:
             self.driver.cpu.charge(self.component, self.LIBRARY_CPU_US)
-            with span.phase("nvme"):
-                yield from self.driver.submit(1, self.sync, self.component)
+            span.enter("nvme")
+            yield from self.driver.submit(1, self.sync, self.component)
             try:
                 yield from self.device.read(offset, nbytes, span=span)
             except DeviceError as exc:
@@ -83,8 +83,8 @@ class BlockDeviceAPI:
         span = self.device.tracer.op("deallocate")
         try:
             self.driver.cpu.charge(self.component, self.LIBRARY_CPU_US)
-            with span.phase("nvme"):
-                yield from self.driver.submit(1, self.sync, self.component)
+            span.enter("nvme")
+            yield from self.driver.submit(1, self.sync, self.component)
             try:
                 yield from self.device.deallocate(offset, nbytes, span=span)
             except DeviceError as exc:

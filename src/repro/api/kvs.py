@@ -54,8 +54,8 @@ class KVStoreAPI:
     ) -> Generator[Event, None, int]:
         ncommands = commands_for_key(len(key))
         self.driver.cpu.charge(self.component, self.LIBRARY_CPU_US)
-        with span.phase("nvme"):
-            yield from self.driver.submit(ncommands, self.sync, self.component)
+        span.enter("nvme")
+        yield from self.driver.submit(ncommands, self.sync, self.component)
         return ncommands
 
     def _fail(self, exc: DeviceError) -> None:
@@ -133,8 +133,8 @@ class KVStoreAPI:
         span = self.device.tracer.op("iterate")
         try:
             self.driver.cpu.charge(self.component, self.LIBRARY_CPU_US)
-            with span.phase("nvme"):
-                yield from self.driver.submit(1, self.sync, self.component)
+            span.enter("nvme")
+            yield from self.driver.submit(1, self.sync, self.component)
             try:
                 keys = yield from self.device.iterate(
                     prefix4, limit, ncommands=1, span=span

@@ -172,12 +172,12 @@ class BlockSSD:
         keep a command's data together, and scattering it across pages
         would fan a later read of the same range across the whole array.
         ``span`` is the operation's root trace span; every suspension
-        point sits in one of its attribution phases.
+        point follows one of its attribution marks.
         """
         self._check_range(offset, nbytes)
         self.core.ensure_writable()
-        with span.phase("controller"):
-            yield self.controller.serve(self.config.host_interface_us)
+        span.enter("controller")
+        yield self.controller.serve(self.config.host_interface_us)
         pieces = self._split_units(offset, nbytes)
 
         # Phase 1: mapping updates and sub-unit read-modify-writes (timed).
@@ -197,8 +197,8 @@ class BlockSSD:
                 if hit
                 else self.config.map_update_miss_us
             )
-            with span.phase("index"):
-                yield self.controller.serve(cost)
+            span.enter("index")
+            yield self.controller.serve(cost)
             partial = length < self.map_unit
             slot_id = self.pagemap.lookup(unit)
             if partial and slot_id != UNMAPPED and unit not in self._pending:
@@ -219,12 +219,12 @@ class BlockSSD:
         )
         for start in range(0, len(pieces), group_units):
             group = pieces[start:start + group_units]
-            with span.phase("buffer"):
-                yield from self.buffer.admit(len(group) * self.map_unit)
-            with span.phase("controller"):
-                yield self.controller.serve(
-                    self.config.buffer_copy_us * len(group)
-                )
+            span.enter("buffer")
+            yield from self.buffer.admit(len(group) * self.map_unit)
+            span.enter("controller")
+            yield self.controller.serve(
+                self.config.buffer_copy_us * len(group)
+            )
             for unit, _in_unit, _length in group:
                 self._sequence += 1
                 entry = self._pending.get(unit)
@@ -260,8 +260,8 @@ class BlockSSD:
     ) -> Generator[Event, None, None]:
         """Host read (timed process)."""
         self._check_range(offset, nbytes)
-        with span.phase("controller"):
-            yield self.controller.serve(self.config.host_interface_us)
+        span.enter("controller")
+        yield self.controller.serve(self.config.host_interface_us)
         page_reads: Dict[Tuple[int, int], int] = {}
         seen_segments = set()
         for unit, _in_unit, length in self._split_units(offset, nbytes):
@@ -271,19 +271,19 @@ class BlockSSD:
             else:
                 seen_segments.add(segment)
                 hit = self.segment_cache.access(unit)
-            with span.phase("index"):
-                yield self.controller.serve(self.config.map_hit_us)
-                if not hit:
-                    yield self.map_loader.serve(self.config.map_load_us)
+            span.enter("index")
+            yield self.controller.serve(self.config.map_hit_us)
+            if not hit:
+                yield self.map_loader.serve(self.config.map_load_us)
             if unit in self._pending:
-                with span.phase("controller"):
-                    yield self.controller.serve(self.config.buffer_read_us)
+                span.enter("controller")
+                yield self.controller.serve(self.config.buffer_read_us)
                 continue
             slot_id = self.pagemap.lookup(unit)
             if slot_id == UNMAPPED:
                 # Reading never-written space: served from controller only.
-                with span.phase("controller"):
-                    yield self.controller.serve(self.config.buffer_read_us)
+                span.enter("controller")
+                yield self.controller.serve(self.config.buffer_read_us)
                 continue
             block, page, _slot = self.pagemap.unflatten(slot_id)
             key = (block, page)
@@ -299,8 +299,8 @@ class BlockSSD:
             # Parallel page reads share the op's flash phase, so any
             # retry time lands there too (per-page recovery attribution
             # would require splitting the all_of wait).
-            with span.phase("flash"):
-                yield self.env.all_of(procs)
+            span.enter("flash")
+            yield self.env.all_of(procs)
         self.stats.host_reads += 1
         self.stats.host_read_bytes += nbytes
 
@@ -314,10 +314,10 @@ class BlockSSD:
         """Drop mappings for fully covered units (timed, cheap)."""
         self._check_range(offset, nbytes)
         pieces = self._split_units(offset, nbytes)
-        with span.phase("controller"):
-            yield self.controller.serve(
-                self.config.host_interface_us + 0.05 * len(pieces)
-            )
+        span.enter("controller")
+        yield self.controller.serve(
+            self.config.host_interface_us + 0.05 * len(pieces)
+        )
         for unit, in_unit, length in pieces:
             if in_unit != 0 or length != self.map_unit:
                 continue  # partial-unit trims are advisory no-ops

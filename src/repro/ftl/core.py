@@ -604,21 +604,21 @@ class FtlCore:
         content is not modeled, so collection proceeds and the failure
         is only counted).
         """
-        with span.phase("flash"):
-            result = yield from self.array.read(block, page, nbytes)
+        span.enter("flash")
+        result = yield from self.array.read(block, page, nbytes)
         if result.ok:
             return result
         faults = self.array.faults
         config = faults.config
         started = self.env.now
         attempt = 0
-        with span.phase("recovery"):
-            while not result.ok and attempt < config.max_read_retries:
-                attempt += 1
-                yield self.env.timeout(config.read_retry_backoff_us * attempt)
-                result = yield from self.array.read(
-                    block, page, nbytes, attempt=attempt
-                )
+        span.enter("recovery")
+        while not result.ok and attempt < config.max_read_retries:
+            attempt += 1
+            yield self.env.timeout(config.read_retry_backoff_us * attempt)
+            result = yield from self.array.read(
+                block, page, nbytes, attempt=attempt
+            )
         faults.finish_read(block, page)
         elapsed = self.env.now - started
         self.stats.read_retries += attempt

@@ -336,6 +336,10 @@ class HashKVStore:
         scheme = scheme or KeyScheme()
         if count < 1:
             raise ConfigurationError(f"fill count must be >= 1, got {count}")
+        if count > 10 ** scheme.digits:
+            raise ConfigurationError(
+                f"fill of {count} pairs overflows {scheme.digits}-digit keys"
+            )
         rbytes = self.record_bytes(value_bytes)
         wblock_bytes = self.config.write_block_bytes
         per_block = wblock_bytes // rbytes

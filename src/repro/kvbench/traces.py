@@ -66,6 +66,8 @@ TRACE_VERSION = 1
 #: Recognized record op codes (superset of OpType: scans have no
 #: first-class OpType; the replay driver expands them).
 OP_CODES = ("insert", "update", "read", "delete", "scan")
+#: The four codes that are an OpType, looked up per replayed record.
+_OP_TYPES = {op.value: op for op in OpType}
 
 #: Default synthetic inter-arrival gap when exporting a spec (10k ops/s).
 DEFAULT_INTERARRIVAL_US = 100.0
@@ -431,7 +433,10 @@ class TraceWorkload:
                 Operation(OpType.READ, record.key, index, 0),
                 scan_length=record.size,
             )
-        return Operation(OpType(record.op), record.key, index, record.size)
+        op = _OP_TYPES.get(record.op)
+        if op is None:
+            raise WorkloadError(f"unknown trace op {record.op!r}")
+        return Operation(op, record.key, index, record.size)
 
     def operations(self) -> Iterator[ReplayOp]:
         """The trace's operation stream, in arrival order."""

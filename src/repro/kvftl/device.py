@@ -64,7 +64,11 @@ from repro.trace.tracer import NULL_SPAN, Tracer
 from repro.units import KIB, ceil_div
 
 
-@dataclass
+#: Shapes a device keeps layouts for (workloads use a handful).
+_LAYOUT_SHAPES = 4096
+
+
+@dataclass(slots=True)
 class _Record:
     """Device-side state of one individually stored pair."""
 
@@ -80,7 +84,7 @@ class _Record:
         return sum(self.fragments)
 
 
-@dataclass
+@dataclass(slots=True)
 class _QueuedFragment:
     """One blob fragment waiting in the device DRAM pack queue."""
 
@@ -187,6 +191,9 @@ class KVSSD:
         self.buffer = self.core.buffer
 
         self._records: Dict[bytes, _Record] = {}
+        #: (key bytes, value bytes) -> layout: a pure function of the shape
+        #: on this device's page size and config, so computed once.
+        self._layouts: Dict[Tuple[int, int], BlobLayout] = {}
         self._populations: List[PrimedPopulation] = []
         #: Key prefix -> position in ``_populations``, and the distinct
         #: prefix lengths: a key names at most one population per length.
@@ -252,27 +259,26 @@ class KVSSD:
         ``ncommands`` is the number of NVMe commands the host needed to
         convey the request (2 for keys above the inline limit, Fig. 8);
         each costs one round of interface processing.  ``span`` is the
-        operation's root trace span; every suspension point below sits in
-        one of its phases, so the attribution buckets tile the latency.
+        operation's root trace span; every suspension point below follows
+        one of its marks, so the attribution buckets tile the latency.
         """
         validate_key(key, self.config)
         validate_value_size(value_bytes, self.config)
         self.core.ensure_writable()
-        layout = layout_blob(
-            len(key), value_bytes, self.array.geometry.page_bytes, self.config
+        layout = self.layout_for(len(key), value_bytes)
+        span.enter("controller")
+        yield self.controller.serve(
+            self.config.host_interface_us * ncommands
+            + self.config.store_controller_us
         )
-        with span.phase("controller"):
+        if layout.is_split:
+            # Splitting and offset-pointer management per extra fragment.
             yield self.controller.serve(
-                self.config.host_interface_us * ncommands
-                + self.config.store_controller_us
+                self.config.split_fragment_us * (layout.data_fragments - 1)
             )
-            if layout.is_split:
-                # Splitting and offset-pointer management per extra fragment.
-                yield self.controller.serve(
-                    self.config.split_fragment_us * (layout.data_fragments - 1)
-                )
-        with span.phase("index"):
-            yield self.index_managers.serve(self.config.store_index_us)
+        span.enter("index")
+        yield self.index_managers.resource.serve(self.config.store_index_us)
+        if self.merge.behind():
             yield from self.merge.backpressure()
 
         # Resolved after the suspension points above: a concurrent store of
@@ -321,12 +327,12 @@ class KVSSD:
         self._records[key] = record
         self.stats.record_store(len(key), value_bytes, layout.footprint_bytes)
         for frag_index, nbytes in enumerate(layout.fragments):
-            with span.phase("buffer"):
-                yield from self.buffer.admit(nbytes)
-            with span.phase("controller"):
-                yield self.controller.serve(
-                    self.config.buffer_copy_us_per_kib * nbytes / KIB
-                )
+            span.enter("buffer")
+            yield from self.buffer.admit(nbytes)
+            span.enter("controller")
+            yield self.controller.serve(
+                self.config.buffer_copy_us_per_kib * nbytes / KIB
+            )
             self._pack_queue.append(
                 _QueuedFragment(key, frag_index, nbytes, record.sequence, self.env.now)
             )
@@ -342,18 +348,18 @@ class KVSSD:
     ) -> Generator[Event, None, int]:
         """Retrieve a pair; returns the value size.  Timed process."""
         validate_key(key, self.config)
-        with span.phase("controller"):
-            yield self.controller.serve(
-                self.config.host_interface_us * ncommands
-                + self.config.retrieve_controller_us
-            )
-        with span.phase("index"):
-            yield self.index_managers.serve(self.config.retrieve_index_us)
-            found = self._find_live(key)
-            if not self.bloom.maybe_present(key, found is not None):
-                raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
-            for _ in range(self.index.lookup_flash_reads(key)):
-                yield from self.merge.index_page_read()
+        span.enter("controller")
+        yield self.controller.serve(
+            self.config.host_interface_us * ncommands
+            + self.config.retrieve_controller_us
+        )
+        span.enter("index")
+        yield self.index_managers.resource.serve(self.config.retrieve_index_us)
+        found = self._find_live(key)
+        if not self.bloom.maybe_present(key, found is not None):
+            raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
+        for _ in range(self.index.lookup_flash_reads(key)):
+            yield from self.merge.index_page_read()
         if found is None:
             raise KeyNotFoundError(f"key {key!r} not stored")
 
@@ -363,8 +369,8 @@ class KVSSD:
             procs = []
             for frag_index, location in enumerate(record.locations):
                 if location is None:
-                    with span.phase("controller"):
-                        yield self.controller.serve(self.config.buffer_read_us)
+                    span.enter("controller")
+                    yield self.controller.serve(self.config.buffer_read_us)
                     continue
                 block, page = location
                 procs.append(
@@ -378,8 +384,8 @@ class KVSSD:
                 # Parallel fragment reads share the op's flash phase, so
                 # any retry time lands there too (per-fragment recovery
                 # attribution would require splitting the all_of wait).
-                with span.phase("flash"):
-                    yield self.env.all_of(procs)
+                span.enter("flash")
+                yield self.env.all_of(procs)
             value_bytes = record.value_bytes
         else:
             population, index = payload
@@ -397,17 +403,17 @@ class KVSSD:
     ) -> Generator[Event, None, bool]:
         """Membership query (timed); no data page access."""
         validate_key(key, self.config)
-        with span.phase("controller"):
-            yield self.controller.serve(
-                self.config.host_interface_us * ncommands
-            )
-        with span.phase("index"):
-            yield self.index_managers.serve(self.config.exist_index_us)
-            found = self._find_live(key) is not None
-            if not self.bloom.maybe_present(key, found):
-                return False
-            for _ in range(self.index.lookup_flash_reads(key)):
-                yield from self.merge.index_page_read()
+        span.enter("controller")
+        yield self.controller.serve(
+            self.config.host_interface_us * ncommands
+        )
+        span.enter("index")
+        yield self.index_managers.resource.serve(self.config.exist_index_us)
+        found = self._find_live(key) is not None
+        if not self.bloom.maybe_present(key, found):
+            return False
+        for _ in range(self.index.lookup_flash_reads(key)):
+            yield from self.merge.index_page_read()
         return found
 
     def delete(
@@ -415,19 +421,20 @@ class KVSSD:
     ) -> Generator[Event, None, None]:
         """Delete a pair (timed)."""
         validate_key(key, self.config)
-        with span.phase("controller"):
-            yield self.controller.serve(
-                self.config.host_interface_us * ncommands
-            )
-        with span.phase("index"):
-            yield self.index_managers.serve(self.config.delete_index_us)
-            found = self._find_live(key)
-            if not self.bloom.maybe_present(key, found is not None):
-                raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
-            for _ in range(self.index.lookup_flash_reads(key)):
-                yield from self.merge.index_page_read()
-            if found is None:
-                raise KeyNotFoundError(f"key {key!r} not stored")
+        span.enter("controller")
+        yield self.controller.serve(
+            self.config.host_interface_us * ncommands
+        )
+        span.enter("index")
+        yield self.index_managers.resource.serve(self.config.delete_index_us)
+        found = self._find_live(key)
+        if not self.bloom.maybe_present(key, found is not None):
+            raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
+        for _ in range(self.index.lookup_flash_reads(key)):
+            yield from self.merge.index_page_read()
+        if found is None:
+            raise KeyNotFoundError(f"key {key!r} not stored")
+        if self.merge.behind():
             yield from self.merge.backpressure()
         self._invalidate_live(key, found)
         self.index.note_delete()
@@ -451,17 +458,17 @@ class KVSSD:
             )
         if limit < 1:
             raise ConfigurationError(f"iterator limit must be >= 1, got {limit}")
-        with span.phase("controller"):
-            yield self.controller.serve(
-                self.config.host_interface_us * ncommands
-            )
-        with span.phase("index"):
-            yield self.index_managers.serve(self.config.exist_index_us)
-            count = self.iterators.bucket_count(prefix4)
-            # Bucket pages hold ~page/64B key entries each.
-            keys_per_page = max(1, self.array.geometry.page_bytes // 64)
-            for _ in range(ceil_div(max(count, 1), keys_per_page)):
-                yield from self.merge.index_page_read()
+        span.enter("controller")
+        yield self.controller.serve(
+            self.config.host_interface_us * ncommands
+        )
+        span.enter("index")
+        yield self.index_managers.resource.serve(self.config.exist_index_us)
+        count = self.iterators.bucket_count(prefix4)
+        # Bucket pages hold ~page/64B key entries each.
+        keys_per_page = max(1, self.array.geometry.page_bytes // 64)
+        for _ in range(ceil_div(max(count, 1), keys_per_page)):
+            yield from self.merge.index_page_read()
         matches: List[bytes] = [
             key for key in self._records if key[:4] == prefix4
         ]
@@ -684,7 +691,14 @@ class KVSSD:
         return self.core.free_block_count()
 
     def layout_for(self, key_bytes: int, value_bytes: int) -> BlobLayout:
-        """Blob layout this device would use for a (key, value) size pair."""
-        return layout_blob(
-            key_bytes, value_bytes, self.array.geometry.page_bytes, self.config
-        )
+        """Blob layout this device uses for a (key, value) size pair."""
+        shape = (key_bytes, value_bytes)
+        layout = self._layouts.get(shape)
+        if layout is None:
+            if len(self._layouts) >= _LAYOUT_SHAPES:
+                self._layouts.clear()  # a trace of all-distinct sizes
+            layout = self._layouts[shape] = layout_blob(
+                key_bytes, value_bytes, self.array.geometry.page_bytes,
+                self.config,
+            )
+        return layout

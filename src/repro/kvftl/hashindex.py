@@ -60,7 +60,8 @@ class GlobalHashIndex:
         self.region_blocks = list(region_blocks)
         self.pages_per_block = pages_per_block
         self.entries = 0
-        self._dirty_entries = 0
+        #: Entries accumulated in local indexes, awaiting merge.
+        self.dirty_entries = 0
         self._cursor = 0
 
     # -- size model ---------------------------------------------------------
@@ -120,23 +121,18 @@ class GlobalHashIndex:
     def note_insert(self) -> None:
         """Record a new entry landing in a local index (pre-merge)."""
         self.entries += 1
-        self._dirty_entries += 1
+        self.dirty_entries += 1
 
     def note_update(self) -> None:
         """Record an entry's location changing (update/GC relocation)."""
-        self._dirty_entries += 1
+        self.dirty_entries += 1
 
     def note_delete(self) -> None:
         """Record an entry removal."""
         if self.entries <= 0:
             raise ConfigurationError("index delete with no entries")
         self.entries -= 1
-        self._dirty_entries += 1
-
-    @property
-    def dirty_entries(self) -> int:
-        """Entries accumulated in local indexes, awaiting merge."""
-        return self._dirty_entries
+        self.dirty_entries += 1
 
     def take_merge_batch(self) -> MergeWork:
         """Consume up to one merge batch of dirty entries; return its cost.
@@ -145,10 +141,10 @@ class GlobalHashIndex:
         over ``P`` pages: ``P * (1 - (1 - 1/P)**B)``.  Non-resident pages
         are read before rewrite; every touched page is written back.
         """
-        batch = min(self._dirty_entries, self.config.merge_batch)
+        batch = min(self.dirty_entries, self.config.merge_batch)
         if batch == 0:
             return MergeWork(0, 0)
-        self._dirty_entries -= batch
+        self.dirty_entries -= batch
         pages = self.index_pages
         touched = pages * (1.0 - (1.0 - 1.0 / pages) ** batch)
         resident = self.resident_fraction()

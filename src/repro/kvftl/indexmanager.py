@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.kvftl.keyhash import hash_fraction
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 from repro.sim.resources import Resource
 
 #: Salt mixed into the key before deriving the false-positive draw, so the
@@ -51,14 +51,11 @@ class BloomModel:
 
 
 class IndexManagerPool:
-    """The controller's index-manager units as a counted resource."""
+    """The controller's index-manager units as a counted resource
+    (``yield pool.resource.serve(us)`` occupies one manager)."""
 
     def __init__(self, env: Environment, managers: int, name: str = "") -> None:
         if managers < 1:
             raise ConfigurationError(f"need >= 1 index manager, got {managers}")
         self.resource = Resource(env, managers, name=f"{name}.idxmgr")
         self.managers = managers
-
-    def serve(self, duration_us: float) -> Event:
-        """``yield`` helper: occupy one manager for ``duration_us``."""
-        return self.resource.serve(duration_us)

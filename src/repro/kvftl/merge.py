@@ -85,9 +85,13 @@ class MergeEngine:
         if self.index.dirty_entries >= self.config.merge_batch:
             self._wakeup.notify_all()
 
+    def behind(self) -> bool:
+        """Whether the local indexes are full, i.e. a store has to wait."""
+        return self.index.dirty_entries >= self._local_index_capacity
+
     def backpressure(self) -> Generator[Event, None, None]:
         """Block stores while local indexes are full (merge engine behind)."""
-        while self.index.dirty_entries >= self._local_index_capacity:
+        while self.behind():
             self._wakeup.notify_all()
             yield self._done.wait()
 

@@ -29,15 +29,16 @@ class KeyScheme:
 
     prefix: bytes = b"key-"
     digits: int = 12
+    #: Length of every key this scheme produces, and of its prefix: derived
+    #: once (every lookup of a primed key reads both).
+    key_bytes: int = field(init=False, repr=False, compare=False)
+    _prefix_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.digits < 1:
             raise ValueError(f"digits must be >= 1, got {self.digits}")
-
-    @property
-    def key_bytes(self) -> int:
-        """Length of every key this scheme produces."""
-        return len(self.prefix) + self.digits
+        object.__setattr__(self, "_prefix_bytes", len(self.prefix))
+        object.__setattr__(self, "key_bytes", len(self.prefix) + self.digits)
 
     def key_for(self, index: int) -> bytes:
         """The key naming pair number ``index``."""
@@ -49,7 +50,7 @@ class KeyScheme:
         """Inverse of :meth:`key_for`; None for keys outside the scheme."""
         if len(key) != self.key_bytes or not key.startswith(self.prefix):
             return None
-        suffix = key[len(self.prefix):]
+        suffix = key[self._prefix_bytes:]
         if not suffix.isdigit():
             return None
         return int(suffix)
@@ -86,9 +87,10 @@ class PrimedPopulation:
     def location_of(self, index: int) -> Tuple[int, int]:
         """Current (block, page) of the pair's blob."""
         self._check(index)
-        if index in self.relocated:
-            return self.relocated[index]
-        page_seq = self.page_of(index)
+        moved = self.relocated.get(index)
+        if moved is not None:
+            return moved
+        page_seq = index // self.blobs_per_page
         return self.page_blocks[page_seq], self.page_indices[page_seq]
 
     def lookup(self, key: bytes) -> Optional[int]:

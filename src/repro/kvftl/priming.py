@@ -29,6 +29,10 @@ def fast_fill(
     scheme = scheme or KeyScheme()
     if count < 1:
         raise ConfigurationError(f"fill count must be >= 1, got {count}")
+    if count > 10 ** scheme.digits:
+        raise ConfigurationError(
+            f"fill of {count} pairs overflows {scheme.digits}-digit keys"
+        )
     if scheme.prefix in device._population_of_prefix:
         raise ConfigurationError(
             f"a population with prefix {scheme.prefix!r} already exists"

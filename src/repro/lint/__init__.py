@@ -16,7 +16,6 @@ SIM003    generator model function called as a bare statement
 SIM004    no ``==`` / ``!=`` on simulated timestamps; use the
           ``units.times_equal`` tolerance helpers
 SIM005    mutable or call-expression default arguments
-SIM006    ``Span.phase(...)`` must be used as a context manager
 ========  ==========================================================
 
 Findings are suppressed per line with ``# simlint: disable=SIM001``

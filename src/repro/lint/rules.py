@@ -2,8 +2,7 @@
 
 Pass 1 (:meth:`ModuleChecker._collect`) records module facts the rules
 need: which local names are bound to the ``time`` / ``datetime`` /
-``random`` modules, which functions and methods are generators, and
-which call expressions appear as ``with``-statement context managers.
+``random`` modules, and which functions and methods are generators.
 Pass 2 walks the tree again and emits :class:`RawFinding` tuples; the
 engine layer applies suppression comments and attaches file paths.
 
@@ -41,8 +40,6 @@ RULES: Dict[str, str] = {
               "tolerance helpers (times_equal)",
     "SIM005": "mutable or call-expression default argument (shared "
               "across calls / instances)",
-    "SIM006": "Span.phase(...) outside a with statement; phases must "
-              "be context-managed so they keep tiling op latency",
     "SIM007": "per-event allocation on a sim/flash hot path: tuple "
               "packed into heappush, or lambda closure handed to a "
               "schedule call",
@@ -159,7 +156,6 @@ class ModuleChecker(ast.NodeVisitor):
         self.random_classes: Set[str] = set()
         self.module_generators: Set[str] = set()
         self.class_generators: Dict[str, Set[str]] = {}
-        self.with_contexts: Set[int] = set()
         # Pass-2 state.
         self._class_stack: List[str] = []
 
@@ -191,9 +187,6 @@ class ModuleChecker(ast.NodeVisitor):
                         self.random_aliases.add(local)
             elif isinstance(node, ast.ImportFrom):
                 self._collect_import_from(node)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    self.with_contexts.add(id(item.context_expr))
         # Generator defs, by scope.
         for node in self.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -253,7 +246,6 @@ class ModuleChecker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self._check_wall_clock(node)
         self._check_randomness(node)
-        self._check_phase_context(node)
         if self.hot_path:
             self._check_hot_path_allocation(node)
         self.generic_visit(node)
@@ -471,16 +463,6 @@ class ModuleChecker(ast.NodeVisitor):
                            "evaluated once at class-definition time and "
                            "shared across instances; use "
                            "field(default_factory=...)")
-
-    # -- SIM006 --------------------------------------------------------
-
-    def _check_phase_context(self, node: ast.Call) -> None:
-        func = node.func
-        if (isinstance(func, ast.Attribute) and func.attr == "phase"
-                and id(node) not in self.with_contexts):
-            self._emit(node, "SIM006",
-                       ".phase(...) outside a with statement; a phase "
-                       "only tiles op latency when context-managed")
 
     # -- SIM007 --------------------------------------------------------
 

@@ -6,11 +6,11 @@ time?*  It produces two kinds of records, both cheap enough to leave
 compiled into the hot paths:
 
 * **Operation span trees** — the host API opens a root :class:`Span` per
-  command (store/retrieve/write/read/...), and the device code brackets
-  every suspension point in a :meth:`Span.phase` naming an attribution
+  command (store/retrieve/write/read/...), and the device code marks
+  every switch of mechanism with :meth:`Span.enter` naming an attribution
   bucket (``nvme``, ``controller``, ``index``, ``buffer``, ``flash``).
-  Because the engine is cooperative, the elapsed simulation time inside a
-  phase is exactly the time that operation spent in that mechanism —
+  Because the engine is cooperative, the elapsed simulation time between
+  two marks is exactly the time that operation spent in that mechanism —
   including queueing — so the buckets sum to the measured operation
   latency by construction.
 * **Device-timeline spans** — flash read/program/erase service intervals
@@ -140,21 +140,6 @@ class TraceCollector:
         self._spans.clear()
 
 
-class _NullPhase:
-    """No-op context manager handed out by :data:`NULL_SPAN`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_PHASE = _NullPhase()
-
-
 class _NullSpan:
     """Inert span: the zero-overhead stand-in when tracing is off."""
 
@@ -163,8 +148,8 @@ class _NullSpan:
     def __bool__(self) -> bool:
         return False
 
-    def phase(self, bucket: str) -> _NullPhase:
-        return _NULL_PHASE
+    def enter(self, bucket: Optional[str]) -> None:
+        return None
 
     def finish(self, **args: Any) -> None:
         return None
@@ -174,45 +159,17 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _Phase:
-    """Charges elapsed simulation time inside a ``with`` to one bucket."""
-
-    __slots__ = ("_span", "_bucket", "_start")
-
-    def __init__(self, span: "Span", bucket: str) -> None:
-        self._span = span
-        self._bucket = bucket
-        self._start = 0.0
-
-    def __enter__(self) -> "_Phase":
-        self._start = self._span._tracer.now()
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        span = self._span
-        tracer = span._tracer
-        duration = tracer.now() - self._start
-        components = span.components
-        components[self._bucket] = components.get(self._bucket, 0.0) + duration
-        if tracer._on_phase:
-            tracer.collector.append(
-                SpanRecord(
-                    tracer.pid, span.track, self._bucket, "phase",
-                    self._start, duration,
-                )
-            )
-        return False
-
-
 class Span:
     """An open operation root; finished via :meth:`finish`.
 
-    Time is attributed through :meth:`phase`; the component totals ride
-    in the finished record's ``args`` so aggregators need no tree
+    Time is attributed through :meth:`enter` marks; the component totals
+    ride in the finished record's ``args`` so aggregators need no tree
     reconstruction.
     """
 
-    __slots__ = ("_tracer", "op", "track", "start_us", "components")
+    __slots__ = (
+        "_tracer", "op", "track", "start_us", "components", "_bucket", "_since",
+    )
 
     def __init__(self, tracer: "Tracer", op: str, track: str) -> None:
         self._tracer = tracer
@@ -220,16 +177,39 @@ class Span:
         self.track = track
         self.start_us = tracer.now()
         self.components: Dict[str, float] = {}
+        self._bucket: Optional[str] = None
+        self._since = 0.0
 
     def __bool__(self) -> bool:
         return True
 
-    def phase(self, bucket: str) -> _Phase:
-        """Context manager charging its elapsed sim time to ``bucket``."""
-        return _Phase(self, bucket)
+    def enter(self, bucket: Optional[str]) -> None:
+        """From now on this op's sim time is charged to ``bucket``.
+
+        Closes the bucket that was open (emitting its ``phase`` record);
+        ``None`` opens nothing.  An operation is in one mechanism at a
+        time, so a mark per switch is the whole protocol.
+        """
+        tracer = self._tracer
+        now = tracer.now()
+        closing = self._bucket
+        if closing is not None:
+            duration = now - self._since
+            components = self.components
+            components[closing] = components.get(closing, 0.0) + duration
+            if tracer._on_phase:
+                tracer.collector.append(
+                    SpanRecord(
+                        tracer.pid, self.track, closing, "phase",
+                        self._since, duration,
+                    )
+                )
+        self._bucket = bucket
+        self._since = now
 
     def finish(self, **args: Any) -> None:
-        """Close the span and emit its record (idempotence not required)."""
+        """Close the open bucket and the span, and emit the op record."""
+        self.enter(None)
         tracer = self._tracer
         end = tracer.now()
         payload: Dict[str, Any] = {"components": dict(self.components)}

@@ -9,11 +9,15 @@ execution per pytest session.
 
 from __future__ import annotations
 
+import os
+import sys
+from collections import Counter
 from functools import lru_cache
-from typing import Any, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 import pytest
 
+import repro
 from repro.core.registry import EXPERIMENTS
 from repro.sim.engine import set_pop_observer
 
@@ -50,6 +54,35 @@ def figure_run(name: str) -> Tuple[Any, int]:
     finally:
         set_pop_observer(None)
     return result, events
+
+
+def call_ledger(run: Callable[[], Any]) -> Tuple[Any, Dict[str, int]]:
+    """``run()``'s result and the Python calls it made into ``repro/``, per
+    top-level package (a module directly under ``repro/`` counts under its
+    own name).  Counted with ``sys.setprofile``, so the numbers are the
+    same on every machine; C builtins are not calls."""
+    root = os.path.dirname(repro.__file__) + os.sep
+    package_of: Dict[str, str] = {}
+    calls: Counter = Counter()
+
+    def profile(frame: Any, event: str, arg: Any) -> None:
+        if event != "call":
+            return
+        filename = frame.f_code.co_filename
+        package = package_of.get(filename)
+        if package is None:
+            inside = filename.startswith(root)
+            head = filename[len(root):].split(os.sep)[0] if inside else ""
+            package = package_of[filename] = head.removesuffix(".py")
+        if package:
+            calls[package] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, dict(calls)
 
 
 def figure_result(name: str) -> Any:

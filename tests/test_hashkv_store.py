@@ -155,6 +155,17 @@ def test_fast_fill_state_consistent():
     assert store.live_keys() == 5000
 
 
+def test_fast_fill_stops_where_the_digits_run_out():
+    env, _device, store = make_store()
+    scheme = KeyScheme(prefix=b"k", digits=3)
+    with pytest.raises(ConfigurationError, match="3-digit"):
+        store.fast_fill(1001, 512, scheme)
+    assert store.live_keys() == 0
+    store.fast_fill(1000, 512, scheme)
+    assert store.live_keys() == 1000
+    assert run(env, store.get(scheme.key_for(999))) == 512
+
+
 def test_fill_overflow_raises():
     env, _device, store = make_store(blocks_per_plane=4)
     with pytest.raises(DeviceFullError):

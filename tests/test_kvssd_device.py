@@ -10,6 +10,7 @@ from repro.errors import (
     KeyNotFoundError,
 )
 from repro.flash.geometry import Geometry
+from repro.kvftl.blob import layout_blob
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.device import KVSSD
 from repro.kvftl.population import KeyScheme
@@ -194,6 +195,45 @@ def test_fast_fill_rejects_split_and_duplicates():
     ssd.fast_fill(10, 512, scheme)
     with pytest.raises(ConfigurationError):
         ssd.fast_fill(10, 512, scheme)
+
+
+def test_fast_fill_stops_where_the_digits_run_out():
+    """``key_for`` never truncates: pair 1000 of a 3-digit scheme would get
+    a 4-digit key that ``index_of`` rejects, primed but unfindable."""
+    scheme = KeyScheme(prefix=b"k", digits=3)
+    env, ssd = make_ssd()
+    with pytest.raises(ConfigurationError, match="3-digit"):
+        ssd.fast_fill(1001, 512, scheme)
+    assert ssd.live_kvps == 0
+    ssd.fast_fill(1000, 512, scheme)
+    assert all(ssd.contains(scheme.key_for(pair)) for pair in range(1000))
+    assert run(env, ssd.retrieve(scheme.key_for(999))) == 512
+
+
+def test_layouts_are_kept_per_device_and_shape():
+    """The cached layout is the computed one, and a device with another
+    minimum allocation keeps its own."""
+    env, coarse = make_ssd(min_alloc_bytes=4096)
+    _env, fine = make_ssd()
+    for ssd in (coarse, fine):
+        run(ssd.env, ssd.store(key(1), 100))
+        run(ssd.env, ssd.store(key(2), 100))
+        run(ssd.env, ssd.store(key(3), 40 * KIB))
+        for value_bytes in (100, 40 * KIB):
+            shape = (len(key(1)), value_bytes)
+            assert ssd.layout_for(*shape) is ssd._layouts[shape]
+            assert ssd._layouts[shape] == layout_blob(
+                *shape, ssd.array.geometry.page_bytes, ssd.config
+            )
+        assert len(ssd._layouts) == 2
+    assert coarse.layout_for(len(key(1)), 100).footprint_bytes == 4096
+    assert fine.layout_for(len(key(1)), 100).footprint_bytes == 1024
+    assert coarse.stats.device_bytes - fine.stats.device_bytes == 2 * 3072
+    # Validation still runs first on every call, cached shape or not.
+    with pytest.raises(InvalidValueError):
+        run(env, coarse.store(key(4), 3 * MIB))
+    with pytest.raises(InvalidKeyError):
+        run(env, coarse.store(b"k", 100))
 
 
 def test_capacity_limit_enforced():

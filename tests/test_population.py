@@ -1,5 +1,8 @@
 """Unit tests for key schemes and primed populations."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.kvftl.population import KeyScheme, PrimedPopulation
@@ -31,6 +34,27 @@ def test_key_scheme_negative_index_rejected():
 def test_key_scheme_digits_validated():
     with pytest.raises(ValueError):
         KeyScheme(digits=0)
+
+
+def test_key_scheme_identity_ignores_its_derived_lengths():
+    """``key_bytes`` is computed at construction; equality, hash and repr
+    are still those of (prefix, digits) — sweep cache keys and worker
+    processes carry schemes — and copies re-derive it."""
+    scheme = KeyScheme(prefix=b"user", digits=8)
+    assert repr(scheme) == "KeyScheme(prefix=b'user', digits=8)"
+    assert scheme == KeyScheme(b"user", 8) != KeyScheme(b"user", 9)
+    assert hash(scheme) == hash(KeyScheme(b"user", 8))
+    assert len({scheme, KeyScheme(b"user", 8), KeyScheme(b"usr-", 8)}) == 2
+    assert scheme.key_bytes == 12
+    assert pickle.loads(pickle.dumps(scheme)) == scheme
+    assert pickle.loads(pickle.dumps(scheme)).key_bytes == 12
+    longer = dataclasses.replace(scheme, digits=20)
+    assert (longer.prefix, longer.key_bytes) == (b"user", 24)
+    assert longer.index_of(longer.key_for(7)) == 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scheme.key_bytes = 13
+    with pytest.raises(TypeError):
+        KeyScheme(b"user", 8, 12)
 
 
 # -- PrimedPopulation --------------------------------------------------------------

@@ -240,25 +240,6 @@ def test_sim005_allows_none_factory_and_immutable_defaults():
     ) == []
 
 
-# -- SIM006: phase context manager -------------------------------------------
-
-
-def test_sim006_flags_unmanaged_phase():
-    assert codes(
-        "def op(span):\n"
-        "    span.phase('flash')\n"
-        "    return 1\n"
-    ) == ["SIM006"]
-
-
-def test_sim006_allows_with_statement():
-    assert codes(
-        "def op(span):\n"
-        "    with span.phase('flash'):\n"
-        "        return 1\n"
-    ) == []
-
-
 def test_sim007_flags_hot_path_allocation_patterns():
     hot = "src/repro/sim/queue.py"
     packed = (
@@ -353,8 +334,7 @@ def test_syntax_error_reports_sim000():
 
 def test_rule_catalog_covers_all_emitted_codes():
     assert set(RULES) == {
-        "SIM000", "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006",
-        "SIM007",
+        "SIM000", "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM007",
         # Whole-program rules (repro.lint.dataflow).
         "SIM008", "SIM009", "SIM010", "SIM011", "SIM012",
     }

@@ -337,6 +337,16 @@ class TestTraceWorkload:
         assert not isinstance(ops[1], YCSBOperation)
         assert ops[1].op is OpType.READ
 
+    def test_every_op_code_maps_and_an_unknown_one_is_named(self):
+        records = [TraceRecord(float(i), op.value, b"pref-001", 8)
+                   for i, op in enumerate(OpType)]
+        assert [op.op for op in TraceWorkload(records)] == list(OpType)
+        # A record cannot be built with a bad op; one smuggled past the
+        # constructor is refused by the replay table, not a bare ValueError.
+        object.__setattr__(records[0], "op", "frob")
+        with pytest.raises(WorkloadError, match="unknown trace op 'frob'"):
+            list(TraceWorkload(records))
+
     def test_foreign_keys_get_stable_first_seen_indices(self):
         records = [
             TraceRecord(0.0, "insert", b"zebra", 64),
