@@ -37,7 +37,7 @@ from repro.exec.runner import SweepRunner
 from repro.faults.run import run_fault_sweep, write_sweep_csv
 from repro.kvbench.report import format_table
 from repro.trace.export import format_breakdown, write_chrome_trace
-from repro.trace.run import run_traced
+from repro.trace.run import SCENARIOS, run_traced
 
 #: Paper rows are commands by name, in 'all' order; every other group is
 #: one command running all of its rows.
@@ -211,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
             "sweep the open-loop serving frontend over offered load, "
             "'replay' to run the trace-replay figures (working-set "
             "rotation and the TTL+scan mix; --smoke for the CI check), "
-            "'lint' to run the simlint static-analysis pass "
-            "(extra args go to repro.lint), or 'sanitize' to replay a "
+            "'lint' to run the simlint per-module static rules "
+            "(paths, --list-rules, --sarif go to repro.lint), or "
+            "'sanitize' to replay a "
             "figure under the runtime nondeterminism sanitizer "
             "(extra args go to repro.lint.sanitizer)"
         ),
@@ -224,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--parallel", type=int,
-        default=int(os.environ.get("REPRO_PARALLEL", "1")), metavar="N",
+        # A host-side default for how the sweep is executed; output is
+        # byte-identical at any worker count, so no result can see it.
+        default=int(os.environ.get(  # simlint: disable=SIM001
+            "REPRO_PARALLEL", "1")), metavar="N",
         help=(
             "worker processes for independent experiment points "
             "(default: $REPRO_PARALLEL or 1 = serial; output is "
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fig3 measured operations per phase (default: 1500)",
     )
     parser.add_argument(
-        "--fig", default="fig6", metavar="FIG",
+        "--fig", default="fig6", choices=sorted(SCENARIOS),
         help="trace: which figure-shaped scenario to record (default: fig6)",
     )
     parser.add_argument(
@@ -314,8 +318,8 @@ def main(argv: List[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv[:1] == ["lint"]:
-        # simlint has its own argument surface (paths, --list-rules);
-        # hand the rest of the command line straight to it.
+        # simlint has its own argument surface (paths, --list-rules,
+        # --sarif); hand the rest of the command line straight to it.
         from repro.lint.__main__ import main as lint_main
 
         return lint_main(argv[1:])

@@ -36,7 +36,7 @@ class SweepPoint:
     #: The cell function; called as ``fn(**kwargs)``.  Deliberately not
     #: canonicalizable: point_key hashes fn by module.qualname identity,
     #: never through exec/cache.canonical.
-    fn: Callable[..., Any]  # simlint: disable=SIM011
+    fn: Callable[..., Any]
     #: Complete inputs of the cell (hashed into the cache key).
     kwargs: Mapping[str, Any] = field(default_factory=dict)
     #: Extra cache-key salt for seeded variants of otherwise-equal cells.

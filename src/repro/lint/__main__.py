@@ -1,18 +1,9 @@
 """``python -m repro.lint [paths...]`` — standalone simlint entry point.
 
 Exit status 0 when clean, 1 when there are findings (or a file fails
-to parse).  ``repro lint`` in the main CLI routes here.
-
-Beyond the plain report, the entry point exposes the whole-program
-machinery directly:
-
-* ``--sarif [FILE]`` writes a SARIF 2.1.0 log (GitHub renders it as
-  inline PR annotations);
-* ``--graph`` dumps the resolved call graph instead of linting;
-* ``--explain SIM008`` prints a rule's rationale with minimal bad/good
-  examples, sourced from the rule implementation's docstring;
-* ``--timings`` appends per-rule wall times so CI can watch the
-  whole-program pass stay fast.
+to parse).  ``repro lint`` in the main CLI routes here.  ``--sarif
+[FILE]`` writes a SARIF 2.1.0 log (GitHub renders it as inline PR
+annotations) instead of the plain report.
 """
 
 from __future__ import annotations
@@ -22,7 +13,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.lint.engine import format_findings, lint_tree, to_sarif
+from repro.lint.engine import format_findings, lint_paths, to_sarif
 from repro.lint.rules import RULES
 
 #: Default lint target when no paths are given (repo-relative).
@@ -32,9 +23,8 @@ DEFAULT_PATHS = ("src/repro",)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="simlint: simulation-correctness static analysis "
-                    "(per-module SIM001-SIM007 plus whole-program "
-                    "SIM008-SIM012)",
+        description="simlint: simulation-correctness static analysis, "
+                    "one module at a time (SIM001-SIM005, SIM007, SIM011)",
     )
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS), metavar="PATH",
@@ -45,48 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--explain", metavar="CODE",
-        help="print one rule's rationale and bad/good examples, then exit",
-    )
-    parser.add_argument(
         "--sarif", nargs="?", const="-", metavar="FILE",
         help="emit findings as SARIF 2.1.0 to FILE (default stdout) "
              "instead of the plain report",
     )
-    parser.add_argument(
-        "--graph", action="store_true",
-        help="dump the resolved whole-program call graph and exit",
-    )
-    parser.add_argument(
-        "--timings", action="store_true",
-        help="append per-rule wall times to the report",
-    )
     return parser
-
-
-def _explain(code: str) -> int:
-    code = code.upper()
-    if code not in RULES:
-        print(f"unknown rule {code!r}; try --list-rules", file=sys.stderr)
-        return 2
-    print(f"{code}: {RULES[code]}")
-    from repro.lint.dataflow import rule_docstring
-
-    doc = rule_docstring(code)
-    if doc is not None:
-        print()
-        lines = doc.expandtabs().splitlines()
-        # Strip the common leading indentation of the docstring body.
-        body = lines[1:]
-        indents = [
-            len(line) - len(line.lstrip())
-            for line in body if line.strip()
-        ]
-        cut = min(indents) if indents else 0
-        print(lines[0].strip())
-        for line in body:
-            print(line[cut:] if line.strip() else "")
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -95,14 +48,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for code in sorted(RULES):
             print(f"{code}  {RULES[code]}")
         return 0
-    if args.explain:
-        return _explain(args.explain)
-    if args.graph:
-        from repro.lint.callgraph import Project
-
-        print(Project.build(args.paths).format_graph())
-        return 0
-    findings, timings = lint_tree(args.paths)
+    findings = lint_paths(args.paths)
     if args.sarif is not None:
         document = json.dumps(to_sarif(findings), indent=2, sort_keys=True)
         if args.sarif == "-":
@@ -114,11 +60,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"({len(findings)} findings)")
     else:
         print(format_findings(findings))
-    if args.timings:
-        total = sum(seconds for _, seconds in timings)
-        for label, seconds in timings:
-            print(f"simlint-timing: {label} {seconds * 1000:.1f}ms")
-        print(f"simlint-timing: total {total * 1000:.1f}ms")
     return 1 if findings else 0
 
 

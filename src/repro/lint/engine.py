@@ -19,7 +19,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.lint.rules import check_source
 from repro.lint.sources import iter_python_sources
@@ -96,76 +96,24 @@ def lint_file(path: "str | os.PathLike[str]") -> List[Finding]:
     return lint_source(target.read_text(encoding="utf-8"), str(target))
 
 
-def iter_python_files(
-    paths: Sequence["str | os.PathLike[str]"],
-) -> Iterable[Path]:
-    """Expand files/directories into a sorted, de-duplicated file list.
-
-    Delegates to the canonical walker in :mod:`repro.lint.sources` so
-    the lint pass and the result cache's code-version salt agree on
-    what a python source is (``__pycache__`` and friends excluded).
-    """
-    return iter_python_sources(paths)
-
-
 def lint_paths(paths: Sequence["str | os.PathLike[str]"]) -> List[Finding]:
-    """Lint every ``.py`` file under the given files/directories."""
+    """Lint every ``.py`` file under the given files/directories.
+
+    The walk is the canonical one in :mod:`repro.lint.sources`, shared
+    with the result cache's code-version salt, so both agree on what a
+    python source is (``__pycache__`` and friends excluded).
+    """
     findings: List[Finding] = []
-    for target in iter_python_files(paths):
+    for target in iter_python_sources(paths):
         findings.extend(lint_file(target))
     return findings
-
-
-def lint_tree(
-    paths: Sequence["str | os.PathLike[str]"],
-) -> Tuple[List[Finding], List[Tuple[str, float]]]:
-    """Full analysis: per-module rules plus the whole-program pass.
-
-    Returns ``(findings, timings)`` where ``timings`` is a list of
-    ``(label, seconds)`` pairs — one entry for the per-module rules and
-    one per whole-program rule — so the CI job can assert the pass
-    stays fast.  Suppression comments apply uniformly: a whole-program
-    finding is silenced by the same ``# simlint: disable=SIM008`` on
-    its line (or ``disable-file=``) as a per-module one.
-    """
-    import time as _time  # host-side tooling; not simulation state
-
-    from repro.lint.callgraph import Project
-    from repro.lint.dataflow import analyze_project
-
-    started = _time.perf_counter()  # simlint: disable=SIM001
-    findings = lint_paths(paths)
-    timings: List[Tuple[str, float]] = [
-        ("per-module", _time.perf_counter() - started)  # simlint: disable=SIM001
-    ]
-
-    project = Project.build(paths)
-    raw, rule_timings = analyze_project(project)
-    timings.extend(rule_timings)
-
-    suppression_cache: Dict[str, Tuple[Set[str], Dict[int, Set[str]]]] = {}
-    for item in raw:
-        if item.path not in suppression_cache:
-            try:
-                source = Path(item.path).read_text(encoding="utf-8")
-            except OSError:
-                source = ""
-            suppression_cache[item.path] = parse_suppressions(source)
-        file_codes, line_codes = suppression_cache[item.path]
-        if item.code in file_codes or \
-                item.code in line_codes.get(item.line, ()):
-            continue
-        findings.append(Finding(item.path, item.line, item.col,
-                                item.code, item.message))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings, timings
 
 
 def format_findings(findings: Sequence[Finding]) -> str:
     """Human-readable report: one line per finding plus a summary.
 
     The summary line leads with the total and appends per-rule hit
-    counts (``[SIM001×2 SIM008×1]``) so a long report still answers
+    counts (``[SIM001×2 SIM005×1]``) so a long report still answers
     "which contract is being violated" at a glance.
     """
     if not findings:

@@ -1,8 +1,9 @@
 """The SIM rules, implemented as one two-pass AST checker.
 
 Pass 1 (:meth:`ModuleChecker._collect`) records module facts the rules
-need: which local names are bound to the ``time`` / ``datetime`` /
-``random`` modules, and which functions and methods are generators.
+need: which local names are bound to (members of) the modules the
+SIM001/SIM002 table watches, and which functions and methods are
+generators.
 Pass 2 walks the tree again and emits :class:`RawFinding` tuples; the
 engine layer applies suppression comments and attaches file paths.
 
@@ -28,9 +29,10 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 #: Rule catalog: code -> one-line description (shown by ``--list-rules``).
 RULES: Dict[str, str] = {
     "SIM000": "file does not parse (syntax error)",
-    "SIM001": "wall-clock read in model code; the only clock is "
-              "Environment.now",
-    "SIM002": "module-level random.* call or unseeded random.Random(); "
+    "SIM001": "wall-clock or process-environment read in model code; the "
+              "only clock is Environment.now and the only inputs are the spec",
+    "SIM002": "module-level random.* call, unseeded random.Random(), or OS "
+              "entropy (os.urandom, uuid1/uuid4, secrets, SystemRandom); "
               "thread a seeded instance through config",
     "SIM003": "generator model function called as a bare statement — "
               "a silent no-op; wrap in env.process(...) or yield from it — "
@@ -43,41 +45,45 @@ RULES: Dict[str, str] = {
     "SIM007": "per-event allocation on a sim/flash hot path: tuple "
               "packed into heappush, or lambda closure handed to a "
               "schedule call",
-    # SIM008–SIM012 are whole-program rules: they need the project-wide
-    # call graph and taint engine in repro.lint.{callgraph,dataflow}
-    # and fire only when linting a tree (repro lint), never from the
-    # single-file check_source path.
-    "SIM008": "nondeterminism source (wall clock, unseeded RNG, "
-              "os.environ, id/hash) flows through the call graph into "
-              "a Result/Stats/Spec field, event timestamp, or cache key",
-    "SIM009": "sweep cell (or a transitive callee) reads module-level "
-              "mutable state; parallel workers diverge from serial runs",
-    "SIM010": "iteration over an unordered set feeds event scheduling "
-              "or serialized output; order varies with PYTHONHASHSEED",
-    "SIM011": "frozen spec dataclass field invisible to exec/cache "
-              "canonicalization (init=False without compare=False, or "
-              "an unserializable annotation on a cache-carrier class)",
-    "SIM012": "lambda or nested function handed toward the process "
-              "pool; workers resolve functions by module.qualname",
+    "SIM011": "frozen dataclass field with init=False but without "
+              "compare=False: exec/cache.canonical skips it, so specs that "
+              "compare unequal share one cache key",
 }
 
-#: ``time`` module functions that read the host clock.
-_WALL_CLOCK_TIME_FUNCS = frozenset({
-    "time", "time_ns", "perf_counter", "perf_counter_ns",
-    "monotonic", "monotonic_ns", "process_time", "process_time_ns",
-    "clock_gettime", "clock_gettime_ns",
-})
+#: The SIM001/SIM002 table: every way a value can enter a run from the
+#: host instead of from the spec, by qualified name.  A ban, not a flow
+#: analysis — host-side tooling that needs one says so on the line.
+_WALL_CLOCKS = frozenset(
+    [f"time.{name}" for name in (
+        "time", "time_ns", "perf_counter", "perf_counter_ns",
+        "monotonic", "monotonic_ns", "process_time", "process_time_ns",
+        "clock_gettime", "clock_gettime_ns",
+    )]
+    + [f"datetime.{cls}.{name}" for cls in ("datetime", "date")
+       for name in ("now", "utcnow", "today")]
+)
 
-#: ``datetime`` / ``date`` classmethods that read the host clock.
-_DATETIME_FACTORIES = frozenset({"now", "utcnow", "today"})
+#: The process environment: an input that is not in the spec.  Flagged
+#: wherever it is named, called or not.
+_ENVIRONMENT = frozenset({"os.environ", "os.getenv"})
 
 #: ``random`` module-level functions backed by the shared global RNG.
-_RANDOM_MODULE_FUNCS = frozenset({
+_GLOBAL_RNG = frozenset(f"random.{name}" for name in (
     "seed", "random", "uniform", "randint", "randrange", "randbytes",
     "choice", "choices", "shuffle", "sample", "getrandbits",
     "gauss", "normalvariate", "lognormvariate", "expovariate",
     "vonmisesvariate", "gammavariate", "betavariate", "paretovariate",
     "weibullvariate", "triangular",
+))
+
+#: Entropy no seed reaches; every member of ``secrets`` counts as well.
+_OS_ENTROPY = frozenset({
+    "os.urandom", "uuid.uuid1", "uuid.uuid4", "random.SystemRandom",
+})
+
+#: Modules the table names members of; pass 1 tracks bindings to these.
+_WATCHED_MODULES = frozenset({
+    "time", "datetime", "random", "os", "uuid", "secrets",
 })
 
 #: Name suffixes that mark a variable as a simulated timestamp.
@@ -138,6 +144,15 @@ def _decorator_is_dataclass(node: ast.expr) -> bool:
     return _terminal_name(target) == "dataclass"
 
 
+def _is_frozen(decorator: ast.expr) -> bool:
+    """``@dataclass(..., frozen=True)``."""
+    return isinstance(decorator, ast.Call) and any(
+        kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+        and kw.value.value is True
+        for kw in decorator.keywords
+    )
+
+
 class ModuleChecker(ast.NodeVisitor):
     """Run all SIM rules over one parsed module."""
 
@@ -147,13 +162,10 @@ class ModuleChecker(ast.NodeVisitor):
         self.hot_path = hot_path
         self.findings: List[RawFinding] = []
         # Pass-1 facts.
-        self.time_aliases: Set[str] = set()
-        self.wallclock_names: Set[str] = set()
-        self.datetime_aliases: Set[str] = set()
-        self.datetime_classes: Set[str] = set()
-        self.random_aliases: Set[str] = set()
-        self.random_funcs: Set[str] = set()
-        self.random_classes: Set[str] = set()
+        #: Local name -> the watched module (member) it is bound to:
+        #: ``import time as t`` gives ``t: "time"``, ``from os import
+        #: environ`` gives ``environ: "os.environ"``.
+        self.bound: Dict[str, str] = {}
         self.module_generators: Set[str] = set()
         self.class_generators: Dict[str, Set[str]] = {}
         # Pass-2 state.
@@ -178,15 +190,15 @@ class ModuleChecker(ast.NodeVisitor):
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "time":
-                        self.time_aliases.add(local)
-                    elif alias.name == "datetime":
-                        self.datetime_aliases.add(local)
-                    elif alias.name == "random":
-                        self.random_aliases.add(local)
-            elif isinstance(node, ast.ImportFrom):
-                self._collect_import_from(node)
+                    module = alias.name if alias.asname \
+                        else alias.name.split(".")[0]
+                    if module in _WATCHED_MODULES:
+                        self.bound[alias.asname or module] = module
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module in _WATCHED_MODULES):
+                for alias in node.names:
+                    self.bound[alias.asname or alias.name] = \
+                        f"{node.module}.{alias.name}"
         # Generator defs, by scope.
         for node in self.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -202,30 +214,16 @@ class ModuleChecker(ast.NodeVisitor):
                 if gens:
                     self.class_generators[node.name] = gens
 
-    def _collect_import_from(self, node: ast.ImportFrom) -> None:
-        if node.module == "time":
-            for alias in node.names:
-                if alias.name in _WALL_CLOCK_TIME_FUNCS:
-                    self.wallclock_names.add(alias.asname or alias.name)
-        elif node.module == "datetime":
-            for alias in node.names:
-                if alias.name in ("datetime", "date"):
-                    self.datetime_classes.add(alias.asname or alias.name)
-        elif node.module == "random":
-            for alias in node.names:
-                local = alias.asname or alias.name
-                if alias.name in _RANDOM_MODULE_FUNCS:
-                    self.random_funcs.add(local)
-                elif alias.name in ("Random", "SystemRandom"):
-                    self.random_classes.add(local)
-
     # ------------------------------------------------------------------
     # Pass 2: rule checks
     # ------------------------------------------------------------------
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if any(_decorator_is_dataclass(d) for d in node.decorator_list):
-            self._check_dataclass_defaults(node)
+        for decorator in node.decorator_list:
+            if _decorator_is_dataclass(decorator):
+                self._check_dataclass_defaults(node)
+                if _is_frozen(decorator):
+                    self._check_cache_invisible_fields(node)
         self._class_stack.append(node.name)
         self.generic_visit(node)
         self._class_stack.pop()
@@ -244,8 +242,7 @@ class ModuleChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        self._check_wall_clock(node)
-        self._check_randomness(node)
+        self._check_host_source(node)
         if self.hot_path:
             self._check_hot_path_allocation(node)
         self.generic_visit(node)
@@ -269,75 +266,51 @@ class ModuleChecker(ast.NodeVisitor):
         self._check_timestamp_equality(node)
         self.generic_visit(node)
 
-    # -- SIM001 --------------------------------------------------------
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._check_environ(node)
+        self.generic_visit(node)
 
-    def _check_wall_clock(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in self.wallclock_names:
+    def visit_Name(self, node: ast.Name) -> None:
+        self._check_environ(node)
+
+    # -- SIM001 / SIM002 ----------------------------------------------
+
+    def _qualified(self, node: ast.expr) -> Optional[str]:
+        """``node`` as a dotted name rooted at a watched module, else None."""
+        if isinstance(node, ast.Name):
+            return self.bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = self._qualified(node.value)
+            return None if base is None else f"{base}.{node.attr}"
+        return None
+
+    def _check_host_source(self, node: ast.Call) -> None:
+        name = self._qualified(node.func)
+        if name is None:
+            return
+        shown = ast.unparse(node.func)
+        if name in _WALL_CLOCKS:
             self._emit(node, "SIM001",
-                       f"wall-clock call {func.id}(); simulation code "
-                       "must read Environment.now")
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        value = func.value
-        if (isinstance(value, ast.Name) and value.id in self.time_aliases
-                and func.attr in _WALL_CLOCK_TIME_FUNCS):
-            self._emit(node, "SIM001",
-                       f"wall-clock call {value.id}.{func.attr}(); "
-                       "simulation code must read Environment.now")
-            return
-        if func.attr in _DATETIME_FACTORIES:
-            # datetime.now() / date.today() via from-import ...
-            if (isinstance(value, ast.Name)
-                    and value.id in self.datetime_classes):
-                self._emit(node, "SIM001",
-                           f"wall-clock call {value.id}.{func.attr}(); "
-                           "simulation code must read Environment.now")
-            # ... or datetime.datetime.now() via module import.
-            elif (isinstance(value, ast.Attribute)
-                    and value.attr in ("datetime", "date")
-                    and isinstance(value.value, ast.Name)
-                    and value.value.id in self.datetime_aliases):
-                self._emit(node, "SIM001",
-                           f"wall-clock call "
-                           f"{value.value.id}.{value.attr}.{func.attr}(); "
-                           "simulation code must read Environment.now")
-
-    # -- SIM002 --------------------------------------------------------
-
-    def _check_randomness(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            if func.id in self.random_funcs:
-                self._emit(node, "SIM002",
-                           f"module-level RNG call {func.id}(); use a "
-                           "seeded random.Random instance from config")
-            elif func.id in self.random_classes:
-                self._check_rng_seeded(node, func.id)
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        value = func.value
-        if not (isinstance(value, ast.Name)
-                and value.id in self.random_aliases):
-            return
-        if func.attr in _RANDOM_MODULE_FUNCS:
+                       f"wall-clock call {shown}(); simulation code must "
+                       "read Environment.now")
+        elif name in _GLOBAL_RNG:
             self._emit(node, "SIM002",
-                       f"module-level RNG call {value.id}.{func.attr}(); "
-                       "use a seeded random.Random instance from config")
-        elif func.attr in ("Random", "SystemRandom"):
-            self._check_rng_seeded(node, f"{value.id}.{func.attr}")
-
-    def _check_rng_seeded(self, node: ast.Call, shown: str) -> None:
-        if shown.endswith("SystemRandom"):
+                       f"module-level RNG call {shown}(); use a seeded "
+                       "random.Random instance from config")
+        elif name in _OS_ENTROPY or name.startswith("secrets."):
             self._emit(node, "SIM002",
                        f"{shown}() is never deterministic; use a seeded "
                        "random.Random instance from config")
-        elif not node.args and not node.keywords:
+        elif name == "random.Random" and not node.args and not node.keywords:
             self._emit(node, "SIM002",
                        f"unseeded {shown}(); pass an explicit seed "
                        "threaded through config")
+
+    def _check_environ(self, node: ast.expr) -> None:
+        if self._qualified(node) in _ENVIRONMENT:
+            self._emit(node, "SIM001",
+                       f"environment read {ast.unparse(node)}; a run's "
+                       "inputs are its spec — pass the value in")
 
     # -- SIM003 --------------------------------------------------------
 
@@ -463,6 +436,35 @@ class ModuleChecker(ast.NodeVisitor):
                            "evaluated once at class-definition time and "
                            "shared across instances; use "
                            "field(default_factory=...)")
+
+    # -- SIM011 --------------------------------------------------------
+
+    def _check_cache_invisible_fields(self, node: ast.ClassDef) -> None:
+        """``field(init=False)`` without ``compare=False``, frozen classes.
+
+        ``exec/cache.canonical`` keys a dataclass by its ``init=True``
+        fields only: derived fields would duplicate the inputs.  A field
+        that is left out of the key but still takes part in ``==`` lets
+        two specs that compare unequal share one cached result.  Derived
+        fields say ``compare=False``; anything else is an init field.
+        """
+        for item in node.body:
+            if not (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and isinstance(item.value, ast.Call)
+                    and _terminal_name(item.value.func) == "field"):
+                continue
+            flags = {
+                kw.arg: kw.value.value for kw in item.value.keywords
+                if isinstance(kw.value, ast.Constant)
+            }
+            if flags.get("init") is False and flags.get("compare") is not False:
+                self._emit(item, "SIM011",
+                           f"{node.name}.{item.target.id} is init=False but "
+                           "still takes part in equality; exec/cache."
+                           "canonical skips it, so specs that compare "
+                           "unequal share one cache key (mark derived "
+                           "fields compare=False, or make it an init field)")
 
     # -- SIM007 --------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Runtime nondeterminism sanitizer: ``repro sanitize``.
 
-The static rules (SIM001–SIM012) prove what they can from source; this
-module catches what they cannot — nondeterminism reachable only through
+The static rules ban the nondeterminism sources they can name, one
+module at a time; this module catches what a ban cannot — state shared
+between runs, hash-order dependence, and anything reached only through
 dynamic dispatch, C extensions, or data-dependent control flow.  It
 runs a target workload under instrumentation and compares *event-order
 fingerprints*:
@@ -268,11 +269,12 @@ def collect(target: str, n_ops: int) -> CollectResult:
     finally:
         tripwires.uninstall()
         sim_engine.set_pop_observer(None)
-    # Recording which hash seed this run executed under is the point
-    # of the sanitizer, not leaked nondeterminism.
-    return CollectResult(  # simlint: disable=SIM008
+    return CollectResult(
         target=target,
-        hash_seed=os.environ.get("PYTHONHASHSEED", "<unset>"),
+        # Recording which hash seed this run executed under is the point
+        # of the sanitizer, not leaked nondeterminism.
+        hash_seed=os.environ.get(  # simlint: disable=SIM001
+            "PYTHONHASHSEED", "<unset>"),
         digest=recorder.digest(),
         total_events=recorder.total,
         records=recorder.records,
@@ -330,7 +332,8 @@ def collect_in_subprocess(
     """
     import repro
 
-    env = dict(os.environ)
+    # The child inherits the host environment; only the seed is varied.
+    env = dict(os.environ)  # simlint: disable=SIM001
     env["PYTHONHASHSEED"] = hash_seed
     package_parent = str(os.path.dirname(os.path.dirname(repro.__file__)))
     extra = [package_parent, os.getcwd()]
@@ -363,9 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "under varied hash seeds with event-order digests "
                     "and wall-clock/RNG tripwires",
     )
+    from repro.trace.run import SCENARIOS
+
     parser.add_argument(
-        "--fig", default=None,
-        help="trace scenario to sanitize (e.g. fig6)",
+        "--fig", default=None, choices=sorted(SCENARIOS),
+        help="trace scenario to sanitize (default: fig6)",
     )
     parser.add_argument(
         "--target", default=None,

@@ -1,4 +1,4 @@
-"""Sanitizer test targets: a planted set-order bug and its clean twin.
+"""Sanitizer test targets: planted determinism bugs and their clean twins.
 
 ``buggy_model`` assigns each process a delay by *enumeration order of a
 set of string names*.  Set iteration order for strings follows the
@@ -12,13 +12,30 @@ carrying one of the planted names.
 ``clean_model`` is byte-for-byte the same workload with the single
 correct change: ``sorted(...)`` pins the enumeration order.
 
-Both are loaded by path (``tests/fixtures/sanitizer_targets.py:fn``),
-so they must stay importable with only ``src`` on ``PYTHONPATH``.
+``shared_counter_cell`` is the one real bug of its class this repo has
+had (PR 13's ``hostkv/lsm/sstable.py``): a module-level
+``itertools.count()`` handing out table ids, so the second cell computed
+in one interpreter starts numbering where the first stopped.  Its twin
+``own_counter_cell`` is PR 14's fix — the counter belongs to the store.
+Only the ``pkg.mod:fn`` target form shows it: a ``path.py:fn`` target is
+executed afresh by every ``collect`` and module state never survives.
+
+``wall_clock_cell`` stamps its result with the host clock through a
+helper; ``sim_clock_cell`` reads ``env.now``.  The tripwires police
+files inside a ``repro`` package directory, so the guard-table test
+mounts a copy of this file in one.
+
+The set-order pair is loaded by path
+(``tests/fixtures/sanitizer_targets.py:fn``), so this file must stay
+importable with only ``src`` on ``PYTHONPATH`` — and without ``from
+__future__ import annotations``: a path-loaded module is not in
+``sys.modules``, where ``@dataclass`` looks up string annotations.
 """
 
-from __future__ import annotations
-
-from typing import List, Tuple
+import itertools
+import time
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 from repro.sim.engine import Environment
 
@@ -50,12 +67,59 @@ def _run(ordered) -> List[Tuple[float, str]]:
 
 def buggy_model() -> List[Tuple[float, str]]:
     """Delays assigned by set-enumeration order: hash-seed dependent."""
-    return _run(set(NAMES))  # simlint: disable=SIM010
+    return _run(set(NAMES))
 
 
 def clean_model() -> List[Tuple[float, str]]:
     """The fix: sorted() pins the order regardless of hash seed."""
     return _run(sorted(set(NAMES)))
+
+
+_sst_ids = itertools.count()
+
+
+@dataclass
+class _SSTable:
+    """A sorted run, named after its id as PR 13's ``SSTable`` was."""
+
+    level: int
+    sst_id: int = field(default_factory=lambda: next(_sst_ids))
+
+    @property
+    def name(self) -> str:
+        return f"sst-{self.sst_id:08d}.sst"
+
+
+def shared_counter_cell() -> List[Tuple[float, str]]:
+    """Table ids drawn from the module: a cell sees every cell before it."""
+    return _run(_SSTable(level=0).name for _ in range(4))
+
+
+def own_counter_cell() -> List[Tuple[float, str]]:
+    """The fix: the counter is built with the cell's own store."""
+    ids = itertools.count()
+    return _run(_SSTable(level=0, sst_id=next(ids)).name for _ in range(4))
+
+
+def _stamp() -> float:
+    return time.time()
+
+
+def _one_op(started: float) -> Dict[str, float]:
+    env = Environment()
+    env.process(_spin(env, 2.0), name="op")
+    env.run()
+    return {"started": started, "elapsed_us": env.now}
+
+
+def wall_clock_cell() -> Dict[str, float]:
+    """A host clock read reaches a result field through a helper."""
+    return _one_op(_stamp())
+
+
+def sim_clock_cell() -> Dict[str, float]:
+    """The fix: the only clock is ``Environment.now``."""
+    return _one_op(Environment().now)
 
 
 def replay_churn() -> List[Tuple[float, str, bytes, int, float]]:

@@ -129,6 +129,17 @@ def test_trace_command_writes_perfetto_file(capsys, tmp_path):
     assert document["displayTimeUnit"] == "ms"
 
 
+@pytest.mark.parametrize("command", ["trace", "sanitize"])
+def test_unknown_trace_scenario_is_a_usage_error(capsys, command):
+    """Not a ConfigurationError traceback from inside the traced run."""
+    with pytest.raises(SystemExit) as raised:
+        main([command, "--fig", "nope"])
+    assert raised.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert "argument --fig: invalid choice: 'nope'" in error
+    assert "fig2" in error and "fig8" in error
+
+
 def test_cluster_smoke_command_end_to_end(capsys, tmp_path):
     exit_code = main([
         "cluster", "--smoke", "--cluster-ops", "60",

@@ -59,6 +59,29 @@ def test_sim001_allows_simulated_clock():
     assert codes("import time\ntime.sleep(1)\n") == []
 
 
+def test_sim001_flags_environment_reads():
+    assert codes(
+        "import os\n"
+        "workers = int(os.environ.get('REPRO_PARALLEL', '1'))\n"
+    ) == ["SIM001"]
+    assert codes(
+        "from os import environ, getenv\n"
+        "def cell():\n"
+        "    return environ['HOSTNAME'], getenv('HOME')\n"
+    ) == ["SIM001", "SIM001"]
+    assert codes("import os\nhome = os.getenv('HOME')\n") == ["SIM001"]
+
+
+def test_sim001_allows_os_calls_that_read_no_environment():
+    assert codes(
+        "import os\n"
+        "import os.path\n"
+        "def cell(spec, environ):\n"
+        "    root = os.path.join(spec.root, os.sep)\n"
+        "    return environ['x'], spec.environ, os.cpu_count()\n"
+    ) == []
+
+
 # -- SIM002: unseeded randomness ---------------------------------------------
 
 
@@ -91,6 +114,32 @@ def test_sim002_allows_seeded_instances():
         "from random import Random\n"
         "rng = Random(seed)\n"
     ) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import os\nnonce = os.urandom(8)\n",
+    "from os import urandom\nnonce = urandom(8)\n",
+    "import uuid\nrun_id = uuid.uuid1()\n",
+    "from uuid import uuid4 as new_id\nrun_id = new_id()\n",
+    "import secrets\ntoken = secrets.token_hex(4)\n",
+    "from secrets import randbelow\ndraw = randbelow(6)\n",
+    "from random import SystemRandom\nrng = SystemRandom()\n",
+])
+def test_sim002_flags_os_entropy(source):
+    assert codes(source) == ["SIM002"]
+
+
+@pytest.mark.parametrize("source", [
+    # Namespaced ids are pure functions of their arguments.
+    "import uuid\nrun_id = uuid.uuid5(uuid.NAMESPACE_DNS, 'cell-3')\n",
+    "import uuid\nparsed = uuid.UUID('12345678123456781234567812345678')\n",
+    # A local that merely shares a name with a banned member.
+    "def cell(urandom, secrets):\n    return urandom(8), secrets.token_hex(4)\n",
+    "import os\nsize = os.stat('x').st_size\n",
+    "import random\nrng = random.Random(7)\nnonce = rng.randbytes(8)\n",
+])
+def test_sim002_allows_seeded_and_derived_values(source):
+    assert codes(source) == []
 
 
 # -- SIM003: dropped generator ------------------------------------------------
@@ -240,6 +289,40 @@ def test_sim005_allows_none_factory_and_immutable_defaults():
     ) == []
 
 
+# -- SIM011: frozen fields the cache key cannot see -------------------------
+
+
+def test_sim011_flags_init_false_without_compare_false():
+    found = lint_source(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class CellSpec:\n"
+        "    n_ops: int\n"
+        "    mode: str = field(init=False, default='fast')\n"
+    )
+    assert [f.code for f in found] == ["SIM011"]
+    assert "CellSpec.mode" in found[0].message
+
+
+def test_sim011_clean_for_derived_and_tuple_fields():
+    assert codes(
+        "from dataclasses import dataclass, field\n"
+        "from typing import Tuple\n"
+        "@dataclass(frozen=True)\n"
+        "class GeomSpec:\n"
+        "    planes: int\n"
+        "    shards: Tuple[str, ...] = ()\n"
+        "    pages_total: int = field(\n"
+        "        init=False, repr=False, compare=False, default=0)\n"
+        "@dataclass\n"
+        "class Scratch:  # not frozen: never a cache key\n"
+        "    seen: int = field(init=False, default=0)\n"
+    ) == []
+
+
+# -- SIM007: hot-path allocation ---------------------------------------------
+
+
 def test_sim007_flags_hot_path_allocation_patterns():
     hot = "src/repro/sim/queue.py"
     packed = (
@@ -335,8 +418,7 @@ def test_syntax_error_reports_sim000():
 def test_rule_catalog_covers_all_emitted_codes():
     assert set(RULES) == {
         "SIM000", "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM007",
-        # Whole-program rules (repro.lint.dataflow).
-        "SIM008", "SIM009", "SIM010", "SIM011", "SIM012",
+        "SIM011",
     }
 
 
@@ -396,29 +478,6 @@ def test_list_rules_flag():
         assert code in result.stdout
 
 
-def test_explain_prints_rationale_and_examples():
-    result = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--explain", "SIM009"],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-    )
-    assert result.returncode == 0
-    assert "SIM009" in result.stdout
-    assert "Rationale:" in result.stdout
-    assert "Bad::" in result.stdout
-    assert "Good::" in result.stdout
-    unknown = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--explain", "SIM999"],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-    )
-    assert unknown.returncode == 2
-
-
 def test_sarif_output_is_valid_and_locates_findings(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nstarted = time.time()\n")
@@ -442,21 +501,6 @@ def test_sarif_output_is_valid_and_locates_findings(tmp_path):
     assert region["startLine"] == 2
     rules = run["tool"]["driver"]["rules"]
     assert [rule["id"] for rule in rules] == ["SIM001"]
-
-
-def test_timings_flag_reports_per_rule_wall_times(tmp_path):
-    clean = tmp_path / "ok.py"
-    clean.write_text("VALUE = 1\n")
-    result = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", str(tmp_path), "--timings"],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-    )
-    assert result.returncode == 0
-    for label in ("per-module", "SIM008", "SIM012", "total"):
-        assert f"simlint-timing: {label} " in result.stdout
 
 
 def test_pycache_artifacts_are_invisible_to_walker_and_salt(tmp_path):
