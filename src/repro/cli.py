@@ -9,10 +9,13 @@ Usage::
     python -m repro all --parallel 2
 
 Each subcommand selects rows of :data:`repro.core.registry.EXPERIMENTS`
-— a paper figure by name, the ``cluster``/``frontend``/``replay`` groups
-whole — runs them, and prints ``result.render()``: the same rows/series
-the paper's figure shows (the pytest benches add paper-vs-measured
-assertions on top of the identical experiment functions).
+— a paper figure by name, any other group (``ablations``, ``ycsb``,
+``cluster``, ``frontend``, ``replay``) whole — runs them, and prints
+``result.render()``: the same rows/series the paper's figure shows,
+then the row's claims table (finding | paper | measured | holds).  With
+no scale flag a row runs at its recorded scale (its function's defaults,
+the run EXPERIMENTS.md records) and a missed claim exits 1; with one
+(``--n-ops``, ``--measured-ops``, ...) the table cannot fail the run.
 
 ``--parallel N`` fans each experiment's independent points over ``N``
 worker processes; results are assembled in spec order, so the printed
@@ -54,28 +57,43 @@ def _selected(command: str) -> List[Experiment]:
 
 def _run_experiments(
     command: str, args: argparse.Namespace, runner: SweepRunner
-) -> None:
-    """Run the command's rows, print their renders, apply its smoke gate."""
+) -> bool:
+    """Run the command's rows, print each render and claims table, apply
+    the command's smoke gate.  False when a row that ran at its recorded
+    scale (no scale flag given) missed a claim."""
     if command == "cluster" and args.smoke:
         _cluster_smoke(args, runner)
-        return
-    if command == "frontend":
+        return True
+    if command == "frontend" and args.loads is not None:
         args.loads = _parse_loads(args.loads)
     mini = command == "replay" and args.smoke
     results: Dict[str, Any] = {}
+    blocks: List[str] = []
+    ok = True
     for experiment in _selected(command):
         kwargs = experiment.mini if mini else {
             keyword: getattr(args, dest)
             for keyword, dest in experiment.cli.items()
+            if getattr(args, dest) is not None
         }
-        results[experiment.name] = experiment.fn(runner=runner, **kwargs)
-    print("\n\n".join(result.render() for result in results.values()))
+        result = experiment.fn(runner=runner, **kwargs)
+        results[experiment.name] = result
+        blocks.append(result.render())
+        if experiment.claims:
+            table, held = experiment.claims_table(result)
+            if kwargs:
+                table = "not the recorded scale: claims shown, not checked\n" + table
+            else:
+                ok = ok and held
+            blocks.append(table)
+    print("\n\n".join(blocks))
     if command == "frontend" and args.slo_gate is not None:
         _frontend_slo_gate(results["fig_frontend"], args.slo_gate)
     if mini:
         _replay_smoke_gate(
             results["fig_replay_rotation"], results["fig_replay_mix"]
         )
+    return ok
 
 
 def _parse_loads(text: str) -> tuple:
@@ -91,7 +109,7 @@ def _parse_loads(text: str) -> tuple:
 def _cluster_smoke(args: argparse.Namespace, runner: SweepRunner) -> None:
     """CI-shaped smoke: 2 shards, R=2, one forced mid-run read-only
     degradation.  Exits non-zero if any acknowledged write is lost."""
-    n_ops = args.cluster_ops
+    n_ops = args.cluster_ops or 300
     spec = ClusterSpec(
         shards=2, replication=2, partitions=8, vnodes=8,
         tenants=(
@@ -160,13 +178,21 @@ def _run_faults(args: argparse.Namespace, runner: SweepRunner) -> None:
         rates = [float(r) for r in args.fault_rates.split(",") if r.strip()]
     except ValueError:
         raise SystemExit(f"bad --fault-rates value: {args.fault_rates!r}")
-    points = run_fault_sweep(rates=rates, n_ops=args.n_ops,
-                             seed=args.fault_seed, runner=runner)
+    scale = {} if args.n_ops is None else {"n_ops": args.n_ops}
+    points = run_fault_sweep(rates=rates, seed=args.fault_seed,
+                             runner=runner, **scale)
+    # Tail inflation over the same personality's perfect-flash row: read
+    # retries are invisible at the median and stretch p99/p999.
+    clean = {p.personality: p.latency_summary() for p in points if p.rate == 0.0}
+    headers = ["system", "rate", "ops", "fail", "p50 us", "p99 us",
+               "retry", "corr", "uncorr", "pfail", "retired", "mode"]
+    if clean:
+        headers += ["p99 x", "p999 x"]
     rows = []
     for point in points:
         latency = point.latency_summary()
         stats = point.stats
-        rows.append([
+        row = [
             point.personality, f"{point.rate:g}",
             point.run.completed_ops, point.run.failed_ops,
             round(latency["p50"], 1), round(latency["p99"], 1),
@@ -174,12 +200,12 @@ def _run_faults(args: argparse.Namespace, runner: SweepRunner) -> None:
             stats.uncorrectable_reads, stats.program_fails,
             stats.retired_blocks,
             "RO" if point.read_only else "rw",
-        ])
-    print(format_table(
-        ["system", "rate", "ops", "fail", "p50 us", "p99 us",
-         "retry", "corr", "uncorr", "pfail", "retired", "mode"],
-        rows,
-    ))
+        ]
+        if clean:
+            base = clean[point.personality]
+            row += [latency[q] / base[q] for q in ("p99", "p999")]
+        rows.append(row)
+    print(format_table(headers, rows))
     print("\nrate = per-read corrected-error probability; rarer events "
           "(uncorrectable, program/erase fail) scale down from it")
     if args.faults_out:
@@ -205,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
             "with a figure name as the next argument also works "
             "('repro fig fig4 --parallel 4') — 'trace' to record a span "
             "trace of a figure-shaped workload, 'faults' to sweep "
-            "statistical fault rates on both personalities, 'cluster' "
+            "statistical fault rates on both personalities, 'ablations' "
+            "to resize each mechanism the paper hypothesizes, 'ycsb' for "
+            "YCSB A-F on the KV-SSD vs RocksDB, 'cluster' "
             "to run the sharded multi-device cluster figures "
             "(--smoke for the CI degradation check), 'frontend' to "
             "sweep the open-loop serving frontend over offered load, "
@@ -244,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache directory (default: .repro-cache)",
     )
     parser.add_argument(
-        "--n-ops", type=int, default=1200,
-        help="operations per measured phase (default: 1200)",
+        "--n-ops", type=int, default=None,
+        help="operations per measured phase (default: the recorded scale)",
     )
     parser.add_argument(
-        "--measured-ops", type=int, default=1500,
-        help="fig3 measured operations per phase (default: 1500)",
+        "--measured-ops", type=int, default=None,
+        help="fig3 measured operations per phase (default: the recorded scale)",
     )
     parser.add_argument(
         "--fig", default="fig6", choices=sorted(SCENARIOS),
@@ -279,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(parent directories are created)",
     )
     parser.add_argument(
-        "--cluster-ops", type=int, default=300, metavar="N",
+        "--cluster-ops", type=int, default=None, metavar="N",
         help="cluster: operations per tenant stream (default: 300)",
     )
     parser.add_argument(
@@ -290,20 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
              "expiry deletes, and scans",
     )
     parser.add_argument(
-        "--replay-ops", type=int, default=1500, metavar="N",
+        "--replay-ops", type=int, default=None, metavar="N",
         help="replay: base-mix operations per variant (default: 1500)",
     )
     parser.add_argument(
-        "--loads", default="16,32,64,128,256,512", metavar="K,K,...",
+        "--loads", default=None, metavar="K,K,...",
         help="frontend: comma-separated offered loads in kops "
              "(default: 16,32,64,128,256,512)",
     )
     parser.add_argument(
-        "--frontend-ops", type=int, default=800, metavar="N",
+        "--frontend-ops", type=int, default=None, metavar="N",
         help="frontend: requests offered per load point (default: 800)",
     )
     parser.add_argument(
-        "--scheduler", default="edf", choices=["edf", "fifo"],
+        "--scheduler", default=None, choices=["edf", "fifo"],
         help="frontend: dispatch policy (default: edf)",
     )
     parser.add_argument(
@@ -351,6 +379,7 @@ def main(argv: List[str] | None = None) -> int:
     # groups are diagnostic passes, not paper-figure regenerations.
     diagnostics = {"trace": _run_trace, "faults": _run_faults}
     reported = 0
+    ok = True
     for name in _PAPER if experiment == "all" else [experiment]:
         print(f"\n=== {name} ===")
         # Host-side progress reporting for the human running the CLI —
@@ -358,8 +387,8 @@ def main(argv: List[str] | None = None) -> int:
         started = time.time()  # simlint: disable=SIM001
         if name in diagnostics:
             diagnostics[name](args, runner)
-        else:
-            _run_experiments(name, args, runner)
+        elif not _run_experiments(name, args, runner):
+            ok = False
         elapsed = time.time() - started  # simlint: disable=SIM001
         print(f"[{name} done in {elapsed:.1f}s]")
         # Exec statistics go to stderr so stdout stays pure figure
@@ -367,7 +396,7 @@ def main(argv: List[str] | None = None) -> int:
         for report in runner.reports[reported:]:
             print(report.format(), file=sys.stderr)
         reported = len(runner.reports)
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -3,11 +3,12 @@
 One function per figure of the paper's evaluation (Figs. 2-8).  Each
 builds fresh rigs, primes state exactly as the paper describes (scaled),
 runs the measured phase through the KVbench-style runner, and returns a
-structured result the benchmarks print and EXPERIMENTS.md records.
+structured result the CLI prints and EXPERIMENTS.md records.
 
 Run sizes are scaled from the paper's (10 M+ operations on a 3.84 TB
 drive) to laptop-feasible counts at *matched relative state* — see
-DESIGN.md section 6 for the scaling discipline.
+DESIGN.md section 6 for the scaling discipline.  A function's defaults
+are its recorded scale: the run its claims are checked at.
 
 Every figure is internally a *sweep of independent cells* (one fresh
 rig per cell): a module-level ``_figN_cell`` function, written once
@@ -21,9 +22,9 @@ Results are always assembled in spec order, so the figure output is
 byte-identical at any worker count.
 
 Every ``*Result`` renders and reduces itself: ``render()`` is the text
-the CLI and the paper benches print, ``metrics()`` the flat shape-metric
-dict the golden suite diffs.  :mod:`repro.core.registry` lists the
-experiments; nothing else in the tree enumerates them.
+the CLI prints, ``metrics()`` the flat shape-metric dict the golden suite
+diffs.  :mod:`repro.core.registry` lists the experiments and what the
+paper reports for each; nothing else in the tree does either.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
-from repro.core.model import device_stats_summary
+from repro.core.model import KVSSDModel, device_stats_summary
 from repro.errors import ConfigurationError
 from repro.exec.runner import SweepRunner, grid
 from repro.kvbench.generators import (
@@ -172,7 +173,7 @@ def _fig2_cell(
 
 
 def fig2_end_to_end(
-    n_ops: int = 4000,
+    n_ops: int = 2500,
     value_bytes: int = 4 * KIB,
     queue_depth: int = 8,
     systems: Sequence[str] = ("kvssd", "rocksdb", "aerospike"),
@@ -238,9 +239,8 @@ class Fig3Result:
         ]
         return (
             format_table(["device", "occupancy", "read us", "write us"], rows)
-            + f"\n\nKV degradation: write {self.degradation('kv', 'write'):.1f}x "
-            f"(paper 16.4x), read {self.degradation('kv', 'read'):.1f}x "
-            "(paper 2x)"
+            + f"\n\nKV degradation: write {self.degradation('kv', 'write'):.1f}x, "
+            f"read {self.degradation('kv', 'read'):.1f}x"
         )
 
     def metrics(self) -> Metrics:
@@ -305,8 +305,8 @@ def fig3_index_occupancy(
     value_bytes: int = 512,
     low_fraction: float = 0.0005,
     high_fraction: float = 0.95,
-    measured_ops: int = 1200,
-    blocks_per_plane: int = 32,
+    measured_ops: int = 1500,
+    blocks_per_plane: int = 16,
     runner: Optional[SweepRunner] = None,
 ) -> Fig3Result:
     """Fig. 3: latency at low vs high index occupancy, KV vs block.
@@ -383,7 +383,7 @@ class Fig4Result:
 
 
 def fig4_value_size_concurrency(
-    value_sizes: Sequence[int] = (512, 2 * KIB, 8 * KIB, 16 * KIB, 32 * KIB, 64 * KIB),
+    value_sizes: Sequence[int] = (512, 4 * KIB, 16 * KIB, 32 * KIB, 64 * KIB),
     queue_depths: Sequence[int] = (1, 64),
     n_ops: int = 1200,
     blocks_per_plane: int = 24,
@@ -725,7 +725,7 @@ def fig6_foreground_gc(
     n_updates: Optional[int] = None,
     queue_depth: int = 16,
     window_us: float = 200_000.0,
-    blocks_per_plane: int = 8,
+    blocks_per_plane: int = 4,
     scenarios: Sequence[str] = tuple(_FIG6_SCENARIOS),
     runner: Optional[SweepRunner] = None,
 ) -> Fig6Result:
@@ -792,8 +792,7 @@ class Fig7Result:
                 ["value", "KV-SSD", "KV analytic", "Aerospike", "RocksDB"],
                 rows,
             )
-            + f"\n\nmax KVPs at 3.84 TB: {self.max_kvps_full_scale / 1e9:.2f}B "
-            "(paper ~3.1B)"
+            + f"\n\nmax KVPs at 3.84 TB: {self.max_kvps_full_scale / 1e9:.2f}B"
         )
 
     def metrics(self) -> Metrics:
@@ -899,8 +898,7 @@ class Fig8Result:
         ]
         return (
             format_table(["key", "cmds", "sync MiB/s", "async MiB/s"], rows)
-            + f"\n\ncliff past 16B: async {self.cliff_ratio('async'):.2f}x "
-            "(paper ~0.53x)"
+            + f"\n\ncliff past 16B: async {self.cliff_ratio('async'):.2f}x"
         )
 
     def metrics(self) -> Metrics:
@@ -924,8 +922,11 @@ def _fig8_cell(
 ) -> float:
     """One (key size, sync/async) bandwidth cell; sync runs at QD1."""
     queue_depth = 1 if mode == "sync" else async_queue_depth
-    # Build a scheme whose keys are exactly key_bytes long.
+    # Build a scheme whose keys are exactly key_bytes long; one that could
+    # not name n_ops keys drops its prefix (4 B: "0000"..., 10,000 names).
     digits = min(12, key_bytes - 1)
+    if n_ops > 10 ** digits:
+        digits = key_bytes
     scheme = KeyScheme(prefix=b"k" * (key_bytes - digits), digits=digits)
     rig = build_rig(
         "kvssd", lab_geometry(blocks_per_plane), sync=mode == "sync"
@@ -947,7 +948,7 @@ def _fig8_cell(
 def fig8_key_size_bandwidth(
     key_sizes: Sequence[int] = (4, 8, 16, 24, 64, 128, 255),
     value_bytes: int = 1024,
-    n_ops: int = 1500,
+    n_ops: int = 1200,
     async_queue_depth: int = 32,
     blocks_per_plane: int = 24,
     runner: Optional[SweepRunner] = None,
@@ -969,6 +970,115 @@ def fig8_key_size_bandwidth(
         mode: {k: cells[k, mode] for k in key_sizes} for mode in modes
     }
     return result
+
+
+# ---------------------------------------------------------------------------
+# Ablations — the mechanisms the paper hypothesizes, resized
+#
+# The paper explains its observations by mechanisms it cannot toggle on a
+# shipped drive; here each is a config field, so each can be resized to
+# show it carries the effect.  The closed-form model's own agreement with
+# simulation is pinned by ``tests/test_model.py``.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class AblationsResult:
+    """What each resized mechanism drives."""
+
+    #: effect["mechanism.driven quantity"][setting] -> value.
+    effect: Dict[str, Dict[Any, float]]
+
+    def render(self) -> str:
+        return "\n\n".join(
+            f"-- {name.replace('.', ' -> ')} --\n"
+            + format_table(["setting", "value"], settings.items())
+            for name, settings in self.effect.items()
+        )
+
+    def metrics(self) -> Metrics:
+        return {
+            f"{name}.{setting}": value
+            for name, settings in self.effect.items()
+            for setting, value in settings.items()
+        }
+
+
+def _ablation_stream_cell(
+    width: int, n_ops: int, queue_depth: int, blocks_per_plane: int
+) -> float:
+    """Mean 4 KiB insert latency (us) with ``width`` open write blocks."""
+    rig = build_rig(
+        "kvssd", lab_geometry(blocks_per_plane),
+        config=KVSSDConfig(stream_width=width),
+    )
+    spec = WorkloadSpec(
+        n_ops=n_ops,
+        op="insert",
+        pattern=Pattern.SEQUENTIAL,
+        key_scheme=PAPER_SCHEME,
+        value_bytes=4 * KIB,
+        seed=61,
+    )
+    run = run_phase(
+        rig, f"ablations.width{width}", spec, queue_depth, drain=False
+    )
+    return run.latency.mean()
+
+
+def ablations(
+    stream_widths: Sequence[int] = (4, 8, 16),
+    n_ops: int = 800,
+    queue_depth: int = 64,
+    blocks_per_plane: int = 8,
+    runner: Optional[SweepRunner] = None,
+) -> AblationsResult:
+    """Resize each hypothesized mechanism; report what it drives.
+
+    50 B-value space amplification per minimum allocation (Fig. 7) and
+    the first value size whose blob splits per page reserve (Fig. 5),
+    both closed form; the model's store latency at 90% of the KVP limit
+    over an empty device's per index DRAM size (Fig. 3); and, simulated,
+    mean insert latency per stream width in dies (Fig. 4).
+    """
+    geometry = lab_geometry(blocks_per_plane)
+    page_bytes = geometry.page_bytes
+    degradation = {}
+    for label, dram in (("scaled", None), ("4MiB", 4 * MIB), ("64MiB", 64 * MIB)):
+        model = KVSSDModel(geometry, KVSSDConfig(index_dram_bytes=dram))
+        kvps = int(model.max_kvps() * 0.9)
+        degradation[label] = (
+            model.store_latency_us(PAPER_KEY_BYTES, 512, kvps)
+            / model.store_latency_us(PAPER_KEY_BYTES, 512, 0)
+        )
+    return AblationsResult({
+        "min_alloc_bytes.space_amp_50b": {
+            min_alloc: space_amplification(
+                PAPER_KEY_BYTES, 50, page_bytes,
+                KVSSDConfig(min_alloc_bytes=min_alloc),
+            )
+            for min_alloc in (256, 512, 1024)
+        },
+        "index_dram.write_degradation": degradation,
+        "stream_width.insert_us": grid(
+            "ablations",
+            _ablation_stream_cell,
+            {"width": stream_widths},
+            dict(n_ops=n_ops, queue_depth=queue_depth,
+                 blocks_per_plane=blocks_per_plane),
+            runner,
+        ),
+        "page_reserve_bytes.first_split_kib": {
+            reserve: next(
+                kib for kib in range(1, 65)
+                if layout_blob(
+                    PAPER_KEY_BYTES, kib * KIB, page_bytes,
+                    KVSSDConfig(page_reserved_bytes=reserve),
+                ).is_split
+            )
+            for reserve in (512, 4096, 7680)
+        },
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1150,7 +1260,7 @@ class ClusterRebalanceResult:
 def cluster_rebalance_tail(
     shards: int = 4,
     replication: int = 2,
-    n_ops: int = 400,
+    n_ops: int = 300,
     population: int = 800,
     partitions: int = 16,
     degrade_at: Optional[int] = None,

@@ -1,20 +1,27 @@
 """The experiment registry: every figure the repo can regenerate, once.
 
-:data:`EXPERIMENTS` is the only list of experiments in the tree.  The
-CLI selects rows by name or group and prints ``result.render()``; the
-golden and smoke suites run each row's ``mini`` and diff
-``result.metrics()``; the paper benches print the same ``render()``.
+:data:`EXPERIMENTS` is the only list of experiments in the tree, and a
+row's :class:`Claim` tuple the only place a paper-reported number is
+typed.  A row has two scales: its function's *defaults* are the recorded
+scale — what ``repro <row>`` runs with no flags, its claims are checked
+at and EXPERIMENTS.md shows (``tests/test_paper_claims.py``) — and
+``mini`` is the smallest meaningful run, whose ``result.metrics()`` and
+event count the golden suite diffs.  The CLI selects rows by name or
+group and prints ``result.render()`` and :meth:`Experiment.claims_table`.
 Adding an experiment is: write the ``fig*``-style function (returning a
-``*Result`` with ``render()``/``metrics()``), add one row here, run
-``pytest tests/test_golden_figures.py --regen-golden``.
+``*Result`` with ``render()``/``metrics()``), add one row here with its
+claims, run ``pytest tests/test_golden_figures.py
+tests/test_paper_claims.py --regen-golden``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.core.figures import (
+    ablations,
     cluster_rebalance_tail,
     cluster_replication_cost,
     cluster_shard_scaling,
@@ -30,7 +37,30 @@ from repro.core.figures import (
 )
 from repro.core.headline import headline_scalars
 from repro.frontend.run import frontend_load_sweep
+from repro.kvbench.report import format_table
+from repro.kvbench.ycsb_sweep import run_ycsb_sweep
 from repro.units import KIB
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper finding as a scalar in a band: direction is a one-sided
+    band on a ratio, a rough factor a two-sided one, a crossover a band on
+    each side of it."""
+
+    finding: str
+    #: What the paper reports, verbatim enough to look up.
+    paper: str
+    #: The row's ``*Result`` -> the measured scalar.
+    measure: Callable[[Any], float]
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    def __post_init__(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError(
+                f"claim {self.finding!r}: empty band [{self.lo}, {self.hi}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -41,13 +71,29 @@ class Experiment:
     #: ``paper`` rows are CLI commands by name (and make up ``repro all``);
     #: the other groups are one CLI command each, running all their rows.
     group: str
-    #: Called as ``fn(runner=..., **kwargs)``; returns a ``*Result``.
+    #: Called as ``fn(runner=..., **kwargs)``; returns a ``*Result``.  Its
+    #: defaults are the row's recorded scale.
     fn: Callable[..., Any]
-    #: ``fn`` keyword -> CLI option (argparse dest) that supplies it.
+    #: ``fn`` keyword -> CLI option (argparse dest) that overrides it.
     cli: Mapping[str, str]
     #: Keywords of the smallest meaningful run — what the golden and smoke
     #: suites execute, and ``repro replay --smoke``.
     mini: Mapping[str, Any]
+    #: The paper findings this row reproduces, checked at ``fn()``.
+    claims: Tuple[Claim, ...] = ()
+
+    def claims_table(self, result: Any) -> Tuple[str, bool]:
+        """The ``finding | paper | measured | holds`` table for ``result``
+        and whether every claim held."""
+        rows, ok = [], True
+        for claim in self.claims:
+            measured = float(claim.measure(result))
+            # A non-finite measurement is a miss, whatever the band.
+            held = math.isfinite(measured) and claim.lo <= measured <= claim.hi
+            ok = ok and held
+            rows.append([claim.finding, claim.paper, f"{measured:.3g}",
+                         "yes" if held else "NO"])
+        return format_table(["finding", "paper", "measured", "holds"], rows), ok
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
@@ -57,41 +103,205 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "fig2", "paper", fig2_end_to_end, {"n_ops": "n_ops"},
             dict(n_ops=250, queue_depth=8, systems=("kvssd", "rocksdb"),
                  patterns=("seq", "rand"), blocks_per_plane=8),
+            (
+                Claim("KV seq/rand insert latency", "~equal (hashing erases order)",
+                      lambda r: r.latency_us["kvssd"]["seq"]["insert"]
+                      / r.latency_us["kvssd"]["rand"]["insert"], 0.8, 1.25),
+                Claim("RocksDB/KV insert latency (rand)", "KV wins; up to 23.08x",
+                      lambda r: r.ratio("rocksdb", "kvssd", "rand", "insert"), 2.0),
+                Claim("RocksDB/KV update latency (rand)", "KV wins",
+                      lambda r: r.ratio("rocksdb", "kvssd", "rand", "update"), 2.0),
+                Claim("KV/RocksDB read latency (rand)", "KV suffers (>1)",
+                      lambda r: r.ratio("kvssd", "rocksdb", "rand", "read"), 1.2),
+                Claim("Aerospike/KV update latency (rand)", "KV wins; up to 3.64x",
+                      lambda r: r.ratio("aerospike", "kvssd", "rand", "update"), 1.2),
+                Claim("KV/Aerospike insert latency (rand)", "~1 or Aerospike faster",
+                      lambda r: r.ratio("kvssd", "aerospike", "rand", "insert"),
+                      0.8, 1.25),
+            ),
         ),
         Experiment(
             "fig3", "paper", fig3_index_occupancy,
             {"measured_ops": "measured_ops"},
             dict(value_bytes=512, low_fraction=0.0005, high_fraction=0.5,
                  measured_ops=200, blocks_per_plane=8),
+            (
+                Claim("KV write degradation high/low", "up to 16.4x",
+                      lambda r: r.degradation("kv", "write"), 4.0),
+                Claim("KV read degradation high/low", "up to 2x",
+                      lambda r: r.degradation("kv", "read"), 1.5, 4.0),
+                Claim("block write degradation", "~1x (flat)",
+                      lambda r: r.degradation("block", "write"), hi=1.5),
+                Claim("block read degradation", "~1x (flat)",
+                      lambda r: r.degradation("block", "read"), hi=1.5),
+            ),
         ),
         Experiment(
             "fig4", "paper", fig4_value_size_concurrency, {"n_ops": "n_ops"},
             dict(value_sizes=(4 * KIB,), queue_depths=(1, 64), n_ops=200,
                  blocks_per_plane=8),
+            (
+                Claim("QD1 4 KiB write ratio", "~2.5x",
+                      lambda r: r.ratio["write"][1][4 * KIB], 1.5, 4.0),
+                Claim("QD1 4 KiB read ratio", "~1.7x",
+                      lambda r: r.ratio["read"][1][4 * KIB], 1.3, 2.5),
+                Claim("QD1 32 KiB write ratio (split values)", "up to 5.4x",
+                      lambda r: r.ratio["write"][1][32 * KIB], 2.5),
+                Claim("QD64 4 KiB write ratio", "<1; as low as 0.86x",
+                      lambda r: r.ratio["write"][64][4 * KIB], hi=1.0),
+                Claim("QD64 4 KiB read ratio", "<1; as low as 0.37x",
+                      lambda r: r.ratio["read"][64][4 * KIB], hi=1.0),
+                Claim("QD64 32 KiB write ratio", "back above 1 at >=32 KiB",
+                      lambda r: r.ratio["write"][64][32 * KIB], 1.0),
+                Claim("QD64 32 KiB read ratio", "back above 1 at >=32 KiB",
+                      lambda r: r.ratio["read"][64][32 * KIB], 1.0),
+            ),
         ),
         Experiment(
             "fig5", "paper", fig5_packing_bandwidth, {"n_ops": "n_ops"},
             dict(value_sizes=(24 * KIB, 25 * KIB), n_ops=200, queue_depth=32,
                  blocks_per_plane=8),
+            (
+                Claim("KV bandwidth 25 KiB / 24 KiB", "drops sharply",
+                      lambda r: r.kv_mib_s[25 * KIB] / r.kv_mib_s[24 * KIB], hi=0.6),
+                Claim("KV bandwidth 48 KiB / 25 KiB", "recovers toward 48 KiB",
+                      lambda r: r.kv_mib_s[48 * KIB] / r.kv_mib_s[25 * KIB], 1.2),
+                Claim("KV bandwidth 49 KiB / 48 KiB", "drops again",
+                      lambda r: r.kv_mib_s[49 * KIB] / r.kv_mib_s[48 * KIB], hi=0.8),
+                Claim("block bandwidth, largest adjacent step", "smooth",
+                      lambda r: max(
+                          abs(r.block_mib_s[b] / r.block_mib_s[a] - 1.0)
+                          for a, b in zip(r.value_sizes, r.value_sizes[1:])
+                      ), hi=0.15),
+                Claim("KV fragments at 49 KiB", "3 data + 2 offset pages",
+                      lambda r: r.kv_fragments[49 * KIB], 5, 5),
+            ),
         ),
         Experiment(
             "fig6", "paper", fig6_foreground_gc, {},
             dict(blocks_per_plane=4,
                  scenarios=("kv-uniform", "rocksdb-uniform")),
+            (
+                Claim("KV uniform: foreground GC runs", "collapses",
+                      lambda r: r.foreground_gc_runs["kv-uniform"], 1),
+                Claim("KV uniform: worst/first bandwidth window", "collapses",
+                      lambda r: r.trough_ratio("kv-uniform"), hi=0.5),
+                Claim("KV sliding window: foreground GC runs", "also collapses",
+                      lambda r: r.foreground_gc_runs["kv-window"], 1),
+                Claim("KV sliding window: worst/first window", "also collapses",
+                      lambda r: r.trough_ratio("kv-window"), hi=0.5),
+                Claim("RocksDB on block: foreground GC runs", "none",
+                      lambda r: r.foreground_gc_runs["rocksdb-uniform"], 0, 0),
+            ),
         ),
         Experiment(
             "fig7", "paper", fig7_space_amplification, {},
             dict(value_sizes=(50, 1024, 4096), kvps=3000, blocks_per_plane=8),
+            (
+                Claim("KV-SSD at 50 B values", "~17x (up to 20x)",
+                      lambda r: r.sa["kvssd"][50], 14.0, 21.0),
+                Claim("KV-SSD at 1 KiB values", "~1 (tight packing)",
+                      lambda r: r.sa["kvssd"][1024], hi=1.1),
+                Claim("KV-SSD at 4 KiB values", "~1 (tight packing)",
+                      lambda r: r.sa["kvssd"][4096], hi=1.05),
+                Claim("Aerospike at 50 B values", "<2 (1.8x)",
+                      lambda r: r.sa["aerospike"][50], hi=2.0),
+                Claim("RocksDB worst case", "1.111x",
+                      lambda r: r.sa["rocksdb"][50], 1.101, 1.121),
+                Claim("max KVPs on 3.84 TB (billions)", "~3.1",
+                      lambda r: r.max_kvps_full_scale / 1e9, 2.8, 3.4),
+                Claim("measured vs closed-form KV-SSD, worst size", "-",
+                      lambda r: max(
+                          abs(r.sa["kvssd"][size] / r.kv_analytic[size] - 1.0)
+                          for size in r.value_sizes
+                      ), hi=0.02),
+            ),
         ),
         Experiment(
             "fig8", "paper", fig8_key_size_bandwidth, {"n_ops": "n_ops"},
             dict(key_sizes=(16, 24), n_ops=400, blocks_per_plane=8),
+            (
+                Claim("async bandwidth step, 8 B -> 16 B keys", "flat up to 16 B",
+                      lambda r: abs(
+                          r.mib_s["async"][16] / r.mib_s["async"][8] - 1.0
+                      ), hi=0.1),
+                Claim("drop past 16 B (async)", "as low as ~0.53x",
+                      lambda r: r.cliff_ratio("async"), hi=0.7),
+                Claim("drop past 16 B (sync)", "present, smaller",
+                      lambda r: r.cliff_ratio("sync"), hi=0.98),
+            ),
         ),
         Experiment(
             "headline", "paper", headline_scalars, {},
             # Enough ops that Aerospike's updates leave its write buffer:
             # every headline ratio already points the paper's way.
             dict(n_ops=800, blocks_per_plane=8),
+            (
+                Claim("host CPU reduction vs RocksDB", "~13x avg (up to 0.92x less)",
+                      lambda r: r.cpu_reduction_vs_rocksdb, 5.0),
+                Claim("CPU reduction vs Aerospike / vs RocksDB", "much smaller",
+                      lambda r: r.cpu_reduction_vs_aerospike
+                      / r.cpu_reduction_vs_rocksdb, hi=1.0),
+                Claim("4K rand read BW, KV/block (QD1, 45% fill)", "as low as 0.44x",
+                      lambda r: r.bw_ratio_4k_rand_read, hi=1.0),
+                Claim("4K rand write BW, KV/block (QD1, 45% fill)", "as low as 0.22x",
+                      lambda r: r.bw_ratio_4k_rand_write, hi=1.0),
+                Claim("direct read latency, KV/block (QD1)", "1.7x typical",
+                      lambda r: r.latency_ratio_read_qd1, 1.3, 2.5),
+                # Above the low-fill band's upper edge: occupancy must make
+                # the read ratio worse, as the paper's extreme does.
+                Claim("direct read latency at high occupancy", "up to 8.1x",
+                      lambda r: r.latency_ratio_read_high_occupancy, 2.5),
+                Claim("direct write latency, KV/block (QD1)", "2.5-2.63x",
+                      lambda r: r.latency_ratio_write_qd1, 1.8, 4.0),
+                Claim("e2e insert gain vs RocksDB", "up to 23.08x",
+                      lambda r: r.e2e_insert_gain_vs_rocksdb, 2.0),
+                Claim("e2e update gain vs Aerospike", "up to 3.64x",
+                      lambda r: r.e2e_update_gain_vs_aerospike, 1.2),
+                Claim("max KVPs on 3.84 TB (billions)", "~3.1",
+                      lambda r: r.max_kvps_full_scale / 1e9, 2.8, 3.4),
+            ),
+        ),
+        Experiment(
+            "ablations", "ablations", ablations, {"n_ops": "n_ops"},
+            # Enough inserts that the narrow stripe's dies queue up.
+            dict(stream_widths=(4, 16), n_ops=400),
+            (
+                Claim("50 B space amp, 256 B / 1 KiB min allocation",
+                      "min allocation causes it (Fig. 7)",
+                      lambda r: r.effect["min_alloc_bytes.space_amp_50b"][256]
+                      / r.effect["min_alloc_bytes.space_amp_50b"][1024], hi=0.3),
+                Claim("write degradation, scaled index DRAM",
+                      "index outgrows DRAM (Fig. 3)",
+                      lambda r: r.effect["index_dram.write_degradation"]["scaled"],
+                      3.0),
+                Claim("write degradation, 64 MiB index DRAM", "no knee if it fits",
+                      lambda r: r.effect["index_dram.write_degradation"]["64MiB"],
+                      hi=1.2),
+                Claim("QD64 insert latency, 16 / 4 dies wide",
+                      "wide striping wins at depth (Fig. 4)",
+                      lambda r: r.effect["stream_width.insert_us"][16]
+                      / r.effect["stream_width.insert_us"][4], hi=1.0),
+                Claim("first split value, 512 B - 7.5 KiB reserve (KiB)",
+                      "reserve sets the dips (Fig. 5)",
+                      lambda r: r.effect["page_reserve_bytes.first_split_kib"][512]
+                      - r.effect["page_reserve_bytes.first_split_kib"][7680], 1),
+            ),
+        ),
+        Experiment(
+            "ycsb", "ycsb", run_ycsb_sweep, {"n_ops": "n_ops"},
+            dict(workloads=("A", "E"), n_ops=60, population=300),
+            (
+                Claim("E (scans) KV/RocksDB", "future work; no ordered scan",
+                      lambda r: r.ratio("E"), 5.0),
+                Claim("E ratio over the worst point-workload ratio", "-",
+                      lambda r: r.ratio("E") / max(r.ratio(w) for w in "ABCDF"),
+                      2.0),
+                Claim("C (read-only) KV/RocksDB", "reads favor RocksDB (Fig. 2)",
+                      lambda r: r.ratio("C"), 1.0),
+                Claim("A (update-heavy) ratio over C's", "updates favor KV (Fig. 2)",
+                      lambda r: r.ratio("A") / r.ratio("C"), hi=1.0),
+            ),
         ),
         Experiment(
             "fig_cluster_scaling", "cluster", cluster_shard_scaling,

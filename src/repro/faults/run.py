@@ -2,8 +2,8 @@
 
 :func:`run_fault_sweep` replays the same mixed workload against a KV-SSD
 rig and a block-SSD rig at a series of statistical fault rates, so the
-CLI (``repro faults``) and the tail-latency bench can show how media
-errors inflate latency percentiles and which recovery counters moved.
+CLI (``repro faults``) can show how media errors inflate latency
+percentiles and which recovery counters moved.
 
 A single ``rate`` knob scales the whole :class:`FaultConfig` through
 :func:`fault_profile` — corrected read errors dominate (they are by far
@@ -111,7 +111,7 @@ def _fault_cell(device: str, rate: float, seed: int, n_ops: int,
 
 def run_fault_sweep(
     rates: Sequence[float] = DEFAULT_RATES,
-    n_ops: int = 600,
+    n_ops: int = 1200,
     seed: int = 7,
     value_bytes: int = 4096,
     blocks_per_plane: int = 16,

@@ -1,8 +1,8 @@
-"""Plain-text result tables for the benchmark harness.
+"""Plain-text result tables for the experiments.
 
-Every bench prints the same rows/series the paper's figures show, via
-these helpers, so ``pytest benchmarks/ --benchmark-only`` output doubles
-as the reproduction record copied into EXPERIMENTS.md.
+Every ``*Result.render()`` and claims table prints the rows/series the
+paper's figures show via these helpers; that text, at each row's recorded
+scale, is the reproduction record below the marker in EXPERIMENTS.md.
 """
 
 from __future__ import annotations

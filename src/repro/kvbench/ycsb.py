@@ -21,7 +21,7 @@ Scans (workload E) deserve a caveat the paper would have cared about:
 the KV-SSD has no ordered iteration — only 4-byte-prefix iterator
 buckets — so a "scan" against the KV device walks bucket pages and
 filters, whereas the LSM store serves genuine ordered ranges.  The
-:mod:`examples` and benches surface exactly this contrast.
+:mod:`examples` and the ``ycsb`` experiment surface exactly this contrast.
 """
 
 from __future__ import annotations

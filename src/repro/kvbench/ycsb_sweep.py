@@ -3,9 +3,10 @@
 Each (workload, system) pair is one :class:`~repro.exec.spec.SweepPoint`
 whose cell, :func:`ycsb_cell`, is a module-level pure function of
 primitives — the shape the sweep engine requires for process-pool
-pickling and content-addressed caching.  The bench
-``benchmarks/bench_ycsb_workloads.py`` and the cluster's multi-tenant
-router both build on the same cells, so "YCSB on this testbed" has
+pickling and content-addressed caching.  The ``ycsb`` experiment
+(:func:`run_ycsb_sweep`) is the A-F grid over both systems; the cluster's
+multi-tenant router generates its streams with the same
+:func:`~repro.kvbench.ycsb.generate_ycsb`, so "YCSB on this testbed" has
 exactly one definition.
 """
 
@@ -17,6 +18,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.experiment import build_rig, lab_geometry
 from repro.errors import WorkloadError
 from repro.exec.runner import SweepRunner, grid
+from repro.kvbench.report import format_table
 from repro.kvbench.runner import run_phase
 from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
 from repro.kvftl.population import KeyScheme
@@ -85,6 +87,38 @@ def ycsb_cell(
     )
 
 
+@dataclass
+class YCSBResult:
+    """Mean latency per core workload, KV-SSD vs the RocksDB stand-in."""
+
+    #: cells[workload][system] with system kv/lsm.
+    cells: Dict[str, Dict[str, YCSBCellResult]]
+
+    def ratio(self, workload: str) -> float:
+        """KV-SSD mean latency over RocksDB's (>1 favors RocksDB)."""
+        pair = self.cells[workload]
+        return pair["kv"].mean_us / pair["lsm"].mean_us
+
+    def render(self) -> str:
+        rows = [
+            [workload, pair["kv"].mean_us, pair["lsm"].mean_us,
+             self.ratio(workload)]
+            for workload, pair in self.cells.items()
+        ]
+        return format_table(
+            ["workload", "KV-SSD us", "RocksDB us", "KV/RocksDB"], rows
+        ) + "\n\nE = scans: no ordered iteration behind a hash index"
+
+    def metrics(self) -> Dict[str, float]:
+        metrics: Dict[str, float] = {}
+        for workload, pair in self.cells.items():
+            for system, cell in pair.items():
+                metrics[f"{workload}.{system}.mean_us"] = cell.mean_us
+                metrics[f"{workload}.{system}.p99_us"] = cell.p99_us
+            metrics[f"{workload}.ratio"] = self.ratio(workload)
+        return metrics
+
+
 def run_ycsb_sweep(
     workloads: Tuple[str, ...] = YCSB_WORKLOADS,
     n_ops: int = 600,
@@ -92,8 +126,9 @@ def run_ycsb_sweep(
     runner: Optional[SweepRunner] = None,
     seed: int = 1,
     **kwargs: int,
-) -> Dict[str, Dict[str, YCSBCellResult]]:
-    """Execute the grid; results keyed ``[workload][system]``.
+) -> YCSBResult:
+    """Execute the grid — the ``ycsb`` experiment (the paper's named
+    future work); ``result.cells`` is keyed ``[workload][system]``.
 
     ``runner=None`` runs cells inline; a :class:`SweepRunner` adds
     process-pool fan-out and the on-disk cache.  Assembly is spec-order
@@ -110,4 +145,4 @@ def run_ycsb_sweep(
     table: Dict[str, Dict[str, YCSBCellResult]] = {}
     for (workload, system), cell in cells.items():
         table.setdefault(workload, {})[system] = cell
-    return table
+    return YCSBResult(table)

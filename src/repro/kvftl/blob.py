@@ -133,8 +133,8 @@ def space_amplification(
 ) -> float:
     """Analytic device-bytes / application-bytes ratio for one pair size.
 
-    This is the closed-form counterpart of the measured Fig. 7 curve; the
-    benches cross-check the device's measured accounting against it.
+    This is the closed-form counterpart of the measured Fig. 7 curve; a
+    ``fig7`` claim holds the device's measured accounting to it.
     """
     app = key_bytes + value_bytes
     if app == 0:

@@ -29,21 +29,27 @@ class KeyScheme:
 
     prefix: bytes = b"key-"
     digits: int = 12
-    #: Length of every key this scheme produces, and of its prefix: derived
-    #: once (every lookup of a primed key reads both).
+    #: Length of every key this scheme produces, of its prefix, and the
+    #: number of keys it can name: derived once (every lookup of a primed
+    #: key reads the first two, every ``key_for`` the third).
     key_bytes: int = field(init=False, repr=False, compare=False)
     _prefix_bytes: int = field(init=False, repr=False, compare=False)
+    _limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.digits < 1:
             raise ValueError(f"digits must be >= 1, got {self.digits}")
         object.__setattr__(self, "_prefix_bytes", len(self.prefix))
         object.__setattr__(self, "key_bytes", len(self.prefix) + self.digits)
+        object.__setattr__(self, "_limit", 10 ** self.digits)
 
     def key_for(self, index: int) -> bytes:
-        """The key naming pair number ``index``."""
-        if index < 0:
-            raise ValueError(f"key index must be >= 0, got {index}")
+        """The key naming pair number ``index``; past the scheme's digits
+        zfill would outgrow ``key_bytes`` and ``index_of`` reject the key."""
+        if not 0 <= index < self._limit:
+            raise ValueError(
+                f"key index must be in [0, {self._limit}), got {index}"
+            )
         return self.prefix + str(index).zfill(self.digits).encode("ascii")
 
     def index_of(self, key: bytes) -> Optional[int]:

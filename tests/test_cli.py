@@ -3,10 +3,12 @@
 import csv
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.registry import EXPERIMENTS, Claim
 from repro.faults.run import SWEEP_CSV_COLUMNS
 
 
@@ -29,6 +31,33 @@ def test_parser_options():
     assert args.measured_ops == 123
     args = build_parser().parse_args(["fig5", "--n-ops", "77"])
     assert args.n_ops == 77
+
+
+def test_scale_flags_default_to_not_given():
+    """A row's function defaults are its recorded scale; the parser must
+    not carry a second set."""
+    args = build_parser().parse_args(["fig2"])
+    dests = {dest for row in EXPERIMENTS.values() for dest in row.cli.values()}
+    assert {getattr(args, dest) for dest in dests} == {None}
+
+
+def test_missed_claim_fails_the_run_only_at_the_recorded_scale(
+    capsys, monkeypatch
+):
+    """A planted impossible band: exit 1 with no scale flag; with one the
+    table still prints, under a notice, and cannot fail the run."""
+    planted = Claim("planted", "-", lambda r: r.cliff_ratio("async"), lo=2.0)
+    monkeypatch.setitem(
+        EXPERIMENTS, "fig8", replace(EXPERIMENTS["fig8"], claims=(planted,))
+    )
+    assert main(["fig8", "--no-cache"]) == 1
+    recorded = capsys.readouterr().out
+    assert main(["fig8", "--n-ops", "300", "--no-cache"]) == 0
+    scaled = capsys.readouterr().out
+    for out in (recorded, scaled):
+        assert re.search(r"planted +- +0\.\d+ +NO\n", out)
+    assert "not the recorded scale" in scaled
+    assert "not the recorded scale" not in recorded
 
 
 def test_fig7_command_prints_table(capsys):
@@ -100,6 +129,10 @@ def test_faults_command_prints_table_and_writes_csv(capsys, tmp_path):
     captured = capsys.readouterr().out
     assert exit_code == 0
     assert "kv-ssd" in captured and "block-ssd" in captured
+    # Rate 0 is in the sweep: tail inflation over it, 1.00 on its own row.
+    table = captured.splitlines()
+    assert table[2].endswith("mode  p99 x  p999 x")
+    assert re.search(r"kv-ssd +0 .* rw +1\.00 +1\.00$", table[4])
     assert f"wrote 4 sweep rows to {out_csv}" in captured
     with out_csv.open(newline="") as handle:
         rows = list(csv.reader(handle))

@@ -1,7 +1,7 @@
 """Smoke tests for the figure experiments at miniature scale.
 
-The benchmarks run the figures at reproduction scale; these tests assert
-the *shape* of the ``mini`` runs declared in
+``tests/test_paper_claims.py`` checks the paper's findings at each row's
+recorded scale; these tests assert the *shape* of the ``mini`` runs declared in
 ``repro.core.registry.EXPERIMENTS`` — the same memoized results the golden
 suite diffs, so each mini figure executes once per session no matter how
 many suites consume it.

@@ -31,6 +31,15 @@ def test_key_scheme_negative_index_rejected():
         KeyScheme().key_for(-1)
 
 
+def test_key_scheme_refuses_an_index_its_digits_cannot_name():
+    """zfill pads but never truncates: index 1000 under 3 digits would be
+    a 5-byte key that ``index_of`` rejects."""
+    scheme = KeyScheme(prefix=b"k", digits=3)
+    assert scheme.key_for(999) == b"k999"
+    with pytest.raises(ValueError, match=r"\[0, 1000\)"):
+        scheme.key_for(1000)
+
+
 def test_key_scheme_digits_validated():
     with pytest.raises(ValueError):
         KeyScheme(digits=0)

@@ -19,7 +19,7 @@ def test_sweep_covers_the_full_grid_with_unique_labels():
             return [None] * len(spec.points)
 
     runner = Capture(cache=False)
-    table = run_ycsb_sweep(runner=runner)
+    table = run_ycsb_sweep(runner=runner).cells
     labels = [point.label for point in runner.spec.points]
     assert len(labels) == len(YCSB_WORKLOADS) * len(YCSB_SYSTEMS)
     assert len(set(labels)) == len(labels)
@@ -45,7 +45,7 @@ def test_sweep_assembles_by_workload_and_system(tmp_path):
     runner = SweepRunner(workers=2, cache=True, cache_dir=str(tmp_path))
     table = run_ycsb_sweep(
         workloads=("A", "E"), n_ops=60, population=300, runner=runner
-    )
+    ).cells
     assert set(table) == {"A", "E"}
     for cells in table.values():
         assert set(cells) == {"kv", "lsm"}
@@ -58,4 +58,4 @@ def test_sweep_assembles_by_workload_and_system(tmp_path):
         workloads=("A", "E"), n_ops=60, population=300, runner=runner
     )
     assert runner.last_report.hits == 4
-    assert again == table
+    assert again.cells == table
