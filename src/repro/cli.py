@@ -106,6 +106,14 @@ def _parse_loads(text: str) -> tuple:
     return loads
 
 
+def _cluster_ops(text: str) -> int:
+    """``--cluster-ops``: a tenant stream needs at least one operation."""
+    n_ops = int(text)
+    if n_ops < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n_ops}")
+    return n_ops
+
+
 def _cluster_smoke(args: argparse.Namespace, runner: SweepRunner) -> None:
     """CI-shaped smoke: 2 shards, R=2, one forced mid-run read-only
     degradation.  Exits non-zero if any acknowledged write is lost."""
@@ -307,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(parent directories are created)",
     )
     parser.add_argument(
-        "--cluster-ops", type=int, default=None, metavar="N",
+        "--cluster-ops", type=_cluster_ops, default=None, metavar="N",
         help="cluster: operations per tenant stream (default: 300)",
     )
     parser.add_argument(

@@ -12,9 +12,20 @@ re-inserts on the newly added holders), and re-maps reads away from it.
 The output is one :class:`ShardProgram` per shard: priming directives
 plus an ordered list of operation segments, with barriers exactly at
 degrade boundaries so no acknowledged client write can race the forced
-media failures.  Workers re-derive the plan from ``(spec, shard)``;
-nothing routed ever crosses a process boundary, which keeps cluster
-cells cacheable by the same content hash as any other sweep cell.
+media failures.  Cells stay pure functions of ``(spec, shard)``: each
+looks its program up through :func:`shard_plan`, nothing routed ever
+crosses a process boundary, and cluster cells stay cacheable by the same
+content hash as any other sweep cell.
+
+A cluster run plans once.  :func:`build_plan` is memoised per process on
+the frozen, value-hashed spec, and ``run_cluster`` plans before it fans
+out: inline cells and a later warm pass hit the entry, pool workers
+forked afterwards inherit it, and a spawned worker plans once per spec
+rather than once per shard — N+1 whole-cluster routings of an N-shard
+run become one.  What the memo hands out is shared by every later cell
+of the process, so it is immutable by construction: ``_Router`` builds
+lists, ``build_plan`` freezes them into tuples and read-only mappings,
+and a cell that tries to write to its program fails at the write.
 
 Cross-shard semantics deserve one caveat: each shard is an *independent*
 simulation (that is what makes the fan-out embarrassingly parallel), so
@@ -28,8 +39,10 @@ guarantee is checked against exactly that definition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.cluster.ring import HashRing
 from repro.cluster.spec import ClusterSpec, TenantSpec, shard_name
@@ -39,6 +52,12 @@ from repro.kvbench.ycsb import YCSBOperation, YCSBSpec, generate_ycsb
 
 #: Phase labels a planned operation may carry (latency buckets).
 PHASES = ("pre", "rebalance", "post", "drain")
+
+#: Plans a process keeps, least recently used evicted first.  A run needs
+#: one (plan, then its cells); the slack serves a caller going back and
+#: forth between specs, the bound stops a sweep over many specs from
+#: retaining every routed stream it ever built.
+_PLANS_KEPT = 3
 
 
 @dataclass(frozen=True)
@@ -73,34 +92,34 @@ class VerifyRange:
     count: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShardProgram:
     """Everything one shard executes, in order."""
 
     shard: int
     name: str
     personality: str
-    primes: List[PrimeDirective] = field(default_factory=list)
+    primes: Tuple[PrimeDirective, ...]
     #: Operation segments; a barrier (queue fully drained) sits between
     #: consecutive segments.
-    segments: List[List[PlannedOp]] = field(default_factory=list)
+    segments: Tuple[Tuple[PlannedOp, ...], ...]
     #: Trip the device read-only after segment index k (-1 = before the
     #: first segment; ``None`` = this shard never degrades).
-    degrade_after: Optional[int] = None
+    degrade_after: Optional[int]
     #: Post-run existence checks (KV personalities, ``spec.verify``).
-    verify: List[VerifyRange] = field(default_factory=list)
+    verify: Tuple[VerifyRange, ...]
 
     @property
     def total_ops(self) -> int:
         return sum(len(segment) for segment in self.segments)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterPlan:
-    """The fully routed cluster run."""
+    """The fully routed cluster run (shared through the memo: read-only)."""
 
     spec: ClusterSpec
-    programs: List[ShardProgram]
+    programs: Tuple[ShardProgram, ...]
     #: Client operations in the merged stream (scans/RMWs count once).
     client_ops: int
     #: Device operations routed to shards (replication fan-out included,
@@ -109,14 +128,14 @@ class ClusterPlan:
     #: Drain operations scheduled by degradations.
     drain_ops: int
     #: Inserts rejected at the router by tenant quota, per tenant name.
-    rejected_inserts: Dict[str, int]
+    rejected_inserts: Mapping[str, int]
     #: Reads/updates of keys the router knows don't exist (never
     #: accepted), answered at the router, per tenant name.
-    router_not_found: Dict[str, int]
+    router_not_found: Mapping[str, int]
     #: partition token -> ordered holder names, before any degradation.
-    initial_directory: Dict[str, Tuple[str, ...]]
+    initial_directory: Mapping[str, Tuple[str, ...]]
     #: partition token -> ordered holder names, after all degradations.
-    final_directory: Dict[str, Tuple[str, ...]]
+    final_directory: Mapping[str, Tuple[str, ...]]
 
 
 def partition_count(total: int, partitions: int, partition: int) -> int:
@@ -159,19 +178,16 @@ class _Router:
 
     def __init__(self, spec: ClusterSpec) -> None:
         self.spec = spec
-        self.ring = HashRing(
-            [shard_name(s) for s in range(spec.shards)], vnodes=spec.vnodes
-        )
-        self.programs = [
-            ShardProgram(
-                shard=s,
-                name=shard_name(s),
-                personality=spec.personality_of(s),
-                segments=[[]],
-            )
-            for s in range(spec.shards)
-        ]
-        self._by_name = {program.name: program for program in self.programs}
+        names = [shard_name(s) for s in range(spec.shards)]
+        self.ring = HashRing(names, vnodes=spec.vnodes)
+        #: Per shard name, in shard order: the lists ``build_plan``
+        #: freezes into that shard's :class:`ShardProgram`.
+        self.primes: Dict[str, List[PrimeDirective]] = {n: [] for n in names}
+        self.segments: Dict[str, List[List[PlannedOp]]] = {
+            n: [[]] for n in names
+        }
+        self.verify: Dict[str, List[VerifyRange]] = {n: [] for n in names}
+        self.degrade_after: Dict[str, int] = {}
         #: Accepted pairs per tenant (prefill + accepted inserts).
         self.accepted = [tenant.population for tenant in spec.tenants]
         #: token -> ordered holder names.
@@ -207,18 +223,18 @@ class _Router:
         into the segment it belongs to before the cut.
         """
         self.flush_drain_buffers()
-        for program in self.programs:
-            if program.segments[-1]:
-                program.segments.append([])
+        for segments in self.segments.values():
+            if segments[-1]:
+                segments.append([])
 
     def flush_drain_buffers(self) -> None:
         for name, drains in self.drain_buffer.items():
-            program = self._by_name[name]
-            program.segments[-1] = interleave(program.segments[-1], drains)
+            segments = self.segments[name]
+            segments[-1] = interleave(segments[-1], drains)
         self.drain_buffer.clear()
 
     def emit(self, name: str, planned: PlannedOp) -> None:
-        self._by_name[name].segments[-1].append(planned)
+        self.segments[name][-1].append(planned)
         self.routed_ops += 1
 
     # -- client operations -----------------------------------------------
@@ -303,8 +319,7 @@ class _Router:
         """Retire ``shard``: barrier, ring removal, drain scheduling."""
         name = shard_name(shard)
         self.cut_segments()
-        program = self._by_name[name]
-        program.degrade_after = len(program.segments) - 2
+        self.degrade_after[name] = len(self.segments[name]) - 2
         self.ring.remove(name)
         self.saw_degrade = True
         window_end = pos + self.spec.rebalance_window_ops
@@ -328,7 +343,7 @@ class _Router:
                 )
                 # The retiring device's obligation freezes here; it must
                 # still serve everything it acknowledged.
-                program.verify.append(VerifyRange(t, partition, count))
+                self.verify[name].append(VerifyRange(t, partition, count))
                 if not survivors:
                     # R=1: the retiring replica keeps serving reads until
                     # the drain window closes and the new holder is whole.
@@ -398,8 +413,13 @@ def _tenant_stream(tenant: TenantSpec) -> Iterator[YCSBOperation]:
     return generate_ycsb(ycsb)
 
 
+@lru_cache(maxsize=_PLANS_KEPT)
 def build_plan(spec: ClusterSpec) -> ClusterPlan:
-    """Route the whole cluster run; pure and deterministic in ``spec``."""
+    """Route the whole cluster run; pure and deterministic in ``spec``.
+
+    Memoised per process on the spec's value, so equal specs share one
+    frozen plan (module docstring).
+    """
     router = _Router(spec)
 
     # Priming: every initial holder of a partition prefills its pairs.
@@ -410,7 +430,7 @@ def build_plan(spec: ClusterSpec) -> ClusterPlan:
                 continue
             token = tenant.partition_token(partition)
             for holder in router.initial_directory[token]:
-                router._by_name[holder].primes.append(
+                router.primes[holder].append(
                     PrimeDirective(t, partition, count)
                 )
 
@@ -446,32 +466,45 @@ def build_plan(spec: ClusterSpec) -> ClusterPlan:
                 if count == 0:
                     continue
                 for holder in router.directory[token]:
-                    router._by_name[holder].verify.append(
+                    router.verify[holder].append(
                         VerifyRange(t, partition, count)
                     )
 
     return ClusterPlan(
         spec=spec,
-        programs=router.programs,
+        programs=tuple(
+            ShardProgram(
+                shard=s,
+                name=name,
+                personality=spec.personality_of(s),
+                primes=tuple(router.primes[name]),
+                segments=tuple(map(tuple, router.segments[name])),
+                degrade_after=router.degrade_after.get(name),
+                verify=tuple(router.verify[name]),
+            )
+            for s, name in enumerate(router.segments)
+        ),
         client_ops=total,
         routed_ops=router.routed_ops,
         drain_ops=router.drain_ops,
-        rejected_inserts=router.rejected,
-        router_not_found=router.not_found,
-        initial_directory=router.initial_directory,
-        final_directory={
+        rejected_inserts=MappingProxyType(router.rejected),
+        router_not_found=MappingProxyType(router.not_found),
+        initial_directory=MappingProxyType(router.initial_directory),
+        final_directory=MappingProxyType({
             token: tuple(holders)
             for token, holders in router.directory.items()
-        },
+        }),
     )
 
 
 def shard_plan(spec: ClusterSpec, shard: int) -> ShardProgram:
-    """The one shard program a worker needs (derived from the full plan).
+    """The one shard program a cell needs: a slice of the memoised plan.
 
-    Plan construction is shared work repeated in every worker; it is pure
-    Python over a few thousand operations, which stays far cheaper than
-    shipping routed streams through pickles and cache keys.
+    The plan is routed once per process and spec — by ``run_cluster``
+    before it fans out, so forked workers inherit it — never once per
+    cell.  The cell still receives only ``(spec, shard)``: the routed
+    streams stay out of pickles and cache keys, and because the program
+    is frozen no cell can pass state to the next through the memo.
     """
     if not 0 <= shard < spec.shards:
         raise ConfigurationError(f"shard {shard} outside [0, {spec.shards})")

@@ -165,6 +165,8 @@ def run_cluster(
     :class:`~repro.exec.runner.SweepRunner` adds process-pool fan-out and
     the on-disk result cache.  Results are identical either way.
     """
+    # Planned before the fan-out: inline cells hit the memo and forked
+    # pool workers inherit it, so the run routes once, not once per shard.
     plan: ClusterPlan = build_plan(spec)
     shards: List[ShardResult] = list(grid(
         f"cluster.{spec.shards}x{spec.replication}",
@@ -180,7 +182,8 @@ def run_cluster(
         client_ops=plan.client_ops,
         routed_ops=plan.routed_ops,
         drain_ops=plan.drain_ops,
-        rejected_inserts=plan.rejected_inserts,
-        router_not_found=plan.router_not_found,
-        final_directory=plan.final_directory,
+        # Copies: the plan is shared through the memo, a result is not.
+        rejected_inserts=dict(plan.rejected_inserts),
+        router_not_found=dict(plan.router_not_found),
+        final_directory=dict(plan.final_directory),
     )

@@ -2,13 +2,13 @@
 
 :func:`run_shard` is a module-level function of ``(spec, shard)`` — the
 shape the sweep engine requires for pickling and content-addressed
-caching.  It re-derives the shard's routed program from the spec, builds
-a fresh rig of the shard's personality, primes its partitions, plays the
-program's segments at the configured queue depth (charging the simulated
-router hop before every device operation), performs the planned
-read-only degradation through the real fault machinery, and finally
-verifies that every key the shard is still obligated to hold is
-readable on the device.
+caching.  It takes the shard's routed program (frozen, read-only) from
+the spec's per-process plan, builds a fresh rig of the shard's
+personality, primes its partitions, plays the program's segments at the
+configured queue depth (charging the simulated router hop before every
+device operation), performs the planned read-only degradation through
+the real fault machinery, and finally verifies that every key the shard
+is still obligated to hold is readable on the device.
 """
 
 from __future__ import annotations

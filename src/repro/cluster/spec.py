@@ -5,9 +5,9 @@ count, replication factor, ring shape, and any planned device
 degradations.  Everything in it is a frozen dataclass of primitives and
 tuples, so a spec is picklable, content-hashable by the result cache
 (:mod:`repro.exec.cache`), and safe to ship to worker processes: a shard
-cell receives ``(spec, shard_id)`` and re-derives its own slice of the
-routing plan deterministically instead of hauling op lists through
-pickles.
+cell receives ``(spec, shard_id)`` and takes its own slice of the plan
+its process routed from that spec (once — ``build_plan`` is memoised)
+instead of hauling op lists through pickles.
 
 Key naming is two-level: ``tenant tag (4 B) + partition number (4
 digits) + local index (8 digits)`` — 16-byte keys, the paper's macro

@@ -146,7 +146,7 @@ class ResultCache:
             self.misses += 1
             return False, None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+                ImportError, IndexError, ValueError, KeyError, TypeError):
             path.unlink(missing_ok=True)
             self.misses += 1
             return False, None

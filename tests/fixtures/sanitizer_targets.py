@@ -25,6 +25,13 @@ helper; ``sim_clock_cell`` reads ``env.now``.  The tripwires police
 files inside a ``repro`` package directory, so the guard-table test
 mounts a copy of this file in one.
 
+``cluster_cell`` is a small degrading ``run_cluster``, the one cell family
+with process-wide state behind it: ``build_plan`` is memoised, so the
+double run's first pass plans and its second is served the same plan.
+That is only sound because the plan is frozen; ``scribbling_cluster_cell``
+edits the program it was handed and must fail at the edit, not hand run 2
+a shorter program.
+
 The set-order pair is loaded by path
 (``tests/fixtures/sanitizer_targets.py:fn``), so this file must stay
 importable with only ``src`` on ``PYTHONPATH`` — and without ``from
@@ -148,3 +155,32 @@ def replay_expiry() -> List[Tuple[float, str, bytes, int, float]]:
     spec = ExpirySpec(n_ops=80, population=48, ttl_us=1500.0, seed=13)
     return [(r.timestamp_us, r.op, r.key, r.size, r.ttl_us)
             for r in generate_expiry(spec)]
+
+
+def _cluster_spec():
+    from repro.cluster import ClusterSpec, DegradeEvent, TenantSpec
+
+    return ClusterSpec(
+        shards=2, replication=2, partitions=8, vnodes=8,
+        tenants=(TenantSpec(name="ta", workload="A", n_ops=60,
+                            population=120, seed=11),),
+        degrade=(DegradeEvent(shard=0, at_op=30),),
+        rebalance_window_ops=15, blocks_per_plane=8, seed=17,
+    )
+
+
+def cluster_cell() -> str:
+    """A degrading 2-shard cluster run, planned once per process."""
+    from repro.cluster import run_cluster
+
+    return run_cluster(_cluster_spec()).fingerprint()
+
+
+def scribbling_cluster_cell() -> str:
+    """Drops the last op of the program it was handed before running."""
+    from repro.cluster import run_cluster
+    from repro.cluster.router import shard_plan
+
+    spec = _cluster_spec()
+    shard_plan(spec, 1).segments[-1].pop()
+    return run_cluster(spec).fingerprint()

@@ -185,6 +185,21 @@ def test_cluster_smoke_command_end_to_end(capsys, tmp_path):
     assert "zero lost acknowledged writes" in captured
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--smoke", "--cluster-ops", "0"],  # used to run 300 ops
+    ["cluster", "--cluster-ops", "0"],  # used to be a ConfigurationError
+    ["cluster", "--cluster-ops", "-5"],
+], ids=["smoke-zero", "zero", "negative"])
+def test_cluster_ops_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as raised:
+        main(argv + ["--no-cache"])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = captured.err.splitlines()[-1]
+    assert f"argument --cluster-ops: must be >= 1, got {argv[-1]}" in error
+
+
 def test_frontend_command_end_to_end(capsys, tmp_path):
     """`repro frontend` prints the latency-vs-load table, the knee line,
     and routes exec statistics to stderr — under a 2-way worker pool."""

@@ -10,6 +10,8 @@ The headline properties:
 * the router's op accounting balances exactly.
 """
 
+import multiprocessing
+from dataclasses import fields, replace
 from typing import Iterator, Tuple
 
 import pytest
@@ -21,8 +23,8 @@ from repro.cluster import (
     aggregate_device_stats,
     run_cluster,
 )
-from repro.cluster.router import build_plan, interleave, shard_plan
-from repro.cluster.router import PlannedOp
+from repro.cluster import router
+from repro.cluster.router import PlannedOp, build_plan, interleave, shard_plan
 from repro.cluster.run import ClusterResult
 from repro.cluster.spec import shard_name
 from repro.errors import ConfigurationError
@@ -112,6 +114,134 @@ def test_fingerprint_identical_serial_parallel_cached(acceptance_run, tmp_path):
     # The second runner pass was served entirely from the on-disk cache.
     report = runner.last_report
     assert report.hits == spec.shards
+    # Recorded at PR 21's tree, before build_plan was memoised and the plan
+    # frozen: planning once must not move a byte of any shard's result.
+    assert serial.fingerprint() == (
+        "8f4f7a12ec609d23a589f2259a7c5d0928f184c4597f7ffbd0cd174aa469f473"
+    )
+
+
+# -- a cluster run plans once --------------------------------------------------
+
+
+def test_a_cluster_run_routes_once_per_process_and_spec(
+    monkeypatch, tmp_path
+):
+    """Set-up + cold + warm, the benchmark's sequence: 7 routers before
+    the memo (N+1 per computed run, 1 per planned or cache-served one)."""
+    built = []
+    routed = []
+
+    class CountingRouter(router._Router):
+        def __init__(self, spec):
+            built.append(spec)
+            super().__init__(spec)
+
+        def route_client(self, t, op, pos):
+            routed.append(pos)
+            super().route_client(t, op, pos)
+
+    monkeypatch.setattr(router, "_Router", CountingRouter)
+    build_plan.cache_clear()
+    spec = _acceptance_spec()
+    build_plan(spec)
+    runner = SweepRunner(workers=1, cache=True, cache_dir=str(tmp_path))
+    cold = run_cluster(spec, runner)
+    twin = _acceptance_spec()
+    assert twin is not spec and twin == spec
+    warm = run_cluster(twin, runner)
+    assert runner.last_report.hits == spec.shards
+    assert warm.fingerprint() == cold.fingerprint()
+    assert len(built) == 1
+    assert routed == list(range(spec.total_client_ops))
+    # Uncached and inline, a distinct equal-valued spec still plans nothing.
+    run_cluster(_acceptance_spec())
+    assert len(built) == 1
+
+
+def test_equal_specs_share_one_plan_and_any_field_misses():
+    spec = _acceptance_spec()
+    plan = build_plan(spec)
+    assert build_plan(replace(spec)) is plan
+    for shard in range(spec.shards):
+        assert shard_plan(spec, shard) is plan.programs[shard]
+    changed = dict(
+        shards=5, replication=3, partitions=8, vnodes=8,
+        personalities=("kv", "kv", "block", "kv"),
+        tenants=(replace(spec.tenants[0], n_ops=151), spec.tenants[1]),
+        degrade=(),
+        rebalance_window_ops=50, seed=8, queue_depth=4, router_us=2.0,
+        blocks_per_plane=8, degrade_spare_blocks=2, trace=True,
+        verify=False,
+    )
+    assert set(changed) == {f.name for f in fields(ClusterSpec)}
+    for name, value in changed.items():
+        build_plan(spec)  # most recent again, whatever was evicted
+        before = build_plan.cache_info().misses
+        other = build_plan(replace(spec, **{name: value}))
+        assert other is not plan, name
+        assert build_plan.cache_info().misses == before + 1, name
+
+
+def test_a_shared_plan_cannot_be_written_to():
+    spec = _acceptance_spec()
+    plan = build_plan(spec)
+    program = plan.programs[0]
+    with pytest.raises(AttributeError):
+        program.segments[0].append(program.segments[0][0])
+    with pytest.raises(AttributeError):
+        program.degrade_after = 0
+    with pytest.raises(AttributeError):
+        plan.programs = ()
+    with pytest.raises(TypeError):
+        plan.programs[0] = program
+    for mapping in (plan.rejected_inserts, plan.router_not_found,
+                    plan.initial_directory, plan.final_directory):
+        with pytest.raises(TypeError):
+            mapping["ta"] = 1
+    # A result owns its bookkeeping: writing to it leaves the plan alone.
+    result = run_cluster(spec)
+    assert result.rejected_inserts == plan.rejected_inserts
+    assert result.final_directory == plan.final_directory != {}
+    result.rejected_inserts["ta"] += 1
+    result.router_not_found.clear()
+    result.final_directory.clear()
+    assert build_plan(spec) is plan
+    assert plan.rejected_inserts == {"ta": 0, "tb": 0}
+    assert set(plan.router_not_found) == {"ta", "tb"}
+    assert len(plan.final_directory) == 2 * spec.partitions
+
+
+def test_the_memo_is_bounded_and_an_evicted_plan_replans_equal():
+    build_plan.cache_clear()
+    bound = build_plan.cache_info().maxsize
+    assert 2 <= bound <= 4
+    specs = [replace(_acceptance_spec(), seed=seed) for seed in range(bound + 1)]
+    plans = [build_plan(spec) for spec in specs]
+    assert build_plan.cache_info().currsize == bound
+    assert all(build_plan(spec) is plan
+               for spec, plan in zip(specs[1:], plans[1:]))
+    replanned = build_plan(specs[0])  # the oldest was evicted
+    assert replanned is not plans[0] and replanned == plans[0]
+
+
+def _plan_state_of_a_forked_child(spec: ClusterSpec) -> Tuple[int, int]:
+    before = build_plan.cache_info()
+    shard_plan(spec, 0)
+    return before.currsize, build_plan.cache_info().misses - before.misses
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the inherited memo is a property of the fork start method",
+)
+def test_forked_worker_inherits_the_plan():
+    build_plan.cache_clear()
+    spec = _acceptance_spec()
+    build_plan(spec)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        entries, planned = pool.apply(_plan_state_of_a_forked_child, (spec,))
+    assert (entries, planned) == (1, 0)
 
 
 # -- router plan properties ----------------------------------------------------

@@ -267,6 +267,40 @@ class TestResultCache:
         assert not hit and value is None
         assert not path.exists()
 
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(b"", id="empty"),
+        pytest.param(b"garbage", id="garbage"),
+        pytest.param(b"\x80\x05\x95\x15\x00\x00\x00\x00\x00\x00\x00}\x94(\x8c\x01x",
+                     id="cut-frame"),
+        # ValueError: unsupported pickle protocol: 127
+        pytest.param(b"\x80\x7f", id="bad-protocol"),
+        # ValueError: unregistered extension code 1
+        pytest.param(b"\x82\x01.", id="bad-extension"),
+        # TypeError: unhashable type: 'list'
+        pytest.param(b"\x80\x04}(]K\x01u.", id="unhashable-key"),
+        # KeyError: 1
+        pytest.param(b"c_operator\ngetitem\n(}I1\ntR.", id="missing-key"),
+    ])
+    def test_corrupt_entry_is_recomputed_in_place_not_fatal_to_the_sweep(
+        self, tmp_path, corrupt
+    ):
+        """Every error ``pickle`` can raise on bytes it did not write is a
+        miss: ``b"\\x80\\x7f"`` used to escape ``get`` and kill the run."""
+        cache = ResultCache(tmp_path)
+        spec = _spec("corrupt", (3,))
+        key = point_key(spec.points[0])
+        path = tmp_path / key[:2] / f"{key}.pkl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(corrupt)
+        assert cache.get(key) == (False, None)
+        assert cache.misses == 1 and not path.exists()
+        path.write_bytes(corrupt)
+        runner = SweepRunner(workers=1, cache=cache)
+        assert runner.run(spec) == [{"x": 3, "twice": 6}]
+        assert (runner.last_report.hits, runner.last_report.computed) == (0, 1)
+        assert (cache.misses, cache.stores) == (2, 1)
+        assert cache.get(key) == (True, {"x": 3, "twice": 6})
+
     def test_put_leaves_no_temp_files(self, tmp_path):
         cache = ResultCache(tmp_path)
         for i in range(4):

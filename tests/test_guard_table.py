@@ -11,6 +11,11 @@ SIM011   ``set`` / ``Callable`` spec field  ``exec/cache.canonical`` TypeError
 SIM012   lambda / nested function cell     ``SweepPoint`` ConfigurationError
 =======  ================================  ==================================
 
+One row has no retired rule behind it: the cluster's ``build_plan`` memo
+is process-wide state behind a cell *on purpose*, so the double run's
+second pass is served the first one's plan.  What makes that sound is
+the frozen plan — a cell that edits its program fails at the edit.
+
 Each test runs the bug and its fix.  The three sanitizer rows also pin
 *which* check fails, so a guard that stops seeing its bug cannot hide
 behind another one that happens to.  (SIM011's other half, ``init=False``
@@ -88,6 +93,23 @@ def test_set_iteration_into_scheduling_fails_the_hash_seed_pair(capsys):
     assert checks == {"hash-seed"}
     assert "first divergent event at index" in lines[0]
     assert sanitize(capsys, f"{FIXTURE}:clean_model")[0] == 0
+
+
+def test_cluster_cell_shares_one_frozen_plan_across_the_double_run(
+    capsys, at_repo_root
+):
+    from repro.cluster.router import build_plan
+
+    build_plan.cache_clear()
+    assert sanitize(capsys, f"{FIXTURE_MODULE}:cluster_cell")[0] == 0
+    # Run 1 planned (run_cluster's own call); its two shard cells and all
+    # three lookups of run 2 were served that plan.
+    info = build_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+    # The planted twin fails loudly at the mutation, not silently in run 2.
+    with pytest.raises(AttributeError, match="'tuple' object has no attribute"):
+        sanitizer.main(["--target", f"{FIXTURE_MODULE}:scribbling_cluster_cell"])
+    assert sanitize(capsys, f"{FIXTURE_MODULE}:cluster_cell")[0] == 0
 
 
 @dataclass(frozen=True)
