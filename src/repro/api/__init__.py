@@ -1,6 +1,10 @@
 """Host-facing device APIs: the SNIA KVS library and direct block I/O."""
 
-from repro.api.block import BlockDeviceAPI
-from repro.api.kvs import KVStoreAPI
+from repro._lazy import lazy_exports
 
 __all__ = ["BlockDeviceAPI", "KVStoreAPI"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "block": ("BlockDeviceAPI",),
+    "kvs": ("KVStoreAPI",),
+})

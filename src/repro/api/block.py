@@ -12,13 +12,15 @@ driver would report), after the driver accounts the error completion.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
-from repro.blockftl.device import BlockSSD
 from repro.errors import DeviceError
 from repro.nvme.command import status_for_error
 from repro.nvme.driver import KernelDeviceDriver
 from repro.sim.engine import Environment, Event
+
+if TYPE_CHECKING:
+    from repro.blockftl.device import BlockSSD
 
 
 class BlockDeviceAPI:

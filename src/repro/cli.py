@@ -34,12 +34,8 @@ import sys
 import time
 from typing import Any, Dict, List
 
-from repro.cluster import ClusterSpec, DegradeEvent, TenantSpec, run_cluster
 from repro.core.registry import EXPERIMENTS, Experiment
 from repro.exec.runner import SweepRunner
-from repro.faults.run import run_fault_sweep, write_sweep_csv
-from repro.kvbench.report import format_table
-from repro.trace.export import format_breakdown, write_chrome_trace
 from repro.trace.run import SCENARIOS, run_traced
 
 #: Paper rows are commands by name, in 'all' order; every other group is
@@ -117,6 +113,9 @@ def _cluster_ops(text: str) -> int:
 def _cluster_smoke(args: argparse.Namespace, runner: SweepRunner) -> None:
     """CI-shaped smoke: 2 shards, R=2, one forced mid-run read-only
     degradation.  Exits non-zero if any acknowledged write is lost."""
+    from repro.cluster.run import run_cluster
+    from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec
+
     n_ops = args.cluster_ops or 300
     spec = ClusterSpec(
         shards=2, replication=2, partitions=8, vnodes=8,
@@ -167,6 +166,8 @@ def _replay_smoke_gate(rotation: Any, mix: Any) -> None:
 
 
 def _run_trace(args: argparse.Namespace, runner: SweepRunner) -> None:
+    from repro.trace.export import format_breakdown, write_chrome_trace
+
     report = run_traced(fig=args.fig, n_ops=args.trace_ops, runner=runner)
     print(f"scenario: {args.fig} — {report.scenario.focus}")
     for personality, run in report.runs.items():
@@ -182,6 +183,9 @@ def _run_trace(args: argparse.Namespace, runner: SweepRunner) -> None:
 
 
 def _run_faults(args: argparse.Namespace, runner: SweepRunner) -> None:
+    from repro.faults.run import run_fault_sweep, write_sweep_csv
+    from repro.kvbench.report import format_table
+
     try:
         rates = [float(r) for r in args.fault_rates.split(",") if r.strip()]
     except ValueError:

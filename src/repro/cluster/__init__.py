@@ -16,9 +16,7 @@ signal the router rebalances away from).
 * :mod:`repro.cluster.run` — cluster execution and result assembly.
 """
 
-from repro.cluster.ring import HashRing
-from repro.cluster.run import ClusterResult, aggregate_device_stats, run_cluster
-from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClusterResult",
@@ -29,3 +27,9 @@ __all__ = [
     "aggregate_device_stats",
     "run_cluster",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ring": ("HashRing",),
+    "run": ("ClusterResult", "aggregate_device_stats", "run_cluster"),
+    "spec": ("ClusterSpec", "DegradeEvent", "TenantSpec"),
+})

@@ -47,6 +47,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from repro.cluster.ring import HashRing
 from repro.cluster.spec import ClusterSpec, TenantSpec, shard_name
 from repro.errors import ConfigurationError
+from repro.kvbench.generators import ChurnSpec, generate_churn
+from repro.kvbench.traces import TraceWorkload
 from repro.kvbench.workload import OpType
 from repro.kvbench.ycsb import YCSBOperation, YCSBSpec, generate_ycsb
 
@@ -376,9 +378,6 @@ def _churn_stream(tenant: TenantSpec) -> Iterator[YCSBOperation]:
     :class:`~repro.kvbench.traces.TraceWorkload` keyed by the churn
     spec's own scheme to recover exact indices.
     """
-    from repro.kvbench.generators import ChurnSpec, generate_churn
-    from repro.kvbench.traces import TraceWorkload
-
     churn = ChurnSpec(
         n_ops=tenant.n_ops,
         population=tenant.population,

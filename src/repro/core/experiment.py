@@ -19,19 +19,13 @@ system name, and all four answer one method surface (``adapter_for``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from repro.api.block import BlockDeviceAPI
 from repro.api.kvs import KVStoreAPI
-from repro.blockftl.config import BlockSSDConfig
-from repro.blockftl.device import BlockSSD
 from repro.errors import ConfigurationError
 from repro.faults.model import FaultConfig, FaultInjector
 from repro.flash.geometry import Geometry
 from repro.flash.timing import FlashTiming
-from repro.hostkv.fs.ext4 import SimFileSystem
-from repro.hostkv.hashkv.store import HashKVConfig, HashKVStore
-from repro.hostkv.lsm.store import LSMConfig, LSMStore
 from repro.kvbench.runner import (
     BlockAdapter,
     HashKVAdapter,
@@ -47,6 +41,14 @@ from repro.nvme.driver import DriverCosts, KernelDeviceDriver
 from repro.sim.engine import Environment
 from repro.trace.tracer import Tracer
 from repro.units import KIB
+
+if TYPE_CHECKING:
+    from repro.api.block import BlockDeviceAPI
+    from repro.blockftl.config import BlockSSDConfig
+    from repro.blockftl.device import BlockSSD
+    from repro.hostkv.fs.ext4 import SimFileSystem
+    from repro.hostkv.hashkv.store import HashKVConfig, HashKVStore
+    from repro.hostkv.lsm.store import LSMConfig, LSMStore
 
 
 def lab_geometry(blocks_per_plane: int = 32) -> Geometry:
@@ -253,6 +255,9 @@ def build_block_rig(
     ``fault_config`` builds the device its own seeded fault injector
     (``None`` = perfect flash).
     """
+    from repro.api.block import BlockDeviceAPI
+    from repro.blockftl.device import BlockSSD
+
     env = Environment()
     cpu = CpuAccountant(env, host_cores)
     faults = FaultInjector(fault_config) if fault_config is not None else None
@@ -272,6 +277,9 @@ def build_lsm_rig(
     tracer: Optional[Tracer] = None,
 ) -> LSMRig:
     """Fresh environment with the RocksDB stand-in on ext4 on block."""
+    from repro.hostkv.fs.ext4 import SimFileSystem
+    from repro.hostkv.lsm.store import LSMStore
+
     base = build_block_rig(
         geometry, block_config, timing, host_cores=host_cores, tracer=tracer
     )
@@ -294,6 +302,8 @@ def build_hash_rig(
     ``fault_config`` builds the device its own seeded fault injector
     (``None`` = perfect flash).
     """
+    from repro.hostkv.hashkv.store import HashKVStore
+
     base = build_block_rig(
         geometry, block_config, timing, host_cores=host_cores, tracer=tracer,
         fault_config=fault_config,

@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.cluster.run import run_cluster
+from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec
 from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
 from repro.core.model import KVSSDModel, device_stats_summary
 from repro.errors import ConfigurationError
@@ -1101,11 +1103,6 @@ def _run_cluster(
     **spec_fields: Any,
 ) -> Any:
     """One cluster run under the default two-tenant YCSB A+B mix."""
-    # Imported here: repro.cluster builds on repro.core.experiment, so a
-    # module-level import would be circular.
-    from repro.cluster.run import run_cluster
-    from repro.cluster.spec import ClusterSpec, TenantSpec
-
     spec = ClusterSpec(
         tenants=(
             TenantSpec(name="ta", workload="A", n_ops=n_ops,
@@ -1276,8 +1273,6 @@ def cluster_rebalance_tail(
     window's tail cost.  Runs with span tracing on, so router-vs-device
     attribution rides along.
     """
-    from repro.cluster.spec import DegradeEvent  # circular at module level
-
     total = 2 * n_ops  # two tenants
     at_op = degrade_at if degrade_at is not None else total // 2
     cluster = _run_cluster(

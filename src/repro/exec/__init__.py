@@ -18,9 +18,7 @@ speed and re-run economy:
   is byte-identical to serial.
 """
 
-from repro.exec.cache import ResultCache, code_version_salt, point_key
-from repro.exec.runner import ExecReport, SweepRunner, execute_spec
-from repro.exec.spec import SweepPoint, SweepSpec
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ExecReport",
@@ -32,3 +30,9 @@ __all__ = [
     "execute_spec",
     "point_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("ResultCache", "code_version_salt", "point_key"),
+    "runner": ("ExecReport", "SweepRunner", "execute_spec"),
+    "spec": ("SweepPoint", "SweepSpec"),
+})

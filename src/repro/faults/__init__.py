@@ -1,12 +1,6 @@
 """Deterministic NAND fault injection and the reliability model."""
 
-from repro.faults.model import (
-    FAULT_KINDS,
-    FaultConfig,
-    FaultInjector,
-    READ_OK,
-    ReadResult,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FAULT_KINDS",
@@ -15,3 +9,9 @@ __all__ = [
     "READ_OK",
     "ReadResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "model": (
+        "FAULT_KINDS", "FaultConfig", "FaultInjector", "READ_OK", "ReadResult",
+    ),
+})

@@ -1,8 +1,6 @@
 """NAND flash substrate: geometry, timing, and the timed array."""
 
-from repro.flash.geometry import Geometry, PageAddress, scaled_pm983, tiny_geometry
-from repro.flash.nand import BlockInfo, BlockState, FlashArray, FlashCounters
-from repro.flash.timing import FlashTiming
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BlockInfo",
@@ -15,3 +13,9 @@ __all__ = [
     "scaled_pm983",
     "tiny_geometry",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "geometry": ("Geometry", "PageAddress", "scaled_pm983", "tiny_geometry"),
+    "nand": ("BlockInfo", "BlockState", "FlashArray", "FlashCounters"),
+    "timing": ("FlashTiming",),
+})

@@ -9,15 +9,7 @@ becomes an independent variable, which is what turns fig4's queue-depth
 sweep into a latency-vs-offered-load curve with a saturation knee.
 """
 
-from repro.frontend.arrivals import ArrivalSpec, generate_arrivals
-from repro.frontend.frontend import (
-    FrontendRunResult,
-    Request,
-    ServingFrontend,
-    run_frontend,
-)
-from repro.frontend.run import FrontendLoadResult, frontend_load_sweep
-from repro.frontend.spec import FrontendSpec, SLOClass, TenantLoad
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ArrivalSpec",
@@ -32,3 +24,12 @@ __all__ = [
     "FrontendLoadResult",
     "frontend_load_sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "arrivals": ("ArrivalSpec", "generate_arrivals"),
+    "frontend": (
+        "FrontendRunResult", "Request", "ServingFrontend", "run_frontend",
+    ),
+    "run": ("FrontendLoadResult", "frontend_load_sweep"),
+    "spec": ("FrontendSpec", "SLOClass", "TenantLoad"),
+})

@@ -33,6 +33,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
 from repro.errors import DeviceError
 from repro.frontend.arrivals import generate_arrivals
 from repro.frontend.spec import FrontendSpec, TenantLoad
@@ -470,8 +471,6 @@ def run_frontend(
     measured phase, so open-loop reads and updates always hit existing
     pairs; the measured phase starts at a fresh time origin.
     """
-    from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
-
     rig = build_rig(
         DIRECT_SYSTEMS[spec.personality],
         lab_geometry(spec.blocks_per_plane),

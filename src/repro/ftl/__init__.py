@@ -1,14 +1,6 @@
 """Shared FTL substrate: device core, pooling, streams, GC victims, buffers."""
 
-from repro.ftl.core import DeviceStats, FlushBatch, FtlCore, GcItem
-from repro.ftl.pool import AllocationStream, FreeBlockPool
-from repro.ftl.victim import (
-    VictimSelector,
-    cost_benefit_victim,
-    greedy_victim,
-    select_victim,
-)
-from repro.ftl.writebuffer import WriteBuffer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AllocationStream",
@@ -23,3 +15,13 @@ __all__ = [
     "greedy_victim",
     "select_victim",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "core": ("DeviceStats", "FlushBatch", "FtlCore", "GcItem"),
+    "pool": ("AllocationStream", "FreeBlockPool"),
+    "victim": (
+        "VictimSelector", "cost_benefit_victim", "greedy_victim",
+        "select_victim",
+    ),
+    "writebuffer": ("WriteBuffer",),
+})

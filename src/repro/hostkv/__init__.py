@@ -1,8 +1,6 @@
 """Host-side storage stacks: file system, LSM-tree store, hash-index store."""
 
-from repro.hostkv.fs.ext4 import SimFileSystem
-from repro.hostkv.hashkv.store import HashKVConfig, HashKVStore
-from repro.hostkv.lsm.store import LSMConfig, LSMStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HashKVConfig",
@@ -11,3 +9,9 @@ __all__ = [
     "LSMStore",
     "SimFileSystem",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "fs.ext4": ("SimFileSystem",),
+    "hashkv.store": ("HashKVConfig", "HashKVStore"),
+    "lsm.store": ("LSMConfig", "LSMStore"),
+})

@@ -1,5 +1,9 @@
 """Extent-based file system substrate (ext4 stand-in)."""
 
-from repro.hostkv.fs.ext4 import SimFileSystem
+from repro._lazy import lazy_exports
 
 __all__ = ["SimFileSystem"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ext4": ("SimFileSystem",),
+})

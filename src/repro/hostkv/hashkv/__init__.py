@@ -1,5 +1,9 @@
 """Hash-index key-value store over raw block storage (Aerospike stand-in)."""
 
-from repro.hostkv.hashkv.store import HashKVConfig, HashKVStore
+from repro._lazy import lazy_exports
 
 __all__ = ["HashKVConfig", "HashKVStore"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "store": ("HashKVConfig", "HashKVStore"),
+})

@@ -1,17 +1,6 @@
 """LSM-tree key-value store (RocksDB stand-in)."""
 
-from repro.hostkv.lsm.compaction import (
-    CompactionTask,
-    level_bytes,
-    level_target_bytes,
-    merge_runs,
-    overlapping,
-    pick_compaction,
-    split_entries,
-)
-from repro.hostkv.lsm.memtable import Memtable
-from repro.hostkv.lsm.sstable import BlockCache, SSTable
-from repro.hostkv.lsm.store import LSMConfig, LSMStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BlockCache",
@@ -27,3 +16,13 @@ __all__ = [
     "pick_compaction",
     "split_entries",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compaction": (
+        "CompactionTask", "level_bytes", "level_target_bytes", "merge_runs",
+        "overlapping", "pick_compaction", "split_entries",
+    ),
+    "memtable": ("Memtable",),
+    "sstable": ("BlockCache", "SSTable"),
+    "store": ("LSMConfig", "LSMStore"),
+})

@@ -23,8 +23,10 @@ What the paper measures through this engine:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
+from heapq import merge as heap_merge
 from typing import Dict, Generator, List, Optional
 
 from repro.errors import ConfigurationError, KeyNotFoundError
@@ -171,9 +173,6 @@ class LSMStore:
         if count < 1:
             raise ConfigurationError(f"scan count must be >= 1, got {count}")
         self._cpu.charge(self.component, self.config.get_cpu_us)
-        import bisect
-        from heapq import merge as heap_merge
-
         sources = []
         memtable_keys = sorted(
             key for key in self.memtable.entries() if key >= start_key

@@ -1,35 +1,6 @@
 """KVbench-style workload generation, adapters, runner, and reporting."""
 
-from repro.kvbench.distributions import (
-    ZipfianGenerator,
-    sequential_indices,
-    sliding_window_indices,
-    uniform_indices,
-    zipfian_indices,
-)
-from repro.kvbench.report import format_series, format_table, sparkline
-from repro.kvbench.runner import (
-    BlockAdapter,
-    HashKVAdapter,
-    KVSSDAdapter,
-    LSMAdapter,
-    RunResult,
-    drive_workload,
-    execute_workload,
-)
-from repro.kvbench.workload import (
-    Operation,
-    OpType,
-    Pattern,
-    WorkloadSpec,
-    generate_operations,
-)
-from repro.kvbench.ycsb import (
-    YCSBDriver,
-    YCSBOperation,
-    YCSBSpec,
-    generate_ycsb,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BlockAdapter",
@@ -57,3 +28,20 @@ __all__ = [
     "uniform_indices",
     "zipfian_indices",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "distributions": (
+        "ZipfianGenerator", "sequential_indices", "sliding_window_indices",
+        "uniform_indices", "zipfian_indices",
+    ),
+    "report": ("format_series", "format_table", "sparkline"),
+    "runner": (
+        "BlockAdapter", "HashKVAdapter", "KVSSDAdapter", "LSMAdapter",
+        "RunResult", "drive_workload", "execute_workload",
+    ),
+    "workload": (
+        "Operation", "OpType", "Pattern", "WorkloadSpec",
+        "generate_operations",
+    ),
+    "ycsb": ("YCSBDriver", "YCSBOperation", "YCSBSpec", "generate_ycsb"),
+})

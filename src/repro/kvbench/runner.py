@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Generator,
@@ -29,22 +30,25 @@ from typing import (
     Union,
 )
 
-from repro.api.block import BlockDeviceAPI
-from repro.api.kvs import KVStoreAPI
 from repro.errors import DeviceError, WorkloadError
 from repro.ftl.core import DeviceStats
-from repro.hostkv.hashkv.store import HashKVStore
-from repro.hostkv.lsm.store import LSMStore
 from repro.kvbench.workload import (
     Operation,
     OpType,
     WorkloadSpec,
     generate_operations,
 )
+from repro.metrics.attribution import LatencyBreakdown
 from repro.metrics.bandwidth import BandwidthTracker
 from repro.metrics.latency import LatencyRecorder
 from repro.sim.engine import Environment, Event
 from repro.units import align_up
+
+if TYPE_CHECKING:
+    from repro.api.block import BlockDeviceAPI
+    from repro.api.kvs import KVStoreAPI
+    from repro.hostkv.hashkv.store import HashKVStore
+    from repro.hostkv.lsm.store import LSMStore
 
 
 class StoreAdapter(Protocol):
@@ -298,8 +302,6 @@ def drive_workload(
         result.device_stats = device.stats.delta(stats_before)
     tracer = getattr(device, "tracer", None)
     if tracer is not None and tracer.enabled and tracer.wants("op"):
-        from repro.metrics.attribution import LatencyBreakdown
-
         result.trace_summary = LatencyBreakdown.from_records(
             tracer.collector.records(),
             pid=tracer.pid,

@@ -36,6 +36,9 @@ from __future__ import annotations
 
 import gzip
 import heapq
+import io
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     IO,
@@ -113,19 +116,25 @@ class TraceRecord:
 # ---------------------------------------------------------------------------
 
 
+#: Bytes that stand for themselves in a key token: printable, not '%'.
+_LITERAL = bytes(b for b in range(0x21, 0x7F) if b != 0x25)
+#: Byte value -> its token text.
+_ESCAPED = [chr(b) if b in _LITERAL else f"%{b:02X}" for b in range(256)]
+
+
 def escape_key(key: bytes) -> str:
     """Percent-escape ``key`` into a single whitespace-free token."""
-    out: List[str] = []
-    for byte in key:
-        if 0x21 <= byte <= 0x7E and byte != 0x25:  # printable, not '%'
-            out.append(chr(byte))
-        else:
-            out.append(f"%{byte:02X}")
-    return "".join(out)
+    if not key.translate(None, _LITERAL):  # nothing left: all literal
+        return key.decode()
+    return "".join(map(_ESCAPED.__getitem__, key))
 
 
 def unescape_key(token: str) -> bytes:
     """Inverse of :func:`escape_key`; raises WorkloadError on bad input."""
+    if token.isascii():
+        key = token.encode()
+        if not key.translate(None, _LITERAL):
+            return key
     out = bytearray()
     i = 0
     while i < len(token):
@@ -155,29 +164,34 @@ def unescape_key(token: str) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _open_write(path: str) -> IO[str]:
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "wt", encoding="ascii")
-    return open(path, "w", encoding="ascii")
+@contextmanager
+def _open_write(path: str) -> Iterator[IO[str]]:
+    if not str(path).endswith(".gz"):
+        with open(path, "w", encoding="ascii") as handle:
+            yield handle
+        return
+    # No mtime and no file name in the gzip header: the same records
+    # give the same bytes, whenever and wherever they are written.
+    with open(path, "wb") as raw, \
+            gzip.GzipFile("", "wb", fileobj=raw, mtime=0) as packed, \
+            io.TextIOWrapper(packed, encoding="ascii") as handle:
+        yield handle
 
 
 def _open_read(path: str) -> IO[str]:
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="ascii")
-    return open(path, "r", encoding="ascii")
+    # A non-ASCII byte reaches the parser as a lone surrogate, which no
+    # field accepts: it is reported with its line, not raised mid-decode.
+    opener = gzip.open if str(path).endswith(".gz") else open
+    return opener(path, "rt", encoding="ascii", errors="surrogateescape")
 
 
 def format_record(record: TraceRecord) -> str:
     """One trace line (no newline).  ``repr`` floats round-trip exactly."""
-    fields = [
-        repr(record.timestamp_us),
-        record.op,
-        escape_key(record.key),
-        str(record.size),
-    ]
+    line = (f"{record.timestamp_us!r} {record.op} "
+            f"{escape_key(record.key)} {record.size}")
     if record.ttl_us > 0.0:
-        fields.append(repr(record.ttl_us))
-    return " ".join(fields)
+        return f"{line} {record.ttl_us!r}"
+    return line
 
 
 def write_trace(path: str, records: Iterable[TraceRecord]) -> int:
@@ -190,7 +204,8 @@ def write_trace(path: str, records: Iterable[TraceRecord]) -> int:
     count = 0
     previous = 0.0
     with _open_write(path) as handle:
-        handle.write(f"{TRACE_MAGIC} v{TRACE_VERSION}\n")
+        write = handle.write
+        write(f"{TRACE_MAGIC} v{TRACE_VERSION}\n")
         for record in records:
             if record.timestamp_us < previous:
                 raise WorkloadError(
@@ -198,7 +213,7 @@ def write_trace(path: str, records: Iterable[TraceRecord]) -> int:
                     f"goes backwards (previous {previous})"
                 )
             previous = record.timestamp_us
-            handle.write(format_record(record) + "\n")
+            write(format_record(record) + "\n")
             count += 1
     return count
 
@@ -228,13 +243,20 @@ def _parse_header(line: str, source: str) -> None:
         )
 
 
+#: Every character ``repr(float)`` emits for a finite value.  ``float()``
+#: alone also takes ``1_0.0``, ``1E3`` and other scripts' digits.
+_FLOAT_CHARS = "0123456789.e+-"
+
+
 def _parse_float(text: str, what: str, source: str, lineno: int) -> float:
     try:
         value = float(text)
     except ValueError:
         raise _fail(source, lineno, f"bad {what} {text!r}")
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise _fail(source, lineno, f"non-finite {what} {text!r}")
+    if text.strip(_FLOAT_CHARS):
+        raise _fail(source, lineno, f"bad {what} {text!r}")
     return value
 
 
@@ -249,28 +271,26 @@ def parse_trace(
     trace is never silently skipped over.
     """
     records: List[TraceRecord] = []
+    append = records.append
+    new_record, set_field = TraceRecord.__new__, object.__setattr__
     previous = 0.0
-    saw_header = False
     lineno = 0
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
         if lineno == 1:
-            _parse_header(line, source)
-            saw_header = True
+            _parse_header(raw, source)
             continue
-        if not line.strip() or line.lstrip().startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
-        if len(fields) < 4:
+        count = len(fields)
+        if count < 4:
             raise _fail(
                 source, lineno,
-                f"truncated record: {len(fields)} of 4+ fields "
+                f"truncated record: {count} of 4+ fields "
                 f"(timestamp op key size [ttl])",
             )
-        if len(fields) > 5:
-            raise _fail(
-                source, lineno, f"too many fields ({len(fields)}; max 5)"
-            )
+        if count > 5:
+            raise _fail(source, lineno, f"too many fields ({count}; max 5)")
         timestamp = _parse_float(fields[0], "timestamp", source, lineno)
         if timestamp < previous:
             raise _fail(
@@ -288,20 +308,32 @@ def parse_trace(
             key = unescape_key(fields[2])
         except WorkloadError as exc:
             raise _fail(source, lineno, str(exc))
-        if not fields[3].lstrip("-").isdigit():
-            raise _fail(source, lineno, f"bad size {fields[3]!r}")
-        size = int(fields[3])
+        text = fields[3]
+        digits = text[1:] if text[0] == "-" else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise _fail(source, lineno, f"bad size {text!r}")
+        size = int(text)
         ttl = 0.0
-        if len(fields) == 5:
+        if count == 5:
             ttl = _parse_float(fields[4], "ttl", source, lineno)
-        try:
-            record = TraceRecord(timestamp, op, key, size, ttl)
-        except WorkloadError as exc:
-            raise _fail(source, lineno, str(exc))
-        records.append(record)
+        if (size < 1 and (size < 0 or op == "scan")) or ttl < 0.0:
+            # Out of range: the record's own validation words the error.
+            try:
+                TraceRecord(timestamp, op, key, size, ttl)
+            except WorkloadError as exc:
+                raise _fail(source, lineno, str(exc))
+        # Every check of ``TraceRecord.__post_init__`` is proven above:
+        # do what the frozen dataclass's __init__ does, less that call.
+        record = new_record(TraceRecord)
+        set_field(record, "timestamp_us", timestamp)
+        set_field(record, "op", op)
+        set_field(record, "key", key)
+        set_field(record, "size", size)
+        set_field(record, "ttl_us", ttl)
+        append(record)
         previous = timestamp
-    if not saw_header:
-        raise _fail(source, max(lineno, 1), "empty trace (missing header)")
+    if lineno == 0:
+        raise _fail(source, 1, "empty trace (missing header)")
     return records
 
 

@@ -1,21 +1,6 @@
 """KV-SSD firmware personality (hash-indexed, log-packing FTL)."""
 
-from repro.kvftl.blob import (
-    BlobLayout,
-    blobs_per_page,
-    layout_blob,
-    space_amplification,
-    usable_page_bytes,
-    validate_key,
-    validate_value_size,
-)
-from repro.kvftl.config import KVSSDConfig
-from repro.kvftl.device import KVSSD
-from repro.kvftl.hashindex import GlobalHashIndex, MergeWork
-from repro.kvftl.indexmanager import BloomModel, IndexManagerPool
-from repro.kvftl.iterator import IteratorBuckets
-from repro.kvftl.keyhash import hash_fraction, iterator_bucket, key_hash64
-from repro.kvftl.population import KeyScheme, PrimedPopulation
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BlobLayout",
@@ -38,3 +23,17 @@ __all__ = [
     "validate_key",
     "validate_value_size",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "blob": (
+        "BlobLayout", "blobs_per_page", "layout_blob", "space_amplification",
+        "usable_page_bytes", "validate_key", "validate_value_size",
+    ),
+    "config": ("KVSSDConfig",),
+    "device": ("KVSSD",),
+    "hashindex": ("GlobalHashIndex", "MergeWork"),
+    "indexmanager": ("BloomModel", "IndexManagerPool"),
+    "iterator": ("IteratorBuckets",),
+    "keyhash": ("hash_fraction", "iterator_bucket", "key_hash64"),
+    "population": ("KeyScheme", "PrimedPopulation"),
+})

@@ -36,14 +36,7 @@ Findings are suppressed per line with ``# simlint: disable=SIM001``
 Run it as ``repro lint [paths...]`` or ``python -m repro.lint``.
 """
 
-from repro.lint.engine import (
-    Finding,
-    format_findings,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.lint.rules import RULES
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Finding",
@@ -53,3 +46,10 @@ __all__ = [
     "lint_paths",
     "lint_source",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": (
+        "Finding", "format_findings", "lint_file", "lint_paths", "lint_source",
+    ),
+    "rules": ("RULES",),
+})

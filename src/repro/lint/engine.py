@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.lint.rules import check_source
+from repro.lint.rules import RULES, check_source
 from repro.lint.sources import iter_python_sources
 
 _SUPPRESS_RE = re.compile(
@@ -132,8 +132,6 @@ def format_findings(findings: Sequence[Finding]) -> str:
 
 def to_sarif(findings: Sequence[Finding]) -> Dict[str, object]:
     """Findings as a SARIF 2.1.0 log (GitHub inline PR annotations)."""
-    from repro.lint.rules import RULES
-
     used = sorted({finding.code for finding in findings})
     rules = [
         {

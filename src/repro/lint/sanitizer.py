@@ -39,10 +39,16 @@ import importlib.util
 import json
 import linecache
 import os
+import random as random_module
 import subprocess
 import sys
+import time as time_module
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import repro
+from repro.sim import engine as sim_engine
+from repro.trace.run import SCENARIOS, run_traced
 
 #: Cap on retained event records; the digest and count keep running
 #: past it, so divergence *after* the cap is still detected, just
@@ -177,9 +183,6 @@ class _Tripwires:
         setattr(module, name, wrapper)
 
     def install(self) -> None:
-        import random as random_module
-        import time as time_module
-
         for name in _TIME_TRIPWIRES:
             self._wrap(time_module, name, f"time.{name}")
         for name in _RANDOM_TRIPWIRES:
@@ -199,8 +202,6 @@ def trace_fingerprint(fig: str, n_ops: int) -> str:
     and span accounting.  Phase 1 compares two of these from one
     interpreter; Phase 2 additionally varies the interpreter hash seed.
     """
-    from repro.trace.run import run_traced
-
     report = run_traced(fig=fig, n_ops=n_ops)
     document: Dict[str, object] = {"fig": fig, "n_ops": n_ops}
     runs = {}
@@ -255,8 +256,6 @@ def collect(target: str, n_ops: int) -> CollectResult:
     ``module:function`` spec; the event observer and tripwires cover
     the whole run either way.
     """
-    from repro.sim import engine as sim_engine
-
     recorder = _EventRecorder()
     tripwires = _Tripwires()
     sim_engine.set_pop_observer(recorder)
@@ -330,8 +329,6 @@ def collect_in_subprocess(
     ``--collect-json`` mode and streams its :class:`CollectResult`
     back as JSON.
     """
-    import repro
-
     # The child inherits the host environment; only the seed is varied.
     env = dict(os.environ)  # simlint: disable=SIM001
     env["PYTHONHASHSEED"] = hash_seed
@@ -366,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "under varied hash seeds with event-order digests "
                     "and wall-clock/RNG tripwires",
     )
-    from repro.trace.run import SCENARIOS
-
     parser.add_argument(
         "--fig", default=None, choices=sorted(SCENARIOS),
         help="trace scenario to sanitize (default: fig6)",

@@ -1,16 +1,6 @@
 """Measurement instruments: latency, bandwidth, CPU, space, device counters."""
 
-from repro.metrics.attribution import LatencyBreakdown
-from repro.metrics.bandwidth import BandwidthPoint, BandwidthTracker
-from repro.metrics.counters import DeviceCounters
-from repro.metrics.cpu import CpuAccountant, CpuReport
-from repro.metrics.latency import (
-    LatencyRecorder,
-    LatencySummary,
-    latency_ratio,
-    percentile,
-)
-from repro.metrics.space import SpaceAccountant
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BandwidthPoint",
@@ -25,3 +15,14 @@ __all__ = [
     "latency_ratio",
     "percentile",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "attribution": ("LatencyBreakdown",),
+    "bandwidth": ("BandwidthPoint", "BandwidthTracker"),
+    "counters": ("DeviceCounters",),
+    "cpu": ("CpuAccountant", "CpuReport"),
+    "latency": (
+        "LatencyRecorder", "LatencySummary", "latency_ratio", "percentile",
+    ),
+    "space": ("SpaceAccountant",),
+})

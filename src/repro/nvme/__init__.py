@@ -1,14 +1,6 @@
 """NVMe command-set and host driver models."""
 
-from repro.nvme.command import (
-    INLINE_KEY_BYTES,
-    NVME_COMMAND_BYTES,
-    KVCommandSet,
-    KVOpcode,
-    commands_for_key,
-    compound_command_count,
-)
-from repro.nvme.driver import DriverCosts, KernelDeviceDriver
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DriverCosts",
@@ -20,3 +12,11 @@ __all__ = [
     "commands_for_key",
     "compound_command_count",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "command": (
+        "INLINE_KEY_BYTES", "NVME_COMMAND_BYTES", "KVCommandSet", "KVOpcode",
+        "commands_for_key", "compound_command_count",
+    ),
+    "driver": ("DriverCosts", "KernelDeviceDriver"),
+})

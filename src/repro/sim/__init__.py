@@ -5,16 +5,7 @@ and the contention primitives (:class:`Resource`, :class:`TokenBucket`) used
 by every timed component in the SSD models.
 """
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Process,
-    ProcessGenerator,
-    Timeout,
-)
-from repro.sim.resources import Request, Resource, TokenBucket
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AllOf",
@@ -28,3 +19,11 @@ __all__ = [
     "Timeout",
     "TokenBucket",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": (
+        "AllOf", "AnyOf", "Environment", "Event", "Process",
+        "ProcessGenerator", "Timeout",
+    ),
+    "resources": ("Request", "Resource", "TokenBucket"),
+})

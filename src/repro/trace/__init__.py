@@ -1,21 +1,6 @@
 """Span tracing, latency attribution, and Perfetto export."""
 
-from repro.trace.tracer import (
-    BUCKETS,
-    CATEGORIES,
-    NULL_SPAN,
-    Span,
-    SpanRecord,
-    TraceCollector,
-    TraceConfig,
-    Tracer,
-)
-from repro.trace.export import (
-    chrome_trace_events,
-    format_breakdown,
-    to_chrome_trace,
-    write_chrome_trace,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BUCKETS",
@@ -31,3 +16,14 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "tracer": (
+        "BUCKETS", "CATEGORIES", "NULL_SPAN", "Span", "SpanRecord",
+        "TraceCollector", "TraceConfig", "Tracer",
+    ),
+    "export": (
+        "chrome_trace_events", "format_breakdown", "to_chrome_trace",
+        "write_chrome_trace",
+    ),
+})

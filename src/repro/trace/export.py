@@ -20,6 +20,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
+from repro.kvbench.report import format_table
 from repro.metrics.attribution import LatencyBreakdown
 from repro.trace.tracer import TraceCollector
 
@@ -98,10 +99,6 @@ def format_breakdown(breakdown: LatencyBreakdown) -> str:
     in each attribution bucket plus their sum — which matches the mean
     column up to rounding, because the phases tile the operation.
     """
-    # Imported here: kvbench pulls in the device APIs, which import the
-    # tracer — a module-level import would close that cycle.
-    from repro.kvbench.report import format_table
-
     buckets = breakdown.buckets()
     headers = ["op", "count", "mean us", "p99 us", "p999 us"]
     headers += [f"{bucket} us" for bucket in buckets] + ["sum us"]

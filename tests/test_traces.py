@@ -18,8 +18,13 @@ localization tests).
 
 from __future__ import annotations
 
+import cProfile
 import dataclasses
+import gzip
+import hashlib
 import json
+import pstats
+import time
 from pathlib import Path
 
 import pytest
@@ -110,6 +115,18 @@ def trace_record_lists(draw, min_size: int = 1, max_size: int = 30):
 # ---------------------------------------------------------------------------
 
 
+def _reference_escape_key(key: bytes) -> str:
+    """The per-byte escaper the table-driven one replaced, kept verbatim
+    as its reference."""
+    out = []
+    for byte in key:
+        if 0x21 <= byte <= 0x7E and byte != 0x25:  # printable, not '%'
+            out.append(chr(byte))
+        else:
+            out.append(f"%{byte:02X}")
+    return "".join(out)
+
+
 class TestRoundTrip:
     @given(key=st.binary(min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
@@ -118,6 +135,29 @@ class TestRoundTrip:
         assert token.isascii()
         assert not any(ch.isspace() for ch in token)
         assert unescape_key(token) == key
+
+    @given(key=st.one_of(
+        st.binary(max_size=64),
+        st.text(alphabet="fil0123456789-_~!", min_size=1, max_size=64)
+        .map(str.encode),
+        st.integers(1, 64).map(lambda n: b"%" * n),
+        st.integers(1, 64).map(lambda n: b"\xff" * n),
+        st.tuples(st.binary(max_size=4), st.sampled_from([b"", b" ", b"%"]),
+                  st.binary(max_size=4)).map(b"key".join),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_escape_matches_the_per_byte_reference(self, key: bytes):
+        token = escape_key(key)
+        assert token == _reference_escape_key(key)
+        if key:
+            assert unescape_key(token) == key
+
+    def test_every_byte_value_escapes_as_the_reference_does(self):
+        for byte in range(256):
+            key = bytes([byte])
+            assert escape_key(key) == _reference_escape_key(key)
+            assert escape_key(b"a" + key + b"z") == \
+                _reference_escape_key(b"a" + key + b"z")
 
     @given(records=trace_record_lists())
     @settings(max_examples=60, deadline=None)
@@ -136,6 +176,21 @@ class TestRoundTrip:
             path = str(tmp_path / name)
             assert write_trace(path, records) == len(records)
             assert read_trace(path) == records
+
+    def test_gzip_output_is_byte_deterministic(self, tmp_path):
+        """No mtime, no file name in the header: a trace written twice —
+        later, and under another name — is the same bytes, so a fixture
+        can be content-hashed.  Still an ordinary gzip stream."""
+        records = [TraceRecord(float(i), "insert", b"k\x00%d" % i, 64, 2.5)
+                   for i in range(50)]
+        first, second = tmp_path / "a.kvt.gz", tmp_path / "renamed.kvt.gz"
+        write_trace(str(first), records)
+        time.sleep(1.1)  # gzip's mtime field has one-second resolution
+        write_trace(str(second), records)
+        assert first.read_bytes() == second.read_bytes()
+        assert read_trace(str(first)) == records
+        with gzip.open(first, "rt", encoding="ascii") as handle:
+            assert parse_trace(handle) == records
 
     def test_gzip_file_is_actually_compressed(self, tmp_path):
         records = [TraceRecord(float(i), "read", b"key-%d" % (i % 4), 0)
@@ -230,6 +285,99 @@ class TestMalformed:
         with pytest.raises(WorkloadError, match=r":2: truncated key escape"):
             parse_trace(self._lines("1.0 read abc%2 0"))
 
+    # Every message below is the text the per-byte, validate-twice
+    # parser produced, recorded before the codec was rewritten; the last
+    # five are inputs that parser let through as raw exceptions or
+    # silently (size '--5' and '²', other scripts' digits, '1_0.0').
+    @pytest.mark.parametrize("lines, message", [
+        (["1.0 read abc 0"],
+         "<trace>:1: not a kvtrace file (expected '#kvtrace v1' header)"),
+        (["#kvtrace"],
+         "<trace>:1: not a kvtrace file (expected '#kvtrace v1' header)"),
+        (["#kvtrace v2"],
+         "<trace>:1: trace version mismatch: file is v2, "
+         "this reader supports v1"),
+        (["#kvtrace vX"], "<trace>:1: malformed trace version 'vX'"),
+        ([], "<trace>:1: empty trace (missing header)"),
+        ([HEADER, "1.0 read abc"],
+         "<trace>:2: truncated record: 3 of 4+ fields "
+         "(timestamp op key size [ttl])"),
+        ([HEADER, "1.0 read abc 0", "2.0 read abc 0 5.0 extra"],
+         "<trace>:3: too many fields (6; max 5)"),
+        ([HEADER, "1.0 frob abc 0"],
+         "<trace>:2: unknown op code 'frob'; choose from "
+         "('insert', 'update', 'read', 'delete', 'scan')"),
+        ([HEADER, "5.0 read abc 0", "1.0 read abc 0"],
+         "<trace>:3: out-of-order timestamp 1.0 (previous record at 5.0)"),
+        ([HEADER, "-1.0 read abc 0"],
+         "<trace>:2: out-of-order timestamp -1.0 (previous record at 0.0)"),
+        ([HEADER, "soon read abc 0"], "<trace>:2: bad timestamp 'soon'"),
+        ([HEADER, "0x10 read abc 0"], "<trace>:2: bad timestamp '0x10'"),
+        ([HEADER, "nan read abc 0"], "<trace>:2: non-finite timestamp 'nan'"),
+        ([HEADER, "infinity read abc 0"],
+         "<trace>:2: non-finite timestamp 'infinity'"),
+        ([HEADER, "1.0 read abc 12q"], "<trace>:2: bad size '12q'"),
+        ([HEADER, "1.0 read abc +5"], "<trace>:2: bad size '+5'"),
+        ([HEADER, "1.0 read abc 1_0"], "<trace>:2: bad size '1_0'"),
+        ([HEADER, "1.0 update abc -4"],
+         "<trace>:2: trace size must be >= 0, got -4"),
+        ([HEADER, "1.0 scan abcd 0"],
+         "<trace>:2: scan limit must be >= 1, got 0"),
+        ([HEADER, "1.0 insert abc 64 later"], "<trace>:2: bad ttl 'later'"),
+        ([HEADER, "1.0 insert abc 64 -inf"], "<trace>:2: non-finite ttl '-inf'"),
+        ([HEADER, "1.0 insert abc 64 -2.5"],
+         "<trace>:2: ttl must be >= 0, got -2.5"),
+        ([HEADER, "1.0 read a%G1b 0"],
+         "<trace>:2: bad key escape %G1 in 'a%G1b'"),
+        ([HEADER, "1.0 read abc%2 0"],
+         "<trace>:2: truncated key escape in 'abc%2'"),
+        ([HEADER, "1.0 read % 0"], "<trace>:2: truncated key escape in '%'"),
+        ([HEADER, "1.0 read ab\x7fc 0"],
+         "<trace>:2: unescaped byte 0x7f in key token 'ab\\x7fc'"),
+        ([HEADER, "1.0 read ab\xe9 0"],
+         "<trace>:2: unescaped byte 0xe9 in key token 'ab\xe9'"),
+        ([HEADER, "1.0 read abc --5"], "<trace>:2: bad size '--5'"),
+        ([HEADER, "1.0 read abc \xb2"], "<trace>:2: bad size '\xb2'"),
+        ([HEADER, "1.0 read abc \u0665"], "<trace>:2: bad size '\u0665'"),
+        ([HEADER, "1_0.0 read abc 0"], "<trace>:2: bad timestamp '1_0.0'"),
+        ([HEADER, "1.0 insert abc 64 1_0.0"], "<trace>:2: bad ttl '1_0.0'"),
+    ])
+    def test_exact_message_for_every_malformed_shape(self, lines, message):
+        with pytest.raises(WorkloadError) as caught:
+            parse_trace(lines)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("token, message", [
+        ("abc%2", "truncated key escape in 'abc%2'"),
+        ("%%", "truncated key escape in '%%'"),
+        ("a%G1b", "bad key escape %G1 in 'a%G1b'"),
+        ("%-1", "bad key escape %-1 in '%-1'"),
+        ("ab c", "unescaped byte 0x20 in key token 'ab c'"),
+        ("ab\x00", "unescaped byte 0x00 in key token 'ab\\x00'"),
+    ])
+    def test_exact_message_for_every_malformed_token(self, token, message):
+        with pytest.raises(WorkloadError) as caught:
+            unescape_key(token)
+        assert str(caught.value) == message
+
+    def test_lenient_spellings_the_old_parser_took_still_parse(self):
+        """The fast paths changed no accepted input either."""
+        parsed = parse_trace([HEADER, "+1.0 read %e9%+1 -0", " 1e3 read abc 7 "])
+        assert parsed == [TraceRecord(1.0, "read", b"\xe9\x01", 0),
+                          TraceRecord(1000.0, "read", b"abc", 7)]
+
+    def test_non_ascii_byte_in_a_file_names_its_line(self, tmp_path):
+        """Not a ``UnicodeDecodeError`` from somewhere inside a decode
+        buffer: the byte reaches the parser and fails its field's check."""
+        for name, opener in (("b.kvt", open), ("b.kvt.gz", gzip.open)):
+            path = tmp_path / name
+            with opener(path, "wb") as handle:
+                handle.write(HEADER.encode() + b"\n# caf\xc3\xa9\n"
+                             b"1.0 read abc 0\n2.0 read ab\xe9 0\n")
+            with pytest.raises(WorkloadError,
+                               match=rf"{name}:4: unescaped byte"):
+                read_trace(str(path))
+
     def test_errors_name_the_file(self, tmp_path):
         path = tmp_path / "broken.kvt"
         path.write_text(f"{HEADER}\n1.0 read abc 0\n0.5 read abc 0\n")
@@ -271,6 +419,19 @@ def _run_fingerprint(run) -> str:
     }, sort_keys=True)
 
 
+_KV_MIXED_SCHEME = KeyScheme(prefix=b"fill", digits=12)
+
+
+def _kv_mixed_spec(n_ops: int) -> WorkloadSpec:
+    """``bench/workloads/kv.py``'s ``kv_mixed`` input: 16 B keys over the
+    ~822 k pairs its prefill leaves, 50/50 read/update of 4 KiB values."""
+    return WorkloadSpec(
+        n_ops=n_ops, op="mixed", pattern=Pattern.UNIFORM, population=821_990,
+        key_scheme=_KV_MIXED_SCHEME, value_bytes=4096, read_fraction=0.5,
+        seed=3,
+    )
+
+
 class TestSpecExport:
     def test_exported_operations_match_generate_operations(self, tmp_path):
         scheme = KeyScheme(prefix=b"expt", digits=12)
@@ -282,6 +443,37 @@ class TestSpecExport:
         assert export_spec(spec, path) == 200
         workload = TraceWorkload(read_trace(path), key_scheme=scheme)
         assert list(workload.operations()) == list(generate_operations(spec))
+
+    def test_benchmark_shaped_export_is_the_recorded_bytes(self, tmp_path):
+        """The ``kv_mixed`` benchmark's spec (seed 3): the exported file's
+        sha256 was recorded before the codec was rewritten, the file
+        survives write -> read -> write unchanged, and replaying it is
+        ``generate_operations``."""
+        spec = _kv_mixed_spec(30_000)
+        path, again = tmp_path / "ops.kvtrace", tmp_path / "again.kvtrace"
+        assert export_spec(spec, str(path)) == 30_000
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8601df9c83cdb3110153a0cc0cea2eda7b49f35ec2ad1402dc10421bf7352df3"
+        )
+        records = read_trace(str(path))
+        write_trace(str(again), records)
+        assert again.read_bytes() == path.read_bytes()
+        assert list(TraceWorkload(records, _KV_MIXED_SCHEME)) == \
+            list(generate_operations(spec))
+
+    def test_codec_calls_per_record_stay_under_the_ceiling(self, tmp_path):
+        """Work, not wall time: export + parse of 2,000 benchmark-shaped
+        records under cProfile (C builtins count).  118 calls a record
+        with the per-byte codec, 34 with the table-driven one."""
+        spec = _kv_mixed_spec(2_000)
+        path = str(tmp_path / "ops.kvtrace")
+        profile = cProfile.Profile()
+        profile.enable()
+        export_spec(spec, path)
+        records = read_trace(path)
+        profile.disable()
+        assert len(records) == 2_000
+        assert pstats.Stats(profile).total_calls / 2_000 <= 45
 
     def test_export_timestamps_are_a_constant_rate_clock(self):
         spec = WorkloadSpec(n_ops=5, op="read", population=10)
@@ -617,3 +809,10 @@ class TestSampleTrace:
         assert len(operations) == len(records)
         arrivals = workload.arrivals()
         assert ArrivalSpec.from_trace(arrivals).n_requests == len(records)
+
+    def test_sample_trace_survives_a_read_write_cycle_byte_for_byte(
+        self, tmp_path
+    ):
+        copy = tmp_path / "copy.kvt"
+        write_trace(str(copy), read_trace(str(SAMPLE_TRACE)))
+        assert copy.read_bytes() == SAMPLE_TRACE.read_bytes()
