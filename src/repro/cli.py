@@ -36,7 +36,7 @@ from typing import Any, Dict, List
 
 from repro.core.registry import EXPERIMENTS, Experiment
 from repro.exec.runner import SweepRunner
-from repro.trace.run import SCENARIOS, run_traced
+from repro.trace.run import run_traced, scenarios
 
 #: Paper rows are commands by name, in 'all' order; every other group is
 #: one command running all of its rows.
@@ -102,12 +102,28 @@ def _parse_loads(text: str) -> tuple:
     return loads
 
 
-def _cluster_ops(text: str) -> int:
-    """``--cluster-ops``: a tenant stream needs at least one operation."""
-    n_ops = int(text)
-    if n_ops < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n_ops}")
-    return n_ops
+def positive_int(text: str) -> int:
+    """Every op-count flag and ``--parallel``: a run needs at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def fault_rates(text: str) -> List[float]:
+    """``--fault-rates``: one or more rates the fault model takes."""
+    from repro.errors import ConfigurationError
+    from repro.faults.run import fault_profile
+
+    try:
+        rates = [float(rate) for rate in text.split(",") if rate.strip()]
+        for rate in rates:
+            fault_profile(rate)
+    except (ValueError, ConfigurationError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not rates:
+        raise argparse.ArgumentTypeError("needs at least one rate")
+    return rates
 
 
 def _cluster_smoke(args: argparse.Namespace, runner: SweepRunner) -> None:
@@ -186,12 +202,8 @@ def _run_faults(args: argparse.Namespace, runner: SweepRunner) -> None:
     from repro.faults.run import run_fault_sweep, write_sweep_csv
     from repro.kvbench.report import format_table
 
-    try:
-        rates = [float(r) for r in args.fault_rates.split(",") if r.strip()]
-    except ValueError:
-        raise SystemExit(f"bad --fault-rates value: {args.fault_rates!r}")
     scale = {} if args.n_ops is None else {"n_ops": args.n_ops}
-    points = run_fault_sweep(rates=rates, seed=args.fault_seed,
+    points = run_fault_sweep(rates=args.fault_rates, seed=args.fault_seed,
                              runner=runner, **scale)
     # Tail inflation over the same personality's perfect-flash row: read
     # retries are invisible at the median and stretch p99/p999.
@@ -264,11 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="with 'fig': which figure to regenerate",
     )
     parser.add_argument(
-        "--parallel", type=int,
+        "--parallel", type=positive_int,
         # A host-side default for how the sweep is executed; output is
         # byte-identical at any worker count, so no result can see it.
-        default=int(os.environ.get(  # simlint: disable=SIM001
-            "REPRO_PARALLEL", "1")), metavar="N",
+        # argparse converts a string default like a typed value.
+        default=os.environ.get(  # simlint: disable=SIM001
+            "REPRO_PARALLEL", "1"), metavar="N",
         help=(
             "worker processes for independent experiment points "
             "(default: $REPRO_PARALLEL or 1 = serial; output is "
@@ -284,19 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache directory (default: .repro-cache)",
     )
     parser.add_argument(
-        "--n-ops", type=int, default=None,
+        "--n-ops", type=positive_int, default=None,
         help="operations per measured phase (default: the recorded scale)",
     )
     parser.add_argument(
-        "--measured-ops", type=int, default=None,
+        "--measured-ops", type=positive_int, default=None,
         help="fig3 measured operations per phase (default: the recorded scale)",
     )
     parser.add_argument(
-        "--fig", default="fig6", choices=sorted(SCENARIOS),
+        "--fig", default="fig6", choices=list(scenarios()),
         help="trace: which figure-shaped scenario to record (default: fig6)",
     )
     parser.add_argument(
-        "--trace-ops", type=int, default=None, metavar="N",
+        "--trace-ops", type=positive_int, default=None, metavar="N",
         help="trace: measured ops per personality "
              "(default: the scenario's own count)",
     )
@@ -305,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace: Perfetto JSON output path (default: trace.json)",
     )
     parser.add_argument(
-        "--fault-rates", default="0,1e-3,1e-2,5e-2", metavar="R,R,...",
+        "--fault-rates", type=fault_rates, default="0,1e-3,1e-2,5e-2",
+        metavar="R,R,...",
         help="faults: comma-separated statistical rates to sweep "
              "(default: 0,1e-3,1e-2,5e-2)",
     )
@@ -319,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(parent directories are created)",
     )
     parser.add_argument(
-        "--cluster-ops", type=_cluster_ops, default=None, metavar="N",
+        "--cluster-ops", type=positive_int, default=None, metavar="N",
         help="cluster: operations per tenant stream (default: 300)",
     )
     parser.add_argument(
@@ -330,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
              "expiry deletes, and scans",
     )
     parser.add_argument(
-        "--replay-ops", type=int, default=None, metavar="N",
+        "--replay-ops", type=positive_int, default=None, metavar="N",
         help="replay: base-mix operations per variant (default: 1500)",
     )
     parser.add_argument(
@@ -339,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 16,32,64,128,256,512)",
     )
     parser.add_argument(
-        "--frontend-ops", type=int, default=None, metavar="N",
+        "--frontend-ops", type=positive_int, default=None, metavar="N",
         help="frontend: requests offered per load point (default: 800)",
     )
     parser.add_argument(
@@ -380,8 +394,6 @@ def main(argv: List[str] | None = None) -> int:
         raise SystemExit(
             f"unexpected argument {args.target!r} after {experiment!r}"
         )
-    if args.parallel < 1:
-        raise SystemExit(f"--parallel must be >= 1, got {args.parallel}")
     runner = SweepRunner(
         workers=args.parallel,
         cache=not args.no_cache,

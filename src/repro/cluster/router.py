@@ -49,8 +49,8 @@ from repro.cluster.spec import ClusterSpec, TenantSpec, shard_name
 from repro.errors import ConfigurationError
 from repro.kvbench.generators import ChurnSpec, generate_churn
 from repro.kvbench.traces import TraceWorkload
-from repro.kvbench.workload import OpType
-from repro.kvbench.ycsb import YCSBOperation, YCSBSpec, generate_ycsb
+from repro.kvbench.workload import Operation, OpType
+from repro.kvbench.ycsb import YCSBSpec, generate_ycsb
 
 #: Phase labels a planned operation may carry (latency buckets).
 PHASES = ("pre", "rebalance", "post", "drain")
@@ -275,7 +275,7 @@ class _Router:
         self.emit(reader, PlannedOp(OpType.READ, t, index, 0, label))
         return True
 
-    def route_client(self, t: int, op: YCSBOperation, pos: int) -> None:
+    def route_client(self, t: int, op: Operation, pos: int) -> None:
         tenant = self.spec.tenants[t]
         label = self.label(pos)
         if op.scan_length > 0:
@@ -285,7 +285,7 @@ class _Router:
                 if not self.route_read(t, op.key_index + step, label, pos):
                     break
             return
-        if op.scan_length == -1:  # read-modify-write
+        if op.rmw:
             if op.key_index >= self.accepted[t]:
                 self.not_found[tenant.name] += 1
                 return
@@ -369,7 +369,7 @@ class _Router:
                         self.drain_ops += 1
 
 
-def _churn_stream(tenant: TenantSpec) -> Iterator[YCSBOperation]:
+def _churn_stream(tenant: TenantSpec) -> Iterator[Operation]:
     """Working-set-rotation stream replayed as tenant operations.
 
     The churn generator emits trace records; the router only consumes
@@ -386,17 +386,12 @@ def _churn_stream(tenant: TenantSpec) -> Iterator[YCSBOperation]:
         value_bytes=tenant.value_bytes,
         seed=tenant.seed,
     )
-    workload = TraceWorkload(
+    return TraceWorkload(
         tuple(generate_churn(churn)), key_scheme=churn.key_scheme
-    )
-    for op in workload.operations():
-        if isinstance(op, YCSBOperation):
-            yield op
-        else:
-            yield YCSBOperation(base=op)
+    ).operations()
 
 
-def _tenant_stream(tenant: TenantSpec) -> Iterator[YCSBOperation]:
+def _tenant_stream(tenant: TenantSpec) -> Iterator[Operation]:
     """The tenant's operation stream (keys are re-derived from indices)."""
     if tenant.workload == "churn":
         return _churn_stream(tenant)

@@ -29,6 +29,7 @@ from repro.flash.timing import FlashTiming
 from repro.kvbench.runner import (
     BlockAdapter,
     HashKVAdapter,
+    KeyedAdapter,
     KVSSDAdapter,
     LSMAdapter,
 )
@@ -106,7 +107,7 @@ class KVRig(_Rig, _OneAdapter):
 
     device: KVSSD
     api: KVStoreAPI
-    adapter: KVSSDAdapter
+    adapter: KeyedAdapter
 
     def prime(self, pairs: int, value_bytes: int, scheme: KeyScheme) -> None:
         self.device.fast_fill(pairs, value_bytes, scheme)
@@ -185,7 +186,7 @@ class LSMRig(_Rig, _OneAdapter):
     api: BlockDeviceAPI
     fs: SimFileSystem
     store: LSMStore
-    adapter: LSMAdapter
+    adapter: KeyedAdapter
 
     def prime(self, pairs: int, value_bytes: int, scheme: KeyScheme) -> None:
         """Bulk-load ``pairs`` straight into level 3 (a settled tree)."""
@@ -204,7 +205,7 @@ class HashRig(_Rig, _OneAdapter):
     device: BlockSSD
     api: BlockDeviceAPI
     store: HashKVStore
-    adapter: HashKVAdapter
+    adapter: KeyedAdapter
 
     def prime(self, pairs: int, value_bytes: int, scheme: KeyScheme) -> None:
         self.store.fast_fill(pairs, value_bytes, scheme)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.figures import (
     ablations,
@@ -39,6 +39,7 @@ from repro.core.headline import headline_scalars
 from repro.frontend.run import frontend_load_sweep
 from repro.kvbench.report import format_table
 from repro.kvbench.ycsb_sweep import run_ycsb_sweep
+from repro.trace.run import TraceScenario
 from repro.units import KIB
 
 
@@ -81,6 +82,9 @@ class Experiment:
     mini: Mapping[str, Any]
     #: The paper findings this row reproduces, checked at ``fn()``.
     claims: Tuple[Claim, ...] = ()
+    #: The figure-shaped workload ``repro trace`` / ``repro sanitize``
+    #: ``--fig <name>`` run; rows without one are not offered there.
+    scenario: Optional[TraceScenario] = None
 
     def claims_table(self, result: Any) -> Tuple[str, bool]:
         """The ``finding | paper | measured | holds`` table for ``result``
@@ -119,6 +123,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                       lambda r: r.ratio("kvssd", "aerospike", "rand", "insert"),
                       0.8, 1.25),
             ),
+            TraceScenario("end-to-end latency, 4KiB mixed ops", queue_depth=1),
         ),
         Experiment(
             "fig3", "paper", fig3_index_occupancy,
@@ -135,6 +140,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 Claim("block read degradation", "~1x (flat)",
                       lambda r: r.degradation("block", "read"), hi=1.5),
             ),
+            TraceScenario("high-occupancy index pressure", fill_fraction=0.85,
+                          queue_depth=1, blocks_per_plane=32),
         ),
         Experiment(
             "fig4", "paper", fig4_value_size_concurrency, {"n_ops": "n_ops"},
@@ -156,6 +163,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 Claim("QD64 32 KiB read ratio", "back above 1 at >=32 KiB",
                       lambda r: r.ratio["read"][64][32 * KIB], 1.0),
             ),
+            TraceScenario("split values (64KiB) at depth", value_bytes=64 * KIB,
+                          fill_fraction=0.15, queue_depth=16),
         ),
         Experiment(
             "fig5", "paper", fig5_packing_bandwidth, {"n_ops": "n_ops"},
@@ -176,6 +185,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 Claim("KV fragments at 49 KiB", "3 data + 2 offset pages",
                       lambda r: r.kv_fragments[49 * KIB], 5, 5),
             ),
+            TraceScenario("small-value packing bandwidth", value_bytes=1024,
+                          fill_fraction=0.0, op="insert", queue_depth=16),
         ),
         Experiment(
             "fig6", "paper", fig6_foreground_gc, {},
@@ -193,6 +204,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 Claim("RocksDB on block: foreground GC runs", "none",
                       lambda r: r.foreground_gc_runs["rocksdb-uniform"], 0, 0),
             ),
+            TraceScenario("foreground GC under sustained updates",
+                          fill_fraction=0.8, op="update", queue_depth=16,
+                          blocks_per_plane=8),
         ),
         Experiment(
             "fig7", "paper", fig7_space_amplification, {},
@@ -216,6 +230,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                           for size in r.value_sizes
                       ), hi=0.02),
             ),
+            TraceScenario("tiny values (512B), space overheads", value_bytes=512,
+                          fill_fraction=0.0, op="insert", queue_depth=4),
         ),
         Experiment(
             "fig8", "paper", fig8_key_size_bandwidth, {"n_ops": "n_ops"},
@@ -230,6 +246,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 Claim("drop past 16 B (sync)", "present, smaller",
                       lambda r: r.cliff_ratio("sync"), hi=0.98),
             ),
+            TraceScenario("long keys (multi-command submissions)",
+                          fill_fraction=0.0, op="insert", queue_depth=16,
+                          key_digits=60),
         ),
         Experiment(
             "headline", "paper", headline_scalars, {},

@@ -13,7 +13,6 @@ __all__ = [
     "RunResult",
     "WorkloadSpec",
     "YCSBDriver",
-    "YCSBOperation",
     "YCSBSpec",
     "ZipfianGenerator",
     "generate_ycsb",
@@ -43,5 +42,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "Operation", "OpType", "Pattern", "WorkloadSpec",
         "generate_operations",
     ),
-    "ycsb": ("YCSBDriver", "YCSBOperation", "YCSBSpec", "generate_ycsb"),
+    "ycsb": ("YCSBDriver", "YCSBSpec", "generate_ycsb"),
 })

@@ -7,13 +7,9 @@ operation in flight, sharing one stream, so device-side concurrency equals
 the configured depth exactly.
 
 Adapters translate :class:`~repro.kvbench.workload.Operation` items to
-each stack's API:
-
-* :class:`KVSSDAdapter` — SNIA KVS API on the KV device;
-* :class:`LSMAdapter` — the RocksDB stand-in;
-* :class:`HashKVAdapter` — the Aerospike stand-in;
-* :class:`BlockAdapter` — raw block I/O with the same sizes and order
-  (the paper's direct-I/O baseline: key index -> device offset).
+each stack's API behind one :class:`StoreAdapter` protocol: a
+:class:`KeyedAdapter` for the three keyed stacks, :class:`BlockAdapter`
+for raw block I/O with the same sizes and order.
 """
 
 from __future__ import annotations
@@ -52,59 +48,65 @@ if TYPE_CHECKING:
 
 
 class StoreAdapter(Protocol):
-    """What every driver needs from a store adapter."""
+    """Everything a driver may use of a store adapter.
+
+    The closed loop needs ``execute`` and ``device``; the rest is what
+    :class:`~repro.kvbench.ycsb.YCSBDriver` composes scans and
+    read-modify-writes from, ``None`` where a stack has no such thing.
+    """
+
+    env: Environment
+    #: The flash device underneath, for uniform DeviceStats capture.
+    device: Any
+    #: ``scan(start_key, count)``: an ordered range read.
+    scan: Optional[Callable[[bytes, int], Generator[Event, None, int]]]
+    #: ``iterate(prefix4, limit=n)``: the device's prefix iteration.
+    iterate: Optional[Callable[..., Generator[Event, None, Any]]]
 
     def execute(self, op: Operation) -> Generator[Event, None, int]:
-        ...
+        """``op`` as a timed process; returns the bytes it moved."""
 
 
-class _KeyedAdapter:
-    """Put/get/delete dispatch shared by the three keyed stacks."""
+class KeyedAdapter:
+    """Put/get/delete dispatch: the adapter of all three keyed stacks."""
 
-    def __init__(self, put, get, delete, device) -> None:
+    def __init__(self, env, device, put, get, delete, scan=None, iterate=None):
+        self.env, self.device = env, device
         self._put, self._get, self._delete = put, get, delete
-        #: The flash device underneath, for uniform DeviceStats capture.
-        self.device = device
+        self.scan, self.iterate = scan, iterate
 
     def execute(self, op: Operation) -> Generator[Event, None, int]:
         if op.op in (OpType.INSERT, OpType.UPDATE):
             yield from self._put(op.key, op.value_bytes)
             return len(op.key) + op.value_bytes
         if op.op is OpType.READ:
-            value = yield from self._get(op.key)
-            return value
+            return (yield from self._get(op.key))
         if op.op is OpType.DELETE:
             yield from self._delete(op.key)
             return len(op.key)
         raise WorkloadError(f"unsupported op {op.op}")
 
 
-class KVSSDAdapter(_KeyedAdapter):
+def KVSSDAdapter(api: KVStoreAPI) -> KeyedAdapter:
     """Run operations through the SNIA KVS API."""
+    return KeyedAdapter(
+        api.env, api.device, api.store, api.retrieve, api.delete, iterate=api.iterate
+    )
 
-    def __init__(self, api: KVStoreAPI) -> None:
-        super().__init__(api.store, api.retrieve, api.delete, api.device)
-        self.api = api
 
-
-class LSMAdapter(_KeyedAdapter):
+def LSMAdapter(store: LSMStore) -> KeyedAdapter:
     """Run operations through the LSM store (on ext4 on block)."""
-
-    def __init__(self, store: LSMStore) -> None:
-        super().__init__(
-            store.put, store.get, store.delete, store.fs.block_api.device
-        )
-        self.store = store
+    return KeyedAdapter(
+        store.env, store.fs.block_api.device, store.put, store.get,
+        store.delete, scan=store.scan,
+    )
 
 
-class HashKVAdapter(_KeyedAdapter):
+def HashKVAdapter(store: HashKVStore) -> KeyedAdapter:
     """Run operations through the hash-index store (on raw block)."""
-
-    def __init__(self, store: HashKVStore) -> None:
-        super().__init__(
-            store.put, store.get, store.delete, store.block_api.device
-        )
-        self.store = store
+    return KeyedAdapter(
+        store.env, store.block_api.device, store.put, store.get, store.delete
+    )
 
 
 class BlockAdapter:
@@ -114,12 +116,13 @@ class BlockAdapter:
     the sector-aligned I/O size — the layout a direct-I/O benchmark uses.
     """
 
+    scan = iterate = None
+
     def __init__(self, api: BlockDeviceAPI, io_bytes: int) -> None:
         if io_bytes < 1:
             raise WorkloadError(f"io size must be >= 1, got {io_bytes}")
         self.api = api
-        #: Underlying device, for uniform DeviceStats capture.
-        self.device = api.device
+        self.env, self.device = api.env, api.device
         self.io_bytes = align_up(io_bytes, api.device.config.sector_bytes)
         self.slots = api.device.user_capacity_bytes // self.io_bytes
         if self.slots < 1:
@@ -259,7 +262,7 @@ def closed_loop(
 
 def drive_workload(
     env: Environment,
-    adapter,
+    adapter: StoreAdapter,
     operations: Iterable[Operation],
     queue_depth: int = 1,
     bandwidth_window_us: float = 50_000.0,
@@ -280,7 +283,7 @@ def drive_workload(
         bandwidth=BandwidthTracker(bandwidth_window_us, name),
         started_us=env.now,
     )
-    device = getattr(adapter, "device", None)
+    device = adapter.device
     stats_before = device.stats.snapshot() if device is not None else None
 
     def done(op: Operation, started: float, nbytes: Any,
@@ -298,10 +301,11 @@ def drive_workload(
     )
     result.finished_us = env.now
     result.bandwidth.finish(env.now)
-    if stats_before is not None:
-        result.device_stats = device.stats.delta(stats_before)
-    tracer = getattr(device, "tracer", None)
-    if tracer is not None and tracer.enabled and tracer.wants("op"):
+    if device is None:
+        return result
+    result.device_stats = device.stats.delta(stats_before)
+    tracer = device.tracer
+    if tracer.enabled and tracer.wants("op"):
         result.trace_summary = LatencyBreakdown.from_records(
             tracer.collector.records(),
             pid=tracer.pid,
@@ -313,7 +317,7 @@ def drive_workload(
 
 def execute_workload(
     env: Environment,
-    adapter,
+    adapter: StoreAdapter,
     operations: Iterable[Operation],
     queue_depth: int = 1,
     bandwidth_window_us: float = 50_000.0,

@@ -49,7 +49,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.errors import WorkloadError
@@ -59,7 +58,6 @@ from repro.kvbench.workload import (
     WorkloadSpec,
     generate_operations,
 )
-from repro.kvbench.ycsb import YCSBOperation
 from repro.kvftl.population import KeyScheme
 
 #: Header line opening every trace file.
@@ -404,8 +402,6 @@ def merge_traces(*streams: Iterable[TraceRecord]) -> List[TraceRecord]:
 # Replay adapter
 # ---------------------------------------------------------------------------
 
-ReplayOp = Union[Operation, YCSBOperation]
-
 
 class TraceWorkload:
     """Adapter from parsed records to runner-compatible operation streams.
@@ -414,8 +410,7 @@ class TraceWorkload:
       :class:`~repro.kvbench.workload.Operation` items —
       ``generate_operations``-compatible, so the closed-loop runner, the
       sweep cells, and the cluster router consume traces unchanged.
-      ``scan`` records come out as
-      :class:`~repro.kvbench.ycsb.YCSBOperation` with a positive
+      ``scan`` records come out as reads with a positive
       ``scan_length``; drive those through
       :class:`~repro.kvbench.ycsb.YCSBDriver`.
     * :meth:`arrivals` exposes the trace's timestamps for the open-loop
@@ -458,24 +453,23 @@ class TraceWorkload:
             self._interned[key] = interned
         return interned
 
-    def _operation(self, record: TraceRecord) -> ReplayOp:
+    def _operation(self, record: TraceRecord) -> Operation:
         index = self._index_for(record.key)
         if record.op == "scan":
-            return YCSBOperation(
-                Operation(OpType.READ, record.key, index, 0),
-                scan_length=record.size,
+            return Operation(
+                OpType.READ, record.key, index, 0, scan_length=record.size
             )
         op = _OP_TYPES.get(record.op)
         if op is None:
             raise WorkloadError(f"unknown trace op {record.op!r}")
         return Operation(op, record.key, index, record.size)
 
-    def operations(self) -> Iterator[ReplayOp]:
+    def operations(self) -> Iterator[Operation]:
         """The trace's operation stream, in arrival order."""
         for record in self.records:
             yield self._operation(record)
 
-    def __iter__(self) -> Iterator[ReplayOp]:
+    def __iter__(self) -> Iterator[Operation]:
         return self.operations()
 
     def arrivals(self) -> Tuple[float, ...]:

@@ -45,12 +45,21 @@ class Pattern(enum.Enum):
 
 @dataclass(frozen=True)
 class Operation:
-    """One generated request."""
+    """One generated request.
+
+    Composite requests are the same type: a scan is a ``READ`` with a
+    ``scan_length`` (records from ``key`` on), a read-modify-write an
+    ``UPDATE`` with ``rmw`` set, so each keeps its point op's latency
+    label.  Store adapters execute the point operation;
+    :class:`~repro.kvbench.ycsb.YCSBDriver` composes the other two.
+    """
 
     op: OpType
     key: bytes
     key_index: int
     value_bytes: int
+    scan_length: int = 0
+    rmw: bool = False
 
 
 @dataclass(frozen=True)

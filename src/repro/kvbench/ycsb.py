@@ -28,12 +28,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import DeviceError, WorkloadError
 from repro.kvbench.distributions import ZipfianGenerator
 from repro.kvbench.workload import Operation, OpType
 from repro.kvftl.population import KeyScheme
+
+if TYPE_CHECKING:
+    from repro.kvbench.runner import StoreAdapter
 
 #: The YCSB default record: 10 fields x 100 B.
 YCSB_VALUE_BYTES = 1000
@@ -82,37 +85,7 @@ class YCSBSpec:
         return self.MIXES[self.workload]
 
 
-@dataclass(frozen=True)
-class YCSBOperation:
-    """A YCSB request: a plain Operation plus scan metadata."""
-
-    base: Operation
-    scan_length: int = 0
-
-    @property
-    def is_scan(self) -> bool:
-        return self.scan_length > 0
-
-    # Delegates so the standard workload runner can drive YCSB streams.
-
-    @property
-    def op(self) -> OpType:
-        return self.base.op
-
-    @property
-    def key(self) -> bytes:
-        return self.base.key
-
-    @property
-    def key_index(self) -> int:
-        return self.base.key_index
-
-    @property
-    def value_bytes(self) -> int:
-        return self.base.value_bytes
-
-
-def generate_ycsb(spec: YCSBSpec) -> Iterator[YCSBOperation]:
+def generate_ycsb(spec: YCSBSpec) -> Iterator[Operation]:
     """Deterministic YCSB operation stream for ``spec``.
 
     Workload D's "read latest" is modeled as reads skewed toward the most
@@ -124,147 +97,92 @@ def generate_ycsb(spec: YCSBSpec) -> Iterator[YCSBOperation]:
     latest = ZipfianGenerator(
         spec.population, spec.zipf_theta, spec.seed + 2, scramble=False
     )
-    read_f, update_f, insert_f, scan_f, rmw_f = spec.mix
+    read_f, update_f, insert_f, scan_f, _ = spec.mix
     next_insert = spec.population
-    inserted = 0
+
+    def request(kind: OpType, index: int, **composite: int) -> Operation:
+        size = 0 if kind is OpType.READ else spec.value_bytes
+        key = spec.key_scheme.key_for(index)
+        return Operation(kind, key, index, size, **composite)
 
     for _ in range(spec.n_ops):
         draw = mix_rng.random()
         if draw < read_f:
             if spec.workload == "D":
                 # Read latest: rank 0 = newest key so far.
-                recency = latest.next_index() % (spec.population + inserted)
-                index = (spec.population + inserted - 1) - recency
+                recency = latest.next_index() % next_insert
+                yield request(OpType.READ, (next_insert - 1) - recency)
             else:
-                index = zipf.next_index()
-            yield YCSBOperation(
-                Operation(OpType.READ, spec.key_scheme.key_for(index), index, 0)
-            )
+                yield request(OpType.READ, zipf.next_index())
         elif draw < read_f + update_f:
-            index = zipf.next_index()
-            yield YCSBOperation(
-                Operation(
-                    OpType.UPDATE,
-                    spec.key_scheme.key_for(index),
-                    index,
-                    spec.value_bytes,
-                )
-            )
+            yield request(OpType.UPDATE, zipf.next_index())
         elif draw < read_f + update_f + insert_f:
-            index = next_insert
+            yield request(OpType.INSERT, next_insert)
             next_insert += 1
-            inserted += 1
-            yield YCSBOperation(
-                Operation(
-                    OpType.INSERT,
-                    spec.key_scheme.key_for(index),
-                    index,
-                    spec.value_bytes,
-                )
-            )
         elif draw < read_f + update_f + insert_f + scan_f:
-            index = zipf.next_index()
-            yield YCSBOperation(
-                Operation(OpType.READ, spec.key_scheme.key_for(index), index, 0),
-                scan_length=spec.scan_length,
-            )
-        else:  # read-modify-write
-            index = zipf.next_index()
-            yield YCSBOperation(
-                Operation(
-                    OpType.UPDATE,
-                    spec.key_scheme.key_for(index),
-                    index,
-                    spec.value_bytes,
-                ),
-                scan_length=-1,  # marker consumed by the driver below
-            )
+            yield request(OpType.READ, zipf.next_index(), scan_length=spec.scan_length)
+        else:
+            yield request(OpType.UPDATE, zipf.next_index(), rmw=True)
 
 
 class YCSBDriver:
     """Executes YCSB operations against a store adapter.
 
     Point operations delegate to the adapter.  Scans and read-modify-
-    writes are composed here from the primitive operations each stack
-    offers, which is where the KV-SSD's lack of ordered iteration shows:
+    writes are composed here from what the adapter protocol declares,
+    which is where the KV-SSD's lack of ordered iteration shows:
 
-    * LSM adapter: a scan is ``scan(start, n)`` on the store (ordered);
-    * KV adapter: a scan is a device prefix-iteration plus ``n`` point
-      reads of the following keys (the application must emulate order);
+    * a scan is the adapter's ordered ``scan(start, n)`` where it has one
+      (the LSM store); elsewhere it is emulated — a device prefix
+      iteration where the adapter has ``iterate`` (the KV-SSD), then
+      ``n`` point reads of the following keys;
     * read-modify-write is a read followed by an update everywhere.
     """
 
-    def __init__(self, adapter, spec: YCSBSpec) -> None:
+    def __init__(self, adapter: StoreAdapter, spec: YCSBSpec) -> None:
         self.adapter = adapter
         self.spec = spec
-        # Surface the wrapped adapter's device so the runner's DeviceStats
-        # capture works through the YCSB layer too.
-        self.device = getattr(adapter, "device", None)
+        #: The driver is run as an adapter: DeviceStats capture sees through.
+        self.device = adapter.device
         self.scans_run = 0
         self.rmws_run = 0
 
-    def execute(self, op):
-        # Trace replay feeds mixed streams: plain Operations for point
-        # ops, YCSBOperations only where scan metadata is needed.
-        scan_length = getattr(op, "scan_length", 0)
-        if scan_length > 0:
-            return self._scan(op)
-        if scan_length == -1:
+    def execute(self, op: Operation):
+        """``op`` as a timed process, composed here if it is composite."""
+        if op.scan_length > 0:
+            self.scans_run += 1
+            if self.adapter.scan is not None:
+                return self.adapter.scan(op.key, op.scan_length)
+            return self._emulated_scan(op)
+        if op.rmw:
+            self.rmws_run += 1
             return self._read_modify_write(op)
-        return self.adapter.execute(getattr(op, "base", op))
+        return self.adapter.execute(op)
 
-    def _scan(self, op: YCSBOperation):
-        self.scans_run += 1
-        store = getattr(self.adapter, "store", None)
-        if store is not None and hasattr(store, "scan"):
-            return store.scan(op.base.key, op.scan_length)
-        return self._emulated_scan(op)
+    def _emulated_scan(self, op: Operation):
+        adapter, spec = self.adapter, self.spec
+        call = adapter.env.call
+        total = 0
+        if adapter.iterate is not None:
+            # Touch the device-side iterator bucket first (the KV-SSD
+            # has no ordered scan; Sec. II's buckets are the closest).
+            yield from call(adapter.iterate(op.key[:4], limit=1), "iterate")
+        last = min(op.key_index + op.scan_length, spec.population)
+        for index in range(op.key_index, last):
+            key = spec.key_scheme.key_for(index)
+            point = Operation(OpType.READ, key, index, 0)
+            try:
+                nbytes = yield from call(adapter.execute(point))
+            except DeviceError:  # a missing tail key ends the scan
+                break
+            total += nbytes or 0
+        return total
 
-    def _emulated_scan(self, op: YCSBOperation):
-        spec = self.spec
+    def _read_modify_write(self, op: Operation):
+        call = self.adapter.env.call
+        read = Operation(OpType.READ, op.key, op.key_index, 0)
+        yield from call(self.adapter.execute(read))
+        return (yield from call(self.adapter.execute(op)))
 
-        def runner(env):
-            total = 0
-            api = getattr(self.adapter, "api", None)
-            if api is not None and hasattr(api, "iterate"):
-                # Touch the device-side iterator bucket first (the KV-SSD
-                # has no ordered scan; Sec. II's buckets are the closest).
-                yield from env.call(api.iterate(op.base.key[:4], limit=1))
-            for step in range(spec.scan_length):
-                index = op.base.key_index + step
-                if index >= spec.population:
-                    break
-                point = Operation(
-                    OpType.READ, spec.key_scheme.key_for(index), index, 0
-                )
-                try:
-                    nbytes = yield from env.call(self.adapter.execute(point))
-                except DeviceError:  # a missing tail key ends the scan
-                    break
-                total += nbytes or 0
-            return total
-
-        # The runner calls execute(op) and runs the returned generator
-        # via env.call; grab the env lazily from the adapter's store.
-        env = _env_of(self.adapter)
-        return runner(env)
-
-    def _read_modify_write(self, op: YCSBOperation):
-        self.rmws_run += 1
-
-        def runner(env):
-            read = Operation(OpType.READ, op.base.key, op.base.key_index, 0)
-            yield from env.call(self.adapter.execute(read))
-            nbytes = yield from env.call(self.adapter.execute(op.base))
-            return nbytes
-
-        return runner(_env_of(self.adapter))
-
-
-def _env_of(adapter):
-    """The simulation environment behind any store adapter."""
-    for attribute in ("api", "store"):
-        owner = getattr(adapter, attribute, None)
-        if owner is not None and hasattr(owner, "env"):
-            return owner.env
-    raise WorkloadError(f"cannot locate environment of {adapter!r}")
+    # The process label composites have always run under: digests pin it.
+    _emulated_scan.__name__ = _read_modify_write.__name__ = "runner"

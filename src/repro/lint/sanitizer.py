@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.sim import engine as sim_engine
-from repro.trace.run import SCENARIOS, run_traced
+from repro.trace.run import run_traced, scenarios
 
 #: Cap on retained event records; the digest and count keep running
 #: past it, so divergence *after* the cap is still detected, just
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and wall-clock/RNG tripwires",
     )
     parser.add_argument(
-        "--fig", default=None, choices=sorted(SCENARIOS),
+        "--fig", default=None, choices=list(scenarios()),
         help="trace scenario to sanitize (default: fig6)",
     )
     parser.add_argument(

@@ -6,11 +6,13 @@
 document shows the two firmware personalities as two processes on one
 timeline and the attribution tables can be compared side by side.
 
-Scenarios mirror the stress each paper figure isolates — occupancy for
+A scenario mirrors the stress its paper figure isolates — occupancy for
 Fig. 3, split values for Fig. 4, foreground GC for Fig. 6, long keys for
-Fig. 8 — scaled down to tracing-friendly op counts.  They are *not* the
-figure experiments themselves (:mod:`repro.core.figures` owns those);
-they exist to produce representative span trees quickly.
+Fig. 8 — scaled down to tracing-friendly op counts, and is the
+``scenario`` field of that figure's row in
+:data:`repro.core.registry.EXPERIMENTS`.  It is *not* the figure
+experiment itself (:mod:`repro.core.figures` owns those); it exists to
+produce representative span trees quickly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.trace.tracer import TraceCollector, TraceConfig, Tracer
 class TraceScenario:
     """A figure-shaped workload to run under tracing."""
 
-    fig: str
     #: What the scenario stresses, shown by the CLI.
     focus: str
     value_bytes: int = 4096
@@ -51,31 +52,15 @@ class TraceScenario:
         return KeyScheme(prefix=b"key-", digits=self.key_digits)
 
 
-SCENARIOS: Dict[str, TraceScenario] = {
-    s.fig: s
-    for s in (
-        TraceScenario("fig2", "end-to-end latency, 4KiB mixed ops",
-                      queue_depth=1),
-        TraceScenario("fig3", "high-occupancy index pressure",
-                      fill_fraction=0.85, queue_depth=1,
-                      blocks_per_plane=32),
-        TraceScenario("fig4", "split values (64KiB) at depth",
-                      value_bytes=64 * 1024, fill_fraction=0.15,
-                      queue_depth=16),
-        TraceScenario("fig5", "small-value packing bandwidth",
-                      value_bytes=1024, fill_fraction=0.0, op="insert",
-                      queue_depth=16),
-        TraceScenario("fig6", "foreground GC under sustained updates",
-                      fill_fraction=0.8, op="update", queue_depth=16,
-                      blocks_per_plane=8),
-        TraceScenario("fig7", "tiny values (512B), space overheads",
-                      value_bytes=512, fill_fraction=0.0, op="insert",
-                      queue_depth=4),
-        TraceScenario("fig8", "long keys (multi-command submissions)",
-                      fill_fraction=0.0, op="insert", queue_depth=16,
-                      key_digits=60),
-    )
-}
+def scenarios() -> Dict[str, TraceScenario]:
+    """Registry row name -> its scenario, for the rows that have one."""
+    from repro.core.registry import EXPERIMENTS  # it imports this module
+
+    return {
+        name: row.scenario
+        for name, row in sorted(EXPERIMENTS.items())
+        if row.scenario is not None
+    }
 
 
 @dataclass
@@ -120,7 +105,7 @@ def _trace_personality_cell(
     records — which :func:`run_traced` merges into one shared-collector
     report in fixed personality order.
     """
-    scenario = SCENARIOS[fig]
+    scenario = scenarios()[fig]
     config = TraceConfig(sample_every=sample_every, max_spans=max_spans)
     collector = TraceCollector(max_spans)
     scheme = scenario.scheme
@@ -190,11 +175,10 @@ def run_traced(
     append order the serial shared collector produced — so the exported
     trace and the drop accounting are byte-identical either way.
     """
-    scenario = SCENARIOS.get(fig)
+    scenario = scenarios().get(fig)
     if scenario is None:
         raise ConfigurationError(
-            f"no trace scenario for {fig!r}; choose from "
-            f"{sorted(SCENARIOS)}"
+            f"no trace scenario for {fig!r}; choose from {list(scenarios())}"
         )
     n_ops = scenario.n_ops if n_ops is None else n_ops
     population = n_ops

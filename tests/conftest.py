@@ -9,6 +9,7 @@ execution per pytest session.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections import Counter
@@ -60,7 +61,9 @@ def call_ledger(run: Callable[[], Any]) -> Tuple[Any, Dict[str, int]]:
     """``run()``'s result and the Python calls it made into ``repro/``, per
     top-level package (a module directly under ``repro/`` counts under its
     own name).  Counted with ``sys.setprofile``, so the numbers are the
-    same on every machine; C builtins are not calls."""
+    same on every machine; C builtins are not calls.  Garbage of earlier
+    tests is collected first: a suspended generator finalised inside the
+    window would run its ``finally`` on this ledger."""
     root = os.path.dirname(repro.__file__) + os.sep
     package_of: Dict[str, str] = {}
     calls: Counter = Counter()
@@ -77,6 +80,7 @@ def call_ledger(run: Callable[[], Any]) -> Tuple[Any, Dict[str, int]]:
         if package:
             calls[package] += 1
 
+    gc.collect()
     sys.setprofile(profile)
     try:
         result = run()

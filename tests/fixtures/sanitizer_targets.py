@@ -32,6 +32,11 @@ That is only sound because the plan is frozen; ``scribbling_cluster_cell``
 edits the program it was handed and must fail at the edit, not hand run 2
 a shorter program.
 
+``ycsb_cell`` runs YCSB E (scans) and F (read-modify-writes) on the KV
+and the LSM rig: the composite-operation dispatch — one ``Operation``
+type through one ``YCSBDriver`` — with an ordered scan on one stack and
+the emulated one (prefix iterate + point reads) on the other.
+
 The set-order pair is loaded by path
 (``tests/fixtures/sanitizer_targets.py:fn``), so this file must stay
 importable with only ``src`` on ``PYTHONPATH`` — and without ``from
@@ -184,3 +189,16 @@ def scribbling_cluster_cell() -> str:
     spec = _cluster_spec()
     shard_plan(spec, 1).segments[-1].pop()
     return run_cluster(spec).fingerprint()
+
+
+def ycsb_cell() -> List[Tuple[str, str, int, int, float]]:
+    """YCSB E + F, 120 ops each, on the KV and the LSM rig."""
+    from repro.kvbench.ycsb_sweep import ycsb_cell as cell
+
+    runs = [
+        cell(workload, system, n_ops=120, population=300)
+        for system in ("kv", "lsm")
+        for workload in "EF"
+    ]
+    return [(run.workload, run.system, run.completed_ops, run.failed_ops,
+             run.mean_us) for run in runs]

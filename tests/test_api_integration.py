@@ -8,6 +8,7 @@ from repro.core.experiment import (
     build_hash_rig,
     build_kv_rig,
     build_lsm_rig,
+    build_rig,
     lab_geometry,
 )
 from repro.errors import (
@@ -20,7 +21,8 @@ from repro.kvbench.runner import execute_workload
 from repro.kvbench.workload import Pattern, WorkloadSpec, generate_operations
 from repro.kvftl.blob import layout_blob
 from repro.kvftl.population import KeyScheme
-from repro.nvme.command import NvmeStatus
+from repro.nvme.command import NvmeStatus, status_for_error
+from repro.trace.tracer import TraceCollector, Tracer
 from repro.units import KIB
 
 
@@ -250,3 +252,56 @@ def test_sync_api_slower_and_hungrier_than_async():
     one_store(async_rig)
     one_store(sync_rig)
     assert sync_rig.cpu.total_busy_us > async_rig.cpu.total_busy_us
+
+
+_KEY = b"api-key-00000001"
+#: (system, API method, arguments): every host command there is.
+API_METHODS = [
+    ("kvssd", "store", (_KEY, 4096)),
+    ("kvssd", "retrieve", (_KEY,)),
+    ("kvssd", "delete", (_KEY,)),
+    ("kvssd", "exist", (_KEY,)),
+    ("kvssd", "iterate", (_KEY[:4], 8)),
+    ("block", "write", (0, 8192)),
+    ("block", "read", (0, 8192)),
+    ("block", "deallocate", (0, 8192)),
+]
+
+
+@pytest.mark.parametrize("system, method, args", API_METHODS)
+def test_every_api_method_is_one_command_envelope(
+    system, method, args, monkeypatch
+):
+    """Success and failure cost and account alike through all eight."""
+    tracer = Tracer(collector=TraceCollector(256))
+    rig = build_rig(system, lab_geometry(4), tracer=tracer)
+    api, driver, cpu = rig.api, rig.driver, rig.cpu
+
+    def run(process):
+        return rig.env.run_until_complete(rig.env.process(process))
+
+    def observed():
+        spans = [r for r in tracer.collector.records()
+                 if r.cat == "op" and r.name == method]
+        return (cpu.report().by_component[api.component],
+                driver.commands_submitted, driver.commands_completed,
+                driver.commands_failed, len(spans))
+
+    run(api.store(_KEY, 4096) if system == "kvssd" else api.write(0, 8192))
+    before = observed()
+    run(getattr(api, method)(*args))
+    # 1.0 library + 2.0 async submit + 1.0 completion: the parent's charge.
+    assert [b - a for a, b in zip(before, observed())] == [4.0, 1, 1, 0, 1]
+    assert driver.last_status == NvmeStatus.SUCCESS
+
+    def broken(*args, **kwargs):
+        raise DeviceFullError("planted")
+        yield  # pragma: no cover - makes this a generator
+
+    monkeypatch.setattr(rig.device, method, broken)
+    with pytest.raises(DeviceFullError) as excinfo:
+        run(getattr(api, method)(*args))
+    # One error completion, at a success's CPU; the span finished once.
+    assert [b - a for a, b in zip(before, observed())] == [8.0, 2, 2, 1, 2]
+    assert excinfo.value.nvme_status == status_for_error(excinfo.value)
+    assert driver.last_status == NvmeStatus.CAPACITY_EXCEEDED

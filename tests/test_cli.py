@@ -98,9 +98,45 @@ def test_target_is_rejected_outside_the_fig_form():
         main(["fig8", "fig4"])
 
 
-def test_parallel_must_be_positive():
-    with pytest.raises(SystemExit, match="--parallel"):
-        main(["fig8", "--parallel", "0"])
+def _usage_error(capsys, argv):
+    """The last stderr line of a run that must exit 2 printing nothing."""
+    with pytest.raises(SystemExit) as raised:
+        main(argv + ["--no-cache"])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.splitlines()[-1]
+
+
+def test_parallel_must_be_positive(capsys):
+    error = _usage_error(capsys, ["fig8", "--parallel", "0"])
+    assert error.endswith("argument --parallel: must be >= 1, got 0")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # Each used to be a traceback out of a spec's validation.
+    (["fig5", "--n-ops", "0"], "--n-ops: must be >= 1, got 0"),
+    (["fig5", "--n-ops", "-5"], "--n-ops: must be >= 1, got -5"),
+    (["fig3", "--measured-ops", "0"], "--measured-ops: must be >= 1, got 0"),
+    (["trace", "--trace-ops", "0"], "--trace-ops: must be >= 1, got 0"),
+    (["replay", "--replay-ops", "0"], "--replay-ops: must be >= 1, got 0"),
+    (["frontend", "--frontend-ops", "0"],
+     "--frontend-ops: must be >= 1, got 0"),
+    (["faults", "--fault-rates", ""], "--fault-rates: needs at least one rate"),
+    (["faults", "--fault-rates", "0.5"],
+     "--fault-rates: fault rate must be in [0, 0.2], got 0.5"),
+])
+def test_bad_numbers_are_usage_errors(capsys, argv, message):
+    assert _usage_error(capsys, argv).endswith("argument " + message)
+
+
+def test_a_bad_parallel_default_reads_like_a_bad_parallel_flag(
+    capsys, monkeypatch
+):
+    flag = _usage_error(capsys, ["fig7", "--parallel", "two"])
+    monkeypatch.setenv("REPRO_PARALLEL", "two")
+    assert _usage_error(capsys, ["fig7"]) == flag
+    assert flag.endswith("argument --parallel: invalid positive_int value: 'two'")
 
 
 def _figure_stdout(capsys, argv):
@@ -142,9 +178,9 @@ def test_faults_command_prints_table_and_writes_csv(capsys, tmp_path):
     assert personalities == {"kv-ssd", "block-ssd"}
 
 
-def test_faults_command_rejects_bad_rates():
-    with pytest.raises(SystemExit, match="fault-rates"):
-        main(["faults", "--fault-rates", "0,banana"])
+def test_faults_command_rejects_bad_rates(capsys):
+    error = _usage_error(capsys, ["faults", "--fault-rates", "0,banana"])
+    assert "argument --fault-rates: could not convert" in error
 
 
 def test_trace_command_writes_perfetto_file(capsys, tmp_path):
@@ -191,12 +227,7 @@ def test_cluster_smoke_command_end_to_end(capsys, tmp_path):
     ["cluster", "--cluster-ops", "-5"],
 ], ids=["smoke-zero", "zero", "negative"])
 def test_cluster_ops_below_one_is_a_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as raised:
-        main(argv + ["--no-cache"])
-    assert raised.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    error = captured.err.splitlines()[-1]
+    error = _usage_error(capsys, argv)
     assert f"argument --cluster-ops: must be >= 1, got {argv[-1]}" in error
 
 

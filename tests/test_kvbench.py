@@ -129,6 +129,8 @@ def test_spec_validation():
 class FixedLatencyAdapter:
     """Test double: constant-latency op execution with failure injection."""
 
+    device = None  # no flash underneath: nothing for DeviceStats capture
+
     def __init__(self, env, latency_us=10.0, fail_every=0):
         self.env = env
         self.latency_us = latency_us
@@ -230,6 +232,8 @@ def reference_drive(env, execute, ops, depth, stop_after_us, counts):
 
 class ScriptedAdapter:
     """Per-op latency and failure from a script; logs every completion."""
+
+    device = None
 
     def __init__(self, env, script):
         self.env = env

@@ -1,13 +1,15 @@
 """The rig protocol: every system answers ``build_rig`` → ``prime`` →
-``adapter_for`` → ``drain``, and the sizing helper owns the capacity
-formula the figures used to write out by hand."""
+``adapter_for`` → ``drain``, its adapter answers ``StoreAdapter``, and
+the sizing helper owns the capacity formula the figures used to write
+out by hand."""
 
 import pytest
 
 from repro.core.experiment import build_rig, lab_geometry
 from repro.errors import ConfigurationError
-from repro.kvbench.runner import run_phase
+from repro.kvbench.runner import StoreAdapter, run_phase
 from repro.kvbench.workload import Pattern, WorkloadSpec
+from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
 from repro.kvftl.blob import blobs_per_page
 from repro.kvftl.population import KeyScheme
 from repro.units import KIB
@@ -28,6 +30,45 @@ def test_primed_pairs_read_back_and_the_rig_drains(system):
         rig, f"protocol.{system}", reads, 4, rig.adapter_for(size)
     )  # drain=True: returning at all is the "drain() terminates" half
     assert (run.completed_ops, run.failed_ops) == (pairs, 0)
+
+
+#: Which optional member of the protocol each stack has.
+COMPOSES_WITH = {"kvssd": "iterate", "block": None, "rocksdb": "scan",
+                 "aerospike": None}
+#: (scans_run, rmws_run, completed_ops) per YCSB workload, 120 ops at
+#: seed 5: the parent's numbers, the same on every stack.
+YCSB_RUNS = {"A": (0, 0, 120), "E": (109, 0, 120), "F": (0, 60, 120)}
+
+
+@pytest.mark.parametrize("system", list(COMPOSES_WITH))
+def test_every_adapter_answers_the_store_adapter_protocol(system):
+    rig = build_rig(system, lab_geometry(8))
+    adapter = rig.adapter_for(1000)
+    assert (adapter.env, adapter.device) == (rig.env, rig.device)
+    assert callable(adapter.execute)
+    optional = set(StoreAdapter.__annotations__) - {"env", "device"}
+    assert optional == {"scan", "iterate"}
+    has = {member for member in optional if callable(getattr(adapter, member))}
+    assert has == {COMPOSES_WITH[system]} - {None}
+    assert all(getattr(adapter, member) is None for member in optional - has)
+
+
+@pytest.mark.parametrize("workload", list(YCSB_RUNS))
+@pytest.mark.parametrize("system", list(COMPOSES_WITH))
+def test_ycsb_composites_run_through_one_driver_on_every_stack(
+    system, workload
+):
+    spec = YCSBSpec(workload, n_ops=120, population=300,
+                    key_scheme=KeyScheme(prefix=b"user", digits=12),
+                    scan_length=10, seed=5)
+    rig = build_rig(system, lab_geometry(8))
+    rig.prime(spec.population, spec.value_bytes, spec.key_scheme)
+    driver = YCSBDriver(rig.adapter_for(spec.value_bytes), spec)
+    run = run_phase(rig, f"ycsb.{system}", generate_ycsb(spec), 4, driver)
+    assert run.failed_ops == 0
+    assert (
+        driver.scans_run, driver.rmws_run, run.completed_ops
+    ) == YCSB_RUNS[workload]
 
 
 def test_build_rig_rejects_unknown_systems():

@@ -62,12 +62,12 @@ from repro.kvbench.traces import (
     write_trace,
 )
 from repro.kvbench.workload import (
+    Operation,
     OpType,
     Pattern,
     WorkloadSpec,
     generate_operations,
 )
-from repro.kvbench.ycsb import YCSBOperation
 from repro.kvftl.population import KeyScheme
 from repro.lint.sanitizer import collect_in_subprocess, localize
 
@@ -523,11 +523,8 @@ class TestTraceWorkload:
         records = [TraceRecord(0.0, "scan", b"pref-001", 32),
                    TraceRecord(1.0, "read", b"pref-001", 0)]
         ops = list(TraceWorkload(records))
-        assert isinstance(ops[0], YCSBOperation)
-        assert ops[0].scan_length == 32
-        assert ops[0].op is OpType.READ
-        assert not isinstance(ops[1], YCSBOperation)
-        assert ops[1].op is OpType.READ
+        assert ops[0] == Operation(OpType.READ, b"pref-001", 0, 0, scan_length=32)
+        assert ops[1] == Operation(OpType.READ, b"pref-001", 0, 0)
 
     def test_every_op_code_maps_and_an_unknown_one_is_named(self):
         records = [TraceRecord(float(i), op.value, b"pref-001", 8)

@@ -6,7 +6,7 @@ from repro.core.experiment import build_kv_rig, build_lsm_rig, lab_geometry
 from repro.errors import InvariantViolation, KeyNotFoundError, WorkloadError
 from repro.kvbench.runner import execute_workload
 from repro.kvbench.workload import Operation, OpType
-from repro.kvbench.ycsb import YCSBDriver, YCSBOperation, YCSBSpec, generate_ycsb
+from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
 from repro.kvftl.population import KeyScheme
 
 
@@ -22,7 +22,7 @@ def spec_for(workload, n_ops=400, population=500, **kwargs):
 
 def test_mix_fractions_roughly_respected():
     spec = spec_for("A", n_ops=4000)
-    kinds = [op.base.op for op in generate_ycsb(spec)]
+    kinds = [op.op for op in generate_ycsb(spec)]
     reads = sum(1 for kind in kinds if kind is OpType.READ)
     assert 0.42 < reads / len(kinds) < 0.58
 
@@ -30,16 +30,16 @@ def test_mix_fractions_roughly_respected():
 def test_workload_c_is_read_only():
     spec = spec_for("C")
     for op in generate_ycsb(spec):
-        assert op.base.op is OpType.READ
-        assert not op.is_scan
+        assert op.op is OpType.READ
+        assert not (op.scan_length or op.rmw)
 
 
 def test_workload_d_reads_skew_to_latest():
     spec = spec_for("D", n_ops=3000, population=3000)
     read_indices = [
-        op.base.key_index
+        op.key_index
         for op in generate_ycsb(spec)
-        if op.base.op is OpType.READ
+        if op.op is OpType.READ
     ]
     newest_half = sum(1 for index in read_indices if index >= 1500)
     assert newest_half / len(read_indices) > 0.7
@@ -48,9 +48,9 @@ def test_workload_d_reads_skew_to_latest():
 def test_workload_d_inserts_extend_keyspace():
     spec = spec_for("D", n_ops=3000, population=100)
     inserts = [
-        op.base.key_index
+        op.key_index
         for op in generate_ycsb(spec)
-        if op.base.op is OpType.INSERT
+        if op.op is OpType.INSERT
     ]
     assert inserts  # 5% of 3000
     assert min(inserts) == 100
@@ -59,13 +59,13 @@ def test_workload_d_inserts_extend_keyspace():
 
 def test_workload_e_mostly_scans():
     spec = spec_for("E", n_ops=2000)
-    scans = sum(1 for op in generate_ycsb(spec) if op.is_scan)
+    scans = sum(1 for op in generate_ycsb(spec) if op.scan_length > 0)
     assert 0.9 < scans / 2000 <= 1.0
 
 
 def test_workload_f_marks_rmw():
     spec = spec_for("F", n_ops=2000)
-    rmws = sum(1 for op in generate_ycsb(spec) if op.scan_length == -1)
+    rmws = sum(1 for op in generate_ycsb(spec) if op.rmw)
     assert 0.4 < rmws / 2000 < 0.6
 
 
@@ -75,8 +75,8 @@ def test_unknown_workload_rejected():
 
 
 def test_generation_is_deterministic():
-    first = [(op.base.op, op.base.key) for op in generate_ycsb(spec_for("A"))]
-    second = [(op.base.op, op.base.key) for op in generate_ycsb(spec_for("A"))]
+    first = [(op.op, op.key) for op in generate_ycsb(spec_for("A"))]
+    second = [(op.op, op.key) for op in generate_ycsb(spec_for("A"))]
     assert first == second
 
 
@@ -132,7 +132,9 @@ class _ThirdReadRaises:
     """KV adapter whose third point read raises ``error``."""
 
     def __init__(self, adapter, error):
-        self.api, self.inner, self.error = adapter.api, adapter, error
+        self.inner, self.error = adapter, error
+        self.env, self.device = adapter.env, adapter.device
+        self.scan, self.iterate = adapter.scan, adapter.iterate
         self.reads = 0
 
     def execute(self, op):
@@ -147,7 +149,7 @@ def test_emulated_scan_ends_on_a_device_error_only():
     one of its point reads is not "the end of the key space"."""
     spec = spec_for("E", scan_length=10)
     rig = _loaded_kv_rig(spec)
-    scan = YCSBOperation(Operation(OpType.READ, spec.key_scheme.key_for(0), 0, 0), 10)
+    scan = Operation(OpType.READ, spec.key_scheme.key_for(0), 0, 0, scan_length=10)
 
     def run(error):
         driver = YCSBDriver(_ThirdReadRaises(rig.adapter, error), spec)
