@@ -22,7 +22,6 @@ from repro.cluster.spec import ClusterSpec
 from repro.exec.cache import canonical
 from repro.exec.runner import SweepRunner, grid
 from repro.ftl.core import DeviceStats
-from repro.kvbench.report import format_table
 from repro.kvbench.runner import Throughput
 
 
@@ -142,18 +141,6 @@ class ClusterResult(Throughput):
             canonical(self.shards), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def render(self) -> str:
-        """The one-row run summary plus the fingerprint line."""
-        table = format_table(
-            ["shards", "R", "ops", "fail", "drain", "verified", "missing",
-             "degraded", "kops"],
-            [[self.spec.shards, self.spec.replication, self.completed_ops,
-              self.failed_ops, self.drain_ops, self.verify_checked,
-              self.verify_missing, self.degraded_shards,
-              round(self.throughput_kops(), 2)]],
-        )
-        return f"{table}\nfingerprint: {self.fingerprint()}"
 
 
 def run_cluster(

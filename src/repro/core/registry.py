@@ -36,6 +36,7 @@ from repro.core.figures import (
     replay_ttl_scan_mix,
 )
 from repro.core.headline import headline_scalars
+from repro.faults.run import run_fault_sweep
 from repro.frontend.run import frontend_load_sweep
 from repro.kvbench.report import format_table
 from repro.kvbench.ycsb_sweep import run_ycsb_sweep
@@ -78,9 +79,10 @@ class Experiment:
     #: ``fn`` keyword -> CLI option (argparse dest) that overrides it.
     cli: Mapping[str, str]
     #: Keywords of the smallest meaningful run — what the golden and smoke
-    #: suites execute, and ``repro replay --smoke``.
+    #: suites execute.
     mini: Mapping[str, Any]
-    #: The paper findings this row reproduces, checked at ``fn()``.
+    #: The findings this row reproduces (or, beyond the paper, states),
+    #: checked at ``fn()``.
     claims: Tuple[Claim, ...] = ()
     #: The figure-shaped workload ``repro trace`` / ``repro sanitize``
     #: ``--fig <name>`` run; rows without one are not offered there.
@@ -322,17 +324,46 @@ EXPERIMENTS: Dict[str, Experiment] = {
                       lambda r: r.ratio("A") / r.ratio("C"), hi=1.0),
             ),
         ),
+        # Beyond the paper: the paper column is "-", the finding says what
+        # the design expects (DESIGN §§9, 13-15).
         Experiment(
             "fig_cluster_scaling", "cluster", cluster_shard_scaling,
             {"n_ops": "cluster_ops"}, dict(n_ops=80),
+            (
+                Claim("throughput 8 / 2 shards: scales, short of linear", "-",
+                      lambda r: r.scaling_ratio(), 2.0, 4.0),
+                Claim("throughput gain, worst shard-count doubling", "-",
+                      lambda r: min(
+                          r.throughput_kops[b] / r.throughput_kops[a]
+                          for a, b in zip(r.shard_counts, r.shard_counts[1:])
+                      ), 1.2),
+                Claim("router share of op time, worst cluster size", "-",
+                      lambda r: max(r.router_share.values()), hi=0.05),
+            ),
         ),
         Experiment(
             "fig_cluster_rebalance", "cluster", cluster_rebalance_tail,
             {"n_ops": "cluster_ops"}, dict(n_ops=80),
+            (
+                Claim("rebalance loses an acknowledged write (1 = yes)", "-",
+                      lambda r: float(not r.zero_lost_writes), 0, 0),
+                Claim("acknowledged writes read back after the run", "-",
+                      lambda r: r.verify_checked, 1),
+                Claim("p99 inflation through the rebalance window", "-",
+                      lambda r: r.tail_inflation("p99"), 1.0),
+            ),
         ),
         Experiment(
             "fig_cluster_replication", "cluster", cluster_replication_cost,
             {"n_ops": "cluster_ops"}, dict(n_ops=80),
+            (
+                Claim("write cost at R=2 (flash programs / R=1)", "-",
+                      lambda r: r.write_cost(2), 1.2),
+                Claim("write cost at R=3 (flash programs / R=1)", "-",
+                      lambda r: r.write_cost(3), 1.2),
+                Claim("flash programs added from R=2 to R=3", "-",
+                      lambda r: r.flash_programs[3] - r.flash_programs[2], 1),
+            ),
         ),
         Experiment(
             "fig_frontend", "frontend", frontend_load_sweep,
@@ -342,17 +373,74 @@ EXPERIMENTS: Dict[str, Experiment] = {
             # saturation: pins the knee without the full curve.
             dict(loads_kops=(16.0, 384.0), n_requests=240,
                  blocks_per_plane=8),
+            (
+                Claim("saturation knee (kops offered), inside the sweep", "-",
+                      lambda r: r.knee_kops() or math.nan, 32.0, 512.0),
+                Claim("queueing share of the added lat p99 at the knee", "-",
+                      lambda r: r.queueing_share("lat", r.knee_kops())
+                      if r.knee_kops() else math.nan, 0.8),
+                Claim("lat-class SLO violations at the lowest load", "-",
+                      lambda r: r.violation_fraction["lat"][r.loads_kops[0]],
+                      hi=0.05),
+            ),
         ),
         Experiment(
             "fig_replay_rotation", "replay", replay_rotation, {},
             dict(rotate_every=(0, 64), n_ops=200, population=512,
                  working_set=64, blocks_per_plane=8),
+            (
+                Claim("ops completed / offered, worst rotation cell", "-",
+                      lambda r: min(
+                          ops for cells in r.completed_ops.values()
+                          for ops in cells.values()
+                      ) / r.n_ops, 1.0, 1.0),
+                # Neither device's tail is locality-bound at this scale:
+                # rotation moves each by a few percent, either way.
+                Claim("KV p99, fastest rotation / static", "-",
+                      lambda r: r.rotation_penalty("kv"), 0.9, 1.1),
+                Claim("block p99, fastest rotation / static", "-",
+                      lambda r: r.rotation_penalty("block"), 0.9, 1.1),
+            ),
         ),
         Experiment(
             "fig_replay_mix", "replay", replay_ttl_scan_mix,
             {"n_ops": "replay_ops"},
             dict(variants=("plain", "ttl+scan"), n_ops=200, population=400,
                  ttl_ops=120, blocks_per_plane=8),
+            (
+                Claim("prefix scans run (ttl+scan)", "-",
+                      lambda r: r.ops["ttl+scan"]["scans"], 1),
+                Claim("expiry deletes, fewer of the two ttl variants", "-",
+                      lambda r: min(r.ops[v]["deletes"] for v in ("ttl", "ttl+scan")),
+                      1),
+                Claim("read p99 inflation, ttl+scan / plain", "-",
+                      lambda r: r.tail_inflation("ttl+scan"), 2.0),
+            ),
+        ),
+        Experiment(
+            "faults", "faults", run_fault_sweep,
+            {"rates": "fault_rates", "seed": "fault_seed", "n_ops": "n_ops"},
+            dict(rates=(0.0, 5e-2), n_ops=200, blocks_per_plane=8),
+            (
+                Claim("failed ops - uncorrectable reads, worst cell", "-",
+                      lambda r: max(
+                          abs(p.run.failed_ops - p.stats.uncorrectable_reads)
+                          for p in r.points
+                      ), 0, 0),
+                Claim("rate steps at which read retries do not grow", "-",
+                      lambda r: sum(
+                          a.stats.read_retries >= b.stats.read_retries
+                          for a, b in zip(r.points, r.points[1:])
+                          if a.personality == b.personality
+                      ), 0, 0),
+                Claim("cells degraded to read-only", "-",
+                      lambda r: sum(p.read_only for p in r.points), 0, 0),
+                Claim("p999 inflation at rate 5e-2, lesser personality", "-",
+                      lambda r: min((
+                          r.inflation(p, "p999") for p in r.points
+                          if p.rate == 5e-2
+                      ), default=math.nan), 1.1),
+            ),
         ),
     )
 }

@@ -1,9 +1,11 @@
-"""Fault-injection demo runs: one workload, both personalities, one sweep.
+"""The fault sweep: one workload, both personalities, a series of rates.
 
 :func:`run_fault_sweep` replays the same mixed workload against a KV-SSD
-rig and a block-SSD rig at a series of statistical fault rates, so the
-CLI (``repro faults``) can show how media errors inflate latency
-percentiles and which recovery counters moved.
+rig and a block-SSD rig at a series of statistical fault rates; its
+:class:`FaultSweepResult` (the ``faults`` row of
+:data:`repro.core.registry.EXPERIMENTS`, ``repro faults``) shows how
+media errors inflate latency percentiles and which recovery counters
+moved.
 
 A single ``rate`` knob scales the whole :class:`FaultConfig` through
 :func:`fault_profile` — corrected read errors dominate (they are by far
@@ -15,6 +17,7 @@ reliability literature reports for enterprise TLC.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +28,7 @@ from repro.errors import ConfigurationError
 from repro.exec.runner import SweepRunner, grid
 from repro.faults.model import FaultConfig
 from repro.ftl.core import DeviceStats
+from repro.kvbench.report import format_table
 from repro.kvbench.runner import RunResult, run_phase
 from repro.kvbench.workload import WorkloadSpec
 from repro.kvftl.population import KeyScheme
@@ -77,6 +81,74 @@ class FaultPoint:
         return self.run.latency.summary().as_dict()
 
 
+@dataclass
+class FaultSweepResult:
+    """Every point of one sweep, personality-major, rate-minor."""
+
+    points: List[FaultPoint]
+
+    def inflation(self, point: FaultPoint, quantile: str) -> float:
+        """``point``'s latency ``quantile`` over its personality's rate-0
+        point (``nan`` without one): read retries are invisible at the
+        median and stretch the tail."""
+        for clean in self.points:
+            if clean.personality == point.personality and clean.rate == 0.0:
+                return (point.latency_summary()[quantile]
+                        / clean.latency_summary()[quantile])
+        return math.nan
+
+    def render(self) -> str:
+        has_clean = any(point.rate == 0.0 for point in self.points)
+        headers = ["system", "rate", "ops", "fail", "p50 us", "p99 us",
+                   "retry", "corr", "uncorr", "pfail", "retired", "mode"]
+        if has_clean:
+            headers += ["p99 x", "p999 x"]
+        rows = []
+        for point in self.points:
+            latency = point.latency_summary()
+            stats = point.stats
+            row = [
+                point.personality, f"{point.rate:g}",
+                point.run.completed_ops, point.run.failed_ops,
+                round(latency["p50"], 1), round(latency["p99"], 1),
+                stats.read_retries, stats.corrected_reads,
+                stats.uncorrectable_reads, stats.program_fails,
+                stats.retired_blocks,
+                "RO" if point.read_only else "rw",
+            ]
+            if has_clean:
+                row += [self.inflation(point, q) for q in ("p99", "p999")]
+            rows.append(row)
+        return (
+            format_table(headers, rows)
+            + "\n\nrate = per-read corrected-error probability; rarer events "
+            "(uncorrectable, program/erase fail) scale down from it"
+        )
+
+    def metrics(self) -> Dict[str, float]:
+        metrics: Dict[str, float] = {}
+        for point in self.points:
+            tag = f"{point.personality}.{point.rate:g}"
+            latency = point.latency_summary()
+            stats = point.stats
+            metrics.update({
+                f"{tag}.completed": point.run.completed_ops,
+                f"{tag}.failed": point.run.failed_ops,
+                f"{tag}.p50_us": latency["p50"],
+                f"{tag}.p99_us": latency["p99"],
+                f"{tag}.p999_us": latency["p999"],
+                f"{tag}.read_retries": stats.read_retries,
+                f"{tag}.uncorrectable_reads": stats.uncorrectable_reads,
+                f"{tag}.program_fails": stats.program_fails,
+                f"{tag}.retired_blocks": stats.retired_blocks,
+                f"{tag}.read_only": int(point.read_only),
+            })
+            inflation = self.inflation(point, "p999")
+            if not math.isnan(inflation):
+                metrics[f"{tag}.p999_inflation"] = inflation
+        return metrics
+
+
 def _fault_cell(device: str, rate: float, seed: int, n_ops: int,
                 value_bytes: int, blocks_per_plane: int, queue_depth: int,
                 workload_seed: int) -> FaultPoint:
@@ -118,8 +190,8 @@ def run_fault_sweep(
     queue_depth: int = 8,
     workload_seed: int = 47,
     runner: Optional[SweepRunner] = None,
-) -> List[FaultPoint]:
-    """Run the sweep; returns points ordered personality-major, rate-minor.
+) -> FaultSweepResult:
+    """Run the sweep; points are ordered personality-major, rate-minor.
 
     Every point gets a *fresh* rig (fault injection mutates wear and the
     grown-defect list) but replays the identical operation stream, so
@@ -140,7 +212,7 @@ def run_fault_sweep(
              workload_seed=workload_seed),
         runner,
     )
-    return list(cells.values())
+    return FaultSweepResult(list(cells.values()))
 
 
 #: Column order of :func:`write_sweep_csv` (stable: tooling parses it).

@@ -62,9 +62,10 @@ class ArrivalSpec:
     trace_times: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rate_ops_s <= 0.0:
+        if not (math.isfinite(self.rate_ops_s) and self.rate_ops_s > 0.0):
             raise ConfigurationError(
-                f"arrival rate must be > 0 ops/s, got {self.rate_ops_s}"
+                f"arrival rate must be finite and > 0 ops/s, "
+                f"got {self.rate_ops_s}"
             )
         if self.n_requests < 1:
             raise ConfigurationError(

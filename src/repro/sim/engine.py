@@ -20,8 +20,8 @@ runs of the same model produce identical traces.
 
 Event queue
 -----------
-The queue is a calendar/bucket structure rather than a single binary heap,
-tuned to the two populations of events an SSD model produces:
+The queue is a FIFO plus one heap, one for each population of events an
+SSD model produces:
 
 * **Immediate events** — an event triggered via :meth:`Event.succeed` (a
   resource grant, a process completion, a signal wakeup) always fires at
@@ -30,18 +30,11 @@ tuned to the two populations of events an SSD model produces:
   numbers increase monotonically) and live in a plain FIFO deque — no
   heap operations, no tuple packing.  The majority of all events take
   this path.
-* **Future events** — timeouts with a strictly positive delay are placed
-  in calendar buckets of :attr:`Environment.bucket_us` width (default
-  sized to the NAND timing quanta: transfers are a few us, tR ~60 us,
-  tPROG ~700 us, tBERS ~3000 us).  Insertion into a far bucket is an
-  O(1) list append; only the *near* bucket — the one currently being
-  drained — is kept as a heap, so heap traffic is confined to a handful
-  of co-scheduled entries instead of the whole horizon.
+* **Future events** — timeouts with a strictly positive delay go into
+  one heap of ``(fire_time, sequence, event)`` entries.
 
-The fire order is exactly the total order ``(fire_time, sequence)`` the
-previous single-heap implementation used, so the refactor is observably
-identical: same event interleaving, same timestamps, same figures to the
-byte.
+The loop merges the two heads by ``(fire_time, sequence)``, which is the
+total order of a single heap holding every event.
 
 A resource or token grant that would be the very next event popped does
 not enter the queue at all: :meth:`Environment._fire_in_place` accounts
@@ -49,7 +42,7 @@ for its pop on the spot (sequence number, event count, observer) and the
 caller carries on, which leaves the order and the count as they were.
 The same accounting starts and finishes a child generator run through
 :meth:`Environment.call`, and a process put to sleep by a quiet
-:meth:`~repro.sim.resources.Resource.serve` sits in the calendar itself,
+:meth:`~repro.sim.resources.Resource.serve` sits in the heap itself,
 under the ``(fire_time, sequence)`` its timeout would have had.
 
 Example
@@ -67,12 +60,11 @@ Example
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import (
     Any,
     Callable,
     Deque,
-    Dict,
     Generator,
     Iterable,
     List,
@@ -90,7 +82,7 @@ ProcessGenerator = Generator["Event", Any, Any]
 #: What an event calls when it fires.
 Callback = Callable[["Event"], None]
 
-#: Entry in the calendar's future-event buckets.
+#: Entry in the future-event heap.
 _QueueEntry = Tuple[float, int, "Event"]
 
 #: Event-pop observer installed by the nondeterminism sanitizer
@@ -219,25 +211,13 @@ class Timeout(Event):
         if fire_at == now:
             # Zero-delay timeouts (and delays too small to move the
             # clock) join the immediate FIFO: same (time, seq) order, no
-            # calendar traffic, and nothing in the calendar is ever due
-            # at an instant earlier than it was scheduled.
+            # heap traffic, and nothing in the heap is ever due at an
+            # instant earlier than it was scheduled.
             env._immediate.append(self)
             return
-        key = int(fire_at * env._bucket_inv)
-        if key <= env._near_key:
-            # Lands inside (or before) the bucket being drained: merge
-            # into the near heap, which handles any order.  The packed
-            # tuple is deliberate — it doubles as the heap's C-speed
-            # comparison key, beating Event.__lt__ dispatch, and far
-            # buckets reuse the same entries when they activate.
-            heappush(env._near, (fire_at, seq, self))  # simlint: disable=SIM007
-        else:
-            bucket = env._far.get(key)
-            if bucket is None:
-                env._far[key] = [(fire_at, seq, self)]
-                heappush(env._far_keys, key)
-            else:
-                bucket.append((fire_at, seq, self))
+        # The packed tuple is deliberate: it is the heap's C-speed
+        # comparison key, beating Event.__lt__ dispatch.
+        heappush(env._future, (fire_at, seq, self))  # simlint: disable=SIM007
 
 
 class Sleep(Event):
@@ -245,7 +225,7 @@ class Sleep(Event):
 
     One per environment, never triggered and never queued: it only carries
     ``delay`` from ``serve`` to the :meth:`Process._resume` that receives
-    it, which parks the process itself in the calendar for that long.  It
+    it, which parks the process itself in the heap for that long.  It
     is an :class:`Event` so that model generators stay ``Generator[Event,
     ...]``; waiting on it any other way (a condition, a second process) is
     not supported.
@@ -268,7 +248,7 @@ class Process(Event):
 
     Two things besides events reach :meth:`_resume`.  A generator that
     yields the environment's :class:`Sleep` token (the result of a quiet
-    ``Resource.serve``) is parked in the calendar *as itself*: an
+    ``Resource.serve``) is parked in the heap *as itself*: an
     untriggered process popped from the queue is a sleeper to wake, not an
     event that fired.  And ``_on_wake``, armed by ``serve`` on the process
     whose generator is running, is a one-shot step run at the next resume
@@ -328,8 +308,8 @@ class Process(Event):
         finally:
             env._active = None
         if target is env._sleep:
-            # A quiet serve: sleep in the calendar as this process, under
-            # the (fire_at, seq) the service timeout would have taken.
+            # A quiet serve: sleep in the heap as this process, under the
+            # (fire_at, seq) the service timeout would have taken.
             delay = env._sleep.delay
             now = env._now
             fire_at = now + delay
@@ -341,17 +321,7 @@ class Process(Event):
                 seq = env._sequence
                 env._sequence = seq + 1
                 self._seq = seq
-                # Timeout.__init__'s calendar insertion, of this process.
-                key = int(fire_at * env._bucket_inv)
-                if key <= env._near_key:
-                    heappush(env._near, (fire_at, seq, self))  # simlint: disable=SIM007
-                else:
-                    bucket = env._far.get(key)
-                    if bucket is None:
-                        env._far[key] = [(fire_at, seq, self)]
-                        heappush(env._far_keys, key)
-                    else:
-                        bucket.append((fire_at, seq, self))
+                heappush(env._future, (fire_at, seq, self))  # simlint: disable=SIM007
                 return
         elif not isinstance(target, Event):
             raise SimulationError(
@@ -460,29 +430,16 @@ class Environment:
     The clock starts at 0.0 microseconds and only moves when :meth:`run`
     processes events.  All model components sharing an environment observe
     the same clock.
-
-    ``bucket_us`` sets the calendar-bucket width for future events; the
-    default suits the NAND timing quanta (see the module docstring).  Any
-    positive width produces identical simulation output — it only shifts
-    work between bucket appends and near-heap operations.
     """
 
-    def __init__(self, bucket_us: float = 64.0) -> None:
-        if bucket_us <= 0:
-            raise SimulationError(f"bucket_us must be > 0, got {bucket_us}")
+    def __init__(self) -> None:
         self._now = 0.0
         self._sequence = 0
         self._processed_events = 0
-        self.bucket_us = bucket_us
-        self._bucket_inv = 1.0 / bucket_us
         #: Events triggered at the current time, already in fire order.
         self._immediate: Deque[Event] = deque()
-        #: The earliest calendar bucket, kept as a heap while draining.
-        self._near: List[_QueueEntry] = []
-        self._near_key = -1
-        #: Far calendar buckets: unsorted appends, sorted on activation.
-        self._far: Dict[int, List[_QueueEntry]] = {}
-        self._far_keys: List[int] = []
+        #: Events due later than they were scheduled, as a heap.
+        self._future: List[_QueueEntry] = []
         #: True while callbacks of the popped event other than its last
         #: are running (see :meth:`_fire_in_place`).
         self._more_callbacks = False
@@ -510,11 +467,7 @@ class Environment:
     @property
     def queued_events(self) -> int:
         """Events currently awaiting processing (diagnostic)."""
-        return (
-            len(self._immediate)
-            + len(self._near)
-            + sum(len(bucket) for bucket in self._far.values())
-        )
+        return len(self._immediate) + len(self._future)
 
     # -- event construction helpers ------------------------------------
 
@@ -590,34 +543,23 @@ class Environment:
 
     # -- scheduling internals -------------------------------------------
 
-    def _activate_next_bucket(self) -> bool:
-        """Move the earliest far bucket into the near heap; False if none."""
-        if not self._far_keys:
-            return False
-        key = heappop(self._far_keys)
-        bucket = self._far.pop(key)
-        heapify(bucket)
-        self._near = bucket
-        self._near_key = key
-        return True
-
     def _fire_in_place(self, grant: Event) -> bool:
         """Fire the zero-time ``grant`` here, if it would be popped next.
 
         A grant succeeded now would be the very next event the loop pops
         exactly when nothing else is due at this instant (the immediate
-        FIFO is empty and the calendar's earliest entry is later than
-        now) and the callback running is the popped event's last one, so
-        no other process wakes before the loop pops again.  Then the pop
-        is accounted for on the spot — one sequence number, one processed
+        FIFO is empty and the heap's earliest entry is later than now)
+        and the callback running is the popped event's last one, so no
+        other process wakes before the loop pops again.  Then the pop is
+        accounted for on the spot — one sequence number, one processed
         event, the observer shown ``grant`` — and the caller carries on as
         the grant's only waiter would have.  Returns False, having done
         nothing, when the grant has to queue.
         """
         if self._immediate or self._more_callbacks:
             return False
-        near = self._near
-        if near and near[0][0] <= self._now:
+        future = self._future
+        if future and future[0][0] <= self._now:
             return False
         seq = self._sequence
         self._sequence = seq + 1
@@ -636,28 +578,25 @@ class Environment:
         """
         immediate = self._immediate
         pop_immediate = immediate.popleft
+        future = self._future
         self._more_callbacks = False
         while not awaited._triggered:
-            near = self._near  # reassigned on activation; re-read per event
-            if not near and self._far_keys:
-                self._activate_next_bucket()
-                near = self._near
             if immediate:
                 # A future event dequeues first only when it is due at
                 # the current instant with an earlier sequence number —
                 # exactly the (time, seq) order of a single heap.
                 if (
-                    near
-                    and near[0][0] <= self._now
-                    and near[0][1] < immediate[0]._seq
+                    future
+                    and future[0][0] <= self._now
+                    and future[0][1] < immediate[0]._seq
                 ):
-                    event = heappop(near)[2]
+                    event = heappop(future)[2]
                 else:
                     event = pop_immediate()
-            elif near:
-                if near[0][0] > horizon:
+            elif future:
+                if future[0][0] > horizon:
                     return
-                fire_at, _, event = heappop(near)
+                fire_at, _, event = heappop(future)
                 self._now = fire_at
             else:
                 return

@@ -171,7 +171,7 @@ class Resource:
         next event popped is fired in place
         (:meth:`Environment._fire_in_place`) and the result is the
         environment's :class:`~repro.sim.engine.Sleep` token — the
-        process sleeps in the calendar itself, no timeout object exists.
+        process sleeps in the event heap itself, no timeout object exists.
         Any other grant queues and starts a timeout from its own
         callback, and the result is the :class:`Service` to wait on.
         Dropping the result leaks the slot; simlint (SIM003) flags it.

@@ -185,6 +185,21 @@ def test_prime_fill_matches_timed_state():
     run(env, proc(env))  # primed data is readable
 
 
+def test_overlapping_prime_fills_invalidate_the_stale_copies():
+    """A second fill over part of the first rebinds those units: each old
+    copy is invalidated once (per victim block, in aggregate), so the map
+    and the flash array's valid bytes still agree unit for unit."""
+    env, ssd = make_ssd(invariants=True)
+    quarter = ssd.n_units // 4
+    # Both ranges end off a page boundary, so the batched cycles, the
+    # per-page rotation path and the partial-page tail all rebind units.
+    ssd.prime_sequential_fill(2 * quarter + 3)
+    ssd.prime_sequential_fill(2 * quarter + 5, start_unit=quarter)
+    ssd.core.check_invariants("primed twice")
+    assert ssd.pagemap.mapped_units == 3 * quarter + 5
+    assert ssd.array.total_valid_bytes() == ssd.pagemap.mapped_units * ssd.map_unit
+
+
 def test_address_validation():
     env, ssd = make_ssd()
     with pytest.raises(AddressError):

@@ -10,6 +10,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.registry import EXPERIMENTS, Claim
 from repro.faults.run import SWEEP_CSV_COLUMNS
+from tests.conftest import figure_result
 
 
 def test_parser_accepts_every_experiment():
@@ -209,41 +210,63 @@ def test_unknown_trace_scenario_is_a_usage_error(capsys, command):
     assert "fig2" in error and "fig8" in error
 
 
-def test_cluster_smoke_command_end_to_end(capsys, tmp_path):
+def test_cluster_command_end_to_end(capsys, tmp_path):
+    """The three cluster figures and their claims tables, shard cells
+    fanned over a 2-way worker pool."""
     exit_code = main([
-        "cluster", "--smoke", "--cluster-ops", "60",
+        "cluster", "--cluster-ops", "60",
         "--parallel", "2", "--cache-dir", str(tmp_path / "cache"),
     ])
     captured = capsys.readouterr().out
     assert exit_code == 0
-    assert "degraded" in captured
-    assert "fingerprint: " in captured
-    assert "zero lost acknowledged writes" in captured
+    assert "scaling 2->8 shards" in captured
+    assert "zero-lost=True" in captured
+    assert "-- replication-factor cost --" in captured
+    assert captured.count("not the recorded scale") == 3
+    assert re.search(r"rebalance loses an acknowledged write .* 0 +yes\n", captured)
 
 
 @pytest.mark.parametrize("argv", [
-    ["cluster", "--smoke", "--cluster-ops", "0"],  # used to run 300 ops
     ["cluster", "--cluster-ops", "0"],  # used to be a ConfigurationError
     ["cluster", "--cluster-ops", "-5"],
-], ids=["smoke-zero", "zero", "negative"])
+], ids=["zero", "negative"])
 def test_cluster_ops_below_one_is_a_usage_error(capsys, argv):
     error = _usage_error(capsys, argv)
     assert f"argument --cluster-ops: must be >= 1, got {argv[-1]}" in error
 
 
+@pytest.mark.parametrize("group", ["cluster", "frontend", "replay", "faults"])
+def test_a_planted_miss_fails_each_group(capsys, monkeypatch, group):
+    """One missed claim on any row of the group exits 1 at the recorded
+    scale; the rows are served their mini results, so no run is paid."""
+    rows = [row for row in EXPERIMENTS.values() if row.group == group]
+    for index, row in enumerate(rows):
+        mini = figure_result(row.name)
+        claim = (Claim("planted", "-", lambda r: 1.0, lo=2.0) if index == 0
+                 else Claim("holds", "-", lambda r: 1.0, 1.0, 1.0))
+        monkeypatch.setitem(EXPERIMENTS, row.name, replace(
+            row, fn=lambda runner, mini=mini: mini, claims=(claim,)
+        ))
+    assert main([group, "--no-cache"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"planted +- +1 +NO\n", out)
+    assert out.count(" yes\n") == len(rows) - 1
+
+
 def test_frontend_command_end_to_end(capsys, tmp_path):
     """`repro frontend` prints the latency-vs-load table, the knee line,
-    and routes exec statistics to stderr — under a 2-way worker pool."""
+    the claims table, and routes exec statistics to stderr — under a
+    2-way worker pool."""
     exit_code = main([
         "frontend", "--loads", "16,384", "--frontend-ops", "240",
-        "--slo-gate", "0.05", "--parallel", "2",
-        "--cache-dir", str(tmp_path / "cache"),
+        "--parallel", "2", "--cache-dir", str(tmp_path / "cache"),
     ])
     captured = capsys.readouterr()
     assert exit_code == 0
     assert "lat p99" in captured.out and "bulk p99" in captured.out
     assert "saturation knee at 384 kops" in captured.out
-    assert "SLO gate ok" in captured.out
+    assert re.search(r"lat-class SLO violations at the lowest load +- +0 +yes",
+                     captured.out)
     assert "[exec] frontend" in captured.err
     assert "[exec]" not in captured.out
 
@@ -256,30 +279,31 @@ def test_frontend_parallel_output_is_byte_identical(capsys, tmp_path):
     assert parallel == serial
 
 
-def test_frontend_rejects_bad_loads():
-    with pytest.raises(SystemExit, match="--loads"):
-        main(["frontend", "--loads", "16,banana"])
-    with pytest.raises(SystemExit, match="--loads"):
-        main(["frontend", "--loads=-4,16"])
-
-
-def test_frontend_slo_gate_exits_nonzero(capsys):
-    """An impossible SLO budget must fail the gate with a non-zero exit."""
-    with pytest.raises(SystemExit, match="SLO gate"):
-        main(["frontend", "--loads", "512", "--frontend-ops", "400",
-              "--slo-gate", "0.05", "--no-cache"])
+def test_frontend_rejects_bad_loads(capsys):
+    """Each a usage error before anything runs; ``nan`` used to print a
+    table of ``nan`` latencies and exit 0."""
+    for loads, message in [
+        ("16,banana", "could not convert string to float: 'banana'"),
+        ("-1", "load must be finite and > 0 kops, got -1"),
+        ("-4,16", "load must be finite and > 0 kops, got -4"),
+        ("0", "load must be finite and > 0 kops, got 0"),
+        ("nan", "load must be finite and > 0 kops, got nan"),
+        ("16,inf", "load must be finite and > 0 kops, got inf"),
+        (",", "needs at least one load"),
+    ]:
+        error = _usage_error(capsys, ["frontend", f"--loads={loads}"])
+        assert error.endswith("argument --loads: " + message), error
 
 
 def test_parser_accepts_frontend_flags():
     args = build_parser().parse_args(
         ["frontend", "--loads", "8,16", "--frontend-ops", "99",
-         "--scheduler", "fifo", "--slo-gate", "0.1"]
+         "--scheduler", "fifo"]
     )
     assert args.experiment == "frontend"
-    assert args.loads == "8,16"
+    assert args.loads == (8.0, 16.0)
     assert args.frontend_ops == 99
     assert args.scheduler == "fifo"
-    assert args.slo_gate == 0.1
 
 
 def test_parallel_defaults_from_environment(monkeypatch):

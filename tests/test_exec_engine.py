@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache, canonical, code_version_salt, point_key
 from repro.exec.runner import ExecReport, SweepRunner, execute_spec, grid
 from repro.exec.spec import SweepPoint, SweepSpec
-from repro.faults.run import FaultPoint, run_fault_sweep
+from repro.faults.run import FaultSweepResult, run_fault_sweep
 from repro.kvbench.workload import Pattern
 from repro.trace.export import to_chrome_trace
 from repro.trace.run import run_traced
@@ -76,7 +76,7 @@ def _spec(name: str, values: Sequence[int]) -> SweepSpec:
 # ---------------------------------------------------------------------------
 
 
-def _fault_fingerprint(points: Sequence[FaultPoint]) -> str:
+def _fault_fingerprint(result: FaultSweepResult) -> str:
     return json.dumps([
         {
             "personality": p.personality,
@@ -88,7 +88,7 @@ def _fault_fingerprint(points: Sequence[FaultPoint]) -> str:
             "injected": p.injected,
             "read_only": p.read_only,
         }
-        for p in points
+        for p in result.points
     ], sort_keys=True)
 
 
@@ -512,7 +512,7 @@ class TestEquivalence:
         warm = run_fault_sweep(**_FAULT_KWARGS, runner=warm_runner)
         assert _fault_fingerprint(warm) == _fault_fingerprint(cold)
         report = warm_runner.last_report
-        assert report.hits == len(cold) and report.computed == 0
+        assert report.hits == len(cold.points) and report.computed == 0
 
     @settings(max_examples=3, deadline=None)
     @given(

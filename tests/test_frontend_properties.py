@@ -13,9 +13,13 @@ the calibrated sweep scenario:
 
 from __future__ import annotations
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.frontend.arrivals import PROCESSES, ArrivalSpec, generate_arrivals
 from repro.frontend.frontend import run_frontend
 from repro.frontend.spec import FrontendSpec, SLOClass, TenantLoad
@@ -66,6 +70,14 @@ def test_arrivals_deterministic_monotonic_rate_correct(
     realized_rate = spec.n_requests / times[-1]  # requests per us
     relative_error = abs(realized_rate - spec.rate_per_us) / spec.rate_per_us
     assert relative_error < RATE_TOLERANCE[process]
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+def test_arrival_rate_must_be_finite_and_positive(rate: float) -> None:
+    """``nan`` slipped past a ``<= 0`` check into a table of ``nan``
+    latencies, and ``inf`` into a schedule of zero gaps."""
+    with pytest.raises(ConfigurationError, match="finite and > 0"):
+        ArrivalSpec(rate_ops_s=rate, n_requests=10)
 
 
 # -- serving invariants --------------------------------------------------

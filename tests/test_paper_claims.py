@@ -1,7 +1,7 @@
 """The paper-vs-measured record: checked, and the only writer of it.
 
-Every row of ``repro.core.registry.EXPERIMENTS`` that carries claims runs
-once at its recorded scale — ``fn()`` with no arguments, exactly what
+Every row of ``repro.core.registry.EXPERIMENTS`` runs once at its
+recorded scale — ``fn()`` with no arguments, exactly what
 ``repro <row>`` runs with no flags.  Every claim must hold, and
 ``render()`` plus the claims table must equal the row's fenced block
 below the marker line of EXPERIMENTS.md.  Nothing else in the tree runs
@@ -31,9 +31,14 @@ MARKER = "<!-- generated: tests/test_paper_claims.py --regen-golden -->\n"
 _BLOCK = re.compile(r"^## (\S+)\n\n```text\n(.*?)\n```\n", re.M | re.S)
 
 
-@pytest.mark.parametrize(
-    "name", [name for name, row in EXPERIMENTS.items() if row.claims]
-)
+def test_every_row_states_its_findings_as_claims() -> None:
+    """A claim is the one gate a finding has: no row prints without a
+    claims table, and none rests on a single check."""
+    assert {name: len(row.claims) for name, row in EXPERIMENTS.items()
+            if len(row.claims) < 2} == {}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_claims_hold_at_the_recorded_scale(name: str, regen_golden: bool) -> None:
     row = EXPERIMENTS[name]
     result = row.fn()
@@ -46,8 +51,7 @@ def test_claims_hold_at_the_recorded_scale(name: str, regen_golden: bool) -> Non
         RECORD.write_text(
             header + MARKER + "".join(
                 f"\n## {kept}\n\n```text\n{blocks[kept]}\n```\n"
-                for kept, kept_row in EXPERIMENTS.items()
-                if kept_row.claims and kept in blocks
+                for kept in EXPERIMENTS if kept in blocks
             ),
             encoding="utf-8",
         )

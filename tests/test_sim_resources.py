@@ -429,7 +429,8 @@ def test_serve_result_is_yielded_not_iterated():
 
 def test_sub_resolution_service_is_a_real_timeout_in_the_fifo():
     """A delay too small to move the clock cannot be parked in the
-    calendar (nothing there is ever due at the instant it was put in)."""
+    future-event heap (nothing there is ever due at the instant it was
+    put in)."""
     env = Environment()
     resource = Resource(env, 1)
     finished = []

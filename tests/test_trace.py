@@ -108,9 +108,9 @@ def test_disabled_tracer_records_nothing():
 #: A ceiling: lowering it needs no edit here.
 TRACING_OFF_CALLS = 3715
 #: Ceilings on the same cell's calls into all of ``repro/`` and into the
-#: two layers that make most of them (measured: 52,072 / 8,584 / 22,427;
-#: 58,681 / 10,955 / 22,427 with phase context managers and per-op
-#: ``layout_blob``).  ``sim`` is held where it was: an engine guard.
+#: two layers that make most of them (measured: 52,013 / 8,584 / 22,368;
+#: 52,072 / 8,584 / 22,427 with the calendar queue; 58,681 / 10,955 /
+#: 22,427 with phase context managers and per-op ``layout_blob``).  ``sim`` is held where it was: an engine guard.
 #: ``host path`` is ``kvbench`` + ``api`` + ``nvme``, the adapter ->
 #: command envelope -> driver chain, at its measured 4,729 + 2,480 + 2,000
 #: (23.0 per op).
