@@ -36,6 +36,7 @@ import time
 from typing import Callable, List, Tuple
 
 from repro.core.registry import EXPERIMENTS, Experiment
+from repro.errors import ConfigurationError
 from repro.exec.runner import SweepRunner
 from repro.trace.run import run_traced, scenarios
 
@@ -71,7 +72,7 @@ def _run_experiments(
         if experiment.name == "faults" and args.faults_out:
             from repro.faults.run import write_sweep_csv
 
-            written = write_sweep_csv(result.points, args.faults_out)
+            written = write_sweep_csv(result, args.faults_out)
             block += f"\nwrote {written} sweep rows to {args.faults_out}"
         table, held = experiment.claims_table(result)
         if kwargs:
@@ -93,8 +94,6 @@ def positive_int(text: str) -> int:
 
 def _numbers(text: str, check: Callable[[float], object], noun: str) -> List[float]:
     """A comma-separated list of at least one number, each passing ``check``."""
-    from repro.errors import ConfigurationError
-
     try:
         values = [float(value) for value in text.split(",") if value.strip()]
         for value in values:
@@ -295,10 +294,15 @@ def main(argv: List[str] | None = None) -> int:
         # Host-side progress reporting for the human running the CLI —
         # not simulation state, so the wall clock is the right clock.
         started = time.time()  # simlint: disable=SIM001
-        if name == "trace":
-            _run_trace(args, runner)
-        elif not _run_experiments(name, args, runner):
-            ok = False
+        try:
+            if name == "trace":
+                _run_trace(args, runner)
+            elif not _run_experiments(name, args, runner):
+                ok = False
+        except ConfigurationError as exc:
+            # A scale no cell can run at, refused before any cell runs.
+            print(f"repro: error: {exc}", file=sys.stderr)
+            return 2
         elapsed = time.time() - started  # simlint: disable=SIM001
         print(f"[{name} done in {elapsed:.1f}s]")
         # Exec statistics go to stderr so stdout stays pure figure

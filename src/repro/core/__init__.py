@@ -4,19 +4,11 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "BlockRig",
-    "Fig2Result",
-    "Fig3Result",
-    "Fig4Result",
-    "Fig5Result",
-    "Fig6Result",
-    "Fig7Result",
-    "Fig8Result",
+    "ClosedFormBreakdown",
     "HashRig",
-    "HeadlineResult",
     "KVRig",
     "KVSSDModel",
     "LSMRig",
-    "LatencyBreakdown",
     "build_block_rig",
     "build_hash_rig",
     "build_kv_rig",
@@ -40,12 +32,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "lab_geometry",
     ),
     "figures": (
-        "Fig2Result", "Fig3Result", "Fig4Result", "Fig5Result", "Fig6Result",
-        "Fig7Result", "Fig8Result", "fig2_end_to_end", "fig3_index_occupancy",
+        "fig2_end_to_end", "fig3_index_occupancy",
         "fig4_value_size_concurrency", "fig5_packing_bandwidth",
         "fig6_foreground_gc", "fig7_space_amplification",
         "fig8_key_size_bandwidth",
     ),
-    "headline": ("HeadlineResult", "headline_scalars"),
-    "model": ("KVSSDModel", "LatencyBreakdown"),
+    "headline": ("headline_scalars",),
+    "model": ("ClosedFormBreakdown", "KVSSDModel"),
 })

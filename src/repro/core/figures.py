@@ -2,8 +2,8 @@
 
 One function per figure of the paper's evaluation (Figs. 2-8).  Each
 builds fresh rigs, primes state exactly as the paper describes (scaled),
-runs the measured phase through the KVbench-style runner, and returns a
-structured result the CLI prints and EXPERIMENTS.md records.
+runs the measured phase through the KVbench-style runner, and returns
+the result the CLI prints and EXPERIMENTS.md records.
 
 Run sizes are scaled from the paper's (10 M+ operations on a 3.84 TB
 drive) to laptop-feasible counts at *matched relative state* — see
@@ -21,16 +21,20 @@ loops did.
 Results are always assembled in spec order, so the figure output is
 byte-identical at any worker count.
 
-Every ``*Result`` renders and reduces itself: ``render()`` is the text
-the CLI prints, ``metrics()`` the flat shape-metric dict the golden suite
-diffs.  :mod:`repro.core.registry` lists the experiments and what the
-paper reports for each; nothing else in the tree does either.
+Every row returns the one result shape of :mod:`repro.kvbench.report`:
+its values by dotted name over the axes it swept (``kvssd.rand.insert_us``)
+and its module-level :class:`~repro.kvbench.report.Layout` — the row's one
+declaration of derived values, golden metric names and text, from which
+``render()`` and ``metrics()`` are read.  A claim in
+:mod:`repro.core.registry` names one value; that module lists the
+experiments and what the paper reports for each, and nothing else in the
+tree does either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Dict, Optional, Sequence
 
 from repro.cluster.run import run_cluster
 from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec
@@ -46,7 +50,17 @@ from repro.kvbench.generators import (
     generate_expiry,
     generate_scan_mix,
 )
-from repro.kvbench.report import format_table, sparkline
+from repro.kvbench.report import (
+    Layout,
+    Result,
+    Table,
+    label,
+    named,
+    ratio,
+    rounded,
+    sparkline,
+    spell,
+)
 from repro.kvbench.runner import RunResult, run_phase
 from repro.kvbench.traces import TraceWorkload, merge_traces
 from repro.kvbench.workload import Pattern, WorkloadSpec
@@ -72,11 +86,13 @@ _AMPLE_INDEX: Dict[str, Dict[str, Any]] = {
     "block": {},
 }
 
-Metrics = Dict[str, float]
+
+def _kib(result: Result, coords: Dict[str, Any]) -> str:
+    """A value-size label cell: ``4KiB``."""
+    return f"{coords['size'] / KIB:g}KiB"
 
 
-def _kib(size: int) -> str:
-    return f"{size / KIB:g}KiB"
+_R1 = rounded(1)
 
 
 # ---------------------------------------------------------------------------
@@ -84,49 +100,30 @@ def _kib(size: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig2Result:
-    """Mean latency (us) per system, pattern, and phase, plus CPU."""
-
-    n_ops: int
-    value_bytes: int
-    queue_depth: int
-    #: latency_us[system][pattern][phase] with phases insert/update/read.
-    latency_us: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
-    #: host CPU microseconds per operation, per system.
-    cpu_us_per_op: Dict[str, float] = field(default_factory=dict)
-
-    def ratio(self, system_a: str, system_b: str, pattern: str, phase: str) -> float:
-        """latency(system_a) / latency(system_b)."""
-        return (
-            self.latency_us[system_a][pattern][phase]
-            / self.latency_us[system_b][pattern][phase]
-        )
-
-    def render(self) -> str:
-        rows = [
-            [system, pattern, phases["insert"], phases["update"], phases["read"]]
-            for system, patterns in self.latency_us.items()
-            for pattern, phases in patterns.items()
-        ]
-        cpu = {k: round(v, 1) for k, v in self.cpu_us_per_op.items()}
-        return format_table(
-            ["system", "pattern", "insert us", "update us", "read us"], rows
-        ) + f"\n\nhost CPU per op (us): {cpu}"
-
-    def metrics(self) -> Metrics:
-        """Random-pattern latencies and CPU per system, RocksDB's insert
-        latency over the KV-SSD's (the figure's headline comparison)."""
-        metrics: Metrics = {}
-        for system, patterns in self.latency_us.items():
-            for phase, latency in patterns["rand"].items():
-                metrics[f"{system}.rand.{phase}_us"] = latency
-            metrics[f"{system}.cpu_us_per_op"] = self.cpu_us_per_op[system]
-        metrics["rocksdb_over_kv.insert"] = self.ratio(
-            "rocksdb", "kvssd", "rand", "insert"
-        )
-        return metrics
-
+FIG2 = Layout(
+    derived={
+        "kvssd.seq_over_rand.{phase}": ratio(
+            "kvssd.seq.{phase}_us", "kvssd.rand.{phase}_us"),
+        "{system}_over_kv.{phase}": ratio(
+            "{system}.rand.{phase}_us", "kvssd.rand.{phase}_us"),
+        "kv_over_{system}.{phase}": ratio(
+            "kvssd.rand.{phase}_us", "{system}.rand.{phase}_us"),
+    },
+    # The random pattern, and RocksDB's insert latency over the KV-SSD's
+    # (the figure's headline comparison).
+    metrics=("{system}.rand.{phase}_us", "{system}.cpu_us_per_op",
+             "rocksdb_over_kv.insert"),
+    sections=(
+        Table(("system", "pattern"), {
+            "system": label("{system}"), "pattern": label("{pattern}"),
+            "{phase} us": "{system}.{pattern}.{phase}_us",
+        }),
+        lambda r: "host CPU per op (us): " + str({
+            system: round(r[f"{system}.cpu_us_per_op"], 1)
+            for system in r.axes["system"]
+        }),
+    ),
+)
 
 _FIG2_PATTERNS = {
     "seq": Pattern.SEQUENTIAL,
@@ -142,7 +139,7 @@ def _fig2_cell(
     value_bytes: int,
     queue_depth: int,
     blocks_per_plane: int,
-) -> Dict[str, object]:
+) -> Dict[str, float]:
     """One (system, pattern) cell: insert, update, read on a fresh rig."""
     rig = build_rig(system, lab_geometry(blocks_per_plane))
     base = WorkloadSpec(
@@ -168,7 +165,7 @@ def _fig2_cell(
     }
     ops_counted = sum(run.completed_ops for run in runs.values())
     return {
-        "phases": {phase: run.latency.mean() for phase, run in runs.items()},
+        **{f"{phase}_us": run.latency.mean() for phase, run in runs.items()},
         "cpu_us_per_op": (rig.cpu.total_busy_us - cpu_before)
         / max(1, ops_counted),
     }
@@ -182,7 +179,7 @@ def fig2_end_to_end(
     patterns: Sequence[str] = ("seq", "rand", "zipf"),
     blocks_per_plane: int = 24,
     runner: Optional[SweepRunner] = None,
-) -> Fig2Result:
+) -> Result:
     """Fig. 2: insert/update/read latency across systems and patterns.
 
     Per (system, pattern): a fresh rig inserts ``n_ops`` pairs of 16 B
@@ -197,17 +194,13 @@ def fig2_end_to_end(
              blocks_per_plane=blocks_per_plane),
         runner,
     )
-    result = Fig2Result(n_ops, value_bytes, queue_depth)
+    values = named(cells, ("system", "pattern"), "{system}.{pattern}")
     for system in systems:
-        result.latency_us[system] = {
-            pattern_name: cells[system, pattern_name]["phases"]
-            for pattern_name in patterns
-        }
-        result.cpu_us_per_op[system] = sum(
-            cells[system, pattern_name]["cpu_us_per_op"]
-            for pattern_name in patterns
+        values[f"{system}.cpu_us_per_op"] = sum(
+            values[f"{system}.{pattern}.cpu_us_per_op"] for pattern in patterns
         ) / len(patterns)
-    return result
+    return FIG2.result(values, system=systems, pattern=patterns,
+                       phase=("insert", "update", "read"))
 
 
 # ---------------------------------------------------------------------------
@@ -215,47 +208,20 @@ def fig2_end_to_end(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig3Result:
-    """Mean latencies (us) at low and high occupancy, per device."""
-
-    low_kvps: int
-    high_kvps: int
-    value_bytes: int
-    #: latency_us[device][occupancy][op] for device kv/block,
-    #: occupancy low/high, op read/write.
-    latency_us: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
-
-    def degradation(self, device: str, op: str) -> float:
-        """high-occupancy latency over low-occupancy latency."""
-        return (
-            self.latency_us[device]["high"][op]
-            / self.latency_us[device]["low"][op]
-        )
-
-    def render(self) -> str:
-        rows = [
-            [device, occupancy, cell["read"], cell["write"]]
-            for device, occupancies in self.latency_us.items()
-            for occupancy, cell in occupancies.items()
-        ]
-        return (
-            format_table(["device", "occupancy", "read us", "write us"], rows)
-            + f"\n\nKV degradation: write {self.degradation('kv', 'write'):.1f}x, "
-            f"read {self.degradation('kv', 'read'):.1f}x"
-        )
-
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {
-            "low_kvps": self.low_kvps,
-            "high_kvps": self.high_kvps,
-            "kv.read_degradation": self.degradation("kv", "read"),
-        }
-        for device, occupancies in self.latency_us.items():
-            for occupancy, cell in occupancies.items():
-                for op, latency in cell.items():
-                    metrics[f"{device}.{occupancy}.{op}_us"] = latency
-        return metrics
+FIG3 = Layout(
+    derived={"{device}.{op}_degradation": ratio(
+        "{device}.high.{op}_us", "{device}.low.{op}_us")},
+    metrics=("low_kvps", "high_kvps", "kv.read_degradation",
+             "{device}.{occupancy}.{op}_us"),
+    sections=(
+        Table(("device", "occupancy"), {
+            "device": label("{device}"), "occupancy": label("{occupancy}"),
+            "{op} us": "{device}.{occupancy}.{op}_us",
+        }),
+        lambda r: (f"KV degradation: write {r['kv.write_degradation']:.1f}x, "
+                   f"read {r['kv.read_degradation']:.1f}x"),
+    ),
+)
 
 
 def _fig3_cell(
@@ -280,10 +246,10 @@ def _fig3_cell(
         seed=23,
     )
     return {
-        label: run_phase(
-            rig, f"fig3.{device}.{label}", replace(base, op=op), 1, adapter
+        f"{name}_us": run_phase(
+            rig, f"fig3.{device}.{name}", replace(base, op=op), 1, adapter
         ).latency.mean()
-        for label, op in (("read", "read"), ("write", "update"))
+        for name, op in (("read", "read"), ("write", "update"))
     }
 
 
@@ -310,7 +276,7 @@ def fig3_index_occupancy(
     measured_ops: int = 1500,
     blocks_per_plane: int = 16,
     runner: Optional[SweepRunner] = None,
-) -> Fig3Result:
+) -> Result:
     """Fig. 3: latency at low vs high index occupancy, KV vs block.
 
     The paper fills 1.53 M (low) and 3 B (high) 512 B pairs on a 3.84 TB
@@ -328,14 +294,13 @@ def fig3_index_occupancy(
              blocks_per_plane=blocks_per_plane),
         runner,
     )
-    result = Fig3Result(
-        low_kvps=kvps["low"], high_kvps=kvps["high"], value_bytes=value_bytes
-    )
-    for device in DIRECT_SYSTEMS:
-        result.latency_us[device] = {
-            occupancy: cells[device, occupancy] for occupancy in kvps
-        }
-    return result
+    values = {
+        "low_kvps": kvps["low"],
+        "high_kvps": kvps["high"],
+        **named(cells, ("device", "occupancy"), "{device}.{occupancy}"),
+    }
+    return FIG3.result(values, device=DIRECT_SYSTEMS, occupancy=kvps,
+                       op=("read", "write"))
 
 
 # ---------------------------------------------------------------------------
@@ -343,45 +308,25 @@ def fig3_index_occupancy(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig4Result:
-    """KV/block mean-latency ratios per value size and queue depth."""
-
-    value_sizes: List[int]
-    queue_depths: List[int]
-    #: ratio[op][qd][value_size] with op read/write; <1 favors KV-SSD.
-    ratio: Dict[str, Dict[int, Dict[int, float]]] = field(default_factory=dict)
-    #: raw latencies for the record: latency_us[device][op][qd][size].
-    latency_us: Dict[str, Dict[str, Dict[int, Dict[int, float]]]] = field(
-        default_factory=dict
-    )
-
-    def render(self) -> str:
-        columns = [
-            (op, qd) for qd in self.queue_depths for op in ("write", "read")
-        ]
-        rows = [
-            [_kib(size)] + [self.ratio[op][qd][size] for op, qd in columns]
-            for size in self.value_sizes
-        ]
-        return (
-            format_table(
-                ["value"] + [f"{op[0]} QD{qd}" for op, qd in columns], rows
-            )
-            + "\n\nKV/block mean-latency ratios; <1 favors the KV-SSD"
-        )
-
-    def metrics(self) -> Metrics:
-        """Ratios and raw KV latencies at the sweep's first value size."""
-        size = self.value_sizes[0]
-        metrics: Metrics = {}
-        for op, by_depth in self.ratio.items():
-            for qd, by_size in by_depth.items():
-                metrics[f"ratio.{op}.qd{qd}"] = by_size[size]
-                metrics[f"kv.{op}.qd{qd}_us"] = (
-                    self.latency_us["kv"][op][qd][size]
-                )
-        return metrics
+FIG4 = Layout(
+    # KV/block mean-latency ratios; <1 favors the KV-SSD.
+    derived={"ratio.{size}.qd{queue_depth}.{op}": ratio(
+        "kv.{size}.qd{queue_depth}.{op}_us",
+        "block.{size}.qd{queue_depth}.{op}_us")},
+    # Ratios and raw KV latencies at the sweep's first value size.
+    metrics=(
+        ("ratio.{op}.qd{queue_depth}", "ratio.{size}.qd{queue_depth}.{op}"),
+        ("kv.{op}.qd{queue_depth}_us", "kv.{size}.qd{queue_depth}.{op}_us"),
+    ),
+    sections=(
+        Table(("size",), {
+            "value": _kib,
+            "w QD{queue_depth}": "ratio.{size}.qd{queue_depth}.write",
+            "r QD{queue_depth}": "ratio.{size}.qd{queue_depth}.read",
+        }),
+        "KV/block mean-latency ratios; <1 favors the KV-SSD",
+    ),
+)
 
 
 def fig4_value_size_concurrency(
@@ -390,7 +335,7 @@ def fig4_value_size_concurrency(
     n_ops: int = 1200,
     blocks_per_plane: int = 24,
     runner: Optional[SweepRunner] = None,
-) -> Fig4Result:
+) -> Result:
     """Fig. 4: direct-access latency ratio vs value size and queue depth.
 
     Same operation count per cell (the paper uses 1.53 M per value size);
@@ -404,24 +349,10 @@ def fig4_value_size_concurrency(
         dict(n_ops=n_ops, blocks_per_plane=blocks_per_plane),
         runner,
     )
-    result = Fig4Result(list(value_sizes), list(queue_depths))
-    for op in ("read", "write"):
-        result.ratio[op] = {
-            qd: {
-                size: cells[qd, size, "kv"][op] / cells[qd, size, "block"][op]
-                for size in value_sizes
-            }
-            for qd in queue_depths
-        }
-    for device in DIRECT_SYSTEMS:
-        result.latency_us[device] = {
-            op: {
-                qd: {size: cells[qd, size, device][op] for size in value_sizes}
-                for qd in queue_depths
-            }
-            for op in ("read", "write")
-        }
-    return result
+    values = named(cells, ("queue_depth", "size", "device"),
+                   "{device}.{size}.qd{queue_depth}")
+    return FIG4.result(values, op=("read", "write"), queue_depth=queue_depths,
+                       size=value_sizes)
 
 
 #: Per device: the capacity fraction the prefill spans and its pair cap.
@@ -468,14 +399,14 @@ def _fig4_cell(
         )
         run_phase(rig, f"fig4.{device}.fill.{size}", prefill, 16, adapter)
     return {
-        label: run_phase(
+        f"{name}_us": run_phase(
             rig,
-            f"fig4.{device}.{label}.{size}.qd{queue_depth}",
+            f"fig4.{device}.{name}.{size}.qd{queue_depth}",
             replace(base, op=op, seed=seed),
             queue_depth,
             adapter,
         ).latency.mean()
-        for label, op, seed in (("write", "update", 31), ("read", "read", 37))
+        for name, op, seed in (("write", "update", 31), ("read", "read", 37))
     }
 
 
@@ -484,56 +415,35 @@ def _fig4_cell(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig5Result:
-    """Write bandwidth (MiB/s) per value size, per device."""
-
-    value_sizes: List[int]
-    kv_mib_s: Dict[int, float] = field(default_factory=dict)
-    block_mib_s: Dict[int, float] = field(default_factory=dict)
-    #: Fragments per blob on the KV side (the model's dip explanation).
-    kv_fragments: Dict[int, int] = field(default_factory=dict)
-
-    def render(self) -> str:
-        rows = [
-            [_kib(size), self.kv_mib_s[size], self.block_mib_s[size],
-             self.kv_fragments[size]]
-            for size in self.value_sizes
-        ]
-        return format_table(
-            ["value", "KV MiB/s", "block MiB/s", "fragments"], rows
-        )
-
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {}
-        for size in self.value_sizes:
-            metrics[f"kv.{size}.mib_s"] = self.kv_mib_s[size]
-            metrics[f"block.{size}.mib_s"] = self.block_mib_s[size]
-            metrics[f"kv.{size}.fragments"] = self.kv_fragments[size]
-        return metrics
+FIG5 = Layout(
+    # KV bandwidth steps at the page boundaries: past one page (24 -> 25
+    # KiB), back up toward two (25 -> 48 KiB), past two (48 -> 49 KiB).
+    derived={
+        "kv.25600_over_24576": ratio("kv.25600.mib_s", "kv.24576.mib_s"),
+        "kv.49152_over_25600": ratio("kv.49152.mib_s", "kv.25600.mib_s"),
+        "kv.50176_over_49152": ratio("kv.50176.mib_s", "kv.49152.mib_s"),
+        "block.max_step": lambda r: max((
+            abs(r[f"block.{b}.mib_s"] / r[f"block.{a}.mib_s"] - 1.0)
+            for a, b in zip(r.axes["size"], r.axes["size"][1:])
+        ), default=None),
+    },
+    metrics=("kv.{size}.mib_s", "block.{size}.mib_s", "kv.{size}.fragments"),
+    sections=(Table(("size",), {
+        "value": _kib, "KV MiB/s": "kv.{size}.mib_s",
+        "block MiB/s": "block.{size}.mib_s", "fragments": "kv.{size}.fragments",
+    }),),
+)
 
 
 def fig5_packing_bandwidth(
-    value_sizes: Sequence[int] = (
-        4 * KIB,
-        8 * KIB,
-        16 * KIB,
-        20 * KIB,
-        24 * KIB,
-        25 * KIB,
-        28 * KIB,
-        32 * KIB,
-        40 * KIB,
-        48 * KIB,
-        49 * KIB,
-        56 * KIB,
-        64 * KIB,
+    value_sizes: Sequence[int] = tuple(
+        kib * KIB for kib in (4, 8, 16, 20, 24, 25, 28, 32, 40, 48, 49, 56, 64)
     ),
     n_ops: int = 800,
     queue_depth: int = 32,
     blocks_per_plane: int = 24,
     runner: Optional[SweepRunner] = None,
-) -> Fig5Result:
+) -> Result:
     """Fig. 5: write bandwidth sweep across the page-boundary sizes.
 
     KV-SSD dips just past each multiple of the usable page area (~24.5
@@ -548,17 +458,16 @@ def fig5_packing_bandwidth(
              blocks_per_plane=blocks_per_plane),
         runner,
     )
-    result = Fig5Result(list(value_sizes))
+    values = named(cells, ("size", "device"), "{device}.{size}.mib_s")
     page_bytes = lab_geometry(blocks_per_plane).page_bytes
     for size in value_sizes:
-        result.kv_fragments[size] = len(
+        # Fragments per blob on the KV side (the model's dip explanation).
+        values[f"kv.{size}.fragments"] = len(
             layout_blob(
                 PAPER_KEY_BYTES, size, page_bytes, KVSSDConfig()
             ).fragments
         )
-        result.kv_mib_s[size] = cells[size, "kv"]
-        result.block_mib_s[size] = cells[size, "block"]
-    return result
+    return FIG5.result(values, size=value_sizes)
 
 
 def _fig5_cell(
@@ -586,62 +495,28 @@ def _fig5_cell(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig6Result:
-    """Bandwidth time series during the update phase, per scenario."""
+def _fig6_lines(r: Result) -> str:
+    """A line per scenario: trough, GC, stall and tails, then the
+    sparkline of its update-phase bandwidth windows."""
+    return "\n".join(
+        f"{s:<16} trough {r[s + '.trough_ratio']:5.2f}  "
+        f"fgGC {r[s + '.foreground_gc_runs']:4d}  "
+        f"WAF {r[s + '.waf']:5.2f}  "
+        f"stall {r[s + '.stall_ms']:8.1f}ms  "
+        f"p99 {r[s + '.p99_us'] / 1000.0:7.1f}ms  "
+        f"p999 {r[s + '.p999_us'] / 1000.0:7.1f}ms  "
+        f"{sparkline(r[s + '.series'][:48])}"
+        for s in r.axes["scenario"]
+    )
 
-    fill_fraction: float
-    value_bytes: int
-    n_updates: int
-    #: series[scenario] -> MiB/s per window; scenarios kv-uniform,
-    #: kv-window, rocksdb-uniform.
-    series: Dict[str, List[float]] = field(default_factory=dict)
-    foreground_gc_runs: Dict[str, int] = field(default_factory=dict)
-    #: stats_summary[scenario] -> device_stats_summary() of the measured
-    #: phase (waf, gc_moved_mib, foreground_gc_fraction, stall_ms, ...).
-    stats_summary: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: latency_summary[scenario] -> LatencySummary.as_dict() of the update
-    #: stream (mean/p50/p99/p999), for the tail-collapse view of Fig. 6.
-    latency_summary: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
-    def trough_ratio(self, scenario: str) -> float:
-        """Worst window over the first window (1.0 = no collapse)."""
-        windows = [w for w in self.series[scenario] if w > 0.0] or [0.0]
-        head = windows[0] or 1.0
-        return min(windows) / head
-
-    def render(self) -> str:
-        lines = []
-        for scenario, series in self.series.items():
-            summary = self.stats_summary[scenario]
-            latency = self.latency_summary[scenario]
-            lines.append(
-                f"{scenario:<16} trough {self.trough_ratio(scenario):5.2f}  "
-                f"fgGC {self.foreground_gc_runs[scenario]:4d}  "
-                f"WAF {summary['waf']:5.2f}  "
-                f"stall {summary['stall_ms']:8.1f}ms  "
-                f"p99 {latency['p99'] / 1000.0:7.1f}ms  "
-                f"p999 {latency['p999'] / 1000.0:7.1f}ms  "
-                f"{sparkline(series[:48])}"
-            )
-        return "\n".join(lines)
-
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {}
-        for scenario, series in self.series.items():
-            summary = self.stats_summary[scenario]
-            metrics[f"{scenario}.foreground_gc_runs"] = (
-                self.foreground_gc_runs[scenario]
-            )
-            metrics[f"{scenario}.waf"] = summary["waf"]
-            metrics[f"{scenario}.gc_moved_mib"] = summary["gc_moved_mib"]
-            metrics[f"{scenario}.p99_us"] = (
-                self.latency_summary[scenario]["p99"]
-            )
-            metrics[f"{scenario}.series_len"] = len(series)
-            metrics[f"{scenario}.series_min"] = min(series)
-            metrics[f"{scenario}.series_max"] = max(series)
-        return metrics
+FIG6 = Layout(
+    metrics=tuple(f"{{scenario}}.{name}" for name in (
+        "foreground_gc_runs", "waf", "gc_moved_mib", "p99_us",
+        "series_len", "series_min", "series_max",
+    )),
+    sections=(_fig6_lines,),
+)
 
 
 def _fig6_fill_kvps(
@@ -713,11 +588,20 @@ def _fig6_scenario_cell(
     # The runner captured the DeviceStats delta for the measured phase;
     # both personalities report through the same struct, so the two
     # scenario branches need no per-device counter reads.
+    series = run.bandwidth.series_mib_per_sec()
+    windows = [w for w in series if w > 0.0] or [0.0]
+    latency = run.latency.summary()
     return {
+        **device_stats_summary(run.device_stats),
         "foreground_gc_runs": run.device_stats.foreground_gc_runs,
-        "stats_summary": device_stats_summary(run.device_stats),
-        "latency_summary": run.latency.summary().as_dict(),
-        "series": run.bandwidth.series_mib_per_sec(),
+        "p99_us": latency.p99,
+        "p999_us": latency.p999,
+        "series": series,
+        "series_len": len(series),
+        "series_min": min(series),
+        "series_max": max(series),
+        # Worst window over the first (1.0 = no collapse).
+        "trough_ratio": min(windows) / (windows[0] or 1.0),
     }
 
 
@@ -730,7 +614,7 @@ def fig6_foreground_gc(
     blocks_per_plane: int = 4,
     scenarios: Sequence[str] = tuple(_FIG6_SCENARIOS),
     runner: Optional[SweepRunner] = None,
-) -> Fig6Result:
+) -> Result:
     """Fig. 6: fill 80% of the device, then update everything randomly.
 
     The KV scenarios (uniform and sliding-window pseudo-random) collapse
@@ -758,13 +642,8 @@ def fig6_foreground_gc(
              blocks_per_plane=blocks_per_plane),
         runner,
     )
-    result = Fig6Result(fill_fraction, value_bytes, n_updates)
-    for scenario, cell in cells.items():
-        result.foreground_gc_runs[scenario] = cell["foreground_gc_runs"]
-        result.stats_summary[scenario] = cell["stats_summary"]
-        result.latency_summary[scenario] = cell["latency_summary"]
-        result.series[scenario] = cell["series"]
-    return result
+    return FIG6.result(named(cells, ("scenario",), "{scenario}"),
+                       scenario=scenarios)
 
 
 # ---------------------------------------------------------------------------
@@ -772,41 +651,31 @@ def fig6_foreground_gc(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig7Result:
-    """Space amplification per value size and system."""
+FIG7 = Layout(
+    derived={
+        "max_kvps_billions": lambda r: r["max_kvps_full_scale"] / 1e9,
+        "kvssd.worst_analytic_gap": lambda r: max(
+            abs(r[f"kvssd.{size}.sa"] / r[f"kvssd.{size}.analytic"] - 1.0)
+            for size in r.axes["size"]
+        ),
+    },
+    metrics=("max_kvps_full_scale", "rocksdb.sa", "kvssd.{size}.sa",
+             "kvssd.{size}.analytic", "aerospike.{size}.sa"),
+    sections=(
+        Table(("size",), {
+            "value": label("{size}B"), "KV-SSD": "kvssd.{size}.sa",
+            "KV analytic": "kvssd.{size}.analytic",
+            "Aerospike": "aerospike.{size}.sa", "RocksDB": "rocksdb.sa",
+        }),
+        lambda r: f"max KVPs at 3.84 TB: {r['max_kvps_billions']:.2f}B",
+    ),
+)
 
-    value_sizes: List[int]
-    #: sa[system][value_size]; systems kvssd / aerospike / rocksdb.
-    sa: Dict[str, Dict[int, float]] = field(default_factory=dict)
-    #: KV-SSD analytic curve (blob layout closed form) for cross-check.
-    kv_analytic: Dict[int, float] = field(default_factory=dict)
-    max_kvps_full_scale: int = 0
-
-    def render(self) -> str:
-        rows = [
-            [f"{size}B", self.sa["kvssd"][size], self.kv_analytic[size],
-             self.sa["aerospike"][size], self.sa["rocksdb"][size]]
-            for size in self.value_sizes
-        ]
-        return (
-            format_table(
-                ["value", "KV-SSD", "KV analytic", "Aerospike", "RocksDB"],
-                rows,
-            )
-            + f"\n\nmax KVPs at 3.84 TB: {self.max_kvps_full_scale / 1e9:.2f}B"
-        )
-
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {
-            "max_kvps_full_scale": self.max_kvps_full_scale,
-            "rocksdb.sa": self.sa["rocksdb"][self.value_sizes[0]],
-        }
-        for size in self.value_sizes:
-            metrics[f"kvssd.{size}.sa"] = self.sa["kvssd"][size]
-            metrics[f"kvssd.{size}.analytic"] = self.kv_analytic[size]
-            metrics[f"aerospike.{size}.sa"] = self.sa["aerospike"][size]
-        return metrics
+#: RocksDB's worst-case leveled space amplification.  Dong et al.
+#: (CIDR'17, the paper's [12]): with a level size ratio of 10, obsolete
+#: versions awaiting compaction are bounded by ~1/9 of the live data —
+#: a property of the level structure, independent of value size.
+_ROCKSDB_SA = 1.0 + 1.0 / 9.0
 
 
 def _fig7_cell(
@@ -819,11 +688,11 @@ def _fig7_cell(
     hash_rig = build_rig("aerospike", geometry)
     hash_rig.prime(kvps, size, FILL_SCHEME)
     return {
-        "kvssd": kv_rig.device.stats.space_amplification(),
-        "analytic": space_amplification(
+        f"kvssd.{size}.sa": kv_rig.device.stats.space_amplification(),
+        f"kvssd.{size}.analytic": space_amplification(
             PAPER_SCHEME.key_bytes, size, geometry.page_bytes, KVSSDConfig()
         ),
-        "aerospike": hash_rig.store.space_amplification(),
+        f"aerospike.{size}.sa": hash_rig.store.space_amplification(),
     }
 
 
@@ -832,7 +701,7 @@ def fig7_space_amplification(
     kvps: int = 20000,
     blocks_per_plane: int = 24,
     runner: Optional[SweepRunner] = None,
-) -> Fig7Result:
+) -> Result:
     """Fig. 7: measured space amplification across value sizes.
 
     KV-SSD pays its 1 KiB minimum allocation (up to ~15-20x for 50 B
@@ -846,29 +715,16 @@ def fig7_space_amplification(
         dict(kvps=kvps, blocks_per_plane=blocks_per_plane),
         runner,
     )
-    result = Fig7Result(list(value_sizes))
-    result.sa = {"kvssd": {}, "aerospike": {}, "rocksdb": {}}
-    for size, cell in cells.items():
-        result.sa["kvssd"][size] = cell["kvssd"]
-        result.kv_analytic[size] = cell["analytic"]
-        result.sa["aerospike"][size] = cell["aerospike"]
-        result.sa["rocksdb"][size] = _rocksdb_steady_state_sa(size)
     config = KVSSDConfig()
-    result.max_kvps_full_scale = int(
-        3.84e12 * config.index_region_fraction / config.index_slot_bytes
-    )
-    return result
-
-
-def _rocksdb_steady_state_sa(value_bytes: int) -> float:
-    """RocksDB's worst-case leveled space amplification.
-
-    Dong et al. (CIDR'17, the paper's [12]): with a level size ratio of
-    10, obsolete versions awaiting compaction are bounded by ~1/9 of the
-    live data -> 1.111..., independent of value size.
-    """
-    del value_bytes  # level-structure property, not a size effect
-    return 1.0 + 1.0 / 9.0
+    values = {
+        "max_kvps_full_scale": int(
+            3.84e12 * config.index_region_fraction / config.index_slot_bytes
+        ),
+        "rocksdb.sa": _ROCKSDB_SA,
+    }
+    for cell in cells.values():
+        values.update(cell)
+    return FIG7.result(values, size=value_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -876,42 +732,29 @@ def _rocksdb_steady_state_sa(value_bytes: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig8Result:
-    """Store bandwidth per key size, sync and async."""
+def _cliff_ratio(r: Result, mode: str) -> float:
+    """Bandwidth just past the 16 B inline key limit over bandwidth at it."""
+    at_limit = max(k for k in r.axes["key_bytes"] if k <= 16)
+    past = min(k for k in r.axes["key_bytes"] if k > 16)
+    return r[f"{mode}.k{past}.mib_s"] / r[f"{mode}.k{at_limit}.mib_s"]
 
-    key_sizes: List[int]
-    value_bytes: int
-    #: mib_s[mode][key_size] with mode 'sync' / 'async'.
-    mib_s: Dict[str, Dict[int, float]] = field(default_factory=dict)
-    commands: Dict[int, int] = field(default_factory=dict)
 
-    def cliff_ratio(self, mode: str) -> float:
-        """Bandwidth just past the inline limit over bandwidth at it."""
-        at_limit = max(k for k in self.key_sizes if k <= 16)
-        past = min(k for k in self.key_sizes if k > 16)
-        return self.mib_s[mode][past] / self.mib_s[mode][at_limit]
-
-    def render(self) -> str:
-        rows = [
-            [f"{k}B", self.commands[k], self.mib_s["sync"][k],
-             self.mib_s["async"][k]]
-            for k in self.key_sizes
-        ]
-        return (
-            format_table(["key", "cmds", "sync MiB/s", "async MiB/s"], rows)
-            + f"\n\ncliff past 16B: async {self.cliff_ratio('async'):.2f}x"
-        )
-
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {}
-        for key_bytes in self.key_sizes:
-            metrics[f"commands.k{key_bytes}"] = self.commands[key_bytes]
-        for mode, by_key in self.mib_s.items():
-            for key_bytes, mib_s in by_key.items():
-                metrics[f"{mode}.k{key_bytes}.mib_s"] = mib_s
-            metrics[f"cliff_ratio.{mode}"] = self.cliff_ratio(mode)
-        return metrics
+FIG8 = Layout(
+    derived={
+        "cliff_ratio.{mode}": _cliff_ratio,
+        "async.k8_to_k16_step": lambda r: abs(
+            r["async.k16.mib_s"] / r["async.k8.mib_s"] - 1.0),
+    },
+    metrics=("commands.k{key_bytes}", "{mode}.k{key_bytes}.mib_s",
+             "cliff_ratio.{mode}"),
+    sections=(
+        Table(("key_bytes",), {
+            "key": label("{key_bytes}B"), "cmds": "commands.k{key_bytes}",
+            "{mode} MiB/s": "{mode}.k{key_bytes}.mib_s",
+        }),
+        lambda r: f"cliff past 16B: async {r['cliff_ratio.async']:.2f}x",
+    ),
+)
 
 
 def _fig8_cell(
@@ -954,8 +797,19 @@ def fig8_key_size_bandwidth(
     async_queue_depth: int = 32,
     blocks_per_plane: int = 24,
     runner: Optional[SweepRunner] = None,
-) -> Fig8Result:
-    """Fig. 8: bandwidth vs key size; keys >16 B need a second command."""
+) -> Result:
+    """Fig. 8: bandwidth vs key size; keys >16 B need a second command.
+
+    Every cell inserts ``n_ops`` distinct keys of exactly its key size,
+    so the smallest size bounds ``n_ops``: ``k``-byte keys name at most
+    ``10**k`` pairs.
+    """
+    smallest = min(key_sizes)
+    if n_ops > 10 ** smallest:
+        raise ConfigurationError(
+            f"fig8: {smallest} B keys name at most {10 ** smallest:,} pairs, "
+            f"so n_ops must be <= {10 ** smallest:,} (got {n_ops:,})"
+        )
     modes = ("sync", "async")
     cells = grid(
         "fig8",
@@ -966,12 +820,9 @@ def fig8_key_size_bandwidth(
              blocks_per_plane=blocks_per_plane),
         runner,
     )
-    result = Fig8Result(list(key_sizes), value_bytes)
-    result.commands = {k: commands_for_key(k) for k in key_sizes}
-    result.mib_s = {
-        mode: {k: cells[k, mode] for k in key_sizes} for mode in modes
-    }
-    return result
+    values = named(cells, ("key_bytes", "mode"), "{mode}.k{key_bytes}.mib_s")
+    values.update({f"commands.k{k}": commands_for_key(k) for k in key_sizes})
+    return FIG8.result(values, mode=modes, key_bytes=key_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -984,26 +835,32 @@ def fig8_key_size_bandwidth(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AblationsResult:
-    """What each resized mechanism drives."""
+#: Each resized mechanism (the axis of its settings) -> what it drives.
+_EFFECTS = {
+    "min_alloc": "min_alloc_bytes.space_amp_50b",
+    "index_dram": "index_dram.write_degradation",
+    "stream_width": "stream_width.insert_us",
+    "page_reserve": "page_reserve_bytes.first_split_kib",
+}
 
-    #: effect["mechanism.driven quantity"][setting] -> value.
-    effect: Dict[str, Dict[Any, float]]
-
-    def render(self) -> str:
-        return "\n\n".join(
-            f"-- {name.replace('.', ' -> ')} --\n"
-            + format_table(["setting", "value"], settings.items())
-            for name, settings in self.effect.items()
-        )
-
-    def metrics(self) -> Metrics:
-        return {
-            f"{name}.{setting}": value
-            for name, settings in self.effect.items()
-            for setting, value in settings.items()
-        }
+ABLATIONS = Layout(
+    derived={
+        "min_alloc_bytes.space_amp_50b.256_over_1024": ratio(
+            "min_alloc_bytes.space_amp_50b.256",
+            "min_alloc_bytes.space_amp_50b.1024"),
+        "stream_width.insert_us.16_over_4": ratio(
+            "stream_width.insert_us.16", "stream_width.insert_us.4"),
+        "page_reserve_bytes.first_split_kib.512_minus_7680": lambda r: (
+            r["page_reserve_bytes.first_split_kib.512"]
+            - r["page_reserve_bytes.first_split_kib.7680"]),
+    },
+    metrics=tuple(f"{name}.{{{axis}}}" for axis, name in _EFFECTS.items()),
+    sections=tuple(
+        Table((axis,), {"setting": label(f"{{{axis}}}"), "value": f"{name}.{{{axis}}}"},
+              title=name.replace(".", " -> "))
+        for axis, name in _EFFECTS.items()
+    ),
+)
 
 
 def _ablation_stream_cell(
@@ -1034,7 +891,7 @@ def ablations(
     queue_depth: int = 64,
     blocks_per_plane: int = 8,
     runner: Optional[SweepRunner] = None,
-) -> AblationsResult:
+) -> Result:
     """Resize each hypothesized mechanism; report what it drives.
 
     50 B-value space amplification per minimum allocation (Fig. 7) and
@@ -1045,46 +902,42 @@ def ablations(
     """
     geometry = lab_geometry(blocks_per_plane)
     page_bytes = geometry.page_bytes
-    degradation = {}
-    for label, dram in (("scaled", None), ("4MiB", 4 * MIB), ("64MiB", 64 * MIB)):
+    drams = {"scaled": None, "4MiB": 4 * MIB, "64MiB": 64 * MIB}
+    min_allocs, reserves = (256, 512, 1024), (512, 4096, 7680)
+    values: Dict[str, Any] = {}
+    for min_alloc in min_allocs:
+        values[f"min_alloc_bytes.space_amp_50b.{min_alloc}"] = space_amplification(
+            PAPER_KEY_BYTES, 50, page_bytes, KVSSDConfig(min_alloc_bytes=min_alloc),
+        )
+    for setting, dram in drams.items():
         model = KVSSDModel(geometry, KVSSDConfig(index_dram_bytes=dram))
         kvps = int(model.max_kvps() * 0.9)
-        degradation[label] = (
+        values[f"index_dram.write_degradation.{setting}"] = (
             model.store_latency_us(PAPER_KEY_BYTES, 512, kvps)
             / model.store_latency_us(PAPER_KEY_BYTES, 512, 0)
         )
-    return AblationsResult({
-        "min_alloc_bytes.space_amp_50b": {
-            min_alloc: space_amplification(
-                PAPER_KEY_BYTES, 50, page_bytes,
-                KVSSDConfig(min_alloc_bytes=min_alloc),
-            )
-            for min_alloc in (256, 512, 1024)
-        },
-        "index_dram.write_degradation": degradation,
-        "stream_width.insert_us": grid(
-            "ablations",
-            _ablation_stream_cell,
-            {"width": stream_widths},
-            dict(n_ops=n_ops, queue_depth=queue_depth,
-                 blocks_per_plane=blocks_per_plane),
-            runner,
-        ),
-        "page_reserve_bytes.first_split_kib": {
-            reserve: next(
-                kib for kib in range(1, 65)
-                if layout_blob(
-                    PAPER_KEY_BYTES, kib * KIB, page_bytes,
-                    KVSSDConfig(page_reserved_bytes=reserve),
-                ).is_split
-            )
-            for reserve in (512, 4096, 7680)
-        },
-    })
+    values.update(named(grid(
+        "ablations",
+        _ablation_stream_cell,
+        {"width": stream_widths},
+        dict(n_ops=n_ops, queue_depth=queue_depth,
+             blocks_per_plane=blocks_per_plane),
+        runner,
+    ), ("width",), "stream_width.insert_us.{width}"))
+    for reserve in reserves:
+        values[f"page_reserve_bytes.first_split_kib.{reserve}"] = next(
+            kib for kib in range(1, 65)
+            if layout_blob(
+                PAPER_KEY_BYTES, kib * KIB, page_bytes,
+                KVSSDConfig(page_reserved_bytes=reserve),
+            ).is_split
+        )
+    return ABLATIONS.result(values, min_alloc=min_allocs, index_dram=drams,
+                            stream_width=stream_widths, page_reserve=reserves)
 
 
 # ---------------------------------------------------------------------------
-# Cluster figures — beyond the paper's single device (ISSUE 7)
+# Cluster figures — beyond the paper's single device
 #
 # The paper characterizes one PM983; its conclusion points at production
 # KV serving, which means many devices behind a routing layer.  These
@@ -1115,48 +968,37 @@ def _run_cluster(
     return run_cluster(spec, runner)
 
 
-@dataclass
-class ClusterScalingResult:
-    """Cluster throughput vs shard count at fixed replication."""
+def _scaling_ratio(r: Result) -> float:
+    """Throughput gain from the smallest to the largest cluster."""
+    low = r[f"s{min(r.axes['shards'])}.throughput_kops"]
+    high = r[f"s{max(r.axes['shards'])}.throughput_kops"]
+    return high / low if low > 0 else 0.0
 
-    shard_counts: List[int]
-    replication: int
-    throughput_kops: Dict[int, float] = field(default_factory=dict)
-    per_shard_kops: Dict[int, float] = field(default_factory=dict)
-    router_share: Dict[int, float] = field(default_factory=dict)
-    completed_ops: Dict[int, int] = field(default_factory=dict)
-    stats_summary: Dict[int, Dict[str, float]] = field(default_factory=dict)
 
-    def scaling_ratio(self) -> float:
-        """Throughput gain from the smallest to the largest cluster."""
-        low = self.throughput_kops[min(self.shard_counts)]
-        high = self.throughput_kops[max(self.shard_counts)]
-        return high / low if low > 0 else 0.0
-
-    def render(self) -> str:
-        rows = [
-            [n, round(self.throughput_kops[n], 2),
-             round(self.per_shard_kops[n], 2),
-             round(self.router_share[n], 4), self.completed_ops[n]]
-            for n in self.shard_counts
-        ]
-        return (
-            "-- throughput vs shard count --\n"
-            + format_table(
-                ["shards", "kops", "kops/shard", "router share", "ops"], rows
-            )
-            + f"\nscaling {min(self.shard_counts)}->{max(self.shard_counts)} "
-            f"shards: {self.scaling_ratio():.2f}x"
-        )
-
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {"scaling_ratio": self.scaling_ratio()}
-        for n in self.shard_counts:
-            metrics[f"s{n}.throughput_kops"] = self.throughput_kops[n]
-            metrics[f"s{n}.router_share"] = self.router_share[n]
-            metrics[f"s{n}.completed_ops"] = self.completed_ops[n]
-            metrics[f"s{n}.waf"] = self.stats_summary[n]["waf"]
-        return metrics
+CLUSTER_SCALING = Layout(
+    derived={
+        "scaling_ratio": _scaling_ratio,
+        "worst_doubling_gain": lambda r: min(
+            r[f"s{b}.throughput_kops"] / r[f"s{a}.throughput_kops"]
+            for a, b in zip(r.axes["shards"], r.axes["shards"][1:])
+        ),
+        "worst_router_share": lambda r: max(
+            r[f"s{shards}.router_share"] for shards in r.axes["shards"]),
+    },
+    metrics=("scaling_ratio", "s{shards}.throughput_kops", "s{shards}.router_share",
+             "s{shards}.completed_ops", "s{shards}.waf"),
+    sections=(
+        Table(("shards",), {
+            "shards": label("{shards}"), "kops": "s{shards}.throughput_kops",
+            "kops/shard": "s{shards}.per_shard_kops",
+            "router share": ("s{shards}.router_share", rounded(4)),
+            "ops": "s{shards}.completed_ops",
+        }, title="throughput vs shard count"),
+        lambda r: (f"scaling {min(r.axes['shards'])}->{max(r.axes['shards'])} "
+                   f"shards: {r['scaling_ratio']:.2f}x"),
+    ),
+    sep="\n",
+)
 
 
 def cluster_shard_scaling(
@@ -1166,14 +1008,14 @@ def cluster_shard_scaling(
     population: int = 900,
     partitions: int = 16,
     runner: Optional[SweepRunner] = None,
-) -> ClusterScalingResult:
+) -> Result:
     """Cluster throughput vs shard count (fixed tenant mix and R).
 
     The same multi-tenant YCSB stream is routed over progressively more
     shards; throughput is completed device operations per millisecond of
     makespan (the slowest shard bounds the cluster).
     """
-    result = ClusterScalingResult(list(shard_counts), replication)
+    values: Dict[str, Any] = {}
     for shards in shard_counts:
         cluster = _run_cluster(
             n_ops,
@@ -1185,73 +1027,44 @@ def cluster_shard_scaling(
             seed=21,
             verify=False,
         )
-        result.throughput_kops[shards] = cluster.throughput_kops()
-        result.per_shard_kops[shards] = cluster.throughput_kops() / shards
-        result.router_share[shards] = cluster.router_share()
-        result.completed_ops[shards] = cluster.completed_ops
-        result.stats_summary[shards] = device_stats_summary(
-            cluster.device_stats()
-        )
-    return result
+        values.update({
+            f"s{shards}.throughput_kops": cluster.throughput_kops(),
+            f"s{shards}.per_shard_kops": cluster.throughput_kops() / shards,
+            f"s{shards}.router_share": cluster.router_share(),
+            f"s{shards}.completed_ops": cluster.completed_ops,
+            f"s{shards}.waf": cluster.device_stats().write_amplification(),
+        })
+    return CLUSTER_SCALING.result(values, shards=shard_counts)
 
 
-@dataclass
-class ClusterRebalanceResult:
-    """Tail latency through a mid-run read-only degradation."""
+def _rebalance_inflation(r: Result) -> float:
+    """Rebalance-window p99 over the pre-fault p99 (>= 1 expected)."""
+    pre = r.values.get("pre.p99", 0.0)
+    return r.values.get("rebalance.p99", 0.0) / pre if pre > 0 else 0.0
 
-    shards: int
-    replication: int
-    degraded_shard: int
-    #: phase label -> {count, mean, p99, p999}; p99/p999 are the worst
-    #: shard's (cluster tail), mean is count-weighted across shards.
-    phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    drain_ops: int = 0
-    zero_lost_writes: bool = False
-    verify_checked: int = 0
-    router_share: float = 0.0
-    trace_spans: int = 0
-    fingerprint: str = ""
-    stats_summary: Dict[str, float] = field(default_factory=dict)
 
-    def tail_inflation(self, quantile: str = "p99") -> float:
-        """Rebalance-window tail over pre-fault tail (>= 1 expected)."""
-        pre = self.phases.get("pre", {}).get(quantile, 0.0)
-        rebalance = self.phases.get("rebalance", {}).get(quantile, 0.0)
-        return rebalance / pre if pre > 0 else 0.0
-
-    def render(self) -> str:
-        rows = [
-            [label, int(cell["count"]), round(cell["mean"], 1),
-             round(cell["p99"], 1), round(cell["p999"], 1)]
-            for label, cell in self.phases.items()
-        ]
-        return (
-            "-- tail latency through a rebalance window --\n"
-            + format_table(
-                ["phase", "ops", "mean us", "p99 us", "p999 us"], rows
-            )
-            + "\np99 inflation during rebalance: "
-            f"{self.tail_inflation('p99'):.2f}x  "
-            f"(drain {self.drain_ops} ops, "
-            f"router share {self.router_share:.4f}, "
-            f"{self.trace_spans} spans, "
-            f"zero-lost={self.zero_lost_writes})"
-        )
-
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {
-            "drain_ops": self.drain_ops,
-            "zero_lost_writes": int(self.zero_lost_writes),
-            "verify_checked": self.verify_checked,
-            "router_share": self.router_share,
-            "trace_spans": self.trace_spans,
-            "tail_inflation.p99": self.tail_inflation("p99"),
-            "waf": self.stats_summary["waf"],
-        }
-        for label, cell in self.phases.items():
-            for name, value in cell.items():
-                metrics[f"{label}.{name}"] = value
-        return metrics
+CLUSTER_REBALANCE = Layout(
+    derived={
+        "tail_inflation.p99": _rebalance_inflation,
+        "lost_any_write": lambda r: 1 - r["zero_lost_writes"],
+    },
+    metrics=("drain_ops", "zero_lost_writes", "verify_checked", "router_share",
+             "trace_spans", "tail_inflation.p99", "waf", "{phase}.{stat}"),
+    sections=(
+        Table(("phase",), {
+            "phase": label("{phase}"), "ops": ("{phase}.count", int),
+            "mean us": ("{phase}.mean", _R1), "p99 us": ("{phase}.p99", _R1),
+            "p999 us": ("{phase}.p999", _R1),
+        }, title="tail latency through a rebalance window"),
+        lambda r: (
+            "p99 inflation during rebalance: "
+            f"{r['tail_inflation.p99']:.2f}x  (drain {r['drain_ops']} ops, "
+            f"router share {r['router_share']:.4f}, {r['trace_spans']} spans, "
+            f"zero-lost={bool(r['zero_lost_writes'])})"
+        ),
+    ),
+    sep="\n",
+)
 
 
 def cluster_rebalance_tail(
@@ -1264,14 +1077,15 @@ def cluster_rebalance_tail(
     rebalance_window_ops: int = 200,
     degraded_shard: int = 1,
     runner: Optional[SweepRunner] = None,
-) -> ClusterRebalanceResult:
+) -> Result:
     """p99/p999 before, during, and after a fault-driven rebalance.
 
     One shard's device is degraded to read-only mid-run through the real
     fault machinery; the router drains its ranges to replicas while
     client traffic continues.  Per-phase latency shows the rebalance
-    window's tail cost.  Runs with span tracing on, so router-vs-device
-    attribution rides along.
+    window's tail cost: p99/p999 are the worst shard's (cluster tail),
+    the mean is count-weighted across shards.  Runs with span tracing
+    on, so router-vs-device attribution rides along.
     """
     total = 2 * n_ops  # two tenants
     at_op = degrade_at if degrade_at is not None else total // 2
@@ -1288,77 +1102,60 @@ def cluster_rebalance_tail(
         trace=True,
         verify=True,
     )
-    result = ClusterRebalanceResult(
-        shards=shards,
-        replication=replication,
-        degraded_shard=degraded_shard,
-        drain_ops=cluster.drain_ops,
-        zero_lost_writes=cluster.zero_lost_writes,
-        verify_checked=cluster.verify_checked,
-        router_share=cluster.router_share(),
-        trace_spans=sum(s.trace_spans for s in cluster.shards),
-        fingerprint=cluster.fingerprint(),
-        stats_summary=device_stats_summary(cluster.device_stats()),
-    )
-    for label in ("pre", "rebalance", "post", "drain"):
+    values = {
+        "drain_ops": cluster.drain_ops,
+        "zero_lost_writes": int(cluster.zero_lost_writes),
+        "verify_checked": cluster.verify_checked,
+        "router_share": cluster.router_share(),
+        "trace_spans": sum(s.trace_spans for s in cluster.shards),
+        "waf": cluster.device_stats().write_amplification(),
+    }
+    phases = []
+    for phase in ("pre", "rebalance", "post", "drain"):
         count = 0
         weighted_mean = 0.0
         for shard in cluster.shards:
-            summary = shard.latency.get(label)
+            summary = shard.latency.get(phase)
             if summary is not None:
                 count += summary.count
                 weighted_mean += summary.mean * summary.count
         if count == 0:
             continue
-        p99, p999 = cluster.tail(label)
-        result.phases[label] = {
-            "count": float(count),
-            "mean": weighted_mean / count,
-            "p99": p99,
-            "p999": p999,
-        }
-    return result
+        p99, p999 = cluster.tail(phase)
+        phases.append(phase)
+        values.update({
+            f"{phase}.count": float(count),
+            f"{phase}.mean": weighted_mean / count,
+            f"{phase}.p99": p99,
+            f"{phase}.p999": p999,
+        })
+    return CLUSTER_REBALANCE.result(values, phase=phases,
+                                    stat=("count", "mean", "p99", "p999"))
 
 
-@dataclass
-class ClusterReplicationResult:
-    """Throughput and media cost of the replication factor."""
+def _write_cost(r: Result, factor: int) -> float:
+    """Flash programs at R=``factor`` relative to R=1 (0 without R=1)."""
+    base = r.values.get("r1.flash_programs", 0)
+    return r[f"r{factor}.flash_programs"] / base if base else 0.0
 
-    factors: List[int]
-    shards: int
-    throughput_kops: Dict[int, float] = field(default_factory=dict)
-    routed_ops: Dict[int, int] = field(default_factory=dict)
-    flash_programs: Dict[int, int] = field(default_factory=dict)
-    read_p99: Dict[int, float] = field(default_factory=dict)
-    stats_summary: Dict[int, Dict[str, float]] = field(default_factory=dict)
 
-    def write_cost(self, factor: int) -> float:
-        """Flash programs at R=``factor`` relative to R=1."""
-        base = self.flash_programs.get(1, 0)
-        return self.flash_programs[factor] / base if base else 0.0
-
-    def render(self) -> str:
-        rows = [
-            [r, round(self.throughput_kops[r], 2), self.routed_ops[r],
-             self.flash_programs[r], round(self.write_cost(r), 2),
-             round(self.read_p99[r], 1)]
-            for r in self.factors
-        ]
-        return "-- replication-factor cost --\n" + format_table(
-            ["R", "kops", "routed ops", "flash programs", "write cost",
-             "read p99 us"],
-            rows,
-        )
-
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {}
-        for r in self.factors:
-            metrics[f"r{r}.throughput_kops"] = self.throughput_kops[r]
-            metrics[f"r{r}.routed_ops"] = self.routed_ops[r]
-            metrics[f"r{r}.flash_programs"] = self.flash_programs[r]
-            metrics[f"r{r}.write_cost"] = self.write_cost(r)
-            metrics[f"r{r}.read_p99_us"] = self.read_p99[r]
-        return metrics
+CLUSTER_REPLICATION = Layout(
+    derived={
+        "r{factor}.write_cost": _write_cost,
+        "flash_programs.r3_minus_r2": lambda r: (
+            r["r3.flash_programs"] - r["r2.flash_programs"]),
+    },
+    metrics=("r{factor}.throughput_kops", "r{factor}.routed_ops",
+             "r{factor}.flash_programs", "r{factor}.write_cost",
+             "r{factor}.read_p99_us"),
+    sections=(Table(("factor",), {
+        "R": label("{factor}"), "kops": "r{factor}.throughput_kops",
+        "routed ops": "r{factor}.routed_ops",
+        "flash programs": "r{factor}.flash_programs",
+        "write cost": "r{factor}.write_cost",
+        "read p99 us": ("r{factor}.read_p99_us", _R1),
+    }, title="replication-factor cost"),),
+)
 
 
 def cluster_replication_cost(
@@ -1368,13 +1165,13 @@ def cluster_replication_cost(
     population: int = 900,
     partitions: int = 16,
     runner: Optional[SweepRunner] = None,
-) -> ClusterReplicationResult:
+) -> Result:
     """Write-all fan-out cost as the replication factor grows.
 
     Same stream, same shards, R swept: routed device operations and
     flash programs grow with R while read tails stay flat (read-one).
     """
-    result = ClusterReplicationResult(list(factors), shards)
+    values: Dict[str, Any] = {}
     for factor in factors:
         cluster = _run_cluster(
             n_ops,
@@ -1386,17 +1183,17 @@ def cluster_replication_cost(
             seed=29,
             verify=False,
         )
-        result.throughput_kops[factor] = cluster.throughput_kops()
-        result.routed_ops[factor] = cluster.routed_ops
-        stats = cluster.device_stats()
-        result.flash_programs[factor] = stats.flash_programs
-        result.read_p99[factor] = cluster.tail("pre")[0]
-        result.stats_summary[factor] = device_stats_summary(stats)
-    return result
+        values.update({
+            f"r{factor}.throughput_kops": cluster.throughput_kops(),
+            f"r{factor}.routed_ops": cluster.routed_ops,
+            f"r{factor}.flash_programs": cluster.device_stats().flash_programs,
+            f"r{factor}.read_p99_us": cluster.tail("pre")[0],
+        })
+    return CLUSTER_REPLICATION.result(values, factor=factors)
 
 
 # ---------------------------------------------------------------------------
-# Replay figures — trace-driven, time-varying workloads (ISSUE 10)
+# Replay figures — trace-driven, time-varying workloads
 #
 # The paper's figures all drive stationary synthetic distributions; these
 # two replay *time-varying* trace streams (``repro.kvbench.traces``) and
@@ -1414,15 +1211,15 @@ _REPLAY_TTL_SCHEME = KeyScheme(prefix=b"ttl-", digits=12)
 
 
 def _replay_cell(run: RunResult) -> Dict[str, object]:
-    """The latency/ops/telemetry fields every replay cell reports."""
+    """The latency/ops/WAF fields every replay cell reports."""
     summary = run.latency.summary()
     return {
-        "mean": summary.mean,
-        "p99": summary.p99,
-        "p999": summary.p999,
+        "mean_us": summary.mean,
+        "p99_us": summary.p99,
+        "p999_us": summary.p999,
         "completed": run.completed_ops,
         "failed": run.failed_ops,
-        "stats": device_stats_summary(run.device_stats),
+        "waf": run.device_stats.write_amplification(),
     }
 
 
@@ -1464,77 +1261,41 @@ def _replay_rotation_cell(
     ))
 
 
-@dataclass
-class ReplayRotationResult:
-    """KV vs block latency/amplification under working-set rotation."""
+def _rotation_penalty(r: Result, device: str) -> float:
+    """Fastest-churn p99 over the static (rotate=0) p99."""
+    static = r.values.get(f"{device}.rot0.p99_us", 0.0)
+    fastest = min(rotate for rotate in r.axes["rotate_every"] if rotate > 0)
+    return r[f"{device}.rot{fastest}.p99_us"] / static if static > 0 else 0.0
 
-    n_ops: int
-    population: int
-    working_set: int
-    rotate_every: List[int]
-    #: latency_us[device][rotate_every] -> {mean, p99, p999}.
-    latency_us: Dict[str, Dict[int, Dict[str, float]]] = field(
-        default_factory=dict
-    )
-    #: Device telemetry summary per (device, rotate_every) — WAF etc.
-    stats_summary: Dict[str, Dict[int, Dict[str, float]]] = field(
-        default_factory=dict
-    )
-    completed_ops: Dict[str, Dict[int, int]] = field(default_factory=dict)
 
-    def rotation_penalty(self, device: str, quantile: str = "p99") -> float:
-        """Fastest-churn tail over the static (rotate=0) tail."""
-        static = self.latency_us[device].get(0)
-        if not static or static[quantile] <= 0:
-            return 0.0
-        churned = self.latency_us[device][min(
-            r for r in self.rotate_every if r > 0
-        )]
-        return churned[quantile] / static[quantile]
+_ROT = "{device}.rot{rotate_every}"
 
-    def render(self) -> str:
-        rows = []
-        for device, by_rotate in self.latency_us.items():
-            for rotate, cell in by_rotate.items():
-                rows.append([
-                    device, rotate or "static", round(cell["mean"], 1),
-                    round(cell["p99"], 1), round(cell["p999"], 1),
-                    round(self.stats_summary[device][rotate]["waf"], 2),
-                    self.completed_ops[device][rotate],
-                ])
-        lines = [
-            "-- working-set rotation: KV vs block --",
-            format_table(
-                ["device", "rotate every", "mean us", "p99 us", "p999 us",
-                 "WAF", "ops"],
-                rows,
-            ),
-        ]
-        lines += [
+REPLAY_ROTATION = Layout(
+    derived={
+        "{device}.rotation_penalty": _rotation_penalty,
+        "worst_completed_fraction": lambda r: min(
+            r[name] for name, _ in spell(f"{_ROT}.completed", r.axes)
+        ) / r["n_ops"],
+    },
+    metrics=(*(f"{_ROT}.{name}" for name in (
+        "mean_us", "p99_us", "p999_us", "waf", "completed",
+    )), "{device}.rotation_penalty"),
+    sections=(
+        Table(("device", "rotate_every"), {
+            "device": label("{device}"),
+            "rotate every": lambda r, c: c["rotate_every"] or "static",
+            "mean us": (f"{_ROT}.mean_us", _R1), "p99 us": (f"{_ROT}.p99_us", _R1),
+            "p999 us": (f"{_ROT}.p999_us", _R1), "WAF": f"{_ROT}.waf",
+            "ops": f"{_ROT}.completed",
+        }, title="working-set rotation: KV vs block"),
+        lambda r: "\n".join(
             f"{device} rotation p99 penalty: "
-            f"{self.rotation_penalty(device):.2f}x"
-            for device in self.latency_us
-        ]
-        return "\n".join(lines)
-
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {}
-        for device, by_rotate in self.latency_us.items():
-            for rotate, latency in by_rotate.items():
-                tag = f"{device}.rot{rotate}"
-                metrics[f"{tag}.mean_us"] = latency["mean"]
-                metrics[f"{tag}.p99_us"] = latency["p99"]
-                metrics[f"{tag}.p999_us"] = latency["p999"]
-                metrics[f"{tag}.waf"] = (
-                    self.stats_summary[device][rotate]["waf"]
-                )
-                metrics[f"{tag}.completed"] = (
-                    self.completed_ops[device][rotate]
-                )
-            metrics[f"{device}.rotation_penalty"] = (
-                self.rotation_penalty(device)
-            )
-        return metrics
+            f"{r[f'{device}.rotation_penalty']:.2f}x"
+            for device in r.axes["device"]
+        ),
+    ),
+    sep="\n",
+)
 
 
 def replay_rotation(
@@ -1548,7 +1309,7 @@ def replay_rotation(
     blocks_per_plane: int = 16,
     seed: int = 17,
     runner: Optional[SweepRunner] = None,
-) -> ReplayRotationResult:
+) -> Result:
     """Replay figure 1: churn replay, KV vs block.
 
     Both devices replay byte-identical churn traces: uniform read/update
@@ -1570,22 +1331,10 @@ def replay_rotation(
              blocks_per_plane=blocks_per_plane, seed=seed),
         runner,
     )
-    result = ReplayRotationResult(
-        n_ops, population, working_set, list(rotate_every)
-    )
-    for device in devices:
-        by_rotate = {rotate: cells[device, rotate] for rotate in rotate_every}
-        result.latency_us[device] = {
-            rotate: {q: cell[q] for q in ("mean", "p99", "p999")}
-            for rotate, cell in by_rotate.items()
-        }
-        result.stats_summary[device] = {
-            rotate: cell["stats"] for rotate, cell in by_rotate.items()
-        }
-        result.completed_ops[device] = {
-            rotate: cell["completed"] for rotate, cell in by_rotate.items()
-        }
-    return result
+    values = {"n_ops": n_ops,
+              **named(cells, ("device", "rotate_every"), _ROT)}
+    return REPLAY_ROTATION.result(values, device=devices,
+                                  rotate_every=rotate_every)
 
 
 def _replay_mix_cell(
@@ -1659,8 +1408,8 @@ def _replay_mix_cell(
     buckets = rig.device.iterators
     return {
         **_replay_cell(run),
-        "read_p99": read_summary.p99,
-        "read_p999": read_summary.p999,
+        "read_p99_us": read_summary.p99,
+        "read_p999_us": read_summary.p999,
         "deletes": run.latency.count("delete"),
         "scans": driver.scans_run,
         "bucket_keys": buckets.total_keys,
@@ -1669,70 +1418,47 @@ def _replay_mix_cell(
     }
 
 
-@dataclass
-class ReplayMixResult:
-    """Tail latency across TTL/expiry and scan-heavy mix variants."""
+def _mix_inflation(r: Result, variant: str) -> Optional[float]:
+    """A variant's read p99 over the plain point-op baseline's."""
+    if variant == "plain":
+        return None
+    base = r.values.get("plain.read_p99_us", 0.0)
+    return r[f"{variant}.read_p99_us"] / base if base > 0 else 0.0
 
-    n_ops: int
-    population: int
-    variants: List[str]
-    #: latency_us[variant] -> {mean, p99, p999, read_p99, read_p999}.
-    latency_us: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: ops[variant] -> {completed, failed, deletes, scans}.
-    ops: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: buckets[variant] -> {keys, count, page_writes}.
-    buckets: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    stats_summary: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
-    def tail_inflation(self, variant: str, quantile: str = "read_p99") -> float:
-        """Variant read tail over the plain point-op baseline."""
-        base = self.latency_us.get("plain", {}).get(quantile, 0.0)
-        if base <= 0:
-            return 0.0
-        return self.latency_us[variant][quantile] / base
+def _mix_verdict(r: Result) -> Optional[str]:
+    scan = next((v for v in r.axes["variant"] if "scan" in v), None)
+    if scan is None:
+        return None
+    return (f"read-tail inflation ({scan} vs plain): "
+            f"{r[f'tail_inflation.{scan}']:.2f}x")
 
-    def render(self) -> str:
-        rows = [
-            [variant, round(self.latency_us[variant]["read_p99"], 1),
-             round(self.latency_us[variant]["read_p999"], 1),
-             ops["completed"], ops["failed"], ops["deletes"], ops["scans"],
-             self.buckets[variant]["keys"],
-             self.buckets[variant]["page_writes"]]
-            for variant, ops in self.ops.items()
-        ]
-        lines = [
-            "-- TTL + scan mix: read-tail cost --",
-            format_table(
-                ["variant", "read p99", "read p999", "ops", "fail",
-                 "deletes", "scans", "bucket keys", "bucket pages"],
-                rows,
-            ),
-        ]
-        scan_variant = next((v for v in self.variants if "scan" in v), None)
-        if scan_variant is not None:
-            lines.append(
-                f"read-tail inflation ({scan_variant} vs plain): "
-                f"{self.tail_inflation(scan_variant):.2f}x"
-            )
-        return "\n".join(lines)
 
-    def metrics(self) -> Metrics:
-        metrics: Metrics = {}
-        for variant in self.variants:
-            latency = self.latency_us[variant]
-            metrics[f"{variant}.p99_us"] = latency["p99"]
-            metrics[f"{variant}.read_p99_us"] = latency["read_p99"]
-            metrics[f"{variant}.read_p999_us"] = latency["read_p999"]
-            for name, value in self.ops[variant].items():
-                metrics[f"{variant}.{name}"] = value
-            for name, value in self.buckets[variant].items():
-                metrics[f"{variant}.bucket_{name}"] = value
-            metrics[f"{variant}.waf"] = self.stats_summary[variant]["waf"]
-            if variant != "plain":
-                metrics[f"tail_inflation.{variant}"] = (
-                    self.tail_inflation(variant)
-                )
-        return metrics
+REPLAY_MIX = Layout(
+    derived={
+        "tail_inflation.{variant}": _mix_inflation,
+        "ttl_variants.fewest_deletes": lambda r: min(
+            r["ttl.deletes"], r["ttl+scan.deletes"]),
+    },
+    metrics=(*(f"{{variant}}.{name}" for name in (
+        "p99_us", "read_p99_us", "read_p999_us", "completed", "failed",
+        "deletes", "scans", "bucket_keys", "bucket_count",
+        "bucket_page_writes", "waf",
+    )), "tail_inflation.{variant}"),
+    sections=(
+        Table(("variant",), {
+            "variant": label("{variant}"),
+            "read p99": ("{variant}.read_p99_us", _R1),
+            "read p999": ("{variant}.read_p999_us", _R1),
+            "ops": "{variant}.completed", "fail": "{variant}.failed",
+            "deletes": "{variant}.deletes", "scans": "{variant}.scans",
+            "bucket keys": "{variant}.bucket_keys",
+            "bucket pages": "{variant}.bucket_page_writes",
+        }, title="TTL + scan mix: read-tail cost"),
+        _mix_verdict,
+    ),
+    sep="\n",
+)
 
 
 def replay_ttl_scan_mix(
@@ -1748,7 +1474,7 @@ def replay_ttl_scan_mix(
     blocks_per_plane: int = 16,
     seed: int = 19,
     runner: Optional[SweepRunner] = None,
-) -> ReplayMixResult:
+) -> Result:
     """Replay figure 2: read-tail cost of TTL churn and prefix scans.
 
     Same prefilled KV device, three trace variants: point ops only
@@ -1769,19 +1495,5 @@ def replay_ttl_scan_mix(
              seed=seed),
         runner,
     )
-    result = ReplayMixResult(n_ops, population, list(variants))
-    for variant, cell in cells.items():
-        result.latency_us[variant] = {
-            q: cell[q]
-            for q in ("mean", "p99", "p999", "read_p99", "read_p999")
-        }
-        result.ops[variant] = {
-            name: cell[name]
-            for name in ("completed", "failed", "deletes", "scans")
-        }
-        result.buckets[variant] = {
-            name: cell[f"bucket_{name}"]
-            for name in ("keys", "count", "page_writes")
-        }
-        result.stats_summary[variant] = cell["stats"]
-    return result
+    return REPLAY_MIX.result(named(cells, ("variant",), "{variant}"),
+                             variant=variants)

@@ -11,8 +11,8 @@ in :mod:`repro.core.registry`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Optional
 
 from repro.core.experiment import build_rig, lab_geometry
 from repro.core.figures import (
@@ -22,58 +22,44 @@ from repro.core.figures import (
     fig4_value_size_concurrency,
 )
 from repro.exec.runner import SweepRunner
-from repro.kvbench.report import format_table
+from repro.kvbench.report import Layout, Result, format_table
 from repro.kvbench.runner import run_phase
 from repro.kvbench.workload import Pattern, WorkloadSpec
 from repro.kvftl.config import KVSSDConfig
 from repro.units import KIB
 
+#: (label, value, format) of each row of the rendered table.
+_ROWS = (
+    ("host CPU reduction vs RocksDB", "cpu_reduction_vs_rocksdb", "{:.1f}x"),
+    ("host CPU reduction vs Aerospike", "cpu_reduction_vs_aerospike", "{:.1f}x"),
+    ("4K rand read BW, KV/block (QD1, 45% fill)", "bw_ratio_4k_rand_read", "{:.2f}x"),
+    ("4K rand write BW, KV/block (QD1, 45% fill)", "bw_ratio_4k_rand_write", "{:.2f}x"),
+    ("direct read latency, KV/block (QD1)", "latency_ratio_read_qd1", "{:.2f}x"),
+    ("direct read latency at high occupancy", "latency_ratio_read_high_occupancy",
+     "{:.2f}x"),
+    ("direct write latency, KV/block (QD1)", "latency_ratio_write_qd1", "{:.2f}x"),
+    ("e2e insert gain vs RocksDB", "e2e_insert_gain_vs_rocksdb", "{:.1f}x"),
+    ("e2e update gain vs Aerospike", "e2e_update_gain_vs_aerospike", "{:.2f}x"),
+    ("max KVPs on 3.84 TB", "max_kvps_billions", "{:.2f} billion"),
+)
 
-@dataclass(frozen=True)
-class HeadlineResult:
-    """Measured counterparts of the paper's headline scalars."""
-
-    cpu_reduction_vs_rocksdb: float
-    cpu_reduction_vs_aerospike: float
-    bw_ratio_4k_rand_read: float
-    bw_ratio_4k_rand_write: float
-    latency_ratio_read_qd1: float
-    latency_ratio_write_qd1: float
-    latency_ratio_read_high_occupancy: float
-    e2e_insert_gain_vs_rocksdb: float
-    e2e_update_gain_vs_aerospike: float
-    max_kvps_full_scale: float
-
-    def rows(self):
-        """(metric, measured) rows of the rendered table."""
-        return [
-            ("host CPU reduction vs RocksDB",
-             f"{self.cpu_reduction_vs_rocksdb:.1f}x"),
-            ("host CPU reduction vs Aerospike",
-             f"{self.cpu_reduction_vs_aerospike:.1f}x"),
-            ("4K rand read BW, KV/block (QD1, 45% fill)",
-             f"{self.bw_ratio_4k_rand_read:.2f}x"),
-            ("4K rand write BW, KV/block (QD1, 45% fill)",
-             f"{self.bw_ratio_4k_rand_write:.2f}x"),
-            ("direct read latency, KV/block (QD1)",
-             f"{self.latency_ratio_read_qd1:.2f}x"),
-            ("direct read latency at high occupancy",
-             f"{self.latency_ratio_read_high_occupancy:.2f}x"),
-            ("direct write latency, KV/block (QD1)",
-             f"{self.latency_ratio_write_qd1:.2f}x"),
-            ("e2e insert gain vs RocksDB",
-             f"{self.e2e_insert_gain_vs_rocksdb:.1f}x"),
-            ("e2e update gain vs Aerospike",
-             f"{self.e2e_update_gain_vs_aerospike:.2f}x"),
-            ("max KVPs on 3.84 TB",
-             f"{self.max_kvps_full_scale / 1e9:.2f} billion"),
-        ]
-
-    def render(self) -> str:
-        return format_table(["metric", "measured"], self.rows())
-
-    def metrics(self) -> Dict[str, float]:
-        return asdict(self)
+HEADLINE = Layout(
+    derived={
+        "max_kvps_billions": lambda r: r["max_kvps_full_scale"] / 1e9,
+        "cpu_reduction.aerospike_over_rocksdb": lambda r: (
+            r["cpu_reduction_vs_aerospike"] / r["cpu_reduction_vs_rocksdb"]),
+    },
+    metrics=(
+        "cpu_reduction_vs_rocksdb", "cpu_reduction_vs_aerospike",
+        "bw_ratio_4k_rand_read", "bw_ratio_4k_rand_write",
+        "latency_ratio_read_qd1", "latency_ratio_write_qd1",
+        "latency_ratio_read_high_occupancy", "e2e_insert_gain_vs_rocksdb",
+        "e2e_update_gain_vs_aerospike", "max_kvps_full_scale",
+    ),
+    sections=(lambda r: format_table(["metric", "measured"], [
+        (label, fmt.format(r[name])) for label, name, fmt in _ROWS
+    ]),),
+)
 
 
 def _direct_bw_ratios(blocks_per_plane: int, n_ops: int) -> tuple:
@@ -117,7 +103,7 @@ def headline_scalars(
     queue_depth_bw: int = 32,
     blocks_per_plane: int = 16,
     runner: Optional[SweepRunner] = None,
-) -> HeadlineResult:
+) -> Result:
     """Measure all headline scalars on scaled rigs.
 
     ``runner`` serves the three figure sweeps underneath; the direct
@@ -143,25 +129,21 @@ def headline_scalars(
     )
     bw_read, bw_write = _direct_bw_ratios(blocks_per_plane, n_ops=1000)
 
-    size = 4 * KIB
-    high_read_ratio = (
-        fig3.latency_us["kv"]["high"]["read"]
-        / fig3.latency_us["block"]["high"]["read"]
-    )
-
-    kv_cpu = fig2.cpu_us_per_op["kvssd"]
+    kv_cpu = fig2["kvssd.cpu_us_per_op"]
     config = KVSSDConfig()
-    return HeadlineResult(
-        cpu_reduction_vs_rocksdb=fig2.cpu_us_per_op["rocksdb"] / kv_cpu,
-        cpu_reduction_vs_aerospike=fig2.cpu_us_per_op["aerospike"] / kv_cpu,
-        bw_ratio_4k_rand_read=bw_read,
-        bw_ratio_4k_rand_write=bw_write,
-        latency_ratio_read_qd1=fig4.ratio["read"][1][size],
-        latency_ratio_write_qd1=fig4.ratio["write"][1][size],
-        latency_ratio_read_high_occupancy=high_read_ratio,
-        e2e_insert_gain_vs_rocksdb=fig2.ratio("rocksdb", "kvssd", "rand", "insert"),
-        e2e_update_gain_vs_aerospike=fig2.ratio("aerospike", "kvssd", "rand", "update"),
-        max_kvps_full_scale=(
+    return HEADLINE.result({
+        "cpu_reduction_vs_rocksdb": fig2["rocksdb.cpu_us_per_op"] / kv_cpu,
+        "cpu_reduction_vs_aerospike": fig2["aerospike.cpu_us_per_op"] / kv_cpu,
+        "bw_ratio_4k_rand_read": bw_read,
+        "bw_ratio_4k_rand_write": bw_write,
+        "latency_ratio_read_qd1": fig4[f"ratio.{4 * KIB}.qd1.read"],
+        "latency_ratio_write_qd1": fig4[f"ratio.{4 * KIB}.qd1.write"],
+        "latency_ratio_read_high_occupancy": (
+            fig3["kv.high.read_us"] / fig3["block.high.read_us"]
+        ),
+        "e2e_insert_gain_vs_rocksdb": fig2["rocksdb_over_kv.insert"],
+        "e2e_update_gain_vs_aerospike": fig2["aerospike_over_kv.update"],
+        "max_kvps_full_scale": (
             3.84e12 * config.index_region_fraction / config.index_slot_bytes
         ),
-    )
+    })

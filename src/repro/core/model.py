@@ -59,8 +59,10 @@ def device_stats_summary(stats: DeviceStats) -> Dict[str, float]:
 
 
 @dataclass(frozen=True)
-class LatencyBreakdown:
-    """One operation's latency decomposed by mechanism (microseconds)."""
+class ClosedFormBreakdown:
+    """One operation's predicted QD1 latency, decomposed by mechanism
+    (microseconds); measured spans aggregate in
+    :class:`repro.metrics.LatencyBreakdown` instead."""
 
     host_us: float
     controller_us: float
@@ -173,7 +175,7 @@ class KVSSDModel:
 
     def store_breakdown(
         self, key_bytes: int, value_bytes: int, kvps: int = 0
-    ) -> LatencyBreakdown:
+    ) -> ClosedFormBreakdown:
         """QD1 store latency decomposition at ``kvps`` prior occupancy."""
         layout = layout_blob(
             key_bytes, value_bytes, self.geometry.page_bytes, self.config
@@ -195,7 +197,7 @@ class KVSSDModel:
         buffer_copy = (
             self.config.buffer_copy_us_per_kib * layout.footprint_bytes / KIB
         )
-        return LatencyBreakdown(
+        return ClosedFormBreakdown(
             host_us=host,
             controller_us=controller,
             index_us=index,
@@ -206,7 +208,7 @@ class KVSSDModel:
 
     def retrieve_breakdown(
         self, key_bytes: int, value_bytes: int, kvps: int = 0
-    ) -> LatencyBreakdown:
+    ) -> ClosedFormBreakdown:
         """QD1 retrieve latency decomposition."""
         layout = layout_blob(
             key_bytes, value_bytes, self.geometry.page_bytes, self.config
@@ -223,7 +225,7 @@ class KVSSDModel:
         # Fragments are read in parallel across dies: the slowest fragment
         # (the largest transfer) bounds the data phase.
         data = max(self._page_read_us(frag) for frag in layout.fragments)
-        return LatencyBreakdown(
+        return ClosedFormBreakdown(
             host_us=host,
             controller_us=controller,
             index_us=self.config.retrieve_index_us,

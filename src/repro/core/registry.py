@@ -8,9 +8,12 @@ at and EXPERIMENTS.md shows (``tests/test_paper_claims.py``) — and
 ``mini`` is the smallest meaningful run, whose ``result.metrics()`` and
 event count the golden suite diffs.  The CLI selects rows by name or
 group and prints ``result.render()`` and :meth:`Experiment.claims_table`.
-Adding an experiment is: write the ``fig*``-style function (returning a
-``*Result`` with ``render()``/``metrics()``), add one row here with its
-claims, run ``pytest tests/test_golden_figures.py
+A row's function returns the one result shape of
+:mod:`repro.kvbench.report` — values by dotted name plus the row's
+declared layout — and a claim names one of those values.  Adding an
+experiment is: write the ``fig*``-style function (returning its values
+plus a :class:`~repro.kvbench.report.Layout` declaration), add one row
+here with its claims, run ``pytest tests/test_golden_figures.py
 tests/test_paper_claims.py --regen-golden``.
 """
 
@@ -38,7 +41,7 @@ from repro.core.figures import (
 from repro.core.headline import headline_scalars
 from repro.faults.run import run_fault_sweep
 from repro.frontend.run import frontend_load_sweep
-from repro.kvbench.report import format_table
+from repro.kvbench.report import Result, format_table
 from repro.kvbench.ycsb_sweep import run_ycsb_sweep
 from repro.trace.run import TraceScenario
 from repro.units import KIB
@@ -53,8 +56,8 @@ class Claim:
     finding: str
     #: What the paper reports, verbatim enough to look up.
     paper: str
-    #: The row's ``*Result`` -> the measured scalar.
-    measure: Callable[[Any], float]
+    #: The name of the measured value in the row's result.
+    measure: str
     lo: float = -math.inf
     hi: float = math.inf
 
@@ -73,8 +76,9 @@ class Experiment:
     #: ``paper`` rows are CLI commands by name (and make up ``repro all``);
     #: the other groups are one CLI command each, running all their rows.
     group: str
-    #: Called as ``fn(runner=..., **kwargs)``; returns a ``*Result``.  Its
-    #: defaults are the row's recorded scale.
+    #: Called as ``fn(runner=..., **kwargs)``; returns a
+    #: :class:`~repro.kvbench.report.Result`.  Its defaults are the row's
+    #: recorded scale.
     fn: Callable[..., Any]
     #: ``fn`` keyword -> CLI option (argparse dest) that overrides it.
     cli: Mapping[str, str]
@@ -88,13 +92,14 @@ class Experiment:
     #: ``--fig <name>`` run; rows without one are not offered there.
     scenario: Optional[TraceScenario] = None
 
-    def claims_table(self, result: Any) -> Tuple[str, bool]:
+    def claims_table(self, result: Result) -> Tuple[str, bool]:
         """The ``finding | paper | measured | holds`` table for ``result``
         and whether every claim held."""
         rows, ok = [], True
         for claim in self.claims:
-            measured = float(claim.measure(result))
-            # A non-finite measurement is a miss, whatever the band.
+            # A value this run did not produce, or a non-finite one, is a
+            # miss, whatever the band.
+            measured = float(result.values.get(claim.measure, math.nan))
             held = math.isfinite(measured) and claim.lo <= measured <= claim.hi
             ok = ok and held
             rows.append([claim.finding, claim.paper, f"{measured:.3g}",
@@ -111,19 +116,17 @@ EXPERIMENTS: Dict[str, Experiment] = {
                  patterns=("seq", "rand"), blocks_per_plane=8),
             (
                 Claim("KV seq/rand insert latency", "~equal (hashing erases order)",
-                      lambda r: r.latency_us["kvssd"]["seq"]["insert"]
-                      / r.latency_us["kvssd"]["rand"]["insert"], 0.8, 1.25),
+                      "kvssd.seq_over_rand.insert", 0.8, 1.25),
                 Claim("RocksDB/KV insert latency (rand)", "KV wins; up to 23.08x",
-                      lambda r: r.ratio("rocksdb", "kvssd", "rand", "insert"), 2.0),
+                      "rocksdb_over_kv.insert", 2.0),
                 Claim("RocksDB/KV update latency (rand)", "KV wins",
-                      lambda r: r.ratio("rocksdb", "kvssd", "rand", "update"), 2.0),
+                      "rocksdb_over_kv.update", 2.0),
                 Claim("KV/RocksDB read latency (rand)", "KV suffers (>1)",
-                      lambda r: r.ratio("kvssd", "rocksdb", "rand", "read"), 1.2),
+                      "kv_over_rocksdb.read", 1.2),
                 Claim("Aerospike/KV update latency (rand)", "KV wins; up to 3.64x",
-                      lambda r: r.ratio("aerospike", "kvssd", "rand", "update"), 1.2),
+                      "aerospike_over_kv.update", 1.2),
                 Claim("KV/Aerospike insert latency (rand)", "~1 or Aerospike faster",
-                      lambda r: r.ratio("kvssd", "aerospike", "rand", "insert"),
-                      0.8, 1.25),
+                      "kv_over_aerospike.insert", 0.8, 1.25),
             ),
             TraceScenario("end-to-end latency, 4KiB mixed ops", queue_depth=1),
         ),
@@ -134,13 +137,13 @@ EXPERIMENTS: Dict[str, Experiment] = {
                  measured_ops=200, blocks_per_plane=8),
             (
                 Claim("KV write degradation high/low", "up to 16.4x",
-                      lambda r: r.degradation("kv", "write"), 4.0),
+                      "kv.write_degradation", 4.0),
                 Claim("KV read degradation high/low", "up to 2x",
-                      lambda r: r.degradation("kv", "read"), 1.5, 4.0),
+                      "kv.read_degradation", 1.5, 4.0),
                 Claim("block write degradation", "~1x (flat)",
-                      lambda r: r.degradation("block", "write"), hi=1.5),
+                      "block.write_degradation", hi=1.5),
                 Claim("block read degradation", "~1x (flat)",
-                      lambda r: r.degradation("block", "read"), hi=1.5),
+                      "block.read_degradation", hi=1.5),
             ),
             TraceScenario("high-occupancy index pressure", fill_fraction=0.85,
                           queue_depth=1, blocks_per_plane=32),
@@ -151,19 +154,19 @@ EXPERIMENTS: Dict[str, Experiment] = {
                  blocks_per_plane=8),
             (
                 Claim("QD1 4 KiB write ratio", "~2.5x",
-                      lambda r: r.ratio["write"][1][4 * KIB], 1.5, 4.0),
+                      "ratio.4096.qd1.write", 1.5, 4.0),
                 Claim("QD1 4 KiB read ratio", "~1.7x",
-                      lambda r: r.ratio["read"][1][4 * KIB], 1.3, 2.5),
+                      "ratio.4096.qd1.read", 1.3, 2.5),
                 Claim("QD1 32 KiB write ratio (split values)", "up to 5.4x",
-                      lambda r: r.ratio["write"][1][32 * KIB], 2.5),
+                      "ratio.32768.qd1.write", 2.5),
                 Claim("QD64 4 KiB write ratio", "<1; as low as 0.86x",
-                      lambda r: r.ratio["write"][64][4 * KIB], hi=1.0),
+                      "ratio.4096.qd64.write", hi=1.0),
                 Claim("QD64 4 KiB read ratio", "<1; as low as 0.37x",
-                      lambda r: r.ratio["read"][64][4 * KIB], hi=1.0),
+                      "ratio.4096.qd64.read", hi=1.0),
                 Claim("QD64 32 KiB write ratio", "back above 1 at >=32 KiB",
-                      lambda r: r.ratio["write"][64][32 * KIB], 1.0),
+                      "ratio.32768.qd64.write", 1.0),
                 Claim("QD64 32 KiB read ratio", "back above 1 at >=32 KiB",
-                      lambda r: r.ratio["read"][64][32 * KIB], 1.0),
+                      "ratio.32768.qd64.read", 1.0),
             ),
             TraceScenario("split values (64KiB) at depth", value_bytes=64 * KIB,
                           fill_fraction=0.15, queue_depth=16),
@@ -174,18 +177,15 @@ EXPERIMENTS: Dict[str, Experiment] = {
                  blocks_per_plane=8),
             (
                 Claim("KV bandwidth 25 KiB / 24 KiB", "drops sharply",
-                      lambda r: r.kv_mib_s[25 * KIB] / r.kv_mib_s[24 * KIB], hi=0.6),
+                      "kv.25600_over_24576", hi=0.6),
                 Claim("KV bandwidth 48 KiB / 25 KiB", "recovers toward 48 KiB",
-                      lambda r: r.kv_mib_s[48 * KIB] / r.kv_mib_s[25 * KIB], 1.2),
+                      "kv.49152_over_25600", 1.2),
                 Claim("KV bandwidth 49 KiB / 48 KiB", "drops again",
-                      lambda r: r.kv_mib_s[49 * KIB] / r.kv_mib_s[48 * KIB], hi=0.8),
+                      "kv.50176_over_49152", hi=0.8),
                 Claim("block bandwidth, largest adjacent step", "smooth",
-                      lambda r: max(
-                          abs(r.block_mib_s[b] / r.block_mib_s[a] - 1.0)
-                          for a, b in zip(r.value_sizes, r.value_sizes[1:])
-                      ), hi=0.15),
+                      "block.max_step", hi=0.15),
                 Claim("KV fragments at 49 KiB", "3 data + 2 offset pages",
-                      lambda r: r.kv_fragments[49 * KIB], 5, 5),
+                      "kv.50176.fragments", 5, 5),
             ),
             TraceScenario("small-value packing bandwidth", value_bytes=1024,
                           fill_fraction=0.0, op="insert", queue_depth=16),
@@ -196,15 +196,15 @@ EXPERIMENTS: Dict[str, Experiment] = {
                  scenarios=("kv-uniform", "rocksdb-uniform")),
             (
                 Claim("KV uniform: foreground GC runs", "collapses",
-                      lambda r: r.foreground_gc_runs["kv-uniform"], 1),
+                      "kv-uniform.foreground_gc_runs", 1),
                 Claim("KV uniform: worst/first bandwidth window", "collapses",
-                      lambda r: r.trough_ratio("kv-uniform"), hi=0.5),
+                      "kv-uniform.trough_ratio", hi=0.5),
                 Claim("KV sliding window: foreground GC runs", "also collapses",
-                      lambda r: r.foreground_gc_runs["kv-window"], 1),
+                      "kv-window.foreground_gc_runs", 1),
                 Claim("KV sliding window: worst/first window", "also collapses",
-                      lambda r: r.trough_ratio("kv-window"), hi=0.5),
+                      "kv-window.trough_ratio", hi=0.5),
                 Claim("RocksDB on block: foreground GC runs", "none",
-                      lambda r: r.foreground_gc_runs["rocksdb-uniform"], 0, 0),
+                      "rocksdb-uniform.foreground_gc_runs", 0, 0),
             ),
             TraceScenario("foreground GC under sustained updates",
                           fill_fraction=0.8, op="update", queue_depth=16,
@@ -215,22 +215,18 @@ EXPERIMENTS: Dict[str, Experiment] = {
             dict(value_sizes=(50, 1024, 4096), kvps=3000, blocks_per_plane=8),
             (
                 Claim("KV-SSD at 50 B values", "~17x (up to 20x)",
-                      lambda r: r.sa["kvssd"][50], 14.0, 21.0),
+                      "kvssd.50.sa", 14.0, 21.0),
                 Claim("KV-SSD at 1 KiB values", "~1 (tight packing)",
-                      lambda r: r.sa["kvssd"][1024], hi=1.1),
+                      "kvssd.1024.sa", hi=1.1),
                 Claim("KV-SSD at 4 KiB values", "~1 (tight packing)",
-                      lambda r: r.sa["kvssd"][4096], hi=1.05),
+                      "kvssd.4096.sa", hi=1.05),
                 Claim("Aerospike at 50 B values", "<2 (1.8x)",
-                      lambda r: r.sa["aerospike"][50], hi=2.0),
-                Claim("RocksDB worst case", "1.111x",
-                      lambda r: r.sa["rocksdb"][50], 1.101, 1.121),
+                      "aerospike.50.sa", hi=2.0),
+                Claim("RocksDB worst case", "1.111x", "rocksdb.sa", 1.101, 1.121),
                 Claim("max KVPs on 3.84 TB (billions)", "~3.1",
-                      lambda r: r.max_kvps_full_scale / 1e9, 2.8, 3.4),
+                      "max_kvps_billions", 2.8, 3.4),
                 Claim("measured vs closed-form KV-SSD, worst size", "-",
-                      lambda r: max(
-                          abs(r.sa["kvssd"][size] / r.kv_analytic[size] - 1.0)
-                          for size in r.value_sizes
-                      ), hi=0.02),
+                      "kvssd.worst_analytic_gap", hi=0.02),
             ),
             TraceScenario("tiny values (512B), space overheads", value_bytes=512,
                           fill_fraction=0.0, op="insert", queue_depth=4),
@@ -240,13 +236,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
             dict(key_sizes=(16, 24), n_ops=400, blocks_per_plane=8),
             (
                 Claim("async bandwidth step, 8 B -> 16 B keys", "flat up to 16 B",
-                      lambda r: abs(
-                          r.mib_s["async"][16] / r.mib_s["async"][8] - 1.0
-                      ), hi=0.1),
+                      "async.k8_to_k16_step", hi=0.1),
                 Claim("drop past 16 B (async)", "as low as ~0.53x",
-                      lambda r: r.cliff_ratio("async"), hi=0.7),
+                      "cliff_ratio.async", hi=0.7),
                 Claim("drop past 16 B (sync)", "present, smaller",
-                      lambda r: r.cliff_ratio("sync"), hi=0.98),
+                      "cliff_ratio.sync", hi=0.98),
             ),
             TraceScenario("long keys (multi-command submissions)",
                           fill_fraction=0.0, op="insert", queue_depth=16,
@@ -259,28 +253,27 @@ EXPERIMENTS: Dict[str, Experiment] = {
             dict(n_ops=800, blocks_per_plane=8),
             (
                 Claim("host CPU reduction vs RocksDB", "~13x avg (up to 0.92x less)",
-                      lambda r: r.cpu_reduction_vs_rocksdb, 5.0),
+                      "cpu_reduction_vs_rocksdb", 5.0),
                 Claim("CPU reduction vs Aerospike / vs RocksDB", "much smaller",
-                      lambda r: r.cpu_reduction_vs_aerospike
-                      / r.cpu_reduction_vs_rocksdb, hi=1.0),
+                      "cpu_reduction.aerospike_over_rocksdb", hi=1.0),
                 Claim("4K rand read BW, KV/block (QD1, 45% fill)", "as low as 0.44x",
-                      lambda r: r.bw_ratio_4k_rand_read, hi=1.0),
+                      "bw_ratio_4k_rand_read", hi=1.0),
                 Claim("4K rand write BW, KV/block (QD1, 45% fill)", "as low as 0.22x",
-                      lambda r: r.bw_ratio_4k_rand_write, hi=1.0),
+                      "bw_ratio_4k_rand_write", hi=1.0),
                 Claim("direct read latency, KV/block (QD1)", "1.7x typical",
-                      lambda r: r.latency_ratio_read_qd1, 1.3, 2.5),
+                      "latency_ratio_read_qd1", 1.3, 2.5),
                 # Above the low-fill band's upper edge: occupancy must make
                 # the read ratio worse, as the paper's extreme does.
                 Claim("direct read latency at high occupancy", "up to 8.1x",
-                      lambda r: r.latency_ratio_read_high_occupancy, 2.5),
+                      "latency_ratio_read_high_occupancy", 2.5),
                 Claim("direct write latency, KV/block (QD1)", "2.5-2.63x",
-                      lambda r: r.latency_ratio_write_qd1, 1.8, 4.0),
+                      "latency_ratio_write_qd1", 1.8, 4.0),
                 Claim("e2e insert gain vs RocksDB", "up to 23.08x",
-                      lambda r: r.e2e_insert_gain_vs_rocksdb, 2.0),
+                      "e2e_insert_gain_vs_rocksdb", 2.0),
                 Claim("e2e update gain vs Aerospike", "up to 3.64x",
-                      lambda r: r.e2e_update_gain_vs_aerospike, 1.2),
+                      "e2e_update_gain_vs_aerospike", 1.2),
                 Claim("max KVPs on 3.84 TB (billions)", "~3.1",
-                      lambda r: r.max_kvps_full_scale / 1e9, 2.8, 3.4),
+                      "max_kvps_billions", 2.8, 3.4),
             ),
         ),
         Experiment(
@@ -290,23 +283,18 @@ EXPERIMENTS: Dict[str, Experiment] = {
             (
                 Claim("50 B space amp, 256 B / 1 KiB min allocation",
                       "min allocation causes it (Fig. 7)",
-                      lambda r: r.effect["min_alloc_bytes.space_amp_50b"][256]
-                      / r.effect["min_alloc_bytes.space_amp_50b"][1024], hi=0.3),
+                      "min_alloc_bytes.space_amp_50b.256_over_1024", hi=0.3),
                 Claim("write degradation, scaled index DRAM",
                       "index outgrows DRAM (Fig. 3)",
-                      lambda r: r.effect["index_dram.write_degradation"]["scaled"],
-                      3.0),
+                      "index_dram.write_degradation.scaled", 3.0),
                 Claim("write degradation, 64 MiB index DRAM", "no knee if it fits",
-                      lambda r: r.effect["index_dram.write_degradation"]["64MiB"],
-                      hi=1.2),
+                      "index_dram.write_degradation.64MiB", hi=1.2),
                 Claim("QD64 insert latency, 16 / 4 dies wide",
                       "wide striping wins at depth (Fig. 4)",
-                      lambda r: r.effect["stream_width.insert_us"][16]
-                      / r.effect["stream_width.insert_us"][4], hi=1.0),
+                      "stream_width.insert_us.16_over_4", hi=1.0),
                 Claim("first split value, 512 B - 7.5 KiB reserve (KiB)",
                       "reserve sets the dips (Fig. 5)",
-                      lambda r: r.effect["page_reserve_bytes.first_split_kib"][512]
-                      - r.effect["page_reserve_bytes.first_split_kib"][7680], 1),
+                      "page_reserve_bytes.first_split_kib.512_minus_7680", 1),
             ),
         ),
         Experiment(
@@ -314,14 +302,13 @@ EXPERIMENTS: Dict[str, Experiment] = {
             dict(workloads=("A", "E"), n_ops=60, population=300),
             (
                 Claim("E (scans) KV/RocksDB", "future work; no ordered scan",
-                      lambda r: r.ratio("E"), 5.0),
+                      "E.ratio", 5.0),
                 Claim("E ratio over the worst point-workload ratio", "-",
-                      lambda r: r.ratio("E") / max(r.ratio(w) for w in "ABCDF"),
-                      2.0),
+                      "E.ratio_over_worst_point", 2.0),
                 Claim("C (read-only) KV/RocksDB", "reads favor RocksDB (Fig. 2)",
-                      lambda r: r.ratio("C"), 1.0),
+                      "C.ratio", 1.0),
                 Claim("A (update-heavy) ratio over C's", "updates favor KV (Fig. 2)",
-                      lambda r: r.ratio("A") / r.ratio("C"), hi=1.0),
+                      "A_over_C.ratio", hi=1.0),
             ),
         ),
         # Beyond the paper: the paper column is "-", the finding says what
@@ -331,14 +318,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
             {"n_ops": "cluster_ops"}, dict(n_ops=80),
             (
                 Claim("throughput 8 / 2 shards: scales, short of linear", "-",
-                      lambda r: r.scaling_ratio(), 2.0, 4.0),
+                      "scaling_ratio", 2.0, 4.0),
                 Claim("throughput gain, worst shard-count doubling", "-",
-                      lambda r: min(
-                          r.throughput_kops[b] / r.throughput_kops[a]
-                          for a, b in zip(r.shard_counts, r.shard_counts[1:])
-                      ), 1.2),
+                      "worst_doubling_gain", 1.2),
                 Claim("router share of op time, worst cluster size", "-",
-                      lambda r: max(r.router_share.values()), hi=0.05),
+                      "worst_router_share", hi=0.05),
             ),
         ),
         Experiment(
@@ -346,11 +330,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
             {"n_ops": "cluster_ops"}, dict(n_ops=80),
             (
                 Claim("rebalance loses an acknowledged write (1 = yes)", "-",
-                      lambda r: float(not r.zero_lost_writes), 0, 0),
+                      "lost_any_write", 0, 0),
                 Claim("acknowledged writes read back after the run", "-",
-                      lambda r: r.verify_checked, 1),
+                      "verify_checked", 1),
                 Claim("p99 inflation through the rebalance window", "-",
-                      lambda r: r.tail_inflation("p99"), 1.0),
+                      "tail_inflation.p99", 1.0),
             ),
         ),
         Experiment(
@@ -358,11 +342,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
             {"n_ops": "cluster_ops"}, dict(n_ops=80),
             (
                 Claim("write cost at R=2 (flash programs / R=1)", "-",
-                      lambda r: r.write_cost(2), 1.2),
+                      "r2.write_cost", 1.2),
                 Claim("write cost at R=3 (flash programs / R=1)", "-",
-                      lambda r: r.write_cost(3), 1.2),
+                      "r3.write_cost", 1.2),
                 Claim("flash programs added from R=2 to R=3", "-",
-                      lambda r: r.flash_programs[3] - r.flash_programs[2], 1),
+                      "flash_programs.r3_minus_r2", 1),
             ),
         ),
         Experiment(
@@ -375,13 +359,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
                  blocks_per_plane=8),
             (
                 Claim("saturation knee (kops offered), inside the sweep", "-",
-                      lambda r: r.knee_kops() or math.nan, 32.0, 512.0),
+                      "knee_kops", 32.0, 512.0),
                 Claim("queueing share of the added lat p99 at the knee", "-",
-                      lambda r: r.queueing_share("lat", r.knee_kops())
-                      if r.knee_kops() else math.nan, 0.8),
+                      "lat.queueing_share_at_knee", 0.8),
                 Claim("lat-class SLO violations at the lowest load", "-",
-                      lambda r: r.violation_fraction["lat"][r.loads_kops[0]],
-                      hi=0.05),
+                      "lat.16k.violation_fraction", hi=0.05),
             ),
         ),
         Experiment(
@@ -390,16 +372,13 @@ EXPERIMENTS: Dict[str, Experiment] = {
                  working_set=64, blocks_per_plane=8),
             (
                 Claim("ops completed / offered, worst rotation cell", "-",
-                      lambda r: min(
-                          ops for cells in r.completed_ops.values()
-                          for ops in cells.values()
-                      ) / r.n_ops, 1.0, 1.0),
+                      "worst_completed_fraction", 1.0, 1.0),
                 # Neither device's tail is locality-bound at this scale:
                 # rotation moves each by a few percent, either way.
                 Claim("KV p99, fastest rotation / static", "-",
-                      lambda r: r.rotation_penalty("kv"), 0.9, 1.1),
+                      "kv.rotation_penalty", 0.9, 1.1),
                 Claim("block p99, fastest rotation / static", "-",
-                      lambda r: r.rotation_penalty("block"), 0.9, 1.1),
+                      "block.rotation_penalty", 0.9, 1.1),
             ),
         ),
         Experiment(
@@ -408,13 +387,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
             dict(variants=("plain", "ttl+scan"), n_ops=200, population=400,
                  ttl_ops=120, blocks_per_plane=8),
             (
-                Claim("prefix scans run (ttl+scan)", "-",
-                      lambda r: r.ops["ttl+scan"]["scans"], 1),
+                Claim("prefix scans run (ttl+scan)", "-", "ttl+scan.scans", 1),
                 Claim("expiry deletes, fewer of the two ttl variants", "-",
-                      lambda r: min(r.ops[v]["deletes"] for v in ("ttl", "ttl+scan")),
-                      1),
+                      "ttl_variants.fewest_deletes", 1),
                 Claim("read p99 inflation, ttl+scan / plain", "-",
-                      lambda r: r.tail_inflation("ttl+scan"), 2.0),
+                      "tail_inflation.ttl+scan", 2.0),
             ),
         ),
         Experiment(
@@ -423,23 +400,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
             dict(rates=(0.0, 5e-2), n_ops=200, blocks_per_plane=8),
             (
                 Claim("failed ops - uncorrectable reads, worst cell", "-",
-                      lambda r: max(
-                          abs(p.run.failed_ops - p.stats.uncorrectable_reads)
-                          for p in r.points
-                      ), 0, 0),
+                      "worst_unexplained_failures", 0, 0),
                 Claim("rate steps at which read retries do not grow", "-",
-                      lambda r: sum(
-                          a.stats.read_retries >= b.stats.read_retries
-                          for a, b in zip(r.points, r.points[1:])
-                          if a.personality == b.personality
-                      ), 0, 0),
-                Claim("cells degraded to read-only", "-",
-                      lambda r: sum(p.read_only for p in r.points), 0, 0),
+                      "retry_steps_not_growing", 0, 0),
+                Claim("cells degraded to read-only", "-", "read_only_cells", 0, 0),
                 Claim("p999 inflation at rate 5e-2, lesser personality", "-",
-                      lambda r: min((
-                          r.inflation(p, "p999") for p in r.points
-                          if p.rate == 5e-2
-                      ), default=math.nan), 1.1),
+                      "lesser_p999_inflation.0.05", 1.1),
             ),
         ),
     )

@@ -2,10 +2,9 @@
 
 :func:`run_fault_sweep` replays the same mixed workload against a KV-SSD
 rig and a block-SSD rig at a series of statistical fault rates; its
-:class:`FaultSweepResult` (the ``faults`` row of
-:data:`repro.core.registry.EXPERIMENTS`, ``repro faults``) shows how
-media errors inflate latency percentiles and which recovery counters
-moved.
+result (the ``faults`` row of :data:`repro.core.registry.EXPERIMENTS`,
+``repro faults``) shows how media errors inflate latency percentiles and
+which recovery counters moved.
 
 A single ``rate`` knob scales the whole :class:`FaultConfig` through
 :func:`fault_profile` — corrected read errors dominate (they are by far
@@ -17,9 +16,7 @@ reliability literature reports for enterprise TLC.
 from __future__ import annotations
 
 import csv
-import math
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -27,9 +24,10 @@ from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
 from repro.errors import ConfigurationError
 from repro.exec.runner import SweepRunner, grid
 from repro.faults.model import FaultConfig
-from repro.ftl.core import DeviceStats
-from repro.kvbench.report import format_table
-from repro.kvbench.runner import RunResult, run_phase
+from repro.kvbench.report import (
+    Layout, Result, Table, label, named, ratio, rounded, spell,
+)
+from repro.kvbench.runner import run_phase
 from repro.kvbench.workload import WorkloadSpec
 from repro.kvftl.population import KeyScheme
 
@@ -63,95 +61,66 @@ def fault_profile(rate: float, seed: int = 1) -> Optional[FaultConfig]:
     )
 
 
-@dataclass
-class FaultPoint:
-    """One (personality, rate) cell of the sweep."""
+_TAG = "{device}-ssd.{rate:g}"
 
-    personality: str
-    rate: float
-    run: RunResult
-    #: Device telemetry delta over the measured phase.
-    stats: DeviceStats
-    #: Injector decision counts by fault kind (empty at rate 0).
-    injected: Dict[str, int] = field(default_factory=dict)
-    #: Whether the device degraded to read-only during the run.
-    read_only: bool = False
-
-    def latency_summary(self) -> Dict[str, float]:
-        return self.run.latency.summary().as_dict()
+_COLUMNS = {
+    "system": label("{device}-ssd"), "rate": label("{rate:g}"),
+    "ops": f"{_TAG}.completed", "fail": f"{_TAG}.failed",
+    "p50 us": (f"{_TAG}.p50_us", rounded(1)), "p99 us": (f"{_TAG}.p99_us", rounded(1)),
+    "retry": f"{_TAG}.read_retries", "corr": f"{_TAG}.corrected_reads",
+    "uncorr": f"{_TAG}.uncorrectable_reads", "pfail": f"{_TAG}.program_fails",
+    "retired": f"{_TAG}.retired_blocks",
+    "mode": (f"{_TAG}.read_only", lambda read_only: "RO" if read_only else "rw"),
+}
 
 
-@dataclass
-class FaultSweepResult:
-    """Every point of one sweep, personality-major, rate-minor."""
+def _table(r: Result) -> str:
+    """One row per (personality, rate); with a rate-0 point in the sweep,
+    each row's tail inflation over its personality's clean run."""
+    inflation = {f"{q} x": f"{_TAG}.{q}_inflation" for q in ("p99", "p999")}
+    clean = 0.0 in r.axes["rate"]
+    return Table(("device", "rate"), {**_COLUMNS, **(inflation if clean else {})})(r)
 
-    points: List[FaultPoint]
 
-    def inflation(self, point: FaultPoint, quantile: str) -> float:
-        """``point``'s latency ``quantile`` over its personality's rate-0
-        point (``nan`` without one): read retries are invisible at the
-        median and stretch the tail."""
-        for clean in self.points:
-            if clean.personality == point.personality and clean.rate == 0.0:
-                return (point.latency_summary()[quantile]
-                        / clean.latency_summary()[quantile])
-        return math.nan
+def _fault_tags(r: Result) -> List[str]:
+    return [tag for tag, _ in spell(_TAG, r.axes)]
 
-    def render(self) -> str:
-        has_clean = any(point.rate == 0.0 for point in self.points)
-        headers = ["system", "rate", "ops", "fail", "p50 us", "p99 us",
-                   "retry", "corr", "uncorr", "pfail", "retired", "mode"]
-        if has_clean:
-            headers += ["p99 x", "p999 x"]
-        rows = []
-        for point in self.points:
-            latency = point.latency_summary()
-            stats = point.stats
-            row = [
-                point.personality, f"{point.rate:g}",
-                point.run.completed_ops, point.run.failed_ops,
-                round(latency["p50"], 1), round(latency["p99"], 1),
-                stats.read_retries, stats.corrected_reads,
-                stats.uncorrectable_reads, stats.program_fails,
-                stats.retired_blocks,
-                "RO" if point.read_only else "rw",
-            ]
-            if has_clean:
-                row += [self.inflation(point, q) for q in ("p99", "p999")]
-            rows.append(row)
-        return (
-            format_table(headers, rows)
-            + "\n\nrate = per-read corrected-error probability; rarer events "
-            "(uncorrectable, program/erase fail) scale down from it"
-        )
 
-    def metrics(self) -> Dict[str, float]:
-        metrics: Dict[str, float] = {}
-        for point in self.points:
-            tag = f"{point.personality}.{point.rate:g}"
-            latency = point.latency_summary()
-            stats = point.stats
-            metrics.update({
-                f"{tag}.completed": point.run.completed_ops,
-                f"{tag}.failed": point.run.failed_ops,
-                f"{tag}.p50_us": latency["p50"],
-                f"{tag}.p99_us": latency["p99"],
-                f"{tag}.p999_us": latency["p999"],
-                f"{tag}.read_retries": stats.read_retries,
-                f"{tag}.uncorrectable_reads": stats.uncorrectable_reads,
-                f"{tag}.program_fails": stats.program_fails,
-                f"{tag}.retired_blocks": stats.retired_blocks,
-                f"{tag}.read_only": int(point.read_only),
-            })
-            inflation = self.inflation(point, "p999")
-            if not math.isnan(inflation):
-                metrics[f"{tag}.p999_inflation"] = inflation
-        return metrics
+#: Read retries are invisible at the median and stretch the tail.
+FAULT_SWEEP = Layout(
+    derived={
+        f"{_TAG}.p99_inflation": ratio(f"{_TAG}.p99_us", "{device}-ssd.0.p99_us"),
+        f"{_TAG}.p999_inflation": ratio(f"{_TAG}.p999_us", "{device}-ssd.0.p999_us"),
+        "worst_unexplained_failures": lambda r: max(
+            abs(r[f"{tag}.failed"] - r[f"{tag}.uncorrectable_reads"])
+            for tag in _fault_tags(r)
+        ),
+        "retry_steps_not_growing": lambda r: sum(
+            r[f"{device}-ssd.{a:g}.read_retries"] >= r[f"{device}-ssd.{b:g}.read_retries"]
+            for device in r.axes["device"]
+            for a, b in zip(r.axes["rate"], r.axes["rate"][1:])
+        ),
+        "read_only_cells": lambda r: sum(r[f"{tag}.read_only"] for tag in _fault_tags(r)),
+        "lesser_p999_inflation.0.05": lambda r: min(
+            r[f"{device}-ssd.0.05.p999_inflation"] for device in r.axes["device"]
+        ),
+    },
+    metrics=tuple(f"{_TAG}.{name}" for name in (
+        "completed", "failed", "p50_us", "p99_us", "p999_us", "read_retries",
+        "uncorrectable_reads", "program_fails", "retired_blocks", "read_only",
+        "p999_inflation",
+    )),
+    sections=(
+        _table,
+        "rate = per-read corrected-error probability; rarer events "
+        "(uncorrectable, program/erase fail) scale down from it",
+    ),
+)
 
 
 def _fault_cell(device: str, rate: float, seed: int, n_ops: int,
                 value_bytes: int, blocks_per_plane: int, queue_depth: int,
-                workload_seed: int) -> FaultPoint:
+                workload_seed: int) -> Dict[str, float]:
     """One (personality, rate) cell: prime, then the mixed workload."""
     rig = build_rig(
         DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
@@ -173,12 +142,24 @@ def _fault_cell(device: str, rate: float, seed: int, n_ops: int,
         rig.adapter_for(value_bytes), drain=False,
         stop_after_us=STOP_AFTER_US,
     )
-    faults = rig.device.array.faults
-    return FaultPoint(
-        f"{device}-ssd", rate, run, run.device_stats,
-        injected=dict(faults.injected) if faults is not None else {},
-        read_only=rig.device.core.read_only,
-    )
+    latency = run.latency.summary()
+    # Device telemetry delta over the measured phase.
+    stats = run.device_stats
+    return {
+        "completed": run.completed_ops,
+        "failed": run.failed_ops,
+        "p50_us": latency.p50,
+        "p99_us": latency.p99,
+        "p999_us": latency.p999,
+        "read_retries": stats.read_retries,
+        "corrected_reads": stats.corrected_reads,
+        "uncorrectable_reads": stats.uncorrectable_reads,
+        "program_fails": stats.program_fails,
+        "erase_fails": stats.erase_fails,
+        "retired_blocks": stats.retired_blocks,
+        # Whether the device degraded to read-only during the run.
+        "read_only": int(rig.device.core.read_only),
+    }
 
 
 def run_fault_sweep(
@@ -190,7 +171,7 @@ def run_fault_sweep(
     queue_depth: int = 8,
     workload_seed: int = 47,
     runner: Optional[SweepRunner] = None,
-) -> FaultSweepResult:
+) -> Result:
     """Run the sweep; points are ordered personality-major, rate-minor.
 
     Every point gets a *fresh* rig (fault injection mutates wear and the
@@ -212,7 +193,8 @@ def run_fault_sweep(
              workload_seed=workload_seed),
         runner,
     )
-    return FaultSweepResult(list(cells.values()))
+    return FAULT_SWEEP.result(named(cells, ("device", "rate"), _TAG),
+                              device=DIRECT_SYSTEMS, rate=rates)
 
 
 #: Column order of :func:`write_sweep_csv` (stable: tooling parses it).
@@ -225,9 +207,10 @@ SWEEP_CSV_COLUMNS = (
 
 
 def write_sweep_csv(
-    points: Sequence[FaultPoint], path: Union[str, "os.PathLike[str]"]
+    result: Result, path: Union[str, "os.PathLike[str]"]
 ) -> int:
-    """Write sweep results as CSV to ``path``; returns rows written.
+    """Write a :func:`run_fault_sweep` result as CSV to ``path``; returns
+    rows written.
 
     Accepts any path-like value and creates missing parent directories,
     so ``repro faults --faults-out results/sweep.csv`` just works.
@@ -235,20 +218,18 @@ def write_sweep_csv(
     target = Path(path)
     if target.parent != Path("."):
         target.parent.mkdir(parents=True, exist_ok=True)
+    tags = list(spell(_TAG, result.axes))
     with target.open("w", encoding="ascii", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SWEEP_CSV_COLUMNS)
-        for point in points:
-            latency = point.latency_summary()
-            stats = point.stats
+        for tag, coords in tags:
             writer.writerow([
-                point.personality, f"{point.rate:g}",
-                point.run.completed_ops, point.run.failed_ops,
-                round(latency["p50"], 3), round(latency["p99"], 3),
-                round(latency["p999"], 3),
-                stats.read_retries, stats.corrected_reads,
-                stats.uncorrectable_reads, stats.program_fails,
-                stats.erase_fails, stats.retired_blocks,
-                int(point.read_only),
+                f"{coords['device']}-ssd", f"{coords['rate']:g}",
+                *(result[f"{tag}.{name}"] for name in ("completed", "failed")),
+                *(round(result[f"{tag}.{q}_us"], 3) for q in ("p50", "p99", "p999")),
+                *(result[f"{tag}.{name}"] for name in (
+                    "read_retries", "corrected_reads", "uncorrectable_reads",
+                    "program_fails", "erase_fails", "retired_blocks", "read_only",
+                )),
             ])
-    return len(points)
+    return len(tags)

@@ -21,7 +21,6 @@ __all__ = [
     "ServingFrontend",
     "FrontendRunResult",
     "run_frontend",
-    "FrontendLoadResult",
     "frontend_load_sweep",
 ]
 
@@ -30,6 +29,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "frontend": (
         "FrontendRunResult", "Request", "ServingFrontend", "run_frontend",
     ),
-    "run": ("FrontendLoadResult", "frontend_load_sweep"),
+    "run": ("frontend_load_sweep",),
     "spec": ("FrontendSpec", "SLOClass", "TenantLoad"),
 })

@@ -9,20 +9,19 @@ out over the process pool and caches like every other figure.
 The result is the serving-path curve the ROADMAP calls for: p50/p99/p999
 vs offered load with a saturation knee.  Below the knee the tail tracks
 device service time; above it the pre-submit queueing phases absorb the
-excess — :meth:`FrontendLoadResult.queueing_share` quantifies how much of
-the added tail is queueing, straight from the request timestamp trails.
+excess — the ``lat.queueing_share_at_knee`` value says how much of the
+added tail is queueing, straight from the request timestamp trails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from repro.exec.runner import SweepRunner, grid
 from repro.frontend.arrivals import ArrivalSpec
-from repro.frontend.frontend import PHASES, ClassStats, run_frontend
+from repro.frontend.frontend import ClassStats, run_frontend
 from repro.frontend.spec import FrontendSpec, SLOClass, TenantLoad
-from repro.kvbench.report import format_table
+from repro.kvbench.report import Layout, Result, Table, label, rounded
 
 #: The sweep's SLO classes: a tight latency class and a bulk class.
 LATENCY_CLASS = SLOClass(name="lat", deadline_us=2_000.0)
@@ -120,97 +119,65 @@ def _frontend_load_cell(load_kops: float, **scenario: Any) -> Dict[str, object]:
     }
 
 
-@dataclass
-class FrontendLoadResult:
-    """Per-SLO-class tail latency and shed fraction vs offered load."""
+def _knee_kops(r: Result) -> Optional[float]:
+    """Lowest load whose lat-class p99 exceeds ``KNEE_FACTOR`` x the
+    lowest load's; none when the sweep never saturates."""
+    loads = r.axes["load"]
+    baseline = r[f"lat.{loads[0]:g}k.p99_us"]
+    for load in loads[1:]:
+        if r[f"lat.{load:g}k.p99_us"] > KNEE_FACTOR * baseline:
+            return float(load)
+    return None
 
-    loads_kops: Tuple[float, ...]
-    class_names: Tuple[str, ...]
-    #: class -> load (kops) -> value.
-    p50: Dict[str, Dict[float, float]] = field(default_factory=dict)
-    p99: Dict[str, Dict[float, float]] = field(default_factory=dict)
-    p999: Dict[str, Dict[float, float]] = field(default_factory=dict)
-    queue_p99: Dict[str, Dict[float, float]] = field(default_factory=dict)
-    shed_fraction: Dict[str, Dict[float, float]] = field(default_factory=dict)
-    violation_fraction: Dict[str, Dict[float, float]] = field(
-        default_factory=dict
+
+def _queueing_share(r: Result) -> float:
+    """Fraction of the lat-class p99 added from the lowest load to the
+    knee that is frontend queueing (pre-submit wait), per the trails."""
+    low, knee = f"lat.{r.axes['load'][0]:g}k", f"lat.{r['knee_kops']:g}k"
+    added_total = float(r[f"{knee}.p99_us"] - r[f"{low}.p99_us"])
+    if added_total <= 0.0:
+        return 0.0
+    return float(r[f"{knee}.queue_p99_us"] - r[f"{low}.queue_p99_us"]) / added_total
+
+
+def _verdict(r: Result) -> str:
+    if "knee_kops" not in r.values:
+        return "no saturation knee within the swept loads"
+    return (
+        f"saturation knee at {r['knee_kops']:g} kops offered "
+        f"(queueing accounts for {100.0 * r['lat.queueing_share_at_knee']:.0f}% "
+        "of the added lat-class p99)"
     )
-    phase_means: Dict[str, Dict[float, Dict[str, float]]] = field(
-        default_factory=dict
-    )
-    throughput_kops: Dict[float, float] = field(default_factory=dict)
-    mean_batch: Dict[float, float] = field(default_factory=dict)
 
-    def knee_kops(self, cls: str = LATENCY_CLASS.name) -> Optional[float]:
-        """Lowest load whose p99 exceeds ``KNEE_FACTOR`` x the baseline.
 
-        ``None`` when the sweep never saturates.
-        """
-        baseline = self.p99[cls][self.loads_kops[0]]
-        for load in self.loads_kops[1:]:
-            if self.p99[cls][load] > KNEE_FACTOR * baseline:
-                return load
-        return None
+def _percent(fraction: float) -> float:
+    return round(100.0 * fraction, 1)
 
-    def queueing_share(self, cls: str, load_kops: float) -> float:
-        """Fraction of the p99 latency added over the baseline load that
-        is frontend queueing (pre-submit wait), per the timestamp trails."""
-        base = self.loads_kops[0]
-        added_total = self.p99[cls][load_kops] - self.p99[cls][base]
-        if added_total <= 0.0:
-            return 0.0
-        added_queue = self.queue_p99[cls][load_kops] - self.queue_p99[cls][base]
-        return added_queue / added_total
 
-    def render(self) -> str:
-        header = ["kops"]
-        for cls in self.class_names:
-            header += [f"{cls} p50", f"{cls} p99", f"{cls} p999",
-                       f"{cls} shed%", f"{cls} viol%"]
-        header.append("thr kops")
-        rows = []
-        for load in self.loads_kops:
-            row: List[object] = [f"{load:g}"]
-            for cls in self.class_names:
-                row += [
-                    round(self.p50[cls][load], 1),
-                    round(self.p99[cls][load], 1),
-                    round(self.p999[cls][load], 1),
-                    round(100.0 * self.shed_fraction[cls][load], 1),
-                    round(100.0 * self.violation_fraction[cls][load], 1),
-                ]
-            row.append(round(self.throughput_kops[load], 1))
-            rows.append(row)
-        knee = self.knee_kops()
-        if knee is None:
-            verdict = "no saturation knee within the swept loads"
-        else:
-            share = self.queueing_share(LATENCY_CLASS.name, knee)
-            verdict = (
-                f"saturation knee at {knee:g} kops offered "
-                f"(queueing accounts for {100.0 * share:.0f}% of the "
-                "added lat-class p99)"
-            )
-        return format_table(header, rows) + "\n\n" + verdict
+_AT = "{cls}.{load:g}k"
 
-    def metrics(self) -> Dict[str, float]:
-        metrics: Dict[str, float] = {}
-        for load in self.loads_kops:
-            for cls in self.class_names:
-                tag = f"{cls}.{load:g}k"
-                metrics[f"{tag}.p50_us"] = self.p50[cls][load]
-                metrics[f"{tag}.p99_us"] = self.p99[cls][load]
-                metrics[f"{tag}.p999_us"] = self.p999[cls][load]
-                metrics[f"{tag}.queue_p99_us"] = self.queue_p99[cls][load]
-                metrics[f"{tag}.shed_fraction"] = self.shed_fraction[cls][load]
-                metrics[f"{tag}.violation_fraction"] = (
-                    self.violation_fraction[cls][load]
-                )
-            metrics[f"throughput.{load:g}k"] = self.throughput_kops[load]
-            metrics[f"mean_batch.{load:g}k"] = self.mean_batch[load]
-        knee = self.knee_kops()
-        metrics["knee_kops"] = -1.0 if knee is None else knee
-        return metrics
+#: Per-SLO-class tail latency and shed fraction vs offered load.
+FRONTEND_LOAD = Layout(
+    derived={
+        "knee_kops": _knee_kops,
+        "lat.queueing_share_at_knee": _queueing_share,
+    },
+    metrics=(*(f"{_AT}.{name}" for name in (
+        "p50_us", "p99_us", "p999_us", "queue_p99_us", "shed_fraction",
+        "violation_fraction",
+    )), "throughput.{load:g}k", "mean_batch.{load:g}k", "knee_kops"),
+    sections=(
+        Table(("load",), {
+            "kops": label("{load:g}"), "{cls} p50": (f"{_AT}.p50_us", rounded(1)),
+            "{cls} p99": (f"{_AT}.p99_us", rounded(1)),
+            "{cls} p999": (f"{_AT}.p999_us", rounded(1)),
+            "{cls} shed%": (f"{_AT}.shed_fraction", _percent),
+            "{cls} viol%": (f"{_AT}.violation_fraction", _percent),
+            "thr kops": ("throughput.{load:g}k", rounded(1)),
+        }),
+        _verdict,
+    ),
+)
 
 
 def frontend_load_sweep(
@@ -221,7 +188,7 @@ def frontend_load_sweep(
     blocks_per_plane: int = 8,
     seed: int = 1,
     runner: Optional[SweepRunner] = None,
-) -> FrontendLoadResult:
+) -> Result:
     """Sweep offered load; one independent cell per load point."""
     cells = grid(
         "frontend",
@@ -233,34 +200,20 @@ def frontend_load_sweep(
         runner,
     )
     class_names = (LATENCY_CLASS.name, BATCH_CLASS.name)
-    result = FrontendLoadResult(
-        loads_kops=tuple(loads_kops), class_names=class_names
-    )
-    for name in class_names:
-        result.p50[name] = {}
-        result.p99[name] = {}
-        result.p999[name] = {}
-        result.queue_p99[name] = {}
-        result.shed_fraction[name] = {}
-        result.violation_fraction[name] = {}
-        result.phase_means[name] = {}
-    for load_kops, cell in cells.items():
-        result.throughput_kops[load_kops] = cell["throughput_kops"]
-        result.mean_batch[load_kops] = cell["mean_batch"]
+    values: Dict[str, float] = {}
+    for load, cell in cells.items():
         for name in class_names:
             stats: ClassStats = cell["classes"][name]
+            at = f"{name}.{load:g}k"
             # A class with no dispatched request has no summaries: zeros.
-            result.p50[name][load_kops] = getattr(stats.latency, "p50", 0.0)
-            result.p99[name][load_kops] = getattr(stats.latency, "p99", 0.0)
-            result.p999[name][load_kops] = getattr(stats.latency, "p999", 0.0)
-            result.queue_p99[name][load_kops] = getattr(
-                stats.queueing, "p99", 0.0
-            )
-            result.shed_fraction[name][load_kops] = stats.shed_fraction
-            result.violation_fraction[name][load_kops] = (
-                stats.violation_fraction
-            )
-            result.phase_means[name][load_kops] = {
-                phase: stats.phase_means.get(phase, 0.0) for phase in PHASES
-            }
-    return result
+            values.update({
+                f"{at}.p50_us": getattr(stats.latency, "p50", 0.0),
+                f"{at}.p99_us": getattr(stats.latency, "p99", 0.0),
+                f"{at}.p999_us": getattr(stats.latency, "p999", 0.0),
+                f"{at}.queue_p99_us": getattr(stats.queueing, "p99", 0.0),
+                f"{at}.shed_fraction": stats.shed_fraction,
+                f"{at}.violation_fraction": stats.violation_fraction,
+            })
+        values[f"throughput.{load:g}k"] = cell["throughput_kops"]
+        values[f"mean_batch.{load:g}k"] = cell["mean_batch"]
+    return FRONTEND_LOAD.result(values, load=loads_kops, cls=class_names)

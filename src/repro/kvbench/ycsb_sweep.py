@@ -12,13 +12,12 @@ exactly one definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.experiment import build_rig, lab_geometry
 from repro.errors import WorkloadError
 from repro.exec.runner import SweepRunner, grid
-from repro.kvbench.report import format_table
+from repro.kvbench.report import Layout, Result, Table, label, named, ratio
 from repro.kvbench.runner import run_phase
 from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
 from repro.kvftl.population import KeyScheme
@@ -32,17 +31,23 @@ YCSB_SYSTEMS = {"kv": "kvssd", "lsm": "rocksdb"}
 _SCHEME = KeyScheme(prefix=b"user", digits=12)
 
 
-@dataclass(frozen=True)
-class YCSBCellResult:
-    """One (workload, system) measurement (picklable, cacheable)."""
-
-    workload: str
-    system: str
-    mean_us: float
-    p99_us: float
-    throughput_kops: float
-    completed_ops: int
-    failed_ops: int
+YCSB = Layout(
+    derived={
+        "{workload}.ratio": ratio("{workload}.kv.mean_us", "{workload}.lsm.mean_us"),
+        "E.ratio_over_worst_point": lambda r: (
+            r["E.ratio"] / max(r[f"{w}.ratio"] for w in "ABCDF")),
+        "A_over_C.ratio": ratio("A.ratio", "C.ratio"),
+    },
+    metrics=("{workload}.{system}.mean_us", "{workload}.{system}.p99_us",
+             "{workload}.ratio"),
+    sections=(
+        Table(("workload",), {
+            "workload": label("{workload}"), "KV-SSD us": "{workload}.kv.mean_us",
+            "RocksDB us": "{workload}.lsm.mean_us", "KV/RocksDB": "{workload}.ratio",
+        }),
+        "E = scans: no ordered iteration behind a hash index",
+    ),
+)
 
 
 def ycsb_cell(
@@ -55,7 +60,7 @@ def ycsb_cell(
     queue_depth: int = 8,
     blocks_per_plane: int = 8,
     seed: int = 1,
-) -> YCSBCellResult:
+) -> Dict[str, float]:
     """Run one YCSB workload against one system — the sweep cell."""
     if system not in YCSB_SYSTEMS:
         raise WorkloadError(
@@ -76,47 +81,13 @@ def ycsb_cell(
         rig, f"ycsb{workload}.{system}", generate_ycsb(spec), queue_depth,
         YCSBDriver(rig.adapter, spec), drain=False,
     )
-    return YCSBCellResult(
-        workload=workload,
-        system=system,
-        mean_us=run.latency.mean(),
-        p99_us=run.latency.summary().p99,
-        throughput_kops=run.throughput_kops(),
-        completed_ops=run.completed_ops,
-        failed_ops=run.failed_ops,
-    )
-
-
-@dataclass
-class YCSBResult:
-    """Mean latency per core workload, KV-SSD vs the RocksDB stand-in."""
-
-    #: cells[workload][system] with system kv/lsm.
-    cells: Dict[str, Dict[str, YCSBCellResult]]
-
-    def ratio(self, workload: str) -> float:
-        """KV-SSD mean latency over RocksDB's (>1 favors RocksDB)."""
-        pair = self.cells[workload]
-        return pair["kv"].mean_us / pair["lsm"].mean_us
-
-    def render(self) -> str:
-        rows = [
-            [workload, pair["kv"].mean_us, pair["lsm"].mean_us,
-             self.ratio(workload)]
-            for workload, pair in self.cells.items()
-        ]
-        return format_table(
-            ["workload", "KV-SSD us", "RocksDB us", "KV/RocksDB"], rows
-        ) + "\n\nE = scans: no ordered iteration behind a hash index"
-
-    def metrics(self) -> Dict[str, float]:
-        metrics: Dict[str, float] = {}
-        for workload, pair in self.cells.items():
-            for system, cell in pair.items():
-                metrics[f"{workload}.{system}.mean_us"] = cell.mean_us
-                metrics[f"{workload}.{system}.p99_us"] = cell.p99_us
-            metrics[f"{workload}.ratio"] = self.ratio(workload)
-        return metrics
+    return {
+        "mean_us": run.latency.mean(),
+        "p99_us": run.latency.summary().p99,
+        "throughput_kops": run.throughput_kops(),
+        "completed": run.completed_ops,
+        "failed": run.failed_ops,
+    }
 
 
 def run_ycsb_sweep(
@@ -126,13 +97,14 @@ def run_ycsb_sweep(
     runner: Optional[SweepRunner] = None,
     seed: int = 1,
     **kwargs: int,
-) -> YCSBResult:
+) -> Result:
     """Execute the grid — the ``ycsb`` experiment (the paper's named
-    future work); ``result.cells`` is keyed ``[workload][system]``.
+    future work): mean latency per core workload, KV-SSD vs the RocksDB
+    stand-in, valued as ``{workload}.{system}.mean_us`` (system kv/lsm).
 
     ``runner=None`` runs cells inline; a :class:`SweepRunner` adds
     process-pool fan-out and the on-disk cache.  Assembly is spec-order
-    either way, so the mapping is deterministic.
+    either way, so the result is deterministic.
     """
     cells = grid(
         "ycsb",
@@ -142,7 +114,5 @@ def run_ycsb_sweep(
         runner,
         seed=seed,
     )
-    table: Dict[str, Dict[str, YCSBCellResult]] = {}
-    for (workload, system), cell in cells.items():
-        table.setdefault(workload, {})[system] = cell
-    return YCSBResult(table)
+    return YCSB.result(named(cells, ("workload", "system"), "{workload}.{system}"),
+                       workload=workloads, system=YCSB_SYSTEMS)

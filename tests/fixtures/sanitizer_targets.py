@@ -195,10 +195,9 @@ def ycsb_cell() -> List[Tuple[str, str, int, int, float]]:
     """YCSB E + F, 120 ops each, on the KV and the LSM rig."""
     from repro.kvbench.ycsb_sweep import ycsb_cell as cell
 
-    runs = [
-        cell(workload, system, n_ops=120, population=300)
+    return [
+        (workload, system, run["completed"], run["failed"], run["mean_us"])
         for system in ("kv", "lsm")
         for workload in "EF"
+        for run in [cell(workload, system, n_ops=120, population=300)]
     ]
-    return [(run.workload, run.system, run.completed_ops, run.failed_ops,
-             run.mean_us) for run in runs]

@@ -47,7 +47,7 @@ def test_missed_claim_fails_the_run_only_at_the_recorded_scale(
 ):
     """A planted impossible band: exit 1 with no scale flag; with one the
     table still prints, under a notice, and cannot fail the run."""
-    planted = Claim("planted", "-", lambda r: r.cliff_ratio("async"), lo=2.0)
+    planted = Claim("planted", "-", "cliff_ratio.async", lo=2.0)
     monkeypatch.setitem(
         EXPERIMENTS, "fig8", replace(EXPERIMENTS["fig8"], claims=(planted,))
     )
@@ -75,6 +75,21 @@ def test_fig8_command_prints_cliff(capsys):
     captured = capsys.readouterr().out
     assert exit_code == 0
     assert "cliff past 16B" in captured
+
+
+def test_fig8_refuses_more_ops_than_its_smallest_keys_can_name(capsys, tmp_path):
+    """4 B keys name 10,000 pairs: one more is one stderr line and a
+    non-zero exit before any cell runs (it used to be a traceback out of
+    the first cell); the recorded scale, 1,200, still runs."""
+    assert main(["fig8", "--n-ops", "10001", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "repro: error: fig8: 4 B keys name at most 10,000 pairs, "
+        "so n_ops must be <= 10,000 (got 10,001)"
+    ]
+    assert "cliff past 16B" not in captured.out
+    assert main(["fig8", "--n-ops", "1200", "--cache-dir", str(tmp_path)]) == 0
+    assert "cliff past 16B" in capsys.readouterr().out
 
 
 def test_parser_accepts_parallel_and_cache_flags():
@@ -242,8 +257,9 @@ def test_a_planted_miss_fails_each_group(capsys, monkeypatch, group):
     rows = [row for row in EXPERIMENTS.values() if row.group == group]
     for index, row in enumerate(rows):
         mini = figure_result(row.name)
-        claim = (Claim("planted", "-", lambda r: 1.0, lo=2.0) if index == 0
-                 else Claim("holds", "-", lambda r: 1.0, 1.0, 1.0))
+        mini = replace(mini, values={**mini.values, "one": 1.0})
+        claim = (Claim("planted", "-", "one", lo=2.0) if index == 0
+                 else Claim("holds", "-", "one", 1.0, 1.0))
         monkeypatch.setitem(EXPERIMENTS, row.name, replace(
             row, fn=lambda runner, mini=mini: mini, claims=(claim,)
         ))

@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache, canonical, code_version_salt, point_key
 from repro.exec.runner import ExecReport, SweepRunner, execute_spec, grid
 from repro.exec.spec import SweepPoint, SweepSpec
-from repro.faults.run import FaultSweepResult, run_fault_sweep
+from repro.faults.run import run_fault_sweep
 from repro.kvbench.workload import Pattern
 from repro.trace.export import to_chrome_trace
 from repro.trace.run import run_traced
@@ -72,24 +72,8 @@ def _spec(name: str, values: Sequence[int]) -> SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints: serialize results so float-exact comparison is literal.
+# Fingerprints: serialize a trace so float-exact comparison is literal.
 # ---------------------------------------------------------------------------
-
-
-def _fault_fingerprint(result: FaultSweepResult) -> str:
-    return json.dumps([
-        {
-            "personality": p.personality,
-            "rate": p.rate,
-            "completed": p.run.completed_ops,
-            "failed": p.run.failed_ops,
-            "latency": p.latency_summary(),
-            "stats": dataclasses.asdict(p.stats),
-            "injected": p.injected,
-            "read_only": p.read_only,
-        }
-        for p in result.points
-    ], sort_keys=True)
 
 
 def _trace_fingerprint(report: Any) -> str:
@@ -439,7 +423,7 @@ class TestEquivalence:
         parallel = run_fault_sweep(
             **_FAULT_KWARGS, runner=SweepRunner(workers=4, cache=False)
         )
-        assert _fault_fingerprint(parallel) == _fault_fingerprint(serial)
+        assert parallel.values == serial.values
 
     def test_trace_parallel_matches_serial(self):
         serial = run_traced("fig5", n_ops=120)
@@ -510,9 +494,9 @@ class TestEquivalence:
         )
         warm_runner = SweepRunner(workers=1, cache_dir=cache_dir)
         warm = run_fault_sweep(**_FAULT_KWARGS, runner=warm_runner)
-        assert _fault_fingerprint(warm) == _fault_fingerprint(cold)
+        assert warm.values == cold.values
         report = warm_runner.last_report
-        assert report.hits == len(cold.points) and report.computed == 0
+        assert report.hits == 4 and report.computed == 0
 
     @settings(max_examples=3, deadline=None)
     @given(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core import figures
 from repro.core.registry import EXPERIMENTS, Claim
+from repro.kvbench.report import Layout
 from repro.kvbench.workload import generate_operations
 
 RECORD = Path(__file__).parent.parent / "EXPERIMENTS.md"
@@ -65,16 +67,33 @@ def test_claims_hold_at_the_recorded_scale(name: str, regen_golden: bool) -> Non
 
 def test_claim_band_is_validated_and_a_non_finite_measure_is_a_miss() -> None:
     with pytest.raises(ValueError, match="empty band"):
-        Claim("backwards", "-", float, lo=2.0, hi=1.0)
+        Claim("backwards", "-", "x", lo=2.0, hi=1.0)
     row = replace(EXPERIMENTS["fig7"], claims=(
-        Claim("nan", "-", lambda r: math.nan),
-        Claim("inf", "-", lambda r: math.inf, lo=0.0),
-        Claim("fine", "-", lambda r: 1.0, 1.0, 1.0),
+        Claim("nan", "-", "nan"),
+        Claim("inf", "-", "inf", lo=0.0),
+        Claim("absent", "-", "absent"),
+        Claim("fine", "-", "fine", 1.0, 1.0),
     ))
-    table, held = row.claims_table(None)
+    result = Layout(sections=()).result({"nan": math.nan, "inf": math.inf, "fine": 1})
+    table, held = row.claims_table(result)
     assert not held
     verdicts = [line.split()[-1] for line in table.splitlines()[2:]]
-    assert verdicts == ["NO", "NO", "yes"]
+    assert verdicts == ["NO", "NO", "NO", "yes"]
+
+
+def test_one_result_shape_and_every_claim_names_a_value() -> None:
+    """A row's render and metrics are read off its declared layout: no
+    module that defines a row function hand-writes either, and a claim
+    measures a value by name, never by reaching into a result."""
+    modules = {sys.modules[row.fn.__module__] for row in EXPERIMENTS.values()}
+    assert len(modules) == 5
+    hand_written = [
+        module.__name__ for module in modules
+        if re.search(r"def (render|metrics)\b", Path(module.__file__).read_text())
+    ]
+    assert hand_written == []
+    measures = [claim.measure for row in EXPERIMENTS.values() for claim in row.claims]
+    assert measures and all(isinstance(measure, str) for measure in measures)
 
 
 def test_fig8_cells_store_keys_of_exactly_their_key_size(monkeypatch) -> None:
@@ -92,5 +111,5 @@ def test_fig8_cells_store_keys_of_exactly_their_key_size(monkeypatch) -> None:
     result = figures.fig8_key_size_bandwidth()
     assert key_lengths == {
         f"fig8.{mode}.k{size}": {size}
-        for size in result.key_sizes for mode in ("sync", "async")
+        for size in result.axes["key_bytes"] for mode in ("sync", "async")
     }
