@@ -3,8 +3,9 @@
 :class:`PageMap` is a page-level (4 KiB-unit) mapping held entirely in
 device DRAM, as on real enterprise drives — this DRAM residency is why the
 paper's Fig. 3 shows block-SSD latency flat in occupancy while the KV
-index degrades.  Forward and reverse tables are dense ``numpy`` arrays, so
-multi-million-unit fills stay cheap in host memory.
+index degrades.  Forward and reverse tables are dense ``numpy`` int32
+arrays, 4 bytes an entry, so multi-million-unit fills stay cheap in host
+memory.
 
 :class:`SegmentCache` models the controller's hot window over the mapping
 table: lookups within recently touched segments are cheap; lookups outside
@@ -25,6 +26,9 @@ from repro.flash.geometry import Geometry
 
 #: Sentinel for "unmapped" in both tables.
 UNMAPPED = -1
+#: Largest unit or slot count a table entry can name: entries are int32
+#: (the paper's 3.84 TB drive at 4 KiB units is 9.4e8 slots).
+_INDEX_MAX = 2**31 - 1
 
 
 class PageMap:
@@ -47,8 +51,13 @@ class PageMap:
         self.n_units = n_units
         self.slots_per_page = geometry.page_bytes // map_unit_bytes
         total_slots = geometry.total_pages * self.slots_per_page
-        self._forward = np.full(n_units, UNMAPPED, dtype=np.int64)
-        self._reverse = np.full(total_slots, UNMAPPED, dtype=np.int64)
+        if max(n_units, total_slots) > _INDEX_MAX:
+            raise ConfigurationError(
+                f"{n_units} units over {total_slots} slots overflow the "
+                f"page map's 32-bit entries (max {_INDEX_MAX})"
+            )
+        self._forward = np.full(n_units, UNMAPPED, dtype=np.int32)
+        self._reverse = np.full(total_slots, UNMAPPED, dtype=np.int32)
         self._mapped_units = 0
 
     # -- slot arithmetic -----------------------------------------------------
@@ -129,10 +138,10 @@ class PageMap:
         n_prior = int(np.count_nonzero(prior))
         if n_prior:
             reverse[old_slots[prior]] = UNMAPPED
-        new_slots = np.arange(base, base + count, dtype=np.int64)
+        new_slots = np.arange(base, base + count, dtype=np.int32)
         forward[unit_start:unit_start + count] = new_slots
         reverse[base:base + count] = np.arange(
-            unit_start, unit_start + count, dtype=np.int64
+            unit_start, unit_start + count, dtype=np.int32
         )
         self._mapped_units += count - n_prior
         return old_slots
@@ -150,13 +159,13 @@ class PageMap:
         spp = self.slots_per_page
         n = int(page_bases.size) * spp
         if n == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int32)
         self._check_unit(unit_start)
         self._check_unit(unit_start + n - 1)
         forward = self._forward
         reverse = self._reverse
         new_slots = (
-            page_bases[:, None] + np.arange(spp, dtype=np.int64)
+            page_bases[:, None] + np.arange(spp, dtype=np.int32)
         ).ravel()
         target = reverse[new_slots]
         occupied = target != UNMAPPED
@@ -173,7 +182,7 @@ class PageMap:
             reverse[old_slots[prior]] = UNMAPPED
         forward[unit_start:unit_start + n] = new_slots
         reverse[new_slots] = np.arange(
-            unit_start, unit_start + n, dtype=np.int64
+            unit_start, unit_start + n, dtype=np.int32
         )
         self._mapped_units += n - n_prior
         return old_slots

@@ -67,6 +67,8 @@ TRACE_VERSION = 1
 #: Recognized record op codes (superset of OpType: scans have no
 #: first-class OpType; the replay driver expands them).
 OP_CODES = ("insert", "update", "read", "delete", "scan")
+#: Parsed op field -> the one :data:`OP_CODES` string every record shares.
+_OP_CODE = {op: op for op in OP_CODES}
 #: The four codes that are an OpType, looked up per replayed record.
 _OP_TYPES = {op.value: op for op in OpType}
 
@@ -74,7 +76,7 @@ _OP_TYPES = {op.value: op for op in OpType}
 DEFAULT_INTERARRIVAL_US = 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One parsed trace line."""
 
@@ -296,12 +298,12 @@ def parse_trace(
                 f"out-of-order timestamp {timestamp} "
                 f"(previous record at {previous})",
             )
-        op = fields[1]
-        if op not in OP_CODES:
+        if fields[1] not in _OP_CODE:
             raise _fail(
                 source, lineno,
-                f"unknown op code {op!r}; choose from {OP_CODES}",
+                f"unknown op code {fields[1]!r}; choose from {OP_CODES}",
             )
+        op = _OP_CODE[fields[1]]
         try:
             key = unescape_key(fields[2])
         except WorkloadError as exc:

@@ -57,7 +57,7 @@ from repro.kvftl.hashindex import GlobalHashIndex
 from repro.kvftl.indexmanager import BloomModel, IndexManagerPool
 from repro.kvftl.iterator import IteratorBuckets
 from repro.kvftl.merge import MergeEngine
-from repro.kvftl.population import KeyScheme, PrimedPopulation
+from repro.kvftl.population import KeyScheme, PrimedPopulation, run_pages
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 from repro.trace.tracer import NULL_SPAN, Tracer
@@ -473,9 +473,8 @@ class KVSSD:
             key for key in self._records if key[:4] == prefix4
         ]
         for population in self._populations:
-            if population.scheme.key_for(0)[:4] != prefix4:
-                continue
-            for pair in range(population.count):
+            pairs = population.scheme.indices_starting(prefix4)
+            for pair in range(pairs.start, min(pairs.stop, population.count)):
                 if len(matches) >= limit and count > limit:
                     break
                 if pair in population.overridden:
@@ -580,16 +579,17 @@ class KVSSD:
                 ):
                     live.append(GcItem(("r", key, frag_index), page, nbytes))
             elif entry[0] == "pr":
-                _tag, pop_index, page_seq, page = entry
+                pop_index = entry[1]
                 population = self._populations[pop_index]
-                for pair in population.indices_in_fill_page(page_seq):
-                    if pair in population.overridden or pair in population.relocated:
-                        continue
-                    live.append(
-                        GcItem(
-                            ("p", pop_index, pair), page, population.footprint_bytes
+                for page_seq, page in run_pages(*entry[2:]):
+                    for pair in population.indices_in_fill_page(page_seq):
+                        if pair in population.overridden or pair in population.relocated:
+                            continue
+                        live.append(
+                            GcItem(
+                                ("p", pop_index, pair), page, population.footprint_bytes
+                            )
                         )
-                    )
             elif entry[0] == "p":
                 _tag, pop_index, pair, page, nbytes = entry
                 population = self._populations[pop_index]

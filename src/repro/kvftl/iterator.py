@@ -43,9 +43,9 @@ class IteratorBuckets:
     def note_bulk(self, representative_key: bytes, count: int) -> None:
         """Register ``count`` keys sharing the representative's bucket.
 
-        Used by bulk fills, whose schemes put every key under one 4-byte
-        prefix.  Flush debt is settled immediately (bulk fills are primed,
-        not timed), so only the page-write statistic advances.
+        Used by bulk fills, once per bucket their keys span.  Flush debt
+        is settled immediately (bulk fills are primed, not timed), so
+        only the page-write statistic advances.
         """
         if count < 1:
             raise ConfigurationError(f"bulk count must be >= 1, got {count}")

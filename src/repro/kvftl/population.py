@@ -6,9 +6,9 @@ would dwarf host memory, so a fill is represented *functionally*:
 
 * keys follow a :class:`KeyScheme` (prefix + zero-padded decimal index),
   so membership and key<->index conversion are O(1) arithmetic;
-* placement is recorded per *page* (two parallel lists: which block and
-  which page each page-worth of blobs went to), so a pair's flash location
-  is computed from its index;
+* placement is recorded per *page* (two parallel 32-bit arrays: which
+  block and which page each page-worth of blobs went to, 8 bytes a fill
+  page), so a pair's flash location is computed from its index;
 * subsequent updates/deletes/relocations are tracked in small overlay
   structures (an overridden set and a relocation map) that grow only with
   the number of *simulated* operations, not with the fill size.
@@ -19,8 +19,10 @@ indistinguishable from individually stored ones at the API.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,36 @@ class KeyScheme:
             return None
         return int(suffix)
 
+    def lead_span(self, lead_bytes: int) -> int:
+        """How many consecutive indices share their keys' first
+        ``lead_bytes`` bytes (1 when a key is no longer than the lead)."""
+        varying = self.digits - max(0, lead_bytes - self._prefix_bytes)
+        return 10 ** max(0, varying)
+
+    def indices_starting(self, lead: bytes) -> range:
+        """Indices whose keys begin with ``lead``: one contiguous range,
+        since the index is zero-padded decimal."""
+        if len(lead) <= self._prefix_bytes:
+            return range(self._limit if self.prefix.startswith(lead) else 0)
+        head = lead[self._prefix_bytes:]
+        if (
+            not lead.startswith(self.prefix)
+            or len(head) > self.digits
+            or not head.isdigit()
+        ):
+            return range(0)
+        span = self.lead_span(len(lead))
+        return range(int(head) * span, (int(head) + 1) * span)
+
+
+def run_pages(
+    first_seq: int, seq_stride: int, first_page: int, pages: int
+) -> Iterator[Tuple[int, int]]:
+    """``(page_seq, page)`` of each fill page of one committed run: a
+    block takes every ``seq_stride``-th fill page into consecutive pages."""
+    for step in range(pages):
+        yield first_seq + step * seq_stride, first_page + step
+
 
 @dataclass
 class PrimedPopulation:
@@ -72,9 +104,9 @@ class PrimedPopulation:
     footprint_bytes: int
     blobs_per_page: int
     #: Block index of each consecutive page of the fill.
-    page_blocks: List[int] = field(default_factory=list)
+    page_blocks: array[int] = field(default_factory=partial(array, "i"))
     #: Page-within-block of each consecutive page of the fill.
-    page_indices: List[int] = field(default_factory=list)
+    page_indices: array[int] = field(default_factory=partial(array, "i"))
     #: Pair indices whose primed copy is dead (updated or deleted).
     overridden: Set[int] = field(default_factory=set)
     #: Pair indices whose primed copy was moved by GC -> (block, page).

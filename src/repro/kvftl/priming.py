@@ -5,6 +5,11 @@ measured phase; simulating every store would dwarf the measurement.
 :func:`fast_fill` mutates the device into the state those stores would
 have produced — populations, manifests, index entries, space books —
 without advancing simulated time.
+
+A block's manifest holds one ``("pr", pop_index, first_seq, seq_stride,
+first_page, pages)`` run per fill, not one entry per page, so host
+memory grows with the blocks written, plus the population's 8 bytes per
+fill page.
 """
 
 from __future__ import annotations
@@ -81,6 +86,20 @@ def fast_fill(
     footprint = layout.footprint_bytes
     full_bytes = per_page * footprint
     width = stream.width
+
+    def commit(block: int, first_seq: int, first_page: int, pages: int) -> None:
+        # A block in rotation slot k takes every width-th fill page into
+        # consecutive pages, so its pages of one fill are one arithmetic
+        # run (``run_pages``): extend the block's last run when this one
+        # continues it, else open a run.
+        manifest = manifests.setdefault(block, [])
+        if manifest and manifest[-1][:2] == ("pr", pop_index):
+            _tag, _pop, seq0, _stride, page0, pages0 = manifest[-1]
+            if page0 + pages0 == first_page and seq0 + pages0 * width == first_seq:
+                manifest[-1] = ("pr", pop_index, seq0, width, page0, pages0 + pages)
+                return
+        manifest.append(("pr", pop_index, first_seq, width, first_page, pages))
+
     page_seq = 0
     while remaining > 0:
         # Batch whole rotation cycles of full pages: reserve one page on
@@ -98,14 +117,10 @@ def fast_fill(
             page_indices.extend(
                 start + cycle for cycle in range(cycles) for start in starts
             )
+            # Block ``offset`` of the rotation took fill pages
+            # page_seq + offset + cycle * width into pages start + cycle.
             for offset, (block, start) in enumerate(zip(blocks_cycle, starts)):
-                manifest = manifests.get(block)
-                if manifest is None:
-                    manifest = manifests[block] = []
-                manifest.extend(
-                    ("pr", pop_index, page_seq + offset + cycle * width, start + cycle)
-                    for cycle in range(cycles)
-                )
+                commit(block, page_seq + offset, start, cycles)
             page_seq += cycles * width
             remaining -= cycles * width * per_page
             continue
@@ -117,13 +132,14 @@ def fast_fill(
         page = prime_program(block, blobs_here * footprint)
         page_blocks.append(block)
         page_indices.append(page)
-        manifest = manifests.get(block)
-        if manifest is None:
-            manifest = manifests[block] = []
-        manifest.append(("pr", pop_index, page_seq, page))
+        commit(block, page_seq, page, 1)
         page_seq += 1
     device.index.prime_entries(count)
-    device.iterators.note_bulk(scheme.key_for(0), count)
+    # One call per iterator bucket: a prefix shorter than the bucket's 4
+    # bytes spreads the fill over the buckets its leading digits name.
+    span = scheme.lead_span(4)
+    for first in range(0, count, span):
+        device.iterators.note_bulk(scheme.key_for(first), min(span, count - first))
     device.stats.app_key_bytes += count * scheme.key_bytes
     device.stats.app_value_bytes += count * value_bytes
     device.stats.device_bytes += count * layout.footprint_bytes

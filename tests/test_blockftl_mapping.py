@@ -4,7 +4,7 @@ import pytest
 
 from repro.blockftl.mapping import UNMAPPED, PageMap, SegmentCache
 from repro.errors import AddressError, ConfigurationError
-from repro.flash.geometry import tiny_geometry
+from repro.flash.geometry import Geometry, tiny_geometry
 from repro.units import KIB
 
 
@@ -83,6 +83,23 @@ def test_slot_arithmetic_inverse():
 def test_map_unit_must_divide_page():
     with pytest.raises(ConfigurationError):
         PageMap(tiny_geometry(), 3000, 10)
+
+
+def test_tables_are_32_bit_and_refuse_what_they_cannot_name():
+    """One dtype: int32 entries.  The paper's 3.84 TB drive at 4 KiB units
+    is 9.4e8 slots and fits; 2**31 units or slots do not, and are refused
+    before a table is allocated."""
+    pagemap = make_map()
+    assert pagemap._forward.dtype == pagemap._reverse.dtype == "int32"
+    pagemap.bind(63, tiny_geometry().total_blocks - 1, 15, 0)
+    assert pagemap.unflatten(pagemap.lookup(63)) == (tiny_geometry().total_blocks - 1, 15, 0)
+    with pytest.raises(ConfigurationError, match="32-bit"):
+        PageMap(tiny_geometry(), 4 * KIB, 2**31)
+    # 2**28 pages of 32 KiB in 4 KiB units: 2**31 slots.
+    huge = Geometry(channels=8, dies_per_channel=2, planes_per_die=2,
+                    blocks_per_plane=2**17, pages_per_block=64, page_bytes=32 * KIB)
+    with pytest.raises(ConfigurationError, match="32-bit"):
+        PageMap(huge, 4 * KIB, 10)
 
 
 # -- SegmentCache --------------------------------------------------------------

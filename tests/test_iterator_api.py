@@ -77,6 +77,35 @@ def test_iterate_respects_limit():
     assert len(run(rig, session(rig.env))) == 10
 
 
+def test_iterate_a_population_whose_prefix_is_shorter_than_a_bucket():
+    """``k`` + 4 digits: a key's bucket is ``k`` and its first three
+    digits, so the fill spans 21 buckets (the last one partial) and an
+    iterator walks only the keys its 4 bytes name."""
+    rig = build_kv_rig(lab_geometry(4))
+    scheme = KeyScheme(prefix=b"k", digits=4)
+    rig.device.fast_fill(205, 512, scheme)
+    buckets = rig.device.iterators
+    assert buckets.buckets() == [b"k%03d" % lead for lead in range(21)]
+    assert [buckets.bucket_count(b) for b in buckets.buckets()] == [10] * 20 + [5]
+
+    def session(env):
+        first = yield env.process(rig.api.iterate(b"k000", limit=50))
+        second = yield env.process(rig.api.iterate(b"k001"))
+        yield env.process(rig.api.delete(scheme.key_for(12)))
+        after = yield env.process(rig.api.iterate(b"k001"))
+        tail = yield env.process(rig.api.iterate(b"k020"))
+        foreign = yield env.process(rig.api.iterate(b"kx00"))
+        return first, second, after, tail, foreign
+
+    first, second, after, tail, foreign = run(rig, session(rig.env))
+    assert first == [scheme.key_for(i) for i in range(10)]
+    assert second == [scheme.key_for(i) for i in range(10, 20)]
+    assert after == [scheme.key_for(i) for i in range(10, 20) if i != 12]
+    assert buckets.bucket_count(b"k001") == 9
+    assert tail == [scheme.key_for(i) for i in range(200, 205)]
+    assert foreign == []
+
+
 def test_iterate_validates_prefix():
     rig = build_kv_rig(lab_geometry(4))
     with pytest.raises(ConfigurationError):

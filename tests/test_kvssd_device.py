@@ -1,5 +1,7 @@
 """Integration tests for the KV-SSD personality."""
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -10,10 +12,10 @@ from repro.errors import (
     KeyNotFoundError,
 )
 from repro.flash.geometry import Geometry
-from repro.kvftl.blob import layout_blob
+from repro.kvftl.blob import blobs_per_page, layout_blob
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.device import KVSSD
-from repro.kvftl.population import KeyScheme
+from repro.kvftl.population import KeyScheme, run_pages
 from repro.sim.engine import Environment
 from repro.units import KIB, MIB
 
@@ -126,8 +128,6 @@ def test_sequential_and_random_store_latency_identical():
             latencies.append(env.now - started)
         yield env.process(ssd.drain())
         return sum(latencies) / len(latencies)
-
-    import random
 
     sequential = run(env, measure(env, [key(i) for i in range(200)]))
     order = list(range(200, 400))
@@ -276,6 +276,142 @@ def test_gc_relocates_and_preserves_pairs():
         return sizes
 
     assert run(env, verify(env)) == [4096] * 6
+
+
+def _expand_fill_runs(ssd, pop_index, block):
+    """The ``(page_seq, page)`` pairs the ``"pr"`` runs of one fill name in
+    ``block``'s manifest, in manifest order."""
+    return [
+        pair
+        for entry in ssd._manifests.get(block, [])
+        if entry[0] == "pr" and entry[1] == pop_index
+        for pair in run_pages(*entry[2:])
+    ]
+
+
+#: 512 B values pack 24 blobs to a page; a block has 32 pages.
+_PER_PAGE = 24
+
+
+@pytest.mark.parametrize("count,width,blocks_per_plane", [
+    (1, 4, 4),  # one partial page
+    (_PER_PAGE - 1, 1, 4),  # a one-block frontier, per-page path only
+    (_PER_PAGE * 4 * 3 + 5, 4, 4),  # three rotations, a partial last page
+    (_PER_PAGE * 32 * 16 * 2 + 17, 16, 4),  # two block generations close
+    (_PER_PAGE * 32 * 3 + 1, 3, 8),  # a width that divides nothing
+])
+def test_fill_manifest_runs_are_exactly_the_page_maps(count, width, blocks_per_plane):
+    """The exact oracle for the run-length manifests: expanding each
+    block's runs yields exactly the fill pages the population's page maps
+    place in that block, in ``page_seq`` order — for a first fill and for
+    a second one that starts inside the first one's open blocks."""
+    env, ssd = make_ssd(blocks_per_plane=blocks_per_plane, stream_width=width)
+    first = ssd.fast_fill(count, 512, KeyScheme(prefix=b"one-", digits=12))
+    second = ssd.fast_fill(count // 3 + 1, 512, KeyScheme(prefix=b"two-", digits=12))
+    for pop_index, population in enumerate((first, second)):
+        pages = len(population.page_blocks)
+        assert pages == -(-population.count // population.blobs_per_page)
+        assert len(population.page_indices) == pages
+        for block in set(population.page_blocks) | set(ssd._manifests):
+            expected = [
+                (page_seq, population.page_indices[page_seq])
+                for page_seq in range(pages)
+                if population.page_blocks[page_seq] == block
+            ]
+            assert _expand_fill_runs(ssd, pop_index, block) == expected
+            # One run per block per fill: a block's pages of a fill are
+            # one arithmetic progression, so the runs merge.
+            runs = [e for e in ssd._manifests.get(block, []) if e[1] == pop_index]
+            assert len(runs) == (1 if expected else 0)
+
+
+def test_primed_pairs_survive_overwrite_delete_and_gc_relocation():
+    """The aged-device regime of the ``kv_gc_writes`` benchmark on a small
+    geometry: a 4-wide frontier, a hot population taking every update
+    beside a cold ballast.  Primed pairs are overwritten and deleted,
+    updates drive GC until the primed runs (``"pr"``) have been censused
+    and relocated pairs (``"p"``) censused and moved again, a few more
+    primed pairs are deleted, and then every key is read back against a
+    reference dict — value size or ``KeyNotFoundError``."""
+    env, ssd = make_ssd(blocks_per_plane=8, stream_width=4, invariants=True)
+    hot_scheme = KeyScheme(prefix=b"hot-", digits=12)
+    cold_scheme = KeyScheme(prefix=b"cold", digits=12)
+    geometry = ssd.array.geometry
+    per_block = (
+        blobs_per_page(16, 4096, geometry.page_bytes, ssd.config)
+        * geometry.pages_per_block
+    )
+    hot = 8 * per_block
+    cold = (ssd.free_block_count() - 8 - ssd.core.gc_threshold_blocks - 8) * per_block
+    ssd.fast_fill(hot, 4096, hot_scheme)
+    ssd.fast_fill(cold, 4096, cold_scheme)
+    model = {hot_scheme.key_for(i): 4096 for i in range(hot)}
+    model.update((cold_scheme.key_for(i), 4096) for i in range(cold))
+    every_key = list(model)
+
+    census, seen = ssd.gc_census, {"pr": 0, "p": 0, "moved again": 0}
+
+    def watched_census(victim):
+        for entry in ssd._manifests.get(victim, []):
+            if entry[0] in seen:
+                seen[entry[0]] += 1
+        items = census(victim)
+        for item in items:
+            if item.ident[0] == "p":
+                _tag, pop_index, pair = item.ident
+                if pair in ssd._populations[pop_index].relocated:
+                    seen["moved again"] += 1
+        return items
+
+    ssd.gc_census = watched_census
+    rng = random.Random(11)
+
+    def store(env, one, value_bytes):
+        yield env.process(ssd.store(one, value_bytes))
+        model[one] = value_bytes
+
+    def delete(env, one):
+        yield env.process(ssd.delete(one))
+        del model[one]
+
+    def session(env):
+        for i in range(0, hot, 5):
+            yield from store(env, hot_scheme.key_for(i), 1024)
+        for i in range(3, hot, 7):
+            if hot_scheme.key_for(i) in model:
+                yield from delete(env, hot_scheme.key_for(i))
+        for i in range(0, cold, 997):
+            yield from delete(env, cold_scheme.key_for(i))
+        for round_index in range(8_000):
+            one = hot_scheme.key_for(rng.randrange(hot))
+            yield from store(env, one, 2048 + 512 * (round_index % 3))
+        yield env.process(ssd.drain())
+        # Delete primed pairs the collector moved (still primed: an
+        # update drops a pair from ``relocated``), and two more keys.
+        moved = sorted(ssd._populations[0].relocated)
+        for pair in moved[::4] + [1, 2]:
+            one = hot_scheme.key_for(pair)
+            if one in model:
+                yield from delete(env, one)
+        yield env.process(ssd.drain())
+
+    run(env, session(env))
+    assert ssd.counters.gc_runs >= 2
+    assert seen["pr"] > 0 and seen["p"] > 0 and seen["moved again"] > 0
+    assert ssd.live_kvps == len(model)
+
+    def read_back(env):
+        mismatches = []
+        for one in every_key:
+            try:
+                got = yield env.process(ssd.retrieve(one))
+            except KeyNotFoundError:
+                got = None
+            if got != model.get(one):
+                mismatches.append((one, got, model.get(one)))
+        return mismatches
+
+    assert run(env, read_back(env)) == []
 
 
 def test_valid_bytes_consistency_after_churn():

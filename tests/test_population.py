@@ -45,6 +45,22 @@ def test_key_scheme_digits_validated():
         KeyScheme(digits=0)
 
 
+@pytest.mark.parametrize("prefix,digits", [(b"k", 4), (b"ab", 3), (b"key-", 2), (b"k", 2)])
+def test_key_scheme_leads_name_contiguous_index_ranges(prefix, digits):
+    """``indices_starting`` and ``lead_span`` against the keys themselves."""
+    scheme = KeyScheme(prefix=prefix, digits=digits)
+    keys = [scheme.key_for(i) for i in range(10 ** digits)]
+    for lead in {key[:4] for key in keys} | {b"", b"k", b"kx00", b"zzzz", b"k0a"}:
+        expected = [i for i, key in enumerate(keys) if key.startswith(lead)]
+        assert list(scheme.indices_starting(lead)) == expected, lead
+    # Runs of ``lead_span(4)`` indices are exactly the 4-byte groups.
+    span = scheme.lead_span(4)
+    for first in range(0, len(keys), span):
+        assert len({key[:4] for key in keys[first:first + span]}) == 1
+        if first:
+            assert keys[first - 1][:4] != keys[first][:4]
+
+
 def test_key_scheme_identity_ignores_its_derived_lengths():
     """``key_bytes`` is computed at construction; equality, hash and repr
     are still those of (prefix, digits) — sweep cache keys and worker

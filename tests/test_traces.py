@@ -23,6 +23,7 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import pickle
 import pstats
 import time
 from pathlib import Path
@@ -399,6 +400,20 @@ class TestMalformed:
             TraceRecord(0.0, "read", b"", 0)
         with pytest.raises(WorkloadError, match="ttl must be >= 0"):
             TraceRecord(0.0, "read", b"a", 0, ttl_us=-2.0)
+
+    def test_parsed_records_are_slotted_share_their_op_and_pickle(self):
+        """A parsed record has no ``__dict__``, its op is the one
+        ``OP_CODES`` string, and a frozen slotted record survives a
+        pickle round trip (sweep workers receive records that way)."""
+        parsed = parse_trace([HEADER, "1.0 update abc 4096 7.5",
+                              "2.0 update abd 4096", "3.0 scan ab 3"])
+        assert not hasattr(parsed[0], "__dict__")
+        assert parsed[0].op is parsed[1].op is OP_CODES[1]
+        for record in parsed:
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and type(copy) is TraceRecord
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parsed[0].size = 1
 
 
 # ---------------------------------------------------------------------------
