@@ -227,7 +227,7 @@ class _ShardCell:
                 yield from device.drain()
             except DeviceError:
                 pass
-            yield env.timeout(_DEGRADE_SETTLE_US)
+            yield env.sleep(_DEGRADE_SETTLE_US)
         if not device.core.read_only:
             raise SimulationError(
                 f"{self.program.name} failed to degrade after "

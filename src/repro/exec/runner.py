@@ -25,10 +25,8 @@ state.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
@@ -40,12 +38,6 @@ from repro.exec.spec import SweepPoint, SweepSpec
 def _compute_point(fn: Any, kwargs: Dict[str, Any]) -> Any:
     """Worker entry: run one cell (module-level so pools can import it)."""
     return fn(**kwargs)
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Cheapest available start method; results do not depend on it."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 @dataclass(frozen=True)
@@ -156,10 +148,15 @@ class SweepRunner:
             for index in pending:
                 results[index] = spec.points[index]()
             return
+        # The pool's modules are imported only by a run that fans out.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # The cheapest start method; results do not depend on it.
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         point_workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=point_workers, mp_context=_pool_context()
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=point_workers, mp_context=context) as pool:
             futures = {
                 index: pool.submit(
                     _compute_point,

@@ -202,12 +202,12 @@ class ServingFrontend:
         for request in schedule:
             delay = request.arrival_us - self.env.now
             if delay > 0:
-                yield self.env.timeout(delay)
+                yield self.env.sleep(delay)
             if spec.admit_cpu_us > 0:
                 # The accept loop is single-threaded; admission work
                 # serializes here, so arrival bursts back up visibly in
                 # the admit phase.
-                yield self.env.timeout(spec.admit_cpu_us)
+                yield self.env.sleep(spec.admit_cpu_us)
             self.offered += 1
             if self._pending >= spec.admit_capacity:
                 request.shed = True
@@ -264,7 +264,7 @@ class ServingFrontend:
             if picked < 0:
                 if self._arrivals_done and self._pending == 0:
                     return
-                yield self._signal.wait()
+                yield self._signal.park()
                 continue
             queue = self._queues[picked]
             if (
@@ -274,7 +274,7 @@ class ServingFrontend:
             ):
                 # Linger once for coalescing, then re-pick: arrivals
                 # during the linger may have changed the EDF order.
-                yield self.env.timeout(spec.batch_linger_us)
+                yield self.env.sleep(spec.batch_linger_us)
                 picked = self._pick_class()
                 if picked < 0:
                     continue
@@ -292,7 +292,7 @@ class ServingFrontend:
             if spec.batch_overhead_us > 0:
                 # One event-loop wakeup and doorbell write per batch —
                 # the fixed cost coalescing amortizes.
-                yield self.env.timeout(spec.batch_overhead_us)
+                yield self.env.sleep(spec.batch_overhead_us)
             if self.tracer.wants("host"):
                 self.tracer.complete(
                     "frontend", "batch", "host",

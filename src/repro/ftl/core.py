@@ -71,6 +71,7 @@ from typing import (
     Generator,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Set,
@@ -202,9 +203,9 @@ class DeviceStats(DeviceCounters):
         return self.buffer_stall_us + self.allowance_stall_us
 
 
-@dataclass(frozen=True)
-class GcItem:
-    """One live payload found in a GC victim during census.
+class GcItem(NamedTuple):
+    """One live payload found in a GC victim during census (a tuple: one
+    is built per relocated payload).
 
     ``ident`` is opaque to the core — the personality round-trips it back
     through ``gc_relocate`` to find and rebind its own mapping entry.
@@ -441,7 +442,7 @@ class FtlCore:
                     # (Pure signal wait — idle pollers would otherwise
                     # dominate the event stream whenever the device crawls
                     # through a GC stall.)
-                    yield self._dirty.wait()
+                    yield self._dirty.park()
                 continue
             tracer = self.tracer
             trace = tracer is not None and tracer.wants("flush")
@@ -462,7 +463,7 @@ class FtlCore:
     def drain(self) -> Generator[Event, None, None]:
         """Wait until all accepted writes reach flash."""
         while self.personality.peek_flush() is not None or self.buffer.occupied_bytes:
-            yield self.env.timeout(self.flush_linger_us)
+            yield self.env.sleep(self.flush_linger_us)
         self.check_invariants("drain")
 
     # ------------------------------------------------------------------
@@ -615,7 +616,7 @@ class FtlCore:
         span.enter("recovery")
         while not result.ok and attempt < config.max_read_retries:
             attempt += 1
-            yield self.env.timeout(config.read_retry_backoff_us * attempt)
+            yield self.env.sleep(config.read_retry_backoff_us * attempt)
             result = yield from self.array.read(
                 block, page, nbytes, attempt=attempt
             )
@@ -757,7 +758,7 @@ class FtlCore:
                 started = self.env.now
                 self.stats.allowance_stalls += 1
             self._gc_wakeup.notify_all()
-            yield self._space.wait()
+            yield self._space.park()
         if started is not None:
             self.stats.allowance_stall_us += self.env.now - started
             tracer = self.tracer
@@ -818,13 +819,13 @@ class FtlCore:
     def _collect_once(self) -> Generator[Event, None, None]:
         victim = self.select_victim()
         if victim is None:
-            yield self.env.timeout(200.0)
+            yield self.env.sleep(200.0)
             return
         critical = len(self.pool) <= self.gc_reserve_blocks
         if self.gc_page_benefit(victim) < (1 if critical else 2):
             # Relocating this victim would consume as many pages as it
             # frees; wait for invalidations instead of churning.
-            yield self.env.timeout(2000.0)
+            yield self.env.sleep(2000.0)
             return
         foreground = self._space.waiting > 0 or critical
         self.stats.gc_runs += 1

@@ -180,14 +180,14 @@ class HashKVStore:
         if location is None:
             raise KeyNotFoundError(f"key {key!r} not in hash store")
         self._retire(location)
-        yield self.env.timeout(0.0)
+        yield self.env.sleep(0.0)
 
     def drain(self) -> Generator[Event, None, None]:
         """Flush the current write block and settle in-flight flushes."""
         if self._fill_bytes[self._current] > 0:
             yield from self._ensure_room(self.config.write_block_bytes)
         while self._flush_tokens.available < self._flush_tokens.capacity:
-            yield self.env.timeout(100.0)
+            yield self.env.sleep(100.0)
 
     # ------------------------------------------------------------------
     # write-block lifecycle
@@ -201,7 +201,7 @@ class HashKVStore:
         """
         while True:
             if self._rolling:
-                yield self._roll_done.wait()
+                yield self._roll_done.park()
                 continue
             if (
                 self._fill_bytes[self._current] + rbytes
@@ -225,7 +225,7 @@ class HashKVStore:
             if not self._defrag_queue and not self._defrag_candidates():
                 raise DeviceFullError("hash store out of write blocks")
             self._defrag_wake.notify_all()
-            yield self._space_freed.wait()
+            yield self._space_freed.park()
         self._current = self._free.popleft()
         self._live_bytes[self._current] = 0
         self._fill_bytes[self._current] = 0

@@ -239,7 +239,7 @@ class LSMStore:
         while self._immutables or self._pending_compaction() is not None:
             self._dirty.notify_all()
             self._compact_wake.notify_all()
-            yield self.env.timeout(1000.0)
+            yield self.env.sleep(1000.0)
 
     # ------------------------------------------------------------------
     # write path
@@ -257,7 +257,7 @@ class LSMStore:
                 stall_started = self.env.now
             self._compact_wake.notify_all()
             self._dirty.notify_all()
-            yield self._unstall.wait()
+            yield self._unstall.park()
         if stall_started is not None:
             self.stall_time_us += self.env.now - stall_started
 

@@ -223,7 +223,7 @@ def serve_ops(
         if started >= deadline_us:
             return
         if hop_us > 0.0:
-            yield env.timeout(hop_us)
+            yield env.sleep(hop_us)
         try:
             value = yield from env.call(execute(item))
         except DeviceError as error:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.errors import WorkloadError
 from repro.kvbench.distributions import (
@@ -43,9 +43,8 @@ class Pattern(enum.Enum):
     SLIDING_WINDOW = "window"
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One generated request.
+class Operation(NamedTuple):
+    """One generated request (a tuple: one is built per simulated op).
 
     Composite requests are the same type: a scan is a ``READ`` with a
     ``scan_length`` (records from ``key`` on), a read-modify-write an

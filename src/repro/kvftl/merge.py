@@ -93,7 +93,7 @@ class MergeEngine:
         """Block stores while local indexes are full (merge engine behind)."""
         while self.behind():
             self._wakeup.notify_all()
-            yield self._done.wait()
+            yield self._done.park()
 
     def _worker(self) -> Generator[Event, None, None]:
         while True:
@@ -115,4 +115,4 @@ class MergeEngine:
                 # the threshold (stores and GC notify).  Sub-batch entries
                 # stay in the local indexes — harmless, and a pure signal
                 # wait keeps idle periods event-free.
-                yield self._wakeup.wait()
+                yield self._wakeup.park()

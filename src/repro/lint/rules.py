@@ -13,12 +13,15 @@ module (bare ``foo(...)`` statements, or ``self.foo(...)`` where the
 enclosing class defines ``foo`` as a generator), because that is the
 silent no-op the simulator actually suffers from, and the restriction
 keeps the false-positive rate at zero on real code.  Its second half
-is the same mistake one level down: ``Resource.serve(d)`` is a plain
-call that takes a slot and arms its release for the moment the process
-wakes, so its result must be yielded — any ``x.serve(...)`` that is a
-bare statement, the operand of ``yield from``, or assigned to a name the
-function never yields is flagged (``self.serve`` is exempt where the
-class defines ``serve`` as a generator of its own).
+is the same mistake one level down, for the three parking waits:
+``Resource.serve(d)``, ``Environment.sleep(d)`` and ``Signal.park()`` are
+plain calls that park the running process (or take a slot and arm its
+release) and hand back a token, so their result must be yielded, alone —
+any ``x.serve(...)``, ``x.sleep(...)`` or ``x.park()`` that is a bare
+statement, the operand of ``yield from``, an argument of ``all_of`` /
+``any_of``, or assigned to a name the function never yields is flagged
+(``time.sleep`` is not one of them, and ``self.<name>`` is exempt where
+the class defines that method as a generator of its own).
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ RULES: Dict[str, str] = {
               "thread a seeded instance through config",
     "SIM003": "generator model function called as a bare statement — "
               "a silent no-op; wrap in env.process(...) or yield from it — "
-              "or a .serve(...) result dropped or iterated instead of "
-              "yielded (the slot is taken and never released)",
+              "or a .serve(...) / .sleep(...) / .park() result dropped, "
+              "iterated or combined instead of yielded (a slot never "
+              "released, a wait that never happens)",
     "SIM004": "== / != on simulated timestamps; use the units.py "
               "tolerance helpers (times_equal)",
     "SIM005": "mutable or call-expression default argument (shared "
@@ -85,6 +89,14 @@ _OS_ENTROPY = frozenset({
 _WATCHED_MODULES = frozenset({
     "time", "datetime", "random", "os", "uuid", "secrets",
 })
+
+#: The parking waits (SIM003): method name -> what goes wrong when its
+#: result is not yielded.
+_PARKING_WAITS = {
+    "serve": "the slot is taken and its release never runs",
+    "sleep": "the process never waits",
+    "park": "the process is queued on the signal but runs on",
+}
 
 #: Name suffixes that mark a variable as a simulated timestamp.
 _TIMESTAMP_SUFFIXES = ("_us", "_ts")
@@ -230,7 +242,7 @@ class ModuleChecker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_signature_defaults(node)
-        self._check_unyielded_serve(node)
+        self._check_unyielded_wait(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
@@ -243,23 +255,26 @@ class ModuleChecker(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         self._check_host_source(node)
+        self._check_combined_wait(node)
         if self.hot_path:
             self._check_hot_path_allocation(node)
         self.generic_visit(node)
 
     def visit_Expr(self, node: ast.Expr) -> None:
         self._check_dropped_generator(node)
-        if self._is_serve_call(node.value):
+        wait = self._parking_wait(node.value)
+        if wait is not None:
             self._emit(node, "SIM003",
-                       ".serve(...) result dropped: the slot is taken and "
-                       "its release never runs — yield it")
+                       f".{wait}(...) result dropped: "
+                       f"{_PARKING_WAITS[wait]} — yield it")
         self.generic_visit(node)
 
     def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        if self._is_serve_call(node.value):
+        wait = self._parking_wait(node.value)
+        if wait is not None:
             self._emit(node, "SIM003",
-                       "yield from .serve(...) iterates an event; serve is "
-                       "a plain call — yield its result")
+                       f"yield from .{wait}(...) iterates an event; {wait} "
+                       "is a plain call — yield its result")
         self.generic_visit(node)
 
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -335,35 +350,57 @@ class ModuleChecker(ast.NodeVisitor):
                        "started — wrap it in env.process(...) or yield "
                        "from it")
 
-    def _is_serve_call(self, node: ast.AST) -> bool:
-        """``<expr>.serve(...)``, unless provably a generator of our own."""
+    def _parking_wait(self, node: ast.AST) -> Optional[str]:
+        """``serve``/``sleep``/``park`` for ``<expr>.<that>(...)``, unless
+        the receiver is a watched module (``time.sleep``) or the call is
+        provably a generator of our own; else None."""
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "serve"):
-            return False
+                and node.func.attr in _PARKING_WAITS):
+            return None
+        wait = node.func.attr
         receiver = node.func.value
-        return not (
-            isinstance(receiver, ast.Name) and receiver.id == "self"
-            and self._class_stack
-            and "serve" in self.class_generators.get(self._class_stack[-1], ())
-        )
+        if self._qualified(receiver) is not None:
+            return None
+        if (isinstance(receiver, ast.Name) and receiver.id == "self"
+                and self._class_stack
+                and wait in self.class_generators.get(self._class_stack[-1], ())):
+            return None
+        return wait
 
-    def _check_unyielded_serve(self, fn: ast.FunctionDef) -> None:
-        """``name = x.serve(...)`` where ``fn`` never yields ``name``."""
-        held: List[Tuple[str, ast.Assign]] = []
+    def _check_unyielded_wait(self, fn: ast.FunctionDef) -> None:
+        """``name = x.serve(...)`` (or sleep, park) where ``fn`` never
+        yields ``name``."""
+        held: List[Tuple[str, str, ast.Assign]] = []
         yielded: Set[str] = set()
         for node in _own_nodes(fn):
             if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and self._is_serve_call(node.value)):
-                held.append((node.targets[0].id, node))
+                    and isinstance(node.targets[0], ast.Name)):
+                wait = self._parking_wait(node.value)
+                if wait is not None:
+                    held.append((node.targets[0].id, wait, node))
             elif isinstance(node, ast.Yield) and isinstance(node.value, ast.Name):
                 yielded.add(node.value.id)
-        for name, node in held:
+        for name, wait, node in held:
             if name not in yielded:
                 self._emit(node, "SIM003",
-                           f"{name} = .serve(...) is never yielded: the "
-                           "slot is taken and its release never runs")
+                           f"{name} = .{wait}(...) is never yielded: "
+                           f"{_PARKING_WAITS[wait]}")
+
+    def _check_combined_wait(self, node: ast.Call) -> None:
+        """A parking wait handed to ``all_of``/``any_of``: it has no event
+        for a condition to wait on."""
+        if _terminal_name(node.func) not in ("all_of", "any_of"):
+            return
+        for arg in node.args:
+            items = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else [arg]
+            for item in items:
+                wait = self._parking_wait(item)
+                if wait is not None:
+                    self._emit(item, "SIM003",
+                               f".{wait}(...) inside {_terminal_name(node.func)}"
+                               "(...): a parking wait has no event to combine "
+                               "— use env.timeout() / signal.wait()")
 
     # -- SIM004 --------------------------------------------------------
 

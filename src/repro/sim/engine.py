@@ -24,14 +24,16 @@ The queue is a FIFO plus one heap, one for each population of events an
 SSD model produces:
 
 * **Immediate events** — an event triggered via :meth:`Event.succeed` (a
-  resource grant, a process completion, a signal wakeup) always fires at
-  the *current* time.  Because the clock never advances while an unfired
-  immediate event exists, these are already in fire order (their sequence
+  process completion, a bare grant, a condition) and a parked process
+  woken now (a start, a queued grant, a signal wakeup) always fire at the
+  *current* time.  Because the clock never advances while an unfired
+  immediate entry exists, these are already in fire order (their sequence
   numbers increase monotonically) and live in a plain FIFO deque — no
   heap operations, no tuple packing.  The majority of all events take
   this path.
-* **Future events** — timeouts with a strictly positive delay go into
-  one heap of ``(fire_time, sequence, event)`` entries.
+* **Future events** — timeouts and sleeping processes with a strictly
+  positive delay go into one heap of ``(fire_time, sequence, entry)``
+  entries.
 
 The loop merges the two heads by ``(fire_time, sequence)``, which is the
 total order of a single heap holding every event.
@@ -41,9 +43,15 @@ not enter the queue at all: :meth:`Environment._fire_in_place` accounts
 for its pop on the spot (sequence number, event count, observer) and the
 caller carries on, which leaves the order and the count as they were.
 The same accounting starts and finishes a child generator run through
-:meth:`Environment.call`, and a process put to sleep by a quiet
-:meth:`~repro.sim.resources.Resource.serve` sits in the heap itself,
-under the ``(fire_time, sequence)`` its timeout would have had.
+:meth:`Environment.call`.
+
+A wait that exactly one process will ever observe builds no event either:
+the process is *parked* — it sits in the FIFO or the heap itself, under
+the ``(fire_time, sequence)`` the event would have had, and the pop
+observer is shown a stand-in of that event's type.  Four waits park: a
+process's start, :meth:`Environment.sleep`, a
+:meth:`~repro.sim.resources.Resource.serve` (its queued grant and its
+service) and :meth:`~repro.sim.signal.Signal.park`.
 
 Example
 -------
@@ -82,7 +90,7 @@ ProcessGenerator = Generator["Event", Any, Any]
 #: What an event calls when it fires.
 Callback = Callable[["Event"], None]
 
-#: Entry in the future-event heap.
+#: Entry in the future-event heap: a timeout or a parked process.
 _QueueEntry = Tuple[float, int, "Event"]
 
 #: Event-pop observer installed by the nondeterminism sanitizer
@@ -221,21 +229,24 @@ class Timeout(Event):
 
 
 class Sleep(Event):
-    """What a quiet :meth:`~repro.sim.resources.Resource.serve` hands back.
+    """What the parking waits hand back for their process to yield.
 
     One per environment, never triggered and never queued: it only carries
-    ``delay`` from ``serve`` to the :meth:`Process._resume` that receives
-    it, which parks the process itself in the heap for that long.  It
-    is an :class:`Event` so that model generators stay ``Generator[Event,
-    ...]``; waiting on it any other way (a condition, a second process) is
-    not supported.
+    ``delay`` from :meth:`Environment.sleep` or a quiet
+    :meth:`~repro.sim.resources.Resource.serve` to the
+    :meth:`Process._resume` that receives it, which parks the process
+    itself for that long.  ``delay`` is None when the process is parked
+    already — in a resource's queue, a signal's waiters or the FIFO — and
+    yielding only ends its turn.  It is an :class:`Event` so that model
+    generators stay ``Generator[Event, ...]``; waiting on it any other way
+    (a condition, a second process) is refused or unsupported.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment") -> None:
         super().__init__(env)
-        self.delay = 0.0
+        self.delay: Optional[float] = None
 
 
 class Process(Event):
@@ -246,17 +257,21 @@ class Process(Event):
     failed events throw their exception into it, so model code can use
     ordinary ``try/except`` around ``yield``.
 
-    Two things besides events reach :meth:`_resume`.  A generator that
-    yields the environment's :class:`Sleep` token (the result of a quiet
-    ``Resource.serve``) is parked in the heap *as itself*: an
-    untriggered process popped from the queue is a sleeper to wake, not an
-    event that fired.  And ``_on_wake``, armed by ``serve`` on the process
-    whose generator is running, is a one-shot step run at the next resume
-    before the generator continues: the slot's release, so a parked
-    successor's grant is sequenced before anything the releaser does next.
+    A process with one thing to wait for is *parked*: it goes into the
+    FIFO or the heap as itself, and an untriggered process popped from
+    the queue is a wait that is over, not an event that fired.  ``_shown``
+    is the stand-in the pop observer sees for it.  A new process parks in
+    the FIFO to start; a generator that yields the environment's
+    :class:`Sleep` token is parked for its ``delay``; a queued
+    ``Resource.serve`` parks it in the resource's queue with the service
+    time in ``_hold``, and its grant's pop parks it again for that long.
+    ``_on_wake``, armed by ``serve`` on the process whose generator is
+    running, is a one-shot step run at the next resume before the
+    generator continues: the slot's release, so a parked successor's grant
+    is sequenced before anything the releaser does next.
     """
 
-    __slots__ = ("_generator", "name", "_on_wake")
+    __slots__ = ("_generator", "name", "_on_wake", "_shown", "_hold")
 
     def __init__(
         self, env: "Environment", generator: ProcessGenerator, name: str = ""
@@ -270,15 +285,39 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._on_wake: Optional[Callable[[], None]] = None
-        # Kick off the generator at the current time via an immediate event.
-        bootstrap = Event(env)
-        bootstrap.callbacks = [self._resume]
-        bootstrap.succeed(None)
+        self._hold: Optional[float] = None
+        # Start at the current time, popped as the bootstrap event would be.
+        self._park_now(env._fired)
 
     @property
     def is_alive(self) -> bool:
         """Whether the generator has not yet finished."""
         return not self._triggered
+
+    def _park_now(self, shown: Event) -> None:
+        """Park in the immediate FIFO, to be popped as ``shown``'s type
+        under the sequence number an event succeeded here would take."""
+        env = self.env
+        seq = env._sequence
+        env._sequence = seq + 1
+        self._seq = seq
+        self._shown = shown
+        env._immediate.append(self)
+
+    def _park_for(self, delay: float) -> None:
+        """Park for ``delay``, popped as the :class:`Timeout` it replaces."""
+        env = self.env
+        now = env._now
+        fire_at = now + delay
+        seq = env._sequence
+        env._sequence = seq + 1
+        self._seq = seq
+        self._shown = env._woken
+        if fire_at == now:
+            # Too short to move the clock: the FIFO, as Timeout does.
+            env._immediate.append(self)
+        else:
+            heappush(env._future, (fire_at, seq, self))  # simlint: disable=SIM007
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's outcome."""
@@ -308,27 +347,27 @@ class Process(Event):
         finally:
             env._active = None
         if target is env._sleep:
-            # A quiet serve: sleep in the heap as this process, under the
-            # (fire_at, seq) the service timeout would have taken.
-            delay = env._sleep.delay
+            delay = target.delay
+            if delay is None:
+                return  # parked already, by a queued serve or a signal
+            # _park_for, inlined: every timed wait comes through here.
             now = env._now
             fire_at = now + delay
+            seq = env._sequence
+            env._sequence = seq + 1
+            self._seq = seq
+            self._shown = env._woken
             if fire_at == now:
-                # Too short to move the clock: a real timeout, which
-                # joins the immediate FIFO.
-                target = Timeout(env, delay)
+                env._immediate.append(self)
             else:
-                seq = env._sequence
-                env._sequence = seq + 1
-                self._seq = seq
                 heappush(env._future, (fire_at, seq, self))  # simlint: disable=SIM007
-                return
-        elif not isinstance(target, Event):
+            return
+        if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may "
                 "only yield Event instances"
             )
-        elif target.env is not env:
+        if target.env is not env:
             raise SimulationError("cannot wait on an event from another Environment")
         waiters = target.callbacks
         if waiters is None:
@@ -356,6 +395,11 @@ class Condition(Event):
             if child.env is not env:
                 raise SimulationError(
                     "condition mixes events from different environments"
+                )
+            if child is env._sleep:
+                raise SimulationError(
+                    "a parked wait (sleep, serve, park) cannot be part of a "
+                    "condition; use env.timeout() or signal.wait()"
                 )
         self._pending = len(self.events)
         if not self.events:
@@ -445,12 +489,13 @@ class Environment:
         self._more_callbacks = False
         #: The process whose generator is running; None between resumes.
         self._active: Optional[Process] = None
-        #: What a quiet ``Resource.serve`` returns for its process to yield.
+        #: What the parking waits return for their process to yield.
         self._sleep = Sleep(self)
         #: What the pop observer is shown in place of an event that never
-        #: existed: the bootstrap and the completion of a child that
-        #: :meth:`call` ran in place, the timeout of a parked process.
-        self._started = _stand_in(Event, self)
+        #: existed: a bootstrap (of a process, or of a child that
+        #: :meth:`call` ran in place) or a signal's wake; the completion
+        #: of a child run in place; the timeout of a parked process.
+        self._fired = _stand_in(Event, self)
         self._returned = _stand_in(Process, self)
         self._woken = _stand_in(Timeout, self)
 
@@ -478,6 +523,21 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` microseconds from now."""
         return Timeout(self, delay, value)
+
+    def sleep(self, delay: float) -> Sleep:
+        """Wait ``delay`` microseconds: ``yield env.sleep(delay)``.
+
+        The pop is that of ``yield env.timeout(delay)`` — a
+        :class:`Timeout` of the same time and sequence number — but no
+        event is built: the process parks in the queue itself.  Yield the
+        result at once; inside ``any_of``/``all_of`` use :meth:`timeout`
+        (simlint SIM003 flags both misuses).
+        """
+        if delay < 0:
+            raise SimulationError(f"sleep delay must be >= 0, got {delay}")
+        sleep = self._sleep
+        sleep.delay = delay
+        return sleep
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process driving ``generator``; returns its event."""
@@ -508,7 +568,7 @@ class Environment:
             )
         # (A non-empty FIFO is the usual reason to queue; it is looked at
         # here, both times, before paying for the call that looks again.)
-        if self._immediate or not self._fire_in_place(self._started):
+        if self._immediate or not self._fire_in_place(self._fired):
             return (yield Process(self, generator, name))
         value = None
         error: Optional[BaseException] = None
@@ -601,16 +661,22 @@ class Environment:
             else:
                 return
             if not event._triggered:
-                # Only a process parked by a quiet serve is queued
-                # untriggered: its sleep is over.
+                # Only a parked process is queued untriggered: its wait
+                # is over, popped as the event the wait would have been.
+                parked: Any = event
                 self._processed_events += 1
                 if _pop_observer is not None:
-                    woken = self._woken
-                    woken._fire_at = self._now
-                    woken._seq = event._seq
-                    _pop_observer(self._now, woken)
-                sleeper: Any = event
-                sleeper._resume(event)
+                    shown = parked._shown
+                    shown._fire_at = self._now
+                    shown._seq = parked._seq
+                    _pop_observer(self._now, shown)
+                hold = parked._hold
+                if hold is None:
+                    parked._resume(parked)
+                else:
+                    # A queued serve's grant: its service starts now.
+                    parked._hold = None
+                    parked._park_for(hold)
                 continue
             if _pop_observer is not None:
                 _pop_observer(self._now, event)

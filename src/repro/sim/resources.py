@@ -17,62 +17,16 @@ determinism guarantee.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional, Union
 
 from repro.errors import SimulationError
-from repro.sim.engine import Callback, Environment, Event, Timeout
-
-
-class Service(Event):
-    """What a :meth:`Resource.serve` caller waits on while its grant queues.
-
-    It never fires itself: when the grant is popped, the timeout that
-    times the service takes over this event's callback list, so the
-    waiting process is resumed once, when the service is over.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: Environment, delay: float) -> None:
-        # Flattened Event.__init__: one of these per queued serve.
-        self.env = env
-        self.callbacks = []
-        self._triggered = False
-        self._value = None
-        self._failed = False
-        self._fire_at = 0.0
-        self._seq = 0
-        self.delay = delay
-
-
-def _start_service(grant: Event) -> None:
-    """A queued :meth:`Resource.serve` grant fired: time its service."""
-    assert isinstance(grant, Request) and grant.service is not None
-    service = grant.service
-    Timeout(grant.env, service.delay).callbacks = service.callbacks
-
-
-#: Callback list shared by every queued grant of :meth:`Resource.serve`
-#: (the environment never mutates the list of an event it pops).
-_START_SERVICE: List[Callback] = [_start_service]
+from repro.sim.engine import Environment, Event, Process, _stand_in
 
 
 class Request(Event):
     """The event granted to a :class:`Resource` user; release via the resource."""
 
-    __slots__ = ("service",)
-
-    def __init__(self, env: Environment, service: Optional[Service] = None) -> None:
-        # Flattened Event.__init__: one of these per queued grant.
-        self.env = env
-        self.callbacks = [] if service is None else _START_SERVICE
-        self._triggered = False
-        self._value = None
-        self._failed = False
-        self._fire_at = 0.0
-        self._seq = 0
-        #: The service this grant starts; None for a bare ``request()``.
-        self.service = service
+    __slots__ = ()
 
 
 class Resource:
@@ -98,16 +52,15 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_service = 0
-        self._waiting: Deque[Request] = deque()
+        #: Bare requests and processes parked by a queued serve, in order.
+        self._waiting: Deque[Union[Request, Process]] = deque()
         # Utilization accounting: busy slot-time integrated over the run.
         self._busy_slot_time = 0.0
         self._last_change = 0.0
-        #: What the pop observer is shown for a grant fired in place: a
-        #: request already granted and processed.
-        self._in_place = Request(env)
-        self._in_place._triggered = True
-        self._in_place._value = self
-        self._in_place.callbacks = None
+        #: What the pop observer is shown for a serve's grant: fired in
+        #: place, or queued (the parked process popped as its grant).
+        self._in_place = _stand_in(Request, env)
+        self._granted = _stand_in(Request, env)
         #: Bound once: every serve arms it as its process's on-wake step.
         self._release = self._end_service
 
@@ -154,11 +107,7 @@ class Resource:
         """Return a previously granted slot, waking the next waiter if any."""
         if not request._triggered:
             raise SimulationError("cannot release a request that was never granted")
-        self._account()
-        if self._waiting:
-            self._waiting.popleft().succeed(self)
-        else:
-            self._in_service -= 1
+        self._end_service()
 
     def serve(self, duration: float) -> Event:
         """Acquire a slot, hold it for ``duration``, then release it.
@@ -167,13 +116,14 @@ class Resource:
         ``yield resource.serve(duration)``.  It takes the slot (or a place
         in the queue) and arms the release as the running process's
         on-wake step, so the process is resumed once, when the service is
-        over and the slot already handed on.  A grant that would be the
-        next event popped is fired in place
-        (:meth:`Environment._fire_in_place`) and the result is the
-        environment's :class:`~repro.sim.engine.Sleep` token — the
-        process sleeps in the event heap itself, no timeout object exists.
-        Any other grant queues and starts a timeout from its own
-        callback, and the result is the :class:`Service` to wait on.
+        over and the slot already handed on.  The result is always the
+        environment's :class:`~repro.sim.engine.Sleep` token; no grant or
+        timeout object exists.  A grant that would be the next event
+        popped is fired in place (:meth:`Environment._fire_in_place`) and
+        the token carries ``duration``: the process sleeps in the event
+        heap itself.  Any other grant parks the process — in the FIFO
+        when the slot is free, in this resource's queue when it is not —
+        and the grant's pop parks it again for ``duration``.
         Dropping the result leaks the slot; simlint (SIM003) flags it.
         """
         if duration < 0:
@@ -188,6 +138,7 @@ class Resource:
                 "the result of its previous serve()"
             )
         process._on_wake = self._release
+        sleep = env._sleep
         if self._in_service < self.capacity and not self._waiting:
             # _account(), inlined: serve brackets every flash op.
             now = env._now
@@ -197,24 +148,27 @@ class Resource:
             # (The FIFO is looked at here first: a tie is the usual reason
             # a free slot's grant queues, and costs no call to see.)
             if not env._immediate and env._fire_in_place(self._in_place):
-                sleep = env._sleep
                 sleep.delay = duration
                 return sleep
-            service = Service(env, duration)
-            Request(env, service).succeed(self)
+            process._park_now(self._granted)
         else:
-            service = Service(env, duration)
-            self._waiting.append(Request(env, service))
-        return service
+            self._waiting.append(process)
+        process._hold = duration
+        sleep.delay = None
+        return sleep
 
     def _end_service(self) -> None:
-        """The on-wake step of a served process: give the slot back."""
-        # release(), inlined.
+        """Give a slot back: the on-wake step of a served process."""
+        # _account(), inlined.
         now = self.env._now
         self._busy_slot_time += self._in_service * (now - self._last_change)
         self._last_change = now
         if self._waiting:
-            self._waiting.popleft().succeed(self)
+            waiter = self._waiting.popleft()
+            if isinstance(waiter, Request):
+                waiter.succeed(self)
+            else:
+                waiter._park_now(self._granted)
         else:
             self._in_service -= 1
 
@@ -249,9 +203,7 @@ class TokenBucket:
         self._waiting: Deque[tuple] = deque()  # (event, amount)
         #: What the pop observer is shown for a grant fired in place: an
         #: event already triggered and processed.
-        self._in_place = Event(env)
-        self._in_place._triggered = True
-        self._in_place.callbacks = None
+        self._in_place = _stand_in(Event, env)
 
     @property
     def available(self) -> int:

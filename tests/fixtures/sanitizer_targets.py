@@ -37,6 +37,10 @@ and the LSM rig: the composite-operation dispatch — one ``Operation``
 type through one ``YCSBDriver`` — with an ordered scan on one stack and
 the emulated one (prefix iterate + point reads) on the other.
 
+``frontend_cell`` is the open-loop serving frontend below its knee and
+saturated: Poisson and MMPP arrivals, admission and shedding, the EDF
+pick, the batch linger and the dispatchers' signal waits.
+
 The set-order pair is loaded by path
 (``tests/fixtures/sanitizer_targets.py:fn``), so this file must stay
 importable with only ``src`` on ``PYTHONPATH`` — and without ``from
@@ -201,3 +205,22 @@ def ycsb_cell() -> List[Tuple[str, str, int, int, float]]:
         for workload in "EF"
         for run in [cell(workload, system, n_ops=120, population=300)]
     ]
+
+
+def frontend_cell() -> List[Tuple[float, int, int, int, int, int, float, str]]:
+    """300 open-loop requests at 32 kops (batching) and 768 kops (shedding)."""
+    from repro.frontend.frontend import run_frontend
+    from repro.frontend.run import build_load_spec
+
+    rows = []
+    for load_kops in (32.0, 768.0):
+        result = run_frontend(build_load_spec(
+            load_kops * 1000.0, n_requests=300, admit_capacity=48,
+            population=400, seed=5,
+        ))
+        rows.append((
+            load_kops, result.admitted, result.shed, result.completed,
+            result.failed, result.batches, result.elapsed_us,
+            repr(sorted(result.per_class.items())),
+        ))
+    return rows

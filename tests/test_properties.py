@@ -19,6 +19,7 @@ from repro.metrics.cpu import CpuAccountant
 from repro.nvme.driver import KernelDeviceDriver
 from repro.sim.engine import Environment, set_pop_observer
 from repro.sim.resources import Resource, TokenBucket
+from repro.sim.signal import Signal
 from repro.kvftl.blob import layout_blob, usable_page_bytes
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.keyhash import hash_fraction, iterator_bucket, key_hash64
@@ -284,14 +285,16 @@ def test_firmware_parity_with_and_without_faults(ops):
     assert hash_faulty == hash_clean
 
 
-# -- zero-time path: in-place grants, calls and one-resume serve vs a reference ---
+# -- zero-time path: in-place grants, calls, parked waits vs a reference -------
 #
 # The reference below is the engine with nothing clever in it: one heap
 # ordered by (time, seq), every resource and token grant queued as an
 # event of its own, serve() as grant-yield then timeout-yield, every
-# called child a process of its own.  The real engine must pop the same
-# (time, seq) pairs of the same types in the same order, wake the
-# processes in the same order, and count the same number of events.
+# called child a process of its own, every process started by a bootstrap
+# event, a sleep a timeout and a signal wait a plain event.  The real
+# engine must pop the same (time, seq) pairs of the same types in the same
+# order, wake the processes in the same order, and count the same number
+# of events.
 
 
 class _Boom(Exception):
@@ -322,6 +325,8 @@ class _RefEnv:
 
     def timeout(self, delay):
         return _RefEvent(self, "Timeout").succeed(delay=delay)
+
+    sleep = timeout
 
     def process(self, generator):
         done = _RefEvent(self, "Process")
@@ -403,6 +408,23 @@ def _serve(resource, duration):
     yield resource.serve(duration)
 
 
+class _RefSignal:
+    def __init__(self, env):
+        self.env, self.waiters = env, []
+
+    def wait(self):
+        event = _RefEvent(self.env)
+        self.waiters.append(event)
+        return event
+
+    park = wait
+
+    def notify_all(self):
+        waiters, self.waiters = self.waiters, []
+        for event in waiters:
+            event.succeed()
+
+
 class _RefBucket:
     def __init__(self, env, capacity):
         self.env, self.available, self.waiting = env, capacity, deque()
@@ -427,12 +449,13 @@ class _RefBucket:
             grant.succeed()
 
 
-def _run_graph(make_env, make_resource, make_bucket, serve, graph):
+def _run_graph(make_env, make_resource, make_bucket, make_signal, serve, graph):
     """Interpret ``graph`` on one engine; returns (wakes, processed)."""
     capacities, shared_delays, processes = graph
     env = make_env()
     resources = [make_resource(env, capacity) for capacity in capacities]
     buckets = [make_bucket(env, 3), make_bucket(env, 1)]
+    signals = [make_signal(env), make_signal(env)]
     shared = [env.timeout(delay) for delay in shared_delays]
     wakes = []
 
@@ -440,6 +463,14 @@ def _run_graph(make_env, make_resource, make_bucket, serve, graph):
         for number, (kind, which, delay) in enumerate(steps):
             if kind == "timeout":
                 yield env.timeout(delay)
+            elif kind == "sleep":
+                yield env.sleep(delay)
+            elif kind == "park":
+                yield signals[which % 2].park()
+            elif kind == "wait_any":
+                yield env.any_of([signals[which % 2].wait(), env.timeout(delay)])
+            elif kind == "notify":
+                signals[which % 2].notify_all()
             elif kind == "serve":
                 yield from serve(resources[which % len(resources)], delay)
             elif kind == "tokens":
@@ -482,7 +513,8 @@ _DELAYS = st.sampled_from(
 )
 _PLAIN_STEP = st.tuples(
     st.sampled_from(["timeout", "serve", "serve", "tokens", "shared",
-                     "all_of", "any_of"]),
+                     "all_of", "any_of", "sleep", "park", "wait_any",
+                     "notify", "notify"]),
     st.integers(min_value=0, max_value=3),
     _DELAYS,
 )
@@ -542,6 +574,27 @@ _CALL_EXAMPLES = [
 ]
 
 
+#: One example per parked wait; a wrong stand-in type or a sequence
+#: number taken at the wrong moment fails at least one of them.
+_PARKED_EXAMPLES = [
+    # Sleeps: in the heap, tied with a timeout, zero and sub-resolution
+    # (the FIFO), far-horizon.
+    ([1], [1.0], [[("sleep", 0, 1.0), ("sleep", 0, 0.0), ("sleep", 0, 1e-20)],
+                  [("timeout", 0, 1.0), ("sleep", 0, 700.0)]]),
+    # Signals: a direct park and an any_of wait woken by one notify, the
+    # any_of's leftover wait woken by a later one, a re-park on the other.
+    ([1], [1.0], [[("park", 0, 0.0), ("sleep", 0, 0.5)],
+                  [("wait_any", 0, 3000.0), ("wait_any", 1, 0.5)],
+                  [("sleep", 0, 1.0), ("notify", 0, 0.0), ("park", 1, 0.0)],
+                  [("sleep", 0, 2.0), ("notify", 1, 0.0), ("notify", 0, 0.0)]]),
+    # Queued grants: behind a holder, handed on at a service's end, and
+    # on a free slot tied with a sleep; a sub-resolution service.
+    ([1], [1.0], [[("serve", 0, 2.0), ("serve", 0, 0.0)],
+                  [("serve", 0, 1.0)],
+                  [("sleep", 0, 2.0), ("serve", 0, 1e-20), ("sleep", 0, 1.0)]]),
+]
+
+
 def _matches_reference(graph):
     pops = []
     set_pop_observer(lambda now, event: pops.append(
@@ -549,13 +602,14 @@ def _matches_reference(graph):
     ))
     try:
         wakes, processed = _run_graph(
-            Environment, Resource, TokenBucket, _serve, graph
+            Environment, Resource, TokenBucket, Signal, _serve, graph
         )
     finally:
         set_pop_observer(None)
     reference = _RefEnv()
     ref_wakes, ref_processed = _run_graph(
-        lambda: reference, _RefResource, _RefBucket, _RefResource.serve, graph
+        lambda: reference, _RefResource, _RefBucket, _RefSignal,
+        _RefResource.serve, graph
     )
     assert pops == reference.pops
     assert wakes == ref_wakes
@@ -566,13 +620,18 @@ def _matches_reference(graph):
 @example(_TWO_WAITERS)
 @settings(max_examples=200, deadline=None)
 def test_zero_time_path_matches_reference_engine(graph):
-    """In-place grants, in-place calls and the one-resume serve are
-    invisible: same pops of the same types in the same (time, seq) order,
-    same wake order, same event count as an engine that queues every
-    grant and runs every child as a process."""
+    """In-place grants, in-place calls and parked waits are invisible:
+    same pops of the same types in the same (time, seq) order, same wake
+    order, same event count as an engine that queues every grant, runs
+    every child as a process and builds an event for every wait."""
     _matches_reference(graph)
 
 
 @pytest.mark.parametrize("graph", _CALL_EXAMPLES)
 def test_each_condition_of_call_is_needed(graph):
+    _matches_reference(graph)
+
+
+@pytest.mark.parametrize("graph", _PARKED_EXAMPLES)
+def test_each_parked_wait_pops_as_its_event(graph):
     _matches_reference(graph)

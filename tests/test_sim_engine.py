@@ -31,6 +31,37 @@ def test_timeout_rejects_negative_delay():
         env.timeout(-1.0)
 
 
+def test_sleep_is_a_timeout_without_the_event():
+    env = Environment()
+    pops = []
+
+    def proc(env):
+        yield env.sleep(5.0)
+        yield env.sleep(0.0)
+        yield env.sleep(2.5)
+        return env.now
+
+    process = env.process(proc(env))
+    set_pop_observer(lambda now, event: pops.append((now, type(event).__name__)))
+    try:
+        env.run()
+    finally:
+        set_pop_observer(None)
+    assert process.value == 7.5
+    # The bootstrap, three timeouts and the completion; nothing else built.
+    assert pops == [(0.0, "Event"), (5.0, "Timeout"), (5.0, "Timeout"),
+                    (7.5, "Timeout"), (7.5, "Process")]
+    assert env.processed_events == len(pops)
+
+
+def test_sleep_rejects_negative_delay_and_conditions():
+    env = Environment()
+    with pytest.raises(SimulationError, match=">= 0"):
+        env.sleep(-1.0)
+    with pytest.raises(SimulationError, match="condition"):
+        env.any_of([env.sleep(1.0), env.timeout(1.0)])
+
+
 def test_process_return_value_delivered_to_waiter():
     env = Environment()
 

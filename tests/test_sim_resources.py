@@ -350,6 +350,9 @@ def test_successor_grant_sequenced_before_releaser_continues():
         set_pop_observer(None)
     at_handoff = [event for now, event in pops if now == 5.0]
     grant = next(event for event in at_handoff if isinstance(event, Request))
+    # A slot handed on while its releaser runs is a queued grant, never
+    # one fired in place.
+    assert grant is not resource._in_place
     assert at_handoff.index(grant) < at_handoff.index(after_release)
     assert grant._seq < after_release._seq
     assert env.now == 10.0
@@ -571,6 +574,49 @@ def test_signal_is_rearmable():
     env.run()
     assert wake_times == [5.0, 10.0]
     assert signal.notify_count == 2
+
+
+def test_signal_park_and_wait_share_one_wake_order():
+    """Parked processes and wait() events wake in the order they joined,
+    each popped as an Event, and a park needs a running process."""
+    env = Environment()
+    signal = Signal(env)
+    woken = []
+
+    def parker(env, tag, delay):
+        yield env.timeout(delay)
+        yield signal.park()
+        woken.append((tag, env.now))
+
+    def waiter(env, tag, delay):
+        yield env.timeout(delay)
+        yield env.any_of([signal.wait(), env.timeout(100.0)])
+        woken.append((tag, env.now))
+
+    env.process(parker(env, "p1", 1.0))
+    env.process(waiter(env, "w", 2.0))
+    env.process(parker(env, "p2", 3.0))
+
+    def notifier(env):
+        yield env.timeout(10.0)
+        assert signal.waiting == 3
+        signal.notify_all()
+
+    env.process(notifier(env))
+    pops = []
+    set_pop_observer(lambda now, event: pops.append((now, type(event).__name__)))
+    try:
+        env.run()
+    finally:
+        set_pop_observer(None)
+    # The three wakes pop right after the notifier's timeout, in joining
+    # order; the any_of waiter resumes later, when its condition fires.
+    assert [pop[1] for pop in pops if pop[0] == 10.0][:4] == [
+        "Timeout", "Event", "Event", "Event"
+    ]
+    assert woken == [("p1", 10.0), ("p2", 10.0), ("w", 10.0)]
+    with pytest.raises(SimulationError, match="no process running"):
+        signal.park()
 
 
 def test_signal_notify_without_waiters_is_safe():

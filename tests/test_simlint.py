@@ -241,6 +241,39 @@ def test_sim003_allows_yielded_serve_and_own_serve_generators():
     ) == []
 
 
+@pytest.mark.parametrize("wait", ["env.sleep(5.0)", "self._space.park()"])
+def test_sim003_flags_unyielded_sleep_and_park(wait):
+    """The other two parking waits break the same three ways as serve,
+    plus a fourth: a condition has no event to wait on."""
+    assert codes(f"def worker(self, env):\n    {wait}\n    yield env.timeout(1)\n") \
+        == ["SIM003"]
+    assert codes(f"def worker(self, env):\n    yield from {wait}\n") == ["SIM003"]
+    assert codes(
+        f"def worker(self, env):\n    token = {wait}\n    yield env.timeout(1)\n"
+    ) == ["SIM003"]
+    assert codes(
+        f"def worker(self, env):\n    yield env.any_of([{wait}, env.timeout(2)])\n"
+    ) == ["SIM003"]
+    assert codes(f"def worker(self, env):\n    yield env.all_of(({wait},))\n") \
+        == ["SIM003"]
+
+
+def test_sim003_allows_yielded_sleep_park_and_time_sleep():
+    assert codes(
+        "import time\n"
+        "from time import sleep\n"
+        "def worker(self, env):\n"
+        "    yield env.sleep(5.0)\n"
+        "    yield self._space.park()\n"
+        "    token = env.sleep(1.0)\n"
+        "    yield token\n"
+        "    yield env.any_of([self._space.wait(), env.timeout(2)])\n"
+        "    time.sleep(1)\n"
+        "    sleep(1)\n"
+    ) == []
+    assert codes("import time as clock\nclock.sleep(0.1)\n") == []
+
+
 # -- SIM004: timestamp equality ----------------------------------------------
 
 

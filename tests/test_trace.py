@@ -12,6 +12,8 @@ from repro.errors import ConfigurationError, DeviceReadOnlyError, KeyNotFoundErr
 from repro.faults.model import FaultConfig
 from repro.kvbench.runner import execute_workload
 from repro.kvbench.workload import WorkloadSpec, generate_operations
+from repro.kvftl.blob import blobs_per_page
+from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.population import KeyScheme
 from repro.metrics.attribution import LatencyBreakdown
 from repro.sim.engine import Environment
@@ -108,16 +110,26 @@ def test_disabled_tracer_records_nothing():
 #: A ceiling: lowering it needs no edit here.
 TRACING_OFF_CALLS = 3715
 #: Ceilings on the same cell's calls into all of ``repro/`` and into the
-#: two layers that make most of them (measured: 52,013 / 8,584 / 22,368;
-#: 52,072 / 8,584 / 22,427 with the calendar queue; 58,681 / 10,955 /
-#: 22,427 with phase context managers and per-op ``layout_blob``).  ``sim`` is held where it was: an engine guard.
-#: ``host path`` is ``kvbench`` + ``api`` + ``nvme``, the adapter ->
-#: command envelope -> driver chain, at its measured 4,729 + 2,480 + 2,000
-#: (23.0 per op).
+#: two layers that make most of them (measured: 50,880 / 8,584 / 21,235;
+#: 52,013 / 8,584 / 22,368 before parked waits; 52,072 / 8,584 / 22,427
+#: with the calendar queue; 58,681 / 10,955 / 22,427 with phase context
+#: managers and per-op ``layout_blob``).  ``sim`` is held where it is: an
+#: engine guard.  ``host path`` is ``kvbench`` + ``api`` + ``nvme``, the
+#: adapter -> command envelope -> driver chain, at its measured 4,729 +
+#: 2,480 + 2,000 (23.0 per op).
 MODEL_PATH_CALLS = {
-    "total": 52_332, "kvftl": 8_700, "sim": 22_500, "host path": 9_209,
+    "total": 51_199, "kvftl": 8_700, "sim": 21_235, "host path": 9_209,
 }
 LEDGER_CELL_EVENTS = 6303
+
+#: The second cell, where serves queue: ``kv_gc_writes``' aged geometry
+#: at 1/20 of its phase (4 hot blocks of pairs over a cold ballast two
+#: blocks above the GC threshold, aged by 3,500 untimed updates, then
+#: 1,100 updates at QD16 with GC running: 8 runs).  Measured: exactly
+#: 43,960 events and 124,848 calls into ``sim`` (145,590 with a grant
+#: event, a service event and a timeout per queued serve).
+GC_CELL_EVENTS = 43_960
+GC_CELL_SIM_CALLS = 124_848
 
 
 def test_tracing_off_pays_nothing_extra_and_tracing_on_adds_no_events():
@@ -158,6 +170,35 @@ def test_tracing_off_pays_nothing_extra_and_tracing_on_adds_no_events():
     )
     for package, ceiling in MODEL_PATH_CALLS.items():
         assert none_calls[package] <= ceiling, package
+
+
+def test_queued_serves_under_gc_stay_within_the_sim_ledger():
+    """The ledger where grants queue behind GC's programs and erases: the
+    engine's calls per event there are held like the pinned cell's."""
+    hot_scheme = KeyScheme(prefix=b"fill", digits=12)
+    rig = build_kv_rig(lab_geometry(8), config=KVSSDConfig(stream_width=4))
+    device = rig.device
+    geometry = device.array.geometry
+    per_block = geometry.pages_per_block * blobs_per_page(
+        hot_scheme.key_bytes, 4096, geometry.page_bytes, device.config
+    )
+    hot = 4 * per_block
+    device.fast_fill(hot, 4096, hot_scheme)
+    cold_blocks = device.free_block_count() - 4 - device.core.gc_threshold_blocks - 2
+    device.fast_fill(cold_blocks * per_block, 4096, KeyScheme(prefix=b"cold", digits=12))
+
+    def updates(n_ops, seed):
+        return execute_workload(rig.env, rig.adapter, generate_operations(WorkloadSpec(
+            n_ops=n_ops, op="update", population=hot, key_scheme=hot_scheme,
+            value_bytes=4096, seed=seed,
+        )), queue_depth=16)
+
+    updates(3_500, 2)
+    events, gc_runs = rig.env.processed_events, device.stats.gc_runs
+    _, calls = call_ledger(lambda: updates(1_100, 1))
+    assert device.stats.gc_runs - gc_runs == 8
+    assert rig.env.processed_events - events == GC_CELL_EVENTS
+    assert calls["sim"] <= GC_CELL_SIM_CALLS
 
 
 def test_unbound_tracer_is_inert_and_bind_is_idempotent():
