@@ -57,12 +57,12 @@ def main() -> None:
         value_bytes=VALUE_BYTES,
         seed=13,
     )
-    before = device.counters.snapshot()
+    before = device.stats.snapshot()
     run = execute_workload(
         rig.env, rig.adapter, generate_operations(spec), queue_depth=16,
         bandwidth_window_us=100_000.0, name="gc-study",
     )
-    delta = device.counters.delta(before)
+    delta = device.stats.delta(before)
 
     series = run.bandwidth.series_mib_per_sec()
     print("\nupdate-phase bandwidth over time (MiB/s):")

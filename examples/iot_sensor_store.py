@@ -107,7 +107,7 @@ def main() -> None:
         ],
     ))
 
-    kv_sa = kv_rig.device.space.amplification()
+    kv_sa = kv_rig.device.stats.amplification()
     print("\nthe trade (paper Sec. V): the KV-SSD frees the embedded CPU "
           f"({lsm_cpu / kv_cpu:.1f}x less host CPU; tail ingest "
           f"{lsm_ingest.latency.summary().p99 / kv_ingest.latency.summary().p99:.1f}x "

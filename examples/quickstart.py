@@ -57,9 +57,9 @@ def main() -> None:
     print(f"\nafter the session (t={pretty_time(env.now)}):")
     print(f"  live pairs:        {device.live_kvps}")
     print(f"  device bytes:      {pretty_size(device.occupied_bytes)}")
-    print(f"  space amp:         {device.space.amplification():.2f}x "
+    print(f"  space amp:         {device.stats.amplification():.2f}x "
           "(1 KiB minimum allocation pads the 100 B value)")
-    print(f"  flash programs:    {device.array.counters.page_programs}")
+    print(f"  flash programs:    {device.stats.flash_programs}")
     print(f"  host CPU consumed: {rig.cpu.total_busy_us:.1f} us")
 
 

@@ -47,8 +47,6 @@ class BlockSSDConfig:
     #: Free blocks reserved for GC's own allocations (user flush waits
     #: below this floor — the foreground-GC stall point).
     gc_reserve_blocks: int = 4
-    #: GC victim scoring: ``greedy`` or ``cost_benefit`` (ablation knob).
-    gc_victim_policy: str = "greedy"
     #: Grown-defect budget before the device degrades to read-only;
     #: ``None`` scales with the geometry (see FtlCore).
     spare_block_limit: Optional[int] = None
@@ -101,8 +99,3 @@ class BlockSSDConfig:
             raise ConfigurationError("spare_block_limit must be >= 1")
         if not 0.0 < self.gc_threshold_fraction < 1.0:
             raise ConfigurationError("gc_threshold_fraction must be in (0, 1)")
-        if self.gc_victim_policy not in ("greedy", "cost_benefit"):
-            raise ConfigurationError(
-                "gc_victim_policy must be 'greedy' or 'cost_benefit', "
-                f"got {self.gc_victim_policy!r}"
-            )

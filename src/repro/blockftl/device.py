@@ -78,10 +78,8 @@ class BlockSSD:
         #: always call ``device.tracer.op(...)``.
         self.tracer = tracer if tracer is not None else Tracer.disabled()
         self.tracer.bind(env)
-        #: Legacy view kept for tooling; counters live on ``stats`` now.
-        self.counters = self.stats
         self.array = FlashArray(
-            env, geometry, self.timing, stats=self.stats, tracer=self.tracer,
+            env, geometry, self.timing, self.stats, tracer=self.tracer,
             faults=faults,
         )
 
@@ -109,9 +107,7 @@ class BlockSSD:
             gc_reserve_blocks=self.config.gc_reserve_blocks,
             page_payload_bytes=self.slots_per_page * self.map_unit,
             user_capacity_bytes=self.user_capacity_bytes,
-            gc_victim_policy=self.config.gc_victim_policy,
             spare_block_limit=self.config.spare_block_limit,
-            stats=self.stats,
             tracer=self.tracer,
             invariants=self.config.invariants,
             name=name,

@@ -30,7 +30,7 @@ def aggregate_device_stats(stats: Sequence[DeviceStats]) -> DeviceStats:
 
     Numeric fields add; list fields (per-event logs like GC victims)
     concatenate in shard order.  Mirrors the generic field walk of
-    ``DeviceCounters.snapshot``/``delta`` so new telemetry aggregates
+    ``DeviceStats.snapshot``/``delta`` so new telemetry aggregates
     without edits here.
     """
     total = DeviceStats()

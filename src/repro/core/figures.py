@@ -688,7 +688,7 @@ def _fig7_cell(
     hash_rig = build_rig("aerospike", geometry)
     hash_rig.prime(kvps, size, FILL_SCHEME)
     return {
-        f"kvssd.{size}.sa": kv_rig.device.stats.space_amplification(),
+        f"kvssd.{size}.sa": kv_rig.device.stats.amplification(),
         f"kvssd.{size}.analytic": space_amplification(
             PAPER_SCHEME.key_bytes, size, geometry.page_bytes, KVSSDConfig()
         ),

@@ -6,7 +6,6 @@ __all__ = [
     "BlockInfo",
     "BlockState",
     "FlashArray",
-    "FlashCounters",
     "FlashTiming",
     "Geometry",
     "PageAddress",
@@ -16,6 +15,6 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "geometry": ("Geometry", "PageAddress", "scaled_pm983", "tiny_geometry"),
-    "nand": ("BlockInfo", "BlockState", "FlashArray", "FlashCounters"),
+    "nand": ("BlockInfo", "BlockState", "FlashArray"),
     "timing": ("FlashTiming",),
 })

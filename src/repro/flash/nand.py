@@ -60,29 +60,6 @@ class BlockInfo:
     erase_count: int = 0
 
 
-@dataclass
-class FlashCounters:
-    """Cumulative operation counters (the simulator's S.M.A.R.T. log)."""
-
-    page_reads: int = 0
-    page_programs: int = 0
-    block_erases: int = 0
-    bytes_read: int = 0
-    bytes_programmed: int = 0
-    primed_pages: int = 0
-
-    def snapshot(self) -> "FlashCounters":
-        """Return a copy, for before/after deltas in experiments."""
-        return FlashCounters(
-            page_reads=self.page_reads,
-            page_programs=self.page_programs,
-            block_erases=self.block_erases,
-            bytes_read=self.bytes_read,
-            bytes_programmed=self.bytes_programmed,
-            primed_pages=self.primed_pages,
-        )
-
-
 class FlashArray:
     """Timed, stateful NAND array.
 
@@ -95,6 +72,10 @@ class FlashArray:
       the per-die resource: two planes behind one die still serialize,
       matching the conservative end of real devices.)
     * ``erase``: die busy for tBERS; negligible channel traffic.
+
+    Every timed op bumps the device's ``stats``: its count
+    (``flash_reads``/``flash_programs``/``flash_erases``) and the
+    die/channel service time (``flash_busy_us``).
     """
 
     def __init__(
@@ -102,16 +83,15 @@ class FlashArray:
         env: Environment,
         geometry: Geometry,
         timing: FlashTiming,
-        stats: Optional["DeviceStats"] = None,
+        stats: "DeviceStats",
         tracer: Optional["Tracer"] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.env = env
         self.geometry = geometry
         self.timing = timing
-        self.counters = FlashCounters()
-        #: Optional device-level DeviceStats sink mirroring timed flash ops.
-        self._stats = stats
+        #: The device's counter record; timed ops write to it.
+        self.stats = stats
         #: Optional span tracer; timed ops emit die/channel timeline spans.
         self._tracer = tracer
         #: Optional fault injector; ``None`` models perfect flash.
@@ -234,12 +214,10 @@ class FlashArray:
     def prime_program(self, block_index: int, valid_bytes: int) -> int:
         """Untimed page program for experiment setup (fast fill).
 
-        Identical state effect to the timed :meth:`program`, with the
-        flash-op counters recording it as a primed page instead.
+        Identical state effect to the timed :meth:`program`; no counter
+        records it.
         """
-        page_index = self._commit_program(block_index, valid_bytes)
-        self.counters.primed_pages += 1
-        return page_index
+        return self._commit_program(block_index, valid_bytes)
 
     def prime_program_run(
         self, block_index: int, n_pages: int, valid_bytes_per_page: int
@@ -272,7 +250,6 @@ class FlashArray:
         info.valid_bytes += n_pages * valid_bytes_per_page
         if info.next_page == pages_per_block:
             info.state = BlockState.CLOSED
-        self.counters.primed_pages += n_pages
         return start_page
 
     def prime_erase(self, block_index: int) -> None:
@@ -318,7 +295,7 @@ class FlashArray:
                 block_index, page_index, info.erase_count, attempt
             )
         timing = self.timing
-        stats = self._stats
+        stats = self.stats
         nbytes = min(nbytes, self.geometry.page_bytes)
         read_us = timing.read_us
         transfer_us = timing.transfer_us(nbytes)
@@ -326,8 +303,7 @@ class FlashArray:
         yield self._die_res[block_index].serve(read_us)
         # Busy time is banked per serve, at the same instants spans are
         # recorded, so counter and trace agree even with ops in flight.
-        if stats is not None:
-            stats.flash_busy_us += read_us
+        stats.flash_busy_us += read_us
         if tracer is not None:
             tracer.complete(
                 self._die_track[block_index],
@@ -335,18 +311,13 @@ class FlashArray:
                 args={"block": block_index},
             )
         yield self._chan_res[block_index].serve(transfer_us)
-        if stats is not None:
-            stats.flash_busy_us += transfer_us
+        stats.flash_busy_us += transfer_us
         if tracer is not None:
             tracer.complete(
                 self._chan_track[block_index],
                 "read.xfer", "flash", transfer_us,
             )
-        counters = self.counters
-        counters.page_reads += 1
-        counters.bytes_read += nbytes
-        if stats is not None:
-            stats.flash_reads += 1
+        stats.flash_reads += 1
         if good and attempt == 0:
             return READ_OK
         return ReadResult(ok=good, retries=attempt)
@@ -371,22 +342,20 @@ class FlashArray:
             info = self._info(block_index)
             failed = self.faults.program_fails(block_index, info.erase_count)
         timing = self.timing
-        stats = self._stats
+        stats = self.stats
         nbytes = min(nbytes, self.geometry.page_bytes)
         program_us = timing.program_us
         transfer_us = timing.transfer_us(nbytes)
         tracer = self._tracing()
         yield self._chan_res[block_index].serve(transfer_us)
-        if stats is not None:
-            stats.flash_busy_us += transfer_us
+        stats.flash_busy_us += transfer_us
         if tracer is not None:
             tracer.complete(
                 self._chan_track[block_index],
                 "program.xfer", "flash", transfer_us,
             )
         yield self._die_res[block_index].serve(program_us)
-        if stats is not None:
-            stats.flash_busy_us += program_us
+        stats.flash_busy_us += program_us
         if tracer is not None:
             tracer.complete(
                 self._die_track[block_index],
@@ -398,11 +367,7 @@ class FlashArray:
                 f"program failed in block {block_index}", block=block_index
             )
         page_index = self._commit_program(block_index, valid_bytes)
-        counters = self.counters
-        counters.page_programs += 1
-        counters.bytes_programmed += nbytes
-        if stats is not None:
-            stats.flash_programs += 1
+        stats.flash_programs += 1
         return page_index
 
     def erase(self, block_index: int) -> Generator[Event, None, None]:
@@ -423,8 +388,7 @@ class FlashArray:
             failed = self.faults.erase_fails(block_index, info.erase_count)
         tracer = self._tracing()
         yield self._die_res[block_index].serve(self.timing.erase_us)
-        if self._stats is not None:
-            self._stats.flash_busy_us += self.timing.erase_us
+        self.stats.flash_busy_us += self.timing.erase_us
         if tracer is not None:
             tracer.complete(
                 self._die_track[block_index],
@@ -439,9 +403,7 @@ class FlashArray:
         info.state = BlockState.FREE
         info.next_page = 0
         info.erase_count += 1
-        self.counters.block_erases += 1
-        if self._stats is not None:
-            self._stats.flash_erases += 1
+        self.stats.flash_erases += 1
 
     def close_defective(self, block_index: int) -> None:
         """Force an OPEN block CLOSED after a program failure (untimed).
@@ -468,8 +430,3 @@ class FlashArray:
     def total_valid_bytes(self) -> int:
         """Live bytes across the whole array."""
         return sum(info.valid_bytes for info in self.blocks)
-
-    def write_amplification(self) -> float:
-        """Programmed bytes / host-attributable bytes is FTL-level; here we
-        expose programmed-page totals for the FTLs to normalize."""
-        return float(self.counters.page_programs)

@@ -9,19 +9,13 @@ __all__ = [
     "FreeBlockPool",
     "FtlCore",
     "GcItem",
-    "VictimSelector",
     "WriteBuffer",
-    "cost_benefit_victim",
     "greedy_victim",
-    "select_victim",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "core": ("DeviceStats", "FlushBatch", "FtlCore", "GcItem"),
     "pool": ("AllocationStream", "FreeBlockPool"),
-    "victim": (
-        "VictimSelector", "cost_benefit_victim", "greedy_victim",
-        "select_victim",
-    ),
+    "victim": ("greedy_victim",),
     "writebuffer": ("WriteBuffer",),
 })

@@ -6,17 +6,18 @@ attributable to FTL policy, not substrate.  :class:`FtlCore` is the code
 form of that guarantee: a single implementation of everything both
 personalities must share —
 
-* the **garbage-collection engine** — victim selection through the
-  :mod:`repro.ftl.victim` policies, the over-provisioning watermark that
+* the **garbage-collection engine** — greedy victim selection
+  (:mod:`repro.ftl.victim`), the over-provisioning watermark that
   triggers background collection, and the ``block_allowance``
   foreground/background arbitration that produces the paper's Fig. 6
   stall troughs;
 * the **write pipeline** — flush workers that batch buffered payloads
   into page programs, linger-timer aging for partial batches, and the
   ``drain()`` barrier experiments use between setup and measurement;
-* **telemetry** — a unified :class:`DeviceStats` struct that both
-  devices report through, so figures and benchmarks never read
-  personality-specific attributes.
+* **telemetry** — :class:`DeviceStats`, the one record every device
+  counter is written to: the flash array, the write buffer, the core and
+  the personality all bump the same fields, so figures and benchmarks
+  never read personality-specific attributes.
 
 A personality plugs in only what genuinely differs (blob packing and a
 hash index for KV; LBA mapping and sector batching for block) by
@@ -63,7 +64,7 @@ per call, so it is a debug/test mode, not a production default.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Any,
     Deque,
@@ -89,38 +90,41 @@ from repro.errors import (
 from repro.faults.model import ReadResult
 from repro.flash.nand import BlockState, FlashArray
 from repro.ftl.pool import AllocationStream, FreeBlockPool
-from repro.ftl.victim import select_victim
+from repro.ftl.victim import greedy_victim
 from repro.ftl.writebuffer import WriteBuffer
-from repro.metrics.counters import DeviceCounters
 from repro.sim.engine import Environment, Event
 from repro.sim.signal import Signal
 from repro.trace.tracer import NULL_SPAN, Tracer
 from repro.units import ceil_div
 
-#: GC policies the core can dispatch to (mirrors ``ftl.victim``).
-VICTIM_POLICIES = ("greedy", "cost_benefit")
-
 
 @dataclass
-class DeviceStats(DeviceCounters):
-    """Unified device telemetry: counters + space books + stall time.
+class DeviceStats:
+    """The device's counters (the simulator's S.M.A.R.T. / NVMe-CLI log).
 
-    Extends the S.M.A.R.T.-style :class:`DeviceCounters` with the three
-    quantities the figures and benches previously read through
-    personality-specific attributes:
-
-    * flash-operation totals (timed reads/programs/erases, fed by the
-      :class:`~repro.flash.nand.FlashArray` sink);
-    * space accounting compatible with
-      :class:`~repro.metrics.space.SpaceAccountant` (Fig. 7's SAF);
-    * stall time — write-buffer admission waits plus free-block
-      allowance waits (the Fig. 6 foreground-GC mechanism).
-
-    ``snapshot``/``delta`` are inherited generically, so experiment
-    before/after deltas cover every field here too.
+    The one record of every device counter, each written once, where it
+    happens: host traffic and index I/O by the personality, GC and
+    recovery by the core, timed flash operations by the
+    :class:`~repro.flash.nand.FlashArray`, admission stalls by the
+    :class:`~repro.ftl.writebuffer.WriteBuffer`.  Experiments snapshot it
+    around a measured phase and report the delta; ``snapshot``/``delta``
+    walk the fields, so a new counter needs no edit there.
     """
 
-    # -- space accounting (SpaceAccountant-compatible) -------------------
+    # -- host traffic and GC ------------------------------------------------
+    host_reads: int = 0
+    host_writes: int = 0
+    host_read_bytes: int = 0
+    host_write_bytes: int = 0
+    gc_runs: int = 0
+    foreground_gc_runs: int = 0
+    gc_relocated_bytes: int = 0
+    gc_erased_blocks: int = 0
+    index_flash_reads: int = 0
+    index_flash_writes: int = 0
+    #: (time_us, was_foreground) for every GC run, for time-series overlays.
+    gc_events: List[Tuple[float, bool]] = field(default_factory=list)
+    # -- space accounting (Fig. 7's SAF) ----------------------------------
     app_key_bytes: int = 0
     app_value_bytes: int = 0
     device_bytes: int = 0
@@ -157,6 +161,33 @@ class DeviceStats(DeviceCounters):
     #: Time spent in media-error recovery (retries, backoff, reprograms).
     recovery_us: float = 0.0
 
+    def snapshot(self) -> "DeviceStats":
+        """Copy for before/after deltas (lists are shallow-copied)."""
+        return self.delta(DeviceStats())
+
+    def delta(self, earlier: "DeviceStats") -> "DeviceStats":
+        """Counter difference ``self - earlier``.
+
+        Event lists keep only the entries recorded after ``earlier`` was
+        snapshotted (appends-only semantics).
+        """
+        diff = DeviceStats()
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            before = getattr(earlier, spec.name)
+            if isinstance(value, list):
+                setattr(diff, spec.name, value[len(before):])
+            else:
+                setattr(diff, spec.name, value - before)
+        return diff
+
+    def write_amplification(self) -> float:
+        """(host + GC-relocated bytes) / host bytes; 1.0 when idle."""
+        if self.host_write_bytes == 0:
+            return 1.0
+        moved = self.host_write_bytes + self.gc_relocated_bytes
+        return moved / self.host_write_bytes
+
     def record_store(
         self, key_bytes: int, value_bytes: int, device_bytes: int
     ) -> None:
@@ -170,12 +201,16 @@ class DeviceStats(DeviceCounters):
     def record_remove(
         self, key_bytes: int, value_bytes: int, device_bytes: int
     ) -> None:
-        """Account removal (overwrite/delete) of a stored object."""
+        """Account removal (overwrite/delete) of a stored object.
+
+        An unmatched remove is refused before any book moves.
+        """
+        if (key_bytes > self.app_key_bytes or value_bytes > self.app_value_bytes
+                or device_bytes > self.device_bytes):
+            raise ValueError("space accounting went negative; unmatched remove")
         self.app_key_bytes -= key_bytes
         self.app_value_bytes -= value_bytes
         self.device_bytes -= device_bytes
-        if min(self.app_key_bytes, self.app_value_bytes, self.device_bytes) < 0:
-            raise ValueError("space accounting went negative; unmatched remove")
 
     @property
     def app_bytes(self) -> int:
@@ -193,10 +228,6 @@ class DeviceStats(DeviceCounters):
         if self.app_value_bytes == 0:
             raise ValueError("no application value bytes recorded")
         return self.device_bytes / self.app_value_bytes
-
-    # Canonical SAF name used by figures; ``amplification`` kept for the
-    # SpaceAccountant-era call sites.
-    space_amplification = amplification
 
     def stall_time_us(self) -> float:
         """Total host-visible stall time (buffer + allowance waits)."""
@@ -282,9 +313,9 @@ class FtlCore:
     """Shared device substrate both firmware personalities compose.
 
     Owns the free-block pool, allocation streams, write buffer, flush
-    workers, the GC worker, and the :class:`DeviceStats` sink.  The
-    hosting personality is consulted only through the hook protocol
-    documented in the module docstring.
+    workers and the GC worker, and writes to the array's
+    :class:`DeviceStats`.  The hosting personality is consulted only
+    through the hook protocol documented in the module docstring.
     """
 
     def __init__(
@@ -300,32 +331,24 @@ class FtlCore:
         gc_reserve_blocks: int,
         page_payload_bytes: int,
         user_capacity_bytes: int,
-        gc_victim_policy: str = "greedy",
         spare_block_limit: Optional[int] = None,
-        stats: Optional[DeviceStats] = None,
         tracer: Optional[Tracer] = None,
         invariants: bool = False,
         name: str = "ftl",
     ) -> None:
-        if gc_victim_policy not in VICTIM_POLICIES:
-            raise ConfigurationError(
-                f"unknown GC victim policy {gc_victim_policy!r}; "
-                f"expected one of {VICTIM_POLICIES}"
-            )
         if page_payload_bytes < 1:
             raise ConfigurationError("page payload must be >= 1 byte")
         self.env = env
         self.array = array
         self.personality = personality
         self.name = name
-        self.stats = stats if stats is not None else DeviceStats()
+        self.stats = array.stats
         #: Optional span tracer for flush/GC timeline spans.
         self.tracer = tracer
         #: Runtime invariant checking (debug/test mode; O(live data)).
         self.invariants = invariants
         self.flush_linger_us = flush_linger_us
         self.gc_reserve_blocks = gc_reserve_blocks
-        self.gc_victim_policy = gc_victim_policy
         #: Usable payload bytes per programmed page (below ``page_bytes``
         #: for the KV personality, which reserves per-page recovery area).
         self.page_payload_bytes = page_payload_bytes
@@ -336,7 +359,7 @@ class FtlCore:
         # constructing the core.
         self.pool = FreeBlockPool(array)
         self.buffer = WriteBuffer(
-            env, write_buffer_bytes, name=f"{name}.buffer", stats=self.stats
+            env, write_buffer_bytes, self.stats, name=f"{name}.buffer"
         )
         self.write_stream = AllocationStream(
             array, self.pool, stream_width, name=f"{name}.data"
@@ -798,10 +821,8 @@ class FtlCore:
         return False
 
     def select_victim(self) -> Optional[int]:
-        """Pick the next GC victim under the configured policy."""
-        return select_victim(
-            self.array, self.gc_victim_policy, eligible=self._gc_eligible
-        )
+        """Pick the next GC victim: the eligible block with least valid data."""
+        return greedy_victim(self.array, self._gc_eligible)
 
     def _gc_worker(self) -> Generator[Event, None, None]:
         while True:

@@ -1,16 +1,10 @@
-"""Garbage-collection victim selection policies.
+"""Garbage-collection victim selection.
 
-Both personalities choose erase victims among CLOSED blocks.  Two standard
-policies are provided:
-
-* :func:`greedy_victim` — minimum valid bytes; optimal for uniform traffic
-  and what most firmware ships.
-* :func:`cost_benefit_victim` — the classic (1-u)/(1+u) * age score, which
-  outperforms greedy under skew; exposed for the ablation benches.
-
-Each selector accepts an optional ``eligible`` predicate so a personality
-can fence off blocks GC must never touch (the KV device's on-flash index
-region) without forking the policy code.
+Both personalities choose erase victims among CLOSED blocks greedily:
+the block with the fewest valid bytes, which is optimal for uniform
+traffic and what most firmware ships.  An ``eligible`` predicate lets a
+personality fence off blocks GC must never touch (the KV device's
+on-flash index region).
 """
 
 from __future__ import annotations
@@ -19,15 +13,9 @@ from typing import Callable, Optional
 
 from repro.flash.nand import BlockState, FlashArray
 
-#: Signature shared by all victim selectors.
-VictimSelector = Callable[[FlashArray], Optional[int]]
-
-#: Predicate deciding whether a block index may be collected at all.
-EligiblePredicate = Callable[[int], bool]
-
 
 def greedy_victim(
-    array: FlashArray, eligible: Optional[EligiblePredicate] = None
+    array: FlashArray, eligible: Optional[Callable[[int], bool]] = None
 ) -> Optional[int]:
     """Closed block with the fewest valid bytes, or None if none closed."""
     best_index: Optional[int] = None
@@ -43,43 +31,3 @@ def greedy_victim(
             if best_valid == 0:
                 break
     return best_index
-
-
-def cost_benefit_victim(
-    array: FlashArray, eligible: Optional[EligiblePredicate] = None
-) -> Optional[int]:
-    """Cost-benefit selection: maximize (1-u)/(1+u) weighted by coldness.
-
-    Without per-block modification timestamps the age term uses the erase
-    count as a proxy for coldness (rarely erased ~ cold).  Degenerates to
-    greedy when all erase counts match, which keeps tests deterministic.
-    """
-    block_bytes = array.geometry.block_bytes
-    best_index: Optional[int] = None
-    best_score = None
-    max_erase = max((info.erase_count for info in array.blocks), default=0) + 1
-    for block_index, info in enumerate(array.blocks):
-        if info.state is not BlockState.CLOSED:
-            continue
-        if eligible is not None and not eligible(block_index):
-            continue
-        utilization = info.valid_bytes / block_bytes
-        coldness = 1.0 + (max_erase - info.erase_count) / max_erase
-        score = ((1.0 - utilization) / (1.0 + utilization)) * coldness
-        if best_score is None or score > best_score:
-            best_score = score
-            best_index = block_index
-    return best_index
-
-
-def select_victim(
-    array: FlashArray,
-    policy: str = "greedy",
-    eligible: Optional[EligiblePredicate] = None,
-) -> Optional[int]:
-    """Dispatch by policy name (``'greedy'`` or ``'cost_benefit'``)."""
-    if policy == "greedy":
-        return greedy_victim(array, eligible)
-    if policy == "cost_benefit":
-        return cost_benefit_victim(array, eligible)
-    raise ValueError(f"unknown GC victim policy {policy!r}")

@@ -11,7 +11,7 @@ troughs emerge exactly here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Environment, Event
@@ -26,16 +26,17 @@ class WriteBuffer:
     """Byte-granular admission control for the device write path.
 
     ``admit(nbytes)`` blocks the calling process until buffer space is
-    available; the flush machinery calls ``drain(nbytes)`` once the data
-    has been programmed to flash.
+    available, adding the wait to the device's ``buffer_stall_us``; the
+    flush machinery calls ``drain(nbytes)`` once the data has been
+    programmed to flash.
     """
 
     def __init__(
         self,
         env: Environment,
         capacity_bytes: int,
+        stats: "DeviceStats",
         name: str = "",
-        stats: Optional["DeviceStats"] = None,
     ) -> None:
         if capacity_bytes < 1:
             raise ConfigurationError(
@@ -45,19 +46,12 @@ class WriteBuffer:
         self.capacity_bytes = capacity_bytes
         self.name = name
         self._tokens = TokenBucket(env, capacity_bytes, name=f"{name}.tokens")
-        self._stall_time_us = 0.0
-        #: Optional DeviceStats sink mirroring admission-stall time.
         self._stats = stats
 
     @property
     def occupied_bytes(self) -> int:
         """Bytes currently buffered and awaiting flush."""
         return self.capacity_bytes - self._tokens.available
-
-    @property
-    def stall_time_us(self) -> float:
-        """Cumulative time writers spent blocked on admission."""
-        return self._stall_time_us
 
     def admit(self, nbytes: int) -> Generator[Event, None, None]:
         """Block until ``nbytes`` of buffer space is granted.
@@ -74,10 +68,7 @@ class WriteBuffer:
             if not self._tokens.take(chunk):
                 yield self._tokens.get(chunk)
             remaining -= chunk
-        waited = env._now - started
-        self._stall_time_us += waited
-        if self._stats is not None:
-            self._stats.buffer_stall_us += waited
+        self._stats.buffer_stall_us += env._now - started
 
     def drain(self, nbytes: int) -> None:
         """Release ``nbytes`` of buffer space after flash programming."""

@@ -34,7 +34,6 @@ from repro.kvbench.workload import (
     WorkloadSpec,
     generate_operations,
 )
-from repro.metrics.attribution import LatencyBreakdown
 from repro.metrics.bandwidth import BandwidthTracker
 from repro.metrics.latency import LatencyRecorder
 from repro.sim.engine import Environment, Event
@@ -188,9 +187,6 @@ class RunResult(Window):
     #: Device telemetry delta over the measured phase — the same
     #: DeviceStats struct regardless of which personality ran underneath.
     device_stats: Optional[DeviceStats] = None
-    #: Per-op-type latency attribution (``LatencyBreakdown.summary()``)
-    #: when the device ran with op tracing enabled; ``None`` otherwise.
-    trace_summary: Optional[dict] = None
 
 
 #: ``done(item, started_us, value, error)``: how :func:`serve_ops` reports
@@ -301,17 +297,8 @@ def drive_workload(
     )
     result.finished_us = env.now
     result.bandwidth.finish(env.now)
-    if device is None:
-        return result
-    result.device_stats = device.stats.delta(stats_before)
-    tracer = device.tracer
-    if tracer.enabled and tracer.wants("op"):
-        result.trace_summary = LatencyBreakdown.from_records(
-            tracer.collector.records(),
-            pid=tracer.pid,
-            since_us=result.started_us,
-            name=name,
-        ).summary()
+    if device is not None:
+        result.device_stats = device.stats.delta(stats_before)
     return result
 
 

@@ -64,8 +64,6 @@ class KVSSDConfig:
     write_buffer_bytes: int = 1 * MIB
     gc_threshold_fraction: float = 0.08
     gc_reserve_blocks: int = 4
-    #: GC victim scoring: ``greedy`` or ``cost_benefit`` (ablation knob).
-    gc_victim_policy: str = "greedy"
     #: Grown-defect budget before the device degrades to read-only;
     #: ``None`` scales with the geometry (see FtlCore).
     spare_block_limit: Optional[int] = None
@@ -150,8 +148,3 @@ class KVSSDConfig:
             raise ConfigurationError("gc_reserve_blocks must be >= 1")
         if self.spare_block_limit is not None and self.spare_block_limit < 1:
             raise ConfigurationError("spare_block_limit must be >= 1")
-        if self.gc_victim_policy not in ("greedy", "cost_benefit"):
-            raise ConfigurationError(
-                "gc_victim_policy must be 'greedy' or 'cost_benefit', "
-                f"got {self.gc_victim_policy!r}"
-            )

@@ -118,12 +118,8 @@ class KVSSD:
         #: always call ``device.tracer.op(...)``.
         self.tracer = tracer if tracer is not None else Tracer.disabled()
         self.tracer.bind(env)
-        #: Legacy views kept for tooling: counters and space books both
-        #: live on the unified ``stats`` struct now.
-        self.counters = self.stats
-        self.space = self.stats
         self.array = FlashArray(
-            env, geometry, self.timing, stats=self.stats, tracer=self.tracer,
+            env, geometry, self.timing, self.stats, tracer=self.tracer,
             faults=faults,
         )
         self.usable_page = usable_page_bytes(geometry.page_bytes, self.config)
@@ -180,9 +176,7 @@ class KVSSD:
             gc_reserve_blocks=self.config.gc_reserve_blocks,
             page_payload_bytes=self.usable_page,
             user_capacity_bytes=self.user_capacity_bytes,
-            gc_victim_policy=self.config.gc_victim_policy,
             spare_block_limit=self.config.spare_block_limit,
-            stats=self.stats,
             tracer=self.tracer,
             invariants=self.config.invariants,
             name=name,

@@ -1,4 +1,8 @@
-"""Measurement instruments: latency, bandwidth, CPU, space, device counters."""
+"""Measurement instruments: latency, bandwidth, CPU.
+
+Device counters and space books are one record,
+:class:`repro.ftl.core.DeviceStats`.
+"""
 
 from repro._lazy import lazy_exports
 
@@ -7,22 +11,15 @@ __all__ = [
     "BandwidthTracker",
     "CpuAccountant",
     "CpuReport",
-    "DeviceCounters",
     "LatencyBreakdown",
     "LatencyRecorder",
     "LatencySummary",
-    "SpaceAccountant",
-    "latency_ratio",
     "percentile",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "attribution": ("LatencyBreakdown",),
     "bandwidth": ("BandwidthPoint", "BandwidthTracker"),
-    "counters": ("DeviceCounters",),
     "cpu": ("CpuAccountant", "CpuReport"),
-    "latency": (
-        "LatencyRecorder", "LatencySummary", "latency_ratio", "percentile",
-    ),
-    "space": ("SpaceAccountant",),
+    "latency": ("LatencyRecorder", "LatencySummary", "percentile"),
 })

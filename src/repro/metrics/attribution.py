@@ -5,11 +5,12 @@ anything with ``pid``/``cat``/``name``/``ts``/``dur``/``args``) and
 aggregates two independent views:
 
 * **operation attribution** — for every ``op`` root span, the total
-  latency and its per-bucket components (``nvme``, ``controller``,
-  ``index``, ``buffer``, ``flash``, ...) carried in the record's
-  ``args["components"]``.  Mean/p99/p999 per op type come from here,
-  and the mean components sum to the mean latency because the phases
-  tile each operation.
+  latency (into one :class:`~repro.metrics.latency.LatencyRecorder`, one
+  label per op type) and its per-bucket components (``nvme``,
+  ``controller``, ``index``, ``buffer``, ``flash``, ...) carried in the
+  record's ``args["components"]``.  Mean/p99/p999 per op type come from
+  the recorder, and the mean components sum to the mean latency because
+  the phases tile each operation.
 * **device-timeline category totals** — summed busy time per non-op
   category (``flash``, ``gc``, ``flush``, ``nvme``, ``host``), the view
   that cross-checks against :class:`~repro.ftl.core.DeviceStats`
@@ -18,9 +19,9 @@ aggregates two independent views:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.metrics.latency import percentile
+from repro.metrics.latency import LatencyRecorder
 
 
 class LatencyBreakdown:
@@ -28,9 +29,10 @@ class LatencyBreakdown:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._ops: Dict[str, List[Tuple[float, Dict[str, float]]]] = {}
+        self._latency = LatencyRecorder(name)
+        #: Op type -> bucket -> summed component time, in first-seen order.
+        self._component_us: Dict[str, Dict[str, float]] = {}
         self._category_us: Dict[str, float] = {}
-        self._category_counts: Dict[str, int] = {}
 
     @classmethod
     def from_records(
@@ -59,100 +61,56 @@ class LatencyBreakdown:
         """Fold one finished span record into the aggregate."""
         cat = record.cat
         if cat == "op":
-            args = record.args or {}
-            components = args.get("components", {})
-            self._ops.setdefault(record.name, []).append(
-                (record.dur, components)
-            )
+            self._latency.record(record.dur, record.name)
+            sums = self._component_us.setdefault(record.name, {})
+            components = (record.args or {}).get("components", {})
+            for bucket, value in components.items():
+                sums[bucket] = sums.get(bucket, 0.0) + value
         elif cat != "phase":
             # Phase children duplicate the op components; everything else
             # is device-timeline busy time.
             self._category_us[cat] = self._category_us.get(cat, 0.0) + record.dur
-            self._category_counts[cat] = self._category_counts.get(cat, 0) + 1
 
     # -- operation attribution ------------------------------------------
 
     def op_types(self) -> List[str]:
         """Operation names seen, sorted."""
-        return sorted(self._ops)
+        return self._latency.labels()
 
     def count(self, op: str) -> int:
         """Number of finished operations of type ``op``."""
-        return len(self._ops.get(op, []))
-
-    def totals_us(self, op: str) -> List[float]:
-        """Raw total latencies for ``op``, in completion order."""
-        return [total for total, _components in self._ops.get(op, [])]
+        return self._latency.count(op)
 
     def mean_total_us(self, op: str) -> float:
         """Mean measured latency for ``op``."""
-        totals = self.totals_us(op)
-        if not totals:
-            raise ValueError(f"no operations of type {op!r} recorded")
-        return sum(totals) / len(totals)
-
-    def _tail(self, op: str, fraction: float) -> float:
-        totals = self.totals_us(op)
-        if not totals:
-            raise ValueError(f"no operations of type {op!r} recorded")
-        totals.sort()
-        return percentile(totals, fraction)
+        return self._latency.mean(op)
 
     def p99_total_us(self, op: str) -> float:
         """99th-percentile latency for ``op``."""
-        return self._tail(op, 0.99)
+        return self._latency.summary(op).p99
 
     def p999_total_us(self, op: str) -> float:
         """99.9th-percentile latency for ``op``."""
-        return self._tail(op, 0.999)
+        return self._latency.summary(op).p999
 
     def mean_components_us(self, op: str) -> Dict[str, float]:
         """Mean time per attribution bucket for ``op`` (absent => 0)."""
-        entries = self._ops.get(op, [])
-        if not entries:
+        count = self.count(op)
+        if not count:
             raise ValueError(f"no operations of type {op!r} recorded")
-        sums: Dict[str, float] = {}
-        for _total, components in entries:
-            for bucket, value in components.items():
-                sums[bucket] = sums.get(bucket, 0.0) + value
-        return {bucket: value / len(entries) for bucket, value in sums.items()}
-
-    # ``mean_components`` reads better at call sites; keep both names.
-    mean_components = mean_components_us
+        return {
+            bucket: value / count
+            for bucket, value in self._component_us[op].items()
+        }
 
     def buckets(self) -> List[str]:
         """Union of attribution buckets across all op types, sorted."""
-        seen = set()
-        for entries in self._ops.values():
-            for _total, components in entries:
-                seen.update(components)
-        return sorted(seen)
+        return sorted({
+            bucket for sums in self._component_us.values() for bucket in sums
+        })
 
     # -- device-timeline categories -------------------------------------
 
     def category_time_us(self, cat: str) -> float:
         """Total busy time recorded under a device-timeline category."""
         return self._category_us.get(cat, 0.0)
-
-    def category_count(self, cat: str) -> int:
-        """Number of device-timeline spans under ``cat``."""
-        return self._category_counts.get(cat, 0)
-
-    def categories(self) -> List[str]:
-        """Device-timeline categories seen, sorted."""
-        return sorted(self._category_us)
-
-    # -- serialization ---------------------------------------------------
-
-    def summary(self) -> Dict[str, Dict[str, object]]:
-        """Plain-dict rollup: per op type, count/mean/p99/p999/components."""
-        return {
-            op: {
-                "count": self.count(op),
-                "mean_us": self.mean_total_us(op),
-                "p99_us": self.p99_total_us(op),
-                "p999_us": self.p999_total_us(op),
-                "components_us": self.mean_components_us(op),
-            }
-            for op in self.op_types()
-        }

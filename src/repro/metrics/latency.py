@@ -132,12 +132,3 @@ class LatencyRecorder:
         if not samples:
             raise ValueError(f"no latency samples for {op!r}")
         return sum(samples) / len(samples)
-
-
-def latency_ratio(numerator: LatencyRecorder, denominator: LatencyRecorder,
-                  op: Optional[str] = None) -> float:
-    """Mean-latency ratio between two recorders (the Fig. 4 metric).
-
-    Values below 1.0 mean the numerator device is faster.
-    """
-    return numerator.mean(op) / denominator.mean(op)

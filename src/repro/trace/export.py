@@ -104,7 +104,7 @@ def format_breakdown(breakdown: LatencyBreakdown) -> str:
     headers += [f"{bucket} us" for bucket in buckets] + ["sum us"]
     rows: List[List[object]] = []
     for op in breakdown.op_types():
-        components = breakdown.mean_components(op)
+        components = breakdown.mean_components_us(op)
         rows.append(
             [
                 op,

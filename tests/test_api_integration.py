@@ -65,7 +65,7 @@ def test_block_rig_rw_through_api():
         yield env.process(rig.api.deallocate(0, 8192))
 
     rig.env.run_until_complete(rig.env.process(session(rig.env)))
-    assert rig.device.counters.host_reads == 1
+    assert rig.device.stats.host_reads == 1
     assert rig.device.occupied_bytes == 0
 
 

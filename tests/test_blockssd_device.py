@@ -52,7 +52,7 @@ def test_write_then_drain_lands_on_flash():
 
     run(env, proc(env))
     assert ssd.occupied_bytes == 16 * 4096
-    assert ssd.array.counters.page_programs >= 2
+    assert ssd.stats.flash_programs >= 2
     assert ssd.buffer.occupied_bytes == 0
 
 
@@ -62,10 +62,10 @@ def test_read_after_drain_hits_flash():
     def proc(env):
         yield env.process(ssd.write(0, 4096))
         yield env.process(ssd.drain())
-        reads_before = ssd.array.counters.page_reads
+        reads_before = ssd.stats.flash_reads
         started = env.now
         yield env.process(ssd.read(0, 4096))
-        return ssd.array.counters.page_reads - reads_before, env.now - started
+        return ssd.stats.flash_reads - reads_before, env.now - started
 
     flash_reads, latency = run(env, proc(env))
     assert flash_reads == 1
@@ -77,9 +77,9 @@ def test_read_of_buffered_data_skips_flash():
 
     def proc(env):
         yield env.process(ssd.write(0, 4096))
-        reads_before = ssd.array.counters.page_reads
+        reads_before = ssd.stats.flash_reads
         yield env.process(ssd.read(0, 4096))
-        return ssd.array.counters.page_reads - reads_before
+        return ssd.stats.flash_reads - reads_before
 
     assert run(env, proc(env)) == 0
 
@@ -104,9 +104,9 @@ def test_sub_unit_write_is_rmw_after_flush():
     def proc(env):
         yield env.process(ssd.write(0, 4096))
         yield env.process(ssd.drain())
-        reads_before = ssd.array.counters.page_reads
+        reads_before = ssd.stats.flash_reads
         yield env.process(ssd.write(512, 512))
-        return ssd.array.counters.page_reads - reads_before
+        return ssd.stats.flash_reads - reads_before
 
     assert run(env, proc(env)) == 1  # read-modify-write fetched the old unit
 
@@ -222,8 +222,8 @@ def test_gc_reclaims_space_under_overwrite_pressure():
         yield env.process(ssd.drain())
 
     run(env, proc(env), limit=300e6)
-    assert ssd.counters.gc_runs > 0
-    assert ssd.counters.gc_erased_blocks > 0
+    assert ssd.stats.gc_runs > 0
+    assert ssd.stats.gc_erased_blocks > 0
     assert ssd.occupied_bytes == span_units * 4096
     # Mapping stays consistent: every live unit readable.
     def check(env):
@@ -241,7 +241,7 @@ def test_counters_track_host_traffic():
         yield env.process(ssd.read(0, 8192))
 
     run(env, proc(env))
-    assert ssd.counters.host_writes == 1
-    assert ssd.counters.host_write_bytes == 8192
-    assert ssd.counters.host_reads == 1
-    assert ssd.counters.host_read_bytes == 8192
+    assert ssd.stats.host_writes == 1
+    assert ssd.stats.host_write_bytes == 8192
+    assert ssd.stats.host_reads == 1
+    assert ssd.stats.host_read_bytes == 8192

@@ -6,13 +6,16 @@ from repro.errors import AddressError, ConfigurationError, SimulationError
 from repro.flash.geometry import Geometry, scaled_pm983, tiny_geometry
 from repro.flash.nand import BlockState, FlashArray
 from repro.flash.timing import FlashTiming
+from repro.ftl.core import DeviceStats
 from repro.sim.engine import Environment
 from repro.units import KIB
 
 
 def make_array(geometry=None, timing=None):
     env = Environment()
-    array = FlashArray(env, geometry or tiny_geometry(), timing or FlashTiming())
+    array = FlashArray(
+        env, geometry or tiny_geometry(), timing or FlashTiming(), DeviceStats()
+    )
     return env, array
 
 
@@ -127,8 +130,8 @@ def test_program_then_read_roundtrip_timing():
     assert read_done - programmed_at == pytest.approx(
         timing.read_us + timing.transfer_us(1024)
     )
-    assert array.counters.page_programs == 1
-    assert array.counters.page_reads == 1
+    assert array.stats.flash_programs == 1
+    assert array.stats.flash_reads == 1
 
 
 def test_block_closes_when_full():
@@ -190,7 +193,7 @@ def test_erase_returns_block_to_free():
     env.run_until_complete(process)
     assert array.blocks[0].state is BlockState.FREE
     assert array.blocks[0].erase_count == 1
-    assert array.counters.block_erases == 1
+    assert array.stats.flash_erases == 1
 
 
 def test_parallel_programs_on_distinct_dies_overlap():

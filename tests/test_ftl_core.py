@@ -13,11 +13,10 @@ import pytest
 from repro.blockftl.config import BlockSSDConfig
 from repro.blockftl.device import BlockSSD
 from repro.core.model import device_stats_summary
-from repro.errors import ConfigurationError
 from repro.flash.geometry import Geometry, tiny_geometry
 from repro.flash.nand import BlockState, FlashArray
 from repro.flash.timing import FlashTiming
-from repro.ftl.core import DeviceStats, FtlCore, VICTIM_POLICIES
+from repro.ftl.core import DeviceStats
 from repro.ftl.writebuffer import WriteBuffer
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.device import KVSSD
@@ -36,7 +35,7 @@ def lab_geometry():
     )
 
 
-def make_pair(policy="greedy"):
+def make_pair():
     """Both personalities on identical hardware, matched page payloads.
 
     ``page_reserved_bytes=0`` makes the KV usable page equal the block
@@ -47,12 +46,10 @@ def make_pair(policy="greedy"):
     kv = KVSSD(
         kv_env,
         lab_geometry(),
-        config=KVSSDConfig(page_reserved_bytes=0, gc_victim_policy=policy),
+        config=KVSSDConfig(page_reserved_bytes=0),
     )
     blk_env = Environment()
-    blk = BlockSSD(
-        blk_env, lab_geometry(), config=BlockSSDConfig(gc_victim_policy=policy)
-    )
+    blk = BlockSSD(blk_env, lab_geometry(), config=BlockSSDConfig())
     assert kv.core.page_payload_bytes == blk.core.page_payload_bytes
     return (kv_env, kv), (blk_env, blk)
 
@@ -79,8 +76,6 @@ def test_stats_space_accounting_roundtrip():
     assert stats.device_bytes == 2048
     assert stats.amplification() == pytest.approx(2048 / 632)
     assert stats.amplification_value_only() == pytest.approx(2048 / 600)
-    # Canonical SAF alias used by the figures.
-    assert stats.space_amplification() == stats.amplification()
     stats.record_remove(16, 100, 1024)
     stats.record_remove(16, 500, 1024)
     assert stats.app_bytes == 0
@@ -95,6 +90,18 @@ def test_stats_rejects_unmatched_accounting():
         stats.record_remove(16, 100, 1024)
     with pytest.raises(ValueError):
         DeviceStats().amplification()
+
+
+def test_refused_remove_leaves_space_books_unchanged():
+    stats = DeviceStats()
+    stats.record_store(16, 100, 1024)
+    # The key and value books could cover this remove; the device book
+    # cannot, so nothing may move.
+    with pytest.raises(ValueError):
+        stats.record_remove(16, 100, 2048)
+    assert (stats.app_key_bytes, stats.app_value_bytes, stats.device_bytes) == (
+        16, 100, 1024,
+    )
 
 
 def test_stats_snapshot_delta_cover_subclass_fields():
@@ -149,7 +156,7 @@ def test_device_stats_summary_headlines():
 def test_write_buffer_feeds_stall_telemetry():
     env = Environment()
     stats = DeviceStats()
-    buffer = WriteBuffer(env, capacity_bytes=1000, stats=stats)
+    buffer = WriteBuffer(env, 1000, stats)
 
     def writer(env):
         yield from buffer.admit(800)
@@ -168,7 +175,7 @@ def test_write_buffer_feeds_stall_telemetry():
 def test_flash_array_feeds_operation_counters():
     env = Environment()
     stats = DeviceStats()
-    array = FlashArray(env, tiny_geometry(), FlashTiming(), stats=stats)
+    array = FlashArray(env, tiny_geometry(), FlashTiming(), stats)
     array.open_block(0)
     array.prime_program(0, 64)  # untimed setup must not count
     assert stats.flash_programs == 0
@@ -183,38 +190,14 @@ def test_flash_array_feeds_operation_counters():
     assert stats.flash_reads == 1
 
 
-def test_core_rejects_unknown_victim_policy():
-    env = Environment()
-    array = FlashArray(env, tiny_geometry(), FlashTiming())
-    with pytest.raises(ConfigurationError):
-        FtlCore(
-            env,
-            array,
-            personality=None,
-            stream_width=1,
-            write_buffer_bytes=1024,
-            flush_linger_us=500.0,
-            gc_threshold_fraction=0.08,
-            gc_reserve_blocks=1,
-            page_payload_bytes=1024,
-            user_capacity_bytes=1024,
-            gc_victim_policy="nope",
-        )
-    with pytest.raises(ConfigurationError):
-        KVSSDConfig(gc_victim_policy="nope")
-    with pytest.raises(ConfigurationError):
-        BlockSSDConfig(gc_victim_policy="nope")
-
-
 # -- personality parity -------------------------------------------------------
 
 #: Valid bytes per sculpted block (divisible by the 32 pages per block).
 LAYOUT = [8192, 2048, 16384, 4096]
 
 
-@pytest.mark.parametrize("policy", VICTIM_POLICIES)
-def test_identical_layouts_yield_identical_victims(policy):
-    (kv_env, kv), (blk_env, blk) = make_pair(policy)
+def test_identical_layouts_yield_identical_victims():
+    (kv_env, kv), (blk_env, blk) = make_pair()
     kv_off = len(kv._index_region)  # KV data blocks sit past the index region
     for i, valid in enumerate(LAYOUT):
         sculpt(kv, kv_off + i, valid)

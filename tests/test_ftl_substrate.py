@@ -7,14 +7,15 @@ from repro.flash.geometry import tiny_geometry
 from repro.flash.nand import BlockState, FlashArray
 from repro.flash.timing import FlashTiming
 from repro.ftl.pool import AllocationStream, FreeBlockPool
-from repro.ftl.victim import cost_benefit_victim, greedy_victim, select_victim
+from repro.ftl.core import DeviceStats
+from repro.ftl.victim import greedy_victim
 from repro.ftl.writebuffer import WriteBuffer
 from repro.sim.engine import Environment
 
 
 def make_array():
     env = Environment()
-    return env, FlashArray(env, tiny_geometry(), FlashTiming())
+    return env, FlashArray(env, tiny_geometry(), FlashTiming(), DeviceStats())
 
 
 # -- FreeBlockPool -------------------------------------------------------------
@@ -148,28 +149,13 @@ def test_greedy_short_circuits_on_empty_block():
     assert greedy_victim(array) == 1
 
 
-def test_cost_benefit_prefers_low_utilization():
-    _env, array = make_array()
-    close_block(array, 0, 16)  # nearly empty
-    close_block(array, 1, array.geometry.block_bytes // 2)
-    assert cost_benefit_victim(array) == 0
-
-
-def test_select_victim_dispatch():
-    _env, array = make_array()
-    close_block(array, 0, 64)
-    assert select_victim(array, "greedy") == 0
-    assert select_victim(array, "cost_benefit") == 0
-    with pytest.raises(ValueError):
-        select_victim(array, "nope")
-
-
 # -- write buffer -------------------------------------------------------------------------
 
 
 def test_write_buffer_blocks_when_full():
     env = Environment()
-    buffer = WriteBuffer(env, capacity_bytes=1000)
+    stats = DeviceStats()
+    buffer = WriteBuffer(env, 1000, stats)
     admitted = []
 
     def writer(env, nbytes, tag):
@@ -186,12 +172,12 @@ def test_write_buffer_blocks_when_full():
     env.process(drainer(env))
     env.run()
     assert admitted == [("a", 0.0), ("b", 30.0)]
-    assert buffer.stall_time_us == pytest.approx(30.0)
+    assert stats.buffer_stall_us == pytest.approx(30.0)
 
 
 def test_write_buffer_oversized_request_chunks():
     env = Environment()
-    buffer = WriteBuffer(env, capacity_bytes=1000)
+    buffer = WriteBuffer(env, 1000, DeviceStats())
     done = []
 
     def writer(env):
@@ -213,7 +199,7 @@ def test_write_buffer_oversized_request_chunks():
 
 def test_write_buffer_occupancy_accounting():
     env = Environment()
-    buffer = WriteBuffer(env, capacity_bytes=1000)
+    buffer = WriteBuffer(env, 1000, DeviceStats())
 
     def writer(env):
         yield from buffer.admit(300)

@@ -110,9 +110,9 @@ def test_write_block_flush_and_read_from_device():
             yield env.process(store.put(key(i), 1000))
         yield env.process(store.drain())
         # key(0) sits in a flushed block now: a real device read happens.
-        reads_before = device.counters.host_reads
+        reads_before = device.stats.host_reads
         yield env.process(store.get(key(0)))
-        return device.counters.host_reads - reads_before
+        return device.stats.host_reads - reads_before
 
     assert run(env, proc(env)) == 1
 

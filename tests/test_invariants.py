@@ -23,7 +23,7 @@ from repro.errors import InvariantViolation
 from repro.flash.geometry import Geometry
 from repro.flash.nand import FlashArray
 from repro.flash.timing import FlashTiming
-from repro.ftl.core import FtlCore
+from repro.ftl.core import DeviceStats, FtlCore
 from repro.kvbench.runner import BlockAdapter, KVSSDAdapter, execute_workload
 from repro.kvbench.workload import WorkloadSpec, generate_operations
 from repro.kvftl.config import KVSSDConfig
@@ -140,7 +140,7 @@ class _StubPersonality:
 def make_core(invariants: bool = True):
     env = Environment()
     geometry = small_geometry()
-    array = FlashArray(env, geometry, FlashTiming())
+    array = FlashArray(env, geometry, FlashTiming(), DeviceStats())
     personality = _StubPersonality()
     core = FtlCore(
         env,

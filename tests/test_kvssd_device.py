@@ -102,7 +102,7 @@ def test_update_replaces_and_reclaims_accounting():
     assert run(env, proc(env)) == 3000
     assert ssd.live_kvps == 1
     layout = ssd.layout_for(len(key(1)), 3000)
-    assert ssd.space.device_bytes == layout.footprint_bytes
+    assert ssd.stats.device_bytes == layout.footprint_bytes
 
 
 def test_key_and_value_validation():
@@ -247,7 +247,7 @@ def test_space_amplification_small_values():
     env, ssd = make_ssd()
     ssd.fast_fill(1000, 50, KeyScheme(prefix=b"fill", digits=12))
     # 50 B values with 16 B keys: ~15.5x (paper: up to ~17-20x).
-    assert 14.0 < ssd.space.amplification() < 17.0
+    assert 14.0 < ssd.stats.amplification() < 17.0
 
 
 def test_gc_relocates_and_preserves_pairs():
@@ -264,7 +264,7 @@ def test_gc_relocates_and_preserves_pairs():
         yield env.process(ssd.drain())
 
     run(env, churn(env))
-    assert ssd.counters.gc_runs > 0
+    assert ssd.stats.gc_runs > 0
     assert ssd.live_kvps == count
 
     def verify(env):
@@ -396,7 +396,7 @@ def test_primed_pairs_survive_overwrite_delete_and_gc_relocation():
         yield env.process(ssd.drain())
 
     run(env, session(env))
-    assert ssd.counters.gc_runs >= 2
+    assert ssd.stats.gc_runs >= 2
     assert seen["pr"] > 0 and seen["p"] > 0 and seen["moved again"] > 0
     assert ssd.live_kvps == len(model)
 
@@ -428,7 +428,7 @@ def test_valid_bytes_consistency_after_churn():
 
     run(env, churn(env))
     # Array-level valid bytes equal the space accountant's device bytes.
-    assert ssd.array.total_valid_bytes() == ssd.space.device_bytes
+    assert ssd.array.total_valid_bytes() == ssd.stats.device_bytes
 
 
 def test_iterator_bucket_counts_follow_stores():

@@ -2,11 +2,10 @@
 
 import pytest
 
+from repro.ftl.core import DeviceStats
 from repro.metrics.bandwidth import BandwidthTracker
-from repro.metrics.counters import DeviceCounters
 from repro.metrics.cpu import CpuAccountant
-from repro.metrics.latency import LatencyRecorder, latency_ratio, percentile
-from repro.metrics.space import SpaceAccountant
+from repro.metrics.latency import LatencyRecorder, percentile
 from repro.sim.engine import Environment
 from repro.units import MIB
 
@@ -74,14 +73,6 @@ def test_latency_recorder_empty_summary_raises():
     recorder = LatencyRecorder()
     with pytest.raises(ValueError):
         recorder.summary()
-
-
-def test_latency_ratio():
-    a = LatencyRecorder()
-    b = LatencyRecorder()
-    a.record(30.0)
-    b.record(10.0)
-    assert latency_ratio(a, b) == pytest.approx(3.0)
 
 
 # -- bandwidth -----------------------------------------------------------------
@@ -176,18 +167,18 @@ def test_cpu_rejects_negative_charge():
         cpu.charge("x", -1.0)
 
 
-# -- space ------------------------------------------------------------------------
+# -- space books (DeviceStats) ---------------------------------------------------
 
 
 def test_space_accountant_amplification():
-    space = SpaceAccountant()
+    space = DeviceStats()
     space.record_store(16, 50, 1024)
     assert space.amplification() == pytest.approx(1024 / 66)
     assert space.amplification_value_only() == pytest.approx(1024 / 50)
 
 
 def test_space_accountant_remove_balances():
-    space = SpaceAccountant()
+    space = DeviceStats()
     space.record_store(16, 50, 1024)
     space.record_remove(16, 50, 1024)
     with pytest.raises(ValueError):
@@ -195,7 +186,7 @@ def test_space_accountant_remove_balances():
 
 
 def test_space_accountant_unmatched_remove_rejected():
-    space = SpaceAccountant()
+    space = DeviceStats()
     with pytest.raises(ValueError):
         space.record_remove(1, 1, 1)
 
@@ -204,7 +195,7 @@ def test_space_accountant_unmatched_remove_rejected():
 
 
 def test_device_counters_delta_and_waf():
-    counters = DeviceCounters()
+    counters = DeviceStats()
     counters.host_write_bytes = 1000
     counters.gc_relocated_bytes = 500
     snapshot = counters.snapshot()
@@ -219,4 +210,4 @@ def test_device_counters_delta_and_waf():
 
 
 def test_write_amplification_idle_is_one():
-    assert DeviceCounters().write_amplification() == 1.0
+    assert DeviceStats().write_amplification() == 1.0

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro.blockftl.config import BlockSSDConfig
 from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
 from repro.core.model import device_stats_summary
 from repro.errors import ConfigurationError, DeviceReadOnlyError, KeyNotFoundError
@@ -399,22 +400,38 @@ def test_flash_spans_agree_with_device_stats(personality):
     )
 
 
-def test_run_result_trace_summary_wired():
+@pytest.mark.parametrize("personality", ["kv", "block"])
+def test_buffer_spans_agree_with_device_stats(personality):
+    """Every op root's ``buffer`` component, summed, is the phase's
+    ``DeviceStats.buffer_stall_us`` delta: 16 KiB inserts at QD32 into a
+    64 KiB write buffer, so admission stalls all phase."""
     tracer = _traced_tracer()
-    _, run = _kv_run(tracer, n_ops=120)
-    assert run.trace_summary is not None
-    assert set(run.trace_summary) == {"store", "retrieve"}
-    for stats in run.trace_summary.values():
-        assert stats["count"] > 0
-        assert stats["p999_us"] >= stats["p99_us"]
-        assert sum(stats["components_us"].values()) == pytest.approx(
-            stats["mean_us"], rel=1e-9
+    geometry = lab_geometry(blocks_per_plane=16)
+    if personality == "kv":
+        rig = build_kv_rig(
+            geometry, KVSSDConfig(write_buffer_bytes=64 * 1024), tracer=tracer
         )
-
-
-def test_run_result_trace_summary_absent_without_tracer():
-    _, run = _kv_run(None, n_ops=50)
-    assert run.trace_summary is None
+        adapter = rig.adapter
+    else:
+        rig = build_block_rig(
+            geometry, BlockSSDConfig(write_buffer_bytes=64 * 1024),
+            tracer=tracer,
+        )
+        adapter = rig.adapter(16 * 1024)
+    spec = WorkloadSpec(
+        n_ops=300, op="insert", key_scheme=SCHEME, value_bytes=16 * 1024,
+        seed=5,
+    )
+    run = execute_workload(
+        rig.env, adapter, generate_operations(spec), queue_depth=32,
+        name="stalled",
+    )
+    assert (run.completed_ops, run.failed_ops) == (300, 0)
+    ops = [r for r in tracer.collector.records() if r.cat == "op"]
+    assert len(ops) == 300
+    buffer_us = sum(r.args["components"].get("buffer", 0.0) for r in ops)
+    assert run.device_stats.buffer_stall_us > 1000.0 * len(ops)
+    assert buffer_us == pytest.approx(run.device_stats.buffer_stall_us, rel=1e-12)
 
 
 # -- aggregation --------------------------------------------------------------
@@ -440,8 +457,6 @@ def test_latency_breakdown_aggregates_records():
     )
     assert breakdown.category_time_us("flash") == pytest.approx(7.0)
     assert breakdown.category_time_us("gc") == pytest.approx(3.0)
-    summary = breakdown.summary()
-    assert summary["store"]["count"] == 2
 
 
 def test_latency_breakdown_since_us_filters_prefill():

@@ -1,26 +1,23 @@
-"""Tests for wear statistics."""
-
-import pytest
+"""Tests for per-block erase counts, the wear the fault model grows with."""
 
 from repro.flash.geometry import tiny_geometry
 from repro.flash.nand import FlashArray
 from repro.flash.timing import FlashTiming
-from repro.flash.wear import remaining_life_fraction, wear_report
+from repro.ftl.core import DeviceStats
 from repro.sim.engine import Environment
 
 
 def make_array():
     env = Environment()
-    return FlashArray(env, tiny_geometry(), FlashTiming())
+    return FlashArray(env, tiny_geometry(), FlashTiming(), DeviceStats())
+
+
+def erase_counts(array):
+    return [info.erase_count for info in array.blocks]
 
 
 def test_fresh_array_is_perfectly_level():
-    array = make_array()
-    report = wear_report(array)
-    assert report.total_erases == 0
-    assert report.spread == 0
-    assert report.evenness == 1.0
-    assert remaining_life_fraction(array) == 1.0
+    assert set(erase_counts(make_array())) == {0}
 
 
 def test_uneven_wear_detected():
@@ -28,35 +25,10 @@ def test_uneven_wear_detected():
     for _ in range(10):
         array.prime_erase(0)
     array.prime_erase(1)
-    report = wear_report(array)
-    assert report.max_erases == 10
-    assert report.min_erases == 0
-    assert report.spread == 10
-    assert report.evenness < 1.0
-
-
-def test_exclusions_remove_reserved_blocks():
-    array = make_array()
-    for _ in range(50):
-        array.prime_erase(3)
-    full = wear_report(array)
-    filtered = wear_report(array, exclude={3})
-    assert full.max_erases == 50
-    assert filtered.max_erases == 0
-    with pytest.raises(ValueError):
-        wear_report(array, exclude=set(range(array.geometry.total_blocks)))
-
-
-def test_remaining_life_fraction():
-    array = make_array()
-    for _ in range(1500):
-        array.prime_erase(0)
-    assert remaining_life_fraction(array, rated_cycles=3000) == pytest.approx(0.5)
-    for _ in range(2000):
-        array.prime_erase(0)
-    assert remaining_life_fraction(array, rated_cycles=3000) == 0.0
-    with pytest.raises(ValueError):
-        remaining_life_fraction(array, rated_cycles=0)
+    counts = erase_counts(array)
+    assert counts[:2] == [10, 1]
+    assert max(counts) - min(counts) == 10
+    assert sum(counts) == 11
 
 
 def test_gc_spreads_wear_across_blocks():
@@ -84,9 +56,7 @@ def test_gc_spreads_wear_across_blocks():
 
     process = env.process(churn(env))
     env.run_until_complete(process, limit=600e6)
-    report = wear_report(ssd.array)
-    assert report.total_erases > 0
-    worn_blocks = sum(
-        1 for info in ssd.array.blocks if info.erase_count > 0
-    )
+    counts = erase_counts(ssd.array)
+    assert sum(counts) == ssd.stats.flash_erases > 0
+    worn_blocks = sum(1 for count in counts if count > 0)
     assert worn_blocks >= 3  # erases are not concentrated on one block

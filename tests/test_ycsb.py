@@ -165,13 +165,13 @@ def test_workload_f_read_modify_write_composition():
     spec = spec_for("F", n_ops=400)
     rig = _loaded_kv_rig(spec)
     driver = YCSBDriver(rig.adapter, spec)
-    reads_before = rig.device.counters.host_reads
-    writes_before = rig.device.counters.host_writes
+    reads_before = rig.device.stats.host_reads
+    writes_before = rig.device.stats.host_writes
     run_ycsb(rig, driver, spec)
     assert driver.rmws_run > 100
     # Every RMW performed both a device read and a device write.
-    assert rig.device.counters.host_reads - reads_before >= driver.rmws_run
-    assert rig.device.counters.host_writes - writes_before >= driver.rmws_run
+    assert rig.device.stats.host_reads - reads_before >= driver.rmws_run
+    assert rig.device.stats.host_writes - writes_before >= driver.rmws_run
 
 
 def test_lsm_scan_returns_live_ordered_bytes():
