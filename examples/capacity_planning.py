@@ -12,9 +12,9 @@ measured, with no simulation required.
 Run:  python examples/capacity_planning.py
 """
 
-from repro.core import lab_geometry
+from repro.core.experiment import lab_geometry
 from repro.core.model import KVSSDModel
-from repro.kvbench import format_table
+from repro.kvbench.report import format_table
 from repro.units import KIB
 
 #: An object mix inspired by the paper's citations: mostly tiny records

@@ -10,15 +10,10 @@ drive capacity is almost filled".
 Run:  python examples/gc_pressure_study.py
 """
 
-from repro.core import build_kv_rig, lab_geometry
-from repro.kvbench import (
-    Pattern,
-    WorkloadSpec,
-    execute_workload,
-    format_table,
-    generate_operations,
-    sparkline,
-)
+from repro.core.experiment import build_kv_rig, lab_geometry
+from repro.kvbench.report import format_table, sparkline
+from repro.kvbench.runner import execute_workload
+from repro.kvbench.workload import Pattern, WorkloadSpec, generate_operations
 from repro.kvftl.blob import blobs_per_page
 from repro.kvftl.population import KeyScheme
 from repro.units import KIB

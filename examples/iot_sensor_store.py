@@ -18,15 +18,11 @@ amplification for tiny records (Fig. 7's caveat).
 Run:  python examples/iot_sensor_store.py
 """
 
-from repro.core import build_kv_rig, build_lsm_rig, lab_geometry
+from repro.core.experiment import build_kv_rig, build_lsm_rig, lab_geometry
 from repro.hostkv.lsm.store import LSMConfig
-from repro.kvbench import (
-    Pattern,
-    WorkloadSpec,
-    execute_workload,
-    format_table,
-    generate_operations,
-)
+from repro.kvbench.report import format_table
+from repro.kvbench.runner import execute_workload
+from repro.kvbench.workload import Pattern, WorkloadSpec, generate_operations
 from repro.kvftl.population import KeyScheme
 from repro.units import KIB, MIB
 

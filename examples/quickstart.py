@@ -9,7 +9,7 @@ accounting.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import build_kv_rig
+from repro.core.experiment import build_kv_rig
 from repro.errors import KeyNotFoundError
 from repro.units import KIB, pretty_size, pretty_time
 

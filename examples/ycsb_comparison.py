@@ -12,9 +12,10 @@ Watch workload E: a hash-indexed device has no ordered iteration (only
 Run:  python examples/ycsb_comparison.py
 """
 
-from repro.core import build_kv_rig, build_lsm_rig, lab_geometry
-from repro.kvbench import YCSBDriver, YCSBSpec, execute_workload, format_table
-from repro.kvbench.ycsb import generate_ycsb
+from repro.core.experiment import build_kv_rig, build_lsm_rig, lab_geometry
+from repro.kvbench.report import format_table
+from repro.kvbench.runner import execute_workload
+from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
 from repro.kvftl.population import KeyScheme
 
 POPULATION = 5000

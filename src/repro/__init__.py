@@ -20,7 +20,7 @@ software:
 
 Quick start::
 
-    from repro.core import build_kv_rig
+    from repro.core.experiment import build_kv_rig
 
     rig = build_kv_rig()
     done = rig.env.process(rig.api.store(b"hello-key-000016", 4096))
@@ -29,7 +29,3 @@ Quick start::
 """
 
 __version__ = "1.0.0"
-
-from repro import errors, units
-
-__all__ = ["errors", "units", "__version__"]

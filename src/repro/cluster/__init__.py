@@ -15,21 +15,3 @@ signal the router rebalances away from).
   process pool executes);
 * :mod:`repro.cluster.run` — cluster execution and result assembly.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "ClusterResult",
-    "ClusterSpec",
-    "DegradeEvent",
-    "HashRing",
-    "TenantSpec",
-    "aggregate_device_stats",
-    "run_cluster",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "ring": ("HashRing",),
-    "run": ("ClusterResult", "aggregate_device_stats", "run_cluster"),
-    "spec": ("ClusterSpec", "DegradeEvent", "TenantSpec"),
-})

@@ -62,7 +62,7 @@ def device_stats_summary(stats: DeviceStats) -> Dict[str, float]:
 class ClosedFormBreakdown:
     """One operation's predicted QD1 latency, decomposed by mechanism
     (microseconds); measured spans aggregate in
-    :class:`repro.metrics.LatencyBreakdown` instead."""
+    :class:`repro.metrics.attribution.LatencyBreakdown` instead."""
 
     host_us: float
     controller_us: float
@@ -281,31 +281,6 @@ class KVSSDModel:
         )
         if merge_per_insert_us > 0:
             stages.append(1.0 / merge_per_insert_us)
-        return min(stages) * 1000.0
-
-    def retrieve_throughput_kops(
-        self, key_bytes: int, value_bytes: int, kvps: int = 0
-    ) -> float:
-        """Saturated retrieve throughput (thousand ops/s)."""
-        layout = layout_blob(
-            key_bytes, value_bytes, self.geometry.page_bytes, self.config
-        )
-        ncommands = commands_for_key(key_bytes)
-        controller_us = (
-            self.config.host_interface_us * ncommands
-            + self.config.retrieve_controller_us
-        )
-        die_us = sum(
-            self._page_read_us(frag) for frag in layout.fragments
-        ) + self.lookup_flash_reads(kvps) * self._page_read_us(
-            self.geometry.page_bytes
-        )
-        stages = [
-            self.config.controller_cores / controller_us,
-            self.config.index_managers / self.config.retrieve_index_us,
-            1.0 / (ncommands * self.driver.submit_us),
-            self.geometry.total_dies / die_us,
-        ]
         return min(stages) * 1000.0
 
     # ------------------------------------------------------------------

@@ -17,22 +17,3 @@ speed and re-run economy:
   pool, and always assembles results in *spec order* so parallel output
   is byte-identical to serial.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "ExecReport",
-    "ResultCache",
-    "SweepPoint",
-    "SweepRunner",
-    "SweepSpec",
-    "code_version_salt",
-    "execute_spec",
-    "point_key",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "cache": ("ResultCache", "code_version_salt", "point_key"),
-    "runner": ("ExecReport", "SweepRunner", "execute_spec"),
-    "spec": ("SweepPoint", "SweepSpec"),
-})

@@ -214,12 +214,3 @@ def grid(
         ))
     return dict(zip(keys, execute_spec(SweepSpec(name, tuple(points)), runner)))
 
-
-__all__ = [
-    "ExecReport",
-    "SweepPoint",
-    "SweepRunner",
-    "SweepSpec",
-    "execute_spec",
-    "grid",
-]

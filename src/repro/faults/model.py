@@ -201,10 +201,6 @@ class FaultInjector:
         for _ in range(count):
             queue.append(block)
 
-    def mark_bad(self, block: int) -> None:
-        """Declare a block permanently bad, effective immediately."""
-        self._bad_blocks.add(block)
-
     def is_bad(self, block: int) -> bool:
         """Whether the media has given up on ``block``."""
         return block in self._bad_blocks

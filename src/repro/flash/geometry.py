@@ -117,10 +117,6 @@ class Geometry:
             )
         return die_index % self.channels
 
-    def channel_of_block(self, block_index: int) -> int:
-        """Channel serving flat block ``block_index``."""
-        return self.channel_of_die(self.die_of_block(block_index))
-
     def check_block(self, block_index: int) -> None:
         """Raise :class:`AddressError` if ``block_index`` is out of range."""
         if not 0 <= block_index < self.total_blocks:

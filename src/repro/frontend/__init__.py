@@ -8,27 +8,3 @@ queue fills, and schedules SLO classes deadline-aware.  Offered load
 becomes an independent variable, which is what turns fig4's queue-depth
 sweep into a latency-vs-offered-load curve with a saturation knee.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "ArrivalSpec",
-    "generate_arrivals",
-    "FrontendSpec",
-    "SLOClass",
-    "TenantLoad",
-    "Request",
-    "ServingFrontend",
-    "FrontendRunResult",
-    "run_frontend",
-    "frontend_load_sweep",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "arrivals": ("ArrivalSpec", "generate_arrivals"),
-    "frontend": (
-        "FrontendRunResult", "Request", "ServingFrontend", "run_frontend",
-    ),
-    "run": ("frontend_load_sweep",),
-    "spec": ("FrontendSpec", "SLOClass", "TenantLoad"),
-})

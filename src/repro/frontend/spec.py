@@ -168,11 +168,6 @@ class FrontendSpec:
         raise ConfigurationError(f"unknown SLO class {name!r}")
 
     @property
-    def offered_requests(self) -> int:
-        """Total requests the arrival processes will offer."""
-        return sum(tenant.arrivals.n_requests for tenant in self.tenants)
-
-    @property
     def offered_ops_s(self) -> float:
         """Aggregate mean offered load across tenants (ops/s)."""
         return sum(tenant.arrivals.rate_ops_s for tenant in self.tenants)

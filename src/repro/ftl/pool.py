@@ -74,10 +74,6 @@ class FreeBlockPool:
         self._count -= 1
         return self._by_die[die].popleft()
 
-    def available_on_die(self, die: int) -> int:
-        """Free blocks currently queued for ``die``."""
-        return len(self._by_die[die])
-
     def reserve(self, block_index: int) -> None:
         """Remove a specific block from the pool (e.g. for an index region).
 

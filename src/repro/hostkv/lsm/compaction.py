@@ -38,10 +38,6 @@ class CompactionTask:
         return self.upper_level + 1
 
     @property
-    def input_bytes(self) -> int:
-        return sum(t.file_bytes for t in self.upper_inputs + self.lower_inputs)
-
-    @property
     def input_entries(self) -> int:
         return sum(len(t) for t in self.upper_inputs + self.lower_inputs)
 

@@ -148,3 +148,5 @@ class KVSSDConfig:
             raise ConfigurationError("gc_reserve_blocks must be >= 1")
         if self.spare_block_limit is not None and self.spare_block_limit < 1:
             raise ConfigurationError("spare_block_limit must be >= 1")
+        if not 0.0 < self.gc_threshold_fraction < 1.0:
+            raise ConfigurationError("gc_threshold_fraction must be in (0, 1)")

@@ -16,7 +16,7 @@ SIM003    generator model function called as a bare statement
           (a silent no-op — must go through ``env.process`` / yield),
           or a ``.serve(...)`` result dropped or ``yield from``-ed
 SIM004    no ``==`` / ``!=`` on simulated timestamps; use the
-          ``units.times_equal`` tolerance helpers
+          ``units.times_equal`` tolerance helper
 SIM005    mutable or call-expression default arguments
 SIM007    no per-event allocation on the ``sim/``/``flash/`` hot paths
 SIM011    frozen dataclass field ``init=False`` without
@@ -35,21 +35,3 @@ Findings are suppressed per line with ``# simlint: disable=SIM001``
 
 Run it as ``repro lint [paths...]`` or ``python -m repro.lint``.
 """
-
-from repro._lazy import lazy_exports
-
-__all__ = [
-    "Finding",
-    "RULES",
-    "format_findings",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "engine": (
-        "Finding", "format_findings", "lint_file", "lint_paths", "lint_source",
-    ),
-    "rules": ("RULES",),
-})

@@ -47,7 +47,6 @@ class BandwidthTracker:
         self._window_bytes = 0
         self._window_ops = 0
         self._total_bytes = 0
-        self._total_ops = 0
         self._last_time = 0.0
 
     def record(self, timestamp_us: float, nbytes: int) -> None:
@@ -63,7 +62,6 @@ class BandwidthTracker:
         self._window_bytes += nbytes
         self._window_ops += 1
         self._total_bytes += nbytes
-        self._total_ops += 1
 
     def _close_window(self) -> None:
         end = self._window_start + self.window_us
@@ -100,16 +98,6 @@ class BandwidthTracker:
     def points(self) -> List[BandwidthPoint]:
         """The closed windows so far."""
         return list(self._points)
-
-    @property
-    def total_bytes(self) -> int:
-        """All bytes reported, closed windows or not."""
-        return self._total_bytes
-
-    @property
-    def total_operations(self) -> int:
-        """All completions reported."""
-        return self._total_ops
 
     def overall_mib_per_sec(self) -> float:
         """Mean bandwidth over the whole recording interval."""

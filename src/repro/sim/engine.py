@@ -289,11 +289,6 @@ class Process(Event):
         # Start at the current time, popped as the bootstrap event would be.
         self._park_now(env._fired)
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the generator has not yet finished."""
-        return not self._triggered
-
     def _park_now(self, shown: Event) -> None:
         """Park in the immediate FIFO, to be popped as ``shown``'s type
         under the sequence number an event succeeded here would take."""

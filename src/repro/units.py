@@ -109,11 +109,3 @@ def times_equal(a_us: float, b_us: float,
     if tolerance_us < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance_us}")
     return abs(a_us - b_us) <= tolerance_us
-
-
-def time_before(a_us: float, b_us: float,
-                tolerance_us: float = TIME_EPSILON_US) -> bool:
-    """Whether ``a_us`` is strictly before ``b_us``, beyond tolerance."""
-    if tolerance_us < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance_us}")
-    return a_us < b_us - tolerance_us

@@ -167,7 +167,7 @@ def replay_expiry() -> List[Tuple[float, str, bytes, int, float]]:
 
 
 def _cluster_spec():
-    from repro.cluster import ClusterSpec, DegradeEvent, TenantSpec
+    from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec
 
     return ClusterSpec(
         shards=2, replication=2, partitions=8, vnodes=8,
@@ -180,14 +180,14 @@ def _cluster_spec():
 
 def cluster_cell() -> str:
     """A degrading 2-shard cluster run, planned once per process."""
-    from repro.cluster import run_cluster
+    from repro.cluster.run import run_cluster
 
     return run_cluster(_cluster_spec()).fingerprint()
 
 
 def scribbling_cluster_cell() -> str:
     """Drops the last op of the program it was handed before running."""
-    from repro.cluster import run_cluster
+    from repro.cluster.run import run_cluster
     from repro.cluster.router import shard_plan
 
     spec = _cluster_spec()

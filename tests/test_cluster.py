@@ -16,17 +16,10 @@ from typing import Iterator, Tuple
 
 import pytest
 
-from repro.cluster import (
-    ClusterSpec,
-    DegradeEvent,
-    TenantSpec,
-    aggregate_device_stats,
-    run_cluster,
-)
 from repro.cluster import router
 from repro.cluster.router import PlannedOp, build_plan, interleave, shard_plan
-from repro.cluster.run import ClusterResult
-from repro.cluster.spec import shard_name
+from repro.cluster.run import ClusterResult, aggregate_device_stats, run_cluster
+from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec, shard_name
 from repro.errors import ConfigurationError
 from repro.exec.runner import SweepRunner
 from repro.ftl.core import DeviceStats

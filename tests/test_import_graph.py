@@ -6,8 +6,9 @@ Two layers of pinning, both sets and counts — never wall time:
   or build and drive a KV rig, and report which modules got loaded: the
   block FTL, the host stores, the figure layer, the linter and numpy
   stay out of every KV-only process, and numpy can be absent altogether;
-* in-process, every package's lazy re-exports (``repro/_lazy.py``)
-  resolve to the objects their defining modules hold, once.
+* statically and in-process, one import path per name: every package
+  ``__init__`` is its docstring alone, so an object is imported from
+  the module that defines it and from nowhere else.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import ast
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +45,7 @@ print(json.dumps(sorted(sys.modules)))
 
 #: The README quickstart plus a primed 50-op closed loop on the KV rig.
 _KV_RUN = """
-from repro.core import build_kv_rig
+from repro.core.experiment import build_kv_rig
 from repro.kvbench.runner import execute_workload
 from repro.kvbench.workload import WorkloadSpec, generate_operations
 from repro.kvftl.population import KeyScheme
@@ -88,15 +90,14 @@ def _repro_count(modules: list) -> int:
     return sum(1 for m in modules if m == "repro" or m.startswith("repro."))
 
 
-# (entry point, ceiling on loaded repro.* modules).  The tree this rule
-# landed on loaded 66 / 76 / 74 / 82; the ceilings sit three above what
-# the rule left (11 / 49 / 53 / 65), so one new module fits and a
-# package __init__ gone eager again does not.
+# (entry point, ceiling on loaded repro.* modules).  The ceilings sit
+# three above what each entry point loads (8 / 47 / 51 / 62), so one new
+# module fits and a package __init__ gone eager does not.
 @pytest.mark.parametrize("entry, ceiling", [
-    ("repro.kvbench.traces", 12),
-    ("repro.core.experiment", 52),
-    ("repro.frontend.frontend", 56),
-    ("repro.cluster.run", 68),
+    pytest.param("repro.kvbench.traces", 11, id="repro.kvbench.traces"),
+    pytest.param("repro.core.experiment", 50, id="repro.core.experiment"),
+    pytest.param("repro.frontend.frontend", 54, id="repro.frontend.frontend"),
+    pytest.param("repro.cluster.run", 65, id="repro.cluster.run"),
 ])
 def test_entry_point_loads_no_block_stack(entry: str, ceiling: int):
     modules = _loaded(f"import {entry}")
@@ -106,11 +107,11 @@ def test_entry_point_loads_no_block_stack(entry: str, ceiling: int):
 
 def test_a_kv_run_loads_no_block_stack():
     """Not just the import: building, priming and driving the KV rig
-    resolves nothing lazily that drags the block stack in."""
+    imports nothing that drags the block stack in."""
     modules = _loaded(_KV_RUN)
     assert _forbidden(modules) == []
     assert [m for m in modules if m.startswith("repro.blockftl")] == []
-    assert _repro_count(modules) <= 52
+    assert _repro_count(modules) <= 50  # 47 loaded
 
 
 def test_cli_import_loads_no_numpy_hostkv_or_lint():
@@ -123,7 +124,7 @@ def test_kv_stack_runs_without_numpy_and_block_rig_names_it():
     import blocked, the README quickstart and a KV closed loop complete,
     and ``build_block_rig`` fails naming the missing module."""
     code = "import sys\nsys.modules['numpy'] = None\n" + _KV_RUN + """
-from repro.core import build_block_rig
+from repro.core.experiment import build_block_rig
 try:
     build_block_rig()
 except ModuleNotFoundError as exc:
@@ -135,12 +136,12 @@ else:
 
 
 # ---------------------------------------------------------------------------
-# Lazy re-exports
+# One import path per name
 # ---------------------------------------------------------------------------
 
 
 def _packages() -> list:
-    """Every package under ``repro`` (the root re-exports nothing lazily)."""
+    """Every package under ``repro`` except the root."""
     root = SRC / "repro"
     return sorted(
         ".".join(path.parent.relative_to(SRC).parts)
@@ -148,20 +149,19 @@ def _packages() -> list:
     )
 
 
-def _export_table(package: str) -> dict:
-    """name -> defining submodule, read from the ``lazy_exports`` call."""
-    path = SRC.joinpath(*package.split(".")) / "__init__.py"
-    calls = [
-        node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "lazy_exports"
-    ]
-    assert len(calls) == 1, f"{package}: expected one lazy_exports call"
-    table = ast.literal_eval(calls[0].args[1])
-    return {name: module for module, names in table.items() for name in names}
-
-
 PACKAGES = _packages()
+
+
+def _submodules(package: str, nested: bool = False) -> list:
+    """``package``'s modules and subpackages, imported (``__main__``
+    aside); with ``nested``, theirs too."""
+    pkg = importlib.import_module(package)
+    walk = pkgutil.walk_packages if nested else pkgutil.iter_modules
+    return [
+        importlib.import_module(info.name)
+        for info in walk(pkg.__path__, prefix=f"{package}.")
+        if not info.name.endswith(".__main__")
+    ]
 
 
 def test_every_package_is_covered():
@@ -169,19 +169,47 @@ def test_every_package_is_covered():
     assert "repro.hostkv.lsm" in PACKAGES and "repro.core" in PACKAGES
 
 
+def test_every_init_is_its_docstring_and_no_module_reexports():
+    """Each ``__init__`` under ``src/repro`` is its docstring alone (the
+    root adds ``__version__``), and no module defines ``__all__`` or a
+    module-level ``__getattr__``: nothing names an object a second time."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = str(path.relative_to(SRC))
+        if path.name == "__init__.py":
+            body = tree.body[1:] if ast.get_docstring(tree) else tree.body
+            if path.parent == SRC / "repro":
+                body = [
+                    node for node in body
+                    if not ast.unparse(node).startswith("__version__ = ")
+                ]
+            offenders += [f"{where}:{node.lineno}" for node in body]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+                offenders.append(f"{where}:{node.lineno} __getattr__")
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                else []
+            )
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                offenders.append(f"{where}:{node.lineno} __all__")
+    assert offenders == []
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_lazy_exports_resolve_to_the_defining_modules_objects(package: str):
+    """No lazy export is left to resolve: with all its submodules
+    imported, a package's public names are those submodules and nothing
+    else, so ``from <package> import *`` binds modules only."""
     pkg = importlib.import_module(package)
-    table = _export_table(package)
-    assert sorted(table) == sorted(pkg.__all__)
-    assert len(set(pkg.__all__)) == len(pkg.__all__)
-    for name, module in table.items():
-        defining = importlib.import_module(f"{package}.{module}")
-        assert getattr(pkg, name) is getattr(defining, name), name
-    assert set(dir(pkg)) >= set(pkg.__all__)
+    submodules = _submodules(package)
+    public = {n: v for n, v in vars(pkg).items() if not n.startswith("_")}
+    assert public == {m.__name__.rsplit(".", 1)[1]: m for m in submodules}
     namespace: dict = {}
     exec(f"from {package} import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(pkg.__all__)
+    assert set(namespace) - {"__builtins__"} == set(public)
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -194,29 +222,14 @@ def test_unknown_attribute_names_package_and_attribute(package: str):
 
 @pytest.mark.parametrize("package", PACKAGES)
 def test_a_resolved_name_is_not_resolved_again(package: str):
+    """A name resolves once, in the module that defines it: the package
+    offers no second path to any class or function of its submodules."""
     pkg = importlib.import_module(package)
-    name = pkg.__all__[0]
-    vars(pkg).pop(name, None)
-    resolve, calls = pkg.__getattr__, []
-
-    def counting(attribute: str):
-        calls.append(attribute)
-        return resolve(attribute)
-
-    pkg.__getattr__ = counting
-    try:
-        assert getattr(pkg, name) is getattr(pkg, name)
-    finally:
-        pkg.__getattr__ = resolve
-    assert calls == [name]
-    assert vars(pkg)[name] is getattr(pkg, name)
-
-
-def test_one_lazy_helper_and_no_hand_rolled_variant():
-    """``def __getattr__`` appears once under ``src/repro``: the helper."""
-    holders = [
-        str(path.relative_to(SRC))
-        for path in sorted((SRC / "repro").rglob("*.py"))
-        if "def __getattr__" in path.read_text(encoding="utf-8")
+    defined = [
+        name
+        for module in _submodules(package, nested=True)
+        for name, value in vars(module).items()
+        if getattr(value, "__module__", None) == module.__name__
     ]
-    assert holders == ["repro/_lazy.py"]
+    assert defined
+    assert [name for name in defined if hasattr(pkg, name)] == []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.blockftl.config import BlockSSDConfig
 from repro.errors import (
     CapacityLimitError,
     ConfigurationError,
@@ -195,6 +196,15 @@ def test_fast_fill_rejects_split_and_duplicates():
     ssd.fast_fill(10, 512, scheme)
     with pytest.raises(ConfigurationError):
         ssd.fast_fill(10, 512, scheme)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2])
+@pytest.mark.parametrize("config", [KVSSDConfig, BlockSSDConfig])
+def test_both_personalities_refuse_a_gc_threshold_outside_0_1(config, fraction):
+    """At 1.5 the threshold exceeds the device's block count, so the GC
+    worker never rests; both configs refuse it the same way."""
+    with pytest.raises(ConfigurationError, match="gc_threshold_fraction"):
+        config(gc_threshold_fraction=fraction)
 
 
 def test_fast_fill_stops_where_the_digits_run_out():
