@@ -38,7 +38,7 @@ from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.device import KVSSD
 from repro.kvftl.population import KeyScheme
 from repro.metrics.cpu import CpuAccountant
-from repro.nvme.driver import DriverCosts, KernelDeviceDriver
+from repro.nvme.driver import KernelDeviceDriver
 from repro.sim.engine import Environment
 from repro.trace.tracer import Tracer
 from repro.units import KIB
@@ -48,7 +48,7 @@ if TYPE_CHECKING:
     from repro.blockftl.config import BlockSSDConfig
     from repro.blockftl.device import BlockSSD
     from repro.hostkv.fs.ext4 import SimFileSystem
-    from repro.hostkv.hashkv.store import HashKVConfig, HashKVStore
+    from repro.hostkv.hashkv.store import HashKVStore
     from repro.hostkv.lsm.store import LSMConfig, LSMStore
 
 
@@ -122,19 +122,21 @@ class KVRig(_Rig, _OneAdapter):
         """Pairs of this size that co-pack into the free data pages.
 
         Free blocks (less ``reserve_blocks`` of allocation-stream and GC
-        margin) x pages per block x blobs per page.  ``fraction`` scales
-        the *page* count before packing, so a part-fill is sized in whole
-        pages (blob packing wastes a page fraction; byte-based sizing
-        would overshoot).  0 for a blob that must split across pages:
-        split blobs neither co-pack nor bulk-prime.
+        margin; none when the margin takes them all) x pages per block x
+        blobs per page.  ``fraction`` scales the *page* count before
+        packing, so a part-fill is sized in whole pages (blob packing
+        wastes a page fraction; byte-based sizing would overshoot).  0 for
+        a blob that must split across pages: split blobs neither co-pack
+        nor bulk-prime.
         """
         device = self.device
         if device.layout_for(key_bytes, value_bytes).is_split:
             return 0
         geometry = device.array.geometry
         pages = (
-            device.free_block_count() - reserve_blocks
-        ) * geometry.pages_per_block
+            max(0, device.free_block_count() - reserve_blocks)
+            * geometry.pages_per_block
+        )
         return int(pages * fraction) * blobs_per_page(
             key_bytes, value_bytes, geometry.page_bytes, device.config
         )
@@ -218,7 +220,6 @@ def build_kv_rig(
     geometry: Optional[Geometry] = None,
     config: Optional[KVSSDConfig] = None,
     timing: Optional[FlashTiming] = None,
-    driver_costs: Optional[DriverCosts] = None,
     sync: bool = False,
     host_cores: int = 16,
     tracer: Optional[Tracer] = None,
@@ -236,7 +237,7 @@ def build_kv_rig(
     faults = FaultInjector(fault_config) if fault_config is not None else None
     device = KVSSD(env, geometry or lab_geometry(), timing, config,
                    tracer=tracer, faults=faults)
-    driver = KernelDeviceDriver(env, cpu, driver_costs, tracer=device.tracer)
+    driver = KernelDeviceDriver(env, cpu, tracer=device.tracer)
     api = KVStoreAPI(env, device, driver, sync=sync)
     return KVRig(env, cpu, driver, device, api, KVSSDAdapter(api))
 
@@ -245,7 +246,6 @@ def build_block_rig(
     geometry: Optional[Geometry] = None,
     config: Optional[BlockSSDConfig] = None,
     timing: Optional[FlashTiming] = None,
-    driver_costs: Optional[DriverCosts] = None,
     sync: bool = False,
     host_cores: int = 16,
     tracer: Optional[Tracer] = None,
@@ -264,7 +264,7 @@ def build_block_rig(
     faults = FaultInjector(fault_config) if fault_config is not None else None
     device = BlockSSD(env, geometry or lab_geometry(), timing, config,
                       tracer=tracer, faults=faults)
-    driver = KernelDeviceDriver(env, cpu, driver_costs, tracer=device.tracer)
+    driver = KernelDeviceDriver(env, cpu, tracer=device.tracer)
     api = BlockDeviceAPI(env, device, driver, sync=sync)
     return BlockRig(env, cpu, driver, device, api)
 
@@ -272,7 +272,6 @@ def build_block_rig(
 def build_lsm_rig(
     geometry: Optional[Geometry] = None,
     lsm_config: Optional[LSMConfig] = None,
-    block_config: Optional[BlockSSDConfig] = None,
     timing: Optional[FlashTiming] = None,
     host_cores: int = 16,
     tracer: Optional[Tracer] = None,
@@ -282,7 +281,7 @@ def build_lsm_rig(
     from repro.hostkv.lsm.store import LSMStore
 
     base = build_block_rig(
-        geometry, block_config, timing, host_cores=host_cores, tracer=tracer
+        geometry, timing=timing, host_cores=host_cores, tracer=tracer
     )
     fs = SimFileSystem(base.env, base.api)
     store = LSMStore(base.env, fs, lsm_config)
@@ -291,8 +290,6 @@ def build_lsm_rig(
 
 def build_hash_rig(
     geometry: Optional[Geometry] = None,
-    hash_config: Optional[HashKVConfig] = None,
-    block_config: Optional[BlockSSDConfig] = None,
     timing: Optional[FlashTiming] = None,
     host_cores: int = 16,
     tracer: Optional[Tracer] = None,
@@ -306,10 +303,10 @@ def build_hash_rig(
     from repro.hostkv.hashkv.store import HashKVStore
 
     base = build_block_rig(
-        geometry, block_config, timing, host_cores=host_cores, tracer=tracer,
+        geometry, timing=timing, host_cores=host_cores, tracer=tracer,
         fault_config=fault_config,
     )
-    store = HashKVStore(base.env, base.api, hash_config)
+    store = HashKVStore(base.env, base.api)
     return HashRig(**vars(base), store=store, adapter=HashKVAdapter(store))
 
 

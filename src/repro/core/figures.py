@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional, Sequence
 from repro.cluster.run import run_cluster
 from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec
 from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
-from repro.core.model import KVSSDModel, device_stats_summary
+from repro.core.model import KVSSDModel
 from repro.errors import ConfigurationError
 from repro.exec.runner import SweepRunner, grid
 from repro.kvbench.generators import (
@@ -592,7 +592,7 @@ def _fig6_scenario_cell(
     windows = [w for w in series if w > 0.0] or [0.0]
     latency = run.latency.summary()
     return {
-        **device_stats_summary(run.device_stats),
+        **run.device_stats.summary(),
         "foreground_gc_runs": run.device_stats.foreground_gc_runs,
         "p99_us": latency.p99,
         "p999_us": latency.p999,

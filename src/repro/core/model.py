@@ -20,42 +20,15 @@ paper's full 3.84 TB scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.flash.geometry import Geometry
 from repro.flash.timing import FlashTiming
-from repro.ftl.core import DeviceStats
 from repro.kvftl.blob import layout_blob, usable_page_bytes
 from repro.kvftl.config import KVSSDConfig
 from repro.nvme.command import commands_for_key
 from repro.nvme.driver import DriverCosts
-from repro.units import KIB, MIB, ceil_div
-
-
-def device_stats_summary(stats: DeviceStats) -> Dict[str, float]:
-    """Reduce a :class:`~repro.ftl.core.DeviceStats` delta to headline numbers.
-
-    Works for any personality, since both report through the same struct:
-
-    * ``waf`` — flash writes over host writes (1.0 when no host writes);
-    * ``gc_moved_mib`` — valid data relocated by GC;
-    * ``foreground_gc_fraction`` — GC runs triggered with a host writer
-      stalled (0.0 when GC never ran);
-    * ``stall_ms`` — host time lost to write-buffer admission plus
-      free-block allowance waits;
-    * ``flash_busy_ms`` — summed die/channel service time across all
-      flash ops (matches the trace subsystem's flash-span total).
-    """
-    gc_runs = stats.gc_runs
-    return {
-        "waf": stats.write_amplification(),
-        "gc_moved_mib": stats.gc_relocated_bytes / MIB,
-        "foreground_gc_fraction": (
-            stats.foreground_gc_runs / gc_runs if gc_runs else 0.0
-        ),
-        "stall_ms": stats.stall_time_us() / 1000.0,
-        "flash_busy_ms": stats.flash_busy_us / 1000.0,
-    }
+from repro.units import KIB, ceil_div
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,7 @@ Two composable sources of faults, both owned by :class:`FaultInjector`:
   is uncorrectable", "the next program anywhere fails").  Consumed FIFO
   by the first matching operation; what tests and repro cases use.
 * **A statistical model** — per-operation fault probabilities drawn from
-  a dedicated ``random.Random(seed)``.  The raw bit-error rate grows
-  with ``BlockInfo.erase_count`` through :meth:`FaultConfig.wear_multiplier`,
-  so a heavily collected device degrades the way worn flash does.
+  a dedicated ``random.Random(seed)``.
 
 Schedules are always consulted before the statistical model, so a test
 can pin one exact fault on top of a statistical background rate.
@@ -58,9 +56,7 @@ class FaultConfig:
 
     The defaults model perfect flash: every probability is zero, so an
     injector built from a bare ``FaultConfig()`` only ever acts on
-    explicit schedules.  ``wear_factor`` scales every probability by
-    ``1 + wear_factor * erase_count`` — the raw bit-error growth that
-    makes old blocks fail first.
+    explicit schedules.
     """
 
     #: Seed for the statistical model's dedicated RNG.
@@ -73,11 +69,6 @@ class FaultConfig:
     program_fail_prob: float = 0.0
     #: Probability a block erase fails (the block is then retired).
     erase_fail_prob: float = 0.0
-    #: Probability an erase reveals a spontaneous grown defect: the block
-    #: goes permanently bad (every later program/erase on it fails).
-    bad_block_prob: float = 0.0
-    #: Per-erase-count growth of all probabilities above.
-    wear_factor: float = 0.0
     #: Read retries attempted before declaring data uncorrectable.
     max_read_retries: int = 3
     #: Base backoff before retry ``n`` (the FTL waits ``n * backoff`` —
@@ -90,17 +81,12 @@ class FaultConfig:
             "read_uncorrectable_prob",
             "program_fail_prob",
             "erase_fail_prob",
-            "bad_block_prob",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be within [0, 1], got {value}"
                 )
-        if self.wear_factor < 0:
-            raise ConfigurationError(
-                f"wear_factor must be >= 0, got {self.wear_factor}"
-            )
         if self.max_read_retries < 1:
             raise ConfigurationError(
                 f"max_read_retries must be >= 1, got {self.max_read_retries}"
@@ -111,10 +97,6 @@ class FaultConfig:
                 f"got {self.read_retry_backoff_us}"
             )
 
-    def wear_multiplier(self, erase_count: int) -> float:
-        """Raw bit-error growth factor for a block of ``erase_count``."""
-        return 1.0 + self.wear_factor * erase_count
-
     @property
     def statistical(self) -> bool:
         """Whether any statistical rate is non-zero."""
@@ -123,7 +105,6 @@ class FaultConfig:
             or self.read_uncorrectable_prob > 0.0
             or self.program_fail_prob > 0.0
             or self.erase_fail_prob > 0.0
-            or self.bad_block_prob > 0.0
         )
 
 
@@ -226,9 +207,7 @@ class FaultInjector:
     # per-attempt decisions (consulted by FlashArray)
     # ------------------------------------------------------------------
 
-    def read_attempt(
-        self, block: int, page: int, erase_count: int, attempt: int
-    ) -> bool:
+    def read_attempt(self, block: int, page: int, attempt: int) -> bool:
         """Whether read ``attempt`` of (block, page) returns good data.
 
         Attempt 0 decides the fault (schedule first, then the statistical
@@ -249,9 +228,8 @@ class FaultInjector:
                 self.config.read_uncorrectable_prob > 0.0
                 or self.config.read_corrected_prob > 0.0
             ):
-                wear = self.config.wear_multiplier(erase_count)
-                p_unc = min(1.0, self.config.read_uncorrectable_prob * wear)
-                p_cor = min(1.0, self.config.read_corrected_prob * wear)
+                p_unc = self.config.read_uncorrectable_prob
+                p_cor = self.config.read_corrected_prob
                 draw = self._rng.random()
                 if draw < p_unc:
                     kind = "read_uncorrectable"
@@ -276,7 +254,7 @@ class FaultInjector:
         """Release the retry pin after recovery succeeds or gives up."""
         self._active_reads.pop((block, page), None)
 
-    def program_fails(self, block: int, erase_count: int) -> bool:
+    def program_fails(self, block: int) -> bool:
         """Whether the next page program of ``block`` fails."""
         if block in self._bad_blocks:
             return True
@@ -288,19 +266,16 @@ class FaultInjector:
             self._note("program_fail")
             return True
         p = self.config.program_fail_prob
-        if p > 0.0:
-            p = min(1.0, p * self.config.wear_multiplier(erase_count))
-            if self._rng.random() < p:
-                self._note("program_fail")
-                return True
+        if p > 0.0 and self._rng.random() < p:
+            self._note("program_fail")
+            return True
         return False
 
-    def erase_fails(self, block: int, erase_count: int) -> bool:
+    def erase_fails(self, block: int) -> bool:
         """Whether the next erase of ``block`` fails.
 
-        A spontaneous grown defect (scheduled or statistical
-        ``bad_block``) marks the block permanently bad on top of failing
-        this erase.
+        A scheduled ``bad_block`` marks the block permanently bad on top
+        of failing this erase.
         """
         if block in self._bad_blocks:
             return True
@@ -311,17 +286,8 @@ class FaultInjector:
         if self._take_scheduled("erase_fail", block):
             self._note("erase_fail")
             return True
-        if self.config.statistical:
-            wear = self.config.wear_multiplier(erase_count)
-            p_bad = min(1.0, self.config.bad_block_prob * wear)
-            p_erase = min(1.0, self.config.erase_fail_prob * wear)
-            if p_bad > 0.0 or p_erase > 0.0:
-                draw = self._rng.random()
-                if draw < p_bad:
-                    self._bad_blocks.add(block)
-                    self._note("bad_block")
-                    return True
-                if draw < p_bad + p_erase:
-                    self._note("erase_fail")
-                    return True
+        p = self.config.erase_fail_prob
+        if p > 0.0 and self._rng.random() < p:
+            self._note("erase_fail")
+            return True
         return False

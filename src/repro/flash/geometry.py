@@ -22,17 +22,6 @@ from repro.units import GIB, KIB
 
 
 @dataclass(frozen=True)
-class PageAddress:
-    """Fully qualified physical page address within a geometry."""
-
-    channel: int
-    die: int
-    plane: int
-    block: int
-    page: int
-
-
-@dataclass(frozen=True)
 class Geometry:
     """Immutable description of the flash array's shape.
 
@@ -109,14 +98,6 @@ class Geometry:
         self.check_block(block_index)
         return block_index % self.total_dies
 
-    def channel_of_die(self, die_index: int) -> int:
-        """Channel (0..channels-1) that die ``die_index`` hangs off."""
-        if not 0 <= die_index < self.total_dies:
-            raise AddressError(
-                f"die index {die_index} out of range [0, {self.total_dies})"
-            )
-        return die_index % self.channels
-
     def check_block(self, block_index: int) -> None:
         """Raise :class:`AddressError` if ``block_index`` is out of range."""
         if not 0 <= block_index < self.total_blocks:
@@ -140,29 +121,6 @@ class Geometry:
             f"{self.pages_per_block}pg x {self.page_bytes}B "
             f"= {self.capacity_bytes / GIB:.2f} GiB raw"
         )
-
-
-def scaled_pm983(scale_divisor: int = 500) -> Geometry:
-    """A PM983-3.84TB-shaped geometry scaled down by ``scale_divisor``.
-
-    The real drive is modeled as 8 channels x 8 dies x 2 planes x 1024
-    blocks x 256 pages x 32 KiB ~= 4 TiB raw.  Scaling reduces only the
-    number of blocks per plane, preserving page size and parallelism so
-    that latency-path behaviour is unchanged while fills remain feasible.
-    """
-    if scale_divisor < 1:
-        raise ConfigurationError(f"scale divisor must be >= 1, got {scale_divisor}")
-    full_blocks_per_plane = 1024
-    pages_per_block = 256
-    blocks = max(4, full_blocks_per_plane // max(1, scale_divisor // 4))
-    return Geometry(
-        channels=8,
-        dies_per_channel=8,
-        planes_per_die=2,
-        blocks_per_plane=blocks,
-        pages_per_block=pages_per_block,
-        page_bytes=32 * KIB,
-    )
 
 
 def tiny_geometry() -> Geometry:

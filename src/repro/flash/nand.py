@@ -291,9 +291,7 @@ class FlashArray:
         # are deterministic regardless of resource contention.
         good = True
         if fault_check and self.faults is not None:
-            good = self.faults.read_attempt(
-                block_index, page_index, info.erase_count, attempt
-            )
+            good = self.faults.read_attempt(block_index, page_index, attempt)
         timing = self.timing
         stats = self.stats
         nbytes = min(nbytes, self.geometry.page_bytes)
@@ -339,8 +337,7 @@ class FlashArray:
         """
         failed = False
         if self.faults is not None:
-            info = self._info(block_index)
-            failed = self.faults.program_fails(block_index, info.erase_count)
+            failed = self.faults.program_fails(block_index)
         timing = self.timing
         stats = self.stats
         nbytes = min(nbytes, self.geometry.page_bytes)
@@ -385,7 +382,7 @@ class FlashArray:
             )
         failed = False
         if self.faults is not None:
-            failed = self.faults.erase_fails(block_index, info.erase_count)
+            failed = self.faults.erase_fails(block_index)
         tracer = self._tracing()
         yield self._die_res[block_index].serve(self.timing.erase_us)
         self.stats.flash_busy_us += self.timing.erase_us

@@ -76,13 +76,3 @@ class FlashTiming:
         value = self.command_overhead_us + nbytes / self.channel_bytes_per_us
         memo[nbytes] = value
         return value
-
-    def page_read_service_us(self, geometry_page_bytes: int, nbytes: int) -> float:
-        """Un-contended service time for reading ``nbytes`` out of a page.
-
-        The array always senses the whole page (tR); only the requested
-        bytes cross the channel.  Useful for back-of-envelope checks; the
-        timed array composes the same two phases with contention.
-        """
-        nbytes = min(nbytes, geometry_page_bytes)
-        return self.read_us + self.transfer_us(nbytes)

@@ -6,16 +6,13 @@ queueing delay is invisible.  An *open-loop* process decides arrival
 times independently of completions — the regime a serving system faces —
 and makes offered load an experiment input.
 
-Three generators cover the canonical traffic shapes:
+Two generators cover the canonical traffic shapes:
 
 * ``poisson`` — memoryless arrivals at a constant mean rate;
 * ``mmpp`` — a two-state Markov-modulated Poisson process (baseline /
-  burst), the standard bursty-traffic model;
-* ``diurnal`` — an inhomogeneous Poisson process whose intensity follows
-  a sinusoidal ramp (a compressed day/night cycle), realized by Lewis
-  thinning.
+  burst), the standard bursty-traffic model.
 
-All three draw from one seeded ``random.Random``, so a spec maps to
+Both draw from one seeded ``random.Random``, so a spec maps to
 exactly one arrival schedule — byte-identical across runs, processes,
 and cache replays.  Times are absolute simulated microseconds, strictly
 increasing from zero.
@@ -26,22 +23,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator
 
 from repro.errors import ConfigurationError
 
-#: Recognized arrival-process kinds.  ``trace`` replays recorded
-#: timestamps verbatim (see :meth:`ArrivalSpec.from_trace`).
-PROCESSES = ("poisson", "mmpp", "diurnal", "trace")
+#: Recognized arrival-process kinds.
+PROCESSES = ("poisson", "mmpp")
 
 
 @dataclass(frozen=True)
 class ArrivalSpec:
     """One tenant's open-loop arrival schedule.
 
-    ``rate_ops_s`` is the long-run mean offered load; the bursty and
-    diurnal processes modulate around it but keep the same mean, so
-    sweeps over ``rate_ops_s`` are comparable across process kinds.
+    ``rate_ops_s`` is the long-run mean offered load; the bursty process
+    modulates around it but keeps the same mean, so sweeps over
+    ``rate_ops_s`` are comparable across process kinds.
     """
 
     rate_ops_s: float
@@ -54,12 +50,6 @@ class ArrivalSpec:
     burst_fraction: float = 0.1
     #: mmpp: mean dwell time per burst episode.
     mean_burst_us: float = 20_000.0
-    #: diurnal: period of the intensity sinusoid.
-    diurnal_period_us: float = 1_000_000.0
-    #: diurnal: peak-to-mean modulation depth in [0, 1).
-    diurnal_depth: float = 0.8
-    #: trace: recorded arrival timestamps (us), replayed verbatim.
-    trace_times: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate_ops_s) and self.rate_ops_s > 0.0):
@@ -88,58 +78,6 @@ class ArrivalSpec:
             raise ConfigurationError(
                 f"mean_burst_us must be > 0, got {self.mean_burst_us}"
             )
-        if self.diurnal_period_us <= 0.0:
-            raise ConfigurationError(
-                f"diurnal_period_us must be > 0, got {self.diurnal_period_us}"
-            )
-        if not 0.0 <= self.diurnal_depth < 1.0:
-            raise ConfigurationError(
-                f"diurnal_depth must be in [0, 1), got {self.diurnal_depth}"
-            )
-        if self.process == "trace":
-            if len(self.trace_times) != self.n_requests:
-                raise ConfigurationError(
-                    f"trace arrivals carry {len(self.trace_times)} "
-                    f"timestamps for n_requests={self.n_requests}"
-                )
-            previous = 0.0
-            for position, stamp in enumerate(self.trace_times):
-                if stamp < previous:
-                    raise ConfigurationError(
-                        f"trace arrival {position} at {stamp} goes "
-                        f"backwards (previous {previous})"
-                    )
-                previous = stamp
-        elif self.trace_times:
-            raise ConfigurationError(
-                f"trace_times only applies to the 'trace' process, "
-                f"not {self.process!r}"
-            )
-
-    @classmethod
-    def from_trace(
-        cls, times: Sequence[float], seed: int = 1
-    ) -> "ArrivalSpec":
-        """An arrival schedule replaying recorded timestamps verbatim.
-
-        ``rate_ops_s`` is derived from the trace span so load sweeps can
-        still report an offered rate; the timestamps themselves are the
-        schedule (open-loop replay of a
-        :meth:`repro.kvbench.traces.TraceWorkload.arrivals` stream).
-        """
-        stamps = tuple(float(stamp) for stamp in times)
-        if not stamps:
-            raise ConfigurationError("a trace arrival schedule needs "
-                                     "at least one timestamp")
-        span = stamps[-1] - stamps[0]
-        rate = (len(stamps) / span) * 1e6 if span > 0.0 else 1e6
-        return cls(
-            rate_ops_s=rate,
-            n_requests=len(stamps),
-            process="trace",
-            seed=seed,
-            trace_times=stamps,
-        )
 
     @property
     def rate_per_us(self) -> float:
@@ -185,38 +123,12 @@ def _mmpp(spec: ArrivalSpec) -> Iterator[float]:
         emitted += 1
 
 
-def _diurnal(spec: ArrivalSpec) -> Iterator[float]:
-    # Inhomogeneous Poisson via Lewis thinning: draw candidates at the
-    # peak intensity, accept each with probability intensity(t)/peak.
-    rng = random.Random(spec.seed)
-    mean = spec.rate_per_us
-    peak = mean * (1.0 + spec.diurnal_depth)
-    omega = 2.0 * math.pi / spec.diurnal_period_us
-    now = 0.0
-    emitted = 0
-    while emitted < spec.n_requests:
-        now += rng.expovariate(peak)
-        intensity = mean * (1.0 + spec.diurnal_depth * math.sin(omega * now))
-        if rng.random() * peak <= intensity:
-            yield now
-            emitted += 1
-
-
-def _trace(spec: ArrivalSpec) -> Iterator[float]:
-    return iter(spec.trace_times)
-
-
 def generate_arrivals(spec: ArrivalSpec) -> Iterator[float]:
     """Deterministic arrival-time stream for ``spec``.
 
-    Yields exactly ``spec.n_requests`` absolute times (us),
-    non-decreasing (strictly increasing for the synthetic processes).
-    The same spec always yields the same stream.
+    Yields exactly ``spec.n_requests`` strictly increasing absolute
+    times (us).  The same spec always yields the same stream.
     """
     if spec.process == "poisson":
         return _poisson(spec)
-    if spec.process == "mmpp":
-        return _mmpp(spec)
-    if spec.process == "trace":
-        return _trace(spec)
-    return _diurnal(spec)
+    return _mmpp(spec)

@@ -33,7 +33,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
+from repro.core.experiment import build_rig, lab_geometry
 from repro.errors import DeviceError
 from repro.frontend.arrivals import generate_arrivals
 from repro.frontend.spec import FrontendSpec, TenantLoad
@@ -465,17 +465,13 @@ def run_frontend(
     keep_requests: bool = False,
     tracer: Optional[Tracer] = None,
 ) -> FrontendRunResult:
-    """Build a rig, prime tenant populations, and serve the open-loop run.
+    """Build a KV rig, prime tenant populations, and serve the open-loop run.
 
     Priming inserts every tenant's key population closed-loop before the
     measured phase, so open-loop reads and updates always hit existing
     pairs; the measured phase starts at a fresh time origin.
     """
-    rig = build_rig(
-        DIRECT_SYSTEMS[spec.personality],
-        lab_geometry(spec.blocks_per_plane),
-        tracer=tracer,
-    )
+    rig = build_rig("kvssd", lab_geometry(spec.blocks_per_plane), tracer=tracer)
     env: Environment = rig.env
     adapter: StoreAdapter = rig.adapter_for(
         max(tenant.value_bytes for tenant in spec.tenants)

@@ -46,7 +46,6 @@ def build_load_spec(
     batch_linger_us: float = 20.0,
     dispatch_width: int = 8,
     scheduler: str = "edf",
-    personality: str = "kv",
     value_bytes: int = 4096,
     bulk_value_bytes: int = 512,
     bulk_read_fraction: float = 0.7,
@@ -95,7 +94,6 @@ def build_load_spec(
     return FrontendSpec(
         classes=(LATENCY_CLASS, BATCH_CLASS),
         tenants=tenants,
-        personality=personality,
         admit_capacity=admit_capacity,
         batch_max=batch_max,
         batch_linger_us=batch_linger_us,
@@ -184,7 +182,6 @@ def frontend_load_sweep(
     loads_kops: Sequence[float] = DEFAULT_LOADS_KOPS,
     n_requests: int = 800,
     scheduler: str = "edf",
-    personality: str = "kv",
     blocks_per_plane: int = 8,
     seed: int = 1,
     runner: Optional[SweepRunner] = None,
@@ -195,8 +192,7 @@ def frontend_load_sweep(
         _frontend_load_cell,
         {"load_kops": loads_kops},
         dict(n_requests=n_requests, scheduler=scheduler,
-             personality=personality, blocks_per_plane=blocks_per_plane,
-             seed=seed),
+             blocks_per_plane=blocks_per_plane, seed=seed),
         runner,
     )
     class_names = (LATENCY_CLASS.name, BATCH_CLASS.name)

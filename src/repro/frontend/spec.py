@@ -17,9 +17,6 @@ from repro.frontend.arrivals import ArrivalSpec
 #: arrival order (no class differentiation — the ablation baseline).
 SCHEDULERS = ("edf", "fifo")
 
-#: Device personalities the frontend can serve.
-PERSONALITIES = ("kv", "block")
-
 #: Tenant op mixes the frontend accepts (kvbench workload kinds).
 TENANT_OPS = ("read", "update", "mixed")
 
@@ -90,7 +87,6 @@ class FrontendSpec:
 
     classes: Tuple[SLOClass, ...]
     tenants: Tuple[TenantLoad, ...]
-    personality: str = "kv"
     #: Bounded admission queue: requests arriving while this many are in
     #: flight (queued or executing) are shed, never acknowledged.
     admit_capacity: int = 64
@@ -131,11 +127,6 @@ class FrontendSpec:
                     f"tenant {tenant.name!r} references unknown SLO class "
                     f"{tenant.slo!r}"
                 )
-        if self.personality not in PERSONALITIES:
-            raise ConfigurationError(
-                f"unknown personality {self.personality!r}; "
-                f"choose from {PERSONALITIES}"
-            )
         if self.admit_capacity < 1:
             raise ConfigurationError(
                 f"admit_capacity must be >= 1, got {self.admit_capacity}"

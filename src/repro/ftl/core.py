@@ -95,7 +95,7 @@ from repro.ftl.writebuffer import WriteBuffer
 from repro.sim.engine import Environment, Event
 from repro.sim.signal import Signal
 from repro.trace.tracer import NULL_SPAN, Tracer
-from repro.units import ceil_div
+from repro.units import MIB, ceil_div
 
 
 @dataclass
@@ -232,6 +232,31 @@ class DeviceStats:
     def stall_time_us(self) -> float:
         """Total host-visible stall time (buffer + allowance waits)."""
         return self.buffer_stall_us + self.allowance_stall_us
+
+    def summary(self) -> Dict[str, float]:
+        """Headline numbers of these counters (usually a delta).
+
+        Works for any personality, since both report through this record:
+
+        * ``waf`` — flash writes over host writes (1.0 when no host writes);
+        * ``gc_moved_mib`` — valid data relocated by GC;
+        * ``foreground_gc_fraction`` — GC runs triggered with a host writer
+          stalled (0.0 when GC never ran);
+        * ``stall_ms`` — host time lost to write-buffer admission plus
+          free-block allowance waits;
+        * ``flash_busy_ms`` — summed die/channel service time across all
+          flash ops (matches the trace subsystem's flash-span total).
+        """
+        gc_runs = self.gc_runs
+        return {
+            "waf": self.write_amplification(),
+            "gc_moved_mib": self.gc_relocated_bytes / MIB,
+            "foreground_gc_fraction": (
+                self.foreground_gc_runs / gc_runs if gc_runs else 0.0
+            ),
+            "stall_ms": self.stall_time_us() / 1000.0,
+            "flash_busy_ms": self.flash_busy_us / 1000.0,
+        }
 
 
 class GcItem(NamedTuple):

@@ -98,14 +98,6 @@ class ZipfianGenerator:
             yield self.next_index()
 
 
-def zipfian_indices(
-    population: int, count: int, theta: float = 0.99, seed: int = 1
-) -> Iterator[int]:
-    """Convenience wrapper over :class:`ZipfianGenerator`."""
-    _check(population, count)
-    return ZipfianGenerator(population, theta, seed).indices(count)
-
-
 def sliding_window_indices(
     population: int,
     count: int,

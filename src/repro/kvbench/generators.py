@@ -12,9 +12,7 @@ streams (see :mod:`repro.kvbench.traces`):
   *materialized* into the stream at their expiry timestamps, so replay
   needs no clock of its own;
 * :func:`generate_scan_mix` — point ops mixed with prefix scans that
-  exercise the kvftl iterator buckets;
-* :func:`generate_phases` — piecewise load: a list of (duration, spec)
-  phases replayed back to back at each phase's own arrival rate.
+  exercise the kvftl iterator buckets.
 
 Every generator is driven entirely by its spec's seed: same spec, same
 byte stream, on any interpreter with any ``PYTHONHASHSEED`` — the
@@ -33,7 +31,6 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
 from repro.kvbench.traces import TraceRecord
-from repro.kvbench.workload import WorkloadSpec, generate_operations
 from repro.kvftl.population import KeyScheme
 
 
@@ -242,47 +239,3 @@ def generate_scan_mix(spec: ScanMixSpec) -> Iterator[TraceRecord]:
             yield TraceRecord(now, "read", key, 0)
         else:
             yield TraceRecord(now, "update", key, spec.value_bytes)
-
-
-@dataclass(frozen=True)
-class PhaseSpec:
-    """Piecewise load: (duration_us, WorkloadSpec) phases back to back.
-
-    Each phase replays its spec's exact operation stream at the constant
-    rate ``duration_us / n_ops``; phase boundaries are where mid-run
-    shifts (mix flips, value-size jumps, population changes) happen.
-    """
-
-    phases: Tuple[Tuple[float, WorkloadSpec], ...]
-
-    def __post_init__(self) -> None:
-        if not self.phases:
-            raise WorkloadError("PhaseSpec needs at least one phase")
-        for number, (duration, _spec) in enumerate(self.phases, start=1):
-            if duration <= 0.0:
-                raise WorkloadError(
-                    f"phase {number}: duration must be > 0, got {duration}"
-                )
-
-    @property
-    def total_ops(self) -> int:
-        return sum(spec.n_ops for _duration, spec in self.phases)
-
-    @property
-    def total_duration_us(self) -> float:
-        return sum(duration for duration, _spec in self.phases)
-
-
-def generate_phases(spec: PhaseSpec) -> Iterator[TraceRecord]:
-    """All phases' operation streams, each at its own constant rate."""
-    offset = 0.0
-    for duration, phase in spec.phases:
-        interarrival = duration / phase.n_ops
-        for position, op in enumerate(generate_operations(phase)):
-            yield TraceRecord(
-                timestamp_us=offset + position * interarrival,
-                op=op.op.value,
-                key=op.key,
-                size=op.value_bytes,
-            )
-        offset += duration

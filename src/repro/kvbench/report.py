@@ -47,12 +47,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_series(label: str, values: Sequence[float], precision: int = 1) -> str:
-    """One labeled series on a single line (a figure's curve as text)."""
-    rendered = ", ".join(f"{value:.{precision}f}" for value in values)
-    return f"{label}: [{rendered}]"
-
-
 def sparkline(values: Sequence[float]) -> str:
     """Unicode sparkline — a quick visual of a bandwidth time series."""
     if not values:

@@ -15,8 +15,7 @@ Format (``KVT`` version 1)::
     <timestamp_us> <op> <key> <size> [<ttl_us>]
 
 * ``timestamp_us`` — arrival time in microseconds, non-decreasing down
-  the file (closed-loop replay ignores it; open-loop replay turns it
-  into frontend arrivals);
+  the file (closed-loop replay ignores it);
 * ``op`` — one of ``insert update read delete scan``;
 * ``key`` — the key bytes, percent-escaped so arbitrary bytes survive a
   text file (ASCII ``0x21–0x7e`` except ``%`` is literal);
@@ -28,20 +27,15 @@ Format (``KVT`` version 1)::
 The parser is strict: a truncated line, an unknown op code, a version
 mismatch, or an out-of-order timestamp raises
 :class:`~repro.errors.WorkloadError` naming the offending line — a trace
-that parses is a trace that replays deterministically.  ``.gz`` paths
-are read and written through :mod:`gzip` transparently.
+that parses is a trace that replays deterministically.
 """
 
 from __future__ import annotations
 
-import gzip
 import heapq
-import io
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
-    IO,
     Dict,
     Iterable,
     Iterator,
@@ -164,27 +158,6 @@ def unescape_key(token: str) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _open_write(path: str) -> Iterator[IO[str]]:
-    if not str(path).endswith(".gz"):
-        with open(path, "w", encoding="ascii") as handle:
-            yield handle
-        return
-    # No mtime and no file name in the gzip header: the same records
-    # give the same bytes, whenever and wherever they are written.
-    with open(path, "wb") as raw, \
-            gzip.GzipFile("", "wb", fileobj=raw, mtime=0) as packed, \
-            io.TextIOWrapper(packed, encoding="ascii") as handle:
-        yield handle
-
-
-def _open_read(path: str) -> IO[str]:
-    # A non-ASCII byte reaches the parser as a lone surrogate, which no
-    # field accepts: it is reported with its line, not raised mid-decode.
-    opener = gzip.open if str(path).endswith(".gz") else open
-    return opener(path, "rt", encoding="ascii", errors="surrogateescape")
-
-
 def format_record(record: TraceRecord) -> str:
     """One trace line (no newline).  ``repr`` floats round-trip exactly."""
     line = (f"{record.timestamp_us!r} {record.op} "
@@ -195,7 +168,7 @@ def format_record(record: TraceRecord) -> str:
 
 
 def write_trace(path: str, records: Iterable[TraceRecord]) -> int:
-    """Write ``records`` to ``path`` (gzip if it ends ``.gz``).
+    """Write ``records`` to ``path``.
 
     Returns the record count.  Timestamps must be non-decreasing — the
     writer enforces the same invariant the parser does, so anything
@@ -203,7 +176,7 @@ def write_trace(path: str, records: Iterable[TraceRecord]) -> int:
     """
     count = 0
     previous = 0.0
-    with _open_write(path) as handle:
+    with open(path, "w", encoding="ascii") as handle:
         write = handle.write
         write(f"{TRACE_MAGIC} v{TRACE_VERSION}\n")
         for record in records:
@@ -338,8 +311,10 @@ def parse_trace(
 
 
 def read_trace(path: str) -> List[TraceRecord]:
-    """Parse the trace file at ``path`` (gzip-aware)."""
-    with _open_read(path) as handle:
+    """Parse the trace file at ``path``."""
+    # A non-ASCII byte reaches the parser as a lone surrogate, which no
+    # field accepts: it is reported with its line, not raised mid-decode.
+    with open(path, encoding="ascii", errors="surrogateescape") as handle:
         return parse_trace(handle, source=str(path))
 
 
@@ -415,8 +390,6 @@ class TraceWorkload:
       ``scan`` records come out as reads with a positive
       ``scan_length``; drive those through
       :class:`~repro.kvbench.ycsb.YCSBDriver`.
-    * :meth:`arrivals` exposes the trace's timestamps for the open-loop
-      frontend path (:meth:`repro.frontend.arrivals.ArrivalSpec.from_trace`).
 
     ``key_scheme`` recovers each key's index when the trace was produced
     by a scheme (exported specs round-trip exactly); foreign keys get
@@ -473,10 +446,6 @@ class TraceWorkload:
 
     def __iter__(self) -> Iterator[Operation]:
         return self.operations()
-
-    def arrivals(self) -> Tuple[float, ...]:
-        """Arrival timestamps (us), non-decreasing — open-loop input."""
-        return tuple(record.timestamp_us for record in self.records)
 
     def has_scans(self) -> bool:
         return any(record.op == "scan" for record in self.records)

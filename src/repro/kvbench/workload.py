@@ -90,13 +90,15 @@ class WorkloadSpec:
             raise WorkloadError(f"value size must be >= 0, got {self.value_bytes}")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise WorkloadError("read_fraction outside [0, 1]")
+        if self.population is not None and self.population < 1:
+            raise WorkloadError(
+                f"population must be >= 1, got {self.population}"
+            )
 
     @property
     def effective_population(self) -> int:
         """Distinct keys this workload addresses."""
         if self.population is not None:
-            if self.population < 1:
-                raise WorkloadError("population must be >= 1")
             return self.population
         return self.n_ops
 

@@ -11,7 +11,6 @@ per operation and charging per-command processing on both host and device.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.errors import (
     AddressError,
@@ -28,19 +27,8 @@ from repro.errors import (
     UncorrectableReadError,
 )
 
-#: Size of one NVMe submission queue entry.
-NVME_COMMAND_BYTES = 64
 #: Key bytes that fit inline in a KV command.
 INLINE_KEY_BYTES = 16
-
-
-class KVOpcode(enum.Enum):
-    """Vendor-specific KV opcodes (SNIA KVS API operations)."""
-
-    STORE = "store"
-    RETRIEVE = "retrieve"
-    DELETE = "delete"
-    EXIST = "exist"
 
 
 class NvmeStatus(enum.IntEnum):
@@ -117,42 +105,3 @@ def commands_for_key(key_bytes: int) -> int:
     if key_bytes < 1:
         raise ConfigurationError(f"key length must be >= 1, got {key_bytes}")
     return 1 if key_bytes <= INLINE_KEY_BYTES else 2
-
-
-@dataclass(frozen=True)
-class KVCommandSet:
-    """The command footprint of one KV operation."""
-
-    opcode: KVOpcode
-    key_bytes: int
-    value_bytes: int
-
-    @property
-    def command_count(self) -> int:
-        """Submission entries consumed by the operation."""
-        return commands_for_key(self.key_bytes)
-
-    @property
-    def command_overhead_bytes(self) -> int:
-        """Bytes of command traffic (the small-KVP waste the paper notes:
-        Facebook's 57-154 B average pairs spend a 64+ B command each)."""
-        return self.command_count * NVME_COMMAND_BYTES
-
-    def overhead_ratio(self) -> float:
-        """Command bytes relative to payload bytes (inf for empty pairs)."""
-        payload = self.key_bytes + self.value_bytes
-        if payload == 0:
-            return float("inf")
-        return self.command_overhead_bytes / payload
-
-
-def compound_command_count(operations: int, per_compound: int) -> int:
-    """Commands used if ``operations`` small ops are consolidated.
-
-    Models the compound-command proposal the paper cites ([10], Kim et
-    al., HotStorage'19) as a host-side remedy; exercised by the ablation
-    bench.
-    """
-    if operations < 0 or per_compound < 1:
-        raise ConfigurationError("invalid compound command parameters")
-    return -(-operations // per_compound)

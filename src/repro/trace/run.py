@@ -95,7 +95,6 @@ def _trace_personality_cell(
     n_ops: int,
     population: int,
     max_spans: int,
-    sample_every: int,
 ) -> Dict[str, object]:
     """Run ``fig``'s scenario on one personality under its own collector.
 
@@ -106,7 +105,7 @@ def _trace_personality_cell(
     report in fixed personality order.
     """
     scenario = scenarios()[fig]
-    config = TraceConfig(sample_every=sample_every, max_spans=max_spans)
+    config = TraceConfig(max_spans=max_spans)
     collector = TraceCollector(max_spans)
     scheme = scenario.scheme
     pid = PERSONALITIES.index(personality) + 1
@@ -164,7 +163,6 @@ def run_traced(
     fig: str = "fig6",
     n_ops: Optional[int] = None,
     max_spans: int = 1 << 20,
-    sample_every: int = 1,
     runner: Optional[SweepRunner] = None,
 ) -> TraceReport:
     """Run ``fig``'s scenario on both personalities into one collector.
@@ -190,7 +188,7 @@ def run_traced(
         _trace_personality_cell,
         {"personality": PERSONALITIES},
         dict(fig=fig, n_ops=n_ops, population=population,
-             max_spans=max_spans, sample_every=sample_every),
+             max_spans=max_spans),
         runner,
     )
 

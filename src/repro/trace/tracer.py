@@ -19,11 +19,11 @@ compiled into the hot paths:
   These render as the device timeline in Perfetto.
 
 Tracing is pay-for-what-you-enable: every record belongs to a category,
-categories can be disabled individually, operation roots can be sampled
-(1 in N), and a disabled or unbound tracer reduces every instrumentation
-site to a guard check against :data:`NULL_SPAN`.  Finished records land
-in a bounded ring buffer (:class:`TraceCollector`) shared by any number
-of tracers, one per device, distinguished by ``pid`` in the export.
+categories can be disabled individually, and a disabled or unbound
+tracer reduces every instrumentation site to a guard check against
+:data:`NULL_SPAN`.  Finished records land in a bounded ring buffer
+(:class:`TraceCollector`) shared by any number of tracers, one per
+device, distinguished by ``pid`` in the export.
 """
 
 from __future__ import annotations
@@ -52,16 +52,10 @@ class TraceConfig:
     enabled: bool = True
     #: Categories to record (see :data:`CATEGORIES`).
     categories: Tuple[str, ...] = CATEGORIES
-    #: Keep one operation root span out of every ``sample_every``.
-    sample_every: int = 1
     #: Ring-buffer capacity; the oldest records are dropped beyond it.
     max_spans: int = 262_144
 
     def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ConfigurationError(
-                f"sample_every must be >= 1, got {self.sample_every}"
-            )
         if self.max_spans < 1:
             raise ConfigurationError(
                 f"max_spans must be >= 1, got {self.max_spans}"
@@ -251,7 +245,6 @@ class Tracer:
         self.pid = pid
         self.process_name = process_name
         self._env: object = None
-        self._op_seq = 0
         self._free_lanes: List[str] = []
         self._lane_count = 0
         self._on_op = False
@@ -302,14 +295,10 @@ class Tracer:
     def op(self, name: str) -> Span:
         """Open an operation root span (or :data:`NULL_SPAN` when off).
 
-        Roots are sampled per :attr:`TraceConfig.sample_every` and laid
-        out on rotating ``op.N`` lanes so concurrent operations render as
-        parallel tracks instead of bogus nesting.
+        Roots are laid out on rotating ``op.N`` lanes so concurrent
+        operations render as parallel tracks instead of bogus nesting.
         """
         if not self._on_op:
-            return NULL_SPAN  # type: ignore[return-value]
-        self._op_seq += 1
-        if self._op_seq % self.config.sample_every:
             return NULL_SPAN  # type: ignore[return-value]
         if self._free_lanes:
             track = self._free_lanes.pop()

@@ -30,21 +30,6 @@ def ms(value: float) -> float:
     return value * MSEC
 
 
-def sec(value: float) -> float:
-    """Convert seconds to simulator time (microseconds)."""
-    return value * SEC
-
-
-def to_ms(usecs: float) -> float:
-    """Convert simulator time (microseconds) to milliseconds."""
-    return usecs / MSEC
-
-
-def to_sec(usecs: float) -> float:
-    """Convert simulator time (microseconds) to seconds."""
-    return usecs / SEC
-
-
 def mib_per_sec(nbytes: float, usecs: float) -> float:
     """Bandwidth in MiB/s for ``nbytes`` transferred over ``usecs``.
 

@@ -77,8 +77,6 @@ def test_fault_config_validation():
     with pytest.raises(ConfigurationError):
         FaultConfig(read_corrected_prob=1.5)
     with pytest.raises(ConfigurationError):
-        FaultConfig(wear_factor=-0.1)
-    with pytest.raises(ConfigurationError):
         FaultConfig(max_read_retries=0)
     assert not FaultConfig().statistical
     assert FaultConfig(program_fail_prob=0.1).statistical
@@ -96,49 +94,41 @@ def test_scheduled_read_fault_pins_until_finished():
     injector = FaultInjector()
     injector.schedule("read_uncorrectable")
     # Attempt 0 decides and pins; retries keep failing forever.
-    assert injector.read_attempt(3, 7, 0, 0) is False
+    assert injector.read_attempt(3, 7, 0) is False
     for attempt in range(1, 6):
-        assert injector.read_attempt(3, 7, 0, attempt) is False
+        assert injector.read_attempt(3, 7, attempt) is False
     # Other pages are unaffected while the pin is live.
-    assert injector.read_attempt(3, 8, 0, 0) is True
+    assert injector.read_attempt(3, 8, 0) is True
     injector.finish_read(3, 7)
-    assert injector.read_attempt(3, 7, 0, 0) is True
+    assert injector.read_attempt(3, 7, 0) is True
 
 
 def test_scheduled_corrected_fault_clears_after_one_retry():
     injector = FaultInjector()
     injector.schedule("read_corrected")
-    assert injector.read_attempt(1, 1, 0, 0) is False
-    assert injector.read_attempt(1, 1, 0, 1) is True
+    assert injector.read_attempt(1, 1, 0) is False
+    assert injector.read_attempt(1, 1, 1) is True
     assert injector.injected == {"read_corrected": 1}
 
 
 def test_schedule_block_filter_only_matches_target():
     injector = FaultInjector()
     injector.schedule("program_fail", block=5)
-    assert injector.program_fails(3, 0) is False
+    assert injector.program_fails(3) is False
     assert injector.pending_scheduled() == 1
-    assert injector.program_fails(5, 0) is True
+    assert injector.program_fails(5) is True
     assert injector.pending_scheduled() == 0
 
 
 def test_bad_block_is_permanent():
     injector = FaultInjector()
     injector.schedule("bad_block", block=2)
-    assert injector.program_fails(2, 0) is True
+    assert injector.program_fails(2) is True
     assert injector.is_bad(2)
     # Every later program and erase on the block fails without schedules.
-    assert injector.program_fails(2, 0) is True
-    assert injector.erase_fails(2, 0) is True
-    assert injector.program_fails(4, 0) is False
-
-
-def test_wear_multiplier_raises_statistical_rates():
-    config = FaultConfig(program_fail_prob=0.5, wear_factor=1.0)
-    # At erase_count 10 the effective probability saturates at 1.0.
-    assert config.wear_multiplier(10) == 11.0
-    injector = FaultInjector(config)
-    assert injector.program_fails(0, 10) is True
+    assert injector.program_fails(2) is True
+    assert injector.erase_fails(2) is True
+    assert injector.program_fails(4) is False
 
 
 def test_read_result_flags():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError, ConfigurationError, SimulationError
-from repro.flash.geometry import Geometry, scaled_pm983, tiny_geometry
+from repro.flash.geometry import Geometry, tiny_geometry
 from repro.flash.nand import BlockState, FlashArray
 from repro.flash.timing import FlashTiming
 from repro.ftl.core import DeviceStats
@@ -46,12 +46,6 @@ def test_geometry_block_striping_rotates_dies():
     assert dies[geo.total_dies:] == list(range(geo.total_dies))
 
 
-def test_geometry_channel_of_die():
-    geo = tiny_geometry()
-    for die in range(geo.total_dies):
-        assert 0 <= geo.channel_of_die(die) < geo.channels
-
-
 def test_geometry_validates_fields():
     with pytest.raises(ConfigurationError):
         Geometry(channels=0)
@@ -63,13 +57,6 @@ def test_geometry_address_checks():
         geo.check_block(geo.total_blocks)
     with pytest.raises(AddressError):
         geo.check_page(0, geo.pages_per_block)
-
-
-def test_scaled_pm983_preserves_page_size_and_parallelism():
-    geo = scaled_pm983()
-    assert geo.page_bytes == 32 * KIB
-    assert geo.channels == 8
-    assert geo.total_dies == 64
 
 
 # -- timing --------------------------------------------------------------------
@@ -88,12 +75,6 @@ def test_transfer_time_scales_with_bytes():
 def test_timing_rejects_nonpositive():
     with pytest.raises(ConfigurationError):
         FlashTiming(read_us=0.0)
-
-
-def test_page_read_service_time_composition():
-    timing = FlashTiming()
-    total = timing.page_read_service_us(32 * KIB, 4 * KIB)
-    assert total == pytest.approx(timing.read_us + timing.transfer_us(4 * KIB))
 
 
 # -- timed array ------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.nvme.command import NvmeStatus
 
 #: Mean-rate tolerance per process kind.  The MMPP's dwell-time variance
 #: converges slowest; the homogeneous Poisson fastest.
-RATE_TOLERANCE = {"poisson": 0.10, "mmpp": 0.25, "diurnal": 0.15}
+RATE_TOLERANCE = {"poisson": 0.10, "mmpp": 0.25}
 
 
 # -- arrival processes ---------------------------------------------------
@@ -35,9 +35,7 @@ RATE_TOLERANCE = {"poisson": 0.10, "mmpp": 0.25, "diurnal": 0.15}
 
 @settings(max_examples=12, deadline=None)
 @given(
-    # "trace" replays explicit timestamps instead of synthesizing them;
-    # its determinism and rate properties live in tests/test_traces.py.
-    process=st.sampled_from(tuple(p for p in PROCESSES if p != "trace")),
+    process=st.sampled_from(PROCESSES),
     rate_kops=st.sampled_from((8.0, 64.0, 400.0)),
     seed=st.integers(min_value=0, max_value=2**31),
 )
@@ -47,14 +45,12 @@ def test_arrivals_deterministic_monotonic_rate_correct(
     n_requests = 3000
     rate_per_us = rate_kops * 1000.0 / 1e6
     # The realized mean only converges over a window holding many
-    # modulation cycles, so scale the mmpp dwell and the diurnal period
-    # to the expected span (the mean is invariant to this time scaling).
+    # modulation cycles, so scale the mmpp dwell to the expected span
+    # (the mean is invariant to this time scaling).
     span = n_requests / rate_per_us
     modulation = {}
     if process == "mmpp":
         modulation["mean_burst_us"] = span / 600.0
-    elif process == "diurnal":
-        modulation["diurnal_period_us"] = span / 4.0
     spec = ArrivalSpec(
         rate_ops_s=rate_kops * 1000.0,
         n_requests=n_requests,

@@ -12,7 +12,6 @@ import pytest
 
 from repro.blockftl.config import BlockSSDConfig
 from repro.blockftl.device import BlockSSD
-from repro.core.model import device_stats_summary
 from repro.flash.geometry import Geometry, tiny_geometry
 from repro.flash.nand import BlockState, FlashArray
 from repro.flash.timing import FlashTiming
@@ -145,12 +144,12 @@ def test_device_stats_summary_headlines():
     stats.foreground_gc_runs = 1
     stats.buffer_stall_us = 1500.0
     stats.allowance_stall_us = 500.0
-    summary = device_stats_summary(stats)
+    summary = stats.summary()
     assert summary["waf"] == pytest.approx(stats.write_amplification())
     assert summary["gc_moved_mib"] == pytest.approx(2.0)
     assert summary["foreground_gc_fraction"] == pytest.approx(0.25)
     assert summary["stall_ms"] == pytest.approx(2.0)
-    assert device_stats_summary(DeviceStats())["foreground_gc_fraction"] == 0.0
+    assert DeviceStats().summary()["foreground_gc_fraction"] == 0.0
 
 
 def test_write_buffer_feeds_stall_telemetry():

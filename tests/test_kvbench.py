@@ -10,7 +10,7 @@ from repro.kvbench.distributions import (
     sliding_window_indices,
     uniform_indices,
 )
-from repro.kvbench.report import format_series, format_table, sparkline
+from repro.kvbench.report import format_table, sparkline
 from repro.kvbench.runner import drive_workload, execute_workload
 from repro.kvbench.workload import (
     Operation,
@@ -121,6 +121,10 @@ def test_spec_validation():
         WorkloadSpec(n_ops=1, op="unknown")
     with pytest.raises(WorkloadError):
         WorkloadSpec(n_ops=1, op="insert", value_bytes=-1)
+    # At construction, not when the stream is first generated: a spec
+    # that constructs is hashed into cache keys and sent to workers.
+    with pytest.raises(WorkloadError, match="population must be >= 1"):
+        WorkloadSpec(n_ops=3, op="read", population=0)
 
 
 # -- runner ----------------------------------------------------------------------------
@@ -357,8 +361,7 @@ def test_format_table_rejects_ragged_rows():
         format_table(["a", "b"], [["only-one"]])
 
 
-def test_format_series_and_sparkline():
-    assert format_series("x", [1.0, 2.5]) == "x: [1.0, 2.5]"
+def test_sparkline():
     line = sparkline([0.0, 1.0, 2.0, 4.0])
     assert len(line) == 4
     assert line[0] == "▁"

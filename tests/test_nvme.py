@@ -4,14 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.metrics.cpu import CpuAccountant
-from repro.nvme.command import (
-    INLINE_KEY_BYTES,
-    NVME_COMMAND_BYTES,
-    KVCommandSet,
-    KVOpcode,
-    commands_for_key,
-    compound_command_count,
-)
+from repro.nvme.command import INLINE_KEY_BYTES, commands_for_key
 from repro.nvme.driver import DriverCosts, KernelDeviceDriver
 from repro.sim.engine import Environment
 
@@ -33,26 +26,6 @@ def test_large_key_needs_second_command():
 def test_commands_for_key_rejects_empty():
     with pytest.raises(ConfigurationError):
         commands_for_key(0)
-
-
-def test_command_set_overhead_for_small_pairs():
-    # The paper's Facebook observation: ~100 B pairs waste a 64 B command.
-    command = KVCommandSet(KVOpcode.STORE, key_bytes=16, value_bytes=100)
-    assert command.command_count == 1
-    assert command.command_overhead_bytes == NVME_COMMAND_BYTES
-    assert command.overhead_ratio() == pytest.approx(64 / 116)
-
-
-def test_command_set_empty_pair_infinite_overhead():
-    command = KVCommandSet(KVOpcode.EXIST, key_bytes=0, value_bytes=0)
-    assert command.overhead_ratio() == float("inf")
-
-
-def test_compound_command_consolidation():
-    assert compound_command_count(100, 8) == 13
-    assert compound_command_count(0, 8) == 0
-    with pytest.raises(ConfigurationError):
-        compound_command_count(10, 0)
 
 
 # -- driver --------------------------------------------------------------------

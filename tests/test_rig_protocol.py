@@ -88,6 +88,9 @@ def test_kv_pair_capacity_is_free_pages_times_blobs_per_page():
     assert rig.pair_capacity(16, 4 * KIB, reserve_blocks=32) == (
         (free - 32) * geometry.pages_per_block * per_page
     )
+    # A reserve beyond the free blocks leaves room for no pair, not for a
+    # negative count a fill would be sized from.
+    assert rig.pair_capacity(16, 4 * KIB, reserve_blocks=free + 1000) == 0
     # The fraction scales whole pages, then packs: int(pages*f)*per_page,
     # which is not int(pages*per_page*f).
     pages = free * geometry.pages_per_block

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import textwrap
@@ -22,6 +23,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = REPO_ROOT / "tests" / "fixtures" / "sanitizer_targets.py"
 BUGGY = f"{FIXTURE}:buggy_model"
 CLEAN = f"{FIXTURE}:clean_model"
+PINNED = REPO_ROOT / "tests" / "golden" / "sanitizer.json"
+
+#: The determinism gate's targets as CI runs them: ``repro sanitize``
+#: with ``--fig``/``--n-ops`` or ``--target``.
+CI_TARGETS = (
+    ("fig:fig6", 400),
+    ("fig:fig2", 400),
+    ("tests.fixtures.sanitizer_targets:cluster_cell", 0),
+    ("tests.fixtures.sanitizer_targets:ycsb_cell", 0),
+    ("tests.fixtures.sanitizer_targets:frontend_cell", 0),
+)
 
 
 def test_pop_observer_sees_every_event_in_fire_order():
@@ -61,6 +73,26 @@ def test_collect_is_deterministic_in_process(target, n_ops):
     assert first.records == second.records
     assert localize(first, second) is None
     assert first.trips == []
+
+
+def test_ci_targets_pop_their_pinned_digests(regen_golden):
+    """Event count and pop-order digest of every CI sanitizer target.
+
+    The digest covers each popped event's time, type and process label,
+    so a change that moves only pop order or renames one process fails
+    here even when every golden metric and ``events`` count holds.
+    """
+    observed = {}
+    for target, n_ops in CI_TARGETS:
+        result = collect(target, n_ops)
+        assert result.trips == []
+        observed[target] = {"total_events": result.total_events,
+                            "digest": result.digest}
+    if regen_golden:
+        PINNED.write_text(json.dumps(observed, indent=2, sort_keys=True) + "\n",
+                          encoding="ascii")
+        pytest.skip(f"regenerated {PINNED.name}")
+    assert observed == json.loads(PINNED.read_text(encoding="ascii"))
 
 
 def test_resolve_callable_validates_spec():

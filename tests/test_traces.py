@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import cProfile
 import dataclasses
-import gzip
 import hashlib
 import json
 import pickle
 import pstats
-import time
 from pathlib import Path
 
 import pytest
@@ -33,16 +31,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.experiment import build_kv_rig, lab_geometry
-from repro.errors import ConfigurationError, WorkloadError
-from repro.frontend.arrivals import ArrivalSpec, generate_arrivals
+from repro.errors import WorkloadError
 from repro.kvbench.generators import (
     ChurnSpec,
     ExpirySpec,
-    PhaseSpec,
     ScanMixSpec,
     generate_churn,
     generate_expiry,
-    generate_phases,
     generate_scan_mix,
 )
 from repro.kvbench.runner import execute_workload
@@ -166,42 +161,16 @@ class TestRoundTrip:
         lines = [HEADER] + [format_record(r) for r in records]
         assert parse_trace(lines) == records
 
-    def test_file_roundtrip_plain_and_gzip(self, tmp_path):
+    def test_file_roundtrip(self, tmp_path):
         records = [
             TraceRecord(0.0, "insert", b"\x00binary\xffkey %", 512, 90.5),
             TraceRecord(0.25, "read", b"plain-key", 0),
             TraceRecord(0.25, "scan", b"pref-000", 16),
             TraceRecord(7.5, "delete", b"\x00binary\xffkey %", 0),
         ]
-        for name in ("trace.kvt", "trace.kvt.gz"):
-            path = str(tmp_path / name)
-            assert write_trace(path, records) == len(records)
-            assert read_trace(path) == records
-
-    def test_gzip_output_is_byte_deterministic(self, tmp_path):
-        """No mtime, no file name in the header: a trace written twice —
-        later, and under another name — is the same bytes, so a fixture
-        can be content-hashed.  Still an ordinary gzip stream."""
-        records = [TraceRecord(float(i), "insert", b"k\x00%d" % i, 64, 2.5)
-                   for i in range(50)]
-        first, second = tmp_path / "a.kvt.gz", tmp_path / "renamed.kvt.gz"
-        write_trace(str(first), records)
-        time.sleep(1.1)  # gzip's mtime field has one-second resolution
-        write_trace(str(second), records)
-        assert first.read_bytes() == second.read_bytes()
-        assert read_trace(str(first)) == records
-        with gzip.open(first, "rt", encoding="ascii") as handle:
-            assert parse_trace(handle) == records
-
-    def test_gzip_file_is_actually_compressed(self, tmp_path):
-        records = [TraceRecord(float(i), "read", b"key-%d" % (i % 4), 0)
-                   for i in range(400)]
-        plain = tmp_path / "t.kvt"
-        packed = tmp_path / "t.kvt.gz"
-        write_trace(str(plain), records)
-        write_trace(str(packed), records)
-        assert packed.stat().st_size < plain.stat().st_size
-        assert packed.read_bytes()[:2] == b"\x1f\x8b"
+        path = str(tmp_path / "trace.kvt")
+        assert write_trace(path, records) == len(records)
+        assert read_trace(path) == records
 
     def test_comments_and_blank_lines_are_skipped(self):
         lines = [HEADER, "", "# a comment", "1.0 read abc 0",
@@ -370,14 +339,11 @@ class TestMalformed:
     def test_non_ascii_byte_in_a_file_names_its_line(self, tmp_path):
         """Not a ``UnicodeDecodeError`` from somewhere inside a decode
         buffer: the byte reaches the parser and fails its field's check."""
-        for name, opener in (("b.kvt", open), ("b.kvt.gz", gzip.open)):
-            path = tmp_path / name
-            with opener(path, "wb") as handle:
-                handle.write(HEADER.encode() + b"\n# caf\xc3\xa9\n"
-                             b"1.0 read abc 0\n2.0 read ab\xe9 0\n")
-            with pytest.raises(WorkloadError,
-                               match=rf"{name}:4: unescaped byte"):
-                read_trace(str(path))
+        path = tmp_path / "b.kvt"
+        path.write_bytes(HEADER.encode() + b"\n# caf\xc3\xa9\n"
+                         b"1.0 read abc 0\n2.0 read ab\xe9 0\n")
+        with pytest.raises(WorkloadError, match=r"b\.kvt:4: unescaped byte"):
+            read_trace(str(path))
 
     def test_errors_name_the_file(self, tmp_path):
         path = tmp_path / "broken.kvt"
@@ -515,7 +481,7 @@ class TestSpecExport:
                                     queue_depth=4, name="replay")
 
         direct = _execute(generate_operations(spec))
-        path = str(tmp_path / "spec.kvt.gz")
+        path = str(tmp_path / "spec.kvt")
         export_spec(spec, path)
         replayed = _execute(
             TraceWorkload(read_trace(path), key_scheme=scheme).operations()
@@ -569,11 +535,10 @@ class TestTraceWorkload:
         workload = TraceWorkload(records, key_scheme=scheme)
         assert next(iter(workload)).key_index == 37
 
-    def test_arrivals_duration_and_scan_probe(self):
+    def test_duration_and_scan_probe(self):
         records = [TraceRecord(5.0, "read", b"a", 0),
                    TraceRecord(9.0, "scan", b"abcd", 4)]
         workload = TraceWorkload(records)
-        assert workload.arrivals() == (5.0, 9.0)
         assert workload.duration_us == 4.0
         assert workload.n_ops == 2
         assert workload.has_scans()
@@ -660,30 +625,6 @@ class TestGenerators:
         assert {r.op for r in records} <= {"scan", "read", "update"}
         assert list(generate_scan_mix(spec)) == records
 
-    def test_phases_concatenate_at_each_phases_own_rate(self):
-        scheme = KeyScheme(prefix=b"phse", digits=12)
-        fast = WorkloadSpec(n_ops=10, op="read", population=20,
-                            key_scheme=scheme)
-        slow = WorkloadSpec(n_ops=5, op="update", population=20,
-                            key_scheme=scheme, value_bytes=256)
-        spec = PhaseSpec(phases=((1000.0, fast), (1000.0, slow)))
-        assert spec.total_ops == 15
-        assert spec.total_duration_us == 2000.0
-        records = list(generate_phases(spec))
-        assert len(records) == 15
-        _assert_time_ordered(records)
-        assert [r.op for r in records[:10]] == ["read"] * 10
-        assert [r.timestamp_us for r in records[:3]] == [0.0, 100.0, 200.0]
-        assert records[10].timestamp_us == 1000.0
-        assert records[11].timestamp_us == 1200.0
-
-    def test_phase_spec_validation(self):
-        with pytest.raises(WorkloadError, match="at least one phase"):
-            PhaseSpec(phases=())
-        spec = WorkloadSpec(n_ops=1, op="read", population=1)
-        with pytest.raises(WorkloadError, match="phase 2: duration"):
-            PhaseSpec(phases=((10.0, spec), (0.0, spec)))
-
     def test_churn_spec_validation(self):
         with pytest.raises(WorkloadError, match="working_set"):
             ChurnSpec(n_ops=10, population=8, working_set=9)
@@ -745,44 +686,6 @@ class TestMerge:
 
 
 # ---------------------------------------------------------------------------
-# Open-loop arrivals from traces
-# ---------------------------------------------------------------------------
-
-
-class TestTraceArrivals:
-    def test_from_trace_replays_timestamps_verbatim(self):
-        records = [TraceRecord(float(i) * 3.0, "read", b"k", 0)
-                   for i in range(10)]
-        workload = TraceWorkload(records)
-        spec = ArrivalSpec.from_trace(workload.arrivals())
-        assert tuple(generate_arrivals(spec)) == workload.arrivals()
-        assert spec.process == "trace"
-        assert spec.n_requests == 10
-
-    def test_from_trace_derives_the_offered_rate(self):
-        # 10 arrivals over 27 us -> 10/27 per us.
-        spec = ArrivalSpec.from_trace(tuple(float(i) * 3.0
-                                            for i in range(10)))
-        assert spec.rate_ops_s == pytest.approx(10 / 27e-6)
-        # Zero-span traces fall back to a sane positive rate.
-        burst = ArrivalSpec.from_trace((5.0, 5.0, 5.0))
-        assert burst.rate_ops_s > 0
-        assert tuple(generate_arrivals(burst)) == (5.0, 5.0, 5.0)
-
-    def test_from_trace_validation(self):
-        with pytest.raises(ConfigurationError, match="at least one"):
-            ArrivalSpec.from_trace(())
-        with pytest.raises(ConfigurationError, match="goes backwards"):
-            ArrivalSpec.from_trace((3.0, 1.0))
-        with pytest.raises(ConfigurationError, match="carry 2 timestamps"):
-            ArrivalSpec(rate_ops_s=1e4, n_requests=3, process="trace",
-                        trace_times=(0.0, 1.0))
-        with pytest.raises(ConfigurationError, match="only applies"):
-            ArrivalSpec(rate_ops_s=1e4, n_requests=2, process="poisson",
-                        trace_times=(0.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
 # Hash-seed independence (sanitizer collect machinery)
 # ---------------------------------------------------------------------------
 
@@ -819,8 +722,6 @@ class TestSampleTrace:
         assert {"insert", "update", "read", "delete", "scan"} <= ops
         operations = list(workload.operations())
         assert len(operations) == len(records)
-        arrivals = workload.arrivals()
-        assert ArrivalSpec.from_trace(arrivals).n_requests == len(records)
 
     def test_sample_trace_survives_a_read_write_cycle_byte_for_byte(
         self, tmp_path

@@ -6,15 +6,13 @@ from repro.units import (
     GIB,
     KIB,
     MIB,
+    MSEC,
     align_up,
     ceil_div,
     mib_per_sec,
     ms,
     pretty_size,
     pretty_time,
-    sec,
-    to_ms,
-    to_sec,
 )
 
 
@@ -26,9 +24,7 @@ def test_size_constants_chain():
 
 def test_time_conversions_roundtrip():
     assert ms(5) == 5000.0
-    assert sec(2) == 2_000_000.0
-    assert to_ms(ms(7.5)) == pytest.approx(7.5)
-    assert to_sec(sec(3.25)) == pytest.approx(3.25)
+    assert ms(7.5) / MSEC == pytest.approx(7.5)
 
 
 def test_mib_per_sec():
