@@ -135,7 +135,7 @@ def _run_trace(args: argparse.Namespace, runner: SweepRunner) -> None:
           "(load in https://ui.perfetto.dev or chrome://tracing)")
     if report.collector.dropped:
         print(f"warning: ring buffer dropped {report.collector.dropped} "
-              "spans; raise max_spans for a complete timeline")
+              "spans; lower --trace-ops for a complete timeline")
 
 
 def build_parser() -> argparse.ArgumentParser:

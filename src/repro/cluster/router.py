@@ -50,7 +50,7 @@ from repro.errors import ConfigurationError
 from repro.kvbench.generators import ChurnSpec, generate_churn
 from repro.kvbench.traces import TraceWorkload
 from repro.kvbench.workload import Operation, OpType
-from repro.kvbench.ycsb import YCSBSpec, generate_ycsb
+from repro.kvbench.ycsb import YCSB_VALUE_BYTES, YCSBSpec, generate_ycsb
 
 #: Phase labels a planned operation may carry (latency buckets).
 PHASES = ("pre", "rebalance", "post", "drain")
@@ -362,7 +362,7 @@ class _Router:
                                 OpType.INSERT,
                                 t,
                                 index,
-                                tenant.value_bytes,
+                                YCSB_VALUE_BYTES,
                                 "drain",
                             )
                         )
@@ -370,7 +370,8 @@ class _Router:
 
 
 def _churn_stream(tenant: TenantSpec) -> Iterator[Operation]:
-    """Working-set-rotation stream replayed as tenant operations.
+    """The churn stream, over a static window, replayed as tenant
+    operations.
 
     The churn generator emits trace records; the router only consumes
     (op kind, key index, value bytes) — keys are re-derived per
@@ -382,8 +383,7 @@ def _churn_stream(tenant: TenantSpec) -> Iterator[Operation]:
         n_ops=tenant.n_ops,
         population=tenant.population,
         working_set=tenant.churn_window,
-        rotate_every_ops=tenant.churn_rotate_every_ops,
-        value_bytes=tenant.value_bytes,
+        value_bytes=YCSB_VALUE_BYTES,
         seed=tenant.seed,
     )
     return TraceWorkload(
@@ -399,9 +399,7 @@ def _tenant_stream(tenant: TenantSpec) -> Iterator[Operation]:
         workload=tenant.workload,
         n_ops=tenant.n_ops,
         population=tenant.population,
-        value_bytes=tenant.value_bytes,
-        scan_length=tenant.scan_length,
-        zipf_theta=tenant.zipf_theta,
+        scan_length=10,
         seed=tenant.seed,
     )
     return generate_ycsb(ycsb)

@@ -30,12 +30,19 @@ from repro.faults.model import FaultConfig
 from repro.ftl.core import DeviceStats
 from repro.kvbench.runner import StoreAdapter, Window, closed_loop
 from repro.kvbench.workload import Operation, OpType
+from repro.kvbench.ycsb import YCSB_VALUE_BYTES
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.population import KeyScheme
 from repro.metrics.latency import LatencyRecorder, LatencySummary
 from repro.sim.engine import Environment, Event
 from repro.trace.tracer import TraceCollector, TraceConfig, Tracer
 
+#: Simulated routing hop (hashing, directory lookup, fabric) charged
+#: before each device operation.
+ROUTER_US = 3.0
+#: Spare-block budget of a shard with a planned degradation (small, so
+#: a handful of scheduled program-fails trips read-only).
+DEGRADE_SPARE_BLOCKS = 1
 #: Give up tripping read-only after this many sacrificial write rounds.
 _DEGRADE_ATTEMPTS = 40
 #: Settle time between sacrificial rounds (background retirement runs).
@@ -101,11 +108,10 @@ class _ShardCell:
         kv = program.personality == "kv"
         config: object = None
         if degrading:
-            limit = spec.degrade_spare_blocks
             config = (
-                KVSSDConfig(spare_block_limit=limit)
+                KVSSDConfig(spare_block_limit=DEGRADE_SPARE_BLOCKS)
                 if kv
-                else BlockSSDConfig(spare_block_limit=limit)
+                else BlockSSDConfig(spare_block_limit=DEGRADE_SPARE_BLOCKS)
             )
         self.rig = build_rig(
             DIRECT_SYSTEMS[program.personality],
@@ -117,7 +123,7 @@ class _ShardCell:
         self.env: Environment = self.rig.env
         #: Per tenant: the adapter sized to that tenant's pairs.
         self._adapters: List[StoreAdapter] = [
-            self.rig.adapter_for(len(tenant.tag) + 12 + tenant.value_bytes)
+            self.rig.adapter_for(len(tenant.tag) + 12 + YCSB_VALUE_BYTES)
             for tenant in spec.tenants
         ]
         self._schemes: Dict[Tuple[int, int], KeyScheme] = {}
@@ -126,8 +132,7 @@ class _ShardCell:
         #: Block: the whole range, once, so every read lands on a primed
         #: unit (the paper's pre-conditioned drive).
         self._primes: List[Tuple[int, int, Optional[KeyScheme]]] = [
-            (d.count, spec.tenants[d.tenant].value_bytes,
-             self.scheme(d.tenant, d.partition))
+            (d.count, YCSB_VALUE_BYTES, self.scheme(d.tenant, d.partition))
             for d in program.primes
         ] if kv else [(device.n_units, device.map_unit, None)]
         #: Device-side verification reads keys back; only the KV
@@ -169,7 +174,7 @@ class _ShardCell:
         tracer = self.tracer
         if tracer is not None and tracer.wants("host"):
             tracer.complete(
-                "router", "route", "host", self.spec.router_us,
+                "router", "route", "host", ROUTER_US,
                 {"label": planned.label},
             )
         return self.execute(planned)
@@ -180,7 +185,7 @@ class _ShardCell:
         router-vs-device attribution for every terminal op."""
         result = self.result
         latency = self.env.now - started
-        result.router_us_total += self.spec.router_us
+        result.router_us_total += ROUTER_US
         result.op_time_us_total += latency
         if error is not None:
             result.failed_ops += 1
@@ -207,7 +212,7 @@ class _ShardCell:
             )
         yield from device.drain()
         injector.schedule(
-            "program_fail", count=self.spec.degrade_spare_blocks + 2
+            "program_fail", count=DEGRADE_SPARE_BLOCKS + 2
         )
         for attempt in range(_DEGRADE_ATTEMPTS):
             if device.core.read_only:
@@ -274,7 +279,7 @@ class _ShardCell:
                 yield closed_loop(
                     self.env, self.program.name, self.spec.queue_depth,
                     self.route, segment, self.segment_done,
-                    hop_us=self.spec.router_us,
+                    hop_us=ROUTER_US,
                 )
             if degrade_after == index:
                 yield from self.degrade_driver()

@@ -40,14 +40,19 @@ def shard_name(shard: int) -> str:
 
 @dataclass(frozen=True)
 class TenantSpec:
-    """One tenant: a prefix-scoped namespace driving a YCSB workload."""
+    """One tenant: a prefix-scoped namespace driving a YCSB workload.
+
+    Its pairs are YCSB's default 1,000-byte records, its zipfian draws
+    YCSB's skew, and its workload-E scans 10 records long.
+    """
 
     #: Tenant identity; the first four ASCII characters (underscore
     #: padded) become the key-prefix tag, so every key of this tenant is
     #: recognizable — and quota-countable — by prefix alone.
     name: str
     #: YCSB core workload letter (A-F), or ``"churn"`` for the
-    #: working-set-rotation stream (:mod:`repro.kvbench.generators`).
+    #: churn stream (:mod:`repro.kvbench.generators`) over a static hot
+    #: window of :attr:`churn_window` keys.
     workload: str
     #: Operations this tenant contributes to the cluster stream.
     n_ops: int
@@ -57,13 +62,6 @@ class TenantSpec:
     #: 0 = unlimited.  Inserts past the quota are rejected at the
     #: router and never reach a device.
     quota_pairs: int = 0
-    value_bytes: int = 1000
-    zipf_theta: float = 0.99
-    scan_length: int = 10
-    #: churn: keys in the rotating hot window (0 = population // 8).
-    churn_working_set: int = 0
-    #: churn: ops between wholesale window rotations (0 = static window).
-    churn_rotate_every_ops: int = 0
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -97,37 +95,10 @@ class TenantSpec:
                 f"tenant {self.name!r}: quota_pairs {self.quota_pairs} is "
                 f"below the prefilled population {self.population}"
             )
-        if self.value_bytes < 1:
-            raise ConfigurationError(
-                f"tenant {self.name!r}: value_bytes must be >= 1"
-            )
-        if self.scan_length < 1:
-            raise ConfigurationError(
-                f"tenant {self.name!r}: scan_length must be >= 1"
-            )
-        if self.churn_working_set < 0 or self.churn_rotate_every_ops < 0:
-            raise ConfigurationError(
-                f"tenant {self.name!r}: churn knobs must be >= 0"
-            )
-        if self.churn_working_set > self.population:
-            raise ConfigurationError(
-                f"tenant {self.name!r}: churn_working_set "
-                f"{self.churn_working_set} exceeds the population "
-                f"{self.population}"
-            )
-        if self.workload != "churn" and (
-            self.churn_working_set or self.churn_rotate_every_ops
-        ):
-            raise ConfigurationError(
-                f"tenant {self.name!r}: churn knobs only apply to the "
-                f"'churn' workload, not {self.workload!r}"
-            )
 
     @property
     def churn_window(self) -> int:
-        """Effective churn hot-window size in keys."""
-        if self.churn_working_set:
-            return self.churn_working_set
+        """Churn hot-window size in keys: an eighth of the population."""
         return max(1, self.population // 8)
 
     @property
@@ -197,13 +168,7 @@ class ClusterSpec:
     #: Interleave seed for merging tenant streams.
     seed: int = 1
     queue_depth: int = 8
-    #: Simulated routing hop (hashing, directory lookup, fabric) charged
-    #: before each device operation.
-    router_us: float = 3.0
     blocks_per_plane: int = 16
-    #: Spare-block budget for shards with a planned degradation (small,
-    #: so a handful of scheduled program-fails trips read-only).
-    degrade_spare_blocks: int = 1
     #: Record router/device spans through the trace subsystem.
     trace: bool = False
     #: Post-run device-side verification of every expected key (KV
@@ -277,15 +242,6 @@ class ClusterSpec:
         if self.queue_depth < 1:
             raise ConfigurationError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
-            )
-        if self.router_us < 0.0:
-            raise ConfigurationError(
-                f"router_us must be >= 0, got {self.router_us}"
-            )
-        if self.degrade_spare_blocks < 1:
-            raise ConfigurationError(
-                f"degrade_spare_blocks must be >= 1, "
-                f"got {self.degrade_spare_blocks}"
             )
 
     def personality_of(self, shard: int) -> str:

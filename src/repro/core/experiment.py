@@ -9,8 +9,8 @@ paper's four systems-under-test with one call each:
 * :func:`build_lsm_rig` — RocksDB stand-in on ext4 on block-SSD;
 * :func:`build_hash_rig` — Aerospike stand-in on raw block-SSD.
 
-All rigs default to the same flash geometry and timing — the paper's
-same-hardware methodology — and expose the CPU accountant and device
+All rigs share one flash timing and default to the same geometry — the
+paper's same-hardware methodology — and expose the CPU accountant and device
 counters the analysis reads.  :func:`build_rig` builds any of them by
 system name, and all four answer one method surface (``adapter_for``,
 ``prime``, ``drain``), so a cell is written once and takes ``system``.
@@ -25,7 +25,6 @@ from repro.api.kvs import KVStoreAPI
 from repro.errors import ConfigurationError
 from repro.faults.model import FaultConfig, FaultInjector
 from repro.flash.geometry import Geometry
-from repro.flash.timing import FlashTiming
 from repro.kvbench.runner import (
     BlockAdapter,
     HashKVAdapter,
@@ -50,6 +49,10 @@ if TYPE_CHECKING:
     from repro.hostkv.fs.ext4 import SimFileSystem
     from repro.hostkv.hashkv.store import HashKVStore
     from repro.hostkv.lsm.store import LSMConfig, LSMStore
+
+
+#: Host CPU cores every rig's accountant has.
+HOST_CORES = 16
 
 
 def lab_geometry(blocks_per_plane: int = 32) -> Geometry:
@@ -219,9 +222,7 @@ class HashRig(_Rig, _OneAdapter):
 def build_kv_rig(
     geometry: Optional[Geometry] = None,
     config: Optional[KVSSDConfig] = None,
-    timing: Optional[FlashTiming] = None,
     sync: bool = False,
-    host_cores: int = 16,
     tracer: Optional[Tracer] = None,
     fault_config: Optional[FaultConfig] = None,
 ) -> KVRig:
@@ -233,9 +234,9 @@ def build_kv_rig(
     :class:`~repro.faults.model.FaultInjector` (``None`` = perfect flash).
     """
     env = Environment()
-    cpu = CpuAccountant(env, host_cores)
+    cpu = CpuAccountant(env, HOST_CORES)
     faults = FaultInjector(fault_config) if fault_config is not None else None
-    device = KVSSD(env, geometry or lab_geometry(), timing, config,
+    device = KVSSD(env, geometry or lab_geometry(), config=config,
                    tracer=tracer, faults=faults)
     driver = KernelDeviceDriver(env, cpu, tracer=device.tracer)
     api = KVStoreAPI(env, device, driver, sync=sync)
@@ -245,9 +246,6 @@ def build_kv_rig(
 def build_block_rig(
     geometry: Optional[Geometry] = None,
     config: Optional[BlockSSDConfig] = None,
-    timing: Optional[FlashTiming] = None,
-    sync: bool = False,
-    host_cores: int = 16,
     tracer: Optional[Tracer] = None,
     fault_config: Optional[FaultConfig] = None,
 ) -> BlockRig:
@@ -260,29 +258,25 @@ def build_block_rig(
     from repro.blockftl.device import BlockSSD
 
     env = Environment()
-    cpu = CpuAccountant(env, host_cores)
+    cpu = CpuAccountant(env, HOST_CORES)
     faults = FaultInjector(fault_config) if fault_config is not None else None
-    device = BlockSSD(env, geometry or lab_geometry(), timing, config,
+    device = BlockSSD(env, geometry or lab_geometry(), config=config,
                       tracer=tracer, faults=faults)
     driver = KernelDeviceDriver(env, cpu, tracer=device.tracer)
-    api = BlockDeviceAPI(env, device, driver, sync=sync)
+    api = BlockDeviceAPI(env, device, driver)
     return BlockRig(env, cpu, driver, device, api)
 
 
 def build_lsm_rig(
     geometry: Optional[Geometry] = None,
     lsm_config: Optional[LSMConfig] = None,
-    timing: Optional[FlashTiming] = None,
-    host_cores: int = 16,
     tracer: Optional[Tracer] = None,
 ) -> LSMRig:
     """Fresh environment with the RocksDB stand-in on ext4 on block."""
     from repro.hostkv.fs.ext4 import SimFileSystem
     from repro.hostkv.lsm.store import LSMStore
 
-    base = build_block_rig(
-        geometry, timing=timing, host_cores=host_cores, tracer=tracer
-    )
+    base = build_block_rig(geometry, tracer=tracer)
     fs = SimFileSystem(base.env, base.api)
     store = LSMStore(base.env, fs, lsm_config)
     return LSMRig(**vars(base), fs=fs, store=store, adapter=LSMAdapter(store))
@@ -290,22 +284,12 @@ def build_lsm_rig(
 
 def build_hash_rig(
     geometry: Optional[Geometry] = None,
-    timing: Optional[FlashTiming] = None,
-    host_cores: int = 16,
     tracer: Optional[Tracer] = None,
-    fault_config: Optional[FaultConfig] = None,
 ) -> HashRig:
-    """Fresh environment with the Aerospike stand-in on raw block.
-
-    ``fault_config`` builds the device its own seeded fault injector
-    (``None`` = perfect flash).
-    """
+    """Fresh environment with the Aerospike stand-in on raw block."""
     from repro.hostkv.hashkv.store import HashKVStore
 
-    base = build_block_rig(
-        geometry, timing=timing, host_cores=host_cores, tracer=tracer,
-        fault_config=fault_config,
-    )
+    base = build_block_rig(geometry, tracer=tracer)
     store = HashKVStore(base.env, base.api)
     return HashRig(**vars(base), store=store, adapter=HashKVAdapter(store))
 

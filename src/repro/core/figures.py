@@ -43,6 +43,7 @@ from repro.core.model import KVSSDModel
 from repro.errors import ConfigurationError
 from repro.exec.runner import SweepRunner, grid
 from repro.kvbench.generators import (
+    SCAN_MIX_LENGTH,
     ChurnSpec,
     ExpirySpec,
     ScanMixSpec,
@@ -133,12 +134,7 @@ _FIG2_PATTERNS = {
 
 
 def _fig2_cell(
-    system: str,
-    pattern_name: str,
-    n_ops: int,
-    value_bytes: int,
-    queue_depth: int,
-    blocks_per_plane: int,
+    system: str, pattern_name: str, n_ops: int, blocks_per_plane: int
 ) -> Dict[str, float]:
     """One (system, pattern) cell: insert, update, read on a fresh rig."""
     rig = build_rig(system, lab_geometry(blocks_per_plane))
@@ -148,17 +144,17 @@ def _fig2_cell(
         pattern=_FIG2_PATTERNS[pattern_name],
         population=n_ops,
         key_scheme=PAPER_SCHEME,
-        value_bytes=value_bytes,
+        value_bytes=4 * KIB,
         seed=11,
     )
-    adapter = rig.adapter_for(value_bytes)
+    adapter = rig.adapter_for(4 * KIB)
     cpu_before = rig.cpu.total_busy_us
     runs = {
         phase: run_phase(
             rig,
             f"fig2.{system}.{pattern_name}.{phase}",
             replace(base, op=phase),
-            queue_depth,
+            8,
             adapter,
         )
         for phase in ("insert", "update", "read")
@@ -173,8 +169,6 @@ def _fig2_cell(
 
 def fig2_end_to_end(
     n_ops: int = 2500,
-    value_bytes: int = 4 * KIB,
-    queue_depth: int = 8,
     systems: Sequence[str] = ("kvssd", "rocksdb", "aerospike"),
     patterns: Sequence[str] = ("seq", "rand", "zipf"),
     blocks_per_plane: int = 24,
@@ -183,15 +177,14 @@ def fig2_end_to_end(
     """Fig. 2: insert/update/read latency across systems and patterns.
 
     Per (system, pattern): a fresh rig inserts ``n_ops`` pairs of 16 B
-    keys and ``value_bytes`` values in pattern order, then updates, then
-    reads — all asynchronously at ``queue_depth``, as in the paper.
+    keys and 4 KiB values in pattern order, then updates, then reads —
+    all asynchronously at QD8, as in the paper.
     """
     cells = grid(
         "fig2",
         _fig2_cell,
         {"system": systems, "pattern_name": patterns},
-        dict(n_ops=n_ops, value_bytes=value_bytes, queue_depth=queue_depth,
-             blocks_per_plane=blocks_per_plane),
+        dict(n_ops=n_ops, blocks_per_plane=blocks_per_plane),
         runner,
     )
     values = named(cells, ("system", "pattern"), "{system}.{pattern}")
@@ -224,25 +217,28 @@ FIG3 = Layout(
 )
 
 
+#: Fig. 3's value size: the paper's 512 B pairs.
+_FIG3_VALUE_BYTES = 512
+
+
 def _fig3_cell(
     device: str,
     occupancy: str,
     kvps: Dict[str, int],
-    value_bytes: int,
     measured_ops: int,
     blocks_per_plane: int,
 ) -> Dict[str, float]:
     """Mean QD1 read then write (update) latency at one occupancy."""
     rig = build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane))
-    rig.prime(kvps[occupancy], value_bytes, FILL_SCHEME)
-    adapter = rig.adapter_for(value_bytes)
+    rig.prime(kvps[occupancy], _FIG3_VALUE_BYTES, FILL_SCHEME)
+    adapter = rig.adapter_for(_FIG3_VALUE_BYTES)
     base = WorkloadSpec(
         n_ops=measured_ops,
         op="read",
         pattern=Pattern.UNIFORM,
         population=kvps[occupancy],
         key_scheme=FILL_SCHEME,
-        value_bytes=value_bytes,
+        value_bytes=_FIG3_VALUE_BYTES,
         seed=23,
     )
     return {
@@ -253,25 +249,19 @@ def _fig3_cell(
     }
 
 
-def _fig3_occupancies(
-    value_bytes: int,
-    low_fraction: float,
-    high_fraction: float,
-    blocks_per_plane: int,
-) -> Dict[str, int]:
-    """Low/high pair counts as fractions of the device's KVP limit."""
+def _fig3_occupancies(high_fraction: float, blocks_per_plane: int) -> Dict[str, int]:
+    """Low/high pair counts as fractions of the device's KVP limit (low:
+    0.05 %, at least 1,000 pairs)."""
     probe = build_rig("kvssd", lab_geometry(blocks_per_plane))
-    physical_max = probe.pair_capacity(FILL_SCHEME.key_bytes, value_bytes)
+    physical_max = probe.pair_capacity(FILL_SCHEME.key_bytes, _FIG3_VALUE_BYTES)
     max_kvps = min(probe.device.max_kvps, int(physical_max * 0.9))
     return {
-        "low": max(1000, int(max_kvps * low_fraction)),
+        "low": max(1000, int(max_kvps * 0.0005)),
         "high": int(max_kvps * high_fraction),
     }
 
 
 def fig3_index_occupancy(
-    value_bytes: int = 512,
-    low_fraction: float = 0.0005,
     high_fraction: float = 0.95,
     measured_ops: int = 1500,
     blocks_per_plane: int = 16,
@@ -283,14 +273,12 @@ def fig3_index_occupancy(
     drive; the defaults match those *fractions of the device's KVP limit*
     on the scaled geometry.
     """
-    kvps = _fig3_occupancies(
-        value_bytes, low_fraction, high_fraction, blocks_per_plane
-    )
+    kvps = _fig3_occupancies(high_fraction, blocks_per_plane)
     cells = grid(
         "fig3",
         _fig3_cell,
         {"device": DIRECT_SYSTEMS, "occupancy": kvps},
-        dict(kvps=kvps, value_bytes=value_bytes, measured_ops=measured_ops,
+        dict(kvps=kvps, measured_ops=measured_ops,
              blocks_per_plane=blocks_per_plane),
         runner,
     )
@@ -440,11 +428,10 @@ def fig5_packing_bandwidth(
         kib * KIB for kib in (4, 8, 16, 20, 24, 25, 28, 32, 40, 48, 49, 56, 64)
     ),
     n_ops: int = 800,
-    queue_depth: int = 32,
     blocks_per_plane: int = 24,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
-    """Fig. 5: write bandwidth sweep across the page-boundary sizes.
+    """Fig. 5: write bandwidth sweep (QD32) across the page-boundary sizes.
 
     KV-SSD dips just past each multiple of the usable page area (~24.5
     KiB: values of 25 KiB, 49 KiB, ...) where blobs start splitting; the
@@ -454,8 +441,7 @@ def fig5_packing_bandwidth(
         "fig5",
         _fig5_cell,
         {"size": value_sizes, "device": DIRECT_SYSTEMS},
-        dict(n_ops=n_ops, queue_depth=queue_depth,
-             blocks_per_plane=blocks_per_plane),
+        dict(n_ops=n_ops, blocks_per_plane=blocks_per_plane),
         runner,
     )
     values = named(cells, ("size", "device"), "{device}.{size}.mib_s")
@@ -470,9 +456,7 @@ def fig5_packing_bandwidth(
     return FIG5.result(values, size=value_sizes)
 
 
-def _fig5_cell(
-    device: str, size: int, n_ops: int, queue_depth: int, blocks_per_plane: int
-) -> float:
+def _fig5_cell(device: str, size: int, n_ops: int, blocks_per_plane: int) -> float:
     """Sequential-insert bandwidth (MiB/s) of ``n_ops`` ``size``-byte values."""
     rig = build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane))
     spec = WorkloadSpec(
@@ -484,8 +468,8 @@ def _fig5_cell(
         seed=41,
     )
     run = run_phase(
-        rig, f"fig5.{device}.{size}", spec, queue_depth,
-        rig.adapter_for(size), drain=False,
+        rig, f"fig5.{device}.{size}", spec, 32, rig.adapter_for(size),
+        drain=False,
     )
     return run.bandwidth.overall_mib_per_sec()
 
@@ -519,20 +503,24 @@ FIG6 = Layout(
 )
 
 
-def _fig6_fill_kvps(
-    fill_fraction: float, value_bytes: int, blocks_per_plane: int
-) -> int:
-    """Pair count that fills ``fill_fraction`` of the page capacity.
+#: Fig. 6's device: 4 blocks a plane, filled to 80 % with 4 KiB values.
+_FIG6_BLOCKS_PER_PLANE = 4
+_FIG6_FILL_FRACTION = 0.8
+_FIG6_VALUE_BYTES = 4 * KIB
+
+
+def _fig6_fill_kvps() -> int:
+    """Pair count that fills 80 % of the page capacity.
 
     "80% full" is meant physically: 80% of the device's page capacity,
     with allocation-stream/GC margin excluded.
     """
-    probe = build_rig("kvssd", lab_geometry(blocks_per_plane))
+    probe = build_rig("kvssd", lab_geometry(_FIG6_BLOCKS_PER_PLANE))
     capacity = probe.pair_capacity(
-        PAPER_SCHEME.key_bytes, value_bytes,
+        PAPER_SCHEME.key_bytes, _FIG6_VALUE_BYTES,
         reserve_blocks=probe.device.config.stream_width + 16,
     )
-    return int(capacity * fill_fraction)
+    return int(capacity * _FIG6_FILL_FRACTION)
 
 
 #: Fig. 6 scenario -> (system, update pattern).
@@ -543,19 +531,16 @@ _FIG6_SCENARIOS = {
 }
 
 
-def _fig6_scenario_cell(
-    scenario: str,
-    fill_kvps: int,
-    fill_fraction: float,
-    value_bytes: int,
-    n_updates: int,
-    queue_depth: int,
-    window_us: float,
-    blocks_per_plane: int,
-) -> Dict[str, object]:
-    """One Fig. 6 scenario: prime the fill, then sustained updates."""
+def _fig6_scenario_cell(scenario: str, fill_kvps: int) -> Dict[str, object]:
+    """One Fig. 6 scenario: prime the fill, then sustained updates at
+    QD16, bandwidth in 200 ms windows."""
     system, pattern = _FIG6_SCENARIOS[scenario]
-    rig = build_rig(system, lab_geometry(blocks_per_plane))
+    rig = build_rig(system, lab_geometry(_FIG6_BLOCKS_PER_PLANE))
+    # Enough updates to exhaust free space and enter the foreground-GC
+    # regime; the measured phase is additionally duration-bounded
+    # (stop_after_us), because inside the collapse the device serves
+    # updates arbitrarily slowly — exactly the paper's point.
+    n_updates = int(fill_kvps * 0.55)
     if system == "kvssd":
         scheme, population = FILL_SCHEME, fill_kvps
     else:
@@ -566,24 +551,24 @@ def _fig6_scenario_cell(
         # compacting a capacity-sized tree would dominate runtime
         # without changing the device-side observation.
         fs_budget = int(
-            rig.device.user_capacity_bytes * fill_fraction * 0.45
+            rig.device.user_capacity_bytes * _FIG6_FILL_FRACTION * 0.45
         )
         population = min(
-            n_updates, fs_budget // (scheme.key_bytes + value_bytes)
+            n_updates, fs_budget // (scheme.key_bytes + _FIG6_VALUE_BYTES)
         )
-    rig.prime(population, value_bytes, scheme)
+    rig.prime(population, _FIG6_VALUE_BYTES, scheme)
     spec = WorkloadSpec(
         n_ops=n_updates,
         op="update",
         pattern=pattern,
         population=population,
         key_scheme=scheme,
-        value_bytes=value_bytes,
+        value_bytes=_FIG6_VALUE_BYTES,
         seed=47,
     )
     run = run_phase(
-        rig, f"fig6.{scenario}", spec, queue_depth, drain=False,
-        bandwidth_window_us=window_us, stop_after_us=45e6,
+        rig, f"fig6.{scenario}", spec, 16, drain=False,
+        bandwidth_window_us=200_000.0, stop_after_us=45e6,
     )
     # The runner captured the DeviceStats delta for the measured phase;
     # both personalities report through the same struct, so the two
@@ -606,12 +591,6 @@ def _fig6_scenario_cell(
 
 
 def fig6_foreground_gc(
-    fill_fraction: float = 0.8,
-    value_bytes: int = 4 * KIB,
-    n_updates: Optional[int] = None,
-    queue_depth: int = 16,
-    window_us: float = 200_000.0,
-    blocks_per_plane: int = 4,
     scenarios: Sequence[str] = tuple(_FIG6_SCENARIOS),
     runner: Optional[SweepRunner] = None,
 ) -> Result:
@@ -624,22 +603,11 @@ def fig6_foreground_gc(
     for scenario in scenarios:
         if scenario not in _FIG6_SCENARIOS:
             raise ConfigurationError(f"unknown fig6 scenario {scenario!r}")
-    fill_kvps = _fig6_fill_kvps(fill_fraction, value_bytes, blocks_per_plane)
-    if n_updates is None:
-        # Enough updates to exhaust free space and enter the foreground-GC
-        # regime; the measured phase is additionally duration-bounded
-        # (stop_after_us in the cell), because inside the collapse the
-        # device serves updates arbitrarily slowly — exactly the paper's
-        # point.
-        n_updates = int(fill_kvps * 0.55)
     cells = grid(
         "fig6",
         _fig6_scenario_cell,
         {"scenario": scenarios},
-        dict(fill_kvps=fill_kvps, fill_fraction=fill_fraction,
-             value_bytes=value_bytes, n_updates=n_updates,
-             queue_depth=queue_depth, window_us=window_us,
-             blocks_per_plane=blocks_per_plane),
+        dict(fill_kvps=_fig6_fill_kvps()),
         runner,
     )
     return FIG6.result(named(cells, ("scenario",), "{scenario}"),
@@ -758,15 +726,11 @@ FIG8 = Layout(
 
 
 def _fig8_cell(
-    key_bytes: int,
-    mode: str,
-    value_bytes: int,
-    n_ops: int,
-    async_queue_depth: int,
-    blocks_per_plane: int,
+    key_bytes: int, mode: str, n_ops: int, blocks_per_plane: int
 ) -> float:
-    """One (key size, sync/async) bandwidth cell; sync runs at QD1."""
-    queue_depth = 1 if mode == "sync" else async_queue_depth
+    """One (key size, sync/async) bandwidth cell of 1 KiB values; sync
+    runs at QD1, async at QD32."""
+    queue_depth = 1 if mode == "sync" else 32
     # Build a scheme whose keys are exactly key_bytes long; one that could
     # not name n_ops keys drops its prefix (4 B: "0000"..., 10,000 names).
     digits = min(12, key_bytes - 1)
@@ -781,7 +745,7 @@ def _fig8_cell(
         op="insert",
         pattern=Pattern.SEQUENTIAL,
         key_scheme=scheme,
-        value_bytes=value_bytes,
+        value_bytes=1024,
         seed=53,
     )
     run = run_phase(
@@ -792,9 +756,7 @@ def _fig8_cell(
 
 def fig8_key_size_bandwidth(
     key_sizes: Sequence[int] = (4, 8, 16, 24, 64, 128, 255),
-    value_bytes: int = 1024,
     n_ops: int = 1200,
-    async_queue_depth: int = 32,
     blocks_per_plane: int = 24,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
@@ -815,9 +777,7 @@ def fig8_key_size_bandwidth(
         "fig8",
         _fig8_cell,
         {"key_bytes": key_sizes, "mode": modes},
-        dict(value_bytes=value_bytes, n_ops=n_ops,
-             async_queue_depth=async_queue_depth,
-             blocks_per_plane=blocks_per_plane),
+        dict(n_ops=n_ops, blocks_per_plane=blocks_per_plane),
         runner,
     )
     values = named(cells, ("key_bytes", "mode"), "{mode}.k{key_bytes}.mib_s")
@@ -863,12 +823,14 @@ ABLATIONS = Layout(
 )
 
 
-def _ablation_stream_cell(
-    width: int, n_ops: int, queue_depth: int, blocks_per_plane: int
-) -> float:
-    """Mean 4 KiB insert latency (us) with ``width`` open write blocks."""
+#: The ablations' device: 8 blocks a plane.
+_ABLATION_BLOCKS_PER_PLANE = 8
+
+
+def _ablation_stream_cell(width: int, n_ops: int) -> float:
+    """Mean QD64 4 KiB insert latency (us) with ``width`` open write blocks."""
     rig = build_rig(
-        "kvssd", lab_geometry(blocks_per_plane),
+        "kvssd", lab_geometry(_ABLATION_BLOCKS_PER_PLANE),
         config=KVSSDConfig(stream_width=width),
     )
     spec = WorkloadSpec(
@@ -879,17 +841,13 @@ def _ablation_stream_cell(
         value_bytes=4 * KIB,
         seed=61,
     )
-    run = run_phase(
-        rig, f"ablations.width{width}", spec, queue_depth, drain=False
-    )
+    run = run_phase(rig, f"ablations.width{width}", spec, 64, drain=False)
     return run.latency.mean()
 
 
 def ablations(
     stream_widths: Sequence[int] = (4, 8, 16),
     n_ops: int = 800,
-    queue_depth: int = 64,
-    blocks_per_plane: int = 8,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
     """Resize each hypothesized mechanism; report what it drives.
@@ -900,7 +858,7 @@ def ablations(
     over an empty device's per index DRAM size (Fig. 3); and, simulated,
     mean insert latency per stream width in dies (Fig. 4).
     """
-    geometry = lab_geometry(blocks_per_plane)
+    geometry = lab_geometry(_ABLATION_BLOCKS_PER_PLANE)
     page_bytes = geometry.page_bytes
     drams = {"scaled": None, "4MiB": 4 * MIB, "64MiB": 64 * MIB}
     min_allocs, reserves = (256, 512, 1024), (512, 4096, 7680)
@@ -920,8 +878,7 @@ def ablations(
         "ablations",
         _ablation_stream_cell,
         {"width": stream_widths},
-        dict(n_ops=n_ops, queue_depth=queue_depth,
-             blocks_per_plane=blocks_per_plane),
+        dict(n_ops=n_ops),
         runner,
     ), ("width",), "stream_width.insert_us.{width}"))
     for reserve in reserves:
@@ -955,7 +912,8 @@ def _run_cluster(
     runner: Optional[SweepRunner],
     **spec_fields: Any,
 ) -> Any:
-    """One cluster run under the default two-tenant YCSB A+B mix."""
+    """One cluster run under the default two-tenant YCSB A+B mix, 16
+    ring partitions per tenant."""
     spec = ClusterSpec(
         tenants=(
             TenantSpec(name="ta", workload="A", n_ops=n_ops,
@@ -963,6 +921,7 @@ def _run_cluster(
             TenantSpec(name="tb", workload="B", n_ops=n_ops,
                        population=population, seed=12),
         ),
+        partitions=16,
         **spec_fields,
     )
     return run_cluster(spec, runner)
@@ -1002,29 +961,19 @@ CLUSTER_SCALING = Layout(
 
 
 def cluster_shard_scaling(
-    shard_counts: Sequence[int] = (2, 4, 8),
-    replication: int = 2,
-    n_ops: int = 300,
-    population: int = 900,
-    partitions: int = 16,
-    runner: Optional[SweepRunner] = None,
+    n_ops: int = 300, runner: Optional[SweepRunner] = None
 ) -> Result:
-    """Cluster throughput vs shard count (fixed tenant mix and R).
+    """Cluster throughput vs shard count (2, 4, 8; fixed tenant mix, R=2).
 
     The same multi-tenant YCSB stream is routed over progressively more
     shards; throughput is completed device operations per millisecond of
     makespan (the slowest shard bounds the cluster).
     """
+    shard_counts = (2, 4, 8)
     values: Dict[str, Any] = {}
     for shards in shard_counts:
         cluster = _run_cluster(
-            n_ops,
-            population,
-            runner,
-            shards=shards,
-            replication=min(replication, shards),
-            partitions=partitions,
-            seed=21,
+            n_ops, 900, runner, shards=shards, replication=2, seed=21,
             verify=False,
         )
         values.update({
@@ -1068,39 +1017,22 @@ CLUSTER_REBALANCE = Layout(
 
 
 def cluster_rebalance_tail(
-    shards: int = 4,
-    replication: int = 2,
-    n_ops: int = 300,
-    population: int = 800,
-    partitions: int = 16,
-    degrade_at: Optional[int] = None,
-    rebalance_window_ops: int = 200,
-    degraded_shard: int = 1,
-    runner: Optional[SweepRunner] = None,
+    n_ops: int = 300, runner: Optional[SweepRunner] = None
 ) -> Result:
     """p99/p999 before, during, and after a fault-driven rebalance.
 
-    One shard's device is degraded to read-only mid-run through the real
-    fault machinery; the router drains its ranges to replicas while
-    client traffic continues.  Per-phase latency shows the rebalance
-    window's tail cost: p99/p999 are the worst shard's (cluster tail),
-    the mean is count-weighted across shards.  Runs with span tracing
-    on, so router-vs-device attribution rides along.
+    Shard 1 of 4 (R=2) is degraded to read-only halfway through the
+    two-tenant stream through the real fault machinery; the router
+    drains its ranges to replicas while client traffic continues.
+    Per-phase latency shows the rebalance window's tail cost: p99/p999
+    are the worst shard's (cluster tail), the mean is count-weighted
+    across shards.  Runs with span tracing on, so router-vs-device
+    attribution rides along.
     """
-    total = 2 * n_ops  # two tenants
-    at_op = degrade_at if degrade_at is not None else total // 2
     cluster = _run_cluster(
-        n_ops,
-        population,
-        runner,
-        degrade=(DegradeEvent(shard=degraded_shard, at_op=at_op),),
-        shards=shards,
-        replication=replication,
-        partitions=partitions,
-        rebalance_window_ops=rebalance_window_ops,
-        seed=23,
-        trace=True,
-        verify=True,
+        n_ops, 800, runner,
+        degrade=(DegradeEvent(shard=1, at_op=n_ops),),
+        shards=4, replication=2, seed=23, trace=True, verify=True,
     )
     values = {
         "drain_ops": cluster.drain_ops,
@@ -1159,28 +1091,19 @@ CLUSTER_REPLICATION = Layout(
 
 
 def cluster_replication_cost(
-    factors: Sequence[int] = (1, 2, 3),
-    shards: int = 4,
-    n_ops: int = 300,
-    population: int = 900,
-    partitions: int = 16,
-    runner: Optional[SweepRunner] = None,
+    n_ops: int = 300, runner: Optional[SweepRunner] = None
 ) -> Result:
     """Write-all fan-out cost as the replication factor grows.
 
-    Same stream, same shards, R swept: routed device operations and
-    flash programs grow with R while read tails stay flat (read-one).
+    Same stream, same 4 shards, R swept over 1, 2, 3: routed device
+    operations and flash programs grow with R while read tails stay flat
+    (read-one).
     """
+    factors = (1, 2, 3)
     values: Dict[str, Any] = {}
     for factor in factors:
         cluster = _run_cluster(
-            n_ops,
-            population,
-            runner,
-            shards=shards,
-            replication=factor,
-            partitions=partitions,
-            seed=29,
+            n_ops, 900, runner, shards=4, replication=factor, seed=29,
             verify=False,
         )
         values.update({
@@ -1229,12 +1152,10 @@ def _replay_rotation_cell(
     n_ops: int,
     population: int,
     working_set: int,
-    value_bytes: int,
-    queue_depth: int,
     blocks_per_plane: int,
-    seed: int,
 ) -> Dict[str, object]:
-    """One device under one churn schedule: prefill, then replay.
+    """One device under one churn schedule: prefill 4 KiB pairs, then
+    replay at QD8.
 
     Both devices replay the *same* churn records (same keys, same order).
     """
@@ -1242,22 +1163,22 @@ def _replay_rotation_cell(
         DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
         **_AMPLE_INDEX[device],
     )
-    rig.prime(population, value_bytes, FILL_SCHEME)
+    rig.prime(population, 4 * KIB, FILL_SCHEME)
     spec = ChurnSpec(
         n_ops=n_ops,
         population=population,
         working_set=working_set,
         rotate_every_ops=rotate_every,
-        value_bytes=value_bytes,
+        value_bytes=4 * KIB,
         key_scheme=FILL_SCHEME,
-        seed=seed,
+        seed=17,
     )
     workload = TraceWorkload(
         tuple(generate_churn(spec)), key_scheme=FILL_SCHEME
     )
     return _replay_cell(run_phase(
         rig, f"replay.rot.{device}.{rotate_every}", workload.operations(),
-        queue_depth, rig.adapter_for(value_bytes),
+        8, rig.adapter_for(4 * KIB),
     ))
 
 
@@ -1303,11 +1224,7 @@ def replay_rotation(
     n_ops: int = 2000,
     population: int = 4096,
     working_set: int = 256,
-    value_bytes: int = 4 * KIB,
-    queue_depth: int = 8,
-    devices: Sequence[str] = ("kv", "block"),
     blocks_per_plane: int = 16,
-    seed: int = 17,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
     """Replay figure 1: churn replay, KV vs block.
@@ -1319,16 +1236,13 @@ def replay_rotation(
     hash index never looked at locality in the first place — rotation is
     where that difference should surface, or be shown not to matter.
     """
-    for device in devices:
-        if device not in DIRECT_SYSTEMS:
-            raise ConfigurationError(f"unknown replay device {device!r}")
+    devices = tuple(DIRECT_SYSTEMS)
     cells = grid(
         "replay_rotation",
         _replay_rotation_cell,
         {"device": devices, "rotate_every": rotate_every},
         dict(n_ops=n_ops, population=population, working_set=working_set,
-             value_bytes=value_bytes, queue_depth=queue_depth,
-             blocks_per_plane=blocks_per_plane, seed=seed),
+             blocks_per_plane=blocks_per_plane),
         runner,
     )
     values = {"n_ops": n_ops,
@@ -1342,47 +1256,39 @@ def _replay_mix_cell(
     n_ops: int,
     population: int,
     ttl_ops: int,
-    ttl_us: float,
-    scan_fraction: float,
-    scan_length: int,
-    value_bytes: int,
-    queue_depth: int,
     blocks_per_plane: int,
-    seed: int,
 ) -> Dict[str, object]:
     """One mix variant on a fresh KV rig: plain / ttl / ttl+scan.
 
-    The base stream is a point read/update mix over a prefilled
-    population; the ``ttl`` variants merge in an expiry stream (its own
-    key prefix, inserts re-arming TTLs, deletes materialized at expiry);
-    ``ttl+scan`` additionally turns ``scan_fraction`` of the base ops
-    into prefix scans through the YCSB driver's emulated-scan path — the
-    iterator buckets' first sustained exercise.
+    The base stream is a point read/update mix of 4 KiB values over a
+    prefilled population, replayed at QD8; the ``ttl`` variants merge in
+    an expiry stream (its own key prefix, 8 ms TTLs, inserts re-arming
+    them, deletes materialized at expiry); ``ttl+scan`` additionally
+    turns a quarter of the base ops into 16-record prefix scans through
+    the YCSB driver's emulated-scan path — the iterator buckets' first
+    sustained exercise.
     """
     rig = build_rig(
         "kvssd", lab_geometry(blocks_per_plane), **_AMPLE_INDEX["kv"]
     )
     scheme = FILL_SCHEME
-    rig.prime(population, value_bytes, scheme)
+    rig.prime(population, 4 * KIB, scheme)
     base = ScanMixSpec(
         n_ops=n_ops,
         population=population,
-        scan_fraction=scan_fraction if variant == "ttl+scan" else 0.0,
-        scan_length=scan_length,
-        value_bytes=value_bytes,
+        scan_fraction=0.25 if variant == "ttl+scan" else 0.0,
         key_scheme=scheme,
-        seed=seed,
+        seed=19,
     )
     streams = [generate_scan_mix(base)]
     if variant in ("ttl", "ttl+scan"):
         expiry = ExpirySpec(
             n_ops=ttl_ops,
             population=max(1, population // 4),
-            ttl_us=ttl_us,
-            value_bytes=value_bytes,
+            ttl_us=8000.0,
             interarrival_us=(n_ops * 100.0) / ttl_ops,
             key_scheme=_REPLAY_TTL_SCHEME,
-            seed=seed + 1,
+            seed=20,
         )
         streams.append(generate_expiry(expiry))
     elif variant != "plain":
@@ -1395,14 +1301,13 @@ def _replay_mix_cell(
             n_ops=n_ops,
             population=population,
             key_scheme=scheme,
-            value_bytes=value_bytes,
-            scan_length=scan_length,
-            seed=seed,
+            value_bytes=4 * KIB,
+            scan_length=SCAN_MIX_LENGTH,
+            seed=19,
         ),
     )
     run = run_phase(
-        rig, f"replay.mix.{variant}", workload.operations(), queue_depth,
-        driver,
+        rig, f"replay.mix.{variant}", workload.operations(), 8, driver
     )
     read_summary = run.latency.summary("read")
     buckets = rig.device.iterators
@@ -1466,13 +1371,7 @@ def replay_ttl_scan_mix(
     n_ops: int = 1500,
     population: int = 2048,
     ttl_ops: int = 600,
-    ttl_us: float = 8000.0,
-    scan_fraction: float = 0.25,
-    scan_length: int = 16,
-    value_bytes: int = 4 * KIB,
-    queue_depth: int = 8,
     blocks_per_plane: int = 16,
-    seed: int = 19,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
     """Replay figure 2: read-tail cost of TTL churn and prefix scans.
@@ -1489,10 +1388,7 @@ def replay_ttl_scan_mix(
         _replay_mix_cell,
         {"variant": variants},
         dict(n_ops=n_ops, population=population, ttl_ops=ttl_ops,
-             ttl_us=ttl_us, scan_fraction=scan_fraction,
-             scan_length=scan_length, value_bytes=value_bytes,
-             queue_depth=queue_depth, blocks_per_plane=blocks_per_plane,
-             seed=seed),
+             blocks_per_plane=blocks_per_plane),
         runner,
     )
     return REPLAY_MIX.result(named(cells, ("variant",), "{variant}"),

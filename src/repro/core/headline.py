@@ -100,7 +100,6 @@ def _direct_bw_ratios(blocks_per_plane: int, n_ops: int) -> tuple:
 
 def headline_scalars(
     n_ops: int = 2500,
-    queue_depth_bw: int = 32,
     blocks_per_plane: int = 16,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
@@ -117,7 +116,7 @@ def headline_scalars(
     )
     fig4 = fig4_value_size_concurrency(
         value_sizes=(4 * KIB,),
-        queue_depths=(1, queue_depth_bw),
+        queue_depths=(1, 32),
         n_ops=n_ops,
         blocks_per_plane=blocks_per_plane,
         runner=runner,

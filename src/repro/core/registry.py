@@ -112,7 +112,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     for row in (
         Experiment(
             "fig2", "paper", fig2_end_to_end, {"n_ops": "n_ops"},
-            dict(n_ops=250, queue_depth=8, systems=("kvssd", "rocksdb"),
+            dict(n_ops=250, systems=("kvssd", "rocksdb"),
                  patterns=("seq", "rand"), blocks_per_plane=8),
             (
                 Claim("KV seq/rand insert latency", "~equal (hashing erases order)",
@@ -133,8 +133,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         Experiment(
             "fig3", "paper", fig3_index_occupancy,
             {"measured_ops": "measured_ops"},
-            dict(value_bytes=512, low_fraction=0.0005, high_fraction=0.5,
-                 measured_ops=200, blocks_per_plane=8),
+            dict(high_fraction=0.5, measured_ops=200, blocks_per_plane=8),
             (
                 Claim("KV write degradation high/low", "up to 16.4x",
                       "kv.write_degradation", 4.0),
@@ -173,8 +172,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig5", "paper", fig5_packing_bandwidth, {"n_ops": "n_ops"},
-            dict(value_sizes=(24 * KIB, 25 * KIB), n_ops=200, queue_depth=32,
-                 blocks_per_plane=8),
+            dict(value_sizes=(24 * KIB, 25 * KIB), n_ops=200, blocks_per_plane=8),
             (
                 Claim("KV bandwidth 25 KiB / 24 KiB", "drops sharply",
                       "kv.25600_over_24576", hi=0.6),
@@ -192,8 +190,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig6", "paper", fig6_foreground_gc, {},
-            dict(blocks_per_plane=4,
-                 scenarios=("kv-uniform", "rocksdb-uniform")),
+            dict(scenarios=("kv-uniform", "rocksdb-uniform")),
             (
                 Claim("KV uniform: foreground GC runs", "collapses",
                       "kv-uniform.foreground_gc_runs", 1),
@@ -355,8 +352,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
              "scheduler": "scheduler"},
             # One load on the device-bound plateau, one far past
             # saturation: pins the knee without the full curve.
-            dict(loads_kops=(16.0, 384.0), n_requests=240,
-                 blocks_per_plane=8),
+            dict(loads_kops=(16.0, 384.0), n_requests=240),
             (
                 Claim("saturation knee (kops offered), inside the sweep", "-",
                       "knee_kops", 32.0, 512.0),

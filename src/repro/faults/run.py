@@ -119,28 +119,27 @@ FAULT_SWEEP = Layout(
 
 
 def _fault_cell(device: str, rate: float, seed: int, n_ops: int,
-                value_bytes: int, blocks_per_plane: int, queue_depth: int,
-                workload_seed: int) -> Dict[str, float]:
-    """One (personality, rate) cell: prime, then the mixed workload."""
+                blocks_per_plane: int) -> Dict[str, float]:
+    """One (personality, rate) cell: prime, then the 4 KiB 50/50 mixed
+    workload at QD8."""
     rig = build_rig(
         DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
         fault_config=fault_profile(rate, seed),
     )
     scheme = KeyScheme(prefix=b"key-", digits=12)
-    rig.prime(n_ops, value_bytes, scheme)
+    rig.prime(n_ops, 4096, scheme)
     spec = WorkloadSpec(
         n_ops=n_ops,
         op="mixed",
         population=n_ops,
         key_scheme=scheme,
-        value_bytes=value_bytes,
+        value_bytes=4096,
         read_fraction=0.5,
-        seed=workload_seed,
+        seed=47,
     )
     run = run_phase(
-        rig, f"faults.{device}.{rate:g}", spec, queue_depth,
-        rig.adapter_for(value_bytes), drain=False,
-        stop_after_us=STOP_AFTER_US,
+        rig, f"faults.{device}.{rate:g}", spec, 8, rig.adapter_for(4096),
+        drain=False, stop_after_us=STOP_AFTER_US,
     )
     latency = run.latency.summary()
     # Device telemetry delta over the measured phase.
@@ -166,10 +165,7 @@ def run_fault_sweep(
     rates: Sequence[float] = DEFAULT_RATES,
     n_ops: int = 1200,
     seed: int = 7,
-    value_bytes: int = 4096,
     blocks_per_plane: int = 16,
-    queue_depth: int = 8,
-    workload_seed: int = 47,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
     """Run the sweep; points are ordered personality-major, rate-minor.
@@ -188,9 +184,7 @@ def run_fault_sweep(
         "faults",
         _fault_cell,
         {"device": DIRECT_SYSTEMS, "rate": rates},
-        dict(seed=seed, n_ops=n_ops, value_bytes=value_bytes,
-             blocks_per_plane=blocks_per_plane, queue_depth=queue_depth,
-             workload_seed=workload_seed),
+        dict(seed=seed, n_ops=n_ops, blocks_per_plane=blocks_per_plane),
         runner,
     )
     return FAULT_SWEEP.result(named(cells, ("device", "rate"), _TAG),

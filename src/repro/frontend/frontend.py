@@ -54,6 +54,20 @@ from repro.trace.tracer import Tracer
 #: Queueing-attribution phases, in timestamp-trail order.
 PHASES = ("admit", "queue", "dispatch", "device")
 
+#: Largest batch one dispatch takes from a class queue.
+BATCH_MAX = 8
+#: How long a dispatcher lingers for a short queue to fill out.
+BATCH_LINGER_US = 20.0
+#: Concurrent batch dispatchers (device-side concurrency is at most
+#: ``DISPATCH_WIDTH * BATCH_MAX`` operations in flight).
+DISPATCH_WIDTH = 8
+#: Event-loop CPU charged per admission decision; serializes the arrival
+#: path the way a real single-threaded accept loop does.
+ADMIT_CPU_US = 0.3
+#: Fixed per-batch dispatch cost (wakeup + doorbell write) — the
+#: overhead batching amortizes.
+BATCH_OVERHEAD_US = 4.0
+
 
 class Request:
     """One open-loop request and its timestamp trail (all times us)."""
@@ -105,8 +119,8 @@ class Request:
 
 def _tenant_scheme(tenant: TenantLoad) -> KeyScheme:
     """Disjoint per-tenant key range: name-prefixed, 16-byte keys."""
-    prefix = tenant.name.encode("ascii") + b"-"
-    return KeyScheme(prefix=prefix, digits=max(1, 16 - len(prefix)))
+    return KeyScheme(prefix=tenant.name.encode("ascii") + b"-",
+                     digits=tenant.key_digits)
 
 
 def _tenant_operations(tenant: TenantLoad) -> WorkloadSpec:
@@ -203,11 +217,10 @@ class ServingFrontend:
             delay = request.arrival_us - self.env.now
             if delay > 0:
                 yield self.env.sleep(delay)
-            if spec.admit_cpu_us > 0:
-                # The accept loop is single-threaded; admission work
-                # serializes here, so arrival bursts back up visibly in
-                # the admit phase.
-                yield self.env.sleep(spec.admit_cpu_us)
+            # The accept loop is single-threaded; admission work
+            # serializes here, so arrival bursts back up visibly in the
+            # admit phase.
+            yield self.env.sleep(ADMIT_CPU_US)
             self.offered += 1
             if self._pending >= spec.admit_capacity:
                 request.shed = True
@@ -258,7 +271,6 @@ class ServingFrontend:
 
     def dispatcher(self) -> Generator[Event, None, None]:
         """One dispatch worker: form a batch, pay overhead, run it."""
-        spec = self.spec
         while True:
             picked = self._pick_class()
             if picked < 0:
@@ -267,21 +279,17 @@ class ServingFrontend:
                 yield self._signal.park()
                 continue
             queue = self._queues[picked]
-            if (
-                len(queue) < spec.batch_max
-                and spec.batch_linger_us > 0
-                and not self._arrivals_done
-            ):
+            if len(queue) < BATCH_MAX and not self._arrivals_done:
                 # Linger once for coalescing, then re-pick: arrivals
                 # during the linger may have changed the EDF order.
-                yield self.env.sleep(spec.batch_linger_us)
+                yield self.env.sleep(BATCH_LINGER_US)
                 picked = self._pick_class()
                 if picked < 0:
                     continue
                 queue = self._queues[picked]
             batch: List[Request] = []
             now = self.env.now
-            while queue and len(batch) < spec.batch_max:
+            while queue and len(batch) < BATCH_MAX:
                 request = queue.popleft()
                 request.batch_us = now
                 request.batch_seq = self._batch_seq
@@ -289,10 +297,9 @@ class ServingFrontend:
                 batch.append(request)
             self.batches += 1
             self.batched_requests += len(batch)
-            if spec.batch_overhead_us > 0:
-                # One event-loop wakeup and doorbell write per batch —
-                # the fixed cost coalescing amortizes.
-                yield self.env.sleep(spec.batch_overhead_us)
+            # One event-loop wakeup and doorbell write per batch — the
+            # fixed cost coalescing amortizes.
+            yield self.env.sleep(BATCH_OVERHEAD_US)
             if self.tracer.wants("host"):
                 self.tracer.complete(
                     "frontend", "batch", "host",
@@ -350,7 +357,7 @@ class ServingFrontend:
         """Run arrivals and dispatchers to completion."""
         workers = [
             self.env.process(self.dispatcher(), name=f"fe.dispatch.{i}")
-            for i in range(self.spec.dispatch_width)
+            for i in range(DISPATCH_WIDTH)
         ]
         arrivals = self.env.process(self.arrival_process(schedule), name="fe.arrivals")
         yield self.env.all_of([arrivals, *workers])

@@ -42,13 +42,7 @@ def build_load_spec(
     load_ops_s: float,
     n_requests: int,
     admit_capacity: int = 512,
-    batch_max: int = 8,
-    batch_linger_us: float = 20.0,
-    dispatch_width: int = 8,
     scheduler: str = "edf",
-    value_bytes: int = 4096,
-    bulk_value_bytes: int = 512,
-    bulk_read_fraction: float = 0.7,
     population: int = 400,
     blocks_per_plane: int = 8,
     seed: int = 1,
@@ -57,6 +51,8 @@ def build_load_spec(
 
     ``n_requests`` is the total request count, split by tenant share, so
     every sweep point offers the same amount of work at a different rate.
+    The latency tenant reads 4 KiB values; the bulk tenant's mix is 70 %
+    reads of 512 B values.
     """
     lat_requests = max(1, round(n_requests * LATENCY_SHARE))
     bulk_requests = max(1, n_requests - lat_requests)
@@ -71,7 +67,7 @@ def build_load_spec(
                 seed=seed,
             ),
             op="read",
-            value_bytes=value_bytes,
+            value_bytes=4096,
             population=population,
             seed=seed,
         ),
@@ -85,8 +81,8 @@ def build_load_spec(
                 seed=seed + 1,
             ),
             op="mixed",
-            read_fraction=bulk_read_fraction,
-            value_bytes=bulk_value_bytes,
+            read_fraction=0.7,
+            value_bytes=512,
             population=population,
             seed=seed + 1,
         ),
@@ -95,9 +91,6 @@ def build_load_spec(
         classes=(LATENCY_CLASS, BATCH_CLASS),
         tenants=tenants,
         admit_capacity=admit_capacity,
-        batch_max=batch_max,
-        batch_linger_us=batch_linger_us,
-        dispatch_width=dispatch_width,
         scheduler=scheduler,
         blocks_per_plane=blocks_per_plane,
         seed=seed,
@@ -182,8 +175,6 @@ def frontend_load_sweep(
     loads_kops: Sequence[float] = DEFAULT_LOADS_KOPS,
     n_requests: int = 800,
     scheduler: str = "edf",
-    blocks_per_plane: int = 8,
-    seed: int = 1,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
     """Sweep offered load; one independent cell per load point."""
@@ -191,8 +182,7 @@ def frontend_load_sweep(
         "frontend",
         _frontend_load_cell,
         {"load_kops": loads_kops},
-        dict(n_requests=n_requests, scheduler=scheduler,
-             blocks_per_plane=blocks_per_plane, seed=seed),
+        dict(n_requests=n_requests, scheduler=scheduler),
         runner,
     )
     class_names = (LATENCY_CLASS.name, BATCH_CLASS.name)

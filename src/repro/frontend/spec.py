@@ -79,6 +79,18 @@ class TenantLoad:
             raise ConfigurationError(
                 f"population must be >= 1, got {self.population}"
             )
+        if self.population > 10 ** self.key_digits:
+            raise ConfigurationError(
+                f"tenant {self.name!r} can name at most "
+                f"{10 ** self.key_digits} keys ({self.key_digits} digits "
+                f"after its prefix in a 16-byte key), got population "
+                f"{self.population}"
+            )
+
+    @property
+    def key_digits(self) -> int:
+        """Digits left for the key index in a 16-byte ``name-`` key."""
+        return max(1, 15 - len(self.name))
 
 
 @dataclass(frozen=True)
@@ -90,20 +102,7 @@ class FrontendSpec:
     #: Bounded admission queue: requests arriving while this many are in
     #: flight (queued or executing) are shed, never acknowledged.
     admit_capacity: int = 64
-    #: Largest batch one dispatch takes from a class queue.
-    batch_max: int = 8
-    #: How long a dispatcher lingers for a short queue to fill out.
-    batch_linger_us: float = 20.0
-    #: Concurrent batch dispatchers (device-side concurrency is at most
-    #: ``dispatch_width * batch_max`` operations in flight).
-    dispatch_width: int = 4
     scheduler: str = "edf"
-    #: Event-loop CPU charged per admission decision; serializes the
-    #: arrival path the way a real single-threaded accept loop does.
-    admit_cpu_us: float = 0.3
-    #: Fixed per-batch dispatch cost (wakeup + doorbell write) — the
-    #: overhead batching amortizes.
-    batch_overhead_us: float = 4.0
     blocks_per_plane: int = 8
     seed: int = 1
 
@@ -131,25 +130,11 @@ class FrontendSpec:
             raise ConfigurationError(
                 f"admit_capacity must be >= 1, got {self.admit_capacity}"
             )
-        if self.batch_max < 1:
-            raise ConfigurationError(
-                f"batch_max must be >= 1, got {self.batch_max}"
-            )
-        if self.batch_linger_us < 0.0:
-            raise ConfigurationError(
-                f"batch_linger_us must be >= 0, got {self.batch_linger_us}"
-            )
-        if self.dispatch_width < 1:
-            raise ConfigurationError(
-                f"dispatch_width must be >= 1, got {self.dispatch_width}"
-            )
         if self.scheduler not in SCHEDULERS:
             raise ConfigurationError(
                 f"unknown scheduler {self.scheduler!r}; "
                 f"choose from {SCHEDULERS}"
             )
-        if self.admit_cpu_us < 0.0 or self.batch_overhead_us < 0.0:
-            raise ConfigurationError("frontend CPU costs must be >= 0")
 
     def class_index(self, name: str) -> int:
         """Position of SLO class ``name`` in :attr:`classes`."""

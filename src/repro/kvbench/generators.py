@@ -30,8 +30,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
-from repro.kvbench.traces import TraceRecord
+from repro.kvbench.traces import INTERARRIVAL_US, TraceRecord
 from repro.kvftl.population import KeyScheme
+
+#: Records per scan of a scan mix.
+SCAN_MIX_LENGTH = 16
 
 
 @dataclass(frozen=True)
@@ -42,16 +45,15 @@ class ChurnSpec:
     hits [working_set, 2*working_set) mod population, and so on — the
     whole hot set is replaced at once, the worst case for any locality
     assumption baked into data placement.  ``rotate_every_ops=0`` pins
-    the window in place (the stationary control arm).
+    the window in place (the stationary control arm).  Half the ops are
+    reads, one every 100 us.
     """
 
     n_ops: int
     population: int
     working_set: int
     rotate_every_ops: int = 0
-    read_fraction: float = 0.5
     value_bytes: int = 4096
-    interarrival_us: float = 100.0
     key_scheme: KeyScheme = field(default_factory=KeyScheme)
     seed: int = 1
 
@@ -65,10 +67,6 @@ class ChurnSpec:
             )
         if self.rotate_every_ops < 0:
             raise WorkloadError("rotate_every_ops must be >= 0")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise WorkloadError("read_fraction outside [0, 1]")
-        if self.interarrival_us < 0.0:
-            raise WorkloadError("interarrival_us must be >= 0")
 
 
 def generate_churn(spec: ChurnSpec) -> Iterator[TraceRecord]:
@@ -89,9 +87,9 @@ def generate_churn(spec: ChurnSpec) -> Iterator[TraceRecord]:
             window_start = (window_start + spec.working_set) % spec.population
         offset = rng.randrange(spec.working_set)
         index = (window_start + offset) % spec.population
-        is_read = rng.random() < spec.read_fraction
+        is_read = rng.random() < 0.5
         yield TraceRecord(
-            timestamp_us=position * spec.interarrival_us,
+            timestamp_us=position * INTERARRIVAL_US,
             op="read" if is_read else "update",
             key=spec.key_scheme.key_for(index),
             size=0 if is_read else spec.value_bytes,
@@ -105,14 +103,13 @@ class ExpirySpec:
     Each write (re)arms the key's TTL.  When a key's newest TTL lapses,
     a ``delete`` record is emitted at the expiry timestamp; a rewrite
     before expiry supersedes the pending delete (generation counter).
-    Reads only ever target live keys, so replay never read-misses.
+    Reads only ever target live keys, so replay never read-misses.  Half
+    the foreground ops are 4 KiB writes.
     """
 
     n_ops: int
     population: int
     ttl_us: float
-    write_fraction: float = 0.5
-    value_bytes: int = 4096
     interarrival_us: float = 100.0
     key_scheme: KeyScheme = field(default_factory=KeyScheme)
     seed: int = 1
@@ -124,8 +121,6 @@ class ExpirySpec:
             raise WorkloadError("population must be >= 1")
         if self.ttl_us <= 0.0:
             raise WorkloadError(f"ttl_us must be > 0, got {self.ttl_us}")
-        if not 0.0 < self.write_fraction <= 1.0:
-            raise WorkloadError("write_fraction outside (0, 1]")
         if self.interarrival_us <= 0.0:
             raise WorkloadError("interarrival_us must be > 0")
 
@@ -167,7 +162,7 @@ def generate_expiry(spec: ExpirySpec) -> Iterator[TraceRecord]:
     for position in range(spec.n_ops):
         now = position * spec.interarrival_us
         yield from _expire_until(now)
-        if live and rng.random() >= spec.write_fraction:
+        if live and rng.random() >= 0.5:
             index = live[rng.randrange(len(live))]
             yield TraceRecord(now, "read", spec.key_scheme.key_for(index), 0)
             continue
@@ -183,7 +178,7 @@ def generate_expiry(spec: ExpirySpec) -> Iterator[TraceRecord]:
             timestamp_us=now,
             op="insert" if fresh else "update",
             key=spec.key_scheme.key_for(index),
-            size=spec.value_bytes,
+            size=4096,
             ttl_us=spec.ttl_us,
         )
     # Drain: a trace should leave the store the way a TTL cache would.
@@ -196,17 +191,15 @@ class ScanMixSpec:
     """Point reads/updates mixed with prefix scans.
 
     Scans address the key scheme's 4-byte prefix buckets (the KV-FTL's
-    only iteration primitive); ``scan_length`` is carried in the
-    record's size field.  Prefill the population before replay.
+    only iteration primitive); a scan's length, :data:`SCAN_MIX_LENGTH`,
+    is carried in the record's size field.  The point ops are half reads,
+    half 4 KiB updates, one op every 100 us.  Prefill the population
+    before replay.
     """
 
     n_ops: int
     population: int
     scan_fraction: float = 0.2
-    scan_length: int = 16
-    read_fraction: float = 0.5
-    value_bytes: int = 4096
-    interarrival_us: float = 100.0
     key_scheme: KeyScheme = field(default_factory=KeyScheme)
     seed: int = 1
 
@@ -217,25 +210,19 @@ class ScanMixSpec:
             raise WorkloadError("population must be >= 1")
         if not 0.0 <= self.scan_fraction <= 1.0:
             raise WorkloadError("scan_fraction outside [0, 1]")
-        if self.scan_length < 1:
-            raise WorkloadError("scan_length must be >= 1")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise WorkloadError("read_fraction outside [0, 1]")
-        if self.interarrival_us < 0.0:
-            raise WorkloadError("interarrival_us must be >= 0")
 
 
 def generate_scan_mix(spec: ScanMixSpec) -> Iterator[TraceRecord]:
     """Timestamp-ordered mix of scans and point ops."""
     rng = random.Random(spec.seed)
     for position in range(spec.n_ops):
-        now = position * spec.interarrival_us
+        now = position * INTERARRIVAL_US
         index = rng.randrange(spec.population)
         key = spec.key_scheme.key_for(index)
         draw = rng.random()
         if draw < spec.scan_fraction:
-            yield TraceRecord(now, "scan", key, spec.scan_length)
-        elif rng.random() < spec.read_fraction:
+            yield TraceRecord(now, "scan", key, SCAN_MIX_LENGTH)
+        elif rng.random() < 0.5:
             yield TraceRecord(now, "read", key, 0)
         else:
-            yield TraceRecord(now, "update", key, spec.value_bytes)
+            yield TraceRecord(now, "update", key, 4096)

@@ -274,10 +274,11 @@ def drive_workload(
     the deadline passes, workers stop taking new operations (a duration-
     bounded run, like fio's ``runtime=``).
     """
+    started_us = env.now
     result = RunResult(
         latency=LatencyRecorder(name),
-        bandwidth=BandwidthTracker(bandwidth_window_us, name),
-        started_us=env.now,
+        bandwidth=BandwidthTracker(bandwidth_window_us, started_us, name),
+        started_us=started_us,
     )
     device = adapter.device
     stats_before = device.stats.snapshot() if device is not None else None

@@ -66,8 +66,9 @@ _OP_CODE = {op: op for op in OP_CODES}
 #: The four codes that are an OpType, looked up per replayed record.
 _OP_TYPES = {op.value: op for op in OpType}
 
-#: Default synthetic inter-arrival gap when exporting a spec (10k ops/s).
-DEFAULT_INTERARRIVAL_US = 100.0
+#: Synthetic inter-arrival gap of an exported spec and of the generated
+#: churn and scan-mix streams (10k ops/s).
+INTERARRIVAL_US = 100.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,38 +324,26 @@ def read_trace(path: str) -> List[TraceRecord]:
 # ---------------------------------------------------------------------------
 
 
-def spec_to_records(
-    spec: WorkloadSpec,
-    interarrival_us: float = DEFAULT_INTERARRIVAL_US,
-    start_us: float = 0.0,
-) -> Iterator[TraceRecord]:
+def spec_to_records(spec: WorkloadSpec) -> Iterator[TraceRecord]:
     """The spec's exact operation stream as trace records.
 
-    Timestamps are a synthetic constant-rate clock (specs carry no
-    arrival process); the *operations* are byte-identical to
-    :func:`generate_operations`, so replaying the export reproduces the
-    spec's run result exactly.
+    Timestamps are a synthetic constant-rate clock from 0, one record
+    every :data:`INTERARRIVAL_US` (specs carry no arrival process); the
+    *operations* are byte-identical to :func:`generate_operations`, so
+    replaying the export reproduces the spec's run result exactly.
     """
-    if interarrival_us < 0.0:
-        raise WorkloadError(
-            f"interarrival_us must be >= 0, got {interarrival_us}"
-        )
     for position, op in enumerate(generate_operations(spec)):
         yield TraceRecord(
-            timestamp_us=start_us + position * interarrival_us,
+            timestamp_us=position * INTERARRIVAL_US,
             op=op.op.value,
             key=op.key,
             size=op.value_bytes,
         )
 
 
-def export_spec(
-    spec: WorkloadSpec,
-    path: str,
-    interarrival_us: float = DEFAULT_INTERARRIVAL_US,
-) -> int:
+def export_spec(spec: WorkloadSpec, path: str) -> int:
     """Write ``spec``'s operation stream to ``path``; returns the count."""
-    return write_trace(path, spec_to_records(spec, interarrival_us))
+    return write_trace(path, spec_to_records(spec))
 
 
 def merge_traces(*streams: Iterable[TraceRecord]) -> List[TraceRecord]:

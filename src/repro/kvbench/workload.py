@@ -24,6 +24,9 @@ from repro.kvbench.distributions import (
 )
 from repro.kvftl.population import KeyScheme
 
+#: Skew of every zipfian key stream (YCSB's default constant).
+ZIPF_THETA = 0.99
+
 
 class OpType(enum.Enum):
     """One key-value operation kind."""
@@ -66,8 +69,10 @@ class WorkloadSpec:
     """A KVbench-style workload description.
 
     ``population`` is the number of distinct keys; inserts walk new keys,
-    updates and reads draw existing ones according to ``pattern``.
-    ``read_fraction`` only matters for ``mixed`` workloads.
+    updates and reads draw existing ones according to ``pattern``
+    (zipfian at :data:`ZIPF_THETA`, a sliding window 5 % of the
+    population wide).  ``read_fraction`` only matters for ``mixed``
+    workloads.
     """
 
     n_ops: int
@@ -77,8 +82,6 @@ class WorkloadSpec:
     key_scheme: KeyScheme = field(default_factory=KeyScheme)
     value_bytes: int = 4096
     read_fraction: float = 0.5
-    zipf_theta: float = 0.99
-    window_fraction: float = 0.05
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -132,12 +135,10 @@ def _index_stream(spec: WorkloadSpec) -> Iterator[int]:
         return uniform_indices(population, spec.n_ops, spec.seed)
     if spec.pattern is Pattern.ZIPFIAN:
         return ZipfianGenerator(
-            population, spec.zipf_theta, spec.seed
+            population, ZIPF_THETA, spec.seed
         ).indices(spec.n_ops)
     if spec.pattern is Pattern.SLIDING_WINDOW:
-        return sliding_window_indices(
-            population, spec.n_ops, spec.window_fraction, spec.seed
-        )
+        return sliding_window_indices(population, spec.n_ops, seed=spec.seed)
     raise WorkloadError(f"unhandled pattern {spec.pattern}")
 
 

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import DeviceError, WorkloadError
 from repro.kvbench.distributions import ZipfianGenerator
-from repro.kvbench.workload import Operation, OpType
+from repro.kvbench.workload import ZIPF_THETA, Operation, OpType
 from repro.kvftl.population import KeyScheme
 
 if TYPE_CHECKING:
@@ -56,7 +56,6 @@ class YCSBSpec:
     )
     value_bytes: int = YCSB_VALUE_BYTES
     scan_length: int = YCSB_SCAN_LENGTH
-    zipf_theta: float = 0.99
     seed: int = 1
 
     #: (read, update, insert, scan, rmw) fractions per core workload.
@@ -93,9 +92,9 @@ def generate_ycsb(spec: YCSBSpec) -> Iterator[Operation]:
     Inserts extend the key space past ``population``.
     """
     mix_rng = random.Random(spec.seed)
-    zipf = ZipfianGenerator(spec.population, spec.zipf_theta, spec.seed + 1)
+    zipf = ZipfianGenerator(spec.population, ZIPF_THETA, spec.seed + 1)
     latest = ZipfianGenerator(
-        spec.population, spec.zipf_theta, spec.seed + 2, scramble=False
+        spec.population, ZIPF_THETA, spec.seed + 2, scramble=False
     )
     read_f, update_f, insert_f, scan_f, _ = spec.mix
     next_insert = spec.population

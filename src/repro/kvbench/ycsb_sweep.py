@@ -19,7 +19,12 @@ from repro.errors import WorkloadError
 from repro.exec.runner import SweepRunner, grid
 from repro.kvbench.report import Layout, Result, Table, label, named, ratio
 from repro.kvbench.runner import run_phase
-from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
+from repro.kvbench.ycsb import (
+    YCSB_VALUE_BYTES,
+    YCSBDriver,
+    YCSBSpec,
+    generate_ycsb,
+)
 from repro.kvftl.population import KeyScheme
 
 #: The six YCSB core workloads, in canonical order.
@@ -55,13 +60,9 @@ def ycsb_cell(
     system: str,
     n_ops: int = 600,
     population: int = 3000,
-    value_bytes: int = 1000,
-    scan_length: int = 20,
-    queue_depth: int = 8,
-    blocks_per_plane: int = 8,
-    seed: int = 1,
 ) -> Dict[str, float]:
-    """Run one YCSB workload against one system — the sweep cell."""
+    """Run one YCSB workload against one system — the sweep cell: 1,000 B
+    records, 20-record scans, QD8 on 8 blocks a plane."""
     if system not in YCSB_SYSTEMS:
         raise WorkloadError(
             f"unknown system {system!r}; expected one of {tuple(YCSB_SYSTEMS)}"
@@ -71,14 +72,12 @@ def ycsb_cell(
         n_ops=n_ops,
         population=population,
         key_scheme=_SCHEME,
-        value_bytes=value_bytes,
-        scan_length=scan_length,
-        seed=seed,
+        scan_length=20,
     )
-    rig = build_rig(YCSB_SYSTEMS[system], lab_geometry(blocks_per_plane))
-    rig.prime(population, value_bytes, _SCHEME)
+    rig = build_rig(YCSB_SYSTEMS[system], lab_geometry(8))
+    rig.prime(population, YCSB_VALUE_BYTES, _SCHEME)
     run = run_phase(
-        rig, f"ycsb{workload}.{system}", generate_ycsb(spec), queue_depth,
+        rig, f"ycsb{workload}.{system}", generate_ycsb(spec), 8,
         YCSBDriver(rig.adapter, spec), drain=False,
     )
     return {
@@ -95,8 +94,6 @@ def run_ycsb_sweep(
     n_ops: int = 600,
     population: int = 3000,
     runner: Optional[SweepRunner] = None,
-    seed: int = 1,
-    **kwargs: int,
 ) -> Result:
     """Execute the grid — the ``ycsb`` experiment (the paper's named
     future work): mean latency per core workload, KV-SSD vs the RocksDB
@@ -110,9 +107,9 @@ def run_ycsb_sweep(
         "ycsb",
         ycsb_cell,
         {"workload": workloads, "system": YCSB_SYSTEMS},
-        dict(n_ops=n_ops, population=population, seed=seed, **kwargs),
+        dict(n_ops=n_ops, population=population),
         runner,
-        seed=seed,
+        seed=1,
     )
     return YCSB.result(named(cells, ("workload", "system"), "{workload}.{system}"),
                        workload=workloads, system=YCSB_SYSTEMS)

@@ -54,7 +54,7 @@ from repro.kvftl.blob import (
 )
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.hashindex import GlobalHashIndex
-from repro.kvftl.indexmanager import BloomModel, IndexManagerPool
+from repro.kvftl.indexmanager import BloomModel
 from repro.kvftl.iterator import IteratorBuckets
 from repro.kvftl.merge import MergeEngine
 from repro.kvftl.population import KeyScheme, PrimedPopulation, run_pages
@@ -157,8 +157,9 @@ class KVSSD:
             self._index_region,
             geometry.pages_per_block,
         )
-        self.index_managers = IndexManagerPool(
-            env, self.config.index_managers, name=name
+        #: The controller's index-manager units: ``serve(us)`` occupies one.
+        self.index_managers = Resource(
+            env, self.config.index_managers, name=f"{name}.idxmgr"
         )
         self.bloom = BloomModel(self.config.bloom_fp_rate)
         self.iterators = IteratorBuckets(self.config.iterator_flush_keys)
@@ -271,7 +272,7 @@ class KVSSD:
                 self.config.split_fragment_us * (layout.data_fragments - 1)
             )
         span.enter("index")
-        yield self.index_managers.resource.serve(self.config.store_index_us)
+        yield self.index_managers.serve(self.config.store_index_us)
         if self.merge.behind():
             yield from self.merge.backpressure()
 
@@ -348,7 +349,7 @@ class KVSSD:
             + self.config.retrieve_controller_us
         )
         span.enter("index")
-        yield self.index_managers.resource.serve(self.config.retrieve_index_us)
+        yield self.index_managers.serve(self.config.retrieve_index_us)
         found = self._find_live(key)
         if not self.bloom.maybe_present(key, found is not None):
             raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
@@ -402,7 +403,7 @@ class KVSSD:
             self.config.host_interface_us * ncommands
         )
         span.enter("index")
-        yield self.index_managers.resource.serve(self.config.exist_index_us)
+        yield self.index_managers.serve(self.config.exist_index_us)
         found = self._find_live(key) is not None
         if not self.bloom.maybe_present(key, found):
             return False
@@ -420,7 +421,7 @@ class KVSSD:
             self.config.host_interface_us * ncommands
         )
         span.enter("index")
-        yield self.index_managers.resource.serve(self.config.delete_index_us)
+        yield self.index_managers.serve(self.config.delete_index_us)
         found = self._find_live(key)
         if not self.bloom.maybe_present(key, found is not None):
             raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
@@ -457,7 +458,7 @@ class KVSSD:
             self.config.host_interface_us * ncommands
         )
         span.enter("index")
-        yield self.index_managers.resource.serve(self.config.exist_index_us)
+        yield self.index_managers.serve(self.config.exist_index_us)
         count = self.iterators.bucket_count(prefix4)
         # Bucket pages hold ~page/64B key entries each.
         keys_per_page = max(1, self.array.geometry.page_bytes // 64)

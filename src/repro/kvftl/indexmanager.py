@@ -6,17 +6,16 @@ entry in a local index, and merges batches into the global structure.
 Managers also hold Bloom filters so reads and exist queries for absent
 keys resolve without touching the index (Sec. II, "membership checking").
 
-In the simulator the managers are a counted controller resource (their
-parallelism is the Fig. 4 high-concurrency lever) and the Bloom filter is
-a deterministic false-positive model keyed on the query key.
+In the simulator the managers are a counted controller resource, the
+device's ``index_managers`` (their parallelism is the Fig. 4
+high-concurrency lever), and the Bloom filter is a deterministic
+false-positive model keyed on the query key.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.kvftl.keyhash import hash_fraction
-from repro.sim.engine import Environment
-from repro.sim.resources import Resource
 
 #: Salt mixed into the key before deriving the false-positive draw, so the
 #: residency draw (plain hash) and the Bloom draw are independent.
@@ -36,26 +35,10 @@ class BloomModel:
         if not 0.0 <= fp_rate <= 1.0:
             raise ConfigurationError(f"bloom FP rate {fp_rate} outside [0, 1]")
         self.fp_rate = fp_rate
-        self.negative_hits = 0
-        self.false_positives = 0
 
     def maybe_present(self, key: bytes, actually_present: bool) -> bool:
         """Filter verdict for ``key`` given ground truth."""
         if actually_present:
             return True
-        if hash_fraction(_BLOOM_SALT + key) < self.fp_rate:
-            self.false_positives += 1
-            return True
-        self.negative_hits += 1
-        return False
+        return hash_fraction(_BLOOM_SALT + key) < self.fp_rate
 
-
-class IndexManagerPool:
-    """The controller's index-manager units as a counted resource
-    (``yield pool.resource.serve(us)`` occupies one manager)."""
-
-    def __init__(self, env: Environment, managers: int, name: str = "") -> None:
-        if managers < 1:
-            raise ConfigurationError(f"need >= 1 index manager, got {managers}")
-        self.resource = Resource(env, managers, name=f"{name}.idxmgr")
-        self.managers = managers

@@ -31,23 +31,26 @@ class BandwidthPoint:
 class BandwidthTracker:
     """Accumulates completions into consecutive fixed-width windows.
 
-    Completions must be reported with non-decreasing timestamps (the
-    single-threaded simulation guarantees this).  Empty windows between
-    completions are materialized so stalls — the foreground-GC signature of
-    Fig. 6 — appear as explicit zero/low points rather than being skipped.
+    The first window and the overall rate start at ``start_us``, the
+    measured phase's own start.  Completions must be reported with
+    non-decreasing timestamps (the single-threaded simulation guarantees
+    this).  Empty windows between completions are materialized so stalls
+    — the foreground-GC signature of Fig. 6 — appear as explicit zero/low
+    points rather than being skipped.
     """
 
-    def __init__(self, window_us: float, name: str = "") -> None:
+    def __init__(self, window_us: float, start_us: float, name: str = "") -> None:
         if window_us <= 0:
             raise ValueError(f"window width must be positive, got {window_us}")
         self.window_us = window_us
         self.name = name
         self._points: List[BandwidthPoint] = []
-        self._window_start = 0.0
+        self._start = start_us
+        self._window_start = start_us
         self._window_bytes = 0
         self._window_ops = 0
         self._total_bytes = 0
-        self._last_time = 0.0
+        self._last_time = start_us
 
     def record(self, timestamp_us: float, nbytes: int) -> None:
         """Report a completion of ``nbytes`` at simulation time ``timestamp_us``."""
@@ -100,8 +103,8 @@ class BandwidthTracker:
         return list(self._points)
 
     def overall_mib_per_sec(self) -> float:
-        """Mean bandwidth over the whole recording interval."""
-        return mib_per_sec(self._total_bytes, self._last_time)
+        """Mean bandwidth from the start to the last completion."""
+        return mib_per_sec(self._total_bytes, self._last_time - self._start)
 
     def series_mib_per_sec(self) -> List[float]:
         """Bandwidth of each closed window, in MiB/s."""

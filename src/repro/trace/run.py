@@ -39,12 +39,10 @@ class TraceScenario:
     value_bytes: int = 4096
     #: Fraction of device capacity primed before the measured phase.
     fill_fraction: float = 0.3
+    #: A uniform stream of this op kind (``mixed``: half reads).
     op: str = "mixed"
-    pattern: Pattern = Pattern.UNIFORM
-    read_fraction: float = 0.5
     queue_depth: int = 8
     blocks_per_plane: int = 24
-    n_ops: int = 1500
     key_digits: int = 12
 
     @property
@@ -78,6 +76,10 @@ class TraceReport:
 
 #: The traced personalities, in tracer-pid order (pid 1, pid 2).
 PERSONALITIES = ("kv-ssd", "block-ssd")
+#: Measured ops per personality when ``run_traced`` is given none.
+TRACE_OPS = 1500
+#: Ring-buffer capacity of every traced run's collectors.
+MAX_SPANS = 1 << 20
 
 
 def _fill_pairs(rig: Any, scenario: TraceScenario, n_ops: int) -> int:
@@ -94,7 +96,6 @@ def _trace_personality_cell(
     fig: str,
     n_ops: int,
     population: int,
-    max_spans: int,
 ) -> Dict[str, object]:
     """Run ``fig``'s scenario on one personality under its own collector.
 
@@ -105,8 +106,8 @@ def _trace_personality_cell(
     report in fixed personality order.
     """
     scenario = scenarios()[fig]
-    config = TraceConfig(max_spans=max_spans)
-    collector = TraceCollector(max_spans)
+    config = TraceConfig(max_spans=MAX_SPANS)
+    collector = TraceCollector(MAX_SPANS)
     scheme = scenario.scheme
     pid = PERSONALITIES.index(personality) + 1
     tracer = Tracer(config, collector, pid=pid, process_name=personality)
@@ -119,11 +120,10 @@ def _trace_personality_cell(
     spec = WorkloadSpec(
         n_ops=n_ops,
         op=scenario.op,
-        pattern=scenario.pattern,
+        pattern=Pattern.UNIFORM,
         population=population,
         key_scheme=scheme,
         value_bytes=scenario.value_bytes,
-        read_fraction=scenario.read_fraction,
         seed=47,
     )
     if scenario.fill_fraction > 0.0:
@@ -162,7 +162,6 @@ def _trace_personality_cell(
 def run_traced(
     fig: str = "fig6",
     n_ops: Optional[int] = None,
-    max_spans: int = 1 << 20,
     runner: Optional[SweepRunner] = None,
 ) -> TraceReport:
     """Run ``fig``'s scenario on both personalities into one collector.
@@ -178,7 +177,7 @@ def run_traced(
         raise ConfigurationError(
             f"no trace scenario for {fig!r}; choose from {list(scenarios())}"
         )
-    n_ops = scenario.n_ops if n_ops is None else n_ops
+    n_ops = TRACE_OPS if n_ops is None else n_ops
     population = n_ops
     if scenario.fill_fraction > 0.0:
         probe = build_rig("kvssd", lab_geometry(scenario.blocks_per_plane))
@@ -187,12 +186,11 @@ def run_traced(
         f"trace.{fig}",
         _trace_personality_cell,
         {"personality": PERSONALITIES},
-        dict(fig=fig, n_ops=n_ops, population=population,
-             max_spans=max_spans),
+        dict(fig=fig, n_ops=n_ops, population=population),
         runner,
     )
 
-    collector = TraceCollector(max_spans)
+    collector = TraceCollector(MAX_SPANS)
     report = TraceReport(fig, scenario, collector)
     for personality, cell in cells.items():
         # Worker-side drops happened against an emptier buffer than the

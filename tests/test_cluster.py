@@ -163,9 +163,8 @@ def test_equal_specs_share_one_plan_and_any_field_misses():
         personalities=("kv", "kv", "block", "kv"),
         tenants=(replace(spec.tenants[0], n_ops=151), spec.tenants[1]),
         degrade=(),
-        rebalance_window_ops=50, seed=8, queue_depth=4, router_us=2.0,
-        blocks_per_plane=8, degrade_spare_blocks=2, trace=True,
-        verify=False,
+        rebalance_window_ops=50, seed=8, queue_depth=4, blocks_per_plane=8,
+        trace=True, verify=False,
     )
     assert set(changed) == {f.name for f in fields(ClusterSpec)}
     for name, value in changed.items():
@@ -434,8 +433,7 @@ def test_churn_tenant_runs_clean_and_deterministic():
         partitions=8,
         tenants=(
             TenantSpec(name="tc", workload="churn", n_ops=120,
-                       population=240, churn_working_set=48,
-                       churn_rotate_every_ops=40, seed=13),
+                       population=240, seed=13),
         ),
         blocks_per_plane=8,
         seed=5,
@@ -447,14 +445,8 @@ def test_churn_tenant_runs_clean_and_deterministic():
     assert run_cluster(spec).fingerprint() == result.fingerprint()
 
 
-def test_churn_knob_validation():
-    with pytest.raises(ConfigurationError, match="churn knobs only apply"):
-        TenantSpec(name="ta", workload="A", n_ops=10, population=10,
-                   churn_rotate_every_ops=5)
-    with pytest.raises(ConfigurationError, match="exceeds the population"):
-        TenantSpec(name="ta", workload="churn", n_ops=10, population=10,
-                   churn_working_set=11)
-    # The default hot window is population // 8, floored at one key.
+def test_churn_window_is_an_eighth_of_the_population():
+    # The hot window is population // 8, floored at one key.
     assert TenantSpec(name="ta", workload="churn", n_ops=10,
                       population=80).churn_window == 10
     assert TenantSpec(name="ta", workload="churn", n_ops=10,
@@ -475,7 +467,7 @@ def test_router_share_counts_failed_ops_in_both_totals():
     """``router_us_total`` used to grow per attempted op and
     ``op_time_us_total`` per success, so a mostly-failing shard reported a
     routing hop longer than its total operation time."""
-    from repro.cluster.shard import _ShardCell
+    from repro.cluster.shard import ROUTER_US, _ShardCell
     from repro.errors import KeyNotFoundError
 
     class MostlyFailing:
@@ -506,11 +498,11 @@ def test_router_share_counts_failed_ops_in_both_totals():
 
     assert shard.failed_ops > shard.completed_ops > 0
     terminal = shard.completed_ops + shard.failed_ops
-    assert shard.router_us_total == pytest.approx(spec.router_us * terminal)
+    assert shard.router_us_total == pytest.approx(ROUTER_US * terminal)
     # What the successes do not account for is the failures' hop + 0.5 us.
     succeeded_us = shard.latency["all"].mean * shard.completed_ops
     assert shard.op_time_us_total - succeeded_us == pytest.approx(
-        shard.failed_ops * (spec.router_us + 0.5)
+        shard.failed_ops * (ROUTER_US + 0.5)
     )
     result = ClusterResult(spec, [shard], 0, 0, 0, {}, {}, {})
     assert 0 < result.router_share() < 1

@@ -404,8 +404,7 @@ class TestRunner:
 # Parallel/serial equivalence on the real experiments
 # ---------------------------------------------------------------------------
 
-_FAULT_KWARGS = dict(rates=(0.0, 2e-2), n_ops=100, blocks_per_plane=8,
-                     queue_depth=4)
+_FAULT_KWARGS = dict(rates=(0.0, 2e-2), n_ops=100, blocks_per_plane=8)
 
 
 class TestEquivalence:
@@ -438,8 +437,7 @@ class TestEquivalence:
         spec are value-identical."""
         from repro.frontend.run import frontend_load_sweep
 
-        kwargs = dict(loads_kops=(16.0, 256.0), n_requests=160,
-                      blocks_per_plane=8)
+        kwargs = dict(loads_kops=(16.0, 256.0), n_requests=160)
         serial = frontend_load_sweep(**kwargs)
         parallel = frontend_load_sweep(
             **kwargs, runner=SweepRunner(workers=2, cache=False)
@@ -502,19 +500,18 @@ class TestEquivalence:
     @given(
         n_ops=st.integers(min_value=20, max_value=60),
         key_bytes=st.sampled_from((8, 24)),
-        value_bytes=st.sampled_from((512, 2048)),
+        blocks_per_plane=st.sampled_from((4, 8)),
     )
     def test_any_cell_inputs_are_worker_invariant(
-        self, n_ops: int, key_bytes: int, value_bytes: int
+        self, n_ops: int, key_bytes: int, blocks_per_plane: int
     ) -> None:
         """Property: cells are pure, so worker count never changes results."""
         points = tuple(
             SweepPoint(
                 label=f"{mode}/k{key_bytes}",
                 fn=_fig8_cell,
-                kwargs=dict(key_bytes=key_bytes, mode=mode,
-                            value_bytes=value_bytes, n_ops=n_ops,
-                            async_queue_depth=8, blocks_per_plane=4),
+                kwargs=dict(key_bytes=key_bytes, mode=mode, n_ops=n_ops,
+                            blocks_per_plane=blocks_per_plane),
             )
             for mode in ("sync", "async")
         )
@@ -533,7 +530,7 @@ class TestEquivalence:
                 label=f"kv/{i}",
                 fn=_fig5_cell,
                 kwargs=dict(device="kv", size=24 * 1024 + i, n_ops=400,
-                            queue_depth=32, blocks_per_plane=8),
+                            blocks_per_plane=8),
             )
             for i in range(8)
         )

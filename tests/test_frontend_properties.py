@@ -76,14 +76,27 @@ def test_arrival_rate_must_be_finite_and_positive(rate: float) -> None:
         ArrivalSpec(rate_ops_s=rate, n_requests=10)
 
 
+def test_a_tenant_refuses_a_population_its_keys_cannot_name() -> None:
+    """A 14-letter name leaves one digit of a 16-byte key: ten keys, not
+    512 (the schedule used to fail mid-run on key index 137)."""
+    arrivals = ArrivalSpec(rate_ops_s=1_000.0, n_requests=10)
+    with pytest.raises(ConfigurationError, match="at most 10 keys"):
+        TenantLoad(name="analyticsbatch", slo="lat", arrivals=arrivals,
+                   population=512)
+    assert TenantLoad(name="analyticsbatch", slo="lat", arrivals=arrivals,
+                      population=10).key_digits == 1
+
+
 # -- serving invariants --------------------------------------------------
 
 
 def _overload_spec(
     scheduler: str, admit_capacity: int, seed: int
 ) -> FrontendSpec:
-    """A two-class overload: offered load far past device capacity, so a
-    small admission window must shed and both class queues stay deep."""
+    """A two-class overload: offered load far past device capacity, so an
+    admission window a little past the ``DISPATCH_WIDTH * BATCH_MAX`` = 64
+    requests the dispatchers hold in flight must shed, and both class
+    queues stay deep behind the busy dispatchers."""
     classes = (
         SLOClass(name="lat", deadline_us=2_000.0),
         SLOClass(name="bulk", deadline_us=20_000.0),
@@ -118,7 +131,6 @@ def _overload_spec(
         classes=classes,
         tenants=tenants,
         admit_capacity=admit_capacity,
-        dispatch_width=2,
         scheduler=scheduler,
         seed=seed,
     )
@@ -127,7 +139,7 @@ def _overload_spec(
 @settings(max_examples=6, deadline=None)
 @given(
     scheduler=st.sampled_from(("edf", "fifo")),
-    admit_capacity=st.integers(min_value=4, max_value=24),
+    admit_capacity=st.integers(min_value=72, max_value=136),
     seed=st.integers(min_value=1, max_value=1000),
 )
 def test_admission_never_acknowledges_a_shed_request(
@@ -156,7 +168,7 @@ def test_admission_never_acknowledges_a_shed_request(
     seed=st.integers(min_value=1, max_value=1000),
 )
 def test_batcher_preserves_per_tenant_fifo(scheduler: str, seed: int) -> None:
-    spec = _overload_spec(scheduler, admit_capacity=64, seed=seed)
+    spec = _overload_spec(scheduler, admit_capacity=128, seed=seed)
     result = run_frontend(spec, keep_requests=True)
     assert result.requests is not None
     batched = [r for r in result.requests if r.batch_seq >= 0]
@@ -175,7 +187,10 @@ def _sustained_spec(scheduler: str, seed: int) -> FrontendSpec:
     deadline gap (2 ms), so an aged bulk head's absolute deadline falls
     before fresh lat arrivals' — a deadline-aware scheduler *must*
     interleave the classes, and a class-priority scheduler that simply
-    drains lat first would fail the interleave assertion below."""
+    drains lat first would fail the interleave assertion below.  The
+    admission window (256) holds far more than the 64 requests in
+    flight, so both class queues stay deep while the dispatchers are
+    busy."""
     classes = (
         SLOClass(name="lat", deadline_us=500.0),
         SLOClass(name="bulk", deadline_us=2_500.0),
@@ -206,8 +221,7 @@ def _sustained_spec(scheduler: str, seed: int) -> FrontendSpec:
     return FrontendSpec(
         classes=classes,
         tenants=tenants,
-        admit_capacity=64,
-        dispatch_width=2,
+        admit_capacity=256,
         scheduler=scheduler,
         seed=seed,
     )
@@ -223,13 +237,18 @@ def test_scheduler_never_starves_a_nonempty_class(
 ) -> None:
     """Under sustained overload every admitted request still completes,
     and the bulk class is served interleaved with the latency class
-    rather than held until the latency queue drains."""
+    rather than held until the latency queue drains: some bulk batch is
+    formed while a lat request admitted before it is still queued."""
     spec = _sustained_spec(scheduler, seed)
     result = run_frontend(spec, keep_requests=True)
     assert result.requests is not None
     admitted = [r for r in result.requests if not r.shed]
     assert all(r.complete_us >= 0.0 for r in admitted)
-    lat_batches = [r.batch_us for r in admitted if r.slo == "lat"]
+    lat = [r for r in admitted if r.slo == "lat"]
     bulk_batches = [r.batch_us for r in admitted if r.slo == "bulk"]
-    assert lat_batches and bulk_batches
-    assert min(bulk_batches) < max(lat_batches)
+    assert lat and bulk_batches
+    assert any(
+        r.admit_us < batch_us < r.batch_us
+        for batch_us in bulk_batches
+        for r in lat
+    )

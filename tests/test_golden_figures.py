@@ -13,7 +13,9 @@ Beside ``metrics`` each file pins ``events``, the number of events the
 engine popped during that same run, compared with ``==``: the run's
 *work*, identical on every host and under every ``PYTHONHASHSEED``, and
 the tree's only committed perf number (wall-clock is what ``python3 -m
-bench`` reports, never a gate).
+bench`` reports, never a gate).  ``render`` is the sha256 of the printed
+table, ``result.render()``, so a change to a header, a column or a
+number's format fails here even when every metric holds.
 
 Regenerate after an *intentional* behavior change with::
 
@@ -24,6 +26,7 @@ and review the JSON diff like any other code change.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -45,10 +48,12 @@ REL_TOL = 1e-9
 def test_golden_figure(fig: str, regen_golden: bool) -> None:
     result, events = figure_run(fig)
     metrics = result.metrics()
+    render = hashlib.sha256(result.render().encode("utf-8")).hexdigest()
     path = GOLDEN_DIR / f"{fig}.json"
     if regen_golden:
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"figure": fig, "events": events, "metrics": metrics}
+        payload = {"figure": fig, "events": events, "metrics": metrics,
+                   "render": render}
         path.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="ascii",
@@ -74,4 +79,8 @@ def test_golden_figure(fig: str, regen_golden: bool) -> None:
     assert events == pinned["events"], (
         f"{fig}: the run popped {events} engine events, golden pins "
         f"{pinned['events']}; regenerate goldens if intentional"
+    )
+    assert render == pinned["render"], (
+        f"{fig}: the printed table changed (sha256 {render[:12]}, golden "
+        f"pins {pinned['render'][:12]}); regenerate goldens if intentional"
     )

@@ -5,6 +5,7 @@ import pytest
 from repro.core.experiment import build_kv_rig, lab_geometry
 from repro.errors import ConfigurationError
 from repro.kvbench.generators import (
+    SCAN_MIX_LENGTH,
     ExpirySpec,
     ScanMixSpec,
     generate_expiry,
@@ -200,8 +201,8 @@ def test_scan_heavy_replay_drives_buckets_and_iterator_correctness():
     population = 300
     rig.device.fast_fill(population, 256, scheme)
     spec = ScanMixSpec(
-        n_ops=250, population=population, scan_fraction=0.3, scan_length=8,
-        value_bytes=256, key_scheme=scheme, seed=21,
+        n_ops=250, population=population, scan_fraction=0.3,
+        key_scheme=scheme, seed=21,
     )
     records = list(generate_scan_mix(spec))
     workload = TraceWorkload(records, key_scheme=scheme)
@@ -209,7 +210,8 @@ def test_scan_heavy_replay_drives_buckets_and_iterator_correctness():
     driver = YCSBDriver(
         rig.adapter,
         YCSBSpec(workload="E", n_ops=250, population=population,
-                 key_scheme=scheme, value_bytes=256, scan_length=8, seed=21),
+                 key_scheme=scheme, value_bytes=256,
+                 scan_length=SCAN_MIX_LENGTH, seed=21),
     )
     result = execute_workload(rig.env, driver, workload.operations(),
                               queue_depth=4, name="scanmix")

@@ -200,6 +200,25 @@ def test_runner_throughput():
     assert result.throughput_kops() == pytest.approx(100.0)  # ops per ms
 
 
+def test_a_later_phase_counts_its_bandwidth_from_its_own_start():
+    """A measured phase that starts at t > 0 reports its bytes over its
+    own elapsed time, and its first window opens at its start."""
+    from repro.core.experiment import build_kv_rig, lab_geometry
+    from repro.kvbench.runner import run_phase
+    from repro.units import mib_per_sec
+
+    rig = build_kv_rig(lab_geometry(8))
+    run_phase(rig, "fill", WorkloadSpec(n_ops=2000, op="insert"), 8)
+    read = run_phase(rig, "read",
+                     WorkloadSpec(n_ops=2000, op="read", population=2000), 8)
+    assert read.started_us > 0.0
+    moved = sum(point.bytes_moved for point in read.bandwidth.points)
+    assert moved == 2000 * 4096
+    assert read.bandwidth.points[0].start_us == read.started_us
+    assert read.bandwidth.overall_mib_per_sec() == pytest.approx(
+        mib_per_sec(moved, read.elapsed_us))
+
+
 def test_runner_rejects_bad_queue_depth():
     env = Environment()
     with pytest.raises(WorkloadError):

@@ -79,7 +79,7 @@ def test_latency_recorder_empty_summary_raises():
 
 
 def test_bandwidth_windows_accumulate():
-    tracker = BandwidthTracker(window_us=100.0)
+    tracker = BandwidthTracker(window_us=100.0, start_us=0.0)
     tracker.record(10.0, 1000)
     tracker.record(50.0, 1000)
     tracker.record(150.0, 4000)
@@ -92,7 +92,7 @@ def test_bandwidth_windows_accumulate():
 
 
 def test_bandwidth_empty_windows_materialized():
-    tracker = BandwidthTracker(window_us=10.0)
+    tracker = BandwidthTracker(window_us=10.0, start_us=0.0)
     tracker.record(5.0, 100)
     tracker.record(45.0, 100)
     tracker.finish(50.0)
@@ -103,20 +103,20 @@ def test_bandwidth_empty_windows_materialized():
 
 
 def test_bandwidth_rejects_time_travel():
-    tracker = BandwidthTracker(window_us=10.0)
+    tracker = BandwidthTracker(window_us=10.0, start_us=0.0)
     tracker.record(5.0, 100)
     with pytest.raises(ValueError):
         tracker.record(4.0, 100)
 
 
 def test_bandwidth_overall_rate():
-    tracker = BandwidthTracker(window_us=1000.0)
+    tracker = BandwidthTracker(window_us=1000.0, start_us=0.0)
     tracker.record(1_000_000.0, MIB)  # 1 MiB at t=1s
     assert tracker.overall_mib_per_sec() == pytest.approx(1.0)
 
 
 def test_bandwidth_minimum_window():
-    tracker = BandwidthTracker(window_us=10.0)
+    tracker = BandwidthTracker(window_us=10.0, start_us=0.0)
     tracker.record(5.0, 1000)
     tracker.record(15.0, 10)
     tracker.finish(20.0)

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro.core.experiment import build_kv_rig, lab_geometry
 from repro.errors import WorkloadError
 from repro.kvbench.generators import (
+    SCAN_MIX_LENGTH,
     ChurnSpec,
     ExpirySpec,
     ScanMixSpec,
@@ -458,10 +459,9 @@ class TestSpecExport:
 
     def test_export_timestamps_are_a_constant_rate_clock(self):
         spec = WorkloadSpec(n_ops=5, op="read", population=10)
-        records = list(spec_to_records(spec, interarrival_us=50.0,
-                                       start_us=7.0))
-        assert [r.timestamp_us for r in records] == [7.0, 57.0, 107.0,
-                                                     157.0, 207.0]
+        records = list(spec_to_records(spec))
+        assert [r.timestamp_us for r in records] == [0.0, 100.0, 200.0,
+                                                     300.0, 400.0]
 
     def test_exported_spec_replay_fingerprint_is_byte_identical(
         self, tmp_path
@@ -617,11 +617,11 @@ class TestGenerators:
 
     def test_scan_mix_carries_scan_limits(self):
         spec = ScanMixSpec(n_ops=300, population=128, scan_fraction=0.3,
-                           scan_length=24, seed=11)
+                           seed=11)
         records = list(generate_scan_mix(spec))
         _assert_time_ordered(records)
         scans = [r for r in records if r.op == "scan"]
-        assert scans and all(r.size == 24 for r in scans)
+        assert scans and all(r.size == SCAN_MIX_LENGTH for r in scans)
         assert {r.op for r in records} <= {"scan", "read", "update"}
         assert list(generate_scan_mix(spec)) == records
 
@@ -635,9 +635,6 @@ class TestGenerators:
     def test_expiry_spec_validation(self):
         with pytest.raises(WorkloadError, match="ttl_us"):
             ExpirySpec(n_ops=10, population=8, ttl_us=0.0)
-        with pytest.raises(WorkloadError, match="write_fraction"):
-            ExpirySpec(n_ops=10, population=8, ttl_us=1.0,
-                       write_fraction=0.0)
 
 
 # ---------------------------------------------------------------------------
