@@ -33,14 +33,35 @@ from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.blockftl.config import BlockSSDConfig
+from repro.blockftl.config import (
+    BUFFER_COPY_US,
+    DEVICE_NAME,
+    MAP_HIT_US,
+    MAP_LOAD_US,
+    MAP_UNIT_BYTES,
+    MAP_UPDATE_HIT_US,
+    MAP_UPDATE_MISS_US,
+    SEGMENT_CACHE_ENTRIES,
+    SEGMENT_UNITS,
+    STREAM_WIDTH,
+    BlockSSDConfig,
+)
 from repro.blockftl.mapping import UNMAPPED, PageMap, SegmentCache
 from repro.errors import AddressError, ConfigurationError
 from repro.faults.model import FaultInjector
 from repro.flash.geometry import Geometry
 from repro.flash.nand import FlashArray
-from repro.flash.timing import FlashTiming
-from repro.ftl.core import DeviceStats, FlushBatch, FtlCore, GcItem
+from repro.ftl.core import (
+    BUFFER_READ_US,
+    CONTROLLER_CORES,
+    HOST_INTERFACE_US,
+    OVERPROVISION,
+    DeviceStats,
+    FlushBatch,
+    FtlCore,
+    GcItem,
+)
+from repro.nvme.command import SECTOR_BYTES
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 from repro.trace.tracer import NULL_SPAN, Tracer
@@ -62,16 +83,12 @@ class BlockSSD:
         self,
         env: Environment,
         geometry: Geometry,
-        timing: Optional[FlashTiming] = None,
         config: Optional[BlockSSDConfig] = None,
-        name: str = "block-ssd",
         tracer: Optional[Tracer] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.env = env
-        self.name = name
         self.config = config or BlockSSDConfig()
-        self.timing = timing or FlashTiming()
         self.stats = DeviceStats()
         #: Span tracer shared by the whole stack below this device; a
         #: disabled singleton when tracing is off, so API layers can
@@ -79,13 +96,13 @@ class BlockSSD:
         self.tracer = tracer if tracer is not None else Tracer.disabled()
         self.tracer.bind(env)
         self.array = FlashArray(
-            env, geometry, self.timing, self.stats, tracer=self.tracer,
+            env, geometry, self.stats, tracer=self.tracer,
             faults=faults,
         )
 
         raw_bytes = geometry.capacity_bytes
-        usable = int(raw_bytes * (1.0 - self.config.overprovision))
-        self.map_unit = self.config.map_unit_bytes
+        usable = int(raw_bytes * (1.0 - OVERPROVISION))
+        self.map_unit = MAP_UNIT_BYTES
         self.n_units = usable // self.map_unit
         if self.n_units < 1:
             raise ConfigurationError("geometry too small for one map unit")
@@ -93,31 +110,23 @@ class BlockSSD:
         self.slots_per_page = geometry.page_bytes // self.map_unit
 
         self.pagemap = PageMap(geometry, self.map_unit, self.n_units)
-        self.segment_cache = SegmentCache(
-            self.config.segment_units, self.config.segment_cache_entries
-        )
+        self.segment_cache = SegmentCache(SEGMENT_UNITS, SEGMENT_CACHE_ENTRIES)
         self.core = FtlCore(
             env,
             self.array,
             self,
-            stream_width=self.config.stream_width,
-            write_buffer_bytes=self.config.write_buffer_bytes,
-            flush_linger_us=self.config.flush_linger_us,
-            gc_threshold_fraction=self.config.gc_threshold_fraction,
-            gc_reserve_blocks=self.config.gc_reserve_blocks,
+            stream_width=STREAM_WIDTH,
             page_payload_bytes=self.slots_per_page * self.map_unit,
             user_capacity_bytes=self.user_capacity_bytes,
             spare_block_limit=self.config.spare_block_limit,
             tracer=self.tracer,
             invariants=self.config.invariants,
-            name=name,
+            name=DEVICE_NAME,
         )
         self.pool = self.core.pool
         self.buffer = self.core.buffer
-        self.controller = Resource(
-            env, self.config.controller_cores, name=f"{name}.ctl"
-        )
-        self.map_loader = Resource(env, 1, name=f"{name}.maploader")
+        self.controller = Resource(env, CONTROLLER_CORES, name=f"{DEVICE_NAME}.ctl")
+        self.map_loader = Resource(env, 1, name=f"{DEVICE_NAME}.maploader")
 
         self._pending: "OrderedDict[int, _PendingUnit]" = OrderedDict()
         self._latest_sequence: Dict[int, int] = {}
@@ -135,9 +144,9 @@ class BlockSSD:
                 f"range [{offset}, {offset + nbytes}) outside device "
                 f"capacity {self.user_capacity_bytes}"
             )
-        if offset % self.config.sector_bytes or nbytes % self.config.sector_bytes:
+        if offset % SECTOR_BYTES or nbytes % SECTOR_BYTES:
             raise AddressError(
-                f"I/O must be {self.config.sector_bytes}B-aligned "
+                f"I/O must be {SECTOR_BYTES}B-aligned "
                 f"(offset={offset}, nbytes={nbytes})"
             )
 
@@ -173,7 +182,7 @@ class BlockSSD:
         self._check_range(offset, nbytes)
         self.core.ensure_writable()
         span.enter("controller")
-        yield self.controller.serve(self.config.host_interface_us)
+        yield self.controller.serve(HOST_INTERFACE_US)
         pieces = self._split_units(offset, nbytes)
 
         # Phase 1: mapping updates and sub-unit read-modify-writes (timed).
@@ -188,11 +197,7 @@ class BlockSSD:
             else:
                 seen_segments.add(segment)
                 hit = self.segment_cache.access(unit)
-            cost = (
-                self.config.map_update_hit_us
-                if hit
-                else self.config.map_update_miss_us
-            )
+            cost = MAP_UPDATE_HIT_US if hit else MAP_UPDATE_MISS_US
             span.enter("index")
             yield self.controller.serve(cost)
             partial = length < self.map_unit
@@ -218,9 +223,7 @@ class BlockSSD:
             span.enter("buffer")
             yield from self.buffer.admit(len(group) * self.map_unit)
             span.enter("controller")
-            yield self.controller.serve(
-                self.config.buffer_copy_us * len(group)
-            )
+            yield self.controller.serve(BUFFER_COPY_US * len(group))
             for unit, _in_unit, _length in group:
                 self._sequence += 1
                 entry = self._pending.get(unit)
@@ -257,7 +260,7 @@ class BlockSSD:
         """Host read (timed process)."""
         self._check_range(offset, nbytes)
         span.enter("controller")
-        yield self.controller.serve(self.config.host_interface_us)
+        yield self.controller.serve(HOST_INTERFACE_US)
         page_reads: Dict[Tuple[int, int], int] = {}
         seen_segments = set()
         for unit, _in_unit, length in self._split_units(offset, nbytes):
@@ -268,18 +271,18 @@ class BlockSSD:
                 seen_segments.add(segment)
                 hit = self.segment_cache.access(unit)
             span.enter("index")
-            yield self.controller.serve(self.config.map_hit_us)
+            yield self.controller.serve(MAP_HIT_US)
             if not hit:
-                yield self.map_loader.serve(self.config.map_load_us)
+                yield self.map_loader.serve(MAP_LOAD_US)
             if unit in self._pending:
                 span.enter("controller")
-                yield self.controller.serve(self.config.buffer_read_us)
+                yield self.controller.serve(BUFFER_READ_US)
                 continue
             slot_id = self.pagemap.lookup(unit)
             if slot_id == UNMAPPED:
                 # Reading never-written space: served from controller only.
                 span.enter("controller")
-                yield self.controller.serve(self.config.buffer_read_us)
+                yield self.controller.serve(BUFFER_READ_US)
                 continue
             block, page, _slot = self.pagemap.unflatten(slot_id)
             key = (block, page)
@@ -288,7 +291,7 @@ class BlockSSD:
             procs = [
                 self.env.process(
                     self.core.read_page(block, page, length),
-                    name=f"{self.name}.rd",
+                    name=f"{DEVICE_NAME}.rd",
                 )
                 for (block, page), length in page_reads.items()
             ]
@@ -312,7 +315,7 @@ class BlockSSD:
         pieces = self._split_units(offset, nbytes)
         span.enter("controller")
         yield self.controller.serve(
-            self.config.host_interface_us + 0.05 * len(pieces)
+            HOST_INTERFACE_US + 0.05 * len(pieces)
         )
         for unit, in_unit, length in pieces:
             if in_unit != 0 or length != self.map_unit:

@@ -51,10 +51,6 @@ if TYPE_CHECKING:
     from repro.hostkv.lsm.store import LSMConfig, LSMStore
 
 
-#: Host CPU cores every rig's accountant has.
-HOST_CORES = 16
-
-
 def lab_geometry(blocks_per_plane: int = 32) -> Geometry:
     """Default experiment geometry: PM983-shaped, laptop-sized (~1-4 GiB).
 
@@ -234,7 +230,7 @@ def build_kv_rig(
     :class:`~repro.faults.model.FaultInjector` (``None`` = perfect flash).
     """
     env = Environment()
-    cpu = CpuAccountant(env, HOST_CORES)
+    cpu = CpuAccountant(env)
     faults = FaultInjector(fault_config) if fault_config is not None else None
     device = KVSSD(env, geometry or lab_geometry(), config=config,
                    tracer=tracer, faults=faults)
@@ -258,7 +254,7 @@ def build_block_rig(
     from repro.blockftl.device import BlockSSD
 
     env = Environment()
-    cpu = CpuAccountant(env, HOST_CORES)
+    cpu = CpuAccountant(env)
     faults = FaultInjector(fault_config) if fault_config is not None else None
     device = BlockSSD(env, geometry or lab_geometry(), config=config,
                       tracer=tracer, faults=faults)

@@ -67,7 +67,7 @@ from repro.kvbench.traces import TraceWorkload, merge_traces
 from repro.kvbench.workload import Pattern, WorkloadSpec
 from repro.kvbench.ycsb import YCSBDriver, YCSBSpec
 from repro.kvftl.blob import layout_blob, space_amplification
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import INDEX_REGION_FRACTION, INDEX_SLOT_BYTES, KVSSDConfig
 from repro.kvftl.population import KeyScheme
 from repro.nvme.command import commands_for_key
 from repro.units import KIB, MIB
@@ -683,10 +683,9 @@ def fig7_space_amplification(
         dict(kvps=kvps, blocks_per_plane=blocks_per_plane),
         runner,
     )
-    config = KVSSDConfig()
     values = {
         "max_kvps_full_scale": int(
-            3.84e12 * config.index_region_fraction / config.index_slot_bytes
+            3.84e12 * INDEX_REGION_FRACTION / INDEX_SLOT_BYTES
         ),
         "rocksdb.sa": _ROCKSDB_SA,
     }

@@ -25,7 +25,7 @@ from repro.exec.runner import SweepRunner
 from repro.kvbench.report import Layout, Result, format_table
 from repro.kvbench.runner import run_phase
 from repro.kvbench.workload import Pattern, WorkloadSpec
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import INDEX_REGION_FRACTION, INDEX_SLOT_BYTES
 from repro.units import KIB
 
 #: (label, value, format) of each row of the rendered table.
@@ -129,7 +129,6 @@ def headline_scalars(
     bw_read, bw_write = _direct_bw_ratios(blocks_per_plane, n_ops=1000)
 
     kv_cpu = fig2["kvssd.cpu_us_per_op"]
-    config = KVSSDConfig()
     return HEADLINE.result({
         "cpu_reduction_vs_rocksdb": fig2["rocksdb.cpu_us_per_op"] / kv_cpu,
         "cpu_reduction_vs_aerospike": fig2["aerospike.cpu_us_per_op"] / kv_cpu,
@@ -143,6 +142,6 @@ def headline_scalars(
         "e2e_insert_gain_vs_rocksdb": fig2["rocksdb_over_kv.insert"],
         "e2e_update_gain_vs_aerospike": fig2["aerospike_over_kv.update"],
         "max_kvps_full_scale": (
-            3.84e12 * config.index_region_fraction / config.index_slot_bytes
+            3.84e12 * INDEX_REGION_FRACTION / INDEX_SLOT_BYTES
         ),
     })

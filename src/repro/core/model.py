@@ -8,8 +8,8 @@ simulator implements.  Closed forms are provided for:
 * store / retrieve latency at QD1 as a function of pair size and the
   number of pairs already stored (index occupancy);
 * saturated throughput as the minimum over the pipeline's resources
-  (controller cores, index managers, flash program bandwidth, and the
-  serialized index-merge engine);
+  (controller cores, index managers, the submission path and flash
+  program bandwidth);
 * space amplification and the device's maximum KVP count.
 
 The test suite validates each prediction against the discrete-event
@@ -22,12 +22,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.flash import timing
 from repro.flash.geometry import Geometry
-from repro.flash.timing import FlashTiming
+from repro.ftl.core import CONTROLLER_CORES, HOST_INTERFACE_US, OVERPROVISION
 from repro.kvftl.blob import layout_blob, usable_page_bytes
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import (
+    BUFFER_COPY_US_PER_KIB,
+    INDEX_ENTRY_BYTES,
+    INDEX_MANAGERS,
+    INDEX_REGION_FRACTION,
+    INDEX_SLOT_BYTES,
+    INDEX_STRUCTURE_OVERHEAD,
+    MERGE_BATCH,
+    RETRIEVE_CONTROLLER_US,
+    RETRIEVE_INDEX_US,
+    SPLIT_FRAGMENT_US,
+    STORE_CONTROLLER_US,
+    STORE_INDEX_US,
+    KVSSDConfig,
+)
 from repro.nvme.command import commands_for_key
-from repro.nvme.driver import DriverCosts
+from repro.nvme.driver import CPU_ASYNC_US, SUBMIT_US
 from repro.units import KIB, ceil_div
 
 
@@ -63,20 +78,14 @@ class KVSSDModel:
         self,
         geometry: Geometry,
         config: Optional[KVSSDConfig] = None,
-        timing: Optional[FlashTiming] = None,
-        driver: Optional[DriverCosts] = None,
     ) -> None:
         self.geometry = geometry
         self.config = config or KVSSDConfig()
-        self.timing = timing or FlashTiming()
-        self.driver = driver if driver is not None else DriverCosts()
         self.usable_page = usable_page_bytes(geometry.page_bytes, self.config)
-        region = max(
-            1, int(geometry.total_blocks * self.config.index_region_fraction)
-        )
+        region = max(1, int(geometry.total_blocks * INDEX_REGION_FRACTION))
         data_blocks = geometry.total_blocks - region
         self.user_capacity_bytes = int(
-            data_blocks * geometry.block_bytes * (1.0 - self.config.overprovision)
+            data_blocks * geometry.block_bytes * (1.0 - OVERPROVISION)
         )
         dram = self.config.index_dram_bytes
         if dram is None:
@@ -89,11 +98,7 @@ class KVSSDModel:
 
     def index_bytes(self, kvps: int) -> int:
         """Persisted index size for ``kvps`` stored pairs."""
-        return int(
-            kvps
-            * self.config.index_entry_bytes
-            * self.config.index_structure_overhead
-        )
+        return int(kvps * INDEX_ENTRY_BYTES * INDEX_STRUCTURE_OVERHEAD)
 
     def index_pages(self, kvps: int) -> int:
         """Flash pages the index occupies."""
@@ -122,7 +127,7 @@ class KVSSDModel:
         fraction is read and rewritten through the serialized merge
         engine.
         """
-        batch = self.config.merge_batch
+        batch = MERGE_BATCH
         pages = self.index_pages(kvps)
         touched = pages * (1.0 - (1.0 - 1.0 / pages) ** batch)
         non_resident = touched * (1.0 - self.resident_fraction(kvps))
@@ -133,14 +138,12 @@ class KVSSDModel:
     # ------------------------------------------------------------------
 
     def _page_read_us(self, nbytes: int) -> float:
-        return self.timing.read_us + self.timing.transfer_us(
+        return timing.READ_US + timing.transfer_us(
             min(nbytes, self.geometry.page_bytes)
         )
 
     def _page_write_us(self) -> float:
-        return self.timing.program_us + self.timing.transfer_us(
-            self.geometry.page_bytes
-        )
+        return timing.PROGRAM_US + timing.transfer_us(self.geometry.page_bytes)
 
     # ------------------------------------------------------------------
     # latency (QD1)
@@ -154,22 +157,20 @@ class KVSSDModel:
             key_bytes, value_bytes, self.geometry.page_bytes, self.config
         )
         ncommands = commands_for_key(key_bytes)
-        host = ncommands * (self.driver.cpu_async_us + self.driver.submit_us)
+        host = ncommands * (CPU_ASYNC_US + SUBMIT_US)
         controller = (
-            self.config.host_interface_us * ncommands
-            + self.config.store_controller_us
-            + self.config.split_fragment_us * (layout.data_fragments - 1)
+            HOST_INTERFACE_US * ncommands
+            + STORE_CONTROLLER_US
+            + SPLIT_FRAGMENT_US * (layout.data_fragments - 1)
         )
-        index = self.config.store_index_us
+        index = STORE_INDEX_US
         # The serialized merge engine throttles sustained inserts; at QD1
         # its amortized per-insert cost lands in the latency directly.
         merge_ops = self.merge_flash_ops_per_insert(kvps)
         index_flash = merge_ops / 2.0 * (
             self._page_read_us(self.geometry.page_bytes) + self._page_write_us()
         )
-        buffer_copy = (
-            self.config.buffer_copy_us_per_kib * layout.footprint_bytes / KIB
-        )
+        buffer_copy = BUFFER_COPY_US_PER_KIB * layout.footprint_bytes / KIB
         return ClosedFormBreakdown(
             host_us=host,
             controller_us=controller,
@@ -187,11 +188,8 @@ class KVSSDModel:
             key_bytes, value_bytes, self.geometry.page_bytes, self.config
         )
         ncommands = commands_for_key(key_bytes)
-        host = ncommands * (self.driver.cpu_async_us + self.driver.submit_us)
-        controller = (
-            self.config.host_interface_us * ncommands
-            + self.config.retrieve_controller_us
-        )
+        host = ncommands * (CPU_ASYNC_US + SUBMIT_US)
+        controller = HOST_INTERFACE_US * ncommands + RETRIEVE_CONTROLLER_US
         index_flash = self.lookup_flash_reads(kvps) * self._page_read_us(
             self.geometry.page_bytes
         )
@@ -201,7 +199,7 @@ class KVSSDModel:
         return ClosedFormBreakdown(
             host_us=host,
             controller_us=controller,
-            index_us=self.config.retrieve_index_us,
+            index_us=RETRIEVE_INDEX_US,
             index_flash_us=index_flash,
             data_flash_us=data,
             buffer_us=0.0,
@@ -223,24 +221,24 @@ class KVSSDModel:
     # throughput (saturated)
     # ------------------------------------------------------------------
 
-    def store_throughput_kops(
-        self, key_bytes: int, value_bytes: int, kvps: int = 0
-    ) -> float:
-        """Saturated store throughput (thousand ops/s): min over stages."""
+    def store_throughput_kops(self, key_bytes: int, value_bytes: int) -> float:
+        """Saturated store throughput (thousand ops/s) on an empty index:
+        min over stages (a DRAM-resident index keeps the merge engine off
+        flash, so it never binds)."""
         layout = layout_blob(
             key_bytes, value_bytes, self.geometry.page_bytes, self.config
         )
         ncommands = commands_for_key(key_bytes)
         controller_us = (
-            self.config.host_interface_us * ncommands
-            + self.config.store_controller_us
-            + self.config.split_fragment_us * (layout.data_fragments - 1)
-            + self.config.buffer_copy_us_per_kib * layout.footprint_bytes / KIB
+            HOST_INTERFACE_US * ncommands
+            + STORE_CONTROLLER_US
+            + SPLIT_FRAGMENT_US * (layout.data_fragments - 1)
+            + BUFFER_COPY_US_PER_KIB * layout.footprint_bytes / KIB
         )
         stages = [
-            self.config.controller_cores / controller_us,
-            self.config.index_managers / self.config.store_index_us,
-            1.0 / (ncommands * self.driver.submit_us),
+            CONTROLLER_CORES / controller_us,
+            INDEX_MANAGERS / STORE_INDEX_US,
+            1.0 / (ncommands * SUBMIT_US),
         ]
         # Flash: pages per second across all dies, times blobs per page.
         pages_per_us = self.geometry.total_dies / self._page_write_us()
@@ -249,11 +247,6 @@ class KVSSDModel:
         else:
             per_page = self.usable_page // layout.footprint_bytes
             stages.append(pages_per_us * per_page)
-        merge_per_insert_us = self.merge_flash_ops_per_insert(kvps) / 2.0 * (
-            self._page_read_us(self.geometry.page_bytes) + self._page_write_us()
-        )
-        if merge_per_insert_us > 0:
-            stages.append(1.0 / merge_per_insert_us)
         return min(stages) * 1000.0
 
     # ------------------------------------------------------------------
@@ -267,21 +260,11 @@ class KVSSDModel:
         )
         return layout.footprint_bytes / (key_bytes + value_bytes)
 
-    def _index_slot_bytes(self) -> float:
-        return (
-            self.config.index_entry_bytes
-            * self.config.index_structure_overhead
-            / self.config.index_load_factor
-        )
-
     def max_kvps(self) -> int:
         """Maximum storable pairs on this geometry (index-slot bound)."""
-        region = max(
-            1,
-            int(self.geometry.total_blocks * self.config.index_region_fraction),
-        )
+        region = max(1, int(self.geometry.total_blocks * INDEX_REGION_FRACTION))
         region_bytes = region * self.geometry.block_bytes
-        return int(region_bytes / self._index_slot_bytes())
+        return int(region_bytes / INDEX_SLOT_BYTES)
 
     def max_kvps_at_capacity(self, capacity_bytes: float) -> float:
         """Extrapolate the KVP limit to an arbitrary device size.
@@ -289,5 +272,5 @@ class KVSSDModel:
         With the paper's 3.84 TB this reproduces its ~3.1 billion pair
         observation: 5% of raw capacity at ~62 B per index slot.
         """
-        region_bytes = capacity_bytes * self.config.index_region_fraction
-        return region_bytes / self._index_slot_bytes()
+        region_bytes = capacity_bytes * INDEX_REGION_FRACTION
+        return region_bytes / INDEX_SLOT_BYTES

@@ -40,6 +40,12 @@ from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 
+#: Read retries attempted before declaring data uncorrectable.
+MAX_READ_RETRIES = 3
+#: Base backoff before retry ``n`` (the FTL waits ``n * backoff`` —
+#: re-tuning read reference voltages takes longer each step).
+READ_RETRY_BACKOFF_US = 25.0
+
 #: Fault kinds a schedule entry may carry.
 FAULT_KINDS = (
     "read_corrected",
@@ -69,11 +75,6 @@ class FaultConfig:
     program_fail_prob: float = 0.0
     #: Probability a block erase fails (the block is then retired).
     erase_fail_prob: float = 0.0
-    #: Read retries attempted before declaring data uncorrectable.
-    max_read_retries: int = 3
-    #: Base backoff before retry ``n`` (the FTL waits ``n * backoff`` —
-    #: re-tuning read reference voltages takes longer each step).
-    read_retry_backoff_us: float = 25.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -87,15 +88,6 @@ class FaultConfig:
                 raise ConfigurationError(
                     f"{name} must be within [0, 1], got {value}"
                 )
-        if self.max_read_retries < 1:
-            raise ConfigurationError(
-                f"max_read_retries must be >= 1, got {self.max_read_retries}"
-            )
-        if self.read_retry_backoff_us < 0:
-            raise ConfigurationError(
-                f"read_retry_backoff_us must be >= 0, "
-                f"got {self.read_retry_backoff_us}"
-            )
 
     @property
     def statistical(self) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from repro.errors import (
     AddressError,
@@ -31,8 +31,8 @@ from repro.errors import (
     SimulationError,
 )
 from repro.faults.model import FaultInjector, READ_OK, ReadResult
+from repro.flash import timing
 from repro.flash.geometry import Geometry
-from repro.flash.timing import FlashTiming
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 
@@ -82,14 +82,17 @@ class FlashArray:
         self,
         env: Environment,
         geometry: Geometry,
-        timing: FlashTiming,
         stats: "DeviceStats",
         tracer: Optional["Tracer"] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.env = env
         self.geometry = geometry
-        self.timing = timing
+        #: Memo table for :meth:`transfer_us`.  Workloads issue a handful
+        #: of distinct transfer sizes (the value size, the page size, index
+        #: pages), so per-page timing arithmetic on the hot path collapses
+        #: to one dict probe; the values are exact, not approximate.
+        self._transfer_memo: Dict[int, float] = {}
         #: The device's counter record; timed ops write to it.
         self.stats = stats
         #: Optional span tracer; timed ops emit die/channel timeline spans.
@@ -126,6 +129,14 @@ class FlashArray:
         ]
         self._die_track: List[str] = [f"die{die}" for die in self._die_index]
         self._chan_track: List[str] = [f"ch{chan}" for chan in self._chan_index]
+
+    def transfer_us(self, nbytes: int) -> float:
+        """Channel occupancy to move ``nbytes`` (:func:`timing.transfer_us`)."""
+        memo = self._transfer_memo
+        cached = memo.get(nbytes)
+        if cached is None:
+            cached = memo[nbytes] = timing.transfer_us(nbytes)
+        return cached
 
     def _tracing(self) -> Optional["Tracer"]:
         """The tracer when flash spans are wanted, else ``None``.
@@ -292,11 +303,10 @@ class FlashArray:
         good = True
         if fault_check and self.faults is not None:
             good = self.faults.read_attempt(block_index, page_index, attempt)
-        timing = self.timing
         stats = self.stats
         nbytes = min(nbytes, self.geometry.page_bytes)
-        read_us = timing.read_us
-        transfer_us = timing.transfer_us(nbytes)
+        read_us = timing.READ_US
+        transfer_us = self.transfer_us(nbytes)
         tracer = self._tracing()
         yield self._die_res[block_index].serve(read_us)
         # Busy time is banked per serve, at the same instants spans are
@@ -338,11 +348,10 @@ class FlashArray:
         failed = False
         if self.faults is not None:
             failed = self.faults.program_fails(block_index)
-        timing = self.timing
         stats = self.stats
         nbytes = min(nbytes, self.geometry.page_bytes)
-        program_us = timing.program_us
-        transfer_us = timing.transfer_us(nbytes)
+        program_us = timing.PROGRAM_US
+        transfer_us = self.transfer_us(nbytes)
         tracer = self._tracing()
         yield self._chan_res[block_index].serve(transfer_us)
         stats.flash_busy_us += transfer_us
@@ -384,12 +393,12 @@ class FlashArray:
         if self.faults is not None:
             failed = self.faults.erase_fails(block_index)
         tracer = self._tracing()
-        yield self._die_res[block_index].serve(self.timing.erase_us)
-        self.stats.flash_busy_us += self.timing.erase_us
+        yield self._die_res[block_index].serve(timing.ERASE_US)
+        self.stats.flash_busy_us += timing.ERASE_US
         if tracer is not None:
             tracer.complete(
                 self._die_track[block_index],
-                "erase", "flash", self.timing.erase_us,
+                "erase", "flash", timing.ERASE_US,
                 args={"block": block_index},
             )
         if failed:

@@ -87,7 +87,7 @@ from repro.errors import (
     ProgramFailError,
     UncorrectableReadError,
 )
-from repro.faults.model import ReadResult
+from repro.faults.model import MAX_READ_RETRIES, READ_RETRY_BACKOFF_US, ReadResult
 from repro.flash.nand import BlockState, FlashArray
 from repro.ftl.pool import AllocationStream, FreeBlockPool
 from repro.ftl.victim import greedy_victim
@@ -96,6 +96,27 @@ from repro.sim.engine import Environment, Event
 from repro.sim.signal import Signal
 from repro.trace.tracer import NULL_SPAN, Tracer
 from repro.units import MIB, ceil_div
+
+
+# -- values both personalities state: one controller on one drive ---------
+
+#: Fraction of raw capacity hidden as over-provisioning.
+OVERPROVISION = 0.07
+#: Controller cores available for command processing.
+CONTROLLER_CORES = 8
+#: Device DRAM write buffer.
+WRITE_BUFFER_BYTES = 1 * MIB
+#: Background-GC trigger: free blocks below this fraction of all blocks.
+GC_THRESHOLD_FRACTION = 0.08
+#: Free blocks reserved for GC's own allocations (user flush waits below
+#: this floor — the foreground-GC stall point).
+GC_RESERVE_BLOCKS = 4
+#: Fixed command handling per NVMe command (decode, DMA setup).
+HOST_INTERFACE_US = 2.0
+#: Serving a read straight from the DRAM write buffer.
+BUFFER_READ_US = 3.0
+#: Idle time after which a partial page is flushed anyway.
+FLUSH_LINGER_US = 500.0
 
 
 @dataclass
@@ -350,10 +371,6 @@ class FtlCore:
         personality: Personality,
         *,
         stream_width: int,
-        write_buffer_bytes: int,
-        flush_linger_us: float,
-        gc_threshold_fraction: float,
-        gc_reserve_blocks: int,
         page_payload_bytes: int,
         user_capacity_bytes: int,
         spare_block_limit: Optional[int] = None,
@@ -372,8 +389,6 @@ class FtlCore:
         self.tracer = tracer
         #: Runtime invariant checking (debug/test mode; O(live data)).
         self.invariants = invariants
-        self.flush_linger_us = flush_linger_us
-        self.gc_reserve_blocks = gc_reserve_blocks
         #: Usable payload bytes per programmed page (below ``page_bytes``
         #: for the KV personality, which reserves per-page recovery area).
         self.page_payload_bytes = page_payload_bytes
@@ -384,7 +399,7 @@ class FtlCore:
         # constructing the core.
         self.pool = FreeBlockPool(array)
         self.buffer = WriteBuffer(
-            env, write_buffer_bytes, self.stats, name=f"{name}.buffer"
+            env, WRITE_BUFFER_BYTES, self.stats, name=f"{name}.buffer"
         )
         self.write_stream = AllocationStream(
             array, self.pool, stream_width, name=f"{name}.data"
@@ -400,7 +415,7 @@ class FtlCore:
         # degrades to read-only rather than corrupting its invariants.
         if spare_block_limit is None:
             spare_block_limit = max(
-                gc_reserve_blocks, array.geometry.total_blocks // 64
+                GC_RESERVE_BLOCKS, array.geometry.total_blocks // 64
             )
         if spare_block_limit < 1:
             raise ConfigurationError("spare_block_limit must be >= 1")
@@ -417,9 +432,13 @@ class FtlCore:
         self._dirty = Signal(env, f"{name}.dirty")
         self._space = Signal(env, f"{name}.space")
         self._gc_wakeup = Signal(env, f"{name}.gcwake")
+        # At or above 1 the threshold reaches the device's block count and
+        # the GC worker never rests.
+        if not 0.0 < GC_THRESHOLD_FRACTION < 1.0:
+            raise ConfigurationError("GC_THRESHOLD_FRACTION must lie in (0, 1)")
         self.gc_threshold_blocks = max(
-            gc_reserve_blocks + 2,
-            int(array.geometry.total_blocks * gc_threshold_fraction),
+            GC_RESERVE_BLOCKS + 2,
+            int(array.geometry.total_blocks * GC_THRESHOLD_FRACTION),
         )
         for worker in range(stream_width):
             env.process(self._flush_worker(), name=f"{name}.flush{worker}")
@@ -468,7 +487,7 @@ class FtlCore:
         buffer_pressure = (
             self.buffer.occupied_bytes >= self.buffer.capacity_bytes // 2
         )
-        aged = self.env.now - oldest_arrival_us >= self.flush_linger_us
+        aged = self.env.now - oldest_arrival_us >= FLUSH_LINGER_US
         if pending_bytes < self.page_payload_bytes and not (aged or buffer_pressure):
             return None
         return self.personality.pop_flush_batch()
@@ -482,7 +501,7 @@ class FtlCore:
                     yield self.env.any_of(
                         [
                             self._dirty.wait(),
-                            self.env.timeout(self.flush_linger_us),
+                            self.env.timeout(FLUSH_LINGER_US),
                         ]
                     )
                 else:
@@ -511,7 +530,7 @@ class FtlCore:
     def drain(self) -> Generator[Event, None, None]:
         """Wait until all accepted writes reach flash."""
         while self.personality.peek_flush() is not None or self.buffer.occupied_bytes:
-            yield self.env.sleep(self.flush_linger_us)
+            yield self.env.sleep(FLUSH_LINGER_US)
         self.check_invariants("drain")
 
     # ------------------------------------------------------------------
@@ -658,13 +677,12 @@ class FtlCore:
         if result.ok:
             return result
         faults = self.array.faults
-        config = faults.config
         started = self.env.now
         attempt = 0
         span.enter("recovery")
-        while not result.ok and attempt < config.max_read_retries:
+        while not result.ok and attempt < MAX_READ_RETRIES:
             attempt += 1
-            yield self.env.sleep(config.read_retry_backoff_us * attempt)
+            yield self.env.sleep(READ_RETRY_BACKOFF_US * attempt)
             result = yield from self.array.read(
                 block, page, nbytes, attempt=attempt
             )
@@ -799,7 +817,7 @@ class FtlCore:
         dig into it down to the last block.  A waiting flush is exactly
         what makes the next collection *foreground*.
         """
-        floor = 0 if for_gc else self.gc_reserve_blocks
+        floor = 0 if for_gc else GC_RESERVE_BLOCKS
         started: Optional[float] = None
         while len(self.pool) <= floor:
             if started is None:
@@ -867,7 +885,7 @@ class FtlCore:
         if victim is None:
             yield self.env.sleep(200.0)
             return
-        critical = len(self.pool) <= self.gc_reserve_blocks
+        critical = len(self.pool) <= GC_RESERVE_BLOCKS
         if self.gc_page_benefit(victim) < (1 if critical else 2):
             # Relocating this victim would consume as many pages as it
             # frees; wait for invalidations instead of churning.

@@ -44,13 +44,12 @@ class SimFileSystem:
     JOURNAL_BYTES = 4 * MIB
     #: Host CPU per metadata operation (journal encode, bitmap update).
     METADATA_CPU_US = 2.0
+    #: CPU-accounting component.
+    COMPONENT = "fs"
 
-    def __init__(
-        self, env: Environment, block_api: BlockDeviceAPI, component: str = "fs"
-    ) -> None:
+    def __init__(self, env: Environment, block_api: BlockDeviceAPI) -> None:
         self.env = env
         self.block_api = block_api
-        self.component = component
         device_bytes = block_api.device.user_capacity_bytes
         if device_bytes <= 2 * self.JOURNAL_BYTES:
             raise ConfigurationError("device too small for the file system")
@@ -116,7 +115,7 @@ class SimFileSystem:
         yield from self.block_api.write(offset, self.FS_BLOCK)
 
     def _charge_metadata(self) -> None:
-        self.block_api.driver.cpu.charge(self.component, self.METADATA_CPU_US)
+        self.block_api.driver.cpu.charge(self.COMPONENT, self.METADATA_CPU_US)
         self.metadata_ops += 1
 
     # -- file operations -------------------------------------------------------

@@ -29,38 +29,33 @@ from typing import Deque, Dict, Generator, Optional, Set
 from repro.api.block import BlockDeviceAPI
 from repro.errors import ConfigurationError, DeviceFullError, KeyNotFoundError
 from repro.kvftl.population import KeyScheme
+from repro.nvme.command import SECTOR_BYTES
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import TokenBucket
 from repro.sim.signal import Signal
 from repro.units import KIB, align_up
 
 
-@dataclass(frozen=True)
-class HashKVConfig:
-    """Engine shape and host CPU costs."""
+# -- engine shape ---------------------------------------------------------------
+#: Append unit written to the device in one piece (sector-aligned).
+WRITE_BLOCK_BYTES = 128 * KIB
+#: Record size granule.
+RBLOCK_BYTES = 16
+RECORD_HEADER_BYTES = 35
+KEY_DIGEST_BYTES = 20
+#: Write blocks below this live fraction are defragmented.
+DEFRAG_THRESHOLD = 0.5
+#: Flush concurrency cap (backpressure for the append stream).
+MAX_PENDING_FLUSHES = 4
 
-    write_block_bytes: int = 128 * KIB
-    rblock_bytes: int = 16
-    record_header_bytes: int = 35
-    key_digest_bytes: int = 20
-    #: Write blocks below this live fraction are defragmented.
-    defrag_threshold: float = 0.5
-    #: Flush concurrency cap (backpressure for the append stream).
-    max_pending_flushes: int = 4
-    sector_bytes: int = 512
+# -- host CPU costs (microseconds) ----------------------------------------------
+PUT_CPU_US = 6.0
+GET_CPU_US = 5.0
+DELETE_CPU_US = 4.0
+DEFRAG_ENTRY_CPU_US = 0.5
 
-    put_cpu_us: float = 6.0
-    get_cpu_us: float = 5.0
-    delete_cpu_us: float = 4.0
-    defrag_entry_cpu_us: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.write_block_bytes % self.sector_bytes:
-            raise ConfigurationError("write block must be sector-aligned")
-        if not 0.0 < self.defrag_threshold < 1.0:
-            raise ConfigurationError("defrag threshold must be in (0, 1)")
-        if self.rblock_bytes < 1 or self.max_pending_flushes < 1:
-            raise ConfigurationError("rblock and flush cap must be >= 1")
+#: CPU-accounting component and process-label prefix.
+COMPONENT = "hashkv"
 
 
 @dataclass
@@ -76,20 +71,12 @@ class _RecordLocation:
 class HashKVStore:
     """Aerospike-like store over a :class:`BlockDeviceAPI`."""
 
-    def __init__(
-        self,
-        env: Environment,
-        block_api: BlockDeviceAPI,
-        config: Optional[HashKVConfig] = None,
-        component: str = "hashkv",
-    ) -> None:
+    def __init__(self, env: Environment, block_api: BlockDeviceAPI) -> None:
         self.env = env
         self.block_api = block_api
-        self.config = config or HashKVConfig()
-        self.component = component
         self._cpu = block_api.driver.cpu
         capacity = block_api.device.user_capacity_bytes
-        self.n_wblocks = capacity // self.config.write_block_bytes
+        self.n_wblocks = capacity // WRITE_BLOCK_BYTES
         if self.n_wblocks < 4:
             raise ConfigurationError("device too small for four write blocks")
         self._free: Deque[int] = deque(range(self.n_wblocks))
@@ -99,20 +86,20 @@ class HashKVStore:
         self._index: Dict[bytes, _RecordLocation] = {}
         self._defrag_queue: Deque[int] = deque()
         self._defrag_queued: Set[int] = set()
-        self._defrag_wake = Signal(env, f"{component}.defrag")
-        self._space_freed = Signal(env, f"{component}.freed")
+        self._defrag_wake = Signal(env, f"{COMPONENT}.defrag")
+        self._space_freed = Signal(env, f"{COMPONENT}.freed")
         self._flush_tokens = TokenBucket(
-            env, self.config.max_pending_flushes, name=f"{component}.flush"
+            env, MAX_PENDING_FLUSHES, name=f"{COMPONENT}.flush"
         )
         self._current = self._free.popleft()
         self._live_bytes[self._current] = 0
         self._fill_bytes[self._current] = 0
         self._rolling = False
-        self._roll_done = Signal(env, f"{component}.rolled")
+        self._roll_done = Signal(env, f"{COMPONENT}.rolled")
         self.defrag_runs = 0
         self.defrag_moved_bytes = 0
         self.app_bytes_stored = 0
-        env.process(self._defrag_worker(), name=f"{component}.defrag")
+        env.process(self._defrag_worker(), name=f"{COMPONENT}.defrag")
 
     # ------------------------------------------------------------------
     # record geometry
@@ -122,15 +109,11 @@ class HashKVStore:
         """On-device size of a record holding ``value_bytes``."""
         if value_bytes < 0:
             raise ConfigurationError(f"negative value size {value_bytes}")
-        raw = (
-            self.config.record_header_bytes
-            + self.config.key_digest_bytes
-            + value_bytes
-        )
-        return align_up(raw, self.config.rblock_bytes)
+        raw = RECORD_HEADER_BYTES + KEY_DIGEST_BYTES + value_bytes
+        return align_up(raw, RBLOCK_BYTES)
 
     def _wblock_offset(self, wblock: int) -> int:
-        return wblock * self.config.write_block_bytes
+        return wblock * WRITE_BLOCK_BYTES
 
     # ------------------------------------------------------------------
     # public API
@@ -138,9 +121,9 @@ class HashKVStore:
 
     def put(self, key: bytes, value_bytes: int) -> Generator[Event, None, None]:
         """Insert or update a key (timed)."""
-        self._cpu.charge(self.component, self.config.put_cpu_us)
+        self._cpu.charge(COMPONENT, PUT_CPU_US)
         rbytes = self.record_bytes(value_bytes)
-        if rbytes > self.config.write_block_bytes:
+        if rbytes > WRITE_BLOCK_BYTES:
             raise ConfigurationError(
                 f"record of {rbytes}B exceeds a write block"
             )
@@ -160,7 +143,7 @@ class HashKVStore:
 
     def get(self, key: bytes) -> Generator[Event, None, int]:
         """Point lookup; returns the value size (timed)."""
-        self._cpu.charge(self.component, self.config.get_cpu_us)
+        self._cpu.charge(COMPONENT, GET_CPU_US)
         location = self._index.get(key)
         if location is None:
             raise KeyNotFoundError(f"key {key!r} not in hash store")
@@ -168,14 +151,14 @@ class HashKVStore:
             # Still in the host-side write buffer: DRAM copy only.
             return location.value_bytes
         start = self._wblock_offset(location.wblock) + location.offset
-        aligned_start = start - start % self.config.sector_bytes
-        aligned_end = align_up(start + location.rbytes, self.config.sector_bytes)
+        aligned_start = start - start % SECTOR_BYTES
+        aligned_end = align_up(start + location.rbytes, SECTOR_BYTES)
         yield from self.block_api.read(aligned_start, aligned_end - aligned_start)
         return location.value_bytes
 
     def delete(self, key: bytes) -> Generator[Event, None, None]:
         """Remove a key (timed; index update plus space retirement)."""
-        self._cpu.charge(self.component, self.config.delete_cpu_us)
+        self._cpu.charge(COMPONENT, DELETE_CPU_US)
         location = self._index.pop(key, None)
         if location is None:
             raise KeyNotFoundError(f"key {key!r} not in hash store")
@@ -185,7 +168,7 @@ class HashKVStore:
     def drain(self) -> Generator[Event, None, None]:
         """Flush the current write block and settle in-flight flushes."""
         if self._fill_bytes[self._current] > 0:
-            yield from self._ensure_room(self.config.write_block_bytes)
+            yield from self._ensure_room(WRITE_BLOCK_BYTES)
         while self._flush_tokens.available < self._flush_tokens.capacity:
             yield self.env.sleep(100.0)
 
@@ -205,7 +188,7 @@ class HashKVStore:
                 continue
             if (
                 self._fill_bytes[self._current] + rbytes
-                <= self.config.write_block_bytes
+                <= WRITE_BLOCK_BYTES
             ):
                 return
             self._rolling = True
@@ -220,7 +203,7 @@ class HashKVStore:
         full_block = self._current
         if not self._flush_tokens.take(1):
             yield self._flush_tokens.get(1)
-        self.env.process(self._flush_block(full_block), name=f"{self.component}.fl")
+        self.env.process(self._flush_block(full_block), name=f"{COMPONENT}.fl")
         while not self._free:
             if not self._defrag_queue and not self._defrag_candidates():
                 raise DeviceFullError("hash store out of write blocks")
@@ -233,7 +216,7 @@ class HashKVStore:
     def _flush_block(self, wblock: int) -> Generator[Event, None, None]:
         try:
             yield from self.block_api.write(
-                self._wblock_offset(wblock), self.config.write_block_bytes
+                self._wblock_offset(wblock), WRITE_BLOCK_BYTES
             )
             self._flushed.add(wblock)
         finally:
@@ -251,15 +234,15 @@ class HashKVStore:
             return
         if wblock not in self._flushed:
             return
-        fraction = self._live_bytes[wblock] / self.config.write_block_bytes
-        if fraction < self.config.defrag_threshold:
+        fraction = self._live_bytes[wblock] / WRITE_BLOCK_BYTES
+        if fraction < DEFRAG_THRESHOLD:
             self._defrag_queued.add(wblock)
             self._defrag_queue.append(wblock)
             self._defrag_wake.notify_all()
 
     def _defrag_candidates(self) -> bool:
         """Whether any flushed block is below the defrag threshold."""
-        threshold = self.config.defrag_threshold * self.config.write_block_bytes
+        threshold = DEFRAG_THRESHOLD * WRITE_BLOCK_BYTES
         return any(
             self._live_bytes[wblock] < threshold
             for wblock in self._flushed
@@ -287,7 +270,7 @@ class HashKVStore:
             return
         self.defrag_runs += 1
         yield from self.block_api.read(
-            self._wblock_offset(wblock), self.config.write_block_bytes
+            self._wblock_offset(wblock), WRITE_BLOCK_BYTES
         )
         movers = [
             (key, location)
@@ -298,7 +281,7 @@ class HashKVStore:
             if self._index.get(key) is not location:
                 # Updated or deleted while we yielded; already retired.
                 continue
-            self._cpu.charge(self.component, self.config.defrag_entry_cpu_us)
+            self._cpu.charge(COMPONENT, DEFRAG_ENTRY_CPU_US)
             yield from self._ensure_room(location.rbytes)
             if self._index.get(key) is not location:
                 # Raced with an update while waiting for room.
@@ -341,7 +324,7 @@ class HashKVStore:
                 f"fill of {count} pairs overflows {scheme.digits}-digit keys"
             )
         rbytes = self.record_bytes(value_bytes)
-        wblock_bytes = self.config.write_block_bytes
+        wblock_bytes = WRITE_BLOCK_BYTES
         per_block = wblock_bytes // rbytes
         needed_blocks = -(-count // per_block)
         if needed_blocks > len(self._free):
@@ -377,7 +360,7 @@ class HashKVStore:
     def used_device_bytes(self) -> int:
         """Device bytes consumed by populated write blocks."""
         used_blocks = self.n_wblocks - len(self._free)
-        return used_blocks * self.config.write_block_bytes
+        return used_blocks * WRITE_BLOCK_BYTES
 
     def record_device_bytes(self) -> int:
         """Bytes of live records (tight packing view)."""

@@ -24,6 +24,11 @@ from typing import Dict, Iterator, List, Optional
 from repro.errors import ConfigurationError
 from repro.hostkv.lsm.sstable import SSTable
 
+#: L0 tables that trigger an L0 -> L1 compaction.
+L0_COMPACTION_TRIGGER = 4
+#: Size ratio between adjacent levels (L1 holds the base budget).
+LEVEL_RATIO = 10
+
 
 @dataclass(frozen=True)
 class CompactionTask:
@@ -42,11 +47,11 @@ class CompactionTask:
         return sum(len(t) for t in self.upper_inputs + self.lower_inputs)
 
 
-def level_target_bytes(level: int, base_bytes: int, ratio: int) -> int:
+def level_target_bytes(level: int, base_bytes: int) -> int:
     """Size budget of level ``level`` (levels >= 1)."""
     if level < 1:
         raise ConfigurationError("level targets are defined for levels >= 1")
-    return base_bytes * (ratio ** (level - 1))
+    return base_bytes * (LEVEL_RATIO ** (level - 1))
 
 
 def level_bytes(tables: List[SSTable]) -> int:
@@ -60,10 +65,7 @@ def overlapping(table: SSTable, candidates: List[SSTable]) -> List[SSTable]:
 
 
 def pick_compaction(
-    levels: List[List[SSTable]],
-    l0_trigger: int,
-    base_bytes: int,
-    ratio: int,
+    levels: List[List[SSTable]], base_bytes: int
 ) -> Optional[CompactionTask]:
     """Choose the next compaction, or None when the tree is in shape.
 
@@ -71,7 +73,7 @@ def pick_compaction(
     """
     if not levels:
         return None
-    if len(levels[0]) >= l0_trigger:
+    if len(levels[0]) >= L0_COMPACTION_TRIGGER:
         upper = list(levels[0])
         lower: List[SSTable] = []
         if len(levels) > 1:
@@ -84,7 +86,7 @@ def pick_compaction(
         return CompactionTask(0, upper, lower)
     for level in range(1, len(levels) - 1):
         tables = levels[level]
-        if level_bytes(tables) <= level_target_bytes(level, base_bytes, ratio):
+        if level_bytes(tables) <= level_target_bytes(level, base_bytes):
             continue
         # Oldest table first: a simple, deterministic cursor.
         upper_table = min(tables, key=lambda t: t.sst_id)
@@ -119,7 +121,6 @@ def split_entries(
     entries: Dict[bytes, Optional[int]],
     target_bytes: int,
     level: int,
-    block_bytes: int,
     ids: Iterator[int],
 ) -> List[SSTable]:
     """Chop merged entries into <= target-size tables in key order.
@@ -136,9 +137,9 @@ def split_entries(
         chunk[key] = value
         chunk_bytes += len(key) + (value or 0)
         if chunk_bytes >= target_bytes:
-            tables.append(SSTable(level, chunk, block_bytes, sst_id=next(ids)))
+            tables.append(SSTable(level, chunk, sst_id=next(ids)))
             chunk = {}
             chunk_bytes = 0
     if chunk:
-        tables.append(SSTable(level, chunk, block_bytes, sst_id=next(ids)))
+        tables.append(SSTable(level, chunk, sst_id=next(ids)))
     return tables

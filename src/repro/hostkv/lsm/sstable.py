@@ -5,7 +5,7 @@ simulator keeps its entries as a dict (sizes only) plus the derived
 metadata a real table carries: key range, data size, and per-block layout
 used to decide how many device reads a point lookup costs.  Membership is
 answered exactly (a real Bloom filter's false positives are modeled as a
-small extra probability of a wasted block read, configured in the store).
+small extra probability of a wasted block read, stated in the store).
 
 :class:`BlockCache` is the LRU data-block cache RocksDB is configured with
 in the paper (only 10 MB — which is why its read path still mostly hits
@@ -15,7 +15,7 @@ the device, Fig. 2c).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -25,6 +25,8 @@ from repro.units import KIB, ceil_div
 SST_ENTRY_OVERHEAD = 16
 #: Filter plus index block bytes per entry (approximate).
 SST_METADATA_PER_ENTRY = 12
+#: Data block size (RocksDB's default).
+BLOCK_BYTES = 4 * KIB
 
 
 @dataclass
@@ -33,8 +35,6 @@ class SSTable:
 
     level: int
     entries: Dict[bytes, Optional[int]]
-    block_bytes: int = 4 * KIB
-    name: str = field(default="")
     #: Creation order within the owning store (newer = larger); the store
     #: hands ids out, so equal rigs name — and Bloom-salt — tables equally.
     sst_id: int = 0
@@ -42,8 +42,7 @@ class SSTable:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ConfigurationError("an SSTable cannot be empty")
-        if not self.name:
-            self.name = f"sst-{self.sst_id:08d}.sst"
+        self.name = f"sst-{self.sst_id:08d}.sst"
         self.min_key = min(self.entries)
         self.max_key = max(self.entries)
         self.data_bytes = sum(
@@ -51,7 +50,7 @@ class SSTable:
             for key, value in self.entries.items()
         )
         self.file_bytes = self.data_bytes + len(self.entries) * SST_METADATA_PER_ENTRY
-        self.n_blocks = max(1, ceil_div(self.data_bytes, self.block_bytes))
+        self.n_blocks = max(1, ceil_div(self.data_bytes, BLOCK_BYTES))
         # Deterministic key -> block placement (sorted order chunking).
         self.sorted_keys = sorted(self.entries)
         self._block_of: Dict[bytes, int] = {}
@@ -59,7 +58,7 @@ class SSTable:
         for key in self.sorted_keys:
             value = self.entries[key]
             self._block_of[key] = min(
-                position // self.block_bytes, self.n_blocks - 1
+                position // BLOCK_BYTES, self.n_blocks - 1
             )
             position += len(key) + (value or 0) + SST_ENTRY_OVERHEAD
 
@@ -84,19 +83,18 @@ class SSTable:
             raise ConfigurationError(
                 f"block {block_index} outside [0, {self.n_blocks})"
             )
-        return block_index * self.block_bytes
+        return block_index * BLOCK_BYTES
 
 
 class BlockCache:
     """LRU cache over (sst_id, block_index) data blocks."""
 
-    def __init__(self, capacity_bytes: int, block_bytes: int = 4 * KIB) -> None:
-        if capacity_bytes < block_bytes:
+    def __init__(self, capacity_bytes: int) -> None:
+        if capacity_bytes < BLOCK_BYTES:
             raise ConfigurationError(
                 "block cache must hold at least one block"
             )
         self.capacity_bytes = capacity_bytes
-        self.block_bytes = block_bytes
         self._lru: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -104,7 +102,7 @@ class BlockCache:
     @property
     def capacity_blocks(self) -> int:
         """Whole blocks the cache can hold."""
-        return self.capacity_bytes // self.block_bytes
+        return self.capacity_bytes // BLOCK_BYTES
 
     def lookup(self, sst_id: int, block_index: int) -> bool:
         """Probe (and promote) a block; True on hit."""

@@ -32,51 +32,50 @@ from typing import Dict, Generator, List, Optional
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.hostkv.fs.ext4 import SimFileSystem
 from repro.hostkv.lsm.compaction import (
+    L0_COMPACTION_TRIGGER,
     CompactionTask,
     merge_runs,
     pick_compaction,
     split_entries,
 )
 from repro.hostkv.lsm.memtable import Memtable
-from repro.hostkv.lsm.sstable import BlockCache, SSTable
+from repro.hostkv.lsm.sstable import BLOCK_BYTES, BlockCache, SSTable
 from repro.kvftl.keyhash import hash_fraction
 from repro.sim.engine import Environment, Event
 from repro.sim.signal import Signal
 from repro.units import KIB, MIB, align_up, ceil_div
 
 
+# -- engine shape -------------------------------------------------------------
+#: Sealed memtables awaiting flush before writers stall.
+MAX_IMMUTABLES = 2
+#: L0 tables at which writers stall (above the compaction trigger).
+L0_STALL_LIMIT = 8
+MAX_LEVELS = 6
+#: The paper's 10 MB block cache.
+BLOCK_CACHE_BYTES = 10 * MIB
+WAL_GROUP_BYTES = 4 * KIB
+BLOOM_FP_RATE = 0.01
+
+# -- host CPU costs (microseconds) --------------------------------------------
+PUT_CPU_US = 22.0
+GET_CPU_US = 16.0
+FILTER_CHECK_CPU_US = 1.5
+BLOCK_DECODE_CPU_US = 6.0
+COMPACT_ENTRY_CPU_US = 2.8
+FLUSH_ENTRY_CPU_US = 1.5
+
+#: CPU-accounting component and process-label prefix.
+COMPONENT = "lsm"
+
+
 @dataclass(frozen=True)
 class LSMConfig:
-    """Engine shape and host CPU costs."""
+    """The engine sizes experiments scale to their geometry."""
 
     memtable_bytes: int = 4 * MIB
-    max_immutables: int = 2
-    l0_compaction_trigger: int = 4
-    l0_stall_limit: int = 8
     level_base_bytes: int = 16 * MIB
-    level_ratio: int = 10
-    max_levels: int = 6
     sst_target_bytes: int = 4 * MIB
-    block_bytes: int = 4 * KIB
-    block_cache_bytes: int = 10 * MIB
-    wal_group_bytes: int = 4 * KIB
-    bloom_fp_rate: float = 0.01
-
-    # -- host CPU costs (microseconds) ------------------------------------
-    put_cpu_us: float = 22.0
-    get_cpu_us: float = 16.0
-    filter_check_cpu_us: float = 1.5
-    block_decode_cpu_us: float = 6.0
-    compact_entry_cpu_us: float = 2.8
-    flush_entry_cpu_us: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.l0_stall_limit < self.l0_compaction_trigger:
-            raise ConfigurationError("stall limit must be >= compaction trigger")
-        if self.max_levels < 2:
-            raise ConfigurationError("need at least two levels")
-        if not 0.0 <= self.bloom_fp_rate <= 1.0:
-            raise ConfigurationError("bloom FP rate outside [0, 1]")
 
 
 class LSMStore:
@@ -87,12 +86,10 @@ class LSMStore:
         env: Environment,
         fs: SimFileSystem,
         config: Optional[LSMConfig] = None,
-        component: str = "lsm",
     ) -> None:
         self.env = env
         self.fs = fs
         self.config = config or LSMConfig()
-        self.component = component
         self._cpu = fs.block_api.driver.cpu
         #: The device stack's tracer: memtable flushes and compactions
         #: appear as host-category spans on the same timeline as the
@@ -100,12 +97,8 @@ class LSMStore:
         self.tracer = fs.block_api.device.tracer
         self.memtable = Memtable(self.config.memtable_bytes)
         self._immutables: List[Memtable] = []
-        self.levels: List[List[SSTable]] = [
-            [] for _ in range(self.config.max_levels)
-        ]
-        self.cache = BlockCache(
-            self.config.block_cache_bytes, self.config.block_bytes
-        )
+        self.levels: List[List[SSTable]] = [[] for _ in range(MAX_LEVELS)]
+        self.cache = BlockCache(BLOCK_CACHE_BYTES)
         #: Table ids in creation order; per store, so a rig's file names
         #: (which salt the Bloom false-positive draw) never depend on
         #: what else ran in the process.
@@ -114,15 +107,15 @@ class LSMStore:
         self._wal_name = self._wal_file_name(0)
         self._wal_created = False
         self._wal_pending = 0
-        self._dirty = Signal(env, f"{component}.dirty")
-        self._compact_wake = Signal(env, f"{component}.compact")
-        self._unstall = Signal(env, f"{component}.unstall")
+        self._dirty = Signal(env, f"{COMPONENT}.dirty")
+        self._compact_wake = Signal(env, f"{COMPONENT}.compact")
+        self._unstall = Signal(env, f"{COMPONENT}.unstall")
         self.stall_time_us = 0.0
         self.compactions_run = 0
         self.flushes_run = 0
         self.app_bytes_written = 0
-        env.process(self._flush_worker(), name=f"{component}.flush")
-        env.process(self._compaction_worker(), name=f"{component}.compact")
+        env.process(self._flush_worker(), name=f"{COMPONENT}.flush")
+        env.process(self._compaction_worker(), name=f"{COMPONENT}.compact")
 
     # ------------------------------------------------------------------
     # public API
@@ -132,17 +125,17 @@ class LSMStore:
         """Insert or update a pair (timed)."""
         if value_bytes < 0:
             raise ConfigurationError(f"negative value size {value_bytes}")
-        self._cpu.charge(self.component, self.config.put_cpu_us)
+        self._cpu.charge(COMPONENT, PUT_CPU_US)
         yield from self._write_entry(key, value_bytes)
 
     def delete(self, key: bytes) -> Generator[Event, None, None]:
         """Write a tombstone (timed)."""
-        self._cpu.charge(self.component, self.config.put_cpu_us)
+        self._cpu.charge(COMPONENT, PUT_CPU_US)
         yield from self._write_entry(key, None)
 
     def get(self, key: bytes) -> Generator[Event, None, int]:
         """Point lookup; returns the value size (timed)."""
-        self._cpu.charge(self.component, self.config.get_cpu_us)
+        self._cpu.charge(COMPONENT, GET_CPU_US)
         if key in self.memtable:
             return self._value_or_raise(key, self.memtable.get(key))
         for immutable in reversed(self._immutables):
@@ -153,7 +146,7 @@ class LSMStore:
             value = yield from self._probe_table(table, key)
             if value != -1:
                 return self._value_or_raise(key, value)
-        for level in range(1, self.config.max_levels):
+        for level in range(1, MAX_LEVELS):
             for table in self.levels[level]:
                 if not table.covers(key):
                     continue
@@ -172,7 +165,7 @@ class LSMStore:
         """
         if count < 1:
             raise ConfigurationError(f"scan count must be >= 1, got {count}")
-        self._cpu.charge(self.component, self.config.get_cpu_us)
+        self._cpu.charge(COMPONENT, GET_CPU_US)
         sources = []
         memtable_keys = sorted(
             key for key in self.memtable.entries() if key >= start_key
@@ -183,7 +176,7 @@ class LSMStore:
                 key for key in immutable.entries() if key >= start_key
             )[:count * 2])
         touched_tables = []
-        for level in range(self.config.max_levels):
+        for level in range(MAX_LEVELS):
             for table in self.levels[level]:
                 if table.max_key < start_key:
                     continue
@@ -203,7 +196,7 @@ class LSMStore:
         blocks_to_read = {}
         live_bytes = 0
         for key in selected:
-            self._cpu.charge(self.component, self.config.filter_check_cpu_us)
+            self._cpu.charge(COMPONENT, FILTER_CHECK_CPU_US)
             value, table = self._resolve(key)
             if value is None:
                 continue  # tombstone or vanished
@@ -226,7 +219,7 @@ class LSMStore:
         for table in sorted(self.levels[0], key=lambda t: -t.sst_id):
             if key in table.entries:
                 return table.entries[key], table
-        for level in range(1, self.config.max_levels):
+        for level in range(1, MAX_LEVELS):
             for table in self.levels[level]:
                 if table.covers(key) and key in table.entries:
                     return table.entries[key], table
@@ -250,8 +243,8 @@ class LSMStore:
     ) -> Generator[Event, None, None]:
         stall_started = None
         while (
-            len(self._immutables) >= self.config.max_immutables
-            or len(self.levels[0]) >= self.config.l0_stall_limit
+            len(self._immutables) >= MAX_IMMUTABLES
+            or len(self.levels[0]) >= L0_STALL_LIMIT
         ):
             if stall_started is None:
                 stall_started = self.env.now
@@ -263,7 +256,7 @@ class LSMStore:
 
         # WAL group commit: the put that fills a group writes it out.
         self._wal_pending += len(key) + (value_bytes or 0) + 12
-        if self._wal_pending >= self.config.wal_group_bytes:
+        if self._wal_pending >= WAL_GROUP_BYTES:
             chunk = align_up(self._wal_pending, SimFileSystem.FS_BLOCK)
             self._wal_pending = 0
             yield from self._ensure_wal()
@@ -281,7 +274,7 @@ class LSMStore:
             yield from self.fs.create(self._wal_name)
 
     def _wal_file_name(self, generation: int) -> str:
-        return f"{self.component}-wal-{generation:06d}.log"
+        return f"{COMPONENT}-wal-{generation:06d}.log"
 
     def _rotate_memtable(self) -> None:
         self._immutables.append(self.memtable)
@@ -310,20 +303,20 @@ class LSMStore:
         modeled Bloom false-positive block read); tombstones come back as
         raising via the caller.
         """
-        self._cpu.charge(self.component, self.config.filter_check_cpu_us)
+        self._cpu.charge(COMPONENT, FILTER_CHECK_CPU_US)
         if not table.covers(key):
             return -1
         present = key in table.entries
         if not present:
             salt = key + table.name.encode("ascii")
-            if hash_fraction(salt) >= self.config.bloom_fp_rate:
+            if hash_fraction(salt) >= BLOOM_FP_RATE:
                 return -1  # clean Bloom negative
             # False positive: waste one block read in the middle.
             yield from self._read_block(table, table.n_blocks // 2)
             return -1
         first_block = table.block_for(key)
         value = table.entries[key]
-        nblocks = max(1, ceil_div((value or 0), self.config.block_bytes))
+        nblocks = max(1, ceil_div((value or 0), BLOCK_BYTES))
         for block_index in range(
             first_block, min(first_block + nblocks, table.n_blocks)
         ):
@@ -336,12 +329,12 @@ class LSMStore:
         self, table: SSTable, block_index: int
     ) -> Generator[Event, None, None]:
         if self.cache.lookup(table.sst_id, block_index):
-            self._cpu.charge(self.component, self.config.block_decode_cpu_us)
+            self._cpu.charge(COMPONENT, BLOCK_DECODE_CPU_US)
             return
         offset = table.block_offset(block_index)
-        nbytes = min(self.config.block_bytes, table.file_bytes - offset)
+        nbytes = min(BLOCK_BYTES, table.file_bytes - offset)
         yield from self.fs.read(table.name, offset, max(1, nbytes))
-        self._cpu.charge(self.component, self.config.block_decode_cpu_us)
+        self._cpu.charge(COMPONENT, BLOCK_DECODE_CPU_US)
         self.cache.insert(table.sst_id, block_index)
 
     # ------------------------------------------------------------------
@@ -359,13 +352,8 @@ class LSMStore:
             entries = immutable.entries()
             flush_started = self.env.now
             if entries:
-                table = SSTable(
-                    0, entries, self.config.block_bytes,
-                    sst_id=next(self._sst_ids),
-                )
-                self._cpu.charge(
-                    self.component, self.config.flush_entry_cpu_us * len(entries)
-                )
+                table = SSTable(0, entries, sst_id=next(self._sst_ids))
+                self._cpu.charge(COMPONENT, FLUSH_ENTRY_CPU_US * len(entries))
                 yield from self.fs.create(table.name)
                 yield from self.fs.append(table.name, table.file_bytes)
                 self.levels[0].append(table)
@@ -373,7 +361,7 @@ class LSMStore:
             self.flushes_run += 1
             if self.tracer.wants("host"):
                 self.tracer.complete(
-                    f"{self.component}.flush", "memtable.flush", "host",
+                    f"{COMPONENT}.flush", "memtable.flush", "host",
                     self.env.now - flush_started,
                     args={"entries": len(entries)},
                 )
@@ -383,7 +371,7 @@ class LSMStore:
             if self.fs.exists(wal_name):
                 yield from self.fs.unlink(wal_name)
             self._unstall.notify_all()
-            if len(self.levels[0]) >= self.config.l0_compaction_trigger:
+            if len(self.levels[0]) >= L0_COMPACTION_TRIGGER:
                 self._compact_wake.notify_all()
 
     # ------------------------------------------------------------------
@@ -391,12 +379,7 @@ class LSMStore:
     # ------------------------------------------------------------------
 
     def _pending_compaction(self) -> Optional[CompactionTask]:
-        return pick_compaction(
-            self.levels,
-            self.config.l0_compaction_trigger,
-            self.config.level_base_bytes,
-            self.config.level_ratio,
-        )
+        return pick_compaction(self.levels, self.config.level_base_bytes)
 
     def _compaction_worker(self) -> Generator[Event, None, None]:
         while True:
@@ -414,13 +397,10 @@ class LSMStore:
         inputs = task.upper_inputs + task.lower_inputs
         for table in inputs:
             yield from self.fs.read(table.name, 0, max(1, table.data_bytes))
-        self._cpu.charge(
-            self.component,
-            self.config.compact_entry_cpu_us * task.input_entries,
-        )
+        self._cpu.charge(COMPONENT, COMPACT_ENTRY_CPU_US * task.input_entries)
         is_bottom = all(
             not self.levels[level]
-            for level in range(task.output_level + 1, self.config.max_levels)
+            for level in range(task.output_level + 1, MAX_LEVELS)
         )
         merged = merge_runs(task, is_bottom)
         outputs: List[SSTable] = []
@@ -429,7 +409,6 @@ class LSMStore:
                 merged,
                 self.config.sst_target_bytes,
                 task.output_level,
-                self.config.block_bytes,
                 self._sst_ids,
             )
             for table in outputs:
@@ -455,7 +434,7 @@ class LSMStore:
         self._unstall.notify_all()
         if self.tracer.wants("host"):
             self.tracer.complete(
-                f"{self.component}.compact", "compaction", "host",
+                f"{COMPONENT}.compact", "compaction", "host",
                 self.env.now - compact_started,
                 args={
                     "inputs": len(inputs),
@@ -472,7 +451,7 @@ class LSMStore:
     def live_entries(self) -> int:
         """Distinct live keys across the whole tree (test/verification)."""
         merged: Dict[bytes, Optional[int]] = {}
-        for level in range(self.config.max_levels - 1, 0, -1):
+        for level in range(MAX_LEVELS - 1, 0, -1):
             for table in self.levels[level]:
                 merged.update(table.entries)
         for table in sorted(self.levels[0], key=lambda t: t.sst_id):
@@ -491,7 +470,7 @@ class LSMStore:
     def space_amplification(self) -> float:
         """Persisted bytes over live application bytes (Fig. 7 metric)."""
         live: Dict[bytes, Optional[int]] = {}
-        for level in range(self.config.max_levels - 1, -1, -1):
+        for level in range(MAX_LEVELS - 1, -1, -1):
             for table in self.levels[level]:
                 live.update(table.entries)
         app = sum(
@@ -510,14 +489,10 @@ class LSMStore:
         """
         if not entries:
             raise ConfigurationError("prime_fill needs at least one entry")
-        if not 1 <= level < self.config.max_levels:
+        if not 1 <= level < MAX_LEVELS:
             raise ConfigurationError(f"prime level {level} out of range")
         tables = split_entries(
-            dict(entries),
-            self.config.sst_target_bytes,
-            level,
-            self.config.block_bytes,
-            self._sst_ids,
+            dict(entries), self.config.sst_target_bytes, level, self._sst_ids
         )
         for table in tables:
             self.fs.prime_file(table.name, table.file_bytes)

@@ -19,12 +19,17 @@ from typing import Iterator
 
 from repro.errors import WorkloadError
 
+#: Zipf skew of every skewed draw (YCSB's default constant).
+ZIPF_THETA = 0.99
+#: Share of the population the sliding window covers at any moment.
+SLIDING_WINDOW_FRACTION = 0.05
 
-def sequential_indices(population: int, count: int, start: int = 0) -> Iterator[int]:
+
+def sequential_indices(population: int, count: int) -> Iterator[int]:
     """``count`` indices walking the population in order, wrapping around."""
     _check(population, count)
     for step in range(count):
-        yield (start + step) % population
+        yield step % population
 
 
 def uniform_indices(
@@ -38,7 +43,8 @@ def uniform_indices(
 
 
 class ZipfianGenerator:
-    """Zipf-distributed indices via the YCSB/Gray et al. algorithm.
+    """Zipf-distributed indices (skew :data:`ZIPF_THETA`) via the
+    YCSB/Gray et al. algorithm.
 
     Constant-time draws after an O(population) harmonic precomputation.
     ``scramble=True`` hashes ranks across the key space so the hot set is
@@ -49,16 +55,13 @@ class ZipfianGenerator:
     def __init__(
         self,
         population: int,
-        theta: float = 0.99,
         seed: int = 1,
         scramble: bool = True,
     ) -> None:
         if population < 1:
             raise WorkloadError(f"population must be >= 1, got {population}")
-        if not 0.0 < theta < 1.0:
-            raise WorkloadError(f"zipf theta must be in (0, 1), got {theta}")
+        theta = ZIPF_THETA
         self.population = population
-        self.theta = theta
         self.scramble = scramble
         self._rng = random.Random(seed)
         self._zetan = sum(1.0 / (i ** theta) for i in range(1, population + 1))
@@ -99,25 +102,18 @@ class ZipfianGenerator:
 
 
 def sliding_window_indices(
-    population: int,
-    count: int,
-    window_fraction: float = 0.05,
-    seed: int = 1,
+    population: int, count: int, seed: int = 1
 ) -> Iterator[int]:
     """The paper's pseudo-random update pattern (Fig. 6c footnote).
 
-    A window of ``window_fraction * population`` keys slides across the
-    insert-order key space; each draw is uniform inside the current
-    window.  The window advances so that it traverses the whole population
-    exactly once over ``count`` draws.
+    A window of ``SLIDING_WINDOW_FRACTION * population`` keys slides
+    across the insert-order key space; each draw is uniform inside the
+    current window.  The window advances so that it traverses the whole
+    population exactly once over ``count`` draws.
     """
     _check(population, count)
-    if not 0.0 < window_fraction <= 1.0:
-        raise WorkloadError(
-            f"window fraction must be in (0, 1], got {window_fraction}"
-        )
     rng = random.Random(seed)
-    window = max(1, int(population * window_fraction))
+    window = max(1, int(population * SLIDING_WINDOW_FRACTION))
 
     def generate() -> Iterator[int]:
         for step in range(count):

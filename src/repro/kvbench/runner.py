@@ -36,6 +36,7 @@ from repro.kvbench.workload import (
 )
 from repro.metrics.bandwidth import BandwidthTracker
 from repro.metrics.latency import LatencyRecorder
+from repro.nvme.command import SECTOR_BYTES
 from repro.sim.engine import Environment, Event
 from repro.units import align_up
 
@@ -122,7 +123,7 @@ class BlockAdapter:
             raise WorkloadError(f"io size must be >= 1, got {io_bytes}")
         self.api = api
         self.env, self.device = api.env, api.device
-        self.io_bytes = align_up(io_bytes, api.device.config.sector_bytes)
+        self.io_bytes = align_up(io_bytes, SECTOR_BYTES)
         self.slots = api.device.user_capacity_bytes // self.io_bytes
         if self.slots < 1:
             raise WorkloadError("I/O size exceeds device capacity")

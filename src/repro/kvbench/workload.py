@@ -24,9 +24,6 @@ from repro.kvbench.distributions import (
 )
 from repro.kvftl.population import KeyScheme
 
-#: Skew of every zipfian key stream (YCSB's default constant).
-ZIPF_THETA = 0.99
-
 
 class OpType(enum.Enum):
     """One key-value operation kind."""
@@ -70,8 +67,8 @@ class WorkloadSpec:
 
     ``population`` is the number of distinct keys; inserts walk new keys,
     updates and reads draw existing ones according to ``pattern``
-    (zipfian at :data:`ZIPF_THETA`, a sliding window 5 % of the
-    population wide).  ``read_fraction`` only matters for ``mixed``
+    (zipfian at :data:`~repro.kvbench.distributions.ZIPF_THETA`, a
+    sliding window 5 % of the population wide).  ``read_fraction`` only matters for ``mixed``
     workloads.
     """
 
@@ -134,9 +131,7 @@ def _index_stream(spec: WorkloadSpec) -> Iterator[int]:
             return _shuffled_indices(population, spec.n_ops, spec.seed)
         return uniform_indices(population, spec.n_ops, spec.seed)
     if spec.pattern is Pattern.ZIPFIAN:
-        return ZipfianGenerator(
-            population, ZIPF_THETA, spec.seed
-        ).indices(spec.n_ops)
+        return ZipfianGenerator(population, spec.seed).indices(spec.n_ops)
     if spec.pattern is Pattern.SLIDING_WINDOW:
         return sliding_window_indices(population, spec.n_ops, seed=spec.seed)
     raise WorkloadError(f"unhandled pattern {spec.pattern}")

@@ -18,26 +18,31 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.errors import ConfigurationError, InvalidKeyError, InvalidValueError
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import (
+    MAX_KEY_BYTES,
+    MAX_VALUE_BYTES,
+    METADATA_BYTES,
+    MIN_KEY_BYTES,
+    KVSSDConfig,
+)
 from repro.units import ceil_div
 
 
-def validate_key(key: bytes, config: KVSSDConfig) -> None:
+def validate_key(key: bytes) -> None:
     """Enforce the SNIA KVS key constraints (4..255 bytes)."""
     if not isinstance(key, (bytes, bytearray)):
         raise InvalidKeyError(f"key must be bytes, got {type(key).__name__}")
-    if not config.min_key_bytes <= len(key) <= config.max_key_bytes:
+    if not MIN_KEY_BYTES <= len(key) <= MAX_KEY_BYTES:
         raise InvalidKeyError(
-            f"key length {len(key)} outside "
-            f"[{config.min_key_bytes}, {config.max_key_bytes}]"
+            f"key length {len(key)} outside [{MIN_KEY_BYTES}, {MAX_KEY_BYTES}]"
         )
 
 
-def validate_value_size(value_bytes: int, config: KVSSDConfig) -> None:
+def validate_value_size(value_bytes: int) -> None:
     """Enforce the SNIA KVS value constraints (0..2 MiB)."""
-    if value_bytes < 0 or value_bytes > config.max_value_bytes:
+    if value_bytes < 0 or value_bytes > MAX_VALUE_BYTES:
         raise InvalidValueError(
-            f"value length {value_bytes} outside [0, {config.max_value_bytes}]"
+            f"value length {value_bytes} outside [0, {MAX_VALUE_BYTES}]"
         )
 
 
@@ -97,7 +102,7 @@ def layout_blob(
     byte-aligned co-packing applies only below the split threshold, which
     is what makes Fig. 5's bandwidth dip hard just past 24 KiB.
     """
-    raw = config.metadata_bytes + key_bytes + value_bytes
+    raw = METADATA_BYTES + key_bytes + value_bytes
     usable = usable_page_bytes(page_bytes, config)
     if raw <= usable:
         footprint = max(raw, config.min_alloc_bytes)

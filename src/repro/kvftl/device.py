@@ -42,8 +42,17 @@ from repro.errors import (
 from repro.faults.model import FaultInjector
 from repro.flash.geometry import Geometry
 from repro.flash.nand import BlockState, FlashArray
-from repro.flash.timing import FlashTiming
-from repro.ftl.core import DeviceStats, FlushBatch, FtlCore, GcItem
+from repro.ftl.core import (
+    BUFFER_READ_US,
+    CONTROLLER_CORES,
+    GC_RESERVE_BLOCKS,
+    HOST_INTERFACE_US,
+    OVERPROVISION,
+    DeviceStats,
+    FlushBatch,
+    FtlCore,
+    GcItem,
+)
 from repro.kvftl import priming
 from repro.kvftl.blob import (
     BlobLayout,
@@ -52,7 +61,23 @@ from repro.kvftl.blob import (
     validate_key,
     validate_value_size,
 )
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import (
+    BLOOM_FP_RATE,
+    BUFFER_COPY_US_PER_KIB,
+    DELETE_INDEX_US,
+    DEVICE_NAME,
+    EXIST_INDEX_US,
+    INDEX_MANAGERS,
+    INDEX_REGION_FRACTION,
+    INDEX_SLOT_BYTES,
+    ITERATOR_FLUSH_KEYS,
+    RETRIEVE_CONTROLLER_US,
+    RETRIEVE_INDEX_US,
+    SPLIT_FRAGMENT_US,
+    STORE_CONTROLLER_US,
+    STORE_INDEX_US,
+    KVSSDConfig,
+)
 from repro.kvftl.hashindex import GlobalHashIndex
 from repro.kvftl.indexmanager import BloomModel
 from repro.kvftl.iterator import IteratorBuckets
@@ -102,16 +127,12 @@ class KVSSD:
         self,
         env: Environment,
         geometry: Geometry,
-        timing: Optional[FlashTiming] = None,
         config: Optional[KVSSDConfig] = None,
-        name: str = "kv-ssd",
         tracer: Optional[Tracer] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.env = env
-        self.name = name
         self.config = config or KVSSDConfig()
-        self.timing = timing or FlashTiming()
         self.stats = DeviceStats()
         #: Span tracer shared by the whole stack below this device; a
         #: disabled singleton when tracing is off, so API layers can
@@ -119,7 +140,7 @@ class KVSSD:
         self.tracer = tracer if tracer is not None else Tracer.disabled()
         self.tracer.bind(env)
         self.array = FlashArray(
-            env, geometry, self.timing, self.stats, tracer=self.tracer,
+            env, geometry, self.stats, tracer=self.tracer,
             faults=faults,
         )
         self.usable_page = usable_page_bytes(geometry.page_bytes, self.config)
@@ -128,7 +149,7 @@ class KVSSD:
         # Marked CLOSED and fully programmed *before* the core builds its
         # free pool, so neither allocation nor GC ever touches it.
         region_count = max(
-            1, int(geometry.total_blocks * self.config.index_region_fraction)
+            1, int(geometry.total_blocks * INDEX_REGION_FRACTION)
         )
         self._index_region = list(range(region_count))
         for block in self._index_region:
@@ -139,11 +160,11 @@ class KVSSD:
 
         data_blocks = geometry.total_blocks - region_count
         raw_data = data_blocks * geometry.block_bytes
-        self.user_capacity_bytes = int(raw_data * (1.0 - self.config.overprovision))
+        self.user_capacity_bytes = int(raw_data * (1.0 - OVERPROVISION))
         # The KVP limit binds on the index region: each pair needs a hash
         # slot, and the table cannot exceed its load factor.
         region_bytes = region_count * geometry.block_bytes
-        self.max_kvps = int(region_bytes / self.config.index_slot_bytes)
+        self.max_kvps = int(region_bytes / INDEX_SLOT_BYTES)
 
         dram = self.config.index_dram_bytes
         if dram is None:
@@ -151,7 +172,6 @@ class KVSSD:
             # serving a 3.84 TB device ~= 0.00104 bytes of DRAM per byte).
             dram = max(256 * KIB, int(geometry.capacity_bytes * 0.00104))
         self.index = GlobalHashIndex(
-            self.config,
             geometry.page_bytes,
             dram,
             self._index_region,
@@ -159,28 +179,24 @@ class KVSSD:
         )
         #: The controller's index-manager units: ``serve(us)`` occupies one.
         self.index_managers = Resource(
-            env, self.config.index_managers, name=f"{name}.idxmgr"
+            env, INDEX_MANAGERS, name=f"{DEVICE_NAME}.idxmgr"
         )
-        self.bloom = BloomModel(self.config.bloom_fp_rate)
-        self.iterators = IteratorBuckets(self.config.iterator_flush_keys)
+        self.bloom = BloomModel(BLOOM_FP_RATE)
+        self.iterators = IteratorBuckets(ITERATOR_FLUSH_KEYS)
         self.controller = Resource(
-            env, self.config.controller_cores, name=f"{name}.ctl"
+            env, CONTROLLER_CORES, name=f"{DEVICE_NAME}.ctl"
         )
         self.core = FtlCore(
             env,
             self.array,
             self,
             stream_width=self.config.stream_width,
-            write_buffer_bytes=self.config.write_buffer_bytes,
-            flush_linger_us=self.config.flush_linger_us,
-            gc_threshold_fraction=self.config.gc_threshold_fraction,
-            gc_reserve_blocks=self.config.gc_reserve_blocks,
             page_payload_bytes=self.usable_page,
             user_capacity_bytes=self.user_capacity_bytes,
             spare_block_limit=self.config.spare_block_limit,
             tracer=self.tracer,
             invariants=self.config.invariants,
-            name=name,
+            name=DEVICE_NAME,
         )
         self.pool = self.core.pool
         self.buffer = self.core.buffer
@@ -200,9 +216,7 @@ class KVSSD:
         self._sequence = 0
         self.live_kvps = 0
 
-        self.merge = MergeEngine(
-            env, self.array, self.timing, self.index, self.config, self.stats, name
-        )
+        self.merge = MergeEngine(env, self.array, self.index, self.stats)
 
     # ------------------------------------------------------------------
     # lookup helpers
@@ -257,22 +271,21 @@ class KVSSD:
         operation's root trace span; every suspension point below follows
         one of its marks, so the attribution buckets tile the latency.
         """
-        validate_key(key, self.config)
-        validate_value_size(value_bytes, self.config)
+        validate_key(key)
+        validate_value_size(value_bytes)
         self.core.ensure_writable()
         layout = self.layout_for(len(key), value_bytes)
         span.enter("controller")
         yield self.controller.serve(
-            self.config.host_interface_us * ncommands
-            + self.config.store_controller_us
+            HOST_INTERFACE_US * ncommands + STORE_CONTROLLER_US
         )
         if layout.is_split:
             # Splitting and offset-pointer management per extra fragment.
             yield self.controller.serve(
-                self.config.split_fragment_us * (layout.data_fragments - 1)
+                SPLIT_FRAGMENT_US * (layout.data_fragments - 1)
             )
         span.enter("index")
-        yield self.index_managers.serve(self.config.store_index_us)
+        yield self.index_managers.serve(STORE_INDEX_US)
         if self.merge.behind():
             yield from self.merge.backpressure()
 
@@ -290,7 +303,7 @@ class KVSSD:
             ):
                 raise DeviceFullError("no space left for new pairs")
         if (
-            len(self.pool) <= self.config.gc_reserve_blocks + 1
+            len(self.pool) <= GC_RESERVE_BLOCKS + 1
             and not self.core.has_reclaimable_victim()
         ):
             raise DeviceFullError(
@@ -325,9 +338,7 @@ class KVSSD:
             span.enter("buffer")
             yield from self.buffer.admit(nbytes)
             span.enter("controller")
-            yield self.controller.serve(
-                self.config.buffer_copy_us_per_kib * nbytes / KIB
-            )
+            yield self.controller.serve(BUFFER_COPY_US_PER_KIB * nbytes / KIB)
             self._pack_queue.append(
                 _QueuedFragment(key, frag_index, nbytes, record.sequence, self.env.now)
             )
@@ -342,14 +353,13 @@ class KVSSD:
         self, key: bytes, ncommands: int = 1, span=NULL_SPAN
     ) -> Generator[Event, None, int]:
         """Retrieve a pair; returns the value size.  Timed process."""
-        validate_key(key, self.config)
+        validate_key(key)
         span.enter("controller")
         yield self.controller.serve(
-            self.config.host_interface_us * ncommands
-            + self.config.retrieve_controller_us
+            HOST_INTERFACE_US * ncommands + RETRIEVE_CONTROLLER_US
         )
         span.enter("index")
-        yield self.index_managers.serve(self.config.retrieve_index_us)
+        yield self.index_managers.serve(RETRIEVE_INDEX_US)
         found = self._find_live(key)
         if not self.bloom.maybe_present(key, found is not None):
             raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
@@ -365,7 +375,7 @@ class KVSSD:
             for frag_index, location in enumerate(record.locations):
                 if location is None:
                     span.enter("controller")
-                    yield self.controller.serve(self.config.buffer_read_us)
+                    yield self.controller.serve(BUFFER_READ_US)
                     continue
                 block, page = location
                 procs.append(
@@ -397,13 +407,11 @@ class KVSSD:
         self, key: bytes, ncommands: int = 1, span=NULL_SPAN
     ) -> Generator[Event, None, bool]:
         """Membership query (timed); no data page access."""
-        validate_key(key, self.config)
+        validate_key(key)
         span.enter("controller")
-        yield self.controller.serve(
-            self.config.host_interface_us * ncommands
-        )
+        yield self.controller.serve(HOST_INTERFACE_US * ncommands)
         span.enter("index")
-        yield self.index_managers.serve(self.config.exist_index_us)
+        yield self.index_managers.serve(EXIST_INDEX_US)
         found = self._find_live(key) is not None
         if not self.bloom.maybe_present(key, found):
             return False
@@ -415,13 +423,11 @@ class KVSSD:
         self, key: bytes, ncommands: int = 1, span=NULL_SPAN
     ) -> Generator[Event, None, None]:
         """Delete a pair (timed)."""
-        validate_key(key, self.config)
+        validate_key(key)
         span.enter("controller")
-        yield self.controller.serve(
-            self.config.host_interface_us * ncommands
-        )
+        yield self.controller.serve(HOST_INTERFACE_US * ncommands)
         span.enter("index")
-        yield self.index_managers.serve(self.config.delete_index_us)
+        yield self.index_managers.serve(DELETE_INDEX_US)
         found = self._find_live(key)
         if not self.bloom.maybe_present(key, found is not None):
             raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
@@ -454,11 +460,9 @@ class KVSSD:
         if limit < 1:
             raise ConfigurationError(f"iterator limit must be >= 1, got {limit}")
         span.enter("controller")
-        yield self.controller.serve(
-            self.config.host_interface_us * ncommands
-        )
+        yield self.controller.serve(HOST_INTERFACE_US * ncommands)
         span.enter("index")
-        yield self.index_managers.serve(self.config.exist_index_us)
+        yield self.index_managers.serve(EXIST_INDEX_US)
         count = self.iterators.bucket_count(prefix4)
         # Bucket pages hold ~page/64B key entries each.
         keys_per_page = max(1, self.array.geometry.page_bytes // 64)
@@ -468,13 +472,17 @@ class KVSSD:
             key for key in self._records if key[:4] == prefix4
         ]
         for population in self._populations:
+            # A population's pairs walk in key order, so its first ``limit``
+            # live keys are all it can contribute to the answer.
             pairs = population.scheme.indices_starting(prefix4)
+            taken = 0
             for pair in range(pairs.start, min(pairs.stop, population.count)):
-                if len(matches) >= limit and count > limit:
+                if taken >= limit:
                     break
                 if pair in population.overridden:
                     continue
                 matches.append(population.scheme.key_for(pair))
+                taken += 1
         matches.sort()
         return matches[:limit]
 

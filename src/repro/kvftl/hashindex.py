@@ -26,7 +26,11 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import ConfigurationError
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import (
+    INDEX_ENTRY_BYTES,
+    INDEX_STRUCTURE_OVERHEAD,
+    MERGE_BATCH,
+)
 from repro.kvftl.keyhash import hash_fraction
 from repro.units import ceil_div
 
@@ -44,7 +48,6 @@ class GlobalHashIndex:
 
     def __init__(
         self,
-        config: KVSSDConfig,
         page_bytes: int,
         dram_bytes: int,
         region_blocks: List[int],
@@ -54,7 +57,6 @@ class GlobalHashIndex:
             raise ConfigurationError(f"index DRAM must be >= 1 byte, got {dram_bytes}")
         if not region_blocks:
             raise ConfigurationError("index region needs at least one block")
-        self.config = config
         self.page_bytes = page_bytes
         self.dram_bytes = dram_bytes
         self.region_blocks = list(region_blocks)
@@ -69,11 +71,7 @@ class GlobalHashIndex:
     @property
     def index_bytes(self) -> int:
         """Current index size including multi-level structure overhead."""
-        return int(
-            self.entries
-            * self.config.index_entry_bytes
-            * self.config.index_structure_overhead
-        )
+        return int(self.entries * INDEX_ENTRY_BYTES * INDEX_STRUCTURE_OVERHEAD)
 
     @property
     def index_pages(self) -> int:
@@ -141,7 +139,7 @@ class GlobalHashIndex:
         over ``P`` pages: ``P * (1 - (1 - 1/P)**B)``.  Non-resident pages
         are read before rewrite; every touched page is written back.
         """
-        batch = min(self.dirty_entries, self.config.merge_batch)
+        batch = min(self.dirty_entries, MERGE_BATCH)
         if batch == 0:
             return MergeWork(0, 0)
         self.dirty_entries -= batch

@@ -17,9 +17,9 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.flash.nand import FlashArray
-from repro.flash.timing import FlashTiming
+from repro.flash.timing import PROGRAM_US
 from repro.ftl.core import DeviceStats
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import DEVICE_NAME, MERGE_BATCH
 from repro.kvftl.hashindex import GlobalHashIndex
 from repro.sim.engine import Environment, Event
 from repro.sim.signal import Signal
@@ -32,24 +32,19 @@ class MergeEngine:
         self,
         env: Environment,
         array: FlashArray,
-        timing: FlashTiming,
         index: GlobalHashIndex,
-        config: KVSSDConfig,
         stats: DeviceStats,
-        name: str = "kv-ssd",
     ) -> None:
         self.env = env
         self.array = array
-        self.timing = timing
         self.index = index
-        self.config = config
         self.stats = stats
         #: Iterator bucket pages awaiting a flush (piggybacked on merges).
         self.iterator_flush_backlog = 0
-        self._local_index_capacity = 4 * config.merge_batch
-        self._wakeup = Signal(env, f"{name}.mergewake")
-        self._done = Signal(env, f"{name}.mergedone")
-        env.process(self._worker(), name=f"{name}.merge")
+        self._local_index_capacity = 4 * MERGE_BATCH
+        self._wakeup = Signal(env, f"{DEVICE_NAME}.mergewake")
+        self._done = Signal(env, f"{DEVICE_NAME}.mergedone")
+        env.process(self._worker(), name=f"{DEVICE_NAME}.merge")
 
     # -- index flash traffic ---------------------------------------------
 
@@ -73,16 +68,16 @@ class MergeEngine:
         """
         block, _page = self.index.next_region_page()
         yield self.array.channel_resource(block).serve(
-            self.timing.transfer_us(self.array.geometry.page_bytes)
+            self.array.transfer_us(self.array.geometry.page_bytes)
         )
-        yield self.array.die_resource(block).serve(self.timing.program_us)
+        yield self.array.die_resource(block).serve(PROGRAM_US)
         self.stats.index_flash_writes += 1
 
     # -- scheduling -------------------------------------------------------
 
     def kick_if_dirty(self) -> None:
         """Wake the engine once a full merge batch has accumulated."""
-        if self.index.dirty_entries >= self.config.merge_batch:
+        if self.index.dirty_entries >= MERGE_BATCH:
             self._wakeup.notify_all()
 
     def behind(self) -> bool:
@@ -98,7 +93,7 @@ class MergeEngine:
     def _worker(self) -> Generator[Event, None, None]:
         while True:
             if (
-                self.index.dirty_entries >= self.config.merge_batch
+                self.index.dirty_entries >= MERGE_BATCH
                 or self.iterator_flush_backlog
             ):
                 if self.iterator_flush_backlog:

@@ -42,7 +42,7 @@ def fast_fill(
         raise ConfigurationError(
             f"a population with prefix {scheme.prefix!r} already exists"
         )
-    validate_value_size(value_bytes, device.config)
+    validate_value_size(value_bytes)
     page_bytes = device.array.geometry.page_bytes
     layout = layout_blob(scheme.key_bytes, value_bytes, page_bytes, device.config)
     if layout.is_split:

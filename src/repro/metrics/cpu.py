@@ -14,6 +14,9 @@ from typing import Dict
 
 from repro.sim.engine import Environment
 
+#: Host CPU cores every accountant divides its charges over.
+HOST_CORES = 16
+
 
 @dataclass(frozen=True)
 class CpuReport:
@@ -21,7 +24,6 @@ class CpuReport:
 
     busy_us: float
     wall_us: float
-    cores: int
     by_component: Dict[str, float]
 
     @property
@@ -34,7 +36,7 @@ class CpuReport:
     @property
     def core_fraction(self) -> float:
         """Utilization normalized by core count (0..1)."""
-        return self.utilization / self.cores
+        return self.utilization / HOST_CORES
 
 
 class CpuAccountant:
@@ -47,11 +49,8 @@ class CpuAccountant:
     plain charging is the default.
     """
 
-    def __init__(self, env: Environment, cores: int = 16) -> None:
-        if cores < 1:
-            raise ValueError(f"core count must be >= 1, got {cores}")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.cores = cores
         self._busy_us = 0.0
         self._by_component: Dict[str, float] = {}
         self._epoch_us = 0.0
@@ -76,7 +75,6 @@ class CpuAccountant:
         return CpuReport(
             busy_us=self._busy_us - self._epoch_busy,
             wall_us=self.env.now - self._epoch_us,
-            cores=self.cores,
             by_component=dict(self._by_component),
         )
 

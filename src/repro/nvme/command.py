@@ -30,6 +30,9 @@ from repro.errors import (
 #: Key bytes that fit inline in a KV command.
 INLINE_KEY_BYTES = 16
 
+#: Logical block (sector) size of the namespace the block stacks address.
+SECTOR_BYTES = 512
+
 
 class NvmeStatus(enum.IntEnum):
     """Completion-queue status field, ``(SCT << 8) | SC`` per the spec.

@@ -15,7 +15,6 @@ modeled per command:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import ConfigurationError
@@ -28,28 +27,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.trace.tracer import Tracer
 
 
-@dataclass(frozen=True)
-class DriverCosts:
-    """Per-command host costs (microseconds)."""
+# -- per-command host costs (microseconds) -----------------------------------
+#: Serialized submission-path occupancy per command.
+SUBMIT_US = 4.0
+#: Host CPU to build and submit one command (async mode).
+CPU_ASYNC_US = 2.0
+#: Additional host CPU in synchronous mode (wait/wakeup or polling).
+CPU_SYNC_EXTRA_US = 6.0
+#: Completion handling CPU per command.
+CPU_COMPLETE_US = 1.0
 
-    #: Serialized submission-path occupancy per command.
-    submit_us: float = 4.0
-    #: Host CPU to build and submit one command (async mode).
-    cpu_async_us: float = 2.0
-    #: Additional host CPU in synchronous mode (wait/wakeup or polling).
-    cpu_sync_extra_us: float = 6.0
-    #: Completion handling CPU per command.
-    cpu_complete_us: float = 1.0
-
-    def __post_init__(self) -> None:
-        for field_name in (
-            "submit_us",
-            "cpu_async_us",
-            "cpu_sync_extra_us",
-            "cpu_complete_us",
-        ):
-            if getattr(self, field_name) < 0:
-                raise ConfigurationError(f"{field_name} must be >= 0")
+#: The driver's timeline track and process-label prefix.
+TRACK = "kdd"
 
 
 class KernelDeviceDriver:
@@ -59,18 +48,14 @@ class KernelDeviceDriver:
         self,
         env: Environment,
         cpu: CpuAccountant,
-        costs: Optional[DriverCosts] = None,
-        name: str = "kdd",
         tracer: Optional["Tracer"] = None,
     ) -> None:
         self.env = env
         self.cpu = cpu
-        self.costs = costs if costs is not None else DriverCosts()
-        self.name = name
         #: Optional span tracer; submissions/completions land on the
         #: driver's own timeline track.
         self.tracer = tracer
-        self._submission_path = Resource(env, 1, name=f"{name}.submit")
+        self._submission_path = Resource(env, 1, name=f"{TRACK}.submit")
         self.commands_submitted = 0
         self.commands_completed = 0
         #: Completions carrying a non-SUCCESS status.
@@ -88,19 +73,17 @@ class KernelDeviceDriver:
         """
         if ncommands < 1:
             raise ConfigurationError(f"ncommands must be >= 1, got {ncommands}")
-        per_command = self.costs.cpu_async_us + (
-            self.costs.cpu_sync_extra_us if sync else 0.0
-        )
+        per_command = CPU_ASYNC_US + (CPU_SYNC_EXTRA_US if sync else 0.0)
         self.cpu.charge(component, ncommands * per_command)
         tracer = self.tracer
         trace = tracer is not None and tracer.wants("nvme")
         started = self.env.now if trace else 0.0
         for _ in range(ncommands):
-            yield self._submission_path.serve(self.costs.submit_us)
+            yield self._submission_path.serve(SUBMIT_US)
         self.commands_submitted += ncommands
         if trace:
             tracer.complete(
-                self.name, "submit", "nvme", self.env.now - started,
+                TRACK, "submit", "nvme", self.env.now - started,
                 args={"n": ncommands, "sync": sync},
             )
 
@@ -119,7 +102,7 @@ class KernelDeviceDriver:
         """
         if ncommands < 1:
             raise ConfigurationError(f"ncommands must be >= 1, got {ncommands}")
-        self.cpu.charge(component, ncommands * self.costs.cpu_complete_us)
+        self.cpu.charge(component, ncommands * CPU_COMPLETE_US)
         self.commands_completed += ncommands
         self.last_status = status
         if status.is_error:
@@ -127,6 +110,6 @@ class KernelDeviceDriver:
         tracer = self.tracer
         if tracer is not None and tracer.wants("nvme"):
             tracer.instant(
-                self.name, "complete", "nvme",
+                TRACK, "complete", "nvme",
                 args={"n": ncommands, "status": status.name},
             )

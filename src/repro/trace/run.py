@@ -86,7 +86,7 @@ def _fill_pairs(rig: Any, scenario: TraceScenario, n_ops: int) -> int:
     """Pairs priming ``scenario.fill_fraction`` of ``rig``'s capacity."""
     capacity = rig.pair_capacity(
         scenario.scheme.key_bytes, scenario.value_bytes,
-        reserve_blocks=rig.device.config.stream_width + 16,
+        reserve_blocks=rig.device.core.write_stream.width + 16,
     )
     return max(n_ops, int(capacity * scenario.fill_fraction))
 

@@ -19,7 +19,6 @@ from repro.errors import (
 from repro.faults.model import FaultConfig
 from repro.kvbench.runner import execute_workload
 from repro.kvbench.workload import Pattern, WorkloadSpec, generate_operations
-from repro.kvftl.blob import layout_blob
 from repro.kvftl.population import KeyScheme
 from repro.nvme.command import NvmeStatus, status_for_error
 from repro.trace.tracer import TraceCollector, Tracer
@@ -154,28 +153,26 @@ def test_failed_reads_counted_not_raised_by_runner():
 
 
 def test_device_full_propagates_through_kv_api_with_status():
-    """A full device surfaces as DeviceFullError -> CAPACITY_EXCEEDED."""
-    # A fat over-provisioning fraction makes the byte-capacity bound bind
-    # well before physical pages run out, so the refusal is exact: fill
-    # to capacity untimed, then the very next new pair must be rejected.
-    from repro.kvftl.config import KVSSDConfig
+    """A full device surfaces as DeviceFullError -> CAPACITY_EXCEEDED.
+    Blobs that pack pages exactly (no page reserve, 4 KiB footprints)
+    make the byte-capacity bound bind before physical pages run out, so
+    the refusal is exact: fill to capacity untimed, then the very next
+    new pair must be rejected."""
+    from repro.kvftl.config import METADATA_BYTES, KVSSDConfig
 
-    rig = build_kv_rig(lab_geometry(4), config=KVSSDConfig(overprovision=0.4))
+    rig = build_kv_rig(lab_geometry(8), config=KVSSDConfig(page_reserved_bytes=0))
     device = rig.device
     scheme = KeyScheme(prefix=b"full", digits=12)
-    footprint = layout_blob(
-        scheme.key_bytes, 4096, device.array.geometry.page_bytes,
-        device.config,
-    ).footprint_bytes
+    footprint = 4 * KIB
     device.fast_fill(
         (device.user_capacity_bytes - device.stats.device_bytes) // footprint,
-        4096, scheme,
+        footprint - METADATA_BYTES - scheme.key_bytes, scheme,
     )
 
     def session(env):
         yield env.process(rig.api.store(b"one-pair-too-many", 4096))
 
-    with pytest.raises(DeviceFullError) as excinfo:
+    with pytest.raises(DeviceFullError, match="no space left") as excinfo:
         rig.env.run_until_complete(rig.env.process(session(rig.env)))
     assert excinfo.value.nvme_status == NvmeStatus.CAPACITY_EXCEEDED
     assert rig.driver.commands_failed == 1

@@ -6,6 +6,7 @@ from repro.blockftl.config import BlockSSDConfig
 from repro.blockftl.device import BlockSSD
 from repro.errors import AddressError
 from repro.flash.geometry import Geometry
+from repro.flash.timing import READ_US
 from repro.sim.engine import Environment
 from repro.units import KIB
 
@@ -69,7 +70,7 @@ def test_read_after_drain_hits_flash():
 
     flash_reads, latency = run(env, proc(env))
     assert flash_reads == 1
-    assert latency > ssd.timing.read_us
+    assert latency > READ_US
 
 
 def test_read_of_buffered_data_skips_flash():
@@ -211,7 +212,7 @@ def test_address_validation():
 
 
 def test_gc_reclaims_space_under_overwrite_pressure():
-    env, ssd = make_ssd(blocks_per_plane=4, gc_threshold_fraction=0.2)
+    env, ssd = make_ssd(blocks_per_plane=4)
     span_units = ssd.n_units // 2
 
     def proc(env):
@@ -245,3 +246,41 @@ def test_counters_track_host_traffic():
     assert ssd.stats.host_write_bytes == 8192
     assert ssd.stats.host_reads == 1
     assert ssd.stats.host_read_bytes == 8192
+
+
+def test_calibration_anchors_at_qd1():
+    """The PM983 anchors ``blockftl/config.py`` states (DESIGN §4), on a
+    primed ``lab_geometry(16)`` drive at QD1 with 4 KiB I/O: a random
+    read ~88.6 us and a buffered random write ~25.6 us through the direct
+    I/O API, and at the device sequential/random latency ratios of ~0.84
+    for reads and ~0.6 for writes."""
+    import random
+
+    from repro.core.experiment import build_block_rig, lab_geometry
+
+    rig = build_block_rig(lab_geometry(16))
+    device = rig.device
+    device.prime_sequential_fill(device.n_units)
+    rng = random.Random(5)
+
+    def mean_us(op, offsets):
+        def proc(env):
+            total = 0.0
+            for offset in offsets:
+                started = env.now
+                yield env.process(op(offset, 4096))
+                total += env.now - started
+            return total / len(offsets)
+
+        return run(rig.env, proc(rig.env), limit=rig.env.now + 1e9)
+
+    def rand(n=200):
+        return [rng.randrange(device.n_units) * 4096 for _ in range(n)]
+
+    seq = [i * 4096 for i in range(200)]
+    assert 80.0 < mean_us(rig.api.read, rand()) < 95.0
+    assert 20.0 < mean_us(rig.api.write, rand()) < 30.0
+    read_ratio = mean_us(device.read, seq) / mean_us(device.read, rand())
+    write_ratio = mean_us(device.write, seq) / mean_us(device.write, rand())
+    assert 0.75 < read_ratio < 0.9
+    assert 0.5 < write_ratio < 0.7

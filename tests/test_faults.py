@@ -19,9 +19,17 @@ from repro.errors import (
     DeviceReadOnlyError,
     UncorrectableReadError,
 )
-from repro.faults.model import FaultConfig, FaultInjector, READ_OK, ReadResult
+from repro.faults.model import (
+    MAX_READ_RETRIES,
+    READ_OK,
+    READ_RETRY_BACKOFF_US,
+    FaultConfig,
+    FaultInjector,
+    ReadResult,
+)
 from repro.faults.run import fault_profile
 from repro.flash.geometry import Geometry
+from repro.flash.timing import READ_US
 from repro.kvbench.runner import execute_workload
 from repro.kvbench.workload import WorkloadSpec, generate_operations
 from repro.kvftl.config import KVSSDConfig
@@ -76,8 +84,6 @@ KEY = b"fault-key-000001"
 def test_fault_config_validation():
     with pytest.raises(ConfigurationError):
         FaultConfig(read_corrected_prob=1.5)
-    with pytest.raises(ConfigurationError):
-        FaultConfig(max_read_retries=0)
     assert not FaultConfig().statistical
     assert FaultConfig(program_fail_prob=0.1).statistical
 
@@ -163,18 +169,18 @@ def test_scheduled_uncorrectable_read_runs_exactly_one_retry_sequence():
     injector.schedule("read_uncorrectable")
     with pytest.raises(UncorrectableReadError):
         run(env, ssd.retrieve(KEY))
-    # Exactly one full retry sequence: max_read_retries steps, no more.
-    assert ssd.stats.read_retries == injector.config.max_read_retries
+    # Exactly one full retry sequence: MAX_READ_RETRIES steps, no more.
+    assert ssd.stats.read_retries == MAX_READ_RETRIES
     assert ssd.stats.uncorrectable_reads == 1
     assert ssd.stats.corrected_reads == 0
     assert injector.pending_scheduled() == 0
     # The pin was released with the sequence: the same page reads clean.
     assert run(env, ssd.retrieve(KEY)) == 4096
-    assert ssd.stats.read_retries == injector.config.max_read_retries
+    assert ssd.stats.read_retries == MAX_READ_RETRIES
 
 
 def test_retry_backoff_is_timed():
-    injector = FaultInjector(FaultConfig(read_retry_backoff_us=100.0))
+    injector = FaultInjector()
     env, ssd = make_kv(injector)
     run(env, ssd.store(KEY, 4096))
     settle(env)
@@ -187,8 +193,9 @@ def test_retry_backoff_is_timed():
     faulted_started = env.now
     run(env, ssd.retrieve(KEY))
     faulted_us = env.now - faulted_started
-    # One retry costs at least the first backoff step plus the re-read.
-    assert faulted_us >= clean_us + 100.0
+    # One retry costs at least the first backoff step plus the re-read's
+    # array sense.
+    assert faulted_us - clean_us >= READ_RETRY_BACKOFF_US + READ_US
 
 
 # -- program-fail reallocation and retirement ----------------------------------

@@ -3,19 +3,17 @@
 import pytest
 
 from repro.errors import AddressError, ConfigurationError, SimulationError
+from repro.flash import timing
 from repro.flash.geometry import Geometry, tiny_geometry
 from repro.flash.nand import BlockState, FlashArray
-from repro.flash.timing import FlashTiming
 from repro.ftl.core import DeviceStats
 from repro.sim.engine import Environment
 from repro.units import KIB
 
 
-def make_array(geometry=None, timing=None):
+def make_array(geometry=None):
     env = Environment()
-    array = FlashArray(
-        env, geometry or tiny_geometry(), timing or FlashTiming(), DeviceStats()
-    )
+    array = FlashArray(env, geometry or tiny_geometry(), DeviceStats())
     return env, array
 
 
@@ -63,18 +61,22 @@ def test_geometry_address_checks():
 
 
 def test_transfer_time_scales_with_bytes():
-    timing = FlashTiming()
     small = timing.transfer_us(4 * KIB)
     large = timing.transfer_us(32 * KIB)
     assert large > small
-    assert large - timing.command_overhead_us == pytest.approx(
-        (32 * KIB) / timing.channel_bytes_per_us
+    assert large - timing.COMMAND_OVERHEAD_US == pytest.approx(
+        (32 * KIB) / timing.CHANNEL_BYTES_PER_US
     )
 
 
-def test_timing_rejects_nonpositive():
+def test_transfer_rejects_a_negative_size_and_memoizes_exactly():
     with pytest.raises(ConfigurationError):
-        FlashTiming(read_us=0.0)
+        timing.transfer_us(-1)
+    _env, array = make_array()
+    with pytest.raises(ConfigurationError):
+        array.transfer_us(-1)
+    assert array.transfer_us(1024) == timing.transfer_us(1024)
+    assert array.transfer_us(1024) == timing.transfer_us(1024)  # the memo hit
 
 
 # -- timed array ------------------------------------------------------------------
@@ -104,12 +106,11 @@ def test_program_then_read_roundtrip_timing():
     process = env.process(proc(env))
     env.run()
     programmed_at, read_done = process.value
-    timing = array.timing
     assert programmed_at == pytest.approx(
-        timing.transfer_us(array.geometry.page_bytes) + timing.program_us
+        timing.transfer_us(array.geometry.page_bytes) + timing.PROGRAM_US
     )
     assert read_done - programmed_at == pytest.approx(
-        timing.read_us + timing.transfer_us(1024)
+        timing.READ_US + timing.transfer_us(1024)
     )
     assert array.stats.flash_programs == 1
     assert array.stats.flash_reads == 1
@@ -198,7 +199,7 @@ def test_parallel_programs_on_distinct_dies_overlap():
     done = env.process(waiter(env))
     env.run()
     elapsed = done.value - start
-    single = array.timing.transfer_us(geo.page_bytes) + array.timing.program_us
+    single = timing.transfer_us(geo.page_bytes) + timing.PROGRAM_US
     # Same channel serializes transfers, but the programs overlap.
     assert elapsed < 2 * single
 
@@ -222,8 +223,8 @@ def test_same_die_programs_serialize():
 
     done = env.process(waiter(env))
     env.run()
-    single = array.timing.transfer_us(geo.page_bytes) + array.timing.program_us
-    assert done.value >= 2 * array.timing.program_us
+    single = timing.transfer_us(geo.page_bytes) + timing.PROGRAM_US
+    assert done.value >= 2 * timing.PROGRAM_US
     assert done.value >= single
 
 

@@ -14,8 +14,7 @@ from repro.blockftl.config import BlockSSDConfig
 from repro.blockftl.device import BlockSSD
 from repro.flash.geometry import Geometry, tiny_geometry
 from repro.flash.nand import BlockState, FlashArray
-from repro.flash.timing import FlashTiming
-from repro.ftl.core import DeviceStats
+from repro.ftl.core import GC_RESERVE_BLOCKS, DeviceStats
 from repro.ftl.writebuffer import WriteBuffer
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.device import KVSSD
@@ -174,7 +173,7 @@ def test_write_buffer_feeds_stall_telemetry():
 def test_flash_array_feeds_operation_counters():
     env = Environment()
     stats = DeviceStats()
-    array = FlashArray(env, tiny_geometry(), FlashTiming(), stats)
+    array = FlashArray(env, tiny_geometry(), stats)
     array.open_block(0)
     array.prime_program(0, 64)  # untimed setup must not count
     assert stats.flash_programs == 0
@@ -251,7 +250,7 @@ def test_allowance_arbitration_and_stall_accounting(make):
     (kv_env, kv), (blk_env, blk) = make_pair()
     env, device = ((kv_env, kv), (blk_env, blk))[make]
     core = device.core
-    taken = drain_pool_to(core, core.gc_reserve_blocks)
+    taken = drain_pool_to(core, GC_RESERVE_BLOCKS)
 
     # GC digs below the reserve without stalling...
     env.run_until_complete(
@@ -282,7 +281,7 @@ def test_allowance_stalls_match_across_personalities():
     (kv_env, kv), (blk_env, blk) = make_pair()
     for env, device in ((kv_env, kv), (blk_env, blk)):
         core = device.core
-        taken = drain_pool_to(core, core.gc_reserve_blocks)
+        taken = drain_pool_to(core, GC_RESERVE_BLOCKS)
 
         def host(env, core=core):
             yield from core.block_allowance(for_gc=False)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError, DeviceFullError
 from repro.flash.geometry import tiny_geometry
 from repro.flash.nand import BlockState, FlashArray
-from repro.flash.timing import FlashTiming
 from repro.ftl.pool import AllocationStream, FreeBlockPool
 from repro.ftl.core import DeviceStats
 from repro.ftl.victim import greedy_victim
@@ -15,7 +14,7 @@ from repro.sim.engine import Environment
 
 def make_array():
     env = Environment()
-    return env, FlashArray(env, tiny_geometry(), FlashTiming(), DeviceStats())
+    return env, FlashArray(env, tiny_geometry(), DeviceStats())
 
 
 # -- FreeBlockPool -------------------------------------------------------------

@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError, DeviceFullError, KeyNotFoundError
 from repro.flash.geometry import Geometry
-from repro.hostkv.hashkv.store import HashKVConfig, HashKVStore
+from repro.hostkv.hashkv.store import WRITE_BLOCK_BYTES, HashKVStore
 from repro.kvftl.population import KeyScheme
 from repro.sim.engine import Environment
 from repro.units import KIB
 
 
-def make_store(blocks_per_plane=16, **config_kwargs):
+def make_store(blocks_per_plane=16):
     from repro.api.block import BlockDeviceAPI
     from repro.blockftl.device import BlockSSD
     from repro.metrics.cpu import CpuAccountant
@@ -28,7 +28,7 @@ def make_store(blocks_per_plane=16, **config_kwargs):
     device = BlockSSD(env, geometry)
     driver = KernelDeviceDriver(env, CpuAccountant(env))
     api = BlockDeviceAPI(env, device, driver)
-    store = HashKVStore(env, api, HashKVConfig(**config_kwargs))
+    store = HashKVStore(env, api)
     return env, device, store
 
 
@@ -103,7 +103,7 @@ def test_delete_removes_key():
 
 def test_write_block_flush_and_read_from_device():
     env, device, store = make_store()
-    per_block = store.config.write_block_bytes // store.record_bytes(1000)
+    per_block = WRITE_BLOCK_BYTES // store.record_bytes(1000)
 
     def proc(env):
         for i in range(per_block + 5):
@@ -175,4 +175,4 @@ def test_fill_overflow_raises():
 def test_oversized_record_rejected():
     env, _device, store = make_store()
     with pytest.raises(ConfigurationError):
-        run(env, store.put(key(1), store.config.write_block_bytes))
+        run(env, store.put(key(1), WRITE_BLOCK_BYTES))

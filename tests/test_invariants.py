@@ -22,7 +22,6 @@ from repro.blockftl.device import BlockSSD
 from repro.errors import InvariantViolation
 from repro.flash.geometry import Geometry
 from repro.flash.nand import FlashArray
-from repro.flash.timing import FlashTiming
 from repro.ftl.core import DeviceStats, FtlCore
 from repro.kvbench.runner import BlockAdapter, KVSSDAdapter, execute_workload
 from repro.kvbench.workload import WorkloadSpec, generate_operations
@@ -72,7 +71,7 @@ def test_kv_personality_invariants_hold_through_gc():
         env, small_geometry(),
         config=KVSSDConfig(page_reserved_bytes=0, invariants=True),
     )
-    cpu = CpuAccountant(env, 16)
+    cpu = CpuAccountant(env)
     api = KVStoreAPI(env, kv, KernelDeviceDriver(env, cpu), sync=False)
     population = kv.fast_fill(
         int(kv.core.user_capacity_bytes * 0.80 // 4144), 4 * KIB, SCHEME
@@ -93,7 +92,7 @@ def test_block_personality_invariants_hold_through_gc():
     blk = BlockSSD(
         env, small_geometry(), config=BlockSSDConfig(invariants=True)
     )
-    cpu = CpuAccountant(env, 16)
+    cpu = CpuAccountant(env)
     api = BlockDeviceAPI(env, blk, KernelDeviceDriver(env, cpu), sync=False)
     primed = int(blk.n_units * 0.80)
     blk.prime_sequential_fill(primed)
@@ -140,17 +139,13 @@ class _StubPersonality:
 def make_core(invariants: bool = True):
     env = Environment()
     geometry = small_geometry()
-    array = FlashArray(env, geometry, FlashTiming(), DeviceStats())
+    array = FlashArray(env, geometry, DeviceStats())
     personality = _StubPersonality()
     core = FtlCore(
         env,
         array,
         personality,
         stream_width=2,
-        write_buffer_bytes=64 * KIB,
-        flush_linger_us=100.0,
-        gc_threshold_fraction=0.08,
-        gc_reserve_blocks=2,
         page_payload_bytes=geometry.page_bytes,
         user_capacity_bytes=geometry.capacity_bytes // 2,
         invariants=invariants,

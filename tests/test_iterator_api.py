@@ -78,6 +78,23 @@ def test_iterate_respects_limit():
     assert len(run(rig, session(rig.env))) == 10
 
 
+def test_iterate_limit_keeps_the_smallest_keys_beside_stored_ones():
+    """Re-storing primed pairs makes them records; the records must not
+    use up ``limit`` before the primed range is walked, or the answer
+    skips the population's smaller keys."""
+    rig = build_kv_rig(lab_geometry(4))
+    scheme = KeyScheme(prefix=b"popl", digits=4)
+    rig.device.fast_fill(100, 256, scheme)
+
+    def session(env):
+        for i in range(90, 100):
+            yield env.process(rig.api.store(scheme.key_for(i), 256))
+        keys = yield env.process(rig.api.iterate(b"popl", limit=5))
+        return keys
+
+    assert run(rig, session(rig.env)) == [scheme.key_for(i) for i in range(5)]
+
+
 def test_iterate_a_population_whose_prefix_is_shorter_than_a_bucket():
     """``k`` + 4 digits: a key's bucket is ``k`` and its first three
     digits, so the fill spans 21 buckets (the last one partial) and an

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeviceError, KeyNotFoundError, WorkloadError
 from repro.kvbench.distributions import (
+    SLIDING_WINDOW_FRACTION,
     ZipfianGenerator,
     sequential_indices,
     sliding_window_indices,
@@ -40,7 +41,7 @@ def test_uniform_deterministic_by_seed():
 
 
 def test_zipfian_skew():
-    generator = ZipfianGenerator(10_000, theta=0.99, seed=7, scramble=False)
+    generator = ZipfianGenerator(10_000, seed=7, scramble=False)
     draws = list(generator.indices(20_000))
     # Rank 0 is by far the most common under no scrambling.
     share_of_top = draws.count(0) / len(draws)
@@ -61,22 +62,21 @@ def test_zipfian_scramble_disperses_hot_keys():
 def test_zipfian_validates_parameters():
     with pytest.raises(WorkloadError):
         ZipfianGenerator(0)
-    with pytest.raises(WorkloadError):
-        ZipfianGenerator(10, theta=1.5)
 
 
 def test_sliding_window_traverses_population():
-    draws = list(sliding_window_indices(1000, 2000, window_fraction=0.05, seed=3))
+    draws = list(sliding_window_indices(1000, 2000, seed=3))
     assert all(0 <= index < 1000 for index in draws)
     assert min(draws[:100]) < 100  # starts at the front
     assert max(draws[-100:]) > 800  # ends near the back
 
 
 def test_sliding_window_stays_local():
-    draws = list(sliding_window_indices(10_000, 1000, window_fraction=0.01, seed=3))
+    draws = list(sliding_window_indices(10_000, 1000, seed=3))
+    window = int(10_000 * SLIDING_WINDOW_FRACTION)
     for position, index in enumerate(draws):
         base = int(position / 1000 * 10_000)
-        assert base <= index <= base + 100 or index < 100  # wraparound tail
+        assert base <= index < base + window or index < window  # wraparound tail
 
 
 # -- workload specs -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.kvftl.blob import (
     validate_key,
     validate_value_size,
 )
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import METADATA_BYTES, KVSSDConfig
 from repro.kvftl.keyhash import hash_fraction, iterator_bucket, key_hash64
 from repro.units import KIB, MIB
 
@@ -23,23 +23,23 @@ CFG = KVSSDConfig()
 
 
 def test_key_length_limits():
-    validate_key(b"abcd", CFG)
-    validate_key(b"x" * 255, CFG)
+    validate_key(b"abcd")
+    validate_key(b"x" * 255)
     with pytest.raises(InvalidKeyError):
-        validate_key(b"abc", CFG)
+        validate_key(b"abc")
     with pytest.raises(InvalidKeyError):
-        validate_key(b"x" * 256, CFG)
+        validate_key(b"x" * 256)
     with pytest.raises(InvalidKeyError):
-        validate_key("not-bytes", CFG)  # type: ignore[arg-type]
+        validate_key("not-bytes")  # type: ignore[arg-type]
 
 
 def test_value_length_limits():
-    validate_value_size(0, CFG)
-    validate_value_size(2 * MIB, CFG)
+    validate_value_size(0)
+    validate_value_size(2 * MIB)
     with pytest.raises(InvalidValueError):
-        validate_value_size(-1, CFG)
+        validate_value_size(-1)
     with pytest.raises(InvalidValueError):
-        validate_value_size(2 * MIB + 1, CFG)
+        validate_value_size(2 * MIB + 1)
 
 
 # -- layout ---------------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_value_length_limits():
 
 def test_small_blob_padded_to_min_alloc():
     layout = layout_blob(16, 50, PAGE, CFG)
-    assert layout.raw_bytes == CFG.metadata_bytes + 16 + 50
+    assert layout.raw_bytes == METADATA_BYTES + 16 + 50
     assert layout.footprint_bytes == CFG.min_alloc_bytes
     assert not layout.is_split
     assert layout.padding_bytes == CFG.min_alloc_bytes - layout.raw_bytes
@@ -55,7 +55,7 @@ def test_small_blob_padded_to_min_alloc():
 
 def test_mid_size_blob_packed_tightly():
     layout = layout_blob(16, 4096, PAGE, CFG)
-    assert layout.footprint_bytes == CFG.metadata_bytes + 16 + 4096
+    assert layout.footprint_bytes == METADATA_BYTES + 16 + 4096
     assert layout.fragments == [layout.footprint_bytes]
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import MERGE_BATCH
 from repro.kvftl.hashindex import GlobalHashIndex
 from repro.kvftl.indexmanager import BloomModel
 from repro.kvftl.iterator import IteratorBuckets
@@ -12,10 +12,9 @@ from repro.units import KIB, MIB
 PAGE = 32 * KIB
 
 
-def make_index(dram_bytes=4 * MIB, config=None):
-    config = config or KVSSDConfig()
+def make_index(dram_bytes=4 * MIB):
     return GlobalHashIndex(
-        config, PAGE, dram_bytes, region_blocks=[0, 1, 2], pages_per_block=16
+        PAGE, dram_bytes, region_blocks=[0, 1, 2], pages_per_block=16
     )
 
 
@@ -112,9 +111,8 @@ def test_merge_expensive_when_overflowed():
 
 
 def test_merge_batch_consumes_at_most_batch_size():
-    config = KVSSDConfig(merge_batch=16)
-    index = GlobalHashIndex(config, PAGE, 64 * KIB, [0], 16)
-    for _ in range(40):
+    index = GlobalHashIndex(PAGE, 64 * KIB, [0], 16)
+    for _ in range(MERGE_BATCH + 24):
         index.note_insert()
     index.take_merge_batch()
     assert index.dirty_entries == 24

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.blockftl.config import BlockSSDConfig
+from repro.blockftl.device import BlockSSD
 from repro.errors import (
     CapacityLimitError,
     ConfigurationError,
@@ -13,6 +14,7 @@ from repro.errors import (
     KeyNotFoundError,
 )
 from repro.flash.geometry import Geometry
+from repro.ftl.core import GC_RESERVE_BLOCKS, GC_THRESHOLD_FRACTION, HOST_INTERFACE_US
 from repro.kvftl.blob import blobs_per_page, layout_blob
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.device import KVSSD
@@ -200,11 +202,29 @@ def test_fast_fill_rejects_split_and_duplicates():
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2])
 @pytest.mark.parametrize("config", [KVSSDConfig, BlockSSDConfig])
-def test_both_personalities_refuse_a_gc_threshold_outside_0_1(config, fraction):
+def test_both_personalities_refuse_a_gc_threshold_outside_0_1(
+    config, fraction, monkeypatch
+):
     """At 1.5 the threshold exceeds the device's block count, so the GC
-    worker never rests; both configs refuse it the same way."""
-    with pytest.raises(ConfigurationError, match="gc_threshold_fraction"):
-        config(gc_threshold_fraction=fraction)
+    worker never rests; both devices refuse an edited shared fraction the
+    same way, when their core is built."""
+    device = {KVSSDConfig: KVSSD, BlockSSDConfig: BlockSSD}[config]
+    geometry = make_ssd()[1].array.geometry
+    monkeypatch.setattr("repro.ftl.core.GC_THRESHOLD_FRACTION", fraction)
+    with pytest.raises(ConfigurationError, match="GC_THRESHOLD_FRACTION"):
+        device(Environment(), geometry, config())
+
+
+def test_both_personalities_share_one_gc_threshold():
+    """Both cores take the GC threshold from the one shared fraction, and
+    it sits strictly between the reserve and the block count, so the GC
+    worker rests once the pool refills."""
+    env, kv = make_ssd()
+    block = BlockSSD(Environment(), kv.array.geometry)
+    total = kv.array.geometry.total_blocks
+    expected = max(GC_RESERVE_BLOCKS + 2, int(total * GC_THRESHOLD_FRACTION))
+    assert kv.core.gc_threshold_blocks == block.core.gc_threshold_blocks == expected
+    assert GC_RESERVE_BLOCKS < expected < total
 
 
 def test_fast_fill_stops_where_the_digits_run_out():
@@ -261,7 +281,7 @@ def test_space_amplification_small_values():
 
 
 def test_gc_relocates_and_preserves_pairs():
-    env, ssd = make_ssd(blocks_per_plane=4, gc_threshold_fraction=0.25)
+    env, ssd = make_ssd(blocks_per_plane=4)
     scheme = KeyScheme(prefix=b"fill", digits=12)
     count = 3000  # ~16 blocks of 4 KiB blobs on this tiny geometry
     ssd.fast_fill(count, 4096, scheme)
@@ -425,7 +445,7 @@ def test_primed_pairs_survive_overwrite_delete_and_gc_relocation():
 
 
 def test_valid_bytes_consistency_after_churn():
-    env, ssd = make_ssd(blocks_per_plane=4, gc_threshold_fraction=0.25)
+    env, ssd = make_ssd(blocks_per_plane=4)
     scheme = KeyScheme(prefix=b"fill", digits=12)
     count = 2000
 
@@ -466,4 +486,4 @@ def test_multi_command_key_costs_more_interface_time():
 
     one = run(env, timed(env, 1))
     two = run(env, timed(env, 2))
-    assert two == pytest.approx(one + ssd.config.host_interface_us)
+    assert two == pytest.approx(one + HOST_INTERFACE_US)

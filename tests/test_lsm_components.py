@@ -83,7 +83,7 @@ def test_sstable_overlap_detection():
 
 def test_sstable_block_placement_ordered():
     entries = {b"key-%04d" % i: 4096 for i in range(64)}
-    table = SSTable(1, entries, block_bytes=4 * KIB)
+    table = SSTable(1, entries)
     blocks = [table.block_for(b"key-%04d" % i) for i in range(64)]
     assert blocks == sorted(blocks)  # sorted keys map to increasing blocks
     assert blocks[-1] <= table.n_blocks - 1
@@ -101,7 +101,7 @@ def test_sstable_block_offset_bounds():
 
 
 def test_block_cache_hit_after_insert():
-    cache = BlockCache(40 * KIB, 4 * KIB)
+    cache = BlockCache(40 * KIB)
     assert not cache.lookup(1, 0)
     cache.insert(1, 0)
     assert cache.lookup(1, 0)
@@ -109,7 +109,7 @@ def test_block_cache_hit_after_insert():
 
 
 def test_block_cache_lru_eviction():
-    cache = BlockCache(8 * KIB, 4 * KIB)  # two blocks
+    cache = BlockCache(8 * KIB)  # two blocks
     cache.insert(1, 0)
     cache.insert(1, 1)
     cache.insert(1, 2)  # evicts (1, 0)
@@ -118,7 +118,7 @@ def test_block_cache_lru_eviction():
 
 
 def test_block_cache_drop_table():
-    cache = BlockCache(40 * KIB, 4 * KIB)
+    cache = BlockCache(40 * KIB)
     cache.insert(1, 0)
     cache.insert(2, 0)
     cache.drop_table(1)
@@ -128,17 +128,17 @@ def test_block_cache_drop_table():
 
 def test_block_cache_must_hold_one_block():
     with pytest.raises(ConfigurationError):
-        BlockCache(100, 4 * KIB)
+        BlockCache(100)
 
 
 # -- compaction policy -----------------------------------------------------------
 
 
 def test_level_targets_grow_by_ratio():
-    assert level_target_bytes(1, 16 * MIB, 10) == 16 * MIB
-    assert level_target_bytes(2, 16 * MIB, 10) == 160 * MIB
+    assert level_target_bytes(1, 16 * MIB) == 16 * MIB
+    assert level_target_bytes(2, 16 * MIB) == 160 * MIB
     with pytest.raises(ConfigurationError):
-        level_target_bytes(0, 16 * MIB, 10)
+        level_target_bytes(0, 16 * MIB)
 
 
 def test_pick_compaction_prefers_l0():
@@ -147,7 +147,7 @@ def test_pick_compaction_prefers_l0():
         [SSTable(1, {b"a0": 100, b"z": 100})],
         [],
     ]
-    task = pick_compaction(levels, l0_trigger=4, base_bytes=MIB, ratio=10)
+    task = pick_compaction(levels, base_bytes=MIB)
     assert task is not None
     assert task.upper_level == 0
     assert len(task.upper_inputs) == 4
@@ -156,13 +156,13 @@ def test_pick_compaction_prefers_l0():
 
 def test_pick_compaction_none_when_healthy():
     levels = [[SSTable(0, {b"a": 100})], [], []]
-    assert pick_compaction(levels, 4, MIB, 10) is None
+    assert pick_compaction(levels, MIB) is None
 
 
 def test_pick_compaction_over_budget_level():
     big = {b"key-%05d" % i: 4096 for i in range(600)}  # ~2.5 MiB
     levels = [[], [SSTable(1, big)], []]
-    task = pick_compaction(levels, 4, base_bytes=1 * MIB, ratio=10)
+    task = pick_compaction(levels, base_bytes=1 * MIB)
     assert task is not None
     assert task.upper_level == 1
 
@@ -193,7 +193,7 @@ def test_merge_drops_tombstones_at_bottom():
 def test_split_entries_respects_target_and_order():
     entries = {b"key-%04d" % i: 4096 for i in range(100)}
     tables = split_entries(entries, target_bytes=64 * KIB, level=2,
-                           block_bytes=4 * KIB, ids=itertools.count())
+                           ids=itertools.count())
     assert len(tables) > 1
     assert sum(len(t) for t in tables) == 100
     # Disjoint, sorted ranges.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import KeyNotFoundError
 from repro.flash.geometry import Geometry
+from repro.hostkv.lsm.compaction import L0_COMPACTION_TRIGGER
 from repro.hostkv.lsm.store import LSMConfig, LSMStore
 from repro.sim.engine import Environment
 from repro.units import KIB, MIB
@@ -117,7 +118,7 @@ def test_compaction_triggers_and_preserves_data():
     run(env, proc(env))
     assert store.compactions_run >= 1
     assert store.live_entries() == n
-    assert len(store.levels[0]) < store.config.l0_compaction_trigger
+    assert len(store.levels[0]) < L0_COMPACTION_TRIGGER
 
     def spot_check(env):
         values = []
@@ -162,9 +163,7 @@ def test_space_amplification_near_paper_value():
 
 
 def test_stalls_recorded_under_write_burst():
-    env, _device, store = make_store(
-        memtable_bytes=64 * KIB, l0_compaction_trigger=2, l0_stall_limit=2
-    )
+    env, _device, store = make_store(memtable_bytes=64 * KIB)
 
     def proc(env):
         for i in range(2000):
@@ -220,7 +219,7 @@ def test_identical_rigs_in_one_process_agree():
     def one_rig():
         rig = build_lsm_rig(
             lab_geometry(8),
-            lsm_config=LSMConfig(bloom_fp_rate=0.3, memtable_bytes=64 * KIB,
+            lsm_config=LSMConfig(memtable_bytes=64 * KIB,
                                  sst_target_bytes=64 * KIB),
         )
         means = []
@@ -234,6 +233,7 @@ def test_identical_rigs_in_one_process_agree():
             means.append(run.latency.mean())
             rig.drain()
         assert rig.store.flushes_run > 0
-        return means, rig.env.now
+        names = sorted(t.name for level in rig.store.levels for t in level)
+        return means, rig.env.now, names
 
     assert one_rig() == one_rig()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ftl.core import DeviceStats
 from repro.metrics.bandwidth import BandwidthTracker
-from repro.metrics.cpu import CpuAccountant
+from repro.metrics.cpu import HOST_CORES, CpuAccountant
 from repro.metrics.latency import LatencyRecorder, percentile
 from repro.sim.engine import Environment
 from repro.units import MIB
@@ -128,7 +128,7 @@ def test_bandwidth_minimum_window():
 
 def test_cpu_accountant_report():
     env = Environment()
-    cpu = CpuAccountant(env, cores=4)
+    cpu = CpuAccountant(env)
     cpu.charge("fs", 30.0)
     cpu.charge("lsm", 10.0)
 
@@ -140,7 +140,7 @@ def test_cpu_accountant_report():
     report = cpu.report()
     assert report.busy_us == pytest.approx(40.0)
     assert report.utilization == pytest.approx(0.4)
-    assert report.core_fraction == pytest.approx(0.1)
+    assert report.core_fraction == pytest.approx(0.4 / HOST_CORES)
     assert report.by_component == {"fs": 30.0, "lsm": 10.0}
 
 

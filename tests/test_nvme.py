@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.metrics.cpu import CpuAccountant
 from repro.nvme.command import INLINE_KEY_BYTES, commands_for_key
-from repro.nvme.driver import DriverCosts, KernelDeviceDriver
+from repro.nvme.driver import CPU_COMPLETE_US, SUBMIT_US, KernelDeviceDriver
 from repro.sim.engine import Environment
 
 
@@ -31,10 +31,10 @@ def test_commands_for_key_rejects_empty():
 # -- driver --------------------------------------------------------------------
 
 
-def make_driver(costs=None):
+def make_driver():
     env = Environment()
     cpu = CpuAccountant(env)
-    driver = KernelDeviceDriver(env, cpu, costs or DriverCosts())
+    driver = KernelDeviceDriver(env, cpu)
     return env, cpu, driver
 
 
@@ -50,7 +50,7 @@ def test_submission_path_serializes_commands():
     first = one.value
     two = env.process(submit(env, 2))
     env.run()
-    assert two.value - first == pytest.approx(2 * driver.costs.submit_us)
+    assert two.value - first == pytest.approx(2 * SUBMIT_US)
     assert driver.commands_submitted == 3
 
 
@@ -73,7 +73,7 @@ def test_sync_mode_charges_more_cpu():
 def test_completion_charges_cpu_only():
     env, cpu, driver = make_driver()
     driver.complete(3, "x")
-    assert cpu.total_busy_us == pytest.approx(3 * driver.costs.cpu_complete_us)
+    assert cpu.total_busy_us == pytest.approx(3 * CPU_COMPLETE_US)
     assert env.now == 0.0
 
 

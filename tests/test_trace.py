@@ -6,14 +6,13 @@ from functools import lru_cache
 
 import pytest
 
-from repro.blockftl.config import BlockSSDConfig
 from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
 from repro.errors import ConfigurationError, DeviceReadOnlyError, KeyNotFoundError
 from repro.faults.model import FaultConfig
 from repro.kvbench.runner import execute_workload
 from repro.kvbench.workload import WorkloadSpec, generate_operations
 from repro.kvftl.blob import blobs_per_page
-from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.config import RETRIEVE_INDEX_US, KVSSDConfig
 from repro.kvftl.population import KeyScheme
 from repro.metrics.attribution import LatencyBreakdown
 from repro.sim.engine import Environment
@@ -294,7 +293,7 @@ def test_device_error_charges_the_open_bucket_and_still_tiles():
     components = record.args["components"]
     # Raised after the index-manager wait, inside the index bucket.
     assert list(components) == ["nvme", "controller", "index"]
-    assert components["index"] == rig.device.config.retrieve_index_us
+    assert components["index"] == RETRIEVE_INDEX_US
     assert sum(components.values()) == pytest.approx(record.dur)
     assert record.dur > 0.0
 
@@ -390,20 +389,15 @@ def test_flash_spans_agree_with_device_stats(personality):
 @pytest.mark.parametrize("personality", ["kv", "block"])
 def test_buffer_spans_agree_with_device_stats(personality):
     """Every op root's ``buffer`` component, summed, is the phase's
-    ``DeviceStats.buffer_stall_us`` delta: 16 KiB inserts at QD32 into a
-    64 KiB write buffer, so admission stalls all phase."""
+    ``DeviceStats.buffer_stall_us`` delta: 16 KiB inserts at QD32 outrun
+    the flush of the 1 MiB write buffer, so admission stalls all phase."""
     tracer = _traced_tracer()
     geometry = lab_geometry(blocks_per_plane=16)
     if personality == "kv":
-        rig = build_kv_rig(
-            geometry, KVSSDConfig(write_buffer_bytes=64 * 1024), tracer=tracer
-        )
+        rig = build_kv_rig(geometry, tracer=tracer)
         adapter = rig.adapter
     else:
-        rig = build_block_rig(
-            geometry, BlockSSDConfig(write_buffer_bytes=64 * 1024),
-            tracer=tracer,
-        )
+        rig = build_block_rig(geometry, tracer=tracer)
         adapter = rig.adapter(16 * 1024)
     spec = WorkloadSpec(
         n_ops=300, op="insert", key_scheme=SCHEME, value_bytes=16 * 1024,

@@ -2,14 +2,13 @@
 
 from repro.flash.geometry import tiny_geometry
 from repro.flash.nand import FlashArray
-from repro.flash.timing import FlashTiming
 from repro.ftl.core import DeviceStats
 from repro.sim.engine import Environment
 
 
 def make_array():
     env = Environment()
-    return FlashArray(env, tiny_geometry(), FlashTiming(), DeviceStats())
+    return FlashArray(env, tiny_geometry(), DeviceStats())
 
 
 def erase_counts(array):
@@ -33,7 +32,6 @@ def test_uneven_wear_detected():
 
 def test_gc_spreads_wear_across_blocks():
     """After sustained overwrite churn, GC erases many distinct blocks."""
-    from repro.blockftl.config import BlockSSDConfig
     from repro.blockftl.device import BlockSSD
     from repro.flash.geometry import Geometry
     from repro.units import KIB
@@ -43,9 +41,7 @@ def test_gc_spreads_wear_across_blocks():
         blocks_per_plane=8, pages_per_block=16, page_bytes=32 * KIB,
     )
     env = Environment()
-    ssd = BlockSSD(env, geometry, config=BlockSSDConfig(
-        gc_threshold_fraction=0.3,
-    ))
+    ssd = BlockSSD(env, geometry)
     span = ssd.n_units // 3
 
     def churn(env):
