@@ -15,8 +15,6 @@ from repro.sim.engine import Event
 class BlockDeviceAPI(DeviceAPI):
     """Host-side entry point for direct reads/writes on a block SSD."""
 
-    component = "block-api"
-
     def write(self, offset: int, nbytes: int) -> Generator[Event, None, None]:
         """Direct write (timed host-to-completion process)."""
         return self._command("write", (offset, nbytes), nbytes=nbytes)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.errors import DeviceError
 from repro.nvme.command import commands_for_key, status_for_error
@@ -13,15 +13,13 @@ from repro.sim.engine import Environment, Event
 
 @dataclass(eq=False)
 class DeviceAPI:
-    """A device behind the kernel driver.  A subclass names its commands
-    and the ``component`` their host CPU is charged to; each command is
-    one :meth:`_command`."""
+    """A device behind the kernel driver.  A subclass names its commands;
+    each command is one :meth:`_command`."""
 
     env: Environment
     device: Any
     driver: KernelDeviceDriver
     sync: bool = False
-    component: ClassVar[str]
     #: Host CPU the API library itself burns per call (validation,
     #: buffer handoff) — deliberately tiny.
     LIBRARY_CPU_US = 1.0
@@ -45,17 +43,17 @@ class DeviceAPI:
             if key_bytes is not None:
                 ncommands = told["ncommands"] = commands_for_key(key_bytes)
                 tags = {"key_bytes": key_bytes, **tags}
-            driver, component = self.driver, self.component
-            driver.cpu.charge(component, self.LIBRARY_CPU_US)
+            driver = self.driver
+            driver.cpu.charge(self.LIBRARY_CPU_US)
             span.enter("nvme")
-            yield from driver.submit(ncommands, self.sync, component)
+            yield from driver.submit(ncommands, self.sync)
             try:
                 result = yield from call(*args, span=span, **told)
             except DeviceError as exc:
                 exc.nvme_status = status = status_for_error(exc)
-                driver.complete(1, component, status=status)
+                driver.complete(1, status=status)
                 raise
-            driver.complete(1, component)
+            driver.complete(1)
         finally:
             span.finish(**tags)
         return result

@@ -21,8 +21,6 @@ from repro.sim.engine import Event
 class KVStoreAPI(DeviceAPI):
     """Host-side entry point for KV operations against a KV-SSD."""
 
-    component = "kv-api"
-
     def store(self, key: bytes, value_bytes: int) -> Generator[Event, None, None]:
         """Store a pair (timed host-to-completion process)."""
         return self._command(

@@ -322,8 +322,10 @@ class BlockSSD:
                 continue  # partial-unit trims are advisory no-ops
             if unit in self._pending:
                 del self._pending[unit]
-                self._latest_sequence.pop(unit, None)
                 self.buffer.drain(self.map_unit)
+            # Also when a flush has already taken the unit: its commit
+            # must see the copy superseded, not map it back in.
+            self._latest_sequence.pop(unit, None)
             slot_id = self.pagemap.lookup(unit)
             if slot_id != UNMAPPED:
                 block, _page, _slot = self.pagemap.unflatten(slot_id)

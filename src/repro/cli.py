@@ -3,8 +3,8 @@
 Usage::
 
     python -m repro fig5
-    python -m repro fig fig4 --parallel 4
-    python -m repro fig3 --measured-ops 2000
+    python -m repro fig4 --parallel 4
+    python -m repro fig3 --n-ops 2000
     python -m repro headline
     python -m repro all --parallel 2
 
@@ -13,9 +13,10 @@ Each subcommand selects rows of :data:`repro.core.registry.EXPERIMENTS`
 ``cluster``, ``frontend``, ``replay``, ``faults``) whole — runs them,
 and prints ``result.render()``: the same rows/series the paper's figure
 shows, then the row's claims table (finding | paper | measured | holds).
-With no scale flag a row runs at its recorded scale (its function's
+Without ``--n-ops`` a row runs at its recorded scale (its function's
 defaults, the run EXPERIMENTS.md records) and a missed claim exits 1;
-with one (``--n-ops``, ``--loads``, ...) the table cannot fail the run.
+``--n-ops`` sizes every row that takes an op count, and such a row's
+table cannot fail the run.
 
 ``--parallel N`` fans each experiment's independent points over ``N``
 worker processes; results are assembled in spec order, so the printed
@@ -29,11 +30,10 @@ statistics go to stderr; stdout carries only the figure output.
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 import time
-from typing import Callable, List, Tuple
+from inspect import signature
+from typing import List, Optional
 
 from repro.core.registry import EXPERIMENTS, Experiment
 from repro.errors import ConfigurationError
@@ -54,77 +54,41 @@ def _selected(command: str) -> List[Experiment]:
 
 
 def _run_experiments(
-    command: str, args: argparse.Namespace, runner: SweepRunner
+    command: str, n_ops: Optional[int], runner: SweepRunner
 ) -> bool:
     """Run the command's rows, print each render and claims table.  False
-    when a row that ran at its recorded scale (no scale flag given)
-    missed a claim."""
+    when a row that ran at its recorded scale missed a claim.
+
+    ``n_ops`` sizes every row whose function takes an op count; a row
+    that takes none (fig6, fig7) runs at its recorded scale regardless.
+    """
     blocks: List[str] = []
     ok = True
     for experiment in _selected(command):
-        kwargs = {
-            keyword: getattr(args, dest)
-            for keyword, dest in experiment.cli.items()
-            if getattr(args, dest) is not None
-        }
-        result = experiment.fn(runner=runner, **kwargs)
-        block = result.render()
-        if experiment.name == "faults" and args.faults_out:
-            from repro.faults.run import write_sweep_csv
-
-            written = write_sweep_csv(result, args.faults_out)
-            block += f"\nwrote {written} sweep rows to {args.faults_out}"
+        scaled = n_ops is not None and "n_ops" in signature(experiment.fn).parameters
+        result = experiment.fn(runner=runner, **({"n_ops": n_ops} if scaled else {}))
         table, held = experiment.claims_table(result)
-        if kwargs:
+        if scaled:
             table = "not the recorded scale: claims shown, not checked\n" + table
         else:
             ok = ok and held
-        blocks += [block, table]
+        blocks += [result.render(), table]
     print("\n\n".join(blocks))
     return ok
 
 
 def positive_int(text: str) -> int:
-    """Every op-count flag and ``--parallel``: a run needs at least one."""
+    """``--n-ops`` and ``--parallel``: a run needs at least one."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
-def _numbers(text: str, check: Callable[[float], object], noun: str) -> List[float]:
-    """A comma-separated list of at least one number, each passing ``check``."""
-    try:
-        values = [float(value) for value in text.split(",") if value.strip()]
-        for value in values:
-            check(value)
-    except (ValueError, ConfigurationError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if not values:
-        raise argparse.ArgumentTypeError(f"needs at least one {noun}")
-    return values
-
-
-def fault_rates(text: str) -> List[float]:
-    """``--fault-rates``: one or more rates the fault model takes."""
-    from repro.faults.run import fault_profile
-
-    return _numbers(text, fault_profile, "rate")
-
-
-def offered_loads(text: str) -> Tuple[float, ...]:
-    """``--loads``: one or more offered loads in kops, each finite and > 0."""
-    def check(load: float) -> None:
-        if not (math.isfinite(load) and load > 0.0):
-            raise ValueError(f"load must be finite and > 0 kops, got {load:g}")
-
-    return tuple(_numbers(text, check, "load"))
-
-
 def _run_trace(args: argparse.Namespace, runner: SweepRunner) -> None:
     from repro.trace.export import format_breakdown, write_chrome_trace
 
-    report = run_traced(fig=args.fig, n_ops=args.trace_ops, runner=runner)
+    report = run_traced(fig=args.fig, n_ops=args.n_ops, runner=runner)
     print(f"scenario: {args.fig} — {report.scenario.focus}")
     for personality, run in report.runs.items():
         print(f"\n[{personality}] {run.completed_ops} ops in "
@@ -135,7 +99,7 @@ def _run_trace(args: argparse.Namespace, runner: SweepRunner) -> None:
           "(load in https://ui.perfetto.dev or chrome://tracing)")
     if report.collector.dropped:
         print(f"warning: ring buffer dropped {report.collector.dropped} "
-              "spans; lower --trace-ops for a complete timeline")
+              "spans; lower --n-ops for a complete timeline")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,42 +113,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=_PAPER + ["all", "fig", "trace", *_GROUPS, "lint", "sanitize"],
+        choices=_PAPER + ["all", "trace", *_GROUPS, "lint", "sanitize"],
         help=(
-            "which figure (or 'headline'/'all') to regenerate — 'fig' "
-            "with a figure name as the next argument also works "
-            "('repro fig fig4 --parallel 4') — or which group of rows: "
-            "'ablations' to resize each mechanism the paper hypothesizes, "
-            "'ycsb' for YCSB A-F on the KV-SSD vs RocksDB, 'cluster' for "
-            "the sharded multi-device cluster figures, 'frontend' to sweep "
-            "the open-loop serving frontend over offered load, 'replay' "
-            "for the trace-replay figures (working-set rotation and the "
-            "TTL+scan mix), 'faults' to sweep statistical fault rates on "
-            "both personalities; every row prints its claims table and "
-            "a miss at the recorded scale exits 1.  Also 'trace' to "
-            "record a span trace of a figure-shaped workload, 'lint' to "
-            "run the simlint per-module static rules (paths, "
-            "--list-rules, --sarif go to repro.lint), or 'sanitize' to "
-            "replay a figure under the runtime nondeterminism sanitizer "
-            "(extra args go to repro.lint.sanitizer)"
+            "which figure (or 'headline'/'all') to regenerate, or which "
+            "group of rows: 'ablations' to resize each mechanism the "
+            "paper hypothesizes, 'ycsb' for YCSB A-F on the KV-SSD vs "
+            "RocksDB, 'cluster' for the sharded multi-device cluster "
+            "figures, 'frontend' to sweep the open-loop serving frontend "
+            "over offered load, 'replay' for the trace-replay figures "
+            "(working-set rotation and the TTL+scan mix), 'faults' to "
+            "sweep statistical fault rates on both personalities; every "
+            "row prints its claims table and a miss at the recorded "
+            "scale exits 1.  Also 'trace' to record a span trace of a "
+            "figure-shaped workload, 'lint' to run the simlint "
+            "per-module static rules (paths, --list-rules, --sarif go "
+            "to repro.lint), or 'sanitize' to replay a figure under the "
+            "runtime nondeterminism sanitizer (--fig, --target, --n-ops "
+            "go to repro.lint.sanitizer)"
         ),
     )
     parser.add_argument(
-        "target", nargs="?", default=None,
-        choices=_PAPER + ["all", None],
-        help="with 'fig': which figure to regenerate",
-    )
-    parser.add_argument(
-        "--parallel", type=positive_int,
-        # A host-side default for how the sweep is executed; output is
-        # byte-identical at any worker count, so no result can see it.
-        # argparse converts a string default like a typed value.
-        default=os.environ.get(  # simlint: disable=SIM001
-            "REPRO_PARALLEL", "1"), metavar="N",
+        "--parallel", type=positive_int, default=1, metavar="N",
         help=(
             "worker processes for independent experiment points "
-            "(default: $REPRO_PARALLEL or 1 = serial; output is "
-            "byte-identical either way)"
+            "(default: 1 = serial; output is byte-identical either way)"
         ),
     )
     parser.add_argument(
@@ -196,61 +148,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache directory (default: .repro-cache)",
     )
     parser.add_argument(
-        "--n-ops", type=positive_int, default=None,
-        help="operations per measured phase (default: the recorded scale)",
-    )
-    parser.add_argument(
-        "--measured-ops", type=positive_int, default=None,
-        help="fig3 measured operations per phase (default: the recorded scale)",
+        "--n-ops", type=positive_int, default=None, metavar="N",
+        help=(
+            "operations per measured phase, on every selected row that "
+            "takes an op count (fig6 and fig7 take none), and trace's "
+            "measured ops per personality (default: the recorded scale)"
+        ),
     )
     parser.add_argument(
         "--fig", default="fig6", choices=list(scenarios()),
         help="trace: which figure-shaped scenario to record (default: fig6)",
     )
     parser.add_argument(
-        "--trace-ops", type=positive_int, default=None, metavar="N",
-        help="trace: measured ops per personality "
-             "(default: the scenario's own count)",
-    )
-    parser.add_argument(
         "--out", default="trace.json", metavar="PATH",
         help="trace: Perfetto JSON output path (default: trace.json)",
-    )
-    parser.add_argument(
-        "--fault-rates", type=fault_rates, default=None, metavar="R,R,...",
-        help="faults: comma-separated statistical rates to sweep "
-             "(default: the recorded scale)",
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="faults: fault-injector RNG seed (default: the recorded scale)",
-    )
-    parser.add_argument(
-        "--faults-out", default=None, metavar="PATH",
-        help="faults: also write the sweep as CSV to PATH "
-             "(parent directories are created)",
-    )
-    parser.add_argument(
-        "--cluster-ops", type=positive_int, default=None, metavar="N",
-        help="cluster: operations per tenant stream "
-             "(default: the recorded scale)",
-    )
-    parser.add_argument(
-        "--replay-ops", type=positive_int, default=None, metavar="N",
-        help="replay: base-mix operations per variant (default: 1500)",
-    )
-    parser.add_argument(
-        "--loads", type=offered_loads, default=None, metavar="K,K,...",
-        help="frontend: comma-separated offered loads in kops "
-             "(default: 16,32,64,128,256,512)",
-    )
-    parser.add_argument(
-        "--frontend-ops", type=positive_int, default=None, metavar="N",
-        help="frontend: requests offered per load point (default: 800)",
-    )
-    parser.add_argument(
-        "--scheduler", default=None, choices=["edf", "fifo"],
-        help="frontend: dispatch policy (default: edf)",
     )
     return parser
 
@@ -270,16 +181,6 @@ def main(argv: List[str] | None = None) -> int:
 
         return sanitize_main(argv[1:])
     args = build_parser().parse_args(argv)
-    experiment = args.experiment
-    if experiment == "fig":
-        # 'repro fig fig4' meta-form: the figure rides in as the target.
-        if args.target is None:
-            raise SystemExit("repro fig: name a figure, e.g. 'repro fig fig4'")
-        experiment = args.target
-    elif args.target is not None:
-        raise SystemExit(
-            f"unexpected argument {args.target!r} after {experiment!r}"
-        )
     runner = SweepRunner(
         workers=args.parallel,
         cache=not args.no_cache,
@@ -289,7 +190,7 @@ def main(argv: List[str] | None = None) -> int:
     # by name, and trace is a diagnostic pass, not a figure.
     reported = 0
     ok = True
-    for name in _PAPER if experiment == "all" else [experiment]:
+    for name in _PAPER if args.experiment == "all" else [args.experiment]:
         print(f"\n=== {name} ===")
         # Host-side progress reporting for the human running the CLI —
         # not simulation state, so the wall clock is the right clock.
@@ -297,7 +198,7 @@ def main(argv: List[str] | None = None) -> int:
         try:
             if name == "trace":
                 _run_trace(args, runner)
-            elif not _run_experiments(name, args, runner):
+            elif not _run_experiments(name, args.n_ops, runner):
                 ok = False
         except ConfigurationError as exc:
             # A scale no cell can run at, refused before any cell runs.

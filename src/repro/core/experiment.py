@@ -230,7 +230,7 @@ def build_kv_rig(
     :class:`~repro.faults.model.FaultInjector` (``None`` = perfect flash).
     """
     env = Environment()
-    cpu = CpuAccountant(env)
+    cpu = CpuAccountant()
     faults = FaultInjector(fault_config) if fault_config is not None else None
     device = KVSSD(env, geometry or lab_geometry(), config=config,
                    tracer=tracer, faults=faults)
@@ -254,7 +254,7 @@ def build_block_rig(
     from repro.blockftl.device import BlockSSD
 
     env = Environment()
-    cpu = CpuAccountant(env)
+    cpu = CpuAccountant()
     faults = FaultInjector(fault_config) if fault_config is not None else None
     device = BlockSSD(env, geometry or lab_geometry(), config=config,
                       tracer=tracer, faults=faults)

@@ -225,7 +225,7 @@ def _fig3_cell(
     device: str,
     occupancy: str,
     kvps: Dict[str, int],
-    measured_ops: int,
+    n_ops: int,
     blocks_per_plane: int,
 ) -> Dict[str, float]:
     """Mean QD1 read then write (update) latency at one occupancy."""
@@ -233,7 +233,7 @@ def _fig3_cell(
     rig.prime(kvps[occupancy], _FIG3_VALUE_BYTES, FILL_SCHEME)
     adapter = rig.adapter_for(_FIG3_VALUE_BYTES)
     base = WorkloadSpec(
-        n_ops=measured_ops,
+        n_ops=n_ops,
         op="read",
         pattern=Pattern.UNIFORM,
         population=kvps[occupancy],
@@ -263,7 +263,7 @@ def _fig3_occupancies(high_fraction: float, blocks_per_plane: int) -> Dict[str, 
 
 def fig3_index_occupancy(
     high_fraction: float = 0.95,
-    measured_ops: int = 1500,
+    n_ops: int = 1500,
     blocks_per_plane: int = 16,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
@@ -278,8 +278,7 @@ def fig3_index_occupancy(
         "fig3",
         _fig3_cell,
         {"device": DIRECT_SYSTEMS, "occupancy": kvps},
-        dict(kvps=kvps, measured_ops=measured_ops,
-             blocks_per_plane=blocks_per_plane),
+        dict(kvps=kvps, n_ops=n_ops, blocks_per_plane=blocks_per_plane),
         runner,
     )
     values = {

@@ -122,7 +122,7 @@ def headline_scalars(
         runner=runner,
     )
     fig3 = fig3_index_occupancy(
-        measured_ops=800,
+        n_ops=800,
         blocks_per_plane=blocks_per_plane,
         runner=runner,
     )

@@ -78,10 +78,8 @@ class Experiment:
     group: str
     #: Called as ``fn(runner=..., **kwargs)``; returns a
     #: :class:`~repro.kvbench.report.Result`.  Its defaults are the row's
-    #: recorded scale.
+    #: recorded scale; the CLI's ``--n-ops`` sets ``n_ops`` when it takes one.
     fn: Callable[..., Any]
-    #: ``fn`` keyword -> CLI option (argparse dest) that overrides it.
-    cli: Mapping[str, str]
     #: Keywords of the smallest meaningful run — what the golden and smoke
     #: suites execute.
     mini: Mapping[str, Any]
@@ -111,7 +109,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     row.name: row
     for row in (
         Experiment(
-            "fig2", "paper", fig2_end_to_end, {"n_ops": "n_ops"},
+            "fig2", "paper", fig2_end_to_end,
             dict(n_ops=250, systems=("kvssd", "rocksdb"),
                  patterns=("seq", "rand"), blocks_per_plane=8),
             (
@@ -132,8 +130,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig3", "paper", fig3_index_occupancy,
-            {"measured_ops": "measured_ops"},
-            dict(high_fraction=0.5, measured_ops=200, blocks_per_plane=8),
+            dict(high_fraction=0.5, n_ops=200, blocks_per_plane=8),
             (
                 Claim("KV write degradation high/low", "up to 16.4x",
                       "kv.write_degradation", 4.0),
@@ -148,7 +145,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                           queue_depth=1, blocks_per_plane=32),
         ),
         Experiment(
-            "fig4", "paper", fig4_value_size_concurrency, {"n_ops": "n_ops"},
+            "fig4", "paper", fig4_value_size_concurrency,
             dict(value_sizes=(4 * KIB,), queue_depths=(1, 64), n_ops=200,
                  blocks_per_plane=8),
             (
@@ -171,7 +168,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                           fill_fraction=0.15, queue_depth=16),
         ),
         Experiment(
-            "fig5", "paper", fig5_packing_bandwidth, {"n_ops": "n_ops"},
+            "fig5", "paper", fig5_packing_bandwidth,
             dict(value_sizes=(24 * KIB, 25 * KIB), n_ops=200, blocks_per_plane=8),
             (
                 Claim("KV bandwidth 25 KiB / 24 KiB", "drops sharply",
@@ -189,7 +186,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                           fill_fraction=0.0, op="insert", queue_depth=16),
         ),
         Experiment(
-            "fig6", "paper", fig6_foreground_gc, {},
+            "fig6", "paper", fig6_foreground_gc,
             dict(scenarios=("kv-uniform", "rocksdb-uniform")),
             (
                 Claim("KV uniform: foreground GC runs", "collapses",
@@ -208,7 +205,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                           blocks_per_plane=8),
         ),
         Experiment(
-            "fig7", "paper", fig7_space_amplification, {},
+            "fig7", "paper", fig7_space_amplification,
             dict(value_sizes=(50, 1024, 4096), kvps=3000, blocks_per_plane=8),
             (
                 Claim("KV-SSD at 50 B values", "~17x (up to 20x)",
@@ -229,7 +226,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                           fill_fraction=0.0, op="insert", queue_depth=4),
         ),
         Experiment(
-            "fig8", "paper", fig8_key_size_bandwidth, {"n_ops": "n_ops"},
+            "fig8", "paper", fig8_key_size_bandwidth,
             dict(key_sizes=(16, 24), n_ops=400, blocks_per_plane=8),
             (
                 Claim("async bandwidth step, 8 B -> 16 B keys", "flat up to 16 B",
@@ -244,7 +241,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                           key_digits=60),
         ),
         Experiment(
-            "headline", "paper", headline_scalars, {},
+            "headline", "paper", headline_scalars,
             # Enough ops that Aerospike's updates leave its write buffer:
             # every headline ratio already points the paper's way.
             dict(n_ops=800, blocks_per_plane=8),
@@ -274,7 +271,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             ),
         ),
         Experiment(
-            "ablations", "ablations", ablations, {"n_ops": "n_ops"},
+            "ablations", "ablations", ablations,
             # Enough inserts that the narrow stripe's dies queue up.
             dict(stream_widths=(4, 16), n_ops=400),
             (
@@ -295,7 +292,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             ),
         ),
         Experiment(
-            "ycsb", "ycsb", run_ycsb_sweep, {"n_ops": "n_ops"},
+            "ycsb", "ycsb", run_ycsb_sweep,
             dict(workloads=("A", "E"), n_ops=60, population=300),
             (
                 Claim("E (scans) KV/RocksDB", "future work; no ordered scan",
@@ -312,7 +309,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         # the design expects (DESIGN §§9, 13-15).
         Experiment(
             "fig_cluster_scaling", "cluster", cluster_shard_scaling,
-            {"n_ops": "cluster_ops"}, dict(n_ops=80),
+            dict(n_ops=80),
             (
                 Claim("throughput 8 / 2 shards: scales, short of linear", "-",
                       "scaling_ratio", 2.0, 4.0),
@@ -324,7 +321,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig_cluster_rebalance", "cluster", cluster_rebalance_tail,
-            {"n_ops": "cluster_ops"}, dict(n_ops=80),
+            dict(n_ops=80),
             (
                 Claim("rebalance loses an acknowledged write (1 = yes)", "-",
                       "lost_any_write", 0, 0),
@@ -336,7 +333,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig_cluster_replication", "cluster", cluster_replication_cost,
-            {"n_ops": "cluster_ops"}, dict(n_ops=80),
+            dict(n_ops=80),
             (
                 Claim("write cost at R=2 (flash programs / R=1)", "-",
                       "r2.write_cost", 1.2),
@@ -348,11 +345,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig_frontend", "frontend", frontend_load_sweep,
-            {"loads_kops": "loads", "n_requests": "frontend_ops",
-             "scheduler": "scheduler"},
             # One load on the device-bound plateau, one far past
             # saturation: pins the knee without the full curve.
-            dict(loads_kops=(16.0, 384.0), n_requests=240),
+            dict(loads_kops=(16.0, 384.0), n_ops=240),
             (
                 Claim("saturation knee (kops offered), inside the sweep", "-",
                       "knee_kops", 32.0, 512.0),
@@ -363,7 +358,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             ),
         ),
         Experiment(
-            "fig_replay_rotation", "replay", replay_rotation, {},
+            "fig_replay_rotation", "replay", replay_rotation,
             dict(rotate_every=(0, 64), n_ops=200, population=512,
                  working_set=64, blocks_per_plane=8),
             (
@@ -379,7 +374,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig_replay_mix", "replay", replay_ttl_scan_mix,
-            {"n_ops": "replay_ops"},
             dict(variants=("plain", "ttl+scan"), n_ops=200, population=400,
                  ttl_ops=120, blocks_per_plane=8),
             (
@@ -392,7 +386,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "faults", "faults", run_fault_sweep,
-            {"rates": "fault_rates", "seed": "fault_seed", "n_ops": "n_ops"},
             dict(rates=(0.0, 5e-2), n_ops=200, blocks_per_plane=8),
             (
                 Claim("failed ops - uncorrectable reads, worst cell", "-",

@@ -15,10 +15,7 @@ reliability literature reports for enterprise TLC.
 
 from __future__ import annotations
 
-import csv
-import os
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.experiment import DIRECT_SYSTEMS, build_rig, lab_geometry
 from repro.errors import ConfigurationError
@@ -33,6 +30,10 @@ from repro.kvftl.population import KeyScheme
 
 #: Default statistical rates the sweep visits (0 = perfect flash).
 DEFAULT_RATES = (0.0, 1e-3, 1e-2, 5e-2)
+
+#: Seed of every cell's fault injector: each (personality, rate) cell
+#: is one fixed draw of the statistical fault model.
+FAULT_SEED = 7
 
 #: Simulated-time bound per measured phase (a heavily faulted run must
 #: terminate even if recovery stalls it).
@@ -118,13 +119,13 @@ FAULT_SWEEP = Layout(
 )
 
 
-def _fault_cell(device: str, rate: float, seed: int, n_ops: int,
+def _fault_cell(device: str, rate: float, n_ops: int,
                 blocks_per_plane: int) -> Dict[str, float]:
     """One (personality, rate) cell: prime, then the 4 KiB 50/50 mixed
     workload at QD8."""
     rig = build_rig(
         DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
-        fault_config=fault_profile(rate, seed),
+        fault_config=fault_profile(rate, FAULT_SEED),
     )
     scheme = KeyScheme(prefix=b"key-", digits=12)
     rig.prime(n_ops, 4096, scheme)
@@ -164,7 +165,6 @@ def _fault_cell(device: str, rate: float, seed: int, n_ops: int,
 def run_fault_sweep(
     rates: Sequence[float] = DEFAULT_RATES,
     n_ops: int = 1200,
-    seed: int = 7,
     blocks_per_plane: int = 16,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
@@ -179,51 +179,14 @@ def run_fault_sweep(
     if not rates:
         raise ConfigurationError("fault sweep needs at least one rate")
     for rate in rates:
-        fault_profile(rate, seed)  # validate every rate before fan-out
+        fault_profile(rate)  # validate every rate before fan-out
     cells = grid(
         "faults",
         _fault_cell,
         {"device": DIRECT_SYSTEMS, "rate": rates},
-        dict(seed=seed, n_ops=n_ops, blocks_per_plane=blocks_per_plane),
+        dict(n_ops=n_ops, blocks_per_plane=blocks_per_plane),
         runner,
     )
     return FAULT_SWEEP.result(named(cells, ("device", "rate"), _TAG),
                               device=DIRECT_SYSTEMS, rate=rates)
 
-
-#: Column order of :func:`write_sweep_csv` (stable: tooling parses it).
-SWEEP_CSV_COLUMNS = (
-    "personality", "rate", "completed_ops", "failed_ops",
-    "p50_us", "p99_us", "p999_us",
-    "read_retries", "corrected_reads", "uncorrectable_reads",
-    "program_fails", "erase_fails", "retired_blocks", "read_only",
-)
-
-
-def write_sweep_csv(
-    result: Result, path: Union[str, "os.PathLike[str]"]
-) -> int:
-    """Write a :func:`run_fault_sweep` result as CSV to ``path``; returns
-    rows written.
-
-    Accepts any path-like value and creates missing parent directories,
-    so ``repro faults --faults-out results/sweep.csv`` just works.
-    """
-    target = Path(path)
-    if target.parent != Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    tags = list(spell(_TAG, result.axes))
-    with target.open("w", encoding="ascii", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for tag, coords in tags:
-            writer.writerow([
-                f"{coords['device']}-ssd", f"{coords['rate']:g}",
-                *(result[f"{tag}.{name}"] for name in ("completed", "failed")),
-                *(round(result[f"{tag}.{q}_us"], 3) for q in ("p50", "p99", "p999")),
-                *(result[f"{tag}.{name}"] for name in (
-                    "read_retries", "corrected_reads", "uncorrectable_reads",
-                    "program_fails", "erase_fails", "retired_blocks", "read_only",
-                )),
-            ])
-    return len(tags)

@@ -251,7 +251,6 @@ class ServingFrontend:
         (arrival + class deadline) is earliest.  An aged head's deadline
         recedes into the past, so no backlogged class waits forever —
         starvation-freedom is structural, not a tuned escape valve.
-        FIFO ignores deadlines and serves global arrival order.
         """
         best = -1
         best_key = 0.0
@@ -259,11 +258,7 @@ class ServingFrontend:
             if not queue:
                 continue
             head = queue[0]
-            key = (
-                head.arrival_us + head.deadline_us
-                if self.spec.scheduler == "edf"
-                else head.arrival_us
-            )
+            key = head.arrival_us + head.deadline_us
             if best < 0 or key < best_key:
                 best = index
                 best_key = key

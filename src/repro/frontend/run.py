@@ -42,7 +42,6 @@ def build_load_spec(
     load_ops_s: float,
     n_requests: int,
     admit_capacity: int = 512,
-    scheduler: str = "edf",
     population: int = 400,
     blocks_per_plane: int = 8,
     seed: int = 1,
@@ -91,7 +90,6 @@ def build_load_spec(
         classes=(LATENCY_CLASS, BATCH_CLASS),
         tenants=tenants,
         admit_capacity=admit_capacity,
-        scheduler=scheduler,
         blocks_per_plane=blocks_per_plane,
         seed=seed,
     )
@@ -173,16 +171,16 @@ FRONTEND_LOAD = Layout(
 
 def frontend_load_sweep(
     loads_kops: Sequence[float] = DEFAULT_LOADS_KOPS,
-    n_requests: int = 800,
-    scheduler: str = "edf",
+    n_ops: int = 800,
     runner: Optional[SweepRunner] = None,
 ) -> Result:
-    """Sweep offered load; one independent cell per load point."""
+    """Sweep offered load; one independent cell per load point, each
+    offered ``n_ops`` requests."""
     cells = grid(
         "frontend",
         _frontend_load_cell,
         {"load_kops": loads_kops},
-        dict(n_requests=n_requests, scheduler=scheduler),
+        dict(n_requests=n_ops),
         runner,
     )
     class_names = (LATENCY_CLASS.name, BATCH_CLASS.name)

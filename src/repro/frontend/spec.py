@@ -13,10 +13,6 @@ from typing import Tuple
 from repro.errors import ConfigurationError
 from repro.frontend.arrivals import ArrivalSpec
 
-#: Dispatch policies: deadline-aware earliest-deadline-first, or global
-#: arrival order (no class differentiation — the ablation baseline).
-SCHEDULERS = ("edf", "fifo")
-
 #: Tenant op mixes the frontend accepts (kvbench workload kinds).
 TENANT_OPS = ("read", "update", "mixed")
 
@@ -102,7 +98,6 @@ class FrontendSpec:
     #: Bounded admission queue: requests arriving while this many are in
     #: flight (queued or executing) are shed, never acknowledged.
     admit_capacity: int = 64
-    scheduler: str = "edf"
     blocks_per_plane: int = 8
     seed: int = 1
 
@@ -129,11 +124,6 @@ class FrontendSpec:
         if self.admit_capacity < 1:
             raise ConfigurationError(
                 f"admit_capacity must be >= 1, got {self.admit_capacity}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose from {SCHEDULERS}"
             )
 
     def class_index(self, name: str) -> int:

@@ -44,8 +44,6 @@ class SimFileSystem:
     JOURNAL_BYTES = 4 * MIB
     #: Host CPU per metadata operation (journal encode, bitmap update).
     METADATA_CPU_US = 2.0
-    #: CPU-accounting component.
-    COMPONENT = "fs"
 
     def __init__(self, env: Environment, block_api: BlockDeviceAPI) -> None:
         self.env = env
@@ -115,7 +113,7 @@ class SimFileSystem:
         yield from self.block_api.write(offset, self.FS_BLOCK)
 
     def _charge_metadata(self) -> None:
-        self.block_api.driver.cpu.charge(self.COMPONENT, self.METADATA_CPU_US)
+        self.block_api.driver.cpu.charge(self.METADATA_CPU_US)
         self.metadata_ops += 1
 
     # -- file operations -------------------------------------------------------

@@ -121,7 +121,7 @@ class HashKVStore:
 
     def put(self, key: bytes, value_bytes: int) -> Generator[Event, None, None]:
         """Insert or update a key (timed)."""
-        self._cpu.charge(COMPONENT, PUT_CPU_US)
+        self._cpu.charge(PUT_CPU_US)
         rbytes = self.record_bytes(value_bytes)
         if rbytes > WRITE_BLOCK_BYTES:
             raise ConfigurationError(
@@ -143,7 +143,7 @@ class HashKVStore:
 
     def get(self, key: bytes) -> Generator[Event, None, int]:
         """Point lookup; returns the value size (timed)."""
-        self._cpu.charge(COMPONENT, GET_CPU_US)
+        self._cpu.charge(GET_CPU_US)
         location = self._index.get(key)
         if location is None:
             raise KeyNotFoundError(f"key {key!r} not in hash store")
@@ -158,7 +158,7 @@ class HashKVStore:
 
     def delete(self, key: bytes) -> Generator[Event, None, None]:
         """Remove a key (timed; index update plus space retirement)."""
-        self._cpu.charge(COMPONENT, DELETE_CPU_US)
+        self._cpu.charge(DELETE_CPU_US)
         location = self._index.pop(key, None)
         if location is None:
             raise KeyNotFoundError(f"key {key!r} not in hash store")
@@ -281,7 +281,7 @@ class HashKVStore:
             if self._index.get(key) is not location:
                 # Updated or deleted while we yielded; already retired.
                 continue
-            self._cpu.charge(COMPONENT, DEFRAG_ENTRY_CPU_US)
+            self._cpu.charge(DEFRAG_ENTRY_CPU_US)
             yield from self._ensure_room(location.rbytes)
             if self._index.get(key) is not location:
                 # Raced with an update while waiting for room.

@@ -125,17 +125,17 @@ class LSMStore:
         """Insert or update a pair (timed)."""
         if value_bytes < 0:
             raise ConfigurationError(f"negative value size {value_bytes}")
-        self._cpu.charge(COMPONENT, PUT_CPU_US)
+        self._cpu.charge(PUT_CPU_US)
         yield from self._write_entry(key, value_bytes)
 
     def delete(self, key: bytes) -> Generator[Event, None, None]:
         """Write a tombstone (timed)."""
-        self._cpu.charge(COMPONENT, PUT_CPU_US)
+        self._cpu.charge(PUT_CPU_US)
         yield from self._write_entry(key, None)
 
     def get(self, key: bytes) -> Generator[Event, None, int]:
         """Point lookup; returns the value size (timed)."""
-        self._cpu.charge(COMPONENT, GET_CPU_US)
+        self._cpu.charge(GET_CPU_US)
         if key in self.memtable:
             return self._value_or_raise(key, self.memtable.get(key))
         for immutable in reversed(self._immutables):
@@ -165,7 +165,7 @@ class LSMStore:
         """
         if count < 1:
             raise ConfigurationError(f"scan count must be >= 1, got {count}")
-        self._cpu.charge(COMPONENT, GET_CPU_US)
+        self._cpu.charge(GET_CPU_US)
         sources = []
         memtable_keys = sorted(
             key for key in self.memtable.entries() if key >= start_key
@@ -196,7 +196,7 @@ class LSMStore:
         blocks_to_read = {}
         live_bytes = 0
         for key in selected:
-            self._cpu.charge(COMPONENT, FILTER_CHECK_CPU_US)
+            self._cpu.charge(FILTER_CHECK_CPU_US)
             value, table = self._resolve(key)
             if value is None:
                 continue  # tombstone or vanished
@@ -303,7 +303,7 @@ class LSMStore:
         modeled Bloom false-positive block read); tombstones come back as
         raising via the caller.
         """
-        self._cpu.charge(COMPONENT, FILTER_CHECK_CPU_US)
+        self._cpu.charge(FILTER_CHECK_CPU_US)
         if not table.covers(key):
             return -1
         present = key in table.entries
@@ -329,12 +329,12 @@ class LSMStore:
         self, table: SSTable, block_index: int
     ) -> Generator[Event, None, None]:
         if self.cache.lookup(table.sst_id, block_index):
-            self._cpu.charge(COMPONENT, BLOCK_DECODE_CPU_US)
+            self._cpu.charge(BLOCK_DECODE_CPU_US)
             return
         offset = table.block_offset(block_index)
         nbytes = min(BLOCK_BYTES, table.file_bytes - offset)
         yield from self.fs.read(table.name, offset, max(1, nbytes))
-        self._cpu.charge(COMPONENT, BLOCK_DECODE_CPU_US)
+        self._cpu.charge(BLOCK_DECODE_CPU_US)
         self.cache.insert(table.sst_id, block_index)
 
     # ------------------------------------------------------------------
@@ -353,7 +353,7 @@ class LSMStore:
             flush_started = self.env.now
             if entries:
                 table = SSTable(0, entries, sst_id=next(self._sst_ids))
-                self._cpu.charge(COMPONENT, FLUSH_ENTRY_CPU_US * len(entries))
+                self._cpu.charge(FLUSH_ENTRY_CPU_US * len(entries))
                 yield from self.fs.create(table.name)
                 yield from self.fs.append(table.name, table.file_bytes)
                 self.levels[0].append(table)
@@ -397,7 +397,7 @@ class LSMStore:
         inputs = task.upper_inputs + task.lower_inputs
         for table in inputs:
             yield from self.fs.read(table.name, 0, max(1, table.data_bytes))
-        self._cpu.charge(COMPONENT, COMPACT_ENTRY_CPU_US * task.input_entries)
+        self._cpu.charge(COMPACT_ENTRY_CPU_US * task.input_entries)
         is_bottom = all(
             not self.levels[level]
             for level in range(task.output_level + 1, MAX_LEVELS)

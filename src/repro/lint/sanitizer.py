@@ -47,8 +47,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
+from repro.cli import positive_int
 from repro.sim import engine as sim_engine
 from repro.trace.run import run_traced, scenarios
+
+#: The two ``PYTHONHASHSEED`` values of the subprocess pair.
+HASH_SEEDS = ("0", "1")
 
 #: Cap on retained event records; the digest and count keep running
 #: past it, so divergence *after* the cap is still detected, just
@@ -338,9 +342,11 @@ def collect_in_subprocess(
     if prior:
         extra.append(prior)
     env["PYTHONPATH"] = os.pathsep.join(extra)
+    # Only a fig target is sized; a callable target takes no arguments.
+    sized = ["--n-ops", str(n_ops)] if target.startswith("fig:") else []
     completed = subprocess.run(
         [sys.executable, "-m", "repro.lint.sanitizer",
-         "--collect-json", "--target", target, "--n-ops", str(n_ops)],
+         "--collect-json", "--target", target, *sized],
         env=env, capture_output=True, text=True,
     )
     if completed.returncode != 0:
@@ -373,18 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(overrides --fig)",
     )
     parser.add_argument(
-        "--n-ops", type=int, default=200,
+        "--n-ops", type=positive_int, default=200, metavar="N",
         help="measured ops per personality for fig targets "
              "(default: 200)",
-    )
-    parser.add_argument(
-        "--hash-seeds", default="0,1", metavar="A,B",
-        help="two PYTHONHASHSEED values for the subprocess pair "
-             "(default: 0,1)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI smoke mode: fig6 at 60 ops, same checks",
     )
     parser.add_argument(
         "--collect-json", action="store_true", help=argparse.SUPPRESS,
@@ -396,9 +393,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(
         list(argv) if argv is not None else None
     )
-    if args.smoke:
-        args.fig = args.fig or "fig6"
-        args.n_ops = min(args.n_ops, 60)
     target = args.target or f"fig:{args.fig or 'fig6'}"
 
     if args.collect_json:
@@ -422,18 +416,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     # Phase 2: subprocess pair under different hash seeds — catches
     # set/dict-order dependence that one interpreter can never see.
-    seeds = [seed.strip() for seed in args.hash_seeds.split(",")]
-    if len(seeds) != 2 or seeds[0] == seeds[1]:
-        print(f"sanitize: --hash-seeds needs two distinct values, "
-              f"got {args.hash_seeds!r}", file=sys.stderr)
-        return 2
-    left = collect_in_subprocess(target, args.n_ops, seeds[0])
-    right = collect_in_subprocess(target, args.n_ops, seeds[1])
+    left = collect_in_subprocess(target, args.n_ops, HASH_SEEDS[0])
+    right = collect_in_subprocess(target, args.n_ops, HASH_SEEDS[1])
     divergence = localize(left, right)
     if divergence is not None:
         failures.append(
-            f"hash-seed variation (PYTHONHASHSEED {seeds[0]} vs "
-            f"{seeds[1]}) diverged: {divergence.render()}"
+            f"hash-seed variation (PYTHONHASHSEED {HASH_SEEDS[0]} vs "
+            f"{HASH_SEEDS[1]}) diverged: {divergence.render()}"
         )
 
     if failures:
@@ -443,7 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     print(f"sanitize: OK — {target}: {first.total_events} events, "
           f"digest {first.digest[:12]}, stable across in-process "
-          f"replay and PYTHONHASHSEED {seeds[0]}/{seeds[1]}")
+          f"replay and PYTHONHASHSEED {HASH_SEEDS[0]}/{HASH_SEEDS[1]}")
     return 0
 
 

@@ -63,18 +63,16 @@ class KernelDeviceDriver:
         #: The status of the most recent completion (test/debug hook).
         self.last_status = NvmeStatus.SUCCESS
 
-    def submit(
-        self, ncommands: int, sync: bool, component: str
-    ) -> Generator[Event, None, None]:
+    def submit(self, ncommands: int, sync: bool) -> Generator[Event, None, None]:
         """Pass ``ncommands`` through the submission path (timed).
 
-        Charges host CPU to ``component`` and occupies the serialized
-        submission path once per command.
+        Charges host CPU and occupies the serialized submission path once
+        per command.
         """
         if ncommands < 1:
             raise ConfigurationError(f"ncommands must be >= 1, got {ncommands}")
         per_command = CPU_ASYNC_US + (CPU_SYNC_EXTRA_US if sync else 0.0)
-        self.cpu.charge(component, ncommands * per_command)
+        self.cpu.charge(ncommands * per_command)
         tracer = self.tracer
         trace = tracer is not None and tracer.wants("nvme")
         started = self.env.now if trace else 0.0
@@ -90,7 +88,6 @@ class KernelDeviceDriver:
     def complete(
         self,
         ncommands: int,
-        component: str,
         status: NvmeStatus = NvmeStatus.SUCCESS,
     ) -> None:
         """Account completion handling for ``ncommands`` (CPU only).
@@ -102,7 +99,7 @@ class KernelDeviceDriver:
         """
         if ncommands < 1:
             raise ConfigurationError(f"ncommands must be >= 1, got {ncommands}")
-        self.cpu.charge(component, ncommands * CPU_COMPLETE_US)
+        self.cpu.charge(ncommands * CPU_COMPLETE_US)
         self.commands_completed += ncommands
         self.last_status = status
         if status.is_error:

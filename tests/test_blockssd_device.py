@@ -4,6 +4,7 @@ import pytest
 
 from repro.blockftl.config import BlockSSDConfig
 from repro.blockftl.device import BlockSSD
+from repro.core.experiment import build_block_rig, lab_geometry
 from repro.errors import AddressError
 from repro.flash.geometry import Geometry
 from repro.flash.timing import READ_US
@@ -172,6 +173,25 @@ def test_deallocate_releases_space():
     run(env, proc(env))
     assert ssd.occupied_bytes == 0
     assert ssd.array.total_valid_bytes() == 0
+
+
+def test_trim_during_the_units_flush_is_not_undone():
+    """A TRIM landing after the flush worker took the unit off the write
+    buffer, but before the program commits, must stay a TRIM: the commit
+    used to map the trimmed unit back in."""
+    rig = build_block_rig(lab_geometry(8))
+    env, api = rig.env, rig.api
+
+    def session(env):
+        yield env.process(api.write(0, 8 * 4096))  # one page of units
+        yield env.sleep(5.0)  # the flush has taken them; not yet programmed
+        yield env.process(api.deallocate(0, 4096))
+
+    env.run_until_complete(env.process(session(env)))
+    rig.drain()
+    assert not rig.device.pagemap.is_mapped(0)
+    assert rig.device.live_bytes() == 7 * 4096
+    assert rig.device.array.total_valid_bytes() == 7 * 4096
 
 
 def test_prime_fill_matches_timed_state():

@@ -1,16 +1,21 @@
 """Tests for the experiment CLI."""
 
-import csv
 import json
 import re
+import shlex
 from dataclasses import replace
+from inspect import signature
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.registry import EXPERIMENTS, Claim
-from repro.faults.run import SWEEP_CSV_COLUMNS
+from repro.lint.__main__ import build_parser as lint_parser
+from repro.lint.sanitizer import build_parser as sanitize_parser
 from tests.conftest import figure_result
+
+CI = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
 
 
 def test_parser_accepts_every_experiment():
@@ -28,8 +33,8 @@ def test_parser_rejects_unknown_experiment():
 
 
 def test_parser_options():
-    args = build_parser().parse_args(["fig3", "--measured-ops", "123"])
-    assert args.measured_ops == 123
+    args = build_parser().parse_args(["fig3", "--n-ops", "123"])
+    assert args.n_ops == 123
     args = build_parser().parse_args(["fig5", "--n-ops", "77"])
     assert args.n_ops == 77
 
@@ -37,9 +42,36 @@ def test_parser_options():
 def test_scale_flags_default_to_not_given():
     """A row's function defaults are its recorded scale; the parser must
     not carry a second set."""
-    args = build_parser().parse_args(["fig2"])
-    dests = {dest for row in EXPERIMENTS.values() for dest in row.cli.values()}
-    assert {getattr(args, dest) for dest in dests} == {None}
+    assert build_parser().parse_args(["fig2"]).n_ops is None
+
+
+def test_n_ops_sizes_every_row_that_takes_an_op_count(capsys, monkeypatch):
+    """One spelling for every row's op count: ``--n-ops`` reaches each
+    row whose function takes ``n_ops``, and only those run off their
+    recorded scale; fig6 and fig7 take none and keep theirs."""
+    sized = {name for name, row in EXPERIMENTS.items()
+             if "n_ops" in signature(row.fn).parameters}
+    assert set(EXPERIMENTS) - sized == {"fig6", "fig7"}
+    seen = {}
+    for row in EXPERIMENTS.values():
+        mini = figure_result(row.name)
+
+        def served(runner, n_ops=None, *, name=row.name, mini=mini):
+            seen[name] = n_ops
+            return mini
+
+        def unsized(runner, *, name=row.name, mini=mini):
+            seen[name] = "recorded"
+            return mini
+
+        fn = served if row.name in sized else unsized
+        monkeypatch.setitem(EXPERIMENTS, row.name, replace(row, fn=fn, claims=()))
+    for command in ("all", "ablations", "ycsb", "cluster", "frontend",
+                    "replay", "faults"):
+        assert main([command, "--n-ops", "37", "--no-cache"]) == 0
+    assert seen == {name: 37 if name in sized else "recorded"
+                    for name in EXPERIMENTS}
+    assert capsys.readouterr().out.count("not the recorded scale") == len(sized)
 
 
 def test_missed_claim_fails_the_run_only_at_the_recorded_scale(
@@ -94,30 +126,25 @@ def test_fig8_refuses_more_ops_than_its_smallest_keys_can_name(capsys, tmp_path)
 
 def test_parser_accepts_parallel_and_cache_flags():
     args = build_parser().parse_args(
-        ["fig", "fig4", "--parallel", "4", "--no-cache",
+        ["fig4", "--parallel", "4", "--no-cache",
          "--cache-dir", "/tmp/alt-cache"]
     )
-    assert args.experiment == "fig"
-    assert args.target == "fig4"
+    assert args.experiment == "fig4"
     assert args.parallel == 4
     assert args.no_cache is True
     assert args.cache_dir == "/tmp/alt-cache"
 
 
-def test_fig_meta_form_requires_a_figure():
-    with pytest.raises(SystemExit, match="name a figure"):
-        main(["fig"])
-
-
-def test_target_is_rejected_outside_the_fig_form():
-    with pytest.raises(SystemExit, match="unexpected argument"):
-        main(["fig8", "fig4"])
+def test_parallel_defaults_to_serial_whatever_the_environment(monkeypatch):
+    """``--parallel`` is the one way to set the worker count."""
+    monkeypatch.setenv("REPRO_PARALLEL", "3")
+    assert build_parser().parse_args(["cluster"]).parallel == 1
 
 
 def _usage_error(capsys, argv):
     """The last stderr line of a run that must exit 2 printing nothing."""
     with pytest.raises(SystemExit) as raised:
-        main(argv + ["--no-cache"])
+        main(argv)
     assert raised.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -133,26 +160,11 @@ def test_parallel_must_be_positive(capsys):
     # Each used to be a traceback out of a spec's validation.
     (["fig5", "--n-ops", "0"], "--n-ops: must be >= 1, got 0"),
     (["fig5", "--n-ops", "-5"], "--n-ops: must be >= 1, got -5"),
-    (["fig3", "--measured-ops", "0"], "--measured-ops: must be >= 1, got 0"),
-    (["trace", "--trace-ops", "0"], "--trace-ops: must be >= 1, got 0"),
-    (["replay", "--replay-ops", "0"], "--replay-ops: must be >= 1, got 0"),
-    (["frontend", "--frontend-ops", "0"],
-     "--frontend-ops: must be >= 1, got 0"),
-    (["faults", "--fault-rates", ""], "--fault-rates: needs at least one rate"),
-    (["faults", "--fault-rates", "0.5"],
-     "--fault-rates: fault rate must be in [0, 0.2], got 0.5"),
+    (["sanitize", "--n-ops", "0"], "--n-ops: must be >= 1, got 0"),
+    (["sanitize", "--n-ops", "-5"], "--n-ops: must be >= 1, got -5"),
 ])
 def test_bad_numbers_are_usage_errors(capsys, argv, message):
     assert _usage_error(capsys, argv).endswith("argument " + message)
-
-
-def test_a_bad_parallel_default_reads_like_a_bad_parallel_flag(
-    capsys, monkeypatch
-):
-    flag = _usage_error(capsys, ["fig7", "--parallel", "two"])
-    monkeypatch.setenv("REPRO_PARALLEL", "two")
-    assert _usage_error(capsys, ["fig7"]) == flag
-    assert flag.endswith("argument --parallel: invalid positive_int value: 'two'")
 
 
 def _figure_stdout(capsys, argv):
@@ -163,46 +175,31 @@ def _figure_stdout(capsys, argv):
 
 
 def test_fig_parallel_output_is_byte_identical(capsys, tmp_path):
-    """`repro fig fig8 --parallel 2` prints exactly what serial prints."""
+    """`repro fig8 --parallel 2` prints exactly what serial prints."""
     base = ["--n-ops", "200", "--cache-dir", str(tmp_path / "cache")]
-    serial = _figure_stdout(capsys, ["fig", "fig8", "--parallel", "1"] + base)
-    parallel = _figure_stdout(capsys, ["fig", "fig8", "--parallel", "2"] + base)
+    serial = _figure_stdout(capsys, ["fig8", "--parallel", "1"] + base)
+    parallel = _figure_stdout(capsys, ["fig8", "--parallel", "2"] + base)
     assert parallel == serial
     # The second run hit the cache the first one filled.
     assert (tmp_path / "cache").is_dir()
 
 
-def test_faults_command_prints_table_and_writes_csv(capsys, tmp_path):
-    out_csv = tmp_path / "sweep.csv"
-    exit_code = main([
-        "faults", "--fault-rates", "0,1e-2", "--n-ops", "100",
-        "--no-cache", "--faults-out", str(out_csv),
-    ])
+def test_faults_command_prints_table(capsys):
+    exit_code = main(["faults", "--n-ops", "100", "--no-cache"])
     captured = capsys.readouterr().out
     assert exit_code == 0
-    assert "kv-ssd" in captured and "block-ssd" in captured
     # Rate 0 is in the sweep: tail inflation over it, 1.00 on its own row.
     table = captured.splitlines()
     assert table[2].endswith("mode  p99 x  p999 x")
     assert re.search(r"kv-ssd +0 .* rw +1\.00 +1\.00$", table[4])
-    assert f"wrote 4 sweep rows to {out_csv}" in captured
-    with out_csv.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert tuple(rows[0]) == SWEEP_CSV_COLUMNS
-    assert len(rows) == 1 + 4  # header + 2 personalities x 2 rates
-    personalities = {row[0] for row in rows[1:]}
-    assert personalities == {"kv-ssd", "block-ssd"}
-
-
-def test_faults_command_rejects_bad_rates(capsys):
-    error = _usage_error(capsys, ["faults", "--fault-rates", "0,banana"])
-    assert "argument --fault-rates: could not convert" in error
+    # 2 personalities x the recorded scale's 4 rates.
+    assert len(re.findall(r"^ *(kv|block)-ssd ", captured, re.M)) == 8
 
 
 def test_trace_command_writes_perfetto_file(capsys, tmp_path):
     out_json = tmp_path / "trace.json"
     exit_code = main([
-        "trace", "--fig", "fig5", "--trace-ops", "120",
+        "trace", "--fig", "fig5", "--n-ops", "120",
         "--no-cache", "--out", str(out_json),
     ])
     captured = capsys.readouterr().out
@@ -229,7 +226,7 @@ def test_cluster_command_end_to_end(capsys, tmp_path):
     """The three cluster figures and their claims tables, shard cells
     fanned over a 2-way worker pool."""
     exit_code = main([
-        "cluster", "--cluster-ops", "60",
+        "cluster", "--n-ops", "60",
         "--parallel", "2", "--cache-dir", str(tmp_path / "cache"),
     ])
     captured = capsys.readouterr().out
@@ -242,12 +239,12 @@ def test_cluster_command_end_to_end(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cluster", "--cluster-ops", "0"],  # used to be a ConfigurationError
-    ["cluster", "--cluster-ops", "-5"],
+    ["cluster", "--n-ops", "0"],  # used to be a ConfigurationError
+    ["cluster", "--n-ops", "-5"],
 ], ids=["zero", "negative"])
 def test_cluster_ops_below_one_is_a_usage_error(capsys, argv):
     error = _usage_error(capsys, argv)
-    assert f"argument --cluster-ops: must be >= 1, got {argv[-1]}" in error
+    assert f"argument --n-ops: must be >= 1, got {argv[-1]}" in error
 
 
 @pytest.mark.parametrize("group", ["cluster", "frontend", "replay", "faults"])
@@ -274,13 +271,13 @@ def test_frontend_command_end_to_end(capsys, tmp_path):
     the claims table, and routes exec statistics to stderr — under a
     2-way worker pool."""
     exit_code = main([
-        "frontend", "--loads", "16,384", "--frontend-ops", "240",
+        "frontend", "--n-ops", "240",
         "--parallel", "2", "--cache-dir", str(tmp_path / "cache"),
     ])
     captured = capsys.readouterr()
     assert exit_code == 0
     assert "lat p99" in captured.out and "bulk p99" in captured.out
-    assert "saturation knee at 384 kops" in captured.out
+    assert "saturation knee at 512 kops" in captured.out
     assert re.search(r"lat-class SLO violations at the lowest load +- +0 +yes",
                      captured.out)
     assert "[exec] frontend" in captured.err
@@ -288,45 +285,10 @@ def test_frontend_command_end_to_end(capsys, tmp_path):
 
 
 def test_frontend_parallel_output_is_byte_identical(capsys, tmp_path):
-    base = ["--loads", "16,128", "--frontend-ops", "160",
-            "--cache-dir", str(tmp_path / "cache")]
+    base = ["--n-ops", "160", "--cache-dir", str(tmp_path / "cache")]
     serial = _figure_stdout(capsys, ["frontend", "--parallel", "1"] + base)
     parallel = _figure_stdout(capsys, ["frontend", "--parallel", "2"] + base)
     assert parallel == serial
-
-
-def test_frontend_rejects_bad_loads(capsys):
-    """Each a usage error before anything runs; ``nan`` used to print a
-    table of ``nan`` latencies and exit 0."""
-    for loads, message in [
-        ("16,banana", "could not convert string to float: 'banana'"),
-        ("-1", "load must be finite and > 0 kops, got -1"),
-        ("-4,16", "load must be finite and > 0 kops, got -4"),
-        ("0", "load must be finite and > 0 kops, got 0"),
-        ("nan", "load must be finite and > 0 kops, got nan"),
-        ("16,inf", "load must be finite and > 0 kops, got inf"),
-        (",", "needs at least one load"),
-    ]:
-        error = _usage_error(capsys, ["frontend", f"--loads={loads}"])
-        assert error.endswith("argument --loads: " + message), error
-
-
-def test_parser_accepts_frontend_flags():
-    args = build_parser().parse_args(
-        ["frontend", "--loads", "8,16", "--frontend-ops", "99",
-         "--scheduler", "fifo"]
-    )
-    assert args.experiment == "frontend"
-    assert args.loads == (8.0, 16.0)
-    assert args.frontend_ops == 99
-    assert args.scheduler == "fifo"
-
-
-def test_parallel_defaults_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "3")
-    assert build_parser().parse_args(["cluster"]).parallel == 3
-    monkeypatch.delenv("REPRO_PARALLEL")
-    assert build_parser().parse_args(["cluster"]).parallel == 1
 
 
 def test_exec_statistics_go_to_stderr_not_stdout(capsys, tmp_path):
@@ -338,3 +300,55 @@ def test_exec_statistics_go_to_stderr_not_stdout(capsys, tmp_path):
     assert exit_code == 0
     assert "[exec] fig8" in captured.err
     assert "[exec]" not in captured.out
+
+
+def _run_scripts(text):
+    """Each ``run:`` value of a workflow as its lines; a folded (``>``)
+    block is one line, joined as YAML joins it."""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        match = re.match(r"^( *)(?:- )?run: *(.*)$", line)
+        if not match:
+            continue
+        indent, value = len(match.group(1)), match.group(2)
+        if value not in ("|", "|-", ">", ">-"):
+            yield [value]
+            continue
+        body = []
+        for follow in lines[index + 1:]:
+            if follow.strip() and len(follow) - len(follow.lstrip()) <= indent:
+                break
+            body.append(follow.strip())
+        yield [" ".join(body)] if value.startswith(">") else body
+
+
+def _ci_repro_commands():
+    """The argv after ``python -m repro`` (or ``repro.cli``) of every CI
+    command line that runs one."""
+    commands = []
+    for script in _run_scripts(CI.read_text()):
+        for line in script:
+            match = re.search(r"\bpython3? -m repro(?:\.cli)? +(.*)", line)
+            if match:
+                commands.append(shlex.split(match.group(1)))
+    return commands
+
+
+def test_every_ci_command_line_parses():
+    """A flag change that would break a CI step fails here first: each
+    command goes through the parser ``main`` routes it to."""
+    commands = _ci_repro_commands()
+    assert {argv[0] for argv in commands} >= {
+        "cluster", "frontend", "replay", "faults", "trace", "lint", "sanitize",
+    }
+    routed = {"lint": lint_parser, "sanitize": sanitize_parser}
+    for argv in commands:
+        if argv[0] in routed:
+            parser, rest = routed[argv[0]](), argv[1:]
+        else:
+            parser, rest = build_parser(), argv
+        try:
+            parser.parse_args(rest)
+        except SystemExit:
+            pytest.fail(f"CI runs `repro {shlex.join(argv)}`, which no "
+                        "longer parses")

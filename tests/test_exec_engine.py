@@ -437,7 +437,7 @@ class TestEquivalence:
         spec are value-identical."""
         from repro.frontend.run import frontend_load_sweep
 
-        kwargs = dict(loads_kops=(16.0, 256.0), n_requests=160)
+        kwargs = dict(loads_kops=(16.0, 256.0), n_ops=160)
         serial = frontend_load_sweep(**kwargs)
         parallel = frontend_load_sweep(
             **kwargs, runner=SweepRunner(workers=2, cache=False)

@@ -24,7 +24,7 @@ def make_fs(blocks_per_plane=16):
     )
     env = Environment()
     device = BlockSSD(env, geometry)
-    driver = KernelDeviceDriver(env, CpuAccountant(env))
+    driver = KernelDeviceDriver(env, CpuAccountant())
     api = BlockDeviceAPI(env, device, driver)
     return env, device, SimFileSystem(env, api)
 

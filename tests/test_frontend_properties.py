@@ -90,9 +90,7 @@ def test_a_tenant_refuses_a_population_its_keys_cannot_name() -> None:
 # -- serving invariants --------------------------------------------------
 
 
-def _overload_spec(
-    scheduler: str, admit_capacity: int, seed: int
-) -> FrontendSpec:
+def _overload_spec(admit_capacity: int, seed: int) -> FrontendSpec:
     """A two-class overload: offered load far past device capacity, so an
     admission window a little past the ``DISPATCH_WIDTH * BATCH_MAX`` = 64
     requests the dispatchers hold in flight must shed, and both class
@@ -131,21 +129,19 @@ def _overload_spec(
         classes=classes,
         tenants=tenants,
         admit_capacity=admit_capacity,
-        scheduler=scheduler,
         seed=seed,
     )
 
 
 @settings(max_examples=6, deadline=None)
 @given(
-    scheduler=st.sampled_from(("edf", "fifo")),
     admit_capacity=st.integers(min_value=72, max_value=136),
     seed=st.integers(min_value=1, max_value=1000),
 )
 def test_admission_never_acknowledges_a_shed_request(
-    scheduler: str, admit_capacity: int, seed: int
+    admit_capacity: int, seed: int
 ) -> None:
-    spec = _overload_spec(scheduler, admit_capacity, seed)
+    spec = _overload_spec(admit_capacity, seed)
     result = run_frontend(spec, keep_requests=True)
     assert result.requests is not None
     assert result.shed > 0  # the overload must actually trip admission
@@ -163,12 +159,9 @@ def test_admission_never_acknowledges_a_shed_request(
 
 
 @settings(max_examples=6, deadline=None)
-@given(
-    scheduler=st.sampled_from(("edf", "fifo")),
-    seed=st.integers(min_value=1, max_value=1000),
-)
-def test_batcher_preserves_per_tenant_fifo(scheduler: str, seed: int) -> None:
-    spec = _overload_spec(scheduler, admit_capacity=128, seed=seed)
+@given(seed=st.integers(min_value=1, max_value=1000))
+def test_batcher_preserves_per_tenant_fifo(seed: int) -> None:
+    spec = _overload_spec(admit_capacity=128, seed=seed)
     result = run_frontend(spec, keep_requests=True)
     assert result.requests is not None
     batched = [r for r in result.requests if r.batch_seq >= 0]
@@ -182,7 +175,7 @@ def test_batcher_preserves_per_tenant_fifo(scheduler: str, seed: int) -> None:
         assert sequences == sorted(sequences)
 
 
-def _sustained_spec(scheduler: str, seed: int) -> FrontendSpec:
+def _sustained_spec(seed: int) -> FrontendSpec:
     """Sustained overload whose arrival span (~3.5 ms) far exceeds the
     deadline gap (2 ms), so an aged bulk head's absolute deadline falls
     before fresh lat arrivals' — a deadline-aware scheduler *must*
@@ -222,24 +215,18 @@ def _sustained_spec(scheduler: str, seed: int) -> FrontendSpec:
         classes=classes,
         tenants=tenants,
         admit_capacity=256,
-        scheduler=scheduler,
         seed=seed,
     )
 
 
 @settings(max_examples=6, deadline=None)
-@given(
-    scheduler=st.sampled_from(("edf", "fifo")),
-    seed=st.integers(min_value=1, max_value=1000),
-)
-def test_scheduler_never_starves_a_nonempty_class(
-    scheduler: str, seed: int
-) -> None:
+@given(seed=st.integers(min_value=1, max_value=1000))
+def test_scheduler_never_starves_a_nonempty_class(seed: int) -> None:
     """Under sustained overload every admitted request still completes,
     and the bulk class is served interleaved with the latency class
     rather than held until the latency queue drains: some bulk batch is
     formed while a lat request admitted before it is still queued."""
-    spec = _sustained_spec(scheduler, seed)
+    spec = _sustained_spec(seed)
     result = run_frontend(spec, keep_requests=True)
     assert result.requests is not None
     admitted = [r for r in result.requests if not r.shed]

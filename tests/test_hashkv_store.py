@@ -26,7 +26,7 @@ def make_store(blocks_per_plane=16):
     )
     env = Environment()
     device = BlockSSD(env, geometry)
-    driver = KernelDeviceDriver(env, CpuAccountant(env))
+    driver = KernelDeviceDriver(env, CpuAccountant())
     api = BlockDeviceAPI(env, device, driver)
     store = HashKVStore(env, api)
     return env, device, store

@@ -71,7 +71,7 @@ def test_kv_personality_invariants_hold_through_gc():
         env, small_geometry(),
         config=KVSSDConfig(page_reserved_bytes=0, invariants=True),
     )
-    cpu = CpuAccountant(env)
+    cpu = CpuAccountant()
     api = KVStoreAPI(env, kv, KernelDeviceDriver(env, cpu), sync=False)
     population = kv.fast_fill(
         int(kv.core.user_capacity_bytes * 0.80 // 4144), 4 * KIB, SCHEME
@@ -92,7 +92,7 @@ def test_block_personality_invariants_hold_through_gc():
     blk = BlockSSD(
         env, small_geometry(), config=BlockSSDConfig(invariants=True)
     )
-    cpu = CpuAccountant(env)
+    cpu = CpuAccountant()
     api = BlockDeviceAPI(env, blk, KernelDeviceDriver(env, cpu), sync=False)
     primed = int(blk.n_units * 0.80)
     blk.prime_sequential_fill(primed)

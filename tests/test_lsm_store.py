@@ -27,7 +27,7 @@ def make_store(blocks_per_plane=24, **lsm_kwargs):
     )
     env = Environment()
     device = BlockSSD(env, geometry)
-    driver = KernelDeviceDriver(env, CpuAccountant(env))
+    driver = KernelDeviceDriver(env, CpuAccountant())
     api = BlockDeviceAPI(env, device, driver)
     fs = SimFileSystem(env, api)
     defaults = dict(memtable_bytes=256 * KIB, level_base_bytes=1 * MIB,

@@ -33,7 +33,7 @@ def test_commands_for_key_rejects_empty():
 
 def make_driver():
     env = Environment()
-    cpu = CpuAccountant(env)
+    cpu = CpuAccountant()
     driver = KernelDeviceDriver(env, cpu)
     return env, cpu, driver
 
@@ -42,7 +42,7 @@ def test_submission_path_serializes_commands():
     env, _cpu, driver = make_driver()
 
     def submit(env, n):
-        yield from driver.submit(n, sync=False, component="test")
+        yield from driver.submit(n, sync=False)
         return env.now
 
     one = env.process(submit(env, 1))
@@ -57,14 +57,14 @@ def test_submission_path_serializes_commands():
 def test_sync_mode_charges_more_cpu():
     env, cpu_async, driver_async = make_driver()
     process = driver_async.env.process(
-        driver_async.submit(1, sync=False, component="a")
+        driver_async.submit(1, sync=False)
     )
     driver_async.env.run_until_complete(process)
     async_cpu = cpu_async.total_busy_us
 
     env2, cpu_sync, driver_sync = make_driver()
     process = driver_sync.env.process(
-        driver_sync.submit(1, sync=True, component="a")
+        driver_sync.submit(1, sync=True)
     )
     driver_sync.env.run_until_complete(process)
     assert cpu_sync.total_busy_us > async_cpu
@@ -72,7 +72,7 @@ def test_sync_mode_charges_more_cpu():
 
 def test_completion_charges_cpu_only():
     env, cpu, driver = make_driver()
-    driver.complete(3, "x")
+    driver.complete(3)
     assert cpu.total_busy_us == pytest.approx(3 * CPU_COMPLETE_US)
     assert env.now == 0.0
 

@@ -236,7 +236,7 @@ def _hash_observations(ops, fault_config):
     env = Environment()
     faults = FaultInjector(fault_config) if fault_config else None
     device = BlockSSD(env, _parity_geometry(), faults=faults)
-    driver = KernelDeviceDriver(env, CpuAccountant(env))
+    driver = KernelDeviceDriver(env, CpuAccountant())
     store = HashKVStore(env, BlockDeviceAPI(env, device, driver))
 
     def apply(op, index, value_bytes):
