@@ -24,8 +24,8 @@ byte-identical at any worker count.
 Every row returns the one result shape of :mod:`repro.kvbench.report`:
 its values by dotted name over the axes it swept (``kvssd.rand.insert_us``)
 and its module-level :class:`~repro.kvbench.report.Layout` — the row's one
-declaration of derived values, golden metric names and text, from which
-``render()`` and ``metrics()`` are read.  A claim in
+declaration of derived values and text, from which ``render()`` is read.
+The golden suite pins every value of the recorded run.  A claim in
 :mod:`repro.core.registry` names one value; that module lists the
 experiments and what the paper reports for each, and nothing else in the
 tree does either.
@@ -110,10 +110,6 @@ FIG2 = Layout(
         "kv_over_{system}.{phase}": ratio(
             "kvssd.rand.{phase}_us", "{system}.rand.{phase}_us"),
     },
-    # The random pattern, and RocksDB's insert latency over the KV-SSD's
-    # (the figure's headline comparison).
-    metrics=("{system}.rand.{phase}_us", "{system}.cpu_us_per_op",
-             "rocksdb_over_kv.insert"),
     sections=(
         Table(("system", "pattern"), {
             "system": label("{system}"), "pattern": label("{pattern}"),
@@ -204,8 +200,6 @@ def fig2_end_to_end(
 FIG3 = Layout(
     derived={"{device}.{op}_degradation": ratio(
         "{device}.high.{op}_us", "{device}.low.{op}_us")},
-    metrics=("low_kvps", "high_kvps", "kv.read_degradation",
-             "{device}.{occupancy}.{op}_us"),
     sections=(
         Table(("device", "occupancy"), {
             "device": label("{device}"), "occupancy": label("{occupancy}"),
@@ -300,11 +294,6 @@ FIG4 = Layout(
     derived={"ratio.{size}.qd{queue_depth}.{op}": ratio(
         "kv.{size}.qd{queue_depth}.{op}_us",
         "block.{size}.qd{queue_depth}.{op}_us")},
-    # Ratios and raw KV latencies at the sweep's first value size.
-    metrics=(
-        ("ratio.{op}.qd{queue_depth}", "ratio.{size}.qd{queue_depth}.{op}"),
-        ("kv.{op}.qd{queue_depth}_us", "kv.{size}.qd{queue_depth}.{op}_us"),
-    ),
     sections=(
         Table(("size",), {
             "value": _kib,
@@ -414,7 +403,6 @@ FIG5 = Layout(
             for a, b in zip(r.axes["size"], r.axes["size"][1:])
         ), default=None),
     },
-    metrics=("kv.{size}.mib_s", "block.{size}.mib_s", "kv.{size}.fragments"),
     sections=(Table(("size",), {
         "value": _kib, "KV MiB/s": "kv.{size}.mib_s",
         "block MiB/s": "block.{size}.mib_s", "fragments": "kv.{size}.fragments",
@@ -494,10 +482,6 @@ def _fig6_lines(r: Result) -> str:
 
 
 FIG6 = Layout(
-    metrics=tuple(f"{{scenario}}.{name}" for name in (
-        "foreground_gc_runs", "waf", "gc_moved_mib", "p99_us",
-        "series_len", "series_min", "series_max",
-    )),
     sections=(_fig6_lines,),
 )
 
@@ -626,8 +610,6 @@ FIG7 = Layout(
             for size in r.axes["size"]
         ),
     },
-    metrics=("max_kvps_full_scale", "rocksdb.sa", "kvssd.{size}.sa",
-             "kvssd.{size}.analytic", "aerospike.{size}.sa"),
     sections=(
         Table(("size",), {
             "value": label("{size}B"), "KV-SSD": "kvssd.{size}.sa",
@@ -711,8 +693,6 @@ FIG8 = Layout(
         "async.k8_to_k16_step": lambda r: abs(
             r["async.k16.mib_s"] / r["async.k8.mib_s"] - 1.0),
     },
-    metrics=("commands.k{key_bytes}", "{mode}.k{key_bytes}.mib_s",
-             "cliff_ratio.{mode}"),
     sections=(
         Table(("key_bytes",), {
             "key": label("{key_bytes}B"), "cmds": "commands.k{key_bytes}",
@@ -812,7 +792,6 @@ ABLATIONS = Layout(
             r["page_reserve_bytes.first_split_kib.512"]
             - r["page_reserve_bytes.first_split_kib.7680"]),
     },
-    metrics=tuple(f"{name}.{{{axis}}}" for axis, name in _EFFECTS.items()),
     sections=tuple(
         Table((axis,), {"setting": label(f"{{{axis}}}"), "value": f"{name}.{{{axis}}}"},
               title=name.replace(".", " -> "))
@@ -942,8 +921,6 @@ CLUSTER_SCALING = Layout(
         "worst_router_share": lambda r: max(
             r[f"s{shards}.router_share"] for shards in r.axes["shards"]),
     },
-    metrics=("scaling_ratio", "s{shards}.throughput_kops", "s{shards}.router_share",
-             "s{shards}.completed_ops", "s{shards}.waf"),
     sections=(
         Table(("shards",), {
             "shards": label("{shards}"), "kops": "s{shards}.throughput_kops",
@@ -995,8 +972,6 @@ CLUSTER_REBALANCE = Layout(
         "tail_inflation.p99": _rebalance_inflation,
         "lost_any_write": lambda r: 1 - r["zero_lost_writes"],
     },
-    metrics=("drain_ops", "zero_lost_writes", "verify_checked", "router_share",
-             "trace_spans", "tail_inflation.p99", "waf", "{phase}.{stat}"),
     sections=(
         Table(("phase",), {
             "phase": label("{phase}"), "ops": ("{phase}.count", int),
@@ -1075,9 +1050,6 @@ CLUSTER_REPLICATION = Layout(
         "flash_programs.r3_minus_r2": lambda r: (
             r["r3.flash_programs"] - r["r2.flash_programs"]),
     },
-    metrics=("r{factor}.throughput_kops", "r{factor}.routed_ops",
-             "r{factor}.flash_programs", "r{factor}.write_cost",
-             "r{factor}.read_p99_us"),
     sections=(Table(("factor",), {
         "R": label("{factor}"), "kops": "r{factor}.throughput_kops",
         "routed ops": "r{factor}.routed_ops",
@@ -1196,9 +1168,6 @@ REPLAY_ROTATION = Layout(
             r[name] for name, _ in spell(f"{_ROT}.completed", r.axes)
         ) / r["n_ops"],
     },
-    metrics=(*(f"{_ROT}.{name}" for name in (
-        "mean_us", "p99_us", "p999_us", "waf", "completed",
-    )), "{device}.rotation_penalty"),
     sections=(
         Table(("device", "rotate_every"), {
             "device": label("{device}"),
@@ -1343,11 +1312,6 @@ REPLAY_MIX = Layout(
         "ttl_variants.fewest_deletes": lambda r: min(
             r["ttl.deletes"], r["ttl+scan.deletes"]),
     },
-    metrics=(*(f"{{variant}}.{name}" for name in (
-        "p99_us", "read_p99_us", "read_p999_us", "completed", "failed",
-        "deletes", "scans", "bucket_keys", "bucket_count",
-        "bucket_page_writes", "waf",
-    )), "tail_inflation.{variant}"),
     sections=(
         Table(("variant",), {
             "variant": label("{variant}"),

@@ -49,13 +49,6 @@ HEADLINE = Layout(
         "cpu_reduction.aerospike_over_rocksdb": lambda r: (
             r["cpu_reduction_vs_aerospike"] / r["cpu_reduction_vs_rocksdb"]),
     },
-    metrics=(
-        "cpu_reduction_vs_rocksdb", "cpu_reduction_vs_aerospike",
-        "bw_ratio_4k_rand_read", "bw_ratio_4k_rand_write",
-        "latency_ratio_read_qd1", "latency_ratio_write_qd1",
-        "latency_ratio_read_high_occupancy", "e2e_insert_gain_vs_rocksdb",
-        "e2e_update_gain_vs_aerospike", "max_kvps_full_scale",
-    ),
     sections=(lambda r: format_table(["metric", "measured"], [
         (label, fmt.format(r[name])) for label, name, fmt in _ROWS
     ]),),

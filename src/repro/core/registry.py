@@ -2,26 +2,26 @@
 
 :data:`EXPERIMENTS` is the only list of experiments in the tree, and a
 row's :class:`Claim` tuple the only place a paper-reported number is
-typed.  A row has two scales: its function's *defaults* are the recorded
-scale — what ``repro <row>`` runs with no flags, its claims are checked
-at and EXPERIMENTS.md shows (``tests/test_paper_claims.py``) — and
-``mini`` is the smallest meaningful run, whose ``result.metrics()`` and
-event count the golden suite diffs.  The CLI selects rows by name or
-group and prints ``result.render()`` and :meth:`Experiment.claims_table`.
-A row's function returns the one result shape of
-:mod:`repro.kvbench.report` — values by dotted name plus the row's
-declared layout — and a claim names one of those values.  Adding an
-experiment is: write the ``fig*``-style function (returning its values
-plus a :class:`~repro.kvbench.report.Layout` declaration), add one row
-here with its claims, run ``pytest tests/test_golden_figures.py
-tests/test_paper_claims.py --regen-golden``.
+typed.  A row has one scale: its function's *defaults*, what ``repro
+<row>`` runs with no flags.  Tier-1 runs each row once there, checks its
+claims, diffs its printed text against EXPERIMENTS.md
+(``tests/test_paper_claims.py``) and pins its event count and every
+value (``tests/test_golden_figures.py``).  The CLI selects rows by name
+or group and prints ``result.render()`` and
+:meth:`Experiment.claims_table`.  A row's function returns the one
+result shape of :mod:`repro.kvbench.report` — values by dotted name
+plus the row's declared layout — and a claim names one of those values.
+Adding an experiment is: write the ``fig*``-style function (returning
+its values plus a :class:`~repro.kvbench.report.Layout` declaration),
+add one row here with its claims, run ``pytest tests/test_golden_figures.py
+tests/test_paper_claims.py --regen-golden`` once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.figures import (
     ablations,
@@ -80,9 +80,6 @@ class Experiment:
     #: :class:`~repro.kvbench.report.Result`.  Its defaults are the row's
     #: recorded scale; the CLI's ``--n-ops`` sets ``n_ops`` when it takes one.
     fn: Callable[..., Any]
-    #: Keywords of the smallest meaningful run — what the golden and smoke
-    #: suites execute.
-    mini: Mapping[str, Any]
     #: The findings this row reproduces (or, beyond the paper, states),
     #: checked at ``fn()``.
     claims: Tuple[Claim, ...] = ()
@@ -110,8 +107,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
     for row in (
         Experiment(
             "fig2", "paper", fig2_end_to_end,
-            dict(n_ops=250, systems=("kvssd", "rocksdb"),
-                 patterns=("seq", "rand"), blocks_per_plane=8),
             (
                 Claim("KV seq/rand insert latency", "~equal (hashing erases order)",
                       "kvssd.seq_over_rand.insert", 0.8, 1.25),
@@ -130,7 +125,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig3", "paper", fig3_index_occupancy,
-            dict(high_fraction=0.5, n_ops=200, blocks_per_plane=8),
             (
                 Claim("KV write degradation high/low", "up to 16.4x",
                       "kv.write_degradation", 4.0),
@@ -146,8 +140,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig4", "paper", fig4_value_size_concurrency,
-            dict(value_sizes=(4 * KIB,), queue_depths=(1, 64), n_ops=200,
-                 blocks_per_plane=8),
             (
                 Claim("QD1 4 KiB write ratio", "~2.5x",
                       "ratio.4096.qd1.write", 1.5, 4.0),
@@ -169,7 +161,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig5", "paper", fig5_packing_bandwidth,
-            dict(value_sizes=(24 * KIB, 25 * KIB), n_ops=200, blocks_per_plane=8),
             (
                 Claim("KV bandwidth 25 KiB / 24 KiB", "drops sharply",
                       "kv.25600_over_24576", hi=0.6),
@@ -187,7 +178,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig6", "paper", fig6_foreground_gc,
-            dict(scenarios=("kv-uniform", "rocksdb-uniform")),
             (
                 Claim("KV uniform: foreground GC runs", "collapses",
                       "kv-uniform.foreground_gc_runs", 1),
@@ -206,7 +196,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig7", "paper", fig7_space_amplification,
-            dict(value_sizes=(50, 1024, 4096), kvps=3000, blocks_per_plane=8),
             (
                 Claim("KV-SSD at 50 B values", "~17x (up to 20x)",
                       "kvssd.50.sa", 14.0, 21.0),
@@ -227,7 +216,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig8", "paper", fig8_key_size_bandwidth,
-            dict(key_sizes=(16, 24), n_ops=400, blocks_per_plane=8),
             (
                 Claim("async bandwidth step, 8 B -> 16 B keys", "flat up to 16 B",
                       "async.k8_to_k16_step", hi=0.1),
@@ -242,9 +230,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "headline", "paper", headline_scalars,
-            # Enough ops that Aerospike's updates leave its write buffer:
-            # every headline ratio already points the paper's way.
-            dict(n_ops=800, blocks_per_plane=8),
             (
                 Claim("host CPU reduction vs RocksDB", "~13x avg (up to 0.92x less)",
                       "cpu_reduction_vs_rocksdb", 5.0),
@@ -272,8 +257,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "ablations", "ablations", ablations,
-            # Enough inserts that the narrow stripe's dies queue up.
-            dict(stream_widths=(4, 16), n_ops=400),
             (
                 Claim("50 B space amp, 256 B / 1 KiB min allocation",
                       "min allocation causes it (Fig. 7)",
@@ -293,7 +276,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "ycsb", "ycsb", run_ycsb_sweep,
-            dict(workloads=("A", "E"), n_ops=60, population=300),
             (
                 Claim("E (scans) KV/RocksDB", "future work; no ordered scan",
                       "E.ratio", 5.0),
@@ -309,7 +291,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         # the design expects (DESIGN §§9, 13-15).
         Experiment(
             "fig_cluster_scaling", "cluster", cluster_shard_scaling,
-            dict(n_ops=80),
             (
                 Claim("throughput 8 / 2 shards: scales, short of linear", "-",
                       "scaling_ratio", 2.0, 4.0),
@@ -321,7 +302,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig_cluster_rebalance", "cluster", cluster_rebalance_tail,
-            dict(n_ops=80),
             (
                 Claim("rebalance loses an acknowledged write (1 = yes)", "-",
                       "lost_any_write", 0, 0),
@@ -333,7 +313,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig_cluster_replication", "cluster", cluster_replication_cost,
-            dict(n_ops=80),
             (
                 Claim("write cost at R=2 (flash programs / R=1)", "-",
                       "r2.write_cost", 1.2),
@@ -345,9 +324,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig_frontend", "frontend", frontend_load_sweep,
-            # One load on the device-bound plateau, one far past
-            # saturation: pins the knee without the full curve.
-            dict(loads_kops=(16.0, 384.0), n_ops=240),
             (
                 Claim("saturation knee (kops offered), inside the sweep", "-",
                       "knee_kops", 32.0, 512.0),
@@ -359,8 +335,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig_replay_rotation", "replay", replay_rotation,
-            dict(rotate_every=(0, 64), n_ops=200, population=512,
-                 working_set=64, blocks_per_plane=8),
             (
                 Claim("ops completed / offered, worst rotation cell", "-",
                       "worst_completed_fraction", 1.0, 1.0),
@@ -374,8 +348,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "fig_replay_mix", "replay", replay_ttl_scan_mix,
-            dict(variants=("plain", "ttl+scan"), n_ops=200, population=400,
-                 ttl_ops=120, blocks_per_plane=8),
             (
                 Claim("prefix scans run (ttl+scan)", "-", "ttl+scan.scans", 1),
                 Claim("expiry deletes, fewer of the two ttl variants", "-",
@@ -386,7 +358,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
         Experiment(
             "faults", "faults", run_fault_sweep,
-            dict(rates=(0.0, 5e-2), n_ops=200, blocks_per_plane=8),
             (
                 Claim("failed ops - uncorrectable reads, worst cell", "-",
                       "worst_unexplained_failures", 0, 0),

@@ -106,11 +106,6 @@ FAULT_SWEEP = Layout(
             r[f"{device}-ssd.0.05.p999_inflation"] for device in r.axes["device"]
         ),
     },
-    metrics=tuple(f"{_TAG}.{name}" for name in (
-        "completed", "failed", "p50_us", "p99_us", "p999_us", "read_retries",
-        "uncorrectable_reads", "program_fails", "retired_blocks", "read_only",
-        "p999_inflation",
-    )),
     sections=(
         _table,
         "rate = per-read corrected-error probability; rarer events "

@@ -151,10 +151,6 @@ FRONTEND_LOAD = Layout(
         "knee_kops": _knee_kops,
         "lat.queueing_share_at_knee": _queueing_share,
     },
-    metrics=(*(f"{_AT}.{name}" for name in (
-        "p50_us", "p99_us", "p999_us", "queue_p99_us", "shed_fraction",
-        "violation_fraction",
-    )), "throughput.{load:g}k", "mean_batch.{load:g}k", "knee_kops"),
     sections=(
         Table(("load",), {
             "kops": label("{load:g}"), "{cls} p50": (f"{_AT}.p50_us", rounded(1)),

@@ -2,10 +2,10 @@
 
 A row function returns a :class:`Result`: what it measured, as values
 by dotted name over the axes it swept, plus the row's :class:`Layout` —
-its one declaration of derived values, golden metric names and text.
-``render()`` (what the CLI prints; at each row's recorded scale, the
-reproduction record below the marker in EXPERIMENTS.md) and
-``metrics()`` (what the golden suite diffs) are both read off it.
+its one declaration of derived values and text.  ``render()`` (what the
+CLI prints; at each row's recorded scale, the reproduction record below
+the marker in EXPERIMENTS.md) is read off it; the golden suite pins
+``values`` whole.
 
 Names are ``str.format`` templates over the axes:
 ``"{system}.rand.{phase}_us"`` spells one name per point of the
@@ -161,21 +161,17 @@ def _show(result: "Result", cell: Any, coords: Coords) -> object:
 
 @dataclass(frozen=True)
 class Layout:
-    """A row's one declaration: what its result derives, pins and prints.
+    """A row's one declaration: what its result derives and prints.
 
     * ``derived`` maps a name template to ``fn(result, **coords)``,
       computed in order at every name it spells; a name whose inputs this
       run did not produce (a ``KeyError`` or ``ZeroDivisionError``), or
       whose ``fn`` returns ``None``, has no value.
-    * ``metrics`` are the golden names: name templates, or ``(name,
-      value name)`` pairs — a value axis the name omits sits at its first
-      value.  A name this run has no value for is left out.
     * ``sections`` are joined by ``sep``: a :class:`Table`, a fixed line,
       or ``fn(result)`` returning text (``None`` for none).
     """
 
     sections: Tuple[Any, ...]
-    metrics: Tuple[Any, ...] = ()
     derived: Mapping[str, Callable[..., Any]] = field(default_factory=dict)
     sep: str = "\n\n"
 
@@ -204,17 +200,6 @@ class Result:
 
     def __getitem__(self, name: str) -> Any:
         return self.values[name]
-
-    def metrics(self) -> Dict[str, float]:
-        """The golden metrics this run has values for, in declared order."""
-        first = {axis: of[0] for axis, of in self.axes.items() if of}
-        metrics: Dict[str, float] = {}
-        for leaf, coords in _spread(self.layout.metrics, self.axes, {}):
-            name, value = (leaf, leaf) if isinstance(leaf, str) else leaf
-            value = value.format(**{**first, **coords})
-            if value in self.values:
-                metrics[name.format(**coords)] = self.values[value]
-        return metrics
 
     def render(self) -> str:
         """The row's text: its sections, joined by the layout's ``sep``."""

@@ -43,8 +43,6 @@ YCSB = Layout(
             r["E.ratio"] / max(r[f"{w}.ratio"] for w in "ABCDF")),
         "A_over_C.ratio": ratio("A.ratio", "C.ratio"),
     },
-    metrics=("{workload}.{system}.mean_us", "{workload}.{system}.p99_us",
-             "{workload}.ratio"),
     sections=(
         Table(("workload",), {
             "workload": label("{workload}"), "KV-SSD us": "{workload}.kv.mean_us",

@@ -437,6 +437,12 @@ class KVSSD:
             raise KeyNotFoundError(f"key {key!r} not stored")
         if self.merge.behind():
             yield from self.merge.backpressure()
+        # Resolved again after the suspension points above: a concurrent
+        # store of the same key may have replaced the copy found first,
+        # and a concurrent delete may have removed it.
+        found = self._find_live(key)
+        if found is None:
+            raise KeyNotFoundError(f"key {key!r} not stored")
         self._invalidate_live(key, found)
         self.index.note_delete()
         self.iterators.note_delete(key)

@@ -1,10 +1,10 @@
 """Shared pytest configuration for the figure suites.
 
-The smoke suite (`test_figures_smoke.py`) and the golden suite
-(`test_golden_figures.py`) exercise the experiments of
-:data:`repro.core.registry.EXPERIMENTS` at each row's ``mini`` scale;
-:func:`figure_run` memoizes the run so both suites share one
-execution per pytest session.
+The claims suite (`test_paper_claims.py`), the golden suite
+(`test_golden_figures.py`) and the smoke suite (`test_figures_smoke.py`)
+all read the rows of :data:`repro.core.registry.EXPERIMENTS` at their
+recorded scale, ``row.fn()``; :func:`figure_run` memoizes the run so
+each row executes once per pytest session.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ def regen_golden(request: pytest.FixtureRequest) -> bool:
 
 @lru_cache(maxsize=None)
 def figure_run(name: str) -> Tuple[Any, int]:
-    """The memoized miniature run of one experiment: its result and the
-    number of events the engine popped producing it."""
-    experiment = EXPERIMENTS[name]
+    """The memoized recorded-scale run of one experiment: its result and
+    the number of events the engine popped producing it."""
     events = 0
 
     def count(now: float, event: Any) -> None:
@@ -51,7 +50,7 @@ def figure_run(name: str) -> Tuple[Any, int]:
 
     set_pop_observer(count)
     try:
-        result = experiment.fn(**experiment.mini)
+        result = EXPERIMENTS[name].fn()
     finally:
         set_pop_observer(None)
     return result, events

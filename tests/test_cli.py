@@ -54,15 +54,15 @@ def test_n_ops_sizes_every_row_that_takes_an_op_count(capsys, monkeypatch):
     assert set(EXPERIMENTS) - sized == {"fig6", "fig7"}
     seen = {}
     for row in EXPERIMENTS.values():
-        mini = figure_result(row.name)
+        recorded = figure_result(row.name)
 
-        def served(runner, n_ops=None, *, name=row.name, mini=mini):
+        def served(runner, n_ops=None, *, name=row.name, recorded=recorded):
             seen[name] = n_ops
-            return mini
+            return recorded
 
-        def unsized(runner, *, name=row.name, mini=mini):
+        def unsized(runner, *, name=row.name, recorded=recorded):
             seen[name] = "recorded"
-            return mini
+            return recorded
 
         fn = served if row.name in sized else unsized
         monkeypatch.setitem(EXPERIMENTS, row.name, replace(row, fn=fn, claims=()))
@@ -78,11 +78,14 @@ def test_missed_claim_fails_the_run_only_at_the_recorded_scale(
     capsys, monkeypatch
 ):
     """A planted impossible band: exit 1 with no scale flag; with one the
-    table still prints, under a notice, and cannot fail the run."""
+    table still prints, under a notice, and cannot fail the run.  The row
+    is served its memoized result, so no run is paid."""
     planted = Claim("planted", "-", "cliff_ratio.async", lo=2.0)
-    monkeypatch.setitem(
-        EXPERIMENTS, "fig8", replace(EXPERIMENTS["fig8"], claims=(planted,))
-    )
+    memo = figure_result("fig8")
+    monkeypatch.setitem(EXPERIMENTS, "fig8", replace(
+        EXPERIMENTS["fig8"], claims=(planted,),
+        fn=lambda runner, n_ops=None: memo,
+    ))
     assert main(["fig8", "--no-cache"]) == 1
     recorded = capsys.readouterr().out
     assert main(["fig8", "--n-ops", "300", "--no-cache"]) == 0
@@ -250,15 +253,15 @@ def test_cluster_ops_below_one_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize("group", ["cluster", "frontend", "replay", "faults"])
 def test_a_planted_miss_fails_each_group(capsys, monkeypatch, group):
     """One missed claim on any row of the group exits 1 at the recorded
-    scale; the rows are served their mini results, so no run is paid."""
+    scale; the rows are served their memoized results, so no run is paid."""
     rows = [row for row in EXPERIMENTS.values() if row.group == group]
     for index, row in enumerate(rows):
-        mini = figure_result(row.name)
-        mini = replace(mini, values={**mini.values, "one": 1.0})
+        recorded = figure_result(row.name)
+        planted = replace(recorded, values={**recorded.values, "one": 1.0})
         claim = (Claim("planted", "-", "one", lo=2.0) if index == 0
                  else Claim("holds", "-", "one", 1.0, 1.0))
         monkeypatch.setitem(EXPERIMENTS, row.name, replace(
-            row, fn=lambda runner, mini=mini: mini, claims=(claim,)
+            row, fn=lambda runner, planted=planted: planted, claims=(claim,)
         ))
     assert main([group, "--no-cache"]) == 1
     out = capsys.readouterr().out

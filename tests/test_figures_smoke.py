@@ -1,10 +1,11 @@
-"""Smoke tests for the figure experiments at miniature scale.
+"""Shape tests for the figure experiments at their recorded scale.
 
-``tests/test_paper_claims.py`` checks the paper's findings at each row's
-recorded scale; these tests assert the *shape* of the ``mini`` runs declared in
-``repro.core.registry.EXPERIMENTS`` — the same memoized results the golden
-suite diffs, so each mini figure executes once per session no matter how
-many suites consume it.
+``tests/test_paper_claims.py`` checks each row's claims and
+``tests/test_golden_figures.py`` pins every value; these tests assert the
+structural *shape* of the same memoized runs (``tests/conftest.py``) —
+fragment and command counts, which scenarios collect garbage, what
+machinery a variant exercises — so each figure still executes once per
+session no matter how many suites consume it.
 """
 
 import pytest
@@ -45,7 +46,7 @@ def test_fig7_three_sizes():
 
 
 def test_fig6_golden_foreground_gc_shape():
-    """Golden shape of the Fig. 6 mini run: the fixed-seed experiment
+    """Golden shape of the Fig. 6 run: the fixed-seed experiment
     must keep producing foreground GC on the KV scenario and none on the
     RocksDB-on-block scenario, with the tail ordering that follows.  A
     change here means the GC engine's behavior shifted, not just noise —
@@ -69,15 +70,15 @@ def test_fig8_cliff_minimal():
 
 
 def test_fig_replay_rotation_shape():
-    """Both devices replay the identical churn trace to completion, and
-    the rotating working set never costs less than the static control
-    (the whole hot set is cold right after every rotation)."""
+    """Both devices replay the identical churn trace to completion at
+    every rotation period, the static control included.  Which way
+    rotation moves the tail is the row's claims' business (a 0.9-1.1 band
+    on each device's penalty)."""
     result = figure_result("fig_replay_rotation")
-    for device in ("kv", "block"):
-        for rotate in (0, 64):
-            assert result[f"{device}.rot{rotate}.completed"] == 200
+    for device in result.axes["device"]:
+        for rotate in result.axes["rotate_every"]:
+            assert result[f"{device}.rot{rotate}.completed"] == result["n_ops"]
             assert result[f"{device}.rot{rotate}.mean_us"] > 0
-        assert result[f"{device}.rotation_penalty"] >= 1.0
 
 
 def test_fig_replay_mix_shape():
@@ -93,14 +94,14 @@ def test_fig_replay_mix_shape():
 
 
 def test_fig_frontend_knee_shape():
-    """The serving-frontend mini sweep must show the open-loop story:
-    a saturation knee between the plateau load and the overload point,
-    with pre-submit queueing absorbing most of the added lat-class tail
-    (per the request timestamp trails)."""
+    """The serving-frontend sweep must show the open-loop story: a
+    saturation knee strictly inside the swept loads, a lat-class tail
+    that grows from the lightest load to the heaviest, and completed
+    throughput below the offered load at every point."""
     result = figure_result("fig_frontend")
-    low, high = result.axes["load"]
-    assert result["knee_kops"] == high
-    assert result[f"lat.{high:g}k.p99_us"] > result[f"lat.{low:g}k.p99_us"]
-    assert result["lat.queueing_share_at_knee"] >= 0.8
-    # Overload cannot push completed throughput past device capacity.
-    assert result[f"throughput.{high:g}k"] < high
+    loads = result.axes["load"]
+    assert loads[0] < result["knee_kops"] < loads[-1]
+    assert (result[f"lat.{loads[-1]:g}k.p99_us"]
+            > result[f"lat.{loads[0]:g}k.p99_us"])
+    for load in loads:
+        assert result[f"throughput.{load:g}k"] < load

@@ -6,6 +6,7 @@ import pytest
 
 from repro.blockftl.config import BlockSSDConfig
 from repro.blockftl.device import BlockSSD
+from repro.core.experiment import build_kv_rig, lab_geometry
 from repro.errors import (
     CapacityLimitError,
     ConfigurationError,
@@ -89,6 +90,46 @@ def test_delete_removes_pair():
     assert not ssd.contains(key(1))
     with pytest.raises(KeyNotFoundError):
         run(env, ssd.retrieve(key(1)))
+
+
+def _delete_racing_a_store(stored_first):
+    """Start a delete and a store of one primed key at the same instant.
+
+    The index outgrows its 4 KiB of DRAM, so the delete reads index pages
+    from flash after its first lookup, and the store replaces the copy it
+    found meanwhile.  ``stored_first`` overwrites the primed pair (and
+    settles it on flash) before the race, so the delete finds a record."""
+    rig = build_kv_rig(
+        lab_geometry(8), config=KVSSDConfig(index_dram_bytes=4096, invariants=True)
+    )
+    scheme = KeyScheme(b"key-", 12)
+    rig.prime(200_000, 512, scheme)
+    target = scheme.key_for(12345)
+    if stored_first:
+        run(rig.env, rig.api.store(target, 512))
+        rig.drain()
+    delete = rig.env.process(rig.api.delete(target))
+    store = rig.env.process(rig.api.store(target, 512))
+    rig.env.run_until_complete(
+        rig.env.all_of([delete, store]), limit=rig.env.now + 600e6
+    )
+    rig.drain()  # checks the device's invariants
+    return rig, target
+
+
+@pytest.mark.parametrize("stored_first", [False, True], ids=["primed", "stored"])
+def test_a_delete_racing_a_store_removes_the_copy_the_store_wrote(stored_first):
+    """The delete resolves the key again after its waits: it removes the
+    store's copy, once, and never retires the copy the store replaced a
+    second time (a primed pair overridden twice, or a record's bytes
+    invalidated twice on flash)."""
+    rig, target = _delete_racing_a_store(stored_first)
+    device = rig.device
+    assert device.live_kvps == 199_999
+    assert not device.contains(target)
+    assert device.array.total_valid_bytes() == device.stats.device_bytes
+    with pytest.raises(KeyNotFoundError):
+        run(rig.env, rig.api.retrieve(target))
 
 
 def test_update_replaces_and_reclaims_accounting():

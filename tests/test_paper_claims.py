@@ -2,11 +2,11 @@
 
 Every row of ``repro.core.registry.EXPERIMENTS`` runs once at its
 recorded scale — ``fn()`` with no arguments, exactly what
-``repro <row>`` runs with no flags.  Every claim must hold, and
+``repro <row>`` runs with no flags, memoized in ``tests/conftest.py``
+for the golden and smoke suites too.  Every claim must hold, and
 ``render()`` plus the claims table must equal the row's fenced block
-below the marker line of EXPERIMENTS.md.  Nothing else in the tree runs
-the recorded scale, and nothing below the marker is typed by hand:
-regenerate after an intentional change with::
+below the marker line of EXPERIMENTS.md.  Nothing below the marker is
+typed by hand: regenerate after an intentional change with::
 
     PYTHONPATH=src python -m pytest tests/test_paper_claims.py --regen-golden
 
@@ -19,7 +19,9 @@ import math
 import re
 import sys
 from dataclasses import replace
+from inspect import signature
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.core import figures
 from repro.core.registry import EXPERIMENTS, Claim
 from repro.kvbench.report import Layout
 from repro.kvbench.workload import generate_operations
+from tests.conftest import figure_result
 
 RECORD = Path(__file__).parent.parent / "EXPERIMENTS.md"
 MARKER = "<!-- generated: tests/test_paper_claims.py --regen-golden -->\n"
@@ -43,7 +46,7 @@ def test_every_row_states_its_findings_as_claims() -> None:
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_claims_hold_at_the_recorded_scale(name: str, regen_golden: bool) -> None:
     row = EXPERIMENTS[name]
-    result = row.fn()
+    result = figure_result(name)
     table, held = row.claims_table(result)
     live = f"{result.render()}\n\n{table}"
     header, _, generated = RECORD.read_text(encoding="utf-8").partition(MARKER)
@@ -82,9 +85,10 @@ def test_claim_band_is_validated_and_a_non_finite_measure_is_a_miss() -> None:
 
 
 def test_one_result_shape_and_every_claim_names_a_value() -> None:
-    """A row's render and metrics are read off its declared layout: no
-    module that defines a row function hand-writes either, and a claim
-    measures a value by name, never by reaching into a result."""
+    """A row's render is read off its declared layout: no module that
+    defines a row function hand-writes a render (or a metrics reduction),
+    and a claim measures a value by name, never by reaching into a
+    result."""
     modules = {sys.modules[row.fn.__module__] for row in EXPERIMENTS.values()}
     assert len(modules) == 5
     hand_written = [
@@ -99,16 +103,23 @@ def test_one_result_shape_and_every_claim_names_a_value() -> None:
 def test_fig8_cells_store_keys_of_exactly_their_key_size(monkeypatch) -> None:
     """At the recorded scale the 4 B cell has more inserts than "k" + 3
     digits can name; every cell's scheme must still name all of its
-    inserts at exactly the cell's key size."""
+    inserts at exactly the cell's key size.  The cells are built at the
+    recorded run's keywords and stop before their phase runs: the memo
+    already holds what the phases measure."""
     key_lengths = {}
 
     def spy(rig, name, spec, *args, **kwargs):
         key_lengths[name] = {len(op.key) for op in generate_operations(spec)}
-        return run_phase(rig, name, spec, *args, **kwargs)
+        return SimpleNamespace(bandwidth=SimpleNamespace(
+            overall_mib_per_sec=lambda: 0.0))
 
-    run_phase = figures.run_phase
     monkeypatch.setattr(figures, "run_phase", spy)
-    result = figures.fig8_key_size_bandwidth()
+    recorded = signature(figures.fig8_key_size_bandwidth).parameters
+    result = figure_result("fig8")
+    for size in result.axes["key_bytes"]:
+        for mode in result.axes["mode"]:
+            figures._fig8_cell(size, mode, recorded["n_ops"].default,
+                               recorded["blocks_per_plane"].default)
     assert key_lengths == {
         f"fig8.{mode}.k{size}": {size}
         for size in result.axes["key_bytes"] for mode in ("sync", "async")
