@@ -41,6 +41,12 @@ the emulated one (prefix iterate + point reads) on the other.
 saturated: Poisson and MMPP arrivals, admission and shedding, the EDF
 pick, the batch linger and the dispatchers' signal waits.
 
+``block_cell`` is direct block I/O at QD8 on a primed block rig over a
+small hot range: 4 KiB overwrites, 2 KiB sub-unit writes (a mapped unit
+that is not buffered takes the read-modify-write read), 64 KiB
+multi-unit writes, reads and TRIMs, so TRIMs land on buffered units and
+on units a flush has taken.
+
 The set-order pair is loaded by path
 (``tests/fixtures/sanitizer_targets.py:fn``), so this file must stay
 importable with only ``src`` on ``PYTHONPATH`` — and without ``from
@@ -224,3 +230,59 @@ def frontend_cell() -> List[Tuple[float, int, int, int, int, int, float, str]]:
             repr(sorted(result.per_class.items())),
         ))
     return rows
+
+
+def block_cell() -> Tuple[int, int, float, int, str]:
+    """480 mixed direct-I/O commands of three sizes at QD8, then a drain.
+
+    Seven in ten start in 512 hot units that straddle a mapping-segment
+    boundary, so commands meet buffered units and units in flight; the
+    rest land anywhere in the primed half and miss the segment cache.
+    """
+    import random
+
+    from repro.core.experiment import build_block_rig, lab_geometry
+    from repro.kvbench.runner import closed_loop
+
+    rig = build_block_rig(lab_geometry(16))
+    device, api = rig.device, rig.api
+    primed = device.n_units // 2
+    device.prime_sequential_fill(primed)
+    unit = device.map_unit
+    rng = random.Random(23)
+    commands = []
+    for _ in range(480):
+        if rng.random() < 0.7:
+            at = (768 + rng.randrange(512)) * unit
+        else:
+            at = rng.randrange(primed - 16) * unit
+        roll = rng.random()
+        if roll < 0.30:
+            commands.append((api.write, at, unit))
+        elif roll < 0.45:
+            commands.append((api.write, at + rng.choice((0, unit // 2)), unit // 2))
+        elif roll < 0.55:
+            commands.append((api.write, at, 16 * unit))
+        elif roll < 0.80:
+            commands.append((api.read, at, rng.choice((unit, 16 * unit))))
+        else:
+            commands.append((api.deallocate, at, rng.choice((unit, 4 * unit))))
+    outcomes = []
+
+    def done(command, started, _value, error):
+        outcomes.append(error is None)
+
+    rig.env.run_until_complete(rig.env.process(_drained(
+        rig.env, closed_loop(
+            rig.env, "blk", 8, lambda c: c[0](c[1], c[2]), commands, done,
+        ), device,
+    ), name="block_cell"))
+    return (
+        sum(outcomes), len(outcomes), rig.env.now,
+        device.pagemap.mapped_units, repr(device.stats),
+    )
+
+
+def _drained(env: Environment, loop, device):
+    yield loop
+    yield from device.drain()
