@@ -36,19 +36,22 @@ class DeviceAPI:
         completion-queue status a real driver would report — after the
         driver has accounted the error completion.
         """
-        call = getattr(self.device, name)
-        span = self.device.tracer.op(name)
+        device = self.device
+        span = device.tracer.op(name)
         try:
-            ncommands, told = 1, {}
-            if key_bytes is not None:
-                ncommands = told["ncommands"] = commands_for_key(key_bytes)
+            if key_bytes is None:
+                ncommands = 1
+                work = getattr(device, name)(*args, span=span)
+            else:
+                ncommands = commands_for_key(key_bytes)
                 tags = {"key_bytes": key_bytes, **tags}
+                work = getattr(device, name)(*args, span=span, ncommands=ncommands)
             driver = self.driver
             driver.cpu.charge(self.LIBRARY_CPU_US)
             span.enter("nvme")
             yield from driver.submit(ncommands, self.sync)
             try:
-                result = yield from call(*args, span=span, **told)
+                result = yield from work
             except DeviceError as exc:
                 exc.nvme_status = status = status_for_error(exc)
                 driver.complete(1, status=status)

@@ -28,7 +28,6 @@ misses and pays a serialized metadata load, reproducing the datasheet's
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -67,13 +66,8 @@ from repro.sim.resources import Resource
 from repro.trace.tracer import NULL_SPAN, Tracer
 
 
-@dataclass
-class _PendingUnit:
-    """A dirty map unit buffered in device DRAM awaiting flush."""
-
-    unit: int
-    arrival_us: float
-    sequence: int
+#: Process label of a host read's page reads.
+_PAGE_READ = f"{DEVICE_NAME}.rd"
 
 
 class BlockSSD:
@@ -128,9 +122,17 @@ class BlockSSD:
         self.controller = Resource(env, CONTROLLER_CORES, name=f"{DEVICE_NAME}.ctl")
         self.map_loader = Resource(env, 1, name=f"{DEVICE_NAME}.maploader")
 
-        self._pending: "OrderedDict[int, _PendingUnit]" = OrderedDict()
+        #: Units buffered in device DRAM awaiting flush, oldest first, each
+        #: with the arrival of its first buffered write (coalesced writes
+        #: keep it).  A popped unit flies as ``(unit, sequence)``; its
+        #: commit maps it only if that is still the unit's latest write.
+        self._pending: "OrderedDict[int, float]" = OrderedDict()
         self._latest_sequence: Dict[int, int] = {}
         self._sequence = 0
+        #: Units one buffer admission takes (see ``write``).
+        self._group_units = max(
+            self.slots_per_page, self.buffer.capacity_bytes // (2 * self.map_unit)
+        )
 
     # ------------------------------------------------------------------
     # address helpers
@@ -152,15 +154,17 @@ class BlockSSD:
 
     def _split_units(self, offset: int, nbytes: int) -> List[Tuple[int, int, int]]:
         """Split a byte range into (unit, offset_in_unit, length) pieces."""
-        pieces: List[Tuple[int, int, int]] = []
-        position = offset
+        map_unit = self.map_unit
+        unit, in_unit = divmod(offset, map_unit)
+        if in_unit + nbytes <= map_unit:
+            return [(unit, in_unit, nbytes)]  # the common one-unit command
+        pieces = [(unit, in_unit, map_unit - in_unit)]
+        position = offset + map_unit - in_unit
         end = offset + nbytes
         while position < end:
-            unit = position // self.map_unit
-            in_unit = position % self.map_unit
-            length = min(self.map_unit - in_unit, end - position)
-            pieces.append((unit, in_unit, length))
-            position += length
+            unit += 1
+            pieces.append((unit, 0, min(map_unit, end - position)))
+            position += map_unit
         return pieces
 
     # ------------------------------------------------------------------
@@ -185,67 +189,64 @@ class BlockSSD:
         yield self.controller.serve(HOST_INTERFACE_US)
         pieces = self._split_units(offset, nbytes)
 
+        map_unit = self.map_unit
+        pagemap, pending = self.pagemap, self._pending
+        controller, segment_cache = self.controller, self.segment_cache
+        segment_units = segment_cache.segment_units
+
         # Phase 1: mapping updates and sub-unit read-modify-writes (timed).
         # Unlike lookups, mapping *updates* are journaled asynchronously
         # and do not pass through the serialized metadata loader; misses
-        # still cost extra controller work.
-        seen_segments = set()
+        # still cost extra controller work.  The command pins segments it
+        # already walked; its units are consecutive, so that is the last.
+        walked = -1
         for unit, _in_unit, length in pieces:
-            segment = self.segment_cache.segment_of(unit)
-            if segment in seen_segments:
-                hit = True  # the command pins segments it already walked
-            else:
-                seen_segments.add(segment)
-                hit = self.segment_cache.access(unit)
-            cost = MAP_UPDATE_HIT_US if hit else MAP_UPDATE_MISS_US
+            cost = MAP_UPDATE_HIT_US
+            if unit // segment_units != walked:
+                walked = unit // segment_units
+                if not segment_cache.access(unit):
+                    cost = MAP_UPDATE_MISS_US
             span.enter("index")
-            yield self.controller.serve(cost)
-            partial = length < self.map_unit
-            slot_id = self.pagemap.lookup(unit)
-            if partial and slot_id != UNMAPPED and unit not in self._pending:
-                # Sub-unit update of flash-resident data: read-modify-write.
-                block, page, _slot = self.pagemap.unflatten(slot_id)
-                yield from self.core.read_page(
-                    block, page, self.map_unit, span=span
-                )
+            yield controller.serve(cost)
+            if length < map_unit and unit not in pending:
+                slot_id = pagemap.lookup(unit)
+                if slot_id != UNMAPPED:
+                    # Sub-unit update of flash-resident data: read-modify-write.
+                    block, page, _slot = pagemap.unflatten(slot_id)
+                    yield from self.core.read_page(
+                        block, page, map_unit, span=span
+                    )
 
         # Phases 2+3, chunked: admit buffer space for a group of units,
         # then commit that group without suspension points.  Chunking keeps
         # each admission below buffer capacity (a whole-command admission
         # of a huge write would deadlock against its own flush) while one
         # group's units still stay adjacent in flush order.
-        group_units = max(
-            self.slots_per_page,
-            self.buffer.capacity_bytes // (2 * self.map_unit),
-        )
+        group_units = self._group_units
+        latest = self._latest_sequence
         for start in range(0, len(pieces), group_units):
             group = pieces[start:start + group_units]
+            n_group = len(group)
             span.enter("buffer")
-            yield from self.buffer.admit(len(group) * self.map_unit)
+            yield from self.buffer.admit(n_group * map_unit)
             span.enter("controller")
-            yield self.controller.serve(BUFFER_COPY_US * len(group))
+            yield controller.serve(BUFFER_COPY_US * n_group)
+            now, sequence = self.env.now, self._sequence
             for unit, _in_unit, _length in group:
-                self._sequence += 1
-                entry = self._pending.get(unit)
-                if entry is not None:
+                sequence += 1
+                latest[unit] = sequence
+                if unit in pending:
                     # Coalesce with the not-yet-flushed copy.
-                    self.buffer.drain(self.map_unit)
-                    entry.sequence = self._sequence
-                    self._latest_sequence[unit] = self._sequence
+                    self.buffer.drain(map_unit)
                     continue
-                slot_id = self.pagemap.lookup(unit)
-                if slot_id != UNMAPPED:
-                    # The buffered copy supersedes the flash-resident one.
-                    block, _page, _slot = self.pagemap.unflatten(slot_id)
-                    self.pagemap.unbind(unit)
-                    self.array.invalidate(block, self.map_unit)
-                self._pending[unit] = _PendingUnit(
-                    unit, self.env.now, self._sequence
-                )
-                self._latest_sequence[unit] = self._sequence
+                # The buffered copy supersedes the flash-resident one.
+                old_block = pagemap.release(unit)
+                if old_block != UNMAPPED:
+                    self.array.invalidate(old_block, map_unit)
+                pending[unit] = now
+            self._sequence = sequence
             self.core.kick_flush(
-                len(self._pending) * self.map_unit,
-                went_nonempty=len(self._pending) <= len(group),
+                len(pending) * map_unit, went_nonempty=len(pending) <= n_group
             )
         self.stats.host_writes += 1
         self.stats.host_write_bytes += nbytes
@@ -261,40 +262,42 @@ class BlockSSD:
         self._check_range(offset, nbytes)
         span.enter("controller")
         yield self.controller.serve(HOST_INTERFACE_US)
-        page_reads: Dict[Tuple[int, int], int] = {}
-        seen_segments = set()
+        pagemap, pending = self.pagemap, self._pending
+        controller, segment_cache = self.controller, self.segment_cache
+        segment_units = segment_cache.segment_units
+        slots_per_page = self.slots_per_page
+        # Bytes to read per flat page number, in first-touch order.
+        page_reads: Dict[int, int] = {}
+        walked = -1  # as in ``write``: the command pins its last segment
         for unit, _in_unit, length in self._split_units(offset, nbytes):
-            segment = self.segment_cache.segment_of(unit)
-            if segment in seen_segments:
-                hit = True  # the command pins segments it already walked
-            else:
-                seen_segments.add(segment)
-                hit = self.segment_cache.access(unit)
+            hit = True
+            if unit // segment_units != walked:
+                walked = unit // segment_units
+                hit = segment_cache.access(unit)
             span.enter("index")
-            yield self.controller.serve(MAP_HIT_US)
+            yield controller.serve(MAP_HIT_US)
             if not hit:
                 yield self.map_loader.serve(MAP_LOAD_US)
-            if unit in self._pending:
+            if unit in pending:
                 span.enter("controller")
-                yield self.controller.serve(BUFFER_READ_US)
+                yield controller.serve(BUFFER_READ_US)
                 continue
-            slot_id = self.pagemap.lookup(unit)
+            slot_id = pagemap.lookup(unit)
             if slot_id == UNMAPPED:
                 # Reading never-written space: served from controller only.
                 span.enter("controller")
-                yield self.controller.serve(BUFFER_READ_US)
+                yield controller.serve(BUFFER_READ_US)
                 continue
-            block, page, _slot = self.pagemap.unflatten(slot_id)
-            key = (block, page)
-            page_reads[key] = page_reads.get(key, 0) + length
+            flat_page = slot_id // slots_per_page
+            page_reads[flat_page] = page_reads.get(flat_page, 0) + length
         if page_reads:
-            procs = [
-                self.env.process(
-                    self.core.read_page(block, page, length),
-                    name=f"{DEVICE_NAME}.rd",
-                )
-                for (block, page), length in page_reads.items()
-            ]
+            pages_per_block = pagemap.geometry.pages_per_block
+            procs = []
+            for flat_page, length in page_reads.items():
+                block, page = divmod(flat_page, pages_per_block)
+                procs.append(self.env.process(
+                    self.core.read_page(block, page, length), name=_PAGE_READ
+                ))
             # Parallel page reads share the op's flash phase, so any
             # retry time lands there too (per-page recovery attribution
             # would require splitting the all_of wait).
@@ -317,20 +320,19 @@ class BlockSSD:
         yield self.controller.serve(
             HOST_INTERFACE_US + 0.05 * len(pieces)
         )
-        for unit, in_unit, length in pieces:
-            if in_unit != 0 or length != self.map_unit:
+        map_unit, pagemap = self.map_unit, self.pagemap
+        pending, latest = self._pending, self._latest_sequence
+        for unit, _in_unit, length in pieces:
+            if length != map_unit:
                 continue  # partial-unit trims are advisory no-ops
-            if unit in self._pending:
-                del self._pending[unit]
-                self.buffer.drain(self.map_unit)
+            if pending.pop(unit, None) is not None:
+                self.buffer.drain(map_unit)
             # Also when a flush has already taken the unit: its commit
             # must see the copy superseded, not map it back in.
-            self._latest_sequence.pop(unit, None)
-            slot_id = self.pagemap.lookup(unit)
-            if slot_id != UNMAPPED:
-                block, _page, _slot = self.pagemap.unflatten(slot_id)
-                self.pagemap.unbind(unit)
-                self.array.invalidate(block, self.map_unit)
+            latest.pop(unit, None)
+            old_block = pagemap.release(unit)
+            if old_block != UNMAPPED:
+                self.array.invalidate(old_block, map_unit)
 
     # ------------------------------------------------------------------
     # FtlCore personality hooks: write pipeline
@@ -342,14 +344,15 @@ class BlockSSD:
     def peek_flush(self) -> Optional[Tuple[int, float]]:
         if not self._pending:
             return None
-        oldest = next(iter(self._pending.values()))
-        return len(self._pending) * self.map_unit, oldest.arrival_us
+        oldest_arrival_us = next(iter(self._pending.values()))
+        return len(self._pending) * self.map_unit, oldest_arrival_us
 
     def pop_flush_batch(self) -> Optional[FlushBatch]:
-        batch: List[_PendingUnit] = []
-        while self._pending and len(batch) < self.slots_per_page:
-            _unit, entry = self._pending.popitem(last=False)
-            batch.append(entry)
+        batch: List[Tuple[int, int]] = []
+        pending, latest = self._pending, self._latest_sequence
+        while pending and len(batch) < self.slots_per_page:
+            unit, _arrival_us = pending.popitem(last=False)
+            batch.append((unit, latest[unit]))
         if not batch:
             return None
         nbytes = len(batch) * self.map_unit
@@ -361,18 +364,17 @@ class BlockSSD:
         return FlushBatch(items=batch, payload_bytes=nbytes, transfer_bytes=transfer)
 
     def commit_flush(self, batch: FlushBatch, block: int, page: int) -> None:
-        for slot, entry in enumerate(batch.items):
-            if self._latest_sequence.get(entry.unit) != entry.sequence:
+        latest, pagemap, array = self._latest_sequence, self.pagemap, self.array
+        map_unit = self.map_unit
+        for slot, (unit, sequence) in enumerate(batch.items):
+            if latest.get(unit) != sequence:
                 # Superseded while in flight: programmed copy is dead.
-                self.array.invalidate(block, self.map_unit)
+                array.invalidate(block, map_unit)
                 continue
-            slot_id = self.pagemap.lookup(entry.unit)
-            if slot_id != UNMAPPED:
-                old_block, _p, _s = self.pagemap.unflatten(slot_id)
-                self.pagemap.unbind(entry.unit)
-                self.array.invalidate(old_block, self.map_unit)
-            self.pagemap.bind(entry.unit, block, page, slot)
-            del self._latest_sequence[entry.unit]
+            old_block = pagemap.bind(unit, block, page, slot)
+            if old_block != UNMAPPED:
+                array.invalidate(old_block, map_unit)
+            del latest[unit]
 
     def drain(self) -> Generator[Event, None, None]:
         """Wait until all buffered writes have reached flash."""
@@ -405,7 +407,6 @@ class BlockSSD:
         if self.pagemap.lookup(unit) != expected_slot_id:
             # Overwritten or trimmed while GC was in flight.
             return False
-        self.pagemap.unbind(unit)
         self.pagemap.bind(unit, target, new_page, slot)
         return True
 

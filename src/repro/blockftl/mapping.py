@@ -5,7 +5,10 @@ device DRAM, as on real enterprise drives — this DRAM residency is why the
 paper's Fig. 3 shows block-SSD latency flat in occupancy while the KV
 index degrades.  Forward and reverse tables are dense ``numpy`` int32
 arrays, 4 bytes an entry, so multi-million-unit fills stay cheap in host
-memory.
+memory.  The per-command path reads an entry once (``arr.item``, not
+``int(arr[i])``): :meth:`PageMap.release` unmaps a unit and names the
+block whose copy it superseded in that one read, which is all a host
+write, a TRIM or a flush commit needs to invalidate the old copy.
 
 :class:`SegmentCache` models the controller's hot window over the mapping
 table: lookups within recently touched segments are cheap; lookups outside
@@ -56,6 +59,7 @@ class PageMap:
                 f"{n_units} units over {total_slots} slots overflow the "
                 f"page map's 32-bit entries (max {_INDEX_MAX})"
             )
+        self._slots_per_block = geometry.pages_per_block * self.slots_per_page
         self._forward = np.full(n_units, UNMAPPED, dtype=np.int32)
         self._reverse = np.full(total_slots, UNMAPPED, dtype=np.int32)
         self._mapped_units = 0
@@ -64,10 +68,12 @@ class PageMap:
 
     def slot_id(self, block: int, page: int, slot: int) -> int:
         """Flatten a (block, page, slot) triple."""
-        self.geometry.check_page(block, page)
-        if not 0 <= slot < self.slots_per_page:
-            raise AddressError(f"slot {slot} out of range [0,{self.slots_per_page})")
-        return (block * self.geometry.pages_per_block + page) * self.slots_per_page + slot
+        geometry, spp = self.geometry, self.slots_per_page
+        if not (0 <= block < geometry.total_blocks
+                and 0 <= page < geometry.pages_per_block and 0 <= slot < spp):
+            geometry.check_page(block, page)
+            raise AddressError(f"slot {slot} out of range [0,{spp})")
+        return (block * geometry.pages_per_block + page) * spp + slot
 
     def unflatten(self, slot_id: int) -> Tuple[int, int, int]:
         """Inverse of :meth:`slot_id`."""
@@ -84,28 +90,32 @@ class PageMap:
 
     def lookup(self, unit: int) -> int:
         """Forward lookup; returns flat slot id or UNMAPPED."""
-        self._check_unit(unit)
-        return int(self._forward[unit])
+        if not 0 <= unit < self.n_units:
+            self._check_unit(unit)
+        return self._forward.item(unit)
 
     def is_mapped(self, unit: int) -> bool:
         """Whether the unit currently points at a flash slot."""
         return self.lookup(unit) != UNMAPPED
 
-    def bind(self, unit: int, block: int, page: int, slot: int) -> None:
-        """Point ``unit`` at a physical slot (unbinding any prior mapping)."""
-        self._check_unit(unit)
+    def bind(self, unit: int, block: int, page: int, slot: int) -> int:
+        """Point ``unit`` at a physical slot, unbinding any prior mapping;
+        the block that held the prior copy, else UNMAPPED."""
+        if not 0 <= unit < self.n_units:
+            self._check_unit(unit)
         new_slot = self.slot_id(block, page, slot)
-        if self._reverse[new_slot] != UNMAPPED:
-            raise AddressError(
-                f"slot {new_slot} already holds unit {self._reverse[new_slot]}"
-            )
-        old_slot = self._forward[unit]
-        if old_slot != UNMAPPED:
-            self._reverse[old_slot] = UNMAPPED
-        else:
+        forward, reverse = self._forward, self._reverse
+        held = reverse.item(new_slot)
+        if held != UNMAPPED:
+            raise AddressError(f"slot {new_slot} already holds unit {held}")
+        old_slot = forward.item(unit)
+        forward[unit] = new_slot
+        reverse[new_slot] = unit
+        if old_slot == UNMAPPED:
             self._mapped_units += 1
-        self._forward[unit] = new_slot
-        self._reverse[new_slot] = unit
+            return UNMAPPED
+        reverse[old_slot] = UNMAPPED
+        return old_slot // self._slots_per_block
 
     def bind_range(self, unit_start: int, count: int, block: int, page: int) -> np.ndarray:
         """Bind ``count`` consecutive units to slots ``0..count-1`` of a page.
@@ -187,19 +197,18 @@ class PageMap:
         self._mapped_units += n - n_prior
         return old_slots
 
-    def unbind(self, unit: int) -> int:
-        """Remove the unit's mapping; returns the freed slot id.
-
-        Raises :class:`AddressError` if the unit was not mapped.
-        """
-        self._check_unit(unit)
-        old_slot = int(self._forward[unit])
+    def release(self, unit: int) -> int:
+        """Unmap ``unit`` if it is mapped; the block that held its copy
+        (the one to invalidate), else UNMAPPED."""
+        if not 0 <= unit < self.n_units:
+            self._check_unit(unit)
+        old_slot = self._forward.item(unit)
         if old_slot == UNMAPPED:
-            raise AddressError(f"unit {unit} is not mapped")
+            return UNMAPPED
         self._forward[unit] = UNMAPPED
         self._reverse[old_slot] = UNMAPPED
         self._mapped_units -= 1
-        return old_slot
+        return old_slot // self._slots_per_block
 
     def unit_at(self, slot_id: int) -> int:
         """Reverse lookup; returns the unit stored at a slot or UNMAPPED."""
@@ -244,21 +253,18 @@ class SegmentCache:
         self.hits = 0
         self.misses = 0
 
-    def segment_of(self, unit: int) -> int:
-        """Mapping-table segment covering ``unit``."""
-        return unit // self.segment_units
-
     def access(self, unit: int) -> bool:
         """Touch the segment containing ``unit``; True on cache hit."""
-        segment = self.segment_of(unit)
-        if segment in self._lru:
-            self._lru.move_to_end(segment)
+        segment = unit // self.segment_units
+        lru = self._lru
+        if segment in lru:
+            lru.move_to_end(segment)
             self.hits += 1
             return True
         self.misses += 1
-        self._lru[segment] = None
-        if len(self._lru) > self.entries:
-            self._lru.popitem(last=False)
+        lru[segment] = None
+        if len(lru) > self.entries:
+            lru.popitem(last=False)
         return False
 
     def hit_rate(self) -> float:

@@ -16,6 +16,7 @@ a file system), plus whole-file reads at arbitrary offsets and unlink.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Tuple
 
@@ -87,16 +88,22 @@ class SimFileSystem:
         return extents
 
     def _release(self, offset: int, length: int) -> None:
-        """Return an extent to the free list, coalescing neighbours."""
-        self._free.append((offset, length))
-        self._free.sort()
-        merged: List[Tuple[int, int]] = []
-        for run_offset, run_length in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == run_offset:
-                merged[-1] = (merged[-1][0], merged[-1][1] + run_length)
-            else:
-                merged.append((run_offset, run_length))
-        self._free = merged
+        """Return an extent to the free list, coalescing neighbours.
+
+        The list is sorted and coalesced after every call, so the extent
+        can only merge with the run after it and the run before it.
+        """
+        free = self._free
+        index = bisect_left(free, (offset, 0))
+        end = offset + length
+        if index < len(free) and free[index][0] == end:
+            end += free.pop(index)[1]
+        if index and free[index - 1][0] + free[index - 1][1] == offset:
+            index -= 1
+            offset = free[index][0]
+            free[index] = (offset, end - offset)
+        else:
+            free.insert(index, (offset, end - offset))
 
     def free_bytes(self) -> int:
         """Unallocated space."""

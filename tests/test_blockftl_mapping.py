@@ -28,9 +28,9 @@ def test_bind_and_lookup_roundtrip():
 
 def test_rebind_moves_unit():
     pagemap = make_map()
-    pagemap.bind(5, 2, 3, 0)
+    assert pagemap.bind(5, 2, 3, 0) == UNMAPPED
     old_slot = pagemap.lookup(5)
-    pagemap.bind(5, 4, 1, 0)
+    assert pagemap.bind(5, 4, 1, 0) == 2  # the block of the displaced copy
     assert pagemap.unit_at(old_slot) == UNMAPPED
     assert pagemap.unflatten(pagemap.lookup(5)) == (4, 1, 0)
     assert pagemap.mapped_units == 1
@@ -43,14 +43,18 @@ def test_bind_occupied_slot_rejected():
         pagemap.bind(2, 2, 3, 0)
 
 
-def test_unbind_returns_slot_and_guards():
+def test_release_returns_the_old_block_once():
     pagemap = make_map()
     pagemap.bind(1, 2, 3, 0)
-    slot = pagemap.unbind(1)
+    slot = pagemap.lookup(1)
+    assert pagemap.release(1) == 2
     assert pagemap.unit_at(slot) == UNMAPPED
     assert not pagemap.is_mapped(1)
+    assert pagemap.mapped_units == 0
+    assert pagemap.release(1) == UNMAPPED
+    assert pagemap.mapped_units == 0
     with pytest.raises(AddressError):
-        pagemap.unbind(1)
+        pagemap.release(-1)
 
 
 def test_unit_range_checked():

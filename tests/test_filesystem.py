@@ -1,6 +1,10 @@
 """Unit tests for the extent-based file system."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.block import BlockDeviceAPI
 from repro.blockftl.device import BlockSSD
@@ -119,6 +123,43 @@ def test_free_list_coalesces():
     run(env, proc(env))
     # Everything released: the free list should be one coalesced run.
     assert len(fs._free) == 1
+
+
+def _sort_and_merge(free, offset, length):
+    """The free list's former release: append, sort, coalesce everything."""
+    merged = []
+    for run_offset, run_length in sorted(free + [(offset, length)]):
+        if merged and merged[-1][0] + merged[-1][1] == run_offset:
+            merged[-1] = (merged[-1][0], merged[-1][1] + run_length)
+        else:
+            merged.append((run_offset, run_length))
+    return merged
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.booleans(), st.integers(1, 512), st.integers(0, 1 << 16)),
+    max_size=80,
+))
+def test_release_matches_sort_and_merge(steps):
+    """Each release merges with at most its two neighbours and leaves the
+    list the old append-sort-coalesce would, over first-fit allocations
+    (rolled back when the device is full) released in any order."""
+    device = SimpleNamespace(user_capacity_bytes=SimFileSystem.JOURNAL_BYTES + 16 * MIB)
+    fs = SimFileSystem(Environment(), SimpleNamespace(device=device))
+    held = []
+    for allocate, blocks, pick in steps:
+        if allocate or not held:
+            try:
+                held.extend(fs._allocate(blocks * fs.FS_BLOCK))
+            except DeviceFullError:
+                pass
+            continue
+        offset, length = held.pop(pick % len(held))
+        expected = _sort_and_merge(fs._free, offset, length)
+        fs._release(offset, length)
+        assert fs._free == expected
+    assert fs.free_bytes() + sum(length for _offset, length in held) == 16 * MIB
 
 
 def test_journal_writes_accumulate():

@@ -216,8 +216,8 @@ def test_corrupted_real_device_mapping_is_caught():
     )
     blk.prime_sequential_fill(64)
     blk.core.check_invariants("pre")
-    # Unbind a mapped unit behind the array's back: its valid bytes are
+    # Release a mapped unit behind the array's back: its valid bytes are
     # still accounted on flash, so the mapping and the array now disagree.
-    blk.pagemap.unbind(0)
+    blk.pagemap.release(0)
     with pytest.raises(InvariantViolation, match="valid_bytes"):
         blk.core.check_invariants("post")

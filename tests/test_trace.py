@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from functools import lru_cache
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
 from repro.errors import ConfigurationError, DeviceReadOnlyError, KeyNotFoundError
 from repro.faults.model import FaultConfig
-from repro.kvbench.runner import execute_workload
+from repro.kvbench.runner import closed_loop, execute_workload
 from repro.kvbench.workload import WorkloadSpec, generate_operations
 from repro.kvftl.blob import blobs_per_page
 from repro.kvftl.config import RETRIEVE_INDEX_US, KVSSDConfig
@@ -196,6 +197,53 @@ def test_queued_serves_under_gc_stay_within_the_sim_ledger():
     assert device.stats.gc_runs - gc_runs == 8
     assert rig.env.processed_events - events == GC_CELL_EVENTS
     assert calls["sim"] <= GC_CELL_SIM_CALLS
+
+
+#: The block twin of the ledger: direct block I/O on ``lab_geometry(16)``
+#: 70 % primed, 400 commands at QD8 over the primed range (4 KiB reads
+#: and overwrites, 2 KiB sub-unit writes, 4 KiB TRIMs): exactly 5,869
+#: events.  Ceilings at what the path with one page-map read per unit
+#: measures (blockftl 4,085 / api 2,531 / nvme 1,600); before it, with a
+#: lookup per unit in both write phases, ``lookup -> unflatten -> unbind``
+#: per superseded copy and a set of walked segments per command: 6,931 /
+#: 2,531 / 1,600.  A ceiling: lowering it needs no edit here.
+BLOCK_PATH_CALLS = {"blockftl": 4_085, "api": 2_531, "nvme": 1_600}
+BLOCK_CELL_EVENTS = 5_869
+
+
+def _block_commands(api, primed, map_unit):
+    rng = random.Random(7)
+    for _ in range(400):
+        at = rng.randrange(primed) * map_unit
+        roll = rng.random()
+        if roll < 0.45:
+            yield api.read, at, map_unit
+        elif roll < 0.85:
+            yield api.write, at, map_unit
+        elif roll < 0.93:
+            yield api.write, at + rng.choice((0, map_unit // 2)), map_unit // 2
+        else:
+            yield api.deallocate, at, map_unit
+
+
+def test_block_path_stays_within_its_ledger():
+    """What direct block I/O spends per command in the layers it owns,
+    counted instead of timed, for exactly the pinned events."""
+    rig = build_block_rig(lab_geometry(16))
+    device = rig.device
+    primed = device.n_units * 7 // 10
+    device.prime_sequential_fill(primed)
+    commands = list(_block_commands(rig.api, primed, device.map_unit))
+    outcomes = []
+    events = rig.env.processed_events
+    _, calls = call_ledger(lambda: rig.env.run_until_complete(closed_loop(
+        rig.env, "ledger", 8, lambda command: command[0](*command[1:]),
+        commands, lambda *outcome: outcomes.append(outcome[-1] is None),
+    )))
+    assert outcomes == [True] * 400
+    assert rig.env.processed_events - events == BLOCK_CELL_EVENTS
+    for package, ceiling in BLOCK_PATH_CALLS.items():
+        assert calls[package] <= ceiling, (package, calls[package])
 
 
 def test_unbound_tracer_is_inert_and_bind_is_idempotent():
