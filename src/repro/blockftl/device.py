@@ -138,7 +138,9 @@ class BlockSSD:
     # address helpers
     # ------------------------------------------------------------------
 
-    def _check_range(self, offset: int, nbytes: int) -> None:
+    def _split_units(self, offset: int, nbytes: int) -> List[Tuple[int, int, int]]:
+        """Check a host byte range and split it into (unit, offset_in_unit,
+        length) pieces."""
         if nbytes <= 0:
             raise AddressError(f"I/O size must be positive, got {nbytes}")
         if offset < 0 or offset + nbytes > self.user_capacity_bytes:
@@ -151,9 +153,6 @@ class BlockSSD:
                 f"I/O must be {SECTOR_BYTES}B-aligned "
                 f"(offset={offset}, nbytes={nbytes})"
             )
-
-    def _split_units(self, offset: int, nbytes: int) -> List[Tuple[int, int, int]]:
-        """Split a byte range into (unit, offset_in_unit, length) pieces."""
         map_unit = self.map_unit
         unit, in_unit = divmod(offset, map_unit)
         if in_unit + nbytes <= map_unit:
@@ -183,11 +182,10 @@ class BlockSSD:
         ``span`` is the operation's root trace span; every suspension
         point follows one of its attribution marks.
         """
-        self._check_range(offset, nbytes)
+        pieces = self._split_units(offset, nbytes)
         self.core.ensure_writable()
         span.enter("controller")
         yield self.controller.serve(HOST_INTERFACE_US)
-        pieces = self._split_units(offset, nbytes)
 
         map_unit = self.map_unit
         pagemap, pending = self.pagemap, self._pending
@@ -259,7 +257,7 @@ class BlockSSD:
         self, offset: int, nbytes: int, span=NULL_SPAN
     ) -> Generator[Event, None, None]:
         """Host read (timed process)."""
-        self._check_range(offset, nbytes)
+        pieces = self._split_units(offset, nbytes)
         span.enter("controller")
         yield self.controller.serve(HOST_INTERFACE_US)
         pagemap, pending = self.pagemap, self._pending
@@ -269,7 +267,7 @@ class BlockSSD:
         # Bytes to read per flat page number, in first-touch order.
         page_reads: Dict[int, int] = {}
         walked = -1  # as in ``write``: the command pins its last segment
-        for unit, _in_unit, length in self._split_units(offset, nbytes):
+        for unit, _in_unit, length in pieces:
             hit = True
             if unit // segment_units != walked:
                 walked = unit // segment_units
@@ -314,7 +312,6 @@ class BlockSSD:
         self, offset: int, nbytes: int, span=NULL_SPAN
     ) -> Generator[Event, None, None]:
         """Drop mappings for fully covered units (timed, cheap)."""
-        self._check_range(offset, nbytes)
         pieces = self._split_units(offset, nbytes)
         span.enter("controller")
         yield self.controller.serve(

@@ -8,7 +8,8 @@ arrays, 4 bytes an entry, so multi-million-unit fills stay cheap in host
 memory.  The per-command path reads an entry once (``arr.item``, not
 ``int(arr[i])``): :meth:`PageMap.release` unmaps a unit and names the
 block whose copy it superseded in that one read, which is all a host
-write, a TRIM or a flush commit needs to invalidate the old copy.
+write or a TRIM needs to invalidate the old copy; :meth:`PageMap.bind`
+returns the same for the copy a flush commit displaces.
 
 :class:`SegmentCache` models the controller's hot window over the mapping
 table: lookups within recently touched segments are cheap; lookups outside
@@ -256,15 +257,14 @@ class SegmentCache:
     def access(self, unit: int) -> bool:
         """Touch the segment containing ``unit``; True on cache hit."""
         segment = unit // self.segment_units
-        lru = self._lru
-        if segment in lru:
-            lru.move_to_end(segment)
+        if segment in self._lru:
+            self._lru.move_to_end(segment)
             self.hits += 1
             return True
         self.misses += 1
-        lru[segment] = None
-        if len(lru) > self.entries:
-            lru.popitem(last=False)
+        self._lru[segment] = None
+        if len(self._lru) > self.entries:
+            self._lru.popitem(last=False)
         return False
 
     def hit_rate(self) -> float:

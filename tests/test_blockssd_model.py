@@ -11,8 +11,8 @@ commands *complete* is the order the model applies them in.
 
 The geometry is four dies of 32-page blocks: a unit's flush programs for
 ``PROGRAM_US``, so a TRIM issued up to two programs after a write can
-land before, during or after that write's flush.  PR 34's bug was a TRIM
-landing during the flush, undone by the flush's commit.
+land before, during or after that write's flush — the interleaving in
+which a flush's commit once mapped a trimmed unit back in.
 """
 
 from typing import Dict, List, Tuple
