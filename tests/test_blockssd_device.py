@@ -1,6 +1,8 @@
 """Integration tests for the block-SSD personality."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.blockftl.config import BlockSSDConfig
 from repro.blockftl.device import BlockSSD
@@ -8,6 +10,7 @@ from repro.core.experiment import build_block_rig, lab_geometry
 from repro.errors import AddressError
 from repro.flash.geometry import Geometry
 from repro.flash.timing import READ_US
+from repro.nvme.command import SECTOR_BYTES
 from repro.sim.engine import Environment
 from repro.units import KIB
 
@@ -229,6 +232,25 @@ def test_address_validation():
         run(env, ssd.write(ssd.user_capacity_bytes, 4096))
     with pytest.raises(AddressError):
         run(env, ssd.write(100, 512))  # unaligned offset
+
+
+@given(st.integers(0, 64), st.integers(1, 64))
+def test_split_units_tiles_a_sector_range_unit_by_unit(first_sector, sectors):
+    """One piece per unit the range touches, in order, each inside its
+    unit, together covering exactly the range (one-unit fast path and
+    the loop, aligned or not)."""
+    _env, ssd = make_ssd()
+    offset, nbytes = first_sector * SECTOR_BYTES, sectors * SECTOR_BYTES
+    pieces = ssd._split_units(offset, nbytes)
+    assert [unit for unit, _in_unit, _length in pieces] == list(range(
+        offset // ssd.map_unit, (offset + nbytes - 1) // ssd.map_unit + 1
+    ))
+    position = offset
+    for unit, in_unit, length in pieces:
+        assert unit * ssd.map_unit + in_unit == position
+        assert 0 < length <= ssd.map_unit - in_unit
+        position += length
+    assert position == offset + nbytes
 
 
 def test_gc_reclaims_space_under_overwrite_pressure():
