@@ -23,6 +23,7 @@ from repro.exec.cache import canonical
 from repro.exec.runner import SweepRunner, grid
 from repro.ftl.core import DeviceStats
 from repro.kvbench.runner import Throughput
+from repro.units import float_sum
 
 
 def aggregate_device_stats(stats: Sequence[DeviceStats]) -> DeviceStats:
@@ -100,10 +101,10 @@ class ClusterResult(Throughput):
 
     def router_share(self) -> float:
         """Fraction of total operation time spent in the routing hop."""
-        op_time = sum(shard.op_time_us_total for shard in self.shards)
+        op_time = float_sum(shard.op_time_us_total for shard in self.shards)
         if op_time <= 0:
             return 0.0
-        return sum(shard.router_us_total for shard in self.shards) / op_time
+        return float_sum(shard.router_us_total for shard in self.shards) / op_time
 
     def device_stats(self) -> DeviceStats:
         """Aggregated telemetry across every shard device."""

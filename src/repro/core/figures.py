@@ -70,7 +70,7 @@ from repro.kvftl.blob import layout_blob, space_amplification
 from repro.kvftl.config import INDEX_REGION_FRACTION, INDEX_SLOT_BYTES, KVSSDConfig
 from repro.kvftl.population import KeyScheme
 from repro.nvme.command import commands_for_key
-from repro.units import KIB, MIB
+from repro.units import KIB, MIB, float_sum
 
 #: Key size used throughout the paper's macro experiments.
 PAPER_KEY_BYTES = 16
@@ -185,7 +185,7 @@ def fig2_end_to_end(
     )
     values = named(cells, ("system", "pattern"), "{system}.{pattern}")
     for system in systems:
-        values[f"{system}.cpu_us_per_op"] = sum(
+        values[f"{system}.cpu_us_per_op"] = float_sum(
             values[f"{system}.{pattern}.cpu_us_per_op"] for pattern in patterns
         ) / len(patterns)
     return FIG2.result(values, system=systems, pattern=patterns,

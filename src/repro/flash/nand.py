@@ -35,6 +35,7 @@ from repro.flash import timing
 from repro.flash.geometry import Geometry
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
+from repro.units import float_sum
 
 if TYPE_CHECKING:
     # Both live above this layer; imported for annotations only.
@@ -165,7 +166,7 @@ class FlashArray:
     def die_utilization(self) -> float:
         """Mean busy fraction across all dies since construction."""
         fractions = [die.busy_fraction() for die in self._dies]
-        return sum(fractions) / len(fractions)
+        return float_sum(fractions) / len(fractions)
 
     # -- state transitions (untimed, used by timed ops and by priming) -----
 

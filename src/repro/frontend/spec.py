@@ -12,6 +12,7 @@ from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.frontend.arrivals import ArrivalSpec
+from repro.units import float_sum
 
 #: Tenant op mixes the frontend accepts (kvbench workload kinds).
 TENANT_OPS = ("read", "update", "mixed")
@@ -136,4 +137,4 @@ class FrontendSpec:
     @property
     def offered_ops_s(self) -> float:
         """Aggregate mean offered load across tenants (ops/s)."""
-        return sum(tenant.arrivals.rate_ops_s for tenant in self.tenants)
+        return float_sum(tenant.arrivals.rate_ops_s for tenant in self.tenants)

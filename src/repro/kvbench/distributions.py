@@ -18,6 +18,7 @@ import random
 from typing import Iterator
 
 from repro.errors import WorkloadError
+from repro.units import float_sum
 
 #: Zipf skew of every skewed draw (YCSB's default constant).
 ZIPF_THETA = 0.99
@@ -64,7 +65,7 @@ class ZipfianGenerator:
         self.population = population
         self.scramble = scramble
         self._rng = random.Random(seed)
-        self._zetan = sum(1.0 / (i ** theta) for i in range(1, population + 1))
+        self._zetan = float_sum(1.0 / (i ** theta) for i in range(1, population + 1))
         self._zeta2 = 1.0 + 0.5 ** theta if population >= 2 else 1.0
         self._alpha = 1.0 / (1.0 - theta)
         # eta only matters for ranks >= 2, so tiny populations (whose

@@ -13,6 +13,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.units import float_sum
+
 
 @dataclass(frozen=True)
 class LatencySummary:
@@ -111,9 +113,9 @@ class LatencyRecorder:
                 f"no latency samples recorded for {op!r} in {self.name!r}"
             )
         samples.sort()
-        total = sum(samples)
+        total = float_sum(samples)
         mean = total / len(samples)
-        variance = sum((value - mean) ** 2 for value in samples) / len(samples)
+        variance = float_sum((value - mean) ** 2 for value in samples) / len(samples)
         return LatencySummary(
             count=len(samples),
             mean=mean,
@@ -131,4 +133,4 @@ class LatencyRecorder:
         samples = self.samples(op)
         if not samples:
             raise ValueError(f"no latency samples for {op!r}")
-        return sum(samples) / len(samples)
+        return float_sum(samples) / len(samples)

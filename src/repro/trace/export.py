@@ -23,6 +23,7 @@ from typing import Dict, List, Tuple, Union
 from repro.kvbench.report import format_table
 from repro.metrics.attribution import LatencyBreakdown
 from repro.trace.tracer import TraceCollector
+from repro.units import float_sum
 
 
 def chrome_trace_events(collector: TraceCollector) -> List[dict]:
@@ -114,6 +115,6 @@ def format_breakdown(breakdown: LatencyBreakdown) -> str:
                 round(breakdown.p999_total_us(op), 2),
             ]
             + [round(components.get(bucket, 0.0), 2) for bucket in buckets]
-            + [round(sum(components.values()), 2)]
+            + [round(float_sum(components.values()), 2)]
         )
     return format_table(headers, rows)

@@ -8,6 +8,9 @@ runs of zeros that are easy to miscount.
 
 from __future__ import annotations
 
+import sys
+from typing import Iterable
+
 #: One kibibyte in bytes.
 KIB = 1024
 #: One mebibyte in bytes.
@@ -23,6 +26,20 @@ USEC = 1.0
 MSEC = 1000.0
 #: One second expressed in microseconds.
 SEC = 1_000_000.0
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from ``0.0``: the rounding ``sum()``
+    has up to Python 3.11.  From 3.12 ``sum()`` compensates float
+    rounding (``sum([1e16, 1.0, -1e16])`` is 1.0 there, 0.0 before), so
+    it would make a simulated result depend on the interpreter's minor;
+    there the same additions run as a loop."""
+    if sys.version_info < (3, 12):
+        return sum(values, 0.0)
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def ms(value: float) -> float:

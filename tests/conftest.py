@@ -1,20 +1,21 @@
-"""Shared pytest configuration for the figure suites.
+"""Shared pytest configuration: the ledger and the figure runs.
 
-The claims suite (`test_paper_claims.py`), the golden suite
-(`test_golden_figures.py`) and the smoke suite (`test_figures_smoke.py`)
-all read the rows of :data:`repro.core.registry.EXPERIMENTS` at their
-recorded scale, ``row.fn()``; :func:`figure_run` memoizes the run so
-each row executes once per pytest session.
+Every pinned value lives in ``BENCH_ledger.json``, read through ``pin``
+(:class:`Ledger`).  The claims, golden and smoke suites read each row of
+:data:`repro.core.registry.EXPERIMENTS` at its recorded scale through the
+:func:`figure_run` memo, once per session.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import os
 import sys
 from collections import Counter
 from functools import lru_cache
-from typing import Any, Callable, Dict, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, Tuple
 
 import pytest
 
@@ -28,14 +29,89 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--regen-golden",
         action="store_true",
         default=False,
-        help="rewrite tests/golden/*.json from live runs instead of "
-        "diffing against them",
+        help="rewrite BENCH_ledger.json and EXPERIMENTS.md from live runs "
+        "instead of diffing against them",
     )
 
 
+LEDGER = Path(__file__).resolve().parent.parent / "BENCH_ledger.json"
+PYTHON = "%d.%d" % sys.version_info[:2]
+
+
+def _leaves(value: Any, path: str = "") -> Dict[str, Any]:
+    """``value`` flattened to ``{dotted path: leaf}``."""
+    if not isinstance(value, dict):
+        return {path: value}
+    return {k: v for name, child in value.items()
+            for k, v in _leaves(child, f"{path}.{name}" if path else name).items()}
+
+
+class Ledger:
+    """``identity`` is exact on every Python minor; ``work`` (call counts)
+    is exact on the minor in ``work.python`` and ceilings on others.
+    ``--regen-golden`` stores each live value instead, skips the test and
+    writes the file once at the end; keys not visited keep their values."""
+
+    def __init__(self, path: Path, regen: bool) -> None:
+        self.path, self.regen, self.stored = path, regen, []
+        self.data = json.loads(path.read_text()) if path.exists() else {}
+
+    def pin(self, key: str, live: Any) -> None:
+        """Store ``live`` at the dotted ``key`` when regenerating; else fail
+        listing every leaf that drifted."""
+        live = json.loads(json.dumps(live))
+        if self.regen:
+            *parents, leaf = key.split(".")
+            node = self.data
+            for name in parents:
+                node = node.setdefault(name, {})
+            node[leaf] = live
+            if parents[0] == "work":
+                self.data["work"]["python"] = PYTHON
+            return self.stored.append(key)
+        pinned = {k: v for k, v in _leaves(self.data).items()
+                  if k == key or k.startswith(key + ".")}
+        now = _leaves(live, key)
+        ceiling = key.startswith("work.") and self.data["work"].get("python") != PYTHON
+        drifted = [
+            f"  {name}: ledger {pinned.get(name, '<absent>')!r} -> live "
+            f"{now.get(name, '<absent>')!r}" for name in sorted(pinned.keys() | now.keys())
+            if name not in pinned or name not in now
+            or not (now[name] <= pinned[name] if ceiling else now[name] == pinned[name])
+        ]
+        if drifted:
+            pytest.fail(f"{key} drifted from {self.path.name}"
+                        f"{' (ceilings on ' + PYTHON + ')' if ceiling else ''}; rerun "
+                        "with --regen-golden if intentional:\n" + "\n".join(drifted),
+                        pytrace=False)
+
+    def save(self) -> None:
+        if self.stored:
+            self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n",
+                                 encoding="ascii")
+
+
+@pytest.fixture(scope="session")
+def ledger(request: pytest.FixtureRequest) -> Iterator[Ledger]:
+    book = Ledger(LEDGER, bool(request.config.getoption("--regen-golden")))
+    yield book
+    book.save()
+
+
 @pytest.fixture
-def regen_golden(request: pytest.FixtureRequest) -> bool:
-    return bool(request.config.getoption("--regen-golden"))
+def pin(ledger: Ledger) -> Callable[[str, Any], None]:
+    return ledger.pin
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item: pytest.Function) -> Iterator[None]:
+    """Skip a test that stored ledger values once all of its pins ran."""
+    book = getattr(item, "funcargs", {}).get("ledger")
+    before = len(book.stored) if book else 0
+    result = yield
+    if book and len(book.stored) > before:
+        pytest.skip(f"regenerated {', '.join(book.stored[before:])} in {book.path.name}")
+    return result
 
 
 @lru_cache(maxsize=None)

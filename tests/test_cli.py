@@ -355,3 +355,14 @@ def test_every_ci_command_line_parses():
         except SystemExit:
             pytest.fail(f"CI runs `repro {shlex.join(argv)}`, which no "
                         "longer parses")
+
+
+def test_the_determinism_job_sanitizes_exactly_the_pinned_targets():
+    """CI's ``repro sanitize`` lines (all in the determinism job) name the
+    targets whose digests the ledger pins, ``CI_TARGETS``, in order."""
+    from tests.test_sanitizer import CI_TARGETS
+
+    parsed = [sanitize_parser().parse_args(argv[1:])
+              for argv in _ci_repro_commands() if argv[0] == "sanitize"]
+    assert tuple((args.target, 0) if args.target else (f"fig:{args.fig}", args.n_ops)
+                 for args in parsed) == CI_TARGETS

@@ -97,7 +97,7 @@ def test_cluster_rollups_are_consistent(acceptance_run):
 # -- byte-reproducibility across execution modes -------------------------------
 
 
-def test_fingerprint_identical_serial_parallel_cached(acceptance_run, tmp_path):
+def test_fingerprint_identical_serial_parallel_cached(acceptance_run, tmp_path, pin):
     spec, serial = acceptance_run
     runner = SweepRunner(workers=2, cache=True, cache_dir=str(tmp_path))
     parallel = run_cluster(spec, runner)
@@ -107,11 +107,15 @@ def test_fingerprint_identical_serial_parallel_cached(acceptance_run, tmp_path):
     # The second runner pass was served entirely from the on-disk cache.
     report = runner.last_report
     assert report.hits == spec.shards
-    # Recorded at PR 21's tree, before build_plan was memoised and the plan
-    # frozen: planning once must not move a byte of any shard's result.
-    assert serial.fingerprint() == (
-        "8f4f7a12ec609d23a589f2259a7c5d0928f184c4597f7ffbd0cd174aa469f473"
-    )
+    pin("identity.cluster.acceptance", serial.fingerprint())
+
+
+def test_the_benchmark_cluster_spec_keeps_its_fingerprint(pin):
+    """The ``cluster_rebalance`` workload's spec, as ``bench/`` builds it."""
+    from bench.workloads.cluster_rebalance import ClusterRebalance
+
+    pin("identity.cluster.bench",
+        run_cluster(ClusterRebalance(3, 1.0)._spec(trace=False)).fingerprint())
 
 
 # -- a cluster run plans once --------------------------------------------------

@@ -44,14 +44,14 @@ def test_every_row_states_its_findings_as_claims() -> None:
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
-def test_claims_hold_at_the_recorded_scale(name: str, regen_golden: bool) -> None:
+def test_claims_hold_at_the_recorded_scale(name: str, ledger) -> None:
     row = EXPERIMENTS[name]
     result = figure_result(name)
     table, held = row.claims_table(result)
     live = f"{result.render()}\n\n{table}"
     header, _, generated = RECORD.read_text(encoding="utf-8").partition(MARKER)
     blocks = dict(_BLOCK.findall(generated))
-    if regen_golden:
+    if ledger.regen:
         blocks[name] = live
         RECORD.write_text(
             header + MARKER + "".join(

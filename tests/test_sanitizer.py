@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 import textwrap
@@ -23,7 +22,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = REPO_ROOT / "tests" / "fixtures" / "sanitizer_targets.py"
 BUGGY = f"{FIXTURE}:buggy_model"
 CLEAN = f"{FIXTURE}:clean_model"
-PINNED = REPO_ROOT / "tests" / "golden" / "sanitizer.json"
 
 #: The determinism gate's targets as CI runs them: ``repro sanitize``
 #: with ``--fig``/``--n-ops`` or ``--target``.
@@ -76,24 +74,17 @@ def test_collect_is_deterministic_in_process(target, n_ops):
     assert first.trips == []
 
 
-def test_ci_targets_pop_their_pinned_digests(regen_golden):
+def test_ci_targets_pop_their_pinned_digests(pin):
     """Event count and pop-order digest of every CI sanitizer target.
 
     The digest covers each popped event's time, type and process label,
     so a change that moves only pop order or renames one process fails
     here even when every golden metric and ``events`` count holds.
     """
-    observed = {}
-    for target, n_ops in CI_TARGETS:
-        result = collect(target, n_ops)
-        assert result.trips == []
-        observed[target] = {"total_events": result.total_events,
-                            "digest": result.digest}
-    if regen_golden:
-        PINNED.write_text(json.dumps(observed, indent=2, sort_keys=True) + "\n",
-                          encoding="ascii")
-        pytest.skip(f"regenerated {PINNED.name}")
-    assert observed == json.loads(PINNED.read_text(encoding="ascii"))
+    results = {target: collect(target, n_ops) for target, n_ops in CI_TARGETS}
+    assert [result.trips for result in results.values()] == [[]] * len(results)
+    pin("identity.sanitizer", {target: {"total_events": r.total_events, "digest": r.digest}
+                               for target, r in results.items()})
 
 
 def test_resolve_callable_validates_spec():

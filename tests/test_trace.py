@@ -103,39 +103,12 @@ def test_disabled_tracer_records_nothing():
     assert len(tracer.collector) == 0
 
 
-#: Python calls into ``repro/trace/`` by the cell below with tracing off
-#: (9.3 per op: the op root, one mark per phase, ``finish``, ``wants``).
-#: A ceiling: lowering it needs no edit here.
-TRACING_OFF_CALLS = 3715
-#: Ceilings on the same cell's calls into all of ``repro/`` and into the
-#: two layers that make most of them (measured: 50,880 / 8,584 / 21,235;
-#: 52,013 / 8,584 / 22,368 before parked waits; 52,072 / 8,584 / 22,427
-#: with the calendar queue; 58,681 / 10,955 / 22,427 with phase context
-#: managers and per-op ``layout_blob``).  ``sim`` is held where it is: an
-#: engine guard.  ``host path`` is ``kvbench`` + ``api`` + ``nvme``, the
-#: adapter -> command envelope -> driver chain, at its measured 4,729 +
-#: 2,480 + 2,000 (23.0 per op).
-MODEL_PATH_CALLS = {
-    "total": 51_199, "kvftl": 8_700, "sim": 21_235, "host path": 9_209,
-}
-LEDGER_CELL_EVENTS = 6303
-
-#: The second cell, where serves queue: ``kv_gc_writes``' aged geometry
-#: at 1/20 of its phase (4 hot blocks of pairs over a cold ballast two
-#: blocks above the GC threshold, aged by 3,500 untimed updates, then
-#: 1,100 updates at QD16 with GC running: 8 runs).  Measured: exactly
-#: 43,960 events and 124,848 calls into ``sim`` (145,590 with a grant
-#: event, a service event and a timeout per queued serve).
-GC_CELL_EVENTS = 43_960
-GC_CELL_SIM_CALLS = 124_848
-
-
-def test_tracing_off_pays_nothing_extra_and_tracing_on_adds_no_events():
+def test_tracing_off_pays_nothing_extra_and_tracing_on_adds_no_events(pin):
     """Pay-for-what-you-enable, counted instead of timed: a bound but
     disabled tracer makes exactly the calls into the trace package that
     no tracer makes, records nothing, and neither it nor a full tracer
-    changes what the engine simulates.  The same ledger caps what the
-    model layers may spend per operation."""
+    changes what the engine simulates.  The host path is adapter ->
+    command envelope -> driver."""
 
     def measure(tracer):
         rig = build_kv_rig(lab_geometry(blocks_per_plane=16), tracer=tracer)
@@ -158,21 +131,21 @@ def test_tracing_off_pays_nothing_extra_and_tracing_on_adds_no_events():
     )
     assert len(disabled.collector) == 0
     enabled_calls, enabled_events = measure(enabled)
-    assert enabled_events == none_events == LEDGER_CELL_EVENTS
+    assert enabled_events == none_events
     assert enabled_calls["trace"] > none_calls["trace"]
     assert len(enabled.collector) > 0
-    assert none_calls["trace"] <= TRACING_OFF_CALLS
-    none_calls["total"] = sum(none_calls.values())
-    none_calls["host path"] = sum(
-        none_calls[package] for package in ("kvbench", "api", "nvme")
-    )
-    for package, ceiling in MODEL_PATH_CALLS.items():
-        assert none_calls[package] <= ceiling, package
+    pin("identity.cells.kv.events", none_events)
+    pin("work.calls.kv", {
+        "total": sum(none_calls.values()),
+        "host path": sum(none_calls[p] for p in ("kvbench", "api", "nvme")),
+        **{p: none_calls[p] for p in ("kvftl", "sim", "trace")},
+    })
 
 
-def test_queued_serves_under_gc_stay_within_the_sim_ledger():
-    """The ledger where grants queue behind GC's programs and erases: the
-    engine's calls per event there are held like the pinned cell's."""
+def test_queued_serves_under_gc_stay_within_the_sim_ledger(pin):
+    """The ledger where grants queue behind GC's programs and erases:
+    ``kv_gc_writes``' aged geometry at 1/20 of its phase, 4 hot blocks
+    over a cold ballast two blocks above the GC threshold."""
     hot_scheme = KeyScheme(prefix=b"fill", digits=12)
     rig = build_kv_rig(lab_geometry(8), config=KVSSDConfig(stream_width=4))
     device = rig.device
@@ -194,21 +167,9 @@ def test_queued_serves_under_gc_stay_within_the_sim_ledger():
     updates(3_500, 2)
     events, gc_runs = rig.env.processed_events, device.stats.gc_runs
     _, calls = call_ledger(lambda: updates(1_100, 1))
-    assert device.stats.gc_runs - gc_runs == 8
-    assert rig.env.processed_events - events == GC_CELL_EVENTS
-    assert calls["sim"] <= GC_CELL_SIM_CALLS
-
-
-#: The block twin of the ledger: direct block I/O on ``lab_geometry(16)``
-#: 70 % primed, 400 commands at QD8 over the primed range (4 KiB reads
-#: and overwrites, 2 KiB sub-unit writes, 4 KiB TRIMs): exactly 5,869
-#: events.  Ceilings at what the path with one page-map read per unit
-#: measures (blockftl 3,685 / api 2,531 / nvme 1,600); before it, with a
-#: lookup per unit in both write phases, ``lookup -> unflatten -> unbind``
-#: per superseded copy and a set of walked segments per command: 6,931 /
-#: 2,531 / 1,600.  A ceiling: lowering it needs no edit here.
-BLOCK_PATH_CALLS = {"blockftl": 3_685, "api": 2_531, "nvme": 1_600}
-BLOCK_CELL_EVENTS = 5_869
+    pin("identity.cells.kv_gc", {"events": rig.env.processed_events - events,
+                                 "gc_runs": device.stats.gc_runs - gc_runs})
+    pin("work.calls.kv_gc", {"sim": calls["sim"]})
 
 
 def _block_commands(api, primed, map_unit):
@@ -226,9 +187,9 @@ def _block_commands(api, primed, map_unit):
             yield api.deallocate, at, map_unit
 
 
-def test_block_path_stays_within_its_ledger():
+def test_block_path_stays_within_its_ledger(pin):
     """What direct block I/O spends per command in the layers it owns,
-    counted instead of timed, for exactly the pinned events."""
+    counted instead of timed: 400 commands of three kinds at QD8."""
     rig = build_block_rig(lab_geometry(16))
     device = rig.device
     primed = device.n_units * 7 // 10
@@ -241,9 +202,8 @@ def test_block_path_stays_within_its_ledger():
         commands, lambda *outcome: outcomes.append(outcome[-1] is None),
     )))
     assert outcomes == [True] * 400
-    assert rig.env.processed_events - events == BLOCK_CELL_EVENTS
-    for package, ceiling in BLOCK_PATH_CALLS.items():
-        assert calls[package] <= ceiling, (package, calls[package])
+    pin("identity.cells.block.events", rig.env.processed_events - events)
+    pin("work.calls.block", {p: calls[p] for p in ("blockftl", "api", "nvme")})
 
 
 def test_unbound_tracer_is_inert_and_bind_is_idempotent():
@@ -593,24 +553,12 @@ def test_every_trace_scenario_finishes_clean_and_tiles(fig):
             )
 
 
-#: sha256 over every record of three 40-op scenarios on both personalities,
-#: taken with ``with span.phase(...)`` blocks before marks replaced them.
-#: One stream per track (the unit a timeline shows), each in collector
-#: order.  What is *not* pinned is how same-timestamp records of different
-#: tracks interleave: an op's last phase record is now appended by
-#: ``finish``, after the driver's completion instant instead of before it.
-SPAN_DIGESTS = {
-    "fig2": "06992f3761af2060977409c95b60e2136b8488ec8a14cfd55931c0cad8e21b7b",
-    "fig4": "47da6c340bb8b7543f1697593641797600c97af23c2800be4021a447503e6400",
-    "fig6": "eb26cf68fe3f92e431c4d907f5e96c65639550bfee4d9a22080b699381163c71",
-}
-
-
-@pytest.mark.parametrize("fig", sorted(SPAN_DIGESTS))
-def test_span_records_are_the_phase_context_managers_own(fig):
+@pytest.mark.parametrize("fig", ["fig2", "fig4", "fig6"])
+def test_span_records_are_the_phase_context_managers_own(fig, pin):
     """fig2 (depth 1), fig4 (split blobs, multi-fragment ``all_of`` reads)
     and fig6 (GC under updates): track, name, category, start and duration
-    of every record, and every op's components, bit for bit."""
+    of every record, and every op's components, bit for bit, one stream
+    per track in collector order (tracks' interleaving is not pinned)."""
     digest = hashlib.sha256()
     records = _scenario_report(fig).collector.records()
     for r in sorted(records, key=lambda r: (r.pid, r.track)):
@@ -620,7 +568,7 @@ def test_span_records_are_the_phase_context_managers_own(fig):
                 [(k, repr(v)) for k, v in r.args["components"].items()]
             )
         digest.update(repr(parts).encode())
-    assert digest.hexdigest() == SPAN_DIGESTS[fig]
+    pin(f"identity.spans.{fig}", digest.hexdigest())
 
 
 def test_run_traced_rejects_unknown_fig():
@@ -628,7 +576,7 @@ def test_run_traced_rejects_unknown_fig():
         run_traced(fig="fig99")
 
 
-def test_cli_trace_command_writes_perfetto_json(tmp_path, capsys):
+def test_cli_trace_command_writes_perfetto_json(tmp_path, capsys, pin):
     from repro.cli import main
 
     out = tmp_path / "trace.json"
@@ -637,5 +585,5 @@ def test_cli_trace_command_writes_perfetto_json(tmp_path, capsys):
     assert exit_code == 0
     assert "kv-ssd" in captured and "block-ssd" in captured
     assert "sum us" in captured
-    document = json.loads(out.read_text())
-    assert document["traceEvents"]
+    assert json.loads(out.read_text())["traceEvents"]
+    pin("identity.trace.fig2", hashlib.sha256(out.read_bytes()).hexdigest())

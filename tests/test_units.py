@@ -1,5 +1,7 @@
 """Unit tests for size/time helpers."""
 
+import sys
+
 import pytest
 
 from repro.units import (
@@ -9,6 +11,7 @@ from repro.units import (
     MSEC,
     align_up,
     ceil_div,
+    float_sum,
     mib_per_sec,
     ms,
     pretty_size,
@@ -20,6 +23,13 @@ def test_size_constants_chain():
     assert KIB == 1024
     assert MIB == 1024 * KIB
     assert GIB == 1024 * MIB
+
+
+@pytest.mark.parametrize("minor", [(3, 11), (3, 12)])
+def test_float_sum_rounds_left_to_right_on_every_minor(minor, monkeypatch):
+    # 3.12's sum() compensates rounding and returns 1.0 here.
+    monkeypatch.setattr(sys, "version_info", minor)
+    assert float_sum([1e16, 1.0, -1e16]) == 0.0 == float_sum(iter([]))
 
 
 def test_time_conversions_roundtrip():
