@@ -8,7 +8,6 @@ runs of zeros that are easy to miscount.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable
 
 #: One kibibyte in bytes.
@@ -29,13 +28,10 @@ SEC = 1_000_000.0
 
 
 def float_sum(values: Iterable[float]) -> float:
-    """``values`` added left to right from ``0.0``: the rounding ``sum()``
-    has up to Python 3.11.  From 3.12 ``sum()`` compensates float
-    rounding (``sum([1e16, 1.0, -1e16])`` is 1.0 there, 0.0 before), so
-    it would make a simulated result depend on the interpreter's minor;
-    there the same additions run as a loop."""
-    if sys.version_info < (3, 12):
-        return sum(values, 0.0)
+    """``values`` added left to right from ``0.0``, on every Python minor.
+    From 3.12 ``sum()`` compensates float rounding (``sum([1e16, 1.0,
+    -1e16])`` is 1.0 there, 0.0 before), which would make a simulated
+    result depend on the interpreter."""
     total = 0.0
     for value in values:
         total += value

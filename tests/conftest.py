@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import pytest
 
@@ -49,30 +49,30 @@ def _leaves(value: Any, path: str = "") -> Dict[str, Any]:
 class Ledger:
     """``identity`` is exact on every Python minor; ``work`` (call counts)
     is exact on the minor in ``work.python`` and ceilings on others.
-    ``--regen-golden`` stores each live value instead, skips the test and
-    writes the file once at the end; keys not visited keep their values."""
+    ``--regen-golden`` stores each live value instead (``work`` only on
+    its own minor), skips the test and writes the file once at the end;
+    keys not visited keep their values, except that ``keep`` names every
+    child each of its dotted keys may hold and the rest are dropped."""
 
-    def __init__(self, path: Path, regen: bool) -> None:
+    def __init__(self, path: Path, regen: bool,
+                 keep: Optional[Dict[str, Iterable[str]]] = None) -> None:
         self.path, self.regen, self.stored = path, regen, []
+        self.keep = {parent: sorted(names) for parent, names in (keep or {}).items()}
         self.data = json.loads(path.read_text()) if path.exists() else {}
 
     def pin(self, key: str, live: Any) -> None:
         """Store ``live`` at the dotted ``key`` when regenerating; else fail
         listing every leaf that drifted."""
         live = json.loads(json.dumps(live))
-        if self.regen:
+        ceiling = (key.startswith("work.")
+                   and self.data.setdefault("work", {}).setdefault("python", PYTHON) != PYTHON)
+        if self.regen and not ceiling:
             *parents, leaf = key.split(".")
-            node = self.data
-            for name in parents:
-                node = node.setdefault(name, {})
-            node[leaf] = live
-            if parents[0] == "work":
-                self.data["work"]["python"] = PYTHON
+            self._node(parents)[leaf] = live
             return self.stored.append(key)
         pinned = {k: v for k, v in _leaves(self.data).items()
                   if k == key or k.startswith(key + ".")}
         now = _leaves(live, key)
-        ceiling = key.startswith("work.") and self.data["work"].get("python") != PYTHON
         drifted = [
             f"  {name}: ledger {pinned.get(name, '<absent>')!r} -> live "
             f"{now.get(name, '<absent>')!r}" for name in sorted(pinned.keys() | now.keys())
@@ -85,15 +85,33 @@ class Ledger:
                         "with --regen-golden if intentional:\n" + "\n".join(drifted),
                         pytrace=False)
 
+    def _node(self, names: Iterable[str]) -> Dict[str, Any]:
+        node = self.data
+        for name in names:
+            node = node.setdefault(name, {})
+        return node
+
     def save(self) -> None:
-        if self.stored:
+        if not self.regen:
+            return
+        dropped = []
+        for parent, names in self.keep.items():
+            node = self._node(parent.split("."))
+            dropped += [node.pop(name) for name in node.keys() - set(names)]
+        if self.stored or dropped:
             self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n",
                                  encoding="ascii")
 
 
 @pytest.fixture(scope="session")
 def ledger(request: pytest.FixtureRequest) -> Iterator[Ledger]:
-    book = Ledger(LEDGER, bool(request.config.getoption("--regen-golden")))
+    from tests.test_sanitizer import CI_TARGETS
+
+    book = Ledger(LEDGER, bool(request.config.getoption("--regen-golden")), keep={
+        "identity.rows": EXPERIMENTS,
+        "identity.sanitizer": [target for target, _ in CI_TARGETS],
+        "identity.examples": [path.stem for path in LEDGER.parent.glob("examples/*.py")],
+    })
     yield book
     book.save()
 

@@ -5,18 +5,16 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.core.registry import EXPERIMENTS
 from tests.conftest import PYTHON, Ledger
-from tests.test_sanitizer import CI_TARGETS
 
 ROW = {"events": 3, "values": {"x": 0.5, "y": 1}}
 
 
-def _ledger(tmp_path, regen=False, python=PYTHON):
+def _ledger(tmp_path, regen=False, python=PYTHON, keep=None):
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps({"identity": {"rows": {"a": ROW}},
                                 "work": {"python": python, "calls": {"c": {"sim": 10}}}}))
-    return Ledger(path, regen)
+    return Ledger(path, regen, keep)
 
 
 def test_compare_reports_every_drifted_leaf(tmp_path):
@@ -39,10 +37,10 @@ def test_work_is_exact_on_its_minor_and_a_ceiling_on_others(tmp_path):
 
 
 def test_regen_writes_once_sorted_in_ascii_keeping_unvisited_keys(tmp_path):
-    ledger = _ledger(tmp_path, regen=True, python="2.7")
+    ledger = _ledger(tmp_path, regen=True)
     ledger.pin("work.calls.d", {"sim": 5})
     ledger.pin("identity.spans.f", "é")
-    assert json.loads(ledger.path.read_text())["work"]["python"] == "2.7"
+    assert "spans" not in json.loads(ledger.path.read_text())["identity"]
     ledger.save()
     text = ledger.path.read_text(encoding="ascii")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
@@ -52,7 +50,22 @@ def test_regen_writes_once_sorted_in_ascii_keeping_unvisited_keys(tmp_path):
     }
 
 
+def test_regen_on_another_minor_checks_work_as_ceilings_and_stores_none(tmp_path):
+    ledger = _ledger(tmp_path, regen=True, python="2.7")
+    ledger.pin("work.calls.c", {"sim": 9})
+    with pytest.raises(pytest.fail.Exception):
+        ledger.pin("work.calls.c", {"sim": 11})
+    assert ledger.stored == [] and ledger.data["work"]["calls"]["c"] == {"sim": 10}
+
+
+def test_regen_drops_the_pins_of_a_removed_row(tmp_path):
+    ledger = _ledger(tmp_path, regen=True, keep={"identity.rows": ["b"]})
+    ledger.pin("identity.rows.b", ROW)
+    ledger.save()
+    assert json.loads(ledger.path.read_text())["identity"]["rows"] == {"b": ROW}
+
+
 def test_no_pin_outlives_its_row_or_sanitizer_target(ledger):
-    identity = ledger.data["identity"]
-    assert sorted(identity["rows"]) == sorted(EXPERIMENTS)
-    assert sorted(identity["sanitizer"]) == sorted(target for target, _ in CI_TARGETS)
+    assert set(ledger.keep) == {"identity.rows", "identity.sanitizer", "identity.examples"}
+    for parent, names in ledger.keep.items():
+        assert sorted(ledger.data["identity"][parent.split(".")[1]]) == names
