@@ -15,6 +15,7 @@ KeyScheme`, so patterns compose with any key naming.
 from __future__ import annotations
 
 import random
+from itertools import islice, repeat
 from typing import Iterator
 
 from repro.errors import WorkloadError
@@ -36,11 +37,17 @@ def sequential_indices(population: int, count: int) -> Iterator[int]:
 def uniform_indices(
     population: int, count: int, seed: int = 1
 ) -> Iterator[int]:
-    """``count`` independent uniform draws."""
+    """``count`` independent uniform draws: ``randrange(population)`` of
+    ``Random(seed)`` each, run in C.
+
+    ``randrange(n)`` is ``_randbelow(n)``: ``getrandbits`` of
+    ``n.bit_length()`` bits, redrawn while the draw is ``>= n`` (the same
+    on CPython 3.10-3.13).  Filtering one stream of those draws consumes
+    the generator exactly as repeated calls do.
+    """
     _check(population, count)
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield rng.randrange(population)
+    draws = map(random.Random(seed).getrandbits, repeat(population.bit_length()))
+    return islice(filter(population.__gt__, draws), count)
 
 
 class ZipfianGenerator:

@@ -34,12 +34,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+import re
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter, le, methodcaller
 from typing import (
     Dict,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -69,12 +72,12 @@ _OP_TYPES = {op.value: op for op in OpType}
 #: Synthetic inter-arrival gap of an exported spec and of the generated
 #: churn and scan-mix streams (10k ops/s).
 INTERARRIVAL_US = 100.0
+#: Lines (or operations) the codec takes at a time: bounds its transient
+#: lists while a chunk's columns convert in C.
+_CHUNK = 1024
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One parsed trace line."""
-
+class _TraceFields(NamedTuple):
     timestamp_us: float
     #: Op code from :data:`OP_CODES` (a plain string, not OpType, so the
     #: record can express scans).
@@ -85,25 +88,43 @@ class TraceRecord:
     #: Time-to-live; 0.0 = none.
     ttl_us: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.timestamp_us < 0.0:
+
+class TraceRecord(_TraceFields):
+    """One parsed trace line (a tuple, as :class:`Operation` is: one is
+    built per record).
+
+    Every way of building one by hand validates it; the parser builds a
+    chunk of records with ``tuple.__new__`` once it has proven each check.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, timestamp_us: float, op: str, key: bytes, size: int,
+        ttl_us: float = 0.0,
+    ) -> "TraceRecord":
+        if timestamp_us < 0.0:
             raise WorkloadError(
-                f"trace timestamp must be >= 0, got {self.timestamp_us}"
+                f"trace timestamp must be >= 0, got {timestamp_us}"
             )
-        if self.op not in OP_CODES:
+        if op not in OP_CODES:
             raise WorkloadError(
-                f"unknown trace op {self.op!r}; choose from {OP_CODES}"
+                f"unknown trace op {op!r}; choose from {OP_CODES}"
             )
-        if not self.key:
+        if not key:
             raise WorkloadError("trace key must be non-empty")
-        if self.size < 0:
-            raise WorkloadError(f"trace size must be >= 0, got {self.size}")
-        if self.op == "scan" and self.size < 1:
-            raise WorkloadError(
-                f"scan limit must be >= 1, got {self.size}"
-            )
-        if self.ttl_us < 0.0:
-            raise WorkloadError(f"ttl must be >= 0, got {self.ttl_us}")
+        if size < 0:
+            raise WorkloadError(f"trace size must be >= 0, got {size}")
+        if op == "scan" and size < 1:
+            raise WorkloadError(f"scan limit must be >= 1, got {size}")
+        if ttl_us < 0.0:
+            raise WorkloadError(f"ttl must be >= 0, got {ttl_us}")
+        return tuple.__new__(cls, (timestamp_us, op, key, size, ttl_us))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "TraceRecord":
+        # ``_replace`` builds through here too: validated like the rest.
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +180,35 @@ def unescape_key(token: str) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def _tokens(keys: Sequence[bytes]) -> Iterator[str]:
+    """Each key's token: the key itself when every byte of the chunk is
+    literal (one ``translate`` proves it), else :func:`escape_key`'s."""
+    if b"".join(keys).translate(None, _LITERAL):
+        return map(escape_key, keys)
+    return map(bytes.decode, keys)
+
+
+def _lines(
+    stamps: Iterable[float], ops: Iterable[str], tokens: Iterable[str],
+    sizes: Iterable[int], ttls: Sequence[float] = (),
+) -> str:
+    """The lines of a chunk of records, each ending in a newline: the
+    one formatter of every writer.  ``repr`` floats round-trip exactly;
+    a record's TTL is written when it is > 0."""
+    lines = map(" ".join, zip(map(repr, stamps), ops, tokens, map(str, sizes)))
+    if any(map((0.0).__lt__, ttls)):
+        lines = map(_with_ttl, lines, ttls)
+    return "\n".join(lines) + "\n"
+
+
+def _with_ttl(line: str, ttl: float) -> str:
+    return f"{line} {ttl!r}" if ttl > 0.0 else line
+
+
 def format_record(record: TraceRecord) -> str:
-    """One trace line (no newline).  ``repr`` floats round-trip exactly."""
-    line = (f"{record.timestamp_us!r} {record.op} "
-            f"{escape_key(record.key)} {record.size}")
-    if record.ttl_us > 0.0:
-        return f"{line} {record.ttl_us!r}"
-    return line
+    """One trace line (no newline)."""
+    timestamp, op, key, size, ttl = record
+    return _lines((timestamp,), (op,), (escape_key(key),), (size,), (ttl,))[:-1]
 
 
 def write_trace(path: str, records: Iterable[TraceRecord]) -> int:
@@ -175,20 +218,26 @@ def write_trace(path: str, records: Iterable[TraceRecord]) -> int:
     writer enforces the same invariant the parser does, so anything
     written here is guaranteed to parse back.
     """
+    records = iter(records)
     count = 0
     previous = 0.0
     with open(path, "w", encoding="ascii") as handle:
         write = handle.write
         write(f"{TRACE_MAGIC} v{TRACE_VERSION}\n")
-        for record in records:
-            if record.timestamp_us < previous:
-                raise WorkloadError(
-                    f"record {count + 1}: timestamp {record.timestamp_us} "
-                    f"goes backwards (previous {previous})"
-                )
-            previous = record.timestamp_us
-            write(format_record(record) + "\n")
-            count += 1
+        for chunk in iter(lambda: list(islice(records, _CHUNK)), []):
+            stamps, ops, keys, sizes, ttls = zip(*chunk)
+            if not (previous <= stamps[0]
+                    and all(map(le, stamps, islice(stamps, 1, None)))):
+                for position, stamp in enumerate(stamps, count + 1):
+                    if stamp < previous:
+                        raise WorkloadError(
+                            f"record {position}: timestamp {stamp} "
+                            f"goes backwards (previous {previous})"
+                        )
+                    previous = stamp
+            previous = stamps[-1]
+            write(_lines(stamps, ops, _tokens(keys), sizes, ttls))
+            count += len(chunk)
     return count
 
 
@@ -243,16 +292,92 @@ def parse_trace(
     comments.  Records must carry 4 or 5 fields with non-decreasing
     timestamps; anything else raises :class:`WorkloadError` — a corrupt
     trace is never silently skipped over.
+
+    Lines are taken :data:`_CHUNK` at a time.  A chunk of canonical
+    lines converts column by column in C (:func:`_parse_canonical`);
+    any other chunk goes line by line through :func:`_parse_lines`,
+    which accepts the same records and words every error.
     """
+    lines = iter(lines)
+    header = next(lines, None)
+    if header is None:
+        raise _fail(source, 1, "empty trace (missing header)")
+    _parse_header(header, source)
     records: List[TraceRecord] = []
-    append = records.append
-    new_record, set_field = TraceRecord.__new__, object.__setattr__
     previous = 0.0
-    lineno = 0
-    for lineno, raw in enumerate(lines, start=1):
-        if lineno == 1:
-            _parse_header(raw, source)
-            continue
+    lineno = 2
+    for chunk in iter(lambda: list(islice(lines, _CHUNK)), []):
+        last = _parse_canonical(chunk, previous, records)
+        if last is None:
+            last = _parse_lines(chunk, lineno, previous, source, records)
+        previous = last
+        lineno += len(chunk)
+    return records
+
+
+#: A chunk of canonical lines: four fields split by single spaces — a
+#: timestamp of :data:`_FLOAT_CHARS`, a point op (a scan's limit has its
+#: own range check), a key of :data:`_LITERAL` bytes, a size of ASCII
+#: digits — each ending in a newline: no comment, blank line or TTL.
+_CANONICAL = re.compile(
+    r"(?:[0-9.e+-]+ (?:insert|update|read|delete) [!-$&-~]+ [0-9]+\n)*"
+)
+#: A line's last character ("" for an empty line).
+_LAST = itemgetter(slice(-1, None))
+
+
+def _parse_canonical(
+    lines: List[str], previous: float, records: List[TraceRecord]
+) -> Optional[float]:
+    """Append the records of ``lines`` and return the last timestamp, if
+    each string is one :data:`_CANONICAL` line and the timestamps are
+    finite and not below ``previous`` or the one before.  Else append
+    nothing and return None.  That is every check :func:`_parse_lines`
+    makes of such a line, so both accept the same records.
+    """
+    count = len(lines)
+    text = "".join(lines)
+    newlines = text.count("\n")
+    # The pattern's lines are the strings if each string ends in a
+    # newline and holds no other, or if none holds one (a list of lines
+    # without their ends).
+    if newlines == 0:
+        text = "\n".join(lines) + "\n"
+    elif newlines != count or "".join(map(_LAST, lines)) != "\n" * count:
+        return None
+    if not _CANONICAL.fullmatch(text):
+        return None
+    fields = text.split()
+    try:
+        times = list(map(float, fields[0::4]))
+    except ValueError:
+        return None
+    # Non-decreasing from ``previous`` and finite at the end is finite
+    # throughout; no NaN is spelled in ``_FLOAT_CHARS``.
+    if not (previous <= times[0] and times[-1] < math.inf
+            and all(map(le, times, islice(times, 1, None)))):
+        return None
+    # One int object per distinct size, shared by its records.
+    size_texts = fields[3::4]
+    sizes = {size: int(size) for size in set(size_texts)}
+    columns = zip(
+        times, map(_OP_CODE.__getitem__, fields[1::4]),
+        map(str.encode, fields[2::4]), map(sizes.__getitem__, size_texts),
+        repeat(0.0),
+    )
+    records.extend(map(tuple.__new__, repeat(TraceRecord), columns))
+    return times[-1]
+
+
+def _parse_lines(
+    lines: Iterable[str], lineno: int, previous: float, source: str,
+    records: List[TraceRecord],
+) -> float:
+    """Append the records of ``lines`` (the first is line ``lineno``),
+    checking each field of each line; returns the last timestamp."""
+    append = records.append
+    new_record = tuple.__new__
+    for lineno, raw in enumerate(lines, start=lineno):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
@@ -296,19 +421,10 @@ def parse_trace(
                 TraceRecord(timestamp, op, key, size, ttl)
             except WorkloadError as exc:
                 raise _fail(source, lineno, str(exc))
-        # Every check of ``TraceRecord.__post_init__`` is proven above:
-        # do what the frozen dataclass's __init__ does, less that call.
-        record = new_record(TraceRecord)
-        set_field(record, "timestamp_us", timestamp)
-        set_field(record, "op", op)
-        set_field(record, "key", key)
-        set_field(record, "size", size)
-        set_field(record, "ttl_us", ttl)
-        append(record)
+        # Every check of ``TraceRecord.__new__`` is proven above.
+        append(new_record(TraceRecord, (timestamp, op, key, size, ttl)))
         previous = timestamp
-    if lineno == 0:
-        raise _fail(source, 1, "empty trace (missing header)")
-    return records
+    return previous
 
 
 def read_trace(path: str) -> List[TraceRecord]:
@@ -332,7 +448,14 @@ def spec_to_records(spec: WorkloadSpec) -> Iterator[TraceRecord]:
     *operations* are byte-identical to :func:`generate_operations`, so
     replaying the export reproduces the spec's run result exactly.
     """
-    for position, op in enumerate(generate_operations(spec)):
+    return _as_records(generate_operations(spec), 0)
+
+
+def _as_records(
+    operations: Iterable[Operation], first: int
+) -> Iterator[TraceRecord]:
+    """``operations`` as the records of positions ``first`` on."""
+    for position, op in enumerate(operations, first):
         yield TraceRecord(
             timestamp_us=position * INTERARRIVAL_US,
             op=op.op.value,
@@ -341,9 +464,37 @@ def spec_to_records(spec: WorkloadSpec) -> Iterator[TraceRecord]:
         )
 
 
+#: An OpType's record op code, read in C (``.value`` is a Python-level
+#: property and hashing a member a Python-level ``__hash__``).
+_CODE_OF = attrgetter("_value_")
+
+
 def export_spec(spec: WorkloadSpec, path: str) -> int:
-    """Write ``spec``'s operation stream to ``path``; returns the count."""
-    return write_trace(path, spec_to_records(spec))
+    """Write ``spec``'s operation stream to ``path``; returns the count.
+
+    The bytes of ``write_trace(path, spec_to_records(spec))``, formatted
+    a chunk of operations at a time straight through :func:`_lines`,
+    with no record built.  The writer's guarantees hold per chunk:
+    timestamps rise with the position by construction; each op is an
+    OpType, each key non-empty and each size >= 0, else the chunk goes
+    through the records, whose validation words the error.
+    """
+    operations = generate_operations(spec)
+    count = 0
+    with open(path, "w", encoding="ascii") as handle:
+        write = handle.write
+        write(f"{TRACE_MAGIC} v{TRACE_VERSION}\n")
+        for chunk in iter(lambda: list(islice(operations, _CHUNK)), []):
+            kinds, keys, _indices, sizes, _scans, _rmws = zip(*chunk)
+            if (all(map(isinstance, kinds, repeat(OpType)))
+                    and all(keys) and min(sizes) >= 0):
+                codes = map(_CODE_OF, kinds)
+            else:  # off the generator's contract: the records check it
+                _stamps, codes, keys, sizes, _ttls = zip(*_as_records(chunk, count))
+            stamps = map(INTERARRIVAL_US.__rmul__, range(count, count + len(chunk)))
+            write(_lines(stamps, codes, _tokens(keys), sizes))
+            count += len(chunk)
+    return count
 
 
 def merge_traces(*streams: Iterable[TraceRecord]) -> List[TraceRecord]:
@@ -428,10 +579,37 @@ class TraceWorkload:
             raise WorkloadError(f"unknown trace op {record.op!r}")
         return Operation(op, record.key, index, record.size)
 
+    def _indices(self, keys: Sequence[bytes]) -> Iterator[int]:
+        """Each key's index: parsed in C when every key of the chunk is
+        the scheme's (its length, its prefix, then digits), else
+        :meth:`_index_for` each."""
+        scheme = self.key_scheme
+        if scheme is not None:
+            digits = list(map(itemgetter(slice(len(scheme.prefix), None)), keys))
+            if (set(map(len, keys)) == {scheme.key_bytes}
+                    and all(map(methodcaller("startswith", scheme.prefix), keys))
+                    and b"".join(digits).isdigit()):
+                return map(int, digits)
+        return map(self._index_for, keys)
+
+    def _chunk_operations(
+        self, records: Sequence[TraceRecord]
+    ) -> Iterator[Operation]:
+        """The operations of a chunk of records, built in C when every op
+        is an OpType's; a scan or an unknown op goes record by record."""
+        _stamps, ops, keys, sizes, _ttls = zip(*records)
+        if not _OP_TYPES.keys() >= set(ops):
+            return map(self._operation, records)
+        fields = zip(map(_OP_TYPES.__getitem__, ops), keys, self._indices(keys),
+                     sizes, repeat(0), repeat(False))
+        return map(tuple.__new__, repeat(Operation), fields)
+
     def operations(self) -> Iterator[Operation]:
         """The trace's operation stream, in arrival order."""
-        for record in self.records:
-            yield self._operation(record)
+        records = self.records
+        chunks = (records[start:start + _CHUNK]
+                  for start in range(0, len(records), _CHUNK))
+        return chain.from_iterable(map(self._chunk_operations, chunks))
 
     def __iter__(self) -> Iterator[Operation]:
         return self.operations()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat, starmap
 from typing import Iterator, NamedTuple, Optional
 
 from repro.errors import WorkloadError
@@ -137,6 +138,10 @@ def _index_stream(spec: WorkloadSpec) -> Iterator[int]:
     raise WorkloadError(f"unhandled pattern {spec.pattern}")
 
 
+#: Operations whose draws :func:`generate_operations` takes together.
+_CHUNK = 1024
+
+
 def generate_operations(spec: WorkloadSpec) -> Iterator[Operation]:
     """Deterministic operation stream for ``spec``.
 
@@ -144,24 +149,40 @@ def generate_operations(spec: WorkloadSpec) -> Iterator[Operation]:
     fresh key space (an insert phase); update/read/delete draw from the
     existing population.  Mixed workloads interleave reads and updates by
     ``read_fraction`` using a dedicated RNG so the key pattern stays
-    comparable across mixes.
+    comparable across mixes.  Writes carry ``value_bytes``, reads and
+    deletes 0.
+
+    The stream is built a chunk of :data:`_CHUNK` operations at a time
+    from C-level ``map``s; each RNG is private to the stream, so drawing
+    a chunk ahead of the consumer changes no value.  It is an iterator,
+    not a generator: no Python frame resumes per operation.
     """
-    mix_rng = random.Random(spec.seed + 7919)
-    for index in _index_stream(spec):
-        key = spec.key_scheme.key_for(index)
-        if spec.op == "insert":
-            kind = OpType.INSERT
-        elif spec.op == "update":
-            kind = OpType.UPDATE
-        elif spec.op == "read":
-            kind = OpType.READ
-        elif spec.op == "delete":
-            kind = OpType.DELETE
-        else:  # mixed
-            kind = (
-                OpType.READ
-                if mix_rng.random() < spec.read_fraction
-                else OpType.UPDATE
-            )
-        value = spec.value_bytes if kind is not OpType.READ else 0
-        yield Operation(kind, key, index, value)
+    indices = _index_stream(spec)
+    scheme = spec.key_scheme
+    # Every pattern draws below the population: when the scheme names
+    # that many keys, ``key_for``'s range check is proven for the stream.
+    key_of = (scheme.pattern.__mod__
+              if spec.effective_population <= scheme.limit else scheme.key_for)
+    mixed = spec.op == "mixed"
+    if mixed:
+        random_ = random.Random(spec.seed + 7919).random
+        # A draw below ``read_fraction`` is a read.
+        below_fraction = float(spec.read_fraction).__gt__
+        # Indexed by "is a read".
+        kind_of = (OpType.UPDATE, OpType.READ).__getitem__
+        size_of = (spec.value_bytes, 0).__getitem__
+    else:
+        kind = OpType(spec.op)
+        size = spec.value_bytes if kind in (OpType.INSERT, OpType.UPDATE) else 0
+
+    def build(chunk: list) -> Iterator[Operation]:
+        if mixed:
+            reads = list(map(below_fraction, starmap(random_, repeat((), len(chunk)))))
+            kinds, sizes = map(kind_of, reads), map(size_of, reads)
+        else:
+            kinds, sizes = repeat(kind), repeat(size)
+        fields = zip(kinds, map(key_of, chunk), chunk, sizes, repeat(0), repeat(False))
+        return map(tuple.__new__, repeat(Operation), fields)
+
+    chunks = iter(lambda: list(islice(indices, _CHUNK)), [])
+    return chain.from_iterable(map(build, chunks))

@@ -31,28 +31,37 @@ class KeyScheme:
 
     prefix: bytes = b"key-"
     digits: int = 12
-    #: Length of every key this scheme produces, of its prefix, and the
-    #: number of keys it can name: derived once (every lookup of a primed
-    #: key reads the first two, every ``key_for`` the third).
+    #: Length of every key this scheme produces, of its prefix, the
+    #: number of keys it can name, and the bytes pattern that formats a
+    #: key: derived once (every lookup of a primed key reads the first
+    #: two, every ``key_for`` the last two).
     key_bytes: int = field(init=False, repr=False, compare=False)
     _prefix_bytes: int = field(init=False, repr=False, compare=False)
-    _limit: int = field(init=False, repr=False, compare=False)
+    limit: int = field(init=False, repr=False, compare=False)
+    pattern: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.digits < 1:
             raise ValueError(f"digits must be >= 1, got {self.digits}")
         object.__setattr__(self, "_prefix_bytes", len(self.prefix))
         object.__setattr__(self, "key_bytes", len(self.prefix) + self.digits)
-        object.__setattr__(self, "_limit", 10 ** self.digits)
+        object.__setattr__(self, "limit", 10 ** self.digits)
+        # ``pattern % index`` is the prefix and the zero-padded index for
+        # every index in [0, limit); a '%' in the prefix stands for itself.
+        object.__setattr__(
+            self, "pattern",
+            self.prefix.replace(b"%", b"%%") + b"%%0%dd" % self.digits,
+        )
 
     def key_for(self, index: int) -> bytes:
         """The key naming pair number ``index``; past the scheme's digits
-        zfill would outgrow ``key_bytes`` and ``index_of`` reject the key."""
-        if not 0 <= index < self._limit:
+        the index would outgrow ``key_bytes`` and ``index_of`` reject the
+        key."""
+        if not 0 <= index < self.limit:
             raise ValueError(
-                f"key index must be in [0, {self._limit}), got {index}"
+                f"key index must be in [0, {self.limit}), got {index}"
             )
-        return self.prefix + str(index).zfill(self.digits).encode("ascii")
+        return self.pattern % index
 
     def index_of(self, key: bytes) -> Optional[int]:
         """Inverse of :meth:`key_for`; None for keys outside the scheme."""
@@ -73,7 +82,7 @@ class KeyScheme:
         """Indices whose keys begin with ``lead``: one contiguous range,
         since the index is zero-padded decimal."""
         if len(lead) <= self._prefix_bytes:
-            return range(self._limit if self.prefix.startswith(lead) else 0)
+            return range(self.limit if self.prefix.startswith(lead) else 0)
         head = lead[self._prefix_bytes:]
         if (
             not lead.startswith(self.prefix)

@@ -14,6 +14,8 @@ fill page.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import add
 from typing import Optional
 
 from repro.errors import CapacityLimitError, ConfigurationError, DeviceFullError
@@ -113,10 +115,11 @@ def fast_fill(
                 prime_program_run(block, cycles, full_bytes)
                 for block in blocks_cycle
             ]
-            page_blocks.extend(blocks_cycle * cycles)
-            page_indices.extend(
-                start + cycle for cycle in range(cycles) for start in starts
-            )
+            page_blocks.fromlist(blocks_cycle * cycles)
+            # Cycle c puts each block's page start + c, block after block.
+            page_indices.fromlist(list(map(add, starts * cycles, chain.from_iterable(
+                map(repeat, range(cycles), repeat(len(starts), cycles))
+            ))))
             # Block ``offset`` of the rotation took fill pages
             # page_seq + offset + cycle * width into pages start + cycle.
             for offset, (block, start) in enumerate(zip(blocks_cycle, starts)):
