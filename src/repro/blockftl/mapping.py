@@ -3,10 +3,14 @@
 :class:`PageMap` is a page-level (4 KiB-unit) mapping held entirely in
 device DRAM, as on real enterprise drives — this DRAM residency is why the
 paper's Fig. 3 shows block-SSD latency flat in occupancy while the KV
-index degrades.  Forward and reverse tables are dense ``numpy`` int32
-arrays, 4 bytes an entry, so multi-million-unit fills stay cheap in host
-memory.  The per-command path reads an entry once (``arr.item``, not
-``int(arr[i])``): :meth:`PageMap.release` unmaps a unit and names the
+index degrades.  Forward and reverse tables are ``numpy`` int32 arrays,
+4 bytes an entry, over a private anonymous mapping: the kernel zero-fills
+a page on its first write, so a table costs host memory only for the
+pages a run writes, not for the whole simulated drive.  Each entry holds
+the bitwise complement of its value (``~slot``, ``~unit``), so an
+untouched zero reads as :data:`UNMAPPED`; every method takes and returns
+plain values.  The per-command path reads an entry once (``arr.item``,
+not ``int(arr[i])``): :meth:`PageMap.release` unmaps a unit and names the
 block whose copy it superseded in that one read, which is all a host
 write or a TRIM needs to invalidate the old copy; :meth:`PageMap.bind`
 returns the same for the copy a flush commit displaces.
@@ -20,6 +24,7 @@ sequential-access advantage.
 
 from __future__ import annotations
 
+import mmap
 from collections import OrderedDict
 from typing import Iterator, List, Tuple
 
@@ -28,11 +33,20 @@ import numpy as np
 from repro.errors import AddressError, ConfigurationError
 from repro.flash.geometry import Geometry
 
-#: Sentinel for "unmapped" in both tables.
+#: Sentinel for "unmapped" in both tables; stored as its complement, 0.
 UNMAPPED = -1
 #: Largest unit or slot count a table entry can name: entries are int32
 #: (the paper's 3.84 TB drive at 4 KiB units is 9.4e8 slots).
 _INDEX_MAX = 2**31 - 1
+
+
+def _demand_zero_table(entries: int) -> np.ndarray:
+    """``entries`` int32 zeros on a private anonymous mapping: no page is
+    resident until it is written, and a forked child's writes stay its
+    own (``mmap``'s default for ``-1`` is ``MAP_SHARED``)."""
+    return np.frombuffer(
+        mmap.mmap(-1, 4 * entries, flags=mmap.MAP_PRIVATE), dtype=np.int32
+    )
 
 
 class PageMap:
@@ -61,8 +75,9 @@ class PageMap:
                 f"page map's 32-bit entries (max {_INDEX_MAX})"
             )
         self._slots_per_block = geometry.pages_per_block * self.slots_per_page
-        self._forward = np.full(n_units, UNMAPPED, dtype=np.int32)
-        self._reverse = np.full(total_slots, UNMAPPED, dtype=np.int32)
+        # Complement-encoded: entry ``~slot`` / ``~unit``, 0 is UNMAPPED.
+        self._forward = _demand_zero_table(n_units)
+        self._reverse = _demand_zero_table(total_slots)
         self._mapped_units = 0
 
     # -- slot arithmetic -----------------------------------------------------
@@ -93,7 +108,7 @@ class PageMap:
         """Forward lookup; returns flat slot id or UNMAPPED."""
         if not 0 <= unit < self.n_units:
             self._check_unit(unit)
-        return self._forward.item(unit)
+        return ~self._forward.item(unit)
 
     def is_mapped(self, unit: int) -> bool:
         """Whether the unit currently points at a flash slot."""
@@ -107,15 +122,15 @@ class PageMap:
         new_slot = self.slot_id(block, page, slot)
         forward, reverse = self._forward, self._reverse
         held = reverse.item(new_slot)
-        if held != UNMAPPED:
-            raise AddressError(f"slot {new_slot} already holds unit {held}")
-        old_slot = forward.item(unit)
-        forward[unit] = new_slot
-        reverse[new_slot] = unit
+        if held:
+            raise AddressError(f"slot {new_slot} already holds unit {~held}")
+        old_slot = ~forward.item(unit)
+        forward[unit] = ~new_slot
+        reverse[new_slot] = ~unit
         if old_slot == UNMAPPED:
             self._mapped_units += 1
             return UNMAPPED
-        reverse[old_slot] = UNMAPPED
+        reverse[old_slot] = 0
         return old_slot // self._slots_per_block
 
     def bind_range(self, unit_start: int, count: int, block: int, page: int) -> np.ndarray:
@@ -139,19 +154,20 @@ class PageMap:
         forward = self._forward
         reverse = self._reverse
         target = reverse[base:base + count]
-        if np.any(target != UNMAPPED):
-            offset = int(np.argmax(target != UNMAPPED))
+        if np.any(target):
+            offset = int(np.argmax(target != 0))
             raise AddressError(
-                f"slot {base + offset} already holds unit {target[offset]}"
+                f"slot {base + offset} already holds unit {~int(target[offset])}"
             )
-        old_slots = forward[unit_start:unit_start + count].copy()
+        old_slots = ~forward[unit_start:unit_start + count]
         prior = old_slots != UNMAPPED
         n_prior = int(np.count_nonzero(prior))
         if n_prior:
-            reverse[old_slots[prior]] = UNMAPPED
-        new_slots = np.arange(base, base + count, dtype=np.int32)
-        forward[unit_start:unit_start + count] = new_slots
-        reverse[base:base + count] = np.arange(
+            reverse[old_slots[prior]] = 0
+        forward[unit_start:unit_start + count] = ~np.arange(
+            base, base + count, dtype=np.int32
+        )
+        reverse[base:base + count] = ~np.arange(
             unit_start, unit_start + count, dtype=np.int32
         )
         self._mapped_units += count - n_prior
@@ -179,22 +195,22 @@ class PageMap:
             page_bases[:, None] + np.arange(spp, dtype=np.int32)
         ).ravel()
         target = reverse[new_slots]
-        occupied = target != UNMAPPED
+        occupied = target != 0
         if occupied.any():
             offset = int(np.argmax(occupied))
             raise AddressError(
                 f"slot {int(new_slots[offset])} already holds unit "
-                f"{target[offset]}"
+                f"{~int(target[offset])}"
             )
-        old_slots = forward[unit_start:unit_start + n].copy()
+        old_slots = ~forward[unit_start:unit_start + n]
         prior = old_slots != UNMAPPED
         n_prior = int(np.count_nonzero(prior))
         if n_prior:
-            reverse[old_slots[prior]] = UNMAPPED
-        forward[unit_start:unit_start + n] = new_slots
-        reverse[new_slots] = np.arange(
+            reverse[old_slots[prior]] = 0
+        reverse[new_slots] = ~np.arange(
             unit_start, unit_start + n, dtype=np.int32
         )
+        forward[unit_start:unit_start + n] = np.invert(new_slots, out=new_slots)
         self._mapped_units += n - n_prior
         return old_slots
 
@@ -203,17 +219,17 @@ class PageMap:
         (the one to invalidate), else UNMAPPED."""
         if not 0 <= unit < self.n_units:
             self._check_unit(unit)
-        old_slot = self._forward.item(unit)
+        old_slot = ~self._forward.item(unit)
         if old_slot == UNMAPPED:
             return UNMAPPED
-        self._forward[unit] = UNMAPPED
-        self._reverse[old_slot] = UNMAPPED
+        self._forward[unit] = 0
+        self._reverse[old_slot] = 0
         self._mapped_units -= 1
         return old_slot // self._slots_per_block
 
     def unit_at(self, slot_id: int) -> int:
         """Reverse lookup; returns the unit stored at a slot or UNMAPPED."""
-        return int(self._reverse[slot_id])
+        return ~self._reverse.item(slot_id)
 
     def iter_mapped(self) -> Iterator[Tuple[int, int, int, int]]:
         """All live (unit, block, page, slot) mappings, physical order.
@@ -221,9 +237,10 @@ class PageMap:
         The invariant checker's ground truth; O(total slots) per call,
         so it is meant for debug/test passes, not hot paths.
         """
-        for slot_id in np.nonzero(self._reverse != UNMAPPED)[0]:
-            block, page, slot = self.unflatten(int(slot_id))
-            yield int(self._reverse[slot_id]), block, page, slot
+        reverse = self._reverse
+        for slot_id in np.nonzero(reverse)[0].tolist():
+            block, page, slot = self.unflatten(slot_id)
+            yield ~reverse.item(slot_id), block, page, slot
 
     def live_units_in_block(self, block: int) -> List[Tuple[int, int, int]]:
         """All live (unit, page, slot) triples within ``block`` — GC's view."""
@@ -232,9 +249,9 @@ class PageMap:
         start = block * per_block
         region = self._reverse[start:start + per_block]
         live: List[Tuple[int, int, int]] = []
-        for offset in np.nonzero(region != UNMAPPED)[0]:
-            page, slot = divmod(int(offset), self.slots_per_page)
-            live.append((int(region[offset]), page, slot))
+        for offset in np.nonzero(region)[0].tolist():
+            page, slot = divmod(offset, self.slots_per_page)
+            live.append((~region.item(offset), page, slot))
         return live
 
     def _check_unit(self, unit: int) -> None:

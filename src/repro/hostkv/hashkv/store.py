@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Generator, Optional, Set
+from typing import Deque, Dict, Generator, List, Optional, Set
 
 from repro.api.block import BlockDeviceAPI
 from repro.errors import ConfigurationError, DeviceFullError, KeyNotFoundError
@@ -58,7 +58,7 @@ DEFRAG_ENTRY_CPU_US = 0.5
 COMPONENT = "hashkv"
 
 
-@dataclass
+@dataclass(slots=True)
 class _RecordLocation:
     """Where a key's current record lives."""
 
@@ -332,7 +332,8 @@ class HashKVStore:
                 f"fill needs {needed_blocks} write blocks, "
                 f"{len(self._free)} free"
             )
-        device = self.block_api.device
+        # [first, end) of each run of consecutive write blocks filled.
+        runs: List[List[int]] = []
         filled = 0
         while filled < count:
             wblock = self._free.popleft()
@@ -344,13 +345,19 @@ class HashKVStore:
                 self._index[key] = _RecordLocation(
                     wblock, slot * rbytes, rbytes, value_bytes
                 )
-            start = self._wblock_offset(wblock)
-            device.prime_sequential_fill(
-                wblock_bytes // device.map_unit, start // device.map_unit
-            )
+            if runs and runs[-1][1] == wblock:
+                runs[-1][1] += 1
+            else:
+                runs.append([wblock, wblock + 1])
             self._flushed.add(wblock)
             self.app_bytes_stored += here * (scheme.key_bytes + value_bytes)
             filled += here
+        # A run's units are one sequential range, and priming it at once
+        # is state-identical to priming its write blocks one by one.
+        device = self.block_api.device
+        units = wblock_bytes // device.map_unit
+        for first, end in runs:
+            device.prime_sequential_fill((end - first) * units, first * units)
         return scheme
 
     def live_keys(self) -> int:

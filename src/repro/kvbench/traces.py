@@ -103,9 +103,13 @@ class TraceRecord(_TraceFields):
         cls, timestamp_us: float, op: str, key: bytes, size: int,
         ttl_us: float = 0.0,
     ) -> "TraceRecord":
-        if timestamp_us < 0.0:
+        # A NaN fails every comparison: one chained test refuses what
+        # the parser would (negative, NaN, infinite).
+        if not 0.0 <= timestamp_us < math.inf:
             raise WorkloadError(
                 f"trace timestamp must be >= 0, got {timestamp_us}"
+                if timestamp_us < 0.0 else
+                f"trace timestamp must be finite, got {timestamp_us}"
             )
         if op not in OP_CODES:
             raise WorkloadError(
@@ -117,8 +121,11 @@ class TraceRecord(_TraceFields):
             raise WorkloadError(f"trace size must be >= 0, got {size}")
         if op == "scan" and size < 1:
             raise WorkloadError(f"scan limit must be >= 1, got {size}")
-        if ttl_us < 0.0:
-            raise WorkloadError(f"ttl must be >= 0, got {ttl_us}")
+        if not 0.0 <= ttl_us < math.inf:
+            raise WorkloadError(
+                f"ttl must be >= 0, got {ttl_us}" if ttl_us < 0.0
+                else f"ttl must be finite, got {ttl_us}"
+            )
         return tuple.__new__(cls, (timestamp_us, op, key, size, ttl_us))
 
     @classmethod

@@ -176,3 +176,64 @@ def test_oversized_record_rejected():
     env, _device, store = make_store()
     with pytest.raises(ConfigurationError):
         run(env, store.put(key(1), WRITE_BLOCK_BYTES))
+
+
+def _fill_against_per_block_priming(before_fill):
+    """A store filled by ``fast_fill`` and a twin whose device is primed
+    the way the fill once did it, one call per write block in pop order;
+    ``before_fill(env, store)`` runs on both first."""
+    env, device, store = make_store()
+    twin_env, twin_device, twin = make_store()
+    before_fill(env, store)
+    before_fill(twin_env, twin)
+    pairs, value_bytes = 3000, 512
+    used = -(-pairs // (WRITE_BLOCK_BYTES // store.record_bytes(value_bytes)))
+    order = list(twin._free)[:used]
+    units = WRITE_BLOCK_BYTES // twin_device.map_unit
+    for wblock in order:
+        twin_device.prime_sequential_fill(units, wblock * units)
+    store.fast_fill(pairs, value_bytes)
+    return device, twin_device, order
+
+
+def _assert_same_device_state(device, twin_device):
+    assert (device.pagemap._forward == twin_device.pagemap._forward).all()
+    assert (device.pagemap._reverse == twin_device.pagemap._reverse).all()
+    assert device.pagemap.mapped_units == twin_device.pagemap.mapped_units
+    assert ([info.valid_bytes for info in device.array.blocks]
+            == [info.valid_bytes for info in twin_device.array.blocks])
+
+
+def test_fast_fill_primes_runs_of_write_blocks_as_block_by_block():
+    """A fresh store pops write blocks 1, 2, 3, ...: one run, one prime
+    call, and the same page map and valid bytes as a call per block."""
+    device, twin_device, order = _fill_against_per_block_priming(
+        lambda env, store: None
+    )
+    assert order == list(range(order[0], order[0] + len(order)))
+    _assert_same_device_state(device, twin_device)
+
+
+def test_fast_fill_after_puts_moved_the_free_list():
+    """Puts that roll the current write block pop the free list, and a
+    free list whose head does not continue its tail splits the fill into
+    two runs: still the state of one prime call per block."""
+    record = 60_000
+
+    def roll_then_rotate(env, store):
+        per_block = WRITE_BLOCK_BYTES // store.record_bytes(record)
+
+        def proc(env):
+            for i in range(2 * per_block + 1):
+                yield env.process(store.put(key(i), record))
+            yield env.process(store.drain())
+
+        run(env, proc(env))
+        store._free.rotate(3)
+
+    device, twin_device, order = _fill_against_per_block_priming(
+        roll_then_rotate
+    )
+    breaks = sum(b != a + 1 for a, b in zip(order, order[1:]))
+    assert breaks == 1 and order[0] > order[-1]
+    _assert_same_device_state(device, twin_device)

@@ -5,13 +5,20 @@ Python calls, this counts bytes with :mod:`tracemalloc` and structures
 with ``len``: the numbers are the same on every machine of one Python
 version, so a change that brings back an object per fill page or per
 parsed field fails here rather than as a drift in the benchmark's
-``host_peak_rss_mib``.
+``host_peak_rss_mib``.  The block page map's tables are ``mmap`` pages,
+which :mod:`tracemalloc` does not see: they are bounded by peak RSS in a
+fresh interpreter instead.
 """
 
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from typing import Any, Callable, Tuple
 
 from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
@@ -29,6 +36,8 @@ from repro.units import MIB
 
 #: The ``kv_mixed`` benchmark's fill: 16 B keys, 4 KiB values.
 _SCHEME = KeyScheme(prefix=b"fill", digits=12)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def alloc_ledger(run: Callable[[], Any]) -> Tuple[Any, int]:
@@ -84,3 +93,41 @@ def test_page_map_tables_hold_32_bit_entries():
     rig = build_block_rig(lab_geometry(4))
     pagemap = rig.device.pagemap
     assert pagemap._forward.itemsize == pagemap._reverse.itemsize == 4
+
+
+#: Peak RSS in KiB before and after building a page map over
+#: ``lab_geometry(blocks_per_plane)`` with a unit for every slot, in a
+#: fresh interpreter: no earlier test's high-water mark can hide it.
+_BUILD_PAGE_MAP = """
+import json, resource, sys
+from repro.blockftl.mapping import PageMap
+from repro.core.experiment import lab_geometry
+from repro.units import KIB
+
+geometry = lab_geometry(int(sys.argv[1]))
+slots = geometry.total_pages * geometry.page_bytes // (4 * KIB)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+pagemap = PageMap(geometry, 4 * KIB, slots)
+pagemap.bind(slots - 1, geometry.total_blocks - 1, geometry.pages_per_block - 1, 7)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert pagemap.lookup(slots - 1) == slots - 1 and pagemap.unit_at(slots - 1) == slots - 1
+print(json.dumps([pagemap._forward.nbytes + pagemap._reverse.nbytes, before, after]))
+"""
+
+
+def test_page_map_tables_are_resident_only_where_written():
+    """Tables 32 times the size of ``host_stacks``' (three block rigs on
+    ``lab_geometry(16)``) raise peak RSS by under 8 MiB: their pages are
+    zero-filled on first write, and one written entry is one page.
+    Dense tables filled with UNMAPPED raise it by more than 100 MiB."""
+    pagemap = build_block_rig(lab_geometry(16)).device.pagemap
+    host_stacks = 3 * (pagemap._forward.nbytes + pagemap._reverse.nbytes)
+    result = subprocess.run(
+        [sys.executable, "-c", _BUILD_PAGE_MAP, str(16 * 96)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    table_bytes, before_kib, after_kib = json.loads(result.stdout)
+    assert table_bytes >= 32 * host_stacks
+    assert after_kib - before_kib < 8 * 1024

@@ -23,6 +23,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import pickle
 import pstats
 from pathlib import Path
@@ -162,6 +163,26 @@ class TestRoundTrip:
     def test_format_parse_identity(self, records):
         lines = [HEADER] + [format_record(r) for r in records]
         assert parse_trace(lines) == records
+
+    @given(
+        timestamp=st.floats(), op=st.sampled_from(OP_CODES + ("append",)),
+        key=st.binary(max_size=8), size=st.integers(-1, 1 << 20),
+        ttl=st.one_of(st.just(0.0), st.floats()),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_every_record_that_constructs_parses_back_from_its_file(
+        self, tmp_path_factory, timestamp, op, key, size, ttl
+    ):
+        """The writer's promise, from the record side: construction
+        refuses whatever the reader would (a NaN or infinite timestamp
+        or TTL among them), so no record is written that cannot be read."""
+        try:
+            record = TraceRecord(timestamp, op, key, size, ttl)
+        except WorkloadError:
+            return
+        path = str(tmp_path_factory.getbasetemp() / "one.kvt")
+        write_trace(path, [record])
+        assert read_trace(path) == [record]
 
     def test_file_roundtrip(self, tmp_path):
         records = [
@@ -368,6 +389,11 @@ class TestMalformed:
             TraceRecord(0.0, "read", b"", 0)
         with pytest.raises(WorkloadError, match="ttl must be >= 0"):
             TraceRecord(0.0, "read", b"a", 0, ttl_us=-2.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(WorkloadError, match="timestamp must be finite"):
+                TraceRecord(bad, "read", b"a", 0)
+        with pytest.raises(WorkloadError, match="ttl must be finite"):
+            TraceRecord(0.0, "insert", b"a", 8, ttl_us=math.inf)
 
     def test_parsed_records_are_slotted_share_their_op_and_pickle(self):
         """A parsed record has no ``__dict__``, its op is the one
