@@ -14,8 +14,8 @@ Two generators cover the canonical traffic shapes:
 
 Both draw from one seeded ``random.Random``, so a spec maps to
 exactly one arrival schedule — byte-identical across runs, processes,
-and cache replays.  Times are absolute simulated microseconds, strictly
-increasing from zero.
+and cache replays.  Times are absolute simulated microseconds, finite
+and non-decreasing from zero (an exponential draw can be a gap of 0.0).
 """
 
 from __future__ import annotations
@@ -66,17 +66,17 @@ class ArrivalSpec:
                 f"unknown arrival process {self.process!r}; "
                 f"choose from {PROCESSES}"
             )
-        if self.burst_factor < 1.0:
+        if not (math.isfinite(self.burst_factor) and self.burst_factor >= 1.0):
             raise ConfigurationError(
-                f"burst_factor must be >= 1, got {self.burst_factor}"
+                f"burst_factor must be finite and >= 1, got {self.burst_factor}"
             )
         if not 0.0 < self.burst_fraction < 1.0:
             raise ConfigurationError(
                 f"burst_fraction must be in (0, 1), got {self.burst_fraction}"
             )
-        if self.mean_burst_us <= 0.0:
+        if not (math.isfinite(self.mean_burst_us) and self.mean_burst_us > 0.0):
             raise ConfigurationError(
-                f"mean_burst_us must be > 0, got {self.mean_burst_us}"
+                f"mean_burst_us must be finite and > 0, got {self.mean_burst_us}"
             )
 
     @property
@@ -126,8 +126,10 @@ def _mmpp(spec: ArrivalSpec) -> Iterator[float]:
 def generate_arrivals(spec: ArrivalSpec) -> Iterator[float]:
     """Deterministic arrival-time stream for ``spec``.
 
-    Yields exactly ``spec.n_requests`` strictly increasing absolute
-    times (us).  The same spec always yields the same stream.
+    Yields exactly ``spec.n_requests`` finite, non-decreasing absolute
+    times (us): two arrivals can share an instant, because an
+    exponential draw can be 0.0.  The same spec always yields the same
+    stream.
     """
     if spec.process == "poisson":
         return _poisson(spec)

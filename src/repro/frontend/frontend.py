@@ -12,15 +12,21 @@ is frontend queueing, everything after is device service.  When offered
 load exceeds device capacity the pre-submit phases absorb the excess,
 which is the saturation knee the load sweep measures.
 
-Determinism: the arrival schedule is precomputed from seeded generators,
-the event loop runs on the simulation engine's total event order, and
-dispatchers break ties by class index — the same spec always produces
-byte-identical results.
+A ``Request`` object lives only while its request is in flight: the
+schedule is streamed, each request built as the accept loop reaches it,
+and a terminal request leaves one row in the run's :class:`Trail`, a set
+of ``array`` columns in completion order.
+
+Determinism: the arrival schedule is streamed from generators that seed
+their own RNGs, so it is data, not events; the event loop runs on the
+simulation engine's total event order, and dispatchers break ties by
+class index — the same spec always produces byte-identical results.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -28,9 +34,15 @@ from typing import (
     Deque,
     Dict,
     Generator,
+    Iterable,
+    Iterator,
     List,
+    NamedTuple,
     Optional,
+    Sequence,
     Tuple,
+    Union,
+    overload,
 )
 
 from repro.core.experiment import build_rig, lab_geometry
@@ -70,10 +82,11 @@ BATCH_OVERHEAD_US = 4.0
 
 
 class Request:
-    """One open-loop request and its timestamp trail (all times us)."""
+    """One open-loop request in flight and its timestamp trail (all
+    times us); once terminal it is a row of the run's :class:`Trail`."""
 
     __slots__ = (
-        "seq", "tenant", "slo", "op", "deadline_us",
+        "seq", "tenant_index", "tenant", "slo", "op", "deadline_us",
         "arrival_us", "admit_us", "batch_us", "submit_us", "complete_us",
         "batch_seq", "shed", "status",
     )
@@ -81,6 +94,7 @@ class Request:
     def __init__(
         self,
         seq: int,
+        tenant_index: int,
         tenant: str,
         slo: str,
         op: Operation,
@@ -88,6 +102,7 @@ class Request:
         deadline_us: float,
     ) -> None:
         self.seq = seq
+        self.tenant_index = tenant_index
         self.tenant = tenant
         self.slo = slo
         self.op = op
@@ -100,6 +115,23 @@ class Request:
         self.batch_seq = -1
         self.shed = False
         self.status = NvmeStatus.SUCCESS
+
+
+class TrailRow(NamedTuple):
+    """One terminal request, read back from a :class:`Trail`."""
+
+    seq: int
+    tenant: str
+    slo: str
+    deadline_us: float
+    arrival_us: float
+    admit_us: float
+    batch_us: float
+    submit_us: float
+    complete_us: float
+    batch_seq: int
+    shed: bool
+    status: NvmeStatus
 
     @property
     def latency_us(self) -> float:
@@ -115,6 +147,73 @@ class Request:
     def violated_slo(self) -> bool:
         """Whether the request completed past its class deadline."""
         return self.latency_us > self.deadline_us
+
+
+def _tenant_classes(spec: FrontendSpec) -> Tuple[Tuple[str, str, float], ...]:
+    """``(tenant name, class name, class deadline)`` by tenant index."""
+    return tuple(
+        (tenant.name, tenant.slo,
+         spec.classes[spec.class_index(tenant.slo)].deadline_us)
+        for tenant in spec.tenants
+    )
+
+
+class Trail(Sequence[TrailRow]):
+    """Every terminal request of one run, in completion order (a shed
+    request terminates at its arrival), as one ``array`` column a field.
+
+    Indexing builds a :class:`TrailRow`; the columns hold the stamps
+    exactly, so rows read back the floats the run wrote.
+    """
+
+    def __init__(self, spec: FrontendSpec) -> None:
+        self.tenants = _tenant_classes(spec)
+        self.seq = array("q")
+        self.tenant_index = array("I")
+        self.arrival_us = array("d")
+        self.admit_us = array("d")
+        self.batch_us = array("d")
+        self.submit_us = array("d")
+        self.complete_us = array("d")
+        self.batch_seq = array("q")
+        self.shed = array("b")
+        self.status = array("H")
+
+    def append(self, request: Request) -> None:
+        """Store the row of ``request``, which has turned terminal."""
+        self.seq.append(request.seq)
+        self.tenant_index.append(request.tenant_index)
+        self.arrival_us.append(request.arrival_us)
+        self.admit_us.append(request.admit_us)
+        self.batch_us.append(request.batch_us)
+        self.submit_us.append(request.submit_us)
+        self.complete_us.append(request.complete_us)
+        self.batch_seq.append(request.batch_seq)
+        self.shed.append(request.shed)
+        self.status.append(request.status)
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    @overload
+    def __getitem__(self, index: int) -> TrailRow: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[TrailRow]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[TrailRow, List[TrailRow]]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        tenant, slo, deadline_us = self.tenants[self.tenant_index[index]]
+        return TrailRow(
+            self.seq[index], tenant, slo, deadline_us,
+            self.arrival_us[index], self.admit_us[index],
+            self.batch_us[index], self.submit_us[index],
+            self.complete_us[index], self.batch_seq[index],
+            bool(self.shed[index]), NvmeStatus(self.status[index]),
+        )
 
 
 def _tenant_scheme(tenant: TenantLoad) -> KeyScheme:
@@ -141,8 +240,10 @@ def _tenant_operations(tenant: TenantLoad) -> WorkloadSpec:
     )
 
 
-def build_schedule(spec: FrontendSpec) -> List[Request]:
-    """Merge every tenant's arrival stream into one request schedule.
+def build_schedule(spec: FrontendSpec, origin: float = 0.0) -> Iterator[Request]:
+    """Merge every tenant's arrival stream into one request schedule,
+    streamed: each request is built as it is consumed, its arrival
+    re-origined to ``origin``.
 
     The merge is keyed ``(arrival_us, tenant_index, per-tenant seq)`` so
     simultaneous arrivals order deterministically; per-tenant request
@@ -150,23 +251,22 @@ def build_schedule(spec: FrontendSpec) -> List[Request]:
     """
     def stream(
         tenant_index: int, tenant: TenantLoad
-    ) -> Generator[Tuple[float, int, int, str, str, Operation, float], None, None]:
-        deadline = spec.classes[spec.class_index(tenant.slo)].deadline_us
+    ) -> Iterator[Tuple[float, int, int, Operation]]:
         ops = generate_operations(_tenant_operations(tenant))
         times = generate_arrivals(tenant.arrivals)
         for seq, (arrival, op) in enumerate(zip(times, ops)):
-            yield (arrival, tenant_index, seq, tenant.name, tenant.slo,
-                   op, deadline)
+            yield (arrival, tenant_index, seq, op)
 
+    tenants = _tenant_classes(spec)
     streams = [
         stream(tenant_index, tenant)
         for tenant_index, tenant in enumerate(spec.tenants)
     ]
-    schedule: List[Request] = []
     merged = heapq.merge(*streams)
-    for global_seq, (arrival, _, _, name, slo, op, deadline) in enumerate(merged):
-        schedule.append(Request(global_seq, name, slo, op, arrival, deadline))
-    return schedule
+    for global_seq, (arrival, tenant_index, _, op) in enumerate(merged):
+        name, slo, deadline = tenants[tenant_index]
+        yield Request(global_seq, tenant_index, name, slo, op,
+                      arrival + origin, deadline)
 
 
 class ServingFrontend:
@@ -195,9 +295,7 @@ class ServingFrontend:
         self._pending = 0
         self._arrivals_done = False
         self._batch_seq = 0
-        #: All requests that reached a terminal state, in completion order
-        #: (shed requests terminate at arrival).
-        self.finished: List[Request] = []
+        self.trail = Trail(spec)
         self.offered = 0
         self.admitted = 0
         self.shed = 0
@@ -209,7 +307,7 @@ class ServingFrontend:
     # -- arrival + admission --------------------------------------------
 
     def arrival_process(
-        self, schedule: List[Request]
+        self, schedule: Iterable[Request]
     ) -> Generator[Event, None, None]:
         """Open-loop arrivals: admit or shed each request at its time."""
         spec = self.spec
@@ -227,7 +325,7 @@ class ServingFrontend:
                 request.status = NvmeStatus.COMMAND_INTERRUPTED
                 request.complete_us = self.env.now
                 self.shed += 1
-                self.finished.append(request)
+                self.trail.append(request)
                 if self.tracer.wants("host"):
                     self.tracer.instant(
                         "frontend", "shed", "host",
@@ -338,9 +436,9 @@ class ServingFrontend:
                 "frontend", "serve", "host",
                 request.complete_us - request.arrival_us,
                 {"tenant": request.tenant, "slo": request.slo,
-                 "queue_us": round(request.queue_wait_us, 3)},
+                 "queue_us": round(request.submit_us - request.arrival_us, 3)},
             )
-        self.finished.append(request)
+        self.trail.append(request)
         self._pending -= 1
         if self._pending == 0:
             # Wake parked dispatchers so they can observe completion.
@@ -348,7 +446,7 @@ class ServingFrontend:
 
     # -- run -------------------------------------------------------------
 
-    def serve(self, schedule: List[Request]) -> Generator[Event, None, None]:
+    def serve(self, schedule: Iterable[Request]) -> Generator[Event, None, None]:
         """Run arrivals and dispatchers to completion."""
         workers = [
             self.env.process(self.dispatcher(), name=f"fe.dispatch.{i}")
@@ -402,8 +500,10 @@ class FrontendRunResult(Throughput):
     batches: int
     batched_requests: int
     per_class: Dict[str, ClassStats] = field(default_factory=dict)
-    #: The full request trail, only when ``keep_requests=True``.
-    requests: Optional[List[Request]] = None
+    #: The run's :class:`Trail`, only when ``keep_requests=True``: a
+    #: sequence of :class:`TrailRow` in completion order, read from
+    #: columns (about 68 B a request, not an object per request).
+    requests: Optional[Trail] = None
 
     @property
     def mean_batch_size(self) -> float:
@@ -414,9 +514,7 @@ class FrontendRunResult(Throughput):
         return self.completed
 
 
-def _summarize(
-    spec: FrontendSpec, frontend: ServingFrontend
-) -> Dict[str, ClassStats]:
+def _summarize(spec: FrontendSpec, trail: Trail) -> Dict[str, ClassStats]:
     per_class: Dict[str, ClassStats] = {
         cls.name: ClassStats(name=cls.name, deadline_us=cls.deadline_us)
         for cls in spec.classes
@@ -431,26 +529,36 @@ def _summarize(
     phase_sums: Dict[str, Dict[str, float]] = {
         cls.name: {phase: 0.0 for phase in PHASES} for cls in spec.classes
     }
-    for request in frontend.finished:
-        stats = per_class[request.slo]
+    # Everything a row is accounted to, by tenant index.
+    by_tenant = [
+        (per_class[slo], latency[slo], queueing[slo], phase_sums[slo], deadline)
+        for _, slo, deadline in trail.tenants
+    ]
+    success = NvmeStatus.SUCCESS
+    columns = zip(
+        trail.tenant_index, trail.shed, trail.status, trail.arrival_us,
+        trail.admit_us, trail.batch_us, trail.submit_us, trail.complete_us,
+    )
+    for tenant, shed, status, arrival, admit, batch, submit, complete in columns:
+        stats, lat, queue, sums, deadline = by_tenant[tenant]
         stats.offered += 1
-        if request.shed:
+        if shed:
             stats.shed += 1
             continue
         stats.admitted += 1
-        if request.status is NvmeStatus.SUCCESS:
+        if status == success:
             stats.completed += 1
         else:
             stats.failed += 1
-        if request.violated_slo:
+        latency_us = complete - arrival
+        if latency_us > deadline:
             stats.slo_violations += 1
-        latency[request.slo].record(request.latency_us)
-        queueing[request.slo].record(request.queue_wait_us)
-        sums = phase_sums[request.slo]
-        sums["admit"] += request.admit_us - request.arrival_us
-        sums["queue"] += request.batch_us - request.admit_us
-        sums["dispatch"] += request.submit_us - request.batch_us
-        sums["device"] += request.complete_us - request.submit_us
+        lat.record(latency_us)
+        queue.record(submit - arrival)
+        sums["admit"] += admit - arrival
+        sums["queue"] += batch - admit
+        sums["dispatch"] += submit - batch
+        sums["device"] += complete - submit
     for name, stats in per_class.items():
         terminal = stats.completed + stats.failed
         if terminal:
@@ -491,13 +599,12 @@ def run_frontend(
             rig, f"fe.prime.{tenant.name}", prime, 16, adapter, drain=False
         )
 
-    schedule = build_schedule(spec)
-    # Re-origin arrivals at the post-priming clock.
+    # Arrivals are re-origined at the post-priming clock.
     origin = env.now
-    for request in schedule:
-        request.arrival_us += origin
     frontend = ServingFrontend(env, adapter, spec, tracer=tracer)
-    serve = env.process(frontend.serve(schedule), name="fe.serve")
+    serve = env.process(
+        frontend.serve(build_schedule(spec, origin)), name="fe.serve"
+    )
     env.run_until_complete(serve)
 
     result = FrontendRunResult(
@@ -510,8 +617,8 @@ def run_frontend(
         failed=frontend.failed,
         batches=frontend.batches,
         batched_requests=frontend.batched_requests,
-        per_class=_summarize(spec, frontend),
+        per_class=_summarize(spec, frontend.trail),
     )
     if keep_requests:
-        result.requests = list(frontend.finished)
+        result.requests = frontend.trail
     return result

@@ -7,6 +7,7 @@ that influences the outcome must live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -33,9 +34,10 @@ class SLOClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("SLO class name must be non-empty")
-        if self.deadline_us <= 0.0:
+        if not (math.isfinite(self.deadline_us) and self.deadline_us > 0.0):
             raise ConfigurationError(
-                f"SLO deadline must be > 0 us, got {self.deadline_us}"
+                f"SLO deadline_us must be finite and > 0 us, "
+                f"got {self.deadline_us}"
             )
 
 

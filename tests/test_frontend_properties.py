@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the open-loop serving frontend.
 
-Four invariants the frontend must hold for *any* configuration, not just
+Five invariants the frontend must hold for *any* configuration, not just
 the calibrated sweep scenario:
 
 * arrival processes are seed-deterministic, strictly increasing, emit
@@ -8,12 +8,15 @@ the calibrated sweep scenario:
 * bounded admission never acknowledges a shed request — shed requests
   carry the ``COMMAND_INTERRUPTED`` status and never reach the device;
 * the batcher preserves per-tenant FIFO order;
-* the scheduler never starves a non-empty SLO class.
+* the scheduler never starves a non-empty SLO class;
+* the kept trail holds every offered request once, and its rows rebuild
+  the per-class summary exactly.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +24,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.frontend.arrivals import PROCESSES, ArrivalSpec, generate_arrivals
-from repro.frontend.frontend import run_frontend
+from repro.frontend.frontend import PHASES, run_frontend
+from repro.frontend.run import build_load_spec
 from repro.frontend.spec import FrontendSpec, SLOClass, TenantLoad
+from repro.metrics.latency import LatencyRecorder
 from repro.nvme.command import NvmeStatus
 
 #: Mean-rate tolerance per process kind.  The MMPP's dwell-time variance
@@ -74,6 +79,53 @@ def test_arrival_rate_must_be_finite_and_positive(rate: float) -> None:
     latencies, and ``inf`` into a schedule of zero gaps."""
     with pytest.raises(ConfigurationError, match="finite and > 0"):
         ArrivalSpec(rate_ops_s=rate, n_requests=10)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["burst_factor", "mean_burst_us"])
+def test_mmpp_modulation_must_be_finite(name: str, value: float) -> None:
+    """A ``nan`` burst factor passed ``< 1`` into a schedule of ``nan``
+    times; an infinite one or an infinite dwell constructed, then
+    divided by zero in ``generate_arrivals``."""
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        ArrivalSpec(rate_ops_s=1_000.0, n_requests=5, process="mmpp",
+                    **{name: value})
+
+
+@pytest.mark.parametrize("deadline", [math.nan, math.inf])
+def test_slo_deadline_must_be_finite(deadline: float) -> None:
+    """A ``nan`` deadline passed ``<= 0`` into a ``nan`` EDF key and a
+    class that never violates its SLO."""
+    with pytest.raises(ConfigurationError, match="deadline_us must be finite"):
+        SLOClass(name="lat", deadline_us=deadline)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    process=st.sampled_from(PROCESSES),
+    rate_ops_s=st.floats(min_value=1_000.0, max_value=1e7),
+    n_requests=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**31),
+    burst_factor=st.floats(min_value=1.0, max_value=64.0),
+    burst_fraction=st.floats(min_value=0.01, max_value=0.5),
+    mean_burst_us=st.floats(min_value=100.0, max_value=1e6),
+)
+def test_arrivals_are_exactly_n_finite_nondecreasing_times(
+    process: str, rate_ops_s: float, n_requests: int, seed: int,
+    burst_factor: float, burst_fraction: float, mean_burst_us: float,
+) -> None:
+    """Over bounded valid specs (the bounds keep an MMPP to a few state
+    switches an arrival), not just the calibrated ones above."""
+    spec = ArrivalSpec(
+        rate_ops_s=rate_ops_s, n_requests=n_requests, process=process,
+        seed=seed, burst_factor=burst_factor, burst_fraction=burst_fraction,
+        mean_burst_us=mean_burst_us,
+    )
+    times = list(generate_arrivals(spec))
+    assert len(times) == n_requests
+    assert all(math.isfinite(time) for time in times)
+    assert times[0] >= 0.0
+    assert all(b >= a for a, b in zip(times, times[1:]))
 
 
 def test_a_tenant_refuses_a_population_its_keys_cannot_name() -> None:
@@ -239,3 +291,75 @@ def test_scheduler_never_starves_a_nonempty_class(seed: int) -> None:
         for batch_us in bulk_batches
         for r in lat
     )
+
+
+# -- the trail -----------------------------------------------------------
+
+
+_TRAIL_SPECS = {
+    "overload": _overload_spec(admit_capacity=72, seed=3),
+    "below_knee": build_load_spec(
+        32_000.0, n_requests=300, admit_capacity=48, population=400, seed=5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRAIL_SPECS))
+def test_the_trail_is_the_summarys_source(name: str) -> None:
+    """The rows, read in completion order, rebuild every class's counts,
+    latency and queueing summaries and phase means exactly."""
+    spec = _TRAIL_SPECS[name]
+    result = run_frontend(spec, keep_requests=True)
+    trail = result.requests
+    assert trail is not None
+    for cls in spec.classes:
+        rows = [row for row in trail if row.slo == cls.name]
+        served = [row for row in rows if not row.shed]
+        stats = result.per_class[cls.name]
+        assert stats.offered == len(rows)
+        assert stats.shed == len(rows) - len(served)
+        assert stats.admitted == len(served)
+        assert stats.completed == sum(
+            row.status is NvmeStatus.SUCCESS for row in served
+        )
+        assert stats.failed == len(served) - stats.completed
+        assert stats.slo_violations == sum(row.violated_slo for row in served)
+        latency = LatencyRecorder()
+        queueing = LatencyRecorder()
+        sums = dict.fromkeys(PHASES, 0.0)
+        for row in served:
+            latency.record(row.latency_us)
+            queueing.record(row.queue_wait_us)
+            sums["admit"] += row.admit_us - row.arrival_us
+            sums["queue"] += row.batch_us - row.admit_us
+            sums["dispatch"] += row.submit_us - row.batch_us
+            sums["device"] += row.complete_us - row.submit_us
+        assert served
+        assert stats.latency == latency.summary()
+        assert stats.queueing == queueing.summary()
+        assert stats.phase_means == {
+            phase: sums[phase] / len(served) for phase in PHASES
+        }
+    if name == "overload":
+        assert result.shed > 0
+    else:
+        assert result.shed == 0
+
+
+@pytest.mark.parametrize("name", sorted(_TRAIL_SPECS))
+def test_the_trail_is_a_sequence_of_every_offered_request(name: str) -> None:
+    result = run_frontend(_TRAIL_SPECS[name], keep_requests=True)
+    trail = result.requests
+    assert trail is not None
+    assert len(trail) == result.offered
+    assert sorted(row.seq for row in trail) == list(range(result.offered))
+    assert trail[-1] == trail[len(trail) - 1]
+    assert trail[1:3] == [trail[1], trail[2]]
+    with pytest.raises(IndexError):
+        trail[len(trail)]
+    assert all(isinstance(row.shed, bool) for row in trail)
+    assert all(isinstance(row.status, NvmeStatus) for row in trail)
+    loaded = pickle.loads(pickle.dumps(result))
+    assert loaded.requests is not None
+    assert list(loaded.requests) == list(trail)
+    assert loaded.per_class == result.per_class

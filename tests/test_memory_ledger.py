@@ -22,6 +22,8 @@ from pathlib import Path
 from typing import Any, Callable, Tuple
 
 from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
+from repro.frontend.frontend import run_frontend
+from repro.frontend.run import build_load_spec
 from repro.kvbench.traces import (
     TRACE_MAGIC,
     TRACE_VERSION,
@@ -87,6 +89,23 @@ def test_a_parsed_trace_record_is_slotted_and_shares_its_op():
     records, retained = alloc_ledger(lambda: parse_trace(lines))
     assert len(records) == 30_000
     assert retained / len(records) <= 200
+
+
+def test_a_kept_frontend_request_is_a_row_of_columns():
+    """The ``frontend_rates`` benchmark's r48 rate with its trail kept:
+    68 B a request retained (475 with a ``Request`` per request, its
+    ``Operation``, key and boxed stamps) — the rig and its primed pairs
+    are gone once the run returns."""
+    n_requests = 7_000
+    spec = build_load_spec(
+        48_000.0, n_requests=n_requests, population=2_000,
+        blocks_per_plane=16, seed=1,
+    )
+    result, retained = alloc_ledger(
+        lambda: run_frontend(spec, keep_requests=True)
+    )
+    assert result.requests is not None and len(result.requests) == n_requests
+    assert retained / n_requests <= 96
 
 
 def test_page_map_tables_hold_32_bit_entries():
