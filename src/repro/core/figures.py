@@ -67,7 +67,7 @@ from repro.kvbench.traces import TraceWorkload, merge_traces
 from repro.kvbench.workload import Pattern, WorkloadSpec
 from repro.kvbench.ycsb import YCSBDriver, YCSBSpec
 from repro.kvftl.blob import layout_blob, space_amplification
-from repro.kvftl.config import INDEX_REGION_FRACTION, INDEX_SLOT_BYTES, KVSSDConfig
+from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.population import KeyScheme
 from repro.nvme.command import commands_for_key
 from repro.units import KIB, MIB, float_sum
@@ -109,6 +109,13 @@ FIG2 = Layout(
             "{system}.rand.{phase}_us", "kvssd.rand.{phase}_us"),
         "kv_over_{system}.{phase}": ratio(
             "kvssd.rand.{phase}_us", "{system}.rand.{phase}_us"),
+        # Sec. I's host CPU reductions, read off the rand cells.
+        "cpu_reduction_vs_rocksdb": ratio(
+            "rocksdb.rand.cpu_us_per_op", "kvssd.rand.cpu_us_per_op"),
+        "cpu_reduction_vs_aerospike": ratio(
+            "aerospike.rand.cpu_us_per_op", "kvssd.rand.cpu_us_per_op"),
+        "cpu_reduction.aerospike_over_rocksdb": ratio(
+            "cpu_reduction_vs_aerospike", "cpu_reduction_vs_rocksdb"),
     },
     sections=(
         Table(("system", "pattern"), {
@@ -198,8 +205,11 @@ def fig2_end_to_end(
 
 
 FIG3 = Layout(
-    derived={"{device}.{op}_degradation": ratio(
-        "{device}.high.{op}_us", "{device}.low.{op}_us")},
+    derived={
+        "{device}.{op}_degradation": ratio(
+            "{device}.high.{op}_us", "{device}.low.{op}_us"),
+        "kv_over_block.high.read": ratio("kv.high.read_us", "block.high.read_us"),
+    },
     sections=(
         Table(("device", "occupancy"), {
             "device": label("{device}"), "occupancy": label("{occupancy}"),
@@ -665,9 +675,7 @@ def fig7_space_amplification(
         runner,
     )
     values = {
-        "max_kvps_full_scale": int(
-            3.84e12 * INDEX_REGION_FRACTION / INDEX_SLOT_BYTES
-        ),
+        "max_kvps_full_scale": int(KVSSDModel.max_kvps_at_capacity(3.84e12)),
         "rocksdb.sa": _ROCKSDB_SA,
     }
     for cell in cells.values():

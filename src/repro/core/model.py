@@ -266,7 +266,8 @@ class KVSSDModel:
         region_bytes = region * self.geometry.block_bytes
         return int(region_bytes / INDEX_SLOT_BYTES)
 
-    def max_kvps_at_capacity(self, capacity_bytes: float) -> float:
+    @staticmethod
+    def max_kvps_at_capacity(capacity_bytes: float) -> float:
         """Extrapolate the KVP limit to an arbitrary device size.
 
         With the paper's 3.84 TB this reproduces its ~3.1 billion pair

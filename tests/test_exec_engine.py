@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.figures import _fig5_cell, _fig8_cell, fig4_value_size_concurrency
+from repro.core.headline import headline_scalars
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache, canonical, code_version_salt, point_key
 from repro.exec.runner import ExecReport, SweepRunner, execute_spec, grid
@@ -416,6 +417,26 @@ class TestEquivalence:
             **kwargs, runner=SweepRunner(workers=4, cache=False)
         )
         assert parallel == serial
+
+    def test_headline_probe_serial_parallel_cached_identical(self, tmp_path):
+        """The headline row's bandwidth probe runs as grid cells, so it
+        inherits the engine's guarantee: serial, process-pool parallel,
+        and cache-served runs are value-identical."""
+        kwargs = dict(n_ops=60, blocks_per_plane=8)
+        serial = headline_scalars(**kwargs)
+        parallel = headline_scalars(
+            **kwargs, runner=SweepRunner(workers=2, cache=False)
+        )
+        assert parallel == serial
+        cache_dir = tmp_path / "cache"
+        cold = headline_scalars(
+            **kwargs, runner=SweepRunner(workers=1, cache_dir=cache_dir)
+        )
+        warm_runner = SweepRunner(workers=1, cache_dir=cache_dir)
+        warm = headline_scalars(**kwargs, runner=warm_runner)
+        assert cold == serial and warm == serial
+        report = warm_runner.last_report
+        assert report.hits == 2 and report.computed == 0
 
     def test_fault_sweep_parallel_matches_serial(self):
         serial = run_fault_sweep(**_FAULT_KWARGS)

@@ -43,6 +43,16 @@ def test_every_row_states_its_findings_as_claims() -> None:
             if len(row.claims) < 2} == {}
 
 
+def test_no_finding_is_claimed_by_two_rows() -> None:
+    """A finding is earned by the one row that measures it; a second row
+    claiming it would be a second scale for the same number."""
+    rows_of = {}
+    for name, row in EXPERIMENTS.items():
+        for claim in row.claims:
+            rows_of.setdefault(claim.finding, set()).add(name)
+    assert {finding: rows for finding, rows in rows_of.items() if len(rows) > 1} == {}
+
+
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_claims_hold_at_the_recorded_scale(name: str, ledger) -> None:
     row = EXPERIMENTS[name]
