@@ -24,40 +24,40 @@ SCHEME = KeyScheme(prefix=b"fill", digits=12)
 
 
 def main() -> None:
-    rig = build_kv_rig(lab_geometry(4))  # small device -> quick collapse
-    device = rig.device
+    with build_kv_rig(lab_geometry(4)) as rig:  # small device -> quick collapse
+        device = rig.device
 
-    per_page = blobs_per_page(
-        SCHEME.key_bytes, VALUE_BYTES, device.array.geometry.page_bytes,
-        device.config,
-    )
-    fill_blocks = device.free_block_count() - 32
-    fill_kvps = int(
-        fill_blocks
-        * device.array.geometry.pages_per_block
-        * per_page
-        * FILL_FRACTION
-    )
-    device.fast_fill(fill_kvps, VALUE_BYTES, SCHEME)
-    print(f"filled {fill_kvps:,} pairs "
-          f"({device.occupancy_fraction():.0%} of user capacity); "
-          f"free blocks: {device.free_block_count()}")
+        per_page = blobs_per_page(
+            SCHEME.key_bytes, VALUE_BYTES, device.array.geometry.page_bytes,
+            device.config,
+        )
+        fill_blocks = device.free_block_count() - 32
+        fill_kvps = int(
+            fill_blocks
+            * device.array.geometry.pages_per_block
+            * per_page
+            * FILL_FRACTION
+        )
+        device.fast_fill(fill_kvps, VALUE_BYTES, SCHEME)
+        print(f"filled {fill_kvps:,} pairs "
+              f"({device.occupancy_fraction():.0%} of user capacity); "
+              f"free blocks: {device.free_block_count()}")
 
-    spec = WorkloadSpec(
-        n_ops=int(fill_kvps * 0.6),
-        op="update",
-        pattern=Pattern.UNIFORM,
-        population=fill_kvps,
-        key_scheme=SCHEME,
-        value_bytes=VALUE_BYTES,
-        seed=13,
-    )
-    before = device.stats.snapshot()
-    run = execute_workload(
-        rig.env, rig.adapter, generate_operations(spec), queue_depth=16,
-        bandwidth_window_us=100_000.0, name="gc-study",
-    )
-    delta = device.stats.delta(before)
+        spec = WorkloadSpec(
+            n_ops=int(fill_kvps * 0.6),
+            op="update",
+            pattern=Pattern.UNIFORM,
+            population=fill_kvps,
+            key_scheme=SCHEME,
+            value_bytes=VALUE_BYTES,
+            seed=13,
+        )
+        before = device.stats.snapshot()
+        run = execute_workload(
+            rig.env, rig.adapter, generate_operations(spec), queue_depth=16,
+            bandwidth_window_us=100_000.0, name="gc-study",
+        )
+        delta = device.stats.delta(before)
 
     series = run.bandwidth.series_mib_per_sec()
     print("\nupdate-phase bandwidth over time (MiB/s):")

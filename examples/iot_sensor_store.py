@@ -70,22 +70,23 @@ def run_stack(name, rig, adapter):
 def main() -> None:
     geometry = lab_geometry(16)
 
-    kv_rig = build_kv_rig(geometry)
-    kv_ingest, kv_lookup, kv_cpu = run_stack("kv", kv_rig, kv_rig.adapter)
+    with build_kv_rig(geometry) as kv_rig:
+        kv_ingest, kv_lookup, kv_cpu = run_stack("kv", kv_rig, kv_rig.adapter)
+        kv_sa = kv_rig.device.stats.amplification()
 
     # Embedded-class RocksDB configuration: a small memtable (the paper
     # reconfigured its host down to 6 GB DRAM for macro experiments).
-    lsm_rig = build_lsm_rig(
+    with build_lsm_rig(
         geometry,
         lsm_config=LSMConfig(
             memtable_bytes=256 * KIB,
             level_base_bytes=1 * MIB,
             sst_target_bytes=256 * KIB,
         ),
-    )
-    lsm_ingest, lsm_lookup, lsm_cpu = run_stack(
-        "lsm", lsm_rig, lsm_rig.adapter
-    )
+    ) as lsm_rig:
+        lsm_ingest, lsm_lookup, lsm_cpu = run_stack(
+            "lsm", lsm_rig, lsm_rig.adapter
+        )
 
     print("IoT sensor logging: %d x %dB readings + hot lookups\n"
           % (N_READINGS, SENSOR_VALUE_BYTES))
@@ -103,7 +104,6 @@ def main() -> None:
         ],
     ))
 
-    kv_sa = kv_rig.device.stats.amplification()
     print("\nthe trade (paper Sec. V): the KV-SSD frees the embedded CPU "
           f"({lsm_cpu / kv_cpu:.1f}x less host CPU; tail ingest "
           f"{lsm_ingest.latency.summary().p99 / kv_ingest.latency.summary().p99:.1f}x "

@@ -15,52 +15,52 @@ from repro.units import KIB, pretty_size, pretty_time
 
 
 def main() -> None:
-    rig = build_kv_rig()
-    env, api, device = rig.env, rig.api, rig.device
+    with build_kv_rig() as rig:
+        env, api, device = rig.env, rig.api, rig.device
 
-    print(f"device: {device.array.geometry.describe()}")
-    print(f"user capacity: {pretty_size(device.user_capacity_bytes)}, "
-          f"KVP limit: {device.max_kvps:,}\n")
+        print(f"device: {device.array.geometry.describe()}")
+        print(f"user capacity: {pretty_size(device.user_capacity_bytes)}, "
+              f"KVP limit: {device.max_kvps:,}\n")
 
-    def session(env):
-        # Store a few pairs of different sizes.
-        for index, value_bytes in enumerate((100, 4 * KIB, 30 * KIB)):
-            key = b"demo-key-%07d" % index
+        def session(env):
+            # Store a few pairs of different sizes.
+            for index, value_bytes in enumerate((100, 4 * KIB, 30 * KIB)):
+                key = b"demo-key-%07d" % index
+                started = env.now
+                yield env.process(api.store(key, value_bytes))
+                print(f"store {key.decode()} ({pretty_size(value_bytes)}): "
+                      f"{pretty_time(env.now - started)}")
+
+            # Retrieve one back.
             started = env.now
-            yield env.process(api.store(key, value_bytes))
-            print(f"store {key.decode()} ({pretty_size(value_bytes)}): "
+            value = yield env.process(api.retrieve(b"demo-key-0000001"))
+            print(f"retrieve demo-key-0000001 -> {pretty_size(value)}: "
                   f"{pretty_time(env.now - started)}")
 
-        # Retrieve one back.
-        started = env.now
-        value = yield env.process(api.retrieve(b"demo-key-0000001"))
-        print(f"retrieve demo-key-0000001 -> {pretty_size(value)}: "
-              f"{pretty_time(env.now - started)}")
+            # Membership checks are cheap (Bloom filters answer negatives).
+            started = env.now
+            present = yield env.process(api.exist(b"demo-key-9999999"))
+            print(f"exist(absent key) -> {present}: "
+                  f"{pretty_time(env.now - started)}")
 
-        # Membership checks are cheap (Bloom filters answer negatives).
-        started = env.now
-        present = yield env.process(api.exist(b"demo-key-9999999"))
-        print(f"exist(absent key) -> {present}: "
-              f"{pretty_time(env.now - started)}")
+            # Deletes and the not-found path.
+            yield env.process(api.delete(b"demo-key-0000000"))
+            try:
+                yield env.process(api.retrieve(b"demo-key-0000000"))
+            except KeyNotFoundError:
+                print("retrieve after delete raises KeyNotFoundError (good)")
 
-        # Deletes and the not-found path.
-        yield env.process(api.delete(b"demo-key-0000000"))
-        try:
-            yield env.process(api.retrieve(b"demo-key-0000000"))
-        except KeyNotFoundError:
-            print("retrieve after delete raises KeyNotFoundError (good)")
+            yield env.process(device.drain())
 
-        yield env.process(device.drain())
+        env.run_until_complete(env.process(session(env)))
 
-    env.run_until_complete(env.process(session(env)))
-
-    print(f"\nafter the session (t={pretty_time(env.now)}):")
-    print(f"  live pairs:        {device.live_kvps}")
-    print(f"  device bytes:      {pretty_size(device.occupied_bytes)}")
-    print(f"  space amp:         {device.stats.amplification():.2f}x "
-          "(1 KiB minimum allocation pads the 100 B value)")
-    print(f"  flash programs:    {device.stats.flash_programs}")
-    print(f"  host CPU consumed: {rig.cpu.total_busy_us:.1f} us")
+        print(f"\nafter the session (t={pretty_time(env.now)}):")
+        print(f"  live pairs:        {device.live_kvps}")
+        print(f"  device bytes:      {pretty_size(device.occupied_bytes)}")
+        print(f"  space amp:         {device.stats.amplification():.2f}x "
+              "(1 KiB minimum allocation pads the 100 B value)")
+        print(f"  flash programs:    {device.stats.flash_programs}")
+        print(f"  host CPU consumed: {rig.cpu.total_busy_us:.1f} us")
 
 
 if __name__ == "__main__":

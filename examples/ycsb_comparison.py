@@ -25,29 +25,29 @@ SCHEME = KeyScheme(prefix=b"user", digits=12)
 
 
 def run_kv(spec):
-    rig = build_kv_rig(lab_geometry(8))
-    rig.device.fast_fill(spec.population, spec.value_bytes, spec.key_scheme)
-    driver = YCSBDriver(rig.adapter, spec)
-    result = execute_workload(
-        rig.env, driver, generate_ycsb(spec), queue_depth=8,
-        name=f"ycsb{spec.workload}.kv",
-    )
-    return result.latency.mean()
+    with build_kv_rig(lab_geometry(8)) as rig:
+        rig.device.fast_fill(spec.population, spec.value_bytes, spec.key_scheme)
+        driver = YCSBDriver(rig.adapter, spec)
+        result = execute_workload(
+            rig.env, driver, generate_ycsb(spec), queue_depth=8,
+            name=f"ycsb{spec.workload}.kv",
+        )
+        return result.latency.mean()
 
 
 def run_lsm(spec):
-    rig = build_lsm_rig(lab_geometry(8))
-    entries = {
-        spec.key_scheme.key_for(i): spec.value_bytes
-        for i in range(spec.population)
-    }
-    rig.store.prime_fill(entries, level=3)
-    driver = YCSBDriver(rig.adapter, spec)
-    result = execute_workload(
-        rig.env, driver, generate_ycsb(spec), queue_depth=8,
-        name=f"ycsb{spec.workload}.lsm",
-    )
-    return result.latency.mean()
+    with build_lsm_rig(lab_geometry(8)) as rig:
+        entries = {
+            spec.key_scheme.key_for(i): spec.value_bytes
+            for i in range(spec.population)
+        }
+        rig.store.prime_fill(entries, level=3)
+        driver = YCSBDriver(rig.adapter, spec)
+        result = execute_workload(
+            rig.env, driver, generate_ycsb(spec), queue_depth=8,
+            name=f"ycsb{spec.workload}.lsm",
+        )
+        return result.latency.mean()
 
 
 def main() -> None:

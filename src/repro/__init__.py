@@ -22,10 +22,10 @@ Quick start::
 
     from repro.core.experiment import build_kv_rig
 
-    rig = build_kv_rig()
-    done = rig.env.process(rig.api.store(b"hello-key-000016", 4096))
-    rig.env.run_until_complete(done)
-    print(f"store completed at t={rig.env.now:.1f}us")
+    with build_kv_rig() as rig:
+        done = rig.env.process(rig.api.store(b"hello-key-000016", 4096))
+        rig.env.run_until_complete(done)
+        print(f"store completed at t={rig.env.now:.1f}us")
 """
 
 __version__ = "1.0.0"

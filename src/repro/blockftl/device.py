@@ -377,6 +377,12 @@ class BlockSSD:
         """Wait until all buffered writes have reached flash."""
         yield from self.core.drain()
 
+    def close(self) -> None:
+        """End the core's workers (see :meth:`FtlCore.close`) and empty the
+        flash queues."""
+        self.core.close()
+        self.array.close()
+
     # ------------------------------------------------------------------
     # FtlCore personality hooks: garbage collection
     # ------------------------------------------------------------------

@@ -316,4 +316,6 @@ class _ShardCell:
 
 def run_shard(spec: ClusterSpec, shard: int) -> ShardResult:
     """Execute one shard of ``spec`` — the cluster's sweep-cell function."""
-    return _ShardCell(spec, shard_plan(spec, shard)).run()
+    cell = _ShardCell(spec, shard_plan(spec, shard))
+    with cell.rig:
+        return cell.run()

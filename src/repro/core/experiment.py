@@ -13,16 +13,22 @@ All rigs share one flash timing and default to the same geometry — the
 paper's same-hardware methodology — and expose the CPU accountant and device
 counters the analysis reads.  :func:`build_rig` builds any of them by
 system name, and all four answer one method surface (``adapter_for``,
-``prime``, ``drain``), so a cell is written once and takes ``system``.
+``prime``, ``drain``, ``close``), so a cell is written once and takes
+``system``.
+
+A rig is a context manager: a cell that returns plain data builds it
+``with build_rig(...) as rig:``, and leaving the block ends the stack's
+background workers and empties its queues, so the finished simulation is
+freed by reference counting at once rather than by a full collection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, TypeVar
 
 from repro.api.kvs import KVStoreAPI
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults.model import FaultConfig, FaultInjector
 from repro.flash.geometry import Geometry
 from repro.kvbench.runner import (
@@ -67,13 +73,17 @@ def lab_geometry(blocks_per_plane: int = 32) -> Geometry:
     )
 
 
+_R = TypeVar("_R", bound="_Rig")
+
+
 @dataclass
 class _Rig:
     """What every rig carries, and the protocol every cell drives.
 
     ``adapter_for(io_bytes)`` is the kvbench adapter for operations of
     that size, ``prime(pairs, value_bytes, scheme)`` the stack's untimed
-    bulk fill, ``drain()`` settles background work between phases.
+    bulk fill, ``drain()`` settles background work between phases and
+    ``close()`` ends the simulation once its results are taken.
     """
 
     env: Environment
@@ -86,7 +96,34 @@ class _Rig:
         """Settle background work (flushes, packing) between phases."""
         self._settle(self.device)
 
+    def close(self) -> None:
+        """End the background workers and empty the environment's queues.
+
+        The workers stay parked in the stack's own signals and queues and
+        their frames hold the stack, so without this a finished rig is
+        cyclic garbage.  Pops nothing; a second call does nothing; a
+        closed rig refuses to prime, drain or run.
+        """
+        if self.env.closed:
+            return
+        self._end_workers()
+        self.env.close()
+
+    def __enter__(self: _R) -> _R:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _end_workers(self) -> None:
+        self.device.close()
+
+    def _refuse_if_closed(self) -> None:
+        if self.env.closed:
+            raise SimulationError("the rig is closed")
+
     def _settle(self, target: Any) -> None:
+        self._refuse_if_closed()
         process = self.env.process(target.drain())
         self.env.run_until_complete(process, limit=self.env.now + 600e6)
 
@@ -109,6 +146,7 @@ class KVRig(_Rig, _OneAdapter):
     adapter: KeyedAdapter
 
     def prime(self, pairs: int, value_bytes: int, scheme: KeyScheme) -> None:
+        self._refuse_if_closed()
         self.device.fast_fill(pairs, value_bytes, scheme)
 
     def pair_capacity(
@@ -159,6 +197,7 @@ class BlockRig(_Rig):
     ) -> None:
         """Map the address range ``pairs`` slots of ``value_bytes`` span
         (slots are addressed by key index; ``scheme`` is not consulted)."""
+        self._refuse_if_closed()
         device = self.device
         units = pairs * self.adapter(value_bytes).io_bytes // device.map_unit
         device.prime_sequential_fill(min(max(units, 1), device.n_units))
@@ -191,12 +230,17 @@ class LSMRig(_Rig, _OneAdapter):
 
     def prime(self, pairs: int, value_bytes: int, scheme: KeyScheme) -> None:
         """Bulk-load ``pairs`` straight into level 3 (a settled tree)."""
+        self._refuse_if_closed()
         self.store.prime_fill(
             {scheme.key_for(i): value_bytes for i in range(pairs)}, level=3
         )
 
     def drain(self) -> None:
         self._settle(self.store)
+
+    def _end_workers(self) -> None:
+        self.store.close()
+        self.device.close()
 
 
 @dataclass
@@ -209,10 +253,15 @@ class HashRig(_Rig, _OneAdapter):
     adapter: KeyedAdapter
 
     def prime(self, pairs: int, value_bytes: int, scheme: KeyScheme) -> None:
+        self._refuse_if_closed()
         self.store.fast_fill(pairs, value_bytes, scheme)
 
     def drain(self) -> None:
         self._settle(self.store)
+
+    def _end_workers(self) -> None:
+        self.store.close()
+        self.device.close()
 
 
 def build_kv_rig(

@@ -34,7 +34,7 @@ tree does either.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.cluster.run import run_cluster
 from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec
@@ -101,13 +101,22 @@ _R1 = rounded(1)
 # ---------------------------------------------------------------------------
 
 
+def _host_vs_kv(numerator: str, denominator: str) -> Callable[..., Any]:
+    """:func:`ratio` between a host stack and KV-SSD at ``{system}``;
+    none at ``kvssd`` itself, where it is 1 by construction."""
+    of = ratio(numerator, denominator)
+    return lambda result, system, **coords: (
+        None if system == "kvssd" else of(result, system=system, **coords)
+    )
+
+
 FIG2 = Layout(
     derived={
         "kvssd.seq_over_rand.{phase}": ratio(
             "kvssd.seq.{phase}_us", "kvssd.rand.{phase}_us"),
-        "{system}_over_kv.{phase}": ratio(
+        "{system}_over_kv.{phase}": _host_vs_kv(
             "{system}.rand.{phase}_us", "kvssd.rand.{phase}_us"),
-        "kv_over_{system}.{phase}": ratio(
+        "kv_over_{system}.{phase}": _host_vs_kv(
             "kvssd.rand.{phase}_us", "{system}.rand.{phase}_us"),
         # Sec. I's host CPU reductions, read off the rand cells.
         "cpu_reduction_vs_rocksdb": ratio(
@@ -140,7 +149,6 @@ def _fig2_cell(
     system: str, pattern_name: str, n_ops: int, blocks_per_plane: int
 ) -> Dict[str, float]:
     """One (system, pattern) cell: insert, update, read on a fresh rig."""
-    rig = build_rig(system, lab_geometry(blocks_per_plane))
     base = WorkloadSpec(
         n_ops=n_ops,
         op="insert",
@@ -150,23 +158,24 @@ def _fig2_cell(
         value_bytes=4 * KIB,
         seed=11,
     )
-    adapter = rig.adapter_for(4 * KIB)
-    cpu_before = rig.cpu.total_busy_us
-    runs = {
-        phase: run_phase(
-            rig,
-            f"fig2.{system}.{pattern_name}.{phase}",
-            replace(base, op=phase),
-            8,
-            adapter,
-        )
-        for phase in ("insert", "update", "read")
-    }
+    with build_rig(system, lab_geometry(blocks_per_plane)) as rig:
+        adapter = rig.adapter_for(4 * KIB)
+        cpu_before = rig.cpu.total_busy_us
+        runs = {
+            phase: run_phase(
+                rig,
+                f"fig2.{system}.{pattern_name}.{phase}",
+                replace(base, op=phase),
+                8,
+                adapter,
+            )
+            for phase in ("insert", "update", "read")
+        }
+        cpu_us = rig.cpu.total_busy_us - cpu_before
     ops_counted = sum(run.completed_ops for run in runs.values())
     return {
         **{f"{phase}_us": run.latency.mean() for phase, run in runs.items()},
-        "cpu_us_per_op": (rig.cpu.total_busy_us - cpu_before)
-        / max(1, ops_counted),
+        "cpu_us_per_op": cpu_us / max(1, ops_counted),
     }
 
 
@@ -233,9 +242,6 @@ def _fig3_cell(
     blocks_per_plane: int,
 ) -> Dict[str, float]:
     """Mean QD1 read then write (update) latency at one occupancy."""
-    rig = build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane))
-    rig.prime(kvps[occupancy], _FIG3_VALUE_BYTES, FILL_SCHEME)
-    adapter = rig.adapter_for(_FIG3_VALUE_BYTES)
     base = WorkloadSpec(
         n_ops=n_ops,
         op="read",
@@ -245,20 +251,23 @@ def _fig3_cell(
         value_bytes=_FIG3_VALUE_BYTES,
         seed=23,
     )
-    return {
-        f"{name}_us": run_phase(
-            rig, f"fig3.{device}.{name}", replace(base, op=op), 1, adapter
-        ).latency.mean()
-        for name, op in (("read", "read"), ("write", "update"))
-    }
+    with build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane)) as rig:
+        rig.prime(kvps[occupancy], _FIG3_VALUE_BYTES, FILL_SCHEME)
+        adapter = rig.adapter_for(_FIG3_VALUE_BYTES)
+        return {
+            f"{name}_us": run_phase(
+                rig, f"fig3.{device}.{name}", replace(base, op=op), 1, adapter
+            ).latency.mean()
+            for name, op in (("read", "read"), ("write", "update"))
+        }
 
 
 def _fig3_occupancies(high_fraction: float, blocks_per_plane: int) -> Dict[str, int]:
     """Low/high pair counts as fractions of the device's KVP limit (low:
     0.05 %, at least 1,000 pairs)."""
-    probe = build_rig("kvssd", lab_geometry(blocks_per_plane))
-    physical_max = probe.pair_capacity(FILL_SCHEME.key_bytes, _FIG3_VALUE_BYTES)
-    max_kvps = min(probe.device.max_kvps, int(physical_max * 0.9))
+    with build_rig("kvssd", lab_geometry(blocks_per_plane)) as probe:
+        physical_max = probe.pair_capacity(FILL_SCHEME.key_bytes, _FIG3_VALUE_BYTES)
+        max_kvps = min(probe.device.max_kvps, int(physical_max * 0.9))
     return {
         "low": max(1000, int(max_kvps * 0.0005)),
         "high": int(max_kvps * high_fraction),
@@ -358,42 +367,42 @@ def _fig4_cell(
     prefill through timed stores before the measured phase — matching the
     paper's fill-then-measure methodology either way.
     """
-    rig = build_rig(
+    with build_rig(
         DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
         **_AMPLE_INDEX[device],
-    )
-    adapter = rig.adapter_for(size)
-    fraction, cap = _FIG4_FILL[device]
-    bulk = min(
-        cap, rig.pair_capacity(FILL_SCHEME.key_bytes, size, fraction=fraction)
-    )
-    population = max(n_ops, bulk)
-    base = WorkloadSpec(
-        n_ops=n_ops,
-        op="read",
-        pattern=Pattern.UNIFORM,
-        population=population,
-        key_scheme=FILL_SCHEME,
-        value_bytes=size,
-    )
-    if bulk:
-        rig.prime(population, size, FILL_SCHEME)
-    else:
-        prefill = replace(
-            base, n_ops=population, op="insert", pattern=Pattern.SEQUENTIAL,
-            seed=29,
+    ) as rig:
+        adapter = rig.adapter_for(size)
+        fraction, cap = _FIG4_FILL[device]
+        bulk = min(
+            cap, rig.pair_capacity(FILL_SCHEME.key_bytes, size, fraction=fraction)
         )
-        run_phase(rig, f"fig4.{device}.fill.{size}", prefill, 16, adapter)
-    return {
-        f"{name}_us": run_phase(
-            rig,
-            f"fig4.{device}.{name}.{size}.qd{queue_depth}",
-            replace(base, op=op, seed=seed),
-            queue_depth,
-            adapter,
-        ).latency.mean()
-        for name, op, seed in (("write", "update", 31), ("read", "read", 37))
-    }
+        population = max(n_ops, bulk)
+        base = WorkloadSpec(
+            n_ops=n_ops,
+            op="read",
+            pattern=Pattern.UNIFORM,
+            population=population,
+            key_scheme=FILL_SCHEME,
+            value_bytes=size,
+        )
+        if bulk:
+            rig.prime(population, size, FILL_SCHEME)
+        else:
+            prefill = replace(
+                base, n_ops=population, op="insert", pattern=Pattern.SEQUENTIAL,
+                seed=29,
+            )
+            run_phase(rig, f"fig4.{device}.fill.{size}", prefill, 16, adapter)
+        return {
+            f"{name}_us": run_phase(
+                rig,
+                f"fig4.{device}.{name}.{size}.qd{queue_depth}",
+                replace(base, op=op, seed=seed),
+                queue_depth,
+                adapter,
+            ).latency.mean()
+            for name, op, seed in (("write", "update", 31), ("read", "read", 37))
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +464,6 @@ def fig5_packing_bandwidth(
 
 def _fig5_cell(device: str, size: int, n_ops: int, blocks_per_plane: int) -> float:
     """Sequential-insert bandwidth (MiB/s) of ``n_ops`` ``size``-byte values."""
-    rig = build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane))
     spec = WorkloadSpec(
         n_ops=n_ops,
         op="insert",
@@ -464,10 +472,11 @@ def _fig5_cell(device: str, size: int, n_ops: int, blocks_per_plane: int) -> flo
         value_bytes=size,
         seed=41,
     )
-    run = run_phase(
-        rig, f"fig5.{device}.{size}", spec, 32, rig.adapter_for(size),
-        drain=False,
-    )
+    with build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane)) as rig:
+        run = run_phase(
+            rig, f"fig5.{device}.{size}", spec, 32, rig.adapter_for(size),
+            drain=False,
+        )
     return run.bandwidth.overall_mib_per_sec()
 
 
@@ -508,11 +517,11 @@ def _fig6_fill_kvps() -> int:
     "80% full" is meant physically: 80% of the device's page capacity,
     with allocation-stream/GC margin excluded.
     """
-    probe = build_rig("kvssd", lab_geometry(_FIG6_BLOCKS_PER_PLANE))
-    capacity = probe.pair_capacity(
-        PAPER_SCHEME.key_bytes, _FIG6_VALUE_BYTES,
-        reserve_blocks=probe.device.config.stream_width + 16,
-    )
+    with build_rig("kvssd", lab_geometry(_FIG6_BLOCKS_PER_PLANE)) as probe:
+        capacity = probe.pair_capacity(
+            PAPER_SCHEME.key_bytes, _FIG6_VALUE_BYTES,
+            reserve_blocks=probe.device.config.stream_width + 16,
+        )
     return int(capacity * _FIG6_FILL_FRACTION)
 
 
@@ -528,41 +537,41 @@ def _fig6_scenario_cell(scenario: str, fill_kvps: int) -> Dict[str, object]:
     """One Fig. 6 scenario: prime the fill, then sustained updates at
     QD16, bandwidth in 200 ms windows."""
     system, pattern = _FIG6_SCENARIOS[scenario]
-    rig = build_rig(system, lab_geometry(_FIG6_BLOCKS_PER_PLANE))
-    # Enough updates to exhaust free space and enter the foreground-GC
-    # regime; the measured phase is additionally duration-bounded
-    # (stop_after_us), because inside the collapse the device serves
-    # updates arbitrarily slowly — exactly the paper's point.
-    n_updates = int(fill_kvps * 0.55)
-    if system == "kvssd":
-        scheme, population = FILL_SCHEME, fill_kvps
-    else:
-        scheme = PAPER_SCHEME
-        # The scenario's purpose is the *device-level* contrast (no
-        # foreground GC under compaction+TRIM), so the LSM population
-        # is sized to the update count rather than to raw capacity —
-        # compacting a capacity-sized tree would dominate runtime
-        # without changing the device-side observation.
-        fs_budget = int(
-            rig.device.user_capacity_bytes * _FIG6_FILL_FRACTION * 0.45
+    with build_rig(system, lab_geometry(_FIG6_BLOCKS_PER_PLANE)) as rig:
+        # Enough updates to exhaust free space and enter the foreground-GC
+        # regime; the measured phase is additionally duration-bounded
+        # (stop_after_us), because inside the collapse the device serves
+        # updates arbitrarily slowly — exactly the paper's point.
+        n_updates = int(fill_kvps * 0.55)
+        if system == "kvssd":
+            scheme, population = FILL_SCHEME, fill_kvps
+        else:
+            scheme = PAPER_SCHEME
+            # The scenario's purpose is the *device-level* contrast (no
+            # foreground GC under compaction+TRIM), so the LSM population
+            # is sized to the update count rather than to raw capacity —
+            # compacting a capacity-sized tree would dominate runtime
+            # without changing the device-side observation.
+            fs_budget = int(
+                rig.device.user_capacity_bytes * _FIG6_FILL_FRACTION * 0.45
+            )
+            population = min(
+                n_updates, fs_budget // (scheme.key_bytes + _FIG6_VALUE_BYTES)
+            )
+        rig.prime(population, _FIG6_VALUE_BYTES, scheme)
+        spec = WorkloadSpec(
+            n_ops=n_updates,
+            op="update",
+            pattern=pattern,
+            population=population,
+            key_scheme=scheme,
+            value_bytes=_FIG6_VALUE_BYTES,
+            seed=47,
         )
-        population = min(
-            n_updates, fs_budget // (scheme.key_bytes + _FIG6_VALUE_BYTES)
+        run = run_phase(
+            rig, f"fig6.{scenario}", spec, 16, drain=False,
+            bandwidth_window_us=200_000.0, stop_after_us=45e6,
         )
-    rig.prime(population, _FIG6_VALUE_BYTES, scheme)
-    spec = WorkloadSpec(
-        n_ops=n_updates,
-        op="update",
-        pattern=pattern,
-        population=population,
-        key_scheme=scheme,
-        value_bytes=_FIG6_VALUE_BYTES,
-        seed=47,
-    )
-    run = run_phase(
-        rig, f"fig6.{scenario}", spec, 16, drain=False,
-        bandwidth_window_us=200_000.0, stop_after_us=45e6,
-    )
     # The runner captured the DeviceStats delta for the measured phase;
     # both personalities report through the same struct, so the two
     # scenario branches need no per-device counter reads.
@@ -642,16 +651,18 @@ def _fig7_cell(
 ) -> Dict[str, float]:
     """One value size: measured KV-SSD, analytic KV, and Aerospike SA."""
     geometry = lab_geometry(blocks_per_plane)
-    kv_rig = build_rig("kvssd", geometry)
-    kv_rig.prime(min(kvps, kv_rig.device.max_kvps - 1), size, FILL_SCHEME)
-    hash_rig = build_rig("aerospike", geometry)
-    hash_rig.prime(kvps, size, FILL_SCHEME)
+    with build_rig("kvssd", geometry) as kv_rig:
+        kv_rig.prime(min(kvps, kv_rig.device.max_kvps - 1), size, FILL_SCHEME)
+        kv_sa = kv_rig.device.stats.amplification()
+    with build_rig("aerospike", geometry) as hash_rig:
+        hash_rig.prime(kvps, size, FILL_SCHEME)
+        hash_sa = hash_rig.store.space_amplification()
     return {
-        f"kvssd.{size}.sa": kv_rig.device.stats.amplification(),
+        f"kvssd.{size}.sa": kv_sa,
         f"kvssd.{size}.analytic": space_amplification(
             PAPER_SCHEME.key_bytes, size, geometry.page_bytes, KVSSDConfig()
         ),
-        f"aerospike.{size}.sa": hash_rig.store.space_amplification(),
+        f"aerospike.{size}.sa": hash_sa,
     }
 
 
@@ -723,9 +734,6 @@ def _fig8_cell(
     if n_ops > 10 ** digits:
         digits = key_bytes
     scheme = KeyScheme(prefix=b"k" * (key_bytes - digits), digits=digits)
-    rig = build_rig(
-        "kvssd", lab_geometry(blocks_per_plane), sync=mode == "sync"
-    )
     spec = WorkloadSpec(
         n_ops=n_ops,
         op="insert",
@@ -734,9 +742,12 @@ def _fig8_cell(
         value_bytes=1024,
         seed=53,
     )
-    run = run_phase(
-        rig, f"fig8.{mode}.k{key_bytes}", spec, queue_depth, drain=False
-    )
+    with build_rig(
+        "kvssd", lab_geometry(blocks_per_plane), sync=mode == "sync"
+    ) as rig:
+        run = run_phase(
+            rig, f"fig8.{mode}.k{key_bytes}", spec, queue_depth, drain=False
+        )
     return run.bandwidth.overall_mib_per_sec()
 
 
@@ -814,10 +825,6 @@ _ABLATION_BLOCKS_PER_PLANE = 8
 
 def _ablation_stream_cell(width: int, n_ops: int) -> float:
     """Mean QD64 4 KiB insert latency (us) with ``width`` open write blocks."""
-    rig = build_rig(
-        "kvssd", lab_geometry(_ABLATION_BLOCKS_PER_PLANE),
-        config=KVSSDConfig(stream_width=width),
-    )
     spec = WorkloadSpec(
         n_ops=n_ops,
         op="insert",
@@ -826,7 +833,11 @@ def _ablation_stream_cell(width: int, n_ops: int) -> float:
         value_bytes=4 * KIB,
         seed=61,
     )
-    run = run_phase(rig, f"ablations.width{width}", spec, 64, drain=False)
+    with build_rig(
+        "kvssd", lab_geometry(_ABLATION_BLOCKS_PER_PLANE),
+        config=KVSSDConfig(stream_width=width),
+    ) as rig:
+        run = run_phase(rig, f"ablations.width{width}", spec, 64, drain=False)
     return run.latency.mean()
 
 
@@ -1137,11 +1148,6 @@ def _replay_rotation_cell(
 
     Both devices replay the *same* churn records (same keys, same order).
     """
-    rig = build_rig(
-        DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
-        **_AMPLE_INDEX[device],
-    )
-    rig.prime(population, 4 * KIB, FILL_SCHEME)
     spec = ChurnSpec(
         n_ops=n_ops,
         population=population,
@@ -1154,10 +1160,15 @@ def _replay_rotation_cell(
     workload = TraceWorkload(
         tuple(generate_churn(spec)), key_scheme=FILL_SCHEME
     )
-    return _replay_cell(run_phase(
-        rig, f"replay.rot.{device}.{rotate_every}", workload.operations(),
-        8, rig.adapter_for(4 * KIB),
-    ))
+    with build_rig(
+        DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
+        **_AMPLE_INDEX[device],
+    ) as rig:
+        rig.prime(population, 4 * KIB, FILL_SCHEME)
+        return _replay_cell(run_phase(
+            rig, f"replay.rot.{device}.{rotate_every}", workload.operations(),
+            8, rig.adapter_for(4 * KIB),
+        ))
 
 
 def _rotation_penalty(r: Result, device: str) -> float:
@@ -1243,59 +1254,59 @@ def _replay_mix_cell(
     the YCSB driver's emulated-scan path — the iterator buckets' first
     sustained exercise.
     """
-    rig = build_rig(
+    with build_rig(
         "kvssd", lab_geometry(blocks_per_plane), **_AMPLE_INDEX["kv"]
-    )
-    scheme = FILL_SCHEME
-    rig.prime(population, 4 * KIB, scheme)
-    base = ScanMixSpec(
-        n_ops=n_ops,
-        population=population,
-        scan_fraction=0.25 if variant == "ttl+scan" else 0.0,
-        key_scheme=scheme,
-        seed=19,
-    )
-    streams = [generate_scan_mix(base)]
-    if variant in ("ttl", "ttl+scan"):
-        expiry = ExpirySpec(
-            n_ops=ttl_ops,
-            population=max(1, population // 4),
-            ttl_us=8000.0,
-            interarrival_us=(n_ops * 100.0) / ttl_ops,
-            key_scheme=_REPLAY_TTL_SCHEME,
-            seed=20,
-        )
-        streams.append(generate_expiry(expiry))
-    elif variant != "plain":
-        raise ConfigurationError(f"unknown replay mix variant {variant!r}")
-    workload = TraceWorkload(merge_traces(*streams), key_scheme=scheme)
-    driver = YCSBDriver(
-        rig.adapter,
-        YCSBSpec(
-            workload="E",
+    ) as rig:
+        scheme = FILL_SCHEME
+        rig.prime(population, 4 * KIB, scheme)
+        base = ScanMixSpec(
             n_ops=n_ops,
             population=population,
+            scan_fraction=0.25 if variant == "ttl+scan" else 0.0,
             key_scheme=scheme,
-            value_bytes=4 * KIB,
-            scan_length=SCAN_MIX_LENGTH,
             seed=19,
-        ),
-    )
-    run = run_phase(
-        rig, f"replay.mix.{variant}", workload.operations(), 8, driver
-    )
-    read_summary = run.latency.summary("read")
-    buckets = rig.device.iterators
-    return {
-        **_replay_cell(run),
-        "read_p99_us": read_summary.p99,
-        "read_p999_us": read_summary.p999,
-        "deletes": run.latency.count("delete"),
-        "scans": driver.scans_run,
-        "bucket_keys": buckets.total_keys,
-        "bucket_count": len(buckets.buckets()),
-        "bucket_page_writes": buckets.bucket_page_writes,
-    }
+        )
+        streams = [generate_scan_mix(base)]
+        if variant in ("ttl", "ttl+scan"):
+            expiry = ExpirySpec(
+                n_ops=ttl_ops,
+                population=max(1, population // 4),
+                ttl_us=8000.0,
+                interarrival_us=(n_ops * 100.0) / ttl_ops,
+                key_scheme=_REPLAY_TTL_SCHEME,
+                seed=20,
+            )
+            streams.append(generate_expiry(expiry))
+        elif variant != "plain":
+            raise ConfigurationError(f"unknown replay mix variant {variant!r}")
+        workload = TraceWorkload(merge_traces(*streams), key_scheme=scheme)
+        driver = YCSBDriver(
+            rig.adapter,
+            YCSBSpec(
+                workload="E",
+                n_ops=n_ops,
+                population=population,
+                key_scheme=scheme,
+                value_bytes=4 * KIB,
+                scan_length=SCAN_MIX_LENGTH,
+                seed=19,
+            ),
+        )
+        run = run_phase(
+            rig, f"replay.mix.{variant}", workload.operations(), 8, driver
+        )
+        read_summary = run.latency.summary("read")
+        buckets = rig.device.iterators
+        return {
+            **_replay_cell(run),
+            "read_p99_us": read_summary.p99,
+            "read_p999_us": read_summary.p999,
+            "deletes": run.latency.count("delete"),
+            "scans": driver.scans_run,
+            "bucket_keys": buckets.total_keys,
+            "bucket_count": len(buckets.buckets()),
+            "bucket_page_writes": buckets.bucket_page_writes,
+        }
 
 
 def _mix_inflation(r: Result, variant: str) -> Optional[float]:

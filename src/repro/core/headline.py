@@ -38,21 +38,21 @@ def _probe_cell(
     device: str, population: int, n_ops: int, blocks_per_plane: int
 ) -> Dict[str, float]:
     """Mean QD1 random read then update latency on one primed device."""
-    rig = build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane))
-    key_bytes = FILL_SCHEME.key_bytes
-    base = WorkloadSpec(
-        n_ops=n_ops, op="read", pattern=Pattern.UNIFORM,
-        population=min(population, rig.pair_capacity(key_bytes, _PROBE_BYTES)),
-        key_scheme=FILL_SCHEME, value_bytes=_PROBE_BYTES,
-    )
-    rig.prime(population, _PROBE_BYTES, FILL_SCHEME)
-    return {
-        name: run_phase(
-            rig, f"headline.{device}.{name}", replace(base, op=op, seed=seed),
-            1, rig.adapter_for(_PROBE_BYTES), drain=False,
-        ).latency.mean()
-        for name, op, seed in (("read", "read", 83), ("write", "update", 89))
-    }
+    with build_rig(DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane)) as rig:
+        key_bytes = FILL_SCHEME.key_bytes
+        base = WorkloadSpec(
+            n_ops=n_ops, op="read", pattern=Pattern.UNIFORM,
+            population=min(population, rig.pair_capacity(key_bytes, _PROBE_BYTES)),
+            key_scheme=FILL_SCHEME, value_bytes=_PROBE_BYTES,
+        )
+        rig.prime(population, _PROBE_BYTES, FILL_SCHEME)
+        return {
+            name: run_phase(
+                rig, f"headline.{device}.{name}", replace(base, op=op, seed=seed),
+                1, rig.adapter_for(_PROBE_BYTES), drain=False,
+            ).latency.mean()
+            for name, op, seed in (("read", "read", 83), ("write", "update", 89))
+        }
 
 
 def headline_scalars(
@@ -67,9 +67,10 @@ def headline_scalars(
     devices are primed with the pairs that fill 45% of the KV device's
     free pages.
     """
-    population = build_rig("kvssd", lab_geometry(blocks_per_plane)).pair_capacity(
-        FILL_SCHEME.key_bytes, _PROBE_BYTES, fraction=_PROBE_FILL
-    )
+    with build_rig("kvssd", lab_geometry(blocks_per_plane)) as probe:
+        population = probe.pair_capacity(
+            FILL_SCHEME.key_bytes, _PROBE_BYTES, fraction=_PROBE_FILL
+        )
     latency = grid(
         "headline",
         _probe_cell,

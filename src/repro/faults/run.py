@@ -118,12 +118,7 @@ def _fault_cell(device: str, rate: float, n_ops: int,
                 blocks_per_plane: int) -> Dict[str, float]:
     """One (personality, rate) cell: prime, then the 4 KiB 50/50 mixed
     workload at QD8."""
-    rig = build_rig(
-        DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
-        fault_config=fault_profile(rate, FAULT_SEED),
-    )
     scheme = KeyScheme(prefix=b"key-", digits=12)
-    rig.prime(n_ops, 4096, scheme)
     spec = WorkloadSpec(
         n_ops=n_ops,
         op="mixed",
@@ -133,10 +128,16 @@ def _fault_cell(device: str, rate: float, n_ops: int,
         read_fraction=0.5,
         seed=47,
     )
-    run = run_phase(
-        rig, f"faults.{device}.{rate:g}", spec, 8, rig.adapter_for(4096),
-        drain=False, stop_after_us=STOP_AFTER_US,
-    )
+    with build_rig(
+        DIRECT_SYSTEMS[device], lab_geometry(blocks_per_plane),
+        fault_config=fault_profile(rate, FAULT_SEED),
+    ) as rig:
+        rig.prime(n_ops, 4096, scheme)
+        run = run_phase(
+            rig, f"faults.{device}.{rate:g}", spec, 8, rig.adapter_for(4096),
+            drain=False, stop_after_us=STOP_AFTER_US,
+        )
+        read_only = rig.device.core.read_only
     latency = run.latency.summary()
     # Device telemetry delta over the measured phase.
     stats = run.device_stats
@@ -153,7 +154,7 @@ def _fault_cell(device: str, rate: float, n_ops: int,
         "erase_fails": stats.erase_fails,
         "retired_blocks": stats.retired_blocks,
         # Whether the device degraded to read-only during the run.
-        "read_only": int(rig.device.core.read_only),
+        "read_only": int(read_only),
     }
 
 

@@ -131,6 +131,13 @@ class FlashArray:
         self._die_track: List[str] = [f"die{die}" for die in self._die_index]
         self._chan_track: List[str] = [f"ch{chan}" for chan in self._chan_index]
 
+    def close(self) -> None:
+        """Empty the die and channel queues of an ended simulation: flash
+        work still in flight there (a GC read, a compaction's page reads)
+        holds the device above through its frames."""
+        for resource in self._dies + self._channels:
+            resource.close()
+
     def transfer_us(self, nbytes: int) -> float:
         """Channel occupancy to move ``nbytes`` (:func:`timing.transfer_us`)."""
         memo = self._transfer_memo

@@ -581,35 +581,38 @@ def run_frontend(
     measured phase, so open-loop reads and updates always hit existing
     pairs; the measured phase starts at a fresh time origin.
     """
-    rig = build_rig("kvssd", lab_geometry(spec.blocks_per_plane), tracer=tracer)
-    env: Environment = rig.env
-    adapter: StoreAdapter = rig.adapter_for(
-        max(tenant.value_bytes for tenant in spec.tenants)
-    )
-    for tenant in spec.tenants:
-        # The tenant's own stream spec, turned into one sequential insert
-        # per key: same scheme, same value size, by construction.
-        prime = replace(
-            _tenant_operations(tenant),
-            n_ops=tenant.population,
-            op="insert",
-            pattern=Pattern.SEQUENTIAL,
+    with build_rig(
+        "kvssd", lab_geometry(spec.blocks_per_plane), tracer=tracer
+    ) as rig:
+        env: Environment = rig.env
+        adapter: StoreAdapter = rig.adapter_for(
+            max(tenant.value_bytes for tenant in spec.tenants)
         )
-        run_phase(
-            rig, f"fe.prime.{tenant.name}", prime, 16, adapter, drain=False
-        )
+        for tenant in spec.tenants:
+            # The tenant's own stream spec, turned into one sequential
+            # insert per key: same scheme, same value size, by construction.
+            prime = replace(
+                _tenant_operations(tenant),
+                n_ops=tenant.population,
+                op="insert",
+                pattern=Pattern.SEQUENTIAL,
+            )
+            run_phase(
+                rig, f"fe.prime.{tenant.name}", prime, 16, adapter, drain=False
+            )
 
-    # Arrivals are re-origined at the post-priming clock.
-    origin = env.now
-    frontend = ServingFrontend(env, adapter, spec, tracer=tracer)
-    serve = env.process(
-        frontend.serve(build_schedule(spec, origin)), name="fe.serve"
-    )
-    env.run_until_complete(serve)
+        # Arrivals are re-origined at the post-priming clock.
+        origin = env.now
+        frontend = ServingFrontend(env, adapter, spec, tracer=tracer)
+        serve = env.process(
+            frontend.serve(build_schedule(spec, origin)), name="fe.serve"
+        )
+        env.run_until_complete(serve)
+        elapsed_us = env.now - origin
 
     result = FrontendRunResult(
         offered_ops_s=spec.offered_ops_s,
-        elapsed_us=env.now - origin,
+        elapsed_us=elapsed_us,
         offered=frontend.offered,
         admitted=frontend.admitted,
         shed=frontend.shed,

@@ -92,7 +92,7 @@ from repro.flash.nand import BlockState, FlashArray
 from repro.ftl.pool import AllocationStream, FreeBlockPool
 from repro.ftl.victim import greedy_victim
 from repro.ftl.writebuffer import WriteBuffer
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Process
 from repro.sim.signal import Signal
 from repro.trace.tracer import NULL_SPAN, Tracer
 from repro.units import MIB, ceil_div
@@ -440,9 +440,25 @@ class FtlCore:
             GC_RESERVE_BLOCKS + 2,
             int(array.geometry.total_blocks * GC_THRESHOLD_FRACTION),
         )
-        for worker in range(stream_width):
+        #: The flush workers and the GC worker, ended by :meth:`close`.
+        self._workers: List[Process] = [
             env.process(self._flush_worker(), name=f"{name}.flush{worker}")
-        env.process(self._gc_worker(), name=f"{name}.gc")
+            for worker in range(stream_width)
+        ]
+        self._workers.append(env.process(self._gc_worker(), name=f"{name}.gc"))
+
+    def close(self) -> None:
+        """End the workers and let go of the personality, once, after the
+        last phase.
+
+        The workers' frames hold this core and the personality holds it
+        as ``core``; cutting both cycles frees a finished device by
+        reference counting.  The core cannot be used afterwards.
+        """
+        for worker in self._workers:
+            worker.end()
+        self._workers.clear()
+        del self.personality
 
     # ------------------------------------------------------------------
     # occupancy

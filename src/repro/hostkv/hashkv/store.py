@@ -99,7 +99,13 @@ class HashKVStore:
         self.defrag_runs = 0
         self.defrag_moved_bytes = 0
         self.app_bytes_stored = 0
-        env.process(self._defrag_worker(), name=f"{COMPONENT}.defrag")
+        self._defrag = env.process(
+            self._defrag_worker(), name=f"{COMPONENT}.defrag"
+        )
+
+    def close(self) -> None:
+        """End the defrag worker, whose frame holds this store."""
+        self._defrag.end()
 
     # ------------------------------------------------------------------
     # record geometry

@@ -114,8 +114,16 @@ class LSMStore:
         self.compactions_run = 0
         self.flushes_run = 0
         self.app_bytes_written = 0
-        env.process(self._flush_worker(), name=f"{COMPONENT}.flush")
-        env.process(self._compaction_worker(), name=f"{COMPONENT}.compact")
+        self._workers = (
+            env.process(self._flush_worker(), name=f"{COMPONENT}.flush"),
+            env.process(self._compaction_worker(), name=f"{COMPONENT}.compact"),
+        )
+
+    def close(self) -> None:
+        """End the flush and compaction workers, whose frames hold this
+        store."""
+        for worker in self._workers:
+            worker.end()
 
     # ------------------------------------------------------------------
     # public API

@@ -72,12 +72,12 @@ def ycsb_cell(
         key_scheme=_SCHEME,
         scan_length=20,
     )
-    rig = build_rig(YCSB_SYSTEMS[system], lab_geometry(8))
-    rig.prime(population, YCSB_VALUE_BYTES, _SCHEME)
-    run = run_phase(
-        rig, f"ycsb{workload}.{system}", generate_ycsb(spec), 8,
-        YCSBDriver(rig.adapter, spec), drain=False,
-    )
+    with build_rig(YCSB_SYSTEMS[system], lab_geometry(8)) as rig:
+        rig.prime(population, YCSB_VALUE_BYTES, _SCHEME)
+        run = run_phase(
+            rig, f"ycsb{workload}.{system}", generate_ycsb(spec), 8,
+            YCSBDriver(rig.adapter, spec), drain=False,
+        )
     return {
         "mean_us": run.latency.mean(),
         "p99_us": run.latency.summary().p99,

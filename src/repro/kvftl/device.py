@@ -567,6 +567,13 @@ class KVSSD:
         """Wait until all accepted stores reach flash."""
         yield from self.core.drain()
 
+    def close(self) -> None:
+        """End the core's and the merge engine's workers (see
+        :meth:`FtlCore.close`) and empty the flash queues."""
+        self.core.close()
+        self.merge.close()
+        self.array.close()
+
     # ------------------------------------------------------------------
     # FtlCore personality hooks: garbage collection
     # ------------------------------------------------------------------

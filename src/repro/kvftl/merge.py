@@ -44,7 +44,11 @@ class MergeEngine:
         self._local_index_capacity = 4 * MERGE_BATCH
         self._wakeup = Signal(env, f"{DEVICE_NAME}.mergewake")
         self._done = Signal(env, f"{DEVICE_NAME}.mergedone")
-        env.process(self._worker(), name=f"{DEVICE_NAME}.merge")
+        self._process = env.process(self._worker(), name=f"{DEVICE_NAME}.merge")
+
+    def close(self) -> None:
+        """End the merge worker, whose frame holds this engine."""
+        self._process.end()
 
     # -- index flash traffic ---------------------------------------------
 

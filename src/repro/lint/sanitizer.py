@@ -22,6 +22,13 @@ fingerprints*:
    caller inside the ``repro`` package.  A call from a line carrying a
    ``# simlint: disable=SIM001/SIM002`` comment is blessed (host-side
    timing in the runner, say); an unblessed trip is a finding.
+4. **Rig lifetime** — the target runs with the cyclic garbage collector
+   disabled, so only reference counting frees what it built.  A
+   :class:`~repro.flash.nand.FlashArray` born during the run and still
+   alive once it returns is a finding: every device, FTL core and
+   background worker of a stack reaches its array, so a rig that was not
+   closed (or a component whose ``close`` leaves a worker parked) stays
+   resident until a full collection, which a timed phase never reaches.
 
 Targets are either a trace figure (``--fig fig6``, fingerprinted by
 :func:`trace_fingerprint`) or an arbitrary callable (``--target
@@ -33,6 +40,7 @@ determinism gate is ``repro sanitize --fig fig6 --n-ops 400``.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -43,11 +51,13 @@ import random as random_module
 import subprocess
 import sys
 import time as time_module
+import weakref
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.cli import positive_int
+from repro.flash.nand import FlashArray
 from repro.sim import engine as sim_engine
 from repro.trace.run import run_traced, scenarios
 
@@ -88,6 +98,8 @@ class CollectResult:
     fingerprint: str
     #: Unblessed wall-clock / global-RNG calls: "file:line via func".
     trips: List[str] = field(default_factory=list)
+    #: Flash arrays the run built that outlived it, as their geometry.
+    leaked_arrays: List[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -253,15 +265,23 @@ def resolve_callable(spec: str) -> Callable[[], Any]:
     return target
 
 
+def _live_arrays() -> List[FlashArray]:
+    return [obj for obj in gc.get_objects() if isinstance(obj, FlashArray)]
+
+
 def collect(target: str, n_ops: int) -> CollectResult:
     """Run ``target`` once under full instrumentation.
 
     ``target`` is ``fig:<name>`` for trace scenarios or a
-    ``module:function`` spec; the event observer and tripwires cover
-    the whole run either way.
+    ``module:function`` spec; the event observer, the tripwires and the
+    rig-lifetime check cover the whole run either way.
     """
     recorder = _EventRecorder()
     tripwires = _Tripwires()
+    gc.collect()
+    earlier = weakref.WeakSet(_live_arrays())
+    collecting = gc.isenabled()
+    gc.disable()
     sim_engine.set_pop_observer(recorder)
     tripwires.install()
     try:
@@ -269,9 +289,15 @@ def collect(target: str, n_ops: int) -> CollectResult:
             fingerprint = trace_fingerprint(target[len("fig:"):], n_ops)
         else:
             fingerprint = repr(resolve_callable(target)())
+        leaked_arrays = [
+            repr(array.geometry) for array in _live_arrays()
+            if array not in earlier
+        ]
     finally:
         tripwires.uninstall()
         sim_engine.set_pop_observer(None)
+        if collecting:
+            gc.enable()
     return CollectResult(
         target=target,
         # Recording which hash seed this run executed under is the point
@@ -283,6 +309,7 @@ def collect(target: str, n_ops: int) -> CollectResult:
         records=recorder.records,
         fingerprint=fingerprint,
         trips=tripwires.trips,
+        leaked_arrays=leaked_arrays,
     )
 
 
@@ -413,6 +440,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     for trip in first.trips:
         failures.append(f"tripwire: {trip}")
+    if first.leaked_arrays:
+        failures.append(
+            f"rig outlived its target: {len(first.leaked_arrays)} flash "
+            "array(s) still alive with gc disabled; build each rig "
+            "`with build_rig(...) as rig:` and end every background "
+            f"worker in close() — {first.leaked_arrays[0]}"
+        )
 
     # Phase 2: subprocess pair under different hash seeds — catches
     # set/dict-order dependence that one interpreter can never see.

@@ -289,6 +289,17 @@ class Process(Event):
         # Start at the current time, popped as the bootstrap event would be.
         self._park_now(env._fired)
 
+    def end(self) -> None:
+        """Close the generator of a process that will not run again.
+
+        For a process left when its simulation ends (a long-lived worker,
+        work still queued): the frame lets go of everything it holds now,
+        rather than whenever a full collection finds the cycle through
+        it.  Nothing is popped; a wake still queued for the process would
+        find the generator finished.
+        """
+        self._generator.close()
+
     def _park_now(self, shown: Event) -> None:
         """Park in the immediate FIFO, to be popped as ``shown``'s type
         under the sequence number an event succeeded here would take."""
@@ -493,6 +504,7 @@ class Environment:
         self._fired = _stand_in(Event, self)
         self._returned = _stand_in(Process, self)
         self._woken = _stand_in(Timeout, self)
+        self._closed = False
 
     @property
     def now(self) -> float:
@@ -508,6 +520,31 @@ class Environment:
     def queued_events(self) -> int:
         """Events currently awaiting processing (diagnostic)."""
         return len(self._immediate) + len(self._future)
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has ended this simulation."""
+        return self._closed
+
+    def close(self) -> None:
+        """End the simulation: empty the queues and refuse to run again.
+
+        What is still queued — the timeouts of idle pollers, parked
+        processes — holds the model through its callbacks and frames, so
+        a finished environment would keep its whole model alive until a
+        full collection.  A parked process is ended as well: a condition
+        waiting on it (an ``all_of`` over parallel reads) and the process
+        hold each other, and only closing its frame lets go of the model.
+        Nothing is popped or counted here.
+        """
+        self._closed = True
+        queued = [*self._immediate, *(entry[2] for entry in self._future)]
+        for event in queued:
+            if isinstance(event, Process) and not event._triggered:
+                event.end()
+        # (After the ends: a frame's ``finally`` may have queued a wake.)
+        self._immediate.clear()
+        self._future.clear()
 
     # -- event construction helpers ------------------------------------
 
@@ -698,6 +735,8 @@ class Environment:
         fired earlier, so bandwidth windows measured against ``env.now``
         have the expected width.
         """
+        if self._closed:
+            raise SimulationError("the environment is closed")
         never = Event(self)  # untriggered: only the queue or ``until`` stops it
         if until is None:
             self._drain(never, float("inf"))
@@ -716,6 +755,8 @@ class Environment:
         deadlocks: an event due later than ``limit`` is not processed, and
         :class:`SimulationError` is raised instead.
         """
+        if self._closed:
+            raise SimulationError("the environment is closed")
         self._drain(event, limit)
         if not event._triggered:
             if self.queued_events:

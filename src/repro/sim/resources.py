@@ -157,6 +157,17 @@ class Resource:
         sleep.delay = None
         return sleep
 
+    def close(self) -> None:
+        """Empty the queue of an ended simulation and end the processes
+        in it, as :meth:`~repro.sim.engine.Environment.close` does with
+        its own: a process still waiting here holds its model through its
+        frame."""
+        waiting = list(self._waiting)
+        self._waiting.clear()
+        for waiter in waiting:
+            if isinstance(waiter, Process):
+                waiter.end()
+
     def _end_service(self) -> None:
         """Give a slot back: the on-wake step of a served process."""
         # _account(), inlined.

@@ -112,51 +112,51 @@ def _trace_personality_cell(
     pid = PERSONALITIES.index(personality) + 1
     tracer = Tracer(config, collector, pid=pid, process_name=personality)
     device = personality.partition("-")[0]
-    rig = build_rig(
+    with build_rig(
         DIRECT_SYSTEMS[device], lab_geometry(scenario.blocks_per_plane),
         tracer=tracer,
-    )
-    adapter = rig.adapter_for(scenario.value_bytes)
-    spec = WorkloadSpec(
-        n_ops=n_ops,
-        op=scenario.op,
-        pattern=Pattern.UNIFORM,
-        population=population,
-        key_scheme=scheme,
-        value_bytes=scenario.value_bytes,
-        seed=47,
-    )
-    if scenario.fill_fraction > 0.0:
-        if rig.pair_capacity(scheme.key_bytes, scenario.value_bytes):
-            rig.prime(
-                _fill_pairs(rig, scenario, n_ops), scenario.value_bytes, scheme
-            )
-        else:
-            # A blob that must split cannot bulk-prime: fill the population
-            # through timed stores first, as fig4's own cell does.
-            fill = replace(
-                spec, n_ops=population, op="insert",
-                pattern=Pattern.SEQUENTIAL,
-            )
-            run_phase(
-                rig, f"trace.{fig}.{device}.fill", fill,
-                scenario.queue_depth, adapter,
-            )
-    run = run_phase(
-        rig, f"trace.{fig}.{device}", spec, scenario.queue_depth,
-        adapter, drain=False, stop_after_us=60e6,
-    )
-    breakdown = LatencyBreakdown.from_records(
-        collector.records(), pid=pid,
-        since_us=run.started_us, name=personality,
-    )
-    return {
-        "run": run,
-        "breakdown": breakdown,
-        "records": collector.records(),
-        "dropped": collector.dropped,
-        "process_names": dict(collector.process_names),
-    }
+    ) as rig:
+        adapter = rig.adapter_for(scenario.value_bytes)
+        spec = WorkloadSpec(
+            n_ops=n_ops,
+            op=scenario.op,
+            pattern=Pattern.UNIFORM,
+            population=population,
+            key_scheme=scheme,
+            value_bytes=scenario.value_bytes,
+            seed=47,
+        )
+        if scenario.fill_fraction > 0.0:
+            if rig.pair_capacity(scheme.key_bytes, scenario.value_bytes):
+                rig.prime(
+                    _fill_pairs(rig, scenario, n_ops), scenario.value_bytes, scheme
+                )
+            else:
+                # A blob that must split cannot bulk-prime: fill the population
+                # through timed stores first, as fig4's own cell does.
+                fill = replace(
+                    spec, n_ops=population, op="insert",
+                    pattern=Pattern.SEQUENTIAL,
+                )
+                run_phase(
+                    rig, f"trace.{fig}.{device}.fill", fill,
+                    scenario.queue_depth, adapter,
+                )
+        run = run_phase(
+            rig, f"trace.{fig}.{device}", spec, scenario.queue_depth,
+            adapter, drain=False, stop_after_us=60e6,
+        )
+        breakdown = LatencyBreakdown.from_records(
+            collector.records(), pid=pid,
+            since_us=run.started_us, name=personality,
+        )
+        return {
+            "run": run,
+            "breakdown": breakdown,
+            "records": collector.records(),
+            "dropped": collector.dropped,
+            "process_names": dict(collector.process_names),
+        }
 
 
 def run_traced(
@@ -180,8 +180,8 @@ def run_traced(
     n_ops = TRACE_OPS if n_ops is None else n_ops
     population = n_ops
     if scenario.fill_fraction > 0.0:
-        probe = build_rig("kvssd", lab_geometry(scenario.blocks_per_plane))
-        population = _fill_pairs(probe, scenario, n_ops)
+        with build_rig("kvssd", lab_geometry(scenario.blocks_per_plane)) as probe:
+            population = _fill_pairs(probe, scenario, n_ops)
     cells = grid(
         f"trace.{fig}",
         _trace_personality_cell,

@@ -45,7 +45,14 @@ pick, the batch linger and the dispatchers' signal waits.
 small hot range: 4 KiB overwrites, 2 KiB sub-unit writes (a mapped unit
 that is not buffered takes the read-modify-write read), 64 KiB
 multi-unit writes, reads and TRIMs, so TRIMs land on buffered units and
-on units a flush has taken.
+on units a flush has taken.  It builds its rig ``with build_block_rig(...)``
+like every cell under ``src/``: the sanitizer runs each target with the
+cyclic collector off and fails one whose rig outlives it.
+
+``unclosed_rig_cell`` runs a short phase on a KV rig it never closes:
+the parked flush, GC and merge workers hold the rig, so it outlives the
+target and the rig-lifetime check fails it.  ``closed_rig_cell`` is the
+same phase ``with build_kv_rig(...) as rig:``.
 
 The set-order pair is loaded by path
 (``tests/fixtures/sanitizer_targets.py:fn``), so this file must stay
@@ -244,45 +251,74 @@ def block_cell() -> Tuple[int, int, float, int, str]:
     from repro.core.experiment import build_block_rig, lab_geometry
     from repro.kvbench.runner import closed_loop
 
-    rig = build_block_rig(lab_geometry(16))
-    device, api = rig.device, rig.api
-    primed = device.n_units // 2
-    device.prime_sequential_fill(primed)
-    unit = device.map_unit
-    rng = random.Random(23)
-    commands = []
-    for _ in range(480):
-        if rng.random() < 0.7:
-            at = (768 + rng.randrange(512)) * unit
-        else:
-            at = rng.randrange(primed - 16) * unit
-        roll = rng.random()
-        if roll < 0.30:
-            commands.append((api.write, at, unit))
-        elif roll < 0.45:
-            commands.append((api.write, at + rng.choice((0, unit // 2)), unit // 2))
-        elif roll < 0.55:
-            commands.append((api.write, at, 16 * unit))
-        elif roll < 0.80:
-            commands.append((api.read, at, rng.choice((unit, 16 * unit))))
-        else:
-            commands.append((api.deallocate, at, rng.choice((unit, 4 * unit))))
-    outcomes = []
+    with build_block_rig(lab_geometry(16)) as rig:
+        device, api = rig.device, rig.api
+        primed = device.n_units // 2
+        device.prime_sequential_fill(primed)
+        unit = device.map_unit
+        rng = random.Random(23)
+        commands = []
+        for _ in range(480):
+            if rng.random() < 0.7:
+                at = (768 + rng.randrange(512)) * unit
+            else:
+                at = rng.randrange(primed - 16) * unit
+            roll = rng.random()
+            if roll < 0.30:
+                commands.append((api.write, at, unit))
+            elif roll < 0.45:
+                commands.append(
+                    (api.write, at + rng.choice((0, unit // 2)), unit // 2)
+                )
+            elif roll < 0.55:
+                commands.append((api.write, at, 16 * unit))
+            elif roll < 0.80:
+                commands.append((api.read, at, rng.choice((unit, 16 * unit))))
+            else:
+                commands.append((api.deallocate, at, rng.choice((unit, 4 * unit))))
+        outcomes = []
 
-    def done(command, started, _value, error):
-        outcomes.append(error is None)
+        def done(command, started, _value, error):
+            outcomes.append(error is None)
 
-    rig.env.run_until_complete(rig.env.process(_drained(
-        rig.env, closed_loop(
-            rig.env, "blk", 8, lambda c: c[0](c[1], c[2]), commands, done,
-        ), device,
-    ), name="block_cell"))
-    return (
-        sum(outcomes), len(outcomes), rig.env.now,
-        device.pagemap.mapped_units, repr(device.stats),
-    )
+        rig.env.run_until_complete(rig.env.process(_drained(
+            rig.env, closed_loop(
+                rig.env, "blk", 8, lambda c: c[0](c[1], c[2]), commands, done,
+            ), device,
+        ), name="block_cell"))
+        return (
+            sum(outcomes), len(outcomes), rig.env.now,
+            device.pagemap.mapped_units, repr(device.stats),
+        )
 
 
 def _drained(env: Environment, loop, device):
     yield loop
     yield from device.drain()
+
+
+def _kv_phase(rig) -> Tuple[int, float]:
+    from repro.kvbench.runner import run_phase
+    from repro.kvbench.workload import WorkloadSpec
+    from repro.kvftl.population import KeyScheme
+
+    spec = WorkloadSpec(n_ops=100, op="insert",
+                        key_scheme=KeyScheme(prefix=b"life", digits=12),
+                        value_bytes=4096, seed=3)
+    run = run_phase(rig, "lifetime", spec, 4)
+    return run.completed_ops, rig.env.now
+
+
+def unclosed_rig_cell() -> Tuple[int, float]:
+    """100 inserts on a KV rig that is never closed."""
+    from repro.core.experiment import build_kv_rig, lab_geometry
+
+    return _kv_phase(build_kv_rig(lab_geometry(4)))
+
+
+def closed_rig_cell() -> Tuple[int, float]:
+    """The fix: the same phase inside the rig's ``with`` block."""
+    from repro.core.experiment import build_kv_rig, lab_geometry
+
+    with build_kv_rig(lab_geometry(4)) as rig:
+        return _kv_phase(rig)

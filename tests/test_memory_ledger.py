@@ -18,9 +18,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from typing import Any, Callable, Tuple
 
+from repro.cluster.shard import run_shard
+from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec
 from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
 from repro.frontend.frontend import run_frontend
 from repro.frontend.run import build_load_spec
@@ -32,7 +35,9 @@ from repro.kvbench.traces import (
     spec_to_records,
 )
 from repro.kvbench.workload import Pattern, WorkloadSpec
+from repro.ftl.core import FtlCore
 from repro.kvftl.config import KVSSDConfig
+from repro.kvftl.device import KVSSD
 from repro.kvftl.population import KeyScheme
 from repro.units import MIB
 
@@ -106,6 +111,46 @@ def test_a_kept_frontend_request_is_a_row_of_columns():
     )
     assert result.requests is not None and len(result.requests) == n_requests
     assert retained / n_requests <= 96
+
+
+def _outliving(run: Callable[[], Any]) -> list:
+    """Names of the devices and FTL cores ``run()`` built that are still
+    alive once it returns, the cyclic collector off throughout: what only
+    a full collection would free."""
+    gc.collect()
+    earlier = weakref.WeakSet(
+        obj for obj in gc.get_objects() if isinstance(obj, (KVSSD, FtlCore))
+    )
+    gc.disable()
+    try:
+        run()
+        return [
+            type(obj).__name__ for obj in gc.get_objects()
+            if isinstance(obj, (KVSSD, FtlCore)) and obj not in earlier
+        ]
+    finally:
+        gc.enable()
+
+
+def test_a_finished_frontend_run_or_shard_leaves_no_device_behind():
+    """``run_frontend`` and ``run_shard`` build their rig ``with
+    build_rig(...)``, so reference counting frees it as the call returns.
+    Without ``close`` each call left one whole rig to a full collection
+    (a KV-SSD and its FTL core, the cluster's degrading shard too)."""
+    spec = build_load_spec(
+        48_000.0, n_requests=2_000, population=2_000, blocks_per_plane=16,
+        seed=1,
+    )
+    assert _outliving(lambda: run_frontend(spec)) == []
+    cluster = ClusterSpec(
+        shards=2, replication=2, partitions=8, vnodes=8,
+        tenants=(TenantSpec(name="ta", workload="A", n_ops=60,
+                            population=120, seed=11),),
+        degrade=(DegradeEvent(shard=0, at_op=30),),
+        rebalance_window_ops=15, blocks_per_plane=8, seed=17,
+    )
+    for shard in range(cluster.shards):
+        assert _outliving(lambda: run_shard(cluster, shard)) == []
 
 
 def test_page_map_tables_hold_32_bit_entries():

@@ -1,12 +1,15 @@
 """The rig protocol: every system answers ``build_rig`` → ``prime`` →
-``adapter_for`` → ``drain``, its adapter answers ``StoreAdapter``, and
-the sizing helper owns the capacity formula the figures used to write
-out by hand."""
+``adapter_for`` → ``drain`` → ``close``, its adapter answers
+``StoreAdapter``, and the sizing helper owns the capacity formula the
+figures used to write out by hand."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.core.experiment import build_rig, lab_geometry
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.kvbench.runner import StoreAdapter, run_phase
 from repro.kvbench.workload import Pattern, WorkloadSpec
 from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
@@ -30,6 +33,65 @@ def test_primed_pairs_read_back_and_the_rig_drains(system):
         rig, f"protocol.{system}", reads, 4, rig.adapter_for(size)
     )  # drain=True: returning at all is the "drain() terminates" half
     assert (run.completed_ops, run.failed_ops) == (pairs, 0)
+
+
+def _short_phase(rig, drain):
+    """200 mixed ops at QD4 over 300 primed 1000 B pairs."""
+    rig.prime(300, 1000, SCHEME)
+    mixed = WorkloadSpec(
+        n_ops=200, op="mixed", population=300, key_scheme=SCHEME,
+        value_bytes=1000, read_fraction=0.5, seed=7,
+    )
+    run = run_phase(rig, "lifetime", mixed, 4, rig.adapter_for(1000),
+                    drain=drain)
+    assert (run.completed_ops, run.failed_ops) == (200, 0)
+
+
+@pytest.mark.parametrize("drain", [True, False], ids=["drained", "in-flight"])
+@pytest.mark.parametrize("system", ["kvssd", "block", "rocksdb", "aerospike"])
+def test_leaving_the_with_block_frees_the_stack_by_reference_counting(
+    system, drain
+):
+    """With the cyclic collector off from build to end, the device, its
+    flash array (and the host store) die with the last reference to the
+    rig: ``close`` ended every background worker — the merge engine's
+    holds only the array — and whatever was still queued (an undrained
+    phase leaves flushes in flight), and cut the core's link back to its
+    personality."""
+    gc.collect()
+    gc.disable()
+    try:
+        with build_rig(system, lab_geometry(8)) as rig:
+            _short_phase(rig, drain)
+            parts = [weakref.ref(rig.device), weakref.ref(rig.device.array)]
+            if hasattr(rig, "store"):
+                parts.append(weakref.ref(rig.store))
+        assert rig.env.closed and rig.env.queued_events == 0
+        del rig
+        assert [part() for part in parts] == [None] * len(parts)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("system", ["kvssd", "block", "rocksdb", "aerospike"])
+def test_a_closed_rig_refuses_to_prime_drain_or_run(system):
+    rig = build_rig(system, lab_geometry(8))
+    _short_phase(rig, drain=True)
+    rig.close()
+    events = rig.env.processed_events
+    rig.close()  # a second close does nothing
+    assert (rig.env.closed, rig.env.processed_events) == (True, events)
+    reads = WorkloadSpec(
+        n_ops=10, op="read", pattern=Pattern.SEQUENTIAL, population=300,
+        key_scheme=SCHEME, value_bytes=1000,
+    )
+    with pytest.raises(SimulationError, match="closed"):
+        rig.prime(10, 1000, SCHEME)
+    with pytest.raises(SimulationError, match="closed"):
+        rig.drain()
+    with pytest.raises(SimulationError, match="closed"):
+        run_phase(rig, "after", reads, 1, rig.adapter_for(1000))
+    assert rig.env.processed_events == events
 
 
 #: Which optional member of the protocol each stack has.

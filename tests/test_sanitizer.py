@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.experiment import lab_geometry
 from repro.lint.sanitizer import (
     Divergence,
     collect,
@@ -83,6 +84,7 @@ def test_ci_targets_pop_their_pinned_digests(pin):
     """
     results = {target: collect(target, n_ops) for target, n_ops in CI_TARGETS}
     assert [result.trips for result in results.values()] == [[]] * len(results)
+    assert [r.leaked_arrays for r in results.values()] == [[]] * len(results)
     pin("identity.sanitizer", {target: {"total_events": r.total_events, "digest": r.digest}
                                for target, r in results.items()})
 
@@ -140,6 +142,24 @@ def test_cli_fails_on_buggy_and_passes_on_clean():
     )
     assert clean.returncode == 0, clean.stdout + clean.stderr
     assert "OK" in clean.stdout
+
+
+def test_a_rig_that_outlives_its_target_is_a_finding():
+    """With the cyclic collector off, an unclosed rig's parked workers
+    keep it alive past the target; its closed twin is freed on return."""
+    unclosed = f"{FIXTURE}:unclosed_rig_cell"
+    closed = f"{FIXTURE}:closed_rig_cell"
+    leaked = collect(unclosed, 0)
+    assert leaked.leaked_arrays == [repr(lab_geometry(4))]
+    freed = collect(closed, 0)
+    assert (freed.leaked_arrays, freed.fingerprint) == ([], leaked.fingerprint)
+    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", "sanitize", "--target", unclosed],
+        cwd=REPO_ROOT, capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "rig outlived its target: 1 flash array(s)" in run.stdout
 
 
 def test_tripwires_record_unblessed_repro_calls(tmp_path):

@@ -405,6 +405,38 @@ def test_call_lets_a_closing_generator_close():
     assert closed == ["child"]
 
 
+def test_close_ends_what_is_queued_pops_nothing_and_refuses_to_run():
+    """Two reads an ``all_of`` waits on hold each other through the
+    condition's callbacks; close() ends both parked frames (their
+    ``finally`` runs), empties the queues without a pop and refuses any
+    further run.  A second close does nothing."""
+    env = Environment()
+    ended = []
+
+    def read(delay):
+        try:
+            yield env.sleep(delay)
+        finally:
+            ended.append(delay)
+
+    def reader():
+        yield env.all_of([env.process(read(5.0)), env.process(read(9.0))])
+
+    env.process(reader())
+    env.run(until=1.0)
+    processed = env.processed_events
+    env.close()
+    env.close()
+    assert sorted(ended) == [5.0, 9.0]
+    assert (env.closed, env.queued_events, env.processed_events) == (
+        True, 0, processed,
+    )
+    with pytest.raises(SimulationError, match="closed"):
+        env.run()
+    with pytest.raises(SimulationError, match="closed"):
+        env.run_until_complete(env.event())
+
+
 def test_processed_event_counter_increases():
     env = Environment()
 

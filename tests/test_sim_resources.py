@@ -56,6 +56,25 @@ def test_resource_fifo_ordering():
     assert order == [0, 1, 2, 3, 4]
 
 
+def test_close_ends_the_processes_queued_for_a_slot():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    ended = []
+
+    def user(name):
+        try:
+            yield resource.serve(10.0)
+        finally:
+            ended.append(name)
+
+    for name in ("holder", "first", "second"):
+        env.process(user(name))
+    env.run(until=1.0)
+    assert resource.queue_length == 2
+    resource.close()
+    assert (resource.queue_length, ended) == (0, ["first", "second"])
+
+
 def test_resource_rejects_zero_capacity():
     env = Environment()
     with pytest.raises(SimulationError):
