@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from array import array
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter, le, methodcaller
 from typing import (
@@ -66,8 +67,11 @@ TRACE_VERSION = 1
 OP_CODES = ("insert", "update", "read", "delete", "scan")
 #: Parsed op field -> the one :data:`OP_CODES` string every record shares.
 _OP_CODE = {op: op for op in OP_CODES}
-#: The four codes that are an OpType, looked up per replayed record.
-_OP_TYPES = {op.value: op for op in OpType}
+#: Op code -> its position in :data:`OP_CODES`, a replay column's value.
+_OP_POSITION = {op: position for position, op in enumerate(OP_CODES)}
+#: Position in :data:`OP_CODES` -> its OpType (all but ``scan``).
+_OP_TYPE_AT = tuple(OpType(op) for op in OP_CODES[:-1])
+_SCAN = _OP_POSITION["scan"]
 
 #: Synthetic inter-arrival gap of an exported spec and of the generated
 #: churn and scan-mix streams (10k ops/s).
@@ -542,6 +546,12 @@ class TraceWorkload:
     by a scheme (exported specs round-trip exactly); foreign keys get
     deterministic first-seen indices, which keeps block-device offsets
     and replays stable.
+
+    The workload keeps what a replay reads as three columns — each
+    record's op (a byte), key and size (the parser shares one int per
+    distinct size) — and not the records: their timestamps and TTLs play
+    no part in a closed-loop replay, so only the first and last arrival
+    are kept, for :attr:`duration_us`.
     """
 
     def __init__(
@@ -551,18 +561,30 @@ class TraceWorkload:
     ) -> None:
         if not records:
             raise WorkloadError("a trace workload needs at least one record")
-        self.records: Tuple[TraceRecord, ...] = tuple(records)
         self.key_scheme = key_scheme
         self._interned: Dict[bytes, int] = {}
+        self._ops = array("b")
+        self._keys: List[bytes] = []
+        self._sizes: List[int] = []
+        for start in range(0, len(records), _CHUNK):
+            _stamps, ops, keys, sizes, _ttls = zip(*records[start:start + _CHUNK])
+            if not _OP_POSITION.keys() >= set(ops):
+                unknown = next(op for op in ops if op not in _OP_POSITION)
+                raise WorkloadError(f"unknown trace op {unknown!r}")
+            self._ops.extend(map(_OP_POSITION.__getitem__, ops))
+            self._keys.extend(keys)
+            self._sizes.extend(sizes)
+        self._first_us = records[0].timestamp_us
+        self._last_us = records[-1].timestamp_us
 
     @property
     def n_ops(self) -> int:
-        return len(self.records)
+        return len(self._keys)
 
     @property
     def duration_us(self) -> float:
         """Span from the first arrival to the last."""
-        return self.records[-1].timestamp_us - self.records[0].timestamp_us
+        return self._last_us - self._first_us
 
     def _index_for(self, key: bytes) -> int:
         if self.key_scheme is not None:
@@ -575,16 +597,11 @@ class TraceWorkload:
             self._interned[key] = interned
         return interned
 
-    def _operation(self, record: TraceRecord) -> Operation:
-        index = self._index_for(record.key)
-        if record.op == "scan":
-            return Operation(
-                OpType.READ, record.key, index, 0, scan_length=record.size
-            )
-        op = _OP_TYPES.get(record.op)
-        if op is None:
-            raise WorkloadError(f"unknown trace op {record.op!r}")
-        return Operation(op, record.key, index, record.size)
+    def _operation(self, op: int, key: bytes, size: int) -> Operation:
+        index = self._index_for(key)
+        if op == _SCAN:
+            return Operation(OpType.READ, key, index, 0, scan_length=size)
+        return Operation(_OP_TYPE_AT[op], key, index, size)
 
     def _indices(self, keys: Sequence[bytes]) -> Iterator[int]:
         """Each key's index: parsed in C when every key of the chunk is
@@ -599,27 +616,25 @@ class TraceWorkload:
                 return map(int, digits)
         return map(self._index_for, keys)
 
-    def _chunk_operations(
-        self, records: Sequence[TraceRecord]
-    ) -> Iterator[Operation]:
-        """The operations of a chunk of records, built in C when every op
-        is an OpType's; a scan or an unknown op goes record by record."""
-        _stamps, ops, keys, sizes, _ttls = zip(*records)
-        if not _OP_TYPES.keys() >= set(ops):
-            return map(self._operation, records)
-        fields = zip(map(_OP_TYPES.__getitem__, ops), keys, self._indices(keys),
+    def _chunk_operations(self, start: int) -> Iterator[Operation]:
+        """The operations of the records from position ``start`` on, one
+        chunk's worth, built in C unless the chunk holds a scan."""
+        chunk = slice(start, start + _CHUNK)
+        ops, keys, sizes = self._ops[chunk], self._keys[chunk], self._sizes[chunk]
+        if _SCAN in ops:
+            return map(self._operation, ops, keys, sizes)
+        fields = zip(map(_OP_TYPE_AT.__getitem__, ops), keys, self._indices(keys),
                      sizes, repeat(0), repeat(False))
         return map(tuple.__new__, repeat(Operation), fields)
 
     def operations(self) -> Iterator[Operation]:
         """The trace's operation stream, in arrival order."""
-        records = self.records
-        chunks = (records[start:start + _CHUNK]
-                  for start in range(0, len(records), _CHUNK))
-        return chain.from_iterable(map(self._chunk_operations, chunks))
+        return chain.from_iterable(
+            map(self._chunk_operations, range(0, len(self._keys), _CHUNK))
+        )
 
     def __iter__(self) -> Iterator[Operation]:
         return self.operations()
 
     def has_scans(self) -> bool:
-        return any(record.op == "scan" for record in self.records)
+        return _SCAN in self._ops

@@ -30,7 +30,7 @@ high fill collapse into foreground GC.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.errors import (
@@ -76,11 +76,20 @@ from repro.kvftl.config import (
     SPLIT_FRAGMENT_US,
     STORE_CONTROLLER_US,
     STORE_INDEX_US,
+    MAX_VALUE_BYTES,
     KVSSDConfig,
 )
 from repro.kvftl.hashindex import GlobalHashIndex
 from repro.kvftl.indexmanager import BloomModel
 from repro.kvftl.iterator import IteratorBuckets
+from repro.kvftl.manifest import (
+    BYTES_BITS,
+    BYTES_MASK,
+    FRAG_SHIFT,
+    PAGE_BITS,
+    PAGE_MASK,
+    BlockManifest,
+)
 from repro.kvftl.merge import MergeEngine
 from repro.kvftl.population import KeyScheme, PrimedPopulation, run_pages
 from repro.sim.engine import Environment, Event
@@ -91,22 +100,9 @@ from repro.units import KIB, ceil_div
 
 #: Shapes a device keeps layouts for (workloads use a handful).
 _LAYOUT_SHAPES = 4096
-
-
-@dataclass(slots=True)
-class _Record:
-    """Device-side state of one individually stored pair."""
-
-    sequence: int
-    key_bytes: int
-    value_bytes: int
-    fragments: Tuple[int, ...]
-    #: (block, page) per fragment; None while awaiting packing.
-    locations: List[Optional[Tuple[int, int]]] = field(default_factory=list)
-
-    @property
-    def footprint_bytes(self) -> int:
-        return sum(self.fragments)
+#: Bits of a stored pair's entry that hold its value size.
+_VALUE_BITS = MAX_VALUE_BYTES.bit_length()
+_VALUE_MASK = (1 << _VALUE_BITS) - 1
 
 
 @dataclass(slots=True)
@@ -144,6 +140,15 @@ class KVSSD:
             faults=faults,
         )
         self.usable_page = usable_page_bytes(geometry.page_bytes, self.config)
+        if (
+            geometry.pages_per_block > PAGE_MASK + 1
+            or self.usable_page > BYTES_MASK
+        ):
+            raise ConfigurationError(
+                f"a block of {geometry.pages_per_block} pages or a page of "
+                f"{self.usable_page} usable bytes exceeds the manifest's "
+                f"{PAGE_BITS}-bit page and {BYTES_BITS}-bit size fields"
+            )
 
         # -- index region carved out of the array ------------------------
         # Marked CLOSED and fully programmed *before* the core builds its
@@ -201,7 +206,26 @@ class KVSSD:
         self.pool = self.core.pool
         self.buffer = self.core.buffer
 
-        self._records: Dict[bytes, _Record] = {}
+        # -- stored pairs: one packed int each ---------------------------
+        #: key -> ``sequence << _seq_shift | value_bytes << _place_bits |
+        #: place``; ``place`` is fragment 0's ``block * pages_per_block +
+        #: page + 1``, 0 while it waits in the pack queue.  The sequence
+        #: tells a queued fragment of a replaced copy from the current one;
+        #: the key's length and the value size name the layout, hence each
+        #: fragment's size.
+        self._records: Dict[bytes, int] = {}
+        #: key -> the places of fragments 1.. of a split value.
+        self._split: Dict[bytes, List[int]] = {}
+        self._pages_per_block = geometry.pages_per_block
+        self._place_bits = geometry.total_pages.bit_length()
+        self._place_mask = (1 << self._place_bits) - 1
+        self._seq_shift = self._place_bits + _VALUE_BITS
+        #: Retrieves per key that found a stored pair and read fragment
+        #: 0's place only after waiting on the index; a copy replaced
+        #: meanwhile leaves its last entry in ``_retired`` (key ->
+        #: sequence -> entry) until the last of them reads it.
+        self._held: Dict[bytes, int] = {}
+        self._retired: Dict[bytes, Dict[int, int]] = {}
         #: (key bytes, value bytes) -> layout: a pure function of the shape
         #: on this device's page size and config, so computed once.
         self._layouts: Dict[Tuple[int, int], BlobLayout] = {}
@@ -210,7 +234,7 @@ class KVSSD:
         #: prefix lengths: a key names at most one population per length.
         self._population_of_prefix: Dict[bytes, int] = {}
         self._prefix_lengths: List[int] = []
-        self._manifests: Dict[int, List[tuple]] = {}
+        self._manifests: Dict[int, BlockManifest] = {}
         self._pack_queue: Deque[_QueuedFragment] = deque()
         self._pack_pending_bytes = 0
         self._sequence = 0
@@ -222,13 +246,10 @@ class KVSSD:
     # lookup helpers
     # ------------------------------------------------------------------
 
-    def _find_live(
+    def _find_primed(
         self, key: bytes
-    ) -> Optional[Tuple[str, object]]:
-        """Locate a live pair: ('record', rec) or ('primed', (pop, idx))."""
-        record = self._records.get(key)
-        if record is not None:
-            return ("record", record)
+    ) -> Optional[Tuple[PrimedPopulation, int]]:
+        """Locate a live primed pair (not stored since): (population, index)."""
         found = None
         for length in self._prefix_lengths:
             position = self._population_of_prefix.get(key[:length])
@@ -239,7 +260,7 @@ class KVSSD:
                     found = (position, index)
         if found is None:
             return None
-        return ("primed", (self._populations[found[0]], found[1]))
+        return self._populations[found[0]], found[1]
 
     def add_population(self, population: PrimedPopulation) -> int:
         """Register a bulk fill (of a prefix not yet filled); returns its
@@ -254,7 +275,26 @@ class KVSSD:
 
     def contains(self, key: bytes) -> bool:
         """Untimed ground-truth membership (testing/verification hook)."""
-        return self._find_live(key) is not None
+        return key in self._records or self._find_primed(key) is not None
+
+    def locations_of(self, key: bytes) -> List[Optional[Tuple[int, int]]]:
+        """(block, page) of each fragment of the stored pair ``key``, None
+        for one still in the pack queue (testing/verification hook)."""
+        entry = self._records[key]
+        places = [entry & self._place_mask] + self._split.get(key, [])
+        return [
+            divmod(place - 1, self._pages_per_block) if place else None
+            for place in places
+        ]
+
+    def manifest_entries(self, block: int) -> List[tuple]:
+        """``block``'s manifest as tuples, in write order (see
+        :meth:`BlockManifest.entries`; testing/verification hook)."""
+        manifest = self._manifests.get(block)
+        if manifest is None:
+            return []
+        footprints = [population.footprint_bytes for population in self._populations]
+        return list(manifest.entries(footprints))
 
     # ------------------------------------------------------------------
     # SNIA KVS operations (timed)
@@ -291,8 +331,9 @@ class KVSSD:
 
         # Resolved after the suspension points above: a concurrent store of
         # the same key may have landed while we waited at the index.
-        existing = self._find_live(key)
-        if existing is None:
+        entry = self._records.get(key)
+        primed = None if entry is not None else self._find_primed(key)
+        if entry is None and primed is None:
             if self.live_kvps >= self.max_kvps:
                 raise CapacityLimitError(
                     f"device at its {self.max_kvps}-KVP limit"
@@ -313,9 +354,9 @@ class KVSSD:
 
         # Admission happens per fragment below so a value larger than the
         # device buffer cannot deadlock against its own packing; the
-        # record is created first so queued fragments resolve against it.
-        if existing is not None:
-            self._invalidate_live(key, existing)
+        # entry is written first so queued fragments resolve against it.
+        if entry is not None or primed is not None:
+            self._invalidate_live(key, entry, primed)
             self.index.note_update()
         else:
             self.index.note_insert()
@@ -324,23 +365,21 @@ class KVSSD:
                 self.merge.iterator_flush_backlog += 1
         self.merge.kick_if_dirty()
 
-        self._sequence += 1
-        record = _Record(
-            sequence=self._sequence,
-            key_bytes=len(key),
-            value_bytes=value_bytes,
-            fragments=tuple(layout.fragments),
-            locations=[None] * len(layout.fragments),
+        self._sequence = sequence = self._sequence + 1
+        self._records[key] = (
+            sequence << self._seq_shift | value_bytes << self._place_bits
         )
-        self._records[key] = record
+        fragments = layout.fragments
+        if len(fragments) > 1:
+            self._split[key] = [0] * (len(fragments) - 1)
         self.stats.record_store(len(key), value_bytes, layout.footprint_bytes)
-        for frag_index, nbytes in enumerate(layout.fragments):
+        for frag_index, nbytes in enumerate(fragments):
             span.enter("buffer")
             yield from self.buffer.admit(nbytes)
             span.enter("controller")
             yield self.controller.serve(BUFFER_COPY_US_PER_KIB * nbytes / KIB)
             self._pack_queue.append(
-                _QueuedFragment(key, frag_index, nbytes, record.sequence, self.env.now)
+                _QueuedFragment(key, frag_index, nbytes, sequence, self.env.now)
             )
             self._pack_pending_bytes += nbytes
             self.core.kick_flush(
@@ -360,30 +399,37 @@ class KVSSD:
         )
         span.enter("index")
         yield self.index_managers.serve(RETRIEVE_INDEX_US)
-        found = self._find_live(key)
-        if not self.bloom.maybe_present(key, found is not None):
+        entry = self._records.get(key)
+        primed = None if entry is not None else self._find_primed(key)
+        # A split value's later places, as the copy found has them when
+        # each is read.
+        extra = self._split.get(key)
+        if not self.bloom.maybe_present(key, entry is not None or primed is not None):
             raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
-        for _ in range(self.index.lookup_flash_reads(key)):
-            yield from self.merge.index_page_read()
-        if found is None:
+        reads = self.index.lookup_flash_reads(key)
+        if reads and entry is not None:
+            entry = yield from self._read_index_held(key, entry, reads)
+        else:
+            for _ in range(reads):
+                yield from self.merge.index_page_read()
+        if entry is None and primed is None:
             raise KeyNotFoundError(f"key {key!r} not stored")
 
-        kind, payload = found
-        if kind == "record":
-            record = payload
+        if entry is not None:
+            value_bytes = entry >> self._place_bits & _VALUE_MASK
+            layout = self.layout_for(len(key), value_bytes)
             procs = []
-            for frag_index, location in enumerate(record.locations):
-                if location is None:
+            place = entry & self._place_mask
+            for frag_index, nbytes in enumerate(layout.fragments):
+                if frag_index:
+                    place = extra[frag_index - 1]
+                if not place:
                     span.enter("controller")
                     yield self.controller.serve(BUFFER_READ_US)
                     continue
-                block, page = location
+                block, page = divmod(place - 1, self._pages_per_block)
                 procs.append(
-                    self.env.process(
-                        self.core.read_page(
-                            block, page, record.fragments[frag_index]
-                        )
-                    )
+                    self.env.process(self.core.read_page(block, page, nbytes))
                 )
             if procs:
                 # Parallel fragment reads share the op's flash phase, so
@@ -391,9 +437,8 @@ class KVSSD:
                 # attribution would require splitting the all_of wait).
                 span.enter("flash")
                 yield self.env.all_of(procs)
-            value_bytes = record.value_bytes
         else:
-            population, index = payload
+            population, index = primed
             block, page = population.location_of(index)
             yield from self.core.read_page(
                 block, page, population.footprint_bytes, span=span
@@ -402,6 +447,30 @@ class KVSSD:
         self.stats.host_reads += 1
         self.stats.host_read_bytes += value_bytes
         return value_bytes
+
+    def _read_index_held(
+        self, key: bytes, entry: int, reads: int
+    ) -> Generator[Event, None, int]:
+        """Read ``reads`` index pages for a retrieve that found ``entry``,
+        and return that copy's entry as it stands once they are read: the
+        current one, or the last one it had if a store or delete replaced
+        it meanwhile (its fragment may have been packed or moved first)."""
+        sequence = entry >> self._seq_shift
+        held = self._held
+        held[key] = held.get(key, 0) + 1
+        try:
+            for _ in range(reads):
+                yield from self.merge.index_page_read()
+            entry = self._records.get(key)
+            if entry is None or entry >> self._seq_shift != sequence:
+                entry = self._retired[key][sequence]
+        finally:
+            count = held.pop(key) - 1
+            if count:
+                held[key] = count
+            else:
+                self._retired.pop(key, None)
+        return entry
 
     def exist(
         self, key: bytes, ncommands: int = 1, span=NULL_SPAN
@@ -412,7 +481,7 @@ class KVSSD:
         yield self.controller.serve(HOST_INTERFACE_US * ncommands)
         span.enter("index")
         yield self.index_managers.serve(EXIST_INDEX_US)
-        found = self._find_live(key) is not None
+        found = key in self._records or self._find_primed(key) is not None
         if not self.bloom.maybe_present(key, found):
             return False
         for _ in range(self.index.lookup_flash_reads(key)):
@@ -428,22 +497,23 @@ class KVSSD:
         yield self.controller.serve(HOST_INTERFACE_US * ncommands)
         span.enter("index")
         yield self.index_managers.serve(DELETE_INDEX_US)
-        found = self._find_live(key)
-        if not self.bloom.maybe_present(key, found is not None):
+        found = key in self._records or self._find_primed(key) is not None
+        if not self.bloom.maybe_present(key, found):
             raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
         for _ in range(self.index.lookup_flash_reads(key)):
             yield from self.merge.index_page_read()
-        if found is None:
+        if not found:
             raise KeyNotFoundError(f"key {key!r} not stored")
         if self.merge.behind():
             yield from self.merge.backpressure()
         # Resolved again after the suspension points above: a concurrent
         # store of the same key may have replaced the copy found first,
         # and a concurrent delete may have removed it.
-        found = self._find_live(key)
-        if found is None:
+        entry = self._records.get(key)
+        primed = None if entry is not None else self._find_primed(key)
+        if entry is None and primed is None:
             raise KeyNotFoundError(f"key {key!r} not stored")
-        self._invalidate_live(key, found)
+        self._invalidate_live(key, entry, primed)
         self.index.note_delete()
         self.iterators.note_delete(key)
         self.live_kvps -= 1
@@ -485,7 +555,7 @@ class KVSSD:
             for pair in range(pairs.start, min(pairs.stop, population.count)):
                 if taken >= limit:
                     break
-                if pair in population.overridden:
+                if population.overridden[pair >> 3] >> (pair & 7) & 1:
                     continue
                 matches.append(population.scheme.key_for(pair))
                 taken += 1
@@ -496,20 +566,28 @@ class KVSSD:
     # invalidation
     # ------------------------------------------------------------------
 
-    def _invalidate_live(self, key: bytes, found: Tuple[str, object]) -> None:
-        """Retire the current copy of ``key`` (space + valid-byte books)."""
-        kind, payload = found
-        if kind == "record":
-            record = payload
-            for frag_index, location in enumerate(record.locations):
-                if location is not None:
-                    self.array.invalidate(location[0], record.fragments[frag_index])
-            self.stats.record_remove(
-                record.key_bytes, record.value_bytes, record.footprint_bytes
-            )
+    def _invalidate_live(
+        self, key: bytes, entry: Optional[int],
+        primed: Optional[Tuple[PrimedPopulation, int]],
+    ) -> None:
+        """Retire the current copy of ``key`` (space + valid-byte books):
+        its stored ``entry``, else its ``primed`` (population, index)."""
+        if entry is not None:
+            value_bytes = entry >> self._place_bits & _VALUE_MASK
+            layout = self.layout_for(len(key), value_bytes)
+            places = [entry & self._place_mask]
+            extra = self._split.pop(key, None)
+            if extra is not None:
+                places += extra
+            for place, nbytes in zip(places, layout.fragments):
+                if place:
+                    self.array.invalidate((place - 1) // self._pages_per_block, nbytes)
+            self.stats.record_remove(len(key), value_bytes, layout.footprint_bytes)
             del self._records[key]
+            if key in self._held:
+                self._retired.setdefault(key, {})[entry >> self._seq_shift] = entry
         else:
-            population, index = payload
+            population, index = primed
             block, _page = population.location_of(index)
             self.array.invalidate(block, population.footprint_bytes)
             population.override(index)
@@ -551,16 +629,27 @@ class KVSSD:
         )
 
     def commit_flush(self, batch: FlushBatch, block: int, page: int) -> None:
-        manifest = self._manifests.setdefault(block, [])
+        manifest = self._manifests.get(block)
+        if manifest is None:
+            manifest = self._manifests[block] = BlockManifest()
+        owners, codes = manifest.owners, manifest.codes
+        records = self._records
+        place = block * self._pages_per_block + page + 1
         for fragment in batch.items:
-            record = self._records.get(fragment.key)
-            if record is None or record.sequence != fragment.sequence:
+            key = fragment.key
+            entry = records.get(key)
+            if entry is None or entry >> self._seq_shift != fragment.sequence:
                 # Superseded or deleted while queued: dead on arrival.
                 self.array.invalidate(block, fragment.nbytes)
                 continue
-            record.locations[fragment.frag_index] = (block, page)
-            manifest.append(
-                ("r", fragment.key, fragment.frag_index, page, fragment.nbytes)
+            frag_index = fragment.frag_index
+            if frag_index:
+                self._split[key][frag_index - 1] = place
+            else:
+                records[key] = entry | place  # queued, so not placed yet
+            owners.append(key)
+            codes.append(
+                frag_index << FRAG_SHIFT | fragment.nbytes << PAGE_BITS | page
             )
 
     def drain(self) -> Generator[Event, None, None]:
@@ -582,73 +671,91 @@ class KVSSD:
         return block_index not in self._region_set
 
     def gc_census(self, victim: int) -> List[GcItem]:
-        """Live blobs in ``victim``, from its manifest."""
+        """Live blobs in ``victim``, from its manifest, in write order."""
         live: List[GcItem] = []
-        for entry in self._manifests.get(victim, []):
-            if entry[0] == "r":
-                _tag, key, frag_index, page, nbytes = entry
-                record = self._records.get(key)
+        manifest = self._manifests.get(victim)
+        if manifest is None:
+            return live
+        records = self._records
+        base = victim * self._pages_per_block + 1
+        for owner, code in zip(manifest.owners, manifest.codes):
+            if owner.__class__ is int:  # a primed pair GC moved here
+                population = self._populations[owner]
+                pair, page = code >> PAGE_BITS, code & PAGE_MASK
                 if (
-                    record is not None
-                    and frag_index < len(record.locations)
-                    and record.locations[frag_index] == (victim, page)
+                    not population.overridden[pair >> 3] >> (pair & 7) & 1
+                    and population.relocated.get(pair) == victim << 32 | page
                 ):
-                    live.append(GcItem(("r", key, frag_index), page, nbytes))
-            elif entry[0] == "pr":
-                pop_index = entry[1]
+                    live.append(GcItem(
+                        ("p", owner, pair), page, population.footprint_bytes
+                    ))
+            elif owner.__class__ is tuple:  # a run of fill pages
+                pop_index = owner[1]
                 population = self._populations[pop_index]
-                for page_seq, page in run_pages(*entry[2:]):
+                dead, relocated = population.overridden, population.relocated
+                for page_seq, page in run_pages(*owner[2:]):
                     for pair in population.indices_in_fill_page(page_seq):
-                        if pair in population.overridden or pair in population.relocated:
+                        if dead[pair >> 3] >> (pair & 7) & 1 or pair in relocated:
                             continue
-                        live.append(
-                            GcItem(
-                                ("p", pop_index, pair), page, population.footprint_bytes
-                            )
-                        )
-            elif entry[0] == "p":
-                _tag, pop_index, pair, page, nbytes = entry
-                population = self._populations[pop_index]
-                if (
-                    pair not in population.overridden
-                    and population.relocated.get(pair) == (victim, page)
-                ):
-                    live.append(GcItem(("p", pop_index, pair), page, nbytes))
-            else:  # pragma: no cover - manifest corruption guard
-                raise ConfigurationError(f"unknown manifest entry {entry!r}")
+                        live.append(GcItem(
+                            ("p", pop_index, pair), page, population.footprint_bytes
+                        ))
+            else:  # a stored pair's fragment
+                entry = records.get(owner)
+                if entry is None:
+                    continue
+                frag_index, page = code >> FRAG_SHIFT, code & PAGE_MASK
+                if self._place_of(owner, entry, frag_index) == base + page:
+                    live.append(GcItem(
+                        ("r", owner, frag_index), page, code >> PAGE_BITS & BYTES_MASK
+                    ))
         return live
+
+    def _place_of(self, key: bytes, entry: int, frag_index: int) -> int:
+        """Fragment ``frag_index``'s place in the stored pair ``key``'s
+        current copy (``entry``); 0 if unplaced or if it has no such
+        fragment."""
+        if not frag_index:
+            return entry & self._place_mask
+        extra = self._split.get(key)
+        if extra is None or frag_index > len(extra):
+            return 0
+        return extra[frag_index - 1]
 
     def gc_relocate(
         self, item: GcItem, victim: int, target: int, new_page: int, slot: int
     ) -> bool:
-        kind = item.ident[0]
-        if kind == "r":
+        ppb = self._pages_per_block
+        if item.ident[0] == "r":
             _tag, key, frag_index = item.ident
-            record = self._records.get(key)
-            if (
-                record is None
-                or frag_index >= len(record.locations)
-                or record.locations[frag_index] != (victim, item.page)
-            ):
+            entry = self._records.get(key)
+            place = victim * ppb + item.page + 1
+            if entry is None or self._place_of(key, entry, frag_index) != place:
                 return False
-            record.locations[frag_index] = (target, new_page)
-            self._manifests.setdefault(target, []).append(
-                ("r", key, frag_index, new_page, item.nbytes)
-            )
+            moved = target * ppb + new_page + 1
+            if frag_index:
+                self._split[key][frag_index - 1] = moved
+            else:
+                self._records[key] = entry - place + moved
+            owner: object = key
+            code = frag_index << FRAG_SHIFT | item.nbytes << PAGE_BITS | new_page
         else:
             _tag, pop_index, pair = item.ident
             population = self._populations[pop_index]
-            if pair in population.overridden:
+            if population.overridden[pair >> 3] >> (pair & 7) & 1:
                 return False
             population.relocate(pair, target, new_page)
-            self._manifests.setdefault(target, []).append(
-                ("p", pop_index, pair, new_page, item.nbytes)
-            )
+            owner, code = pop_index, pair << PAGE_BITS | new_page
+        manifest = self._manifests.get(target)
+        if manifest is None:
+            manifest = self._manifests[target] = BlockManifest()
+        manifest.owners.append(owner)
+        manifest.codes.append(code)
         self.index.note_update()
         return True
 
     def gc_cleanup(self, victim: int) -> None:
-        self._manifests[victim] = []
+        self._manifests.pop(victim, None)
         self.merge.kick_if_dirty()
 
     def mapping_view(self) -> Iterator[Tuple[object, int, int, int]]:
@@ -657,17 +764,18 @@ class KVSSD:
         # location yet and no valid bytes, so they are rightly absent),
         # ("p", pop_index, pair) for live primed pairs.  O(live pairs)
         # per call — debug/test mode only.
-        for key, record in self._records.items():
-            for frag_index, location in enumerate(record.locations):
+        for key, entry in self._records.items():
+            value_bytes = entry >> self._place_bits & _VALUE_MASK
+            fragments = self.layout_for(len(key), value_bytes).fragments
+            for frag_index, location in enumerate(self.locations_of(key)):
                 if location is not None:
                     yield (
                         ("r", key, frag_index),
-                        location[0], location[1],
-                        record.fragments[frag_index],
+                        location[0], location[1], fragments[frag_index],
                     )
         for pop_index, population in enumerate(self._populations):
             for pair in range(population.count):
-                if pair in population.overridden:
+                if population.is_overridden(pair):
                     continue
                 block, page = population.location_of(pair)
                 yield (

@@ -9,9 +9,10 @@ would dwarf host memory, so a fill is represented *functionally*:
 * placement is recorded per *page* (two parallel 32-bit arrays: which
   block and which page each page-worth of blobs went to, 8 bytes a fill
   page), so a pair's flash location is computed from its index;
-* subsequent updates/deletes/relocations are tracked in small overlay
-  structures (an overridden set and a relocation map) that grow only with
-  the number of *simulated* operations, not with the fill size.
+* subsequent updates/deletes/relocations are tracked in two overlays:
+  an overridden bitmap, one bit a pair allocated with the fill, and a
+  relocation map from pair index to one packed ``block << 32 | page``
+  int, which grows only with the number of *simulated* GC moves.
 
 The workload generators use the same schemes, so primed pairs are
 indistinguishable from individually stored ones at the API.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,26 @@ class PrimedPopulation:
     page_blocks: array[int] = field(default_factory=partial(array, "i"))
     #: Page-within-block of each consecutive page of the fill.
     page_indices: array[int] = field(default_factory=partial(array, "i"))
-    #: Pair indices whose primed copy is dead (updated or deleted).
-    overridden: Set[int] = field(default_factory=set)
-    #: Pair indices whose primed copy was moved by GC -> (block, page).
-    relocated: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+    #: Bit ``index & 7`` of byte ``index >> 3`` is set once pair
+    #: ``index``'s primed copy is dead (updated or deleted).
+    overridden: bytearray = field(init=False, repr=False)
+    #: Pairs whose bit is set in ``overridden``.
+    overridden_count: int = field(default=0, init=False)
+    #: Pair indices whose primed copy was moved by GC ->
+    #: ``block << 32 | page``.
+    relocated: Dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.overridden = bytearray((self.count + 7) >> 3)
 
     @property
     def live_count(self) -> int:
         """Primed pairs whose primed identity is still current."""
-        return self.count - len(self.overridden)
+        return self.count - self.overridden_count
+
+    def is_overridden(self, index: int) -> bool:
+        """Whether pair ``index``'s primed copy is dead."""
+        return self.overridden[index >> 3] >> (index & 7) & 1 == 1
 
     def page_of(self, index: int) -> int:
         """Which consecutive fill page pair ``index`` was packed into."""
@@ -136,31 +148,36 @@ class PrimedPopulation:
         self._check(index)
         moved = self.relocated.get(index)
         if moved is not None:
-            return moved
+            return moved >> 32, moved & 0xFFFFFFFF
         page_seq = index // self.blobs_per_page
         return self.page_blocks[page_seq], self.page_indices[page_seq]
 
     def lookup(self, key: bytes) -> Optional[int]:
         """Index of a *live* primed pair named ``key``, else None."""
         index = self.scheme.index_of(key)
-        if index is None or index >= self.count or index in self.overridden:
+        if (
+            index is None or index >= self.count
+            or self.overridden[index >> 3] >> (index & 7) & 1
+        ):
             return None
         return index
 
     def override(self, index: int) -> None:
         """Mark the primed copy of pair ``index`` dead."""
         self._check(index)
-        if index in self.overridden:
+        byte, bit = index >> 3, 1 << (index & 7)
+        if self.overridden[byte] & bit:
             raise ValueError(f"pair {index} already overridden")
-        self.overridden.add(index)
+        self.overridden[byte] |= bit
+        self.overridden_count += 1
         self.relocated.pop(index, None)
 
     def relocate(self, index: int, block: int, page: int) -> None:
         """Record a GC move of the primed blob for pair ``index``."""
         self._check(index)
-        if index in self.overridden:
+        if self.overridden[index >> 3] >> (index & 7) & 1:
             raise ValueError(f"cannot relocate overridden pair {index}")
-        self.relocated[index] = (block, page)
+        self.relocated[index] = block << 32 | page
 
     def indices_in_fill_page(self, page_seq: int) -> range:
         """Pair indices originally packed into fill page ``page_seq``."""

@@ -6,10 +6,11 @@ measured phase; simulating every store would dwarf the measurement.
 have produced — populations, manifests, index entries, space books —
 without advancing simulated time.
 
-A block's manifest holds one ``("pr", pop_index, first_seq, seq_stride,
-first_page, pages)`` run per fill, not one entry per page, so host
-memory grows with the blocks written, plus the population's 8 bytes per
-fill page.
+A block's manifest (:class:`~repro.kvftl.manifest.BlockManifest`) holds
+one ``("pr", pop_index, first_seq, seq_stride, first_page, pages)`` run
+per fill, not one entry per page, so host memory grows with the blocks
+written, plus the population's 8 bytes per fill page and its overridden
+bitmap's one bit per pair.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional
 
 from repro.errors import CapacityLimitError, ConfigurationError, DeviceFullError
 from repro.kvftl.blob import blobs_per_page, layout_blob, validate_value_size
+from repro.kvftl.manifest import BlockManifest
 from repro.kvftl.population import KeyScheme, PrimedPopulation
 from repro.units import ceil_div
 
@@ -92,15 +94,11 @@ def fast_fill(
     def commit(block: int, first_seq: int, first_page: int, pages: int) -> None:
         # A block in rotation slot k takes every width-th fill page into
         # consecutive pages, so its pages of one fill are one arithmetic
-        # run (``run_pages``): extend the block's last run when this one
-        # continues it, else open a run.
-        manifest = manifests.setdefault(block, [])
-        if manifest and manifest[-1][:2] == ("pr", pop_index):
-            _tag, _pop, seq0, _stride, page0, pages0 = manifest[-1]
-            if page0 + pages0 == first_page and seq0 + pages0 * width == first_seq:
-                manifest[-1] = ("pr", pop_index, seq0, width, page0, pages0 + pages)
-                return
-        manifest.append(("pr", pop_index, first_seq, width, first_page, pages))
+        # run (``run_pages``), which the manifest extends.
+        manifest = manifests.get(block)
+        if manifest is None:
+            manifest = manifests[block] = BlockManifest()
+        manifest.add_fill_run(pop_index, first_seq, width, first_page, pages)
 
     page_seq = 0
     while remaining > 0:

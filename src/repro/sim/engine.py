@@ -69,6 +69,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from types import TracebackType
 from typing import (
     Any,
     Callable,
@@ -335,7 +336,11 @@ class Process(Event):
         env._active = self
         try:
             if event._failed:
-                target = self._generator.throw(event._value)
+                thrown = env._thrown = event._value.__traceback__
+                try:
+                    target = self._generator.throw(event._value)
+                finally:
+                    env._thrown = None
             else:
                 target = self._generator.send(event._value)
         except StopIteration as stop:
@@ -348,7 +353,13 @@ class Process(Event):
                 # Nobody is waiting (e.g. a background worker): surface the
                 # failure loudly instead of swallowing it.
                 raise
-            self.fail(exc)
+            # Kept as the failure's value, the traceback must not hold
+            # this frame (``self``) nor the finished frames' locals: each
+            # would make the process, and the model its frames reached,
+            # a cycle only a full collection frees.
+            passed = exc.__traceback__.tb_next
+            _clear_finished(passed, thrown if event._failed else None)
+            self.fail(exc.with_traceback(passed))
             return
         finally:
             env._active = None
@@ -456,6 +467,17 @@ class AnyOf(Condition):
 _E = TypeVar("_E", bound=Event)
 
 
+def _clear_finished(
+    tb: Optional[TracebackType], stop: Optional[TracebackType]
+) -> None:
+    """Clear the locals of the frames of ``tb`` before ``stop``: frames an
+    exception propagated out of, so finished, whose locals would keep
+    whatever they reached alive as long as the exception."""
+    while tb is not None and tb is not stop:
+        tb.tb_frame.clear()
+        tb = tb.tb_next
+
+
 def _bare(kind: Type[_E], env: "Environment") -> _E:
     """A ``kind`` event built by ``Event.__init__`` alone: untriggered, not
     scheduled, and (a :class:`Process`) with no generator behind it."""
@@ -505,6 +527,9 @@ class Environment:
         self._returned = _stand_in(Process, self)
         self._woken = _stand_in(Timeout, self)
         self._closed = False
+        #: While a failed event's exception is thrown into a process, the
+        #: traceback it had: frames past it finished earlier.
+        self._thrown: Optional[TracebackType] = None
 
     @property
     def now(self) -> float:
@@ -609,6 +634,10 @@ class Environment:
         except (KeyboardInterrupt, SystemExit, GeneratorExit):
             raise
         except BaseException as exc:  # reaches the caller like a failed process
+            # The child's frames are finished: drop their locals, which a
+            # waiter's (a list of failed reads, say) would otherwise tie
+            # into a cycle with the exception.
+            _clear_finished(exc.__traceback__.tb_next, self._thrown)
             error = exc
         label = name or getattr(generator, "__name__", "process")
         self._returned.name = label
@@ -620,9 +649,18 @@ class Environment:
                 done.succeed(value)
             else:
                 done.fail(error)
-            return (yield done)
+                error = None
+            # Neither local may outlive the wait: the failure's traceback
+            # holds this frame.
+            try:
+                return (yield done)
+            finally:
+                del done
         if error is not None:
-            raise error
+            try:
+                raise error
+            finally:
+                error = None
         return value
 
     def all_of(self, events: Iterable[Event]) -> AllOf:

@@ -49,6 +49,13 @@ on units a flush has taken.  It builds its rig ``with build_block_rig(...)``
 like every cell under ``src/``: the sanitizer runs each target with the
 cyclic collector off and fails one whose rig outlives it.
 
+``failing_ops_cell`` runs ops that fail on a closed KV rig: retrieves
+and deletes of absent keys, reads of stored keys that stay uncorrectable
+through every retry (a failed parallel fragment read), and updates a
+read-only device refuses.  A failed op's exception holds the finished
+frames it left, so the engine drops their locals: else each failure
+kept its rig alive as cyclic garbage and the rig-lifetime check failed.
+
 ``unclosed_rig_cell`` runs a short phase on a KV rig it never closes:
 the parked flush, GC and merge workers hold the rig, so it outlives the
 target and the rig-lifetime check fails it.  ``closed_rig_cell`` is the
@@ -322,3 +329,36 @@ def closed_rig_cell() -> Tuple[int, float]:
 
     with build_kv_rig(lab_geometry(4)) as rig:
         return _kv_phase(rig)
+
+
+def failing_ops_cell() -> Tuple[int, int, int, int, float, str]:
+    """480 lookups, updates and reads at QD8 on a primed KV rig whose
+    reads fail one time in ten, then 40 updates once it is read-only."""
+    from repro.core.experiment import build_kv_rig, lab_geometry
+    from repro.faults.model import FaultConfig
+    from repro.kvbench.runner import execute_workload
+    from repro.kvbench.workload import Operation, OpType
+    from repro.kvftl.population import KeyScheme
+
+    stored, absent = KeyScheme(prefix=b"fail", digits=12), KeyScheme(prefix=b"miss", digits=12)
+    faults = FaultConfig(seed=5, read_uncorrectable_prob=0.1)
+    with build_kv_rig(lab_geometry(8), fault_config=faults) as rig:
+        rig.prime(400, 4096, stored)
+        operations = []
+        for i in range(120):
+            operations += [
+                Operation(OpType.READ, absent.key_for(i), i, 0),
+                Operation(OpType.DELETE, absent.key_for(i), i, 0),
+                Operation(OpType.UPDATE, stored.key_for(i), i, 4096),
+                Operation(OpType.READ, stored.key_for(3 * i), 3 * i, 0),
+            ]
+        lookups = execute_workload(rig.env, rig.adapter, operations, queue_depth=8)
+        rig.drain()
+        rig.device.core.read_only = True
+        refused = execute_workload(rig.env, rig.adapter, [
+            Operation(OpType.UPDATE, stored.key_for(i), i, 4096) for i in range(40)
+        ], queue_depth=4)
+        return (
+            lookups.completed_ops, lookups.failed_ops, refused.completed_ops,
+            refused.failed_ops, rig.env.now, repr(rig.device.stats),
+        )

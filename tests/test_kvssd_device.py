@@ -132,6 +132,45 @@ def test_a_delete_racing_a_store_removes_the_copy_the_store_wrote(stored_first):
         run(rig.env, rig.api.retrieve(target))
 
 
+def test_a_retrieve_waiting_on_the_index_reads_the_copy_it_found_as_it_stands():
+    """A retrieve finds a pair still in the pack queue, then waits on an
+    index page; meanwhile a flush packs the pair and a store replaces it.
+    The retrieve reads the copy it found where that copy went (a flash
+    page read beside the index page), not the buffer it was in when
+    found, and leaves no hold behind.  The times are where the three
+    overlap on this geometry."""
+    rig = build_kv_rig(lab_geometry(8), config=KVSSDConfig(index_dram_bytes=4096))
+    env, device = rig.env, rig.device
+    scheme = KeyScheme(b"key-", 12)
+    rig.prime(200_000, 512, scheme)
+    target = scheme.key_for(777)
+    run(env, device.store(target, 4096))
+    assert device.locations_of(target) == [None]
+    retired = []
+    invalidate = device._invalidate_live
+
+    def watched(key, entry, primed):
+        retired.append(key in device._held and entry & device._place_mask != 0)
+        invalidate(key, entry, primed)
+
+    device._invalidate_live = watched
+
+    def at(delay, operation):
+        yield env.timeout(delay)
+        return (yield env.process(operation))
+
+    reads = device.stats.flash_reads
+    retrieve = env.process(at(1075.0, device.retrieve(target)))
+    store = env.process(at(1195.0, device.store(target, 4096)))
+    drain = env.process(device.drain())
+    env.run_until_complete(env.all_of([drain, retrieve, store]), limit=env.now + 1e8)
+    assert retrieve.value == 4096
+    assert retired == [True]  # replaced while held, after it was packed
+    assert device.stats.flash_reads - reads == 2  # the index page and the data
+    assert device._held == device._retired == {}
+    rig.close()
+
+
 def test_update_replaces_and_reclaims_accounting():
     env, ssd = make_ssd()
 
@@ -191,11 +230,11 @@ def test_split_value_store_and_retrieve():
         return value
 
     assert run(env, proc(env)) == big
-    record = ssd._records[key(9)]
-    assert len(record.fragments) > 1
-    assert all(location is not None for location in record.locations)
+    locations = ssd.locations_of(key(9))
+    assert len(ssd.layout_for(len(key(9)), big).fragments) == len(locations) > 1
+    assert all(location is not None for location in locations)
     # Fragments land on distinct pages.
-    assert len(set(record.locations)) == len(record.locations)
+    assert len(set(locations)) == len(locations)
 
 
 def test_split_store_slower_than_unsplit():
@@ -354,7 +393,7 @@ def _expand_fill_runs(ssd, pop_index, block):
     ``block``'s manifest, in manifest order."""
     return [
         pair
-        for entry in ssd._manifests.get(block, [])
+        for entry in ssd.manifest_entries(block)
         if entry[0] == "pr" and entry[1] == pop_index
         for pair in run_pages(*entry[2:])
     ]
@@ -392,7 +431,7 @@ def test_fill_manifest_runs_are_exactly_the_page_maps(count, width, blocks_per_p
             assert _expand_fill_runs(ssd, pop_index, block) == expected
             # One run per block per fill: a block's pages of a fill are
             # one arithmetic progression, so the runs merge.
-            runs = [e for e in ssd._manifests.get(block, []) if e[1] == pop_index]
+            runs = [e for e in ssd.manifest_entries(block) if e[1] == pop_index]
             assert len(runs) == (1 if expected else 0)
 
 
@@ -423,7 +462,7 @@ def test_primed_pairs_survive_overwrite_delete_and_gc_relocation():
     census, seen = ssd.gc_census, {"pr": 0, "p": 0, "moved again": 0}
 
     def watched_census(victim):
-        for entry in ssd._manifests.get(victim, []):
+        for entry in ssd.manifest_entries(victim):
             if entry[0] in seen:
                 seen[entry[0]] += 1
         items = census(victim)

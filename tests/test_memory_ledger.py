@@ -22,19 +22,30 @@ import weakref
 from pathlib import Path
 from typing import Any, Callable, Tuple
 
+import pytest
+
 from repro.cluster.shard import run_shard
 from repro.cluster.spec import ClusterSpec, DegradeEvent, TenantSpec
 from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
 from repro.frontend.frontend import run_frontend
 from repro.frontend.run import build_load_spec
+from repro.faults.model import FaultConfig
+from repro.kvbench.runner import execute_workload
 from repro.kvbench.traces import (
     TRACE_MAGIC,
     TRACE_VERSION,
+    TraceWorkload,
     format_record,
     parse_trace,
     spec_to_records,
 )
-from repro.kvbench.workload import Pattern, WorkloadSpec
+from repro.kvbench.workload import (
+    Operation,
+    OpType,
+    Pattern,
+    WorkloadSpec,
+    generate_operations,
+)
 from repro.ftl.core import FtlCore
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.device import KVSSD
@@ -76,24 +87,70 @@ def test_a_fill_costs_bytes_per_block_written_not_an_object_per_page():
     )
     assert retained / pairs <= 4.0
     blocks_written = len(set(population.page_blocks))
-    entries = sum(len(manifest) for manifest in device._manifests.values())
+    entries = sum(len(device.manifest_entries(block)) for block in device._manifests)
     assert entries <= 2 * blocks_written  # 133,334 with one per page
     assert population.page_blocks.itemsize == population.page_indices.itemsize == 4
+
+
+def _kv_mixed_spec(seed: int) -> WorkloadSpec:
+    """The ``kv_mixed`` benchmark's 30,000 uniform 50/50 operations."""
+    return WorkloadSpec(
+        n_ops=30_000, op="mixed", pattern=Pattern.UNIFORM, population=821_990,
+        key_scheme=_SCHEME, value_bytes=4096, read_fraction=0.5, seed=seed,
+    )
+
+
+def _kv_mixed_lines() -> list:
+    lines = [f"{TRACE_MAGIC} v{TRACE_VERSION}"]
+    lines.extend(format_record(record) for record in spec_to_records(_kv_mixed_spec(3)))
+    return lines
 
 
 def test_a_parsed_trace_record_is_slotted_and_shares_its_op():
     """The ``kv_mixed`` benchmark's 30,000-record export: 169 B a record
     retained (183 line by line, which builds an int per size; 261 with a
     ``__dict__`` and a fresh op string per record)."""
-    spec = WorkloadSpec(
-        n_ops=30_000, op="mixed", pattern=Pattern.UNIFORM, population=821_990,
-        key_scheme=_SCHEME, value_bytes=4096, read_fraction=0.5, seed=3,
-    )
-    lines = [f"{TRACE_MAGIC} v{TRACE_VERSION}"]
-    lines.extend(format_record(record) for record in spec_to_records(spec))
-    records, retained = alloc_ledger(lambda: parse_trace(lines))
+    records, retained = alloc_ledger(lambda: parse_trace(_kv_mixed_lines()))
     assert len(records) == 30_000
     assert retained / len(records) <= 200
+
+
+def test_a_trace_workload_keeps_columns_not_its_records():
+    """The same export replayed: 68 B a record retained — its key, an op
+    byte and a list slot for its size — once the parsed records are
+    dropped (177 when the workload keeps the records, 169 B each)."""
+    lines = _kv_mixed_lines()
+    workload, retained = alloc_ledger(
+        lambda: TraceWorkload(parse_trace(lines), key_scheme=_SCHEME)
+    )
+    assert workload.n_ops == 30_000
+    assert retained / workload.n_ops <= 80
+
+
+def test_a_stored_pair_is_one_packed_entry():
+    """The ``kv_mixed`` cell's phase (seed 1) against its fill: 105 B
+    retained per individually stored pair — a dict slot, one packed int,
+    a manifest entry of a list slot and 8 bytes of ``array`` — where an
+    object graph per pair (a record, its fragment tuple, location list
+    and ``(block, page)`` tuple, a 5-tuple manifest entry and an entry in
+    a set of overridden primed pairs) retained 484."""
+    rig = build_kv_rig(
+        lab_geometry(64), config=KVSSDConfig(index_dram_bytes=64 * MIB)
+    )
+    device = rig.device
+    device.fast_fill(821_990, 4096, _SCHEME)
+
+    def phase() -> None:
+        execute_workload(
+            rig.env, rig.adapter, generate_operations(_kv_mixed_spec(1)),
+            queue_depth=8,
+        )
+        rig.drain()
+
+    _, retained = alloc_ledger(phase)
+    stored = len(device._records)
+    assert stored > 14_000
+    assert retained / stored <= 200
 
 
 def test_a_kept_frontend_request_is_a_row_of_columns():
@@ -151,6 +208,42 @@ def test_a_finished_frontend_run_or_shard_leaves_no_device_behind():
     )
     for shard in range(cluster.shards):
         assert _outliving(lambda: run_shard(cluster, shard)) == []
+
+
+_ABSENT = KeyScheme(prefix=b"miss", digits=12)
+
+
+def _failing_ops(kind: str) -> int:
+    """A phase whose ops all fail, on a closed rig of 200 primed pairs:
+    retrieves or deletes of absent keys, reads that stay uncorrectable,
+    or updates a read-only device refuses.  Returns the failures."""
+    faults = FaultConfig(seed=5, read_uncorrectable_prob=1.0) if kind == "unreadable" else None
+    with build_kv_rig(lab_geometry(8), fault_config=faults) as rig:
+        rig.prime(200, 4096, _SCHEME)
+        if kind == "read-only":
+            rig.device.core.read_only = True
+        op, scheme, size = {
+            "absent retrieve": (OpType.READ, _ABSENT, 0),
+            "absent delete": (OpType.DELETE, _ABSENT, 0),
+            "unreadable": (OpType.READ, _SCHEME, 0),
+            "read-only": (OpType.UPDATE, _SCHEME, 4096),
+        }[kind]
+        operations = [Operation(op, scheme.key_for(i), i, size) for i in range(40)]
+        result = execute_workload(rig.env, rig.adapter, operations, queue_depth=4)
+        return result.failed_ops
+
+
+@pytest.mark.parametrize(
+    "kind", ["absent retrieve", "absent delete", "unreadable", "read-only"]
+)
+def test_failed_ops_leave_no_device_behind(kind):
+    """A failed op's exception keeps the frames it passed; the engine
+    drops their locals, so the rig is still freed by reference counting.
+    With them, one failure kept the whole rig as cyclic garbage."""
+    failed = []
+    assert _outliving(lambda: failed.append(_failing_ops(kind))) == []
+    # Half of the unreadable reads recover after a retry.
+    assert failed == [20 if kind == "unreadable" else 40]
 
 
 def test_page_map_tables_hold_32_bit_entries():

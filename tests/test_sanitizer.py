@@ -33,6 +33,7 @@ CI_TARGETS = (
     ("tests.fixtures.sanitizer_targets:ycsb_cell", 0),
     ("tests.fixtures.sanitizer_targets:frontend_cell", 0),
     ("tests.fixtures.sanitizer_targets:block_cell", 0),
+    ("tests.fixtures.sanitizer_targets:failing_ops_cell", 0),
 )
 
 
