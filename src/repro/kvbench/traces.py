@@ -35,7 +35,6 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from array import array
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter, le, methodcaller
 from typing import (
@@ -67,11 +66,10 @@ TRACE_VERSION = 1
 OP_CODES = ("insert", "update", "read", "delete", "scan")
 #: Parsed op field -> the one :data:`OP_CODES` string every record shares.
 _OP_CODE = {op: op for op in OP_CODES}
-#: Op code -> its position in :data:`OP_CODES`, a replay column's value.
-_OP_POSITION = {op: position for position, op in enumerate(OP_CODES)}
-#: Position in :data:`OP_CODES` -> its OpType (all but ``scan``).
-_OP_TYPE_AT = tuple(OpType(op) for op in OP_CODES[:-1])
-_SCAN = _OP_POSITION["scan"]
+#: The four codes that are an OpType, looked up per replayed record.
+_OP_TYPES = {op.value: op for op in OpType}
+#: A record's op code, key and size, read in C.
+_OP, _KEY, _SIZE = itemgetter(1), itemgetter(2), itemgetter(3)
 
 #: Synthetic inter-arrival gap of an exported spec and of the generated
 #: churn and scan-mix streams (10k ops/s).
@@ -548,7 +546,8 @@ class TraceWorkload:
     and replays stable.
 
     The workload keeps what a replay reads as three columns — each
-    record's op (a byte), key and size (the parser shares one int per
+    record's op code, key and size (objects the records share with
+    others: the parser makes one op string per code and one int per
     distinct size) — and not the records: their timestamps and TTLs play
     no part in a closed-loop replay, so only the first and last arrival
     are kept, for :attr:`duration_us`.
@@ -563,17 +562,9 @@ class TraceWorkload:
             raise WorkloadError("a trace workload needs at least one record")
         self.key_scheme = key_scheme
         self._interned: Dict[bytes, int] = {}
-        self._ops = array("b")
-        self._keys: List[bytes] = []
-        self._sizes: List[int] = []
-        for start in range(0, len(records), _CHUNK):
-            _stamps, ops, keys, sizes, _ttls = zip(*records[start:start + _CHUNK])
-            if not _OP_POSITION.keys() >= set(ops):
-                unknown = next(op for op in ops if op not in _OP_POSITION)
-                raise WorkloadError(f"unknown trace op {unknown!r}")
-            self._ops.extend(map(_OP_POSITION.__getitem__, ops))
-            self._keys.extend(keys)
-            self._sizes.extend(sizes)
+        self._ops: List[str] = list(map(_OP, records))
+        self._keys: List[bytes] = list(map(_KEY, records))
+        self._sizes: List[int] = list(map(_SIZE, records))
         self._first_us = records[0].timestamp_us
         self._last_us = records[-1].timestamp_us
 
@@ -597,11 +588,14 @@ class TraceWorkload:
             self._interned[key] = interned
         return interned
 
-    def _operation(self, op: int, key: bytes, size: int) -> Operation:
+    def _operation(self, op: str, key: bytes, size: int) -> Operation:
         index = self._index_for(key)
-        if op == _SCAN:
+        if op == "scan":
             return Operation(OpType.READ, key, index, 0, scan_length=size)
-        return Operation(_OP_TYPE_AT[op], key, index, size)
+        kind = _OP_TYPES.get(op)
+        if kind is None:
+            raise WorkloadError(f"unknown trace op {op!r}")
+        return Operation(kind, key, index, size)
 
     def _indices(self, keys: Sequence[bytes]) -> Iterator[int]:
         """Each key's index: parsed in C when every key of the chunk is
@@ -618,12 +612,13 @@ class TraceWorkload:
 
     def _chunk_operations(self, start: int) -> Iterator[Operation]:
         """The operations of the records from position ``start`` on, one
-        chunk's worth, built in C unless the chunk holds a scan."""
+        chunk's worth, built in C when every op is an OpType's; a scan or
+        an unknown op goes record by record."""
         chunk = slice(start, start + _CHUNK)
         ops, keys, sizes = self._ops[chunk], self._keys[chunk], self._sizes[chunk]
-        if _SCAN in ops:
+        if not _OP_TYPES.keys() >= set(ops):
             return map(self._operation, ops, keys, sizes)
-        fields = zip(map(_OP_TYPE_AT.__getitem__, ops), keys, self._indices(keys),
+        fields = zip(map(_OP_TYPES.__getitem__, ops), keys, self._indices(keys),
                      sizes, repeat(0), repeat(False))
         return map(tuple.__new__, repeat(Operation), fields)
 
@@ -637,4 +632,4 @@ class TraceWorkload:
         return self.operations()
 
     def has_scans(self) -> bool:
-        return _SCAN in self._ops
+        return "scan" in self._ops

@@ -287,15 +287,6 @@ class KVSSD:
             for place in places
         ]
 
-    def manifest_entries(self, block: int) -> List[tuple]:
-        """``block``'s manifest as tuples, in write order (see
-        :meth:`BlockManifest.entries`; testing/verification hook)."""
-        manifest = self._manifests.get(block)
-        if manifest is None:
-            return []
-        footprints = [population.footprint_bytes for population in self._populations]
-        return list(manifest.entries(footprints))
-
     # ------------------------------------------------------------------
     # SNIA KVS operations (timed)
     # ------------------------------------------------------------------

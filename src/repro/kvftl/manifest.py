@@ -65,15 +65,13 @@ class BlockManifest:
         owners.append(("pr", pop_index, first_seq, seq_stride, first_page, pages))
         self.codes.append(0)
 
-    def entries(self, footprints: List[int]) -> Iterator[tuple]:
+    def entries(self) -> Iterator[tuple]:
         """Each entry as a tuple: ``("r", key, frag_index, page, nbytes)``,
-        ``("p", pop_index, pair, page, nbytes)`` or the fill run's own;
-        ``footprints`` is each population's blob footprint.  For tests and
-        debugging."""
+        ``("p", pop_index, pair, page)`` or the fill run's own.  For tests
+        and debugging."""
         for owner, code in zip(self.owners, self.codes):
             if owner.__class__ is int:
-                yield ("p", owner, code >> PAGE_BITS, code & PAGE_MASK,
-                       footprints[owner])
+                yield ("p", owner, code >> PAGE_BITS, code & PAGE_MASK)
             elif owner.__class__ is tuple:
                 yield owner
             else:

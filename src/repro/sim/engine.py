@@ -334,16 +334,22 @@ class Process(Event):
             step()
         env = self.env
         env._active = self
+        # The ``id`` of the traceback a thrown-in failure carried (0:
+        # none), not the traceback: a finished generator's frame keeps
+        # this one as its ``f_back`` (3.12), a failure's traceback may
+        # keep that frame, so these locals must not lead to a failure.
+        thrown = 0
         try:
             if event._failed:
-                thrown = env._thrown = event._value.__traceback__
+                thrown = env._thrown = id(event._value.__traceback__)
                 try:
                     target = self._generator.throw(event._value)
                 finally:
-                    env._thrown = None
+                    env._thrown = 0
             else:
                 target = self._generator.send(event._value)
         except StopIteration as stop:
+            del event
             self.succeed(stop.value)
             return
         except (KeyboardInterrupt, SystemExit):
@@ -353,13 +359,12 @@ class Process(Event):
                 # Nobody is waiting (e.g. a background worker): surface the
                 # failure loudly instead of swallowing it.
                 raise
-            # Kept as the failure's value, the traceback must not hold
-            # this frame (``self``) nor the finished frames' locals: each
+            # Kept as the failure's value, the traceback holds neither
+            # this frame nor the locals of the finished frames: each
             # would make the process, and the model its frames reached,
             # a cycle only a full collection frees.
-            passed = exc.__traceback__.tb_next
-            _clear_finished(passed, thrown if event._failed else None)
-            self.fail(exc.with_traceback(passed))
+            self.fail(exc.with_traceback(_clear_finished(exc, thrown)))
+            del self, event  # (a parked process resumes with itself)
             return
         finally:
             env._active = None
@@ -467,15 +472,18 @@ class AnyOf(Condition):
 _E = TypeVar("_E", bound=Event)
 
 
-def _clear_finished(
-    tb: Optional[TracebackType], stop: Optional[TracebackType]
-) -> None:
-    """Clear the locals of the frames of ``tb`` before ``stop``: frames an
-    exception propagated out of, so finished, whose locals would keep
-    whatever they reached alive as long as the exception."""
-    while tb is not None and tb is not stop:
+def _clear_finished(exc: BaseException, stop: int) -> Optional[TracebackType]:
+    """Clear the locals of the frames ``exc`` propagated out of — its
+    traceback past the first entry (the frame that caught it, running),
+    up to the traceback of ``id`` ``stop`` — and return that part.  Those
+    frames are finished, and their locals would keep whatever they
+    reached alive as long as the exception."""
+    caught = exc.__traceback__
+    passed = tb = None if caught is None else caught.tb_next
+    while tb is not None and id(tb) != stop:
         tb.tb_frame.clear()
         tb = tb.tb_next
+    return passed
 
 
 def _bare(kind: Type[_E], env: "Environment") -> _E:
@@ -528,8 +536,9 @@ class Environment:
         self._woken = _stand_in(Timeout, self)
         self._closed = False
         #: While a failed event's exception is thrown into a process, the
-        #: traceback it had: frames past it finished earlier.
-        self._thrown: Optional[TracebackType] = None
+        #: ``id`` of the traceback it had (frames past it finished
+        #: earlier); 0 otherwise.
+        self._thrown = 0
 
     @property
     def now(self) -> float:
@@ -637,7 +646,7 @@ class Environment:
             # The child's frames are finished: drop their locals, which a
             # waiter's (a list of failed reads, say) would otherwise tie
             # into a cycle with the exception.
-            _clear_finished(exc.__traceback__.tb_next, self._thrown)
+            _clear_finished(exc, self._thrown)
             error = exc
         label = name or getattr(generator, "__name__", "process")
         self._returned.name = label
@@ -710,58 +719,65 @@ class Environment:
         pop_immediate = immediate.popleft
         future = self._future
         self._more_callbacks = False
-        while not awaited._triggered:
-            if immediate:
-                # A future event dequeues first only when it is due at
-                # the current instant with an earlier sequence number —
-                # exactly the (time, seq) order of a single heap.
-                if (
-                    future
-                    and future[0][0] <= self._now
-                    and future[0][1] < immediate[0]._seq
-                ):
-                    event = heappop(future)[2]
+        event: Optional[Event] = None
+        callback: Optional[Callback] = None
+        try:
+            while not awaited._triggered:
+                if immediate:
+                    # A future event dequeues first only when it is due at
+                    # the current instant with an earlier sequence number —
+                    # exactly the (time, seq) order of a single heap.
+                    if (
+                        future
+                        and future[0][0] <= self._now
+                        and future[0][1] < immediate[0]._seq
+                    ):
+                        event = heappop(future)[2]
+                    else:
+                        event = pop_immediate()
+                elif future:
+                    if future[0][0] > horizon:
+                        return
+                    fire_at, _, event = heappop(future)
+                    self._now = fire_at
                 else:
-                    event = pop_immediate()
-            elif future:
-                if future[0][0] > horizon:
                     return
-                fire_at, _, event = heappop(future)
-                self._now = fire_at
-            else:
-                return
-            if not event._triggered:
-                # Only a parked process is queued untriggered: its wait
-                # is over, popped as the event the wait would have been.
-                parked: Any = event
-                self._processed_events += 1
+                if not event._triggered:
+                    # Only a parked process is queued untriggered: its wait
+                    # is over, popped as the event the wait would have been.
+                    parked: Any = event
+                    self._processed_events += 1
+                    if _pop_observer is not None:
+                        shown = parked._shown
+                        shown._fire_at = self._now
+                        shown._seq = parked._seq
+                        _pop_observer(self._now, shown)
+                    hold = parked._hold
+                    if hold is None:
+                        parked._resume(parked)
+                    else:
+                        # A queued serve's grant: its service starts now.
+                        parked._hold = None
+                        parked._park_for(hold)
+                    continue
                 if _pop_observer is not None:
-                    shown = parked._shown
-                    shown._fire_at = self._now
-                    shown._seq = parked._seq
-                    _pop_observer(self._now, shown)
-                hold = parked._hold
-                if hold is None:
-                    parked._resume(parked)
-                else:
-                    # A queued serve's grant: its service starts now.
-                    parked._hold = None
-                    parked._park_for(hold)
-                continue
-            if _pop_observer is not None:
-                _pop_observer(self._now, event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            self._processed_events += 1
-            if callbacks:
-                if len(callbacks) > 1:
-                    # Only the last callback may fire grants in place:
-                    # the processes behind it have not run yet.
-                    self._more_callbacks = True
-                    for callback in callbacks[:-1]:
-                        callback(event)
-                    self._more_callbacks = False
-                callbacks[-1](event)
+                    _pop_observer(self._now, event)
+                callbacks = event.callbacks
+                event.callbacks = None
+                self._processed_events += 1
+                if callbacks:
+                    if len(callbacks) > 1:
+                        # Only the last callback may fire grants in place:
+                        # the processes behind it have not run yet.
+                        self._more_callbacks = True
+                        for callback in callbacks[:-1]:
+                            callback(event)
+                        self._more_callbacks = False
+                    callbacks[-1](event)
+        finally:
+            # A failure's traceback may keep this frame (a finished
+            # frame's ``f_back``, 3.12), so it keeps no event it popped.
+            event = parked = callbacks = callback = None
 
     # -- execution -------------------------------------------------------
 

@@ -388,12 +388,18 @@ def test_gc_relocates_and_preserves_pairs():
     assert run(env, verify(env)) == [4096] * 6
 
 
+def _manifest_entries(ssd, block):
+    """``block``'s manifest entries as tuples, in write order."""
+    manifest = ssd._manifests.get(block)
+    return [] if manifest is None else list(manifest.entries())
+
+
 def _expand_fill_runs(ssd, pop_index, block):
     """The ``(page_seq, page)`` pairs the ``"pr"`` runs of one fill name in
     ``block``'s manifest, in manifest order."""
     return [
         pair
-        for entry in ssd.manifest_entries(block)
+        for entry in _manifest_entries(ssd, block)
         if entry[0] == "pr" and entry[1] == pop_index
         for pair in run_pages(*entry[2:])
     ]
@@ -431,7 +437,7 @@ def test_fill_manifest_runs_are_exactly_the_page_maps(count, width, blocks_per_p
             assert _expand_fill_runs(ssd, pop_index, block) == expected
             # One run per block per fill: a block's pages of a fill are
             # one arithmetic progression, so the runs merge.
-            runs = [e for e in ssd.manifest_entries(block) if e[1] == pop_index]
+            runs = [e for e in _manifest_entries(ssd, block) if e[1] == pop_index]
             assert len(runs) == (1 if expected else 0)
 
 
@@ -462,7 +468,7 @@ def test_primed_pairs_survive_overwrite_delete_and_gc_relocation():
     census, seen = ssd.gc_census, {"pr": 0, "p": 0, "moved again": 0}
 
     def watched_census(victim):
-        for entry in ssd.manifest_entries(victim):
+        for entry in _manifest_entries(ssd, victim):
             if entry[0] in seen:
                 seen[entry[0]] += 1
         items = census(victim)

@@ -87,7 +87,7 @@ def test_a_fill_costs_bytes_per_block_written_not_an_object_per_page():
     )
     assert retained / pairs <= 4.0
     blocks_written = len(set(population.page_blocks))
-    entries = sum(len(device.manifest_entries(block)) for block in device._manifests)
+    entries = sum(len(manifest) for manifest in device._manifests.values())
     assert entries <= 2 * blocks_written  # 133,334 with one per page
     assert population.page_blocks.itemsize == population.page_indices.itemsize == 4
 
@@ -116,9 +116,10 @@ def test_a_parsed_trace_record_is_slotted_and_shares_its_op():
 
 
 def test_a_trace_workload_keeps_columns_not_its_records():
-    """The same export replayed: 68 B a record retained — its key, an op
-    byte and a list slot for its size — once the parsed records are
-    dropped (177 when the workload keeps the records, 169 B each)."""
+    """The same export replayed: 74 B a record retained — its key and a
+    list slot each for it, its shared op string and its shared size —
+    once the parsed records are dropped (177 when the workload keeps the
+    records, 169 B each)."""
     lines = _kv_mixed_lines()
     workload, retained = alloc_ledger(
         lambda: TraceWorkload(parse_trace(lines), key_scheme=_SCHEME)
