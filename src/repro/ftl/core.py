@@ -512,20 +512,11 @@ class FtlCore:
         while True:
             batch = self._take_batch()
             if batch is None:
-                if self.personality.peek_flush() is not None:
-                    # Partial batch aging: poll on the linger timer.
-                    yield self.env.any_of(
-                        [
-                            self._dirty.wait(),
-                            self.env.timeout(FLUSH_LINGER_US),
-                        ]
-                    )
-                else:
-                    # Nothing queued: sleep until a write enqueues work.
-                    # (Pure signal wait — idle pollers would otherwise
-                    # dominate the event stream whenever the device crawls
-                    # through a GC stall.)
-                    yield self._dirty.park()
+                # A partial batch ages on the linger timer; with nothing
+                # queued only a write wakes the worker (idle pollers would
+                # dominate the event stream through a GC stall).
+                aging = self.personality.peek_flush() is not None
+                yield self._dirty.park(timeout=FLUSH_LINGER_US if aging else None)
                 continue
             tracer = self.tracer
             trace = tracer is not None and tracer.wants("flush")
@@ -892,9 +883,7 @@ class FtlCore:
             elif len(self.pool) < self.gc_threshold_blocks:
                 yield from self._collect_once()
             else:
-                yield self.env.any_of(
-                    [self._gc_wakeup.wait(), self.env.timeout(2000.0)]
-                )
+                yield self._gc_wakeup.park()
 
     def _collect_once(self) -> Generator[Event, None, None]:
         victim = self.select_victim()

@@ -262,9 +262,7 @@ class HashKVStore:
     def _defrag_worker(self) -> Generator[Event, None, None]:
         while True:
             if not self._defrag_queue:
-                yield self.env.any_of(
-                    [self._defrag_wake.wait(), self.env.timeout(2000.0)]
-                )
+                yield self._defrag_wake.park(timeout=2000.0)
                 continue
             wblock = self._defrag_queue.popleft()
             self._defrag_queued.discard(wblock)

@@ -53,6 +53,7 @@ import sys
 import time as time_module
 import weakref
 from dataclasses import asdict, dataclass, field
+from traceback import walk_stack
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
@@ -100,6 +101,8 @@ class CollectResult:
     trips: List[str] = field(default_factory=list)
     #: Flash arrays the run built that outlived it, as their geometry.
     leaked_arrays: List[str] = field(default_factory=list)
+    #: Per leaked array: what to do about it, and what holds it.
+    leak_notes: List[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -269,6 +272,28 @@ def _live_arrays() -> List[FlashArray]:
     return [obj for obj in gc.get_objects() if isinstance(obj, FlashArray)]
 
 
+def _leak_note(array: FlashArray, ours: List[object]) -> str:
+    """Advice for a leaked ``array``, and the types that hold it: its
+    referrers, theirs, and so on four hops up (a frame as its function,
+    a module's globals as the module; the sanitizer's own skipped)."""
+    skip = {id(ours), *(id(frame) for frame, _ in walk_stack(sys._getframe()))}
+    level, levels = [array], []
+    for _ in range(4):
+        skip.update([id(level), *map(id, level)])
+        level = [held for item in level for held in gc.get_referrers(item)
+                 if id(held) not in skip][:16]
+        levels.append(", ".join(sorted({
+            f"{held.f_code.co_name}() frame" if hasattr(held, "f_code")
+            else f"module {held['__name__']}" if isinstance(held, dict)
+            and "__builtins__" in held else type(held).__name__
+            for held in level
+        })))
+    advice = ("its rig was closed, so drop the reference that keeps it"
+              if array.env.closed else "build each rig `with build_rig(...)"
+              " as rig:` and end every background worker in close()")
+    return f"{advice} — {array.geometry!r}, held by {' ← '.join(filter(None, levels))}"
+
+
 def collect(target: str, n_ops: int) -> CollectResult:
     """Run ``target`` once under full instrumentation.
 
@@ -289,10 +314,10 @@ def collect(target: str, n_ops: int) -> CollectResult:
             fingerprint = trace_fingerprint(target[len("fig:"):], n_ops)
         else:
             fingerprint = repr(resolve_callable(target)())
-        leaked_arrays = [
-            repr(array.geometry) for array in _live_arrays()
-            if array not in earlier
-        ]
+        leaked = [array for array in _live_arrays() if array not in earlier]
+        leaked_arrays = [repr(array.geometry) for array in leaked]
+        leak_notes = [_leak_note(array, leaked) for array in leaked]
+        del leaked
     finally:
         tripwires.uninstall()
         sim_engine.set_pop_observer(None)
@@ -310,6 +335,7 @@ def collect(target: str, n_ops: int) -> CollectResult:
         fingerprint=fingerprint,
         trips=tripwires.trips,
         leaked_arrays=leaked_arrays,
+        leak_notes=leak_notes,
     )
 
 
@@ -443,9 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if first.leaked_arrays:
         failures.append(
             f"rig outlived its target: {len(first.leaked_arrays)} flash "
-            "array(s) still alive with gc disabled; build each rig "
-            "`with build_rig(...) as rig:` and end every background "
-            f"worker in close() — {first.leaked_arrays[0]}"
+            f"array(s) still alive with gc disabled; {first.leak_notes[0]}"
         )
 
     # Phase 2: subprocess pair under different hash seeds — catches

@@ -265,11 +265,12 @@ class Process(Event):
     the FIFO to start; a generator that yields the environment's
     :class:`Sleep` token is parked for its ``delay``; a queued
     ``Resource.serve`` parks it in the resource's queue with the service
-    time in ``_hold``, and its grant's pop parks it again for that long.
-    ``_on_wake``, armed by ``serve`` on the process whose generator is
-    running, is a one-shot step run at the next resume before the
-    generator continues: the slot's release, so a parked successor's grant
-    is sequenced before anything the releaser does next.
+    time in ``_hold``, and its grant's pop parks it again for that long
+    (a deadline park holds 0.0: its wake hops once more).  ``_on_wake``,
+    armed by ``serve`` on the process whose generator is running, is a
+    one-shot step run at the next resume before the generator continues:
+    the slot's release, so a parked successor's grant is sequenced before
+    anything the releaser does next.
     """
 
     __slots__ = ("_generator", "name", "_on_wake", "_shown", "_hold")
@@ -732,14 +733,18 @@ class Environment:
                         and future[0][0] <= self._now
                         and future[0][1] < immediate[0]._seq
                     ):
-                        event = heappop(future)[2]
+                        _, seq, event = heappop(future)
+                        if seq != event._seq:
+                            continue  # a deadline whose wait woke already
                     else:
                         event = pop_immediate()
                 elif future:
                     if future[0][0] > horizon:
                         return
-                    fire_at, _, event = heappop(future)
+                    fire_at, seq, event = heappop(future)
                     self._now = fire_at
+                    if seq != event._seq:
+                        continue
                 else:
                     return
                 if not event._triggered:

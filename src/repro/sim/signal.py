@@ -9,12 +9,15 @@ was waiting at that moment.
 A process that waits on nothing else parks on the signal itself
 (``yield signal.park()``): no event is built, and the wake pops as the
 :class:`~repro.sim.engine.Event` that :meth:`Signal.wait` would have
-returned.  ``wait()`` is for a wait inside ``any_of``/``all_of``.
+returned.  ``yield signal.park(timeout=d)`` wakes as ``yield env.any_of(
+[signal.wait(), env.timeout(d)])`` did.  ``wait()`` is for a wait inside
+``any_of``/``all_of``.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from math import inf
+from typing import Dict, Optional, Union
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment, Event, Process
@@ -26,8 +29,9 @@ class Signal:
     def __init__(self, env: Environment, name: str = "") -> None:
         self.env = env
         self.name = name
-        #: Events from wait() and processes parked by park(), in order.
-        self._waiters: List[Union[Event, Process]] = []
+        #: Events from wait() and processes parked by park(), in order, to
+        #: their deadline: one due has left, and a notify passes it over.
+        self._waiters: Dict[Union[Event, Process], float] = {}
         self._notify_count = 0
 
     @property
@@ -38,16 +42,19 @@ class Signal:
     @property
     def waiting(self) -> int:
         """Number of processes currently parked on the signal."""
-        return len(self._waiters)
+        return sum(due > self.env._now for due in self._waiters.values())
 
     def wait(self) -> Event:
         """Return an event that fires at the next :meth:`notify_all`."""
         waiter = Event(self.env)
-        self._waiters.append(waiter)
+        self._waiters[waiter] = inf
         return waiter
 
-    def park(self) -> Event:
-        """Park the running process until the next :meth:`notify_all`.
+    def park(self, timeout: Optional[float] = None) -> Event:
+        """Park the running process until the next :meth:`notify_all`, or
+        for at most ``timeout``, in the queue under the sequence number
+        ``env.timeout(timeout)`` would take.  The first wake parks it once
+        more, where ``any_of`` popped; the other pops as nothing.
 
         ``yield signal.park()`` is ``yield signal.wait()`` with the process
         itself as the waiter.  Yield the result at once: dropped, it leaves
@@ -58,7 +65,16 @@ class Signal:
         process = env._active
         if process is None:
             raise SimulationError("park() called with no process running")
-        self._waiters.append(process)
+        deadline = inf
+        if timeout is not None:
+            if timeout < 0:
+                raise SimulationError(f"park timeout must be >= 0, got {timeout}")
+            deadline = env._now + timeout
+            process._hold = 0.0  # woken, it parks once more: the hop
+            process._park_for(timeout)
+        # (Re-parked after its deadline, it joins at the end.)
+        self._waiters.pop(process, None)
+        self._waiters[process] = deadline
         sleep = env._sleep
         sleep.delay = None
         return sleep
@@ -66,9 +82,11 @@ class Signal:
     def notify_all(self) -> None:
         """Wake every process currently waiting."""
         self._notify_count += 1
-        waiters, self._waiters = self._waiters, []
-        fired = self.env._fired
-        for waiter in waiters:
+        waiters, self._waiters = self._waiters, {}
+        fired, now = self.env._fired, self.env._now
+        for waiter, deadline in waiters.items():
+            if deadline <= now:
+                continue  # its deadline fired, or is due before this wake
             if isinstance(waiter, Process):
                 waiter._park_now(fired)
             else:

@@ -59,7 +59,8 @@ kept its rig alive as cyclic garbage and the rig-lifetime check failed.
 ``unclosed_rig_cell`` runs a short phase on a KV rig it never closes:
 the parked flush, GC and merge workers hold the rig, so it outlives the
 target and the rig-lifetime check fails it.  ``closed_rig_cell`` is the
-same phase ``with build_kv_rig(...) as rig:``.
+same phase ``with build_kv_rig(...) as rig:``, and ``held_rig_cell`` that
+one with its device kept in a module-level list.
 
 The set-order pair is loaded by path
 (``tests/fixtures/sanitizer_targets.py:fn``), so this file must stay
@@ -328,6 +329,20 @@ def closed_rig_cell() -> Tuple[int, float]:
     from repro.core.experiment import build_kv_rig, lab_geometry
 
     with build_kv_rig(lab_geometry(4)) as rig:
+        return _kv_phase(rig)
+
+
+#: What ``held_rig_cell`` keeps of its last run.
+_KEPT: List[object] = []
+
+
+def held_rig_cell() -> Tuple[int, float]:
+    """The phase of ``closed_rig_cell``, whose device a module-level list
+    keeps past the ``with`` block: the rig is closed and held elsewhere."""
+    from repro.core.experiment import build_kv_rig, lab_geometry
+
+    with build_kv_rig(lab_geometry(4)) as rig:
+        _KEPT[:] = [rig.device]
         return _kv_phase(rig)
 
 

@@ -291,10 +291,11 @@ def test_firmware_parity_with_and_without_faults(ops):
 # ordered by (time, seq), every resource and token grant queued as an
 # event of its own, serve() as grant-yield then timeout-yield, every
 # called child a process of its own, every process started by a bootstrap
-# event, a sleep a timeout and a signal wait a plain event.  The real
-# engine must pop the same (time, seq) pairs of the same types in the same
-# order, wake the processes in the same order, and count the same number
-# of events.
+# event, a sleep a timeout, a signal wait a plain event and a deadline
+# park an any_of of a wait and a timeout.  The real engine must pop the
+# same (time, seq) pairs of the same types in the same order, wake the
+# processes in the same order, and count the same number of events, bar
+# the deadline parks' losers.
 
 
 class _Boom(Exception):
@@ -377,6 +378,7 @@ class _RefEnv:
     def run(self):
         while self.heap:
             self.now, seq, event = heappop(self.heap)
+            # (kind None: a deadline park's loser, which pops as nothing)
             self.pops.append((self.now, seq, event.kind))
             self.processed_events += 1
             callbacks, event.callbacks = event.callbacks, None
@@ -412,17 +414,29 @@ class _RefSignal:
     def __init__(self, env):
         self.env, self.waiters = env, []
 
-    def wait(self):
+    def wait(self, deadline=float("inf")):
         event = _RefEvent(self.env)
-        self.waiters.append(event)
+        self.waiters.append((event, deadline))
         return event
 
-    park = wait
+    def park(self, timeout=None):
+        """``any_of([wait(), timeout(d)])``, except that the wait leaves
+        the signal once the deadline is due, the loser pops as nothing,
+        and the wake pops as the zero-delay Timeout it is."""
+        if timeout is None:
+            return self.wait()
+        env = self.env
+        wait = self.wait(env.now + timeout)
+        deadline = env.timeout(timeout)
+        condition = env._condition([wait, deadline], 1, "Timeout")
+        wait.callbacks.append(lambda _: setattr(deadline, "kind", None))
+        return condition
 
     def notify_all(self):
         waiters, self.waiters = self.waiters, []
-        for event in waiters:
-            event.succeed()
+        for event, deadline in waiters:
+            if deadline > self.env.now:
+                event.succeed()
 
 
 class _RefBucket:
@@ -449,8 +463,10 @@ class _RefBucket:
             grant.succeed()
 
 
-def _run_graph(make_env, make_resource, make_bucket, make_signal, serve, graph):
-    """Interpret ``graph`` on one engine; returns (wakes, processed)."""
+def _run_graph(make_env, make_resource, make_bucket, make_signal, serve, graph,
+               polled=False):
+    """Interpret ``graph`` on one engine; returns (wakes, processed).
+    ``polled`` runs each deadline park as the any_of poller it replaced."""
     capacities, shared_delays, processes = graph
     env = make_env()
     resources = [make_resource(env, capacity) for capacity in capacities]
@@ -467,8 +483,10 @@ def _run_graph(make_env, make_resource, make_bucket, make_signal, serve, graph):
                 yield env.sleep(delay)
             elif kind == "park":
                 yield signals[which % 2].park()
-            elif kind == "wait_any":
+            elif kind == "wait_any" or (kind == "park_by" and polled):
                 yield env.any_of([signals[which % 2].wait(), env.timeout(delay)])
+            elif kind == "park_by":
+                yield signals[which % 2].park(timeout=delay)
             elif kind == "notify":
                 signals[which % 2].notify_all()
             elif kind == "serve":
@@ -514,7 +532,7 @@ _DELAYS = st.sampled_from(
 _PLAIN_STEP = st.tuples(
     st.sampled_from(["timeout", "serve", "serve", "tokens", "shared",
                      "all_of", "any_of", "sleep", "park", "wait_any",
-                     "notify", "notify"]),
+                     "park_by", "park_by", "notify", "notify"]),
     st.integers(min_value=0, max_value=3),
     _DELAYS,
 )
@@ -587,6 +605,19 @@ _PARKED_EXAMPLES = [
                   [("wait_any", 0, 3000.0), ("wait_any", 1, 0.5)],
                   [("sleep", 0, 1.0), ("notify", 0, 0.0), ("park", 1, 0.0)],
                   [("sleep", 0, 2.0), ("notify", 1, 0.0), ("notify", 0, 0.0)]]),
+    # Deadline parks: woken by a notify and parked again on the same
+    # signal before the first deadline is due (which must not wake the
+    # second), by a deadline on the instant of a notify ordered before it
+    # (the deadline wins), by deadlines at zero, sub-resolution and far.
+    ([1], [1.0], [[("park_by", 0, 3000.0), ("park_by", 0, 3000.0),
+                   ("park_by", 1, 0.0), ("park_by", 1, 1e-20)],
+                  [("sleep", 0, 1.0), ("notify", 0, 0.0), ("park_by", 0, 1e6)],
+                  [("sleep", 0, 3001.0), ("notify", 0, 0.0), ("notify", 1, 0.0)]]),
+    # Parked again after its deadline, a waiter wakes after those who
+    # joined the signal meanwhile.
+    ([1], [1.0], [[("park_by", 0, 1.0), ("park", 0, 0.0)],
+                  [("sleep", 0, 0.5), ("park", 0, 0.0)],
+                  [("sleep", 0, 2.0), ("notify", 0, 0.0)]]),
     # Queued grants: behind a holder, handed on at a service's end, and
     # on a free slot tied with a sleep; a sub-resolution service.
     ([1], [1.0], [[("serve", 0, 2.0), ("serve", 0, 0.0)],
@@ -607,13 +638,19 @@ def _matches_reference(graph):
     finally:
         set_pop_observer(None)
     reference = _RefEnv()
-    ref_wakes, ref_processed = _run_graph(
+    ref_wakes, _ = _run_graph(
         lambda: reference, _RefResource, _RefBucket, _RefSignal,
         _RefResource.serve, graph
     )
-    assert pops == reference.pops
+    assert pops == [pop for pop in reference.pops if pop[2] is not None]
     assert wakes == ref_wakes
-    assert processed == ref_processed == len(pops)
+    assert processed == len(pops)
+    # Each deadline park wakes where and when the any_of poller did.
+    polled_wakes, _ = _run_graph(
+        _RefEnv, _RefResource, _RefBucket, _RefSignal, _RefResource.serve,
+        graph, polled=True,
+    )
+    assert wakes == polled_wakes
 
 
 @given(_GRAPHS)

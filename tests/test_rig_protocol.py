@@ -15,6 +15,8 @@ from repro.kvbench.workload import Pattern, WorkloadSpec
 from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
 from repro.kvftl.blob import blobs_per_page
 from repro.kvftl.population import KeyScheme
+from repro.sim.engine import Process
+from repro.sim.signal import Signal
 from repro.units import KIB
 
 SCHEME = KeyScheme(prefix=b"fill", digits=12)
@@ -92,6 +94,26 @@ def test_a_closed_rig_refuses_to_prime_drain_or_run(system):
     with pytest.raises(SimulationError, match="closed"):
         run_phase(rig, "after", reads, 1, rig.adapter_for(1000))
     assert rig.env.processed_events == events
+
+
+@pytest.mark.parametrize("system", ["kvssd", "rocksdb", "aerospike"])
+def test_an_idle_rig_holds_one_wait_per_parked_worker(system):
+    """A second of idle simulated time, 500 rounds of a 2 ms poll, leaves
+    no signal holding more waiters than the rig has parked workers, nor
+    all signals together more live ones: a waiter whose deadline fired
+    has left the signal (the parent kept 501 stale waits on ``gcwake``)."""
+    with build_rig(system, lab_geometry(8)) as rig:
+        rig.env.run(until=1e6)
+        objects = gc.get_objects()
+        signals = [o for o in objects
+                   if isinstance(o, Signal) and o.env is rig.env]
+        workers = [o for o in objects if isinstance(o, Process)
+                   and o.env is rig.env and not o.triggered]
+        assert signals and workers
+        held = {signal.name: len(signal._waiters) for signal in signals}
+        waiting = {signal.name: signal.waiting for signal in signals}
+        assert max(held.values()) <= len(workers), held
+        assert sum(waiting.values()) <= len(workers), waiting
 
 
 #: Which optional member of the protocol each stack has.

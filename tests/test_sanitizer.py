@@ -161,6 +161,29 @@ def test_a_rig_that_outlives_its_target_is_a_finding():
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "rig outlived its target: 1 flash array(s)" in run.stdout
+    assert "with build_rig(...)" in run.stdout
+    # (Its parked workers hold it: a worker's frame, then its generator.)
+    assert "held by " in run.stdout and "generator" in run.stdout
+
+
+def test_a_closed_rig_held_elsewhere_is_named_by_its_holders():
+    """A rig closed in its ``with`` block but kept by a module-level list:
+    the finding names that list and gives no ``with`` advice."""
+    target = "tests.fixtures.sanitizer_targets:held_rig_cell"
+    held = collect(target, 0)
+    assert held.leaked_arrays == [repr(lab_geometry(4))]
+    note = held.leak_notes[0]
+    assert note.startswith("its rig was closed") and "KVSSD" in note
+    assert note.endswith("← list ← module tests.fixtures.sanitizer_targets")
+    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", "sanitize", "--target", target],
+        cwd=REPO_ROOT, capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "its rig was closed, so drop the reference that keeps it" in run.stdout
+    assert "with build_rig" not in run.stdout
+    assert "← list ← module tests.fixtures.sanitizer_targets" in run.stdout
 
 
 def test_tripwires_record_unblessed_repro_calls(tmp_path):
