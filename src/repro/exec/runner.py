@@ -28,16 +28,23 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache, code_version_salt, point_key
 from repro.exec.spec import SweepPoint, SweepSpec
+from repro.sim.engine import observe, observing
 
 
-def _compute_point(fn: Any, kwargs: Dict[str, Any]) -> Any:
-    """Worker entry: run one cell (module-level so pools can import it)."""
-    return fn(**kwargs)
+def _compute_point(fn: Any, kwargs: Dict[str, Any], observed: bool) -> Any:
+    """Worker entry: run one cell (module-level so pools can import it).
+    Under a parent's observation the cell runs under its own, and its
+    events come home with its value."""
+    if not observed:
+        return fn(**kwargs)
+    observation = observe(partial(fn, **kwargs))
+    return observation.value, observation.events
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,10 @@ class SweepRunner:
             for index in pending:
                 results[index] = spec.points[index]()
             return
+        observation = observing()
+        if observation is not None and observation.records is not None:
+            raise SimulationError(f"{spec.name}: a recorded observation cannot take pooled"
+                                  " cells; pop streams of several processes make no one digest")
         # The pool's modules are imported only by a run that fans out.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -162,12 +173,16 @@ class SweepRunner:
                     _compute_point,
                     spec.points[index].fn,
                     dict(spec.points[index].kwargs),
+                    observation is not None,
                 )
                 for index in pending
             }
             # Collect by point index — completion order never matters.
             for index, future in futures.items():
                 results[index] = future.result()
+                if observation is not None:
+                    results[index], events = results[index]
+                    observation.events += events
 
 
 def execute_spec(

@@ -7,9 +7,9 @@ dynamic dispatch, C extensions, or data-dependent control flow.  It
 runs a target workload under instrumentation and compares *event-order
 fingerprints*:
 
-1. **Event digest** — :func:`repro.sim.engine.set_pop_observer` feeds
-   every dequeued event into a running SHA-256 over ``(fire_at,
-   event-type, process-name)`` records, in fire order.  Two runs of a
+1. **Event digest** — :func:`repro.sim.engine.observe` feeds every
+   dequeued event into a running SHA-256 over ``(fire_at, event-type,
+   process-name)`` records, in fire order.  Two runs of a
    deterministic model produce identical digests; the recorded prefix
    localizes the FIRST divergent event by index, timestamp, and name.
 2. **Hash-seed variation** — set/dict iteration order for str keys
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import importlib
 import importlib.util
 import json
@@ -53,22 +52,19 @@ import sys
 import time as time_module
 import weakref
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import zip_longest
 from traceback import walk_stack
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.cli import positive_int
 from repro.flash.nand import FlashArray
-from repro.sim import engine as sim_engine
+from repro.sim.engine import MAX_RECORDS, observe
 from repro.trace.run import run_traced, scenarios
 
 #: The two ``PYTHONHASHSEED`` values of the subprocess pair.
 HASH_SEEDS = ("0", "1")
-
-#: Cap on retained event records; the digest and count keep running
-#: past it, so divergence *after* the cap is still detected, just
-#: localized only by index.
-MAX_RECORDS = 200_000
 
 #: ``time`` attributes wrapped by the tripwires (wall/CPU clocks).
 _TIME_TRIPWIRES = (
@@ -140,25 +136,6 @@ def _render_record(record: Optional[Tuple[float, str, str]]) -> str:
 # ---------------------------------------------------------------------------
 # Instrumented collection
 # ---------------------------------------------------------------------------
-
-
-class _EventRecorder:
-    """Accumulates the pop stream into records + a running digest."""
-
-    def __init__(self) -> None:
-        self.records: List[Tuple[float, str, str]] = []
-        self.total = 0
-        self._sha = hashlib.sha256()
-
-    def __call__(self, now: float, event: Any) -> None:
-        record = (now, type(event).__name__, getattr(event, "name", ""))
-        self.total += 1
-        self._sha.update(repr(record).encode())
-        if len(self.records) < MAX_RECORDS:
-            self.records.append(record)
-
-    def digest(self) -> str:
-        return self._sha.hexdigest()
 
 
 class _Tripwires:
@@ -301,38 +278,38 @@ def collect(target: str, n_ops: int) -> CollectResult:
     ``module:function`` spec; the event observer, the tripwires and the
     rig-lifetime check cover the whole run either way.
     """
-    recorder = _EventRecorder()
     tripwires = _Tripwires()
     gc.collect()
     earlier = weakref.WeakSet(_live_arrays())
     collecting = gc.isenabled()
     gc.disable()
-    sim_engine.set_pop_observer(recorder)
     tripwires.install()
     try:
-        if target.startswith("fig:"):
-            fingerprint = trace_fingerprint(target[len("fig:"):], n_ops)
-        else:
-            fingerprint = repr(resolve_callable(target)())
+        observation = observe(
+            partial(trace_fingerprint, target[len("fig:"):], n_ops)
+            if target.startswith("fig:")
+            else lambda: repr(resolve_callable(target)()),
+            record=True,
+        )
         leaked = [array for array in _live_arrays() if array not in earlier]
         leaked_arrays = [repr(array.geometry) for array in leaked]
         leak_notes = [_leak_note(array, leaked) for array in leaked]
         del leaked
     finally:
         tripwires.uninstall()
-        sim_engine.set_pop_observer(None)
         if collecting:
             gc.enable()
+    assert observation.digest is not None and observation.records is not None
     return CollectResult(
         target=target,
         # Recording which hash seed this run executed under is the point
         # of the sanitizer, not leaked nondeterminism.
         hash_seed=os.environ.get(  # simlint: disable=SIM001
             "PYTHONHASHSEED", "<unset>"),
-        digest=recorder.digest(),
-        total_events=recorder.total,
-        records=recorder.records,
-        fingerprint=fingerprint,
+        digest=observation.digest,
+        total_events=observation.events,
+        records=observation.records,
+        fingerprint=observation.value,
         trips=tripwires.trips,
         leaked_arrays=leaked_arrays,
         leak_notes=leak_notes,
@@ -347,19 +324,13 @@ def collect(target: str, n_ops: int) -> CollectResult:
 def localize(run1: CollectResult, run2: CollectResult) -> Optional[Divergence]:
     """First divergence between two runs, or None when identical."""
     if run1.digest != run2.digest or run1.total_events != run2.total_events:
-        shorter = min(len(run1.records), len(run2.records))
-        for index in range(shorter):
-            if run1.records[index] != run2.records[index]:
-                return Divergence("event", index,
-                                  run1.records[index], run2.records[index])
-        if len(run1.records) != len(run2.records) and \
-                shorter < MAX_RECORDS:
-            left = run1.records[shorter] if len(run1.records) > shorter \
-                else None
-            right = run2.records[shorter] if len(run2.records) > shorter \
-                else None
-            return Divergence("event", shorter, left, right)
-        return Divergence("tail", shorter, None, None)
+        # Both record lists stop at the cap, so one ends early only when
+        # its run did.
+        pairs = zip_longest(run1.records, run2.records)
+        for index, (left, right) in enumerate(pairs):
+            if left != right:
+                return Divergence("event", index, left, right)
+        return Divergence("tail", len(run1.records), None, None)
     if run1.fingerprint != run2.fingerprint:
         return Divergence("fingerprint", None, None, None)
     return None

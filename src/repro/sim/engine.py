@@ -67,7 +67,9 @@ Example
 
 from __future__ import annotations
 
+import os
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from types import TracebackType
 from typing import (
@@ -94,11 +96,10 @@ Callback = Callable[["Event"], None]
 #: Entry in the future-event heap: a timeout or a parked process.
 _QueueEntry = Tuple[float, int, "Event"]
 
-#: Event-pop observer installed by the nondeterminism sanitizer
-#: (:mod:`repro.lint.sanitizer`): called as ``observer(now, event)`` for
-#: every event the environment dequeues, in fire order.  None
-#: in normal runs — the per-event cost is one global load and a None
-#: check, which keeps the hot path allocation-free.
+#: Event-pop observer installed by :func:`observe`: called as
+#: ``observer(now, event)`` for every event the environment dequeues, in
+#: fire order.  None in normal runs — the per-event cost is one global
+#: load and a None check, which keeps the hot path allocation-free.
 _pop_observer: Optional[Callable[[float, "Event"], None]] = None
 
 
@@ -107,12 +108,79 @@ def set_pop_observer(
 ) -> None:
     """Install (or clear, with ``None``) the event-pop observer.
 
-    Observers see every pop across *all* environments in the process;
-    the sanitizer relies on that to fingerprint a whole figure run
-    without threading a handle through model code.
+    Observers see every pop across *all* environments in the process,
+    so a whole figure run is observed without threading a handle through
+    model code; :func:`observe` is the front end that counts and digests.
     """
     global _pop_observer
     _pop_observer = observer
+
+
+#: Records an :func:`observe` with ``record`` keeps (its digest runs on).
+MAX_RECORDS = 200_000
+
+
+@dataclass
+class Observation:
+    """What :func:`observe` saw: the call's ``value``, the ``events`` it
+    popped and, with ``record``, a SHA-256 over every pop's ``(fire_at,
+    event type, process name)`` in fire order and the first
+    :data:`MAX_RECORDS` of those records."""
+
+    value: Any = None
+    events: int = 0
+    digest: Optional[str] = None
+    records: Optional[List[Tuple[float, str, str]]] = None
+
+
+_observation: Optional[Observation] = None
+
+
+def observing() -> Optional[Observation]:
+    """The observation open in this process, to credit pooled cells to."""
+    return _observation
+
+
+def observe(call: Callable[[], Any], *, record: bool = False) -> Observation:
+    """Run ``call()`` counting every pop of every environment.  Observations
+    do not nest, and a forked child starts with none open."""
+    global _observation
+    if _observation is not None:
+        raise SimulationError("an observation is already open")
+    observation = _observation = Observation()
+    records: List[Tuple[float, str, str]] = []
+    if record:
+        import hashlib
+
+        sha = hashlib.sha256()
+        observation.records = records
+
+    def observer(now: float, event: Event) -> None:
+        observation.events += 1
+        if record:
+            entry = (now, type(event).__name__, getattr(event, "name", ""))
+            sha.update(repr(entry).encode())
+            if len(records) < MAX_RECORDS:
+                records.append(entry)
+
+    set_pop_observer(observer)
+    try:
+        observation.value = call()
+    finally:
+        set_pop_observer(None)
+        _observation = None
+    if record:
+        observation.digest = sha.hexdigest()
+    return observation
+
+
+def _forget_observation() -> None:
+    global _pop_observer, _observation
+    _pop_observer = _observation = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_observation)
 
 
 class Event:

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
@@ -21,7 +21,8 @@ import pytest
 
 import repro
 from repro.core.registry import EXPERIMENTS
-from repro.sim.engine import set_pop_observer
+from repro.exec.runner import SweepRunner
+from repro.sim.engine import Observation, observe
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -133,21 +134,12 @@ def pytest_runtest_call(item: pytest.Function) -> Iterator[None]:
 
 
 @lru_cache(maxsize=None)
-def figure_run(name: str) -> Tuple[Any, int]:
-    """The memoized recorded-scale run of one experiment: its result and
-    the number of events the engine popped producing it."""
-    events = 0
-
-    def count(now: float, event: Any) -> None:
-        nonlocal events
-        events += 1
-
-    set_pop_observer(count)
-    try:
-        result = EXPERIMENTS[name].fn()
-    finally:
-        set_pop_observer(None)
-    return result, events
+def figure_run(name: str) -> Observation:
+    """The memoized recorded-scale run of one experiment, its cells fanned
+    over a pool: its result and the engine events it popped, in every
+    process."""
+    runner = SweepRunner(workers=os.cpu_count() or 1, cache=False)
+    return observe(partial(EXPERIMENTS[name].fn, runner=runner))
 
 
 def call_ledger(run: Callable[[], Any]) -> Tuple[Any, Dict[str, int]]:
@@ -183,5 +175,5 @@ def call_ledger(run: Callable[[], Any]) -> Tuple[Any, Dict[str, int]]:
 
 
 def figure_result(name: str) -> Any:
-    """The result half of :func:`figure_run`."""
-    return figure_run(name)[0]
+    """The result of :func:`figure_run`."""
+    return figure_run(name).value

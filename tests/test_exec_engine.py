@@ -17,6 +17,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Sequence, Tuple
 
 import pytest
@@ -25,12 +26,14 @@ from hypothesis import strategies as st
 
 from repro.core.figures import _fig5_cell, _fig8_cell, fig4_value_size_concurrency
 from repro.core.headline import headline_scalars
-from repro.errors import ConfigurationError
+from repro.core.registry import EXPERIMENTS
+from repro.errors import ConfigurationError, SimulationError
 from repro.exec.cache import ResultCache, canonical, code_version_salt, point_key
 from repro.exec.runner import ExecReport, SweepRunner, execute_spec, grid
 from repro.exec.spec import SweepPoint, SweepSpec
 from repro.faults.run import run_fault_sweep
 from repro.kvbench.workload import Pattern
+from repro.sim.engine import observe
 from repro.trace.export import to_chrome_trace
 from repro.trace.run import run_traced
 
@@ -409,41 +412,47 @@ _FAULT_KWARGS = dict(rates=(0.0, 2e-2), n_ops=100, blocks_per_plane=8)
 
 
 class TestEquivalence:
-    def test_fig4_parallel_matches_serial(self):
-        kwargs = dict(value_sizes=(4096, 16384), queue_depths=(1,),
-                      n_ops=100, blocks_per_plane=8)
-        serial = fig4_value_size_concurrency(**kwargs)
-        parallel = fig4_value_size_concurrency(
-            **kwargs, runner=SweepRunner(workers=4, cache=False)
-        )
-        assert parallel == serial
+    @pytest.mark.parametrize("row", ["fig3", "fig_cluster_rebalance", "fig_replay_mix", "faults"])
+    def test_a_row_pops_and_renders_the_same_serial_and_pooled(self, row):
+        """A pooled cell's events come home to the run that fanned it out."""
+        serial = observe(EXPERIMENTS[row].fn)
+        pooled = observe(partial(EXPERIMENTS[row].fn, runner=SweepRunner(workers=2, cache=False)))
+        assert (pooled.events, pooled.value.render()) == (serial.events, serial.value.render())
+
+    def test_a_forked_worker_counts_its_cell_not_its_parents_open_observation(self):
+        """Each worker is forked while the parent's observation is open."""
+        cell = dict(key_bytes=8, mode="sync", n_ops=20, blocks_per_plane=4)
+        spec = SweepSpec("fork", tuple(
+            SweepPoint(f"n{n}", _fig8_cell, {**cell, "n_ops": n}) for n in (30, 40)))
+
+        def run(workers: int) -> Tuple[float, list]:
+            return _fig8_cell(**cell), SweepRunner(workers=workers, cache=False).run(spec)
+
+        serial, pooled = observe(partial(run, 1)), observe(partial(run, 2))
+        assert (pooled.value, pooled.events) == (serial.value, serial.events)
+        with pytest.raises(SimulationError, match="recorded observation cannot take pooled cells"):
+            observe(partial(run, 2), record=True)
+
+    @staticmethod
+    def _serial_parallel_cached(fn, cache_dir, **kwargs):
+        """``fn`` run serially, over two workers, cold into a cache and
+        warm from it: four equal results, the last computing nothing."""
+        runners = [SweepRunner(workers=2, cache=False), SweepRunner(cache_dir=cache_dir),
+                   SweepRunner(cache_dir=cache_dir)]
+        serial = fn(**kwargs)
+        assert [fn(**kwargs, runner=runner) for runner in runners] == [serial] * 3
+        assert runners[-1].last_report.computed == 0
+
+    def test_fig4_parallel_matches_serial(self, tmp_path):
+        self._serial_parallel_cached(fig4_value_size_concurrency, tmp_path,
+                                     value_sizes=(4096, 16384), queue_depths=(1,),
+                                     n_ops=100, blocks_per_plane=8)
 
     def test_headline_probe_serial_parallel_cached_identical(self, tmp_path):
-        """The headline row's bandwidth probe runs as grid cells, so it
-        inherits the engine's guarantee: serial, process-pool parallel,
-        and cache-served runs are value-identical."""
-        kwargs = dict(n_ops=60, blocks_per_plane=8)
-        serial = headline_scalars(**kwargs)
-        parallel = headline_scalars(
-            **kwargs, runner=SweepRunner(workers=2, cache=False)
-        )
-        assert parallel == serial
-        cache_dir = tmp_path / "cache"
-        cold = headline_scalars(
-            **kwargs, runner=SweepRunner(workers=1, cache_dir=cache_dir)
-        )
-        warm_runner = SweepRunner(workers=1, cache_dir=cache_dir)
-        warm = headline_scalars(**kwargs, runner=warm_runner)
-        assert cold == serial and warm == serial
-        report = warm_runner.last_report
-        assert report.hits == 2 and report.computed == 0
+        self._serial_parallel_cached(headline_scalars, tmp_path, n_ops=60, blocks_per_plane=8)
 
-    def test_fault_sweep_parallel_matches_serial(self):
-        serial = run_fault_sweep(**_FAULT_KWARGS)
-        parallel = run_fault_sweep(
-            **_FAULT_KWARGS, runner=SweepRunner(workers=4, cache=False)
-        )
-        assert parallel.values == serial.values
+    def test_fault_sweep_parallel_matches_serial(self, tmp_path):
+        self._serial_parallel_cached(run_fault_sweep, tmp_path, **_FAULT_KWARGS)
 
     def test_trace_parallel_matches_serial(self):
         serial = run_traced("fig5", n_ops=120)
@@ -453,57 +462,18 @@ class TestEquivalence:
         assert _trace_fingerprint(parallel) == _trace_fingerprint(serial)
 
     def test_frontend_sweep_serial_parallel_cached_identical(self, tmp_path):
-        """The open-loop frontend sweep inherits the engine's guarantee:
-        serial, process-pool parallel, and cache-served runs of the same
-        spec are value-identical."""
         from repro.frontend.run import frontend_load_sweep
 
-        kwargs = dict(loads_kops=(16.0, 256.0), n_ops=160)
-        serial = frontend_load_sweep(**kwargs)
-        parallel = frontend_load_sweep(
-            **kwargs, runner=SweepRunner(workers=2, cache=False)
-        )
-        assert parallel == serial
-        cache_dir = tmp_path / "cache"
-        cold = frontend_load_sweep(
-            **kwargs, runner=SweepRunner(workers=1, cache_dir=cache_dir)
-        )
-        warm_runner = SweepRunner(workers=1, cache_dir=cache_dir)
-        warm = frontend_load_sweep(**kwargs, runner=warm_runner)
-        assert cold == serial and warm == serial
-        report = warm_runner.last_report
-        assert report.hits == 2 and report.computed == 0
+        self._serial_parallel_cached(frontend_load_sweep, tmp_path,
+                                     loads_kops=(16.0, 256.0), n_ops=160)
 
     def test_replay_sweeps_serial_parallel_cached_identical(self, tmp_path):
-        """Both replay figures run through the engine, so they inherit
-        the guarantee: serial, process-pool parallel, and cache-served
-        runs of the same spec are value-identical."""
         from repro.core.figures import replay_rotation, replay_ttl_scan_mix
 
-        rotation_kwargs = dict(rotate_every=(0, 64), n_ops=120,
-                               population=256, working_set=32,
-                               blocks_per_plane=8)
-        mix_kwargs = dict(variants=("plain", "ttl+scan"), n_ops=120,
-                          population=240, ttl_ops=80, blocks_per_plane=8)
-        serial_rot = replay_rotation(**rotation_kwargs)
-        serial_mix = replay_ttl_scan_mix(**mix_kwargs)
-        parallel_rot = replay_rotation(
-            **rotation_kwargs, runner=SweepRunner(workers=2, cache=False)
-        )
-        parallel_mix = replay_ttl_scan_mix(
-            **mix_kwargs, runner=SweepRunner(workers=2, cache=False)
-        )
-        assert parallel_rot == serial_rot
-        assert parallel_mix == serial_mix
-        cache_dir = tmp_path / "cache"
-        cold = replay_ttl_scan_mix(
-            **mix_kwargs, runner=SweepRunner(workers=1, cache_dir=cache_dir)
-        )
-        warm_runner = SweepRunner(workers=1, cache_dir=cache_dir)
-        warm = replay_ttl_scan_mix(**mix_kwargs, runner=warm_runner)
-        assert cold == serial_mix and warm == serial_mix
-        report = warm_runner.last_report
-        assert report.hits == 2 and report.computed == 0
+        self._serial_parallel_cached(replay_rotation, tmp_path, rotate_every=(0, 64), n_ops=120,
+                                     population=256, working_set=32, blocks_per_plane=8)
+        self._serial_parallel_cached(replay_ttl_scan_mix, tmp_path, variants=("plain", "ttl+scan"),
+                                     n_ops=120, population=240, ttl_ops=80, blocks_per_plane=8)
 
     def test_cache_hit_equals_cold_compute(self, tmp_path):
         cache_dir = tmp_path / "cache"

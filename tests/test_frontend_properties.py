@@ -19,7 +19,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -32,7 +32,7 @@ from repro.nvme.command import NvmeStatus
 
 #: Mean-rate tolerance per process kind.  The MMPP's dwell-time variance
 #: converges slowest; the homogeneous Poisson fastest.
-RATE_TOLERANCE = {"poisson": 0.10, "mmpp": 0.25}
+RATE_TOLERANCE = {"poisson": 0.10, "mmpp": 0.15}
 
 
 # -- arrival processes ---------------------------------------------------
@@ -44,6 +44,7 @@ RATE_TOLERANCE = {"poisson": 0.10, "mmpp": 0.25}
     rate_kops=st.sampled_from((8.0, 64.0, 400.0)),
     seed=st.integers(min_value=0, max_value=2**31),
 )
+@example(process="mmpp", rate_kops=8.0, seed=1016020)  # 30.9 % off over 60 cycles
 def test_arrivals_deterministic_monotonic_rate_correct(
     process: str, rate_kops: float, seed: int
 ) -> None:
@@ -51,11 +52,12 @@ def test_arrivals_deterministic_monotonic_rate_correct(
     rate_per_us = rate_kops * 1000.0 / 1e6
     # The realized mean only converges over a window holding many
     # modulation cycles, so scale the mmpp dwell to the expected span
-    # (the mean is invariant to this time scaling).
+    # (the mean is invariant to this time scaling): ~600 cycles put the
+    # error's deviation at 2.8 %, its worst in 22,000 seeds at 11.8 %.
     span = n_requests / rate_per_us
     modulation = {}
     if process == "mmpp":
-        modulation["mean_burst_us"] = span / 600.0
+        modulation["mean_burst_us"] = span / 6000.0
     spec = ArrivalSpec(
         rate_ops_s=rate_kops * 1000.0,
         n_requests=n_requests,

@@ -13,5 +13,5 @@ from tests.conftest import figure_run
 
 @pytest.mark.parametrize("fig", sorted(EXPERIMENTS))
 def test_golden_figure(fig: str, pin) -> None:
-    result, events = figure_run(fig)
-    pin(f"identity.rows.{fig}", {"events": events, "values": result.values})
+    run = figure_run(fig)
+    pin(f"identity.rows.{fig}", {"events": run.events, "values": run.value.values})

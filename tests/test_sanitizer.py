@@ -65,6 +65,13 @@ def test_pop_observer_sees_every_event_in_fire_order():
     assert len(seen) == count
 
 
+def test_observe_records_the_digest_of_the_recorder_it_replaced():
+    """``clean_model``'s digest, as the sanitizer's own recorder hashed it."""
+    run = sim_engine.observe(resolve_callable(CLEAN), record=True)
+    assert (run.digest, run.events, len(run.records)) == (
+        "198f1ae8e7fb125459673f5af5ffb0805081f34d9b31087fe19613f4d8b1e111", 36, 36)
+
+
 @pytest.mark.parametrize("target, n_ops", [(CLEAN, 0), ("fig:fig6", 40)])
 def test_collect_is_deterministic_in_process(target, n_ops):
     first = collect(target, n_ops)

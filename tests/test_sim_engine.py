@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment, Process, set_pop_observer
+from repro.sim.engine import Environment, Process, observe, set_pop_observer
 
 
 def test_clock_starts_at_zero():
@@ -33,7 +33,6 @@ def test_timeout_rejects_negative_delay():
 
 def test_sleep_is_a_timeout_without_the_event():
     env = Environment()
-    pops = []
 
     def proc(env):
         yield env.sleep(5.0)
@@ -42,16 +41,28 @@ def test_sleep_is_a_timeout_without_the_event():
         return env.now
 
     process = env.process(proc(env))
-    set_pop_observer(lambda now, event: pops.append((now, type(event).__name__)))
-    try:
-        env.run()
-    finally:
-        set_pop_observer(None)
+    pops = [pop[:2] for pop in observe(env.run, record=True).records]
     assert process.value == 7.5
     # The bootstrap, three timeouts and the completion; nothing else built.
     assert pops == [(0.0, "Event"), (5.0, "Timeout"), (5.0, "Timeout"),
                     (7.5, "Timeout"), (7.5, "Process")]
     assert env.processed_events == len(pops)
+
+
+def test_observe_counts_every_pop_of_every_environment_and_does_not_nest():
+    envs = [Environment(), Environment()]
+
+    def run():
+        for env in envs:
+            env.process(timeout for timeout in [env.timeout(1.0)])
+            env.run()
+        return "ran"
+
+    observation = observe(run)
+    assert (observation.value, observation.digest, observation.records) == ("ran", None, None)
+    assert observation.events == sum(env.processed_events for env in envs) == 6
+    with pytest.raises(SimulationError, match="already open"):
+        observe(lambda: observe(run))
 
 
 def test_sleep_rejects_negative_delay_and_conditions():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment, Sleep, set_pop_observer
+from repro.sim.engine import Environment, Sleep, observe, set_pop_observer
 from repro.sim.resources import Request, Resource, TokenBucket
 from repro.sim.signal import Signal
 
@@ -402,12 +402,8 @@ def test_quiet_grant_fires_in_place_and_is_counted():
 
     process = env.process(worker(env))
     env.process(probe(env))
-    pops = []
-    set_pop_observer(lambda now, event: pops.append((now, type(event).__name__)))
-    try:
-        env.run_until_complete(process)
-    finally:
-        set_pop_observer(None)
+    run = observe(lambda: env.run_until_complete(process), record=True)
+    pops = [pop[:2] for pop in run.records]
     assert env.now == 3.0
     assert queued == [1]
     # The observer is shown the grant and the timeout all the same.
@@ -622,12 +618,7 @@ def test_signal_park_and_wait_share_one_wake_order():
         signal.notify_all()
 
     env.process(notifier(env))
-    pops = []
-    set_pop_observer(lambda now, event: pops.append((now, type(event).__name__)))
-    try:
-        env.run()
-    finally:
-        set_pop_observer(None)
+    pops = observe(env.run, record=True).records
     # The three wakes pop right after the notifier's timeout, in joining
     # order; the any_of waiter resumes later, when its condition fires.
     assert [pop[1] for pop in pops if pop[0] == 10.0][:4] == [
