@@ -21,15 +21,12 @@ class CpuAccountant:
     """
 
     def __init__(self) -> None:
-        self._busy_us = 0.0
+        #: All CPU time charged since construction.  The command envelope
+        #: adds its constant per-command charges here in place.
+        self.total_busy_us = 0.0
 
     def charge(self, cpu_us: float) -> None:
         """Charge ``cpu_us`` of host CPU work."""
         if cpu_us < 0:
             raise ValueError(f"negative CPU charge {cpu_us}")
-        self._busy_us += cpu_us
-
-    @property
-    def total_busy_us(self) -> float:
-        """All CPU time charged since construction."""
-        return self._busy_us
+        self.total_busy_us += cpu_us

@@ -63,10 +63,6 @@ class NvmeStatus(enum.IntEnum):
     KV_INVALID_KEY_SIZE = 0x312
     KV_INVALID_VALUE_SIZE = 0x313
 
-    @property
-    def is_error(self) -> bool:
-        return self is not NvmeStatus.SUCCESS
-
 
 #: Exception class -> completion status, most specific first (the lookup
 #: walks this in order with isinstance, so subclasses must precede their

@@ -15,12 +15,11 @@ modeled per command:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ConfigurationError
 from repro.metrics.cpu import CpuAccountant
 from repro.nvme.command import NvmeStatus
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -42,7 +41,14 @@ TRACK = "kdd"
 
 
 class KernelDeviceDriver:
-    """Submission/completion path shared by the block and KV APIs."""
+    """The state the block and KV APIs share: the CPU accountant, the
+    serialized submission path, the command counters and the tracer.
+
+    A command's host steps — CPU charges, one :data:`SUBMIT_US` serve per
+    submission entry, the success completion — run in the command
+    envelope's own frame (:meth:`repro.api.envelope.DeviceAPI._command`);
+    the driver keeps the error completion, :meth:`complete_error`.
+    """
 
     def __init__(
         self,
@@ -55,7 +61,8 @@ class KernelDeviceDriver:
         #: Optional span tracer; submissions/completions land on the
         #: driver's own timeline track.
         self.tracer = tracer
-        self._submission_path = Resource(env, 1, name=f"{TRACK}.submit")
+        #: One slot: a submission entry occupies it for :data:`SUBMIT_US`.
+        self.submission_path = Resource(env, 1, name=f"{TRACK}.submit")
         self.commands_submitted = 0
         self.commands_completed = 0
         #: Completions carrying a non-SUCCESS status.
@@ -63,50 +70,20 @@ class KernelDeviceDriver:
         #: The status of the most recent completion (test/debug hook).
         self.last_status = NvmeStatus.SUCCESS
 
-    def submit(self, ncommands: int, sync: bool) -> Generator[Event, None, None]:
-        """Pass ``ncommands`` through the submission path (timed).
+    def complete_error(self, status: NvmeStatus) -> None:
+        """Account one completion carrying the error ``status`` the
+        device reported (CPU only).
 
-        Charges host CPU and occupies the serialized submission path once
-        per command.
+        It costs a success's completion CPU but is counted separately
+        (the host error path proper — retries, log-page reads — is out of
+        scope).
         """
-        if ncommands < 1:
-            raise ConfigurationError(f"ncommands must be >= 1, got {ncommands}")
-        per_command = CPU_ASYNC_US + (CPU_SYNC_EXTRA_US if sync else 0.0)
-        self.cpu.charge(ncommands * per_command)
-        tracer = self.tracer
-        trace = tracer is not None and tracer.wants("nvme")
-        started = self.env.now if trace else 0.0
-        for _ in range(ncommands):
-            yield self._submission_path.serve(SUBMIT_US)
-        self.commands_submitted += ncommands
-        if trace:
-            tracer.complete(
-                TRACK, "submit", "nvme", self.env.now - started,
-                args={"n": ncommands, "sync": sync},
-            )
-
-    def complete(
-        self,
-        ncommands: int,
-        status: NvmeStatus = NvmeStatus.SUCCESS,
-    ) -> None:
-        """Account completion handling for ``ncommands`` (CPU only).
-
-        ``status`` is the completion-queue status the device reported;
-        error completions cost the same CPU but are counted separately
-        (the host error path proper — retries, log-page reads — is out
-        of scope).
-        """
-        if ncommands < 1:
-            raise ConfigurationError(f"ncommands must be >= 1, got {ncommands}")
-        self.cpu.charge(ncommands * CPU_COMPLETE_US)
-        self.commands_completed += ncommands
+        self.cpu.charge(CPU_COMPLETE_US)
+        self.commands_completed += 1
+        self.commands_failed += 1
         self.last_status = status
-        if status.is_error:
-            self.commands_failed += ncommands
         tracer = self.tracer
         if tracer is not None and tracer.wants("nvme"):
             tracer.instant(
-                TRACK, "complete", "nvme",
-                args={"n": ncommands, "status": status.name},
+                TRACK, "complete", "nvme", args={"n": 1, "status": status.name},
             )

@@ -39,6 +39,18 @@ LEDGER = Path(__file__).resolve().parent.parent / "BENCH_ledger.json"
 PYTHON = "%d.%d" % sys.version_info[:2]
 
 
+def cli_env() -> Dict[str, str]:
+    """The stripped environment a CLI child runs in: the source tree on
+    its path, the system ``PATH``, and this interpreter's bytecode
+    setting, so a suite run under ``PYTHONDONTWRITEBYTECODE`` (or ``-B``)
+    leaves no ``.pyc`` files in the checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"}
+    if sys.dont_write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
 def _leaves(value: Any, path: str = "") -> Dict[str, Any]:
     """``value`` flattened to ``{dotted path: leaf}``."""
     if not isinstance(value, dict):

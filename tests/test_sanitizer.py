@@ -18,6 +18,7 @@ from repro.lint.sanitizer import (
     resolve_callable,
 )
 from repro.sim import engine as sim_engine
+from tests.conftest import cli_env
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = REPO_ROOT / "tests" / "fixtures" / "sanitizer_targets.py"
@@ -136,17 +137,16 @@ def test_clean_twin_survives_hash_seed_variation():
 
 
 def test_cli_fails_on_buggy_and_passes_on_clean():
-    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
     buggy = subprocess.run(
         [sys.executable, "-m", "repro", "sanitize", "--target", BUGGY],
-        cwd=REPO_ROOT, capture_output=True, text=True, env=env,
+        cwd=REPO_ROOT, capture_output=True, text=True, env=cli_env(),
     )
     assert buggy.returncode == 1, buggy.stdout + buggy.stderr
     assert "FAIL" in buggy.stdout
     assert "first divergent event" in buggy.stdout
     clean = subprocess.run(
         [sys.executable, "-m", "repro", "sanitize", "--target", CLEAN],
-        cwd=REPO_ROOT, capture_output=True, text=True, env=env,
+        cwd=REPO_ROOT, capture_output=True, text=True, env=cli_env(),
     )
     assert clean.returncode == 0, clean.stdout + clean.stderr
     assert "OK" in clean.stdout
@@ -161,10 +161,9 @@ def test_a_rig_that_outlives_its_target_is_a_finding():
     assert leaked.leaked_arrays == [repr(lab_geometry(4))]
     freed = collect(closed, 0)
     assert (freed.leaked_arrays, freed.fingerprint) == ([], leaked.fingerprint)
-    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
     run = subprocess.run(
         [sys.executable, "-m", "repro", "sanitize", "--target", unclosed],
-        cwd=REPO_ROOT, capture_output=True, text=True, env=env,
+        cwd=REPO_ROOT, capture_output=True, text=True, env=cli_env(),
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "rig outlived its target: 1 flash array(s)" in run.stdout
@@ -182,10 +181,9 @@ def test_a_closed_rig_held_elsewhere_is_named_by_its_holders():
     note = held.leak_notes[0]
     assert note.startswith("its rig was closed") and "KVSSD" in note
     assert note.endswith("← list ← module tests.fixtures.sanitizer_targets")
-    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
     run = subprocess.run(
         [sys.executable, "-m", "repro", "sanitize", "--target", target],
-        cwd=REPO_ROOT, capture_output=True, text=True, env=env,
+        cwd=REPO_ROOT, capture_output=True, text=True, env=cli_env(),
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "its rig was closed, so drop the reference that keeps it" in run.stdout

@@ -21,6 +21,7 @@ from repro.lint.engine import (
     parse_suppressions,
 )
 from repro.lint.rules import RULES
+from tests.conftest import cli_env
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -478,7 +479,7 @@ def test_shipped_tree_lints_clean_via_cli():
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=cli_env(),
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "simlint: clean" in result.stdout
@@ -496,7 +497,7 @@ def test_cli_exits_nonzero_on_violation(tmp_path):
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=cli_env(),
     )
     assert result.returncode == 1
     assert "SIM002" in result.stdout
@@ -509,7 +510,7 @@ def test_list_rules_flag():
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=cli_env(),
     )
     assert result.returncode == 0
     for code in RULES:
@@ -526,7 +527,7 @@ def test_sarif_output_is_valid_and_locates_findings(tmp_path):
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=cli_env(),
     )
     assert result.returncode == 1  # findings still set the exit code
     document = json.loads(sarif_path.read_text())
@@ -573,7 +574,7 @@ def test_mypy_strict_on_substrate_if_available():
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=cli_env(),
     )
     assert result.returncode == 0, result.stdout + result.stderr
 
