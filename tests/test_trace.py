@@ -169,7 +169,10 @@ def test_queued_serves_under_gc_stay_within_the_sim_ledger(pin):
     _, calls = call_ledger(lambda: updates(1_100, 1))
     pin("identity.cells.kv_gc", {"events": rig.env.processed_events - events,
                                  "gc_runs": device.stats.gc_runs - gc_runs})
-    pin("work.calls.kv_gc", {"sim": calls["sim"]})
+    pin("work.calls.kv_gc", {
+        "total": sum(calls.values()),
+        **{p: calls[p] for p in ("sim", "kvftl", "ftl", "flash")},
+    })
 
 
 def _block_commands(api, primed, map_unit):
