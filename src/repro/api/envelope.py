@@ -69,7 +69,9 @@ class DeviceAPI:
                 ncommands = 1
                 work = method(*args) if span is None else method(*args, span=span)
             else:
-                ncommands = commands_for_key(key_bytes)
+                # An empty key still takes its one entry: the device judges
+                # the key, and fails it with its status.
+                ncommands = commands_for_key(key_bytes or 1)
                 if span is None:
                     work = method(*args, ncommands=ncommands)
                 else:

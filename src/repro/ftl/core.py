@@ -728,8 +728,10 @@ class FtlCore:
         ``(block, page)`` that finally took the data.
         """
         attempts = 0
+        floor = 0 if for_gc else GC_RESERVE_BLOCKS
         while True:
-            yield from self.block_allowance(for_gc=for_gc)
+            if len(self.pool) <= floor:
+                yield from self.block_allowance(for_gc=for_gc)
             block = stream.next_slot()
             if not for_gc and len(self.pool) < self.gc_threshold_blocks:
                 self._gc_wakeup.notify_all()
@@ -806,12 +808,6 @@ class FtlCore:
         self._note_retired(victim)
         self.stats.recovery_us += self.env.now - started
         self.check_invariants("retire")
-
-    def _gc_read(self, victim: int, page: int) -> Generator[Event, None, None]:
-        """One relocation read; uncorrectable data is counted, not fatal."""
-        yield from self.read_page(
-            victim, page, self.array.geometry.page_bytes, must_succeed=False
-        )
 
     # ------------------------------------------------------------------
     # garbage collection
@@ -959,8 +955,12 @@ class FtlCore:
         live = self.personality.gc_census(victim)
         pages = sorted({item.page for item in live})
         if pages:
+            # Uncorrectable relocation reads are counted, not fatal.
+            page_bytes = self.array.geometry.page_bytes
             read_procs = [
-                self.env.process(self._gc_read(victim, page))
+                self.env.process(self.read_page(
+                    victim, page, page_bytes, must_succeed=False
+                ), name="_gc_read")
                 for page in pages
             ]
             yield self.env.all_of(read_procs)

@@ -176,12 +176,7 @@ class KVSSD:
             # Scale the real drive's DRAM:capacity proportion (4 GiB DRAM
             # serving a 3.84 TB device ~= 0.00104 bytes of DRAM per byte).
             dram = max(256 * KIB, int(geometry.capacity_bytes * 0.00104))
-        self.index = GlobalHashIndex(
-            geometry.page_bytes,
-            dram,
-            self._index_region,
-            geometry.pages_per_block,
-        )
+        self.index = GlobalHashIndex(geometry.page_bytes, dram)
         #: The controller's index-manager units: ``serve(us)`` occupies one.
         self.index_managers = Resource(
             env, INDEX_MANAGERS, name=f"{DEVICE_NAME}.idxmgr"
@@ -240,7 +235,10 @@ class KVSSD:
         self._sequence = 0
         self.live_kvps = 0
 
-        self.merge = MergeEngine(env, self.array, self.index, self.stats)
+        self.merge = MergeEngine(
+            env, self.array, self.index, self.stats, self._index_region,
+            self.tracer,
+        )
 
     # ------------------------------------------------------------------
     # lookup helpers
@@ -400,9 +398,8 @@ class KVSSD:
         reads = self.index.lookup_flash_reads(key)
         if reads and entry is not None:
             entry = yield from self._read_index_held(key, entry, reads)
-        else:
-            for _ in range(reads):
-                yield from self.merge.index_page_read()
+        elif reads:
+            yield from self.merge.region_io(reads)
         if entry is None and primed is None:
             raise KeyNotFoundError(f"key {key!r} not stored")
 
@@ -450,8 +447,7 @@ class KVSSD:
         held = self._held
         held[key] = held.get(key, 0) + 1
         try:
-            for _ in range(reads):
-                yield from self.merge.index_page_read()
+            yield from self.merge.region_io(reads)
             entry = self._records.get(key)
             if entry is None or entry >> self._seq_shift != sequence:
                 entry = self._retired[key][sequence]
@@ -475,8 +471,9 @@ class KVSSD:
         found = key in self._records or self._find_primed(key) is not None
         if not self.bloom.maybe_present(key, found):
             return False
-        for _ in range(self.index.lookup_flash_reads(key)):
-            yield from self.merge.index_page_read()
+        reads = self.index.lookup_flash_reads(key)
+        if reads:
+            yield from self.merge.region_io(reads)
         return found
 
     def delete(
@@ -491,8 +488,9 @@ class KVSSD:
         found = key in self._records or self._find_primed(key) is not None
         if not self.bloom.maybe_present(key, found):
             raise KeyNotFoundError(f"key {key!r} not stored (bloom negative)")
-        for _ in range(self.index.lookup_flash_reads(key)):
-            yield from self.merge.index_page_read()
+        reads = self.index.lookup_flash_reads(key)
+        if reads:
+            yield from self.merge.region_io(reads)
         if not found:
             raise KeyNotFoundError(f"key {key!r} not stored")
         if self.merge.behind():
@@ -533,8 +531,7 @@ class KVSSD:
         count = self.iterators.bucket_count(prefix4)
         # Bucket pages hold ~page/64B key entries each.
         keys_per_page = max(1, self.array.geometry.page_bytes // 64)
-        for _ in range(ceil_div(max(count, 1), keys_per_page)):
-            yield from self.merge.index_page_read()
+        yield from self.merge.region_io(ceil_div(max(count, 1), keys_per_page))
         matches: List[bytes] = [
             key for key in self._records if key[:4] == prefix4
         ]

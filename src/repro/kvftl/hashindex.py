@@ -17,14 +17,13 @@ This module models that behaviour at the fidelity the paper measures:
   the paper's 16.4x write-latency blowup at high occupancy (Fig. 3).
 
 The index's flash traffic is directed at a reserved *index region* of
-blocks so it contends for the same dies and channels as user data.
+blocks so it contends for the same dies and channels as user data; the
+merge engine (:mod:`repro.kvftl.merge`) issues it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
 from repro.errors import ConfigurationError
 from repro.kvftl.config import (
     INDEX_ENTRY_BYTES,
@@ -44,27 +43,16 @@ class MergeWork:
 
 
 class GlobalHashIndex:
-    """Analytic state of the global index plus its flash-region cursor."""
+    """Analytic state of the global index."""
 
-    def __init__(
-        self,
-        page_bytes: int,
-        dram_bytes: int,
-        region_blocks: List[int],
-        pages_per_block: int,
-    ) -> None:
+    def __init__(self, page_bytes: int, dram_bytes: int) -> None:
         if dram_bytes < 1:
             raise ConfigurationError(f"index DRAM must be >= 1 byte, got {dram_bytes}")
-        if not region_blocks:
-            raise ConfigurationError("index region needs at least one block")
         self.page_bytes = page_bytes
         self.dram_bytes = dram_bytes
-        self.region_blocks = list(region_blocks)
-        self.pages_per_block = pages_per_block
         self.entries = 0
         #: Entries accumulated in local indexes, awaiting merge.
         self.dirty_entries = 0
-        self._cursor = 0
 
     # -- size model ---------------------------------------------------------
 
@@ -153,19 +141,3 @@ class GlobalHashIndex:
         # device merges for free and a full one pays per entry (Fig. 3).
         non_resident = round(touched * (1.0 - resident))
         return MergeWork(page_reads=non_resident, page_writes=non_resident)
-
-    # -- flash-region addressing ------------------------------------------------
-
-    def next_region_page(self) -> Tuple[int, int]:
-        """Round-robin (block, page) inside the index region.
-
-        The region is modeled as overwrite-in-place flash (its internal
-        log-structuring is below the fidelity the paper's experiments can
-        distinguish); what matters is that index I/O occupies the same
-        dies and channels as data I/O.
-        """
-        total = len(self.region_blocks) * self.pages_per_block
-        slot = self._cursor % total
-        self._cursor += 1
-        block_pos, page = divmod(slot, self.pages_per_block)
-        return self.region_blocks[block_pos], page

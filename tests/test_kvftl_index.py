@@ -1,21 +1,28 @@
-"""Unit tests for the global hash index, index managers, and iterators."""
+"""Unit tests for the global hash index, index managers, and iterators,
+and the index-region flash traffic of the merge engine."""
+
+import hashlib
+from itertools import chain
 
 import pytest
 
+from repro.core.experiment import build_kv_rig
 from repro.errors import ConfigurationError
-from repro.kvftl.config import MERGE_BATCH
+from repro.flash.geometry import Geometry
+from repro.flash.timing import READ_US
+from repro.kvftl.config import MERGE_BATCH, KVSSDConfig
 from repro.kvftl.hashindex import GlobalHashIndex
 from repro.kvftl.indexmanager import BloomModel
 from repro.kvftl.iterator import IteratorBuckets
+from repro.kvftl.population import KeyScheme
+from repro.trace.tracer import Tracer
 from repro.units import KIB, MIB
 
 PAGE = 32 * KIB
 
 
 def make_index(dram_bytes=4 * MIB):
-    return GlobalHashIndex(
-        PAGE, dram_bytes, region_blocks=[0, 1, 2], pages_per_block=16
-    )
+    return GlobalHashIndex(PAGE, dram_bytes)
 
 
 # -- size model ----------------------------------------------------------------
@@ -111,7 +118,7 @@ def test_merge_expensive_when_overflowed():
 
 
 def test_merge_batch_consumes_at_most_batch_size():
-    index = GlobalHashIndex(PAGE, 64 * KIB, [0], 16)
+    index = GlobalHashIndex(PAGE, 64 * KIB)
     for _ in range(MERGE_BATCH + 24):
         index.note_insert()
     index.take_merge_batch()
@@ -131,16 +138,6 @@ def test_delete_decrements_entries():
     assert index.entries == 0
     with pytest.raises(ConfigurationError):
         index.note_delete()
-
-
-def test_region_pages_round_robin():
-    index = make_index()
-    first = index.next_region_page()
-    second = index.next_region_page()
-    assert first != second
-    total = 3 * 16
-    pages = {index.next_region_page() for _ in range(total)}
-    assert len(pages) == total  # full rotation visits every region page
 
 
 # -- bloom filter -------------------------------------------------------------------
@@ -202,3 +199,104 @@ def test_iterator_bulk_counts():
     buckets.note_bulk(b"fill-000", 1000)
     assert buckets.bucket_count(b"fill") == 1000
     assert buckets.bucket_page_writes == 10
+
+
+# -- index-region traffic -------------------------------------------------------
+
+#: Eight pages a block, so one merge batch's pages cross region blocks.
+REGION_GEOMETRY = Geometry(
+    channels=4, dies_per_channel=2, planes_per_die=2, blocks_per_plane=16,
+    pages_per_block=8, page_bytes=PAGE,
+)
+
+
+def test_region_pages_round_robin():
+    """The region cursor walks every page of every region block once per
+    rotation, block by block, and starts over: one more page than the
+    region holds reads its first block again."""
+    tracer = Tracer()
+    with build_kv_rig(REGION_GEOMETRY, tracer=tracer) as rig:
+        region, per_block = rig.device._index_region, REGION_GEOMETRY.pages_per_block
+        rig.env.run_until_complete(rig.env.process(
+            rig.device.merge.region_io(len(region) * per_block + 1)
+        ), limit=1e9)
+    blocks = [r.args["block"] for r in tracer.collector.records() if r.name == "read"]
+    assert blocks == [block for block in region for _ in range(per_block)] + region[:1]
+
+
+def _merge_then_retrieve(tracer=None):
+    """One merge batch and one retrieve of a stored pair, both on flash:
+    the index outgrows its 4 KiB of DRAM.  Returns the device, the batch's
+    work, the retrieve's lookup reads and the counters before, after the
+    batch and after the retrieve."""
+    scheme = KeyScheme(b"key-", 12)
+    config = KVSSDConfig(index_dram_bytes=4096)
+    with build_kv_rig(REGION_GEOMETRY, config=config, tracer=tracer) as rig:
+        env, device, stats = rig.env, rig.device, rig.device.stats
+        rig.prime(20_000, 512, scheme)
+        target = next(key for key in map(scheme.key_for, range(20_000))
+                      if device.index.lookup_flash_reads(key))
+        env.run_until_complete(env.process(device.store(target, 512)), limit=1e9)
+        rig.drain()
+        batches = []
+        take = device.index.take_merge_batch
+        device.index.take_merge_batch = lambda: batches.append(take()) or batches[-1]
+
+        def counters():
+            return (stats.index_flash_reads, stats.index_flash_writes,
+                    stats.flash_reads, stats.flash_programs, stats.flash_busy_us)
+
+        def settle():
+            yield env.sleep(1e6)
+
+        before = counters()
+        for _ in range(MERGE_BATCH - 1):
+            device.index.note_update()
+        device.merge.kick_if_dirty()
+        env.run_until_complete(env.process(settle()), limit=env.now + 2e6)
+        merged = counters()
+        value = env.run_until_complete(
+            env.process(device.retrieve(target)), limit=env.now + 1e6
+        )
+        assert value == 512 and len(batches) == 1
+        lookups = device.index.lookup_flash_reads(target)
+        return device, batches[0], lookups, (before, merged, counters())
+
+
+def test_region_traffic_is_the_batch_and_the_lookup_exactly():
+    device, work, lookups, (before, merged, after) = _merge_then_retrieve()
+    reads, writes = work.page_reads, work.page_writes
+    assert reads == writes > 0 and lookups > 0
+    xfer = device.array.transfer_us(PAGE)
+    # The batch: reads and writes on the region only, reads timed.
+    assert [m - b for m, b in zip(merged[:4], before[:4])] == [reads, writes, reads, 0]
+    assert merged[4] - before[4] == pytest.approx(reads * (READ_US + xfer), rel=1e-12)
+    # The retrieve: its index pages, then the pair's one data page.
+    fragment = device.layout_for(16, 512).fragments[0]
+    assert [a - m for a, m in zip(after[:4], merged[:4])] == [lookups, 0, lookups + 1, 0]
+    assert after[4] - merged[4] == pytest.approx(
+        lookups * (READ_US + xfer) + READ_US + device.array.transfer_us(fragment),
+        rel=1e-12,
+    )
+
+
+def test_region_pages_go_round_robin_and_trace_as_before(pin):
+    """Traced, the same run leaves the same counters; its index-region
+    reads take the region's pages in order — the batch's reads, its
+    writes, then the lookup's — and every flash span is pinned."""
+    untraced = _merge_then_retrieve()
+    tracer = Tracer()
+    device, work, lookups, counters = _merge_then_retrieve(tracer)
+    assert (work, lookups, counters) == untraced[1:]
+    region = device._index_region
+    per_block = REGION_GEOMETRY.pages_per_block
+    slots = chain(range(work.page_reads),
+                  range(2 * work.page_reads, 2 * work.page_reads + lookups))
+    flash = [r for r in tracer.collector.records() if r.cat == "flash"]
+    assert [r.args["block"] for r in flash
+            if r.name == "read" and r.args["block"] in region] == [
+        region[slot // per_block % len(region)] for slot in slots]
+    digest = hashlib.sha256(repr([
+        (r.track, r.name, r.ts, r.dur, r.args) for r in flash
+    ]).encode()).hexdigest()
+    pin("identity.spans.index_region", digest)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api.kvs import KVStoreAPI
 from repro.core.experiment import build_kv_rig, lab_geometry
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvalidKeyError
 from repro.metrics.cpu import CpuAccountant
 from repro.nvme.command import INLINE_KEY_BYTES, NvmeStatus, commands_for_key
 from repro.nvme.driver import (
@@ -105,10 +105,30 @@ def test_completion_charges_cpu_only():
 
 
 def test_driver_rejects_zero_commands():
+    """No command goes out in zero entries: an empty key takes its one,
+    and judging the key is the device's (this one accepts anything)."""
     env, cpu, driver, api = make_api()
-    with pytest.raises(ConfigurationError):
-        env.run_until_complete(env.process(api.store(b"", 4096)))
-    assert (driver.commands_submitted, cpu.total_busy_us) == (0, 0.0)
+    env.run_until_complete(env.process(api.store(b"", 4096)))
+    assert (driver.commands_submitted, driver.commands_completed) == (1, 1)
+    assert cpu.total_busy_us == (
+        KVStoreAPI.LIBRARY_CPU_US + CPU_ASYNC_US + CPU_COMPLETE_US
+    )
+
+
+@pytest.mark.parametrize("key, entries", [(b"", 1), (b"k" * 256, 2)],
+                         ids=["empty", "256B"])
+def test_an_invalid_key_fails_at_the_device_with_its_status(key, entries):
+    """A key the device refuses fails as a device error carrying the
+    completion status, after its entries went out and with one error
+    completion counted — the empty key as the oversized one."""
+    rig = build_kv_rig(lab_geometry(4))
+    with pytest.raises(InvalidKeyError) as failed:
+        rig.env.run_until_complete(rig.env.process(rig.api.store(key, 4096)))
+    assert failed.value.nvme_status == NvmeStatus.KV_INVALID_KEY_SIZE
+    driver = rig.driver
+    assert (driver.commands_submitted, driver.commands_completed,
+            driver.commands_failed) == (entries, 1, 1)
+    rig.close()
 
 
 @pytest.mark.parametrize("sync", [False, True])

@@ -134,7 +134,7 @@ def test_tracing_off_pays_nothing_extra_and_tracing_on_adds_no_events(pin):
     assert enabled_events == none_events
     assert enabled_calls["trace"] > none_calls["trace"]
     assert len(enabled.collector) > 0
-    pin("identity.cells.kv.events", none_events)
+    pin("identity.cells.kv", {"ops": 400, "events": none_events})
     pin("work.calls.kv", {
         "total": sum(none_calls.values()),
         "host path": sum(none_calls[p] for p in ("kvbench", "api", "nvme")),
@@ -167,7 +167,8 @@ def test_queued_serves_under_gc_stay_within_the_sim_ledger(pin):
     updates(3_500, 2)
     events, gc_runs = rig.env.processed_events, device.stats.gc_runs
     _, calls = call_ledger(lambda: updates(1_100, 1))
-    pin("identity.cells.kv_gc", {"events": rig.env.processed_events - events,
+    pin("identity.cells.kv_gc", {"ops": 1_100,
+                                 "events": rig.env.processed_events - events,
                                  "gc_runs": device.stats.gc_runs - gc_runs})
     pin("work.calls.kv_gc", {
         "total": sum(calls.values()),
@@ -205,10 +206,10 @@ def test_block_path_stays_within_its_ledger(pin):
         commands, lambda *outcome: outcomes.append(outcome[-1] is None),
     )))
     assert outcomes == [True] * 400
-    pin("identity.cells.block.events", rig.env.processed_events - events)
+    pin("identity.cells.block", {"ops": 400, "events": rig.env.processed_events - events})
     # A package the path no longer enters made no calls: it reads 0.
-    pin("work.calls.block",
-        {p: calls.get(p, 0) for p in ("blockftl", "api", "nvme")})
+    pin("work.calls.block", {"total": sum(calls.values()),
+                             **{p: calls.get(p, 0) for p in ("blockftl", "api", "nvme")}})
 
 
 def test_unbound_tracer_is_inert_and_bind_is_idempotent():
